@@ -11,7 +11,7 @@
 //!   pulled bytes have landed in the initiator's MD.
 //! * `sendrecv` — the MPI layer under [`MpiConfig::adaptive`], exercising
 //!   the measured eager/rendezvous switchover and, for large messages, the
-//!   pipelined window of bounded sub-gets.
+//!   one-get rendezvous pull (RTS, get, reply, FIN).
 //!
 //! Every in-process row runs twice: once with streaming fragment delivery
 //! ([`TransportConfig::streaming`] on — in-order fragments are scattered
@@ -114,7 +114,7 @@ struct Report {
     /// Streaming ÷ baseline mean bandwidth for a 16 MiB in-process get.
     get_16mib_speedup: f64,
     /// Streaming ÷ baseline mean bandwidth for a 16 MiB MPI sendrecv
-    /// (adaptive protocol, pipelined rendezvous window).
+    /// (adaptive protocol, one-get rendezvous).
     sendrecv_16mib_speedup: f64,
     /// Batched-jumbo ÷ unbatched mean bandwidth for the largest loopback-UDP
     /// put in the sweep — the wire-batching headline.

@@ -676,20 +676,19 @@ fn net_udp_counters() {
 
 /// The streaming large-message data path, end to end: a two-rank MPI world
 /// under the adaptive protocol sweeps message sizes across the
-/// eager/rendezvous crossover, then reports every pipeline-health counter the
-/// path exposes — streamed fragments and out-of-order buffering at the
-/// transport, the rendezvous sub-get window high-water mark and adaptive
-/// crossover decisions at the MPI engine, and the size-classed buffer pool's
-/// recycling hit rates.
+/// eager/rendezvous crossover, then sends a run of pure rendezvous messages,
+/// and reports what the path exposes — streamed fragments and out-of-order
+/// buffering at the transport, the adaptive crossover decisions, the Portals
+/// operations one rendezvous message costs, and the slab pool's hit rate.
 fn large_message_pipeline() {
     use portals_mpi::{Mpi, MpiConfig};
     use portals_types::Rank;
 
-    println!("\n== Large-message pipeline: streaming delivery + pipelined rendezvous ==\n");
+    println!("\n== Large-message pipeline: streaming delivery + one-get rendezvous ==\n");
 
     // Sizes straddling the adaptive crossover: small ones favour eager,
-    // multi-MiB ones favour the pipelined rendezvous pull. Several rounds so
-    // the EWMA selector has real samples on both arms (plus explorations).
+    // multi-MiB ones always take the rendezvous pull. Several rounds so the
+    // EWMA selector has real samples on both arms (plus explorations).
     const SIZES: [usize; 5] = [
         2 * 1024,
         16 * 1024,
@@ -698,6 +697,10 @@ fn large_message_pipeline() {
         4 * 1024 * 1024,
     ];
     const ROUNDS: usize = 6;
+    /// Back-to-back 4 MiB messages (above the band: always rendezvous) whose
+    /// Portals operations are counted per message.
+    const RDVZ_MSGS: u64 = 8;
+    const RDVZ_LEN: usize = 4 * 1024 * 1024;
 
     let fabric = Fabric::new(FabricConfig::ideal());
     let ranks: Vec<ProcessId> = (0..2).map(|i| ProcessId::new(i, 1)).collect();
@@ -725,10 +728,19 @@ fn large_message_pipeline() {
                 comm.send(Rank(0), 2, b"k");
             }
         }
-        // Harvest the receive-side counters before the engine drops.
-        let window_hwm = comm.engine().rdvz_window_hwm();
-        let pools = comm.engine().pool_classes();
-        (window_hwm, pools)
+        // A reply can only follow a receive posted below, so this snapshot
+        // cannot race the sender's head start.
+        let before = comm.engine().ni().counters();
+        for _ in 0..RDVZ_MSGS {
+            let req = comm.irecv(Some(Rank(0)), Some(3), Region::zeroed(RDVZ_LEN));
+            comm.wait(req);
+        }
+        let replies = comm.engine().ni().counters().replies_accepted - before.replies_accepted;
+        let pool = (
+            comm.engine().regions_pooled(),
+            comm.engine().regions_allocated(),
+        );
+        (replies, pool)
     });
 
     let comm = m0.world();
@@ -740,8 +752,22 @@ fn large_message_pipeline() {
         }
     }
     let adaptive = comm.engine().adaptive_report();
-    let sender_pools = comm.engine().pool_classes();
-    let (window_hwm, recv_pools) = receiver.join().unwrap();
+    // From here on the only requests this rank serves are the receiver's
+    // gets (no payload lands here) and its zero-length FIN puts (counted as
+    // payload messages), so the two separate.
+    let before = comm.engine().ni().counters();
+    for _ in 0..RDVZ_MSGS {
+        let req = comm.isend_region(Rank(1), 3, Region::zeroed(RDVZ_LEN));
+        comm.wait(req);
+    }
+    let after = comm.engine().ni().counters();
+    let fins = after.payload_messages - before.payload_messages;
+    let gets = after.requests_accepted - before.requests_accepted - fins;
+    let sender_pool = (
+        comm.engine().regions_pooled(),
+        comm.engine().regions_allocated(),
+    );
+    let (replies, recv_pool) = receiver.join().unwrap();
     let ts = nodes[1].transport_stats();
 
     println!("transport (receiver, streaming delivery):");
@@ -749,8 +775,13 @@ fn large_message_pipeline() {
     println!("  ooo_buffered        {:>10}", ts.ooo_buffered);
     println!("  bytes_buffered_hwm  {:>10}", ts.bytes_buffered_hwm);
 
-    println!("\nrendezvous pipeline (receiver pulls):");
-    println!("  sub-get window hwm  {:>10}", window_hwm);
+    println!(
+        "\nrendezvous, per message ({RDVZ_MSGS} x {} MiB):",
+        RDVZ_LEN >> 20
+    );
+    for (what, n) in [("gets", gets), ("replies", replies), ("FINs", fins)] {
+        println!("  {what:<19} {:>10.2}", n as f64 / RDVZ_MSGS as f64);
+    }
 
     println!("\nadaptive crossover (sender decisions):");
     println!("  eager decisions     {:>10}", adaptive.eager_decisions);
@@ -765,19 +796,10 @@ fn large_message_pipeline() {
         adaptive.rdvz_ns_per_byte
     );
 
-    for (who, pools) in [("sender", &sender_pools), ("receiver", &recv_pools)] {
-        println!("\nbuffer pool ({who}), regions recycled by size class:");
-        println!(
-            "  {:>12} {:>10} {:>10} {:>8} {:>8}",
-            "class(B)", "pooled", "alloc'd", "free", "hit%"
-        );
-        for c in pools.iter().filter(|c| c.pooled + c.allocated > 0) {
-            let hit = c.pooled as f64 / (c.pooled + c.allocated) as f64 * 100.0;
-            println!(
-                "  {:>12} {:>10} {:>10} {:>8} {hit:>7.1}%",
-                c.slab_len, c.pooled, c.allocated, c.free
-            );
-        }
+    println!("\nslab pool (eager snapshots + RTS records):");
+    for (who, (pooled, allocated)) in [("sender", sender_pool), ("receiver", recv_pool)] {
+        let hit = pooled as f64 / (pooled + allocated).max(1) as f64 * 100.0;
+        println!("  {who:<9} pooled {pooled:>6}  alloc'd {allocated:>6}  hit {hit:>5.1}%");
     }
     drop(comm);
     drop(nodes);

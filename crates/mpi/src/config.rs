@@ -54,12 +54,6 @@ pub struct MpiConfig {
     pub pool_slab: usize,
     /// Bound on the pool's free list (slabs kept for reuse).
     pub pool_free: usize,
-    /// Rendezvous sub-get size, bytes: a matched announcement is pulled in
-    /// chunks of at most this many bytes instead of one monolithic get, so
-    /// chunk replies pipeline on the wire.
-    pub rdvz_chunk: usize,
-    /// Bound on concurrently outstanding sub-gets per rendezvous pull.
-    pub rdvz_window: usize,
 }
 
 impl Default for MpiConfig {
@@ -72,8 +66,6 @@ impl Default for MpiConfig {
             eq_capacity: 8192,
             pool_slab: 2048,
             pool_free: 64,
-            rdvz_chunk: 256 * 1024,
-            rdvz_window: 4,
         }
     }
 }
@@ -139,7 +131,5 @@ mod tests {
             }
             p => panic!("expected adaptive, got {p:?}"),
         }
-        assert!(c.rdvz_chunk > 0);
-        assert!(c.rdvz_window >= 1);
     }
 }

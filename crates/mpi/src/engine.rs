@@ -12,7 +12,7 @@
 //! |---|---|
 //! | 0 (`PT_MSG`) | eager message data: posted receives + overflow slabs |
 //! | 1 (`PT_CTRL`) | rendezvous request-to-send records |
-//! | 2 (`PT_RDVZ`) | exposed send buffers awaiting the receiver's get |
+//! | 2 (`PT_RDVZ`) | exposed send buffers: the receiver's get, then its FIN put |
 //!
 //! In [`Protocol::EagerDirect`] posted receives are *hardware* match entries:
 //! the Portals receive engine steers data into user buffers with no MPI
@@ -26,12 +26,11 @@ use crate::request::{Completion, ReqKind, Request, Status};
 use parking_lot::Mutex;
 use portals::{
     AckRequest, EqHandle, EventKind, MdHandle, MdOptions, MdSpec, MeHandle, MePos,
-    NetworkInterface, PoolClassStats, PoolSet, Region, Threshold,
+    NetworkInterface, Region, RegionPool, Threshold,
 };
 use portals_obs::{Counter, Layer, Stage, TraceEvent};
 use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlError, PtlResult, Rank};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 const PT_MSG: u32 = 0;
@@ -43,11 +42,6 @@ const COOKIE: u32 = 0;
 const RTS_SIZE: usize = 16;
 /// Control slab capacity (RTS records).
 const CTRL_SLAB_RECORDS: usize = 4096;
-/// Match-bit flag distinguishing the *final* sub-get of a pipelined
-/// rendezvous pull from the bulk ones: the sender exposes two entries per
-/// announcement (serial, serial | FINAL_BIT) and completes the send when the
-/// final one is hit. Serials are sequential and never reach this bit.
-const FINAL_BIT: u64 = 1 << 63;
 /// Adaptive-protocol EWMA smoothing factor.
 const EWMA_ALPHA: f64 = 0.25;
 /// In the adaptive band, try the out-of-favor protocol once every this many
@@ -83,20 +77,17 @@ struct SendInfo {
     dest: ProcessId,
     match_bits: MatchBits,
     portal: u32,
-    /// The pooled slab backing this send, returned to the pool once the
-    /// operation's final completion (ack or get) arrives. `None` for
+    /// The pooled slab backing this send (eager snapshots and RTS records
+    /// only), returned to the pool once its ack arrives. `None` for
     /// caller-owned and oversize buffers.
     pooled: Option<Region>,
-    /// Message length, reported as the requested length on rendezvous
-    /// completion (the final sub-get's own rlength covers only its chunk).
+    /// Message length, reported as the requested length on completion.
     total_len: u64,
+    /// Rendezvous only: bytes the receiver's get took (the `Get` event's
+    /// manipulated length), reported as delivered when the FIN lands.
+    pulled: u64,
     /// Submission time, for the adaptive protocol's cost EWMA.
     started: Instant,
-    /// Which protocol arm this send took (feeds the matching EWMA).
-    rendezvous: bool,
-    /// For a rendezvous send keyed by its final-entry MD: the bulk entry
-    /// torn down when the final sub-get lands.
-    bulk: Option<(MdHandle, MeHandle)>,
 }
 
 /// A rendezvous announcement waiting for its receive.
@@ -108,40 +99,17 @@ struct RtsRecord {
     total_len: u64,
 }
 
-/// An outstanding rendezvous pull: the receiver-side window of pipelined
-/// sub-gets draining one announcement into the user buffer.
+/// An outstanding rendezvous pull: one get bound over the user's receive
+/// region, keyed in `EngState::pulls` by that MD.
 struct PullState {
+    /// The receive request this pull completes.
+    id: u64,
     src: u16,
     tag: Tag,
     total_len: u64,
     cap: usize,
-    /// Bytes actually pulled: `min(total_len, cap)` (§4.8 truncation,
-    /// decided at match time from the announced length).
-    pull_len: u64,
-    /// Next chunk offset to issue.
-    next_off: u64,
-    /// The final sub-get has been issued (it is always issued last, so the
-    /// per-pair FIFO delivers it to the sender after every bulk one).
-    issued_final: bool,
-    /// Outstanding sub-gets, bounded by [`MpiConfig::rdvz_window`].
-    in_flight: usize,
-    /// Bytes landed in the user buffer so far.
-    received: u64,
-    user: Region,
     sender: ProcessId,
     serial: u64,
-}
-
-/// One outstanding sub-get of a pull, keyed by its bound MD.
-struct ChunkInfo {
-    /// The receive request this chunk belongs to (key into `EngState::pulls`).
-    pull_id: u64,
-    /// Absolute offset of this chunk in the message payload.
-    off: u64,
-    /// Pooled bounce buffer the reply lands in before the copy to the user
-    /// buffer at `off`. `None` when the chunk MD binds the user buffer
-    /// directly (offset-zero chunks — replies land at an MD's region start).
-    bounce: Option<Region>,
 }
 
 struct EngState {
@@ -152,11 +120,7 @@ struct EngState {
     send_done: HashMap<u64, (u64, u64)>,
     recvs: Vec<PostedRecv>,
     recv_done: HashMap<u64, Status>,
-    pulls: HashMap<u64, PullState>,
-    chunk_mds: HashMap<MdHandle, ChunkInfo>,
-    /// Bytes pulled so far through each rendezvous send's bulk entry,
-    /// keyed by the bulk MD; folded into the final sub-get's completion.
-    bulk_pulled: HashMap<MdHandle, u64>,
+    pulls: HashMap<MdHandle, PullState>,
     unexpected: VecDeque<Arrival>,
     rts_waiting: VecDeque<RtsRecord>,
     slab_me: MeHandle,
@@ -197,19 +161,19 @@ pub struct MpiEngine {
     eq: EqHandle,
     config: MpiConfig,
     state: Mutex<EngState>,
-    /// Size-classed slab pools: small eager sends and RTS records in one
-    /// class, rendezvous pull bounce chunks in another (the malloc/free
-    /// pairs the data paths used to pay per message).
-    pools: PoolSet,
-    /// `mpi.regions_pooled`: takes served from a recycled slab (any class).
+    /// Zero-length source of every rendezvous FIN put (never consumed: no
+    /// threshold, no event queue).
+    fin_md: MdHandle,
+    /// Slab pool for small eager sends and RTS records (the malloc/free pair
+    /// those paths used to pay per message).
+    pool: RegionPool,
+    /// `mpi.regions_pooled`: takes served from a recycled slab.
     regions_pooled: Counter,
     /// `mpi.regions_allocated`: pool-eligible takes that fell back to a
     /// fresh allocation (cold pool or quarantined slabs).
     regions_allocated: Counter,
     /// Adaptive-protocol selector (unused under the fixed protocols).
     adaptive: Mutex<AdaptiveState>,
-    /// High-water mark of concurrently outstanding rendezvous sub-gets.
-    window_hwm: AtomicU64,
 }
 
 impl MpiEngine {
@@ -251,11 +215,10 @@ impl MpiEngine {
         let labels = [("node", ni.id().nid.0.to_string())];
         let regions_pooled = ni.obs().registry.counter("mpi.regions_pooled", &labels);
         let regions_allocated = ni.obs().registry.counter("mpi.regions_allocated", &labels);
+        let fin_md = ni.md_bind(MdSpec::new(Region::zeroed(0)))?;
         let engine = MpiEngine {
-            pools: PoolSet::new(&[
-                (config.pool_slab, config.pool_free),
-                (config.rdvz_chunk, config.rdvz_window * 2),
-            ]),
+            fin_md,
+            pool: RegionPool::new(config.pool_slab, config.pool_free),
             regions_pooled,
             regions_allocated,
             adaptive: Mutex::new(AdaptiveState {
@@ -266,7 +229,6 @@ impl MpiEngine {
                 explorations: 0,
                 in_band: 0,
             }),
-            window_hwm: AtomicU64::new(0),
             ni,
             eq,
             config,
@@ -279,8 +241,6 @@ impl MpiEngine {
                 recvs: Vec::new(),
                 recv_done: HashMap::new(),
                 pulls: HashMap::new(),
-                chunk_mds: HashMap::new(),
-                bulk_pulled: HashMap::new(),
                 unexpected: VecDeque::new(),
                 rts_waiting: VecDeque::new(),
                 slab_me,
@@ -364,7 +324,7 @@ impl MpiEngine {
     ) -> PtlResult<Request> {
         let rendezvous = self.choose_rendezvous(data.len());
         if !rendezvous && data.len() <= self.config.pool_slab && self.config.pool_slab > 0 {
-            let slab = self.take_pooled(self.config.pool_slab);
+            let slab = self.take_pooled();
             if !data.is_empty() {
                 slab.write(0, data);
             }
@@ -400,24 +360,16 @@ impl MpiEngine {
         self.isend_inner(context, my_rank, dest, tag, data, len, false, rendezvous)
     }
 
-    /// A pooled region of at least `len` bytes, with the hit/miss mirrored
-    /// into the obs counters. Falls back to an exact allocation when no pool
-    /// class fits.
-    fn take_pooled(&self, len: usize) -> Region {
-        match self.pools.take_tracked(len) {
-            Some((slab, true)) => {
-                self.regions_pooled.inc();
-                slab
-            }
-            Some((slab, false)) => {
-                self.regions_allocated.inc();
-                slab
-            }
-            None => {
-                self.regions_allocated.inc();
-                Region::zeroed(len)
-            }
+    /// A `pool_slab`-byte region from the pool, with the hit/miss mirrored
+    /// into the obs counters.
+    fn take_pooled(&self) -> Region {
+        let (slab, hit) = self.pool.take_tracked();
+        if hit {
+            self.regions_pooled.inc();
+        } else {
+            self.regions_allocated.inc();
         }
+        slab
     }
 
     /// Pick the protocol arm for a `len`-byte send.
@@ -485,8 +437,8 @@ impl MpiEngine {
 
     /// The shared isend body. `len` is the message length — `data` may be a
     /// pooled slab longer than the message, so the MD is bound `len`-long
-    /// over its front. `pooled` marks the region for recycling when the
-    /// send's final completion arrives.
+    /// over its front. `pooled` (eager sends only) marks the region for
+    /// recycling when the send's ack arrives.
     #[allow(clippy::too_many_arguments)]
     fn isend_inner(
         &self,
@@ -499,6 +451,11 @@ impl MpiEngine {
         pooled: bool,
         rendezvous: bool,
     ) -> PtlResult<Request> {
+        // One get moves a rendezvous payload, so it is bounded like any other
+        // single Portals operation (an eager put fails the same way).
+        if rendezvous && len > self.ni.limits().max_message_size {
+            return Err(PtlError::LimitExceeded);
+        }
         let match_bits = bits::encode(context, my_rank, tag);
         let started = Instant::now();
         let mut st = self.state.lock();
@@ -512,70 +469,45 @@ impl MpiEngine {
         );
 
         if rendezvous {
-            // Expose the payload for the receiver's pipelined pull, then
-            // announce it. Two match entries over the same region: the bulk
-            // entry serves every non-final sub-get (unbounded threshold),
-            // the final entry serves exactly the last one and its event
-            // completes the send. The receiver issues the final sub-get
-            // last, and the per-pair FIFO keeps it last on this side.
+            // Expose the payload for the receiver's pull, then announce it.
+            // One entry, used exactly twice: the receiver's get reads the
+            // payload (its event records how much), and the receiver's
+            // zero-length FIN put — sent once the reply has landed — completes
+            // the send and exhausts the descriptor, which unlinks both.
             let serial = st.next_serial;
             st.next_serial += 1;
-            debug_assert_eq!(serial & FINAL_BIT, 0, "serial overflow into FINAL_BIT");
-            let bulk_me = self.ni.me_attach(
+            let me = self.ni.me_attach(
                 PT_RDVZ,
                 ProcessId::ANY,
                 MatchCriteria::exact(MatchBits::new(serial)),
                 true,
                 MePos::Back,
             )?;
-            let bulk_md = self.ni.md_attach(
-                bulk_me,
+            let md = self.ni.md_attach(
+                me,
                 MdSpec::new(data.clone())
                     .with_length(len)
                     .with_eq(self.eq)
-                    .with_threshold(Threshold::Infinite)
+                    .with_threshold(Threshold::Count(2))
                     .with_options(MdOptions {
-                        op_put: false,
-                        op_get: true,
-                        truncate: true,
-                        unlink_on_exhaustion: false,
-                        ..Default::default()
-                    }),
-            )?;
-            let final_me = self.ni.me_attach(
-                PT_RDVZ,
-                ProcessId::ANY,
-                MatchCriteria::exact(MatchBits::new(serial | FINAL_BIT)),
-                true,
-                MePos::Back,
-            )?;
-            let final_md = self.ni.md_attach(
-                final_me,
-                MdSpec::new(data.clone())
-                    .with_length(len)
-                    .with_eq(self.eq)
-                    .with_threshold(Threshold::Count(1))
-                    .with_options(MdOptions {
-                        op_put: false,
+                        op_put: true,
                         op_get: true,
                         truncate: true,
                         unlink_on_exhaustion: true,
                         ..Default::default()
                     }),
             )?;
-            st.bulk_pulled.insert(bulk_md, 0);
             st.sends.insert(
-                final_md,
+                md,
                 SendInfo {
                     id: Some(id),
                     dest,
                     match_bits,
                     portal: PT_RDVZ,
-                    pooled: pooled.then(|| data.clone()),
+                    pooled: None,
                     total_len: len as u64,
+                    pulled: 0,
                     started,
-                    rendezvous: true,
-                    bulk: Some((bulk_md, bulk_me)),
                 },
             );
 
@@ -586,7 +518,7 @@ impl MpiEngine {
             // rendezvous path: serve them from the pool too.
             let rts_pooled = self.config.pool_slab >= RTS_SIZE;
             let rts_region = if rts_pooled {
-                let slab = self.take_pooled(self.config.pool_slab);
+                let slab = self.take_pooled();
                 slab.write(0, &rts);
                 slab
             } else {
@@ -612,8 +544,7 @@ impl MpiEngine {
                         pooled: rts_pooled.then(|| rts_region.clone()),
                         total_len: RTS_SIZE as u64,
                         started,
-                        rendezvous: false,
-                        bulk: None,
+                        pulled: 0,
                     },
                 );
                 self.ni
@@ -639,7 +570,7 @@ impl MpiEngine {
                     .submit()?;
                 let _ = self.ni.md_unlink(rts_md);
                 if rts_pooled {
-                    self.pools.recycle(rts_region);
+                    self.pool.recycle(rts_region);
                 }
             }
         } else {
@@ -659,8 +590,7 @@ impl MpiEngine {
                     pooled: pooled.then(|| data.clone()),
                     total_len: len as u64,
                     started,
-                    rendezvous: false,
-                    bulk: None,
+                    pulled: 0,
                 },
             );
             self.ni
@@ -746,13 +676,15 @@ impl MpiEngine {
                         Ok(()) => break,
                         Err(PtlError::NoUpdate) => {
                             // Pending events might include the very message
-                            // this receive wants: drain and re-check.
+                            // this receive wants: drain and re-check. If one
+                            // did, the receive is no longer posted — delivered
+                            // from a slab, or matched by an announcement whose
+                            // pull is now in flight — and its entry is gone.
                             self.drain(&mut st);
-                            if st.recv_done.contains_key(&id) {
-                                break; // completed from a slab during drain
+                            if !st.recvs.iter().rev().any(|r| r.id == id) {
+                                break;
                             }
                         }
-                        Err(PtlError::InvalidMd) if st.recv_done.contains_key(&id) => break,
                         Err(e) => return Err(e),
                     }
                 }
@@ -839,89 +771,43 @@ impl MpiEngine {
         self.trace(Stage::Deliver, n as u64, "eager_slab");
     }
 
-    /// Begin the pipelined pull for a matched announcement: open the window
-    /// of sub-gets that drains the sender's exposed payload into the user
-    /// buffer chunk by chunk.
+    /// Pull a matched announcement with one get bound directly over the
+    /// user's receive region: the reply lands at the MD start, and the
+    /// streaming transport scatters it there fragment by fragment. The get
+    /// asks for `min(total_len, cap)` bytes (§4.8 truncation, decided here
+    /// from the announced length).
     fn start_pull(&self, st: &mut EngState, id: u64, buf: Region, cap: usize, rts: RtsRecord) {
         let pull_len = rts.total_len.min(cap as u64);
-        let (_, src_rank, tag) = bits::decode(rts.bits);
+        let (_, src, tag) = bits::decode(rts.bits);
+        let md = self
+            .ni
+            .md_bind(
+                MdSpec::new(buf)
+                    .with_length(pull_len as usize)
+                    .with_eq(self.eq)
+                    .with_threshold(Threshold::Count(1)),
+            )
+            .expect("bind rendezvous pull md");
         st.pulls.insert(
-            id,
+            md,
             PullState {
-                src: src_rank,
+                id,
+                src,
                 tag,
                 total_len: rts.total_len,
                 cap,
-                pull_len,
-                next_off: 0,
-                issued_final: false,
-                in_flight: 0,
-                received: 0,
-                user: buf,
                 sender: rts.sender,
                 serial: rts.serial,
             },
         );
-        self.issue_chunks(st, id);
-    }
-
-    /// Issue sub-gets for pull `pull_id` until its window is full or the
-    /// final chunk is out. Offset-zero chunks bind the user buffer directly
-    /// (a reply lands at its MD's region start); later chunks land in pooled
-    /// bounce slabs and are copied into place on their reply.
-    fn issue_chunks(&self, st: &mut EngState, pull_id: u64) {
-        loop {
-            let (off, len, is_final, sender, serial, user) = {
-                let Some(p) = st.pulls.get_mut(&pull_id) else {
-                    return;
-                };
-                if p.issued_final || p.in_flight >= self.config.rdvz_window.max(1) {
-                    return;
-                }
-                let len = (p.pull_len - p.next_off).min(self.config.rdvz_chunk.max(1) as u64);
-                let off = p.next_off;
-                let is_final = off + len == p.pull_len;
-                p.next_off += len;
-                p.in_flight += 1;
-                p.issued_final |= is_final;
-                self.window_hwm
-                    .fetch_max(p.in_flight as u64, Ordering::Relaxed);
-                (off, len, is_final, p.sender, p.serial, p.user.clone())
-            };
-            let (region, md_len, bounce) = if off == 0 {
-                (user, len as usize, None)
-            } else {
-                let b = self.take_pooled(self.config.rdvz_chunk.max(len as usize));
-                (b.clone(), len as usize, Some(b))
-            };
-            let md = self
-                .ni
-                .md_bind(
-                    MdSpec::new(region)
-                        .with_length(md_len)
-                        .with_eq(self.eq)
-                        .with_threshold(Threshold::Count(1)),
-                )
-                .expect("bind pull chunk md");
-            st.chunk_mds.insert(
-                md,
-                ChunkInfo {
-                    pull_id,
-                    off,
-                    bounce,
-                },
-            );
-            let bits = if is_final { serial | FINAL_BIT } else { serial };
-            self.ni
-                .get_op(md)
-                .target(sender, PT_RDVZ)
-                .bits(MatchBits::new(bits))
-                .cookie(COOKIE)
-                .offset(off)
-                .length(len)
-                .submit()
-                .expect("rendezvous sub-get");
-        }
+        self.ni
+            .get_op(md)
+            .target(rts.sender, PT_RDVZ)
+            .bits(MatchBits::new(rts.serial))
+            .cookie(COOKIE)
+            .length(pull_len)
+            .submit()
+            .expect("rendezvous get");
     }
 
     /// Nonblocking probe (MPI_Iprobe): report the oldest arrived-but-unclaimed
@@ -987,31 +873,40 @@ impl MpiEngine {
         self.drain(&mut st);
     }
 
-    /// Block until `req` completes or `timeout` expires.
-    pub fn wait_timeout(&self, req: Request, timeout: Duration) -> Option<Completion> {
-        let deadline = Instant::now() + timeout;
+    /// The one blocking loop behind every wait: drain, ask `done`, and
+    /// otherwise block briefly on the event queue (under a host-driven
+    /// interface this is also what pumps the Portals raw queue) until `done`
+    /// yields or `deadline` passes.
+    fn wait_until<T>(
+        &self,
+        deadline: Instant,
+        mut done: impl FnMut(&mut EngState) -> Option<T>,
+    ) -> Option<T> {
         loop {
-            if let Some(c) = self.test(req) {
-                return Some(c);
+            {
+                let mut st = self.state.lock();
+                self.drain(&mut st);
+                if let Some(t) = done(&mut st) {
+                    return Some(t);
+                }
             }
             if Instant::now() >= deadline {
                 return None;
             }
-            // Block briefly on the event queue. Under a host-driven interface
-            // this is also what pumps the Portals raw queue.
             match self.ni.eq_poll(self.eq, Duration::from_micros(200)) {
-                Ok(ev) => {
-                    let mut st = self.state.lock();
-                    self.handle_event(&mut st, ev);
-                }
+                Ok(ev) => self.handle_event(&mut self.state.lock(), ev),
                 Err(PtlError::Timeout) | Err(PtlError::EqEmpty) => {}
-                Err(PtlError::EqDropped) => {
-                    let mut st = self.state.lock();
-                    self.recover_dropped_events(&mut st);
-                }
+                Err(PtlError::EqDropped) => self.recover_dropped_events(&mut self.state.lock()),
                 Err(e) => panic!("event queue failure: {e}"),
             }
         }
+    }
+
+    /// Block until `req` completes or `timeout` expires.
+    pub fn wait_timeout(&self, req: Request, timeout: Duration) -> Option<Completion> {
+        self.wait_until(Instant::now() + timeout, |st| {
+            Self::take_completion(st, req)
+        })
     }
 
     /// Block until `req` completes.
@@ -1029,27 +924,12 @@ impl MpiEngine {
     /// completion (MPI_Waitany).
     pub fn wait_any(&self, reqs: &[Request]) -> (usize, Completion) {
         assert!(!reqs.is_empty(), "wait_any needs at least one request");
-        let deadline = Instant::now() + Duration::from_secs(300);
-        loop {
-            {
-                let mut st = self.state.lock();
-                self.drain(&mut st);
-                for (i, r) in reqs.iter().enumerate() {
-                    if let Some(c) = Self::take_completion(&mut st, *r) {
-                        return (i, c);
-                    }
-                }
-            }
-            assert!(Instant::now() < deadline, "MPI wait_any timed out (5 min)");
-            match self.ni.eq_poll(self.eq, Duration::from_micros(200)) {
-                Ok(ev) => {
-                    let mut st = self.state.lock();
-                    self.handle_event(&mut st, ev);
-                }
-                Err(PtlError::Timeout) | Err(PtlError::EqEmpty) => {}
-                Err(e) => panic!("event queue failure: {e}"),
-            }
-        }
+        self.wait_until(Instant::now() + Duration::from_secs(300), |st| {
+            reqs.iter()
+                .enumerate()
+                .find_map(|(i, r)| Self::take_completion(st, *r).map(|c| (i, c)))
+        })
+        .expect("MPI wait_any timed out (5 min)")
     }
 
     fn take_completion(st: &mut EngState, req: Request) -> Option<Completion> {
@@ -1078,27 +958,20 @@ impl MpiEngine {
         self.state.lock().unexpected.len()
     }
 
-    /// Takes served from the region pools, any size class (the
-    /// `mpi.regions_pooled` metric).
+    /// Sends submitted and not yet complete, RTS announcements awaiting
+    /// their ack included (diagnostics).
+    pub fn sends_pending(&self) -> usize {
+        self.state.lock().sends.len()
+    }
+
+    /// Takes served from the region pool (the `mpi.regions_pooled` metric).
     pub fn regions_pooled(&self) -> u64 {
-        self.pools.pooled()
+        self.pool.pooled()
     }
 
     /// Pool-eligible takes that fell back to a fresh allocation.
     pub fn regions_allocated(&self) -> u64 {
-        self.pools.allocated()
-    }
-
-    /// Per-size-class pool statistics (eager/RTS slabs vs rendezvous pull
-    /// chunks), ascending by slab size.
-    pub fn pool_classes(&self) -> Vec<PoolClassStats> {
-        self.pools.class_stats()
-    }
-
-    /// High-water mark of concurrently outstanding rendezvous sub-gets
-    /// across all pulls so far.
-    pub fn rdvz_window_hwm(&self) -> u64 {
-        self.window_hwm.load(Ordering::Relaxed)
+        self.pool.allocated()
     }
 
     /// Snapshot of the adaptive protocol selector (zeros under the fixed
@@ -1159,75 +1032,49 @@ impl MpiEngine {
                     // reports what it accepted.
                     if let Some(id) = info.id {
                         st.send_done.insert(id, (ev.mlength, ev.rlength));
-                        self.note_send_cost(info.rendezvous, info.total_len, info.started);
+                        self.note_send_cost(false, info.total_len, info.started);
                     }
                     let _ = self.ni.md_unlink(ev.md);
                     if let Some(slab) = info.pooled {
-                        self.pools.recycle(slab);
+                        self.pool.recycle(slab);
                     }
                 }
             }
             EventKind::Get => {
-                if let Some(pulled) = st.bulk_pulled.get_mut(&ev.md) {
-                    // A non-final sub-get against the bulk entry: account it
-                    // and keep the exposure up for the rest of the window.
-                    *pulled += ev.mlength;
-                } else if let Some(info) = st.sends.remove(&ev.md) {
-                    // The final sub-get landed: the receiver has issued (and
-                    // the FIFO has delivered) every bulk sub-get before it,
-                    // so the whole pull is done and the bulk exposure can
-                    // come down.
-                    let mut delivered = ev.mlength;
-                    if let Some((bulk_md, bulk_me)) = info.bulk {
-                        delivered += st.bulk_pulled.remove(&bulk_md).unwrap_or(0);
-                        let _ = self.ni.md_unlink(bulk_md);
-                        let _ = self.ni.me_unlink(bulk_me);
-                    }
-                    if let Some(id) = info.id {
-                        st.send_done.insert(id, (delivered, info.total_len));
-                        self.note_send_cost(info.rendezvous, info.total_len, info.started);
-                    }
-                    // Final MD unlinks itself (threshold 1 + unlink flag).
-                    if let Some(slab) = info.pooled {
-                        self.pools.recycle(slab);
-                    }
+                // The receiver's get matched our exposure. This is logged
+                // before the reply leaves — the payload is still being read
+                // out of the send buffer — so it only records how much was
+                // taken; the FIN put completes the send.
+                if let Some(info) = st.sends.get_mut(&ev.md) {
+                    info.pulled = ev.mlength;
                 }
             }
             EventKind::Reply => {
-                // A rendezvous sub-get came back.
-                if let Some(chunk) = st.chunk_mds.remove(&ev.md) {
+                // A rendezvous payload has fully landed in the user buffer.
+                if let Some(p) = st.pulls.remove(&ev.md) {
                     let _ = self.ni.md_unlink(ev.md);
-                    let mut finished = false;
-                    if let Some(p) = st.pulls.get_mut(&chunk.pull_id) {
-                        p.in_flight -= 1;
-                        p.received += ev.mlength;
-                        if let Some(bounce) = chunk.bounce {
-                            if ev.mlength > 0 {
-                                p.user.write(
-                                    chunk.off as usize,
-                                    &bounce.slice(0, ev.mlength as usize),
-                                );
-                            }
-                            self.pools.recycle(bounce);
-                        }
-                        finished = p.issued_final && p.in_flight == 0;
-                    }
-                    if finished {
-                        let p = st.pulls.remove(&chunk.pull_id).expect("checked above");
-                        st.recv_done.insert(
-                            chunk.pull_id,
-                            Status {
-                                source: Rank(p.src as u32),
-                                tag: p.tag,
-                                len: p.received as usize,
-                                truncated: p.total_len as usize > p.cap,
-                                full_len: p.total_len as usize,
-                            },
-                        );
-                        self.trace(Stage::Deliver, p.received, "rendezvous");
-                    } else {
-                        self.issue_chunks(st, chunk.pull_id);
-                    }
+                    st.recv_done.insert(
+                        p.id,
+                        Status {
+                            source: Rank(p.src as u32),
+                            tag: p.tag,
+                            len: ev.mlength as usize,
+                            truncated: p.total_len as usize > p.cap,
+                            full_len: p.total_len as usize,
+                        },
+                    );
+                    self.trace(Stage::Deliver, ev.mlength, "rendezvous");
+                    // FIN: every byte has arrived, so nothing the sender's
+                    // buffer holds from now on can reach this one (a late
+                    // retransmission is a duplicate, and discarded). `PT_RDVZ`
+                    // is not flow controlled, so this put cannot be nacked.
+                    self.ni
+                        .put_op(self.fin_md)
+                        .target(p.sender, PT_RDVZ)
+                        .bits(MatchBits::new(p.serial))
+                        .cookie(COOKIE)
+                        .submit()
+                        .expect("rendezvous FIN");
                 }
             }
             EventKind::Put => self.handle_put_event(st, ev),
@@ -1317,6 +1164,16 @@ impl MpiEngine {
                 self.start_pull(st, r.id, r.buf, r.cap, rts);
             } else {
                 st.rts_waiting.push_back(rts);
+            }
+        } else if ev.portal_index == PT_RDVZ {
+            // The receiver's FIN: its reply has landed, so the exposed buffer
+            // is quiescent and the rendezvous send is complete. The exposure
+            // unlinked itself on this second (last) use.
+            if let Some(info) = st.sends.remove(&ev.md) {
+                if let Some(id) = info.id {
+                    st.send_done.insert(id, (info.pulled, info.total_len));
+                    self.note_send_cost(true, info.total_len, info.started);
+                }
             }
         } else if let Some(buf) = st.slab_mds.get(&ev.md).cloned() {
             // An eager message landed in the overflow slab.

@@ -1,7 +1,7 @@
 //! MPI-semantics tests across both protocols and both progress models.
 
 use portals::{NiConfig, Node, NodeConfig, ProgressModel, Region};
-use portals_mpi::{Communicator, Completion, Mpi, MpiConfig};
+use portals_mpi::{Communicator, Completion, Mpi, MpiConfig, Protocol};
 use portals_net::Fabric;
 use portals_types::{NodeId, ProcessId, Rank};
 use std::time::Duration;
@@ -12,6 +12,16 @@ fn world_run(
     n: usize,
     progress: ProgressModel,
     mpi_cfg: MpiConfig,
+    f: impl Fn(Communicator) + Send + Sync + 'static,
+) {
+    world_run_with(n, progress, move |_| mpi_cfg, f)
+}
+
+/// [`world_run`] with a per-rank MPI configuration.
+fn world_run_with(
+    n: usize,
+    progress: ProgressModel,
+    mpi_cfg: impl Fn(usize) -> MpiConfig,
     f: impl Fn(Communicator) + Send + Sync + 'static,
 ) {
     let fabric = Fabric::ideal();
@@ -32,7 +42,7 @@ fn world_run(
                     },
                 )
                 .unwrap();
-            Mpi::init(ni, ranks.clone(), Rank(i as u32), mpi_cfg).unwrap()
+            Mpi::init(ni, ranks.clone(), Rank(i as u32), mpi_cfg(i)).unwrap()
         })
         .collect();
     let f = std::sync::Arc::new(f);
@@ -451,6 +461,102 @@ fn wait_any_returns_first_completion() {
             }
         },
     );
+}
+
+/// `wait_any` used to panic ("event queue failure") when the MPI event queue
+/// lapped it, where `wait` recovered. Rank 0 blocks in `wait_any` on an
+/// 8-slot queue while a second thread of the same rank fires bursts of sends:
+/// their `Sent` and `Ack` events overrun the queue many times over. Flow
+/// control is on (the default), so the lost events are bookkeeping and the
+/// awaited message must still arrive.
+#[test]
+fn wait_any_recovers_from_event_queue_overflow() {
+    const BURSTS: usize = 20;
+    const PER_BURST: usize = 32;
+    let cfg = |rank: usize| {
+        if rank == 0 {
+            MpiConfig {
+                eq_capacity: 8,
+                // Every recovery re-arms a slab; keep them small.
+                slab_size: 64 * 1024,
+                slab_min_free: 4 * 1024,
+                ..MpiConfig::default()
+            }
+        } else {
+            MpiConfig::default()
+        }
+    };
+    world_run_with(2, ProgressModel::HostDriven, cfg, |comm| {
+        if comm.rank() == Rank(0) {
+            let awaited = comm.irecv(Some(Rank(1)), Some(99), Region::zeroed(8));
+            let flood = {
+                let comm = comm.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..BURSTS {
+                        for _ in 0..PER_BURST {
+                            // Never waited on: its completion event may be
+                            // among the overwritten ones.
+                            let _ = comm.isend(Rank(1), 1, &[7u8; 32]);
+                        }
+                        // Let the waiter park in its queue poll again.
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                })
+            };
+            let (idx, c) = comm.engine().wait_any(&[awaited]);
+            assert_eq!(idx, 0);
+            assert_eq!(c.status().unwrap().source, Rank(1));
+            flood.join().expect("flood thread");
+            assert!(
+                comm.engine().ni().counters().events_overwritten > 0,
+                "the flood never overran the queue: nothing was tested"
+            );
+        } else {
+            for _ in 0..BURSTS * PER_BURST {
+                let (data, _) = comm.recv(Some(Rank(0)), Some(1), 64);
+                assert_eq!(data, [7u8; 32]);
+            }
+            comm.send(Rank(0), 99, b"done");
+        }
+    });
+}
+
+/// A receive posted while its rendezvous announcement is in flight. When
+/// the RTS event lands after the receive's hardware entry is linked but
+/// before it is activated, the drain inside `irecv` matches it and starts
+/// the pull: the receive is then neither posted nor done, and its entry is
+/// gone. `irecv` used to fail that state with `InvalidMd`. The echo loop
+/// sends each announcement right behind the token that lets the receiver
+/// post; over a few thousand rounds some land in the window.
+#[test]
+fn irecv_racing_its_rendezvous_announcement() {
+    // Always rendezvous (at `max_eager`), with hardware receive entries.
+    const LEN: usize = 4096;
+    const ROUNDS: usize = 3000;
+    let cfg = MpiConfig {
+        protocol: Protocol::Adaptive {
+            min_eager: 1024,
+            max_eager: LEN,
+        },
+        ..MpiConfig::default()
+    };
+    world_run(2, ProgressModel::ApplicationBypass, cfg, |comm| {
+        if comm.rank() == Rank(0) {
+            let data = Region::zeroed(LEN);
+            for _ in 0..ROUNDS {
+                let req = comm.isend_region(Rank(1), 1, data.clone());
+                comm.wait(req);
+                comm.recv(Some(Rank(1)), Some(2), 1);
+            }
+        } else {
+            let buf = Region::zeroed(LEN);
+            for _ in 0..ROUNDS {
+                let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
+                assert_eq!(comm.wait(req).status().unwrap().len, LEN);
+                comm.send(Rank(0), 2, b"k");
+            }
+        }
+    });
 }
 
 #[test]

@@ -101,9 +101,7 @@ pub use me::MatchEntry;
 pub use ni::{AckRequest, NetworkInterface, NiConfig, ProgressModel, NACK_MLENGTH};
 pub use node::{Node, NodeConfig, ProcessDirectory};
 pub use portals_transport::TransportConfig;
-pub use portals_types::{
-    ErrorKind, Gather, PoolClassStats, PoolSet, ProgressMode, Region, RegionPool,
-};
+pub use portals_types::{ErrorKind, Gather, ProgressMode, Region, RegionPool};
 pub use portals_wire::{AtomicDatatype, AtomicOp};
 pub use table::MePos;
 pub use triggered::TriggeredOp;

@@ -281,6 +281,13 @@ impl NetworkInterface {
         self.core.counters.snapshot()
     }
 
+    /// Match entries and memory descriptors currently allocated on this
+    /// interface, as `(entries, descriptors)` — for leak checks: a protocol
+    /// that tears its exposures down returns both to their idle values.
+    pub fn resources_in_use(&self) -> (usize, usize) {
+        (self.core.state.mes.len(), self.core.state.mds.len())
+    }
+
     /// The observability handle this interface reports into (the node's, so
     /// higher layers — MPI, the parallel file system — can emit their own
     /// lifecycle traces and metrics alongside the engine's).

@@ -33,7 +33,7 @@ pub use gather::Gather;
 pub use id::{NodeId, ProcessId, Rank, UserId, ANY_NID, ANY_PID};
 pub use limits::NiLimits;
 pub use matchbits::{MatchBits, MatchCriteria};
-pub use pool::{PoolClassStats, PoolSet, RegionPool};
+pub use pool::RegionPool;
 pub use readiness::{spin_budget, ProgressMode, Readiness};
 pub use region::Region;
 pub use shard::Sharded;

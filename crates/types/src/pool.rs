@@ -104,94 +104,6 @@ impl RegionPool {
     }
 }
 
-/// Per-class pool statistics, for reporting hit rates split by size class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolClassStats {
-    /// The class's slab size in bytes.
-    pub slab_len: usize,
-    /// Takes served from the free list.
-    pub pooled: u64,
-    /// Takes that fell back to a fresh allocation.
-    pub allocated: u64,
-    /// Slabs currently waiting on the free list.
-    pub free: usize,
-}
-
-/// A family of [`RegionPool`]s in ascending size classes.
-///
-/// One pool recycles one slab size; real data paths have several
-/// high-churn buffer populations (tiny RTS records, eager-send snapshots,
-/// rendezvous pull chunks) whose sizes differ by orders of magnitude.
-/// `PoolSet` routes each `take` to the smallest class that fits the request
-/// and each `recycle` back to its exact class, keeping the per-class hit
-/// accounting separate so a report can show which population actually
-/// recycles.
-#[derive(Debug)]
-pub struct PoolSet {
-    /// Ascending by slab size.
-    classes: Vec<RegionPool>,
-}
-
-impl PoolSet {
-    /// Build a set from `(slab_len, max_free)` pairs. Classes are sorted
-    /// ascending; zero-sized and duplicate classes are dropped.
-    pub fn new(classes: &[(usize, usize)]) -> PoolSet {
-        let mut sorted: Vec<(usize, usize)> = classes.iter().copied().filter(|c| c.0 > 0).collect();
-        sorted.sort_by_key(|c| c.0);
-        sorted.dedup_by_key(|c| c.0);
-        PoolSet {
-            classes: sorted
-                .into_iter()
-                .map(|(len, max)| RegionPool::new(len, max))
-                .collect(),
-        }
-    }
-
-    /// The smallest class whose slabs hold `len` bytes, if any.
-    pub fn class_for(&self, len: usize) -> Option<&RegionPool> {
-        self.classes.iter().find(|p| p.slab_len() >= len)
-    }
-
-    /// A region of at least `len` bytes from the smallest fitting class,
-    /// with the pool-hit flag ([`RegionPool::take_tracked`]). `None` when no
-    /// class is large enough — the caller allocates exactly and nothing is
-    /// pooled.
-    pub fn take_tracked(&self, len: usize) -> Option<(Region, bool)> {
-        self.class_for(len).map(|p| p.take_tracked())
-    }
-
-    /// Return a slab to the class it came from (matched by exact length);
-    /// foreign sizes are dropped, as in [`RegionPool::recycle`].
-    pub fn recycle(&self, region: Region) {
-        if let Some(p) = self.classes.iter().find(|p| p.slab_len() == region.len()) {
-            p.recycle(region);
-        }
-    }
-
-    /// Takes served from any class's free list.
-    pub fn pooled(&self) -> u64 {
-        self.classes.iter().map(|p| p.pooled()).sum()
-    }
-
-    /// Takes that fell back to a fresh allocation.
-    pub fn allocated(&self) -> u64 {
-        self.classes.iter().map(|p| p.allocated()).sum()
-    }
-
-    /// Per-class statistics, ascending by slab size.
-    pub fn class_stats(&self) -> Vec<PoolClassStats> {
-        self.classes
-            .iter()
-            .map(|p| PoolClassStats {
-                slab_len: p.slab_len(),
-                pooled: p.pooled(),
-                allocated: p.allocated(),
-                free: p.free_len(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,29 +147,6 @@ mod tests {
         pool.recycle(Region::zeroed(32));
         pool.recycle(Region::zeroed(32)); // over the bound
         assert_eq!(pool.free_len(), 1);
-    }
-
-    #[test]
-    fn pool_set_routes_by_size_class() {
-        let set = PoolSet::new(&[(4096, 4), (64, 4)]); // unsorted on purpose
-        let (small, _) = set.take_tracked(16).expect("fits smallest class");
-        assert_eq!(small.len(), 64);
-        let (big, _) = set.take_tracked(65).expect("fits next class");
-        assert_eq!(big.len(), 4096);
-        assert!(set.take_tracked(8192).is_none(), "no class large enough");
-        set.recycle(small);
-        set.recycle(big);
-        set.recycle(Region::zeroed(100)); // foreign size: dropped
-        let (again, hit) = set.take_tracked(64).expect("class exists");
-        assert!(hit, "recycled small slab should be reused");
-        assert_eq!(again.len(), 64);
-        let stats = set.class_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].slab_len, 64);
-        assert_eq!(stats[1].slab_len, 4096);
-        assert_eq!(stats[0].pooled, 1);
-        assert_eq!(set.pooled(), 1);
-        assert_eq!(set.allocated(), 2);
     }
 
     #[test]
