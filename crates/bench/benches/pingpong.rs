@@ -11,21 +11,15 @@ use portals_types::{MatchCriteria, NodeId, ProcessId};
 fn bench_pingpong(c: &mut Criterion) {
     let mut g = c.benchmark_group("sec3_pingpong");
     g.sample_size(30);
-    for (size, region_buffers, progress_mode) in [
-        (0usize, true, ProgressMode::NicThread),
-        (64, true, ProgressMode::NicThread),
-        (4096, true, ProgressMode::NicThread),
-        // Ablation: the same RTT with flat-copy buffers at every hop.
-        (4096, false, ProgressMode::NicThread),
-        // Ablation: threadless progress — the blocked caller drives the
-        // transport and engine inline, no dispatcher handoff.
-        (0, true, ProgressMode::CallerDriven),
-        (4096, true, ProgressMode::CallerDriven),
+    for (size, progress_mode) in [
+        (0usize, ProgressMode::NicThread),
+        (64, ProgressMode::NicThread),
+        (4096, ProgressMode::NicThread),
+        // Threadless progress — the blocked caller drives the transport and
+        // engine inline, no dispatcher handoff.
+        (0, ProgressMode::CallerDriven),
+        (4096, ProgressMode::CallerDriven),
     ] {
-        let ni_cfg = NiConfig {
-            region_buffers,
-            ..Default::default()
-        };
         let node_cfg = || NodeConfig {
             transport: TransportConfig {
                 progress_mode,
@@ -36,8 +30,8 @@ fn bench_pingpong(c: &mut Criterion) {
         let fabric = Fabric::new(FabricConfig::ideal());
         let na = Node::new(fabric.attach(NodeId(0)), node_cfg());
         let nb = Node::new(fabric.attach(NodeId(1)), node_cfg());
-        let a = na.create_ni(1, ni_cfg.clone()).unwrap();
-        let b = nb.create_ni(1, ni_cfg).unwrap();
+        let a = na.create_ni(1, NiConfig::default()).unwrap();
+        let b = nb.create_ni(1, NiConfig::default()).unwrap();
         let (a_id, b_id) = (a.id(), b.id());
 
         let setup = |ni: &portals::NetworkInterface| {
@@ -66,10 +60,9 @@ fn bench_pingpong(c: &mut Criterion) {
         });
 
         let md = a.md_bind(MdSpec::new(Region::zeroed(size))).unwrap();
-        let label = match (region_buffers, progress_mode) {
-            (_, ProgressMode::CallerDriven) => "rtt_threadless",
-            (true, _) => "rtt",
-            (false, _) => "rtt_flat",
+        let label = match progress_mode {
+            ProgressMode::CallerDriven => "rtt_threadless",
+            ProgressMode::NicThread => "rtt",
         };
         g.bench_with_input(BenchmarkId::new(label, size), &size, |bch, _| {
             bch.iter(|| {

@@ -17,26 +17,15 @@ fn bench_fig1_put(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1_put_path");
     g.sample_size(30);
     for size in [0usize, 1024, 50 * 1024, 256 * 1024] {
-        // region_buffers on (the zero-copy path) vs off (flat-copy baseline).
-        for flag in [true, false] {
-            let rig = PutGetRig::with_ni_config(
-                FabricConfig::ideal(),
-                size.max(1),
-                NiConfig {
-                    region_buffers: flag,
-                    ..Default::default()
-                },
-            );
-            let md = rig
-                .initiator
-                .md_bind(MdSpec::new(Region::from_vec(vec![1u8; size])))
-                .unwrap();
-            g.throughput(Throughput::Bytes(size as u64));
-            let label = if flag { "no_ack" } else { "no_ack_flat" };
-            g.bench_with_input(BenchmarkId::new(label, size), &size, |b, _| {
-                b.iter(|| rig.put_once(md, AckRequest::NoAck))
-            });
-        }
+        let rig = PutGetRig::new(FabricConfig::ideal(), size.max(1));
+        let md = rig
+            .initiator
+            .md_bind(MdSpec::new(Region::from_vec(vec![1u8; size])))
+            .unwrap();
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(BenchmarkId::new("no_ack", size), &size, |b, _| {
+            b.iter(|| rig.put_once(md, AckRequest::NoAck))
+        });
     }
     // With acknowledgment: wait for the Ack event at the initiator too.
     for size in [0usize, 50 * 1024] {

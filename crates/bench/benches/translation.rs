@@ -53,16 +53,16 @@ fn bench_wildcard_density(c: &mut Criterion) {
 }
 
 fn bench_index_ablation(c: &mut Criterion) {
-    // The receive-path ablation: ordered linear walk (reference semantics) vs
-    // the match list's built-in exact-bits index — the same translation entry
-    // point, `NiConfig::match_index` on vs off.
+    // Function-level comparison: the ordered linear walk (reference
+    // semantics, and the receive path's fallback) vs the receive path's
+    // translation, which probes the match list's exact-bits index first.
     let mut g = c.benchmark_group("fig4_ablation_walk_vs_index");
     for len in [64usize, 1024, 4096] {
         let rig = MatchBench::new(len, None);
         g.bench_with_input(BenchmarkId::new("linear_walk", len), &rig, |b, rig| {
             b.iter(|| black_box(rig.translate((len - 1) as u64)))
         });
-        g.bench_with_input(BenchmarkId::new("match_index", len), &rig, |b, rig| {
+        g.bench_with_input(BenchmarkId::new("indexed", len), &rig, |b, rig| {
             b.iter(|| black_box(rig.translate_indexed((len - 1) as u64)))
         });
     }

@@ -1,5 +1,4 @@
-//! §5 streaming data-path bandwidth sweep: does incremental fragment
-//! delivery actually overlap placement with wire transfer?
+//! §5 large-message bandwidth sweep.
 //!
 //! Measures large-message bandwidth (64 KiB – 64 MiB) through the full
 //! Portals stack for three operations:
@@ -13,13 +12,12 @@
 //!   the measured eager/rendezvous switchover and, for large messages, the
 //!   one-get rendezvous pull (RTS, get, reply, FIN).
 //!
-//! Every in-process row runs twice: once with streaming fragment delivery
-//! ([`TransportConfig::streaming`] on — in-order fragments are scattered
-//! into the matched region as they arrive) and once with the
-//! store-and-forward baseline (off — whole-message reassembly before
-//! delivery). The ratio at 16 MiB is the headline number. A final set of
-//! `udp_loopback` rows repeats the put sweep against a second OS process
-//! over real loopback UDP sockets.
+//! The in-process rows run the default configuration (fragments scattered
+//! into the matched region as they arrive, follow-the-link MTU). A final set
+//! of `udp_loopback` rows repeats the put sweep against a second OS process
+//! over real loopback UDP sockets, one row per wire arm. The store-and-forward
+//! comparison these rows once carried is historical: EXPERIMENTS.md §5 records
+//! it as measured at f9a2ac8.
 //!
 //! Prints a table and writes a machine-readable `BENCH_bandwidth.json`.
 //!
@@ -40,50 +38,16 @@ use std::time::{Duration, Instant};
 const KIB: usize = 1024;
 const MIB: usize = 1024 * 1024;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Arm {
-    Streaming,
-    Baseline,
-}
-
-impl Arm {
-    fn name(self) -> &'static str {
-        match self {
-            Arm::Streaming => "streaming",
-            Arm::Baseline => "baseline",
-        }
-    }
-
-    fn transport(self) -> TransportConfig {
-        match self {
-            // The new defaults: streaming fragment delivery over the
-            // follow-the-link MTU (`mtu: 0` adopts the wire's preferred
-            // fragment size — 64 KiB on the in-process fabric).
-            Arm::Streaming => TransportConfig {
-                streaming: true,
-                // Pin explicitly so PORTALS_PROGRESS_MODE can't skew the ratio.
-                progress_mode: ProgressMode::NicThread,
-                ..Default::default()
-            },
-            // The literal pre-PR configuration: store-and-forward reassembly
-            // at the old fixed 8 KiB MTU. Pinned rather than derived from
-            // `Default` so this arm keeps measuring the same thing as the
-            // defaults evolve.
-            Arm::Baseline => TransportConfig {
-                streaming: false,
-                mtu: TransportConfig::DEFAULT_MTU,
-                progress_mode: ProgressMode::NicThread,
-                ..Default::default()
-            },
-        }
-    }
-
-    fn node_cfg(self) -> NodeConfig {
-        NodeConfig {
-            transport: self.transport(),
-            directory: None,
-            obs: Default::default(),
-        }
+/// The node configuration every row runs: the defaults, with the progress
+/// mode pinned so `PORTALS_PROGRESS_MODE` can't skew a sweep.
+fn node_cfg() -> NodeConfig {
+    NodeConfig {
+        transport: TransportConfig {
+            progress_mode: ProgressMode::NicThread,
+            ..Default::default()
+        },
+        directory: None,
+        obs: Default::default(),
     }
 }
 
@@ -108,14 +72,6 @@ struct Sample {
 struct Report {
     bench: &'static str,
     quick: bool,
-    /// Streaming ÷ baseline mean bandwidth for a 16 MiB in-process put —
-    /// the PR's headline overlap claim.
-    put_16mib_speedup: f64,
-    /// Streaming ÷ baseline mean bandwidth for a 16 MiB in-process get.
-    get_16mib_speedup: f64,
-    /// Streaming ÷ baseline mean bandwidth for a 16 MiB MPI sendrecv
-    /// (adaptive protocol, one-get rendezvous).
-    sendrecv_16mib_speedup: f64,
     /// Batched-jumbo ÷ unbatched mean bandwidth for the largest loopback-UDP
     /// put in the sweep — the wire-batching headline.
     udp_put_batched_speedup: f64,
@@ -123,7 +79,7 @@ struct Report {
 }
 
 /// One loopback-UDP wire configuration. The transport above is identical
-/// (streaming defaults); only how datagrams cross the OS boundary changes.
+/// (the defaults); only how datagrams cross the OS boundary changes.
 struct UdpWire {
     name: &'static str,
     /// `PORTALS_UDP_BATCH` equivalent: datagrams per wire syscall.
@@ -177,10 +133,10 @@ fn wait_for(ni: &portals::NetworkInterface, eq: portals::EqHandle, kind: EventKi
 
 /// One-shot put rig over the in-process fabric: acked puts of `size` bytes
 /// into a matched region, timed Sent→Ack. Returns per-transfer durations.
-fn put_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
+fn put_bw(size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
     let fabric = Fabric::new(FabricConfig::ideal());
-    let na = Node::new(fabric.attach(NodeId(0)), arm.node_cfg());
-    let nb = Node::new(fabric.attach(NodeId(1)), arm.node_cfg());
+    let na = Node::new(fabric.attach(NodeId(0)), node_cfg());
+    let nb = Node::new(fabric.attach(NodeId(1)), node_cfg());
     let a = na.create_ni(1, ni_cfg()).unwrap();
     let b = nb.create_ni(1, ni_cfg()).unwrap();
 
@@ -218,10 +174,10 @@ fn put_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
 
 /// One-shot get rig: pulls of `size` bytes from a matched remote region,
 /// timed submit→Reply.
-fn get_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
+fn get_bw(size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
     let fabric = Fabric::new(FabricConfig::ideal());
-    let na = Node::new(fabric.attach(NodeId(0)), arm.node_cfg());
-    let nb = Node::new(fabric.attach(NodeId(1)), arm.node_cfg());
+    let na = Node::new(fabric.attach(NodeId(0)), node_cfg());
+    let nb = Node::new(fabric.attach(NodeId(1)), node_cfg());
     let a = na.create_ni(1, ni_cfg()).unwrap();
     let b = nb.create_ni(1, ni_cfg()).unwrap();
 
@@ -260,11 +216,11 @@ fn get_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
 /// MPI transfer rig under the adaptive protocol: rank 0 sends `size` bytes
 /// and waits for a 1-byte token back, so each timed iteration covers one
 /// full delivery (eager, or a pipelined rendezvous pull for large sizes).
-fn sendrecv_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
+fn sendrecv_bw(size: usize, warmup: usize, iters: usize) -> Vec<Duration> {
     let fabric = Fabric::new(FabricConfig::ideal());
     let ranks: Vec<ProcessId> = (0..2).map(|i| ProcessId::new(i, 1)).collect();
     let nodes: Vec<Node> = (0..2u32)
-        .map(|i| Node::new(fabric.attach(NodeId(i)), arm.node_cfg()))
+        .map(|i| Node::new(fabric.attach(NodeId(i)), node_cfg()))
         .collect();
     let mpis: Vec<Mpi> = nodes
         .iter()
@@ -315,7 +271,7 @@ fn sendrecv_bw(arm: Arm, size: usize, warmup: usize, iters: usize) -> Vec<Durati
 /// loopback UDP link as node 1, prints the bound address, and absorbs acked
 /// puts of up to `size` bytes into a matched region. Exits when stdin
 /// closes.
-fn udp_sink_child(size: usize, arm: Arm, batch: usize, mtu: usize) -> ! {
+fn udp_sink_child(size: usize, batch: usize, mtu: usize) -> ! {
     let link = UdpLink::bind(UdpLinkConfig {
         nid: NodeId(1),
         batch,
@@ -324,7 +280,7 @@ fn udp_sink_child(size: usize, arm: Arm, batch: usize, mtu: usize) -> ! {
     })
     .expect("bind sink link");
     println!("{}", link.local_addr());
-    let node = Node::new(link, arm.node_cfg());
+    let node = Node::new(link, node_cfg());
     let ni = node.create_ni(1, ni_cfg()).unwrap();
     let me = ni
         .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
@@ -349,12 +305,11 @@ struct UdpRun {
 
 /// Acked puts to a second OS process over loopback UDP. Same timing shape
 /// as [`put_bw`]; only the wire differs.
-fn put_bw_udp(arm: Arm, wire: &UdpWire, size: usize, warmup: usize, iters: usize) -> UdpRun {
+fn put_bw_udp(wire: &UdpWire, size: usize, warmup: usize, iters: usize) -> UdpRun {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = std::process::Command::new(exe)
         .arg("--udp-sink")
         .arg(size.to_string())
-        .arg(arm.name())
         .arg(wire.batch.to_string())
         .arg(wire.mtu.to_string())
         .stdin(std::process::Stdio::piped())
@@ -377,7 +332,7 @@ fn put_bw_udp(arm: Arm, wire: &UdpWire, size: usize, warmup: usize, iters: usize
     })
     .expect("bind sender link");
     link.set_peer(NodeId(1), peer);
-    let node = Node::new(link, arm.node_cfg());
+    let node = Node::new(link, node_cfg());
     let ni = node.create_ni(1, ni_cfg()).unwrap();
     let eq = ni.eq_alloc(64).unwrap();
     let md = ni
@@ -487,13 +442,9 @@ fn main() {
             .get(i + 1)
             .and_then(|s| s.parse().ok())
             .expect("--udp-sink needs a size");
-        let arm = match args.get(i + 2).map(String::as_str) {
-            Some("baseline") => Arm::Baseline,
-            _ => Arm::Streaming,
-        };
-        let batch = args.get(i + 3).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let mtu = args.get(i + 4).and_then(|s| s.parse().ok()).unwrap_or(1432);
-        udp_sink_child(size, arm, batch, mtu);
+        let batch = args.get(i + 2).and_then(|s| s.parse().ok()).unwrap_or(1);
+        let mtu = args.get(i + 3).and_then(|s| s.parse().ok()).unwrap_or(1432);
+        udp_sink_child(size, batch, mtu);
     }
     let quick = args.iter().any(|a| a == "--quick");
     let out = args
@@ -512,78 +463,39 @@ fn main() {
     // ratio is measured there.
     let udp_sizes: &[usize] = &[64 * KIB, MIB, 16 * MIB];
 
-    println!("§5 streaming data-path bandwidth sweep (streaming vs store-and-forward)");
+    println!("§5 large-message bandwidth sweep");
     println!(
         "{:<9} {:<12} {:<14} {:>9} {:>5} {:>11} {:>11} {:>12} {:>9}",
         "op", "wire", "arm", "KiB", "reps", "MiB/s mean", "MiB/s best", "syscall/MiB", "avg batch"
     );
 
+    type Rig = fn(usize, usize, usize) -> Vec<Duration>;
+    let ops: [(&'static str, Rig); 3] =
+        [("put", put_bw), ("get", get_bw), ("sendrecv", sendrecv_bw)];
     let mut results = Vec::new();
     for &size in sizes {
         let iters = iters_for(size, quick);
         let warmup = (iters / 4).max(1);
-        for arm in [Arm::Baseline, Arm::Streaming] {
-            let s = to_sample(
-                "put",
-                "in_process",
-                arm.name(),
-                size,
-                put_bw(arm, size, warmup, iters),
-            );
-            print_row(&s);
-            results.push(s);
-            let s = to_sample(
-                "get",
-                "in_process",
-                arm.name(),
-                size,
-                get_bw(arm, size, warmup, iters),
-            );
-            print_row(&s);
-            results.push(s);
-            let s = to_sample(
-                "sendrecv",
-                "in_process",
-                arm.name(),
-                size,
-                sendrecv_bw(arm, size, warmup, iters),
-            );
+        for (op, rig) in ops {
+            let s = to_sample(op, "in_process", "default", size, rig(size, warmup, iters));
             print_row(&s);
             results.push(s);
         }
     }
     // Real wire, real process boundary: acked puts over loopback UDP, one
     // row per wire arm (fewer reps; every fragment crosses the kernel
-    // twice). The transport above is the streaming default throughout —
-    // only how datagrams cross the OS boundary varies.
+    // twice). The transport above is the default throughout — only how
+    // datagrams cross the OS boundary varies.
     for &size in udp_sizes {
         let iters = (iters_for(size, quick) / 4).max(2);
         for wire in UDP_WIRES {
-            let run = put_bw_udp(Arm::Streaming, wire, size, 1, iters);
+            let run = put_bw_udp(wire, size, 1, iters);
             let s = to_udp_sample(wire.name, size, run);
             print_row(&s);
             results.push(s);
         }
     }
 
-    // Headline ratios at 16 MiB (present in both quick and full sweeps).
-    let ratio = |op: &str| {
-        let rate = |arm: &str| {
-            results
-                .iter()
-                .find(|s| {
-                    s.op == op && s.wire == "in_process" && s.arm == arm && s.size == 16 * MIB
-                })
-                .map(|s| s.mib_per_s_mean)
-                .unwrap()
-        };
-        rate("streaming") / rate("baseline")
-    };
-    let (put_r, get_r, sr_r) = (ratio("put"), ratio("get"), ratio("sendrecv"));
-    println!(
-        "\n16 MiB streaming/baseline bandwidth: put {put_r:.2}x, get {get_r:.2}x, \
-         sendrecv {sr_r:.2}x"
-    );
     let udp_size = *udp_sizes.last().unwrap();
     let udp_rate = |arm: &str| {
         results
@@ -594,16 +506,13 @@ fn main() {
     };
     let udp_r = udp_rate("batched_jumbo") / udp_rate("unbatched");
     println!(
-        "{} MiB udp_loopback batched_jumbo/unbatched bandwidth: {udp_r:.2}x",
+        "\n{} MiB udp_loopback batched_jumbo/unbatched bandwidth: {udp_r:.2}x",
         udp_size / MIB
     );
 
     let report = Report {
         bench: "bandwidth",
         quick,
-        put_16mib_speedup: put_r,
-        get_16mib_speedup: get_r,
-        sendrecv_16mib_speedup: sr_r,
         udp_put_batched_speedup: udp_r,
         results,
     };

@@ -39,7 +39,7 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
 
     let (steps, max_ms, repeats, batch) = if quick {
-        (4, 6.0, 2, 6)
+        (4, 6.0, 7, 6)
     } else {
         (10, 10.0, 5, 10)
     };

@@ -34,7 +34,6 @@ fn main() {
     fig34_translation();
     sec48_drop_reasons();
     drop_attribution();
-    zero_copy_ablation();
     net_udp_counters();
     large_message_pipeline();
 }
@@ -497,54 +496,6 @@ fn drop_attribution() {
         sum("transport.messages_sent"),
         b.ct_get(ct).unwrap().success,
     );
-}
-
-/// The buffer-model ablation: identical put workload with refcounted region
-/// buffers on (zero-copy gather path) and off (flat `Vec` copies at every
-/// hop), reporting payload copies per message and the one-way put time.
-fn zero_copy_ablation() {
-    println!("\n== Zero-copy ablation: copies per message, region_buffers on/off ==\n");
-    println!(
-        "{:>10} {:>8} {:>12} {:>12} {:>14}",
-        "size(B)", "flag", "copies", "copies/msg", "put (us)"
-    );
-    for size in [1024usize, 64 * 1024, 256 * 1024] {
-        for flag in [true, false] {
-            let rig = PutGetRig::with_ni_config(
-                FabricConfig::ideal(),
-                size,
-                NiConfig {
-                    region_buffers: flag,
-                    ..Default::default()
-                },
-            );
-            let md = rig
-                .initiator
-                .md_bind(MdSpec::new(Region::from_vec(vec![1u8; size])))
-                .unwrap();
-            let iters = 200;
-            for _ in 0..20 {
-                rig.put_once(md, AckRequest::NoAck);
-            }
-            let base_i = rig.initiator.counters();
-            let base_t = rig.target.counters();
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                rig.put_once(md, AckRequest::NoAck);
-            }
-            let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-            let ci = rig.initiator.counters();
-            let ct = rig.target.counters();
-            let copies = (ci.payload_copies - base_i.payload_copies)
-                + (ct.payload_copies - base_t.payload_copies);
-            let messages = ct.payload_messages - base_t.payload_messages;
-            println!(
-                "{size:>10} {:>8} {copies:>12} {:>12.2} {us:>14.2}",
-                if flag { "on" } else { "off" },
-                copies as f64 / messages as f64
-            );
-        }
-    }
 }
 
 /// The real-network backend's counter inventory: drive the transport over

@@ -16,7 +16,7 @@
 //! "Both nodes iterate over this outline although only one node performs
 //! work." The measured quantity is `B − A`: how much message handling remained
 //! after the work interval. A batch is ten equal-sized messages (50 KB in
-//! Figure 6) and timings are averaged over repeats.
+//! Figure 6) and each timing is the median over repeats.
 //!
 //! [`run_point`] runs one work interval with a given MPI stack configuration;
 //! [`run_sweep`] produces the Figure 6 curves by varying the interval.
@@ -80,9 +80,9 @@ impl BypassConfig {
 /// Measured outcome of one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BypassPoint {
-    /// Average duration of the work interval itself.
+    /// Median duration of the work interval itself.
     pub work: Duration,
-    /// Average residual wait (`B − A`).
+    /// Median residual wait (`B − A`).
     pub wait: Duration,
 }
 
@@ -98,16 +98,41 @@ pub fn busy_work(iterations: u64) -> u64 {
 }
 
 /// Find the iteration count whose busy_work runtime is roughly `target`.
+/// The fastest of three probes is the estimate: a preempted probe can only
+/// read slow.
 pub fn calibrate_work(target: Duration) -> u64 {
     let probe = 2_000_000u64;
-    let t0 = Instant::now();
-    black_box(busy_work(probe));
-    let per_iter = t0.elapsed().as_secs_f64() / probe as f64;
+    let fastest = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(busy_work(probe));
+            t0.elapsed()
+        })
+        .min()
+        .expect("three probes");
+    let per_iter = fastest.as_secs_f64() / probe as f64;
     ((target.as_secs_f64() / per_iter) as u64).max(1)
 }
 
-/// Run the Figure 5 program once for each repeat and average rank 0's timings.
+/// Run the Figure 5 program `repeats` times and report the median of rank 0's
+/// timings (use an odd `repeats`). Every repeat builds its own two-node rig:
+/// what disturbs a measurement on a small shared machine is mostly where the
+/// scheduler happened to put a rig's NIC threads, which lasts as long as the
+/// rig does — so iterations on one rig are disturbed together and only
+/// repeats on fresh rigs give a median something to vote with.
 pub fn run_point(cfg: BypassConfig) -> BypassPoint {
+    let (mut works, mut waits): (Vec<_>, Vec<_>) = (0..cfg.repeats).map(|_| run_once(cfg)).unzip();
+    works.sort();
+    waits.sort();
+    BypassPoint {
+        work: works[works.len() / 2],
+        wait: waits[waits.len() / 2],
+    }
+}
+
+/// One repeat: a fresh rig, one untimed iteration to warm it (first-touch
+/// allocations, pool fills), one timed. Returns rank 0's (work, wait).
+fn run_once(cfg: BypassConfig) -> (Duration, Duration) {
     let fabric = Fabric::new(FabricConfig::default().with_link(cfg.link));
     let node0 = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
     let node1 = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
@@ -124,24 +149,15 @@ pub fn run_point(cfg: BypassConfig) -> BypassPoint {
 
     let peer = std::thread::spawn(move || {
         let comm = mpi1.world();
-        for _ in 0..cfg.repeats {
+        for _ in 0..2 {
             iteration(&comm, &cfg, /* worker = */ false);
         }
     });
-
     let comm = mpi0.world();
-    let mut total_work = Duration::ZERO;
-    let mut total_wait = Duration::ZERO;
-    for _ in 0..cfg.repeats {
-        let (work, wait) = iteration(&comm, &cfg, /* worker = */ true);
-        total_work += work;
-        total_wait += wait;
-    }
+    iteration(&comm, &cfg, /* worker = */ true);
+    let timed = iteration(&comm, &cfg, /* worker = */ true);
     peer.join().expect("peer thread");
-    BypassPoint {
-        work: total_work / cfg.repeats as u32,
-        wait: total_wait / cfg.repeats as u32,
-    }
+    timed
 }
 
 /// One iteration of the Figure 5 loop. Returns (work duration, wait duration)

@@ -680,7 +680,16 @@ impl MpiEngine {
                             // did, the receive is no longer posted — delivered
                             // from a slab, or matched by an announcement whose
                             // pull is now in flight — and its entry is gone.
-                            self.drain(&mut st);
+                            // An empty queue refuses the update when a put
+                            // has matched and is still landing: its event is
+                            // imminent, so sleep until it is pushed rather
+                            // than spin against the thread that must push it.
+                            if !self.drain(&mut st) {
+                                let brief = Duration::from_micros(200);
+                                if let Ok(ev) = self.ni.eq_poll(self.eq, brief) {
+                                    self.handle_event(&mut st, ev);
+                                }
+                            }
                             if !st.recvs.iter().rev().any(|r| r.id == id) {
                                 break;
                             }
@@ -989,15 +998,17 @@ impl MpiEngine {
 
     // ----- event processing -----------------------------------------------------
 
-    /// Consume every pending event.
-    fn drain(&self, st: &mut EngState) {
+    /// Consume every pending event; true if there was any.
+    fn drain(&self, st: &mut EngState) -> bool {
+        let mut any = false;
         loop {
             match self.ni.eq_get(self.eq) {
                 Ok(ev) => self.handle_event(st, ev),
-                Err(PtlError::EqEmpty) => break,
+                Err(PtlError::EqEmpty) => return any,
                 Err(PtlError::EqDropped) => self.recover_dropped_events(st),
                 Err(e) => panic!("event queue failure: {e}"),
             }
+            any = true;
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Exposes just enough of the interface internals to measure the address
 //! translation step in isolation — match-list length, wildcard density and
-//! match position are the variables the Fig. 3/4 structures imply — with the
-//! exact-bits index switchable per call so the walk-vs-index ablation runs in
-//! one binary. Not part of the public API contract.
+//! match position are the variables the Fig. 3/4 structures imply — through
+//! the receive path's `engine::translate` and through the reference
+//! `engine::walk` it falls back to, so the two can be timed side by side.
+//! Not part of the public API contract.
 
 #![doc(hidden)]
 
@@ -56,12 +57,16 @@ impl MatchBench {
         MatchBench { state }
     }
 
-    fn run(&self, bits: u64, use_index: bool) -> Result<engine::Accepted, DropReason> {
+    fn run(&self, bits: u64, indexed: bool) -> Result<engine::Accepted, DropReason> {
         let list = self.state.table.lock(0).expect("portal 0");
-        engine::translate(
+        let translate = if indexed {
+            engine::translate
+        } else {
+            engine::walk
+        };
+        translate(
             &list,
             &self.state,
-            use_index,
             ReqOp::Put,
             ProcessId::new(0, 0),
             MatchBits::new(bits),

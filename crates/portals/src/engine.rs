@@ -1,7 +1,7 @@
 //! The receive engine: §4.8 of the paper, executed either by the node's
 //! dispatcher thread (application bypass) or inside API calls (host driven).
 //!
-//! Processing order for put/get requests:
+//! Processing order for put/get/atomic requests (`admit`, written once):
 //!
 //! 1. portal index validity;
 //! 2. access control (cookie → entry → process id and portal index match);
@@ -15,17 +15,20 @@
 //! Translation consults the match list's exact-bits index first
 //! ([`MatchList::lookup`]): a provable `Hit` whose descriptor accepts skips
 //! the walk entirely, a provable `Miss` drops with `NoMatch` immediately, and
-//! everything else (or an index disabled via `NiConfig::match_index`) runs
-//! the reference walk. Either way the answer is identical to Fig. 4's —
-//! the index is an accelerator, never an authority.
+//! everything else runs the reference `walk`. Either way the answer is
+//! identical to Fig. 4's — the index is an accelerator, never an authority.
 //!
-//! The engine holds the target portal's list lock for the whole of a put/get
-//! delivery — translation, data movement, commit and the event push — which
-//! is what makes `PtlMDUpdate`'s test-and-update atomic with respect to
-//! message arrival without any interface-wide lock. Acks and replies "bypass
-//! the access control checks and the translation step" and touch no portal:
-//! an ack needs only its event queue to still exist; a reply needs its memory
-//! descriptor to exist and its event queue (if any) to have space.
+//! A put or a reply is received by one sequence whatever shape it arrived in
+//! — **begin** (every check and state transition, at header time), **write**
+//! (payload bytes scattered at their offsets, once for a message that came
+//! whole, once per fragment for one that is streaming in), **finish** (events,
+//! ack, counting event). The engine holds the target portal's list lock for
+//! the *begin* of a put and for the whole of a get or an atomic; see the
+//! section comment above `PutSink` for what that lock does and does not
+//! cover. Acks and replies "bypass the access control checks and the
+//! translation step" and touch no portal: an ack needs only its event queue
+//! to still exist; a reply needs its memory descriptor to exist and its event
+//! queue (if any) to have space.
 
 use crate::counters::DropReason;
 use crate::event::{Event, EventKind};
@@ -34,6 +37,7 @@ use crate::ni::{send_message, NiClass, NiCore, NiState, NACK_MLENGTH};
 use crate::node::NodeShared;
 use crate::table::{FastPath, MatchList};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
+use parking_lot::MutexGuard;
 use portals_obs::{Layer, Stage, TraceEvent};
 use portals_types::{Gather, Handle, MatchBits, ProcessId};
 use portals_wire::{
@@ -77,8 +81,9 @@ fn try_entry(
     }
 }
 
-/// The Fig. 4 reference walk over an already locked match list.
-#[allow(clippy::too_many_arguments)]
+/// The Fig. 4 reference walk over an already locked match list: the fallback
+/// for everything the index cannot decide, and the oracle the index is tested
+/// against.
 pub(crate) fn walk(
     list: &MatchList,
     state: &NiState,
@@ -101,33 +106,29 @@ pub(crate) fn walk(
     Err(DropReason::NoMatch)
 }
 
-/// Translation over a locked list: index probe first (when enabled), walk as
-/// the fallback authority.
-#[allow(clippy::too_many_arguments)]
+/// Translation over a locked list: index probe first, walk as the fallback
+/// authority.
 pub(crate) fn translate(
     list: &MatchList,
     state: &NiState,
-    use_index: bool,
     op: ReqOp,
     initiator: ProcessId,
     match_bits: MatchBits,
     offset: u64,
     rlength: u64,
 ) -> Result<Accepted, DropReason> {
-    if use_index {
-        match list.lookup(initiator, match_bits) {
-            FastPath::Hit(me_h) => {
-                // Provably the first criteria-matching entry; its MD can still
-                // reject, in which case the walk resumes from scratch — safe
-                // because `evaluate` is pure, so re-checking rejected entries
-                // reaches the same continuation Fig. 4 would.
-                if let Some(accepted) = try_entry(state, me_h, op, offset, rlength) {
-                    return Ok(accepted);
-                }
+    match list.lookup(initiator, match_bits) {
+        FastPath::Hit(me_h) => {
+            // Provably the first criteria-matching entry; its MD can still
+            // reject, in which case the walk resumes from scratch — safe
+            // because `evaluate` is pure, so re-checking rejected entries
+            // reaches the same continuation Fig. 4 would.
+            if let Some(accepted) = try_entry(state, me_h, op, offset, rlength) {
+                return Ok(accepted);
             }
-            FastPath::Miss => return Err(DropReason::NoMatch),
-            FastPath::Ambiguous => {}
         }
+        FastPath::Miss => return Err(DropReason::NoMatch),
+        FastPath::Ambiguous => {}
     }
     walk(list, state, op, initiator, match_bits, offset, rlength)
 }
@@ -144,106 +145,71 @@ fn drop_msg(core: &NiCore, reason: DropReason) {
     });
 }
 
-/// Post-acceptance bookkeeping: consume threshold, auto-unlink the MD and
-/// possibly its match entry (Fig. 4), and log the operation's event. Runs
-/// under the portal's list lock (`list` is the locked list the entry lives
-/// on). Returns whether the commit landed — `false` only if the descriptor
-/// vanished between acceptance and commit, in which case nothing was logged
-/// and the caller must not count the operation as completed.
-#[allow(clippy::too_many_arguments)]
-fn commit_and_log(
-    core: &NiCore,
-    list: &mut MatchList,
-    accepted: Accepted,
-    portal_index: u32,
-    kind: EventKind,
-    initiator: ProcessId,
-    match_bits: MatchBits,
-    rlength: u64,
-) -> bool {
-    let mut events = Vec::new();
-    let committed = commit_and_collect(
-        core,
-        list,
-        accepted,
-        portal_index,
-        kind,
-        initiator,
-        match_bits,
-        rlength,
-        &mut events,
-    );
-    for (eq, event) in events {
-        push_event(core, eq, event);
-    }
-    committed
+/// The events an accepted operation's commit produced, all bound for the
+/// matched descriptor's queue.
+struct Committed {
+    eq: Option<EqHandle>,
+    /// The operation's own event.
+    event: Event,
+    /// The auto-unlink the commit performed, if it did.
+    unlink: Option<Event>,
 }
 
-/// [`commit_and_log`] with the event pushes *collected* instead of fired:
-/// the streaming put path commits at header time (under the portal lock) but
-/// must not make events visible until the last payload fragment has landed,
-/// so its deferred events are carried in the sink and pushed at completion.
-#[allow(clippy::too_many_arguments)]
-fn commit_and_collect(
+/// Post-acceptance bookkeeping: consume threshold, auto-unlink the MD and
+/// possibly its match entry (Fig. 4), and build the operation's events. Runs
+/// under the portal's list lock (`list` is the locked list the entry lives
+/// on). `None` only if the descriptor vanished between acceptance and commit,
+/// in which case the caller must not count the operation as completed.
+fn commit(
     core: &NiCore,
     list: &mut MatchList,
     accepted: Accepted,
-    portal_index: u32,
+    h: &RequestHeader,
     kind: EventKind,
-    initiator: ProcessId,
-    match_bits: MatchBits,
-    rlength: u64,
-    out: &mut Vec<(Option<EqHandle>, Event)>,
-) -> bool {
+) -> Option<Committed> {
     let state = &core.state;
-    let Some((unlink_md, eq)) = state.mds.with_mut(accepted.md, |md| {
+    let (unlink_md, eq) = state.mds.with_mut(accepted.md, |md| {
         (md.commit(accepted.mlength, accepted.offset), md.eq)
-    }) else {
-        return false;
+    })?;
+    let event = Event {
+        kind,
+        initiator: h.initiator,
+        portal_index: h.portal_index,
+        match_bits: h.match_bits,
+        rlength: h.length,
+        mlength: accepted.mlength,
+        offset: accepted.offset,
+        md: accepted.md,
     };
-
-    out.push((
-        eq,
-        Event {
-            kind,
-            initiator,
-            portal_index,
-            match_bits,
-            rlength,
-            mlength: accepted.mlength,
-            offset: accepted.offset,
-            md: accepted.md,
-        },
-    ));
-
-    if unlink_md {
-        let pending = state.mds.with(accepted.md, |m| m.pending_ops).unwrap_or(0);
-        if pending == 0 {
-            state.mds.remove(accepted.md);
-            out.push((
-                eq,
-                Event {
-                    kind: EventKind::Unlink,
-                    initiator: core.id,
-                    portal_index,
-                    match_bits,
-                    rlength,
-                    mlength: accepted.mlength,
-                    offset: accepted.offset,
-                    md: accepted.md,
-                },
-            ));
-            let now_empty = state.mes.with_mut(accepted.me, |me| {
-                me.remove_md(accepted.md);
-                me.md_list.is_empty() && me.unlink_when_empty
-            });
-            if now_empty == Some(true) {
-                state.mes.remove(accepted.me);
-                list.remove(accepted.me);
-            }
+    let mut unlink = None;
+    if unlink_md && state.mds.with(accepted.md, |m| m.pending_ops) == Some(0) {
+        state.mds.remove(accepted.md);
+        unlink = Some(Event {
+            kind: EventKind::Unlink,
+            initiator: core.id,
+            ..event
+        });
+        let now_empty = state.mes.with_mut(accepted.me, |me| {
+            me.remove_md(accepted.md);
+            me.md_list.is_empty() && me.unlink_when_empty
+        });
+        if now_empty == Some(true) {
+            state.mes.remove(accepted.me);
+            list.remove(accepted.me);
         }
     }
-    true
+    Some(Committed { eq, event, unlink })
+}
+
+impl Committed {
+    /// Make the commit's events visible: the operation's own (unless the
+    /// operation was aborted after committing), then the unlink.
+    fn fire(&self, core: &NiCore, completed: bool) {
+        let own = completed.then_some(self.event);
+        for event in own.into_iter().chain(self.unlink) {
+            push_event(core, self.eq, event);
+        }
+    }
 }
 
 fn push_event(core: &NiCore, eq: Option<EqHandle>, event: Event) {
@@ -285,29 +251,178 @@ fn trip_flow_control(core: &NiCore, h: &RequestHeader) {
     }
 }
 
-/// Drop a put addressed to a flow-disabled portal and, if the initiator asked
-/// for an ack, answer with a *nack* (`manipulated_length == NACK_MLENGTH`) so
-/// the sender re-issues instead of losing the message. Call with the portal's
-/// list lock already released.
-fn nack_put(core: &NiCore, node: &NodeShared, put: &PutRequest) {
-    drop_msg(core, DropReason::PtDisabled);
-    if put.wants_ack() {
-        let h = put.header;
-        let nack = PortalsMessage::Ack(Ack {
-            header: ResponseHeader {
-                initiator: h.target, // swapped (§4.7)
-                target: h.initiator,
-                portal_index: h.portal_index,
-                match_bits: h.match_bits,
-                offset: 0,
-                md_handle: put.ack_md,
-                eq_handle: put.ack_eq,
-                requested_length: h.length,
-                manipulated_length: NACK_MLENGTH,
-            },
-        });
-        send_message(core, node, h.initiator.nid, &nack);
+/// Where a request's acknowledgment goes — the initiator's `(md, eq)` raw
+/// handles — when it asked for one.
+pub(crate) type AckTo = Option<(u64, u64)>;
+
+/// The ack channel a request's wire fields name, if any.
+pub(crate) fn ack_to(ack_md: u64, ack_eq: u64) -> AckTo {
+    (ack_md != RAW_HANDLE_NONE).then_some((ack_md, ack_eq))
+}
+
+/// The header every response to `h` carries: ids swapped (§4.7), the
+/// request's addressing echoed, and what was done where.
+fn response(
+    h: &RequestHeader,
+    (md_handle, eq_handle): (u64, u64),
+    offset: u64,
+    mlength: u64,
+) -> ResponseHeader {
+    ResponseHeader {
+        initiator: h.target,
+        target: h.initiator,
+        portal_index: h.portal_index,
+        match_bits: h.match_bits,
+        offset,
+        md_handle,
+        eq_handle,
+        requested_length: h.length,
+        manipulated_length: mlength,
     }
+}
+
+/// Acknowledge `h` to its initiator: `mlength` bytes landed at `offset` — or,
+/// with `mlength == NACK_MLENGTH`, nothing landed and the initiator should
+/// re-issue.
+fn send_ack(
+    core: &NiCore,
+    node: &NodeShared,
+    h: &RequestHeader,
+    to: (u64, u64),
+    offset: u64,
+    mlength: u64,
+) {
+    let ack = PortalsMessage::Ack(Ack {
+        header: response(h, to, offset, mlength),
+    });
+    send_message(core, node, h.initiator.nid, &ack);
+}
+
+/// §4.8 steps 1–3 for a put, get or atomic request (`kind` says which):
+/// portal validity, flow-control state, access control, translation, and the
+/// flow-control resource checks. Returns the portal's locked match list and
+/// the accepted translation, or `None` with the drop already counted — and,
+/// on a flow-disabled or just-tripped portal, nacked through `ack` so the
+/// initiator re-issues instead of losing the message.
+fn admit<'a>(
+    core: &'a NiCore,
+    node: &NodeShared,
+    h: &RequestHeader,
+    kind: EventKind,
+    ack: AckTo,
+) -> Option<(MutexGuard<'a, MatchList>, Accepted)> {
+    let state = &core.state;
+    let Some(list) = state.table.lock(h.portal_index) else {
+        drop_msg(core, DropReason::InvalidPortalIndex);
+        return None;
+    };
+    // Refuse on behalf of a disabled portal; the nack goes out with the list
+    // lock released.
+    let refuse = |list: MutexGuard<'a, MatchList>| {
+        drop(list);
+        drop_msg(core, DropReason::PtDisabled);
+        if let Some(to) = ack {
+            send_ack(core, node, h, to, 0, NACK_MLENGTH);
+        }
+    };
+    if !state.table.is_enabled(h.portal_index) {
+        refuse(list);
+        return None;
+    }
+    let class = NiClass {
+        node,
+        my_job: core.config.job,
+    };
+    if let Err(r) = state
+        .acl
+        .read()
+        .check(h.cookie, h.initiator, h.portal_index, &class)
+    {
+        drop_msg(core, r.into());
+        return None;
+    }
+    // A plain atomic only mutates; a fetching atomic also reads the prior
+    // value back, so its descriptor must enable both operations.
+    let op = match kind {
+        EventKind::Get => ReqOp::Get,
+        EventKind::FetchAtomic => ReqOp::FetchAtomic,
+        _ => ReqOp::Put,
+    };
+    let atomic = matches!(kind, EventKind::Atomic | EventKind::FetchAtomic);
+    // Flow control is armed for this delivery when the interface switch is on
+    // *and* the owner registered a flow EQ for the portal (opt-in per index).
+    // A get never trips it: it carries no payload to lose and its reply path
+    // has no nack channel.
+    let flow_armed = kind != EventKind::Get
+        && core.config.flow_control
+        && state.table.flow_eq(h.portal_index).is_some();
+    let accepted = match translate(
+        &list,
+        state,
+        op,
+        h.initiator,
+        h.match_bits,
+        h.offset,
+        h.length,
+    ) {
+        // Truncation is acceptance-time rejection for an atomic: an RMW
+        // applied to a prefix of the requested lanes would be a different
+        // operation, not a shorter one.
+        Ok(a) if atomic && a.mlength != h.length => {
+            drop_msg(core, DropReason::AtomicInvalid);
+            return None;
+        }
+        Ok(a) => a,
+        // An exhausted match list on a flow-controlled portal is the
+        // resource-exhaustion signal (the MPI layer's unexpected-message
+        // blocks ran out): trip instead of silently dropping.
+        Err(DropReason::NoMatch) if flow_armed => {
+            trip_flow_control(core, h);
+            refuse(list);
+            return None;
+        }
+        Err(reason) => {
+            drop_msg(core, reason);
+            return None;
+        }
+    };
+    // §4.8 validates before delivery side effects: if the accepted MD's event
+    // queue cannot take this operation's event (plus one slot of headroom so
+    // the consumer still sees completions while tripping), disable the portal
+    // *before* any data moves, so nothing is half-delivered.
+    if flow_armed {
+        let md_eq = state.mds.with(accepted.md, |md| md.eq).flatten();
+        let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
+        if room == Some(Some(false)) {
+            trip_flow_control(core, h);
+            refuse(list);
+            return None;
+        }
+    }
+    core.obs.tracer.emit(|| {
+        TraceEvent::new(Layer::Portals, Stage::Match)
+            .node(core.id.nid.0)
+            .peer(h.initiator.nid.0)
+            .bytes(accepted.mlength)
+            .detail(kind.name())
+    });
+    Some((list, accepted))
+}
+
+/// Count `mlength` payload bytes of `what` landed in this process's memory.
+fn count_landed(core: &NiCore, peer: ProcessId, mlength: u64, what: &'static str) {
+    if mlength > 0 {
+        core.counters.payload_copies.inc();
+    }
+    core.counters.payload_messages.inc();
+    core.counters.delivered_bytes.add(mlength);
+    core.obs.tracer.emit(|| {
+        TraceEvent::new(Layer::Portals, Stage::Deliver)
+            .node(core.id.nid.0)
+            .peer(peer.nid.0)
+            .bytes(mlength)
+            .detail(what)
+    });
 }
 
 /// Entry point: apply §4.8 to one incoming message for `core`.
@@ -321,238 +436,57 @@ pub(crate) fn deliver(core: &NiCore, node: &NodeShared, msg: PortalsMessage) {
     }
 }
 
+/// A put that arrived whole: the receive sequence with one write.
 fn handle_put(core: &NiCore, node: &NodeShared, put: PutRequest) {
-    let h = put.header;
-    let class = NiClass {
-        node,
-        my_job: core.config.job,
-    };
-    let state = &core.state;
-    let Some(mut list) = state.table.lock(h.portal_index) else {
-        drop_msg(core, DropReason::InvalidPortalIndex);
-        return;
-    };
-    // Flow control is armed for this delivery when the interface switch is on
-    // *and* the owner registered a flow EQ for the portal (opt-in per index).
-    let flow_armed = core.config.flow_control && state.table.flow_eq(h.portal_index).is_some();
-    if !state.table.is_enabled(h.portal_index) {
-        drop(list);
-        nack_put(core, node, &put);
-        return;
+    let ack = ack_to(put.ack_md, put.ack_eq);
+    if let PutBegin::Sink(sink) = put_begin(core, node, put.header, ack, Some(&put.payload)) {
+        sink.write(0, &put.payload);
+        sink.finish(core, node);
     }
-    if let Err(r) = state
-        .acl
-        .read()
-        .check(h.cookie, h.initiator, h.portal_index, &class)
-    {
-        drop_msg(core, r.into());
-        return;
-    }
-    let accepted = match translate(
-        &list,
-        state,
-        core.config.match_index,
-        ReqOp::Put,
-        h.initiator,
-        h.match_bits,
-        h.offset,
-        h.length,
-    ) {
-        Ok(a) => a,
-        Err(reason) => {
-            // An exhausted match list on a flow-controlled portal is the
-            // resource-exhaustion signal (the MPI layer's unexpected-message
-            // blocks ran out): trip instead of silently dropping.
-            if flow_armed && reason == DropReason::NoMatch {
-                trip_flow_control(core, &h);
-                drop(list);
-                nack_put(core, node, &put);
-            } else {
-                drop_msg(core, reason);
-            }
-            return;
-        }
-    };
-    // §4.8 validates before delivery side effects: if the accepted MD's event
-    // queue cannot take this put's event (plus one slot of headroom so the
-    // consumer still sees completions while tripping), disable the portal
-    // *before* any data moves, so nothing is half-delivered.
-    if flow_armed {
-        let md_eq = state.mds.with(accepted.md, |md| md.eq).flatten();
-        let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
-        if room == Some(Some(false)) {
-            trip_flow_control(core, &h);
-            drop(list);
-            nack_put(core, node, &put);
-            return;
-        }
-    }
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Match)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail("put")
-    });
+}
 
-    // Capture the accepted MD's counting event before commit can auto-unlink
-    // the descriptor; the increment itself runs after every lock is dropped.
-    let ct = state.mds.with(accepted.md, |md| md.ct).flatten();
-    // Move the data, then commit/unlink/log — all under the portal lock.
-    // With region buffers this scatters the wire chunks straight into the
-    // target MD's region — the one unavoidable payload copy of a put.
-    let data = put.payload.slice(0, accepted.mlength as usize);
-    state
-        .mds
-        .with(accepted.md, |md| md.deliver_gather(accepted.offset, &data));
-    if accepted.mlength > 0 {
-        core.counters.payload_copies.inc();
-    }
-    core.counters.payload_messages.inc();
-    core.counters.delivered_bytes.add(accepted.mlength);
-    core.counters.requests_accepted.inc();
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Deliver)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail("put")
-    });
-    if commit_and_log(
-        core,
-        &mut list,
-        accepted,
-        h.portal_index,
-        EventKind::Put,
-        h.initiator,
-        h.match_bits,
-        h.length,
-    ) {
-        core.counters.completed_bytes.add(accepted.mlength);
-    }
-    drop(list);
-
-    // "the target optionally sends an acknowledgment message" (§4.3): only if
-    // the initiator asked and the operation was accepted.
-    if put.wants_ack() {
-        let ack = PortalsMessage::Ack(Ack {
-            header: ResponseHeader {
-                initiator: h.target, // swapped (§4.7)
-                target: h.initiator,
-                portal_index: h.portal_index,
-                match_bits: h.match_bits,
-                offset: accepted.offset,
-                md_handle: put.ack_md,
-                eq_handle: put.ack_eq,
-                requested_length: h.length,
-                manipulated_length: accepted.mlength,
-            },
-        });
-        send_message(core, node, h.initiator.nid, &ack);
-    }
-
-    // Put delivered: count it and fire whatever the schedule parked on it —
-    // still engine context, zero host involvement.
-    if let Some(ct) = ct {
-        crate::triggered::ct_increment(core, node, ct, 1);
+/// A reply that arrived whole: the receive sequence with one write.
+fn handle_reply(core: &NiCore, node: &NodeShared, reply: Reply) {
+    if let Some(sink) = reply_begin(core, reply.header) {
+        sink.write(0, &reply.payload);
+        sink.finish(core, node);
     }
 }
 
 fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
     let h = get.header;
-    let class = NiClass {
-        node,
-        my_job: core.config.job,
-    };
-    let state = &core.state;
-    let Some(mut list) = state.table.lock(h.portal_index) else {
-        drop_msg(core, DropReason::InvalidPortalIndex);
-        return;
-    };
     // A get to a flow-disabled portal is dropped like any other §4.8 drop of
     // a get (no payload to lose, no nack channel on the reply path). The MPI
     // layer only flow-controls its put-target portals, so this path is never
     // taken end-to-end there.
-    if !state.table.is_enabled(h.portal_index) {
-        drop_msg(core, DropReason::PtDisabled);
+    let Some((mut list, accepted)) = admit(core, node, &h, EventKind::Get, None) else {
         return;
-    }
-    if let Err(r) = state
-        .acl
-        .read()
-        .check(h.cookie, h.initiator, h.portal_index, &class)
-    {
-        drop_msg(core, r.into());
-        return;
-    }
-    let accepted = match translate(
-        &list,
-        state,
-        core.config.match_index,
-        ReqOp::Get,
-        h.initiator,
-        h.match_bits,
-        h.offset,
-        h.length,
-    ) {
-        Ok(a) => a,
-        Err(reason) => {
-            drop_msg(core, reason);
-            return;
-        }
     };
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Match)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail("get")
-    });
-
+    let state = &core.state;
     let ct = state.mds.with(accepted.md, |md| md.ct).flatten();
     let payload = state
         .mds
         .with(accepted.md, |md| {
-            if core.config.region_buffers {
-                md.payload_gather(accepted.offset, accepted.mlength)
-            } else {
-                // Baseline: read the served bytes out into a flat buffer.
-                if accepted.mlength > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(md.read(accepted.offset, accepted.mlength))
-            }
+            md.payload_gather(accepted.offset, accepted.mlength)
         })
         .unwrap_or_default();
     core.counters.requests_accepted.inc();
     // A get moves no bytes into this process's memory: the reply's landing at
     // the initiator is where delivered/completed bytes are accounted.
-    commit_and_log(
-        core,
-        &mut list,
-        accepted,
-        h.portal_index,
-        EventKind::Get,
-        h.initiator,
-        h.match_bits,
-        h.length,
-    );
+    if let Some(committed) = commit(core, &mut list, accepted, &h, EventKind::Get) {
+        committed.fire(core, true);
+    }
     drop(list);
 
     // "the reply is generated whenever the operation succeeds" (§4.7) — it is
     // not optional, unlike the ack.
     let reply = PortalsMessage::Reply(Reply {
-        header: ResponseHeader {
-            initiator: h.target, // swapped
-            target: h.initiator,
-            portal_index: h.portal_index,
-            match_bits: h.match_bits,
-            offset: accepted.offset,
-            md_handle: get.reply_md,
-            eq_handle: RAW_HANDLE_NONE,
-            requested_length: h.length,
-            manipulated_length: accepted.mlength,
-        },
+        header: response(
+            &h,
+            (get.reply_md, RAW_HANDLE_NONE),
+            accepted.offset,
+            accepted.mlength,
+        ),
         payload,
     });
     send_message(core, node, h.initiator.nid, &reply);
@@ -564,38 +498,13 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
     }
 }
 
-/// Drop an atomic addressed to a flow-disabled portal and, if the initiator
-/// asked for an ack (plain atomics only), nack it so the sender re-issues.
-/// Fetching atomics have no nack channel (their reply path mirrors the get's),
-/// so a disabled portal drops them like a get.
-fn nack_atomic(core: &NiCore, node: &NodeShared, atomic: &AtomicRequest) {
-    drop_msg(core, DropReason::PtDisabled);
-    if !atomic.fetch && atomic.ack_md != RAW_HANDLE_NONE {
-        let h = atomic.header;
-        let nack = PortalsMessage::Ack(Ack {
-            header: ResponseHeader {
-                initiator: h.target, // swapped (§4.7)
-                target: h.initiator,
-                portal_index: h.portal_index,
-                match_bits: h.match_bits,
-                offset: 0,
-                md_handle: atomic.ack_md,
-                eq_handle: atomic.ack_eq,
-                requested_length: h.length,
-                manipulated_length: NACK_MLENGTH,
-            },
-        });
-        send_message(core, node, h.initiator.nid, &nack);
-    }
-}
-
-/// §4.8 applied to an atomic or fetch-atomic request. The prologue mirrors
-/// `handle_put` (portal validity, flow control, ACL, translation), but the
-/// data phase is a read-modify-write executed *here*, under the portal's list
-/// lock — the target process runs no code. That lock is the atomicity domain:
-/// it already serializes put delivery per portal, so concurrent atomics from
-/// any number of initiators are applied one at a time, which a get-modify-put
-/// built from the plain operations could never guarantee.
+/// §4.8 applied to an atomic or fetch-atomic request. The prologue is the
+/// put's ([`admit`]), but the data phase is a read-modify-write executed
+/// *here*, under the portal's list lock — the target process runs no code.
+/// That lock is the atomicity domain: it already serializes put admission per
+/// portal, so concurrent atomics from any number of initiators are applied
+/// one at a time, which a get-modify-put built from the plain operations
+/// could never guarantee.
 ///
 /// Geometry is validated before any byte moves: the touched length must be a
 /// nonzero multiple of the 8-byte lane, a CAS must touch exactly one lane, and
@@ -604,30 +513,8 @@ fn nack_atomic(core: &NiCore, node: &NodeShared, atomic: &AtomicRequest) {
 /// instead.
 fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
     let h = atomic.header;
-    let class = NiClass {
-        node,
-        my_job: core.config.job,
-    };
-    let state = &core.state;
-    let Some(mut list) = state.table.lock(h.portal_index) else {
-        drop_msg(core, DropReason::InvalidPortalIndex);
-        return;
-    };
-    let flow_armed = core.config.flow_control && state.table.flow_eq(h.portal_index).is_some();
-    if !state.table.is_enabled(h.portal_index) {
-        drop(list);
-        nack_atomic(core, node, &atomic);
-        return;
-    }
-    if let Err(r) = state
-        .acl
-        .read()
-        .check(h.cookie, h.initiator, h.portal_index, &class)
-    {
-        drop_msg(core, r.into());
-        return;
-    }
-    // Lane geometry first — nothing downstream may see a partial RMW.
+    // Lane geometry first — it is a property of the request alone, and
+    // nothing downstream may see a partial RMW.
     let lane = portals_wire::AtomicDatatype::WIDTH;
     if h.length == 0
         || h.length % lane != 0
@@ -637,64 +524,17 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
         drop_msg(core, DropReason::AtomicInvalid);
         return;
     }
-    // A plain atomic only mutates (ReqOp::Put); a fetching atomic also reads
-    // the prior value back, so the descriptor must enable both operations.
-    let req_op = if atomic.fetch {
-        ReqOp::FetchAtomic
+    // Fetching atomics have no nack channel (their reply path mirrors the
+    // get's), so a disabled portal drops them like a get.
+    let (kind, ack) = if atomic.fetch {
+        (EventKind::FetchAtomic, None)
     } else {
-        ReqOp::Put
+        (EventKind::Atomic, ack_to(atomic.ack_md, atomic.ack_eq))
     };
-    let accepted = match translate(
-        &list,
-        state,
-        core.config.match_index,
-        req_op,
-        h.initiator,
-        h.match_bits,
-        h.offset,
-        h.length,
-    ) {
-        Ok(a) => a,
-        Err(reason) => {
-            if flow_armed && reason == DropReason::NoMatch {
-                trip_flow_control(core, &h);
-                drop(list);
-                nack_atomic(core, node, &atomic);
-            } else {
-                drop_msg(core, reason);
-            }
-            return;
-        }
-    };
-    // Truncation is acceptance-time rejection here: an RMW applied to a prefix
-    // of the requested lanes would be a different operation, not a shorter one.
-    if accepted.mlength != h.length {
-        drop_msg(core, DropReason::AtomicInvalid);
+    let Some((mut list, accepted)) = admit(core, node, &h, kind, ack) else {
         return;
-    }
-    if flow_armed {
-        let md_eq = state.mds.with(accepted.md, |md| md.eq).flatten();
-        let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
-        if room == Some(Some(false)) {
-            trip_flow_control(core, &h);
-            drop(list);
-            nack_atomic(core, node, &atomic);
-            return;
-        }
-    }
-    let kind = if atomic.fetch {
-        EventKind::FetchAtomic
-    } else {
-        EventKind::Atomic
     };
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Match)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail(kind.name())
-    });
-
+    let state = &core.state;
     let ct = state.mds.with(accepted.md, |md| md.ct).flatten();
     // The read-modify-write, under the portal lock. Operands are small (one
     // value per lane), so the flatten here is cheap and keeps the lane
@@ -706,29 +546,10 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
             md.atomic_rmw(accepted.offset, atomic.op, atomic.datatype, &operand)
         })
         .unwrap_or_default();
-    if accepted.mlength > 0 {
-        core.counters.payload_copies.inc();
-    }
-    core.counters.payload_messages.inc();
-    core.counters.delivered_bytes.add(accepted.mlength);
+    count_landed(core, h.initiator, accepted.mlength, kind.name());
     core.counters.requests_accepted.inc();
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Deliver)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail(kind.name())
-    });
-    if commit_and_log(
-        core,
-        &mut list,
-        accepted,
-        h.portal_index,
-        kind,
-        h.initiator,
-        h.match_bits,
-        h.length,
-    ) {
+    if let Some(committed) = commit(core, &mut list, accepted, &h, kind) {
+        committed.fire(core, true);
         core.counters.completed_bytes.add(accepted.mlength);
     }
     drop(list);
@@ -737,35 +558,17 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
         // The prior value travels back exactly like a get's reply and lands at
         // offset 0 of the initiator's fetch descriptor via `handle_reply`.
         let reply = PortalsMessage::Reply(Reply {
-            header: ResponseHeader {
-                initiator: h.target, // swapped
-                target: h.initiator,
-                portal_index: h.portal_index,
-                match_bits: h.match_bits,
-                offset: accepted.offset,
-                md_handle: atomic.reply_md,
-                eq_handle: RAW_HANDLE_NONE,
-                requested_length: h.length,
-                manipulated_length: accepted.mlength,
-            },
+            header: response(
+                &h,
+                (atomic.reply_md, RAW_HANDLE_NONE),
+                accepted.offset,
+                accepted.mlength,
+            ),
             payload: Gather::from_vec(old),
         });
         send_message(core, node, h.initiator.nid, &reply);
-    } else if atomic.ack_md != RAW_HANDLE_NONE {
-        let ack = PortalsMessage::Ack(Ack {
-            header: ResponseHeader {
-                initiator: h.target, // swapped (§4.7)
-                target: h.initiator,
-                portal_index: h.portal_index,
-                match_bits: h.match_bits,
-                offset: accepted.offset,
-                md_handle: atomic.ack_md,
-                eq_handle: atomic.ack_eq,
-                requested_length: h.length,
-                manipulated_length: accepted.mlength,
-            },
-        });
-        send_message(core, node, h.initiator.nid, &ack);
+    } else if let Some(to) = ack {
+        send_ack(core, node, &h, to, accepted.offset, accepted.mlength);
     }
 
     if let Some(ct) = ct {
@@ -816,351 +619,200 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
     }
 }
 
-fn handle_reply(core: &NiCore, node: &NodeShared, reply: Reply) {
-    // §4.8: "Each reply message includes a handle for a memory descriptor. If
-    // this descriptor exists, it is used to receive the message. A reply
-    // message will be dropped if the memory descriptor ... doesn't exist or if
-    // the event queue in the memory descriptor has no space and is not null.
-    // ... Every memory descriptor accepts and truncates incoming reply
-    // messages."
-    let h = reply.header;
-    let state = &core.state;
-    let md_handle: MdHandle = Handle::from_raw(h.md_handle);
-    // Hold the MD's shard lock across the whole reply so the descriptor cannot
-    // be unlinked between the space check and the write.
-    let Some((mut shard, local)) = state.mds.lock_shard_of(md_handle) else {
-        drop_msg(core, DropReason::ReplyMdMissing);
-        return;
-    };
-    let Some(md) = shard.get(local) else {
-        drop_msg(core, DropReason::ReplyMdMissing);
-        return;
-    };
-    let eq = md.eq;
-    let ct = md.ct;
-    if let Some(eqh) = eq {
-        if state.eqs.with(eqh, |queue| queue.is_full()) == Some(true) {
-            // The reply is lost but the get it answers is over: settle the
-            // descriptor's pending-operation pin (and any deferred unlink)
-            // exactly as the success path would, or the MD stays pinned
-            // forever and every later `md_unlink` reports `MdInUse`.
-            let unlink = {
-                let md = shard.get_mut(local).expect("resolved above");
-                md.pending_ops = md.pending_ops.saturating_sub(1);
-                md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0
-            };
-            if unlink {
-                shard.remove(local);
-            }
-            drop_msg(core, DropReason::ReplyEqFull);
-            return;
-        }
-    }
-    // Accept-and-truncate: land at the region start, scattering the wire
-    // chunks directly into the descriptor's region.
-    let mlength = (reply.payload.len() as u64).min(md.len() as u64);
-    md.write_gather(0, &reply.payload.slice(0, mlength as usize));
-    if mlength > 0 {
-        core.counters.payload_copies.inc();
-    }
-    core.counters.payload_messages.inc();
-    // The reply's landing is both the delivery and the initiating get's
-    // completion, so both byte counters advance here.
-    core.counters.delivered_bytes.add(mlength);
-    core.counters.completed_bytes.add(mlength);
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Deliver)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(mlength)
-            .detail("reply")
-    });
-    let unlink = {
-        let md = shard.get_mut(local).expect("resolved above");
-        md.pending_ops = md.pending_ops.saturating_sub(1);
-        md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0
-    };
-    core.counters.replies_accepted.inc();
-    if let Some(eqh) = eq {
-        let event = Event {
-            kind: EventKind::Reply,
-            initiator: h.initiator,
-            portal_index: h.portal_index,
-            match_bits: h.match_bits,
-            rlength: h.requested_length,
-            mlength,
-            offset: 0,
-            md: md_handle,
-        };
-        if state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
-            core.counters.events_overwritten.inc();
-        }
-    }
-    if unlink {
-        shard.remove(local);
-    }
-    // Reply landed: release the MD shard before firing, so a trigger's own
-    // do_put/do_get can re-enter the arena without self-deadlock.
-    drop(shard);
-    if let Some(ct) = ct {
-        crate::triggered::ct_increment(core, node, ct, 1);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Streaming delivery (§4.8 semantics, fragment-at-a-time data movement)
+// The receive sequence for payload-bearing messages: begin → write → finish
 // ---------------------------------------------------------------------------
 //
-// The streaming path splits §4.8 into two halves. At *header* time —
-// as soon as the first fragment of a put or reply arrives — the engine runs
-// every check and state transition the store-and-forward path would run
-// (portal validity, ACL, translation, flow control, threshold commit,
-// managed-offset advance, auto-unlink), all under the portal lock, and
-// captures a clone of the matched descriptor's memory map. Payload fragments
-// are then scattered into that memory at their absolute offsets as they
-// arrive off the wire, with no lock held — placement overlaps wire transfer,
-// which is the whole point. Events, counting events and the ack are fired
-// only at *completion* (the last fragment), so the §4.8 observable order —
-// data before event — is preserved.
+// §4.8 splits into two halves. At *header* time — as soon as a put's or a
+// reply's fixed header is in hand, whether or not its payload is — `begin`
+// runs every check and state transition (portal validity, ACL, translation,
+// flow control, threshold commit, managed-offset advance, auto-unlink), all
+// under the portal lock, and captures a clone of the matched descriptor's
+// memory map. Payload bytes are then scattered into that memory at their
+// absolute offsets with no lock held: in one `write` for a message that
+// arrived whole, one per fragment for a message still coming off the wire,
+// where placement overlaps transfer. Events, counting events and the ack are
+// fired only by `finish`, so the §4.8 observable order — data before event —
+// is preserved.
 //
-// Matching at header time (rather than after reassembly) is what a
-// receiver-side NIC does; it also means a message's match outcome reflects
-// the list state at arrival order, identical to the baseline because the
-// transport delivers per-source fragments in order and whole messages were
-// dispatched in the same arrival order before.
+// Matching at header time is what a receiver-side NIC does. A message's match
+// outcome reflects the list state at arrival order: the transport delivers
+// per-source fragments in order and non-interleaved.
 //
-// Partial-delivery visibility: between the first and last fragment the
-// target region holds a mix of old and new bytes. This is exactly the §6c
-// torn-read/RDMA contract — the paper's semantics make no promise about a
-// region's contents before the completion event is delivered.
+// What the portal lock covers: admission and commit, so two messages can
+// never both consume a descriptor's last threshold count or the same managed
+// offset, and the read-modify-write of an atomic or of a *combining*
+// descriptor, which must not interleave with another contribution. What it
+// does not cover: a plain overwrite's data movement and the event push. The
+// gap between commit and event is closed for `PtlMDUpdate` — the one API
+// that tests "has anything arrived that I have not seen" — by the event
+// queue itself: `begin` marks the queue as owed an event under the portal
+// lock and `finish` settles it ([`EventQueue::owe`](crate::event::EventQueue)).
+//
+// Partial-delivery visibility: between begin and finish the target region
+// holds a mix of old and new bytes. This is exactly the §6c torn-read/RDMA
+// contract — the paper's semantics make no promise about a region's contents
+// before the completion event is delivered.
 
-/// What `stream_put_begin` decided at header time.
-pub(crate) enum PutBeginOutcome {
-    /// Header accepted: stream payload fragments into the sink, then
+/// What [`put_begin`] decided at header time.
+// Returned by value once per put and matched on the spot; boxing the sink
+// would put an allocation on the small-message path to save a memcpy.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum PutBegin {
+    /// Header accepted: write the payload into the sink, then
     /// [`PutSink::finish`].
     Sink(PutSink),
-    /// The matched descriptor needs whole-message handling (a combining MD's
-    /// read-modify-write wants the entire contribution at once): accumulate
-    /// and deliver through [`deliver`] instead.
-    Fallback,
-    /// Dropped (and possibly nacked) at header time: swallow the remaining
-    /// fragments.
+    /// The matched descriptor combines, and the contribution is not all here
+    /// yet: nothing was committed; accumulate the message and deliver it
+    /// whole.
+    NeedWhole,
+    /// Dropped (and possibly nacked) at header time: swallow whatever payload
+    /// is still to come.
     Done,
 }
 
-/// An accepted streaming put: the matched region plus everything completion
-/// needs. Payload writes go through the captured [`MdMemory`] clone — region
-/// handles are refcounted, so the bytes land in the application's memory even
-/// if the descriptor is auto-unlinked before the tail arrives (the RDMA
-/// model: the NIC holds the registration, not the descriptor table).
+/// An accepted put between header and completion: the matched region plus
+/// everything completion needs. Payload writes go through the captured
+/// [`MdMemory`] clone — region handles are refcounted, so the bytes land in
+/// the application's memory even if the descriptor is auto-unlinked before
+/// the tail arrives (the RDMA model: the NIC holds the registration, not the
+/// descriptor table).
 pub(crate) struct PutSink {
     header: RequestHeader,
-    ack_md: u64,
-    ack_eq: u64,
+    ack: AckTo,
     accepted: Accepted,
-    mem: MdMemory,
+    /// Where payload lands; `None` once a combining descriptor has folded the
+    /// whole contribution in at begin.
+    mem: Option<MdMemory>,
     ct: Option<CtHandle>,
-    committed: bool,
-    deferred: Vec<(Option<EqHandle>, Event)>,
+    committed: Option<Committed>,
 }
 
-/// Run the §4.8 receive checks for a put whose payload has not arrived yet.
-/// Mirrors `handle_put` exactly up to (and including) commit; data movement
-/// and event visibility are deferred to the sink.
-pub(crate) fn stream_put_begin(
+/// Run the §4.8 receive checks for a put, up to and including commit; data
+/// movement and event visibility belong to the sink. `whole` is the payload
+/// when all of it has already arrived.
+pub(crate) fn put_begin(
     core: &NiCore,
     node: &NodeShared,
     h: RequestHeader,
-    ack_md: u64,
-    ack_eq: u64,
-) -> PutBeginOutcome {
-    // The nack path reads only the header and ack handles.
-    let nack_stub = PutRequest {
-        header: h,
-        ack_md,
-        ack_eq,
-        payload: Gather::new(),
-    };
-    let class = NiClass {
-        node,
-        my_job: core.config.job,
+    ack: AckTo,
+    whole: Option<&Gather>,
+) -> PutBegin {
+    let Some((mut list, accepted)) = admit(core, node, &h, EventKind::Put, ack) else {
+        return PutBegin::Done;
     };
     let state = &core.state;
-    let Some(mut list) = state.table.lock(h.portal_index) else {
-        drop_msg(core, DropReason::InvalidPortalIndex);
-        return PutBeginOutcome::Done;
-    };
-    let flow_armed = core.config.flow_control && state.table.flow_eq(h.portal_index).is_some();
-    if !state.table.is_enabled(h.portal_index) {
-        drop(list);
-        nack_put(core, node, &nack_stub);
-        return PutBeginOutcome::Done;
-    }
-    if let Err(r) = state
-        .acl
-        .read()
-        .check(h.cookie, h.initiator, h.portal_index, &class)
-    {
-        drop_msg(core, r.into());
-        return PutBeginOutcome::Done;
-    }
-    let accepted = match translate(
-        &list,
-        state,
-        core.config.match_index,
-        ReqOp::Put,
-        h.initiator,
-        h.match_bits,
-        h.offset,
-        h.length,
-    ) {
-        Ok(a) => a,
-        Err(reason) => {
-            if flow_armed && reason == DropReason::NoMatch {
-                trip_flow_control(core, &h);
-                drop(list);
-                nack_put(core, node, &nack_stub);
-            } else {
-                drop_msg(core, reason);
+    // Capture the counting event and the memory map before commit can
+    // auto-unlink the descriptor. A combining descriptor's fold is a
+    // read-modify-write over the whole contribution: it happens here, inside
+    // the portal-lock critical section that serializes it against every other
+    // contribution, or not yet at all.
+    let landing = state.mds.with(accepted.md, |md| {
+        let mem = match (md.combine, whole) {
+            (None, _) => Some(md.region.clone()),
+            (Some(_), Some(payload)) => {
+                let data = payload.slice(0, accepted.mlength as usize).to_vec();
+                md.deliver(accepted.offset, &data);
+                None
             }
-            return PutBeginOutcome::Done;
-        }
-    };
-    if flow_armed {
-        let md_eq = state.mds.with(accepted.md, |md| md.eq).flatten();
-        let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
-        if room == Some(Some(false)) {
-            trip_flow_control(core, &h);
-            drop(list);
-            nack_put(core, node, &nack_stub);
-            return PutBeginOutcome::Done;
-        }
-    }
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Match)
-            .node(core.id.nid.0)
-            .peer(h.initiator.nid.0)
-            .bytes(accepted.mlength)
-            .detail("put")
+            (Some(_), None) => return None,
+        };
+        Some((mem, md.ct))
     });
-    let Some((mem, ct, combining)) = state.mds.with(accepted.md, |md| {
-        (md.region.clone(), md.ct, md.combine.is_some())
-    }) else {
-        drop_msg(core, DropReason::NoMatch);
-        return PutBeginOutcome::Done;
+    let (mem, ct) = match landing {
+        Some(Some(landing)) => landing,
+        Some(None) => return PutBegin::NeedWhole,
+        None => {
+            drop_msg(core, DropReason::NoMatch);
+            return PutBegin::Done;
+        }
     };
-    if combining {
-        return PutBeginOutcome::Fallback;
+    // Commit under the portal lock — threshold, managed offset and
+    // auto-unlink — but hold the resulting events back until the payload has
+    // landed; until then the queue is owed one.
+    let committed = commit(core, &mut list, accepted, &h, EventKind::Put);
+    if let Some(eq) = committed.as_ref().and_then(|c| c.eq) {
+        state.eqs.with(eq, |queue| queue.owe());
     }
-    // Commit at header time, under the portal lock — threshold, managed
-    // offset and auto-unlink behave exactly as in the baseline — but hold
-    // the resulting events back until the payload has fully landed.
-    let mut deferred = Vec::new();
-    let committed = commit_and_collect(
-        core,
-        &mut list,
-        accepted,
-        h.portal_index,
-        EventKind::Put,
-        h.initiator,
-        h.match_bits,
-        h.length,
-        &mut deferred,
-    );
-    core.counters.requests_accepted.inc();
     drop(list);
-    PutBeginOutcome::Sink(PutSink {
+    PutBegin::Sink(PutSink {
         header: h,
-        ack_md,
-        ack_eq,
+        ack,
         accepted,
         mem,
         ct,
         committed,
-        deferred,
     })
 }
 
 impl PutSink {
+    /// The payload length the put's header declared.
+    pub(crate) fn declared_len(&self) -> u64 {
+        self.header.length
+    }
+
     /// Scatter payload bytes at `payload_off` (offset within the message's
     /// payload) into the matched region, clamped to the manipulated length —
     /// bytes past `mlength` are the truncated tail and are dropped here,
     /// preserving §4.8 truncation.
     pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
-        if payload_off >= self.accepted.mlength {
+        let Some(mem) = &self.mem else {
             return;
+        };
+        let room = self.accepted.mlength.saturating_sub(payload_off);
+        let take = (data.len() as u64).min(room) as usize;
+        if take > 0 {
+            mem.write_gather(self.accepted.offset + payload_off, &data.slice(0, take));
         }
-        let room = (self.accepted.mlength - payload_off) as usize;
-        let take = data.len().min(room);
-        if take == 0 {
-            return;
-        }
-        self.mem
-            .write_gather(self.accepted.offset + payload_off, &data.slice(0, take));
     }
 
-    /// Complete the put: counters, deferred events, the optional ack and the
-    /// counting-event increment — everything `handle_put` fires after data
-    /// movement.
+    /// Complete the put: counters, the held-back events, the optional ack and
+    /// the counting-event increment.
     pub(crate) fn finish(self, core: &NiCore, node: &NodeShared) {
         let h = self.header;
         let accepted = self.accepted;
-        if accepted.mlength > 0 {
-            core.counters.payload_copies.inc();
-        }
-        core.counters.payload_messages.inc();
-        core.counters.delivered_bytes.add(accepted.mlength);
-        core.obs.tracer.emit(|| {
-            TraceEvent::new(Layer::Portals, Stage::Deliver)
-                .node(core.id.nid.0)
-                .peer(h.initiator.nid.0)
-                .bytes(accepted.mlength)
-                .detail("put")
-        });
-        if self.committed {
+        count_landed(core, h.initiator, accepted.mlength, "put");
+        core.counters.requests_accepted.inc();
+        if self.committed.is_some() {
             core.counters.completed_bytes.add(accepted.mlength);
         }
-        for (eq, event) in self.deferred {
-            push_event(core, eq, event);
+        self.settle(core, true);
+        // "the target optionally sends an acknowledgment message" (§4.3): only
+        // if the initiator asked and the operation was accepted.
+        if let Some(to) = self.ack {
+            send_ack(core, node, &h, to, accepted.offset, accepted.mlength);
         }
-        if self.ack_md != RAW_HANDLE_NONE {
-            let ack = PortalsMessage::Ack(Ack {
-                header: ResponseHeader {
-                    initiator: h.target, // swapped (§4.7)
-                    target: h.initiator,
-                    portal_index: h.portal_index,
-                    match_bits: h.match_bits,
-                    offset: accepted.offset,
-                    md_handle: self.ack_md,
-                    eq_handle: self.ack_eq,
-                    requested_length: h.length,
-                    manipulated_length: accepted.mlength,
-                },
-            });
-            send_message(core, node, h.initiator.nid, &ack);
-        }
+        // Put delivered: count it and fire whatever the schedule parked on it
+        // — still engine context, zero host involvement.
         if let Some(ct) = self.ct {
             crate::triggered::ct_increment(core, node, ct, 1);
         }
     }
+
+    /// The payload will never be complete (its length contradicted the header,
+    /// or the sender broke the message off): no `Put` event, no ack, no
+    /// counting-event increment. What `begin` committed stays committed — the
+    /// threshold count is spent — so an auto-unlink it performed is still
+    /// reported.
+    pub(crate) fn abort(self, core: &NiCore) {
+        self.settle(core, false);
+    }
+
+    /// Fire the commit's events and settle the queue's debt.
+    fn settle(&self, core: &NiCore, completed: bool) {
+        if let Some(committed) = &self.committed {
+            committed.fire(core, completed);
+            if let Some(eq) = committed.eq {
+                core.state.eqs.with(eq, |queue| queue.settle());
+            }
+        }
+    }
 }
 
-/// What `stream_reply_begin` decided at header time.
-pub(crate) enum ReplyBeginOutcome {
-    /// Reply accepted: stream payload fragments in, then
-    /// [`ReplySink::finish`].
-    Sink(ReplySink),
-    /// Combining descriptor: accumulate the whole reply and deliver through
-    /// [`deliver`].
-    Fallback,
-    /// Dropped at header time: swallow the remaining fragments.
-    Done,
-}
-
-/// An accepted streaming reply. The descriptor stays pinned (its
-/// `pending_ops` is *not* decremented until `finish`), so the §4.7 rule — a
-/// get's MD "must not be unlinked until the reply is received" — holds
-/// across the streamed interval.
+/// An accepted reply between header and completion. The descriptor stays
+/// pinned (its `pending_ops` is *not* decremented until the sink is finished
+/// or aborted), so the §4.7 rule — a get's MD "must not be unlinked until the
+/// reply is received" — holds across the interval.
 pub(crate) struct ReplySink {
     header: ResponseHeader,
     md_handle: MdHandle,
@@ -1170,47 +822,49 @@ pub(crate) struct ReplySink {
     ct: Option<CtHandle>,
 }
 
-/// Run the §4.8 reply checks before the payload has arrived. `declared_len`
-/// is the wire header's manipulated length (what the payload will total).
-pub(crate) fn stream_reply_begin(
-    core: &NiCore,
-    h: ResponseHeader,
-    declared_len: u64,
-) -> ReplyBeginOutcome {
+/// The get a reply answers is over, landed or lost: release the descriptor's
+/// pending-operation pin and perform the unlink it was deferring — or the MD
+/// stays pinned forever and every later `md_unlink` reports `MdInUse`.
+fn release_reply_pin(core: &NiCore, md_handle: MdHandle) {
+    let Some((mut shard, local)) = core.state.mds.lock_shard_of(md_handle) else {
+        return;
+    };
+    let Some(md) = shard.get_mut(local) else {
+        return;
+    };
+    md.pending_ops = md.pending_ops.saturating_sub(1);
+    if md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0 {
+        shard.remove(local);
+    }
+}
+
+/// Run the §4.8 reply checks: "Each reply message includes a handle for a
+/// memory descriptor. If this descriptor exists, it is used to receive the
+/// message. A reply message will be dropped if the memory descriptor ...
+/// doesn't exist or if the event queue in the memory descriptor has no space
+/// and is not null. ... Every memory descriptor accepts and truncates
+/// incoming reply messages." `None`: dropped and counted.
+pub(crate) fn reply_begin(core: &NiCore, h: ResponseHeader) -> Option<ReplySink> {
     let state = &core.state;
     let md_handle: MdHandle = Handle::from_raw(h.md_handle);
-    let Some((mut shard, local)) = state.mds.lock_shard_of(md_handle) else {
+    let landing = state.mds.with(md_handle, |md| {
+        // Accept-and-truncate, decided up front from the declared length;
+        // replies always overwrite, landing at the region start.
+        let mlength = h.manipulated_length.min(md.len() as u64);
+        (md.region.clone(), mlength, md.eq, md.ct)
+    });
+    let Some((mem, mlength, eq, ct)) = landing else {
         drop_msg(core, DropReason::ReplyMdMissing);
-        return ReplyBeginOutcome::Done;
+        return None;
     };
-    let Some(md) = shard.get(local) else {
-        drop_msg(core, DropReason::ReplyMdMissing);
-        return ReplyBeginOutcome::Done;
-    };
-    let eq = md.eq;
-    let ct = md.ct;
     if let Some(eqh) = eq {
         if state.eqs.with(eqh, |queue| queue.is_full()) == Some(true) {
-            let unlink = {
-                let md = shard.get_mut(local).expect("resolved above");
-                md.pending_ops = md.pending_ops.saturating_sub(1);
-                md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0
-            };
-            if unlink {
-                shard.remove(local);
-            }
+            release_reply_pin(core, md_handle);
             drop_msg(core, DropReason::ReplyEqFull);
-            return ReplyBeginOutcome::Done;
+            return None;
         }
     }
-    if md.combine.is_some() {
-        return ReplyBeginOutcome::Fallback;
-    }
-    // Accept-and-truncate, decided up front from the declared length.
-    let mlength = declared_len.min(md.len() as u64);
-    let mem = md.region.clone();
-    drop(shard);
-    ReplyBeginOutcome::Sink(ReplySink {
+    Some(ReplySink {
         header: h,
         md_handle,
         mem,
@@ -1221,60 +875,33 @@ pub(crate) fn stream_reply_begin(
 }
 
 impl ReplySink {
-    /// Scatter reply payload bytes at `payload_off` into the descriptor's
-    /// region (replies land at region offset 0), truncating past `mlength`.
-    pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
-        if payload_off >= self.mlength {
-            return;
-        }
-        let room = (self.mlength - payload_off) as usize;
-        let take = data.len().min(room);
-        if take == 0 {
-            return;
-        }
-        self.mem.write_gather(payload_off, &data.slice(0, take));
+    /// The payload length the reply's header declared.
+    pub(crate) fn declared_len(&self) -> u64 {
+        self.header.manipulated_length
     }
 
-    /// Complete the reply: settle the descriptor's pending-operation pin,
-    /// counters, the reply event and the counting-event increment. If the
-    /// event queue filled between begin and finish the event is counted as
-    /// overwritten — the same back-pressure signal the baseline uses for a
-    /// racing queue.
+    /// Scatter reply payload bytes at `payload_off` into the descriptor's
+    /// region, truncating past `mlength`.
+    pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
+        let room = self.mlength.saturating_sub(payload_off);
+        let take = (data.len() as u64).min(room) as usize;
+        if take > 0 {
+            self.mem.write_gather(payload_off, &data.slice(0, take));
+        }
+    }
+
+    /// Complete the reply: counters, the descriptor's pin, the reply event
+    /// and the counting-event increment. The reply's landing is both the
+    /// delivery and the initiating get's completion, so both byte counters
+    /// advance. If the event queue filled between begin and finish the event
+    /// is counted as overwritten — the same back-pressure signal any racing
+    /// queue gives.
     pub(crate) fn finish(self, core: &NiCore, node: &NodeShared) {
         let h = self.header;
-        let state = &core.state;
-        let mlength = self.mlength;
-        if mlength > 0 {
-            core.counters.payload_copies.inc();
-        }
-        core.counters.payload_messages.inc();
-        core.counters.delivered_bytes.add(mlength);
-        core.counters.completed_bytes.add(mlength);
-        core.obs.tracer.emit(|| {
-            TraceEvent::new(Layer::Portals, Stage::Deliver)
-                .node(core.id.nid.0)
-                .peer(h.initiator.nid.0)
-                .bytes(mlength)
-                .detail("reply")
-        });
+        count_landed(core, h.initiator, self.mlength, "reply");
+        core.counters.completed_bytes.add(self.mlength);
         core.counters.replies_accepted.inc();
-        {
-            let Some((mut shard, local)) = state.mds.lock_shard_of(self.md_handle) else {
-                return;
-            };
-            match shard.get_mut(local) {
-                Some(md) => {
-                    md.pending_ops = md.pending_ops.saturating_sub(1);
-                    let unlink = md.options.unlink_on_exhaustion
-                        && !md.threshold.active()
-                        && md.pending_ops == 0;
-                    if unlink {
-                        shard.remove(local);
-                    }
-                }
-                None => return,
-            }
-        }
+        release_reply_pin(core, self.md_handle);
         if let Some(eqh) = self.eq {
             let event = Event {
                 kind: EventKind::Reply,
@@ -1282,17 +909,25 @@ impl ReplySink {
                 portal_index: h.portal_index,
                 match_bits: h.match_bits,
                 rlength: h.requested_length,
-                mlength,
+                mlength: self.mlength,
                 offset: 0,
                 md: self.md_handle,
             };
-            if state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
+            if core.state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
                 core.counters.events_overwritten.inc();
             }
         }
+        // Every lock is released before firing, so a trigger's own
+        // do_put/do_get can re-enter the arena without self-deadlock.
         if let Some(ct) = self.ct {
             crate::triggered::ct_increment(core, node, ct, 1);
         }
+    }
+
+    /// The payload will never be complete: no `Reply` event, no counting-event
+    /// increment; the get it answered is over all the same.
+    pub(crate) fn abort(self, core: &NiCore) {
+        release_reply_pin(core, self.md_handle);
     }
 }
 
@@ -1362,8 +997,8 @@ mod tests {
         (state, me, md)
     }
 
-    /// Run translation both ways (index on and off) and require agreement —
-    /// every unit test below doubles as a fast-path differential check.
+    /// Run translation and the reference walk and require agreement — every
+    /// unit test below doubles as a fast-path differential check.
     fn translate_put(
         state: &NiState,
         initiator: ProcessId,
@@ -1373,17 +1008,8 @@ mod tests {
         len: u64,
     ) -> Result<Accepted, DropReason> {
         let list = state.table.lock(pt).expect("test portals in range");
-        let fast = translate(&list, state, true, ReqOp::Put, initiator, bits, offset, len);
-        let slow = translate(
-            &list,
-            state,
-            false,
-            ReqOp::Put,
-            initiator,
-            bits,
-            offset,
-            len,
-        );
+        let fast = translate(&list, state, ReqOp::Put, initiator, bits, offset, len);
+        let slow = walk(&list, state, ReqOp::Put, initiator, bits, offset, len);
         assert_eq!(fast, slow, "index and walk disagree");
         fast
     }
@@ -1557,10 +1183,10 @@ mod tests {
     }
 
     mod differential {
-        //! Satellite: engine-level differential proptest — with MD evaluation
-        //! in the loop, translation with the index enabled must pick the same
-        //! entry (or the same drop) as the reference walk, across wildcard
-        //! orderings, rejecting descriptors and unlink churn.
+        //! Engine-level differential proptest — with MD evaluation in the
+        //! loop, translation must pick the same entry (or the same drop) as
+        //! the reference walk, across wildcard orderings, rejecting
+        //! descriptors and unlink churn.
 
         use super::*;
         use proptest::prelude::*;

@@ -96,6 +96,9 @@ struct Ring {
     read: u64,
     /// Set when the writer lapped the reader; cleared when reported.
     overflowed: bool,
+    /// Deliveries that have committed against a descriptor logging here but
+    /// not yet pushed their event (see [`EventQueue::owe`]).
+    owed: u32,
 }
 
 /// A circular event queue (spec: `ptl_handle_eq_t` target).
@@ -122,6 +125,7 @@ impl EventQueue {
                     write: 0,
                     read: 0,
                     overflowed: false,
+                    owed: 0,
                 }),
                 cond: Condvar::new(),
             }),
@@ -150,6 +154,29 @@ impl EventQueue {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// A delivery has committed against a descriptor that logs here and will
+    /// push its event once its payload has landed. Called under the portal
+    /// lock, paired with exactly one [`EventQueue::settle`].
+    pub(crate) fn owe(&self) {
+        self.inner.ring.lock().owed += 1;
+    }
+
+    /// The delivery that called [`EventQueue::owe`] has pushed its events (or
+    /// was aborted and never will).
+    pub(crate) fn settle(&self) {
+        let mut ring = self.inner.ring.lock();
+        ring.owed = ring.owed.saturating_sub(1);
+    }
+
+    /// True if no event is pending *and* none is owed: nothing has arrived
+    /// that the consumer has not seen. `PtlMDUpdate`'s test — taken under the
+    /// portal lock, it is atomic with message arrival even though a put's
+    /// event is pushed after that lock is released.
+    pub(crate) fn is_quiet(&self) -> bool {
+        let ring = self.inner.ring.lock();
+        ring.write == ring.read && ring.owed == 0
     }
 
     /// True if one more push would overwrite (§4.8 uses this for replies:

@@ -166,7 +166,8 @@ impl MdMemory {
     }
 
     /// Read `mlength` bytes at logical `offset` into a fresh `Vec` (the
-    /// ablation-baseline copy path). Caller has validated bounds.
+    /// read half of an atomic's or a combining descriptor's
+    /// read-modify-write). Caller has validated bounds.
     pub fn read(&self, offset: u64, mlength: u64) -> Vec<u8> {
         match self {
             MdMemory::Contiguous { region, .. } => {
@@ -640,24 +641,6 @@ impl Md {
     /// puts and the target-side source of get replies.
     pub fn payload_gather(&self, offset: u64, mlength: u64) -> Gather {
         self.region.gather(offset, mlength)
-    }
-
-    /// Scatter wire chunks straight into the region (plain overwrite, the
-    /// reply path — "every memory descriptor accepts and truncates incoming
-    /// reply messages").
-    pub fn write_gather(&self, offset: u64, data: &Gather) {
-        self.region.write_gather(offset, data);
-    }
-
-    /// Land an incoming put held as a [`Gather`]: chunks scatter straight
-    /// into the region; a combining descriptor flattens first, since its
-    /// read-modify-write needs the whole contribution in one piece.
-    pub fn deliver_gather(&self, offset: u64, data: &Gather) {
-        if self.combine.is_some() {
-            self.deliver(offset, &data.to_vec());
-        } else {
-            self.region.write_gather(offset, data);
-        }
     }
 }
 

@@ -51,7 +51,7 @@ use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::{Condvar, Mutex, RwLock};
 use portals_obs::{Layer, Obs, Stage, TraceEvent};
 use portals_types::{
-    Gather, MatchBits, MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded,
+    MatchBits, MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded,
 };
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
@@ -81,16 +81,6 @@ pub struct NiConfig {
     /// Parallel-application (job) id this process belongs to, for the
     /// "same application" ACL entry (§4.5).
     pub job: u32,
-    /// Use the exact-bits match-list index on the receive path (the Fig. 4
-    /// fast path). Off, every translation runs the reference linear walk —
-    /// kept as a runtime ablation so the win is measurable in one binary.
-    pub match_index: bool,
-    /// Move payloads as refcounted region views end-to-end (gathered wire
-    /// encode, zero-copy receive slicing, scatter directly into the target
-    /// MD). Off, every hop copies the payload — the `Vec`-buffer baseline,
-    /// kept as a runtime ablation so the copy count is measurable in one
-    /// binary via [`NiCountersSnapshot::copies_per_message`].
-    pub region_buffers: bool,
     /// Per-portal flow control (extension: Portals 4 `PTL_PT_FLOWCTRL`
     /// lineage). When on, a portal with a registered flow event queue
     /// ([`NetworkInterface::pt_flow_ctrl`]) auto-disables on resource
@@ -107,8 +97,6 @@ impl Default for NiConfig {
             limits: NiLimits::default(),
             progress: ProgressModel::default(),
             job: 0,
-            match_index: true,
-            region_buffers: true,
             flow_control: true,
         }
     }
@@ -573,12 +561,13 @@ impl NetworkInterface {
     /// Atomically update an MD, conditional on an event queue being empty
     /// (spec: `PtlMDUpdate`).
     ///
-    /// If `test_eq` is supplied and holds *any* unconsumed event, the update is
-    /// refused with [`PtlError::NoUpdate`] and `mutate` is not run. For an MD
-    /// attached to a match entry, the test and the update run under that
-    /// entry's portal-list lock — the lock the receive engine holds for the
-    /// whole of a message's processing, including the event push — so the pair
-    /// is atomic with respect to message arrival. This is the primitive an MPI
+    /// If `test_eq` is supplied and holds *any* unconsumed event — or is owed
+    /// one by a put that has been matched and committed but whose payload is
+    /// still landing — the update is refused with [`PtlError::NoUpdate`] and
+    /// `mutate` is not run. For an MD attached to a match entry, the test and
+    /// the update run under that entry's portal-list lock — the lock the
+    /// receive engine holds while it matches, commits and marks the queue owed
+    /// — so the pair is atomic with respect to message arrival. This is the primitive an MPI
     /// implementation uses to close the race between posting a receive and an
     /// unexpected message landing in the overflow slab.
     pub fn md_update(
@@ -594,11 +583,11 @@ impl NetworkInterface {
         let portal_index = state.portal_of_md(h);
         let _list = portal_index.map(|p| state.table.lock(p).expect("attached index in range"));
         if let Some(eqh) = test_eq {
-            let empty = state
+            let quiet = state
                 .eqs
-                .with(eqh, EventQueue::is_empty)
+                .with(eqh, EventQueue::is_quiet)
                 .ok_or(PtlError::InvalidEq)?;
-            if !empty {
+            if !quiet {
                 return Err(PtlError::NoUpdate);
             }
         }
@@ -1070,16 +1059,7 @@ pub(crate) fn do_put(
             if length as usize > max {
                 return Err(PtlError::LimitExceeded);
             }
-            let payload = if core.config.region_buffers {
-                mdr.payload_gather(0, length)
-            } else {
-                // Baseline: read the MD out into a fresh flat buffer.
-                if length > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(mdr.read(0, length))
-            };
-            Ok((payload, mdr.eq, length))
+            Ok((mdr.payload_gather(0, length), mdr.eq, length))
         })
         .ok_or(PtlError::InvalidMd)??;
 
@@ -1175,7 +1155,7 @@ pub(crate) fn do_get(
 /// source (for CAS its region holds `compare ++ operand`); `fetch_md`, when
 /// set, turns the operation into a fetching atomic whose reply — the prior
 /// value — lands at offset 0 of that descriptor through the ordinary
-/// [`engine::handle_reply`] path, pinning it (`pending_ops`) exactly like a
+/// reply path ([`engine::reply_begin`]), pinning it (`pending_ops`) exactly like a
 /// get pins its reply descriptor.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn do_atomic(
@@ -1225,15 +1205,7 @@ pub(crate) fn do_atomic(
                 return Err(PtlError::InvalidArgument);
             }
             mdr.threshold = mdr.threshold.decrement();
-            let payload = if core.config.region_buffers {
-                mdr.payload_gather(0, operand_len)
-            } else {
-                if operand_len > 0 {
-                    core.counters.payload_copies.inc();
-                }
-                Gather::from_vec(mdr.read(0, operand_len))
-            };
-            Ok((payload, mdr.eq))
+            Ok((mdr.payload_gather(0, operand_len), mdr.eq))
         })
         .ok_or(PtlError::InvalidMd)
         .and_then(|r| r);
@@ -1323,10 +1295,8 @@ fn transmit(
     Ok(())
 }
 
-/// Put a Portals message on the wire under the interface's buffer model:
-/// region buffers gather the payload's views behind a fresh header segment
-/// (no payload bytes move); the baseline flattens the whole message into one
-/// contiguous allocation and counts the copy.
+/// Put a Portals message on the wire: the payload's region views are gathered
+/// behind a fresh header segment, so no payload byte moves.
 pub(crate) fn send_message(
     core: &NiCore,
     node: &NodeShared,
@@ -1340,14 +1310,7 @@ pub(crate) fn send_message(
             .bytes(msg.payload_len() as u64)
             .detail(msg.kind_name())
     });
-    if core.config.region_buffers {
-        node.endpoint.send(dst, msg.encode_gather());
-    } else {
-        if msg.payload_len() > 0 {
-            core.counters.payload_copies.inc();
-        }
-        node.endpoint.send(dst, msg.encode());
-    }
+    node.endpoint.send(dst, msg.encode_gather());
 }
 
 impl Drop for NetworkInterface {

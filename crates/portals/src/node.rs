@@ -102,8 +102,8 @@ pub(crate) struct NodeShared {
     /// Whether this node runs threadless ([`ProgressMode::CallerDriven`]):
     /// no dispatcher thread, progress happens inside API calls.
     pub(crate) caller_driven: bool,
-    /// The endpoint's delivery stream — whole reassembled messages and, in
-    /// streaming mode, individual fragments — drained inline by
+    /// The endpoint's delivery stream — whole messages and fragments of
+    /// larger ones — drained inline by
     /// [`NodeShared::progress_once`] in caller-driven mode (the dispatcher
     /// thread owns its own clone in NIC-thread mode).
     pub(crate) incoming: Receiver<Delivery>,
@@ -126,7 +126,7 @@ pub(crate) struct NodeShared {
 
 impl NodeShared {
     /// Advance this node once from the calling thread: step the transport
-    /// state machines, then dispatch every reassembled message that produced.
+    /// state machines, then dispatch every delivery that produced.
     /// Returns `true` if any work was done. A no-op (returning `false`) when
     /// another thread is mid-dispatch or the node is powered off.
     pub(crate) fn progress_once(&self) -> bool {
@@ -352,8 +352,9 @@ impl std::fmt::Debug for Node {
     }
 }
 
-/// Route one transport delivery: whole messages take the classic decode
-/// path, stream fragments feed the per-source state machine.
+/// Route one transport delivery: a whole message is decoded and received in
+/// one go, a fragment feeds the per-source state machine that spreads the
+/// same receive sequence over the message's arrival.
 fn deliver(shared: &NodeShared, delivery: Delivery) {
     // The transport sheds inbound credit against its message-unit backlog;
     // report the pop before processing so a long placement doesn't read as
@@ -362,14 +363,15 @@ fn deliver(shared: &NodeShared, delivery: Delivery) {
     match delivery {
         Delivery::Message(msg) => dispatch(shared, &msg.payload),
         Delivery::Fragment(frag) => crate::stream::on_fragment(shared, frag),
+        Delivery::Abandoned { src } => crate::stream::on_abandoned(shared, src),
     }
 }
 
-/// One message's §4.8 journey, starting from the node-level checks.
+/// One whole message's §4.8 journey, starting from the node-level checks.
 ///
-/// The reassembled transport message arrives as a [`Gather`] of datagram
-/// views; decoding peeks the fixed headers into a stack buffer and leaves the
-/// payload as zero-copy sub-slices of those views.
+/// The message arrives as a [`Gather`] of datagram views; decoding peeks the
+/// fixed headers into a stack buffer and leaves the payload as zero-copy
+/// sub-slices of those views.
 pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
     let msg = match PortalsMessage::decode_gather(payload) {
         Ok(m) => m,
@@ -379,37 +381,33 @@ pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
             return;
         }
     };
-    let target = msg.wire_target();
+    let Some(core) = lookup(shared, msg.wire_target()) else {
+        return;
+    };
+    match core.config.progress {
+        crate::ProgressModel::ApplicationBypass => engine::deliver(&core, shared, msg),
+        crate::ProgressModel::HostDriven => core.enqueue_raw(msg),
+    }
+    // Anything the delivery completed (events pushed, counters bumped, raw
+    // traffic queued) may be what a parked caller-driven waiter is blocked
+    // on.
+    shared.ring_event();
+}
+
+/// The node-level checks every message sees before the engine (§4.8's "first
+/// checks"): routed to this node, addressed to a live interface.
+pub(crate) fn lookup(shared: &NodeShared, target: ProcessId) -> Option<Arc<NiCore>> {
     if target.nid != shared.nid {
         shared.dropped_garbage.inc();
         node_drop_trace(shared, "misrouted");
-        return;
+        return None;
     }
     let core = shared.nis.read().get(&target.pid).cloned();
-    match core {
-        None => {
-            shared.dropped_no_process.inc();
-            node_drop_trace(shared, "no_process");
-        }
-        Some(core) => {
-            // Baseline buffer model: coalesce the payload into one fresh
-            // allocation before the engine sees it, as a copying receive
-            // path would, and count the copy.
-            let msg = if core.config.region_buffers {
-                msg
-            } else {
-                flatten_payload(&core, msg)
-            };
-            match core.config.progress {
-                crate::ProgressModel::ApplicationBypass => engine::deliver(&core, shared, msg),
-                crate::ProgressModel::HostDriven => core.enqueue_raw(msg),
-            }
-            // Anything the delivery completed (events pushed, counters
-            // bumped, raw traffic queued) may be what a parked caller-driven
-            // waiter is blocked on.
-            shared.ring_event();
-        }
+    if core.is_none() {
+        shared.dropped_no_process.inc();
+        node_drop_trace(shared, "no_process");
     }
+    core
 }
 
 /// A node-level drop (before any interface was identified) in the trace
@@ -420,27 +418,4 @@ pub(crate) fn node_drop_trace(shared: &NodeShared, why: &'static str) {
             .node(shared.nid.0)
             .detail(why)
     });
-}
-
-/// Replace a message's payload views with one contiguous copy (the ablation
-/// baseline's receive-side coalesce), counting the copy it performs.
-fn flatten_payload(core: &NiCore, msg: PortalsMessage) -> PortalsMessage {
-    fn flatten(core: &NiCore, g: Gather) -> Gather {
-        if g.is_empty() {
-            return g;
-        }
-        core.counters.payload_copies.inc();
-        Gather::from_vec(g.to_vec())
-    }
-    match msg {
-        PortalsMessage::Put(mut m) => {
-            m.payload = flatten(core, m.payload);
-            PortalsMessage::Put(m)
-        }
-        PortalsMessage::Reply(mut m) => {
-            m.payload = flatten(core, m.payload);
-            PortalsMessage::Reply(m)
-        }
-        other => other,
-    }
 }

@@ -1,29 +1,31 @@
-//! Incremental message delivery: the per-source stream state machine.
+//! Messages that arrive in pieces: the per-source stream state machine.
 //!
-//! With the transport in streaming mode, a multi-fragment message no longer
-//! arrives as one reassembled [`Gather`] — it arrives as a sequence of
+//! A message larger than one transport fragment arrives as a sequence of
 //! [`StreamFragment`]s carrying absolute payload offsets. This module is the
-//! glue between that fragment stream and the §4.8 receive engine: as soon as
-//! the fixed wire header is complete it runs the engine's header-time checks
-//! (validity, ACL, translation, commit) and obtains a *sink* — a captured
-//! mapping of the matched memory — into which every subsequent fragment is
-//! scattered at its offset the moment it leaves the wire. Events fire only at
-//! the final fragment, so completion semantics match the store-and-forward
-//! path exactly while data movement overlaps wire transfer.
+//! glue between that fragment stream and the §4.8 receive sequence in
+//! [`crate::engine`]: as soon as the fixed wire header is complete it calls
+//! the engine's `begin` (validity, ACL, translation, commit) and obtains a
+//! *sink* — a captured mapping of the matched memory — into which every
+//! subsequent fragment is written at its offset the moment it leaves the
+//! wire. The last fragment calls `finish`. A message that arrived whole runs
+//! the same three steps back to back ([`crate::engine::deliver`]); the only
+//! thing this module adds is the waiting in between.
 //!
-//! Messages the engine cannot stream (combining descriptors, host-driven
-//! interfaces, the copying ablation baseline, acks/gets) fall back to
-//! accumulation: fragments are appended and the whole message takes the
-//! classic [`dispatch`](crate::node) path on completion.
+//! Messages that must be seen whole (a combining descriptor's contribution,
+//! anything for a host-driven interface, and acks/gets/atomics, which are
+//! all header) accumulate and take the whole-message
+//! [`dispatch`](crate::node) path on completion.
 //!
-//! The transport delivers fragments of a source's messages in order and
-//! non-interleaved, so one state per source suffices.
+//! The transport delivers a source's fragments in order, offset-contiguous
+//! and non-interleaved — and enforces it against the wire — so one state per
+//! source suffices and a fragment's offset is trusted.
 
-use crate::engine::{self, PutBeginOutcome, PutSink, ReplyBeginOutcome, ReplySink};
+use crate::engine::{self, PutBegin, PutSink, ReplySink};
 use crate::ni::NiCore;
-use crate::node::{dispatch, node_drop_trace, NodeShared};
+use crate::node::{dispatch, lookup, node_drop_trace, NodeShared};
+use crate::ProgressModel;
 use portals_transport::StreamFragment;
-use portals_types::Gather;
+use portals_types::{Gather, NodeId};
 use portals_wire::{PortalsMessage, StreamHead};
 use std::sync::Arc;
 
@@ -32,11 +34,11 @@ pub(crate) enum MsgStream {
     /// Still collecting the fixed wire header; holds everything received so
     /// far.
     Head(Gather),
-    /// Whole-message fallback: accumulate and dispatch on the last fragment.
+    /// Needed whole: accumulate and dispatch on the last fragment.
     Accumulate(Gather),
-    /// A streaming put: fragments scatter straight into the matched region.
+    /// A put past `begin`: fragments scatter straight into the matched region.
     Put(Arc<NiCore>, PutSink),
-    /// A streaming reply: fragments scatter into the requesting descriptor.
+    /// A reply past `begin`: fragments scatter into the requesting descriptor.
     Reply(Arc<NiCore>, ReplySink),
     /// Rejected at header time: swallow fragments until the message ends.
     Discard,
@@ -49,11 +51,20 @@ pub(crate) fn on_fragment(shared: &NodeShared, frag: StreamFragment) {
         .remove(&frag.src)
         .unwrap_or(MsgStream::Head(Gather::new()));
     let (src, last) = (frag.src, frag.last);
+    let end = frag.offset + frag.payload.len() as u64;
     let next = advance(shared, state, frag);
     if last {
-        finalize(shared, next);
+        finalize(shared, next, end);
     } else {
         streams.insert(src, next);
+    }
+}
+
+/// The transport gave up on the message `src` was sending: undo what can be
+/// undone.
+pub(crate) fn on_abandoned(shared: &NodeShared, src: NodeId) {
+    if let Some(state) = shared.streams.lock().remove(&src) {
+        abort(shared, state);
     }
 }
 
@@ -68,6 +79,8 @@ fn advance(shared: &NodeShared, state: MsgStream, frag: StreamFragment) -> MsgSt
             acc.append(frag.payload);
             MsgStream::Accumulate(acc)
         }
+        // A sink exists only once the header is complete, and fragments are
+        // contiguous, so these offsets are at or past the payload's start.
         MsgStream::Put(core, sink) => {
             sink.write(
                 frag.offset - PortalsMessage::PUT_PAYLOAD_AT as u64,
@@ -88,8 +101,8 @@ fn advance(shared: &NodeShared, state: MsgStream, frag: StreamFragment) -> MsgSt
 
 /// Try to classify an accumulating head. Stays in [`MsgStream::Head`] until
 /// the fixed prefix is complete, then runs the node-level §4.8 checks and the
-/// engine's header-time begin, feeding any payload bytes that rode along with
-/// the header fragments into the fresh sink.
+/// engine's `begin`, feeding any payload bytes that rode along with the header
+/// fragments into the fresh sink.
 fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
     let mut head = [0u8; PortalsMessage::MAX_FIXED];
     let got = acc.peek(&mut head);
@@ -102,109 +115,148 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
             return MsgStream::Discard;
         }
     };
-    match head {
+    let (target, payload_at) = match &head {
+        StreamHead::Put { header, .. } => (header.target, PortalsMessage::PUT_PAYLOAD_AT),
+        StreamHead::Reply { header } => (header.target, PortalsMessage::REPLY_PAYLOAD_AT),
+        StreamHead::Other => return MsgStream::Accumulate(acc),
+    };
+    let Some(core) = lookup(shared, target) else {
+        return MsgStream::Discard;
+    };
+    // Host-driven interfaces hand raw messages to the application: whole.
+    if core.config.progress == ProgressModel::HostDriven {
+        return MsgStream::Accumulate(acc);
+    }
+    // Payload bytes that arrived in the same fragments as the header.
+    let prefix = acc.slice(payload_at, acc.len() - payload_at);
+    let next = match head {
         StreamHead::Put {
             header,
             ack_md,
             ack_eq,
-        } => {
-            let Some(core) = lookup(shared, header.target) else {
-                return MsgStream::Discard;
-            };
-            if !streamable(&core) {
-                return MsgStream::Accumulate(acc);
+        } => match engine::put_begin(&core, shared, header, engine::ack_to(ack_md, ack_eq), None) {
+            PutBegin::Sink(sink) => {
+                sink.write(0, &prefix);
+                MsgStream::Put(core, sink)
             }
-            match engine::stream_put_begin(&core, shared, header, ack_md, ack_eq) {
-                PutBeginOutcome::Sink(sink) => {
-                    feed_prefix(&sink, &acc, PortalsMessage::PUT_PAYLOAD_AT, |s, o, g| {
-                        s.write(o, g)
-                    });
-                    shared.ring_event();
-                    MsgStream::Put(core, sink)
-                }
-                PutBeginOutcome::Fallback => MsgStream::Accumulate(acc),
-                PutBeginOutcome::Done => {
-                    shared.ring_event();
-                    MsgStream::Discard
-                }
+            PutBegin::NeedWhole => return MsgStream::Accumulate(acc),
+            PutBegin::Done => MsgStream::Discard,
+        },
+        StreamHead::Reply { header } => match engine::reply_begin(&core, header) {
+            Some(sink) => {
+                sink.write(0, &prefix);
+                MsgStream::Reply(core, sink)
             }
-        }
-        StreamHead::Reply { header } => {
-            let Some(core) = lookup(shared, header.target) else {
-                return MsgStream::Discard;
-            };
-            if !streamable(&core) {
-                return MsgStream::Accumulate(acc);
-            }
-            match engine::stream_reply_begin(&core, header, header.manipulated_length) {
-                ReplyBeginOutcome::Sink(sink) => {
-                    feed_prefix(&sink, &acc, PortalsMessage::REPLY_PAYLOAD_AT, |s, o, g| {
-                        s.write(o, g)
-                    });
-                    MsgStream::Reply(core, sink)
-                }
-                ReplyBeginOutcome::Fallback => MsgStream::Accumulate(acc),
-                ReplyBeginOutcome::Done => {
-                    shared.ring_event();
-                    MsgStream::Discard
-                }
-            }
-        }
-        StreamHead::Other => MsgStream::Accumulate(acc),
-    }
+            None => MsgStream::Discard,
+        },
+        StreamHead::Other => unreachable!("returned above"),
+    };
+    // `begin` may have pushed a flow-control event a waiter is parked on.
+    shared.ring_event();
+    next
 }
 
-/// The node-level checks every message sees before the engine (§4.8's "first
-/// checks"): routed to this node, addressed to a live interface.
-fn lookup(shared: &NodeShared, target: portals_types::ProcessId) -> Option<Arc<NiCore>> {
-    if target.nid != shared.nid {
-        shared.dropped_garbage.inc();
-        node_drop_trace(shared, "misrouted");
-        return None;
+/// The last fragment of a message has been applied; `end` is where it ended.
+/// Complete whatever the stream became — or, if a put's or reply's payload
+/// did not total what its header declared, abort it: the same verdict
+/// [`PortalsMessage::decode_gather`] gives a message that arrived whole.
+fn finalize(shared: &NodeShared, state: MsgStream, end: u64) {
+    let declared_end = match &state {
+        MsgStream::Put(_, sink) => PortalsMessage::PUT_PAYLOAD_AT as u64 + sink.declared_len(),
+        MsgStream::Reply(_, sink) => PortalsMessage::REPLY_PAYLOAD_AT as u64 + sink.declared_len(),
+        _ => end,
+    };
+    if end != declared_end {
+        return abort(shared, state);
     }
-    let core = shared.nis.read().get(&target.pid).cloned();
-    if core.is_none() {
-        shared.dropped_no_process.inc();
-        node_drop_trace(shared, "no_process");
-    }
-    core
-}
-
-/// Whether this interface's configuration admits fragment-at-a-time delivery.
-/// Host-driven interfaces hand raw messages to the application, and the
-/// copying ablation baseline coalesces payloads first — both need the whole
-/// message.
-fn streamable(core: &NiCore) -> bool {
-    matches!(
-        core.config.progress,
-        crate::ProgressModel::ApplicationBypass
-    ) && core.config.region_buffers
-}
-
-/// Hand a freshly opened sink the payload bytes that arrived in the same
-/// fragments as the header (everything in `acc` past `payload_at`).
-fn feed_prefix<S>(sink: &S, acc: &Gather, payload_at: usize, write: impl Fn(&S, u64, &Gather)) {
-    if acc.len() > payload_at {
-        write(sink, 0, &acc.slice(payload_at, acc.len() - payload_at));
-    }
-}
-
-/// The last fragment of a message has been applied: complete whatever the
-/// stream became.
-fn finalize(shared: &NodeShared, state: MsgStream) {
     match state {
-        // A message so short its header never completed is garbage (the
-        // transport only streams multi-fragment messages, and those decode
-        // checks run on whole messages in `dispatch`).
-        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => dispatch(shared, &acc),
-        MsgStream::Put(core, sink) => {
-            sink.finish(&core, shared);
-            shared.ring_event();
-        }
-        MsgStream::Reply(core, sink) => {
-            sink.finish(&core, shared);
-            shared.ring_event();
-        }
-        MsgStream::Discard => {}
+        // A header that never completed decodes as garbage there.
+        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => return dispatch(shared, &acc),
+        MsgStream::Put(core, sink) => sink.finish(&core, shared),
+        MsgStream::Reply(core, sink) => sink.finish(&core, shared),
+        MsgStream::Discard => return,
+    }
+    shared.ring_event();
+}
+
+/// A message that will never complete correctly is garbage, whatever state it
+/// reached (one already rejected at header time was counted then).
+fn abort(shared: &NodeShared, state: MsgStream) {
+    // Sinks first — an auto-unlink committed at header time is still
+    // reported — so whoever sees the count also sees the events.
+    match state {
+        MsgStream::Put(core, sink) => sink.abort(&core),
+        MsgStream::Reply(core, sink) => sink.abort(&core),
+        MsgStream::Head(_) | MsgStream::Accumulate(_) => {}
+        MsgStream::Discard => return,
+    }
+    shared.dropped_garbage.inc();
+    node_drop_trace(shared, "garbage");
+    shared.ring_event();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig};
+    use portals_net::Fabric;
+    use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlError, Region};
+    use portals_wire::{PutRequest, RequestHeader, RAW_HANDLE_NONE};
+
+    /// `PtlMDUpdate`'s "nothing has arrived that I have not seen" test must
+    /// hold across the gap between a put's commit and its event, which for a
+    /// streamed put is as long as its payload takes to arrive.
+    #[test]
+    fn md_update_is_refused_between_a_puts_begin_and_finish() {
+        let fabric = Fabric::ideal();
+        let node = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
+        let ni = node.create_ni(1, NiConfig::default()).unwrap();
+        let eq = ni.eq_alloc(8).unwrap();
+        let me = ni
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        let md = ni
+            .md_attach(me, MdSpec::new(Region::zeroed(64)).with_eq(eq))
+            .unwrap();
+        let msg = PortalsMessage::Put(PutRequest {
+            header: RequestHeader {
+                initiator: ProcessId::new(0, 1),
+                target: ni.id(),
+                portal_index: 0,
+                cookie: 0,
+                match_bits: MatchBits::ZERO,
+                offset: 0,
+                length: 32,
+            },
+            ack_md: RAW_HANDLE_NONE,
+            ack_eq: RAW_HANDLE_NONE,
+            payload: Gather::from_vec(vec![7; 32]),
+        })
+        .encode();
+        let cut = PortalsMessage::PUT_PAYLOAD_AT + 8;
+        let frag = |range: std::ops::Range<usize>| StreamFragment {
+            src: NodeId(0),
+            msg_id: 0,
+            offset: range.start as u64,
+            last: range.end == msg.len(),
+            payload: Gather::copy_from_slice(&msg[range]),
+        };
+        let update = || ni.md_update(md, Some(eq), |_| ());
+
+        on_fragment(&ni.node, frag(0..cut));
+        assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
+        assert_eq!(update(), Err(PtlError::NoUpdate), "owed event not seen");
+        on_fragment(&ni.node, frag(cut..msg.len()));
+        assert_eq!(update(), Err(PtlError::NoUpdate), "pushed event not seen");
+        assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Put);
+        assert_eq!(update(), Ok(()));
+
+        // A put the sender broke off settles its debt without an event.
+        on_fragment(&ni.node, frag(0..cut));
+        assert_eq!(update(), Err(PtlError::NoUpdate));
+        on_abandoned(&ni.node, NodeId(0));
+        assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
+        assert_eq!(update(), Ok(()));
+        assert_eq!(node.dropped_garbage(), 1);
     }
 }

@@ -146,13 +146,13 @@ proptest! {
     /// Receive-side delivery of an arbitrarily chunked wire gather scatters
     /// into both layouts identically (the engine's rx path).
     #[test]
-    fn deliver_gather_matches(s in scenario()) {
+    fn write_gather_matches(s in scenario()) {
         let (contiguous, _, scattered, _) = build_pair(&s, false);
         let wire = chunked(&s.data, &s.chunk_lens);
         prop_assert_eq!(wire.len(), s.data.len());
 
-        contiguous.deliver_gather(s.offset as u64, &wire);
-        scattered.deliver_gather(s.offset as u64, &wire);
+        contiguous.region.write_gather(s.offset as u64, &wire);
+        scattered.region.write_gather(s.offset as u64, &wire);
         prop_assert_eq!(
             contiguous.read(0, s.len as u64),
             scattered.read(0, s.len as u64)

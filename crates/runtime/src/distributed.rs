@@ -213,7 +213,6 @@ where
                         job: config.job_id,
                         limits: config.limits,
                         flow_control: config.flow_control,
-                        ..Default::default()
                     },
                 )
                 .expect("create ni");

@@ -172,7 +172,6 @@ impl Job {
                             job: config.job_id,
                             limits: config.limits,
                             flow_control: config.flow_control,
-                            ..Default::default()
                         },
                     )
                     .expect("create ni");

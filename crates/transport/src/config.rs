@@ -54,13 +54,6 @@ pub struct TransportConfig {
     /// [`body_checksum_required`](portals_net::Link::body_checksum_required)
     /// (real sockets).
     pub checksum_body: bool,
-    /// Streaming fragment delivery (runtime ablation flag). When on, the
-    /// worker hands each in-order fragment of a multi-fragment message to the
-    /// consumer immediately as a [`Delivery::Fragment`](crate::Delivery) with
-    /// its absolute payload offset, so placement overlaps wire transfer. When
-    /// off, fragments are reassembled into whole messages before delivery —
-    /// the pre-streaming store-and-forward baseline.
-    pub streaming: bool,
     /// Byte budget, per source, for buffering out-of-order fragments at the
     /// receiver. Packets above the in-order horizon are held up to this
     /// budget and spliced into the stream when the hole fills; beyond it they
@@ -104,7 +97,6 @@ impl Default for TransportConfig {
             credit_window: 128,
             initial_credits: 128,
             checksum_body: false,
-            streaming: true,
             ooo_buffer_bytes: 1024 * 1024,
             progress_mode: ProgressMode::NicThread,
         }

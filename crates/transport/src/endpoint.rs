@@ -14,22 +14,23 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A fully reassembled message from a peer node.
+/// A whole message from a peer node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncomingMessage {
     /// The sending node.
     pub src: NodeId,
-    /// The message bytes, as the zero-copy gather the receive path
-    /// reassembled (segments are views into the received datagrams).
+    /// The message bytes: zero-copy views into the datagrams it arrived in.
     pub payload: Gather,
 }
 
 /// One in-order fragment of a multi-fragment message, streamed upward with
 /// its placement offset while the rest of the message is still in flight.
 ///
-/// The transport guarantees per-source ordering: a message's fragments arrive
-/// offset-contiguous and never interleave with other deliveries from the same
-/// source.
+/// The transport guarantees per-source ordering, and enforces it against the
+/// wire (see [`ReceiverPeer`](crate::peer::ReceiverPeer)): a message's
+/// fragments arrive offset-contiguous from zero and never interleave with
+/// other deliveries from the same source. A message its sender broke off is
+/// ended by [`Delivery::Abandoned`], never by a `last` fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamFragment {
     /// The sending node.
@@ -45,15 +46,21 @@ pub struct StreamFragment {
     pub payload: Gather,
 }
 
-/// What the transport hands upward: either a whole message (single-fragment
-/// sends, and everything when [`TransportConfig::streaming`] is off) or one
-/// streamed fragment of a larger message.
+/// What the transport hands upward: a whole message (one that fit in a
+/// single fragment) or one streamed fragment of a larger message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery {
     /// A complete message.
     Message(IncomingMessage),
     /// One in-order fragment of a multi-fragment message.
     Fragment(StreamFragment),
+    /// The multi-fragment message `src` was in the middle of will never
+    /// complete (its sender violated fragment contiguity): discard whatever
+    /// was received of it.
+    Abandoned {
+        /// The sending node.
+        src: NodeId,
+    },
 }
 
 /// A reliable, ordered, connectionless endpoint bound to one [`Link`].
@@ -289,7 +296,7 @@ impl Endpoint {
             Delivery::Fragment(f) => {
                 let mut reasm = self.reasm.lock();
                 let acc = reasm.entry(f.src).or_default();
-                // Per-source ordering makes streamed fragments contiguous.
+                // The receiver peer enforces this before releasing a slice.
                 debug_assert_eq!(acc.len() as u64, f.offset);
                 let last = f.last;
                 acc.append(f.payload);
@@ -302,6 +309,10 @@ impl Endpoint {
                 } else {
                     None
                 }
+            }
+            Delivery::Abandoned { src } => {
+                self.reasm.lock().remove(&src);
+                None
             }
         }
     }
@@ -448,6 +459,7 @@ impl Endpoint {
         let unit = match delivery {
             Delivery::Message(_) => true,
             Delivery::Fragment(f) => f.last,
+            Delivery::Abandoned { .. } => false,
         };
         if unit {
             self.stats.messages_consumed.inc();

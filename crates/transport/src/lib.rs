@@ -40,6 +40,5 @@ mod worker;
 
 pub use config::TransportConfig;
 pub use endpoint::{Delivery, Endpoint, IncomingMessage, StreamFragment};
-pub use peer::Assembler;
 pub use portals_types::ProgressMode;
 pub use stats::{FlowStats, FlowStatsSnapshot, TransportStats, TransportStatsSnapshot};

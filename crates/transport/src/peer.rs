@@ -358,9 +358,9 @@ fn frag_count_for(len: usize, mtu: usize) -> u32 {
     }
 }
 
-/// One in-order fragment released by the receiver: the unit of streaming
-/// delivery. Carries the absolute payload offset from the wire header, so the
-/// consumer can place the bytes without waiting for the rest of the message.
+/// One in-order fragment released by the receiver: the unit of delivery.
+/// Carries the absolute payload offset from the wire header, so the consumer
+/// can place the bytes without waiting for the rest of the message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragSlice {
     /// Per-(src, dst) message id assigned by the sender.
@@ -379,17 +379,35 @@ impl FragSlice {
     /// True for the message's final fragment.
     #[inline]
     pub fn last(&self) -> bool {
-        self.frag_index + 1 == self.frag_count
+        self.frag_index.checked_add(1) == Some(self.frag_count)
     }
+}
+
+/// One step of a source's in-order stream, as [`ReceiverPeer::on_data`]
+/// releases it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Released {
+    /// The next fragment of the source's current message: it either starts a
+    /// message (`frag_index == 0`, `offset == 0`) or continues the one in
+    /// progress at exactly the next index and the next byte.
+    Frag(FragSlice),
+    /// The message in progress was broken off (the packet that followed its
+    /// last released fragment did not continue it). None of its remaining
+    /// fragments will be released; consumers discard what they hold of it.
+    Abandoned,
 }
 
 /// What [`ReceiverPeer::on_data`] produced.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RxResult {
-    /// In-order fragments this packet released: the packet itself when it
-    /// arrived at the horizon, plus any buffered successors it unblocked.
-    /// Empty for duplicates and buffered/dropped out-of-order arrivals.
-    pub slices: Vec<FragSlice>,
+    /// What this packet released, in order: the packet itself when it arrived
+    /// at the horizon, plus any buffered successors it unblocked. Empty for
+    /// duplicates and buffered/dropped out-of-order arrivals.
+    pub released: Vec<Released>,
+    /// In-sequence packets whose fragment fields neither continued the
+    /// message in progress nor started a new one. Each abandons the message
+    /// it interrupted and is itself discarded unless it starts a message.
+    pub noncontiguous: u32,
     /// Cumulative ack to send back ([`ACK_NONE`] if nothing in-order yet).
     pub ack: u64,
     /// The packet was a duplicate (seq below the horizon, or already held in
@@ -402,13 +420,42 @@ pub struct RxResult {
     pub buffered: bool,
 }
 
+impl RxResult {
+    /// A result that releases nothing.
+    fn held(ack: u64, duplicate: bool, out_of_order: bool, buffered: bool) -> RxResult {
+        RxResult {
+            released: Vec::new(),
+            noncontiguous: 0,
+            ack,
+            duplicate,
+            out_of_order,
+            buffered,
+        }
+    }
+}
+
+/// Where the message a source is currently sending stands: what its next
+/// fragment must look like.
+#[derive(Debug, Clone, Copy)]
+struct OpenMessage {
+    msg_id: u64,
+    frag_count: u32,
+    next_index: u32,
+    next_offset: u64,
+}
+
 /// Receiver-side state for one source.
 ///
 /// In-order packets stream straight out as [`FragSlice`]s; out-of-order
 /// packets are buffered up to a byte budget (selective-repeat-style receive
 /// under a cumulative-ack wire protocol) and spliced into the stream when the
-/// hole fills. Only the *gap* is ever held — the pre-streaming design buffered
-/// every fragment of every message until reassembly completed.
+/// hole fills. Only the *gap* is ever held.
+///
+/// Sequence numbers order *packets*; the fragment fields (`msg_id`, `offset`,
+/// `frag_index`, `frag_count`) come off the wire beside them and are checked
+/// here, once, as slices are released: every consumer above may rely on a
+/// message's fragments being offset-contiguous from zero and never
+/// interleaved with another message of the same source.
 #[derive(Debug)]
 pub struct ReceiverPeer {
     /// Next sequence expected in order.
@@ -421,6 +468,8 @@ pub struct ReceiverPeer {
     stashed_hwm: usize,
     /// Byte budget for `stashed`; 0 disables buffering (pure go-back-N).
     ooo_limit: usize,
+    /// The multi-fragment message whose fragments are being released.
+    open: Option<OpenMessage>,
 }
 
 impl Default for ReceiverPeer {
@@ -443,6 +492,7 @@ impl ReceiverPeer {
             stashed_bytes: 0,
             stashed_hwm: 0,
             ooo_limit,
+            open: None,
         }
     }
 
@@ -477,7 +527,7 @@ impl ReceiverPeer {
     }
 
     /// Process a DATA packet. In-order packets (and any buffered successors
-    /// they unblock) come back as slices; out-of-order packets are buffered
+    /// they unblock) come back as releases; out-of-order packets are buffered
     /// within the byte budget and dropped beyond it; duplicates are
     /// suppressed. Every arrival elicits a cumulative ack so the sender can
     /// resynchronize.
@@ -493,13 +543,7 @@ impl ReceiverPeer {
             panic!("on_data called with an ACK header");
         };
         if seq < self.expected {
-            return RxResult {
-                slices: Vec::new(),
-                ack: self.cumulative(),
-                duplicate: true,
-                out_of_order: false,
-                buffered: false,
-            };
+            return RxResult::held(self.cumulative(), true, false, false);
         }
         let slice = FragSlice {
             msg_id,
@@ -510,13 +554,7 @@ impl ReceiverPeer {
         };
         if seq > self.expected {
             if self.stashed.contains_key(&seq) {
-                return RxResult {
-                    slices: Vec::new(),
-                    ack: self.cumulative(),
-                    duplicate: true,
-                    out_of_order: true,
-                    buffered: false,
-                };
+                return RxResult::held(self.cumulative(), true, true, false);
             }
             let fits = self.stashed_bytes + slice.body.len() <= self.ooo_limit;
             if fits {
@@ -524,75 +562,57 @@ impl ReceiverPeer {
                 self.stashed_hwm = self.stashed_hwm.max(self.stashed_bytes);
                 self.stashed.insert(seq, slice);
             }
-            return RxResult {
-                slices: Vec::new(),
-                ack: self.cumulative(),
-                duplicate: false,
-                out_of_order: true,
-                buffered: fits,
-            };
+            return RxResult::held(self.cumulative(), false, true, fits);
         }
         // At the horizon: release this packet, then splice every buffered
         // successor the hole-fill unblocked.
+        let mut result = RxResult::held(ACK_NONE, false, false, false);
         self.expected += 1;
-        let mut slices = vec![slice];
+        self.release(slice, &mut result);
         while let Some(next) = self.stashed.remove(&self.expected) {
             self.stashed_bytes -= next.body.len();
             self.expected += 1;
-            slices.push(next);
+            self.release(next, &mut result);
         }
-        RxResult {
-            slices,
-            ack: self.cumulative(),
-            duplicate: false,
-            out_of_order: false,
-            buffered: false,
-        }
+        result.ack = self.cumulative();
+        result
     }
-}
 
-/// Reassembles a stream of in-order [`FragSlice`]s into whole messages — the
-/// store-and-forward tail kept for consumers that want full messages
-/// (`Endpoint::recv`, the non-streaming baseline).
-#[derive(Debug, Default)]
-pub struct Assembler {
-    cur: Option<(u64, u32, Vec<Gather>)>,
-}
-
-impl Assembler {
-    /// Feed one in-order slice; returns the completed message when `slice`
-    /// was its final fragment. Fragments' gathers are concatenated, not
-    /// coalesced: the bytes stay in the datagrams the NIC delivered.
-    pub fn push(&mut self, slice: FragSlice) -> Option<Gather> {
-        if slice.frag_index == 0 {
-            // A new message begins; any stale partial is abandoned (cannot
-            // happen with a correct sender, but defends against one that was
-            // restarted mid-message).
-            self.cur = Some((slice.msg_id, slice.frag_count, Vec::new()));
+    /// Hand one in-sequence slice to the stream, enforcing contiguity: it
+    /// must continue the open message exactly, or start a message. A sender
+    /// that honours the protocol never fails the test; one that was restarted
+    /// mid-message, or is hostile, loses the message it broke and nothing
+    /// else.
+    fn release(&mut self, slice: FragSlice, out: &mut RxResult) {
+        let continues = self.open.is_some_and(|m| {
+            slice.msg_id == m.msg_id
+                && slice.frag_count == m.frag_count
+                && slice.frag_index == m.next_index
+                && slice.offset == m.next_offset
+        });
+        if !continues {
+            let interrupted = self.open.take().is_some();
+            let starts = slice.frag_index == 0 && slice.offset == 0 && slice.frag_count != 0;
+            if interrupted {
+                out.released.push(Released::Abandoned);
+            }
+            if interrupted || !starts {
+                out.noncontiguous += 1;
+            }
+            if !starts {
+                return;
+            }
         }
-        let (msg_id, frag_count, parts) = self.cur.as_mut()?;
-        if *msg_id != slice.msg_id || slice.frag_index as usize != parts.len() {
-            // Fragment from a different message or a hole: abandon.
-            self.cur = None;
-            return None;
-        }
-        parts.push(slice.body);
-        if parts.len() == *frag_count as usize {
-            let (_, _, parts) = self.cur.take().expect("just checked");
-            Some(assemble(parts))
-        } else {
-            None
-        }
+        // Validated: `frag_index < frag_count`, and `offset` is the sum of
+        // the bytes actually released, so neither increment can overflow.
+        self.open = (!slice.last()).then(|| OpenMessage {
+            msg_id: slice.msg_id,
+            frag_count: slice.frag_count,
+            next_index: slice.frag_index + 1,
+            next_offset: slice.offset + slice.body.len() as u64,
+        });
+        out.released.push(Released::Frag(slice));
     }
-}
-
-/// Concatenate the fragments' gathers — O(total segments), zero payload copies.
-fn assemble(parts: Vec<Gather>) -> Gather {
-    let mut out = Gather::new();
-    for p in parts {
-        out.append(p);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -806,13 +826,31 @@ mod tests {
         }
     }
 
-    /// Fold a result's slices through an assembler, returning any completed
-    /// message.
-    fn fold(asm: &mut Assembler, r: RxResult) -> Option<Gather> {
-        let mut out = None;
-        for s in r.slices {
-            if let Some(m) = asm.push(s) {
-                out = Some(m);
+    /// The fragments a result released (tests that expect no abandonment).
+    fn frags(r: &RxResult) -> Vec<&FragSlice> {
+        r.released
+            .iter()
+            .map(|rel| match rel {
+                Released::Frag(s) => s,
+                Released::Abandoned => panic!("unexpected abandonment"),
+            })
+            .collect()
+    }
+
+    /// Append a result's releases to `acc` the way a consumer would; each
+    /// message comes back out at its last fragment.
+    fn fold(acc: &mut Vec<u8>, r: RxResult) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for rel in r.released {
+            match rel {
+                Released::Frag(s) => {
+                    assert_eq!(s.offset as usize, acc.len(), "contiguous from zero");
+                    acc.extend(s.body.to_vec());
+                    if s.last() {
+                        out.push(std::mem::take(acc));
+                    }
+                }
+                Released::Abandoned => acc.clear(),
             }
         }
         out
@@ -822,10 +860,11 @@ mod tests {
     fn receiver_delivers_in_order_single_fragment() {
         let mut rx = ReceiverPeer::new();
         let r = rx.on_data(dh(0, 0, 0, 0, 1), g(b"hello"));
-        assert_eq!(r.slices.len(), 1);
-        assert_eq!(r.slices[0].offset, 0);
-        assert!(r.slices[0].last());
-        assert_eq!(r.slices[0].body.to_vec(), b"hello".to_vec());
+        let f = frags(&r);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].offset, 0);
+        assert!(f[0].last());
+        assert_eq!(f[0].body.to_vec(), b"hello".to_vec());
         assert_eq!(r.ack, 0);
         assert!(!r.duplicate && !r.out_of_order);
     }
@@ -833,28 +872,25 @@ mod tests {
     #[test]
     fn receiver_streams_fragments_with_offsets() {
         let mut rx = ReceiverPeer::new();
-        let mut asm = Assembler::default();
+        let mut asm = Vec::new();
         let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
-        assert_eq!(r0.slices.len(), 1);
-        assert_eq!(r0.slices[0].offset, 0);
-        assert!(!r0.slices[0].last());
-        assert!(fold(&mut asm, r0).is_none());
+        assert_eq!(frags(&r0).len(), 1);
+        assert_eq!(frags(&r0)[0].offset, 0);
+        assert!(!frags(&r0)[0].last());
+        assert!(fold(&mut asm, r0).is_empty());
         let r1 = rx.on_data(dh(1, 0, 3, 1, 2), g(b"lo"));
-        assert_eq!(r1.slices.len(), 1);
-        assert_eq!(r1.slices[0].offset, 3);
-        assert!(r1.slices[0].last());
+        assert_eq!(frags(&r1).len(), 1);
+        assert_eq!(frags(&r1)[0].offset, 3);
+        assert!(frags(&r1)[0].last());
         assert_eq!(r1.ack, 1);
-        assert_eq!(
-            fold(&mut asm, r1).map(|d| d.to_vec()),
-            Some(b"hello".to_vec())
-        );
+        assert_eq!(fold(&mut asm, r1), [b"hello".to_vec()]);
     }
 
     #[test]
     fn receiver_buffers_out_of_order_within_budget() {
         let mut rx = ReceiverPeer::new();
         let r = rx.on_data(dh(5, 0, 0, 0, 1), g(b"x"));
-        assert!(r.slices.is_empty());
+        assert!(r.released.is_empty());
         assert!(r.out_of_order);
         assert!(r.buffered);
         assert_eq!(r.ack, ACK_NONE); // nothing in-order yet
@@ -871,17 +907,13 @@ mod tests {
         assert_eq!(rx.buffered_hwm(), 2);
         // seq 0 fills the hole: both come out, in order, in one result.
         let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
-        assert_eq!(r0.slices.len(), 2);
-        assert_eq!(r0.slices[0].offset, 0);
-        assert_eq!(r0.slices[1].offset, 3);
+        assert_eq!(frags(&r0).len(), 2);
+        assert_eq!(frags(&r0)[0].offset, 0);
+        assert_eq!(frags(&r0)[1].offset, 3);
         assert_eq!(r0.ack, 1, "cumulative ack covers the spliced packet");
         assert_eq!(rx.buffered_bytes(), 0);
         assert_eq!(rx.buffered_hwm(), 2, "high-water mark persists");
-        let mut asm = Assembler::default();
-        assert_eq!(
-            fold(&mut asm, r0).map(|d| d.to_vec()),
-            Some(b"hello".to_vec())
-        );
+        assert_eq!(fold(&mut Vec::new(), r0), [b"hello".to_vec()]);
     }
 
     #[test]
@@ -894,7 +926,7 @@ mod tests {
         assert_eq!(rx.buffered_bytes(), 4);
         // Go-back-N still recovers: the hole fill splices what was kept.
         let r0 = rx.on_data(dh(0, 0, 0, 0, 3), g(b"wxyz"));
-        assert_eq!(r0.slices.len(), 2);
+        assert_eq!(frags(&r0).len(), 2);
         assert_eq!(r0.ack, 1);
     }
 
@@ -911,11 +943,36 @@ mod tests {
         let mut rx = ReceiverPeer::new();
         let h = dh(0, 0, 0, 0, 1);
         let first = rx.on_data(h, g(b"x"));
-        assert_eq!(first.slices.len(), 1);
+        assert_eq!(first.released.len(), 1);
         let dup = rx.on_data(h, g(b"x"));
-        assert!(dup.slices.is_empty());
+        assert!(dup.released.is_empty());
         assert!(dup.duplicate);
         assert_eq!(dup.ack, 0); // re-ack so the sender resyncs
+    }
+
+    #[test]
+    fn noncontiguous_fragment_fields_abandon_the_message_they_break() {
+        let mut rx = ReceiverPeer::new();
+        let mut acc = Vec::new();
+        // Message 0 opens (2 fragments), then its tail claims the wrong byte.
+        assert!(fold(&mut acc, rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"))).is_empty());
+        let bad = rx.on_data(dh(1, 0, 4, 1, 2), g(b"lo"));
+        assert_eq!(bad.released, [Released::Abandoned]);
+        assert_eq!(bad.noncontiguous, 1);
+        assert_eq!(bad.ack, 1, "the packet is still acknowledged");
+        assert!(fold(&mut acc, bad).is_empty() && acc.is_empty());
+        // A stray tail with nothing open is dropped and counted.
+        let stray = rx.on_data(dh(2, 0, 3, 1, 2), g(b"lo"));
+        assert!(stray.released.is_empty());
+        assert_eq!(stray.noncontiguous, 1);
+        // A new message interrupting an open one abandons it and proceeds.
+        rx.on_data(dh(3, 1, 0, 0, 3), g(b"ab"));
+        let next = rx.on_data(dh(4, 2, 0, 0, 1), g(b"whole"));
+        assert_eq!(next.noncontiguous, 1);
+        assert_eq!(next.released[0], Released::Abandoned);
+        assert!(matches!(&next.released[1], Released::Frag(s) if s.msg_id == 2));
+        // frag_count 0 can start nothing.
+        assert_eq!(rx.on_data(dh(5, 3, 0, 0, 0), g(b"")).noncontiguous, 1);
     }
 
     #[test]
@@ -937,14 +994,14 @@ mod tests {
         let t = now();
         let mut tx = SenderPeer::new();
         let mut rx = ReceiverPeer::new();
-        let mut asm = Assembler::default();
+        let mut asm = Vec::new();
         let pkts = tx.enqueue_message(g(b"0123456789"), &c, t);
         let pkts = decode(&pkts);
 
         // Deliver fragment 0 only.
         let r0 = rx.on_data(pkts[0].header, pkts[0].body.clone());
         assert_eq!(r0.ack, 0);
-        assert!(fold(&mut asm, r0).is_none());
+        assert!(fold(&mut asm, r0).is_empty());
         tx.on_ack(0, &c, t);
         // Fragment 1 lost; fragment 2 arrives out of order and is held.
         let r2 = rx.on_data(pkts[2].header, pkts[2].body.clone());
@@ -955,16 +1012,14 @@ mod tests {
         let resend = tx.on_timeout(&c, t);
         let resend = decode(&resend.resend);
         assert_eq!(resend.len(), 2);
-        let mut delivered = None;
+        let mut delivered = Vec::new();
         for p in &resend {
             let r = rx.on_data(p.header, p.body.clone());
             let ack = r.ack;
-            if let Some(d) = fold(&mut asm, r) {
-                delivered = Some(d);
-            }
+            delivered.extend(fold(&mut asm, r));
             tx.on_ack(ack, &c, t);
         }
-        assert_eq!(delivered.map(|d| d.to_vec()), Some(b"0123456789".to_vec()));
+        assert_eq!(delivered, [b"0123456789".to_vec()]);
         assert_eq!(tx.outstanding(), 0);
         assert_eq!(rx.buffered_bytes(), 0);
     }
@@ -1088,7 +1143,7 @@ mod tests {
             let t = Instant::now();
             let mut tx = SenderPeer::new();
             let mut rx = ReceiverPeer::new();
-            let mut asm = Assembler::default();
+            let mut asm = Vec::new();
             let mut wire: VecDeque<Gather> = VecDeque::new();
             let mut received: Vec<Vec<u8>> = Vec::new();
             for m in &messages {
@@ -1114,18 +1169,13 @@ mod tests {
                         continue; // dropped by the wire
                     }
                     let r = rx.on_data(p.header, p.body);
-                    for s in r.slices {
-                        // Streamed offsets must agree with the assembled
-                        // byte positions.
-                        prop_assert_eq!(
-                            s.offset as usize,
-                            s.frag_index as usize * c.mtu
-                        );
-                        if let Some(d) = asm.push(s) {
-                            received.push(d.to_vec());
-                        }
+                    let ack = r.ack;
+                    prop_assert_eq!(r.noncontiguous, 0);
+                    for s in frags(&r) {
+                        prop_assert_eq!(s.offset as usize, s.frag_index as usize * c.mtu);
                     }
-                    wire.extend(tx.on_ack(r.ack, &c, t).released);
+                    received.extend(fold(&mut asm, r));
+                    wire.extend(tx.on_ack(ack, &c, t).released);
                 } else {
                     // Wire empty: fire the retransmission timer.
                     wire.extend(tx.on_timeout(&c, t).resend);

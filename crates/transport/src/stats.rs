@@ -44,8 +44,13 @@ pub struct TransportStats {
     /// Out-of-order DATA packets buffered for later splicing instead of
     /// dropped (selective-repeat-style receive).
     pub ooo_buffered: Counter,
+    /// In-sequence DATA packets whose fragment fields (`msg_id`, `offset`,
+    /// `frag_index`, `frag_count`) neither continued the source's message in
+    /// progress nor started a new one. Each abandons the message it
+    /// interrupted; zero with any sender that honours the protocol.
+    pub noncontiguous_dropped: Counter,
     /// Fragments of multi-fragment messages handed upward individually as
-    /// streaming deliveries (zero when `streaming` is off).
+    /// streaming deliveries.
     pub frags_streamed: Counter,
     /// High-water mark of bytes held in out-of-order buffers, max across
     /// sources. Written only by the worker.
@@ -91,6 +96,7 @@ impl TransportStats {
             duplicates_dropped: c("transport.duplicates_dropped"),
             out_of_order_dropped: c("transport.out_of_order_dropped"),
             ooo_buffered: c("transport.ooo_buffered"),
+            noncontiguous_dropped: c("transport.noncontiguous_dropped"),
             frags_streamed: c("transport.frags_streamed"),
             bytes_buffered_hwm: registry.gauge("transport.bytes_buffered_hwm", &labels),
             acks_sent: c("transport.acks_sent"),
@@ -121,6 +127,7 @@ impl TransportStats {
             duplicates_dropped: self.duplicates_dropped.get(),
             out_of_order_dropped: self.out_of_order_dropped.get(),
             ooo_buffered: self.ooo_buffered.get(),
+            noncontiguous_dropped: self.noncontiguous_dropped.get(),
             frags_streamed: self.frags_streamed.get(),
             bytes_buffered_hwm: self.bytes_buffered_hwm.get(),
             acks_sent: self.acks_sent.get(),
@@ -225,6 +232,7 @@ pub struct TransportStatsSnapshot {
     pub duplicates_dropped: u64,
     pub out_of_order_dropped: u64,
     pub ooo_buffered: u64,
+    pub noncontiguous_dropped: u64,
     pub frags_streamed: u64,
     pub bytes_buffered_hwm: i64,
     pub acks_sent: u64,

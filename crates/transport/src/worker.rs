@@ -37,7 +37,7 @@
 
 use crate::config::TransportConfig;
 use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
-use crate::peer::{Assembler, ReceiverPeer, SenderPeer};
+use crate::peer::{ReceiverPeer, Released, SenderPeer};
 use crate::stats::{FlowStats, TransportStats};
 use crossbeam::channel::{Receiver, Sender};
 use portals_net::{Datagram, Link};
@@ -91,7 +91,7 @@ pub(crate) struct ProgressCore {
     /// `on_inbound`; the worker thread selects on a clone of it).
     inbound: Receiver<Datagram>,
     /// The NIC's readiness doorbell: `INBOUND` is taken before draining, and
-    /// `DELIVERED` raised after handing a reassembled message up.
+    /// `DELIVERED` raised after handing a delivery up.
     readiness: Arc<Readiness>,
     /// Published copy of the nearest deadline (retransmission timer or
     /// caller-pumped wire delivery), as ns-since-epoch, [`DEADLINE_NONE`]
@@ -104,10 +104,6 @@ pub(crate) struct ProgressCore {
     outstanding: Arc<AtomicUsize>,
     tx_peers: HashMap<NodeId, SenderPeer>,
     rx_peers: HashMap<NodeId, ReceiverPeer>,
-    /// Per-source store-and-forward tails for deliveries that go up as whole
-    /// messages (single-fragment messages, and everything when `streaming` is
-    /// off).
-    assemblers: HashMap<NodeId, Assembler>,
     /// Streamed fragments accepted in the current receive batch, coalesced
     /// while contiguous (same source, same message, continuing offset) and
     /// flushed as one delivery — placement still overlaps the wire at batch
@@ -183,7 +179,6 @@ impl ProgressCore {
             outstanding,
             tx_peers: HashMap::new(),
             rx_peers: HashMap::new(),
-            assemblers: HashMap::new(),
             pending_frag: None,
             peer_retx: HashMap::new(),
             timers: BinaryHeap::new(),
@@ -546,77 +541,88 @@ impl ProgressCore {
                             .seq(seq)
                             .detail("out_of_order")
                     });
-                } else {
-                    // In-order arrival: the packet itself plus every buffered
-                    // successor it spliced back into the stream.
+                }
+                if result.noncontiguous > 0 {
                     self.stats.add(
-                        &self.stats.data_packets_accepted,
-                        result.slices.len() as u64,
+                        &self.stats.noncontiguous_dropped,
+                        u64::from(result.noncontiguous),
                     );
+                    self.obs.tracer.emit(|| {
+                        TraceEvent::new(Layer::Transport, Stage::Drop)
+                            .node(self.nid.0)
+                            .peer(src.0)
+                            .msg_id(msg_id)
+                            .seq(seq)
+                            .detail("noncontiguous")
+                    });
                 }
                 let mut delivered_any = false;
-                for slice in result.slices {
-                    if self.cfg.streaming && slice.frag_count > 1 {
-                        // Stream the fragment upward with its placement
-                        // offset; the consumer scatters it immediately
-                        // instead of waiting for reassembly. Contiguous
-                        // fragments within one receive batch coalesce into a
-                        // single delivery.
-                        self.stats.add(&self.stats.frags_streamed, 1);
-                        let last = slice.last();
-                        if last {
-                            self.stats.add(&self.stats.messages_delivered, 1);
-                            self.obs.tracer.emit(|| {
-                                TraceEvent::new(Layer::Transport, Stage::Deliver)
-                                    .node(self.nid.0)
-                                    .peer(src.0)
-                                    .msg_id(slice.msg_id)
-                                    .bytes(slice.offset + slice.body.len() as u64)
-                            });
-                        }
-                        match &mut self.pending_frag {
-                            Some(p)
-                                if p.src == src
-                                    && p.msg_id == slice.msg_id
-                                    && p.offset + p.payload.len() as u64 == slice.offset =>
-                            {
-                                p.payload.append(slice.body);
-                                p.last = last;
-                            }
-                            _ => {
-                                self.flush_pending_frag();
-                                self.pending_frag = Some(StreamFragment {
-                                    src,
-                                    msg_id: slice.msg_id,
-                                    offset: slice.offset,
-                                    last,
-                                    payload: slice.body,
-                                });
-                            }
-                        }
-                        if last {
-                            // Completions flush eagerly so the consumer can
-                            // finish the message without waiting for the
-                            // batch to end.
+                for released in result.released {
+                    let slice = match released {
+                        Released::Frag(slice) => slice,
+                        Released::Abandoned => {
+                            // After what the consumer already holds of it.
                             self.flush_pending_frag();
+                            let _ = self.delivered.send(Delivery::Abandoned { src });
                             delivered_any = true;
+                            continue;
                         }
-                    } else if let Some(msg) = self.assemblers.entry(src).or_default().push(slice) {
-                        // Order with any streamed fragments already queued
-                        // for this batch.
-                        self.flush_pending_frag();
+                    };
+                    // In-order arrival: the packet itself, or a buffered
+                    // successor it spliced back into the stream.
+                    self.stats.add(&self.stats.data_packets_accepted, 1);
+                    let last = slice.last();
+                    if last {
                         self.stats.add(&self.stats.messages_delivered, 1);
-                        let msg_len = msg.len() as u64;
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Deliver)
                                 .node(self.nid.0)
                                 .peer(src.0)
-                                .msg_id(msg_id)
-                                .bytes(msg_len)
+                                .msg_id(slice.msg_id)
+                                .bytes(slice.offset + slice.body.len() as u64)
                         });
-                        let _ = self
-                            .delivered
-                            .send(Delivery::Message(IncomingMessage { src, payload: msg }));
+                    }
+                    if slice.frag_count == 1 {
+                        // A single-fragment slice *is* the message. Order it
+                        // after any streamed fragments queued in this batch.
+                        self.flush_pending_frag();
+                        let _ = self.delivered.send(Delivery::Message(IncomingMessage {
+                            src,
+                            payload: slice.body,
+                        }));
+                        delivered_any = true;
+                        continue;
+                    }
+                    // Stream the fragment upward with its placement offset;
+                    // the consumer scatters it immediately instead of waiting
+                    // for the rest. Contiguous fragments within one receive
+                    // batch coalesce into a single delivery.
+                    self.stats.add(&self.stats.frags_streamed, 1);
+                    match &mut self.pending_frag {
+                        Some(p)
+                            if p.src == src
+                                && p.msg_id == slice.msg_id
+                                && p.offset + p.payload.len() as u64 == slice.offset =>
+                        {
+                            p.payload.append(slice.body);
+                            p.last = last;
+                        }
+                        _ => {
+                            self.flush_pending_frag();
+                            self.pending_frag = Some(StreamFragment {
+                                src,
+                                msg_id: slice.msg_id,
+                                offset: slice.offset,
+                                last,
+                                payload: slice.body,
+                            });
+                        }
+                    }
+                    if last {
+                        // Completions flush eagerly so the consumer can
+                        // finish the message without waiting for the batch
+                        // to end.
+                        self.flush_pending_frag();
                         delivered_any = true;
                     }
                 }

@@ -164,8 +164,8 @@ impl PortalsMessage {
     }
 
     /// Serialize to one fresh contiguous buffer, copying any payload. This is
-    /// the ablation-baseline path; the data path proper uses
-    /// [`PortalsMessage::encode_gather`].
+    /// the wire-format reference (tests, tables, header-cost probes); the data
+    /// path uses [`PortalsMessage::encode_gather`].
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         buf.extend_from_slice(&[MAGIC, self.operation().to_byte()]);
