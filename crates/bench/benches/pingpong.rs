@@ -16,7 +16,7 @@ fn bench_pingpong(c: &mut Criterion) {
         (64, ProgressMode::NicThread),
         (4096, ProgressMode::NicThread),
         // Threadless progress — the blocked caller drives the transport and
-        // engine inline, no dispatcher handoff.
+        // engine inline, no NIC-thread handoff.
         (0, ProgressMode::CallerDriven),
         (4096, ProgressMode::CallerDriven),
     ] {

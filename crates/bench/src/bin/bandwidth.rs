@@ -287,7 +287,7 @@ fn udp_sink_child(size: usize, batch: usize, mtu: usize) -> ! {
         .unwrap();
     ni.md_attach(me, MdSpec::new(Region::zeroed(size))).unwrap();
     // Parent closing its end of the pipe is the shutdown signal; the
-    // dispatcher thread does all the work meanwhile.
+    // NIC thread does all the work meanwhile.
     let mut sink = Vec::new();
     let _ = std::io::stdin().read_to_end(&mut sink);
     std::process::exit(0);

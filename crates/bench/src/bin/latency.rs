@@ -5,11 +5,11 @@
 //!
 //! * `host_driven` — GM-style baseline: arriving messages queue raw and are
 //!   processed only inside API calls ([`ProgressModel::HostDriven`]), with
-//!   the classic per-endpoint transport thread.
-//! * `nic_thread` — application bypass with the NIC-thread transport: the
-//!   dispatcher thread runs the receive rules on arrival, but every message
-//!   crosses two thread handoffs per direction (transport worker, node
-//!   dispatcher).
+//!   the node's NIC thread running the transport.
+//! * `nic_thread` — application bypass with the node's NIC thread: the
+//!   thread that takes a datagram off the wire runs the receive rules on it,
+//!   so every message crosses one thread handoff (NIC thread → waiting
+//!   caller); submission is inline.
 //! * `threadless` — application bypass with caller-driven progress
 //!   ([`ProgressMode::CallerDriven`]): the blocked caller itself steps the
 //!   transport, pumps the wire and runs the engine inline. No queue hop, no

@@ -8,7 +8,7 @@
 //! * [`Protocol::EagerDirect`] — the Portals way. Posted receives become match
 //!   entries + memory descriptors; incoming messages of *any* size are steered
 //!   directly into the user buffer by the receive engine (NIC firmware in the
-//!   paper, the node dispatcher thread here) with no library involvement.
+//!   paper, the node's NIC thread here) with no library involvement.
 //!   Unexpected messages land in managed-offset overflow slabs, exactly the
 //!   "amount of memory ... based on the needs and behavior of the application"
 //!   design of §4.1. The race between posting a receive and an unexpected

@@ -1,5 +1,5 @@
 //! The receive engine: §4.8 of the paper, executed either by the node's
-//! dispatcher thread (application bypass) or inside API calls (host driven).
+//! NIC thread (application bypass) or inside API calls (host driven).
 //!
 //! Processing order for put/get/atomic requests (`admit`, written once):
 //!

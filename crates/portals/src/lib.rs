@@ -28,7 +28,7 @@
 //! message selection and delivery proceed with no application involvement,
 //! as when Portals runs in NIC firmware — against host-driven layers (GM-style)
 //! that only make progress inside library calls. Both are first-class here:
-//! see [`ProgressModel`]. Bypass NIs are driven by the node's dispatcher thread
+//! see [`ProgressModel`]. Bypass NIs are driven by the node's NIC thread
 //! (our "NIC firmware"); host-driven NIs enqueue raw messages that are
 //! processed only inside API calls on the application's thread.
 //!

@@ -7,7 +7,7 @@
 //!
 //! Its [`ProgressModel`] decides *who* runs the receive rules of §4.8:
 //!
-//! * [`ProgressModel::ApplicationBypass`] — the node's dispatcher thread (our
+//! * [`ProgressModel::ApplicationBypass`] — the node's NIC thread (our
 //!   NIC firmware) processes messages the moment they arrive. "The fundamental
 //!   concept of Portals is to decouple the host processor from the network and
 //!   allow data to flow with virtually no application processing" (§5.1).
@@ -996,9 +996,9 @@ impl NetworkInterface {
     }
 
     /// Drain the raw message queue (host-driven model). A no-op for
-    /// application-bypass interfaces, whose engine runs on the dispatcher.
+    /// application-bypass interfaces, whose engine runs on the NIC thread.
     /// On a caller-driven node this also steps the transport and dispatch
-    /// inline first — there is no dispatcher thread to have filled the queue.
+    /// inline first — there is no NIC thread to have filled the queue.
     pub fn progress(&self) {
         self.node.drive();
         self.drain_raw();
@@ -1270,7 +1270,7 @@ fn transmit(
     length: u64,
 ) -> PtlResult<()> {
     // Log `Sent` *before* handing the message to the network: the reply or
-    // ack for this operation can race back through the dispatcher thread,
+    // ack for this operation can race back through the NIC thread,
     // and its event must not be able to precede ours on the same queue.
     if let Some(eqh) = eq {
         let event = Event {

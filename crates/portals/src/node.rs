@@ -7,9 +7,9 @@
 //! fails, the runtime system discards the message and increments the dropped
 //! message count for the interface."
 //!
-//! The node's dispatcher thread is also the stand-in for NIC firmware: for
-//! application-bypass interfaces it runs the receive engine directly, so
-//! message selection and delivery proceed while the application computes.
+//! The node's one thread stands in for NIC firmware: it takes each datagram
+//! through the transport and, for application-bypass interfaces, the receive
+//! engine, so selection and delivery proceed while the application computes.
 
 use crate::engine;
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
@@ -50,13 +50,13 @@ impl ProcessDirectory for OpenDirectory {
 pub struct NodeConfig {
     /// Transport tuning for the node's endpoint. The
     /// [`TransportConfig::progress_mode`] field also decides whether this node
-    /// spawns its dispatcher thread ([`ProgressMode::NicThread`]) or runs
-    /// dispatch inline from API calls ([`ProgressMode::CallerDriven`]).
+    /// spawns its NIC thread ([`ProgressMode::NicThread`]) or steps the
+    /// protocol inline from API calls ([`ProgressMode::CallerDriven`]).
     pub transport: TransportConfig,
     /// Process classifier for ACL checks; defaults to "everyone is
     /// application 0".
     pub directory: Option<Arc<dyn ProcessDirectory>>,
-    /// Observability handle: the node's transport, dispatcher and every
+    /// Observability handle: the node's transport, dispatch and every
     /// interface created on it register metrics in its registry and emit
     /// lifecycle traces to its sinks. The default is a private registry with
     /// tracing disabled.
@@ -100,16 +100,15 @@ pub(crate) struct NodeShared {
     pub(crate) dropped_garbage: Counter,
     pub(crate) alive: AtomicBool,
     /// Whether this node runs threadless ([`ProgressMode::CallerDriven`]):
-    /// no dispatcher thread, progress happens inside API calls.
+    /// no NIC thread, progress happens inside API calls.
     pub(crate) caller_driven: bool,
     /// The endpoint's delivery stream — whole messages and fragments of
-    /// larger ones — drained inline by
-    /// [`NodeShared::progress_once`] in caller-driven mode (the dispatcher
-    /// thread owns its own clone in NIC-thread mode).
+    /// larger ones — drained by [`NodeShared::dispatch_queued`] right after
+    /// the transport step that filled it.
     pub(crate) incoming: Receiver<Delivery>,
     /// Per-source stream state for fragment-at-a-time delivery
     /// ([`crate::stream`]). Only ever touched from the dispatch context
-    /// (dispatcher thread, or under `dispatch_lock` when caller-driven).
+    /// (the NIC thread, or under `dispatch_lock` when caller-driven).
     pub(crate) streams: Mutex<HashMap<NodeId, crate::stream::MsgStream>>,
     /// The node's readiness doorbell (shared with the NIC and the transport
     /// core). The engine raises [`Readiness::EVENT`] on it after completions
@@ -126,9 +125,9 @@ pub(crate) struct NodeShared {
 
 impl NodeShared {
     /// Advance this node once from the calling thread: step the transport
-    /// state machines, then dispatch every delivery that produced.
-    /// Returns `true` if any work was done. A no-op (returning `false`) when
-    /// another thread is mid-dispatch or the node is powered off.
+    /// state machines, then dispatch every delivery that produced — the NIC
+    /// thread's step. Returns `true` if any work was done. A no-op (`false`)
+    /// beside a NIC thread, mid-dispatch elsewhere, or powered off.
     pub(crate) fn progress_once(&self) -> bool {
         if !self.caller_driven {
             return false;
@@ -139,7 +138,15 @@ impl NodeShared {
         if !self.alive.load(Ordering::Relaxed) {
             return false;
         }
-        let mut worked = self.endpoint.progress_once();
+        let worked = self.endpoint.progress_once();
+        self.dispatch_queued() || worked
+    }
+
+    /// Run every queued delivery through the engine, with the transport's core
+    /// lock released (the engine re-enters the endpoint to send), from the one
+    /// dispatch context: the NIC thread, or the holder of `dispatch_lock`.
+    fn dispatch_queued(&self) -> bool {
+        let mut worked = false;
         while let Ok(delivery) = self.incoming.try_recv() {
             deliver(self, delivery);
             worked = true;
@@ -151,7 +158,7 @@ impl NodeShared {
     /// polling loop — over counters, queue lengths, whatever — *is* the
     /// progress engine, so every passive accessor funnels through here.
     /// Returns `true` if anything was done; `false` always in NIC-thread
-    /// mode, where the dispatcher makes polling passive again.
+    /// mode, where the NIC thread makes polling passive again.
     pub(crate) fn drive(&self) -> bool {
         if !self.caller_driven {
             return false;
@@ -184,15 +191,15 @@ impl NodeDriver for NodeShared {
     }
 }
 
-/// A simulated machine: one transport endpoint, one dispatcher thread, and any
-/// number of process-level [`NetworkInterface`]s.
+/// A simulated machine: one transport endpoint, one NIC thread (none when
+/// caller-driven), and any number of process-level [`NetworkInterface`]s.
 ///
-/// Dropping the node powers it off: the dispatcher stops and its interfaces
+/// Dropping the node powers it off: the NIC thread stops and its interfaces
 /// stop receiving (sends from elsewhere are retried by their transports until
 /// those endpoints are dropped too).
 pub struct Node {
     shared: Arc<NodeShared>,
-    dispatcher: Option<JoinHandle<()>>,
+    nic_thread: Option<JoinHandle<()>>,
 }
 
 impl Node {
@@ -200,14 +207,14 @@ impl Node {
     /// in-process NIC, a UDP socket endpoint, any datagram backend.
     ///
     /// With [`ProgressMode::NicThread`] (the transport-config default) this
-    /// spawns the dispatcher thread that stands in for NIC firmware. With
-    /// [`ProgressMode::CallerDriven`] no thread is spawned: the node registers
-    /// itself as a cooperative fabric driver and every API call advances the
-    /// transport and runs dispatch inline.
+    /// spawns the one thread that stands in for NIC firmware: parked on the
+    /// link's doorbell, it steps the transport and dispatches what arrived.
+    /// With [`ProgressMode::CallerDriven`] no thread is spawned: the node is a
+    /// cooperative fabric driver and blocked API calls run that step inline.
     pub fn new(link: impl portals_net::Link, config: NodeConfig) -> Node {
         let nid = link.nid();
         let caller_driven = config.transport.progress_mode.is_caller_driven();
-        let endpoint = Endpoint::with_obs(link, config.transport, config.obs.clone());
+        let endpoint = Endpoint::for_node(link, config.transport, config.obs.clone());
         let node_labels = [("node", nid.0.to_string())];
         let incoming = endpoint.incoming_receiver();
         let readiness = endpoint.readiness();
@@ -234,7 +241,7 @@ impl Node {
             hub,
             dispatch_lock: Mutex::new(()),
         });
-        let dispatcher = if caller_driven {
+        let nic_thread = if caller_driven {
             // Threadless: replace the endpoint's transport-only driver with
             // the full node driver, so peers servicing this node dispatch
             // messages all the way to the engine, not just to the incoming
@@ -245,32 +252,23 @@ impl Node {
             None
         } else {
             let shared = Arc::clone(&shared);
-            let incoming = shared.endpoint.incoming_receiver();
             Some(
                 std::thread::Builder::new()
                     .name(format!("portals-node-{}", nid.0))
                     .spawn(move || {
-                        while shared.alive.load(Ordering::Relaxed) {
-                            match incoming.recv_timeout(Duration::from_millis(50)) {
-                                Ok(delivery) => deliver(&shared, delivery),
-                                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                            }
-                        }
+                        shared.endpoint.nic_loop(&shared.alive, || {
+                            shared.dispatch_queued();
+                        })
                     })
-                    .expect("spawn node dispatcher"),
+                    .expect("spawn node NIC thread"),
             )
         };
-        Node { shared, dispatcher }
+        Node { shared, nic_thread }
     }
 
     /// Whether this node runs threadless (caller-driven progress).
     pub fn progress_mode(&self) -> ProgressMode {
-        if self.shared.caller_driven {
-            ProgressMode::CallerDriven
-        } else {
-            ProgressMode::NicThread
-        }
+        self.shared.endpoint.progress_mode()
     }
 
     /// Drive this node's protocol once from the calling thread: step the
@@ -335,8 +333,9 @@ impl Node {
 
 impl Drop for Node {
     fn drop(&mut self) {
-        self.shared.alive.store(false, Ordering::Relaxed);
-        if let Some(handle) = self.dispatcher.take() {
+        self.shared.alive.store(false, Ordering::Release);
+        if let Some(handle) = self.nic_thread.take() {
+            self.shared.readiness.ring();
             let _ = handle.join();
         } else {
             // Threadless: deregister from the fabric so peers stop trying to

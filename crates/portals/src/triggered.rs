@@ -8,7 +8,7 @@
 //! and gets.
 //!
 //! Firing context: the §4.8 delivery paths call `ct_increment` from the
-//! engine — the dispatcher thread under application bypass — so a chain
+//! engine — the NIC thread under application bypass — so a chain
 //! `recv → counter → triggered put` runs with zero host involvement, which is
 //! the §5.1 bypass claim extended from single messages to whole collective
 //! schedules. Host-side registrations whose threshold is already met fire in
@@ -119,8 +119,12 @@ pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
             length,
         ),
         TriggeredOp::CtInc { ct, increment } => {
+            // A chained increment cannot fail, so it is counted before it
+            // lands: whoever reads the chained counter's new value and then
+            // `triggered_fired` finds this fire already there.
+            core.counters.triggered_fired.inc();
             ct_increment(core, node, ct, increment);
-            Ok(())
+            return;
         }
     };
     let counter = match result {

@@ -10,7 +10,7 @@
 use portals::{
     AckRequest, Event, EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, ProgressMode, Region,
 };
-use portals_net::{Fabric, FabricConfig};
+use portals_net::{Fabric, FabricConfig, FaultPlan};
 use portals_transport::TransportConfig;
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId};
 use std::time::Duration;
@@ -208,6 +208,116 @@ fn scripted_event_and_ct_sequences_identical_across_modes() {
         ],
         "target saw put, truncated put, get, trigger-firing put"
     );
+}
+
+/// The step that exercises the shared core: a 1 MiB get at a 4 KiB MTU is a
+/// 256-fragment reply, four go-back-N windows long, each released by acks the
+/// target's stepper processes through the same core its engine submitted the
+/// reply to; then an acked put the other way round the same path. Each is
+/// waited for before the next. Returns (initiator events, target events, CT
+/// values) like [`scripted_scenario`].
+fn large_get_then_put(mode: ProgressMode, fabric: FabricConfig) -> Trace {
+    const LEN: usize = 1 << 20;
+    let fabric = Fabric::new(fabric);
+    let cfg = || NodeConfig {
+        transport: TransportConfig {
+            progress_mode: mode,
+            mtu: 4096,
+            rto_base: Duration::from_millis(5),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let na = Node::new(fabric.attach(NodeId(0)), cfg());
+    let nb = Node::new(fabric.attach(NodeId(1)), cfg());
+    let ini = na.create_ni(1, NiConfig::default()).unwrap();
+    let tgt = nb.create_ni(1, NiConfig::default()).unwrap();
+
+    let eq_t = tgt.eq_alloc(16).unwrap();
+    let ct_t = tgt.ct_alloc().unwrap();
+    let bytes: Vec<u8> = (0..LEN).map(|i| (i * 13 + 5) as u8).collect();
+    let me_t = tgt
+        .me_attach(2, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+        .unwrap();
+    tgt.md_attach(
+        me_t,
+        MdSpec::new(Region::from_vec(bytes.clone()))
+            .with_eq(eq_t)
+            .with_ct(ct_t),
+    )
+    .unwrap();
+
+    let eq_i = ini.eq_alloc(16).unwrap();
+    let into = Region::zeroed(LEN);
+    let md_get = ini
+        .md_bind(MdSpec::new(into.clone()).with_eq(eq_i))
+        .unwrap();
+    let mut ini_events = Vec::new();
+    let mut ct_values = Vec::new();
+
+    ini.get_op(md_get)
+        .target(tgt.id(), 2)
+        .length(LEN as u64)
+        .submit()
+        .unwrap();
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Sent
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Reply
+    assert!(into.read_vec(0, LEN) == bytes, "reply bytes");
+    let v = tgt.ct_wait(ct_t, 1).unwrap();
+    ct_values.extend([v.success, v.failure]);
+
+    let md_put = ini
+        .md_bind(MdSpec::new(Region::from_vec(vec![0x5A; 4096])).with_eq(eq_i))
+        .unwrap();
+    ini.put_op(md_put)
+        .target(tgt.id(), 2)
+        .ack(AckRequest::Ack)
+        .submit()
+        .unwrap();
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Sent
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Ack
+    let v = tgt.ct_wait(ct_t, 2).unwrap();
+    ct_values.extend([v.success, v.failure]);
+
+    let mut tgt_events = Vec::new();
+    while let Ok(e) = tgt.eq_poll(eq_t, Duration::from_millis(50)) {
+        tgt_events.push(fingerprint(e));
+    }
+    assert!(ini.eq_poll(eq_i, Duration::from_millis(50)).is_err());
+    (ini_events, tgt_events, ct_values)
+}
+
+#[test]
+fn multi_window_get_then_put_identical_across_modes() {
+    let lossy = || {
+        FabricConfig::default()
+            .with_faults(FaultPlan::lossy(0.05))
+            .with_seed(23)
+    };
+    for (name, fabric) in [
+        ("clean", FabricConfig::ideal as fn() -> FabricConfig),
+        ("lossy", lossy),
+    ] {
+        let nic = large_get_then_put(ProgressMode::NicThread, fabric());
+        let caller = large_get_then_put(ProgressMode::CallerDriven, fabric());
+        assert_eq!(nic, caller, "{name} fabric: the modes diverged");
+        assert_eq!(
+            nic.0.iter().map(|f| f.0).collect::<Vec<_>>(),
+            vec![
+                EventKind::Sent,
+                EventKind::Reply,
+                EventKind::Sent,
+                EventKind::Ack
+            ],
+            "{name} fabric: initiator saw the get, then the acked put"
+        );
+        assert_eq!(
+            nic.1.iter().map(|f| f.0).collect::<Vec<_>>(),
+            vec![EventKind::Get, EventKind::Put],
+            "{name} fabric"
+        );
+        assert_eq!(nic.2, vec![1, 0, 2, 0], "{name} fabric: CT values");
+    }
 }
 
 /// The lost-wakeup stress: a producer thread fires puts at arbitrary points

@@ -60,10 +60,11 @@ pub struct TransportConfig {
     /// are dropped and go-back-N retransmission recovers them. `0` disables
     /// buffering entirely (the pre-PR pure go-back-N receiver).
     pub ooo_buffer_bytes: usize,
-    /// Who drives protocol progress. [`ProgressMode::NicThread`] (default)
-    /// spawns the classic worker thread per endpoint;
-    /// [`ProgressMode::CallerDriven`] runs the same state machines inline
-    /// from the submitting/polling caller — no queue hop, no thread handoff.
+    /// Who steps the protocol. [`ProgressMode::NicThread`] (default) parks
+    /// one thread per endpoint (the node's, when there is a node above) on
+    /// the link's doorbell; [`ProgressMode::CallerDriven`] runs the same
+    /// step inline from the blocked or polling caller. Submission is inline
+    /// in both.
     /// Always defaults to `NicThread` here: higher-level configs
     /// (`NodeConfig`) consult `PORTALS_PROGRESS_MODE`, so transport unit
     /// tests that rely on autonomous background progress keep it.

@@ -1,15 +1,17 @@
-//! The public transport endpoint.
+//! The public transport endpoint: one progress core behind one mutex. Callers
+//! submit inline under it; the [`ProgressMode`] decides only who steps it — a
+//! NIC thread parked on the doorbell, or the caller blocked in `recv`/`flush`.
 
 use crate::config::TransportConfig;
 use crate::stats::{FlowStats, FlowStatsSnapshot, TransportStats, TransportStatsSnapshot};
-use crate::worker::{instant_to_ns, ns_to_instant, Command, ProgressCore, Worker, DEADLINE_NONE};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::worker::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use portals_net::{DriverHub, Link, NodeDriver};
 use portals_obs::Obs;
 use portals_types::{Gather, NodeId, ProgressMode, Readiness};
 use portals_wire::Packet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,11 +67,11 @@ pub enum Delivery {
 
 /// A reliable, ordered, connectionless endpoint bound to one [`Link`].
 ///
-/// Sends are asynchronous: [`Endpoint::send`] queues the message and returns;
-/// the worker thread fragments, paces and retransmits. Reassembled inbound
-/// messages are read from [`Endpoint::recv`] or drained with
-/// [`Endpoint::try_recv`]. The Portals NIC engine built on top chooses between
-/// those according to its progress model.
+/// Sends are asynchronous: [`Endpoint::send`] fragments the message onto the
+/// wire and returns; acks, pacing and retransmission happen in whoever steps
+/// the protocol (see [`ProgressMode`]). Reassembled inbound messages are read
+/// from [`Endpoint::recv`] or drained with [`Endpoint::try_recv`]; the Portals
+/// node built on top takes the raw delivery stream instead.
 ///
 /// ```
 /// use portals_transport::{Endpoint, TransportConfig};
@@ -92,63 +94,92 @@ pub struct Endpoint {
     /// raw channel via [`Endpoint::incoming_receiver`] (the Portals engine)
     /// never touch this.
     reasm: Mutex<std::collections::HashMap<NodeId, Gather>>,
-    /// The NIC's readiness doorbell (shared with the fabric and the layers
-    /// above): caller-driven waits park on it.
-    readiness: Arc<Readiness>,
-    /// Next transport/wire deadline published by the core (`DEADLINE_NONE`
-    /// when idle).
-    deadline_ns: Arc<AtomicU64>,
     /// Driver-hub handle for this node (register / service peers).
     hub: DriverHub,
     stats: Arc<TransportStats>,
     flow: Arc<FlowStats>,
     outstanding: Arc<AtomicUsize>,
-    driver: Driver,
+    mode: ProgressMode,
+    /// Shared with this endpoint's NIC thread or — caller-driven — registered
+    /// (through a `Weak`) as its cooperative [`NodeDriver`] for peers' waits.
+    stepper: Arc<Stepper>,
+    /// A standalone NIC-thread endpoint's own thread. `None` when callers
+    /// step, and when a node above runs [`Endpoint::nic_loop`] on its thread.
+    nic_thread: Option<JoinHandle<()>>,
 }
 
-/// How this endpoint's [`ProgressCore`] is driven.
-enum Driver {
-    /// Classic mode: a dedicated worker thread owns the core; the API talks
-    /// to it over the command queue.
-    Thread {
-        commands: Sender<Command>,
-        handle: Option<JoinHandle<()>>,
-    },
-    /// Threadless mode: callers step the core inline under a mutex. The
-    /// `Arc` also serves as this endpoint's cooperative [`NodeDriver`]
-    /// registration (peers' wait loops service it through a `Weak`).
-    Caller { driver: Arc<EndpointDriver> },
-}
-
-/// The caller-driven state: the core plus what `NodeDriver` needs lock-free.
-struct EndpointDriver {
+/// The core under its lock, plus what stepping it needs lock-free.
+struct Stepper {
     core: Mutex<ProgressCore>,
+    /// The NIC's readiness doorbell, shared with the link and the layers
+    /// above: the NIC thread and caller-driven waits park on it.
     readiness: Arc<Readiness>,
+    /// Next deadline the core published (`DEADLINE_NONE` when idle).
     deadline_ns: Arc<AtomicU64>,
+    /// Longest park of the NIC thread (see [`Stepper::run`]).
+    rto_base: Duration,
+    /// Cleared on drop to stop a standalone endpoint's NIC thread.
+    alive: AtomicBool,
 }
 
-impl EndpointDriver {
-    /// Step the core if no other thread is mid-step. Skipping under
-    /// contention is correct: the thread inside the lock performs the work.
+impl Stepper {
+    /// Step the core if no other thread is inside it. Skipping is correct for
+    /// a waiter: the holder is doing the work, or is a submitter.
     fn progress_once(&self) -> bool {
         match self.core.try_lock() {
             Some(mut core) => core.progress_once(),
             None => false,
         }
     }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        match self.deadline_ns.load(Ordering::Acquire) {
+            DEADLINE_NONE => None,
+            ns => Some(ns_to_instant(ns)),
+        }
+    }
+
+    fn timer_due(&self) -> bool {
+        let deadline = self.deadline_ns.load(Ordering::Acquire);
+        deadline != DEADLINE_NONE && deadline <= instant_to_ns(Instant::now())
+    }
+
+    /// The NIC thread: step the core, run `dispatch` on what that delivered
+    /// with the core lock released (the engine re-enters [`Endpoint::send`]),
+    /// then park on the doorbell until it rings or a timer is due.
+    ///
+    /// The doorbell sequence is read before the step, so a datagram landing
+    /// after it makes the park return at once. Submitting callers do *not*
+    /// ring: a timer one arms during the park is due no earlier than the
+    /// park's start plus `rto_base`, which therefore bounds every park.
+    fn run(&self, alive: &AtomicBool, mut dispatch: impl FnMut()) {
+        loop {
+            let observed = self.readiness.seq();
+            if !alive.load(Ordering::Acquire) {
+                return;
+            }
+            let started = Instant::now();
+            // Blocking, never `try_lock`: the holder may be a submitter, which
+            // drains nothing — skipping would strand the datagram that rang.
+            self.core.lock().progress_once();
+            dispatch();
+            let mut bound = started + self.rto_base;
+            if let Some(next) = self.next_deadline() {
+                bound = bound.min(next);
+            }
+            self.readiness
+                .wait(observed, bound.saturating_duration_since(Instant::now()));
+        }
+    }
 }
 
-impl NodeDriver for EndpointDriver {
+impl NodeDriver for Stepper {
     fn service(&self) -> bool {
         self.progress_once()
     }
 
     fn has_work(&self) -> bool {
-        if self.readiness.peek() & Readiness::INBOUND != 0 {
-            return true;
-        }
-        let deadline = self.deadline_ns.load(Ordering::Acquire);
-        deadline != DEADLINE_NONE && deadline <= instant_to_ns(Instant::now())
+        self.readiness.peek() & Readiness::INBOUND != 0 || self.timer_due()
     }
 }
 
@@ -168,8 +199,8 @@ const SPIN_ITERS: u32 = 200;
 impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
     /// UDP socket, …) in a reliable endpoint. In `NicThread` mode this spawns
-    /// the worker thread; in `CallerDriven` mode there is no thread and the
-    /// calling threads drive the protocol from `send`/`recv`/`flush`.
+    /// the NIC thread; in `CallerDriven` mode there is no thread and the
+    /// calling threads drive the protocol from `recv`/`flush`.
     pub fn new(link: impl Link, cfg: TransportConfig) -> Endpoint {
         Endpoint::with_obs(link, cfg, Obs::default())
     }
@@ -185,7 +216,24 @@ impl Endpoint {
     /// [`TransportConfig::DEFAULT_MTU`]), and a wire with a hard datagram
     /// bound clamps the fragment MTU so every DATA packet (header + body)
     /// fits in one datagram.
-    pub fn with_obs(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
+    pub fn with_obs(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
+        let mut endpoint = Endpoint::for_node(link, cfg, obs);
+        if endpoint.mode == ProgressMode::NicThread {
+            let stepper = Arc::clone(&endpoint.stepper);
+            endpoint.nic_thread = Some(
+                std::thread::Builder::new()
+                    .name(format!("portals-nic-{}", endpoint.nid.0))
+                    .spawn(move || stepper.run(&stepper.alive, || {}))
+                    .expect("spawn NIC thread"),
+            );
+        }
+        endpoint
+    }
+
+    /// [`Endpoint::with_obs`] for a node that brings its own NIC thread: in
+    /// `NicThread` mode nothing steps until it runs [`Endpoint::nic_loop`].
+    #[doc(hidden)]
+    pub fn for_node(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         cfg.checksum_body |= link.body_checksum_required();
         if cfg.mtu == 0 {
@@ -213,44 +261,39 @@ impl Endpoint {
             Arc::clone(&outstanding),
             Arc::clone(&deadline_ns),
         );
-        let driver = match cfg.progress_mode {
-            ProgressMode::NicThread => {
-                let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
-                let worker = Worker::new(core, cmd_rx);
-                let handle = std::thread::Builder::new()
-                    .name(format!("portals-transport-{}", nid.0))
-                    .spawn(move || worker.run())
-                    .expect("spawn transport worker");
-                Driver::Thread {
-                    commands: cmd_tx,
-                    handle: Some(handle),
-                }
-            }
-            ProgressMode::CallerDriven => {
-                let driver = Arc::new(EndpointDriver {
-                    core: Mutex::new(core),
-                    readiness: Arc::clone(&readiness),
-                    deadline_ns: Arc::clone(&deadline_ns),
-                });
-                // Volunteer for cooperative servicing so peers' wait loops
-                // keep this node's protocol moving while nothing here blocks.
-                // A node built on top replaces this with its own driver.
-                hub.register(Arc::downgrade(&driver) as Weak<dyn NodeDriver>);
-                Driver::Caller { driver }
-            }
-        };
+        let stepper = Arc::new(Stepper {
+            core: Mutex::new(core),
+            readiness,
+            deadline_ns,
+            rto_base: cfg.rto_base,
+            alive: AtomicBool::new(true),
+        });
+        if cfg.progress_mode.is_caller_driven() {
+            // Volunteer for cooperative servicing so peers' wait loops keep
+            // this node's protocol moving while nothing here blocks. A node
+            // built on top replaces this with its own driver.
+            hub.register(Arc::downgrade(&stepper) as Weak<dyn NodeDriver>);
+        }
         Endpoint {
             nid,
             incoming: in_rx,
             reasm: Mutex::new(std::collections::HashMap::new()),
-            readiness,
-            deadline_ns,
             hub,
             stats,
             flow,
             outstanding,
-            driver,
+            mode: cfg.progress_mode,
+            stepper,
+            nic_thread: None,
         }
+    }
+
+    /// The NIC thread's loop, for the node that owns the thread: until
+    /// `alive` clears (ring the doorbell after clearing it), step, run
+    /// `dispatch` over what that delivered, park on the doorbell.
+    #[doc(hidden)]
+    pub fn nic_loop(&self, alive: &AtomicBool, dispatch: impl FnMut()) {
+        self.stepper.run(alive, dispatch)
     }
 
     /// Endpoint with default configuration.
@@ -266,25 +309,15 @@ impl Endpoint {
 
     /// Queue `msg` for reliable, ordered delivery to `dst`.
     ///
-    /// In NIC-thread mode this enqueues a command and returns (never
-    /// blocks). In caller-driven mode the message passes from this stack
-    /// frame straight into the transport state machines and onto the wire —
-    /// the pointer-passing submission path; the call runs the fragmentation
-    /// inline but still never waits for acknowledgment.
+    /// The message passes from this stack frame straight into the transport
+    /// state machines and onto the wire — the pointer-passing submission
+    /// path, in both progress modes; the call runs the fragmentation inline
+    /// but never waits for acknowledgment.
     ///
     /// Accepts anything convertible to a [`Gather`] — a `Gather` of region
     /// views travels to the wire without its payload ever being copied.
     pub fn send(&self, dst: NodeId, msg: impl Into<Gather>) {
-        match &self.driver {
-            Driver::Thread { commands, .. } => {
-                // A send after shutdown is a no-op; the worker is gone.
-                let _ = commands.send(Command::Send {
-                    dst,
-                    msg: msg.into(),
-                });
-            }
-            Driver::Caller { driver } => driver.core.lock().on_send(dst, msg.into()),
-        }
+        self.stepper.core.lock().on_send(dst, msg.into())
     }
 
     /// Fold one delivery into the per-source reassembly state; a completed
@@ -320,13 +353,8 @@ impl Endpoint {
     /// Drain queued deliveries until one completes a message (non-blocking).
     fn pop_message(&self) -> Option<IncomingMessage> {
         loop {
-            match self.incoming.try_recv() {
-                Ok(d) => {
-                    if let Some(m) = self.fold(d) {
-                        return Some(m);
-                    }
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return None,
+            if let Some(m) = self.fold(self.incoming.try_recv().ok()?) {
+                return Some(m);
             }
         }
     }
@@ -334,55 +362,45 @@ impl Endpoint {
     /// Block until a message arrives. In caller-driven mode the wait drives
     /// protocol progress (own core, peers, wire pump) between parks.
     pub fn recv(&self) -> Option<IncomingMessage> {
-        match &self.driver {
-            Driver::Thread { .. } => loop {
-                match self.incoming.recv() {
-                    Ok(d) => {
-                        if let Some(m) = self.fold(d) {
-                            return Some(m);
-                        }
-                    }
-                    Err(_) => return None,
-                }
-            },
-            Driver::Caller { .. } => self.drive_until(None, Endpoint::pop_message),
-        }
+        self.recv_until(None)
     }
 
     /// Non-blocking receive. In caller-driven mode one progress step runs
     /// first, so "poll until something arrives" loops make progress.
     pub fn try_recv(&self) -> Option<IncomingMessage> {
-        if let Driver::Caller { driver } = &self.driver {
-            if self.incoming.is_empty() {
-                driver.progress_once();
-            }
+        if self.mode.is_caller_driven() && self.incoming.is_empty() {
+            self.progress_once();
         }
         self.pop_message()
     }
 
     /// Receive with a deadline. Caller-driven waits drive progress.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<IncomingMessage> {
-        let deadline = Instant::now() + timeout;
-        match &self.driver {
-            Driver::Thread { .. } => loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match self.incoming.recv_timeout(left) {
-                    Ok(d) => {
-                        if let Some(m) = self.fold(d) {
-                            return Some(m);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                        return None
-                    }
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Option<IncomingMessage> {
+        if self.mode.is_caller_driven() {
+            let spin = portals_types::spin_budget(SPIN_ITERS);
+            return self.drive_until(deadline, spin, Endpoint::pop_message);
+        }
+        // The NIC thread fills the delivery queue: block on it.
+        loop {
+            let delivery = match deadline {
+                None => self.incoming.recv().ok()?,
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    self.incoming.recv_timeout(left).ok()?
                 }
-            },
-            Driver::Caller { .. } => self.drive_until(Some(deadline), Endpoint::pop_message),
+            };
+            if let Some(m) = self.fold(delivery) {
+                return Some(m);
+            }
         }
     }
 
-    /// The caller-driven wait loop: progress own core → service peers →
-    /// check → bounded spin → park on the readiness doorbell.
+    /// The wait loop: step own core (unless a NIC thread does) → check →
+    /// service peers → bounded spin → park on the readiness doorbell.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// progress step and predicate check, and the park returns immediately
@@ -390,13 +408,14 @@ impl Endpoint {
     fn drive_until<T>(
         &self,
         deadline: Option<Instant>,
+        spin_iters: u32,
         mut check: impl FnMut(&Endpoint) -> Option<T>,
     ) -> Option<T> {
-        let spin_iters = portals_types::spin_budget(SPIN_ITERS);
+        let stepping = self.mode.is_caller_driven();
         let mut idle_iters: u32 = 0;
         loop {
-            let observed = self.readiness.seq();
-            let worked = self.progress_once();
+            let observed = self.stepper.readiness.seq();
+            let worked = stepping && self.progress_once();
             if let Some(v) = check(self) {
                 return Some(v);
             }
@@ -411,7 +430,7 @@ impl Endpoint {
             // interference.
             idle_iters += 1;
             let parking = idle_iters > spin_iters;
-            if (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
+            if stepping && (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
                 idle_iters = 0;
                 continue;
             }
@@ -427,13 +446,15 @@ impl Endpoint {
             }
             idle_iters = 0;
             let mut bound = now + PARK_CAP;
-            if let Some(next) = self.next_deadline() {
+            if let (true, Some(next)) = (stepping, self.next_deadline()) {
+                // Only a waiter that fires the timers itself wakes for them.
                 bound = bound.min(next.max(now));
             }
             if let Some(d) = deadline {
                 bound = bound.min(d);
             }
-            self.readiness
+            self.stepper
+                .readiness
                 .wait(observed, bound.saturating_duration_since(now));
         }
     }
@@ -443,7 +464,7 @@ impl Endpoint {
     /// messages).
     ///
     /// Consumers popping this receiver directly must report each popped
-    /// delivery through [`Endpoint::note_consumed`] — the worker sheds
+    /// delivery through [`Endpoint::note_consumed`] — the core sheds
     /// inbound credit against the message-unit backlog
     /// (`messages_delivered - messages_consumed`), and a consumer that
     /// never reports reads as permanently oversubscribed.
@@ -473,48 +494,35 @@ impl Endpoint {
     }
 
     /// Wait until all queued traffic is acknowledged or `timeout` elapses.
-    /// Returns true on success. Caller-driven mode drives progress while
-    /// waiting (acks cannot arrive otherwise).
+    /// Returns true on success. The wait parks on the doorbell, `PARK_CAP` at
+    /// a time, and drives progress itself only when no NIC thread does.
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        match &self.driver {
-            Driver::Thread { .. } => {
-                while self.outstanding() > 0 {
-                    if Instant::now() > deadline {
-                        return false;
-                    }
-                    std::thread::yield_now();
-                }
-                true
-            }
-            Driver::Caller { .. } => self
-                .drive_until(Some(deadline), |ep| (ep.outstanding() == 0).then_some(()))
-                .is_some(),
-        }
+        // No spin: the acks come from threads that may need this CPU. And no
+        // ring from the step that takes the last ack: it would cost every
+        // caller-driven waiter an idle turn per ack (DESIGN.md §6f).
+        self.drive_until(Some(deadline), 0, |ep| {
+            (ep.outstanding() == 0).then_some(())
+        })
+        .is_some()
     }
 
     /// Step this endpoint's protocol state machines once from the calling
-    /// thread. Returns `true` if any datagram was processed. Always `false`
-    /// (and a no-op) in NIC-thread mode, where the worker owns the core.
+    /// thread, unless another thread is inside them. Returns `true` if any
+    /// datagram was processed. Beside a NIC thread nothing needs to call it.
     pub fn progress_once(&self) -> bool {
-        match &self.driver {
-            Driver::Thread { .. } => false,
-            Driver::Caller { driver } => driver.progress_once(),
-        }
+        self.stepper.progress_once()
     }
 
     /// The progress mode this endpoint was built with.
     pub fn progress_mode(&self) -> ProgressMode {
-        match &self.driver {
-            Driver::Thread { .. } => ProgressMode::NicThread,
-            Driver::Caller { .. } => ProgressMode::CallerDriven,
-        }
+        self.mode
     }
 
     /// This node's readiness doorbell. Layers above raise their own bits
     /// (e.g. [`Readiness::EVENT`]) on it so one park covers every work class.
     pub fn readiness(&self) -> Arc<Readiness> {
-        Arc::clone(&self.readiness)
+        Arc::clone(&self.stepper.readiness)
     }
 
     /// The fabric driver-hub handle for this node, for registering a
@@ -527,17 +535,13 @@ impl Endpoint {
     /// retransmission timer or scheduled wire delivery), as published by the
     /// last progress step. `None` when idle.
     pub fn next_deadline(&self) -> Option<Instant> {
-        match self.deadline_ns.load(Ordering::Acquire) {
-            DEADLINE_NONE => None,
-            ns => Some(ns_to_instant(ns)),
-        }
+        self.stepper.next_deadline()
     }
 
     /// True when [`Endpoint::next_deadline`] is due — i.e. a progress step
     /// would fire timers or deliver wire packets right now.
     pub fn timer_due(&self) -> bool {
-        let deadline = self.deadline_ns.load(Ordering::Acquire);
-        deadline != DEADLINE_NONE && deadline <= instant_to_ns(Instant::now())
+        self.stepper.timer_due()
     }
 
     /// Snapshot the transport counters.
@@ -553,20 +557,15 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        match &mut self.driver {
-            Driver::Thread { commands, handle } => {
-                let _ = commands.send(Command::Shutdown);
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            Driver::Caller { .. } => {
-                // Withdraw from cooperative servicing before the core (and
-                // the NIC inside it) is torn down. The `Weak` registration
-                // would go dead anyway; this just prunes it eagerly.
-                self.hub.unregister();
-            }
+        self.stepper.alive.store(false, Ordering::Release);
+        self.stepper.readiness.ring();
+        if let Some(handle) = self.nic_thread.take() {
+            let _ = handle.join();
         }
+        // Withdraw from cooperative servicing before the core (and the NIC
+        // inside it) is torn down. The `Weak` registration would go dead
+        // anyway; this just prunes it eagerly.
+        self.hub.unregister();
     }
 }
 
@@ -889,7 +888,7 @@ mod tests {
     }
 
     /// Pre-load the receiver's inbound channel with `frags` fragments (one
-    /// message) before its worker thread exists, then start the endpoint and
+    /// message) before its NIC thread exists, then start the endpoint and
     /// return its stats after delivery. Deterministic: the first wakeup sees
     /// the whole burst already queued.
     fn burst_then_start_receiver(cfg: TransportConfig, frags: u64) -> TransportStatsSnapshot {
@@ -1070,7 +1069,7 @@ mod tests {
 
     #[test]
     fn caller_driven_survives_loss_on_caller_pumped_wire() {
-        // The full threadless configuration: no worker threads, no wire
+        // The full threadless configuration: no NIC threads, no wire
         // scheduler thread — retransmission recovery must run entirely from
         // the receiving caller's wait loop (which services the sender's core
         // cooperatively and pumps the wire).

@@ -1,21 +1,22 @@
-//! The transport progress engine: all per-peer protocol state, factored so it
-//! can be driven from either progress mode.
+//! The transport progress engine: all per-peer protocol state, driven the same
+//! way in either progress mode.
 //!
 //! [`ProgressCore`] owns the state machines (fragmentation, go-back-N,
 //! credits, timers) and exposes re-entrant steps: `on_send` for submission,
-//! `progress_once` for "advance everything that is ready". In
-//! [`ProgressMode::NicThread`](portals_types::ProgressMode) a [`Worker`]
-//! thread wraps the core in the classic select loop; in `CallerDriven` the
-//! endpoint keeps the core under a mutex and the submitting/polling caller
-//! drives it inline — the op descriptor passes from the caller's stack
-//! straight into `on_send`, no command queue, no handoff.
+//! `progress_once` for "advance everything that is ready". The endpoint keeps
+//! one core under one mutex whatever the
+//! [`ProgressMode`](portals_types::ProgressMode): the submitting caller runs
+//! `on_send` inline — the op descriptor passes from the caller's stack
+//! straight into the state machines, no command queue, no handoff — and the
+//! mode only names the thread that calls `progress_once` (the node's NIC
+//! thread, or whichever caller is blocked in a wait).
 //!
 //! Two receive-path optimisations live here:
 //!
-//! * **Batched drain.** One select wakeup drains up to
-//!   [`TransportConfig::recv_batch`] inbound datagrams before touching the
-//!   channel's blocking path again, amortising the wakeup over the burst.
-//! * **Coalesced acks.** Within one batch the worker sends at most one
+//! * **Batched drain.** One progress step drains the inbound queue to
+//!   exhaustion, in runs of up to [`TransportConfig::recv_batch`] datagrams,
+//!   amortising the doorbell wakeup over the burst.
+//! * **Coalesced acks.** Within one run the core sends at most one
 //!   cumulative ACK per source. Cumulative acknowledgments are monotone per
 //!   (src, dst) stream, so the last value observed in the batch subsumes every
 //!   earlier one; suppressed sends are counted in
@@ -73,22 +74,16 @@ pub(crate) fn ns_to_instant(ns: u64) -> Instant {
     epoch() + Duration::from_nanos(ns)
 }
 
-/// Commands from the public API to the worker.
-pub(crate) enum Command {
-    Send { dst: NodeId, msg: Gather },
-    Shutdown,
-}
-
 /// The re-entrant transport progress engine (see the module docs). Exactly
-/// one thread steps a core at a time: the worker thread owns it outright in
-/// NIC-thread mode, a mutex serialises callers in caller-driven mode.
+/// one thread is inside a core at a time: the endpoint's mutex serialises
+/// submitting callers against whoever steps it.
 pub(crate) struct ProgressCore {
     link: Box<dyn Link>,
     nid: NodeId,
     cfg: TransportConfig,
     obs: Obs,
     /// This NIC's inbound datagram queue (drained by `progress_once` /
-    /// `on_inbound`; the worker thread selects on a clone of it).
+    /// `on_inbound`).
     inbound: Receiver<Datagram>,
     /// The NIC's readiness doorbell: `INBOUND` is taken before draining, and
     /// `DELIVERED` raised after handing a delivery up.
@@ -118,36 +113,6 @@ pub(crate) struct ProgressCore {
     /// peer's deadline moves every time it sends or is acked, and stale
     /// entries are discarded (or corrected) when they reach the top.
     timers: BinaryHeap<Reverse<(Instant, NodeId)>>,
-}
-
-/// The NIC-thread driver: the classic select loop around a [`ProgressCore`].
-pub(crate) struct Worker {
-    core: ProgressCore,
-    commands: Receiver<Command>,
-}
-
-impl Worker {
-    pub(crate) fn new(core: ProgressCore, commands: Receiver<Command>) -> Worker {
-        Worker { core, commands }
-    }
-
-    pub(crate) fn run(mut self) {
-        let inbound = self.core.inbound.clone();
-        loop {
-            let timeout = self.core.next_deadline_in();
-            crossbeam::channel::select! {
-                recv(inbound) -> dgram => match dgram {
-                    Ok(d) => self.core.on_inbound(d),
-                    Err(_) => return, // fabric gone
-                },
-                recv(self.commands) -> cmd => match cmd {
-                    Ok(Command::Send { dst, msg }) => self.core.on_send(dst, msg),
-                    Ok(Command::Shutdown) | Err(_) => return,
-                },
-                default(timeout) => self.core.fire_timers(),
-            }
-        }
-    }
 }
 
 impl ProgressCore {
@@ -185,10 +150,10 @@ impl ProgressCore {
         }
     }
 
-    /// One caller-driven progress step: deliver due wire packets, drain this
-    /// NIC's inbound queue through the protocol state machines, fire due
-    /// retransmission timers and republish the next deadline. Returns `true`
-    /// if any datagram was processed.
+    /// One progress step: deliver due wire packets, drain this NIC's inbound
+    /// queue through the protocol state machines, fire due retransmission
+    /// timers and republish the next deadline. Returns `true` if any datagram
+    /// was processed.
     ///
     /// Re-entrant in the sense required by the progress-mode contract: safe
     /// to call from any thread holding this core's lock, at any point between
@@ -294,16 +259,6 @@ impl ProgressCore {
         None
     }
 
-    /// Time until the nearest retransmission deadline (bounded so shutdown
-    /// and races with just-armed timers are handled promptly).
-    fn next_deadline_in(&mut self) -> Duration {
-        const CAP: Duration = Duration::from_millis(100);
-        match self.next_deadline_instant() {
-            Some(when) => when.saturating_duration_since(Instant::now()).min(CAP),
-            None => CAP,
-        }
-    }
-
     pub(crate) fn on_send(&mut self, dst: NodeId, msg: Gather) {
         self.stats.add(&self.stats.messages_sent, 1);
         let now = Instant::now();
@@ -363,7 +318,7 @@ impl ProgressCore {
     /// Drain up to `recv_batch` datagrams for one wakeup, then flush one
     /// cumulative ACK per source seen in the batch. `recv_batch = 1` degrades
     /// to the per-packet-ack behaviour exactly.
-    pub(crate) fn on_inbound(&mut self, first: Datagram) {
+    fn on_inbound(&mut self, first: Datagram) {
         let mut pending_acks: Vec<(NodeId, u64)> = Vec::new();
         self.process_datagram(first, &mut pending_acks);
         for _ in 1..self.cfg.recv_batch.max(1) {
@@ -526,7 +481,7 @@ impl ProgressCore {
                     });
                 } else if result.out_of_order && result.buffered {
                     self.stats.add(&self.stats.ooo_buffered, 1);
-                    // The worker is the gauge's only writer, so read-then-set
+                    // Only the lock holder writes the gauge, so read-then-set
                     // keeps the max without an atomic max primitive.
                     if hwm > self.stats.bytes_buffered_hwm.get() {
                         self.stats.bytes_buffered_hwm.set(hwm);

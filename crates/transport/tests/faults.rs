@@ -1,7 +1,7 @@
 //! Endpoint-level fault-injection properties.
 //!
 //! The unit proptests in `peer.rs` drive the pure state machines over a
-//! scripted wire; these tests drive the real worker threads over a real
+//! scripted wire; these tests drive the real NIC threads over a real
 //! faulty fabric, so the *interaction* of the receive-path optimisations
 //! (batched drain, coalesced acks) with go-back-N's drop-and-retransmit
 //! recovery is what gets exercised.

@@ -1,18 +1,21 @@
 //! Progress-mode selection and the lock-free readiness doorbell.
 //!
-//! The simulator can advance protocol state in two ways
-//! ([`ProgressMode`]):
+//! Submission is the same in both [`ProgressMode`]s: an op descriptor passes
+//! from the sender's stack straight into the transport, under the lock that
+//! guards the node's one set of protocol state machines. The mode names who
+//! runs the other half — taking arrivals through the transport and the
+//! receive engine, firing timers:
 //!
-//! * **NIC-thread** — dedicated threads stand in for NIC firmware: the
-//!   transport worker owns the protocol state machines and the node's
-//!   dispatcher runs the receive engine. Submission and completion cross a
-//!   queue (and a futex) per hop.
-//! * **Caller-driven (threadless)** — no dedicated threads. The submitting or
-//!   polling caller drives transport tx, fabric delivery and engine rx inline;
-//!   an op descriptor passes from the sender's stack straight into the
-//!   transport, and blocking waits spin briefly then park.
+//! * **NIC-thread** — one thread per node stands in for NIC firmware. It
+//!   parks on the node's [`Readiness`] doorbell; an arriving datagram rings
+//!   it, and the thread that takes the datagram runs the engine. Callers
+//!   sleep on event-queue and counter condvars until the engine completes
+//!   something for them: one thread handoff per message in, none out.
+//! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
+//!   in a wait runs that same step inline, spinning briefly and then parking
+//!   on the doorbell between arrivals.
 //!
-//! [`Readiness`] is the primitive that makes the threadless mode cheap and
+//! [`Readiness`] is the primitive that makes both parks cheap and
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
 //! doorbell sequence number. Producers `set` bits (one atomic OR, plus a wake
 //! only when someone is parked — a park/unpark costs ~220 ns, the unpark never
@@ -29,7 +32,9 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Who drives protocol progress: dedicated threads, or the calling thread.
+/// Who steps the protocol — takes arrivals through the transport and the
+/// receive engine, fires timers: the node's NIC thread, or the calling
+/// thread. Submission runs inline in the caller either way.
 ///
 /// The knob lives on `TransportConfig` (and is inherited by everything built
 /// on top of the endpoint — the node, its interfaces, MPI). The default is
@@ -37,12 +42,13 @@ use std::time::Duration;
 /// flip configuration defaults that consult [`ProgressMode::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// Dedicated transport-worker and dispatcher threads (the NIC-firmware
-    /// stand-in). Submission enqueues; completion crosses a thread handoff.
+    /// One thread per node (the NIC-firmware stand-in), parked on the node's
+    /// doorbell, steps the transport and runs the receive engine on what
+    /// arrives; callers block until it completes something for them.
     #[default]
     NicThread,
-    /// Threadless: the submitting/polling caller advances the transport, the
-    /// fabric and the receive engine inline. No queue hop, no handoff.
+    /// Threadless: the blocked or polling caller steps the transport, the
+    /// fabric and the receive engine inline. No handoff at all.
     CallerDriven,
 }
 
@@ -121,7 +127,7 @@ impl std::fmt::Debug for Readiness {
 impl Readiness {
     /// Raw datagrams queued at the NIC (set by fabric delivery).
     pub const INBOUND: u64 = 1 << 0;
-    /// Reassembled messages queued from transport to the node dispatcher.
+    /// Reassembled messages queued from the transport step to dispatch.
     pub const DELIVERED: u64 = 1 << 1;
     /// A completion (event push, counter bump, raw enqueue) performed by a
     /// thread other than the waiter.

@@ -623,7 +623,7 @@ proptest! {
         prop_assert_eq!(rx.stats().messages_delivered, expect.len() as u64);
 
         // Through a node: every intact put is delivered, the rest is garbage,
-        // and the dispatcher is still alive to take one more.
+        // and the NIC thread is still alive to take one more.
         let fabric = Fabric::ideal();
         let node = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
         let ni = node.create_ni(1, NiConfig::default()).unwrap();
