@@ -13,7 +13,7 @@
 //! compute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use portals_runtime::{Collectives, Job, JobConfig, ProcessEnv, ReduceOp, TriggeredConfig};
+use portals_runtime::{Collectives, Job, JobConfig, ProcessEnv, ReduceOp};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ where
     let nanos2 = nanos.clone();
     Job::launch(n, JobConfig::default(), move |env| {
         let host = Collectives::new(env.comm.clone());
-        let off = Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+        let off = Collectives::triggered(env.comm.clone());
         host.barrier();
         let t0 = Instant::now();
         for _ in 0..iters {

@@ -25,7 +25,7 @@ use portals_mpi::{MpiConfig, Protocol};
 use portals_net::{FabricConfig, FaultPlan, LinkModel};
 use portals_obs::{Layer, MetricValue, Obs, Registry, RingSink, Stage};
 use portals_pfs::{FileServer, FsClient};
-use portals_runtime::{Collectives, Job, JobConfig, ProcessEnv, ReduceOp, TriggeredConfig};
+use portals_runtime::{Collectives, Job, JobConfig, ProcessEnv, ReduceOp};
 use portals_types::{MatchCriteria, NodeId, ProcessId, Rank};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -375,7 +375,7 @@ fn workload(env: &ProcessEnv, server: ProcessId) {
     }
 
     // 3. Offloaded triggered collectives: allreduce + bcast + barrier rounds.
-    let off = Collectives::with_triggered(comm.clone(), TriggeredConfig { offload: true });
+    let off = Collectives::triggered(comm.clone());
     for round in 0..4usize {
         let mut v = vec![me as f64 + round as f64; 8];
         off.allreduce(&mut v, ReduceOp::Sum);
@@ -444,7 +444,10 @@ fn run_overload_cell(
             slab_min_free: 2048,
             ..Default::default()
         },
-        flow_control: cell.flow_control,
+        ni: NiConfig {
+            flow_control: cell.flow_control,
+            ..JobConfig::default().ni
+        },
         obs: obs.clone(),
         ..Default::default()
     };

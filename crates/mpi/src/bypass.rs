@@ -24,7 +24,7 @@
 use crate::comm::{Communicator, Mpi};
 use crate::config::MpiConfig;
 use crate::request::Request;
-use portals::{NiConfig, Node, NodeConfig, ProgressModel};
+use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
 use portals_net::{Fabric, FabricConfig, LinkModel};
 use portals_types::{NodeId, ProcessId, Rank};
 use std::hint::black_box;
@@ -44,8 +44,8 @@ pub struct BypassConfig {
     pub test_calls_during_work: usize,
     /// Iterations to average over.
     pub repeats: usize,
-    /// Progress model for both interfaces.
-    pub progress: ProgressModel,
+    /// Who runs the protocol on both nodes.
+    pub progress: ProgressMode,
     /// MPI protocol/tuning for both processes.
     pub mpi: MpiConfig,
     /// Link timing for the simulated fabric.
@@ -61,7 +61,7 @@ impl BypassConfig {
             work_iterations,
             test_calls_during_work: 0,
             repeats: 5,
-            progress: ProgressModel::ApplicationBypass,
+            progress: ProgressMode::from_env(),
             mpi: MpiConfig::default(),
             link: LinkModel::myrinet_2001(),
         }
@@ -70,7 +70,7 @@ impl BypassConfig {
     /// The paper's MPICH/GM-style configuration at a given work interval.
     pub fn gm_style(work_iterations: u64) -> BypassConfig {
         BypassConfig {
-            progress: ProgressModel::HostDriven,
+            progress: ProgressMode::HostDriven,
             mpi: MpiConfig::gm_style(),
             ..Self::portals_style(work_iterations)
         }
@@ -134,14 +134,17 @@ pub fn run_point(cfg: BypassConfig) -> BypassPoint {
 /// allocations, pool fills), one timed. Returns rank 0's (work, wait).
 fn run_once(cfg: BypassConfig) -> (Duration, Duration) {
     let fabric = Fabric::new(FabricConfig::default().with_link(cfg.link));
-    let node0 = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
-    let node1 = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
-    let ni_cfg = NiConfig {
-        progress: cfg.progress,
+    let node_cfg = NodeConfig {
+        transport: TransportConfig {
+            progress_mode: cfg.progress,
+            ..Default::default()
+        },
         ..Default::default()
     };
-    let ni0 = node0.create_ni(1, ni_cfg.clone()).unwrap();
-    let ni1 = node1.create_ni(1, ni_cfg).unwrap();
+    let node0 = Node::new(fabric.attach(NodeId(0)), node_cfg.clone());
+    let node1 = Node::new(fabric.attach(NodeId(1)), node_cfg);
+    let ni0 = node0.create_ni(1, NiConfig::default()).unwrap();
+    let ni1 = node1.create_ni(1, NiConfig::default()).unwrap();
     let ranks = vec![ProcessId::new(0, 1), ProcessId::new(1, 1)];
 
     let mpi0 = Mpi::init(ni0, ranks.clone(), Rank(0), cfg.mpi).unwrap();

@@ -21,8 +21,8 @@
 //!   application computes instead of calling MPI, nothing moves — the behaviour
 //!   Figure 6 shows for MPICH/GM.
 //!
-//! Combined with the interface progress models
-//! ([`ProgressModel`](portals::ProgressModel)), this reproduces the paper's
+//! Combined with the node's progress mode
+//! ([`ProgressMode`](portals::ProgressMode)), this reproduces the paper's
 //! §5.3 experiment: see [`bypass`].
 //!
 //! MPI ordering (non-overtaking) holds because the transport is ordered per

@@ -55,8 +55,7 @@
 //! passive-target epoch calls [`Window::lock_all`] / [`Window::unlock_all`]
 //! delimit access epochs: `unlock_all` completes every outstanding operation
 //! at the origin. [`Window::sync`] (flush + barrier) is the active-target
-//! fence equivalent and the migration target for the deprecated
-//! [`Window::fence`].
+//! fence equivalent.
 
 use crate::comm::Communicator;
 use portals::{
@@ -597,7 +596,7 @@ impl Window {
 
     /// Active-target synchronization: complete local operations, then
     /// barrier, so afterwards every rank observes every other rank's
-    /// accesses. The migration target for the deprecated [`Window::fence`].
+    /// accesses (`MPI_Win_fence`).
     pub fn sync(&mut self) -> PtlResult<()> {
         self.flush_all()?;
         self.comm.barrier();
@@ -619,30 +618,6 @@ impl Window {
     pub fn notified(&self) -> PtlResult<u64> {
         let ni = self.comm.engine().ni();
         Ok(ni.ct_get(self.notify_ct)?.success)
-    }
-
-    // ----- deprecated MPI-2-era surface ------------------------------------
-
-    /// Blocking-era one-sided write.
-    #[deprecated(note = "use `rput` (or the `put_to` builder) and complete \
-                         with `wait`/`flush_all`")]
-    pub fn put(&mut self, target: Rank, offset: u64, data: &[u8]) -> PtlResult<()> {
-        self.rput(target, offset, data).map(|_req| ())
-    }
-
-    /// Blocking-era one-sided read.
-    #[deprecated(note = "use `rget` (or the `get_from` builder) and claim the \
-                         bytes with `wait`")]
-    pub fn get(&mut self, target: Rank, offset: u64, len: usize) -> PtlResult<Vec<u8>> {
-        let req = self.rget(target, offset, len)?;
-        Ok(self.wait(req)?.expect("rget requests carry a result"))
-    }
-
-    /// MPI-2-era fence.
-    #[deprecated(note = "use `sync` (flush_all + barrier), or \
-                         `lock_all`/`unlock_all` passive epochs")]
-    pub fn fence(&mut self) -> PtlResult<()> {
-        self.sync()
     }
 }
 

@@ -1,6 +1,7 @@
-//! MPI-semantics tests across both protocols and both progress models.
+//! MPI-semantics tests across both protocols, with the receive rules run by
+//! the NIC side (whichever `PORTALS_PROGRESS_MODE` selects) and by the host.
 
-use portals::{NiConfig, Node, NodeConfig, ProgressModel, Region};
+use portals::{NiConfig, Node, NodeConfig, ProgressMode, Region, TransportConfig};
 use portals_mpi::{Communicator, Completion, Mpi, MpiConfig, Protocol};
 use portals_net::Fabric;
 use portals_types::{NodeId, ProcessId, Rank};
@@ -10,7 +11,7 @@ use std::time::Duration;
 /// in its own thread; returns when all finish.
 fn world_run(
     n: usize,
-    progress: ProgressModel,
+    progress: ProgressMode,
     mpi_cfg: MpiConfig,
     f: impl Fn(Communicator) + Send + Sync + 'static,
 ) {
@@ -20,28 +21,27 @@ fn world_run(
 /// [`world_run`] with a per-rank MPI configuration.
 fn world_run_with(
     n: usize,
-    progress: ProgressModel,
+    progress: ProgressMode,
     mpi_cfg: impl Fn(usize) -> MpiConfig,
     f: impl Fn(Communicator) + Send + Sync + 'static,
 ) {
     let fabric = Fabric::ideal();
     let ranks: Vec<ProcessId> = (0..n).map(|i| ProcessId::new(i as u32, 1)).collect();
+    let config = || NodeConfig {
+        transport: TransportConfig {
+            progress_mode: progress,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
     let nodes: Vec<Node> = (0..n)
-        .map(|i| Node::new(fabric.attach(NodeId(i as u32)), NodeConfig::default()))
+        .map(|i| Node::new(fabric.attach(NodeId(i as u32)), config()))
         .collect();
     let mpis: Vec<Mpi> = nodes
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            let ni = node
-                .create_ni(
-                    1,
-                    NiConfig {
-                        progress,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+            let ni = node.create_ni(1, NiConfig::default()).unwrap();
             Mpi::init(ni, ranks.clone(), Rank(i as u32), mpi_cfg(i)).unwrap()
         })
         .collect();
@@ -60,12 +60,12 @@ fn world_run_with(
 }
 
 /// All four (protocol × progress) combinations under test.
-fn all_stacks() -> Vec<(ProgressModel, MpiConfig)> {
+fn all_stacks() -> Vec<(ProgressMode, MpiConfig)> {
     vec![
-        (ProgressModel::ApplicationBypass, MpiConfig::default()),
-        (ProgressModel::HostDriven, MpiConfig::default()),
-        (ProgressModel::ApplicationBypass, MpiConfig::gm_style()),
-        (ProgressModel::HostDriven, MpiConfig::gm_style()),
+        (ProgressMode::from_env(), MpiConfig::default()),
+        (ProgressMode::HostDriven, MpiConfig::default()),
+        (ProgressMode::from_env(), MpiConfig::gm_style()),
+        (ProgressMode::HostDriven, MpiConfig::gm_style()),
     ]
 }
 
@@ -242,24 +242,19 @@ fn barrier_synchronizes_all_ranks() {
 
 #[test]
 fn communicator_contexts_isolate_traffic() {
-    world_run(
-        2,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            let comm2 = comm.dup();
-            if comm.rank() == Rank(0) {
-                // Same tag on two communicators: must not cross.
-                comm2.send(Rank(1), 5, b"on-comm2");
-                comm.send(Rank(1), 5, b"on-world");
-            } else {
-                let (w, _) = comm.recv(Some(Rank(0)), Some(5), 32);
-                assert_eq!(w, b"on-world");
-                let (d, _) = comm2.recv(Some(Rank(0)), Some(5), 32);
-                assert_eq!(d, b"on-comm2");
-            }
-        },
-    );
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        let comm2 = comm.dup();
+        if comm.rank() == Rank(0) {
+            // Same tag on two communicators: must not cross.
+            comm2.send(Rank(1), 5, b"on-comm2");
+            comm.send(Rank(1), 5, b"on-world");
+        } else {
+            let (w, _) = comm.recv(Some(Rank(0)), Some(5), 32);
+            assert_eq!(w, b"on-world");
+            let (d, _) = comm2.recv(Some(Rank(0)), Some(5), 32);
+            assert_eq!(d, b"on-comm2");
+        }
+    });
 }
 
 #[test]
@@ -314,8 +309,8 @@ fn waitall_on_mixed_batch() {
 #[test]
 fn ring_pipeline_many_ranks() {
     for (progress, cfg) in [
-        (ProgressModel::ApplicationBypass, MpiConfig::default()),
-        (ProgressModel::HostDriven, MpiConfig::gm_style()),
+        (ProgressMode::from_env(), MpiConfig::default()),
+        (ProgressMode::HostDriven, MpiConfig::gm_style()),
     ] {
         world_run(6, progress, cfg, |comm| {
             let n = comm.size() as u32;
@@ -347,24 +342,19 @@ fn ring_pipeline_many_ranks() {
 #[test]
 fn irecv_before_send_gets_direct_delivery() {
     // EagerDirect: a pre-posted receive means zero unexpected buffering.
-    world_run(
-        2,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            if comm.rank() == Rank(1) {
-                let buf = Region::zeroed(64 * 1024);
-                let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
-                comm.barrier();
-                let st = comm.wait(req).status().unwrap();
-                assert_eq!(st.len, 64 * 1024);
-                assert_eq!(comm.engine().unexpected_pending(), 0);
-            } else {
-                comm.barrier();
-                comm.send(Rank(1), 1, &vec![5u8; 64 * 1024]);
-            }
-        },
-    );
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        if comm.rank() == Rank(1) {
+            let buf = Region::zeroed(64 * 1024);
+            let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
+            comm.barrier();
+            let st = comm.wait(req).status().unwrap();
+            assert_eq!(st.len, 64 * 1024);
+            assert_eq!(comm.engine().unexpected_pending(), 0);
+        } else {
+            comm.barrier();
+            comm.send(Rank(1), 1, &vec![5u8; 64 * 1024]);
+        }
+    });
 }
 
 #[test]
@@ -381,7 +371,7 @@ fn slab_rotation_under_many_unexpected_messages() {
     // MPI calls — the paper's point about sizing unexpected-message memory to
     // application behaviour (§4.1). Send in waves that fit the attached
     // slabs, with a handshake (which drains and replenishes) between waves.
-    world_run(2, ProgressModel::ApplicationBypass, cfg, |comm| {
+    world_run(2, ProgressMode::from_env(), cfg, |comm| {
         let waves = 5u32;
         let per_wave = 8u32; // 8 × 8 KiB = 64 KiB per wave ≤ attached capacity
         if comm.rank() == Rank(0) {
@@ -436,31 +426,26 @@ fn probe_reports_length_then_recv_consumes() {
 
 #[test]
 fn wait_any_returns_first_completion() {
-    world_run(
-        3,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            if comm.rank() == Rank(0) {
-                // Two receives; rank 2 answers promptly, rank 1 after a delay.
-                let buf1 = Region::zeroed(8);
-                let buf2 = Region::zeroed(8);
-                let r1 = comm.irecv(Some(Rank(1)), Some(1), buf1);
-                let r2 = comm.irecv(Some(Rank(2)), Some(1), buf2);
-                let (idx, c) = comm.engine().wait_any(&[r1, r2]);
-                assert_eq!(idx, 1, "rank 2's message lands first");
-                assert_eq!(c.status().unwrap().source, Rank(2));
-                let (idx, c) = comm.engine().wait_any(&[r1]);
-                assert_eq!(idx, 0);
-                assert_eq!(c.status().unwrap().source, Rank(1));
-            } else if comm.rank() == Rank(1) {
-                std::thread::sleep(Duration::from_millis(80));
-                comm.send(Rank(0), 1, b"late");
-            } else {
-                comm.send(Rank(0), 1, b"fast");
-            }
-        },
-    );
+    world_run(3, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        if comm.rank() == Rank(0) {
+            // Two receives; rank 2 answers promptly, rank 1 after a delay.
+            let buf1 = Region::zeroed(8);
+            let buf2 = Region::zeroed(8);
+            let r1 = comm.irecv(Some(Rank(1)), Some(1), buf1);
+            let r2 = comm.irecv(Some(Rank(2)), Some(1), buf2);
+            let (idx, c) = comm.engine().wait_any(&[r1, r2]);
+            assert_eq!(idx, 1, "rank 2's message lands first");
+            assert_eq!(c.status().unwrap().source, Rank(2));
+            let (idx, c) = comm.engine().wait_any(&[r1]);
+            assert_eq!(idx, 0);
+            assert_eq!(c.status().unwrap().source, Rank(1));
+        } else if comm.rank() == Rank(1) {
+            std::thread::sleep(Duration::from_millis(80));
+            comm.send(Rank(0), 1, b"late");
+        } else {
+            comm.send(Rank(0), 1, b"fast");
+        }
+    });
 }
 
 /// `wait_any` used to panic ("event queue failure") when the MPI event queue
@@ -486,7 +471,7 @@ fn wait_any_recovers_from_event_queue_overflow() {
             MpiConfig::default()
         }
     };
-    world_run_with(2, ProgressModel::HostDriven, cfg, |comm| {
+    world_run_with(2, ProgressMode::HostDriven, cfg, |comm| {
         if comm.rank() == Rank(0) {
             let awaited = comm.irecv(Some(Rank(1)), Some(99), Region::zeroed(8));
             let flood = {
@@ -540,7 +525,7 @@ fn irecv_racing_its_rendezvous_announcement() {
         },
         ..MpiConfig::default()
     };
-    world_run(2, ProgressModel::ApplicationBypass, cfg, |comm| {
+    world_run(2, ProgressMode::from_env(), cfg, |comm| {
         if comm.rank() == Rank(0) {
             let data = Region::zeroed(LEN);
             for _ in 0..ROUNDS {
@@ -561,50 +546,40 @@ fn irecv_racing_its_rendezvous_announcement() {
 
 #[test]
 fn iprobe_wildcards() {
-    world_run(
-        2,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            if comm.rank() == Rank(0) {
-                comm.send(Rank(1), 33, b"x");
-            } else {
-                // Wait for it with a fully wild probe.
-                let st = comm.probe(None, None);
-                assert_eq!(st.tag, 33);
-                assert_eq!(st.source, Rank(0));
-                assert!(comm.iprobe(Some(Rank(0)), Some(34)).is_none(), "wrong tag");
-                let _ = comm.recv(None, None, 8);
-            }
-        },
-    );
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        if comm.rank() == Rank(0) {
+            comm.send(Rank(1), 33, b"x");
+        } else {
+            // Wait for it with a fully wild probe.
+            let st = comm.probe(None, None);
+            assert_eq!(st.tag, 33);
+            assert_eq!(st.source, Rank(0));
+            assert!(comm.iprobe(Some(Rank(0)), Some(34)).is_none(), "wrong tag");
+            let _ = comm.recv(None, None, 8);
+        }
+    });
 }
 
 #[test]
 fn concurrent_pairs_do_not_interfere() {
     // 4 ranks: (0,1) and (2,3) exchange heavy traffic simultaneously.
-    world_run(
-        4,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            let me = comm.rank().0;
-            let partner = Rank(me ^ 1);
-            for i in 0..30u32 {
-                let tag = 1;
-                let msg = vec![(me as u8) ^ (i as u8); 2048];
-                if me % 2 == 0 {
-                    comm.send(partner, tag, &msg);
-                    let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
-                    assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
-                } else {
-                    let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
-                    assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
-                    comm.send(partner, tag, &msg);
-                }
+    world_run(4, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        let me = comm.rank().0;
+        let partner = Rank(me ^ 1);
+        for i in 0..30u32 {
+            let tag = 1;
+            let msg = vec![(me as u8) ^ (i as u8); 2048];
+            if me % 2 == 0 {
+                comm.send(partner, tag, &msg);
+                let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
+                assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
+            } else {
+                let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
+                assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
+                comm.send(partner, tag, &msg);
             }
-        },
-    );
+        }
+    });
 }
 
 #[test]
@@ -612,52 +587,42 @@ fn small_send_slabs_are_pooled_and_recycled() {
     // A ping-pong loop long enough for acks to return slabs to the pool:
     // after warm-up nearly every small send should reuse a slab rather than
     // allocate, and the counter must converge accordingly.
-    world_run(
-        2,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            let me = comm.rank().0;
-            let partner = Rank(me ^ 1);
-            for i in 0..100u32 {
-                let msg = [i as u8; 32];
-                if me == 0 {
-                    comm.send(partner, 7, &msg);
-                    let _ = comm.recv(Some(partner), Some(7), 64);
-                } else {
-                    let _ = comm.recv(Some(partner), Some(7), 64);
-                    comm.send(partner, 7, &msg);
-                }
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        let me = comm.rank().0;
+        let partner = Rank(me ^ 1);
+        for i in 0..100u32 {
+            let msg = [i as u8; 32];
+            if me == 0 {
+                comm.send(partner, 7, &msg);
+                let _ = comm.recv(Some(partner), Some(7), 64);
+            } else {
+                let _ = comm.recv(Some(partner), Some(7), 64);
+                comm.send(partner, 7, &msg);
             }
-            let pooled = comm.engine().regions_pooled();
-            let allocated = comm.engine().regions_allocated();
-            assert_eq!(pooled + allocated, 100, "every small send is pool-eligible");
-            assert!(
-                pooled >= 90,
-                "expected ≥90 of 100 sends served from the pool, got {pooled} \
+        }
+        let pooled = comm.engine().regions_pooled();
+        let allocated = comm.engine().regions_allocated();
+        assert_eq!(pooled + allocated, 100, "every small send is pool-eligible");
+        assert!(
+            pooled >= 90,
+            "expected ≥90 of 100 sends served from the pool, got {pooled} \
                  (allocated {allocated})"
-            );
-        },
-    );
+        );
+    });
 }
 
 #[test]
 fn oversize_sends_bypass_the_pool() {
-    world_run(
-        2,
-        ProgressModel::ApplicationBypass,
-        MpiConfig::default(),
-        |comm| {
-            let me = comm.rank().0;
-            if me == 0 {
-                // Larger than MpiConfig::default().pool_slab (2048).
-                comm.send(Rank(1), 3, &vec![9u8; 8192]);
-                assert_eq!(comm.engine().regions_pooled(), 0);
-                assert_eq!(comm.engine().regions_allocated(), 0);
-            } else {
-                let (data, _) = comm.recv(Some(Rank(0)), Some(3), 16384);
-                assert_eq!(data.len(), 8192);
-            }
-        },
-    );
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        let me = comm.rank().0;
+        if me == 0 {
+            // Larger than MpiConfig::default().pool_slab (2048).
+            comm.send(Rank(1), 3, &vec![9u8; 8192]);
+            assert_eq!(comm.engine().regions_pooled(), 0);
+            assert_eq!(comm.engine().regions_allocated(), 0);
+        } else {
+            let (data, _) = comm.recv(Some(Rank(0)), Some(3), 16384);
+            assert_eq!(data.len(), 8192);
+        }
+    });
 }

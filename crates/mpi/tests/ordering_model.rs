@@ -6,7 +6,7 @@
 //! rule — each receive takes the *earliest unconsumed* message its signature
 //! matches — and the real stacks must deliver exactly the same assignment.
 
-use portals::{NiConfig, Node, NodeConfig, ProgressModel};
+use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
 use portals_mpi::{Communicator, Mpi, MpiConfig};
 use portals_net::Fabric;
 use portals_types::{NodeId, ProcessId, Rank};
@@ -45,25 +45,23 @@ fn reference(messages: &[Msg], recvs: &[RecvSpec]) -> Vec<u8> {
 fn run_world(
     messages: Vec<Msg>,
     recvs: Vec<RecvSpec>,
-    progress: ProgressModel,
+    progress: ProgressMode,
     cfg: MpiConfig,
 ) -> Vec<u8> {
     let fabric = Fabric::ideal();
     let ranks = vec![ProcessId::new(0, 1), ProcessId::new(1, 1)];
-    let n0 = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
-    let n1 = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
-    let ni_cfg = NiConfig {
-        progress,
+    let node_cfg = NodeConfig {
+        transport: TransportConfig {
+            progress_mode: progress,
+            ..Default::default()
+        },
         ..Default::default()
     };
-    let mpi0 = Mpi::init(
-        n0.create_ni(1, ni_cfg.clone()).unwrap(),
-        ranks.clone(),
-        Rank(0),
-        cfg,
-    )
-    .unwrap();
-    let mpi1 = Mpi::init(n1.create_ni(1, ni_cfg).unwrap(), ranks, Rank(1), cfg).unwrap();
+    let n0 = Node::new(fabric.attach(NodeId(0)), node_cfg.clone());
+    let n1 = Node::new(fabric.attach(NodeId(1)), node_cfg);
+    let ni = |n: &Node| n.create_ni(1, NiConfig::default()).unwrap();
+    let mpi0 = Mpi::init(ni(&n0), ranks.clone(), Rank(0), cfg).unwrap();
+    let mpi1 = Mpi::init(ni(&n1), ranks, Rank(1), cfg).unwrap();
 
     let sender_msgs = messages.clone();
     let sender = std::thread::spawn(move || {
@@ -147,7 +145,7 @@ proptest! {
         let got = run_world(
             messages,
             recvs,
-            ProgressModel::ApplicationBypass,
+            ProgressMode::from_env(),
             MpiConfig::default(),
         );
         prop_assert_eq!(got, expect);
@@ -159,7 +157,7 @@ proptest! {
         let got = run_world(
             messages,
             recvs,
-            ProgressModel::HostDriven,
+            ProgressMode::HostDriven,
             MpiConfig::gm_style(),
         );
         prop_assert_eq!(got, expect);

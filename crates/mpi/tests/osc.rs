@@ -1,22 +1,15 @@
 //! One-sided RMA window semantics (§2/§4.4): nonblocking puts/gets, engine
-//! atomics, notified access, flush/epoch calls, and the deprecated MPI-2-era
-//! shims — under both progress models and both progress modes.
+//! atomics, notified access and flush/epoch calls — in every progress mode.
 
 use portals::{
-    AtomicDatatype, AtomicOp, NiConfig, Node, NodeConfig, ProgressMode, ProgressModel, Region,
-    TransportConfig,
+    AtomicDatatype, AtomicOp, NiConfig, Node, NodeConfig, ProgressMode, Region, TransportConfig,
 };
 use portals_mpi::{Communicator, Mpi, MpiConfig, Window};
 use portals_net::Fabric;
 use portals_types::{ErrorKind, NodeId, ProcessId, PtlError, Rank};
 use proptest::prelude::*;
 
-fn world_run_mode(
-    n: usize,
-    progress: ProgressModel,
-    mode: ProgressMode,
-    f: impl Fn(Communicator) + Send + Sync + 'static,
-) {
+fn world_run(n: usize, mode: ProgressMode, f: impl Fn(Communicator) + Send + Sync + 'static) {
     let fabric = Fabric::ideal();
     let ranks: Vec<ProcessId> = (0..n).map(|i| ProcessId::new(i as u32, 1)).collect();
     let config = || NodeConfig {
@@ -33,15 +26,7 @@ fn world_run_mode(
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            let ni = node
-                .create_ni(
-                    1,
-                    NiConfig {
-                        progress,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+            let ni = node.create_ni(1, NiConfig::default()).unwrap();
             Mpi::init(ni, ranks.clone(), Rank(i as u32), MpiConfig::default()).unwrap()
         })
         .collect();
@@ -59,13 +44,9 @@ fn world_run_mode(
     drop(nodes);
 }
 
-fn world_run(n: usize, progress: ProgressModel, f: impl Fn(Communicator) + Send + Sync + 'static) {
-    world_run_mode(n, progress, ProgressMode::NicThread, f)
-}
-
 #[test]
 fn put_lands_without_target_code() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(256);
         let mut win = Window::create(&comm, 1, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -82,7 +63,7 @@ fn put_lands_without_target_code() {
 
 #[test]
 fn get_reads_remote_window() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(vec![comm.rank().0 as u8 + 10; 128]);
         let mut win = Window::create(&comm, 2, local).unwrap();
         let other = Rank(1 - comm.rank().0);
@@ -99,7 +80,7 @@ fn get_reads_remote_window() {
 /// event, which parks on the readiness doorbell like every other blocked
 /// call. Exercise the identical workload in both progress modes.
 fn get_completes_without_polling(mode: ProgressMode) {
-    world_run_mode(2, ProgressModel::ApplicationBypass, mode, |comm| {
+    world_run(2, mode, |comm| {
         let local = Region::from_vec(vec![comm.rank().0 as u8 + 1; 64]);
         let mut win = Window::create(&comm, 20, local).unwrap();
         let other = Rank(1 - comm.rank().0);
@@ -126,7 +107,7 @@ fn get_completes_in_caller_driven_mode() {
 fn sync_orders_epochs() {
     // Epoch 1: everyone writes its rank to slot `rank` of rank 0's window.
     // Epoch 2: everyone reads the full array back from rank 0.
-    world_run(4, ProgressModel::ApplicationBypass, |comm| {
+    world_run(4, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(vec![0xffu8; 4]);
         let mut win = Window::create(&comm, 3, local).unwrap();
         let me = comm.rank().0;
@@ -141,7 +122,7 @@ fn sync_orders_epochs() {
 
 #[test]
 fn multiple_windows_are_isolated() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let buf_a = Region::zeroed(64);
         let buf_b = Region::zeroed(64);
         let mut win_a = Window::create(&comm, 10, buf_a.clone()).unwrap();
@@ -161,7 +142,7 @@ fn multiple_windows_are_isolated() {
 
 #[test]
 fn windows_coexist_with_two_sided_traffic() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(64);
         let mut win = Window::create(&comm, 7, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -181,7 +162,7 @@ fn windows_coexist_with_two_sided_traffic() {
 fn host_driven_target_serves_in_sync() {
     // Under a host-driven interface the one-sided put is only processed when
     // the target enters the library — its sync. The data still lands.
-    world_run(2, ProgressModel::HostDriven, |comm| {
+    world_run(2, ProgressMode::HostDriven, |comm| {
         let local = Region::zeroed(32);
         let mut win = Window::create(&comm, 9, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -196,7 +177,7 @@ fn host_driven_target_serves_in_sync() {
 
 #[test]
 fn out_of_range_access_is_rejected_not_corrupting() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(16);
         let mut win = Window::create(&comm, 12, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -225,7 +206,7 @@ fn out_of_range_access_is_rejected_not_corrupting() {
 
 #[test]
 fn accumulate_sums_at_target() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(100u64.to_le_bytes().to_vec());
         let mut win = Window::create(&comm, 30, local.clone()).unwrap();
         // Both ranks (including the target itself) add to rank 0's counter.
@@ -243,7 +224,7 @@ fn accumulate_sums_at_target() {
 
 #[test]
 fn fetch_and_op_returns_prior_value() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(7u64.to_le_bytes().to_vec());
         let mut win = Window::create(&comm, 31, local.clone()).unwrap();
         if comm.rank() == Rank(1) {
@@ -272,7 +253,7 @@ fn fetch_and_op_returns_prior_value() {
 
 #[test]
 fn compare_and_swap_succeeds_and_fails_by_prior_value() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(5u64.to_le_bytes().to_vec());
         let mut win = Window::create(&comm, 32, local.clone()).unwrap();
         if comm.rank() == Rank(1) {
@@ -299,7 +280,7 @@ fn compare_and_swap_succeeds_and_fails_by_prior_value() {
 
 #[test]
 fn get_accumulate_is_multi_lane() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let mut init = Vec::new();
         for lane in 0u64..4 {
             init.extend_from_slice(&(lane * 10).to_le_bytes());
@@ -330,7 +311,7 @@ fn get_accumulate_is_multi_lane() {
 #[test]
 fn concurrent_accumulates_match_the_sequential_sum() {
     const PER_RANK: u64 = 100;
-    world_run(4, ProgressModel::ApplicationBypass, |comm| {
+    world_run(4, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(8);
         let mut win = Window::create(&comm, 34, local.clone()).unwrap();
         win.lock_all();
@@ -358,7 +339,7 @@ fn notified_put_wakes_target_without_polling() {
     // when the notified put has landed. The initiator additionally runs
     // atomics against the same window to show they need no target code
     // either.
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(64);
         let mut win = Window::create(&comm, 40, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -391,7 +372,7 @@ fn notified_put_wakes_target_without_polling() {
 
 #[test]
 fn builder_spellings_round_trip() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(32);
         let mut win = Window::create(&comm, 50, local.clone()).unwrap();
         if comm.rank() == Rank(0) {
@@ -421,7 +402,7 @@ fn builder_spellings_round_trip() {
 
 #[test]
 fn flush_all_retires_puts_and_preserves_get_results() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::from_vec(vec![comm.rank().0 as u8; 16]);
         let mut win = Window::create(&comm, 51, local).unwrap();
         if comm.rank() == Rank(0) {
@@ -441,7 +422,7 @@ fn flush_all_retires_puts_and_preserves_get_results() {
 
 #[test]
 fn lock_all_epochs_complete_on_unlock() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let local = Region::zeroed(16);
         let mut win = Window::create(&comm, 52, local.clone()).unwrap();
         win.lock_all();
@@ -461,7 +442,7 @@ fn lock_all_epochs_complete_on_unlock() {
 
 #[test]
 fn rma_errors_fold_into_the_layered_error_kind() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
+    world_run(2, ProgressMode::NicThread, |comm| {
         let mut win = Window::create(&comm, 53, Region::zeroed(16)).unwrap();
         // A get spec without a length is rejected before anything is issued,
         // and the Portals error folds into the layered kind.
@@ -503,7 +484,7 @@ proptest! {
         let per_rank = std::sync::Arc::new(per_rank);
         let observed = std::sync::Arc::new(std::sync::Mutex::new(0u64));
         let observed_in = std::sync::Arc::clone(&observed);
-        world_run(3, ProgressModel::ApplicationBypass, move |comm| {
+        world_run(3, ProgressMode::NicThread, move |comm| {
             let local = Region::zeroed(8);
             let mut win = Window::create(&comm, 60, local.clone()).unwrap();
             win.lock_all();
@@ -521,24 +502,4 @@ proptest! {
         });
         prop_assert_eq!(*observed.lock().unwrap(), expected);
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_move_data() {
-    world_run(2, ProgressModel::ApplicationBypass, |comm| {
-        let local = Region::zeroed(32);
-        let mut win = Window::create(&comm, 54, local.clone()).unwrap();
-        if comm.rank() == Rank(0) {
-            win.put(Rank(1), 0, b"legacy").unwrap();
-            win.fence().unwrap();
-            let data = win.get(Rank(1), 0, 6).unwrap();
-            assert_eq!(data, b"legacy");
-            win.fence().unwrap();
-        } else {
-            win.fence().unwrap();
-            assert_eq!(&local.read_vec(0, 6)[..], b"legacy");
-            win.fence().unwrap();
-        }
-    });
 }

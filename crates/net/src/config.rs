@@ -80,9 +80,12 @@ pub struct FabricConfig {
     /// `obs.registry` and emits wire/drop trace events through `obs.tracer`.
     pub obs: Obs,
     /// Pump the timed wire from callers (`Nic::pump_wire`) instead of a
-    /// dedicated scheduler thread. The threadless progress mode sets this so
-    /// no thread at all stands between a send and its delivery; meaningless
-    /// (ignored) when the wire qualifies for full bypass anyway.
+    /// dedicated scheduler thread, so no thread at all stands between a send
+    /// and its delivery. Nothing derives this from the progress mode: only
+    /// tests set it (the fabric's own, and the transport's caller-driven
+    /// loss test), and a caller-driven job on a timed or faulty fabric keeps
+    /// the scheduler thread. Meaningless (ignored) when the wire qualifies
+    /// for full bypass anyway.
     pub caller_driven_wire: bool,
 }
 

@@ -30,7 +30,7 @@ mod mmsg;
 mod rendezvous;
 mod stats;
 
-pub use link::{UdpLink, UdpLinkConfig, DEFAULT_BATCH};
+pub use link::{UdpLink, UdpLinkConfig};
 pub use mmsg::UDP_MAX_DATAGRAM;
 pub use rendezvous::{register, RendezvousServer, RendezvousTicket};
 pub use stats::{UdpStats, UdpStatsSnapshot};

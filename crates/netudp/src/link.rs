@@ -29,14 +29,11 @@ const RX_POLL: Duration = Duration::from_millis(5);
 /// than a retransmission timeout.
 const SEND_RETRIES: u32 = 16;
 
-/// Default `sendmmsg`/`recvmmsg` vector length: how many datagrams one
-/// kernel crossing moves at most. 32 × 1432-byte frames ≈ 45 KiB per
-/// syscall; past that the copy dominates and bigger vectors stop paying.
-pub const DEFAULT_BATCH: usize = 32;
-
-/// Hard ceiling on the batch vector length (`IOV_MAX`-scale safety bound;
-/// the rx thread allocates one 64 KiB buffer per slot).
-const MAX_BATCH: usize = 256;
+/// `sendmmsg`/`recvmmsg` vector length: how many datagrams one kernel
+/// crossing moves at most. 32 × 1432-byte frames ≈ 45 KiB per syscall; past
+/// that the copy dominates and bigger vectors stop paying. The rx thread
+/// allocates one 64 KiB buffer per slot.
+const BATCH: usize = 32;
 
 /// Back off before retry `attempt` (1-based): two free yields for
 /// scheduling blips, then an exponentially growing sleep from 10 µs capped
@@ -92,17 +89,12 @@ pub struct UdpLinkConfig {
     /// physically carry), and the rendezvous exchange negotiates a job-wide
     /// value via [`UdpLink::set_max_payload`].
     pub max_payload: usize,
-    /// Max datagrams per batched wire call (`sendmmsg`/`recvmmsg` vector
-    /// length). `1` disables batching: one syscall per datagram, the
-    /// pre-batching wire, kept as the differential baseline. Clamped to
-    /// `[1, 256]`.
-    pub batch: usize,
     /// Send-side seeded loss shim: probability in `[0, 1]` that a datagram
     /// is silently dropped instead of sent. Real loss recovery (the
     /// transport's go-back-N machinery) can then be exercised over a
     /// loopback wire that never loses anything by itself. Drop decisions
     /// are made per datagram *below* the batch boundary — inside the mmsg
-    /// vector — so loss tests exercise recovery over the batched wire too.
+    /// vector — in submission order, whichever entry point carried it.
     pub loss: f64,
     /// Seed for the loss shim (deterministic per link instance).
     pub seed: u64,
@@ -116,7 +108,6 @@ impl Default for UdpLinkConfig {
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             nid: NodeId(0),
             max_payload: 1432,
-            batch: DEFAULT_BATCH,
             loss: 0.0,
             seed: 0,
             obs: Obs::default(),
@@ -139,7 +130,7 @@ fn clamp_payload(max_payload: usize) -> usize {
 /// in-process fabric's scheduler thread provides, with one doorbell ring per
 /// received batch. Sends go straight to the socket from the calling thread;
 /// [`Link::send_batch`] moves a whole vector of datagrams per `sendmmsg`
-/// call.
+/// call, and [`Link::send`] is a vector of one through the same path.
 ///
 /// Peer routing: a [`NodeId`] → [`SocketAddr`] table, seeded explicitly via
 /// [`UdpLink::set_peer`] (from the rendezvous exchange) and kept fresh by
@@ -158,7 +149,6 @@ pub struct UdpLink {
     /// negotiated job-wide value after bind but before the transport reads
     /// [`Link::max_datagram`].
     max_payload: AtomicUsize,
-    batch: usize,
     loss: f64,
     rng: Mutex<SmallRng>,
     shutdown: Arc<AtomicBool>,
@@ -180,7 +170,6 @@ impl UdpLink {
         let local_addr = socket.local_addr()?;
         let rx_socket = socket.try_clone()?;
         rx_socket.set_read_timeout(Some(RX_POLL))?;
-        let batch = cfg.batch.clamp(1, MAX_BATCH);
 
         let (in_tx, in_rx) = crossbeam::channel::unbounded();
         let readiness = Arc::new(Readiness::new());
@@ -196,7 +185,6 @@ impl UdpLink {
             readiness: Arc::clone(&readiness),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
-            batch,
         };
         let rx_thread = std::thread::Builder::new()
             .name(format!("portals-udp-rx-{}", cfg.nid.0))
@@ -212,7 +200,6 @@ impl UdpLink {
             drivers: Arc::new(DriverRegistry::new()),
             stats,
             max_payload: AtomicUsize::new(clamp_payload(cfg.max_payload)),
-            batch,
             loss: cfg.loss,
             rng: Mutex::new(SmallRng::seed_from_u64(cfg.seed)),
             shutdown,
@@ -257,11 +244,6 @@ impl UdpLink {
             .store(clamp_payload(max_payload), Ordering::Relaxed);
     }
 
-    /// The configured batch vector length (1 = unbatched wire).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     /// Snapshot the `net.udp.*` counters.
     pub fn stats(&self) -> UdpStatsSnapshot {
         self.stats.snapshot()
@@ -280,38 +262,33 @@ impl UdpLink {
     }
 
     /// The per-datagram drop decision of the seeded loss shim. Sits below
-    /// the batch boundary: callers consult it per datagram while building
-    /// an mmsg vector, so batched and unbatched wires draw the same RNG
-    /// sequence for the same send stream.
+    /// the batch boundary: consulted per datagram while building an mmsg
+    /// vector, so the same send stream draws the same RNG sequence however
+    /// it was cut into vectors.
     fn shim_drops(&self) -> bool {
         self.loss > 0.0 && self.rng.lock().gen::<f64>() < self.loss
     }
 
-    fn send_datagram(&self, dst: NodeId, payload: &Gather) {
-        let Some(addr) = self.peer_addr(dst) else {
-            self.stats.unroutable.inc();
-            return;
-        };
-        if self.shim_drops() {
-            self.stats.shim_dropped.inc();
-            return;
+    /// The one tx path, for a vector of any length including one: frame,
+    /// shim, `sendmmsg` in chunks of [`BATCH`].
+    fn transmit(&self, batch: &[(NodeId, Gather)]) {
+        // Resolve and apply the loss shim per datagram while building the
+        // vector: the shim sits below the batch boundary, so a dropped
+        // datagram simply never enters the mmsg vector.
+        let mut frames: Vec<(SocketAddr, Vec<u8>)> = Vec::with_capacity(batch.len());
+        for (dst, payload) in batch {
+            let Some(addr) = self.peer_addr(*dst) else {
+                self.stats.unroutable.inc();
+                continue;
+            };
+            if self.shim_drops() {
+                self.stats.shim_dropped.inc();
+                continue;
+            }
+            frames.push((addr, self.encode_frame(*dst, payload)));
         }
-        let buf = self.encode_frame(dst, payload);
-        match retry_transient(&self.stats.wouldblock_retries, || {
-            self.socket.send_to(&buf, addr)
-        }) {
-            Ok(_) => {
-                self.stats.datagrams_sent.inc();
-                self.stats.bytes_sent.add(payload.len() as u64);
-                self.stats.frame_bytes_sent.add(buf.len() as u64);
-                self.stats.batches_sent.inc();
-                self.stats.send_batch_frames.observe(1);
-            }
-            Err(_) => {
-                // Unreachable port, exhausted retries, … — an unreliable
-                // link drops and the transport recovers.
-                self.stats.send_errors.inc();
-            }
+        for chunk in frames.chunks(BATCH) {
+            self.send_frames(chunk);
         }
     }
 
@@ -351,34 +328,11 @@ impl Link for UdpLink {
     }
 
     fn send(&self, dst: NodeId, payload: Gather) {
-        self.send_datagram(dst, &payload);
+        self.transmit(&[(dst, payload)]);
     }
 
     fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
-        if self.batch <= 1 || batch.len() <= 1 {
-            for (dst, payload) in batch {
-                self.send_datagram(dst, &payload);
-            }
-            return;
-        }
-        // Resolve and apply the loss shim per datagram while building the
-        // vector: the shim sits below the batch boundary, so a dropped
-        // datagram simply never enters the mmsg vector.
-        let mut frames: Vec<(SocketAddr, Vec<u8>)> = Vec::with_capacity(batch.len());
-        for (dst, payload) in &batch {
-            let Some(addr) = self.peer_addr(*dst) else {
-                self.stats.unroutable.inc();
-                continue;
-            };
-            if self.shim_drops() {
-                self.stats.shim_dropped.inc();
-                continue;
-            }
-            frames.push((addr, self.encode_frame(*dst, payload)));
-        }
-        for chunk in frames.chunks(self.batch) {
-            self.send_frames(chunk);
-        }
+        self.transmit(&batch);
     }
 
     fn inbound_receiver(&self) -> Receiver<Datagram> {
@@ -429,7 +383,6 @@ struct RxThread {
     readiness: Arc<Readiness>,
     stats: Arc<UdpStats>,
     shutdown: Arc<AtomicBool>,
-    batch: usize,
 }
 
 impl RxThread {
@@ -437,22 +390,13 @@ impl RxThread {
         // One max-size buffer per batch slot: frames above max_payload
         // still parse (the bound is a courtesy to senders, not a
         // receive-side limit).
-        let mut bufs: Vec<Vec<u8>> = (0..self.batch).map(|_| vec![0u8; 65536]).collect();
-        let mut metas: Vec<RecvMeta> = Vec::with_capacity(self.batch);
+        let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 65536]).collect();
+        let mut metas: Vec<RecvMeta> = Vec::with_capacity(BATCH);
         while !self.shutdown.load(Ordering::Acquire) {
             metas.clear();
-            let received = if self.batch > 1 {
-                // Block (up to RX_POLL) for the first datagram, drain
-                // whatever else is already queued in the same syscall.
-                mmsg::recv_batch(&self.socket, &mut bufs, &mut metas)
-            } else {
-                // Unbatched wire: the classic one-recv_from-per-datagram
-                // path, kept bit-for-bit as the differential baseline.
-                self.socket.recv_from(&mut bufs[0]).map(|(len, addr)| {
-                    metas.push(RecvMeta { buf: 0, len, addr });
-                    1
-                })
-            };
+            // Block (up to RX_POLL) for the first datagram, drain whatever
+            // else is already queued in the same syscall.
+            let received = mmsg::recv_batch(&self.socket, &mut bufs, &mut metas);
             match received {
                 Ok(n) if n > 0 => {}
                 Ok(_) => continue,

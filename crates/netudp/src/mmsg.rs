@@ -1,8 +1,7 @@
 //! Batched wire I/O: `sendmmsg` / `recvmmsg` behind a portable seam.
 //!
-//! The unbatched UDP wire pays one syscall per 1432-byte datagram — at
-//! ~170 MiB/s on loopback that is the entire bottleneck (BENCH_bandwidth's
-//! `udp_loopback` rows). These helpers move a whole vector of datagrams per
+//! One syscall per 1432-byte datagram tops out at ~170 MiB/s on loopback
+//! (EXPERIMENTS.md §5). These helpers move a whole vector of datagrams per
 //! kernel crossing:
 //!
 //! * [`send_batch`] — hand a slice of `(SocketAddr, framed bytes)` pairs to

@@ -221,29 +221,81 @@ fn send_batch_moves_a_vector_per_syscall() {
     assert!(b.stats().batches_received >= 1);
 }
 
+/// Longer than the link's `sendmmsg` vector (32): one `send_batch` of this
+/// many datagrams is two wire calls.
+const LONG_VECTOR: u8 = 40;
+
+fn tagged(range: std::ops::Range<u8>) -> Vec<(NodeId, Gather)> {
+    range
+        .map(|i| (NodeId(1), Gather::from_vec(vec![i; 10 + i as usize])))
+        .collect()
+}
+
 #[test]
-fn unbatched_wire_still_works_with_batch_one() {
+fn one_tx_path_is_accounted_once() {
+    // `send` and `send_batch` are one path: singles interleaved with vectors
+    // longer than the constant land in one set of counters, one accounting
+    // block per wire call.
+    let a = link(0);
+    let b = link(1);
+    a.set_peer(NodeId(1), b.local_addr());
+    a.send(NodeId(1), Gather::from_vec(vec![200; 7])); // 1 call
+    a.send_batch(tagged(0..LONG_VECTOR)); // 32 + 8: 2 calls
+    a.send(NodeId(1), Gather::from_vec(vec![201; 7])); // 1 call
+    a.send_batch(tagged(0..LONG_VECTOR)); // 2 calls
+    a.send_batch(tagged(0..1)); // a vector of one: 1 call
+    let s = a.stats();
+    assert_eq!(s.datagrams_sent, 2 * LONG_VECTOR as u64 + 3);
+    assert_eq!(s.batches_sent, 7, "one count per wire call");
+    assert_eq!(
+        s.frame_bytes_sent,
+        s.bytes_sent + portals_netudp::frame::FRAME_HEADER as u64 * s.datagrams_sent
+    );
+    assert_eq!(s.send_errors, 0);
+}
+
+#[test]
+fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
+    // Two links with the same seed send the same 120-datagram stream to one
+    // receiver: one as singles, one as a single, a long vector, singles and
+    // a vector of the rest. The shim draws per datagram in submission
+    // order, so the survivors are the same set.
     let mk = |nid| {
         UdpLink::bind(UdpLinkConfig {
             nid: NodeId(nid),
-            batch: 1,
+            loss: 0.3,
+            seed: 99,
             ..Default::default()
         })
         .unwrap()
     };
-    let a = mk(0);
-    let b = mk(1);
-    a.set_peer(NodeId(1), b.local_addr());
-    let batch: Vec<_> = (0..5u8)
-        .map(|i| (NodeId(1), Gather::from_vec(vec![i; 64])))
-        .collect();
-    a.send_batch(batch);
-    for _ in 0..5 {
-        recv_one(&b, Duration::from_secs(5)).expect("delivered");
+    let (singles, mixed) = (mk(0), mk(2));
+    let b = link(1);
+    singles.set_peer(NodeId(1), b.local_addr());
+    mixed.set_peer(NodeId(1), b.local_addr());
+    const N: u8 = 120;
+    for (_, g) in tagged(0..N) {
+        singles.send(NodeId(1), g);
     }
-    let s = a.stats();
-    assert_eq!(s.datagrams_sent, 5);
-    assert_eq!(s.batches_sent, 5, "batch=1 is one syscall per datagram");
+    let mut stream = tagged(0..N).into_iter();
+    let (_, first) = stream.next().unwrap();
+    mixed.send(NodeId(1), first);
+    mixed.send_batch(stream.by_ref().take(LONG_VECTOR as usize).collect());
+    for (_, g) in stream.by_ref().take(5) {
+        mixed.send(NodeId(1), g);
+    }
+    mixed.send_batch(stream.collect());
+
+    let dropped = singles.stats().shim_dropped;
+    assert!(dropped > 0 && dropped < N as u64, "30% of 120: {dropped}");
+    assert_eq!(mixed.stats().shim_dropped, dropped);
+    let mut survivors = [Vec::new(), Vec::new()];
+    for _ in 0..2 * (N as u64 - dropped) {
+        let d = recv_one(&b, Duration::from_secs(5)).expect("survivor delivered");
+        survivors[(d.src.0 / 2) as usize].push(d.payload.to_vec()[0]);
+    }
+    survivors.iter_mut().for_each(|s| s.sort_unstable());
+    assert_eq!(survivors[0], survivors[1]);
 }
 
 #[test]
@@ -279,11 +331,11 @@ fn frame_bytes_count_the_wire_not_just_the_payload() {
     let a = link(0);
     let b = link(1);
     a.set_peer(NodeId(1), b.local_addr());
-    a.send(NodeId(1), Gather::copy_from_slice(b"0123456789")); // single send
+    a.send(NodeId(1), Gather::copy_from_slice(b"0123456789"));
     let batch: Vec<_> = (0..4u8)
         .map(|_| (NodeId(1), Gather::copy_from_slice(b"0123456789")))
         .collect();
-    a.send_batch(batch); // batched path
+    a.send_batch(batch);
     let header = portals_netudp::frame::FRAME_HEADER as u64;
     let s = a.stats();
     assert_eq!(s.datagrams_sent, 5);

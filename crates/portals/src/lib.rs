@@ -28,9 +28,10 @@
 //! message selection and delivery proceed with no application involvement,
 //! as when Portals runs in NIC firmware — against host-driven layers (GM-style)
 //! that only make progress inside library calls. Both are first-class here:
-//! see [`ProgressModel`]. Bypass NIs are driven by the node's NIC thread
-//! (our "NIC firmware"); host-driven NIs enqueue raw messages that are
-//! processed only inside API calls on the application's thread.
+//! see [`ProgressMode`], a property of the node. A bypass node's NIC thread
+//! (our "NIC firmware") runs the receive rules; a host-driven node's NIC
+//! thread enqueues raw messages that are processed only inside API calls on
+//! the application's thread.
 //!
 //! # Quick start
 //!
@@ -98,7 +99,7 @@ pub use ct::{CountingEvent, CtValue};
 pub use event::{Event, EventKind, EventQueue};
 pub use md::{CombineOp, Md, MdMemory, MdOptions, MdSpec, MdVerdict, ReqOp, Segment, Threshold};
 pub use me::MatchEntry;
-pub use ni::{AckRequest, NetworkInterface, NiConfig, ProgressModel, NACK_MLENGTH};
+pub use ni::{AckRequest, NetworkInterface, NiConfig, NACK_MLENGTH};
 pub use node::{Node, NodeConfig, ProcessDirectory};
 pub use portals_transport::TransportConfig;
 pub use portals_types::{ErrorKind, Gather, ProgressMode, Region, RegionPool};

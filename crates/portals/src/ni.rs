@@ -5,16 +5,19 @@
 //! data movement verbs ([`NetworkInterface::put_op`],
 //! [`NetworkInterface::get_op`]).
 //!
-//! Its [`ProgressModel`] decides *who* runs the receive rules of §4.8:
+//! *Who* runs the receive rules of §4.8 for it is a property of its node
+//! ([`ProgressMode`], on
+//! `TransportConfig::progress_mode`):
 //!
-//! * [`ProgressModel::ApplicationBypass`] — the node's NIC thread (our
-//!   NIC firmware) processes messages the moment they arrive. "The fundamental
-//!   concept of Portals is to decouple the host processor from the network and
-//!   allow data to flow with virtually no application processing" (§5.1).
-//! * [`ProgressModel::HostDriven`] — arriving messages queue raw; they are
-//!   processed only inside API calls on the application's thread. This is the
-//!   GM-style baseline of §5.3, kept protocol-identical so the Figure 6
-//!   comparison isolates exactly the progress question.
+//! * `NicThread` / `CallerDriven` — application bypass: the node's NIC thread
+//!   (our NIC firmware), or the caller standing in for it, processes messages
+//!   the moment they arrive. "The fundamental concept of Portals is to
+//!   decouple the host processor from the network and allow data to flow with
+//!   virtually no application processing" (§5.1).
+//! * `HostDriven` — arriving messages queue raw; they are processed only
+//!   inside API calls on the application's thread. This is the GM-style
+//!   baseline of §5.3, kept protocol-identical so the Figure 6 comparison
+//!   isolates exactly the progress question.
 //!
 //! # Locking model
 //!
@@ -48,10 +51,11 @@ use crate::node::NodeShared;
 use crate::table::{MePos, PortalTable};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use portals_obs::{Layer, Obs, Stage, TraceEvent};
 use portals_types::{
-    MatchBits, MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded,
+    MatchBits, MatchCriteria, NiLimits, ProcessId, ProgressMode, PtlError, PtlResult, Readiness,
+    Sharded,
 };
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
@@ -61,23 +65,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Who advances the protocol for this interface (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProgressModel {
-    /// NIC-engine processing on arrival; no application involvement.
-    #[default]
-    ApplicationBypass,
-    /// Raw-queue processing inside API calls only (GM-style baseline).
-    HostDriven,
-}
-
 /// Per-interface configuration.
 #[derive(Debug, Clone)]
 pub struct NiConfig {
     /// Resource limits.
     pub limits: NiLimits,
-    /// Progress model.
-    pub progress: ProgressModel,
     /// Parallel-application (job) id this process belongs to, for the
     /// "same application" ACL entry (§4.5).
     pub job: u32,
@@ -95,7 +87,6 @@ impl Default for NiConfig {
     fn default() -> NiConfig {
         NiConfig {
             limits: NiLimits::default(),
-            progress: ProgressModel::default(),
             job: 0,
             flow_control: true,
         }
@@ -161,10 +152,9 @@ pub(crate) struct NiCore {
     /// The node's observability handle: the interface's counters register in
     /// its registry and the engine's lifecycle traces flow to its sinks.
     pub(crate) obs: Obs,
-    /// Host-driven model: raw messages awaiting an API call.
+    /// Host-driven node: raw messages awaiting an API call. Arrivals ring
+    /// the node's doorbell, where blocked API calls park.
     pub(crate) raw: Mutex<VecDeque<PortalsMessage>>,
-    /// Signalled on raw arrival so blocked API calls wake to make progress.
-    pub(crate) raw_cond: Condvar,
 }
 
 impl NiCore {
@@ -176,22 +166,18 @@ impl NiCore {
             counters: NiCounters::new(&obs.registry, id.nid.0, id.pid),
             obs,
             raw: Mutex::new(VecDeque::new()),
-            raw_cond: Condvar::new(),
         }
     }
 
     /// Enqueue a raw message for host-driven processing.
     pub(crate) fn enqueue_raw(&self, msg: PortalsMessage) {
         self.raw.lock().push_back(msg);
-        self.raw_cond.notify_all();
     }
 
-    /// Wait briefly for raw traffic (host-driven blocking calls).
-    pub(crate) fn wait_raw(&self, timeout: Duration) {
-        let mut raw = self.raw.lock();
-        if raw.is_empty() {
-            let _ = self.raw_cond.wait_for(&mut raw, timeout);
-        }
+    /// Take the oldest raw message; the queue lock is released on return, so
+    /// the engine runs on it unlocked.
+    pub(crate) fn pop_raw(&self) -> Option<PortalsMessage> {
+        self.raw.lock().pop_front()
     }
 }
 
@@ -247,11 +233,6 @@ impl NetworkInterface {
     /// The interface limits.
     pub fn limits(&self) -> NiLimits {
         self.core.config.limits
-    }
-
-    /// The progress model.
-    pub fn progress_model(&self) -> ProgressModel {
-        self.core.config.progress
     }
 
     /// Whether per-portal flow control is switched on for this interface
@@ -341,40 +322,18 @@ impl NetworkInterface {
 
     fn eq_wait_inner(&self, h: EqHandle, timeout: Option<Duration>) -> PtlResult<Event> {
         let eq = self.eq_ref(h)?;
-        if self.node.caller_driven {
-            // Threadless: this caller IS the progress engine. Drive, test,
-            // spin briefly, then park on the node's doorbell.
-            return self.wait_caller_driven(timeout, || match eq.try_get() {
-                Ok(e) => Ok(Some(e)),
-                Err(PtlError::EqEmpty) => Ok(None),
-                Err(e) => Err(e),
-            });
-        }
-        match self.core.config.progress {
-            ProgressModel::ApplicationBypass => match timeout {
+        if self.node.mode == ProgressMode::NicThread {
+            // The NIC thread completes it; sleep on the queue's condvar.
+            return match timeout {
                 Some(t) => eq.poll(t),
                 None => eq.wait(),
-            },
-            ProgressModel::HostDriven => {
-                // Progress happens only inside this call: pump the raw queue,
-                // test, and nap until more raw traffic arrives.
-                let deadline = timeout.map(|t| Instant::now() + t);
-                loop {
-                    self.progress();
-                    match eq.try_get() {
-                        Ok(e) => return Ok(e),
-                        Err(PtlError::EqEmpty) => {}
-                        Err(e) => return Err(e),
-                    }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Err(PtlError::Timeout);
-                        }
-                    }
-                    self.core.wait_raw(Duration::from_micros(200));
-                }
-            }
+            };
         }
+        self.wait_driving(timeout, || match eq.try_get() {
+            Ok(e) => Ok(Some(e)),
+            Err(PtlError::EqEmpty) => Ok(None),
+            Err(e) => Err(e),
+        })
     }
 
     // ----- match entries ---------------------------------------------------
@@ -744,29 +703,10 @@ impl NetworkInterface {
             .cts
             .get_clone(h)
             .ok_or(PtlError::InvalidCt)?;
-        if self.node.caller_driven {
-            return self.wait_caller_driven(timeout, || ct.try_check(test));
+        if self.node.mode == ProgressMode::NicThread {
+            return ct.wait(test, timeout);
         }
-        match self.core.config.progress {
-            ProgressModel::ApplicationBypass => ct.wait(test, timeout),
-            ProgressModel::HostDriven => {
-                // Progress happens only inside this call (same pattern as
-                // `eq_wait_inner`): pump, test, nap on raw arrival.
-                let deadline = timeout.map(|t| Instant::now() + t);
-                loop {
-                    self.progress();
-                    if let Some(v) = ct.try_check(test)? {
-                        return Ok(v);
-                    }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return Err(PtlError::Timeout);
-                        }
-                    }
-                    self.core.wait_raw(Duration::from_micros(200));
-                }
-            }
-        }
+        self.wait_driving(timeout, || ct.try_check(test))
     }
 
     /// Overwrite a counter's value (spec lineage: `PtlCTSet`). A forward jump
@@ -917,18 +857,21 @@ impl NetworkInterface {
 
     // ----- progress -----------------------------------------------------------
 
-    /// The caller-driven blocking loop shared by `eq_wait_inner` and
-    /// `ct_wait_inner`: drive the node (and any peer nodes with pending
-    /// work), test the predicate, spin briefly while work flows, and park on
-    /// the node's readiness doorbell when idle.
+    /// The blocking loop `eq_wait_inner` and `ct_wait_inner` share on a node
+    /// where this caller runs some of the protocol: drive the node (a no-op
+    /// beside a NIC thread) and any peer nodes with pending work, run the
+    /// engine over this interface's raw queue (a no-op unless host-driven),
+    /// test the predicate, spin briefly while work flows, and park on the
+    /// node's readiness doorbell when idle.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the final
     /// predicate test, and the park is conditional on it being unchanged — a
-    /// completion that lands between the test and the park bumps the
-    /// sequence, so the park returns immediately. The park is additionally
-    /// bounded by the transport's next retransmission/wire deadline (someone
-    /// must fire those timers — there is no thread to do it) and a 1 ms cap.
-    fn wait_caller_driven<T>(
+    /// completion or raw arrival that lands between the test and the park
+    /// bumps the sequence, so the park returns immediately. The park is
+    /// additionally bounded by the transport's next retransmission/wire
+    /// deadline (caller-driven, someone must fire those timers — there is no
+    /// thread to do it) and a 1 ms cap.
+    fn wait_driving<T>(
         &self,
         timeout: Option<Duration>,
         mut check: impl FnMut() -> PtlResult<Option<T>>,
@@ -985,8 +928,10 @@ impl NetworkInterface {
             }
             idle_iters = 0;
             let mut bound = now + PARK_CAP;
-            if let Some(next) = self.node.endpoint.next_deadline() {
-                bound = bound.min(next.max(now));
+            if self.node.mode.is_caller_driven() {
+                if let Some(next) = self.node.endpoint.next_deadline() {
+                    bound = bound.min(next.max(now));
+                }
             }
             if let Some(d) = deadline {
                 bound = bound.min(d);
@@ -995,36 +940,37 @@ impl NetworkInterface {
         }
     }
 
-    /// Drain the raw message queue (host-driven model). A no-op for
-    /// application-bypass interfaces, whose engine runs on the NIC thread.
-    /// On a caller-driven node this also steps the transport and dispatch
-    /// inline first — there is no NIC thread to have filled the queue.
+    /// Make progress from this call: on a caller-driven node, step the
+    /// transport and dispatch inline (there is no NIC thread); on a
+    /// host-driven node, run the engine over this interface's raw queue. A
+    /// no-op beside a NIC thread that runs the engine itself.
     pub fn progress(&self) {
         self.node.drive();
         self.drain_raw();
     }
 
-    /// Run the engine over every queued raw message (host-driven model).
+    /// Run the engine over every queued raw message (host-driven node; the
+    /// queue is always empty otherwise).
     fn drain_raw(&self) {
-        if self.core.config.progress == ProgressModel::ApplicationBypass {
+        if self.node.mode != ProgressMode::HostDriven {
             return;
         }
-        loop {
-            let msg = self.core.raw.lock().pop_front();
-            match msg {
-                Some(m) => engine::deliver(&self.core, &self.node, m),
-                None => break,
-            }
+        let mut delivered = false;
+        while let Some(msg) = self.core.pop_raw() {
+            engine::deliver(&self.core, &self.node, msg);
+            delivered = true;
+        }
+        if delivered {
+            // What the engine completed may be what another thread's wait
+            // on this node is parked for.
+            self.node.ring_event();
         }
     }
 
-    /// Raw messages awaiting progress (always 0 under application bypass).
-    /// On a threadless node this drives the transport and dispatch (filling
-    /// the raw queue) but never *processes* raw traffic — the host-driven
-    /// model's "no receive rules outside API calls" contract holds in both
-    /// progress modes.
+    /// Raw messages awaiting progress (always 0 unless the node is
+    /// host-driven). Never *processes* raw traffic: "no receive rules outside
+    /// API calls" is the host-driven contract.
     pub fn raw_pending(&self) -> usize {
-        self.node.drive();
         self.core.raw.lock().len()
     }
 }
@@ -1324,7 +1270,7 @@ impl std::fmt::Debug for NetworkInterface {
         write!(
             f,
             "NetworkInterface({}, {:?})",
-            self.core.id, self.core.config.progress
+            self.core.id, self.node.mode
         )
     }
 }

@@ -8,7 +8,7 @@
 //! message count for the interface."
 //!
 //! The node's one thread stands in for NIC firmware: it takes each datagram
-//! through the transport and, for application-bypass interfaces, the receive
+//! through the transport and — unless the node is host-driven — the receive
 //! engine, so selection and delivery proceed while the application computes.
 
 use crate::engine;
@@ -49,9 +49,11 @@ impl ProcessDirectory for OpenDirectory {
 #[derive(Clone)]
 pub struct NodeConfig {
     /// Transport tuning for the node's endpoint. The
-    /// [`TransportConfig::progress_mode`] field also decides whether this node
-    /// spawns its NIC thread ([`ProgressMode::NicThread`]) or steps the
-    /// protocol inline from API calls ([`ProgressMode::CallerDriven`]).
+    /// [`TransportConfig::progress_mode`] field also decides who runs the
+    /// protocol on this node: its NIC thread ([`ProgressMode::NicThread`]),
+    /// API calls stepping it inline ([`ProgressMode::CallerDriven`]), or the
+    /// NIC thread for the transport and API calls for the receive rules
+    /// ([`ProgressMode::HostDriven`]).
     pub transport: TransportConfig,
     /// Process classifier for ACL checks; defaults to "everyone is
     /// application 0".
@@ -99,9 +101,10 @@ pub(crate) struct NodeShared {
     /// Misrouted or undecodable traffic.
     pub(crate) dropped_garbage: Counter,
     pub(crate) alive: AtomicBool,
-    /// Whether this node runs threadless ([`ProgressMode::CallerDriven`]):
-    /// no NIC thread, progress happens inside API calls.
-    pub(crate) caller_driven: bool,
+    /// Who runs the protocol here. Per node, not per interface: the thread
+    /// that takes a datagram either runs the engine on it or does not, and it
+    /// decides before it knows which interface the datagram is for.
+    pub(crate) mode: ProgressMode,
     /// The endpoint's delivery stream — whole messages and fragments of
     /// larger ones — drained by [`NodeShared::dispatch_queued`] right after
     /// the transport step that filled it.
@@ -129,7 +132,7 @@ impl NodeShared {
     /// thread's step. Returns `true` if any work was done. A no-op (`false`)
     /// beside a NIC thread, mid-dispatch elsewhere, or powered off.
     pub(crate) fn progress_once(&self) -> bool {
-        if !self.caller_driven {
+        if !self.mode.is_caller_driven() {
             return false;
         }
         let Some(_guard) = self.dispatch_lock.try_lock() else {
@@ -160,7 +163,7 @@ impl NodeShared {
     /// Returns `true` if anything was done; `false` always in NIC-thread
     /// mode, where the NIC thread makes polling passive again.
     pub(crate) fn drive(&self) -> bool {
-        if !self.caller_driven {
+        if !self.mode.is_caller_driven() {
             return false;
         }
         let mut worked = self.progress_once();
@@ -169,11 +172,11 @@ impl NodeShared {
     }
 
     /// Raise the completion doorbell: an event was pushed, a counter bumped,
-    /// or a message dispatched — anything a parked `eq_wait`/`ct_wait` caller
-    /// might be waiting on. A no-op in NIC-thread mode, where the event
-    /// queues' own condvars do the waking.
+    /// or a message dispatched or queued raw — anything a parked
+    /// `eq_wait`/`ct_wait` caller might be waiting on. A no-op in NIC-thread
+    /// mode, where the event queues' own condvars do the waking.
     pub(crate) fn ring_event(&self) {
-        if self.caller_driven {
+        if self.mode != ProgressMode::NicThread {
             self.readiness.set(Readiness::EVENT);
         }
     }
@@ -209,11 +212,14 @@ impl Node {
     /// With [`ProgressMode::NicThread`] (the transport-config default) this
     /// spawns the one thread that stands in for NIC firmware: parked on the
     /// link's doorbell, it steps the transport and dispatches what arrived.
+    /// [`ProgressMode::HostDriven`] spawns the same thread; its dispatch
+    /// queues each message raw on the target interface for that interface's
+    /// next API call instead of running the engine.
     /// With [`ProgressMode::CallerDriven`] no thread is spawned: the node is a
     /// cooperative fabric driver and blocked API calls run that step inline.
     pub fn new(link: impl portals_net::Link, config: NodeConfig) -> Node {
         let nid = link.nid();
-        let caller_driven = config.transport.progress_mode.is_caller_driven();
+        let mode = config.transport.progress_mode;
         let endpoint = Endpoint::for_node(link, config.transport, config.obs.clone());
         let node_labels = [("node", nid.0.to_string())];
         let incoming = endpoint.incoming_receiver();
@@ -234,14 +240,14 @@ impl Node {
                 .counter("portals.node_dropped_garbage", &node_labels),
             obs: config.obs,
             alive: AtomicBool::new(true),
-            caller_driven,
+            mode,
             incoming,
             streams: Mutex::new(HashMap::new()),
             readiness,
             hub,
             dispatch_lock: Mutex::new(()),
         });
-        let nic_thread = if caller_driven {
+        let nic_thread = if mode.is_caller_driven() {
             // Threadless: replace the endpoint's transport-only driver with
             // the full node driver, so peers servicing this node dispatch
             // messages all the way to the engine, not just to the incoming
@@ -383,9 +389,10 @@ pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
     let Some(core) = lookup(shared, msg.wire_target()) else {
         return;
     };
-    match core.config.progress {
-        crate::ProgressModel::ApplicationBypass => engine::deliver(&core, shared, msg),
-        crate::ProgressModel::HostDriven => core.enqueue_raw(msg),
+    if shared.mode == ProgressMode::HostDriven {
+        core.enqueue_raw(msg);
+    } else {
+        engine::deliver(&core, shared, msg);
     }
     // Anything the delivery completed (events pushed, counters bumped, raw
     // traffic queued) may be what a parked caller-driven waiter is blocked

@@ -25,8 +25,10 @@
 //! ```
 
 // Construction: nodes and interfaces.
-pub use crate::ni::{AckRequest, NetworkInterface, NiConfig, ProgressModel, NACK_MLENGTH};
+pub use crate::ni::{AckRequest, NetworkInterface, NiConfig, NACK_MLENGTH};
 pub use crate::node::{Node, NodeConfig, ProcessDirectory};
+pub use portals_transport::TransportConfig;
+pub use portals_types::ProgressMode;
 
 // Data movement: op-spec builders and the atomic vocabulary.
 pub use crate::builder::{AtomicBuilder, GetBuilder, PutBuilder};

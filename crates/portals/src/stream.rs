@@ -12,7 +12,7 @@
 //! thing this module adds is the waiting in between.
 //!
 //! Messages that must be seen whole (a combining descriptor's contribution,
-//! anything for a host-driven interface, and acks/gets/atomics, which are
+//! anything on a host-driven node, and acks/gets/atomics, which are
 //! all header) accumulate and take the whole-message
 //! [`dispatch`](crate::node) path on completion.
 //!
@@ -23,9 +23,8 @@
 use crate::engine::{self, PutBegin, PutSink, ReplySink};
 use crate::ni::NiCore;
 use crate::node::{dispatch, lookup, node_drop_trace, NodeShared};
-use crate::ProgressModel;
 use portals_transport::StreamFragment;
-use portals_types::{Gather, NodeId};
+use portals_types::{Gather, NodeId, ProgressMode};
 use portals_wire::{PortalsMessage, StreamHead};
 use std::sync::Arc;
 
@@ -123,8 +122,8 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
     let Some(core) = lookup(shared, target) else {
         return MsgStream::Discard;
     };
-    // Host-driven interfaces hand raw messages to the application: whole.
-    if core.config.progress == ProgressModel::HostDriven {
+    // A host-driven node hands raw messages to the application: whole.
+    if shared.mode == ProgressMode::HostDriven {
         return MsgStream::Accumulate(acc);
     }
     // Payload bytes that arrived in the same fragments as the header.

@@ -1,11 +1,11 @@
 //! Full-stack tests of the Portals API over the simulated fabric: two (or
-//! more) nodes, real transport, both progress models, and the §4.8 drop rules
+//! more) nodes, real transport, bypass and host-driven progress, and the §4.8 drop rules
 //! observed end to end.
 
 use portals::{
     AcEntry, AcMatch, AckRequest, DropReason, EventKind, MdOptions, MdSpec, MePos,
-    NetworkInterface, NiConfig, Node, NodeConfig, PortalMatch, ProcessDirectory, ProgressModel,
-    Threshold,
+    NetworkInterface, NiConfig, Node, NodeConfig, PortalMatch, ProcessDirectory, ProgressMode,
+    Threshold, TransportConfig,
 };
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError, Region, UserId};
@@ -510,17 +510,19 @@ fn match_list_order_respected_end_to_end() {
 #[test]
 fn host_driven_makes_no_progress_without_calls() {
     let fabric = Fabric::ideal();
-    let (na, nb) = two_nodes(&fabric);
-    let a = default_ni(&na);
-    let b = nb
-        .create_ni(
-            1,
-            NiConfig {
-                progress: ProgressModel::HostDriven,
+    let na = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
+    let nb = Node::new(
+        fabric.attach(NodeId(1)),
+        NodeConfig {
+            transport: TransportConfig {
+                progress_mode: ProgressMode::HostDriven,
                 ..Default::default()
             },
-        )
-        .unwrap();
+            ..Default::default()
+        },
+    );
+    let a = default_ni(&na);
+    let b = default_ni(&nb);
 
     let (_, _, eq, buf) = listen(&b, 0, MatchCriteria::any(), 64);
 

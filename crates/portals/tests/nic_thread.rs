@@ -246,7 +246,8 @@ fn engine_reentry_from_the_nic_thread_shares_the_core_with_callers() {
 }
 
 /// (d) One thread. Four NIC-thread nodes own four `portals-node-*` threads
-/// and nothing else of the stack's; caller-driven nodes own none.
+/// and nothing else of the stack's; caller-driven nodes own none; a
+/// host-driven node owns exactly one.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_nic_thread_node_owns_exactly_one_thread() {
@@ -277,10 +278,21 @@ fn a_nic_thread_node_owns_exactly_one_thread() {
         drop(nodes);
     }
     assert_eq!(stack_threads(), Vec::<String>::new(), "threads joined");
-    let threadless = TransportConfig {
-        progress_mode: ProgressMode::CallerDriven,
+    let mode = |progress_mode| TransportConfig {
+        progress_mode,
         ..Default::default()
     };
-    let _nodes: Vec<Node> = (4..8).map(|n| node(&fabric, n, threadless)).collect();
-    assert_eq!(stack_threads(), Vec::<String>::new(), "caller-driven");
+    {
+        let threadless = mode(ProgressMode::CallerDriven);
+        let _nodes: Vec<Node> = (4..8).map(|n| node(&fabric, n, threadless)).collect();
+        assert_eq!(stack_threads(), Vec::<String>::new(), "caller-driven");
+    }
+    // A host-driven node still has its NIC thread (it runs the transport),
+    // and only that.
+    let _host = node(&fabric, 8, mode(ProgressMode::HostDriven));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while stack_threads().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stack_threads(), ["portals-node-8"], "host-driven");
 }

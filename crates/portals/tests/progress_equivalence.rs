@@ -1,11 +1,13 @@
 //! Progress-mode equivalence at the Portals API level.
 //!
-//! The caller-driven (threadless) and NIC-thread configurations run the same
-//! §4.8 receive rules; only the thread that runs them differs. These tests
-//! pin that down observationally: a deterministic scripted scenario must
-//! produce the *identical sequence* of events (per queue, field by field) and
-//! counting-event values in both modes, and the caller-driven park/unpark
-//! path must never sleep through a completion (the lost-wakeup race).
+//! The NIC-thread, caller-driven (threadless) and host-driven configurations
+//! run the same §4.8 receive rules; only the thread that runs them — and, for
+//! host-driven, when — differs. These tests pin that down observationally: a
+//! deterministic scripted scenario must produce the *identical sequence* of
+//! events (per queue, field by field) and counting-event values in every
+//! mode, a host-driven target must hold an arrival raw until one of its own
+//! API calls, and the caller-driven park/unpark path must never sleep through
+//! a completion (the lost-wakeup race).
 
 use portals::{
     AckRequest, Event, EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, ProgressMode, Region,
@@ -13,7 +15,7 @@ use portals::{
 use portals_net::{Fabric, FabricConfig, FaultPlan};
 use portals_transport::TransportConfig;
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn two_nodes(mode: ProgressMode) -> (Node, Node) {
     let fabric = Fabric::new(FabricConfig::ideal());
@@ -110,6 +112,18 @@ fn scripted_scenario(mode: ProgressMode) -> Trace {
         .ack(AckRequest::Ack)
         .submit()
         .unwrap();
+    if mode == ProgressMode::HostDriven {
+        // The put arrives and sits raw: no receive rule has run before the
+        // target's next API call.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while tgt.raw_pending() == 0 {
+            assert!(Instant::now() < deadline, "the put never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(tgt.eq_len(eq_t).unwrap(), 0, "event before any API call");
+        assert_eq!(tgt.ct_get(ct_t).unwrap().success, 0);
+        assert_eq!(landing.read_vec(0, 48), vec![0u8; 48]);
+    }
     bump(&tgt, ct_t, &mut ct_expect, &mut ct_values, 1);
     ini.eq_wait(eq_i).unwrap(); // Sent
     ini.eq_wait(eq_i).unwrap(); // Ack
@@ -194,9 +208,14 @@ fn scripted_scenario(mode: ProgressMode) -> Trace {
 fn scripted_event_and_ct_sequences_identical_across_modes() {
     let nic = scripted_scenario(ProgressMode::NicThread);
     let caller = scripted_scenario(ProgressMode::CallerDriven);
-    assert_eq!(nic.0, caller.0, "initiator event sequences diverged");
-    assert_eq!(nic.1, caller.1, "target event sequences diverged");
-    assert_eq!(nic.2, caller.2, "counting-event value sequences diverged");
+    for (name, other) in [
+        ("caller-driven", &caller),
+        ("host-driven", &scripted_scenario(ProgressMode::HostDriven)),
+    ] {
+        assert_eq!(nic.0, other.0, "{name}: initiator event sequences diverged");
+        assert_eq!(nic.1, other.1, "{name}: target event sequences diverged");
+        assert_eq!(nic.2, other.2, "{name}: counting-event values diverged");
+    }
     // Sanity: the script produced the shape it promised.
     assert_eq!(
         caller.1.iter().map(|f| f.0).collect::<Vec<_>>(),
@@ -214,7 +233,8 @@ fn scripted_event_and_ct_sequences_identical_across_modes() {
 /// 256-fragment reply, four go-back-N windows long, each released by acks the
 /// target's stepper processes through the same core its engine submitted the
 /// reply to; then an acked put the other way round the same path. Each is
-/// waited for before the next. Returns (initiator events, target events, CT
+/// waited for before the next, target first: a host-driven target serves the
+/// request inside that wait. Returns (initiator events, target events, CT
 /// values) like [`scripted_scenario`].
 fn large_get_then_put(mode: ProgressMode, fabric: FabricConfig) -> Trace {
     const LEN: usize = 1 << 20;
@@ -260,11 +280,11 @@ fn large_get_then_put(mode: ProgressMode, fabric: FabricConfig) -> Trace {
         .length(LEN as u64)
         .submit()
         .unwrap();
+    let v = tgt.ct_wait(ct_t, 1).unwrap();
+    ct_values.extend([v.success, v.failure]);
     ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Sent
     ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Reply
     assert!(into.read_vec(0, LEN) == bytes, "reply bytes");
-    let v = tgt.ct_wait(ct_t, 1).unwrap();
-    ct_values.extend([v.success, v.failure]);
 
     let md_put = ini
         .md_bind(MdSpec::new(Region::from_vec(vec![0x5A; 4096])).with_eq(eq_i))
@@ -274,10 +294,10 @@ fn large_get_then_put(mode: ProgressMode, fabric: FabricConfig) -> Trace {
         .ack(AckRequest::Ack)
         .submit()
         .unwrap();
-    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Sent
-    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Ack
     let v = tgt.ct_wait(ct_t, 2).unwrap();
     ct_values.extend([v.success, v.failure]);
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Sent
+    ini_events.push(fingerprint(ini.eq_wait(eq_i).unwrap())); // Ack
 
     let mut tgt_events = Vec::new();
     while let Ok(e) = tgt.eq_poll(eq_t, Duration::from_millis(50)) {
@@ -299,8 +319,10 @@ fn multi_window_get_then_put_identical_across_modes() {
         ("lossy", lossy),
     ] {
         let nic = large_get_then_put(ProgressMode::NicThread, fabric());
-        let caller = large_get_then_put(ProgressMode::CallerDriven, fabric());
-        assert_eq!(nic, caller, "{name} fabric: the modes diverged");
+        for mode in [ProgressMode::CallerDriven, ProgressMode::HostDriven] {
+            let other = large_get_then_put(mode, fabric());
+            assert_eq!(nic, other, "{name} fabric: {mode:?} diverged");
+        }
         assert_eq!(
             nic.0.iter().map(|f| f.0).collect::<Vec<_>>(),
             vec![

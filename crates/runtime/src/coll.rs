@@ -105,17 +105,6 @@ pub enum AllgatherAlgo {
     Linear,
 }
 
-/// Ablation switch for counter-offloaded collectives (§5.1 extended from
-/// single messages to whole schedules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TriggeredConfig {
-    /// Route `barrier`/`bcast`/`allreduce` through pre-posted triggered
-    /// schedules on the Portals interface instead of host send/recv loops.
-    /// The host pre-posts the full schedule, then blocks on one terminal
-    /// counting event; everything in between runs in engine context.
-    pub offload: bool,
-}
-
 /// The collective library bound to one communicator.
 pub struct Collectives {
     comm: Communicator,
@@ -123,46 +112,52 @@ pub struct Collectives {
     pub allreduce_algo: AllreduceAlgo,
     /// Allgather algorithm.
     pub allgather_algo: AllgatherAlgo,
-    /// Present iff offloaded collectives are enabled.
+    /// Present iff built by [`Collectives::triggered`].
     offload: Option<Mutex<OffloadState>>,
 }
 
 impl Collectives {
-    /// Bind to a communicator with default algorithms.
+    /// Bind to a communicator with default algorithms. `barrier`, `bcast`
+    /// and `allreduce` run as host send/recv loops — the reference the
+    /// triggered schedules are checked against.
     pub fn new(comm: Communicator) -> Collectives {
-        Collectives::with_triggered(comm, TriggeredConfig::default())
-    }
-
-    /// Bind to a communicator, optionally enabling offloaded collectives.
-    ///
-    /// With `config.offload` set this pre-posts the first barrier slot and
-    /// runs one host barrier so every rank's slot exists before any round
-    /// message can be sent; construction is therefore collective.
-    pub fn with_triggered(comm: Communicator, config: TriggeredConfig) -> Collectives {
-        let offload = config.offload.then(|| {
-            let mut st = OffloadState {
-                next_seq: 0,
-                next_barrier: None,
-                zero_md: comm
-                    .engine()
-                    .ni()
-                    .md_bind(MdSpec::new(Region::zeroed(0)))
-                    .expect("bind zero-length barrier source"),
-                active: false,
-            };
-            if comm.size() > 1 {
-                let seq = st.alloc_seq();
-                st.next_barrier = Some(post_barrier_slot(&comm, seq));
-                // Everyone's slot 0 must exist before anyone's round-0 put.
-                comm.barrier();
-            }
-            Mutex::new(st)
-        });
         Collectives {
             comm,
             allreduce_algo: Default::default(),
             allgather_algo: Default::default(),
-            offload,
+            offload: None,
+        }
+    }
+
+    /// Bind to a communicator with `barrier`/`bcast`/`allreduce` routed
+    /// through pre-posted triggered schedules on the Portals interface
+    /// (§5.1 extended from single messages to whole schedules): the host
+    /// pre-posts the full schedule, then blocks on one terminal counting
+    /// event; everything in between runs in engine context.
+    ///
+    /// Pre-posts the first barrier slot and runs one host barrier so every
+    /// rank's slot exists before any round message can be sent;
+    /// construction is therefore collective.
+    pub fn triggered(comm: Communicator) -> Collectives {
+        let mut st = OffloadState {
+            next_seq: 0,
+            next_barrier: None,
+            zero_md: comm
+                .engine()
+                .ni()
+                .md_bind(MdSpec::new(Region::zeroed(0)))
+                .expect("bind zero-length barrier source"),
+            active: false,
+        };
+        if comm.size() > 1 {
+            let seq = st.alloc_seq();
+            st.next_barrier = Some(post_barrier_slot(&comm, seq));
+            // Everyone's slot 0 must exist before anyone's round-0 put.
+            comm.barrier();
+        }
+        Collectives {
+            offload: Some(Mutex::new(st)),
+            ..Collectives::new(comm)
         }
     }
 

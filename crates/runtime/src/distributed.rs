@@ -28,7 +28,6 @@
 //! | `PORTALS_UDP_LOSS`       | send-side loss shim probability      | `0`     |
 //! | `PORTALS_UDP_SEED`       | loss shim seed (offset per process)  | `0`     |
 //! | `PORTALS_UDP_MTU`        | max datagram payload bytes           | `1432`  |
-//! | `PORTALS_UDP_BATCH`      | datagrams per wire syscall (1 = off) | `32`    |
 //!
 //! `PORTALS_UDP_MTU` is this process's *advertisement*: the rendezvous
 //! exchange answers with the job-wide minimum of every rank's advertised
@@ -39,7 +38,7 @@
 
 use crate::directory::JobDirectory;
 use crate::launch::{JobConfig, ProcessEnv};
-use portals::{NiConfig, Node, NodeConfig};
+use portals::{Node, NodeConfig};
 use portals_mpi::Mpi;
 use portals_netudp::{register, UdpLink, UdpLinkConfig};
 use portals_types::{NodeId, ProcessId, Rank};
@@ -70,9 +69,6 @@ pub struct DistributedConfig {
     /// Advertised to rendezvous; the job runs at the minimum advertisement
     /// across ranks.
     pub max_payload: usize,
-    /// Datagrams per batched wire syscall (`sendmmsg`/`recvmmsg` vector
-    /// length); `1` runs the unbatched one-syscall-per-datagram wire.
-    pub batch: usize,
     /// Rendezvous / startup timeout.
     pub timeout: Duration,
 }
@@ -96,7 +92,6 @@ impl DistributedConfig {
             loss: optional("PORTALS_UDP_LOSS", 0.0),
             seed: optional("PORTALS_UDP_SEED", 0),
             max_payload: optional("PORTALS_UDP_MTU", 1432),
-            batch: optional("PORTALS_UDP_BATCH", portals_netudp::DEFAULT_BATCH),
             timeout: Duration::from_secs(optional("PORTALS_TIMEOUT_SECS", 60)),
         })
     }
@@ -154,7 +149,6 @@ where
     let link = UdpLink::bind(UdpLinkConfig {
         nid: NodeId(dist.proc_index),
         max_payload: dist.max_payload,
-        batch: dist.batch,
         loss: dist.loss,
         seed: dist.seed.wrapping_add(dist.proc_index as u64),
         obs: config.obs.clone(),
@@ -189,7 +183,7 @@ where
         .collect();
     let directory = Arc::new(JobDirectory::new());
     for id in &ranks {
-        directory.register(*id, config.job_id);
+        directory.register(*id, config.ni.job);
     }
 
     let node = Arc::new(Node::new(
@@ -206,15 +200,7 @@ where
         .map(|r| {
             let id = ranks[r];
             let ni = node
-                .create_ni(
-                    id.pid,
-                    NiConfig {
-                        progress: config.progress,
-                        job: config.job_id,
-                        limits: config.limits,
-                        flow_control: config.flow_control,
-                    },
-                )
+                .create_ni(id.pid, config.ni.clone())
                 .expect("create ni");
             let mpi = Mpi::init(ni, ranks.clone(), Rank(r as u32), config.mpi).expect("mpi init");
             let comm = mpi.world();

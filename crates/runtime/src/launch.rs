@@ -1,7 +1,7 @@
 //! Job launch: stand up an N-process world on a simulated fabric.
 
 use crate::directory::JobDirectory;
-use portals::{NiConfig, Node, NodeConfig, ProgressModel};
+use portals::{NiConfig, Node, NodeConfig};
 use portals_mpi::{Communicator, Mpi, MpiConfig};
 use portals_net::{Fabric, FabricConfig};
 use portals_obs::Obs;
@@ -14,24 +14,17 @@ use std::sync::Arc;
 pub struct JobConfig {
     /// Fabric configuration (link model, faults, seed).
     pub fabric: FabricConfig,
-    /// Transport tuning for every node's endpoint.
+    /// Transport tuning for every node's endpoint, including who runs the
+    /// protocol ([`TransportConfig::progress_mode`]).
     pub transport: TransportConfig,
-    /// Progress model for every interface.
-    pub progress: ProgressModel,
     /// MPI layer configuration.
     pub mpi: MpiConfig,
     /// Processes per node (the paper's machines ran multiple communicating
     /// processes per node, §2).
     pub procs_per_node: usize,
-    /// Job id registered in the directory.
-    pub job_id: u32,
-    /// Portals resource limits for every interface.
-    pub limits: portals_types::NiLimits,
-    /// Portal-table flow control for every interface (and therefore for the
-    /// MPI engines built on them). On, the Portals-4-style disable/nack/resume
-    /// machinery protects against receiver overload; off, §4.8's
-    /// drop-and-count applies unmitigated.
-    pub flow_control: bool,
+    /// Configuration of every rank's interface: resource limits, the job id
+    /// registered in the directory, §4.8 flow control or drop-and-count.
+    pub ni: NiConfig,
     /// Job-wide observability handle: every layer — fabric, transports,
     /// nodes, interfaces — registers its metrics in this one registry and
     /// emits lifecycle traces to its sinks, so invariants can be checked by
@@ -44,12 +37,12 @@ impl Default for JobConfig {
         JobConfig {
             fabric: FabricConfig::ideal(),
             transport: TransportConfig::default(),
-            progress: ProgressModel::ApplicationBypass,
             mpi: MpiConfig::default(),
             procs_per_node: 1,
-            job_id: 1,
-            limits: portals_types::NiLimits::DEFAULT,
-            flow_control: true,
+            ni: NiConfig {
+                job: 1,
+                ..NiConfig::default()
+            },
             obs: Obs::default(),
         }
     }
@@ -143,7 +136,7 @@ impl Job {
             })
             .collect();
         for id in &ranks {
-            directory.register(*id, config.job_id);
+            directory.register(*id, config.ni.job);
         }
 
         let nodes: Vec<Arc<Node>> = (0..nnodes)
@@ -165,15 +158,7 @@ impl Job {
             .map(|(r, id)| {
                 let node = Arc::clone(&nodes[id.nid.0 as usize]);
                 let ni = node
-                    .create_ni(
-                        id.pid,
-                        NiConfig {
-                            progress: config.progress,
-                            job: config.job_id,
-                            limits: config.limits,
-                            flow_control: config.flow_control,
-                        },
-                    )
+                    .create_ni(id.pid, config.ni.clone())
                     .expect("create ni");
                 let mpi =
                     Mpi::init(ni, ranks.clone(), Rank(r as u32), config.mpi).expect("mpi init");

@@ -30,7 +30,7 @@ pub mod directory;
 pub mod distributed;
 pub mod launch;
 
-pub use coll::{AllgatherAlgo, AllreduceAlgo, Collectives, PendingColl, ReduceOp, TriggeredConfig};
+pub use coll::{AllgatherAlgo, AllreduceAlgo, Collectives, PendingColl, ReduceOp};
 pub use control::{Control, Launcher, NodeState, ProcessManager};
 pub use directory::JobDirectory;
 pub use distributed::DistributedConfig;

@@ -113,9 +113,12 @@ fn scatter_distributes_parts() {
 #[test]
 fn scatter_and_gather_have_no_size_cap() {
     let config = JobConfig {
-        limits: portals_types::NiLimits {
-            max_message_size: 32 * 1024 * 1024,
-            ..portals_types::NiLimits::DEFAULT
+        ni: portals::NiConfig {
+            limits: portals_types::NiLimits {
+                max_message_size: 32 * 1024 * 1024,
+                ..portals_types::NiLimits::DEFAULT
+            },
+            ..JobConfig::default().ni
         },
         ..JobConfig::default()
     };
@@ -192,9 +195,11 @@ fn consecutive_collectives_do_not_cross_talk() {
 
 #[test]
 fn collectives_work_host_driven() {
-    use portals::ProgressModel;
     let cfg = JobConfig {
-        progress: ProgressModel::HostDriven,
+        transport: portals::TransportConfig {
+            progress_mode: portals::ProgressMode::HostDriven,
+            ..Default::default()
+        },
         ..Default::default()
     };
     Job::launch(3, cfg, |env| {

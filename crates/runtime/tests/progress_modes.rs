@@ -5,7 +5,7 @@
 //! The progress mode decides *who* runs the protocol, never *what* it does.
 
 use portals_mpi::MpiConfig;
-use portals_runtime::{Collectives, Job, JobConfig, ReduceOp, TriggeredConfig};
+use portals_runtime::{Collectives, Job, JobConfig, ReduceOp};
 use portals_types::{ProgressMode, Rank};
 
 fn job_config(mode: ProgressMode) -> JobConfig {
@@ -87,7 +87,7 @@ fn rendezvous_transcripts_identical_across_modes() {
 /// context — the machinery most sensitive to who drives progress).
 fn triggered_collectives(n: usize, mode: ProgressMode) -> Vec<(Vec<u8>, Vec<f64>)> {
     Job::launch(n, job_config(mode), move |env| {
-        let coll = Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+        let coll = Collectives::triggered(env.comm.clone());
         assert!(coll.offloaded());
         let me = env.rank().0 as usize;
         let n = env.size();

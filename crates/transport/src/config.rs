@@ -30,19 +30,15 @@ pub struct TransportConfig {
     /// coalescing — the pre-batching per-packet-ack behaviour, kept as a
     /// runtime ablation.
     pub recv_batch: usize,
-    /// End-to-end credit flow control (runtime ablation flag). When on, a
-    /// sender admits a DATA packet only while its sequence lies below the
-    /// peer's advertised credit horizon (piggybacked on every ACK), and a
-    /// credit-starved sender falls back to bounded-exponential PROBE packets
-    /// instead of blind window retransmission. When off, ACKs still carry
-    /// credits but senders ignore them — the pre-credit behaviour.
-    pub flow_control: bool,
     /// Receive-side credit window: how many DATA packets per source the
     /// receiver advertises beyond its in-order horizon when idle. Shrinks
     /// dynamically while the inbound delivery queue backs up (an
     /// oversubscribed receiver sheds load by advertising less).
     pub credit_window: usize,
-    /// Credit horizon a sender assumes for a peer it has never heard from.
+    /// Credit horizon a sender assumes for a peer it has never heard from:
+    /// it admits a DATA packet only while its sequence lies below the peer's
+    /// advertised horizon (piggybacked on every ACK), and falls back to
+    /// bounded-exponential PROBE packets when starved.
     /// The default equals `credit_window`; `0` models a zero-credit start
     /// where the first PROBE/ACK exchange must run before any data flows.
     pub initial_credits: u64,
@@ -60,11 +56,15 @@ pub struct TransportConfig {
     /// are dropped and go-back-N retransmission recovers them. `0` disables
     /// buffering entirely (the pre-PR pure go-back-N receiver).
     pub ooo_buffer_bytes: usize,
-    /// Who steps the protocol. [`ProgressMode::NicThread`] (default) parks
-    /// one thread per endpoint (the node's, when there is a node above) on
-    /// the link's doorbell; [`ProgressMode::CallerDriven`] runs the same
-    /// step inline from the blocked or polling caller. Submission is inline
-    /// in both.
+    /// Who runs the protocol — a property of the node built on this
+    /// endpoint. [`ProgressMode::NicThread`] (default) and
+    /// [`ProgressMode::HostDriven`] park one thread per endpoint (the node's,
+    /// when there is a node above) on the link's doorbell;
+    /// [`ProgressMode::CallerDriven`] runs the same step inline from the
+    /// blocked or polling caller. Submission is inline in all three. The
+    /// transport itself does nothing else with the value: whether the thread
+    /// that takes a datagram also runs the receive engine is the node's
+    /// business.
     /// Always defaults to `NicThread` here: higher-level configs
     /// (`NodeConfig`) consult `PORTALS_PROGRESS_MODE`, so transport unit
     /// tests that rely on autonomous background progress keep it.
@@ -94,7 +94,6 @@ impl Default for TransportConfig {
             rto_base: Duration::from_millis(20),
             stall_retries: 10,
             recv_batch: 64,
-            flow_control: true,
             credit_window: 128,
             initial_credits: 128,
             checksum_body: false,
@@ -130,10 +129,8 @@ mod tests {
         assert!(cfg.window >= 2);
         assert!(cfg.rto_base > Duration::ZERO);
         // Credits must never bind tighter than the go-back-N window by
-        // default, or turning flow control on would change clean-path
-        // behaviour.
+        // default: the clean path is window-limited, not credit-limited.
         assert!(cfg.credit_window >= cfg.window);
         assert_eq!(cfg.initial_credits, cfg.credit_window as u64);
-        assert!(cfg.flow_control);
     }
 }

@@ -198,9 +198,9 @@ const SPIN_ITERS: u32 = 200;
 
 impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
-    /// UDP socket, …) in a reliable endpoint. In `NicThread` mode this spawns
-    /// the NIC thread; in `CallerDriven` mode there is no thread and the
-    /// calling threads drive the protocol from `recv`/`flush`.
+    /// UDP socket, …) in a reliable endpoint. In `CallerDriven` mode there is
+    /// no thread and the calling threads drive the protocol from
+    /// `recv`/`flush`; otherwise this spawns the NIC thread.
     pub fn new(link: impl Link, cfg: TransportConfig) -> Endpoint {
         Endpoint::with_obs(link, cfg, Obs::default())
     }
@@ -218,7 +218,7 @@ impl Endpoint {
     /// fits in one datagram.
     pub fn with_obs(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
         let mut endpoint = Endpoint::for_node(link, cfg, obs);
-        if endpoint.mode == ProgressMode::NicThread {
+        if !endpoint.mode.is_caller_driven() {
             let stepper = Arc::clone(&endpoint.stepper);
             endpoint.nic_thread = Some(
                 std::thread::Builder::new()
@@ -231,7 +231,7 @@ impl Endpoint {
     }
 
     /// [`Endpoint::with_obs`] for a node that brings its own NIC thread: in
-    /// `NicThread` mode nothing steps until it runs [`Endpoint::nic_loop`].
+    /// unless callers step, nothing steps until it runs [`Endpoint::nic_loop`].
     #[doc(hidden)]
     pub fn for_node(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
@@ -971,29 +971,6 @@ mod tests {
         assert_eq!(f.credit_blocked_now, 0);
         assert!(f.credits_granted >= 20, "acks must have granted credits");
         assert!(b.flow_stats().probes_received >= 1);
-    }
-
-    #[test]
-    fn flow_control_off_never_probes_or_stalls() {
-        // The ablation: credits ride on acks but senders ignore them.
-        let fabric = Fabric::ideal();
-        let cfg = TransportConfig {
-            flow_control: false,
-            initial_credits: 0, // would deadlock if gating were active
-            ..Default::default()
-        };
-        let (a, b) = pair(&fabric, cfg);
-        for _ in 0..10 {
-            a.send(NodeId(1), Gather::from_vec(vec![7u8; 100]));
-        }
-        for _ in 0..10 {
-            assert!(b.recv_timeout(Duration::from_secs(5)).is_some());
-        }
-        assert!(a.flush(Duration::from_secs(5)));
-        let f = a.flow_stats();
-        assert_eq!(f.probes_sent, 0);
-        assert_eq!(f.credit_stalls, 0);
-        assert_eq!(f.credits_granted, 0);
     }
 
     #[test]

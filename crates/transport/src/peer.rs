@@ -57,8 +57,7 @@ pub struct SenderPeer {
     stalled: bool,
     /// Advertised credit horizon: sequences strictly below this may be sent.
     /// Monotonically non-decreasing (acks carrying stale horizons are
-    /// ignored). `u64::MAX` means "unlimited" — the state of a peer created
-    /// with [`SenderPeer::new`], used when flow control is off.
+    /// ignored).
     credit: u64,
     /// True while pending fragments are held back by the credit horizon
     /// (window space is free, credits are not).
@@ -97,12 +96,6 @@ pub struct AckOutcome {
 }
 
 impl SenderPeer {
-    /// Fresh state for a new destination with an unlimited credit horizon
-    /// (credit gating never engages — flow-control-off behaviour).
-    pub fn new() -> SenderPeer {
-        SenderPeer::with_initial_credit(u64::MAX)
-    }
-
     /// Fresh state assuming `credit` sequences may be sent before the peer
     /// advertises anything. `0` models a zero-credit start: the first
     /// PROBE/ACK exchange must complete before data flows.
@@ -341,12 +334,6 @@ impl SenderPeer {
             std::mem::take(&mut self.credit_stalls),
             std::mem::take(&mut self.credit_resumes),
         )
-    }
-}
-
-impl Default for SenderPeer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -637,6 +624,12 @@ mod tests {
         Instant::now()
     }
 
+    /// A sender whose credit horizon never binds, so a test of the window
+    /// machine sees only the window.
+    fn ungated() -> SenderPeer {
+        SenderPeer::with_initial_credit(u64::MAX)
+    }
+
     fn g(b: &[u8]) -> Gather {
         Gather::copy_from_slice(b)
     }
@@ -649,7 +642,7 @@ mod tests {
 
     #[test]
     fn small_message_is_one_fragment() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let pkts = tx.enqueue_message(g(b"hi"), &cfg(), now());
         let pkts = decode(&pkts);
         assert_eq!(pkts.len(), 1);
@@ -659,7 +652,7 @@ mod tests {
 
     #[test]
     fn zero_length_message_still_sends_a_packet() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let pkts = tx.enqueue_message(Gather::new(), &cfg(), now());
         assert_eq!(pkts.len(), 1);
         let p = Packet::decode_gather(&pkts[0]).unwrap();
@@ -669,7 +662,7 @@ mod tests {
 
     #[test]
     fn fragmentation_respects_mtu_and_window() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         // 10 bytes at MTU 4 → 3 fragments; window 3 admits all immediately.
         let pkts = tx.enqueue_message(g(b"0123456789"), &cfg(), now());
         let pkts = decode(&pkts);
@@ -685,7 +678,7 @@ mod tests {
 
     #[test]
     fn ack_slides_window_and_admits_pending() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         tx.enqueue_message(g(b"0123456789"), &c, t); // seq 0..3 in flight
@@ -699,7 +692,7 @@ mod tests {
 
     #[test]
     fn ack_none_is_a_noop() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         tx.enqueue_message(g(b"hi"), &cfg(), t);
         let before = tx.outstanding();
@@ -709,7 +702,7 @@ mod tests {
 
     #[test]
     fn stale_ack_does_not_regress() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         tx.enqueue_message(g(b"0123456789"), &c, t);
@@ -723,7 +716,7 @@ mod tests {
 
     #[test]
     fn timeout_resends_whole_window_and_backs_off() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         tx.enqueue_message(g(b"0123456789"), &c, t);
@@ -747,7 +740,7 @@ mod tests {
         // cumulative progress, not only when the window fully drains —
         // go-back-N recovery normally acks the window one retransmission
         // round at a time.
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         tx.enqueue_message(g(b"0123456789"), &c, t); // seq 0..3, window holds 3
@@ -778,7 +771,7 @@ mod tests {
 
     #[test]
     fn ack_without_progress_does_not_recover_a_stalled_peer() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         tx.enqueue_message(g(b"0123456789"), &c, t);
@@ -792,7 +785,7 @@ mod tests {
 
     #[test]
     fn timeout_with_empty_window_is_noop() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let r = tx.on_timeout(&cfg(), now());
         assert!(r.resend.is_empty());
         assert!(tx.deadline().is_none());
@@ -800,7 +793,7 @@ mod tests {
 
     #[test]
     fn timeout_resend_is_handle_copies_not_fresh_buffers() {
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let t = now();
         let c = cfg();
         let sent = tx.enqueue_message(g(b"0123456789"), &c, t);
@@ -992,7 +985,7 @@ mod tests {
         // splices the stream and the message completes.
         let c = cfg();
         let t = now();
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let mut rx = ReceiverPeer::new();
         let mut asm = Vec::new();
         let pkts = tx.enqueue_message(g(b"0123456789"), &c, t);
@@ -1027,7 +1020,7 @@ mod tests {
     #[test]
     fn fragment_offsets_are_absolute_payload_positions() {
         let c = cfg(); // mtu 4
-        let mut tx = SenderPeer::new();
+        let mut tx = ungated();
         let pkts = decode(&tx.enqueue_message(g(b"0123456789"), &c, now()));
         let offs: Vec<u64> = pkts
             .iter()
@@ -1141,7 +1134,7 @@ mod tests {
                 ..Default::default()
             };
             let t = Instant::now();
-            let mut tx = SenderPeer::new();
+            let mut tx = ungated();
             let mut rx = ReceiverPeer::new();
             let mut asm = Vec::new();
             let mut wire: VecDeque<Gather> = VecDeque::new();

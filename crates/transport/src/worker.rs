@@ -189,16 +189,6 @@ impl ProgressCore {
             .store(next.map_or(DEADLINE_NONE, instant_to_ns), Ordering::Release);
     }
 
-    /// A fresh sender peer: credit-gated from the configured initial horizon
-    /// when flow control is on, unlimited when off.
-    fn new_tx_peer(cfg: &TransportConfig) -> SenderPeer {
-        if cfg.flow_control {
-            SenderPeer::with_initial_credit(cfg.initial_credits)
-        } else {
-            SenderPeer::new()
-        }
-    }
-
     /// Fold a peer's credit-block transitions into the flow stats.
     fn drain_flow_transitions(flow: &FlowStats, peer: &mut SenderPeer) {
         let (stalls, resumes) = peer.take_credit_transitions();
@@ -265,7 +255,7 @@ impl ProgressCore {
         let peer = self
             .tx_peers
             .entry(dst)
-            .or_insert_with(|| Self::new_tx_peer(&self.cfg));
+            .or_insert_with(|| SenderPeer::with_initial_credit(self.cfg.initial_credits));
         let msg_id = peer.next_msg_id();
         let msg_len = msg.len() as u64;
         self.obs.tracer.emit(|| {
@@ -392,18 +382,12 @@ impl ProgressCore {
                     // Grow the credit horizon first: packets the new horizon
                     // admits and packets the cumulative ack releases go out in
                     // one pass. Monotonic max inside `grant_credit` makes
-                    // reordered/duplicated acks harmless. Peers created under
-                    // `flow_control = off` sit at u64::MAX and ignore this.
-                    let granted = if self.cfg.flow_control {
-                        let before = peer.credit();
-                        let released = peer.grant_credit(credit, &self.cfg, now);
-                        if before != u64::MAX && peer.credit() > before {
-                            self.flow.credits_granted.add(peer.credit() - before);
-                        }
-                        released
-                    } else {
-                        Vec::new()
-                    };
+                    // reordered/duplicated acks harmless.
+                    let horizon = peer.credit();
+                    let granted = peer.grant_credit(credit, &self.cfg, now);
+                    if peer.credit() > horizon {
+                        self.flow.credits_granted.add(peer.credit() - horizon);
+                    }
                     let before = peer.outstanding();
                     let outcome = peer.on_ack(cumulative, &self.cfg, now);
                     let after = peer.outstanding();

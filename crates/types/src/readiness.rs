@@ -1,6 +1,6 @@
 //! Progress-mode selection and the lock-free readiness doorbell.
 //!
-//! Submission is the same in both [`ProgressMode`]s: an op descriptor passes
+//! Submission is the same in every [`ProgressMode`]: an op descriptor passes
 //! from the sender's stack straight into the transport, under the lock that
 //! guards the node's one set of protocol state machines. The mode names who
 //! runs the other half — taking arrivals through the transport and the
@@ -14,6 +14,14 @@
 //! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
 //!   in a wait runs that same step inline, spinning briefly and then parking
 //!   on the doorbell between arrivals.
+//! * **Host-driven** — the NIC thread runs the transport only and queues what
+//!   arrives; the receive engine runs inside API calls on the application's
+//!   thread (the GM-style baseline of the paper's §5.3). A blocked caller
+//!   drains that queue and parks on the doorbell exactly as a caller-driven
+//!   waiter does.
+//!
+//! So there are two ways to wait: sleep on the completion's own condvar
+//! (NIC-thread), or drive-then-park on the node's doorbell (the other two).
 //!
 //! [`Readiness`] is the primitive that makes both parks cheap and
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
@@ -32,45 +40,58 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Who steps the protocol — takes arrivals through the transport and the
-/// receive engine, fires timers: the node's NIC thread, or the calling
-/// thread. Submission runs inline in the caller either way.
+/// Who runs the protocol — takes arrivals through the transport and the
+/// receive engine, fires timers. Submission runs inline in the caller in
+/// every mode.
 ///
-/// The knob lives on `TransportConfig` (and is inherited by everything built
-/// on top of the endpoint — the node, its interfaces, MPI). The default is
-/// [`ProgressMode::NicThread`]; set `PORTALS_PROGRESS_MODE=caller_driven` to
-/// flip configuration defaults that consult [`ProgressMode::from_env`].
+/// The knob lives on `TransportConfig` and is a property of the node:
+/// everything built on the endpoint — the node, its interfaces, MPI —
+/// inherits it. `TransportConfig` defaults to [`ProgressMode::NicThread`];
+/// `NodeConfig::default()` consults [`ProgressMode::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// One thread per node (the NIC-firmware stand-in), parked on the node's
     /// doorbell, steps the transport and runs the receive engine on what
-    /// arrives; callers block until it completes something for them.
+    /// arrives; callers block until it completes something for them. The
+    /// paper's application bypass (§5.1).
     #[default]
     NicThread,
     /// Threadless: the blocked or polling caller steps the transport, the
     /// fabric and the receive engine inline. No handoff at all.
     CallerDriven,
+    /// The NIC thread steps the transport and queues arrivals raw; the
+    /// receive rules of §4.8 run only inside API calls on the interface the
+    /// message is for. The GM-style baseline of §5.3 and Figure 6, kept
+    /// protocol-identical so the comparison isolates the progress question.
+    HostDriven,
 }
 
 impl ProgressMode {
-    /// Resolve the mode from the `PORTALS_PROGRESS_MODE` environment variable
-    /// (`caller_driven`/`callerdriven`/`threadless` select
-    /// [`ProgressMode::CallerDriven`]; anything else, or unset, selects
-    /// [`ProgressMode::NicThread`]). Used by configuration defaults so CI can
+    /// Resolve the mode from the `PORTALS_PROGRESS_MODE` environment
+    /// variable: `nic_thread` or `caller_driven`; unset selects
+    /// [`ProgressMode::NicThread`]. Used by configuration defaults so CI can
     /// run the whole suite in either mode without editing every test.
+    ///
+    /// Panics, naming the variable and the value, on anything else — a typo
+    /// in a launcher or a CI matrix must not silently test the wrong mode.
+    /// [`ProgressMode::HostDriven`] is never selected here: a suite written
+    /// for autonomous progress does not run on a host-driven node.
     pub fn from_env() -> ProgressMode {
-        match std::env::var("PORTALS_PROGRESS_MODE") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "caller_driven" | "callerdriven" | "caller-driven" | "threadless" => {
-                    ProgressMode::CallerDriven
-                }
-                _ => ProgressMode::NicThread,
-            },
-            Err(_) => ProgressMode::NicThread,
+        ProgressMode::parse(std::env::var("PORTALS_PROGRESS_MODE").ok().as_deref())
+    }
+
+    fn parse(value: Option<&str>) -> ProgressMode {
+        match value {
+            None | Some("nic_thread") => ProgressMode::NicThread,
+            Some("caller_driven") => ProgressMode::CallerDriven,
+            Some(other) => panic!(
+                "PORTALS_PROGRESS_MODE={other} is not valid (expected nic_thread or caller_driven)"
+            ),
         }
     }
 
-    /// True for [`ProgressMode::CallerDriven`].
+    /// True for [`ProgressMode::CallerDriven`]: no NIC thread, the caller
+    /// steps the transport.
     #[inline]
     pub fn is_caller_driven(self) -> bool {
         self == ProgressMode::CallerDriven
@@ -208,11 +229,25 @@ mod tests {
 
     #[test]
     fn env_unset_defaults_to_nic_thread() {
-        // The test environment does not set the variable (CI sets it only in
-        // the dedicated matrix job).
-        if std::env::var("PORTALS_PROGRESS_MODE").is_err() {
-            assert_eq!(ProgressMode::from_env(), ProgressMode::NicThread);
-        }
+        assert_eq!(ProgressMode::parse(None), ProgressMode::NicThread);
+    }
+
+    #[test]
+    fn env_accepts_exactly_the_two_ci_spellings() {
+        assert_eq!(
+            ProgressMode::parse(Some("nic_thread")),
+            ProgressMode::NicThread
+        );
+        assert_eq!(
+            ProgressMode::parse(Some("caller_driven")),
+            ProgressMode::CallerDriven
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PORTALS_PROGRESS_MODE=threadless is not valid")]
+    fn env_rejects_anything_else_by_name() {
+        ProgressMode::parse(Some("threadless"));
     }
 
     #[test]

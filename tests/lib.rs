@@ -29,7 +29,7 @@ pub mod workload {
     //!    completion chains run over the real UDP wire too.
 
     use portals_mpi::{AtomicDatatype, AtomicOp, Window};
-    use portals_runtime::{Collectives, ProcessEnv, ReduceOp, TriggeredConfig};
+    use portals_runtime::{Collectives, ProcessEnv, ReduceOp};
     use portals_types::{Rank, Region};
 
     /// Eager-phase payload from `from` in `round`: size varies per round but
@@ -95,7 +95,7 @@ pub mod workload {
         // Phase 3: triggered (offloaded) allreduce, differentially checked
         // against the host-driven library right here.
         let host = Collectives::new(comm.clone());
-        let off = Collectives::with_triggered(comm.clone(), TriggeredConfig { offload: true });
+        let off = Collectives::triggered(comm.clone());
         let input = allreduce_input(me, 33);
         let mut host_out = input.clone();
         host.allreduce(&mut host_out, ReduceOp::Sum);

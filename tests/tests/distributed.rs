@@ -22,27 +22,17 @@ struct DistRun {
     retransmissions: u64,
 }
 
-/// Wire-level knobs for one distributed run. `None` leaves the matching
-/// `PORTALS_UDP_*` variable to whatever the ambient environment says (which
-/// is how the CI matrix drives the default tests with `PORTALS_UDP_BATCH`
-/// exported on and off); `Some` pins it for differential comparisons within
-/// one test.
-#[derive(Clone, Copy, Default)]
-struct Wire {
-    batch: Option<usize>,
-    mtu: Option<usize>,
-}
-
 /// Launch `nprocs` helper processes × `procs_per_node` ranks over loopback
 /// UDP and harvest their transcripts. `script` selects the workload the
 /// helper runs: "full" (every protocol phase) or "rma" (the one-sided phase
-/// alone).
+/// alone); `mtu` pins `PORTALS_UDP_MTU` for the job, `None` leaves the
+/// default.
 fn run_distributed_script(
     nprocs: u32,
     procs_per_node: usize,
     loss: f64,
     job: &str,
-    wire: Wire,
+    mtu: Option<usize>,
     script: &str,
 ) -> DistRun {
     let server = RendezvousServer::bind("127.0.0.1:0").expect("bind rendezvous");
@@ -65,10 +55,7 @@ fn run_distributed_script(
                 .env("PORTALS_WORKLOAD", script)
                 .stdout(std::process::Stdio::piped())
                 .stderr(std::process::Stdio::inherit());
-            if let Some(batch) = wire.batch {
-                cmd.env("PORTALS_UDP_BATCH", batch.to_string());
-            }
-            if let Some(mtu) = wire.mtu {
+            if let Some(mtu) = mtu {
                 cmd.env("PORTALS_UDP_MTU", mtu.to_string());
             }
             cmd.spawn().expect("spawn udp_rank")
@@ -167,9 +154,9 @@ fn run_distributed(
     procs_per_node: usize,
     loss: f64,
     job: &str,
-    wire: Wire,
+    mtu: Option<usize>,
 ) -> DistRun {
-    run_distributed_script(nprocs, procs_per_node, loss, job, wire, "full")
+    run_distributed_script(nprocs, procs_per_node, loss, job, mtu, "full")
 }
 
 /// The same workload through the in-process launcher: rank -> transcript.
@@ -209,7 +196,7 @@ fn assert_identical(world: usize, dist: &DistRun, local: &HashMap<u32, Vec<u8>>)
 
 #[test]
 fn two_processes_match_in_process_launch() {
-    let dist = run_distributed(2, 1, 0.0, "diff2x1", Wire::default());
+    let dist = run_distributed(2, 1, 0.0, "diff2x1", None);
     let local = run_local(2, 1);
     assert_identical(2, &dist, &local);
 }
@@ -218,7 +205,7 @@ fn two_processes_match_in_process_launch() {
 fn two_processes_two_ranks_each_match_in_process_launch() {
     // 2 OS processes × 2 ranks: same-node traffic stays in the node, ring
     // neighbours cross the real wire.
-    let dist = run_distributed(2, 2, 0.0, "diff2x2", Wire::default());
+    let dist = run_distributed(2, 2, 0.0, "diff2x2", None);
     let local = run_local(4, 2);
     assert_identical(4, &dist, &local);
 }
@@ -228,7 +215,7 @@ fn lossy_udp_still_matches_and_actually_retransmitted() {
     // 10% seeded send-side datagram loss on every link: the go-back-N
     // machinery must recover over the real wire and the application bytes
     // must still be identical to the lossless in-process run.
-    let dist = run_distributed(2, 1, 0.10, "diffloss", Wire::default());
+    let dist = run_distributed(2, 1, 0.10, "diffloss", None);
     let local = run_local(2, 1);
     assert_identical(2, &dist, &local);
     assert!(
@@ -238,85 +225,11 @@ fn lossy_udp_still_matches_and_actually_retransmitted() {
 }
 
 #[test]
-fn batched_wire_matches_unbatched_wire_and_local() {
-    // The tentpole differential: the same job (eager + streaming rendezvous
-    // + triggered phases) over the sendmmsg/recvmmsg wire, the one-syscall-
-    // per-datagram wire, and the in-process launcher must produce
-    // byte-identical per-rank transcripts.
-    let batched = run_distributed(
-        2,
-        1,
-        0.0,
-        "diffbatch32",
-        Wire {
-            batch: Some(32),
-            mtu: None,
-        },
-    );
-    let unbatched = run_distributed(
-        2,
-        1,
-        0.0,
-        "diffbatch1",
-        Wire {
-            batch: Some(1),
-            mtu: None,
-        },
-    );
-    let local = run_local(2, 1);
-    assert_identical(2, &batched, &local);
-    assert_identical(2, &unbatched, &local);
-    assert_eq!(
-        batched.transcripts, unbatched.transcripts,
-        "batching must be observationally invisible"
-    );
-}
-
-#[test]
-fn batched_lossy_wire_matches_and_retransmits() {
-    // The loss shim sits below the batch boundary: a 10% seeded drop rate
-    // applied per datagram inside the mmsg vector must exercise go-back-N
-    // over the batched wire exactly as it does over the unbatched one, and
-    // both must still match the lossless in-process run byte for byte.
-    let batched = run_distributed(
-        2,
-        1,
-        0.10,
-        "difflossb32",
-        Wire {
-            batch: Some(32),
-            mtu: None,
-        },
-    );
-    let unbatched = run_distributed(
-        2,
-        1,
-        0.10,
-        "difflossb1",
-        Wire {
-            batch: Some(1),
-            mtu: None,
-        },
-    );
-    let local = run_local(2, 1);
-    assert_identical(2, &batched, &local);
-    assert_identical(2, &unbatched, &local);
-    assert!(
-        batched.retransmissions > 0,
-        "10% loss over the batched wire must force retransmissions"
-    );
-    assert!(
-        unbatched.retransmissions > 0,
-        "10% loss over the unbatched wire must force retransmissions"
-    );
-}
-
-#[test]
 fn rma_two_ranks_match_in_process_launch() {
     // The one-sided phase alone: halo puts, contended engine-side atomics,
     // CAS, and a notified put over real loopback UDP must reproduce the
     // in-process transcripts byte for byte.
-    let dist = run_distributed_script(2, 1, 0.0, "rma2x1", Wire::default(), "rma");
+    let dist = run_distributed_script(2, 1, 0.0, "rma2x1", None, "rma");
     let local = run_local_rma(2, 1);
     assert_identical(2, &dist, &local);
 }
@@ -326,7 +239,7 @@ fn rma_four_ranks_match_in_process_launch() {
     // 2 OS processes × 2 ranks: the contended counter takes accumulates both
     // from the wire and from node-local ranks; serialization under the
     // target's portal lock must make the interleavings invisible.
-    let dist = run_distributed_script(2, 2, 0.0, "rma2x2", Wire::default(), "rma");
+    let dist = run_distributed_script(2, 2, 0.0, "rma2x2", None, "rma");
     let local = run_local_rma(4, 2);
     assert_identical(4, &dist, &local);
 }
@@ -336,7 +249,7 @@ fn rma_lossy_udp_matches_and_retransmits() {
     // 10% seeded datagram loss under the atomic traffic: retransmitted
     // atomic requests must not double-apply (go-back-N replays are filtered
     // below the engine), and the transcripts must still match.
-    let dist = run_distributed_script(2, 1, 0.10, "rmaloss", Wire::default(), "rma");
+    let dist = run_distributed_script(2, 1, 0.10, "rmaloss", None, "rma");
     let local = run_local_rma(2, 1);
     assert_identical(2, &dist, &local);
     assert!(
@@ -350,16 +263,7 @@ fn jumbo_mtu_negotiated_run_matches_local() {
     // Jumbo loopback datagrams (~64 KiB, negotiated job-wide through the
     // rendezvous MTU exchange) change the fragmentation completely but must
     // not change a single application byte.
-    let dist = run_distributed(
-        2,
-        1,
-        0.0,
-        "diffjumbo",
-        Wire {
-            batch: Some(32),
-            mtu: Some(65489),
-        },
-    );
+    let dist = run_distributed(2, 1, 0.0, "diffjumbo", Some(65489));
     let local = run_local(2, 1);
     assert_identical(2, &dist, &local);
 }

@@ -44,7 +44,10 @@ fn overload_config(flow_control: bool) -> JobConfig {
             slab_min_free: 2048,
             ..Default::default()
         },
-        flow_control,
+        ni: portals::NiConfig {
+            flow_control,
+            ..JobConfig::default().ni
+        },
         ..Default::default()
     }
 }

@@ -2,7 +2,7 @@
 //! multi-job isolation through access control, and end-to-end shape checks of
 //! the paper's headline experiment.
 
-use portals::{NiConfig, Node, NodeConfig, ProgressModel};
+use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
 use portals_mpi::bypass::{calibrate_work, run_point, BypassConfig};
 use portals_mpi::{Mpi, MpiConfig};
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
@@ -262,13 +262,16 @@ fn figure6_shape_holds_end_to_end() {
 #[test]
 fn host_driven_full_job_matches_bypass_results() {
     let _serial = serial();
-    // Same computation under both progress models must give identical
+    // Same computation whoever runs the receive rules must give identical
     // answers (only timing differs).
-    let run = |progress| {
+    let run = |progress_mode| {
         Job::launch(
             3,
             JobConfig {
-                progress,
+                transport: TransportConfig {
+                    progress_mode,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
             |env| {
@@ -279,8 +282,8 @@ fn host_driven_full_job_matches_bypass_results() {
             },
         )
     };
-    let bypass = run(ProgressModel::ApplicationBypass);
-    let host = run(ProgressModel::HostDriven);
+    let bypass = run(ProgressMode::NicThread);
+    let host = run(ProgressMode::HostDriven);
     assert_eq!(bypass, host);
     assert_eq!(bypass[0], 6.0);
 }

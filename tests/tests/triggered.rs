@@ -12,7 +12,7 @@
 
 use portals::{AckRequest, MdSpec, MePos, NiConfig, Node, NodeConfig, Region};
 use portals_net::Fabric;
-use portals_runtime::{Collectives, Job, JobConfig, ReduceOp, TriggeredConfig};
+use portals_runtime::{Collectives, Job, JobConfig, ReduceOp};
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -152,8 +152,7 @@ fn offloaded_allreduce_is_byte_identical_to_host_driven() {
     for n in [2usize, 3, 4, 5, 8] {
         Job::launch(n, JobConfig::default(), move |env| {
             let host = Collectives::new(env.comm.clone());
-            let off =
-                Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+            let off = Collectives::triggered(env.comm.clone());
             assert!(off.offloaded());
             let me = env.rank().0 as usize;
             for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
@@ -179,8 +178,7 @@ fn offloaded_bcast_and_barrier_match_host_driven() {
     for n in [2usize, 3, 4, 5, 8] {
         Job::launch(n, JobConfig::default(), move |env| {
             let host = Collectives::new(env.comm.clone());
-            let off =
-                Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+            let off = Collectives::triggered(env.comm.clone());
             let me = env.rank().0 as usize;
             for root in 0..n {
                 let payload: Vec<u8> = (0..129).map(|i| (i as usize * 7 + root) as u8).collect();
@@ -209,7 +207,7 @@ fn consecutive_offloaded_collectives_do_not_cross_talk() {
     // Exercises the post-ahead-by-one barrier slot across a long mixed
     // sequence on a non-power-of-two world.
     Job::launch(5, JobConfig::default(), |env| {
-        let off = Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+        let off = Collectives::triggered(env.comm.clone());
         let n = env.size() as f64;
         for round in 0..12u32 {
             let mut v = vec![env.rank().0 as f64 + round as f64; 3];
@@ -238,7 +236,7 @@ fn offloaded_allreduce_completes_with_zero_host_progress() {
     // terminal counter is polled: under application bypass every intermediate
     // combine/forward must run in engine context.
     Job::launch(4, JobConfig::default(), |env| {
-        let off = Collectives::with_triggered(env.comm.clone(), TriggeredConfig { offload: true });
+        let off = Collectives::triggered(env.comm.clone());
         let me = env.rank().0 as usize;
         let mut data = rank_input(me, 17);
         let expect = {
