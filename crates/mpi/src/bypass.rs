@@ -54,6 +54,9 @@ pub struct BypassConfig {
 
 impl BypassConfig {
     /// The paper's MPICH/Portals configuration at a given work interval.
+    /// Bypass means an agent other than the application advances the
+    /// protocol (§5.1), so the mode is pinned: under caller-driven progress
+    /// nobody would step it during the work interval.
     pub fn portals_style(work_iterations: u64) -> BypassConfig {
         BypassConfig {
             msg_size: 50 * 1024,
@@ -61,7 +64,7 @@ impl BypassConfig {
             work_iterations,
             test_calls_during_work: 0,
             repeats: 5,
-            progress: ProgressMode::from_env(),
+            progress: ProgressMode::NicThread,
             mpi: MpiConfig::default(),
             link: LinkModel::myrinet_2001(),
         }

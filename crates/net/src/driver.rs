@@ -104,8 +104,8 @@ impl std::fmt::Debug for DriverRegistry {
 
 /// A handle for participating in cooperative caller-driven progress: register
 /// a [`NodeDriver`] for this node and service peers' pending work from wait
-/// loops. Obtained from a link backend (e.g.
-/// [`Nic::driver_hub`](crate::Nic::driver_hub)); cheap to clone.
+/// loops. Obtained from a link backend ([`LinkCaps::hub`](crate::LinkCaps));
+/// cheap to clone.
 #[derive(Clone)]
 pub struct DriverHub {
     nid: NodeId,

@@ -7,10 +7,9 @@ use crate::driver::DriverRegistry;
 use crate::driver::NodeDriver;
 use crate::nic::{Datagram, Nic};
 use crate::stats::{FabricStats, FabricStatsSnapshot, NicStats};
-use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex, RwLock};
 use portals_obs::{Layer, Stage, TraceEvent, NONE_U64};
-use portals_types::{NodeId, Readiness};
+use portals_types::{DoorbellQueue, NodeId, Readiness};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -57,18 +56,12 @@ struct WireState {
     shutdown: bool,
 }
 
-/// Per-attached-node routing entry: the inbound channel plus the readiness
-/// doorbell rung when a packet lands on it.
-pub(crate) struct Route {
-    pub(crate) tx: Sender<Datagram>,
-    pub(crate) readiness: Arc<Readiness>,
-}
-
 pub(crate) struct Shared {
     pub(crate) clock: SimClock,
     pub(crate) config: FabricConfig,
     pub(crate) stats: FabricStats,
-    pub(crate) routes: RwLock<HashMap<NodeId, Route>>,
+    /// Each attached node's inbound queue, shared with its [`Nic`].
+    pub(crate) routes: RwLock<HashMap<NodeId, Arc<DoorbellQueue<Datagram>>>>,
     /// Caller-driven nodes that volunteered to be serviced from peers' wait
     /// loops (see [`crate::NodeDriver`]); shared with every
     /// [`crate::DriverHub`] this fabric's NICs hand out.
@@ -102,49 +95,33 @@ impl Shared {
         let tracer = &self.config.obs.tracer;
         let (src, dst) = (datagram.src.0, datagram.dst.0);
         let routes = self.routes.read();
-        match routes.get(&datagram.dst) {
-            Some(route) => {
-                let bytes = datagram.payload.len() as u64;
-                if route.tx.send(datagram).is_ok() {
-                    // Raise the doorbell *after* the enqueue so a consumer
-                    // that takes the bit always finds the packet.
-                    route.readiness.set(Readiness::INBOUND);
-                    self.stats.packets_delivered.inc();
-                    self.stats.bytes_delivered.add(bytes);
-                    // A bypassed wire has no arrival ordering to record (the
-                    // seq is the NONE sentinel): the WireDeliver stage only
-                    // exists when a modelled wire actually carried the packet.
-                    if seq != NONE_U64 {
-                        tracer.emit(|| {
-                            TraceEvent::new(Layer::Fabric, Stage::WireDeliver)
-                                .node(dst)
-                                .peer(src)
-                                .seq(seq)
-                                .bytes(bytes)
-                                .detail(if dup { "dup" } else { "" })
-                        });
-                    }
-                } else {
-                    self.stats.packets_unroutable.inc();
-                    tracer.emit(|| {
-                        TraceEvent::new(Layer::Fabric, Stage::Drop)
-                            .node(dst)
-                            .peer(src)
-                            .seq(seq)
-                            .detail("unroutable")
-                    });
-                }
-            }
-            None => {
-                self.stats.packets_unroutable.inc();
-                tracer.emit(|| {
-                    TraceEvent::new(Layer::Fabric, Stage::Drop)
-                        .node(dst)
-                        .peer(src)
-                        .seq(seq)
-                        .detail("unroutable")
-                });
-            }
+        let Some(inbound) = routes.get(&datagram.dst) else {
+            self.stats.packets_unroutable.inc();
+            tracer.emit(|| {
+                TraceEvent::new(Layer::Fabric, Stage::Drop)
+                    .node(dst)
+                    .peer(src)
+                    .seq(seq)
+                    .detail("unroutable")
+            });
+            return;
+        };
+        let bytes = datagram.payload.len() as u64;
+        inbound.push(datagram);
+        self.stats.packets_delivered.inc();
+        self.stats.bytes_delivered.add(bytes);
+        // A bypassed wire has no arrival ordering to record (the seq is the
+        // NONE sentinel): the WireDeliver stage only exists when a modelled
+        // wire actually carried the packet.
+        if seq != NONE_U64 {
+            tracer.emit(|| {
+                TraceEvent::new(Layer::Fabric, Stage::WireDeliver)
+                    .node(dst)
+                    .peer(src)
+                    .seq(seq)
+                    .bytes(bytes)
+                    .detail(if dup { "dup" } else { "" })
+            });
         }
     }
 
@@ -258,8 +235,8 @@ impl Shared {
             // (sequence bump only, no bits — nothing is queued yet) so a
             // parked waiter re-derives its park deadline from the new wire
             // schedule and pumps the packet out at its delivery time.
-            if let Some(route) = self.routes.read().get(&dst_node) {
-                route.readiness.ring();
+            if let Some(inbound) = self.routes.read().get(&dst_node) {
+                inbound.readiness().ring();
             }
         } else {
             self.wire_cond.notify_one();
@@ -376,24 +353,16 @@ impl Fabric {
     /// Attach a NIC for node `nid`. Panics if the node is already attached —
     /// attaching twice is a program structure bug, not a runtime condition.
     pub fn attach(&self, nid: NodeId) -> Nic {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let readiness = Arc::new(Readiness::new());
-        {
-            let mut routes = self.shared.routes.write();
-            let prev = routes.insert(
-                nid,
-                Route {
-                    tx,
-                    readiness: Arc::clone(&readiness),
-                },
-            );
-            assert!(prev.is_none(), "node {nid} attached twice");
-        }
+        let inbound = Arc::new(DoorbellQueue::new(
+            Arc::new(Readiness::new()),
+            Readiness::INBOUND,
+        ));
+        let prev = self.shared.routes.write().insert(nid, Arc::clone(&inbound));
+        assert!(prev.is_none(), "node {nid} attached twice");
         Nic::new(
             nid,
             Arc::clone(&self.shared),
-            rx,
-            readiness,
+            inbound,
             Arc::new(NicStats::default()),
         )
     }
@@ -466,9 +435,8 @@ fn wire_scheduler(shared: Arc<Shared>) {
         match wire.heap.peek() {
             Some(Reverse(pkt)) if pkt.deliver_at <= now => {
                 let pkt = wire.heap.pop().expect("peeked").0;
-                // Deliver without holding the wire lock: receivers may send from
-                // within channel callbacks in future revisions, and delivery can
-                // block on an unbounded channel only during allocation anyway.
+                // Deliver without holding the wire lock: the push wakes the
+                // destination, which may send straight away.
                 drop(wire);
                 shared.deliver(pkt.datagram, pkt.seq, pkt.dup);
                 wire = shared.wire.lock();
@@ -492,6 +460,7 @@ mod tests {
     use super::*;
     use crate::config::LinkModel;
     use crate::fault::FaultPlan;
+    use crate::link::Link;
     use bytes::Bytes;
 
     fn dgram(src: u32, dst: u32, len: usize) -> Bytes {
@@ -764,7 +733,7 @@ mod tests {
         let fabric = Fabric::ideal();
         let a = fabric.attach(NodeId(0));
         let b = fabric.attach(NodeId(1));
-        let r = b.readiness();
+        let r = Arc::clone(b.inbound_receiver().readiness());
         assert_eq!(r.peek() & portals_types::Readiness::INBOUND, 0);
         a.send(NodeId(1), dgram(0, 1, 4));
         assert_ne!(r.peek() & portals_types::Readiness::INBOUND, 0);
@@ -845,8 +814,8 @@ mod tests {
         let db = Arc::new(CountingDriver {
             serviced: AtomicU64::new(0),
         });
-        let hub_a = a.driver_hub();
-        let hub_b = b.driver_hub();
+        let hub_a = a.caps().hub;
+        let hub_b = b.caps().hub;
         hub_a.register(Arc::downgrade(&da) as std::sync::Weak<dyn NodeDriver>);
         hub_b.register(Arc::downgrade(&db) as std::sync::Weak<dyn NodeDriver>);
         assert!(hub_a.service_peers());

@@ -36,6 +36,6 @@ pub use config::{FabricConfig, LinkModel};
 pub use driver::{DriverHub, DriverRegistry, NodeDriver};
 pub use fabric::Fabric;
 pub use fault::FaultPlan;
-pub use link::Link;
+pub use link::{Link, LinkCaps};
 pub use nic::{Datagram, Nic, RecvError};
 pub use stats::{FabricStats, NicStats};

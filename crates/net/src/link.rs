@@ -16,25 +16,48 @@
 //! datagram delivery and nothing more. The fault-free fabric happens to be
 //! reliable and in-order; UDP over loopback usually is too; the transport
 //! must not (and does not) depend on either. A backend that can corrupt
-//! payloads in flight must return `true` from
-//! [`Link::body_checksum_required`] so the transport extends packet CRCs
-//! over the body.
+//! payloads in flight says so in [`LinkCaps::body_checksum`], and the
+//! transport extends packet CRCs over the body.
 
 use crate::driver::DriverHub;
 use crate::nic::Datagram;
-use crossbeam::channel::Receiver;
-use portals_types::{Gather, NodeId, Readiness};
+use portals_types::{DoorbellQueue, Gather, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// What a wire says about itself. The transport asks once, when an endpoint
+/// is built on the link.
+#[derive(Debug)]
+pub struct LinkCaps {
+    /// Handle for cooperative caller-driven progress among the nodes sharing
+    /// this backend's process.
+    pub hub: DriverHub,
+    /// Hard upper bound on a single datagram's payload size, if the wire has
+    /// one (a UDP socket does; the in-process fabric does not). The
+    /// transport clamps its MTU to this.
+    pub max_datagram: Option<usize>,
+    /// The fragment size this wire performs best at, if it has an opinion.
+    /// Adopted by the transport when its MTU is left at the follow-the-link
+    /// default (`TransportConfig::mtu = 0` in `portals-transport`); an
+    /// explicitly configured MTU always wins. A socket backend with a real
+    /// frame size limit leaves this `None` and states `max_datagram`.
+    pub preferred_mtu: Option<usize>,
+    /// `true` when this wire can corrupt payload bytes in flight, so packet
+    /// CRCs must cover bodies, not just headers. The in-process fabric
+    /// hands over refcounted memory and says `false`; real sockets say
+    /// `true`.
+    pub body_checksum: bool,
+}
 
 /// An unreliable datagram endpoint bound to one node id — the lowest layer
 /// the transport builds on.
 ///
 /// The queueing contract: a datagram accepted by [`Link::send`] is either
-/// delivered into the destination's inbound channel (raising
-/// [`Readiness::INBOUND`] on its doorbell *after* the enqueue) or silently
-/// dropped. Sends never block on the receiver and never report failure —
-/// exactly a NIC ring buffer's semantics; recovery is the caller's job.
+/// pushed onto the destination's inbound queue (which raises
+/// [`Readiness::INBOUND`](portals_types::Readiness::INBOUND) on its doorbell
+/// after the enqueue) or silently dropped. Sends never block on the receiver
+/// and never report failure — exactly a NIC ring buffer's semantics; recovery
+/// is the caller's job.
 pub trait Link: Send + Sync + 'static {
     /// The node id this endpoint is bound to.
     fn nid(&self) -> NodeId;
@@ -55,19 +78,13 @@ pub trait Link: Send + Sync + 'static {
         }
     }
 
-    /// A clone of the inbound channel receiver. All arriving datagrams land
-    /// here, in arrival order.
-    fn inbound_receiver(&self) -> Receiver<Datagram>;
+    /// The inbound queue. All arriving datagrams land here, in arrival
+    /// order; its doorbell ([`DoorbellQueue::readiness`]) is the one the node
+    /// built on this link parks on.
+    fn inbound_receiver(&self) -> Arc<DoorbellQueue<Datagram>>;
 
-    /// This endpoint's readiness doorbell: the backend raises
-    /// [`Readiness::INBOUND`] after each inbound enqueue. Higher layers
-    /// raise their own bits on the same doorbell so one park covers all
-    /// work classes.
-    fn readiness(&self) -> Arc<Readiness>;
-
-    /// A [`DriverHub`] for cooperative caller-driven progress among the
-    /// nodes sharing this backend's process.
-    fn driver_hub(&self) -> DriverHub;
+    /// This wire's properties and its [`DriverHub`].
+    fn caps(&self) -> LinkCaps;
 
     /// On a caller-pumped wire, deliver every due packet and return the next
     /// delivery deadline. Backends with their own delivery agent (a
@@ -81,32 +98,5 @@ pub trait Link: Send + Sync + 'static {
     /// holding, without pumping it. `None` when idle or not caller-pumped.
     fn next_wire_deadline(&self) -> Option<Instant> {
         None
-    }
-
-    /// Hard upper bound on a single datagram's payload size, if the wire has
-    /// one (a UDP socket does; the in-process fabric does not). The
-    /// transport clamps its MTU to this.
-    fn max_datagram(&self) -> Option<usize> {
-        None
-    }
-
-    /// The fragment size this wire performs best at, if it has an opinion.
-    /// Adopted by the transport when its MTU is left at the follow-the-link
-    /// default (`TransportConfig::mtu = 0` in `portals-transport`); an
-    /// explicitly configured MTU always wins. The in-process fabric hands
-    /// over refcounted memory, so large fragments cost nothing extra on the
-    /// wire and cut per-packet protocol work for bulk transfers; a socket
-    /// backend with a real frame size limit leaves this `None` and relies
-    /// on [`Link::max_datagram`].
-    fn preferred_mtu(&self) -> Option<usize> {
-        None
-    }
-
-    /// `true` when this wire can corrupt payload bytes in flight, so packet
-    /// CRCs must cover bodies, not just headers. The in-process fabric
-    /// hands over refcounted memory and returns `false`; real sockets
-    /// return `true`.
-    fn body_checksum_required(&self) -> bool {
-        false
     }
 }

@@ -2,12 +2,9 @@
 
 use crate::driver::DriverHub;
 use crate::fabric::Shared;
-use crate::link::Link;
+use crate::link::{Link, LinkCaps};
 use crate::stats::NicStats;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
-use portals_types::Gather;
-use portals_types::NodeId;
-use portals_types::Readiness;
+use portals_types::{DoorbellQueue, Gather, NodeId};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,8 +46,10 @@ pub use portals_types::RecvError;
 pub struct Nic {
     nid: NodeId,
     shared: Arc<Shared>,
-    inbound: Receiver<Datagram>,
-    readiness: Arc<Readiness>,
+    /// Shared with this node's route: the fabric pushes, which rings the
+    /// doorbell the queue is bound to. The fabric also rings it bare when a
+    /// packet is scheduled toward this node on a caller-pumped wire.
+    inbound: Arc<DoorbellQueue<Datagram>>,
     stats: Arc<NicStats>,
 }
 
@@ -58,15 +57,13 @@ impl Nic {
     pub(crate) fn new(
         nid: NodeId,
         shared: Arc<Shared>,
-        inbound: Receiver<Datagram>,
-        readiness: Arc<Readiness>,
+        inbound: Arc<DoorbellQueue<Datagram>>,
         stats: Arc<NicStats>,
     ) -> Self {
         Nic {
             nid,
             shared,
             inbound,
-            readiness,
             stats,
         }
     }
@@ -89,39 +86,26 @@ impl Nic {
         });
     }
 
+    fn count(&self, received: Result<Datagram, RecvError>) -> Result<Datagram, RecvError> {
+        if let Ok(d) = &received {
+            self.stats.record_recv(d.payload.len());
+        }
+        received
+    }
+
     /// Block until a packet arrives.
     pub fn recv(&self) -> Result<Datagram, RecvError> {
-        match self.inbound.recv() {
-            Ok(d) => {
-                self.stats.record_recv(d.payload.len());
-                Ok(d)
-            }
-            Err(_) => Err(RecvError::Disconnected),
-        }
+        self.count(self.inbound.recv())
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Datagram, RecvError> {
-        match self.inbound.try_recv() {
-            Ok(d) => {
-                self.stats.record_recv(d.payload.len());
-                Ok(d)
-            }
-            Err(TryRecvError::Empty) => Err(RecvError::Empty),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        self.count(self.inbound.try_recv())
     }
 
     /// Receive with a deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, RecvError> {
-        match self.inbound.recv_timeout(timeout) {
-            Ok(d) => {
-                self.stats.record_recv(d.payload.len());
-                Ok(d)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        self.count(self.inbound.recv_timeout(timeout))
     }
 
     /// Number of packets queued for this NIC right now.
@@ -132,21 +116,6 @@ impl Nic {
     /// This NIC's traffic counters.
     pub fn stats(&self) -> &NicStats {
         &self.stats
-    }
-
-    /// A clone of the inbound receiver, for NIC engines that park a dedicated
-    /// thread on it.
-    pub fn inbound_receiver(&self) -> Receiver<Datagram> {
-        self.inbound.clone()
-    }
-
-    /// This NIC's readiness doorbell: the fabric raises
-    /// [`Readiness::INBOUND`] on it after enqueuing each arriving packet, and
-    /// rings it (no bits) when a packet is scheduled toward this node on a
-    /// caller-pumped wire. Higher layers raise their own bits on the same
-    /// doorbell so one park covers all work classes.
-    pub fn readiness(&self) -> Arc<Readiness> {
-        Arc::clone(&self.readiness)
     }
 
     /// On a caller-pumped wire (see
@@ -162,12 +131,6 @@ impl Nic {
     pub fn next_wire_deadline(&self) -> Option<Instant> {
         self.shared.next_wire_deadline()
     }
-
-    /// A [`DriverHub`] handle for this node: register a cooperative driver
-    /// and service peers from caller-driven wait loops.
-    pub fn driver_hub(&self) -> DriverHub {
-        DriverHub::new(self.nid, Arc::clone(&self.shared.registry))
-    }
 }
 
 /// The in-process fabric is the reference [`Link`] backend: deterministic,
@@ -182,16 +145,21 @@ impl Link for Nic {
         Nic::send(self, dst, payload)
     }
 
-    fn inbound_receiver(&self) -> Receiver<Datagram> {
-        Nic::inbound_receiver(self)
+    fn inbound_receiver(&self) -> Arc<DoorbellQueue<Datagram>> {
+        Arc::clone(&self.inbound)
     }
 
-    fn readiness(&self) -> Arc<Readiness> {
-        Nic::readiness(self)
-    }
-
-    fn driver_hub(&self) -> DriverHub {
-        Nic::driver_hub(self)
+    fn caps(&self) -> LinkCaps {
+        LinkCaps {
+            hub: DriverHub::new(self.nid, Arc::clone(&self.shared.registry)),
+            max_datagram: None,
+            // Datagrams are refcounted views — a 64 KiB fragment moves no
+            // more bytes than a small one, and bulk transfers pay per-packet
+            // protocol cost 8x less often than at the Myrinet-era 8 KiB
+            // default.
+            preferred_mtu: Some(64 * 1024),
+            body_checksum: false,
+        }
     }
 
     fn pump_wire(&self) -> Option<Instant> {
@@ -200,13 +168,6 @@ impl Link for Nic {
 
     fn next_wire_deadline(&self) -> Option<Instant> {
         Nic::next_wire_deadline(self)
-    }
-
-    fn preferred_mtu(&self) -> Option<usize> {
-        // Datagrams are refcounted views — a 64 KiB fragment moves no more
-        // bytes than a small one, and bulk transfers pay per-packet protocol
-        // cost 8x less often than at the Myrinet-era 8 KiB default.
-        Some(64 * 1024)
     }
 }
 

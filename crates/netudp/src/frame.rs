@@ -17,7 +17,7 @@
 //!
 //! The frame CRC covers only the routing header: payload integrity is the
 //! transport packet's own job ([`UdpLink`](crate::UdpLink) reports
-//! `body_checksum_required`, so every DATA packet's CRC covers its body).
+//! `LinkCaps::body_checksum`, so every DATA packet's CRC covers its body).
 //! Covering the payload twice would buy nothing and cost a second pass over
 //! every byte.
 

@@ -7,12 +7,12 @@
 //! real OS process boundaries with real (or shimmed-in) datagram loss:
 //!
 //! * [`UdpLink`] — one UDP socket presented as a `Link`: an rx thread drains
-//!   the socket into the inbound channel, sends frame-and-forward from the
+//!   the socket into the inbound queue, sends frame-and-forward from the
 //!   calling thread, a `NodeId` → `SocketAddr` peer table does the routing
 //!   (seeded by rendezvous, refreshed by learning inbound source addresses).
 //! * [`frame`] — the 18-byte datagram frame carrying node-id routing and a
 //!   header CRC; payload integrity rides on the transport packet's own CRC,
-//!   which [`UdpLink`] forces on via `body_checksum_required`.
+//!   which [`UdpLink`] forces on via `LinkCaps::body_checksum`.
 //! * [`RendezvousServer`] / [`register`] — the discovery service: N
 //!   processes register `(job, rank, nprocs, udp-addr)` over TCP and all
 //!   receive the ordered peer address list once the job is complete.

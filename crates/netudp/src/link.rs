@@ -3,11 +3,10 @@
 use crate::frame::{self, FrameError, FRAME_HEADER};
 use crate::mmsg::{self, RecvMeta};
 use crate::stats::{UdpStats, UdpStatsSnapshot};
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use portals_net::{Datagram, DriverHub, DriverRegistry, Link};
+use portals_net::{Datagram, DriverHub, DriverRegistry, Link, LinkCaps};
 use portals_obs::Obs;
-use portals_types::{Gather, NodeId, Readiness};
+use portals_types::{DoorbellQueue, Gather, NodeId, Readiness};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -83,7 +82,7 @@ pub struct UdpLinkConfig {
     pub nid: NodeId,
     /// Hard bound on a single datagram's *payload* (the encoded transport
     /// packet; the 18-byte frame header rides on top). Reported to the
-    /// transport through [`Link::max_datagram`] so it sizes fragments to
+    /// transport as [`LinkCaps::max_datagram`] so it sizes fragments to
     /// fit. The default stays under a 1500-byte Ethernet MTU; loopback and
     /// jumbo-frame fabrics can raise it (clamped to what a UDP datagram can
     /// physically carry), and the rendezvous exchange negotiates a job-wide
@@ -126,11 +125,12 @@ fn clamp_payload(max_payload: usize) -> usize {
 ///
 /// A dedicated receive thread drains the socket (readiness-driven from the
 /// kernel's side: it parks in `recvmmsg`), validates frames, learns peer
-/// addresses, and feeds the inbound channel — the same delivery contract the
-/// in-process fabric's scheduler thread provides, with one doorbell ring per
-/// received batch. Sends go straight to the socket from the calling thread;
-/// [`Link::send_batch`] moves a whole vector of datagrams per `sendmmsg`
-/// call, and [`Link::send`] is a vector of one through the same path.
+/// addresses, and feeds the inbound queue — the same delivery contract the
+/// in-process fabric's scheduler thread provides, with one push and one
+/// doorbell ring per received batch. Sends go straight to the socket from
+/// the calling thread; [`Link::send_batch`] moves a whole vector of datagrams
+/// per `sendmmsg` call, and [`Link::send`] is a vector of one through the
+/// same path.
 ///
 /// Peer routing: a [`NodeId`] → [`SocketAddr`] table, seeded explicitly via
 /// [`UdpLink::set_peer`] (from the rendezvous exchange) and kept fresh by
@@ -141,13 +141,12 @@ pub struct UdpLink {
     socket: UdpSocket,
     local_addr: SocketAddr,
     peers: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
-    inbound: Receiver<Datagram>,
-    readiness: Arc<Readiness>,
+    inbound: Arc<DoorbellQueue<Datagram>>,
     drivers: Arc<DriverRegistry>,
     stats: Arc<UdpStats>,
     /// Payload bound; atomic so the rendezvous exchange can install the
     /// negotiated job-wide value after bind but before the transport reads
-    /// [`Link::max_datagram`].
+    /// [`Link::caps`].
     max_payload: AtomicUsize,
     loss: f64,
     rng: Mutex<SmallRng>,
@@ -171,8 +170,10 @@ impl UdpLink {
         let rx_socket = socket.try_clone()?;
         rx_socket.set_read_timeout(Some(RX_POLL))?;
 
-        let (in_tx, in_rx) = crossbeam::channel::unbounded();
-        let readiness = Arc::new(Readiness::new());
+        let inbound = Arc::new(DoorbellQueue::new(
+            Arc::new(Readiness::new()),
+            Readiness::INBOUND,
+        ));
         let peers = Arc::new(RwLock::new(HashMap::new()));
         let stats = Arc::new(UdpStats::new(&cfg.obs.registry, cfg.nid.0));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -181,8 +182,7 @@ impl UdpLink {
             nid: cfg.nid,
             socket: rx_socket,
             peers: Arc::clone(&peers),
-            out: in_tx,
-            readiness: Arc::clone(&readiness),
+            out: Arc::clone(&inbound),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
         };
@@ -195,8 +195,7 @@ impl UdpLink {
             socket,
             local_addr,
             peers,
-            inbound: in_rx,
-            readiness,
+            inbound,
             drivers: Arc::new(DriverRegistry::new()),
             stats,
             max_payload: AtomicUsize::new(clamp_payload(cfg.max_payload)),
@@ -238,7 +237,7 @@ impl UdpLink {
     /// datagram can carry. The rendezvous exchange calls this with the
     /// job-wide minimum MTU so every rank fragments identically; it must
     /// run before the transport endpoint is built (the endpoint reads
-    /// [`Link::max_datagram`] once, at construction).
+    /// [`Link::caps`] once, at construction).
     pub fn set_max_payload(&self, max_payload: usize) {
         self.max_payload
             .store(clamp_payload(max_payload), Ordering::Relaxed);
@@ -335,26 +334,19 @@ impl Link for UdpLink {
         self.transmit(&batch);
     }
 
-    fn inbound_receiver(&self) -> Receiver<Datagram> {
-        self.inbound.clone()
+    fn inbound_receiver(&self) -> Arc<DoorbellQueue<Datagram>> {
+        Arc::clone(&self.inbound)
     }
 
-    fn readiness(&self) -> Arc<Readiness> {
-        Arc::clone(&self.readiness)
-    }
-
-    fn driver_hub(&self) -> DriverHub {
-        DriverHub::new(self.nid, Arc::clone(&self.drivers))
-    }
-
-    fn max_datagram(&self) -> Option<usize> {
-        Some(self.max_payload())
-    }
-
-    fn body_checksum_required(&self) -> bool {
-        // Kernel buffers, NIC DMA, a real wire: bytes can rot where the
-        // in-process fabric's refcounted handoff cannot.
-        true
+    fn caps(&self) -> LinkCaps {
+        LinkCaps {
+            hub: DriverHub::new(self.nid, Arc::clone(&self.drivers)),
+            max_datagram: Some(self.max_payload()),
+            preferred_mtu: None,
+            // Kernel buffers, NIC DMA, a real wire: bytes can rot where the
+            // in-process fabric's refcounted handoff cannot.
+            body_checksum: true,
+        }
     }
 }
 
@@ -379,8 +371,7 @@ struct RxThread {
     nid: NodeId,
     socket: UdpSocket,
     peers: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
-    out: Sender<Datagram>,
-    readiness: Arc<Readiness>,
+    out: Arc<DoorbellQueue<Datagram>>,
     stats: Arc<UdpStats>,
     shutdown: Arc<AtomicBool>,
 }
@@ -392,6 +383,7 @@ impl RxThread {
         // receive-side limit).
         let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 65536]).collect();
         let mut metas: Vec<RecvMeta> = Vec::with_capacity(BATCH);
+        let mut accepted: Vec<Datagram> = Vec::with_capacity(BATCH);
         while !self.shutdown.load(Ordering::Acquire) {
             metas.clear();
             // Block (up to RX_POLL) for the first datagram, drain whatever
@@ -415,44 +407,37 @@ impl RxThread {
             }
             self.stats.batches_received.inc();
             self.stats.recv_batch_frames.observe(metas.len() as u64);
-            let mut delivered = false;
-            for meta in &metas {
-                match self.accept(&bufs[meta.buf][..meta.len], meta.addr) {
-                    Ok(enqueued) => delivered |= enqueued,
-                    Err(()) => return, // receiver side dropped: teardown
-                }
-            }
-            if delivered {
-                // One doorbell per batch, after the enqueues, per the Link
-                // contract: a parked consumer wakes once and drains the
-                // whole burst.
-                self.readiness.set(Readiness::INBOUND);
-            }
+            accepted.extend(
+                metas
+                    .iter()
+                    .filter_map(|meta| self.accept(&bufs[meta.buf][..meta.len], meta.addr)),
+            );
+            // One lock and one doorbell per batch: a parked consumer wakes
+            // once and drains the whole burst.
+            self.out.push_all(accepted.drain(..));
         }
     }
 
-    /// Validate one received frame and feed it into the inbound channel.
-    /// `Ok(true)` when a datagram was enqueued, `Err(())` when the channel
-    /// is gone and the thread should exit.
-    fn accept(&self, buf: &[u8], from: SocketAddr) -> Result<bool, ()> {
+    /// Validate one received frame; `Some` is the datagram it carried.
+    fn accept(&self, buf: &[u8], from: SocketAddr) -> Option<Datagram> {
         let (src, dst, payload) = match frame::decode(buf) {
             Ok(parts) => parts,
             Err(FrameError::Truncated) => {
                 self.stats.truncated.inc();
-                return Ok(false);
+                return None;
             }
             Err(FrameError::BadMagic) => {
                 self.stats.bad_magic.inc();
-                return Ok(false);
+                return None;
             }
             Err(FrameError::Checksum) => {
                 self.stats.checksum_rejects.inc();
-                return Ok(false);
+                return None;
             }
         };
         if dst != self.nid {
             self.stats.misrouted.inc();
-            return Ok(false);
+            return None;
         }
         // Learn-on-rx: the freshest return address for this peer is the one
         // it just sent from. Read-check first — the address is almost always
@@ -466,13 +451,11 @@ impl RxThread {
         self.stats.datagrams_received.inc();
         self.stats.bytes_received.add(payload.len() as u64);
         self.stats.frame_bytes_received.add(buf.len() as u64);
-        let dgram = Datagram {
+        Some(Datagram {
             src,
             dst,
             payload: Gather::from_vec(payload.to_vec()),
-        };
-        self.out.send(dgram).map_err(|_| ())?;
-        Ok(true)
+        })
     }
 }
 

@@ -24,9 +24,9 @@ pub struct UdpStats {
     /// `tables` bin can reconcile socket traffic without losing one header
     /// per datagram.
     pub frame_bytes_sent: Counter,
-    /// Well-formed datagrams delivered into the inbound channel.
+    /// Well-formed datagrams delivered into the inbound queue.
     pub datagrams_received: Counter,
-    /// Payload bytes delivered into the inbound channel.
+    /// Payload bytes delivered into the inbound queue.
     pub bytes_received: Counter,
     /// Wire bytes of well-formed received datagrams (payload + frame
     /// header).

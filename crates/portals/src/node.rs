@@ -13,7 +13,6 @@
 
 use crate::engine;
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
-use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
 use portals_net::{DriverHub, NodeDriver};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
@@ -105,10 +104,6 @@ pub(crate) struct NodeShared {
     /// that takes a datagram either runs the engine on it or does not, and it
     /// decides before it knows which interface the datagram is for.
     pub(crate) mode: ProgressMode,
-    /// The endpoint's delivery stream — whole messages and fragments of
-    /// larger ones — drained by [`NodeShared::dispatch_queued`] right after
-    /// the transport step that filled it.
-    pub(crate) incoming: Receiver<Delivery>,
     /// Per-source stream state for fragment-at-a-time delivery
     /// ([`crate::stream`]). Only ever touched from the dispatch context
     /// (the NIC thread, or under `dispatch_lock` when caller-driven).
@@ -145,12 +140,14 @@ impl NodeShared {
         self.dispatch_queued() || worked
     }
 
-    /// Run every queued delivery through the engine, with the transport's core
-    /// lock released (the engine re-enters the endpoint to send), from the one
-    /// dispatch context: the NIC thread, or the holder of `dispatch_lock`.
+    /// Run the endpoint's delivery stream — whole messages and fragments of
+    /// larger ones, queued by the transport step just before — through the
+    /// engine, with the transport's core lock released (the engine re-enters
+    /// the endpoint to send), from the one dispatch context: the NIC thread,
+    /// or the holder of `dispatch_lock`.
     fn dispatch_queued(&self) -> bool {
         let mut worked = false;
-        while let Ok(delivery) = self.incoming.try_recv() {
+        while let Some(delivery) = self.endpoint.pop_delivery() {
             deliver(self, delivery);
             worked = true;
         }
@@ -188,8 +185,7 @@ impl NodeDriver for NodeShared {
     }
 
     fn has_work(&self) -> bool {
-        !self.incoming.is_empty()
-            || self.readiness.peek() & Readiness::INBOUND != 0
+        self.readiness.peek() & (Readiness::INBOUND | Readiness::DELIVERED) != 0
             || self.endpoint.timer_due()
     }
 }
@@ -222,9 +218,8 @@ impl Node {
         let mode = config.transport.progress_mode;
         let endpoint = Endpoint::for_node(link, config.transport, config.obs.clone());
         let node_labels = [("node", nid.0.to_string())];
-        let incoming = endpoint.incoming_receiver();
         let readiness = endpoint.readiness();
-        let hub = endpoint.driver_hub();
+        let hub = endpoint.hub();
         let shared = Arc::new(NodeShared {
             nid,
             endpoint,
@@ -241,17 +236,15 @@ impl Node {
             obs: config.obs,
             alive: AtomicBool::new(true),
             mode,
-            incoming,
             streams: Mutex::new(HashMap::new()),
             readiness,
             hub,
             dispatch_lock: Mutex::new(()),
         });
         let nic_thread = if mode.is_caller_driven() {
-            // Threadless: replace the endpoint's transport-only driver with
-            // the full node driver, so peers servicing this node dispatch
-            // messages all the way to the engine, not just to the incoming
-            // queue.
+            // Threadless: volunteer for cooperative servicing, so peers'
+            // wait loops step this node and dispatch what arrives all the
+            // way to the engine.
             shared
                 .hub
                 .register(Arc::downgrade(&shared) as std::sync::Weak<dyn NodeDriver>);
@@ -361,10 +354,6 @@ impl std::fmt::Debug for Node {
 /// one go, a fragment feeds the per-source state machine that spreads the
 /// same receive sequence over the message's arrival.
 fn deliver(shared: &NodeShared, delivery: Delivery) {
-    // The transport sheds inbound credit against its message-unit backlog;
-    // report the pop before processing so a long placement doesn't read as
-    // a stuck consumer.
-    shared.endpoint.note_consumed(&delivery);
     match delivery {
         Delivery::Message(msg) => dispatch(shared, &msg.payload),
         Delivery::Fragment(frag) => crate::stream::on_fragment(shared, frag),

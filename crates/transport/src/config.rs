@@ -8,11 +8,11 @@ use std::time::Duration;
 pub struct TransportConfig {
     /// Maximum fragment payload per DATA packet, in bytes. `0` (the
     /// default) follows the link: the wire's
-    /// [`preferred_mtu`](portals_net::Link::preferred_mtu) if it states one
+    /// [`preferred_mtu`](portals_net::LinkCaps::preferred_mtu) if it states one
     /// (the in-process fabric says 64 KiB — refcounted handoff makes large
     /// fragments free), else [`TransportConfig::DEFAULT_MTU`] (8 KiB, a
     /// Myrinet-era frame size). An explicit value always wins, and is still
-    /// clamped to [`max_datagram`](portals_net::Link::max_datagram) on
+    /// clamped to [`max_datagram`](portals_net::LinkCaps::max_datagram) on
     /// wires with a hard frame bound (UDP).
     pub mtu: usize,
     /// Go-back-N window: maximum unacknowledged DATA packets per destination.
@@ -24,8 +24,8 @@ pub struct TransportConfig {
     /// *stalled* in the stats (retransmission continues regardless; see the
     /// crate docs for why the transport never gives up).
     pub stall_retries: u32,
-    /// Maximum inbound datagrams the worker drains per wakeup. Within one
-    /// batch at most one cumulative ACK is sent per source (the later
+    /// Maximum inbound datagrams one run of a progress step drains. Within one
+    /// run at most one cumulative ACK is sent per source (the later
     /// cumulative subsumes the earlier). `1` disables both batching and
     /// coalescing — the pre-batching per-packet-ack behaviour, kept as a
     /// runtime ablation.
@@ -42,14 +42,6 @@ pub struct TransportConfig {
     /// The default equals `credit_window`; `0` models a zero-credit start
     /// where the first PROBE/ACK exchange must run before any data flows.
     pub initial_credits: u64,
-    /// Extend each DATA packet's CRC over its body, not just the header.
-    /// Off by default: the in-process fabric hands over refcounted memory
-    /// that cannot rot in flight, and skipping the body keeps encode
-    /// zero-copy-lazy. Forced on by [`Endpoint::new`](crate::Endpoint) when
-    /// the link reports
-    /// [`body_checksum_required`](portals_net::Link::body_checksum_required)
-    /// (real sockets).
-    pub checksum_body: bool,
     /// Byte budget, per source, for buffering out-of-order fragments at the
     /// receiver. Packets above the in-order horizon are held up to this
     /// budget and spliced into the stream when the hole fills; beyond it they
@@ -96,7 +88,6 @@ impl Default for TransportConfig {
             recv_batch: 64,
             credit_window: 128,
             initial_credits: 128,
-            checksum_body: false,
             ooo_buffer_bytes: 1024 * 1024,
             progress_mode: ProgressMode::NicThread,
         }

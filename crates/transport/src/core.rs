@@ -15,7 +15,8 @@
 //!
 //! * **Batched drain.** One progress step drains the inbound queue to
 //!   exhaustion, in runs of up to [`TransportConfig::recv_batch`] datagrams,
-//!   amortising the doorbell wakeup over the burst.
+//!   amortising the doorbell wakeup over the burst. What a run delivers goes
+//!   up in one push: one lock, one ring.
 //! * **Coalesced acks.** Within one run the core sends at most one
 //!   cumulative ACK per source. Cumulative acknowledgments are monotone per
 //!   (src, dst) stream, so the last value observed in the batch subsumes every
@@ -40,7 +41,6 @@ use crate::config::TransportConfig;
 use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
 use crate::peer::{ReceiverPeer, Released, SenderPeer};
 use crate::stats::{FlowStats, TransportStats};
-use crossbeam::channel::{Receiver, Sender};
 use portals_net::{Datagram, Link};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_wire::{Packet, PacketHeader};
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use portals_types::{Gather, NodeId, Readiness, WireError};
+use portals_types::{DoorbellQueue, Gather, NodeId, WireError};
 
 /// Sentinel for "no published deadline".
 pub(crate) const DEADLINE_NONE: u64 = u64::MAX;
@@ -82,29 +82,30 @@ pub(crate) struct ProgressCore {
     nid: NodeId,
     cfg: TransportConfig,
     obs: Obs,
+    /// Extend DATA packet CRCs over the body: the link said it can corrupt
+    /// bytes in flight.
+    checksum_body: bool,
     /// This NIC's inbound datagram queue (drained by `progress_once` /
     /// `on_inbound`).
-    inbound: Receiver<Datagram>,
-    /// The NIC's readiness doorbell: `INBOUND` is taken before draining, and
-    /// `DELIVERED` raised after handing a delivery up.
-    readiness: Arc<Readiness>,
+    inbound: Arc<DoorbellQueue<Datagram>>,
     /// Published copy of the nearest deadline (retransmission timer or
     /// caller-pumped wire delivery), as ns-since-epoch, [`DEADLINE_NONE`]
     /// when idle. Lets peers' wait loops answer "does this core need
     /// servicing?" without taking its lock.
     deadline_ns: Arc<AtomicU64>,
-    delivered: Sender<Delivery>,
+    /// Where deliveries go up, on the same doorbell as `inbound`.
+    delivered: Arc<DoorbellQueue<Delivery>>,
+    /// The current run's deliveries, in order, pushed up together when the
+    /// run ends. Streamed fragments coalesce here while contiguous (same
+    /// source, same message, continuing offset): placement still overlaps
+    /// the wire at run granularity, but the consumer pays one queue hop and
+    /// one scatter per run instead of one per MTU fragment.
+    staged: Vec<Delivery>,
     stats: Arc<TransportStats>,
     flow: Arc<FlowStats>,
     outstanding: Arc<AtomicUsize>,
     tx_peers: HashMap<NodeId, SenderPeer>,
     rx_peers: HashMap<NodeId, ReceiverPeer>,
-    /// Streamed fragments accepted in the current receive batch, coalesced
-    /// while contiguous (same source, same message, continuing offset) and
-    /// flushed as one delivery — placement still overlaps the wire at batch
-    /// granularity, but the consumer pays one queue hop and one scatter per
-    /// batch instead of one per MTU fragment.
-    pending_frag: Option<StreamFragment>,
     /// Per-destination retransmission counters
     /// (`transport.peer_retransmissions{node, peer}`), created lazily on the
     /// first retransmission to that peer.
@@ -120,8 +121,9 @@ impl ProgressCore {
     pub(crate) fn new(
         link: Box<dyn Link>,
         cfg: TransportConfig,
+        checksum_body: bool,
         obs: Obs,
-        delivered: Sender<Delivery>,
+        delivered: Arc<DoorbellQueue<Delivery>>,
         stats: Arc<TransportStats>,
         flow: Arc<FlowStats>,
         outstanding: Arc<AtomicUsize>,
@@ -129,22 +131,21 @@ impl ProgressCore {
     ) -> ProgressCore {
         let nid = link.nid();
         let inbound = link.inbound_receiver();
-        let readiness = link.readiness();
         ProgressCore {
             link,
             nid,
             cfg,
             obs,
+            checksum_body,
             inbound,
-            readiness,
             deadline_ns,
             delivered,
+            staged: Vec::new(),
             stats,
             flow,
             outstanding,
             tx_peers: HashMap::new(),
             rx_peers: HashMap::new(),
-            pending_frag: None,
             peer_retx: HashMap::new(),
             timers: BinaryHeap::new(),
         }
@@ -164,8 +165,6 @@ impl ProgressCore {
         // delivers for idle nodes too). No-op on bypass/scheduler wires and
         // on links with their own delivery agent (socket rx threads).
         self.link.pump_wire();
-        // Take-before-drain: work enqueued after this clear re-raises the bit.
-        self.readiness.take(Readiness::INBOUND);
         let mut worked = false;
         while let Ok(d) = self.inbound.try_recv() {
             self.on_inbound(d);
@@ -255,7 +254,7 @@ impl ProgressCore {
         let peer = self
             .tx_peers
             .entry(dst)
-            .or_insert_with(|| SenderPeer::with_initial_credit(self.cfg.initial_credits));
+            .or_insert_with(|| SenderPeer::new(self.cfg.initial_credits, self.checksum_body));
         let msg_id = peer.next_msg_id();
         let msg_len = msg.len() as u64;
         self.obs.tracer.emit(|| {
@@ -317,9 +316,9 @@ impl ProgressCore {
                 Err(_) => break,
             }
         }
-        // Hand up whatever streamed run the batch accumulated before acking:
-        // the advertised credit already reflects its message accounting.
-        self.flush_pending_frag();
+        // Hand up what the run delivered before acking: the advertised
+        // credit already reflects its message accounting.
+        self.delivered.push_all(self.staged.drain(..));
         let acks: Vec<_> = pending_acks
             .into_iter()
             .map(|(src, cumulative)| {
@@ -329,17 +328,6 @@ impl ProgressCore {
             })
             .collect();
         self.link.send_batch(acks);
-    }
-
-    /// Queue the coalesced streamed-fragment run (if any) to the consumer
-    /// and ring the delivery doorbell.
-    fn flush_pending_frag(&mut self) {
-        if let Some(frag) = self.pending_frag.take() {
-            // Receiver side is unbounded; drop only if the endpoint is
-            // being torn down.
-            let _ = self.delivered.send(Delivery::Fragment(frag));
-            self.readiness.set(Readiness::DELIVERED);
-        }
     }
 
     fn process_datagram(&mut self, dgram: Datagram, pending_acks: &mut Vec<(NodeId, u64)>) {
@@ -495,15 +483,11 @@ impl ProgressCore {
                             .detail("noncontiguous")
                     });
                 }
-                let mut delivered_any = false;
                 for released in result.released {
                     let slice = match released {
                         Released::Frag(slice) => slice,
                         Released::Abandoned => {
-                            // After what the consumer already holds of it.
-                            self.flush_pending_frag();
-                            let _ = self.delivered.send(Delivery::Abandoned { src });
-                            delivered_any = true;
+                            self.staged.push(Delivery::Abandoned { src });
                             continue;
                         }
                     };
@@ -522,23 +506,20 @@ impl ProgressCore {
                         });
                     }
                     if slice.frag_count == 1 {
-                        // A single-fragment slice *is* the message. Order it
-                        // after any streamed fragments queued in this batch.
-                        self.flush_pending_frag();
-                        let _ = self.delivered.send(Delivery::Message(IncomingMessage {
+                        // A single-fragment slice *is* the message.
+                        self.staged.push(Delivery::Message(IncomingMessage {
                             src,
                             payload: slice.body,
                         }));
-                        delivered_any = true;
                         continue;
                     }
                     // Stream the fragment upward with its placement offset;
                     // the consumer scatters it immediately instead of waiting
-                    // for the rest. Contiguous fragments within one receive
-                    // batch coalesce into a single delivery.
+                    // for the rest. Contiguous fragments within one run
+                    // coalesce into a single delivery.
                     self.stats.add(&self.stats.frags_streamed, 1);
-                    match &mut self.pending_frag {
-                        Some(p)
+                    match self.staged.last_mut() {
+                        Some(Delivery::Fragment(p))
                             if p.src == src
                                 && p.msg_id == slice.msg_id
                                 && p.offset + p.payload.len() as u64 == slice.offset =>
@@ -546,30 +527,14 @@ impl ProgressCore {
                             p.payload.append(slice.body);
                             p.last = last;
                         }
-                        _ => {
-                            self.flush_pending_frag();
-                            self.pending_frag = Some(StreamFragment {
-                                src,
-                                msg_id: slice.msg_id,
-                                offset: slice.offset,
-                                last,
-                                payload: slice.body,
-                            });
-                        }
+                        _ => self.staged.push(Delivery::Fragment(StreamFragment {
+                            src,
+                            msg_id: slice.msg_id,
+                            offset: slice.offset,
+                            last,
+                            payload: slice.body,
+                        })),
                     }
-                    if last {
-                        // Completions flush eagerly so the consumer can
-                        // finish the message without waiting for the batch
-                        // to end.
-                        self.flush_pending_frag();
-                        delivered_any = true;
-                    }
-                }
-                if delivered_any {
-                    // Doorbell after the enqueue: a parked consumer (possibly
-                    // on another thread, serviced by this one) wakes and finds
-                    // the delivery already queued.
-                    self.readiness.set(Readiness::DELIVERED);
                 }
                 match pending_acks.iter_mut().find(|(nid, _)| *nid == src) {
                     Some(slot) => {

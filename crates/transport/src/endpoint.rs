@@ -3,13 +3,12 @@
 //! NIC thread parked on the doorbell, or the caller blocked in `recv`/`flush`.
 
 use crate::config::TransportConfig;
+use crate::core::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
 use crate::stats::{FlowStats, FlowStatsSnapshot, TransportStats, TransportStatsSnapshot};
-use crate::worker::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
-use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use portals_net::{DriverHub, Link, NodeDriver};
+use portals_net::{DriverHub, Link, LinkCaps, NodeDriver};
 use portals_obs::Obs;
-use portals_types::{Gather, NodeId, ProgressMode, Readiness};
+use portals_types::{DoorbellQueue, Gather, NodeId, ProgressMode, Readiness};
 use portals_wire::Packet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -71,7 +70,8 @@ pub enum Delivery {
 /// wire and returns; acks, pacing and retransmission happen in whoever steps
 /// the protocol (see [`ProgressMode`]). Reassembled inbound messages are read
 /// from [`Endpoint::recv`] or drained with [`Endpoint::try_recv`]; the Portals
-/// node built on top takes the raw delivery stream instead.
+/// node built on top takes the raw delivery stream
+/// ([`Endpoint::pop_delivery`]) instead.
 ///
 /// ```
 /// use portals_transport::{Endpoint, TransportConfig};
@@ -88,11 +88,12 @@ pub enum Delivery {
 /// ```
 pub struct Endpoint {
     nid: NodeId,
-    incoming: Receiver<Delivery>,
+    /// What the core delivered, on the link's doorbell.
+    incoming: Arc<DoorbellQueue<Delivery>>,
     /// Per-source accumulators folding streamed fragments back into whole
-    /// messages for the message-level `recv` API. Consumers that take the
-    /// raw channel via [`Endpoint::incoming_receiver`] (the Portals engine)
-    /// never touch this.
+    /// messages for the message-level `recv` API. Consumers that take raw
+    /// deliveries via [`Endpoint::pop_delivery`] (the Portals engine) never
+    /// touch this.
     reasm: Mutex<std::collections::HashMap<NodeId, Gather>>,
     /// Driver-hub handle for this node (register / service peers).
     hub: DriverHub,
@@ -209,17 +210,22 @@ impl Endpoint {
     /// `obs.registry` and emitting lifecycle trace events through
     /// `obs.tracer`.
     ///
-    /// The link gets the last word on three knobs: a wire that can corrupt
-    /// bytes in flight forces [`TransportConfig::checksum_body`] on, a
-    /// follow-the-link MTU (`mtu = 0`) resolves to the wire's
-    /// [`preferred_mtu`](Link::preferred_mtu) (or
-    /// [`TransportConfig::DEFAULT_MTU`]), and a wire with a hard datagram
-    /// bound clamps the fragment MTU so every DATA packet (header + body)
+    /// The link's [`LinkCaps`] get the last word on two things: a wire that
+    /// can corrupt bytes in flight has DATA packet CRCs cover the body, and
+    /// the MTU — a follow-the-link `mtu = 0` resolves to the wire's
+    /// `preferred_mtu` (or [`TransportConfig::DEFAULT_MTU`]), and a wire with
+    /// a hard datagram bound clamps it so every DATA packet (header + body)
     /// fits in one datagram.
     pub fn with_obs(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
         let mut endpoint = Endpoint::for_node(link, cfg, obs);
-        if !endpoint.mode.is_caller_driven() {
-            let stepper = Arc::clone(&endpoint.stepper);
+        let stepper = Arc::clone(&endpoint.stepper);
+        if endpoint.mode.is_caller_driven() {
+            // Volunteer for cooperative servicing so peers' wait loops keep
+            // this endpoint's protocol moving while nothing here blocks.
+            endpoint
+                .hub
+                .register(Arc::downgrade(&stepper) as Weak<dyn NodeDriver>);
+        } else {
             endpoint.nic_thread = Some(
                 std::thread::Builder::new()
                     .name(format!("portals-nic-{}", endpoint.nid.0))
@@ -230,32 +236,42 @@ impl Endpoint {
         endpoint
     }
 
-    /// [`Endpoint::with_obs`] for a node that brings its own NIC thread: in
-    /// unless callers step, nothing steps until it runs [`Endpoint::nic_loop`].
+    /// [`Endpoint::with_obs`] for a node that brings its own NIC thread and
+    /// its own cooperative driver: nothing steps this endpoint until the node
+    /// runs [`Endpoint::nic_loop`] or, caller-driven, registers a driver with
+    /// [`Endpoint::hub`].
     #[doc(hidden)]
     pub fn for_node(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
-        cfg.checksum_body |= link.body_checksum_required();
+        let LinkCaps {
+            hub,
+            max_datagram,
+            preferred_mtu,
+            body_checksum,
+        } = link.caps();
         if cfg.mtu == 0 {
-            cfg.mtu = link.preferred_mtu().unwrap_or(TransportConfig::DEFAULT_MTU);
+            cfg.mtu = preferred_mtu.unwrap_or(TransportConfig::DEFAULT_MTU);
         }
-        if let Some(max) = link.max_datagram() {
+        if let Some(max) = max_datagram {
             let body_max = max.saturating_sub(Packet::DATA_HEADER_SIZE).max(1);
             cfg.mtu = cfg.mtu.min(body_max);
         }
         let nid = link.nid();
-        let (in_tx, in_rx) = crossbeam::channel::unbounded();
+        let readiness = Arc::clone(link.inbound_receiver().readiness());
+        let incoming = Arc::new(DoorbellQueue::new(
+            Arc::clone(&readiness),
+            Readiness::DELIVERED,
+        ));
         let stats = Arc::new(TransportStats::new(&obs.registry, nid.0));
         let flow = Arc::new(FlowStats::new(&obs.registry, nid.0));
         let outstanding = Arc::new(AtomicUsize::new(0));
         let deadline_ns = Arc::new(AtomicU64::new(DEADLINE_NONE));
-        let readiness = link.readiness();
-        let hub = link.driver_hub();
         let core = ProgressCore::new(
             link,
             cfg,
+            body_checksum,
             obs,
-            in_tx,
+            Arc::clone(&incoming),
             Arc::clone(&stats),
             Arc::clone(&flow),
             Arc::clone(&outstanding),
@@ -268,15 +284,9 @@ impl Endpoint {
             rto_base: cfg.rto_base,
             alive: AtomicBool::new(true),
         });
-        if cfg.progress_mode.is_caller_driven() {
-            // Volunteer for cooperative servicing so peers' wait loops keep
-            // this node's protocol moving while nothing here blocks. A node
-            // built on top replaces this with its own driver.
-            hub.register(Arc::downgrade(&stepper) as Weak<dyn NodeDriver>);
-        }
         Endpoint {
             nid,
-            incoming: in_rx,
+            incoming,
             reasm: Mutex::new(std::collections::HashMap::new()),
             hub,
             stats,
@@ -323,7 +333,6 @@ impl Endpoint {
     /// Fold one delivery into the per-source reassembly state; a completed
     /// message comes back out.
     fn fold(&self, delivery: Delivery) -> Option<IncomingMessage> {
-        self.note_consumed(&delivery);
         match delivery {
             Delivery::Message(m) => Some(m),
             Delivery::Fragment(f) => {
@@ -353,7 +362,7 @@ impl Endpoint {
     /// Drain queued deliveries until one completes a message (non-blocking).
     fn pop_message(&self) -> Option<IncomingMessage> {
         loop {
-            if let Some(m) = self.fold(self.incoming.try_recv().ok()?) {
+            if let Some(m) = self.fold(self.pop_delivery()?) {
                 return Some(m);
             }
         }
@@ -368,7 +377,8 @@ impl Endpoint {
     /// Non-blocking receive. In caller-driven mode one progress step runs
     /// first, so "poll until something arrives" loops make progress.
     pub fn try_recv(&self) -> Option<IncomingMessage> {
-        if self.mode.is_caller_driven() && self.incoming.is_empty() {
+        let queued = self.stepper.readiness.peek() & Readiness::DELIVERED != 0;
+        if self.mode.is_caller_driven() && !queued {
             self.progress_once();
         }
         self.pop_message()
@@ -380,23 +390,8 @@ impl Endpoint {
     }
 
     fn recv_until(&self, deadline: Option<Instant>) -> Option<IncomingMessage> {
-        if self.mode.is_caller_driven() {
-            let spin = portals_types::spin_budget(SPIN_ITERS);
-            return self.drive_until(deadline, spin, Endpoint::pop_message);
-        }
-        // The NIC thread fills the delivery queue: block on it.
-        loop {
-            let delivery = match deadline {
-                None => self.incoming.recv().ok()?,
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    self.incoming.recv_timeout(left).ok()?
-                }
-            };
-            if let Some(m) = self.fold(delivery) {
-                return Some(m);
-            }
-        }
+        let spin = portals_types::spin_budget(SPIN_ITERS);
+        self.drive_until(deadline, spin, Endpoint::pop_message)
     }
 
     /// The wait loop: step own core (unless a NIC thread does) → check →
@@ -459,25 +454,15 @@ impl Endpoint {
         }
     }
 
-    /// A clone of the raw delivery receiver, for engines that park a
-    /// dedicated thread on it (and want streamed fragments, not just whole
-    /// messages).
-    ///
-    /// Consumers popping this receiver directly must report each popped
-    /// delivery through [`Endpoint::note_consumed`] — the core sheds
-    /// inbound credit against the message-unit backlog
-    /// (`messages_delivered - messages_consumed`), and a consumer that
-    /// never reports reads as permanently oversubscribed.
-    pub fn incoming_receiver(&self) -> Receiver<Delivery> {
-        self.incoming.clone()
-    }
-
-    /// Record that `delivery` was popped from the inbound queue. Whole
-    /// messages and last fragments count one message unit each (see
-    /// [`TransportStats::messages_consumed`]); intermediate fragments are
-    /// free. Called automatically by the endpoint's own `recv` family.
-    pub fn note_consumed(&self, delivery: &Delivery) {
-        let unit = match delivery {
+    /// Pop the next raw delivery — a whole message, or one streamed
+    /// fragment of a larger one — for engines that place fragments as they
+    /// arrive. The pop is reported to the core, which sheds inbound credit
+    /// against the message-unit backlog (`messages_delivered -
+    /// messages_consumed`): whole messages and last fragments count one unit
+    /// each, intermediate fragments are free.
+    pub fn pop_delivery(&self) -> Option<Delivery> {
+        let delivery = self.incoming.try_recv().ok()?;
+        let unit = match &delivery {
             Delivery::Message(_) => true,
             Delivery::Fragment(f) => f.last,
             Delivery::Abandoned { .. } => false,
@@ -485,6 +470,7 @@ impl Endpoint {
         if unit {
             self.stats.messages_consumed.inc();
         }
+        Some(delivery)
     }
 
     /// Fragments queued or in flight (0 means everything sent so far has been
@@ -527,7 +513,7 @@ impl Endpoint {
 
     /// The fabric driver-hub handle for this node, for registering a
     /// higher-level cooperative driver and servicing peers from wait loops.
-    pub fn driver_hub(&self) -> DriverHub {
+    pub fn hub(&self) -> DriverHub {
         self.hub.clone()
     }
 
@@ -591,6 +577,26 @@ mod tests {
         let m = b.recv_timeout(Duration::from_secs(5)).expect("message");
         assert_eq!(m.src, NodeId(0));
         assert_eq!(m.payload, &b"hello"[..]);
+    }
+
+    #[test]
+    fn nic_thread_recv_shares_the_doorbell_with_the_nic_thread() {
+        // The caller and the NIC thread park on one doorbell: the delivery
+        // push that follows the NIC thread's step is what wakes the caller.
+        let fabric = Fabric::ideal();
+        let (a, b) = pair(&fabric, TransportConfig::default());
+        a.send(NodeId(1), Gather::copy_from_slice(b"before the call"));
+        let m = b.recv_timeout(Duration::from_secs(5)).expect("queued");
+        assert_eq!(m.payload, &b"before the call"[..]);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                a.send(NodeId(1), Gather::copy_from_slice(b"into the park"));
+            });
+            let m = b.recv_timeout(Duration::from_secs(5)).expect("woken");
+            assert_eq!(m.payload, &b"into the park"[..]);
+        });
+        assert!(b.recv_timeout(Duration::from_millis(5)).is_none());
     }
 
     #[test]
@@ -1141,20 +1147,15 @@ mod tests {
             );
             Link::send(&self.nic, dst, payload)
         }
-        fn inbound_receiver(&self) -> crossbeam::channel::Receiver<portals_net::Datagram> {
+        fn inbound_receiver(&self) -> Arc<DoorbellQueue<portals_net::Datagram>> {
             Link::inbound_receiver(&self.nic)
         }
-        fn readiness(&self) -> Arc<Readiness> {
-            Link::readiness(&self.nic)
-        }
-        fn driver_hub(&self) -> DriverHub {
-            Link::driver_hub(&self.nic)
-        }
-        fn max_datagram(&self) -> Option<usize> {
-            Some(self.max_datagram)
-        }
-        fn body_checksum_required(&self) -> bool {
-            true
+        fn caps(&self) -> LinkCaps {
+            LinkCaps {
+                max_datagram: Some(self.max_datagram),
+                body_checksum: true,
+                ..self.nic.caps()
+            }
         }
     }
 

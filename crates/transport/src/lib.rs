@@ -33,10 +33,10 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod core;
 pub mod endpoint;
 pub mod peer;
 pub mod stats;
-mod worker;
 
 pub use config::TransportConfig;
 pub use endpoint::{Delivery, Endpoint, IncomingMessage, StreamFragment};

@@ -2,8 +2,8 @@
 //!
 //! [`SenderPeer`] and [`ReceiverPeer`] contain all the reliability logic and
 //! none of the I/O: events go in (a message to send, an ack, a data packet, a
-//! timeout), wire-ready packets and deliverable messages come out. The worker
-//! thread is a thin shell around them, and the tests below exercise loss,
+//! timeout), wire-ready packets and deliverable messages come out. The progress
+//! core is a thin shell around them, and the tests below exercise loss,
 //! reordering and duplication without any threads or clocks.
 
 use crate::config::TransportConfig;
@@ -66,10 +66,13 @@ pub struct SenderPeer {
     /// backoff exponent; reset when credits arrive).
     probe_retries: u32,
     /// Stall/resume transitions since the last
-    /// [`SenderPeer::take_credit_transitions`] — the worker drains these into
+    /// [`SenderPeer::take_credit_transitions`] — the core drains these into
     /// its flow stats.
     credit_stalls: u64,
     credit_resumes: u64,
+    /// Extend each DATA packet's CRC over its body, not just the header:
+    /// the wire to this peer can corrupt bytes in flight.
+    checksum_body: bool,
 }
 
 /// What a timeout produced.
@@ -91,15 +94,16 @@ pub struct AckOutcome {
     /// Packets newly admitted to the window by the ack's progress.
     pub released: Vec<Gather>,
     /// True when this ack is the first forward progress after the peer had
-    /// been reported stalled — the worker un-marks the peer in its stats.
+    /// been reported stalled — the core un-marks the peer in its stats.
     pub recovered: bool,
 }
 
 impl SenderPeer {
     /// Fresh state assuming `credit` sequences may be sent before the peer
     /// advertises anything. `0` models a zero-credit start: the first
-    /// PROBE/ACK exchange must complete before data flows.
-    pub fn with_initial_credit(credit: u64) -> SenderPeer {
+    /// PROBE/ACK exchange must complete before data flows. `checksum_body`
+    /// says whether DATA packet CRCs cover the body.
+    pub fn new(credit: u64, checksum_body: bool) -> SenderPeer {
         SenderPeer {
             next_seq: 0,
             base: 0,
@@ -114,6 +118,7 @@ impl SenderPeer {
             probe_retries: 0,
             credit_stalls: 0,
             credit_resumes: 0,
+            checksum_body,
         }
     }
 
@@ -162,7 +167,7 @@ impl SenderPeer {
                 frag.frag_count,
                 frag.body,
             )
-            .encode_with(cfg.checksum_body);
+            .encode_with(self.checksum_body);
             self.in_flight.push_back(InFlight {
                 seq,
                 encoded: encoded.clone(),
@@ -187,7 +192,7 @@ impl SenderPeer {
             }
         }
         // With an empty window no ack is ever coming: arm the probe timer so
-        // the worker wakes us to solicit credits.
+        // the core wakes us to solicit credits.
         if self.credit_blocked && self.in_flight.is_empty() && self.deadline.is_none() {
             self.deadline = Some(now + cfg.rto_after(self.probe_retries));
         }
@@ -328,7 +333,7 @@ impl SenderPeer {
     }
 
     /// Drain the (stall, resume) transition counts accumulated since the last
-    /// call — the worker folds these into its flow stats.
+    /// call — the core folds these into its flow stats.
     pub fn take_credit_transitions(&mut self) -> (u64, u64) {
         (
             std::mem::take(&mut self.credit_stalls),
@@ -487,7 +492,7 @@ impl ReceiverPeer {
         self.expected.checked_sub(1).unwrap_or(ACK_NONE)
     }
 
-    /// Next sequence expected in order — the base the worker adds its
+    /// Next sequence expected in order — the base the core adds its
     /// advertised credit window to when piggybacking credits on acks.
     #[inline]
     pub fn expected(&self) -> u64 {
@@ -627,7 +632,7 @@ mod tests {
     /// A sender whose credit horizon never binds, so a test of the window
     /// machine sees only the window.
     fn ungated() -> SenderPeer {
-        SenderPeer::with_initial_credit(u64::MAX)
+        SenderPeer::new(u64::MAX, false)
     }
 
     fn g(b: &[u8]) -> Gather {
@@ -1036,7 +1041,7 @@ mod tests {
     fn zero_credit_start_probes_then_flows() {
         let c = cfg();
         let t = now();
-        let mut tx = SenderPeer::with_initial_credit(0);
+        let mut tx = SenderPeer::new(0, false);
         // Nothing may leave: no credits yet.
         assert!(tx.enqueue_message(g(b"0123456789"), &c, t).is_empty());
         assert!(tx.is_credit_blocked());
@@ -1062,7 +1067,7 @@ mod tests {
     fn stale_credit_horizon_is_ignored() {
         let c = cfg();
         let t = now();
-        let mut tx = SenderPeer::with_initial_credit(5);
+        let mut tx = SenderPeer::new(5, false);
         tx.enqueue_message(g(b"0123456789"), &c, t); // 3 frags, all admitted
         assert_eq!(tx.credit(), 5);
         // A reordered ack advertising less must not shrink the horizon.
@@ -1076,7 +1081,7 @@ mod tests {
     fn probe_backoff_is_bounded_exponential() {
         let c = cfg();
         let t = now();
-        let mut tx = SenderPeer::with_initial_credit(0);
+        let mut tx = SenderPeer::new(0, false);
         tx.enqueue_message(g(b"hi"), &c, t);
         let mut last = Duration::ZERO;
         for i in 1..=10u32 {
@@ -1101,7 +1106,7 @@ mod tests {
     fn credits_bind_tighter_than_window_mid_stream() {
         let c = cfg(); // window 3
         let t = now();
-        let mut tx = SenderPeer::with_initial_credit(1);
+        let mut tx = SenderPeer::new(1, false);
         let sent = tx.enqueue_message(g(b"0123456789"), &c, t); // 3 frags
         assert_eq!(sent.len(), 1, "credit 1 admits one despite window 3");
         assert!(tx.is_credit_blocked());

@@ -7,7 +7,7 @@
 
 use portals_obs::{Counter, Gauge, Registry};
 
-/// Counters maintained by an endpoint's worker.
+/// Counters maintained by an endpoint's progress core.
 ///
 /// Registered as `transport.*` series labeled `{node}`; [`Default`] registers
 /// into a throwaway registry for standalone use.
@@ -53,7 +53,7 @@ pub struct TransportStats {
     /// streaming deliveries.
     pub frags_streamed: Counter,
     /// High-water mark of bytes held in out-of-order buffers, max across
-    /// sources. Written only by the worker.
+    /// sources. Written only under the core lock.
     pub bytes_buffered_hwm: Gauge,
     /// ACK packets sent.
     pub acks_sent: Counter,
@@ -148,7 +148,7 @@ impl Default for TransportStats {
     }
 }
 
-/// Credit flow-control counters maintained by an endpoint's worker.
+/// Credit flow-control counters maintained by an endpoint's progress core.
 ///
 /// Registered as `flow.*` series labeled `{node}` on the same registry as
 /// [`TransportStats`], so job-wide sums (`registry.sum_counters("flow.…")`)

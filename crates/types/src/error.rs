@@ -172,8 +172,6 @@ pub enum RecvError {
     Empty,
     /// `recv_timeout` expired.
     Timeout,
-    /// The fabric has shut down.
-    Disconnected,
 }
 
 impl fmt::Display for RecvError {
@@ -181,7 +179,6 @@ impl fmt::Display for RecvError {
         match self {
             RecvError::Empty => f.write_str("no packet pending"),
             RecvError::Timeout => f.write_str("receive timed out"),
-            RecvError::Disconnected => f.write_str("fabric shut down"),
         }
     }
 }
@@ -443,9 +440,9 @@ mod tests {
 
     #[test]
     fn error_kind_display_names_the_layer() {
-        let e = ErrorKind::from(RecvError::Disconnected);
+        let e = ErrorKind::from(RecvError::Timeout);
         assert_eq!(e.layer(), "net");
-        assert_eq!(e.to_string(), "net: fabric shut down");
+        assert_eq!(e.to_string(), "net: receive timed out");
         use std::error::Error;
         assert!(e.source().is_some());
     }

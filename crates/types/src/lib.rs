@@ -34,6 +34,6 @@ pub use id::{NodeId, ProcessId, Rank, UserId, ANY_NID, ANY_PID};
 pub use limits::NiLimits;
 pub use matchbits::{MatchBits, MatchCriteria};
 pub use pool::RegionPool;
-pub use readiness::{spin_budget, ProgressMode, Readiness};
+pub use readiness::{spin_budget, DoorbellQueue, ProgressMode, Readiness};
 pub use region::Region;
 pub use shard::Sharded;

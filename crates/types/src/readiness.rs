@@ -27,18 +27,25 @@
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
 //! doorbell sequence number. Producers `set` bits (one atomic OR, plus a wake
 //! only when someone is parked — a park/unpark costs ~220 ns, the unpark never
-//! blocks); consumers `take` bits before draining the matching queue, so work
-//! enqueued after the take re-raises the bit and no item is stranded.
+//! blocks); consumers `take` them, and work that lands after the take
+//! re-raises the bit, so no item is stranded.
 //!
 //! The park protocol is: read [`Readiness::seq`], drain/progress, re-check the
 //! predicate, and only then [`Readiness::wait`] on the *previously read*
 //! sequence. A completion that lands anywhere between the read and the park
 //! bumps the sequence, so the wait returns immediately instead of sleeping
 //! through it.
+//!
+//! [`DoorbellQueue`] is the one queue type beneath the NI: a FIFO bound to a
+//! doorbell and to the bit it raises, so "enqueue, then ring" is one call and
+//! the doorbell is the only thing anybody ever blocks on.
 
+use crate::error::RecvError;
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Who runs the protocol — takes arrivals through the transport and the
 /// receive engine, fires timers. Submission runs inline in the caller in
@@ -122,7 +129,7 @@ pub fn spin_budget(requested: u32) -> u32 {
 #[derive(Default)]
 pub struct Readiness {
     /// Pending-work classes. Producers OR bits in after enqueuing; consumers
-    /// clear them (via [`Readiness::take`]) before draining.
+    /// clear them (via [`Readiness::take`]).
     bits: AtomicU64,
     /// Doorbell generation: bumped on every [`Readiness::set`]/
     /// [`Readiness::ring`], read by waiters before their final predicate
@@ -146,9 +153,11 @@ impl std::fmt::Debug for Readiness {
 }
 
 impl Readiness {
-    /// Raw datagrams queued at the NIC (set by fabric delivery).
+    /// Raw datagrams queued at the NIC: the bit of a link's inbound
+    /// [`DoorbellQueue`].
     pub const INBOUND: u64 = 1 << 0;
-    /// Reassembled messages queued from the transport step to dispatch.
+    /// Deliveries queued from the transport step to dispatch: the bit of an
+    /// endpoint's delivery [`DoorbellQueue`].
     pub const DELIVERED: u64 = 1 << 1;
     /// A completion (event push, counter bump, raw enqueue) performed by a
     /// thread other than the waiter.
@@ -177,9 +186,8 @@ impl Readiness {
         }
     }
 
-    /// Clear and return the raised subset of `mask`. Consumers call this
-    /// *before* draining the matching queue: anything enqueued after the
-    /// clear re-raises its bit, so no work is stranded.
+    /// Clear and return the raised subset of `mask`. Anything produced after
+    /// the clear re-raises its bit, so no work is stranded.
     pub fn take(&self, mask: u64) -> u64 {
         if self.bits.load(Ordering::Acquire) & mask == 0 {
             return 0;
@@ -221,11 +229,115 @@ impl Readiness {
     }
 }
 
+/// A FIFO bound to a [`Readiness`] doorbell and to the bit it raises there.
+///
+/// Producers [`push`](DoorbellQueue::push): the item is enqueued, *then* the
+/// bit is raised and the doorbell rung — one call, in the order the park
+/// protocol needs. The pop that empties the queue clears the bit, so the bit
+/// reads "non-empty" without taking the lock (a push racing that pop may
+/// leave it raised over an empty queue — a wasted look, never a stranded
+/// item). The queue has no condvar of its own: a blocked
+/// [`recv`](DoorbellQueue::recv) is the seq → check → [`Readiness::wait`]
+/// park, on the same doorbell as every other waiter of the node.
+pub struct DoorbellQueue<T> {
+    items: Mutex<VecDeque<T>>,
+    readiness: Arc<Readiness>,
+    bit: u64,
+}
+
+impl<T> DoorbellQueue<T> {
+    /// An empty queue that raises `bit` on `readiness`.
+    pub fn new(readiness: Arc<Readiness>, bit: u64) -> DoorbellQueue<T> {
+        DoorbellQueue {
+            items: Mutex::new(VecDeque::new()),
+            readiness,
+            bit,
+        }
+    }
+
+    /// The doorbell this queue rings. Layers above raise their own bits on
+    /// it so one park covers every work class.
+    pub fn readiness(&self) -> &Arc<Readiness> {
+        &self.readiness
+    }
+
+    /// Enqueue one item and ring.
+    pub fn push(&self, item: T) {
+        self.push_all(Some(item));
+    }
+
+    /// Enqueue a run of items under one lock and ring once (not at all for
+    /// an empty run).
+    pub fn push_all(&self, items: impl IntoIterator<Item = T>) {
+        let mut queue = self.items.lock();
+        let before = queue.len();
+        queue.extend(items);
+        let grew = queue.len() > before;
+        drop(queue);
+        if grew {
+            self.readiness.set(self.bit);
+        }
+    }
+
+    /// Pop the oldest item, or [`RecvError::Empty`].
+    pub fn try_recv(&self) -> Result<T, RecvError> {
+        let mut queue = self.items.lock();
+        let item = queue.pop_front();
+        if queue.is_empty() {
+            self.readiness.take(self.bit);
+        }
+        drop(queue);
+        item.ok_or(RecvError::Empty)
+    }
+
+    /// Park on the doorbell until an item can be popped.
+    pub fn recv(&self) -> Result<T, RecvError> {
+        self.recv_until(None)
+    }
+
+    /// Like [`DoorbellQueue::recv`], giving up with [`RecvError::Timeout`]
+    /// once `timeout` has passed.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvError> {
+        loop {
+            let observed = self.readiness.seq();
+            if let Ok(item) = self.try_recv() {
+                return Ok(item);
+            }
+            let left = match deadline {
+                None => Duration::MAX,
+                Some(d) => d.saturating_duration_since(Instant::now()),
+            };
+            if left.is_zero() {
+                return Err(RecvError::Timeout);
+            }
+            self.readiness.wait(observed, left);
+        }
+    }
+
+    /// Items queued right now.
+    pub fn len(&self) -> usize {
+        self.items.lock().len()
+    }
+
+    /// True when nothing is queued right now.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> std::fmt::Debug for DoorbellQueue<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DoorbellQueue({} queued)", self.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Instant;
 
     #[test]
     fn env_unset_defaults_to_nic_thread() {
@@ -333,5 +445,86 @@ mod tests {
             done.store(0, Ordering::Release);
             r.take(Readiness::EVENT);
         }
+    }
+
+    fn inbound_queue() -> DoorbellQueue<(u32, u32)> {
+        DoorbellQueue::new(Arc::new(Readiness::new()), Readiness::INBOUND)
+    }
+
+    #[test]
+    fn queue_is_fifo_under_four_concurrent_pushers() {
+        const PER_PUSHER: u32 = 2_000;
+        let q = inbound_queue();
+        std::thread::scope(|s| {
+            for pusher in 0..4 {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..PER_PUSHER {
+                        q.push((pusher, i));
+                    }
+                });
+            }
+            let mut next = [0u32; 4];
+            for _ in 0..4 * PER_PUSHER {
+                let (pusher, i) = q.recv_timeout(Duration::from_secs(10)).expect("item");
+                assert_eq!(i, next[pusher as usize], "pusher {pusher} out of order");
+                next[pusher as usize] += 1;
+            }
+            assert_eq!(next, [PER_PUSHER; 4]);
+        });
+        assert_eq!(q.try_recv(), Err(RecvError::Empty));
+    }
+
+    /// The lost-wake-up case, interleaving forced by program order: the push
+    /// lands after the waiter read the sequence and found the queue empty,
+    /// before it parks.
+    #[test]
+    fn push_between_seq_read_and_wait_ends_the_park_at_once() {
+        let q = inbound_queue();
+        for i in 0..10_000 {
+            let observed = q.readiness().seq();
+            assert_eq!(q.try_recv(), Err(RecvError::Empty));
+            q.push((0, i));
+            let t0 = Instant::now();
+            q.readiness().wait(observed, Duration::from_secs(5));
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "slept through a push"
+            );
+            assert_eq!(q.try_recv(), Ok((0, i)));
+        }
+    }
+
+    #[test]
+    fn push_all_rings_once_and_the_emptying_pop_clears_the_bit() {
+        let q = inbound_queue();
+        let r = Arc::clone(q.readiness());
+        let seq = r.seq();
+        q.push_all(None);
+        assert_eq!(r.seq(), seq, "an empty run rings nobody");
+        q.push_all((0..7).map(|i| (0, i)));
+        assert_eq!(r.seq(), seq + 1, "seven items, one ring");
+        assert_eq!(q.len(), 7);
+        for i in 0..7 {
+            assert_eq!(r.peek(), Readiness::INBOUND, "raised while non-empty");
+            assert_eq!(q.try_recv(), Ok((0, i)));
+        }
+        assert_eq!(r.peek(), 0);
+    }
+
+    #[test]
+    fn recv_timeout_on_an_empty_queue_returns_within_its_bound() {
+        let q = inbound_queue();
+        let t0 = Instant::now();
+        assert_eq!(
+            q.recv_timeout(Duration::from_millis(20)),
+            Err(RecvError::Timeout)
+        );
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(15),
+            "gave up after {waited:?}"
+        );
+        assert!(waited < Duration::from_secs(2), "overslept: {waited:?}");
     }
 }

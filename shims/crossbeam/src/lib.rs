@@ -1,454 +1,4 @@
-//! Offline stand-in for `crossbeam` (channel subset).
-//!
-//! Provides MPMC unbounded channels with `recv`/`try_recv`/`recv_timeout`,
-//! cloneable `Sender`s *and* `Receiver`s, disconnect detection, and a two-way
-//! `select!` (two `recv` arms plus a `default(timeout)` arm — the only shape
-//! this workspace uses). Selection is built on a waker the receivers notify,
-//! rather than crossbeam's lock-free core; semantics match, throughput is
-//! adequate for an in-process simulated fabric.
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
-    use std::time::{Duration, Instant};
-
-    /// Internal shared state of one channel.
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-        /// Wakers registered by in-flight `select` operations; notified (and
-        /// pruned) on every send and on disconnect.
-        wakers: Vec<Weak<Waker>>,
-    }
-
-    struct Chan<T> {
-        state: Mutex<State<T>>,
-        recv_ready: Condvar,
-    }
-
-    pub(crate) struct Waker {
-        pub(crate) signal: Mutex<u64>,
-        pub(crate) cond: Condvar,
-    }
-
-    impl Waker {
-        pub(crate) fn new() -> Arc<Waker> {
-            Arc::new(Waker {
-                signal: Mutex::new(0),
-                cond: Condvar::new(),
-            })
-        }
-
-        fn wake(&self) {
-            let mut s = self.signal.lock().unwrap_or_else(PoisonError::into_inner);
-            *s += 1;
-            self.cond.notify_all();
-        }
-    }
-
-    impl<T> Chan<T> {
-        fn notify(state: &mut State<T>, cond: &Condvar) {
-            cond.notify_one();
-            state.wakers.retain(|w| match w.upgrade() {
-                Some(w) => {
-                    w.wake();
-                    true
-                }
-                None => false,
-            });
-        }
-    }
-
-    /// Sending half; cloneable.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Receiving half; cloneable (MPMC, matching crossbeam).
-    pub struct Receiver<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone.
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        Empty,
-        Disconnected,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    /// Create an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-                wakers: Vec::new(),
-            }),
-            recv_ready: Condvar::new(),
-        });
-        (
-            Sender {
-                chan: Arc::clone(&chan),
-            },
-            Receiver { chan },
-        )
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self
-                .chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if st.receivers == 0 {
-                return Err(SendError(value));
-            }
-            st.queue.push_back(value);
-            Chan::notify(&mut st, &self.chan.recv_ready);
-            Ok(())
-        }
-
-        pub fn len(&self) -> usize {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .queue
-                .len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .senders += 1;
-            Sender {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self
-                .chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            st.senders -= 1;
-            if st.senders == 0 {
-                // Wake everything so blocked receivers observe the disconnect.
-                self.chan.recv_ready.notify_all();
-                st.wakers.retain(|w| match w.upgrade() {
-                    Some(w) => {
-                        w.wake();
-                        true
-                    }
-                    None => false,
-                });
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self
-                .chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match st.queue.pop_front() {
-                Some(v) => Ok(v),
-                None if st.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self
-                .chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self
-                    .chan
-                    .recv_ready
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self
-                .chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _res) = self
-                    .chan
-                    .recv_ready
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-            }
-        }
-
-        pub fn len(&self) -> usize {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .queue
-                .len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Register a waker notified on each send/disconnect (select support).
-        pub(crate) fn register_waker(&self, waker: &Arc<Waker>) {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .wakers
-                .push(Arc::downgrade(waker));
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .receivers += 1;
-            Receiver {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.chan
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .receivers -= 1;
-        }
-    }
-
-    /// Outcome of [`select2_timeout`].
-    pub enum Sel2<A, B> {
-        /// First receiver fired (message, or `Err` if it disconnected).
-        First(Result<A, RecvError>),
-        /// Second receiver fired (message, or `Err` if it disconnected).
-        Second(Result<B, RecvError>),
-        /// Neither became ready within the timeout.
-        Timeout,
-    }
-
-    /// Wait on two receivers at once, with a timeout — the runtime behind the
-    /// `select!` shape `recv(a) -> .., recv(b) -> .., default(timeout) => ..`.
-    ///
-    /// A disconnected channel counts as ready and yields `Err(RecvError)`,
-    /// matching crossbeam's semantics.
-    pub fn select2_timeout<A, B>(
-        ra: &Receiver<A>,
-        rb: &Receiver<B>,
-        timeout: Duration,
-    ) -> Sel2<A, B> {
-        let deadline = Instant::now() + timeout;
-        let waker = Waker::new();
-        // Register before the first poll: any send after the signal snapshot
-        // below bumps the counter, so no wakeup can fall between poll and wait.
-        ra.register_waker(&waker);
-        rb.register_waker(&waker);
-        loop {
-            let seen = *waker.signal.lock().unwrap_or_else(PoisonError::into_inner);
-            match ra.try_recv() {
-                Ok(v) => return Sel2::First(Ok(v)),
-                Err(TryRecvError::Disconnected) => return Sel2::First(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            match rb.try_recv() {
-                Ok(v) => return Sel2::Second(Ok(v)),
-                Err(TryRecvError::Disconnected) => return Sel2::Second(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            let mut sig = waker.signal.lock().unwrap_or_else(PoisonError::into_inner);
-            while *sig == seen {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Sel2::Timeout;
-                }
-                let (guard, _res) = waker
-                    .cond
-                    .wait_timeout(sig, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                sig = guard;
-            }
-        }
-    }
-
-    // Make `crossbeam::channel::select!` resolvable, as in the real crate.
-    pub use crate::select;
-}
-
-/// Two-`recv`-plus-`default(timeout)` select, the shape this workspace uses.
-#[macro_export]
-macro_rules! select {
-    (
-        recv($ra:expr) -> $va:pat => $ea:expr,
-        recv($rb:expr) -> $vb:pat => $eb:expr,
-        default($t:expr) => $ed:expr $(,)?
-    ) => {
-        match $crate::channel::select2_timeout(&$ra, &$rb, $t) {
-            $crate::channel::Sel2::First(r) => {
-                let $va = r;
-                $ea
-            }
-            $crate::channel::Sel2::Second(r) => {
-                let $vb = r;
-                $eb
-            }
-            $crate::channel::Sel2::Timeout => $ed,
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::*;
-    use std::time::Duration;
-
-    #[test]
-    fn send_recv_fifo() {
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn disconnect_detected() {
-        let (tx, rx) = unbounded::<u32>();
-        drop(tx);
-        assert_eq!(rx.recv(), Err(RecvError));
-        let (tx2, rx2) = unbounded::<u32>();
-        drop(rx2);
-        assert!(tx2.send(5).is_err());
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        let (_tx, rx) = unbounded::<u32>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-    }
-
-    #[test]
-    fn cloned_receiver_shares_queue() {
-        let (tx, rx) = unbounded();
-        let rx2 = rx.clone();
-        tx.send(7).unwrap();
-        assert_eq!(rx2.recv(), Ok(7));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn select_returns_ready_channel() {
-        let (txa, rxa) = unbounded::<u8>();
-        let (_txb, rxb) = unbounded::<u8>();
-        txa.send(3).unwrap();
-        let got = crate::select! {
-            recv(rxa) -> v => v.unwrap(),
-            recv(rxb) -> _v => unreachable!(),
-            default(Duration::from_millis(1)) => unreachable!(),
-        };
-        assert_eq!(got, 3);
-    }
-
-    #[test]
-    fn select_times_out_then_wakes_on_send() {
-        let (txa, rxa) = unbounded::<u8>();
-        let (_txb, rxb) = unbounded::<u8>();
-        let timed_out = crate::select! {
-            recv(rxa) -> _v => false,
-            recv(rxb) -> _v => false,
-            default(Duration::from_millis(5)) => true,
-        };
-        assert!(timed_out);
-
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            txa.send(9).unwrap();
-        });
-        let got = crate::select! {
-            recv(rxa) -> v => v.unwrap(),
-            recv(rxb) -> _v => unreachable!(),
-            default(Duration::from_secs(5)) => unreachable!(),
-        };
-        assert_eq!(got, 9);
-        t.join().unwrap();
-    }
-}
+//! Offline stand-in for `crossbeam`, empty: nothing in the workspace imports
+//! it. The package and the `crossbeam = { workspace = true }` edges stay
+//! because `benchmark/Cargo.lock` records them (ROADMAP item 8 drops both
+//! together).
