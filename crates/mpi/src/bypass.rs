@@ -118,12 +118,18 @@ pub fn calibrate_work(target: Duration) -> u64 {
 }
 
 /// Run the Figure 5 program `repeats` times and report the median of rank 0's
-/// timings (use an odd `repeats`). Every repeat builds its own two-node rig:
+/// timings. `repeats` must be odd: the middle of an even count is its worse
+/// half, not a median. Every repeat builds its own two-node rig:
 /// what disturbs a measurement on a small shared machine is mostly where the
 /// scheduler happened to put a rig's NIC threads, which lasts as long as the
 /// rig does — so iterations on one rig are disturbed together and only
 /// repeats on fresh rigs give a median something to vote with.
 pub fn run_point(cfg: BypassConfig) -> BypassPoint {
+    assert!(
+        cfg.repeats % 2 == 1,
+        "run_point reports a median: repeats must be odd, got {}",
+        cfg.repeats
+    );
     let (mut works, mut waits): (Vec<_>, Vec<_>) = (0..cfg.repeats).map(|_| run_once(cfg)).unzip();
     works.sort();
     waits.sort();
@@ -230,6 +236,37 @@ pub fn run_sweep(base: BypassConfig, work_iteration_steps: &[u64]) -> Vec<Bypass
         .collect()
 }
 
+/// The Figure 6 claims, as named checks over the two ends of each curve:
+/// `(no work, largest work interval)` for the Portals-style and GM-style
+/// stacks, and the GM-style stack with 3 test calls at the largest interval.
+/// The one statement of the shape: `repro fig6` prints it, the integration
+/// test asserts it.
+pub fn figure6_shape(
+    portals: (BypassPoint, BypassPoint),
+    gm: (BypassPoint, BypassPoint),
+    gm_3tests_busy: BypassPoint,
+) -> [(&'static str, bool); 4] {
+    let secs = |p: BypassPoint| p.wait.as_secs_f64();
+    [
+        (
+            "portals residual wait collapses with enough work (>=75% drop)",
+            secs(portals.1) < 0.25 * secs(portals.0),
+        ),
+        (
+            "gm-style residual wait stays flat (within 2x of idle)",
+            secs(gm.1) > 0.5 * secs(gm.0) && secs(gm.1) < 2.0 * secs(gm.0),
+        ),
+        (
+            "gm with 3 test calls beats gm without",
+            gm_3tests_busy.wait < gm.1.wait,
+        ),
+        (
+            "portals beats gm-style at the largest work interval",
+            portals.1.wait < gm.1.wait,
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,11 +293,20 @@ mod tests {
         BypassConfig {
             msg_size: 50 * 1024,
             batch: 4,
-            repeats: 2,
+            repeats: 3,
             work_iterations: work,
             link: test_link(),
             ..base
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats must be odd")]
+    fn even_repeats_are_rejected() {
+        run_point(BypassConfig {
+            repeats: 2,
+            ..BypassConfig::portals_style(0)
+        });
     }
 
     #[test]

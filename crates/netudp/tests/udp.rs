@@ -151,11 +151,13 @@ fn transport_over_udp_delivers_large_messages() {
 fn transport_over_lossy_udp_recovers() {
     // Seeded send-side loss on both links: the go-back-N machinery must
     // retransmit over the real wire until everything lands, byte-exact.
+    let obs = portals_obs::Obs::default();
     let mk = |nid, seed| {
         UdpLink::bind(UdpLinkConfig {
             nid: NodeId(nid),
             loss: 0.15,
             seed,
+            obs: obs.clone(),
             ..Default::default()
         })
         .unwrap()
@@ -183,6 +185,19 @@ fn transport_over_lossy_udp_recovers() {
     assert!(
         a.stats().retransmissions > 0,
         "15% loss must force retransmissions"
+    );
+    // Wire reconciliation under loss, DATA and ACKs in both directions: what
+    // the shim dropped is on neither side of the identity.
+    let sum = |name: &str| obs.registry.sum_counters(name);
+    let header = portals_netudp::frame::FRAME_HEADER as u64;
+    assert!(sum("net.udp.shim_dropped") > 0);
+    assert_eq!(
+        sum("net.udp.frame_bytes_sent"),
+        sum("net.udp.bytes_sent") + header * sum("net.udp.datagrams_sent")
+    );
+    assert_eq!(
+        sum("net.udp.frame_bytes_received"),
+        sum("net.udp.bytes_received") + header * sum("net.udp.datagrams_received")
     );
 }
 

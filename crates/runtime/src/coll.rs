@@ -6,9 +6,8 @@
 //! classic distributed-memory algorithms:
 //!
 //! * broadcast / reduce — binomial trees;
-//! * allreduce — recursive doubling (with the non-power-of-two fold-in), or
-//!   reduce+broadcast, selectable for the ablation bench;
-//! * allgather — ring or linear, selectable;
+//! * allreduce — recursive doubling (with the non-power-of-two fold-in);
+//! * allgather — ring;
 //! * gather / scatter — linear to/from the root;
 //! * alltoall — fully posted nonblocking exchange;
 //! * barrier — the communicator's dissemination barrier.
@@ -85,46 +84,20 @@ impl ReduceOp {
     }
 }
 
-/// Allreduce algorithm choice (ablation target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllreduceAlgo {
-    /// Recursive doubling: ⌈log₂ n⌉ exchange rounds, all ranks active.
-    #[default]
-    RecursiveDoubling,
-    /// Binomial reduce to rank 0, then binomial broadcast.
-    ReduceBroadcast,
-}
-
-/// Allgather algorithm choice (ablation target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllgatherAlgo {
-    /// Ring: n−1 steps, each rank forwards one block per step.
-    #[default]
-    Ring,
-    /// Everyone sends to everyone, fully nonblocking.
-    Linear,
-}
-
 /// The collective library bound to one communicator.
 pub struct Collectives {
     comm: Communicator,
-    /// Allreduce algorithm.
-    pub allreduce_algo: AllreduceAlgo,
-    /// Allgather algorithm.
-    pub allgather_algo: AllgatherAlgo,
     /// Present iff built by [`Collectives::triggered`].
     offload: Option<Mutex<OffloadState>>,
 }
 
 impl Collectives {
-    /// Bind to a communicator with default algorithms. `barrier`, `bcast`
-    /// and `allreduce` run as host send/recv loops — the reference the
-    /// triggered schedules are checked against.
+    /// Bind to a communicator. `barrier`, `bcast` and `allreduce` run as host
+    /// send/recv loops — the reference the triggered schedules are checked
+    /// against.
     pub fn new(comm: Communicator) -> Collectives {
         Collectives {
             comm,
-            allreduce_algo: Default::default(),
-            allgather_algo: Default::default(),
             offload: None,
         }
     }
@@ -337,17 +310,7 @@ impl Collectives {
             self.finish_allreduce(p, data);
             return;
         }
-        match self.allreduce_algo {
-            AllreduceAlgo::RecursiveDoubling => self.allreduce_rd(data, op),
-            AllreduceAlgo::ReduceBroadcast => {
-                if let Some(result) = self.reduce(0, data, op) {
-                    data.copy_from_slice(&result);
-                }
-                let mut bytes = encode_f64(data);
-                self.bcast(0, &mut bytes);
-                data.copy_from_slice(&decode_f64(&bytes));
-            }
-        }
+        self.allreduce_rd(data, op);
     }
 
     /// Recursive-doubling allreduce with the standard non-power-of-two
@@ -436,15 +399,9 @@ impl Collectives {
     }
 
     /// Every rank ends with every rank's bytes, rank-ordered. All
-    /// contributions must be the same length.
+    /// contributions must be the same length. Ring: n−1 steps, each rank
+    /// forwards one block per step.
     pub fn allgather(&self, mine: &[u8]) -> Vec<Vec<u8>> {
-        match self.allgather_algo {
-            AllgatherAlgo::Ring => self.allgather_ring(mine),
-            AllgatherAlgo::Linear => self.allgather_linear(mine),
-        }
-    }
-
-    fn allgather_ring(&self, mine: &[u8]) -> Vec<Vec<u8>> {
         let n = self.n();
         let me = self.me();
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
@@ -466,36 +423,6 @@ impl Collectives {
             self.comm.wait(sreq);
             assert_eq!(st.len, mine.len(), "allgather blocks must be equal-sized");
             out[recv_block] = buf.read_vec(0, st.len);
-        }
-        out
-    }
-
-    fn allgather_linear(&self, mine: &[u8]) -> Vec<Vec<u8>> {
-        let n = self.n();
-        let me = self.me();
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = mine.to_vec();
-        let bufs: Vec<_> = (0..n).map(|_| Region::zeroed(mine.len())).collect();
-        let rreqs: Vec<(usize, Request)> = (0..n)
-            .filter(|&r| r != me)
-            .map(|r| {
-                (
-                    r,
-                    self.comm
-                        .irecv_reserved(Rank(r as u32), TAG_ALLGATHER, bufs[r].clone()),
-                )
-            })
-            .collect();
-        let sreqs: Vec<Request> = (0..n)
-            .filter(|&r| r != me)
-            .map(|r| self.isend_to(r, TAG_ALLGATHER, mine))
-            .collect();
-        for (r, req) in rreqs {
-            let st = self.comm.wait(req).status().expect("allgather linear");
-            out[r] = bufs[r].read_vec(0, st.len);
-        }
-        for req in sreqs {
-            self.comm.wait(req);
         }
         out
     }

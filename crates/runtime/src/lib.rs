@@ -18,9 +18,9 @@
 //!   ([`Job::launch_distributed`], configured via `PORTALS_*` env vars).
 //! * [`coll`] — the collective communication library: barrier, broadcast,
 //!   reduce, allreduce, gather, scatter, allgather and alltoall with
-//!   tree/ring/recursive-doubling algorithms (selectable, for the ablation
-//!   benches). Collectives run on reserved tags through the Portals-backed
-//!   matching engine, out of reach of application traffic.
+//!   tree/ring/recursive-doubling algorithms. Collectives run on reserved
+//!   tags through the Portals-backed matching engine, out of reach of
+//!   application traffic.
 
 #![warn(missing_docs)]
 
@@ -30,7 +30,7 @@ pub mod directory;
 pub mod distributed;
 pub mod launch;
 
-pub use coll::{AllgatherAlgo, AllreduceAlgo, Collectives, PendingColl, ReduceOp};
+pub use coll::{Collectives, PendingColl, ReduceOp};
 pub use control::{Control, Launcher, NodeState, ProcessManager};
 pub use directory::JobDirectory;
 pub use distributed::DistributedConfig;

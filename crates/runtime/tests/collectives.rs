@@ -1,7 +1,6 @@
-//! Collective correctness across world sizes (including non-powers-of-two)
-//! and algorithm variants.
+//! Collective correctness across world sizes (including non-powers-of-two).
 
-use portals_runtime::{AllgatherAlgo, AllreduceAlgo, Collectives, Job, JobConfig, ReduceOp};
+use portals_runtime::{Collectives, Job, JobConfig, ReduceOp};
 
 fn sizes() -> Vec<usize> {
     vec![1, 2, 3, 4, 5, 8]
@@ -45,31 +44,25 @@ fn reduce_sums_at_root() {
 }
 
 #[test]
-fn allreduce_both_algorithms_agree() {
-    for algo in [
-        AllreduceAlgo::RecursiveDoubling,
-        AllreduceAlgo::ReduceBroadcast,
-    ] {
-        for n in sizes() {
-            Job::launch(n, JobConfig::default(), move |env| {
-                let mut coll = Collectives::new(env.comm.clone());
-                coll.allreduce_algo = algo;
-                let me = env.rank().0 as f64;
-                let n = env.size() as f64;
+fn allreduce_matches_closed_forms() {
+    for n in sizes() {
+        Job::launch(n, JobConfig::default(), move |env| {
+            let coll = Collectives::new(env.comm.clone());
+            let me = env.rank().0 as f64;
+            let n = env.size() as f64;
 
-                let mut sum = vec![me + 1.0; 8];
-                coll.allreduce(&mut sum, ReduceOp::Sum);
-                assert_eq!(sum, vec![n * (n + 1.0) / 2.0; 8], "{algo:?} sum n={n}");
+            let mut sum = vec![me + 1.0; 8];
+            coll.allreduce(&mut sum, ReduceOp::Sum);
+            assert_eq!(sum, vec![n * (n + 1.0) / 2.0; 8], "sum n={n}");
 
-                let mut min = vec![me];
-                coll.allreduce(&mut min, ReduceOp::Min);
-                assert_eq!(min, vec![0.0], "{algo:?} min");
+            let mut min = vec![me];
+            coll.allreduce(&mut min, ReduceOp::Min);
+            assert_eq!(min, vec![0.0], "min");
 
-                let mut max = vec![me];
-                coll.allreduce(&mut max, ReduceOp::Max);
-                assert_eq!(max, vec![n - 1.0], "{algo:?} max");
-            });
-        }
+            let mut max = vec![me];
+            coll.allreduce(&mut max, ReduceOp::Max);
+            assert_eq!(max, vec![n - 1.0], "max");
+        });
     }
 }
 
@@ -141,20 +134,17 @@ fn scatter_and_gather_have_no_size_cap() {
 }
 
 #[test]
-fn allgather_both_algorithms_agree() {
-    for algo in [AllgatherAlgo::Ring, AllgatherAlgo::Linear] {
-        for n in sizes() {
-            Job::launch(n, JobConfig::default(), move |env| {
-                let mut coll = Collectives::new(env.comm.clone());
-                coll.allgather_algo = algo;
-                let mine = vec![env.rank().0 as u8 * 3; 16];
-                let out = coll.allgather(&mine);
-                assert_eq!(out.len(), env.size());
-                for (r, part) in out.iter().enumerate() {
-                    assert_eq!(part, &vec![r as u8 * 3; 16], "{algo:?} rank {r}");
-                }
-            });
-        }
+fn allgather_collects_in_rank_order() {
+    for n in sizes() {
+        Job::launch(n, JobConfig::default(), move |env| {
+            let coll = Collectives::new(env.comm.clone());
+            let mine = vec![env.rank().0 as u8 * 3; 16];
+            let out = coll.allgather(&mine);
+            assert_eq!(out.len(), env.size());
+            for (r, part) in out.iter().enumerate() {
+                assert_eq!(part, &vec![r as u8 * 3; 16], "rank {r}");
+            }
+        });
     }
 }
 

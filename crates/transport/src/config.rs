@@ -24,12 +24,6 @@ pub struct TransportConfig {
     /// *stalled* in the stats (retransmission continues regardless; see the
     /// crate docs for why the transport never gives up).
     pub stall_retries: u32,
-    /// Maximum inbound datagrams one run of a progress step drains. Within one
-    /// run at most one cumulative ACK is sent per source (the later
-    /// cumulative subsumes the earlier). `1` disables both batching and
-    /// coalescing — the pre-batching per-packet-ack behaviour, kept as a
-    /// runtime ablation.
-    pub recv_batch: usize,
     /// Receive-side credit window: how many DATA packets per source the
     /// receiver advertises beyond its in-order horizon when idle. Shrinks
     /// dynamically while the inbound delivery queue backs up (an
@@ -85,7 +79,6 @@ impl Default for TransportConfig {
             window: 64,
             rto_base: Duration::from_millis(20),
             stall_retries: 10,
-            recv_batch: 64,
             credit_window: 128,
             initial_credits: 128,
             ooo_buffer_bytes: 1024 * 1024,

@@ -14,7 +14,7 @@
 //! Two receive-path optimisations live here:
 //!
 //! * **Batched drain.** One progress step drains the inbound queue to
-//!   exhaustion, in runs of up to [`TransportConfig::recv_batch`] datagrams,
+//!   exhaustion, in runs of up to [`RECV_BATCH`] datagrams,
 //!   amortising the doorbell wakeup over the burst. What a run delivers goes
 //!   up in one push: one lock, one ring.
 //! * **Coalesced acks.** Within one run the core sends at most one
@@ -51,6 +51,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use portals_types::{DoorbellQueue, Gather, NodeId, WireError};
+
+/// Maximum inbound datagrams one run of a progress step drains. Within one
+/// run at most one cumulative ACK is sent per source (the later cumulative
+/// subsumes the earlier).
+const RECV_BATCH: usize = 64;
 
 /// Sentinel for "no published deadline".
 pub(crate) const DEADLINE_NONE: u64 = u64::MAX;
@@ -304,13 +309,12 @@ impl ProgressCore {
             .send_batch(packets.into_iter().map(|p| (dst, p)).collect());
     }
 
-    /// Drain up to `recv_batch` datagrams for one wakeup, then flush one
-    /// cumulative ACK per source seen in the batch. `recv_batch = 1` degrades
-    /// to the per-packet-ack behaviour exactly.
+    /// Drain up to [`RECV_BATCH`] datagrams for one wakeup, then flush one
+    /// cumulative ACK per source seen in the batch.
     fn on_inbound(&mut self, first: Datagram) {
         let mut pending_acks: Vec<(NodeId, u64)> = Vec::new();
         self.process_datagram(first, &mut pending_acks);
-        for _ in 1..self.cfg.recv_batch.max(1) {
+        for _ in 1..RECV_BATCH {
             match self.inbound.try_recv() {
                 Ok(d) => self.process_datagram(d, &mut pending_acks),
                 Err(_) => break,

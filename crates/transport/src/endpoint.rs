@@ -924,7 +924,6 @@ mod tests {
         let cfg = TransportConfig {
             mtu: 64,
             window: 128,
-            recv_batch: 64,
             ..Default::default()
         };
         let sb = burst_then_start_receiver(cfg, 64);
@@ -932,20 +931,6 @@ mod tests {
         // covers it, the other 63 are subsumed.
         assert_eq!(sb.acks_sent, 1);
         assert_eq!(sb.acks_coalesced, 63);
-    }
-
-    #[test]
-    fn recv_batch_one_acks_every_packet() {
-        // The ablation config: per-packet acks, no coalescing.
-        let cfg = TransportConfig {
-            mtu: 64,
-            window: 128,
-            recv_batch: 1,
-            ..Default::default()
-        };
-        let sb = burst_then_start_receiver(cfg, 64);
-        assert_eq!(sb.acks_sent, 64);
-        assert_eq!(sb.acks_coalesced, 0);
     }
 
     #[test]

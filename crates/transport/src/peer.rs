@@ -620,7 +620,6 @@ mod tests {
             window: 3,
             rto_base: Duration::from_millis(10),
             stall_retries: 2,
-            recv_batch: 64,
             ..Default::default()
         }
     }
@@ -1135,7 +1134,6 @@ mod tests {
                 window: 4,
                 rto_base: Duration::from_millis(1),
                 stall_retries: 100,
-                recv_batch: 64,
                 ..Default::default()
             };
             let t = Instant::now();

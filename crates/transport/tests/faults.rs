@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 
 // The audit of the coalesced-ack path: when the receiver drops an
-// out-of-order packet (`seq > expected`, go-back-N) inside a `recv_batch`
+// out-of-order packet (`seq > expected`, go-back-N) inside a batched-drain
 // burst, the cumulative ack coalesced from the rest of the batch must not
 // advance past the dropped fragment — the sender would otherwise never
 // retransmit it and the message would be lost or corrupted. The cumulative
@@ -47,7 +47,6 @@ proptest! {
             mtu: 128,
             window: 8,
             rto_base: Duration::from_millis(2),
-            recv_batch: 64, // large batches maximise coalescing opportunities
             ..Default::default()
         };
         let a = Endpoint::new(fabric.attach(NodeId(0)), tcfg);

@@ -17,8 +17,8 @@
 //! On an invariant failure the run's full trace ring is dumped as JSON lines
 //! (`--trace-out`, default `soak-trace.jsonl`) and the process exits non-zero.
 //!
-//! Run: `cargo run --release -p portals-bench --bin soak [-- --quick]
-//!       [--overhead] [--trace-out PATH]`
+//! Run: `cargo run --release -p portals-integration-tests --bin soak
+//!       [-- --quick] [--overhead] [--trace-out PATH]`
 
 use portals::{EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, Region};
 use portals_mpi::{MpiConfig, Protocol};
@@ -81,7 +81,7 @@ const OVERLOAD_MSG: usize = 1024;
 /// second of wall clock.
 const OVERLOAD_SLAB: usize = 64 * 1024;
 const OVERLOAD_SLAB_COUNT: usize = 2;
-/// The acceptance criterion's oversubscription factor: the flood is 4× what
+/// The acceptance bar's oversubscription factor: the flood is 4× what
 /// the receiver's attached slabs can hold.
 const OVERSUBSCRIPTION: usize = 4;
 

@@ -3,7 +3,7 @@
 //! the paper's headline experiment.
 
 use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
-use portals_mpi::bypass::{calibrate_work, run_point, BypassConfig};
+use portals_mpi::bypass::{calibrate_work, figure6_shape, run_point, BypassConfig};
 use portals_mpi::{Mpi, MpiConfig};
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
 use portals_runtime::{Collectives, Job, JobConfig, JobDirectory, ReduceOp};
@@ -217,46 +217,31 @@ fn two_jobs_are_isolated_by_access_control() {
 #[test]
 fn figure6_shape_holds_end_to_end() {
     let _serial = serial();
-    // The condensed Figure 6 assertion: with a work interval well above the
-    // transfer time, Portals-style overlap absorbs nearly all handling while
-    // GM-style absorbs none, and at zero work the two are comparable.
-    let link = LinkModel {
-        latency: Duration::from_micros(5),
-        bandwidth_bytes_per_sec: 200.0 * 1024.0 * 1024.0,
-        per_packet_overhead: Duration::from_micros(1),
-    };
-    let small = |cfg: BypassConfig, work| BypassConfig {
+    // The condensed Figure 6: the two ends of each curve of the
+    // `repro fig6 --quick` sweep (its batch, its odd repeat count, its largest
+    // work interval), judged by the one statement of the shape it prints.
+    let small = |cfg: BypassConfig| BypassConfig {
         batch: 6,
-        repeats: 2,
-        work_iterations: work,
-        link,
+        repeats: 7,
         ..cfg
     };
-    let iters = calibrate_work(Duration::from_millis(25));
+    let iters = calibrate_work(Duration::from_millis(6));
 
-    let p_idle = run_point(small(BypassConfig::portals_style(0), 0));
-    let p_busy = run_point(small(BypassConfig::portals_style(iters), iters));
-    let g_idle = run_point(small(BypassConfig::gm_style(0), 0));
-    let g_busy = run_point(small(BypassConfig::gm_style(iters), iters));
+    let p_idle = run_point(small(BypassConfig::portals_style(0)));
+    let p_busy = run_point(small(BypassConfig::portals_style(iters)));
+    let g_idle = run_point(small(BypassConfig::gm_style(0)));
+    let g_busy = run_point(small(BypassConfig::gm_style(iters)));
+    let g3_busy = run_point(small(BypassConfig {
+        test_calls_during_work: 3,
+        ..BypassConfig::gm_style(iters)
+    }));
 
-    assert!(
-        p_busy.wait < p_idle.wait / 2,
-        "portals wait must collapse: idle {:?} busy {:?}",
-        p_idle.wait,
-        p_busy.wait
-    );
-    assert!(
-        g_busy.wait * 4 > g_idle.wait,
-        "gm wait must stay in the idle ballpark: idle {:?} busy {:?}",
-        g_idle.wait,
-        g_busy.wait
-    );
-    assert!(
-        p_busy.wait < g_busy.wait,
-        "portals must win at large work: {:?} vs {:?}",
-        p_busy.wait,
-        g_busy.wait
-    );
+    for (name, ok) in figure6_shape((p_idle, p_busy), (g_idle, g_busy), g3_busy) {
+        assert!(
+            ok,
+            "{name}: portals {p_idle:?} -> {p_busy:?}, gm {g_idle:?} -> {g_busy:?}, gm+3 tests {g3_busy:?}"
+        );
+    }
 }
 
 #[test]

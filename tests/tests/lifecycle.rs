@@ -6,7 +6,8 @@
 //! The fault plan here duplicates **every** packet (probability 1.0) and adds
 //! jitter so duplicates can overtake their originals (the reorder case PR 3
 //! fixed). The transport must absorb all of it: the only acceptable evidence
-//! downstream of the transport is `duplicates_dropped > 0`.
+//! downstream of the transport is `duplicates_dropped > 0`, and the only
+//! Portals-layer drops are the deliberately doomed puts, once each.
 
 use portals::{AckRequest, EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, Region};
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
@@ -17,6 +18,9 @@ use std::time::Duration;
 #[test]
 fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
     const N: u64 = 40;
+    /// Puts aimed at a portal with no match entry: §4.8 rejections, the only
+    /// application-visible drops this wire may produce.
+    const DOOMED: u64 = 3;
     let (obs, ring) = Obs::with_ring(1 << 16);
     let fabric = Fabric::new(
         FabricConfig::default()
@@ -79,6 +83,13 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
             .unwrap();
     }
 
+    for _ in 0..DOOMED {
+        a.put_op(md)
+            .target(ProcessId::new(1, 1), 1)
+            .submit()
+            .unwrap();
+    }
+
     // Completion machinery reaches N (and the trigger fires) exactly once…
     assert_eq!(b.ct_wait(ct, N).unwrap().success, N);
     assert_eq!(b.ct_wait(done, 1).unwrap().success, 1);
@@ -113,10 +124,13 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
         "fault plan produced no duplicates — the test exercised nothing"
     );
     assert_eq!(a.counters().dropped_total(), 0);
-    assert_eq!(b.counters().dropped_total(), 0);
+    // Every wire fault is accounted for below Portals; a doomed request is
+    // rejected once, not once per wire copy.
+    assert_eq!(b.counters().dropped_total(), DOOMED);
+    assert_eq!(b.counters().dropped(portals::DropReason::NoMatch), DOOMED);
 
     // Trace-level statement of the same contract: exactly N portals-layer
-    // put deliveries at the target, no portals-layer drops anywhere.
+    // put deliveries at the target, and one portals-layer drop per doomed put.
     let events = ring.events();
     let delivers = events
         .iter()
@@ -128,10 +142,12 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
         })
         .count() as u64;
     assert_eq!(delivers, N, "trace shows duplicate portals deliveries");
-    assert!(
-        !events
-            .iter()
-            .any(|e| e.layer == Layer::Portals && e.stage == Stage::Drop),
-        "trace shows portals-layer drops on a loss-free wire"
+    let drops = events
+        .iter()
+        .filter(|e| e.layer == Layer::Portals && e.stage == Stage::Drop)
+        .count() as u64;
+    assert_eq!(
+        drops, DOOMED,
+        "trace shows a drop the doomed puts do not explain"
     );
 }
