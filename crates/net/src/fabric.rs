@@ -9,7 +9,7 @@ use crate::nic::{Datagram, Nic};
 use crate::stats::{FabricStats, FabricStatsSnapshot, NicStats};
 use parking_lot::{Condvar, Mutex, RwLock};
 use portals_obs::{Layer, Stage, TraceEvent, NONE_U64};
-use portals_types::{DoorbellQueue, NodeId, Readiness};
+use portals_types::{DoorbellQueue, Gather, NodeId, Readiness};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -88,33 +88,43 @@ impl Shared {
         p.contains(&(src, dst))
     }
 
-    /// Hand a packet to the destination NIC's inbound queue. `seq` is the
-    /// wire sequence number ([`NONE_U64`] on the bypass path, which never
-    /// schedules) and `dup` marks fault-injected copies.
-    fn deliver(&self, datagram: Datagram, seq: u64, dup: bool) {
-        let tracer = &self.config.obs.tracer;
-        let (src, dst) = (datagram.src.0, datagram.dst.0);
+    /// Push a run of datagrams, all bound for `dst`, onto its inbound queue:
+    /// one lock, one doorbell ring. Returns `false` if `dst` is not attached,
+    /// having counted and traced each datagram of the run as unroutable
+    /// (`seq` is the wire sequence, [`NONE_U64`] on the bypass path).
+    fn deliver_run(&self, dst: NodeId, run: impl IntoIterator<Item = Datagram>, seq: u64) -> bool {
         let routes = self.routes.read();
-        let Some(inbound) = routes.get(&datagram.dst) else {
-            self.stats.packets_unroutable.inc();
-            tracer.emit(|| {
-                TraceEvent::new(Layer::Fabric, Stage::Drop)
-                    .node(dst)
-                    .peer(src)
-                    .seq(seq)
-                    .detail("unroutable")
-            });
-            return;
+        let Some(inbound) = routes.get(&dst) else {
+            for datagram in run {
+                self.stats.packets_unroutable.inc();
+                self.config.obs.tracer.emit(|| {
+                    TraceEvent::new(Layer::Fabric, Stage::Drop)
+                        .node(dst.0)
+                        .peer(datagram.src.0)
+                        .seq(seq)
+                        .detail("unroutable")
+                });
+            }
+            return false;
         };
-        let bytes = datagram.payload.len() as u64;
-        inbound.push(datagram);
-        self.stats.packets_delivered.inc();
+        let (mut packets, mut bytes) = (0, 0);
+        inbound.push_all(run.into_iter().inspect(|datagram| {
+            packets += 1;
+            bytes += datagram.payload.len() as u64;
+        }));
+        self.stats.packets_delivered.add(packets);
         self.stats.bytes_delivered.add(bytes);
-        // A bypassed wire has no arrival ordering to record (the seq is the
-        // NONE sentinel): the WireDeliver stage only exists when a modelled
-        // wire actually carried the packet.
-        if seq != NONE_U64 {
-            tracer.emit(|| {
+        true
+    }
+
+    /// Hand a packet the modelled wire carried to the destination NIC's
+    /// inbound queue. `seq` is its wire sequence number and `dup` marks
+    /// fault-injected copies.
+    fn deliver(&self, datagram: Datagram, seq: u64, dup: bool) {
+        let (src, dst) = (datagram.src.0, datagram.dst.0);
+        let bytes = datagram.payload.len() as u64;
+        if self.deliver_run(datagram.dst, Some(datagram), seq) {
+            self.config.obs.tracer.emit(|| {
                 TraceEvent::new(Layer::Fabric, Stage::WireDeliver)
                     .node(dst)
                     .peer(src)
@@ -125,30 +135,64 @@ impl Shared {
         }
     }
 
+    /// Count a datagram onto the wire. `false` if its link is severed: the
+    /// datagram is counted lost and traced as a drop.
+    fn admit(&self, datagram: &Datagram) -> bool {
+        self.stats.packets_sent.inc();
+        self.stats.bytes_sent.add(datagram.payload.len() as u64);
+        if !self.is_partitioned(datagram.src, datagram.dst) {
+            return true;
+        }
+        self.stats.packets_lost.inc();
+        self.config.obs.tracer.emit(|| {
+            TraceEvent::new(Layer::Fabric, Stage::Drop)
+                .node(datagram.src.0)
+                .peer(datagram.dst.0)
+                .detail("partitioned")
+        });
+        false
+    }
+
+    /// Entry point used by [`Nic::send_batch`](crate::Link::send_batch). On
+    /// the bypass wire each run of consecutive datagrams to one destination
+    /// is one push (one lock, one ring); a modelled or faulty wire takes them
+    /// one [`Shared::send`] at a time, so its loss, jitter and duplicate
+    /// draws are those of the same datagrams sent singly.
+    pub(crate) fn send_batch(&self, src: NodeId, batch: Vec<(NodeId, Gather)>) {
+        let datagrams = batch
+            .into_iter()
+            .map(|(dst, payload)| Datagram { src, dst, payload });
+        if !self.bypass_wire {
+            datagrams.for_each(|datagram| self.send(datagram));
+            return;
+        }
+        let mut run: Vec<Datagram> = Vec::new();
+        for datagram in datagrams.filter(|datagram| self.admit(datagram)) {
+            if let Some(last) = run.last() {
+                if last.dst != datagram.dst {
+                    self.deliver_run(last.dst, run.drain(..), NONE_U64);
+                }
+            }
+            run.push(datagram);
+        }
+        if let Some(first) = run.first() {
+            self.deliver_run(first.dst, run, NONE_U64);
+        }
+    }
+
     /// Entry point used by [`Nic::send`].
     pub(crate) fn send(&self, datagram: Datagram) {
+        if !self.admit(&datagram) {
+            return;
+        }
+        if self.bypass_wire {
+            self.deliver_run(datagram.dst, Some(datagram), NONE_U64);
+            return;
+        }
         let tracer = &self.config.obs.tracer;
         let dst_node = datagram.dst;
         let (src, dst) = (datagram.src.0, datagram.dst.0);
         let bytes = datagram.payload.len() as u64;
-        self.stats.packets_sent.inc();
-        self.stats.bytes_sent.add(bytes);
-
-        if self.is_partitioned(datagram.src, datagram.dst) {
-            self.stats.packets_lost.inc();
-            tracer.emit(|| {
-                TraceEvent::new(Layer::Fabric, Stage::Drop)
-                    .node(src)
-                    .peer(dst)
-                    .detail("partitioned")
-            });
-            return;
-        }
-
-        if self.bypass_wire {
-            self.deliver(datagram, NONE_U64, false);
-            return;
-        }
 
         let now = self.clock.now();
         let link = &self.config.link;
@@ -742,6 +786,99 @@ mod tests {
             portals_types::Readiness::INBOUND
         );
         assert!(b.try_recv().is_ok());
+    }
+
+    fn nic_counts(nic: &Nic) -> (u64, u64) {
+        let stats = nic.stats();
+        (
+            stats.sent.load(Ordering::Relaxed),
+            stats.bytes_sent.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn bypass_batch_to_one_node_is_one_push_counted_as_its_sends() {
+        let batch = || (0..5u8).map(|i| (NodeId(1), Gather::from_vec(vec![i; 10 + i as usize])));
+        let (batched, singles) = (Fabric::ideal(), Fabric::ideal());
+        let (a, b) = (batched.attach(NodeId(0)), batched.attach(NodeId(1)));
+        let (a1, _b1) = (singles.attach(NodeId(0)), singles.attach(NodeId(1)));
+        let doorbell = Arc::clone(b.inbound_receiver().readiness());
+        let before = doorbell.seq();
+        a.send_batch(batch().collect());
+        assert_eq!(doorbell.seq(), before + 1, "one ring for the run");
+        for (i, (_, sent)) in batch().enumerate() {
+            assert_eq!(b.try_recv().expect("queued in order").payload, sent, "#{i}");
+        }
+        for (dst, payload) in batch() {
+            a1.send(dst, payload);
+        }
+        assert_eq!(batched.stats(), singles.stats());
+        assert_eq!(batched.stats().packets_delivered, 5);
+        assert_eq!(nic_counts(&a), nic_counts(&a1));
+    }
+
+    #[test]
+    fn batched_drops_are_counted_and_traced_per_datagram() {
+        let (obs, ring) = portals_obs::Obs::with_ring(64);
+        let fabric = Fabric::new(FabricConfig::ideal().with_obs(obs));
+        let (a, b, c) = (
+            fabric.attach(NodeId(0)),
+            fabric.attach(NodeId(1)),
+            fabric.attach(NodeId(2)),
+        );
+        fabric.sever(NodeId(0), NodeId(1));
+        let to = |n| (NodeId(n), Gather::copy_from_slice(b"x"));
+        a.send_batch(vec![to(1), to(2), to(1), to(99), to(99), to(2)]);
+        let stats = fabric.stats();
+        assert_eq!(stats.packets_sent, 6);
+        assert_eq!(stats.packets_lost, 2, "partitioned");
+        assert_eq!(stats.packets_unroutable, 2);
+        assert_eq!(stats.packets_delivered, 2);
+        assert_eq!((b.pending(), c.pending()), (0, 2));
+        let drops = |why: &str| {
+            ring.events()
+                .iter()
+                .filter(|e| e.stage == Stage::Drop && e.detail == why)
+                .count()
+        };
+        assert_eq!((drops("partitioned"), drops("unroutable")), (2, 2));
+    }
+
+    #[test]
+    fn lossy_wire_drops_the_same_set_batched_or_single() {
+        const N: u8 = 200;
+        let survivors = |batched: bool| {
+            let fabric = Fabric::new(
+                FabricConfig::default()
+                    .with_faults(FaultPlan::lossy(0.5))
+                    .with_seed(1234)
+                    .with_link(LinkModel {
+                        latency: Duration::from_micros(1),
+                        bandwidth_bytes_per_sec: f64::INFINITY,
+                        per_packet_overhead: Duration::ZERO,
+                    }),
+            );
+            let (a, b) = (fabric.attach(NodeId(0)), fabric.attach(NodeId(1)));
+            let stream = (0..N).map(|i| (NodeId(1), Gather::from_vec(vec![i])));
+            if batched {
+                a.send_batch(stream.collect());
+            } else {
+                stream.for_each(|(dst, payload)| a.send(dst, payload));
+            }
+            let lost = fabric.stats().packets_lost;
+            let got: Vec<u8> = (0..u64::from(N) - lost)
+                .map(|_| {
+                    b.recv_timeout(Duration::from_secs(5))
+                        .expect("survivor")
+                        .payload
+                        .to_vec()[0]
+                })
+                .collect();
+            (lost, got)
+        };
+        let (lost, singles) = survivors(false);
+        assert!(lost > 0 && lost < u64::from(N), "50% of {N}: {lost}");
+        assert_eq!(survivors(true), (lost, singles));
     }
 
     #[test]

@@ -70,8 +70,13 @@ pub trait Link: Send + Sync + 'static {
     /// [`Link::send`] — each datagram is independently best-effort, and the
     /// batch implies nothing about ordering or atomicity. The default loops
     /// over `send`, so backends without a batched wire primitive are
-    /// untouched; a socket backend overrides this to amortize the OS
-    /// boundary (`sendmmsg`: one syscall for the whole vector).
+    /// untouched. Both backends here override it: the socket backend to
+    /// amortize the OS boundary (`sendmmsg`: one syscall for the whole
+    /// vector), the in-process fabric ([`Nic`](crate::Nic)) so that on its
+    /// bypass wire each run of datagrams to one node is one push onto that
+    /// node's inbound queue (one lock, one doorbell ring). The transport
+    /// sends an ACK it owes a peer in front of the next data to that peer,
+    /// in one such batch.
     fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
         for (dst, payload) in batch {
             self.send(dst, payload);

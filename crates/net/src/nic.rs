@@ -145,6 +145,17 @@ impl Link for Nic {
         Nic::send(self, dst, payload)
     }
 
+    /// On the bypass wire, each run of consecutive datagrams to one node is
+    /// one push onto its inbound queue: one lock, one doorbell ring. A
+    /// modelled or faulty wire sends them one by one. Counted per datagram
+    /// either way, as that many [`Nic::send`]s would be.
+    fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
+        for (_, payload) in &batch {
+            self.stats.record_send(payload.len());
+        }
+        self.shared.send_batch(self.nid, batch)
+    }
+
     fn inbound_receiver(&self) -> Arc<DoorbellQueue<Datagram>> {
         Arc::clone(&self.inbound)
     }

@@ -123,9 +123,10 @@ pub(crate) struct NodeShared {
 
 impl NodeShared {
     /// Advance this node once from the calling thread: step the transport
-    /// state machines, then dispatch every delivery that produced — the NIC
-    /// thread's step. Returns `true` if any work was done. A no-op (`false`)
-    /// beside a NIC thread, mid-dispatch elsewhere, or powered off.
+    /// state machines, dispatch every delivery that produced, then send the
+    /// step's acks — the NIC thread's step. Returns `true` if any work was
+    /// done. A no-op (`false`) beside a NIC thread, mid-dispatch elsewhere,
+    /// or powered off.
     pub(crate) fn progress_once(&self) -> bool {
         if !self.mode.is_caller_driven() {
             return false;
@@ -136,8 +137,7 @@ impl NodeShared {
         if !self.alive.load(Ordering::Relaxed) {
             return false;
         }
-        let worked = self.endpoint.progress_once();
-        self.dispatch_queued() || worked
+        self.endpoint.progress_then(|| self.dispatch_queued())
     }
 
     /// Run the endpoint's delivery stream — whole messages and fragments of

@@ -7,16 +7,19 @@
 //! that arrangement rests on: the thread never sleeps through a datagram, a
 //! timer a caller arms while it is parked still fires on time, the engine
 //! re-entering the transport from the thread cannot deadlock against
-//! submitting callers, and there really is one thread.
+//! submitting callers, and there really is one thread — plus the order the
+//! step keeps: its transport acks leave after what it delivered has been
+//! dispatched.
 
 use portals::{
     AckRequest, EventKind, MdSpec, MePos, NetworkInterface, NiConfig, Node, NodeConfig,
     ProgressMode, Region,
 };
-use portals_net::Fabric;
+use portals_net::{Fabric, Link, LinkCaps};
 use portals_transport::TransportConfig;
-use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use portals_types::{DoorbellQueue, Gather, MatchBits, MatchCriteria, NodeId, ProcessId};
+use portals_wire::{Packet, PacketHeader};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The tests measure wake-up latency in milliseconds and count this process's
@@ -295,4 +298,101 @@ fn a_nic_thread_node_owns_exactly_one_thread() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(stack_threads(), ["portals-node-8"], "host-driven");
+}
+
+/// One entry per wire call a link was handed: a `send` or a `send_batch`.
+type Calls = Arc<Mutex<Vec<Vec<(NodeId, Gather)>>>>;
+
+/// A fabric NIC that records every wire call it is handed.
+struct Recording {
+    nic: portals_net::Nic,
+    calls: Calls,
+}
+
+impl Link for Recording {
+    fn nid(&self) -> NodeId {
+        Link::nid(&self.nic)
+    }
+    fn send(&self, dst: NodeId, payload: Gather) {
+        self.send_batch(vec![(dst, payload)]);
+    }
+    fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
+        self.calls.lock().unwrap().push(batch.clone());
+        Link::send_batch(&self.nic, batch);
+    }
+    fn inbound_receiver(&self) -> Arc<DoorbellQueue<portals_net::Datagram>> {
+        Link::inbound_receiver(&self.nic)
+    }
+    fn caps(&self) -> LinkCaps {
+        self.nic.caps()
+    }
+}
+
+/// (e) Ack after dispatch. The target of an acked put owes the initiator a
+/// transport ACK when its step hands the put to the engine; the engine's
+/// Portals ack is data to the same peer, so the transport ACK leaves first in
+/// that data's wire call — in both modes that run the engine from the step.
+/// The target's link sees exactly one wire call: `[ACK, DATA]`.
+#[test]
+fn acked_put_target_sends_transport_ack_and_portals_ack_in_one_wire_call() {
+    let _turn = serial();
+    for progress_mode in [ProgressMode::NicThread, ProgressMode::CallerDriven] {
+        // A retransmission would be a second wire call; none is due in time.
+        let cfg = TransportConfig {
+            progress_mode,
+            rto_base: Duration::from_secs(5),
+            ..Default::default()
+        };
+        let fabric = Fabric::ideal();
+        let calls = Calls::default();
+        let target = Recording {
+            nic: fabric.attach(NodeId(1)),
+            calls: Arc::clone(&calls),
+        };
+        let na = node(&fabric, 0, cfg);
+        let nb = Node::new(
+            target,
+            NodeConfig {
+                transport: cfg,
+                ..Default::default()
+            },
+        );
+        let a = na.create_ni(1, NiConfig::default()).unwrap();
+        let b = nb.create_ni(1, NiConfig::default()).unwrap();
+        let _eq_b = expose(&b, 0, Region::zeroed(8), 8);
+        let eq_a = a.eq_alloc(8).unwrap();
+        let md = a
+            .md_bind(MdSpec::new(Region::zeroed(8)).with_eq(eq_a))
+            .unwrap();
+        a.put_op(md)
+            .target(b.id(), 0)
+            .ack(AckRequest::Ack)
+            .submit()
+            .unwrap();
+        assert_eq!(a.eq_wait(eq_a).unwrap().kind, EventKind::Sent);
+        assert_eq!(a.eq_wait(eq_a).unwrap().kind, EventKind::Ack);
+        let headers: Vec<Vec<(NodeId, PacketHeader)>> = calls
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|call| {
+                call.iter()
+                    .map(|(dst, p)| (*dst, Packet::decode_gather(p).unwrap().header))
+                    .collect()
+            })
+            .collect();
+        assert!(
+            matches!(
+                &headers[..],
+                [call] if matches!(
+                    &call[..],
+                    [
+                        (NodeId(0), PacketHeader::Ack { .. }),
+                        (NodeId(0), PacketHeader::Data { .. }),
+                    ]
+                )
+            ),
+            "{progress_mode:?}: the target's wire calls were {headers:?}"
+        );
+    }
 }

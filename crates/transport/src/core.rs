@@ -17,11 +17,19 @@
 //!   exhaustion, in runs of up to [`RECV_BATCH`] datagrams,
 //!   amortising the doorbell wakeup over the burst. What a run delivers goes
 //!   up in one push: one lock, one ring.
-//! * **Coalesced acks.** Within one run the core sends at most one
-//!   cumulative ACK per source. Cumulative acknowledgments are monotone per
-//!   (src, dst) stream, so the last value observed in the batch subsumes every
-//!   earlier one; suppressed sends are counted in
-//!   [`TransportStats::acks_coalesced`].
+//! * **Coalesced acks, sent after dispatch.** A step owes at most one
+//!   cumulative ACK per source: cumulative acknowledgments are monotone per
+//!   (src, dst) stream, so the last value observed subsumes every earlier
+//!   one; suppressed sends are counted in
+//!   [`TransportStats::acks_coalesced`]. The owed acks are core state, not
+//!   sent by the step: whoever stepped sends them ([`ProgressCore::flush_acks`])
+//!   once it has dispatched what the step delivered, so on a shared CPU the
+//!   ack does not wake the peer ahead of the local engine. Two things send
+//!   one earlier. A full run of [`RECV_BATCH`] datagrams flushes at once, so
+//!   a receiver that never idles still acks every `RECV_BATCH` datagrams.
+//!   And data to a source that is owed an ack carries it: the ACK goes
+//!   first in the same `send_batch` as the data (one `sendmmsg` on UDP, one
+//!   push on the fabric) — the same packet as before, one wire call fewer.
 //!
 //!   Coalescing is safe against the go-back-N drop path (`seq > expected`
 //!   dropped, later retransmitted): the receiver's cumulative ack is *monotone
@@ -52,9 +60,10 @@ use std::time::{Duration, Instant};
 
 use portals_types::{DoorbellQueue, Gather, NodeId, WireError};
 
-/// Maximum inbound datagrams one run of a progress step drains. Within one
-/// run at most one cumulative ACK is sent per source (the later cumulative
-/// subsumes the earlier).
+/// Maximum inbound datagrams one run of a progress step drains. A run that
+/// drains this many sends the cumulative ACKs it owes (one per source) before
+/// the next run starts; a shorter run, the last of its step, leaves them owed
+/// until the step's deliveries have been dispatched.
 const RECV_BATCH: usize = 64;
 
 /// Sentinel for "no published deadline".
@@ -98,7 +107,8 @@ pub(crate) struct ProgressCore {
     /// when idle. Lets peers' wait loops answer "does this core need
     /// servicing?" without taking its lock.
     deadline_ns: Arc<AtomicU64>,
-    /// Where deliveries go up, on the same doorbell as `inbound`.
+    /// Where deliveries go up: on the same doorbell as `inbound`, except
+    /// beneath a standalone NIC-thread endpoint, whose caller has its own.
     delivered: Arc<DoorbellQueue<Delivery>>,
     /// The current run's deliveries, in order, pushed up together when the
     /// run ends. Streamed fragments coalesce here while contiguous (same
@@ -106,6 +116,9 @@ pub(crate) struct ProgressCore {
     /// the wire at run granularity, but the consumer pays one queue hop and
     /// one scatter per run instead of one per MTU fragment.
     staged: Vec<Delivery>,
+    /// The cumulative ACK owed to each source (at most one entry per source),
+    /// until [`ProgressCore::flush_acks`] or data to that source sends it.
+    acks_owed: Vec<(NodeId, u64)>,
     stats: Arc<TransportStats>,
     flow: Arc<FlowStats>,
     outstanding: Arc<AtomicUsize>,
@@ -146,6 +159,7 @@ impl ProgressCore {
             deadline_ns,
             delivered,
             staged: Vec::new(),
+            acks_owed: Vec::new(),
             stats,
             flow,
             outstanding,
@@ -159,7 +173,9 @@ impl ProgressCore {
     /// One progress step: deliver due wire packets, drain this NIC's inbound
     /// queue through the protocol state machines, fire due retransmission
     /// timers and republish the next deadline. Returns `true` if any datagram
-    /// was processed.
+    /// was processed. The acks the step's last run owes stay owed
+    /// ([`ProgressCore::owes_acks`]) for the caller to send with
+    /// [`ProgressCore::flush_acks`] once it has dispatched the deliveries.
     ///
     /// Re-entrant in the sense required by the progress-mode contract: safe
     /// to call from any thread holding this core's lock, at any point between
@@ -282,8 +298,12 @@ impl ProgressCore {
     /// Put `packets` on the wire, counting them and (when tracing) emitting
     /// one `stage` event per packet. Header decoding for the trace is gated on
     /// the tracer being enabled — the decode is a zero-copy header peek, and
-    /// the disabled path pays only the branch.
-    fn send_data(&self, dst: NodeId, packets: Vec<Gather>, stage: Stage) {
+    /// the disabled path pays only the branch. An ACK owed to `dst` leaves
+    /// first in the same batch.
+    fn send_data(&mut self, dst: NodeId, packets: Vec<Gather>, stage: Stage) {
+        if packets.is_empty() {
+            return;
+        }
         self.stats
             .add(&self.stats.data_packets_sent, packets.len() as u64);
         if self.obs.tracer.enabled() {
@@ -302,39 +322,84 @@ impl ProgressCore {
                 }
             }
         }
+        let owed = self
+            .acks_owed
+            .iter()
+            .position(|&(src, _)| src == dst)
+            .map(|i| self.acks_owed.remove(i));
         // The per-destination flush is already a coalesced burst of
         // fragments; hand it to the wire as one vector so a batching
         // backend (sendmmsg) crosses the OS boundary once for all of them.
-        self.link
-            .send_batch(packets.into_iter().map(|p| (dst, p)).collect());
+        let batch = owed
+            .map(|(_, cumulative)| self.ack(dst, cumulative))
+            .into_iter()
+            .chain(packets)
+            .map(|p| (dst, p))
+            .collect();
+        self.link.send_batch(batch);
     }
 
-    /// Drain up to [`RECV_BATCH`] datagrams for one wakeup, then flush one
-    /// cumulative ACK per source seen in the batch.
-    fn on_inbound(&mut self, first: Datagram) {
-        let mut pending_acks: Vec<(NodeId, u64)> = Vec::new();
-        self.process_datagram(first, &mut pending_acks);
-        for _ in 1..RECV_BATCH {
-            match self.inbound.try_recv() {
-                Ok(d) => self.process_datagram(d, &mut pending_acks),
-                Err(_) => break,
+    /// True while a cumulative ACK is owed to some source.
+    pub(crate) fn owes_acks(&self) -> bool {
+        !self.acks_owed.is_empty()
+    }
+
+    /// Send every owed cumulative ACK, one per source, in one batch.
+    pub(crate) fn flush_acks(&mut self) {
+        if self.acks_owed.is_empty() {
+            return;
+        }
+        let acks = self
+            .acks_owed
+            .iter()
+            .map(|&(src, cumulative)| (src, self.ack(src, cumulative)))
+            .collect();
+        self.acks_owed.clear();
+        self.link.send_batch(acks);
+    }
+
+    /// Encode (and count) the cumulative ACK for `src`, carrying the credit
+    /// horizon as of now.
+    fn ack(&self, src: NodeId, cumulative: u64) -> Gather {
+        self.stats.add(&self.stats.acks_sent, 1);
+        Packet::ack(cumulative, self.advertised_credit(src)).encode()
+    }
+
+    /// Owe `src` the cumulative ACK `cumulative`, replacing (and counting as
+    /// coalesced) any ACK already owed to it: the stream's cumulative ack is
+    /// monotone, so the later value subsumes the earlier.
+    fn owe_ack(&mut self, src: NodeId, cumulative: u64) {
+        match self.acks_owed.iter_mut().find(|(nid, _)| *nid == src) {
+            Some(slot) => {
+                slot.1 = cumulative;
+                self.stats.add(&self.stats.acks_coalesced, 1);
             }
+            None => self.acks_owed.push((src, cumulative)),
+        }
+    }
+
+    /// Drain up to [`RECV_BATCH`] datagrams for one wakeup and hand up what
+    /// they delivered. Their acks stay owed, unless the run drained a full
+    /// `RECV_BATCH`: then the receiver may never idle, and it acks now.
+    fn on_inbound(&mut self, first: Datagram) {
+        self.process_datagram(first);
+        let mut drained = 1;
+        while drained < RECV_BATCH {
+            let Ok(d) = self.inbound.try_recv() else {
+                break;
+            };
+            self.process_datagram(d);
+            drained += 1;
         }
         // Hand up what the run delivered before acking: the advertised
         // credit already reflects its message accounting.
         self.delivered.push_all(self.staged.drain(..));
-        let acks: Vec<_> = pending_acks
-            .into_iter()
-            .map(|(src, cumulative)| {
-                self.stats.add(&self.stats.acks_sent, 1);
-                let credit = self.advertised_credit(src);
-                (src, Packet::ack(cumulative, credit).encode())
-            })
-            .collect();
-        self.link.send_batch(acks);
+        if drained == RECV_BATCH {
+            self.flush_acks();
+        }
     }
 
-    fn process_datagram(&mut self, dgram: Datagram, pending_acks: &mut Vec<(NodeId, u64)>) {
+    fn process_datagram(&mut self, dgram: Datagram) {
         let src = dgram.src;
         let packet = match Packet::decode_gather(&dgram.payload) {
             Ok(p) => p,
@@ -411,18 +476,15 @@ impl ProgressCore {
                         .detail("probe")
                 });
                 // Answer with a fresh cumulative ack carrying the current
-                // credit horizon, coalesced with any ack already queued for
-                // this source in the batch.
+                // credit horizon, coalesced with any ack already owed to this
+                // source.
                 let limit = self.cfg.ooo_buffer_bytes;
                 let ack = self
                     .rx_peers
                     .entry(src)
                     .or_insert_with(|| ReceiverPeer::with_limit(limit))
                     .current_ack();
-                match pending_acks.iter_mut().find(|(nid, _)| *nid == src) {
-                    Some(_) => self.stats.add(&self.stats.acks_coalesced, 1),
-                    None => pending_acks.push((src, ack)),
-                }
+                self.owe_ack(src, ack);
             }
             header @ PacketHeader::Data { .. } => {
                 let (seq, msg_id) = match header {
@@ -540,15 +602,7 @@ impl ProgressCore {
                         })),
                     }
                 }
-                match pending_acks.iter_mut().find(|(nid, _)| *nid == src) {
-                    Some(slot) => {
-                        // The stream's cumulative ack is monotone, so the later
-                        // value subsumes the one already queued.
-                        slot.1 = result.ack;
-                        self.stats.add(&self.stats.acks_coalesced, 1);
-                    }
-                    None => pending_acks.push((src, result.ack)),
-                }
+                self.owe_ack(src, result.ack);
             }
         }
     }
@@ -610,5 +664,204 @@ impl ProgressCore {
                 None => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::Mutex;
+    use portals_net::{Fabric, LinkCaps, Nic};
+    use portals_types::Readiness;
+
+    /// One entry per wire call the core made: a `send` or a `send_batch`.
+    type Calls = Arc<Mutex<Vec<Vec<(NodeId, Gather)>>>>;
+
+    /// A fabric NIC that records every wire call it is handed.
+    struct Recording {
+        nic: Nic,
+        calls: Calls,
+    }
+
+    impl Link for Recording {
+        fn nid(&self) -> NodeId {
+            Link::nid(&self.nic)
+        }
+        fn send(&self, dst: NodeId, payload: Gather) {
+            self.send_batch(vec![(dst, payload)]);
+        }
+        fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
+            self.calls.lock().push(batch.clone());
+            Link::send_batch(&self.nic, batch);
+        }
+        fn inbound_receiver(&self) -> Arc<DoorbellQueue<Datagram>> {
+            Link::inbound_receiver(&self.nic)
+        }
+        fn caps(&self) -> LinkCaps {
+            self.nic.caps()
+        }
+    }
+
+    /// Node 0's core on a recording link, and raw NICs for nodes
+    /// `1..=sources` that hand it DATA packets.
+    struct Rig {
+        core: ProgressCore,
+        calls: Calls,
+        sources: Vec<Nic>,
+        delivered: Arc<DoorbellQueue<Delivery>>,
+        stats: Arc<TransportStats>,
+        next_seq: HashMap<NodeId, u64>,
+        _fabric: Fabric,
+    }
+
+    impl Rig {
+        fn new(sources: u32) -> Rig {
+            let fabric = Fabric::ideal();
+            let calls = Calls::default();
+            let link = Recording {
+                nic: fabric.attach(NodeId(0)),
+                calls: Arc::clone(&calls),
+            };
+            let sources = (1..=sources).map(|n| fabric.attach(NodeId(n))).collect();
+            let obs = Obs::default();
+            let delivered = Arc::new(DoorbellQueue::new(
+                Arc::new(Readiness::new()),
+                Readiness::DELIVERED,
+            ));
+            let stats = Arc::new(TransportStats::new(&obs.registry, 0));
+            let flow = Arc::new(FlowStats::new(&obs.registry, 0));
+            let cfg = TransportConfig {
+                mtu: 1024,
+                ..Default::default()
+            };
+            let core = ProgressCore::new(
+                Box::new(link),
+                cfg,
+                false,
+                obs,
+                Arc::clone(&delivered),
+                Arc::clone(&stats),
+                flow,
+                Arc::default(),
+                Arc::new(AtomicU64::new(DEADLINE_NONE)),
+            );
+            Rig {
+                core,
+                calls,
+                sources,
+                delivered,
+                stats,
+                next_seq: HashMap::new(),
+                _fabric: fabric,
+            }
+        }
+
+        /// Queue `n` one-fragment messages from source node `src` at the
+        /// core's NIC; returns the last sequence number sent.
+        fn data_from(&mut self, src: u32, n: u64) -> u64 {
+            let nic = &self.sources[src as usize - 1];
+            let seq = self.next_seq.entry(NodeId(src)).or_insert(0);
+            for _ in 0..n {
+                let packet = Packet::data(*seq, *seq, 0, 0, 1, Gather::copy_from_slice(b"x"));
+                nic.send(NodeId(0), packet.encode());
+                *seq += 1;
+            }
+            *seq - 1
+        }
+
+        /// The wire calls so far, each decoded to (destination, header).
+        fn wire_calls(&self) -> Vec<Vec<(NodeId, PacketHeader)>> {
+            self.calls
+                .lock()
+                .iter()
+                .map(|call| {
+                    call.iter()
+                        .map(|(dst, p)| (*dst, Packet::decode_gather(p).expect("decodes").header))
+                        .collect()
+                })
+                .collect()
+        }
+    }
+
+    fn is_ack(header: &PacketHeader, want: u64) -> bool {
+        matches!(header, PacketHeader::Ack { cumulative, .. } if *cumulative == want)
+    }
+
+    #[test]
+    fn a_step_that_delivers_puts_nothing_on_the_wire() {
+        let mut rig = Rig::new(1);
+        rig.data_from(1, 3);
+        assert!(rig.core.progress_once());
+        assert_eq!(rig.delivered.len(), 3, "the step delivered");
+        assert!(rig.wire_calls().is_empty(), "{:?}", rig.wire_calls());
+        assert_eq!(rig.stats.acks_sent.get(), 0);
+        assert!(rig.core.owes_acks());
+    }
+
+    #[test]
+    fn flush_acks_sends_one_cumulative_ack_per_source() {
+        let mut rig = Rig::new(2);
+        let last_1 = rig.data_from(1, 3);
+        let last_2 = rig.data_from(2, 2);
+        let last_1 = rig.data_from(1, 1).max(last_1);
+        rig.core.progress_once();
+        rig.core.flush_acks();
+        let calls = rig.wire_calls();
+        assert_eq!(calls.len(), 1, "one wire call: {calls:?}");
+        assert_eq!(calls[0].len(), 2, "one ACK per source: {calls:?}");
+        assert_eq!(calls[0][0].0, NodeId(1));
+        assert!(is_ack(&calls[0][0].1, last_1), "{calls:?}");
+        assert_eq!(calls[0][1].0, NodeId(2));
+        assert!(is_ack(&calls[0][1].1, last_2), "{calls:?}");
+        assert_eq!(rig.stats.acks_sent.get(), 2);
+        assert_eq!(rig.stats.acks_coalesced.get(), 4);
+        assert!(!rig.core.owes_acks());
+        rig.core.flush_acks();
+        assert_eq!(rig.wire_calls().len(), 1, "nothing left to flush");
+    }
+
+    #[test]
+    fn data_to_a_source_owed_an_ack_carries_it_in_one_wire_call() {
+        let mut rig = Rig::new(2);
+        let last = rig.data_from(1, 2);
+        rig.data_from(2, 1);
+        rig.core.progress_once();
+        rig.core
+            .on_send(NodeId(1), Gather::copy_from_slice(b"reply"));
+        let calls = rig.wire_calls();
+        assert_eq!(calls.len(), 1, "{calls:?}");
+        let [(to_ack, ack), (to_data, data)] = &calls[0][..] else {
+            panic!("expected [ACK, DATA] in one call: {calls:?}");
+        };
+        assert_eq!((*to_ack, *to_data), (NodeId(1), NodeId(1)));
+        assert!(is_ack(ack, last), "{calls:?}");
+        assert!(matches!(data, PacketHeader::Data { .. }), "{calls:?}");
+        // Node 2's ack is still owed, and leaves alone.
+        assert!(rig.core.owes_acks());
+        rig.core.flush_acks();
+        let calls = rig.wire_calls();
+        assert_eq!(calls.len(), 2);
+        assert!(
+            matches!(&calls[1][..], [(NodeId(2), h)] if is_ack(h, 0)),
+            "{calls:?}"
+        );
+    }
+
+    #[test]
+    fn a_full_run_is_acked_before_the_step_returns() {
+        let mut rig = Rig::new(1);
+        let full = rig.data_from(1, RECV_BATCH as u64);
+        let after = rig.data_from(1, 1);
+        rig.core.progress_once();
+        let calls = rig.wire_calls();
+        assert_eq!(calls.len(), 1, "{calls:?}");
+        assert!(
+            matches!(&calls[0][..], [(NodeId(1), h)] if is_ack(h, full)),
+            "{calls:?}"
+        );
+        // The second run, one datagram short of full, leaves its ack owed.
+        assert!(rig.core.owes_acks());
+        rig.core.flush_acks();
+        assert!(is_ack(&rig.wire_calls()[1][0].1, after));
     }
 }

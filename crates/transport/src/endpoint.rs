@@ -88,7 +88,9 @@ pub enum Delivery {
 /// ```
 pub struct Endpoint {
     nid: NodeId,
-    /// What the core delivered, on the link's doorbell.
+    /// What the core delivered. Its doorbell is the one `recv`/`flush` park
+    /// on: the link's, except for a standalone NIC-thread endpoint, which
+    /// has one of its own.
     incoming: Arc<DoorbellQueue<Delivery>>,
     /// Per-source accumulators folding streamed fragments back into whole
     /// messages for the message-level `recv` API. Consumers that take raw
@@ -124,13 +126,38 @@ struct Stepper {
 }
 
 impl Stepper {
-    /// Step the core if no other thread is inside it. Skipping is correct for
-    /// a waiter: the holder is doing the work, or is a submitter.
-    fn progress_once(&self) -> bool {
-        match self.core.try_lock() {
-            Some(mut core) => core.progress_once(),
-            None => false,
+    /// One step, in the order every progress mode shares: step the core, run
+    /// `dispatch` over what the step delivered with the core lock released
+    /// (the engine re-enters [`Endpoint::send`], where an owed ack rides on
+    /// the first data to its peer), then send the acks still owed. The step
+    /// reports whether it left any while it still holds the lock, so the
+    /// flush takes the lock again only then. Returns whether the step or
+    /// `dispatch` did any work.
+    ///
+    /// Without `blocking` a busy core skips the step — correct for a waiter:
+    /// the holder is stepping (and will flush), or is a submitter — but not
+    /// the dispatch, which may have deliveries from another step to run.
+    fn step_then(&self, blocking: bool, dispatch: impl FnOnce() -> bool) -> bool {
+        let core = if blocking {
+            Some(self.core.lock())
+        } else {
+            self.core.try_lock()
+        };
+        let (worked, owed) = core.map_or((false, false), |mut core| {
+            let worked = core.progress_once();
+            (worked, core.owes_acks())
+        });
+        let dispatched = dispatch();
+        if owed {
+            self.core.lock().flush_acks();
         }
+        worked || dispatched
+    }
+
+    /// Step the core, and ack what that delivered, if no other thread is
+    /// inside it.
+    fn progress_once(&self) -> bool {
+        self.step_then(false, || false)
     }
 
     fn next_deadline(&self) -> Option<Instant> {
@@ -147,7 +174,8 @@ impl Stepper {
 
     /// The NIC thread: step the core, run `dispatch` on what that delivered
     /// with the core lock released (the engine re-enters [`Endpoint::send`]),
-    /// then park on the doorbell until it rings or a timer is due.
+    /// send the step's acks ([`Stepper::step_then`]), then park on the
+    /// doorbell until it rings or a timer is due.
     ///
     /// The doorbell sequence is read before the step, so a datagram landing
     /// after it makes the park return at once. Submitting callers do *not*
@@ -162,8 +190,10 @@ impl Stepper {
             let started = Instant::now();
             // Blocking, never `try_lock`: the holder may be a submitter, which
             // drains nothing — skipping would strand the datagram that rang.
-            self.core.lock().progress_once();
-            dispatch();
+            self.step_then(true, || {
+                dispatch();
+                false
+            });
             let mut bound = started + self.rto_base;
             if let Some(next) = self.next_deadline() {
                 bound = bound.min(next);
@@ -217,7 +247,11 @@ impl Endpoint {
     /// a hard datagram bound clamps it so every DATA packet (header + body)
     /// fits in one datagram.
     pub fn with_obs(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
-        let mut endpoint = Endpoint::for_node(link, cfg, obs);
+        // Beside a NIC thread the caller waits for deliveries alone, on a
+        // doorbell of its own: a datagram (an ack among them) wakes the NIC
+        // thread only, and the delivery it produces wakes the caller.
+        let own_doorbell = !cfg.progress_mode.is_caller_driven();
+        let mut endpoint = Endpoint::build(link, cfg, obs, own_doorbell);
         let stepper = Arc::clone(&endpoint.stepper);
         if endpoint.mode.is_caller_driven() {
             // Volunteer for cooperative servicing so peers' wait loops keep
@@ -241,7 +275,13 @@ impl Endpoint {
     /// runs [`Endpoint::nic_loop`] or, caller-driven, registers a driver with
     /// [`Endpoint::hub`].
     #[doc(hidden)]
-    pub fn for_node(link: impl Link, mut cfg: TransportConfig, obs: Obs) -> Endpoint {
+    pub fn for_node(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
+        Endpoint::build(link, cfg, obs, false)
+    }
+
+    /// The endpoint, with nothing stepping it yet; its delivery queue rings
+    /// the link's doorbell unless `own_doorbell`.
+    fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, own_doorbell: bool) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         let LinkCaps {
             hub,
@@ -258,10 +298,12 @@ impl Endpoint {
         }
         let nid = link.nid();
         let readiness = Arc::clone(link.inbound_receiver().readiness());
-        let incoming = Arc::new(DoorbellQueue::new(
-            Arc::clone(&readiness),
-            Readiness::DELIVERED,
-        ));
+        let delivered_on = if own_doorbell {
+            Arc::new(Readiness::new())
+        } else {
+            Arc::clone(&readiness)
+        };
+        let incoming = Arc::new(DoorbellQueue::new(delivered_on, Readiness::DELIVERED));
         let stats = Arc::new(TransportStats::new(&obs.registry, nid.0));
         let flow = Arc::new(FlowStats::new(&obs.registry, nid.0));
         let outstanding = Arc::new(AtomicUsize::new(0));
@@ -300,10 +342,19 @@ impl Endpoint {
 
     /// The NIC thread's loop, for the node that owns the thread: until
     /// `alive` clears (ring the doorbell after clearing it), step, run
-    /// `dispatch` over what that delivered, park on the doorbell.
+    /// `dispatch` over what that delivered, send the step's acks, park on the
+    /// doorbell.
     #[doc(hidden)]
     pub fn nic_loop(&self, alive: &AtomicBool, dispatch: impl FnMut()) {
         self.stepper.run(alive, dispatch)
+    }
+
+    /// A caller-driven node's step: [`Endpoint::progress_once`] with
+    /// `dispatch` run over what it delivered before the step's acks leave.
+    /// Returns whether the step or `dispatch` did any work.
+    #[doc(hidden)]
+    pub fn progress_then(&self, dispatch: impl FnOnce() -> bool) -> bool {
+        self.stepper.step_then(false, dispatch)
     }
 
     /// Endpoint with default configuration.
@@ -377,7 +428,7 @@ impl Endpoint {
     /// Non-blocking receive. In caller-driven mode one progress step runs
     /// first, so "poll until something arrives" loops make progress.
     pub fn try_recv(&self) -> Option<IncomingMessage> {
-        let queued = self.stepper.readiness.peek() & Readiness::DELIVERED != 0;
+        let queued = self.incoming.readiness().peek() & Readiness::DELIVERED != 0;
         if self.mode.is_caller_driven() && !queued {
             self.progress_once();
         }
@@ -395,7 +446,7 @@ impl Endpoint {
     }
 
     /// The wait loop: step own core (unless a NIC thread does) → check →
-    /// service peers → bounded spin → park on the readiness doorbell.
+    /// service peers → bounded spin → park on the delivery queue's doorbell.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// progress step and predicate check, and the park returns immediately
@@ -407,9 +458,10 @@ impl Endpoint {
         mut check: impl FnMut(&Endpoint) -> Option<T>,
     ) -> Option<T> {
         let stepping = self.mode.is_caller_driven();
+        let doorbell = self.incoming.readiness();
         let mut idle_iters: u32 = 0;
         loop {
-            let observed = self.stepper.readiness.seq();
+            let observed = doorbell.seq();
             let worked = stepping && self.progress_once();
             if let Some(v) = check(self) {
                 return Some(v);
@@ -448,9 +500,7 @@ impl Endpoint {
             if let Some(d) = deadline {
                 bound = bound.min(d);
             }
-            self.stepper
-                .readiness
-                .wait(observed, bound.saturating_duration_since(now));
+            doorbell.wait(observed, bound.saturating_duration_since(now));
         }
     }
 
@@ -580,11 +630,19 @@ mod tests {
     }
 
     #[test]
-    fn nic_thread_recv_shares_the_doorbell_with_the_nic_thread() {
-        // The caller and the NIC thread park on one doorbell: the delivery
-        // push that follows the NIC thread's step is what wakes the caller.
+    fn nic_thread_recv_parks_on_a_doorbell_of_its_own() {
+        // The caller parks on its delivery queue's doorbell, not on the one
+        // the link rings for every datagram: the delivery push that follows
+        // the NIC thread's step is what wakes it, and an ack arriving for
+        // its own send does not.
         let fabric = Fabric::ideal();
         let (a, b) = pair(&fabric, TransportConfig::default());
+        assert!(!Arc::ptr_eq(b.incoming.readiness(), &b.stepper.readiness));
+        let delivered_seq = b.incoming.readiness().seq();
+        b.send(NodeId(0), Gather::copy_from_slice(b"acked"));
+        assert!(a.recv_timeout(Duration::from_secs(5)).is_some());
+        assert!(b.flush(Duration::from_secs(5)), "the ack came back");
+        assert_eq!(b.incoming.readiness().seq(), delivered_seq);
         a.send(NodeId(1), Gather::copy_from_slice(b"before the call"));
         let m = b.recv_timeout(Duration::from_secs(5)).expect("queued");
         assert_eq!(m.payload, &b"before the call"[..]);
@@ -1009,6 +1067,8 @@ mod tests {
         let fabric = Fabric::ideal();
         let (a, b) = pair(&fabric, caller_cfg());
         assert_eq!(a.progress_mode(), portals_types::ProgressMode::CallerDriven);
+        // The caller steps, so it parks where datagrams ring.
+        assert!(Arc::ptr_eq(b.incoming.readiness(), &b.stepper.readiness));
         a.send(NodeId(1), Gather::copy_from_slice(b"threadless"));
         let m = b.recv_timeout(Duration::from_secs(5)).expect("message");
         assert_eq!(m.src, NodeId(0));
