@@ -19,7 +19,8 @@
 //! Figure 6) and each timing is the median over repeats.
 //!
 //! [`run_point`] runs one work interval with a given MPI stack configuration;
-//! [`run_sweep`] produces the Figure 6 curves by varying the interval.
+//! `repro fig6` produces the Figure 6 curves by varying the interval and
+//! checks them with [`figure6_shape`].
 
 use crate::comm::{Communicator, Mpi};
 use crate::config::MpiConfig;
@@ -220,20 +221,6 @@ fn iteration(comm: &Communicator, cfg: &BypassConfig, worker: bool) -> (Duration
     } else {
         (Duration::ZERO, Duration::ZERO)
     }
-}
-
-/// Sweep work intervals and return `(work, wait)` per point — one Figure 6
-/// curve for the given configuration.
-pub fn run_sweep(base: BypassConfig, work_iteration_steps: &[u64]) -> Vec<BypassPoint> {
-    work_iteration_steps
-        .iter()
-        .map(|&w| {
-            run_point(BypassConfig {
-                work_iterations: w,
-                ..base
-            })
-        })
-        .collect()
 }
 
 /// The Figure 6 claims, as named checks over the two ends of each curve:

@@ -276,14 +276,8 @@ impl Communicator {
 
     /// Blocking probe (MPI_Probe): wait until a matching message has arrived.
     pub fn probe(&self, src: Option<Rank>, tag: Option<Tag>) -> Status {
-        loop {
-            if let Some(st) = self.iprobe(src, tag) {
-                return st;
-            }
-            // Sleep on the event queue until more traffic shows up.
-            std::thread::yield_now();
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
+        self.engine
+            .probe(self.context, src.map(|r| r.0 as u16), tag)
     }
 
     /// Nonblocking send on a reserved (internal) tag — for protocol layers

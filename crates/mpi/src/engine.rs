@@ -829,9 +829,23 @@ impl MpiEngine {
         src: Option<u16>,
         tag: Option<Tag>,
     ) -> Option<Status> {
-        let criteria = bits::recv_criteria(context, src, tag);
         let mut st = self.state.lock();
         self.drain(&mut st);
+        Self::arrived(&st, bits::recv_criteria(context, src, tag))
+    }
+
+    /// Blocking probe (MPI_Probe): [`MpiEngine::iprobe`]'s test as one more
+    /// predicate on the wait loop, so it parks like every other wait.
+    pub fn probe(&self, context: bits::Context, src: Option<u16>, tag: Option<Tag>) -> Status {
+        let criteria = bits::recv_criteria(context, src, tag);
+        self.wait_until(Instant::now() + Duration::from_secs(300), |st| {
+            Self::arrived(st, criteria)
+        })
+        .expect("MPI probe timed out (5 min)")
+    }
+
+    /// The oldest arrived-but-unclaimed message matching `criteria`.
+    fn arrived(st: &EngState, criteria: MatchCriteria) -> Option<Status> {
         let eager = st
             .unexpected
             .iter()

@@ -402,6 +402,8 @@ fn probe_reports_length_then_recv_consumes() {
     for (progress, cfg) in all_stacks() {
         world_run(2, progress, cfg, |comm| {
             if comm.rank() == Rank(0) {
+                // Rank 1's first probe is already waiting when this arrives.
+                std::thread::sleep(Duration::from_millis(20));
                 comm.send(Rank(1), 6, &vec![1u8; 777]);
                 // Also a big one that crosses the rendezvous threshold.
                 comm.send(Rank(1), 7, &vec![2u8; 40_000]);

@@ -12,22 +12,23 @@
 //! `CountingEvent::add_and_take` extracts every newly due trigger *inside*
 //! the increment's critical section and holds a `firing` guard until the
 //! caller reports the batch launched (`CountingEvent::fire_done`). Waiters'
-//! predicate is `success + failure >= test && firing == 0`, so a
-//! `CountingEvent::wait` that returns at threshold `T` proves every trigger
-//! with threshold ≤ `T` has already fired (its put payload snapshotted from
-//! the source descriptor). That is what makes "wait on the terminal counter,
-//! then free the schedule's resources" safe for offloaded collectives.
+//! predicate (`CountingEvent::try_check`) is
+//! `success + failure >= test && firing == 0`, so a `ct_wait` that returns at
+//! threshold `T` proves every trigger with threshold ≤ `T` has already fired
+//! (its put payload snapshotted from the source descriptor). That is what
+//! makes "wait on the terminal counter, then free the schedule's resources"
+//! safe for offloaded collectives.
 //!
 //! Outside an increment's critical section the heap never holds a due
-//! trigger, so the wait predicate needs no heap scan.
+//! trigger, so the wait predicate needs no heap scan. Whoever changes the
+//! counter rings the node's waiters once its lock is released.
 
 use crate::triggered::TriggeredOp;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use portals_types::{PtlError, PtlResult};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A counting event's value (spec lineage: `ptl_ct_event_t` of the later
 /// Portals revisions that grew triggered operations).
@@ -78,22 +79,16 @@ struct CtState {
     freed: bool,
 }
 
-#[derive(Default)]
-struct CtInner {
-    state: Mutex<CtState>,
-    cond: Condvar,
-}
-
 /// A counting event. Cheap to clone (one `Arc`); stored in the interface's
 /// sharded arena and addressed by [`crate::CtHandle`].
 #[derive(Clone, Default)]
 pub struct CountingEvent {
-    inner: Arc<CtInner>,
+    state: Arc<Mutex<CtState>>,
 }
 
 impl std::fmt::Debug for CountingEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.state.lock();
         f.debug_struct("CountingEvent")
             .field("success", &st.success)
             .field("failure", &st.failure)
@@ -110,7 +105,7 @@ impl CountingEvent {
 
     /// Current value.
     pub fn get(&self) -> CtValue {
-        let st = self.inner.state.lock();
+        let st = self.state.lock();
         CtValue {
             success: st.success,
             failure: st.failure,
@@ -119,42 +114,32 @@ impl CountingEvent {
 
     /// Triggers currently parked (diagnostics/tests).
     pub fn pending_triggers(&self) -> usize {
-        self.inner.state.lock().pending.len()
+        self.state.lock().pending.len()
     }
 
     /// Bump the success count by `n` and extract every trigger that became
     /// due, in (threshold, registration) order. A non-empty batch raises the
     /// `firing` guard: the caller must launch the ops and then call
-    /// `CountingEvent::fire_done`. An empty batch wakes waiters directly.
+    /// `CountingEvent::fire_done`.
     pub(crate) fn add_and_take(&self, n: u64) -> Vec<TriggeredOp> {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         st.success += n;
-        let due = Self::take_due(&mut st);
-        if due.is_empty() {
-            self.inner.cond.notify_all();
-        }
-        due
+        Self::take_due(&mut st)
     }
 
     /// Overwrite the value (spec: `PtlCTSet`) and extract triggers made due
     /// by a forward jump. Same firing contract as
     /// `CountingEvent::add_and_take`.
     pub(crate) fn set_and_take(&self, value: CtValue) -> Vec<TriggeredOp> {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         st.success = value.success;
         st.failure = value.failure;
-        let due = Self::take_due(&mut st);
-        if due.is_empty() {
-            self.inner.cond.notify_all();
-        }
-        due
+        Self::take_due(&mut st)
     }
 
     /// Count a failure. Failures satisfy waits but never fire triggers.
     pub(crate) fn add_failure(&self, n: u64) {
-        let mut st = self.inner.state.lock();
-        st.failure += n;
-        self.inner.cond.notify_all();
+        self.state.lock().failure += n;
     }
 
     /// Pop all due triggers; raise the firing guard if any.
@@ -174,11 +159,9 @@ impl CountingEvent {
     }
 
     /// The batch returned by `add_and_take`/`set_and_take`/`register` has been
-    /// launched: drop the firing guard and wake waiters.
+    /// launched: drop the firing guard.
     pub(crate) fn fire_done(&self) {
-        let mut st = self.inner.state.lock();
-        st.firing -= 1;
-        self.inner.cond.notify_all();
+        self.state.lock().firing -= 1;
     }
 
     /// Park `op` until the success count reaches `threshold`. If it already
@@ -190,7 +173,7 @@ impl CountingEvent {
         threshold: u64,
         op: TriggeredOp,
     ) -> PtlResult<Option<TriggeredOp>> {
-        let mut st = self.inner.state.lock();
+        let mut st = self.state.lock();
         if st.freed {
             return Err(PtlError::InvalidCt);
         }
@@ -205,10 +188,11 @@ impl CountingEvent {
         Ok(None)
     }
 
-    /// Non-blocking wait check: `Some(value)` once `success + failure >= test`
-    /// and no extracted trigger batch is still launching.
+    /// The wait predicate: `Some(value)` once `success + failure >= test`
+    /// and no extracted trigger batch is still launching (see the module
+    /// docs); [`PtlError::InvalidCt`] once the counter has been freed.
     pub(crate) fn try_check(&self, test: u64) -> PtlResult<Option<CtValue>> {
-        let st = self.inner.state.lock();
+        let st = self.state.lock();
         if st.freed {
             return Err(PtlError::InvalidCt);
         }
@@ -222,42 +206,12 @@ impl CountingEvent {
         }
     }
 
-    /// Block until `success + failure >= test` (and every due trigger has
-    /// fired — see the module docs), or the timeout elapses, or the counter
-    /// is freed from under us.
-    pub(crate) fn wait(&self, test: u64, timeout: Option<Duration>) -> PtlResult<CtValue> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut st = self.inner.state.lock();
-        loop {
-            if st.freed {
-                return Err(PtlError::InvalidCt);
-            }
-            if st.success + st.failure >= test && st.firing == 0 {
-                return Ok(CtValue {
-                    success: st.success,
-                    failure: st.failure,
-                });
-            }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Err(PtlError::Timeout);
-                    }
-                    let _ = self.inner.cond.wait_for(&mut st, d - now);
-                }
-                None => self.inner.cond.wait(&mut st),
-            }
-        }
-    }
-
-    /// Mark freed: wake every waiter (they return `PTL_INV_CT`) and discard
-    /// parked triggers, which can never fire now.
-    pub(crate) fn free_wake(&self) {
-        let mut st = self.inner.state.lock();
+    /// Mark freed, so clones held by waiters fail their next check with
+    /// `PTL_INV_CT`, and discard parked triggers, which can never fire now.
+    pub(crate) fn free(&self) {
+        let mut st = self.state.lock();
         st.freed = true;
         st.pending.clear();
-        self.inner.cond.notify_all();
     }
 }
 
@@ -321,11 +275,11 @@ mod tests {
         ct.add_failure(2);
         // success + failure satisfies the wait...
         assert_eq!(
-            ct.wait(2, Some(Duration::from_millis(10))).unwrap(),
-            CtValue {
+            ct.try_check(2).unwrap(),
+            Some(CtValue {
                 success: 0,
                 failure: 2
-            }
+            })
         );
         // ...but the trigger (thresholded on success) stays parked.
         assert_eq!(ct.pending_triggers(), 1);
@@ -348,28 +302,16 @@ mod tests {
     fn freed_counter_rejects_waits_and_registrations() {
         let ct = CountingEvent::new();
         assert!(ct.register(9, marker(1)).unwrap().is_none());
-        let waiter = {
-            let ct = ct.clone();
-            std::thread::spawn(move || ct.wait(100, None))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        ct.free_wake();
-        assert_eq!(waiter.join().unwrap(), Err(PtlError::InvalidCt));
+        let waiters_clone = ct.clone();
+        assert_eq!(waiters_clone.try_check(100), Ok(None));
+        ct.free();
+        assert_eq!(waiters_clone.try_check(100), Err(PtlError::InvalidCt));
         assert_eq!(
             ct.register(0, marker(2))
                 .map(|op| op.map(|o| marker_id(&o))),
             Err(PtlError::InvalidCt)
         );
         assert_eq!(ct.pending_triggers(), 0);
-    }
-
-    #[test]
-    fn wait_timeout() {
-        let ct = CountingEvent::new();
-        assert_eq!(
-            ct.wait(1, Some(Duration::from_millis(5))),
-            Err(PtlError::Timeout)
-        );
     }
 
     mod properties {

@@ -214,9 +214,7 @@ impl Committed {
 
 fn push_event(core: &NiCore, eq: Option<EqHandle>, event: Event) {
     if let Some(eqh) = eq {
-        if core.state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
-            core.counters.events_overwritten.inc();
-        }
+        core.push_event(eqh, event);
         core.obs.tracer.emit(|| {
             TraceEvent::new(Layer::Portals, Stage::Event)
                 .node(core.id.nid.0)
@@ -590,24 +588,17 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
         offset: h.offset,
         md: Handle::from_raw(h.md_handle),
     };
-    let pushed = if h.eq_handle == RAW_HANDLE_NONE {
-        None
-    } else {
-        let eq_handle: EqHandle = Handle::from_raw(h.eq_handle);
-        core.state.eqs.with(eq_handle, |queue| queue.push(event))
-    };
+    let pushed =
+        h.eq_handle != RAW_HANDLE_NONE && core.push_event(Handle::from_raw(h.eq_handle), event);
     // A counting event on the source MD consumes the ack even when no event
     // queue does — a triggered schedule has no EQ at all, only counters.
     let mdh: MdHandle = Handle::from_raw(h.md_handle);
     let ct = core.state.mds.with(mdh, |md| md.ct).flatten();
-    if pushed.is_none() && ct.is_none() {
+    if !pushed && ct.is_none() {
         drop_msg(core, DropReason::AckEqMissing);
         return;
     }
     core.counters.acks_accepted.inc();
-    if pushed == Some(false) {
-        core.counters.events_overwritten.inc();
-    }
     core.obs.tracer.emit(|| {
         TraceEvent::new(Layer::Portals, Stage::Deliver)
             .node(core.id.nid.0)
@@ -913,9 +904,7 @@ impl ReplySink {
                 offset: 0,
                 md: self.md_handle,
             };
-            if core.state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
-                core.counters.events_overwritten.inc();
-            }
+            core.push_event(eqh, event);
         }
         // Every lock is released before firing, so a trigger's own
         // do_put/do_get can re-enter the arena without self-deadlock.

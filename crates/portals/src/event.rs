@@ -11,12 +11,13 @@
 //! the producer never blocks (it overwrites the oldest unread slot), and a
 //! consumer that fell behind gets [`PtlError::EqDropped`] once, then resumes
 //! from the oldest surviving event — the spec's `PTL_EQ_DROPPED` behaviour.
+//! `PtlEQWait` is [`NetworkInterface::eq_wait`](crate::NetworkInterface::eq_wait):
+//! it parks on the node's doorbell, which the engine rings after each push.
 
 use crate::md::Md;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use portals_types::{Handle, MatchBits, ProcessId, PtlError, PtlResult};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// What happened (spec: `ptl_event_kind_t`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,15 +104,10 @@ struct Ring {
 
 /// A circular event queue (spec: `ptl_handle_eq_t` target).
 ///
-/// Shared between the application (consumer) and the NIC engine (producer);
-/// `eq_wait` blocks on the internal condvar, which the producer notifies.
+/// Shared between the application (consumer) and the NIC engine (producer)
+/// under one lock; neither side ever blocks on it.
 pub struct EventQueue {
-    inner: Arc<EqInner>,
-}
-
-pub(crate) struct EqInner {
-    ring: Mutex<Ring>,
-    cond: Condvar,
+    ring: Arc<Mutex<Ring>>,
 }
 
 impl EventQueue {
@@ -119,35 +115,32 @@ impl EventQueue {
     pub fn new(capacity: usize) -> EventQueue {
         assert!(capacity > 0, "event queue capacity must be positive");
         EventQueue {
-            inner: Arc::new(EqInner {
-                ring: Mutex::new(Ring {
-                    slots: vec![None; capacity],
-                    write: 0,
-                    read: 0,
-                    overflowed: false,
-                    owed: 0,
-                }),
-                cond: Condvar::new(),
-            }),
+            ring: Arc::new(Mutex::new(Ring {
+                slots: vec![None; capacity],
+                write: 0,
+                read: 0,
+                overflowed: false,
+                owed: 0,
+            })),
         }
     }
 
     /// A second consumer-side reference to the same queue (used by blocking
-    /// API calls so they can wait without holding the interface lock).
+    /// API calls so they can wait without holding the arena's shard lock).
     pub(crate) fn clone_ref(&self) -> EventQueue {
         EventQueue {
-            inner: Arc::clone(&self.inner),
+            ring: Arc::clone(&self.ring),
         }
     }
 
     /// Capacity in events.
     pub fn capacity(&self) -> usize {
-        self.inner.ring.lock().slots.len()
+        self.ring.lock().slots.len()
     }
 
     /// Unconsumed events currently queued.
     pub fn len(&self) -> usize {
-        let ring = self.inner.ring.lock();
+        let ring = self.ring.lock();
         (ring.write - ring.read) as usize
     }
 
@@ -160,13 +153,13 @@ impl EventQueue {
     /// push its event once its payload has landed. Called under the portal
     /// lock, paired with exactly one [`EventQueue::settle`].
     pub(crate) fn owe(&self) {
-        self.inner.ring.lock().owed += 1;
+        self.ring.lock().owed += 1;
     }
 
     /// The delivery that called [`EventQueue::owe`] has pushed its events (or
     /// was aborted and never will).
     pub(crate) fn settle(&self) {
-        let mut ring = self.inner.ring.lock();
+        let mut ring = self.ring.lock();
         ring.owed = ring.owed.saturating_sub(1);
     }
 
@@ -175,14 +168,14 @@ impl EventQueue {
     /// portal lock, it is atomic with message arrival even though a put's
     /// event is pushed after that lock is released.
     pub(crate) fn is_quiet(&self) -> bool {
-        let ring = self.inner.ring.lock();
+        let ring = self.ring.lock();
         ring.write == ring.read && ring.owed == 0
     }
 
     /// True if one more push would overwrite (§4.8 uses this for replies:
     /// "if the event queue in the memory descriptor has no space").
     pub fn is_full(&self) -> bool {
-        let ring = self.inner.ring.lock();
+        let ring = self.ring.lock();
         ring.write - ring.read >= ring.slots.len() as u64
     }
 
@@ -191,104 +184,51 @@ impl EventQueue {
     /// before delivery side effects) so a full queue trips the portal instead
     /// of silently losing events.
     pub fn has_room_for(&self, n: usize) -> bool {
-        let ring = self.inner.ring.lock();
+        let ring = self.ring.lock();
         let used = ring.write - ring.read;
         used + n as u64 <= ring.slots.len() as u64
     }
 
     /// Producer push. Never blocks; overwrites the oldest unread event when
     /// full (circularity, §4.8). Returns false if an unread event was lost.
+    /// Wakes nobody: the engine rings the node's waiters once the push is
+    /// visible.
     pub fn push(&self, event: Event) -> bool {
-        self.inner.push(event)
+        let mut ring = self.ring.lock();
+        let cap = ring.slots.len() as u64;
+        let idx = (ring.write % cap) as usize;
+        ring.slots[idx] = Some(event);
+        ring.write += 1;
+        if ring.write - ring.read > cap {
+            // Lapped the reader: the oldest unread event is gone.
+            ring.read = ring.write - cap;
+            ring.overflowed = true;
+            return false;
+        }
+        true
     }
 
     /// Non-blocking consume (spec: `PtlEQGet`).
     pub fn try_get(&self) -> PtlResult<Event> {
-        self.inner.try_get()
-    }
-
-    /// Blocking consume (spec: `PtlEQWait`).
-    pub fn wait(&self) -> PtlResult<Event> {
-        self.inner
-            .wait(None)
-            .and_then(|o| o.ok_or(PtlError::Timeout))
-    }
-
-    /// Consume with a deadline.
-    pub fn poll(&self, timeout: Duration) -> PtlResult<Event> {
-        self.inner
-            .wait(Some(timeout))
-            .and_then(|o| o.ok_or(PtlError::Timeout))
+        let mut ring = self.ring.lock();
+        if ring.overflowed {
+            ring.overflowed = false;
+            return Err(PtlError::EqDropped);
+        }
+        if ring.read == ring.write {
+            return Err(PtlError::EqEmpty);
+        }
+        let cap = ring.slots.len() as u64;
+        let idx = (ring.read % cap) as usize;
+        let event = ring.slots[idx].take().expect("ring slot populated");
+        ring.read += 1;
+        Ok(event)
     }
 }
 
 impl std::fmt::Debug for EventQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "EventQueue(len={}, cap={})", self.len(), self.capacity())
-    }
-}
-
-impl EqInner {
-    fn push(&self, event: Event) -> bool {
-        let mut ring = self.ring.lock();
-        let cap = ring.slots.len() as u64;
-        let idx = (ring.write % cap) as usize;
-        ring.slots[idx] = Some(event);
-        ring.write += 1;
-        let mut clean = true;
-        if ring.write - ring.read > cap {
-            // Lapped the reader: the oldest unread event is gone.
-            ring.read = ring.write - cap;
-            ring.overflowed = true;
-            clean = false;
-        }
-        drop(ring);
-        self.cond.notify_all();
-        clean
-    }
-
-    fn pop_locked(ring: &mut Ring) -> PtlResult<Option<Event>> {
-        if ring.overflowed {
-            ring.overflowed = false;
-            return Err(PtlError::EqDropped);
-        }
-        if ring.read == ring.write {
-            return Ok(None);
-        }
-        let cap = ring.slots.len() as u64;
-        let idx = (ring.read % cap) as usize;
-        let event = ring.slots[idx].take().expect("ring slot populated");
-        ring.read += 1;
-        Ok(Some(event))
-    }
-
-    fn try_get(&self) -> PtlResult<Event> {
-        let mut ring = self.ring.lock();
-        Self::pop_locked(&mut ring)?.ok_or(PtlError::EqEmpty)
-    }
-
-    /// Wait until an event is available, the timeout expires (Ok(None)), or an
-    /// overflow must be reported.
-    fn wait(&self, timeout: Option<Duration>) -> PtlResult<Option<Event>> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut ring = self.ring.lock();
-        loop {
-            match Self::pop_locked(&mut ring) {
-                Ok(Some(e)) => return Ok(Some(e)),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-            match deadline {
-                Some(d) => {
-                    if self.cond.wait_until(&mut ring, d).timed_out() {
-                        // One final check: the producer may have raced the
-                        // timeout.
-                        return Self::pop_locked(&mut ring);
-                    }
-                }
-                None => self.cond.wait(&mut ring),
-            }
-        }
     }
 }
 
@@ -368,34 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_blocks_until_push() {
-        let eq = EventQueue::new(4);
-        let producer = eq.clone_ref();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            producer.push(ev(9));
-        });
-        let got = eq.wait().unwrap();
-        assert_eq!(got.rlength, 9);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn poll_times_out() {
-        let eq = EventQueue::new(4);
-        let start = Instant::now();
-        assert_eq!(eq.poll(Duration::from_millis(15)), Err(PtlError::Timeout));
-        assert!(start.elapsed() >= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn poll_returns_early_event() {
-        let eq = EventQueue::new(4);
-        eq.push(ev(1));
-        assert_eq!(eq.poll(Duration::from_secs(5)).unwrap().rlength, 1);
-    }
-
-    #[test]
     fn len_and_capacity() {
         let eq = EventQueue::new(3);
         assert_eq!(eq.capacity(), 3);
@@ -451,11 +363,12 @@ mod tests {
         };
         let mut next = 0u64;
         while next < 5000 {
-            match eq.poll(Duration::from_secs(5)) {
+            match eq.try_get() {
                 Ok(e) => {
                     assert_eq!(e.rlength, next, "stream stays ordered");
                     next += 1;
                 }
+                Err(PtlError::EqEmpty) => std::thread::yield_now(),
                 Err(e) => panic!("consumer error: {e}"),
             }
         }

@@ -47,7 +47,7 @@ use crate::engine;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::md::{Md, MdSpec};
 use crate::me::MatchEntry;
-use crate::node::NodeShared;
+use crate::node::{ring_waiters, NodeShared};
 use crate::table::{MePos, PortalTable};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
@@ -153,25 +153,50 @@ pub(crate) struct NiCore {
     /// its registry and the engine's lifecycle traces flow to its sinks.
     pub(crate) obs: Obs,
     /// Host-driven node: raw messages awaiting an API call. Arrivals ring
-    /// the node's doorbell, where blocked API calls park.
+    /// the node's waiters' doorbell, where blocked API calls park.
     pub(crate) raw: Mutex<VecDeque<PortalsMessage>>,
+    /// The node's waiters' doorbell: every completion on this interface
+    /// rings it ([`NiCore::completed`]).
+    pub(crate) waiters: Arc<Readiness>,
 }
 
 impl NiCore {
-    pub(crate) fn new(id: ProcessId, config: NiConfig, obs: Obs) -> NiCore {
+    pub(crate) fn new(id: ProcessId, config: NiConfig, node: &NodeShared) -> NiCore {
         NiCore {
             id,
             state: NiState::new(&config.limits),
             config,
-            counters: NiCounters::new(&obs.registry, id.nid.0, id.pid),
-            obs,
+            counters: NiCounters::new(&node.obs.registry, id.nid.0, id.pid),
+            obs: node.obs.clone(),
             raw: Mutex::new(VecDeque::new()),
+            waiters: Arc::clone(&node.waiters),
         }
+    }
+
+    /// A completion a blocked call may be waiting on is visible and its
+    /// locks are released: ring the waiters ([`ring_waiters`]).
+    pub(crate) fn completed(&self) {
+        ring_waiters(&self.waiters);
+    }
+
+    /// Push `event` on queue `eqh` (false: no such queue), count it if it
+    /// overwrote an unread one, and ring the waiters once the queue is
+    /// unlocked.
+    pub(crate) fn push_event(&self, eqh: EqHandle, event: Event) -> bool {
+        let Some(clean) = self.state.eqs.with(eqh, |queue| queue.push(event)) else {
+            return false;
+        };
+        if !clean {
+            self.counters.events_overwritten.inc();
+        }
+        self.completed();
+        true
     }
 
     /// Enqueue a raw message for host-driven processing.
     pub(crate) fn enqueue_raw(&self, msg: PortalsMessage) {
         self.raw.lock().push_back(msg);
+        self.completed();
     }
 
     /// Take the oldest raw message; the queue lock is released on return, so
@@ -322,17 +347,9 @@ impl NetworkInterface {
 
     fn eq_wait_inner(&self, h: EqHandle, timeout: Option<Duration>) -> PtlResult<Event> {
         let eq = self.eq_ref(h)?;
-        if self.node.mode == ProgressMode::NicThread {
-            // The NIC thread completes it; sleep on the queue's condvar.
-            return match timeout {
-                Some(t) => eq.poll(t),
-                None => eq.wait(),
-            };
-        }
-        self.wait_driving(timeout, || match eq.try_get() {
-            Ok(e) => Ok(Some(e)),
-            Err(PtlError::EqEmpty) => Ok(None),
-            Err(e) => Err(e),
+        self.wait(timeout, || match eq.try_get() {
+            Err(PtlError::EqEmpty) => None,
+            got => Some(got),
         })
     }
 
@@ -664,7 +681,8 @@ impl NetworkInterface {
     /// wake with [`PtlError::InvalidCt`]; parked triggers are discarded.
     pub fn ct_free(&self, h: CtHandle) -> PtlResult<()> {
         let ct = self.core.state.cts.remove(h).ok_or(PtlError::InvalidCt)?;
-        ct.free_wake();
+        ct.free();
+        self.core.completed();
         Ok(())
     }
 
@@ -703,10 +721,7 @@ impl NetworkInterface {
             .cts
             .get_clone(h)
             .ok_or(PtlError::InvalidCt)?;
-        if self.node.mode == ProgressMode::NicThread {
-            return ct.wait(test, timeout);
-        }
-        self.wait_driving(timeout, || ct.try_check(test))
+        self.wait(timeout, || ct.try_check(test).transpose())
     }
 
     /// Overwrite a counter's value (spec lineage: `PtlCTSet`). A forward jump
@@ -725,7 +740,7 @@ impl NetworkInterface {
             }
             ct.fire_done();
         }
-        self.node.ring_event();
+        self.core.completed();
         Ok(())
     }
 
@@ -733,7 +748,6 @@ impl NetworkInterface {
     /// triggers that become due, in the calling thread.
     pub fn ct_inc(&self, h: CtHandle, increment: u64) -> PtlResult<()> {
         if triggered::ct_increment(&self.core, &self.node, h, increment) {
-            self.node.ring_event();
             Ok(())
         } else {
             Err(PtlError::InvalidCt)
@@ -751,7 +765,7 @@ impl NetworkInterface {
             .get_clone(h)
             .ok_or(PtlError::InvalidCt)?;
         ct.add_failure(increment);
-        self.node.ring_event();
+        self.core.completed();
         Ok(())
     }
 
@@ -850,94 +864,33 @@ impl NetworkInterface {
         if let Some(op) = ct.register(threshold, op)? {
             triggered::fire(&self.core, &self.node, op);
             ct.fire_done();
-            self.node.ring_event();
+            self.core.completed();
         }
         Ok(())
     }
 
     // ----- progress -----------------------------------------------------------
 
-    /// The blocking loop `eq_wait_inner` and `ct_wait_inner` share on a node
-    /// where this caller runs some of the protocol: drive the node (a no-op
-    /// beside a NIC thread) and any peer nodes with pending work, run the
-    /// engine over this interface's raw queue (a no-op unless host-driven),
-    /// test the predicate, spin briefly while work flows, and park on the
-    /// node's readiness doorbell when idle.
-    ///
-    /// Lost-wakeup safety: the doorbell sequence is read *before* the final
-    /// predicate test, and the park is conditional on it being unchanged — a
-    /// completion or raw arrival that lands between the test and the park
-    /// bumps the sequence, so the park returns immediately. The park is
-    /// additionally bounded by the transport's next retransmission/wire
-    /// deadline (caller-driven, someone must fire those timers — there is no
-    /// thread to do it) and a 1 ms cap.
-    fn wait_driving<T>(
+    /// Every blocking call, whatever the mode: the transport's one wait loop
+    /// on the node's waiters' doorbell until `check` yields or `timeout`
+    /// passes. Each turn steps what this caller may step — the node when
+    /// caller-driven, this interface's raw queue when host-driven, nothing
+    /// beside a NIC thread.
+    fn wait<T>(
         &self,
         timeout: Option<Duration>,
-        mut check: impl FnMut() -> PtlResult<Option<T>>,
+        check: impl FnMut() -> Option<PtlResult<T>>,
     ) -> PtlResult<T> {
-        /// Idle iterations before parking (on multi-CPU hosts): at ~100 ns
-        /// per drive of an idle node this spins on the order of the
-        /// small-message RTT, so ping-pong never pays the unpark cost. Zero
-        /// on a single CPU, where spinning only delays the peer thread whose
-        /// work we are waiting for (see [`portals_types::spin_budget`]).
-        const SPIN_ITERS: u32 = 200;
-        /// Hard cap on any single park: a bounded backstop against deadline
-        /// computation races (peers can schedule new wire traffic while we
-        /// park).
-        const PARK_CAP: Duration = Duration::from_millis(1);
-
-        let spin_iters = portals_types::spin_budget(SPIN_ITERS);
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let readiness = &self.node.readiness;
-        let mut idle_iters: u32 = 0;
-        loop {
-            let observed = readiness.seq();
-            readiness.take(Readiness::EVENT);
-            let worked = self.node.progress_once();
-            self.drain_raw();
-            if let Some(v) = check()? {
-                return Ok(v);
-            }
-            if worked {
-                idle_iters = 0;
-                continue;
-            }
-            // Own node is idle. Peer nodes usually have their own blocked
-            // caller spinning on this same fabric; stepping them from here on
-            // every iteration turns two waiters into sustained contention on
-            // each other's dispatch and core locks (measured 4x worse 0-byte
-            // RTT). Service them only at a decimated cadence and at the park
-            // boundary — enough to keep single-threaded simulations live,
-            // rare enough to stay out of an active peer's way.
-            idle_iters += 1;
-            let parking = idle_iters > spin_iters;
-            if (parking || idle_iters % 32 == 0) && self.node.hub.service_peers() {
-                idle_iters = 0;
-                continue;
-            }
-            let now = Instant::now();
-            if let Some(d) = deadline {
-                if now >= d {
-                    return Err(PtlError::Timeout);
-                }
-            }
-            if !parking {
-                std::hint::spin_loop();
-                continue;
-            }
-            idle_iters = 0;
-            let mut bound = now + PARK_CAP;
-            if self.node.mode.is_caller_driven() {
-                if let Some(next) = self.node.endpoint.next_deadline() {
-                    bound = bound.min(next.max(now));
-                }
-            }
-            if let Some(d) = deadline {
-                bound = bound.min(d);
-            }
-            readiness.wait(observed, bound.saturating_duration_since(now));
-        }
+        self.node
+            .endpoint
+            .drive_until(
+                &self.node.waiters,
+                timeout.map(|t| Instant::now() + t),
+                true,
+                || self.node.progress_once() | self.drain_raw(),
+                check,
+            )
+            .unwrap_or(Err(PtlError::Timeout))
     }
 
     /// Make progress from this call: on a caller-driven node, step the
@@ -950,21 +903,17 @@ impl NetworkInterface {
     }
 
     /// Run the engine over every queued raw message (host-driven node; the
-    /// queue is always empty otherwise).
-    fn drain_raw(&self) {
+    /// queue is always empty otherwise). Returns whether there was any.
+    fn drain_raw(&self) -> bool {
         if self.node.mode != ProgressMode::HostDriven {
-            return;
+            return false;
         }
         let mut delivered = false;
         while let Some(msg) = self.core.pop_raw() {
             engine::deliver(&self.core, &self.node, msg);
             delivered = true;
         }
-        if delivered {
-            // What the engine completed may be what another thread's wait
-            // on this node is parked for.
-            self.node.ring_event();
-        }
+        delivered
     }
 
     /// Raw messages awaiting progress (always 0 unless the node is
@@ -1229,12 +1178,7 @@ fn transmit(
             offset: 0,
             md,
         };
-        if core.state.eqs.with(eqh, |queue| queue.push(event)) == Some(false) {
-            core.counters.events_overwritten.inc();
-        }
-        // A caller-driven waiter on this queue may be parked in another
-        // thread; the `Sent` event is a completion it can consume.
-        node.ring_event();
+        core.push_event(eqh, event);
     }
     send_message(core, node, target.nid, &msg);
     core.counters.messages_sent.inc();

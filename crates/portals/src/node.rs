@@ -10,6 +10,10 @@
 //! The node's one thread stands in for NIC firmware: it takes each datagram
 //! through the transport and — unless the node is host-driven — the receive
 //! engine, so selection and delivery proceed while the application computes.
+//!
+//! Blocked API calls park on the node's *waiters' doorbell*, chosen once:
+//! the link's when they step the protocol themselves (caller-driven), one of
+//! their own that only completions ring beside a NIC thread.
 
 use crate::engine;
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
@@ -21,6 +25,7 @@ use portals_types::{
     Gather, NodeId, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, UserId,
 };
 use portals_wire::PortalsMessage;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -108,10 +113,10 @@ pub(crate) struct NodeShared {
     /// ([`crate::stream`]). Only ever touched from the dispatch context
     /// (the NIC thread, or under `dispatch_lock` when caller-driven).
     pub(crate) streams: Mutex<HashMap<NodeId, crate::stream::MsgStream>>,
-    /// The node's readiness doorbell (shared with the NIC and the transport
-    /// core). The engine raises [`Readiness::EVENT`] on it after completions
-    /// so parked `eq_wait`/`ct_wait` callers wake.
-    pub(crate) readiness: Arc<Readiness>,
+    /// Where blocked `eq_wait`/`ct_wait` callers park, and what every
+    /// completion rings: the link's doorbell when the callers step, one of
+    /// their own beside a NIC thread (see the module docs).
+    pub(crate) waiters: Arc<Readiness>,
     /// Fabric driver registry handle: lets caller-driven wait loops advance
     /// *other* nodes of a single-process simulation that have pending work.
     pub(crate) hub: DriverHub,
@@ -144,8 +149,10 @@ impl NodeShared {
     /// larger ones, queued by the transport step just before — through the
     /// engine, with the transport's core lock released (the engine re-enters
     /// the endpoint to send), from the one dispatch context: the NIC thread,
-    /// or the holder of `dispatch_lock`.
+    /// or the holder of `dispatch_lock`. The whole run is one [`Burst`] for
+    /// the waiters' doorbell.
     fn dispatch_queued(&self) -> bool {
+        let _burst = Burst::open(&self.waiters);
         let mut worked = false;
         while let Some(delivery) = self.endpoint.pop_delivery() {
             deliver(self, delivery);
@@ -167,14 +174,50 @@ impl NodeShared {
         worked |= self.hub.service_peers();
         worked
     }
+}
 
-    /// Raise the completion doorbell: an event was pushed, a counter bumped,
-    /// or a message dispatched or queued raw — anything a parked
-    /// `eq_wait`/`ct_wait` caller might be waiting on. A no-op in NIC-thread
-    /// mode, where the event queues' own condvars do the waking.
-    pub(crate) fn ring_event(&self) {
-        if self.mode != ProgressMode::NicThread {
-            self.readiness.set(Readiness::EVENT);
+thread_local! {
+    /// The dispatch step this thread is running: the address of the doorbell
+    /// it coalesces rings for (0: none) and its completions so far, counted
+    /// up to 2. Per thread, so a ring from any other thread is never absorbed.
+    static BURST: Cell<(usize, u8)> = const { Cell::new((0, 0)) };
+}
+
+/// Ring a node's waiters' doorbell for a completion, once it is visible and
+/// the lock the waiters' check takes (event ring, arena shard, counter state)
+/// is released. Inside a dispatch step on the same doorbell ([`Burst`]) only
+/// the step's first completion rings at once and the rest share one ring at
+/// its end, so a burst of deliveries wakes a parked waiter once, not per
+/// message.
+pub(crate) fn ring_waiters(doorbell: &Readiness) {
+    let (bell, seen) = BURST.get();
+    if bell == doorbell as *const Readiness as usize {
+        BURST.set((bell, (seen + 1).min(2)));
+        if seen > 0 {
+            return;
+        }
+    }
+    doorbell.ring();
+}
+
+/// One dispatch step, from `open` to drop (see [`ring_waiters`]). Dropping it
+/// pays the ring the step owes and restores any step it was opened inside.
+pub(crate) struct Burst<'a> {
+    doorbell: &'a Readiness,
+    outer: (usize, u8),
+}
+
+impl<'a> Burst<'a> {
+    pub(crate) fn open(doorbell: &'a Readiness) -> Burst<'a> {
+        let outer = BURST.replace((doorbell as *const Readiness as usize, 0));
+        Burst { doorbell, outer }
+    }
+}
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        if BURST.replace(self.outer).1 > 1 {
+            self.doorbell.ring();
         }
     }
 }
@@ -185,7 +228,7 @@ impl NodeDriver for NodeShared {
     }
 
     fn has_work(&self) -> bool {
-        self.readiness.peek() & (Readiness::INBOUND | Readiness::DELIVERED) != 0
+        self.endpoint.readiness().peek() & (Readiness::INBOUND | Readiness::DELIVERED) != 0
             || self.endpoint.timer_due()
     }
 }
@@ -218,7 +261,11 @@ impl Node {
         let mode = config.transport.progress_mode;
         let endpoint = Endpoint::for_node(link, config.transport, config.obs.clone());
         let node_labels = [("node", nid.0.to_string())];
-        let readiness = endpoint.readiness();
+        let waiters = if mode.is_caller_driven() {
+            endpoint.readiness()
+        } else {
+            Arc::new(Readiness::new())
+        };
         let hub = endpoint.hub();
         let shared = Arc::new(NodeShared {
             nid,
@@ -237,7 +284,7 @@ impl Node {
             alive: AtomicBool::new(true),
             mode,
             streams: Mutex::new(HashMap::new()),
-            readiness,
+            waiters,
             hub,
             dispatch_lock: Mutex::new(()),
         });
@@ -288,7 +335,7 @@ impl Node {
             nid: self.shared.nid,
             pid,
         };
-        let core = Arc::new(NiCore::new(id, config, self.shared.obs.clone()));
+        let core = Arc::new(NiCore::new(id, config, &self.shared));
         let mut nis = self.shared.nis.write();
         if nis.contains_key(&pid) {
             return Err(PtlError::InvalidProcess);
@@ -334,7 +381,7 @@ impl Drop for Node {
     fn drop(&mut self) {
         self.shared.alive.store(false, Ordering::Release);
         if let Some(handle) = self.nic_thread.take() {
-            self.shared.readiness.ring();
+            self.shared.endpoint.readiness().ring();
             let _ = handle.join();
         } else {
             // Threadless: deregister from the fabric so peers stop trying to
@@ -383,10 +430,6 @@ pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
     } else {
         engine::deliver(&core, shared, msg);
     }
-    // Anything the delivery completed (events pushed, counters bumped, raw
-    // traffic queued) may be what a parked caller-driven waiter is blocked
-    // on.
-    shared.ring_event();
 }
 
 /// The node-level checks every message sees before the engine (§4.8's "first
@@ -413,4 +456,80 @@ pub(crate) fn node_drop_trace(shared: &NodeShared, why: &'static str) {
             .node(shared.nid.0)
             .detail(why)
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AckRequest, EventKind, MdSpec, MePos};
+    use portals_net::Fabric;
+    use portals_types::{MatchCriteria, Region};
+
+    #[test]
+    fn a_dispatch_step_rings_its_waiters_at_most_twice() {
+        let waiters = Readiness::new();
+        for completions in 0..=8u64 {
+            let before = waiters.seq();
+            let mut before_last = before;
+            {
+                let _step = Burst::open(&waiters);
+                for _ in 0..completions {
+                    before_last = waiters.seq();
+                    ring_waiters(&waiters);
+                }
+            }
+            assert_eq!(waiters.seq() - before, completions.min(2), "{completions}");
+            assert!(
+                completions == 0 || waiters.seq() > before_last,
+                "{completions}"
+            );
+        }
+        // Outside a step, and from another thread during one: each at once.
+        let before = waiters.seq();
+        ring_waiters(&waiters);
+        let _step = Burst::open(&waiters);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..3).for_each(|_| ring_waiters(&waiters)));
+        });
+        assert_eq!(waiters.seq(), before + 4);
+    }
+
+    #[test]
+    fn a_transport_ack_that_completes_nothing_rings_no_waiter() {
+        let fabric = Fabric::ideal();
+        let config = || NodeConfig {
+            transport: TransportConfig {
+                progress_mode: ProgressMode::NicThread,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let na = Node::new(fabric.attach(NodeId(0)), config());
+        let nb = Node::new(fabric.attach(NodeId(1)), config());
+        let a = na.create_ni(1, NiConfig::default()).unwrap();
+        let b = nb.create_ni(1, NiConfig::default()).unwrap();
+        let eq_b = b.eq_alloc(4).unwrap();
+        let me = b
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        b.md_attach(me, MdSpec::new(Region::zeroed(8)).with_eq(eq_b))
+            .unwrap();
+        // No event queue and no Portals ack: the put completes nothing at A.
+        let md = a.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
+        let (a_seq, b_seq) = (na.shared.waiters.seq(), nb.shared.waiters.seq());
+        a.put_op(md)
+            .target(b.id(), 0)
+            .ack(AckRequest::NoAck)
+            .submit()
+            .unwrap();
+        assert_eq!(b.eq_wait(eq_b).unwrap().kind, EventKind::Put);
+        assert!(nb.shared.waiters.seq() > b_seq, "the put rang its target");
+        assert!(
+            na.flush_transport(Duration::from_secs(5)),
+            "the ACK came back"
+        );
+        // Give A's NIC thread time to finish the step that took it.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(na.shared.waiters.seq(), a_seq, "the ACK rang A's waiters");
+    }
 }

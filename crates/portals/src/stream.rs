@@ -128,7 +128,7 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
     }
     // Payload bytes that arrived in the same fragments as the header.
     let prefix = acc.slice(payload_at, acc.len() - payload_at);
-    let next = match head {
+    match head {
         StreamHead::Put {
             header,
             ack_md,
@@ -138,7 +138,7 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
                 sink.write(0, &prefix);
                 MsgStream::Put(core, sink)
             }
-            PutBegin::NeedWhole => return MsgStream::Accumulate(acc),
+            PutBegin::NeedWhole => MsgStream::Accumulate(acc),
             PutBegin::Done => MsgStream::Discard,
         },
         StreamHead::Reply { header } => match engine::reply_begin(&core, header) {
@@ -149,10 +149,7 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
             None => MsgStream::Discard,
         },
         StreamHead::Other => unreachable!("returned above"),
-    };
-    // `begin` may have pushed a flow-control event a waiter is parked on.
-    shared.ring_event();
-    next
+    }
 }
 
 /// The last fragment of a message has been applied; `end` is where it ended.
@@ -170,12 +167,11 @@ fn finalize(shared: &NodeShared, state: MsgStream, end: u64) {
     }
     match state {
         // A header that never completed decodes as garbage there.
-        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => return dispatch(shared, &acc),
+        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => dispatch(shared, &acc),
         MsgStream::Put(core, sink) => sink.finish(&core, shared),
         MsgStream::Reply(core, sink) => sink.finish(&core, shared),
-        MsgStream::Discard => return,
+        MsgStream::Discard => {}
     }
-    shared.ring_event();
 }
 
 /// A message that will never complete correctly is garbage, whatever state it
@@ -191,7 +187,6 @@ fn abort(shared: &NodeShared, state: MsgStream) {
     }
     shared.dropped_garbage.inc();
     node_drop_trace(shared, "garbage");
-    shared.ring_event();
 }
 
 #[cfg(test)]

@@ -134,8 +134,9 @@ pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
     counter.inc();
 }
 
-/// Count `n` successes on `h` and fire every trigger that becomes due, in
-/// (threshold, registration) order. Returns false if the handle is stale.
+/// Count `n` successes on `h`, fire every trigger that becomes due, in
+/// (threshold, registration) order, and then ring the waiters. Returns false
+/// if the handle is stale.
 pub(crate) fn ct_increment(core: &NiCore, node: &NodeShared, h: CtHandle, n: u64) -> bool {
     let Some(ct) = core.state.cts.get_clone(h) else {
         return false;
@@ -153,5 +154,6 @@ pub(crate) fn ct_increment(core: &NiCore, node: &NodeShared, h: CtHandle, n: u64
         }
         ct.fire_done();
     }
+    core.completed();
     true
 }

@@ -6,15 +6,18 @@
 //! deterministic scripted scenario must produce the *identical sequence* of
 //! events (per queue, field by field) and counting-event values in every
 //! mode, a host-driven target must hold an arrival raw until one of its own
-//! API calls, and the caller-driven park/unpark path must never sleep through
-//! a completion (the lost-wakeup race).
+//! API calls, and in every mode the one wait loop keeps the blocking calls'
+//! contract: a poll times out no earlier than its bound, returns early when
+//! its completion lands, wakes on `ct_free`, and never sleeps through a
+//! completion (the lost-wakeup race).
 
 use portals::{
-    AckRequest, Event, EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, ProgressMode, Region,
+    AckRequest, CtHandle, EqHandle, Event, EventKind, MdSpec, MePos, NetworkInterface, NiConfig,
+    Node, NodeConfig, ProgressMode, Region,
 };
 use portals_net::{Fabric, FabricConfig, FaultPlan};
 use portals_transport::TransportConfig;
-use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId};
+use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError};
 use std::time::{Duration, Instant};
 
 fn two_nodes(mode: ProgressMode) -> (Node, Node) {
@@ -342,27 +345,91 @@ fn multi_window_get_then_put_identical_across_modes() {
     }
 }
 
+/// Every mode a node can be built in: the wait contract holds in each.
+const MODES: [ProgressMode; 3] = [
+    ProgressMode::NicThread,
+    ProgressMode::CallerDriven,
+    ProgressMode::HostDriven,
+];
+
+/// Two nodes in one mode: an initiator interface, and a target interface
+/// exposing portal 0 (match anything) with an event queue and a counter.
+struct Pair {
+    ini: NetworkInterface,
+    tgt: NetworkInterface,
+    eq: EqHandle,
+    ct: CtHandle,
+    _nodes: (Node, Node),
+}
+
+fn pair(mode: ProgressMode) -> Pair {
+    let (na, nb) = two_nodes(mode);
+    let ini = na.create_ni(1, NiConfig::default()).unwrap();
+    let tgt = nb.create_ni(1, NiConfig::default()).unwrap();
+    let eq = tgt.eq_alloc(1024).unwrap();
+    let ct = tgt.ct_alloc().unwrap();
+    let me = tgt
+        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+        .unwrap();
+    tgt.md_attach(me, MdSpec::new(Region::zeroed(64)).with_eq(eq).with_ct(ct))
+        .unwrap();
+    Pair {
+        ini,
+        tgt,
+        eq,
+        ct,
+        _nodes: (na, nb),
+    }
+}
+
+/// The blocking calls' contract, in every mode: a poll on nothing times out
+/// no earlier than its bound, and a `ct_wait` blocked on another thread
+/// returns `InvalidCt` once its counter is freed. (That a poll returns as
+/// soon as its put lands is every round of `wait_never_loses_a_wakeup`.)
+#[test]
+fn wait_contract_holds_in_every_mode() {
+    let bound = Duration::from_millis(30);
+    for mode in MODES {
+        let Pair { tgt, eq, ct, .. } = &pair(mode);
+        let t0 = Instant::now();
+        let got = tgt.eq_poll(*eq, bound).map(|e| e.kind);
+        assert_eq!(got, Err(PtlError::Timeout), "{mode:?}");
+        let t1 = Instant::now();
+        let got = tgt.ct_poll(*ct, 1, bound);
+        assert_eq!(got, Err(PtlError::Timeout), "{mode:?}");
+        assert!(t1 - t0 >= bound && t1.elapsed() >= bound, "{mode:?}");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| tgt.ct_wait(*ct, 1));
+            std::thread::sleep(Duration::from_millis(20));
+            tgt.ct_free(*ct).unwrap();
+            assert_eq!(waiter.join().unwrap(), Err(PtlError::InvalidCt), "{mode:?}");
+        });
+    }
+}
+
 /// The lost-wakeup stress: a producer thread fires puts at arbitrary points
 /// around the consumer's check/park boundary; every eq_wait and ct_wait must
 /// return promptly. A single slept-through doorbell turns into a 5 s timeout
 /// and fails the test. (The same race is hammered at the doorbell level in
 /// `portals_types::readiness` and at the transport level in the endpoint
-/// tests; this covers the full put → dispatch → EQ/CT → unpark path.)
+/// tests; this covers the full put → dispatch → EQ/CT → unpark path, in
+/// every mode.)
 #[test]
-fn caller_driven_wait_never_loses_a_wakeup() {
-    const ROUNDS: u64 = 300;
-    let (na, nb) = two_nodes(ProgressMode::CallerDriven);
-    let producer_ni = na.create_ni(1, NiConfig::default()).unwrap();
-    let consumer = nb.create_ni(1, NiConfig::default()).unwrap();
+fn wait_never_loses_a_wakeup() {
+    for mode in MODES {
+        wait_never_loses_a_wakeup_in(mode);
+    }
+}
 
-    let eq = consumer.eq_alloc(1024).unwrap();
-    let ct = consumer.ct_alloc().unwrap();
-    let me = consumer
-        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-        .unwrap();
-    consumer
-        .md_attach(me, MdSpec::new(Region::zeroed(64)).with_eq(eq).with_ct(ct))
-        .unwrap();
+fn wait_never_loses_a_wakeup_in(mode: ProgressMode) {
+    const ROUNDS: u64 = 300;
+    let Pair {
+        ini: producer_ni,
+        tgt: consumer,
+        eq,
+        ct,
+        _nodes,
+    } = pair(mode);
     let consumer_id = consumer.id();
 
     let producer = std::thread::spawn(move || {
@@ -387,11 +454,11 @@ fn caller_driven_wait_never_loses_a_wakeup() {
     for i in 1..=ROUNDS {
         let ev = consumer
             .eq_poll(eq, Duration::from_secs(5))
-            .unwrap_or_else(|e| panic!("lost wakeup at round {i}: {e:?}"));
+            .unwrap_or_else(|e| panic!("{mode:?}: lost wakeup at round {i}: {e:?}"));
         assert_eq!(ev.kind, EventKind::Put);
         let v = consumer
             .ct_poll(ct, i, Duration::from_secs(5))
-            .unwrap_or_else(|e| panic!("ct lost wakeup at round {i}: {e:?}"));
+            .unwrap_or_else(|e| panic!("{mode:?}: ct lost wakeup at round {i}: {e:?}"));
         assert!(v.success >= i);
     }
     producer.join().unwrap();

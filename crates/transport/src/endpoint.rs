@@ -441,29 +441,51 @@ impl Endpoint {
     }
 
     fn recv_until(&self, deadline: Option<Instant>) -> Option<IncomingMessage> {
-        let spin = portals_types::spin_budget(SPIN_ITERS);
-        self.drive_until(deadline, spin, Endpoint::pop_message)
+        self.drive_until(
+            self.incoming.readiness(),
+            deadline,
+            true,
+            || self.step_if_caller_driven(),
+            || self.pop_message(),
+        )
     }
 
-    /// The wait loop: step own core (unless a NIC thread does) → check →
-    /// service peers → bounded spin → park on the delivery queue's doorbell.
+    fn step_if_caller_driven(&self) -> bool {
+        self.mode.is_caller_driven() && self.progress_once()
+    }
+
+    /// The one wait loop beneath every blocking call (`recv`, `flush`, and
+    /// through this hidden seam the Portals event and counter waits): `step`
+    /// (the caller's share of the protocol; true if it did work) → `check` →
+    /// service peers → bounded spin → park on `doorbell`, until `check`
+    /// yields or `deadline` passes (`None`). Only a caller-driven waiter
+    /// services peers, spins (if `spin`) and wakes for the transport's
+    /// timers; beside a NIC thread it parks at once, on a doorbell the work
+    /// it waits for rings.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
-    /// progress step and predicate check, and the park returns immediately
-    /// if it moved — a completion landing anywhere in between bumps it.
-    fn drive_until<T>(
+    /// step and predicate check, and the park returns immediately if it
+    /// moved — a completion landing anywhere in between bumps it.
+    #[doc(hidden)]
+    pub fn drive_until<T>(
         &self,
+        doorbell: &Readiness,
         deadline: Option<Instant>,
-        spin_iters: u32,
-        mut check: impl FnMut(&Endpoint) -> Option<T>,
+        spin: bool,
+        mut step: impl FnMut() -> bool,
+        mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
         let stepping = self.mode.is_caller_driven();
-        let doorbell = self.incoming.readiness();
+        let spin_iters = if stepping && spin {
+            portals_types::spin_budget(SPIN_ITERS)
+        } else {
+            0
+        };
         let mut idle_iters: u32 = 0;
         loop {
             let observed = doorbell.seq();
-            let worked = stepping && self.progress_once();
-            if let Some(v) = check(self) {
+            let worked = step();
+            if let Some(v) = check() {
                 return Some(v);
             }
             if worked {
@@ -533,13 +555,16 @@ impl Endpoint {
     /// Returns true on success. The wait parks on the doorbell, `PARK_CAP` at
     /// a time, and drives progress itself only when no NIC thread does.
     pub fn flush(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
         // No spin: the acks come from threads that may need this CPU. And no
         // ring from the step that takes the last ack: it would cost every
         // caller-driven waiter an idle turn per ack (DESIGN.md §6f).
-        self.drive_until(Some(deadline), 0, |ep| {
-            (ep.outstanding() == 0).then_some(())
-        })
+        self.drive_until(
+            self.incoming.readiness(),
+            Some(Instant::now() + timeout),
+            false,
+            || self.step_if_caller_driven(),
+            || (self.outstanding() == 0).then_some(()),
+        )
         .is_some()
     }
 
@@ -555,8 +580,9 @@ impl Endpoint {
         self.mode
     }
 
-    /// This node's readiness doorbell. Layers above raise their own bits
-    /// (e.g. [`Readiness::EVENT`]) on it so one park covers every work class.
+    /// This node's readiness doorbell: the link's, where arrivals ring. A
+    /// waiter that steps the protocol itself parks here, so one park covers
+    /// every work class.
     pub fn readiness(&self) -> Arc<Readiness> {
         Arc::clone(&self.stepper.readiness)
     }

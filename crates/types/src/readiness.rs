@@ -7,28 +7,29 @@
 //! receive engine, firing timers:
 //!
 //! * **NIC-thread** — one thread per node stands in for NIC firmware. It
-//!   parks on the node's [`Readiness`] doorbell; an arriving datagram rings
+//!   parks on the link's [`Readiness`] doorbell; an arriving datagram rings
 //!   it, and the thread that takes the datagram runs the engine. Callers
-//!   sleep on event-queue and counter condvars until the engine completes
-//!   something for them: one thread handoff per message in, none out.
+//!   park on a doorbell of their own that only completions ring: one thread
+//!   handoff per message in, none out.
 //! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
 //!   in a wait runs that same step inline, spinning briefly and then parking
-//!   on the doorbell between arrivals.
+//!   on the link's doorbell between arrivals.
 //! * **Host-driven** — the NIC thread runs the transport only and queues what
 //!   arrives; the receive engine runs inside API calls on the application's
 //!   thread (the GM-style baseline of the paper's §5.3). A blocked caller
-//!   drains that queue and parks on the doorbell exactly as a caller-driven
-//!   waiter does.
+//!   drains that queue, then parks on a doorbell that completions and raw
+//!   arrivals ring.
 //!
-//! So there are two ways to wait: sleep on the completion's own condvar
-//! (NIC-thread), or drive-then-park on the node's doorbell (the other two).
+//! So there is one way to wait: step what the caller may step, check, and
+//! park on a doorbell. The mode only picks the doorbell — the one the
+//! caller's own step needs to hear, or one that completions alone ring.
 //!
-//! [`Readiness`] is the primitive that makes both parks cheap and
+//! [`Readiness`] is the primitive that makes every park cheap and
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
 //! doorbell sequence number. Producers `set` bits (one atomic OR, plus a wake
 //! only when someone is parked — a park/unpark costs ~220 ns, the unpark never
-//! blocks); consumers `take` them, and work that lands after the take
-//! re-raises the bit, so no item is stranded.
+//! blocks) or just `ring`; consumers `take` bits, and work that lands after
+//! the take re-raises the bit, so no item is stranded.
 //!
 //! The park protocol is: read [`Readiness::seq`], drain/progress, re-check the
 //! predicate, and only then [`Readiness::wait`] on the *previously read*
@@ -57,10 +58,11 @@ use std::time::{Duration, Instant};
 /// `NodeConfig::default()` consults [`ProgressMode::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// One thread per node (the NIC-firmware stand-in), parked on the node's
+    /// One thread per node (the NIC-firmware stand-in), parked on the link's
     /// doorbell, steps the transport and runs the receive engine on what
-    /// arrives; callers block until it completes something for them. The
-    /// paper's application bypass (§5.1).
+    /// arrives; callers park, without stepping, until it completes something
+    /// for them and rings their doorbell. The paper's application bypass
+    /// (§5.1).
     #[default]
     NicThread,
     /// Threadless: the blocked or polling caller steps the transport, the
@@ -159,9 +161,6 @@ impl Readiness {
     /// Deliveries queued from the transport step to dispatch: the bit of an
     /// endpoint's delivery [`DoorbellQueue`].
     pub const DELIVERED: u64 = 1 << 1;
-    /// A completion (event push, counter bump, raw enqueue) performed by a
-    /// thread other than the waiter.
-    pub const EVENT: u64 = 1 << 2;
 
     /// A fresh doorbell with no pending work.
     pub fn new() -> Readiness {
@@ -176,8 +175,8 @@ impl Readiness {
     }
 
     /// Ring the doorbell without raising bits — used when the only fact to
-    /// convey is "re-evaluate your deadline" (e.g. a wire packet was scheduled
-    /// for a future delivery time).
+    /// convey is "re-check your predicate": a completion landed, or a wire
+    /// packet was scheduled for a future delivery time.
     pub fn ring(&self) {
         self.seq.fetch_add(1, Ordering::Release);
         if self.waiters.load(Ordering::Acquire) > 0 {
@@ -366,11 +365,11 @@ mod tests {
     fn set_take_roundtrip() {
         let r = Readiness::new();
         assert_eq!(r.take(Readiness::INBOUND), 0);
-        r.set(Readiness::INBOUND | Readiness::EVENT);
-        assert_eq!(r.peek(), Readiness::INBOUND | Readiness::EVENT);
+        r.set(Readiness::INBOUND | Readiness::DELIVERED);
+        assert_eq!(r.peek(), Readiness::INBOUND | Readiness::DELIVERED);
         assert_eq!(r.take(Readiness::INBOUND), Readiness::INBOUND);
-        assert_eq!(r.peek(), Readiness::EVENT);
-        assert_eq!(r.take(Readiness::EVENT), Readiness::EVENT);
+        assert_eq!(r.peek(), Readiness::DELIVERED);
+        assert_eq!(r.take(Readiness::DELIVERED), Readiness::DELIVERED);
         assert_eq!(r.peek(), 0);
     }
 
@@ -404,7 +403,7 @@ mod tests {
             t0.elapsed()
         });
         std::thread::sleep(Duration::from_millis(30));
-        r.set(Readiness::EVENT);
+        r.set(Readiness::DELIVERED);
         let waited = t.join().unwrap();
         assert!(
             waited < Duration::from_secs(5),
@@ -428,7 +427,7 @@ mod tests {
             let dp = Arc::clone(&done);
             let producer = std::thread::spawn(move || {
                 dp.store(1, Ordering::Release);
-                rp.set(Readiness::EVENT);
+                rp.ring();
             });
             // Consumer: predicate is `done == 1`; if it is not yet set, park
             // on the sequence observed *before* the check. The producer's set
@@ -443,7 +442,6 @@ mod tests {
             );
             producer.join().unwrap();
             done.store(0, Ordering::Release);
-            r.take(Readiness::EVENT);
         }
     }
 
