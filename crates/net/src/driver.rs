@@ -3,7 +3,8 @@
 //! In threadless mode no thread stands behind an idle node, so a process that
 //! parks in `eq_wait` must be able to advance its *peers'* protocol state —
 //! the in-process simulation analogue of every real process polling its own
-//! NIC. A node (or bare transport endpoint) registers itself with its link's
+//! NIC. A caller-driven transport endpoint registers its stepper — which also
+//! runs a node's dispatch over what each step delivered — with its link's
 //! [`DriverHub`]; wait loops then call [`DriverHub::service_peers`] between
 //! their own progress steps.
 //!

@@ -14,7 +14,7 @@
 //!   property Portals assumes of its transport — with optional *fault injection*
 //!   (loss, duplication, jitter-induced reordering, partitions) so the
 //!   transport's recovery machinery can be tested;
-//! * per-NIC and fabric-wide **statistics**.
+//! * fabric-wide **statistics**.
 //!
 //! The fabric is in-process: every simulated node attaches a [`Nic`], and a
 //! single scheduler thread models the wire, delivering packets at their computed
@@ -38,4 +38,4 @@ pub use fabric::Fabric;
 pub use fault::FaultPlan;
 pub use link::{Link, LinkCaps};
 pub use nic::{Datagram, Nic, RecvError};
-pub use stats::{FabricStats, NicStats};
+pub use stats::FabricStats;

@@ -3,7 +3,6 @@
 use crate::driver::DriverHub;
 use crate::fabric::Shared;
 use crate::link::{Link, LinkCaps};
-use crate::stats::NicStats;
 use portals_types::{DoorbellQueue, Gather, NodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -50,7 +49,6 @@ pub struct Nic {
     /// doorbell the queue is bound to. The fabric also rings it bare when a
     /// packet is scheduled toward this node on a caller-pumped wire.
     inbound: Arc<DoorbellQueue<Datagram>>,
-    stats: Arc<NicStats>,
 }
 
 impl Nic {
@@ -58,13 +56,11 @@ impl Nic {
         nid: NodeId,
         shared: Arc<Shared>,
         inbound: Arc<DoorbellQueue<Datagram>>,
-        stats: Arc<NicStats>,
     ) -> Self {
         Nic {
             nid,
             shared,
             inbound,
-            stats,
         }
     }
 
@@ -77,45 +73,31 @@ impl Nic {
     /// Send a packet to `dst`. Sends to unattached nodes vanish (counted in
     /// fabric stats) — the wire gives no failure feedback, just like hardware.
     pub fn send(&self, dst: NodeId, payload: impl Into<Gather>) {
-        let payload = payload.into();
-        self.stats.record_send(payload.len());
         self.shared.send(Datagram {
             src: self.nid,
             dst,
-            payload,
+            payload: payload.into(),
         });
-    }
-
-    fn count(&self, received: Result<Datagram, RecvError>) -> Result<Datagram, RecvError> {
-        if let Ok(d) = &received {
-            self.stats.record_recv(d.payload.len());
-        }
-        received
     }
 
     /// Block until a packet arrives.
     pub fn recv(&self) -> Result<Datagram, RecvError> {
-        self.count(self.inbound.recv())
+        self.inbound.recv()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Datagram, RecvError> {
-        self.count(self.inbound.try_recv())
+        self.inbound.try_recv()
     }
 
     /// Receive with a deadline.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, RecvError> {
-        self.count(self.inbound.recv_timeout(timeout))
+        self.inbound.recv_timeout(timeout)
     }
 
     /// Number of packets queued for this NIC right now.
     pub fn pending(&self) -> usize {
         self.inbound.len()
-    }
-
-    /// This NIC's traffic counters.
-    pub fn stats(&self) -> &NicStats {
-        &self.stats
     }
 
     /// On a caller-pumped wire (see
@@ -150,9 +132,6 @@ impl Link for Nic {
     /// modelled or faulty wire sends them one by one. Counted per datagram
     /// either way, as that many [`Nic::send`]s would be.
     fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
-        for (_, payload) in &batch {
-            self.stats.record_send(payload.len());
-        }
         self.shared.send_batch(self.nid, batch)
     }
 
@@ -235,33 +214,5 @@ mod tests {
             a.send(NodeId(1), Gather::copy_from_slice(b"x"));
         }
         assert_eq!(b.pending(), 3);
-    }
-
-    #[test]
-    fn nic_stats_track_traffic() {
-        let fabric = Fabric::ideal();
-        let a = fabric.attach(NodeId(0));
-        let b = fabric.attach(NodeId(1));
-        a.send(NodeId(1), Gather::from_vec(vec![0u8; 100]));
-        let _ = b.recv().unwrap();
-        assert_eq!(a.stats().sent.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(
-            a.stats()
-                .bytes_sent
-                .load(std::sync::atomic::Ordering::Relaxed),
-            100
-        );
-        assert_eq!(
-            b.stats()
-                .received
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
-        assert_eq!(
-            b.stats()
-                .bytes_received
-                .load(std::sync::atomic::Ordering::Relaxed),
-            100
-        );
     }
 }

@@ -10,7 +10,6 @@
 //! numbers the snapshot API returns — the snapshot structs are thin views.
 
 use portals_obs::{Counter, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wire-level counters for the whole fabric.
 ///
@@ -88,32 +87,6 @@ pub struct FabricStatsSnapshot {
     pub bytes_delivered: u64,
 }
 
-/// Per-NIC counters.
-#[derive(Debug, Default)]
-pub struct NicStats {
-    /// Packets this NIC sent.
-    pub sent: AtomicU64,
-    /// Packets this NIC received.
-    pub received: AtomicU64,
-    /// Payload bytes sent.
-    pub bytes_sent: AtomicU64,
-    /// Payload bytes received.
-    pub bytes_received: AtomicU64,
-}
-
-impl NicStats {
-    pub(crate) fn record_send(&self, bytes: usize) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_recv(&self, bytes: usize) {
-        self.received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,17 +110,5 @@ mod tests {
         s.packets_lost.add(2);
         assert_eq!(registry.sum_counters("fabric.packets_sent"), 5);
         assert_eq!(registry.sum_counters("fabric.packets_lost"), 2);
-    }
-
-    #[test]
-    fn nic_stats_accumulate() {
-        let s = NicStats::default();
-        s.record_send(10);
-        s.record_send(20);
-        s.record_recv(5);
-        assert_eq!(s.sent.load(Ordering::Relaxed), 2);
-        assert_eq!(s.bytes_sent.load(Ordering::Relaxed), 30);
-        assert_eq!(s.received.load(Ordering::Relaxed), 1);
-        assert_eq!(s.bytes_received.load(Ordering::Relaxed), 5);
     }
 }

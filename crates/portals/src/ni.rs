@@ -271,7 +271,7 @@ impl NetworkInterface {
     /// On a threadless node, reading them drives progress first — a counter
     /// polling loop must be able to advance the protocol it is observing.
     pub fn counters(&self) -> NiCountersSnapshot {
-        self.node.drive();
+        self.node.endpoint.progress_once();
         self.core.counters.snapshot()
     }
 
@@ -333,7 +333,7 @@ impl NetworkInterface {
 
     /// Number of events currently pending on a queue.
     pub fn eq_len(&self, h: EqHandle) -> PtlResult<usize> {
-        self.node.drive();
+        self.node.endpoint.progress_once();
         Ok(self.eq_ref(h)?.len())
     }
 
@@ -688,7 +688,7 @@ impl NetworkInterface {
 
     /// Current counter value (spec lineage: `PtlCTGet`).
     pub fn ct_get(&self, h: CtHandle) -> PtlResult<CtValue> {
-        self.node.drive();
+        self.node.endpoint.progress_once();
         self.core
             .state
             .cts
@@ -873,9 +873,9 @@ impl NetworkInterface {
 
     /// Every blocking call, whatever the mode: the transport's one wait loop
     /// on the node's waiters' doorbell until `check` yields or `timeout`
-    /// passes. Each turn steps what this caller may step — the node when
-    /// caller-driven, this interface's raw queue when host-driven, nothing
-    /// beside a NIC thread.
+    /// passes. The endpoint steps the node when callers step it; this caller
+    /// adds its own interface's raw queue, which only a host-driven node
+    /// fills.
     fn wait<T>(
         &self,
         timeout: Option<Duration>,
@@ -884,10 +884,9 @@ impl NetworkInterface {
         self.node
             .endpoint
             .drive_until(
-                &self.node.waiters,
                 timeout.map(|t| Instant::now() + t),
                 true,
-                || self.node.progress_once() | self.drain_raw(),
+                || self.drain_raw(),
                 check,
             )
             .unwrap_or(Err(PtlError::Timeout))
@@ -898,7 +897,7 @@ impl NetworkInterface {
     /// host-driven node, run the engine over this interface's raw queue. A
     /// no-op beside a NIC thread that runs the engine itself.
     pub fn progress(&self) {
-        self.node.drive();
+        self.node.endpoint.progress_once();
         self.drain_raw();
     }
 

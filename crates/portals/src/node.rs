@@ -7,18 +7,21 @@
 //! fails, the runtime system discards the message and increments the dropped
 //! message count for the interface."
 //!
-//! The node's one thread stands in for NIC firmware: it takes each datagram
-//! through the transport and — unless the node is host-driven — the receive
-//! engine, so selection and delivery proceed while the application computes.
+//! The node's transport endpoint owns its step: it spawns the one thread that
+//! stands in for NIC firmware, or lets blocked callers step. The node hands
+//! it one dispatcher, `NodeShared::dispatch_queued`, which takes each
+//! step's deliveries through the receive engine — or, host-driven, onto the
+//! target interface's raw queue — so selection and delivery proceed while
+//! the application computes.
 //!
-//! Blocked API calls park on the node's *waiters' doorbell*, chosen once:
-//! the link's when they step the protocol themselves (caller-driven), one of
-//! their own that only completions ring beside a NIC thread.
+//! Blocked API calls park on the endpoint's *waiters' doorbell*
+//! ([`Endpoint::readiness`]): the link's when they step the protocol
+//! themselves (caller-driven), one of their own that only completions ring
+//! beside a NIC thread. The node rings it for every completion.
 
 use crate::engine;
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
 use parking_lot::{Mutex, RwLock};
-use portals_net::{DriverHub, NodeDriver};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_transport::{Delivery, Endpoint, TransportConfig};
 use portals_types::{
@@ -27,9 +30,7 @@ use portals_types::{
 use portals_wire::PortalsMessage;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Classifies processes for the "same application" / "system" ACL entries
@@ -104,53 +105,27 @@ pub(crate) struct NodeShared {
     pub(crate) dropped_no_process: Counter,
     /// Misrouted or undecodable traffic.
     pub(crate) dropped_garbage: Counter,
-    pub(crate) alive: AtomicBool,
     /// Who runs the protocol here. Per node, not per interface: the thread
     /// that takes a datagram either runs the engine on it or does not, and it
     /// decides before it knows which interface the datagram is for.
     pub(crate) mode: ProgressMode,
     /// Per-source stream state for fragment-at-a-time delivery
-    /// ([`crate::stream`]). Only ever touched from the dispatch context
-    /// (the NIC thread, or under `dispatch_lock` when caller-driven).
+    /// ([`crate::stream`]). Only ever touched from the dispatcher, under the
+    /// endpoint's step lock.
     pub(crate) streams: Mutex<HashMap<NodeId, crate::stream::MsgStream>>,
     /// Where blocked `eq_wait`/`ct_wait` callers park, and what every
-    /// completion rings: the link's doorbell when the callers step, one of
-    /// their own beside a NIC thread (see the module docs).
+    /// completion rings: the endpoint's waiters' doorbell (see the module
+    /// docs).
     pub(crate) waiters: Arc<Readiness>,
-    /// Fabric driver registry handle: lets caller-driven wait loops advance
-    /// *other* nodes of a single-process simulation that have pending work.
-    pub(crate) hub: DriverHub,
-    /// Serializes inline dispatch so concurrent caller-driven API calls
-    /// preserve the transport's in-order delivery contract. Try-locked:
-    /// a caller finding it busy knows another thread is already dispatching.
-    dispatch_lock: Mutex<()>,
 }
 
 impl NodeShared {
-    /// Advance this node once from the calling thread: step the transport
-    /// state machines, dispatch every delivery that produced, then send the
-    /// step's acks — the NIC thread's step. Returns `true` if any work was
-    /// done. A no-op (`false`) beside a NIC thread, mid-dispatch elsewhere,
-    /// or powered off.
-    pub(crate) fn progress_once(&self) -> bool {
-        if !self.mode.is_caller_driven() {
-            return false;
-        }
-        let Some(_guard) = self.dispatch_lock.try_lock() else {
-            return false;
-        };
-        if !self.alive.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.endpoint.progress_then(|| self.dispatch_queued())
-    }
-
-    /// Run the endpoint's delivery stream — whole messages and fragments of
-    /// larger ones, queued by the transport step just before — through the
-    /// engine, with the transport's core lock released (the engine re-enters
-    /// the endpoint to send), from the one dispatch context: the NIC thread,
-    /// or the holder of `dispatch_lock`. The whole run is one [`Burst`] for
-    /// the waiters' doorbell.
+    /// The node's dispatcher: run the endpoint's delivery stream — whole
+    /// messages and fragments of larger ones, queued by the transport step
+    /// just before — through the engine, with the transport's core lock
+    /// released (the engine re-enters the endpoint to send). The endpoint's
+    /// stepper runs it under its step lock. The whole run is one [`Burst`]
+    /// for the waiters' doorbell.
     fn dispatch_queued(&self) -> bool {
         let _burst = Burst::open(&self.waiters);
         let mut worked = false;
@@ -160,19 +135,11 @@ impl NodeShared {
         }
         worked
     }
+}
 
-    /// Drive this node and any peers with pending work. In threadless mode a
-    /// polling loop — over counters, queue lengths, whatever — *is* the
-    /// progress engine, so every passive accessor funnels through here.
-    /// Returns `true` if anything was done; `false` always in NIC-thread
-    /// mode, where the NIC thread makes polling passive again.
-    pub(crate) fn drive(&self) -> bool {
-        if !self.mode.is_caller_driven() {
-            return false;
-        }
-        let mut worked = self.progress_once();
-        worked |= self.hub.service_peers();
-        worked
+impl AsRef<Endpoint> for NodeShared {
+    fn as_ref(&self) -> &Endpoint {
+        &self.endpoint
     }
 }
 
@@ -222,17 +189,6 @@ impl Drop for Burst<'_> {
     }
 }
 
-impl NodeDriver for NodeShared {
-    fn service(&self) -> bool {
-        self.progress_once()
-    }
-
-    fn has_work(&self) -> bool {
-        self.endpoint.readiness().peek() & (Readiness::INBOUND | Readiness::DELIVERED) != 0
-            || self.endpoint.timer_due()
-    }
-}
-
 /// A simulated machine: one transport endpoint, one NIC thread (none when
 /// caller-driven), and any number of process-level [`NetworkInterface`]s.
 ///
@@ -241,75 +197,49 @@ impl NodeDriver for NodeShared {
 /// those endpoints are dropped too).
 pub struct Node {
     shared: Arc<NodeShared>,
-    nic_thread: Option<JoinHandle<()>>,
 }
 
 impl Node {
     /// Bring up a node on a [`Link`](portals_net::Link) — an attached
     /// in-process NIC, a UDP socket endpoint, any datagram backend.
     ///
-    /// With [`ProgressMode::NicThread`] (the transport-config default) this
-    /// spawns the one thread that stands in for NIC firmware: parked on the
-    /// link's doorbell, it steps the transport and dispatches what arrived.
-    /// [`ProgressMode::HostDriven`] spawns the same thread; its dispatch
-    /// queues each message raw on the target interface for that interface's
-    /// next API call instead of running the engine.
-    /// With [`ProgressMode::CallerDriven`] no thread is spawned: the node is a
-    /// cooperative fabric driver and blocked API calls run that step inline.
+    /// With [`ProgressMode::NicThread`] (the transport-config default) the
+    /// endpoint spawns the one thread that stands in for NIC firmware: parked
+    /// on the link's doorbell, it steps the transport and dispatches what
+    /// arrived. [`ProgressMode::HostDriven`] spawns the same thread; its
+    /// dispatch queues each message raw on the target interface for that
+    /// interface's next API call instead of running the engine.
+    /// With [`ProgressMode::CallerDriven`] no thread is spawned: the endpoint
+    /// is a cooperative fabric driver and blocked API calls run that step
+    /// inline.
     pub fn new(link: impl portals_net::Link, config: NodeConfig) -> Node {
         let nid = link.nid();
-        let mode = config.transport.progress_mode;
-        let endpoint = Endpoint::for_node(link, config.transport, config.obs.clone());
         let node_labels = [("node", nid.0.to_string())];
-        let waiters = if mode.is_caller_driven() {
-            endpoint.readiness()
-        } else {
-            Arc::new(Readiness::new())
-        };
-        let hub = endpoint.hub();
-        let shared = Arc::new(NodeShared {
-            nid,
-            endpoint,
-            nis: RwLock::new(HashMap::new()),
-            directory: config.directory.unwrap_or_else(|| Arc::new(OpenDirectory)),
-            dropped_no_process: config
-                .obs
-                .registry
-                .counter("portals.node_dropped_no_process", &node_labels),
-            dropped_garbage: config
-                .obs
-                .registry
-                .counter("portals.node_dropped_garbage", &node_labels),
-            obs: config.obs,
-            alive: AtomicBool::new(true),
-            mode,
-            streams: Mutex::new(HashMap::new()),
-            waiters,
-            hub,
-            dispatch_lock: Mutex::new(()),
-        });
-        let nic_thread = if mode.is_caller_driven() {
-            // Threadless: volunteer for cooperative servicing, so peers'
-            // wait loops step this node and dispatch what arrives all the
-            // way to the engine.
-            shared
-                .hub
-                .register(Arc::downgrade(&shared) as std::sync::Weak<dyn NodeDriver>);
-            None
-        } else {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name(format!("portals-node-{}", nid.0))
-                    .spawn(move || {
-                        shared.endpoint.nic_loop(&shared.alive, || {
-                            shared.dispatch_queued();
-                        })
-                    })
-                    .expect("spawn node NIC thread"),
-            )
-        };
-        Node { shared, nic_thread }
+        let obs = config.obs;
+        let counter = |name| obs.registry.counter(name, &node_labels);
+        let (dropped_no_process, dropped_garbage) = (
+            counter("portals.node_dropped_no_process"),
+            counter("portals.node_dropped_garbage"),
+        );
+        let shared = Endpoint::with_dispatcher(
+            link,
+            config.transport,
+            obs.clone(),
+            |endpoint| NodeShared {
+                nid,
+                mode: endpoint.progress_mode(),
+                waiters: endpoint.readiness(),
+                endpoint,
+                nis: RwLock::new(HashMap::new()),
+                directory: config.directory.unwrap_or_else(|| Arc::new(OpenDirectory)),
+                dropped_no_process,
+                dropped_garbage,
+                obs,
+                streams: Mutex::new(HashMap::new()),
+            },
+            NodeShared::dispatch_queued,
+        );
+        Node { shared }
     }
 
     /// Whether this node runs threadless (caller-driven progress).
@@ -321,7 +251,7 @@ impl Node {
     /// transport, dispatch arrivals, and service peer nodes with pending
     /// work. Returns `true` if anything was done. A no-op in NIC-thread mode.
     pub fn progress(&self) -> bool {
-        self.shared.drive()
+        self.shared.endpoint.progress_once()
     }
 
     /// This node's id.
@@ -350,13 +280,13 @@ impl Node {
 
     /// Messages dropped because no process claimed them (§4.8 first check).
     pub fn dropped_no_process(&self) -> u64 {
-        self.shared.drive();
+        self.shared.endpoint.progress_once();
         self.shared.dropped_no_process.get()
     }
 
     /// Messages dropped as undecodable or misrouted.
     pub fn dropped_garbage(&self) -> u64 {
-        self.shared.drive();
+        self.shared.endpoint.progress_once();
         self.shared.dropped_garbage.get()
     }
 
@@ -379,15 +309,7 @@ impl Node {
 
 impl Drop for Node {
     fn drop(&mut self) {
-        self.shared.alive.store(false, Ordering::Release);
-        if let Some(handle) = self.nic_thread.take() {
-            self.shared.endpoint.readiness().ring();
-            let _ = handle.join();
-        } else {
-            // Threadless: deregister from the fabric so peers stop trying to
-            // drive a powered-off node.
-            self.shared.hub.unregister();
-        }
+        self.shared.endpoint.stop();
     }
 }
 

@@ -16,7 +16,7 @@ use portals::{
     ProgressMode, Region,
 };
 use portals_net::{Fabric, Link, LinkCaps};
-use portals_transport::TransportConfig;
+use portals_transport::{Endpoint, TransportConfig};
 use portals_types::{DoorbellQueue, Gather, MatchBits, MatchCriteria, NodeId, ProcessId};
 use portals_wire::{Packet, PacketHeader};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -249,8 +249,9 @@ fn engine_reentry_from_the_nic_thread_shares_the_core_with_callers() {
 }
 
 /// (d) One thread. Four NIC-thread nodes own four `portals-node-*` threads
-/// and nothing else of the stack's; caller-driven nodes own none; a
-/// host-driven node owns exactly one.
+/// and nothing else of the stack's; caller-driven nodes own none; a bare
+/// endpoint owns one or none the same way; a host-driven node owns exactly
+/// one.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_nic_thread_node_owns_exactly_one_thread() {
@@ -289,6 +290,29 @@ fn a_nic_thread_node_owns_exactly_one_thread() {
         let threadless = mode(ProgressMode::CallerDriven);
         let _nodes: Vec<Node> = (4..8).map(|n| node(&fabric, n, threadless)).collect();
         assert_eq!(stack_threads(), Vec::<String>::new(), "caller-driven");
+    }
+    // A bare endpoint's stepper is the same one: one thread of the same name
+    // beside a NIC thread, none when callers step.
+    {
+        let _bare = Endpoint::new(fabric.attach(NodeId(9)), mode(ProgressMode::NicThread));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stack_threads().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            stack_threads(),
+            ["portals-node-9"],
+            "bare NIC-thread endpoint"
+        );
+    }
+    assert_eq!(
+        stack_threads(),
+        Vec::<String>::new(),
+        "bare endpoint joined"
+    );
+    {
+        let _bare = Endpoint::new(fabric.attach(NodeId(10)), mode(ProgressMode::CallerDriven));
+        assert_eq!(stack_threads(), Vec::<String>::new(), "bare caller-driven");
     }
     // A host-driven node still has its NIC thread (it runs the transport),
     // and only that.

@@ -407,6 +407,58 @@ fn wait_contract_holds_in_every_mode() {
     }
 }
 
+/// Power-off, in every mode: dropping a node stops its stepper while one of
+/// its interfaces is still held. A put sent to it afterwards is never
+/// dispatched — the held interface's poll times out — and the node's
+/// `portals-node-<nid>` thread is gone. (Node ids of their own: the other
+/// tests of this file run alongside with nodes 0 and 1.)
+#[test]
+fn a_dropped_node_stays_off_while_its_interface_is_held() {
+    for mode in MODES {
+        let fabric = Fabric::ideal();
+        let node = |nid| {
+            let transport = TransportConfig {
+                progress_mode: mode,
+                ..Default::default()
+            };
+            let config = NodeConfig {
+                transport,
+                ..Default::default()
+            };
+            Node::new(fabric.attach(NodeId(nid)), config)
+        };
+        let (na, nb) = (node(8), node(9));
+        let ini = na.create_ni(1, NiConfig::default()).unwrap();
+        let tgt = nb.create_ni(1, NiConfig::default()).unwrap();
+        let eq = tgt.eq_alloc(8).unwrap();
+        let me = tgt
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        tgt.md_attach(me, MdSpec::new(Region::zeroed(8)).with_eq(eq))
+            .unwrap();
+        drop(nb);
+        let md = ini.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
+        ini.put_op(md)
+            .target(tgt.id(), 0)
+            .ack(AckRequest::NoAck)
+            .submit()
+            .unwrap();
+        let got = tgt.eq_poll(eq, Duration::from_millis(50)).map(|e| e.kind);
+        assert_eq!(got, Err(PtlError::Timeout), "{mode:?}");
+        if cfg!(target_os = "linux") {
+            let threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .map(|comm| comm.trim().to_string())
+                .collect();
+            assert!(
+                !threads.iter().any(|name| name == "portals-node-9"),
+                "{mode:?}: {threads:?}"
+            );
+        }
+    }
+}
+
 /// The lost-wakeup stress: a producer thread fires puts at arbitrary points
 /// around the consumer's check/park boundary; every eq_wait and ct_wait must
 /// return promptly. A single slept-through doorbell turns into a 5 s timeout

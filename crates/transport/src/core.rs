@@ -8,7 +8,7 @@
 //! [`ProgressMode`](portals_types::ProgressMode): the submitting caller runs
 //! `on_send` inline — the op descriptor passes from the caller's stack
 //! straight into the state machines, no command queue, no handoff — and the
-//! mode only names the thread that calls `progress_once` (the node's NIC
+//! mode only names the thread that calls `progress_once` (the endpoint's NIC
 //! thread, or whichever caller is blocked in a wait).
 //!
 //! Two receive-path optimisations live here:
@@ -270,7 +270,7 @@ impl ProgressCore {
     }
 
     pub(crate) fn on_send(&mut self, dst: NodeId, msg: Gather) {
-        self.stats.add(&self.stats.messages_sent, 1);
+        self.stats.messages_sent.add(1);
         let now = Instant::now();
         let peer = self
             .tx_peers
@@ -304,8 +304,7 @@ impl ProgressCore {
         if packets.is_empty() {
             return;
         }
-        self.stats
-            .add(&self.stats.data_packets_sent, packets.len() as u64);
+        self.stats.data_packets_sent.add(packets.len() as u64);
         if self.obs.tracer.enabled() {
             for p in &packets {
                 if let Ok(pkt) = Packet::decode_gather(p) {
@@ -361,7 +360,7 @@ impl ProgressCore {
     /// Encode (and count) the cumulative ACK for `src`, carrying the credit
     /// horizon as of now.
     fn ack(&self, src: NodeId, cumulative: u64) -> Gather {
-        self.stats.add(&self.stats.acks_sent, 1);
+        self.stats.acks_sent.add(1);
         Packet::ack(cumulative, self.advertised_credit(src)).encode()
     }
 
@@ -372,7 +371,7 @@ impl ProgressCore {
         match self.acks_owed.iter_mut().find(|(nid, _)| *nid == src) {
             Some(slot) => {
                 slot.1 = cumulative;
-                self.stats.add(&self.stats.acks_coalesced, 1);
+                self.stats.acks_coalesced.add(1);
             }
             None => self.acks_owed.push((src, cumulative)),
         }
@@ -409,10 +408,10 @@ impl ProgressCore {
                 // the packet exactly like a lost one (the retransmission
                 // timer recovers it).
                 let detail = if matches!(e, WireError::Checksum { .. }) {
-                    self.stats.add(&self.stats.checksum_rejects, 1);
+                    self.stats.checksum_rejects.add(1);
                     "checksum"
                 } else {
-                    self.stats.add(&self.stats.garbage_dropped, 1);
+                    self.stats.garbage_dropped.add(1);
                     "garbage"
                 };
                 self.obs.tracer.emit(|| {
@@ -426,7 +425,7 @@ impl ProgressCore {
         };
         match packet.header {
             PacketHeader::Ack { cumulative, credit } => {
-                self.stats.add(&self.stats.acks_received, 1);
+                self.stats.acks_received.add(1);
                 self.obs.tracer.emit(|| {
                     TraceEvent::new(Layer::Transport, Stage::Rx)
                         .node(self.nid.0)
@@ -451,7 +450,7 @@ impl ProgressCore {
                     self.outstanding
                         .fetch_sub(before - after, Ordering::Relaxed);
                     if outcome.recovered {
-                        self.stats.add(&self.stats.peers_recovered, 1);
+                        self.stats.peers_recovered.add(1);
                         self.stats.stalled_now.dec();
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Resume)
@@ -508,7 +507,7 @@ impl ProgressCore {
                 let result = peer.on_data(header, packet.body);
                 let hwm = peer.buffered_hwm() as i64;
                 if result.duplicate {
-                    self.stats.add(&self.stats.duplicates_dropped, 1);
+                    self.stats.duplicates_dropped.add(1);
                     self.obs.tracer.emit(|| {
                         TraceEvent::new(Layer::Transport, Stage::Drop)
                             .node(self.nid.0)
@@ -518,14 +517,14 @@ impl ProgressCore {
                             .detail("duplicate")
                     });
                 } else if result.out_of_order && result.buffered {
-                    self.stats.add(&self.stats.ooo_buffered, 1);
+                    self.stats.ooo_buffered.add(1);
                     // Only the lock holder writes the gauge, so read-then-set
                     // keeps the max without an atomic max primitive.
                     if hwm > self.stats.bytes_buffered_hwm.get() {
                         self.stats.bytes_buffered_hwm.set(hwm);
                     }
                 } else if result.out_of_order {
-                    self.stats.add(&self.stats.out_of_order_dropped, 1);
+                    self.stats.out_of_order_dropped.add(1);
                     self.obs.tracer.emit(|| {
                         TraceEvent::new(Layer::Transport, Stage::Drop)
                             .node(self.nid.0)
@@ -536,10 +535,9 @@ impl ProgressCore {
                     });
                 }
                 if result.noncontiguous > 0 {
-                    self.stats.add(
-                        &self.stats.noncontiguous_dropped,
-                        u64::from(result.noncontiguous),
-                    );
+                    self.stats
+                        .noncontiguous_dropped
+                        .add(u64::from(result.noncontiguous));
                     self.obs.tracer.emit(|| {
                         TraceEvent::new(Layer::Transport, Stage::Drop)
                             .node(self.nid.0)
@@ -559,10 +557,10 @@ impl ProgressCore {
                     };
                     // In-order arrival: the packet itself, or a buffered
                     // successor it spliced back into the stream.
-                    self.stats.add(&self.stats.data_packets_accepted, 1);
+                    self.stats.data_packets_accepted.add(1);
                     let last = slice.last();
                     if last {
-                        self.stats.add(&self.stats.messages_delivered, 1);
+                        self.stats.messages_delivered.add(1);
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Deliver)
                                 .node(self.nid.0)
@@ -583,7 +581,7 @@ impl ProgressCore {
                     // the consumer scatters it immediately instead of waiting
                     // for the rest. Contiguous fragments within one run
                     // coalesce into a single delivery.
-                    self.stats.add(&self.stats.frags_streamed, 1);
+                    self.stats.frags_streamed.add(1);
                     match self.staged.last_mut() {
                         Some(Delivery::Fragment(p))
                             if p.src == src
@@ -621,7 +619,7 @@ impl ProgressCore {
                 Some(actual) if actual <= now => {
                     let result = peer.on_timeout(&self.cfg, now);
                     if result.newly_stalled {
-                        self.stats.add(&self.stats.peers_stalled, 1);
+                        self.stats.peers_stalled.add(1);
                         self.stats.stalled_now.inc();
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Stall)
@@ -630,7 +628,7 @@ impl ProgressCore {
                         });
                     }
                     let n = result.resend.len() as u64;
-                    self.stats.add(&self.stats.retransmissions, n);
+                    self.stats.retransmissions.add(n);
                     if n > 0 {
                         let me = self.nid.0;
                         self.peer_retx
@@ -644,7 +642,7 @@ impl ProgressCore {
                             .add(n);
                     }
                     let bytes: u64 = result.resend.iter().map(|p| p.len() as u64).sum();
-                    self.stats.add(&self.stats.resend_bytes, bytes);
+                    self.stats.resend_bytes.add(bytes);
                     self.send_data(nid, result.resend, Stage::Retransmit);
                     if let Some(probe) = result.probe {
                         self.flow.probes_sent.inc();

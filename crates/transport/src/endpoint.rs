@@ -1,6 +1,9 @@
-//! The public transport endpoint: one progress core behind one mutex. Callers
-//! submit inline under it; the [`ProgressMode`] decides only who steps it — a
-//! NIC thread parked on the doorbell, or the caller blocked in `recv`/`flush`.
+//! The public transport endpoint: one progress core behind one mutex, and the
+//! one owner of its step. Callers submit inline under the core lock. The
+//! [`ProgressMode`] decides who steps it — a NIC thread the endpoint spawns,
+//! parked on the link's doorbell, or the caller blocked in a wait — and so
+//! where blocked callers park. A node above hands the endpoint one
+//! dispatcher, run over each step's deliveries; a bare endpoint has none.
 
 use crate::config::TransportConfig;
 use crate::core::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
@@ -88,10 +91,11 @@ pub enum Delivery {
 /// ```
 pub struct Endpoint {
     nid: NodeId,
-    /// What the core delivered. Its doorbell is the one `recv`/`flush` park
-    /// on: the link's, except for a standalone NIC-thread endpoint, which
-    /// has one of its own.
+    /// What the core delivered. It rings whoever consumes it: the stepper's
+    /// doorbell when a dispatcher runs over it, `waiters` when `recv` does.
     incoming: Arc<DoorbellQueue<Delivery>>,
+    /// Where blocked callers park ([`Endpoint::readiness`]).
+    waiters: Arc<Readiness>,
     /// Per-source accumulators folding streamed fragments back into whole
     /// messages for the message-level `recv` API. Consumers that take raw
     /// deliveries via [`Endpoint::pop_delivery`] (the Portals engine) never
@@ -106,38 +110,61 @@ pub struct Endpoint {
     /// Shared with this endpoint's NIC thread or — caller-driven — registered
     /// (through a `Weak`) as its cooperative [`NodeDriver`] for peers' waits.
     stepper: Arc<Stepper>,
-    /// A standalone NIC-thread endpoint's own thread. `None` when callers
-    /// step, and when a node above runs [`Endpoint::nic_loop`] on its thread.
-    nic_thread: Option<JoinHandle<()>>,
+    /// The NIC thread, until [`Endpoint::stop`] joins it. `None` when callers
+    /// step.
+    nic_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// The core under its lock, plus what stepping it needs lock-free.
+/// What a node runs over each step's deliveries, with the core lock
+/// released. Returns whether it had any.
+type Dispatch = Box<dyn Fn() -> bool + Send + Sync>;
+
+/// The core under its lock, the step lock, and what stepping needs lock-free.
 struct Stepper {
     core: Mutex<ProgressCore>,
-    /// The NIC's readiness doorbell, shared with the link and the layers
-    /// above: the NIC thread and caller-driven waits park on it.
+    /// The step lock: one thread steps at a time, so the deliveries reach
+    /// the dispatcher it holds in the transport's per-source order. `None`
+    /// for a bare endpoint, whose callers pop the deliveries themselves.
+    step: Mutex<Option<Dispatch>>,
+    /// The link's doorbell: arrivals ring it, and the NIC thread parks on it.
     readiness: Arc<Readiness>,
+    /// The bits of `readiness` a step acts on: `INBOUND`, and `DELIVERED`
+    /// when a dispatcher consumes the deliveries.
+    work: u64,
     /// Next deadline the core published (`DEADLINE_NONE` when idle).
     deadline_ns: Arc<AtomicU64>,
     /// Longest park of the NIC thread (see [`Stepper::run`]).
     rto_base: Duration,
-    /// Cleared on drop to stop a standalone endpoint's NIC thread.
+    /// Cleared by [`Endpoint::stop`]: nothing steps a stopped endpoint.
     alive: AtomicBool,
 }
 
 impl Stepper {
-    /// One step, in the order every progress mode shares: step the core, run
-    /// `dispatch` over what the step delivered with the core lock released
-    /// (the engine re-enters [`Endpoint::send`], where an owed ack rides on
-    /// the first data to its peer), then send the acks still owed. The step
-    /// reports whether it left any while it still holds the lock, so the
-    /// flush takes the lock again only then. Returns whether the step or
-    /// `dispatch` did any work.
+    /// One step, in the order every progress mode shares: under the step
+    /// lock, step the core, run the dispatcher over what the step delivered
+    /// with the core lock released (the engine re-enters [`Endpoint::send`],
+    /// where an owed ack rides on the first data to its peer), then send the
+    /// acks still owed. The step reports whether it left any while it still
+    /// holds the core lock, so the flush takes that lock again only then.
+    /// Returns whether the step or the dispatcher did any work.
     ///
-    /// Without `blocking` a busy core skips the step — correct for a waiter:
-    /// the holder is stepping (and will flush), or is a submitter — but not
-    /// the dispatch, which may have deliveries from another step to run.
-    fn step_then(&self, blocking: bool, dispatch: impl FnOnce() -> bool) -> bool {
+    /// The NIC thread steps `blocking`: a submitter holding the core lock
+    /// drains nothing, so skipping would strand the datagram that rang.
+    /// Callers and peers try both locks. A busy step lock is another stepper
+    /// at work; a busy core lock is a submitter, which skips the core step
+    /// but not the dispatch (it may have deliveries from another step).
+    fn step(&self, blocking: bool) -> bool {
+        let step = if blocking {
+            Some(self.step.lock())
+        } else {
+            self.step.try_lock()
+        };
+        let Some(dispatch) = step else {
+            return false;
+        };
+        if !self.alive.load(Ordering::Acquire) {
+            return false;
+        }
         let core = if blocking {
             Some(self.core.lock())
         } else {
@@ -147,17 +174,11 @@ impl Stepper {
             let worked = core.progress_once();
             (worked, core.owes_acks())
         });
-        let dispatched = dispatch();
+        let dispatched = dispatch.as_ref().is_some_and(|dispatch| dispatch());
         if owed {
             self.core.lock().flush_acks();
         }
         worked || dispatched
-    }
-
-    /// Step the core, and ack what that delivered, if no other thread is
-    /// inside it.
-    fn progress_once(&self) -> bool {
-        self.step_then(false, || false)
     }
 
     fn next_deadline(&self) -> Option<Instant> {
@@ -172,28 +193,22 @@ impl Stepper {
         deadline != DEADLINE_NONE && deadline <= instant_to_ns(Instant::now())
     }
 
-    /// The NIC thread: step the core, run `dispatch` on what that delivered
-    /// with the core lock released (the engine re-enters [`Endpoint::send`]),
-    /// send the step's acks ([`Stepper::step_then`]), then park on the
-    /// doorbell until it rings or a timer is due.
+    /// The NIC thread, until stopped: step ([`Stepper::step`], blocking),
+    /// then park on the link's doorbell until it rings or a timer is due.
     ///
-    /// The doorbell sequence is read before the step, so a datagram landing
-    /// after it makes the park return at once. Submitting callers do *not*
-    /// ring: a timer one arms during the park is due no earlier than the
-    /// park's start plus `rto_base`, which therefore bounds every park.
-    fn run(&self, alive: &AtomicBool, mut dispatch: impl FnMut()) {
+    /// The doorbell sequence is read before the stop flag and the step, so a
+    /// datagram landing after it — or [`Endpoint::stop`], which rings — makes
+    /// the park return at once. Submitting callers do *not* ring: a timer one
+    /// arms during the park is due no earlier than the park's start plus
+    /// `rto_base`, which therefore bounds every park.
+    fn run(&self) {
         loop {
             let observed = self.readiness.seq();
-            if !alive.load(Ordering::Acquire) {
+            if !self.alive.load(Ordering::Acquire) {
                 return;
             }
             let started = Instant::now();
-            // Blocking, never `try_lock`: the holder may be a submitter, which
-            // drains nothing — skipping would strand the datagram that rang.
-            self.step_then(true, || {
-                dispatch();
-                false
-            });
+            self.step(true);
             let mut bound = started + self.rto_base;
             if let Some(next) = self.next_deadline() {
                 bound = bound.min(next);
@@ -206,11 +221,11 @@ impl Stepper {
 
 impl NodeDriver for Stepper {
     fn service(&self) -> bool {
-        self.progress_once()
+        self.step(false)
     }
 
     fn has_work(&self) -> bool {
-        self.readiness.peek() & Readiness::INBOUND != 0 || self.timer_due()
+        self.readiness.peek() & self.work != 0 || self.timer_due()
     }
 }
 
@@ -247,41 +262,40 @@ impl Endpoint {
     /// a hard datagram bound clamps it so every DATA packet (header + body)
     /// fits in one datagram.
     pub fn with_obs(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
-        // Beside a NIC thread the caller waits for deliveries alone, on a
-        // doorbell of its own: a datagram (an ack among them) wakes the NIC
-        // thread only, and the delivery it produces wakes the caller.
-        let own_doorbell = !cfg.progress_mode.is_caller_driven();
-        let mut endpoint = Endpoint::build(link, cfg, obs, own_doorbell);
-        let stepper = Arc::clone(&endpoint.stepper);
-        if endpoint.mode.is_caller_driven() {
-            // Volunteer for cooperative servicing so peers' wait loops keep
-            // this endpoint's protocol moving while nothing here blocks.
-            endpoint
-                .hub
-                .register(Arc::downgrade(&stepper) as Weak<dyn NodeDriver>);
-        } else {
-            endpoint.nic_thread = Some(
-                std::thread::Builder::new()
-                    .name(format!("portals-nic-{}", endpoint.nid.0))
-                    .spawn(move || stepper.run(&stepper.alive, || {}))
-                    .expect("spawn NIC thread"),
-            );
-        }
+        let endpoint = Endpoint::build(link, cfg, obs, false);
+        endpoint.start(None);
         endpoint
     }
 
-    /// [`Endpoint::with_obs`] for a node that brings its own NIC thread and
-    /// its own cooperative driver: nothing steps this endpoint until the node
-    /// runs [`Endpoint::nic_loop`] or, caller-driven, registers a driver with
-    /// [`Endpoint::hub`].
+    /// [`Endpoint::with_obs`] for a node: `owner` builds the node around the
+    /// endpoint, and only then does the stepper start, running `dispatch`
+    /// over every step's deliveries — so no delivery ever waits on a node
+    /// that does not exist yet.
     #[doc(hidden)]
-    pub fn for_node(link: impl Link, cfg: TransportConfig, obs: Obs) -> Endpoint {
-        Endpoint::build(link, cfg, obs, false)
+    pub fn with_dispatcher<N>(
+        link: impl Link,
+        cfg: TransportConfig,
+        obs: Obs,
+        owner: impl FnOnce(Endpoint) -> N,
+        dispatch: fn(&N) -> bool,
+    ) -> Arc<N>
+    where
+        N: AsRef<Endpoint> + Send + Sync + 'static,
+    {
+        let node = Arc::new(owner(Endpoint::build(link, cfg, obs, true)));
+        let weak = Arc::downgrade(&node);
+        (*node).as_ref().start(Some(Box::new(move || {
+            weak.upgrade().is_some_and(|node| dispatch(&node))
+        })));
+        node
     }
 
-    /// The endpoint, with nothing stepping it yet; its delivery queue rings
-    /// the link's doorbell unless `own_doorbell`.
-    fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, own_doorbell: bool) -> Endpoint {
+    /// The endpoint, with nothing stepping it yet. Blocked callers park on
+    /// the link's doorbell when they step, and beside a NIC thread on one of
+    /// their own, so that a datagram (an ack among them) wakes the NIC thread
+    /// only. The delivery queue rings whoever consumes it: the stepper when
+    /// a dispatcher will (`dispatched`), the waiters otherwise.
+    fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, dispatched: bool) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         let LinkCaps {
             hub,
@@ -298,12 +312,20 @@ impl Endpoint {
         }
         let nid = link.nid();
         let readiness = Arc::clone(link.inbound_receiver().readiness());
-        let delivered_on = if own_doorbell {
-            Arc::new(Readiness::new())
-        } else {
+        let waiters = if cfg.progress_mode.is_caller_driven() {
             Arc::clone(&readiness)
+        } else {
+            Arc::new(Readiness::new())
         };
-        let incoming = Arc::new(DoorbellQueue::new(delivered_on, Readiness::DELIVERED));
+        let (delivered_on, work) = if dispatched {
+            (&readiness, Readiness::INBOUND | Readiness::DELIVERED)
+        } else {
+            (&waiters, Readiness::INBOUND)
+        };
+        let incoming = Arc::new(DoorbellQueue::new(
+            Arc::clone(delivered_on),
+            Readiness::DELIVERED,
+        ));
         let stats = Arc::new(TransportStats::new(&obs.registry, nid.0));
         let flow = Arc::new(FlowStats::new(&obs.registry, nid.0));
         let outstanding = Arc::new(AtomicUsize::new(0));
@@ -321,7 +343,9 @@ impl Endpoint {
         );
         let stepper = Arc::new(Stepper {
             core: Mutex::new(core),
+            step: Mutex::new(None),
             readiness,
+            work,
             deadline_ns,
             rto_base: cfg.rto_base,
             alive: AtomicBool::new(true),
@@ -329,6 +353,7 @@ impl Endpoint {
         Endpoint {
             nid,
             incoming,
+            waiters,
             reasm: Mutex::new(std::collections::HashMap::new()),
             hub,
             stats,
@@ -336,25 +361,48 @@ impl Endpoint {
             outstanding,
             mode: cfg.progress_mode,
             stepper,
-            nic_thread: None,
+            nic_thread: Mutex::new(None),
         }
     }
 
-    /// The NIC thread's loop, for the node that owns the thread: until
-    /// `alive` clears (ring the doorbell after clearing it), step, run
-    /// `dispatch` over what that delivered, send the step's acks, park on the
-    /// doorbell.
-    #[doc(hidden)]
-    pub fn nic_loop(&self, alive: &AtomicBool, dispatch: impl FnMut()) {
-        self.stepper.run(alive, dispatch)
+    /// Hand the stepper its dispatcher, then start whoever steps: register
+    /// the cooperative driver when callers step, spawn the NIC thread
+    /// otherwise.
+    fn start(&self, dispatch: Option<Dispatch>) {
+        *self.stepper.step.lock() = dispatch;
+        if self.mode.is_caller_driven() {
+            // Volunteer for cooperative servicing so peers' wait loops keep
+            // this endpoint's protocol moving while nothing here blocks.
+            self.hub
+                .register(Arc::downgrade(&self.stepper) as Weak<dyn NodeDriver>);
+        } else {
+            let stepper = Arc::clone(&self.stepper);
+            *self.nic_thread.lock() = Some(
+                std::thread::Builder::new()
+                    .name(format!("portals-node-{}", self.nid.0))
+                    .spawn(move || stepper.run())
+                    .expect("spawn NIC thread"),
+            );
+        }
     }
 
-    /// A caller-driven node's step: [`Endpoint::progress_once`] with
-    /// `dispatch` run over what it delivered before the step's acks leave.
-    /// Returns whether the step or `dispatch` did any work.
-    #[doc(hidden)]
-    pub fn progress_then(&self, dispatch: impl FnOnce() -> bool) -> bool {
-        self.stepper.step_then(false, dispatch)
+    /// Power the endpoint off: nothing steps it from now on. Clears the
+    /// stepper's alive flag, rings its doorbell, and joins the NIC thread or
+    /// withdraws the cooperative driver. Dropping the endpoint stops it; a
+    /// node stops it when the node powers off while its interfaces still
+    /// hold the endpoint. Idempotent.
+    pub fn stop(&self) {
+        if !self.stepper.alive.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        self.stepper.readiness.ring();
+        let nic_thread = self.nic_thread.lock().take();
+        match nic_thread {
+            Some(handle) => {
+                let _ = handle.join();
+            }
+            None => self.hub.unregister(),
+        }
     }
 
     /// Endpoint with default configuration.
@@ -425,11 +473,11 @@ impl Endpoint {
         self.recv_until(None)
     }
 
-    /// Non-blocking receive. In caller-driven mode one progress step runs
-    /// first, so "poll until something arrives" loops make progress.
+    /// Non-blocking receive. In caller-driven mode one round of progress
+    /// runs first ([`Endpoint::progress_once`]), so "poll until something
+    /// arrives" loops make progress.
     pub fn try_recv(&self) -> Option<IncomingMessage> {
-        let queued = self.incoming.readiness().peek() & Readiness::DELIVERED != 0;
-        if self.mode.is_caller_driven() && !queued {
+        if self.incoming.readiness().peek() & Readiness::DELIVERED == 0 {
             self.progress_once();
         }
         self.pop_message()
@@ -441,24 +489,15 @@ impl Endpoint {
     }
 
     fn recv_until(&self, deadline: Option<Instant>) -> Option<IncomingMessage> {
-        self.drive_until(
-            self.incoming.readiness(),
-            deadline,
-            true,
-            || self.step_if_caller_driven(),
-            || self.pop_message(),
-        )
-    }
-
-    fn step_if_caller_driven(&self) -> bool {
-        self.mode.is_caller_driven() && self.progress_once()
+        self.drive_until(deadline, true, || false, || self.pop_message())
     }
 
     /// The one wait loop beneath every blocking call (`recv`, `flush`, and
-    /// through this hidden seam the Portals event and counter waits): `step`
-    /// (the caller's share of the protocol; true if it did work) → `check` →
-    /// service peers → bounded spin → park on `doorbell`, until `check`
-    /// yields or `deadline` passes (`None`). Only a caller-driven waiter
+    /// through this hidden seam the Portals event and counter waits): step
+    /// (when callers step) and `work` (the caller's own extra work; true if
+    /// it did any) → `check` → service peers → bounded spin → park on the
+    /// waiters' doorbell ([`Endpoint::readiness`]), until `check` yields or
+    /// `deadline` passes (`None`). Only a caller-driven waiter steps,
     /// services peers, spins (if `spin`) and wakes for the transport's
     /// timers; beside a NIC thread it parks at once, on a doorbell the work
     /// it waits for rings.
@@ -469,10 +508,9 @@ impl Endpoint {
     #[doc(hidden)]
     pub fn drive_until<T>(
         &self,
-        doorbell: &Readiness,
         deadline: Option<Instant>,
         spin: bool,
-        mut step: impl FnMut() -> bool,
+        mut work: impl FnMut() -> bool,
         mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
         let stepping = self.mode.is_caller_driven();
@@ -483,8 +521,8 @@ impl Endpoint {
         };
         let mut idle_iters: u32 = 0;
         loop {
-            let observed = doorbell.seq();
-            let worked = step();
+            let observed = self.waiters.seq();
+            let worked = (stepping && self.stepper.step(false)) | work();
             if let Some(v) = check() {
                 return Some(v);
             }
@@ -522,7 +560,8 @@ impl Endpoint {
             if let Some(d) = deadline {
                 bound = bound.min(d);
             }
-            doorbell.wait(observed, bound.saturating_duration_since(now));
+            self.waiters
+                .wait(observed, bound.saturating_duration_since(now));
         }
     }
 
@@ -559,20 +598,22 @@ impl Endpoint {
         // ring from the step that takes the last ack: it would cost every
         // caller-driven waiter an idle turn per ack (DESIGN.md §6f).
         self.drive_until(
-            self.incoming.readiness(),
             Some(Instant::now() + timeout),
             false,
-            || self.step_if_caller_driven(),
+            || false,
             || (self.outstanding() == 0).then_some(()),
         )
         .is_some()
     }
 
-    /// Step this endpoint's protocol state machines once from the calling
-    /// thread, unless another thread is inside them. Returns `true` if any
-    /// datagram was processed. Beside a NIC thread nothing needs to call it.
+    /// Drive the protocol once from the calling thread, where callers drive
+    /// it: step this endpoint (running a node's dispatcher over what the step
+    /// delivered) unless another thread is inside it, then service peers with
+    /// pending work. A polling loop — over `try_recv`, counters, queue
+    /// lengths — is then the progress engine. Returns whether anything was
+    /// done; always `false` beside a NIC thread, which does this itself.
     pub fn progress_once(&self) -> bool {
-        self.stepper.progress_once()
+        self.mode.is_caller_driven() && (self.stepper.step(false) | self.hub.service_peers())
     }
 
     /// The progress mode this endpoint was built with.
@@ -580,17 +621,12 @@ impl Endpoint {
         self.mode
     }
 
-    /// This node's readiness doorbell: the link's, where arrivals ring. A
-    /// waiter that steps the protocol itself parks here, so one park covers
-    /// every work class.
+    /// The doorbell a caller blocked on this endpoint parks on: the link's,
+    /// where arrivals ring, when callers step the protocol; beside a NIC
+    /// thread one of its own, which only the work it waits for rings. A node
+    /// rings it for every completion.
     pub fn readiness(&self) -> Arc<Readiness> {
-        Arc::clone(&self.stepper.readiness)
-    }
-
-    /// The fabric driver-hub handle for this node, for registering a
-    /// higher-level cooperative driver and servicing peers from wait loops.
-    pub fn hub(&self) -> DriverHub {
-        self.hub.clone()
+        Arc::clone(&self.waiters)
     }
 
     /// Next deadline the protocol needs the caller back by (nearest
@@ -598,12 +634,6 @@ impl Endpoint {
     /// last progress step. `None` when idle.
     pub fn next_deadline(&self) -> Option<Instant> {
         self.stepper.next_deadline()
-    }
-
-    /// True when [`Endpoint::next_deadline`] is due — i.e. a progress step
-    /// would fire timers or deliver wire packets right now.
-    pub fn timer_due(&self) -> bool {
-        self.stepper.timer_due()
     }
 
     /// Snapshot the transport counters.
@@ -619,15 +649,7 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.stepper.alive.store(false, Ordering::Release);
-        self.stepper.readiness.ring();
-        if let Some(handle) = self.nic_thread.take() {
-            let _ = handle.join();
-        }
-        // Withdraw from cooperative servicing before the core (and the NIC
-        // inside it) is torn down. The `Weak` registration would go dead
-        // anyway; this just prunes it eagerly.
-        self.hub.unregister();
+        self.stop();
     }
 }
 

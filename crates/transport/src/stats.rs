@@ -110,10 +110,6 @@ impl TransportStats {
         }
     }
 
-    pub(crate) fn add(&self, counter: &Counter, n: u64) {
-        counter.add(n);
-    }
-
     /// Snapshot into plain data.
     pub fn snapshot(&self) -> TransportStatsSnapshot {
         TransportStatsSnapshot {
@@ -252,8 +248,8 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let s = TransportStats::default();
-        s.add(&s.messages_sent, 2);
-        s.add(&s.retransmissions, 5);
+        s.messages_sent.add(2);
+        s.retransmissions.add(5);
         s.stalled_now.inc();
         let snap = s.snapshot();
         assert_eq!(snap.messages_sent, 2);
