@@ -6,7 +6,7 @@ use crate::driver::DriverRegistry;
 #[cfg(test)]
 use crate::driver::NodeDriver;
 use crate::nic::{Datagram, Nic};
-use crate::stats::{FabricStats, FabricStatsSnapshot};
+use crate::stats::FabricStats;
 use parking_lot::{Condvar, Mutex, RwLock};
 use portals_obs::{Layer, Stage, TraceEvent, NONE_U64};
 use portals_types::{DoorbellQueue, Gather, NodeId, Readiness};
@@ -411,9 +411,10 @@ impl Fabric {
         self.shared.clock
     }
 
-    /// Snapshot wire-level statistics.
-    pub fn stats(&self) -> FabricStatsSnapshot {
-        self.shared.stats.snapshot()
+    /// The live wire-level counters (`fabric.*`); read a value with
+    /// `.get()` at the point it is needed.
+    pub fn stats(&self) -> &FabricStats {
+        &self.shared.stats
     }
 
     /// Sever the directed link `src → dst`. Packets sent while severed are lost
@@ -501,6 +502,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::link::Link;
     use bytes::Bytes;
+    use portals_obs::Obs;
 
     fn dgram(src: u32, dst: u32, len: usize) -> Bytes {
         let _ = (src, dst);
@@ -579,8 +581,8 @@ mod tests {
         }
         assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
         let stats = fabric.stats();
-        assert_eq!(stats.packets_lost, 10);
-        assert_eq!(stats.packets_delivered, 0);
+        assert_eq!(stats.packets_lost.get(), 10);
+        assert_eq!(stats.packets_delivered.get(), 0);
     }
 
     #[test]
@@ -598,7 +600,7 @@ mod tests {
         a.send(NodeId(1), dgram(0, 1, 8));
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
-        assert_eq!(fabric.stats().packets_duplicated, 1);
+        assert_eq!(fabric.stats().packets_duplicated.get(), 1);
     }
 
     #[test]
@@ -634,7 +636,7 @@ mod tests {
         for _ in 0..2 * N {
             b.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(fabric.stats().packets_duplicated as usize, N);
+        assert_eq!(fabric.stats().packets_duplicated.get() as usize, N);
 
         // WireDeliver events are emitted in delivery order. With dup
         // probability 1.0 the original of send k has wire seq 2k and its
@@ -700,7 +702,7 @@ mod tests {
         let fabric = Fabric::ideal();
         let a = fabric.attach(NodeId(0));
         a.send(NodeId(99), dgram(0, 99, 4));
-        assert_eq!(fabric.stats().packets_unroutable, 1);
+        assert_eq!(fabric.stats().packets_unroutable.get(), 1);
     }
 
     #[test]
@@ -786,7 +788,9 @@ mod tests {
     #[test]
     fn bypass_batch_to_one_node_is_one_push_counted_as_its_sends() {
         let batch = || (0..5u8).map(|i| (NodeId(1), Gather::from_vec(vec![i; 10 + i as usize])));
-        let (batched, singles) = (Fabric::ideal(), Fabric::ideal());
+        let fabric = |obs: &Obs| Fabric::new(FabricConfig::ideal().with_obs(obs.clone()));
+        let (batched_obs, singles_obs) = (Obs::default(), Obs::default());
+        let (batched, singles) = (fabric(&batched_obs), fabric(&singles_obs));
         let (a, b) = (batched.attach(NodeId(0)), batched.attach(NodeId(1)));
         let (a1, _b1) = (singles.attach(NodeId(0)), singles.attach(NodeId(1)));
         let doorbell = Arc::clone(b.inbound_receiver().readiness());
@@ -799,8 +803,11 @@ mod tests {
         for (dst, payload) in batch() {
             a1.send(dst, payload);
         }
-        assert_eq!(batched.stats(), singles.stats());
-        assert_eq!(batched.stats().packets_delivered, 5);
+        assert_eq!(
+            batched_obs.registry.snapshot(),
+            singles_obs.registry.snapshot()
+        );
+        assert_eq!(batched.stats().packets_delivered.get(), 5);
     }
 
     #[test]
@@ -816,10 +823,10 @@ mod tests {
         let to = |n| (NodeId(n), Gather::copy_from_slice(b"x"));
         a.send_batch(vec![to(1), to(2), to(1), to(99), to(99), to(2)]);
         let stats = fabric.stats();
-        assert_eq!(stats.packets_sent, 6);
-        assert_eq!(stats.packets_lost, 2, "partitioned");
-        assert_eq!(stats.packets_unroutable, 2);
-        assert_eq!(stats.packets_delivered, 2);
+        assert_eq!(stats.packets_sent.get(), 6);
+        assert_eq!(stats.packets_lost.get(), 2, "partitioned");
+        assert_eq!(stats.packets_unroutable.get(), 2);
+        assert_eq!(stats.packets_delivered.get(), 2);
         assert_eq!((b.pending(), c.pending()), (0, 2));
         let drops = |why: &str| {
             ring.events()
@@ -851,7 +858,7 @@ mod tests {
             } else {
                 stream.for_each(|(dst, payload)| a.send(dst, payload));
             }
-            let lost = fabric.stats().packets_lost;
+            let lost = fabric.stats().packets_lost.get();
             let got: Vec<u8> = (0..u64::from(N) - lost)
                 .map(|_| {
                     b.recv_timeout(Duration::from_secs(5))

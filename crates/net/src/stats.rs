@@ -7,14 +7,13 @@
 //!
 //! The counters are [`portals_obs`] series registered under `fabric.*`, so a
 //! registry shared through [`crate::FabricConfig::with_obs`] sees the same
-//! numbers the snapshot API returns — the snapshot structs are thin views.
+//! numbers [`crate::Fabric::stats`] reads.
 
 use portals_obs::{Counter, Registry};
 
 /// Wire-level counters for the whole fabric.
 ///
-/// Registered as `fabric.*` counter series; [`Default`] registers into a
-/// throwaway registry for standalone use.
+/// Registered as `fabric.*` counter series.
 #[derive(Debug)]
 pub struct FabricStats {
     /// Packets handed to the fabric by senders.
@@ -47,60 +46,11 @@ impl FabricStats {
             bytes_delivered: registry.counter("fabric.bytes_delivered", &[]),
         }
     }
-
-    /// Snapshot all counters.
-    pub fn snapshot(&self) -> FabricStatsSnapshot {
-        FabricStatsSnapshot {
-            packets_sent: self.packets_sent.get(),
-            packets_delivered: self.packets_delivered.get(),
-            packets_lost: self.packets_lost.get(),
-            packets_duplicated: self.packets_duplicated.get(),
-            packets_unroutable: self.packets_unroutable.get(),
-            bytes_sent: self.bytes_sent.get(),
-            bytes_delivered: self.bytes_delivered.get(),
-        }
-    }
-}
-
-impl Default for FabricStats {
-    fn default() -> Self {
-        FabricStats::new(&Registry::default())
-    }
-}
-
-/// Plain-data snapshot of [`FabricStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FabricStatsSnapshot {
-    /// Packets handed to the fabric by senders.
-    pub packets_sent: u64,
-    /// Packets delivered to a NIC's inbound queue.
-    pub packets_delivered: u64,
-    /// Packets destroyed by injected loss.
-    pub packets_lost: u64,
-    /// Extra copies created by injected duplication.
-    pub packets_duplicated: u64,
-    /// Packets addressed to a node with no attached NIC.
-    pub packets_unroutable: u64,
-    /// Payload bytes handed to the fabric.
-    pub bytes_sent: u64,
-    /// Payload bytes delivered.
-    pub bytes_delivered: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_reflects_counters() {
-        let s = FabricStats::default();
-        s.packets_sent.add(3);
-        s.bytes_sent.add(300);
-        let snap = s.snapshot();
-        assert_eq!(snap.packets_sent, 3);
-        assert_eq!(snap.bytes_sent, 300);
-        assert_eq!(snap.packets_lost, 0);
-    }
 
     #[test]
     fn series_are_visible_through_a_shared_registry() {

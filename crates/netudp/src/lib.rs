@@ -33,4 +33,4 @@ mod stats;
 pub use link::{UdpLink, UdpLinkConfig};
 pub use mmsg::UDP_MAX_DATAGRAM;
 pub use rendezvous::{register, RendezvousServer, RendezvousTicket};
-pub use stats::{UdpStats, UdpStatsSnapshot};
+pub use stats::UdpStats;

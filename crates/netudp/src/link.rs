@@ -2,7 +2,7 @@
 
 use crate::frame::{self, FrameError, FRAME_HEADER};
 use crate::mmsg::{self, RecvMeta};
-use crate::stats::{UdpStats, UdpStatsSnapshot};
+use crate::stats::UdpStats;
 use parking_lot::{Mutex, RwLock};
 use portals_net::{Datagram, DriverHub, DriverRegistry, Link, LinkCaps};
 use portals_obs::Obs;
@@ -243,9 +243,10 @@ impl UdpLink {
             .store(clamp_payload(max_payload), Ordering::Relaxed);
     }
 
-    /// Snapshot the `net.udp.*` counters.
-    pub fn stats(&self) -> UdpStatsSnapshot {
-        self.stats.snapshot()
+    /// The live `net.udp.*` counters; read a value with `.get()` at the
+    /// point it is needed.
+    pub fn stats(&self) -> &UdpStats {
+        &self.stats
     }
 
     /// Frame `payload` for the wire: header plus the gather's segments
@@ -462,6 +463,7 @@ impl RxThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use portals_obs::Registry;
     use std::io;
     use std::sync::atomic::AtomicU32;
     use std::time::Instant;
@@ -477,7 +479,7 @@ mod tests {
     /// burned their whole budget in nanoseconds and always dropped here.
     #[test]
     fn retry_absorbs_transient_pressure() {
-        let stats = UdpStats::default();
+        let stats = UdpStats::new(&Registry::new(), 0);
         let t0 = Instant::now();
         let result = retry_transient(&stats.wouldblock_retries, || {
             if t0.elapsed() < Duration::from_millis(2) {
@@ -495,7 +497,7 @@ mod tests {
 
     #[test]
     fn retry_budget_is_bounded() {
-        let stats = UdpStats::default();
+        let stats = UdpStats::new(&Registry::new(), 0);
         let calls = AtomicU32::new(0);
         let result: io::Result<()> = retry_transient(&stats.wouldblock_retries, || {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -508,7 +510,7 @@ mod tests {
 
     #[test]
     fn non_transient_errors_fail_fast() {
-        let stats = UdpStats::default();
+        let stats = UdpStats::new(&Registry::new(), 0);
         let result: io::Result<()> = retry_transient(&stats.wouldblock_retries, || {
             Err(io::Error::new(ErrorKind::PermissionDenied, "nope"))
         });

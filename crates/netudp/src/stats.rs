@@ -95,54 +95,4 @@ impl UdpStats {
             send_errors: c("net.udp.send_errors"),
         }
     }
-
-    /// Snapshot into plain data.
-    pub fn snapshot(&self) -> UdpStatsSnapshot {
-        UdpStatsSnapshot {
-            datagrams_sent: self.datagrams_sent.get(),
-            bytes_sent: self.bytes_sent.get(),
-            frame_bytes_sent: self.frame_bytes_sent.get(),
-            datagrams_received: self.datagrams_received.get(),
-            bytes_received: self.bytes_received.get(),
-            frame_bytes_received: self.frame_bytes_received.get(),
-            batches_sent: self.batches_sent.get(),
-            batches_received: self.batches_received.get(),
-            truncated: self.truncated.get(),
-            checksum_rejects: self.checksum_rejects.get(),
-            bad_magic: self.bad_magic.get(),
-            misrouted: self.misrouted.get(),
-            wouldblock_retries: self.wouldblock_retries.get(),
-            shim_dropped: self.shim_dropped.get(),
-            unroutable: self.unroutable.get(),
-            send_errors: self.send_errors.get(),
-        }
-    }
-}
-
-impl Default for UdpStats {
-    fn default() -> Self {
-        UdpStats::new(&Registry::default(), u32::MAX)
-    }
-}
-
-/// Plain-data snapshot of [`UdpStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct UdpStatsSnapshot {
-    pub datagrams_sent: u64,
-    pub bytes_sent: u64,
-    pub frame_bytes_sent: u64,
-    pub datagrams_received: u64,
-    pub bytes_received: u64,
-    pub frame_bytes_received: u64,
-    pub batches_sent: u64,
-    pub batches_received: u64,
-    pub truncated: u64,
-    pub checksum_rejects: u64,
-    pub bad_magic: u64,
-    pub misrouted: u64,
-    pub wouldblock_retries: u64,
-    pub shim_dropped: u64,
-    pub unroutable: u64,
-    pub send_errors: u64,
 }

@@ -35,8 +35,35 @@ fn datagram_roundtrip_over_loopback() {
     assert_eq!(d.src, NodeId(0));
     assert_eq!(d.dst, NodeId(1));
     assert_eq!(d.payload.to_vec(), b"over the real wire");
-    assert_eq!(a.stats().datagrams_sent, 1);
-    assert_eq!(b.stats().datagrams_received, 1);
+    assert_eq!(a.stats().datagrams_sent.get(), 1);
+    assert_eq!(b.stats().datagrams_received.get(), 1);
+}
+
+/// The `net.udp.*` series the benchmark reads by name: a rename would
+/// silently zero its netudp rows.
+#[test]
+fn bound_link_registers_the_series_the_benchmark_reads() {
+    let obs = portals_obs::Obs::default();
+    let _link = UdpLink::bind(UdpLinkConfig {
+        nid: NodeId(0),
+        obs: obs.clone(),
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let registered: Vec<_> = obs.registry.snapshot().iter().map(|s| s.name).collect();
+    for name in [
+        "net.udp.datagrams_sent",
+        "net.udp.datagrams_received",
+        "net.udp.bytes_sent",
+        "net.udp.frame_bytes_sent",
+        "net.udp.batches_sent",
+        "net.udp.batches_recv",
+        "net.udp.checksum_rejects",
+        "net.udp.send_errors",
+        "net.udp.wouldblock_retries",
+    ] {
+        assert!(registered.contains(&name), "{name} not registered");
+    }
 }
 
 #[test]
@@ -57,8 +84,8 @@ fn receiver_learns_sender_address() {
 fn unroutable_destination_is_counted_not_fatal() {
     let a = link(0);
     a.send(NodeId(9), Gather::copy_from_slice(b"nowhere"));
-    assert_eq!(a.stats().unroutable, 1);
-    assert_eq!(a.stats().datagrams_sent, 0);
+    assert_eq!(a.stats().unroutable.get(), 1);
+    assert_eq!(a.stats().datagrams_sent.get(), 0);
 }
 
 #[test]
@@ -75,8 +102,8 @@ fn loss_shim_drops_sends() {
     for _ in 0..10 {
         a.send(NodeId(1), Gather::copy_from_slice(b"doomed"));
     }
-    assert_eq!(a.stats().shim_dropped, 10);
-    assert_eq!(a.stats().datagrams_sent, 0);
+    assert_eq!(a.stats().shim_dropped.get(), 10);
+    assert_eq!(a.stats().datagrams_sent.get(), 0);
     assert!(recv_one(&b, Duration::from_millis(100)).is_none());
 }
 
@@ -113,14 +140,18 @@ fn foreign_and_corrupt_datagrams_are_rejected_and_counted() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let s = b.stats();
-        if s.bad_magic >= 1 && s.checksum_rejects >= 1 && s.misrouted >= 1 && s.truncated >= 1 {
+        if s.bad_magic.get() >= 1
+            && s.checksum_rejects.get() >= 1
+            && s.misrouted.get() >= 1
+            && s.truncated.get() >= 1
+        {
             break;
         }
         assert!(Instant::now() < deadline, "rejects never counted: {s:?}");
         std::thread::sleep(Duration::from_millis(5));
     }
     // Nothing rejected was delivered.
-    assert_eq!(b.stats().datagrams_received, 1);
+    assert_eq!(b.stats().datagrams_received.get(), 1);
 }
 
 #[test]
@@ -141,9 +172,9 @@ fn transport_over_udp_delivers_large_messages() {
     // The default 8 KiB transport MTU cannot fit in a 1432-byte datagram:
     // the link's bound must have forced fragmentation.
     assert!(
-        a.stats().data_packets_sent >= 70,
+        a.stats().data_packets_sent.get() >= 70,
         "expected ~72 clamped fragments, got {}",
-        a.stats().data_packets_sent
+        a.stats().data_packets_sent.get()
     );
 }
 
@@ -183,7 +214,7 @@ fn transport_over_lossy_udp_recovers() {
     }
     assert!(a.flush(Duration::from_secs(10)), "acks must drain");
     assert!(
-        a.stats().retransmissions > 0,
+        a.stats().retransmissions.get() > 0,
         "15% loss must force retransmissions"
     );
     // Wire reconciliation under loss, DATA and ACKs in both directions: what
@@ -220,20 +251,20 @@ fn send_batch_moves_a_vector_per_syscall() {
     lens.sort_unstable();
     assert_eq!(lens, (0..20).map(|i| 100 + i).collect::<Vec<_>>());
     let s = a.stats();
-    assert_eq!(s.datagrams_sent, 20);
+    assert_eq!(s.datagrams_sent.get(), 20);
     assert!(
-        s.batches_sent < 20,
+        s.batches_sent.get() < 20,
         "20 datagrams must cross in fewer than 20 syscalls (got {})",
-        s.batches_sent
+        s.batches_sent.get()
     );
     // The receive side drains multiple frames per recvmmsg wakeup; at
     // minimum it must count its batches.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while b.stats().datagrams_received < 20 {
+    while b.stats().datagrams_received.get() < 20 {
         assert!(Instant::now() < deadline);
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(b.stats().batches_received >= 1);
+    assert!(b.stats().batches_received.get() >= 1);
 }
 
 /// Longer than the link's `sendmmsg` vector (32): one `send_batch` of this
@@ -260,13 +291,13 @@ fn one_tx_path_is_accounted_once() {
     a.send_batch(tagged(0..LONG_VECTOR)); // 2 calls
     a.send_batch(tagged(0..1)); // a vector of one: 1 call
     let s = a.stats();
-    assert_eq!(s.datagrams_sent, 2 * LONG_VECTOR as u64 + 3);
-    assert_eq!(s.batches_sent, 7, "one count per wire call");
+    assert_eq!(s.datagrams_sent.get(), 2 * LONG_VECTOR as u64 + 3);
+    assert_eq!(s.batches_sent.get(), 7, "one count per wire call");
     assert_eq!(
-        s.frame_bytes_sent,
-        s.bytes_sent + portals_netudp::frame::FRAME_HEADER as u64 * s.datagrams_sent
+        s.frame_bytes_sent.get(),
+        s.bytes_sent.get() + portals_netudp::frame::FRAME_HEADER as u64 * s.datagrams_sent.get()
     );
-    assert_eq!(s.send_errors, 0);
+    assert_eq!(s.send_errors.get(), 0);
 }
 
 #[test]
@@ -301,9 +332,9 @@ fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
     }
     mixed.send_batch(stream.collect());
 
-    let dropped = singles.stats().shim_dropped;
+    let dropped = singles.stats().shim_dropped.get();
     assert!(dropped > 0 && dropped < N as u64, "30% of 120: {dropped}");
-    assert_eq!(mixed.stats().shim_dropped, dropped);
+    assert_eq!(mixed.stats().shim_dropped.get(), dropped);
     let mut survivors = [Vec::new(), Vec::new()];
     for _ in 0..2 * (N as u64 - dropped) {
         let d = recv_one(&b, Duration::from_secs(5)).expect("survivor delivered");
@@ -331,10 +362,10 @@ fn loss_shim_sits_below_the_batch_boundary() {
         .map(|_| (NodeId(1), Gather::copy_from_slice(b"doomed")))
         .collect();
     a.send_batch(batch);
-    assert_eq!(a.stats().shim_dropped, 10);
-    assert_eq!(a.stats().datagrams_sent, 0);
+    assert_eq!(a.stats().shim_dropped.get(), 10);
+    assert_eq!(a.stats().datagrams_sent.get(), 0);
     assert_eq!(
-        a.stats().batches_sent,
+        a.stats().batches_sent.get(),
         0,
         "an all-dropped vector never hits the socket"
     );
@@ -353,24 +384,24 @@ fn frame_bytes_count_the_wire_not_just_the_payload() {
     a.send_batch(batch);
     let header = portals_netudp::frame::FRAME_HEADER as u64;
     let s = a.stats();
-    assert_eq!(s.datagrams_sent, 5);
-    assert_eq!(s.bytes_sent, 50);
+    assert_eq!(s.datagrams_sent.get(), 5);
+    assert_eq!(s.bytes_sent.get(), 50);
     assert_eq!(
-        s.frame_bytes_sent,
-        s.bytes_sent + header * s.datagrams_sent,
+        s.frame_bytes_sent.get(),
+        s.bytes_sent.get() + header * s.datagrams_sent.get(),
         "wire accounting must include one 18-byte header per datagram"
     );
     let deadline = Instant::now() + Duration::from_secs(5);
-    while b.stats().datagrams_received < 5 {
+    while b.stats().datagrams_received.get() < 5 {
         assert!(Instant::now() < deadline);
         std::thread::sleep(Duration::from_millis(2));
     }
     let r = b.stats();
     assert_eq!(
-        r.frame_bytes_received,
-        r.bytes_received + header * r.datagrams_received
+        r.frame_bytes_received.get(),
+        r.bytes_received.get() + header * r.datagrams_received.get()
     );
-    assert_eq!(r.frame_bytes_received, s.frame_bytes_sent);
+    assert_eq!(r.frame_bytes_received.get(), s.frame_bytes_sent.get());
 }
 
 #[test]
@@ -421,9 +452,9 @@ fn negotiated_jumbo_payload_cuts_fragment_count() {
     let m = b.recv_timeout(Duration::from_secs(20)).expect("delivered");
     assert_eq!(m.payload.to_vec(), payload);
     assert!(
-        a.stats().data_packets_sent <= 16,
+        a.stats().data_packets_sent.get() <= 16,
         "jumbo datagrams must collapse the fragment count, got {}",
-        a.stats().data_packets_sent
+        a.stats().data_packets_sent.get()
     );
 }
 

@@ -5,9 +5,10 @@
 //! - **Metrics** ([`metrics`], [`registry`]): lock-free counters (striped
 //!   across cache lines), gauges and histograms, organized into named,
 //!   labeled series by a shared [`Registry`]. The stats structs in the net,
-//!   transport and portals crates are thin views over these series, so every
-//!   number a component tracks is also visible — and summable across
-//!   components — through one registry snapshot.
+//!   netudp, transport, portals and pfs crates are sets of handles registered
+//!   here — the only typed view of a component's counters — so every number
+//!   a component tracks is also visible, and summable across components,
+//!   through one registry snapshot.
 //! - **Traces** ([`trace`], [`sink`]): structured message-lifecycle events
 //!   (submit → fragment → wire → rx → match → deliver → event/ct, plus
 //!   drops/retransmits/stalls) emitted through a [`Tracer`] into pluggable

@@ -6,8 +6,7 @@
 //! construction. The returned handles are the lock-free primitives of
 //! [`crate::metrics`]; all steady-state updates go through those and never
 //! touch the registry again. `Clone` shares the registry; `Default` creates a
-//! fresh, empty one (the pattern every stats struct uses so unregistered
-//! standalone use keeps working).
+//! fresh, empty one.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
@@ -153,7 +152,7 @@ impl std::fmt::Debug for Registry {
 }
 
 /// Plain-data snapshot of one series.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeriesSnapshot {
     /// Series name.
     pub name: &'static str,

@@ -3,6 +3,7 @@
 use crate::proto::{FileId, FsOp, FsStatus, Reply, Request, PT_FS_DATA, PT_FS_REQ, REQUEST_SIZE};
 use parking_lot::Mutex;
 use portals::{EqHandle, EventKind, MdOptions, MdSpec, MePos, NetworkInterface, Region, Threshold};
+use portals_obs::{Counter, Registry};
 use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,16 +31,33 @@ impl Volume {
 }
 
 /// Statistics the server exposes.
-#[derive(Debug, Default)]
+///
+/// Registered as `pfs.*` series labeled `{node}` on the serving interface's
+/// registry.
+#[derive(Debug)]
 pub struct FsServerStats {
     /// Requests served (any status).
-    pub requests: AtomicU64,
+    pub requests: Counter,
     /// Read grants issued.
-    pub read_grants: AtomicU64,
+    pub read_grants: Counter,
     /// Write grants issued.
-    pub write_grants: AtomicU64,
+    pub write_grants: Counter,
     /// Requests answered with an error status.
-    pub errors: AtomicU64,
+    pub errors: Counter,
+}
+
+impl FsServerStats {
+    /// Register the `pfs.*` series for node `nid` in `registry`.
+    pub(crate) fn new(registry: &Registry, nid: u32) -> FsServerStats {
+        let labels = [("node", nid.to_string())];
+        let c = |name| registry.counter(name, &labels);
+        FsServerStats {
+            requests: c("pfs.requests"),
+            read_grants: c("pfs.read_grants"),
+            write_grants: c("pfs.write_grants"),
+            errors: c("pfs.errors"),
+        }
+    }
 }
 
 /// An in-memory file server bound to one Portals interface.
@@ -78,6 +96,7 @@ impl FileServer {
             false,
             MePos::Back,
         )?;
+        let stats = FsServerStats::new(&ni.obs().registry, ni.id().nid.0);
         let shared = Arc::new(ServerShared {
             ni,
             eq,
@@ -86,7 +105,7 @@ impl FileServer {
             pending_writes: Mutex::new(HashMap::new()),
             slab_me,
             next_grant: AtomicU64::new(1),
-            stats: FsServerStats::default(),
+            stats,
             stop: AtomicBool::new(false),
         });
         shared.attach_request_slab()?;
@@ -110,7 +129,7 @@ impl FileServer {
         self.shared.ni.id()
     }
 
-    /// Request counters.
+    /// The live request counters; read a value with `.get()`.
     pub fn stats(&self) -> &FsServerStats {
         &self.shared.stats
     }
@@ -209,10 +228,10 @@ impl ServerShared {
     }
 
     fn handle_request(&self, from: ProcessId, req: Request) {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.requests.inc();
         let mut vol = self.volume.lock();
         let fail = |shared: &Self, status: FsStatus| {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+            shared.stats.errors.inc();
             shared.reply(
                 from,
                 req.reply_bits,
@@ -307,7 +326,7 @@ impl ServerShared {
                 // by passing the offset in its get.
                 match self.grant(req.file, &file, size as usize, /* reads = */ true) {
                     Ok(bits) => {
-                        self.stats.read_grants.fetch_add(1, Ordering::Relaxed);
+                        self.stats.read_grants.inc();
                         self.reply(
                             from,
                             req.reply_bits,
@@ -339,7 +358,7 @@ impl ServerShared {
                 drop(vol);
                 match self.grant(req.file, &file, needed, /* reads = */ false) {
                     Ok(bits) => {
-                        self.stats.write_grants.fetch_add(1, Ordering::Relaxed);
+                        self.stats.write_grants.inc();
                         self.reply(
                             from,
                             req.reply_bits,
@@ -401,7 +420,7 @@ fn serve_loop(shared: Arc<ServerShared>) {
                 match Request::decode(&record) {
                     Ok(req) => shared.handle_request(ev.initiator, req),
                     Err(_) => {
-                        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+                        shared.stats.errors.inc();
                     }
                 }
             }

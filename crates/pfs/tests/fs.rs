@@ -42,13 +42,7 @@ fn create_write_read_roundtrip() {
     let mid = c.read(id, 5000, 100).unwrap();
     assert_eq!(&mid[..], &payload[5000..5100]);
 
-    assert!(
-        server
-            .stats()
-            .read_grants
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 2
-    );
+    assert!(server.stats().read_grants.get() >= 2);
 }
 
 #[test]

@@ -45,7 +45,8 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// All reasons, for iteration in reports.
+    /// All reasons, for iteration in reports, in declaration order (so
+    /// `ALL[r as usize] == r`).
     pub const ALL: [DropReason; 10] = [
         DropReason::InvalidPortalIndex,
         DropReason::InvalidAcIndex,
@@ -58,21 +59,6 @@ impl DropReason {
         DropReason::PtDisabled,
         DropReason::AtomicInvalid,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            DropReason::InvalidPortalIndex => 0,
-            DropReason::InvalidAcIndex => 1,
-            DropReason::AclProcessMismatch => 2,
-            DropReason::AclPortalMismatch => 3,
-            DropReason::NoMatch => 4,
-            DropReason::AckEqMissing => 5,
-            DropReason::ReplyMdMissing => 6,
-            DropReason::ReplyEqFull => 7,
-            DropReason::PtDisabled => 8,
-            DropReason::AtomicInvalid => 9,
-        }
-    }
 
     /// Stable human-readable name, for reports and tables.
     pub fn name(self) -> &'static str {
@@ -116,11 +102,10 @@ impl std::fmt::Display for DropReason {
 /// Per-interface counters.
 ///
 /// Registered as `portals.*` series labeled `{node, pid}` (drops additionally
-/// carry `{reason}`); [`Default`] registers into a throwaway registry for
-/// standalone use.
+/// carry `{reason}`).
 #[derive(Debug)]
 pub struct NiCounters {
-    drops: [Counter; 10],
+    drops: [Counter; DropReason::ALL.len()],
     /// Put/get requests successfully translated and performed.
     pub requests_accepted: Counter,
     /// Acks successfully logged.
@@ -186,7 +171,7 @@ impl NiCounters {
 
     /// Record a drop.
     pub fn drop_message(&self, reason: DropReason) {
-        self.drops[reason.index()].inc();
+        self.drops[reason as usize].inc();
     }
 
     /// The paper's "dropped message count for the interface".
@@ -196,94 +181,21 @@ impl NiCounters {
 
     /// Count for one reason.
     pub fn dropped(&self, reason: DropReason) -> u64 {
-        self.drops[reason.index()].get()
-    }
-
-    /// Plain-data snapshot.
-    pub fn snapshot(&self) -> NiCountersSnapshot {
-        let mut drops = [0u64; 10];
-        for (i, c) in self.drops.iter().enumerate() {
-            drops[i] = c.get();
-        }
-        NiCountersSnapshot {
-            drops,
-            requests_accepted: self.requests_accepted.get(),
-            acks_accepted: self.acks_accepted.get(),
-            replies_accepted: self.replies_accepted.get(),
-            messages_sent: self.messages_sent.get(),
-            events_overwritten: self.events_overwritten.get(),
-            triggered_fired: self.triggered_fired.get(),
-            triggered_failed: self.triggered_failed.get(),
-            payload_copies: self.payload_copies.get(),
-            payload_messages: self.payload_messages.get(),
-            delivered_bytes: self.delivered_bytes.get(),
-            completed_bytes: self.completed_bytes.get(),
-        }
-    }
-}
-
-impl Default for NiCounters {
-    fn default() -> Self {
-        NiCounters::new(&Registry::default(), u32::MAX, u32::MAX)
-    }
-}
-
-/// Plain-data snapshot of [`NiCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NiCountersSnapshot {
-    drops: [u64; 10],
-    /// Put/get requests successfully translated and performed.
-    pub requests_accepted: u64,
-    /// Acks successfully logged.
-    pub acks_accepted: u64,
-    /// Replies successfully received.
-    pub replies_accepted: u64,
-    /// Messages this interface sent.
-    pub messages_sent: u64,
-    /// Events lost to event-queue circular overwrite.
-    pub events_overwritten: u64,
-    /// Triggered operations launched successfully when their threshold fired.
-    pub triggered_fired: u64,
-    /// Triggered operations whose launch failed at fire time.
-    pub triggered_failed: u64,
-    /// Times a non-empty payload was physically copied on the data path.
-    pub payload_copies: u64,
-    /// Payload-bearing messages delivered.
-    pub payload_messages: u64,
-    /// Payload bytes landed in a memory descriptor's region.
-    pub delivered_bytes: u64,
-    /// Payload bytes whose owning descriptor logged the matching completion.
-    pub completed_bytes: u64,
-}
-
-impl NiCountersSnapshot {
-    /// Total dropped messages.
-    pub fn dropped_total(&self) -> u64 {
-        self.drops.iter().sum()
-    }
-
-    /// Dropped messages for one reason.
-    pub fn dropped(&self, reason: DropReason) -> u64 {
-        self.drops[reason.index()]
+        self.drops[reason as usize].get()
     }
 
     /// Average payload copies per delivered payload-bearing message — the
     /// headline zero-copy metric (0.0 before any payload has been delivered).
     pub fn copies_per_message(&self) -> f64 {
-        if self.payload_messages == 0 {
-            0.0
-        } else {
-            self.payload_copies as f64 / self.payload_messages as f64
+        match self.payload_messages.get() {
+            0 => 0.0,
+            messages => self.payload_copies.get() as f64 / messages as f64,
         }
     }
 
     /// The full per-reason breakdown, in [`DropReason::ALL`] order.
-    pub fn dropped_by_reason(&self) -> [(DropReason, u64); 10] {
-        let mut out = [(DropReason::InvalidPortalIndex, 0u64); 10];
-        for (slot, reason) in out.iter_mut().zip(DropReason::ALL) {
-            *slot = (reason, self.dropped(reason));
-        }
-        out
+    pub fn dropped_by_reason(&self) -> [(DropReason, u64); DropReason::ALL.len()] {
+        DropReason::ALL.map(|reason| (reason, self.dropped(reason)))
     }
 }
 
@@ -293,7 +205,7 @@ mod tests {
 
     #[test]
     fn drops_accumulate_per_reason_and_total() {
-        let c = NiCounters::default();
+        let c = NiCounters::new(&Registry::new(), 0, 0);
         c.drop_message(DropReason::NoMatch);
         c.drop_message(DropReason::NoMatch);
         c.drop_message(DropReason::InvalidPortalIndex);
@@ -304,27 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_live() {
-        let c = NiCounters::default();
-        for reason in DropReason::ALL {
-            c.drop_message(reason);
-        }
-        c.requests_accepted.add(5);
-        let snap = c.snapshot();
-        assert_eq!(snap.dropped_total(), 10);
-        for reason in DropReason::ALL {
-            assert_eq!(snap.dropped(reason), 1);
-        }
-        assert_eq!(snap.requests_accepted, 5);
-    }
-
-    #[test]
     fn all_covers_every_reason_exactly_once() {
         let mut seen = std::collections::HashSet::new();
-        for r in DropReason::ALL {
-            assert!(seen.insert(r.index()));
+        for (i, r) in DropReason::ALL.into_iter().enumerate() {
+            assert!(seen.insert(r));
+            assert_eq!(r as usize, i);
         }
-        assert_eq!(seen.len(), 10);
+        assert_eq!(seen.len(), DropReason::ALL.len());
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub mod triggered;
 
 pub use acl::{AcEntry, AcMatch, AccessControlList, PortalMatch};
 pub use builder::{AtomicBuilder, GetBuilder, PutBuilder};
-pub use counters::{DropReason, NiCounters, NiCountersSnapshot};
+pub use counters::{DropReason, NiCounters};
 pub use ct::{CountingEvent, CtValue};
 pub use event::{Event, EventKind, EventQueue};
 pub use md::{CombineOp, Md, MdMemory, MdOptions, MdSpec, MdVerdict, ReqOp, Segment, Threshold};

@@ -41,7 +41,7 @@
 
 use crate::acl::{AcEntry, AccessControlList, AclReject, InitiatorClass};
 use crate::builder::{AtomicBuilder, GetBuilder, PutBuilder};
-use crate::counters::{DropReason, NiCounters, NiCountersSnapshot};
+use crate::counters::{DropReason, NiCounters};
 use crate::ct::{CountingEvent, CtValue};
 use crate::engine;
 use crate::event::{Event, EventKind, EventQueue};
@@ -267,12 +267,14 @@ impl NetworkInterface {
         self.core.config.flow_control
     }
 
-    /// Interface counters, including the §4.8 dropped-message counts.
-    /// On a threadless node, reading them drives progress first — a counter
-    /// polling loop must be able to advance the protocol it is observing.
-    pub fn counters(&self) -> NiCountersSnapshot {
+    /// The live interface counters, including the §4.8 dropped-message
+    /// counts; read a value with `.get()` at the point it is needed. On a
+    /// threadless node this drives progress first — a counter polling loop
+    /// must be able to advance the protocol it is observing, so it calls
+    /// this on every iteration rather than holding the handle.
+    pub fn counters(&self) -> &NiCounters {
         self.node.endpoint.progress_once();
-        self.core.counters.snapshot()
+        &self.core.counters
     }
 
     /// Match entries and memory descriptors currently allocated on this

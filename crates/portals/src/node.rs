@@ -295,8 +295,9 @@ impl Node {
         &self.shared.obs
     }
 
-    /// Transport statistics for this node's endpoint.
-    pub fn transport_stats(&self) -> portals_transport::TransportStatsSnapshot {
+    /// The live `transport.*` and `flow.*` counters of this node's
+    /// endpoint; read a value with `.get()` at the point it is needed.
+    pub fn transport_stats(&self) -> &portals_transport::TransportStats {
         self.shared.endpoint.stats()
     }
 

@@ -44,7 +44,7 @@ pub use crate::event::{Event, EventKind};
 pub use crate::triggered::TriggeredOp;
 
 // Observability: drop accounting.
-pub use crate::counters::{DropReason, NiCountersSnapshot};
+pub use crate::counters::{DropReason, NiCounters};
 
 // Handles.
 pub use crate::{CtHandle, EqHandle, MdHandle, MeHandle};

@@ -72,7 +72,7 @@ fn put_moves_data_and_logs_event() {
     assert_eq!(ev.rlength, 18);
     assert_eq!(ev.mlength, 18);
     assert_eq!(buf.read_vec(0, 18), b"zero copy delivery");
-    assert_eq!(b.counters().requests_accepted, 1);
+    assert_eq!(b.counters().requests_accepted.get(), 1);
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn put_with_ack_round_trips() {
         b.id(),
         "ack comes from the target (ids swapped)"
     );
-    assert_eq!(a.counters().acks_accepted, 1);
+    assert_eq!(a.counters().acks_accepted.get(), 1);
 }
 
 #[test]
@@ -243,7 +243,7 @@ fn no_matching_entry_drops_with_no_match() {
         .unwrap();
 
     wait_for(|| b.counters().dropped(DropReason::NoMatch) == 1);
-    assert_eq!(b.counters().requests_accepted, 0);
+    assert_eq!(b.counters().requests_accepted.get(), 0);
 }
 
 #[test]
@@ -535,7 +535,7 @@ fn host_driven_makes_no_progress_without_calls() {
     wait_for(|| b.raw_pending() == 1);
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(
-        b.counters().requests_accepted,
+        b.counters().requests_accepted.get(),
         0,
         "no progress without an API call"
     );
@@ -562,7 +562,7 @@ fn application_bypass_progresses_without_calls() {
     a.put_op(md).target(b.id(), 0).submit().unwrap();
 
     // No API calls on b: data must still land.
-    wait_for(|| b.counters().requests_accepted == 1);
+    wait_for(|| b.counters().requests_accepted.get() == 1);
     assert_eq!(buf.read_vec(0, 6), b"flows!");
     assert_eq!(b.raw_pending(), 0);
 }
@@ -1066,7 +1066,7 @@ fn flow_control_trips_on_full_event_queue_before_data_moves() {
     // Nothing was half-delivered: the region still holds the first payload
     // and no unread target event was overwritten.
     assert_eq!(buf.read_vec(0, 4), b"aaaa");
-    assert_eq!(b.counters().events_overwritten, 0);
+    assert_eq!(b.counters().events_overwritten.get(), 0);
 }
 
 #[test]

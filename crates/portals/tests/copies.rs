@@ -51,7 +51,7 @@ fn a_put_copies_its_payload_exactly_once() {
 
     let ca = a.counters();
     let cb = b.counters();
-    assert_eq!(cb.payload_messages, MESSAGES);
-    assert_eq!(ca.payload_copies + cb.payload_copies, MESSAGES);
+    assert_eq!(cb.payload_messages.get(), MESSAGES);
+    assert_eq!(ca.payload_copies.get() + cb.payload_copies.get(), MESSAGES);
     assert_eq!(cb.copies_per_message(), 1.0);
 }

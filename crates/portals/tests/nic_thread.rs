@@ -163,7 +163,7 @@ fn timer_armed_by_a_caller_during_the_idle_park_fires_on_time() {
         "delivered after {took:?}: the timer armed during the park fired late"
     );
     assert!(na.flush_transport(Duration::from_secs(5)));
-    assert_eq!(na.transport_stats().retransmissions, 1);
+    assert_eq!(na.transport_stats().retransmissions.get(), 1);
 }
 
 /// (c) Re-entrancy. A's NIC thread answers B's 1 MiB gets from inside

@@ -48,7 +48,7 @@
 use crate::config::TransportConfig;
 use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
 use crate::peer::{ReceiverPeer, Released, SenderPeer};
-use crate::stats::{FlowStats, TransportStats};
+use crate::stats::TransportStats;
 use portals_net::{Datagram, Link};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_wire::{Packet, PacketHeader};
@@ -120,7 +120,6 @@ pub(crate) struct ProgressCore {
     /// until [`ProgressCore::flush_acks`] or data to that source sends it.
     acks_owed: Vec<(NodeId, u64)>,
     stats: Arc<TransportStats>,
-    flow: Arc<FlowStats>,
     outstanding: Arc<AtomicUsize>,
     tx_peers: HashMap<NodeId, SenderPeer>,
     rx_peers: HashMap<NodeId, ReceiverPeer>,
@@ -143,7 +142,6 @@ impl ProgressCore {
         obs: Obs,
         delivered: Arc<DoorbellQueue<Delivery>>,
         stats: Arc<TransportStats>,
-        flow: Arc<FlowStats>,
         outstanding: Arc<AtomicUsize>,
         deadline_ns: Arc<AtomicU64>,
     ) -> ProgressCore {
@@ -161,7 +159,6 @@ impl ProgressCore {
             staged: Vec::new(),
             acks_owed: Vec::new(),
             stats,
-            flow,
             outstanding,
             tx_peers: HashMap::new(),
             rx_peers: HashMap::new(),
@@ -209,16 +206,16 @@ impl ProgressCore {
             .store(next.map_or(DEADLINE_NONE, instant_to_ns), Ordering::Release);
     }
 
-    /// Fold a peer's credit-block transitions into the flow stats.
-    fn drain_flow_transitions(flow: &FlowStats, peer: &mut SenderPeer) {
+    /// Fold a peer's credit-block transitions into the `flow.*` series.
+    fn drain_flow_transitions(stats: &TransportStats, peer: &mut SenderPeer) {
         let (stalls, resumes) = peer.take_credit_transitions();
-        flow.credit_stalls.add(stalls);
-        flow.credit_resumes.add(resumes);
+        stats.credit_stalls.add(stalls);
+        stats.credit_resumes.add(resumes);
         for _ in 0..stalls {
-            flow.credit_blocked_now.inc();
+            stats.credit_blocked_now.inc();
         }
         for _ in 0..resumes {
-            flow.credit_blocked_now.dec();
+            stats.credit_blocked_now.dec();
         }
     }
 
@@ -289,7 +286,7 @@ impl ProgressCore {
         let packets = peer.enqueue_message(msg, &self.cfg, now);
         self.outstanding
             .fetch_add(peer.outstanding() - before, Ordering::Relaxed);
-        Self::drain_flow_transitions(&self.flow, peer);
+        Self::drain_flow_transitions(&self.stats, peer);
         self.send_data(dst, packets, Stage::Fragment);
         self.arm_timer(dst);
         self.publish_deadline();
@@ -442,7 +439,7 @@ impl ProgressCore {
                     let horizon = peer.credit();
                     let granted = peer.grant_credit(credit, &self.cfg, now);
                     if peer.credit() > horizon {
-                        self.flow.credits_granted.add(peer.credit() - horizon);
+                        self.stats.credits_granted.add(peer.credit() - horizon);
                     }
                     let before = peer.outstanding();
                     let outcome = peer.on_ack(cumulative, &self.cfg, now);
@@ -459,14 +456,14 @@ impl ProgressCore {
                                 .seq(cumulative)
                         });
                     }
-                    Self::drain_flow_transitions(&self.flow, peer);
+                    Self::drain_flow_transitions(&self.stats, peer);
                     self.send_data(src, granted, Stage::Fragment);
                     self.send_data(src, outcome.released, Stage::Fragment);
                     self.arm_timer(src);
                 }
             }
             PacketHeader::Probe { base } => {
-                self.flow.probes_received.inc();
+                self.stats.probes_received.inc();
                 self.obs.tracer.emit(|| {
                     TraceEvent::new(Layer::Transport, Stage::Rx)
                         .node(self.nid.0)
@@ -645,7 +642,7 @@ impl ProgressCore {
                     self.stats.resend_bytes.add(bytes);
                     self.send_data(nid, result.resend, Stage::Retransmit);
                     if let Some(probe) = result.probe {
-                        self.flow.probes_sent.inc();
+                        self.stats.probes_sent.inc();
                         self.obs.tracer.emit(|| {
                             TraceEvent::new(Layer::Transport, Stage::Retransmit)
                                 .node(self.nid.0)
@@ -727,7 +724,6 @@ mod tests {
                 Readiness::DELIVERED,
             ));
             let stats = Arc::new(TransportStats::new(&obs.registry, 0));
-            let flow = Arc::new(FlowStats::new(&obs.registry, 0));
             let cfg = TransportConfig {
                 mtu: 1024,
                 ..Default::default()
@@ -739,7 +735,6 @@ mod tests {
                 obs,
                 Arc::clone(&delivered),
                 Arc::clone(&stats),
-                flow,
                 Arc::default(),
                 Arc::new(AtomicU64::new(DEADLINE_NONE)),
             );

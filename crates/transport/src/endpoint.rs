@@ -7,7 +7,7 @@
 
 use crate::config::TransportConfig;
 use crate::core::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
-use crate::stats::{FlowStats, FlowStatsSnapshot, TransportStats, TransportStatsSnapshot};
+use crate::stats::TransportStats;
 use parking_lot::Mutex;
 use portals_net::{DriverHub, Link, LinkCaps, NodeDriver};
 use portals_obs::Obs;
@@ -104,7 +104,6 @@ pub struct Endpoint {
     /// Driver-hub handle for this node (register / service peers).
     hub: DriverHub,
     stats: Arc<TransportStats>,
-    flow: Arc<FlowStats>,
     outstanding: Arc<AtomicUsize>,
     mode: ProgressMode,
     /// Shared with this endpoint's NIC thread or — caller-driven — registered
@@ -327,7 +326,6 @@ impl Endpoint {
             Readiness::DELIVERED,
         ));
         let stats = Arc::new(TransportStats::new(&obs.registry, nid.0));
-        let flow = Arc::new(FlowStats::new(&obs.registry, nid.0));
         let outstanding = Arc::new(AtomicUsize::new(0));
         let deadline_ns = Arc::new(AtomicU64::new(DEADLINE_NONE));
         let core = ProgressCore::new(
@@ -337,7 +335,6 @@ impl Endpoint {
             obs,
             Arc::clone(&incoming),
             Arc::clone(&stats),
-            Arc::clone(&flow),
             Arc::clone(&outstanding),
             Arc::clone(&deadline_ns),
         );
@@ -357,7 +354,6 @@ impl Endpoint {
             reasm: Mutex::new(std::collections::HashMap::new()),
             hub,
             stats,
-            flow,
             outstanding,
             mode: cfg.progress_mode,
             stepper,
@@ -636,14 +632,10 @@ impl Endpoint {
         self.stepper.next_deadline()
     }
 
-    /// Snapshot the transport counters.
-    pub fn stats(&self) -> TransportStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Snapshot the credit flow-control counters.
-    pub fn flow_stats(&self) -> FlowStatsSnapshot {
-        self.flow.snapshot()
+    /// The live `transport.*` and `flow.*` counters; read a value with
+    /// `.get()` at the point it is needed.
+    pub fn stats(&self) -> &TransportStats {
+        &self.stats
     }
 }
 
@@ -726,7 +718,10 @@ mod tests {
         a.send(NodeId(1), Gather::from_vec(payload.clone()));
         let m = b.recv_timeout(Duration::from_secs(10)).expect("message");
         assert_eq!(m.payload, &payload[..]);
-        assert!(a.stats().data_packets_sent >= 98, "expected ~98 fragments");
+        assert!(
+            a.stats().data_packets_sent.get() >= 98,
+            "expected ~98 fragments"
+        );
     }
 
     #[test]
@@ -799,11 +794,11 @@ mod tests {
             assert_eq!(m.payload, &payload[..]);
         }
         assert!(
-            a.stats().retransmissions > 0,
+            a.stats().retransmissions.get() > 0,
             "loss must have forced retransmissions"
         );
         assert!(
-            a.stats().resend_bytes > 0,
+            a.stats().resend_bytes.get() > 0,
             "retransmissions must account the wire bytes they resent"
         );
     }
@@ -915,17 +910,17 @@ mod tests {
         a.send(NodeId(1), Gather::copy_from_slice(b"into the void"));
         // The transport keeps retrying but flags the stall.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while a.stats().peers_stalled == 0 {
+        while a.stats().peers_stalled.get() == 0 {
             assert!(std::time::Instant::now() < deadline, "stall never reported");
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(a.outstanding() > 0, "message still queued");
         let stats = a.stats();
-        assert!(stats.retransmissions >= 3);
+        assert!(stats.retransmissions.get() >= 3);
         // Every retransmission resent the whole (header + 13-byte body) packet.
         assert_eq!(
-            stats.resend_bytes,
-            stats.retransmissions * (Packet::DATA_HEADER_SIZE + 13) as u64
+            stats.resend_bytes.get(),
+            stats.retransmissions.get() * (Packet::DATA_HEADER_SIZE + 13) as u64
         );
     }
 
@@ -950,9 +945,9 @@ mod tests {
         assert!(a.flush(Duration::from_secs(5)));
         // Stall accounting: progress after the stall must un-mark the peer.
         let stats = a.stats();
-        assert_eq!(stats.peers_stalled, 1);
-        assert_eq!(stats.peers_recovered, 1);
-        assert_eq!(stats.peers_stalled_now, 0);
+        assert_eq!(stats.peers_stalled.get(), 1);
+        assert_eq!(stats.peers_recovered.get(), 1);
+        assert_eq!(stats.stalled_now.get(), 0);
     }
 
     #[test]
@@ -991,19 +986,23 @@ mod tests {
         // 75% loss with a 1ms RTO and a stall threshold of 2 makes at least
         // one stall overwhelmingly likely; the assertions that matter are the
         // reconciliations below, which hold regardless.
-        assert!(stats.peers_stalled >= 1, "burst never stalled the peer");
+        assert!(
+            stats.peers_stalled.get() >= 1,
+            "burst never stalled the peer"
+        );
         assert_eq!(
-            stats.peers_recovered, stats.peers_stalled,
+            stats.peers_recovered.get(),
+            stats.peers_stalled.get(),
             "every stall must be matched by exactly one recovery"
         );
-        assert_eq!(stats.peers_stalled_now, 0, "no peer may stay marked");
+        assert_eq!(stats.stalled_now.get(), 0, "no peer may stay marked");
     }
 
     /// Pre-load the receiver's inbound channel with `frags` fragments (one
     /// message) before its NIC thread exists, then start the endpoint and
-    /// return its stats after delivery. Deterministic: the first wakeup sees
-    /// the whole burst already queued.
-    fn burst_then_start_receiver(cfg: TransportConfig, frags: u64) -> TransportStatsSnapshot {
+    /// return the acks it sent and coalesced after delivery. Deterministic:
+    /// the first wakeup sees the whole burst already queued.
+    fn burst_then_start_receiver(cfg: TransportConfig, frags: u64) -> (u64, u64) {
         let fabric = Fabric::ideal();
         let rx_nic = fabric.attach(NodeId(1));
         let a = Endpoint::new(fabric.attach(NodeId(0)), cfg);
@@ -1012,7 +1011,7 @@ mod tests {
             Gather::from_vec(vec![5u8; cfg.mtu * frags as usize]),
         );
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while fabric.stats().packets_delivered < frags {
+        while fabric.stats().packets_delivered.get() < frags {
             assert!(std::time::Instant::now() < deadline, "burst never queued");
             std::thread::yield_now();
         }
@@ -1022,7 +1021,7 @@ mod tests {
             .expect("burst message");
         assert_eq!(m.payload.len(), cfg.mtu * frags as usize);
         assert!(a.flush(Duration::from_secs(5)));
-        b.stats()
+        (b.stats().acks_sent.get(), b.stats().acks_coalesced.get())
     }
 
     #[test]
@@ -1032,11 +1031,11 @@ mod tests {
             window: 128,
             ..Default::default()
         };
-        let sb = burst_then_start_receiver(cfg, 64);
+        let (acks_sent, acks_coalesced) = burst_then_start_receiver(cfg, 64);
         // One wakeup drains the entire 64-fragment burst: one cumulative ACK
         // covers it, the other 63 are subsumed.
-        assert_eq!(sb.acks_sent, 1);
-        assert_eq!(sb.acks_coalesced, 63);
+        assert_eq!(acks_sent, 1);
+        assert_eq!(acks_coalesced, 63);
     }
 
     #[test]
@@ -1058,16 +1057,20 @@ mod tests {
             assert_eq!(m.payload.to_bytes()[0], i);
         }
         assert!(a.flush(Duration::from_secs(5)));
-        let f = a.flow_stats();
-        assert!(f.probes_sent >= 1, "zero-credit start must probe");
-        assert!(f.credit_stalls >= 1);
+        let f = a.stats();
+        assert!(f.probes_sent.get() >= 1, "zero-credit start must probe");
+        assert!(f.credit_stalls.get() >= 1);
         assert_eq!(
-            f.credit_stalls, f.credit_resumes,
+            f.credit_stalls.get(),
+            f.credit_resumes.get(),
             "every credit stall must be matched by exactly one resume"
         );
-        assert_eq!(f.credit_blocked_now, 0);
-        assert!(f.credits_granted >= 20, "acks must have granted credits");
-        assert!(b.flow_stats().probes_received >= 1);
+        assert_eq!(f.credit_blocked_now.get(), 0);
+        assert!(
+            f.credits_granted.get() >= 20,
+            "acks must have granted credits"
+        );
+        assert!(b.stats().probes_received.get() >= 1);
     }
 
     #[test]
@@ -1177,7 +1180,7 @@ mod tests {
         }
         assert!(a.flush(Duration::from_secs(10)));
         assert!(
-            a.stats().retransmissions > 0,
+            a.stats().retransmissions.get() > 0,
             "loss must have forced retransmissions"
         );
     }
@@ -1276,10 +1279,10 @@ mod tests {
         assert_eq!(m.payload, &payload[..]);
         // The clamp forces fragmentation: body_max = max - DATA_HEADER_SIZE.
         let frags = 10_000usize.div_ceil(max - Packet::DATA_HEADER_SIZE) as u64;
-        assert!(a.stats().data_packets_sent >= frags);
+        assert!(a.stats().data_packets_sent.get() >= frags);
         // Body CRC was forced on: every DATA packet decodes with coverage.
-        assert_eq!(a.stats().checksum_rejects, 0);
-        assert_eq!(b.stats().checksum_rejects, 0);
+        assert_eq!(a.stats().checksum_rejects.get(), 0);
+        assert_eq!(b.stats().checksum_rejects.get(), 0);
     }
 
     #[test]
@@ -1301,15 +1304,15 @@ mod tests {
         let m = b.recv_timeout(Duration::from_secs(5)).expect("clean msg");
         assert_eq!(m.payload, &b"clean"[..]);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.stats().checksum_rejects == 0 {
+        while b.stats().checksum_rejects.get() == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "corrupt packet never counted"
             );
             std::thread::yield_now();
         }
-        assert_eq!(b.stats().checksum_rejects, 1);
-        assert_eq!(b.stats().garbage_dropped, 0);
+        assert_eq!(b.stats().checksum_rejects.get(), 1);
+        assert_eq!(b.stats().garbage_dropped.get(), 0);
     }
 
     #[test]
@@ -1321,9 +1324,9 @@ mod tests {
         assert!(a.flush(Duration::from_secs(5)));
         let sa = a.stats();
         let sb = b.stats();
-        assert_eq!(sa.messages_sent, 1);
-        assert_eq!(sb.messages_delivered, 1);
-        assert!(sa.acks_received >= 1);
-        assert!(sb.acks_sent >= 1);
+        assert_eq!(sa.messages_sent.get(), 1);
+        assert_eq!(sb.messages_delivered.get(), 1);
+        assert!(sa.acks_received.get() >= 1);
+        assert!(sb.acks_sent.get() >= 1);
     }
 }

@@ -41,4 +41,4 @@ pub mod stats;
 pub use config::TransportConfig;
 pub use endpoint::{Delivery, Endpoint, IncomingMessage, StreamFragment};
 pub use portals_types::ProgressMode;
-pub use stats::{FlowStats, FlowStatsSnapshot, TransportStats, TransportStatsSnapshot};
+pub use stats::TransportStats;

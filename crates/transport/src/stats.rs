@@ -1,16 +1,16 @@
 //! Transport-level counters.
 //!
-//! The counters are [`portals_obs`] series named `transport.*` and labeled
-//! with the endpoint's node id, so a registry shared across endpoints can sum
-//! one series over the whole job (`registry.sum_counters("transport.…")`) —
-//! the reconciliation primitive the soak harness's invariants are built on.
+//! The counters are [`portals_obs`] series named `transport.*` (and, for the
+//! credit machinery, `flow.*`) labeled with the endpoint's node id, so a
+//! registry shared across endpoints can sum one series over the whole job
+//! (`registry.sum_counters("transport.…")`) — the reconciliation primitive the
+//! soak harness's invariants are built on.
 
 use portals_obs::{Counter, Gauge, Registry};
 
 /// Counters maintained by an endpoint's progress core.
 ///
-/// Registered as `transport.*` series labeled `{node}`; [`Default`] registers
-/// into a throwaway registry for standalone use.
+/// Registered as `transport.*` and `flow.*` series labeled `{node}`.
 #[derive(Debug)]
 pub struct TransportStats {
     /// Messages accepted for sending.
@@ -78,10 +78,26 @@ pub struct TransportStats {
     pub peers_recovered: Counter,
     /// Peers currently past the stall threshold without progress.
     pub stalled_now: Gauge,
+    /// PROBE packets sent (credit-starved sender soliciting a window).
+    pub probes_sent: Counter,
+    /// PROBE packets received (each one is answered with an ack).
+    pub probes_received: Counter,
+    /// Times a sender peer transitioned into the credit-blocked state
+    /// (window space free, advertised horizon exhausted).
+    pub credit_stalls: Counter,
+    /// Times a credit-blocked peer was released by a grown horizon. Every
+    /// stall that ends is matched by exactly one resume.
+    pub credit_resumes: Counter,
+    /// Total credit horizon growth received from peers (sequences newly
+    /// permitted; coarse goodput-of-credits measure).
+    pub credits_granted: Counter,
+    /// Sender peers currently credit-blocked.
+    pub credit_blocked_now: Gauge,
 }
 
 impl TransportStats {
-    /// Register the `transport.*` series for node `nid` in `registry`.
+    /// Register the `transport.*` and `flow.*` series for node `nid` in
+    /// `registry`.
     pub fn new(registry: &Registry, nid: u32) -> TransportStats {
         let labels = [("node", nid.to_string())];
         let c = |name| registry.counter(name, &labels);
@@ -107,73 +123,6 @@ impl TransportStats {
             peers_stalled: c("transport.peers_stalled"),
             peers_recovered: c("transport.peers_recovered"),
             stalled_now: registry.gauge("transport.stalled_now", &labels),
-        }
-    }
-
-    /// Snapshot into plain data.
-    pub fn snapshot(&self) -> TransportStatsSnapshot {
-        TransportStatsSnapshot {
-            messages_sent: self.messages_sent.get(),
-            messages_delivered: self.messages_delivered.get(),
-            messages_consumed: self.messages_consumed.get(),
-            data_packets_sent: self.data_packets_sent.get(),
-            data_packets_accepted: self.data_packets_accepted.get(),
-            retransmissions: self.retransmissions.get(),
-            resend_bytes: self.resend_bytes.get(),
-            duplicates_dropped: self.duplicates_dropped.get(),
-            out_of_order_dropped: self.out_of_order_dropped.get(),
-            ooo_buffered: self.ooo_buffered.get(),
-            noncontiguous_dropped: self.noncontiguous_dropped.get(),
-            frags_streamed: self.frags_streamed.get(),
-            bytes_buffered_hwm: self.bytes_buffered_hwm.get(),
-            acks_sent: self.acks_sent.get(),
-            acks_coalesced: self.acks_coalesced.get(),
-            acks_received: self.acks_received.get(),
-            garbage_dropped: self.garbage_dropped.get(),
-            checksum_rejects: self.checksum_rejects.get(),
-            peers_stalled: self.peers_stalled.get(),
-            peers_recovered: self.peers_recovered.get(),
-            peers_stalled_now: self.stalled_now.get(),
-        }
-    }
-}
-
-impl Default for TransportStats {
-    fn default() -> Self {
-        TransportStats::new(&Registry::default(), u32::MAX)
-    }
-}
-
-/// Credit flow-control counters maintained by an endpoint's progress core.
-///
-/// Registered as `flow.*` series labeled `{node}` on the same registry as
-/// [`TransportStats`], so job-wide sums (`registry.sum_counters("flow.…")`)
-/// reconcile the credit machinery the same way the transport invariants do.
-#[derive(Debug)]
-pub struct FlowStats {
-    /// PROBE packets sent (credit-starved sender soliciting a window).
-    pub probes_sent: Counter,
-    /// PROBE packets received (each one is answered with an ack).
-    pub probes_received: Counter,
-    /// Times a sender peer transitioned into the credit-blocked state
-    /// (window space free, advertised horizon exhausted).
-    pub credit_stalls: Counter,
-    /// Times a credit-blocked peer was released by a grown horizon. Every
-    /// stall that ends is matched by exactly one resume.
-    pub credit_resumes: Counter,
-    /// Total credit horizon growth received from peers (sequences newly
-    /// permitted; coarse goodput-of-credits measure).
-    pub credits_granted: Counter,
-    /// Sender peers currently credit-blocked.
-    pub credit_blocked_now: Gauge,
-}
-
-impl FlowStats {
-    /// Register the `flow.*` series for node `nid` in `registry`.
-    pub fn new(registry: &Registry, nid: u32) -> FlowStats {
-        let labels = [("node", nid.to_string())];
-        let c = |name| registry.counter(name, &labels);
-        FlowStats {
             probes_sent: c("flow.probes_sent"),
             probes_received: c("flow.probes_received"),
             credit_stalls: c("flow.credit_stalls"),
@@ -182,81 +131,11 @@ impl FlowStats {
             credit_blocked_now: registry.gauge("flow.credit_blocked_now", &labels),
         }
     }
-
-    /// Snapshot into plain data.
-    pub fn snapshot(&self) -> FlowStatsSnapshot {
-        FlowStatsSnapshot {
-            probes_sent: self.probes_sent.get(),
-            probes_received: self.probes_received.get(),
-            credit_stalls: self.credit_stalls.get(),
-            credit_resumes: self.credit_resumes.get(),
-            credits_granted: self.credits_granted.get(),
-            credit_blocked_now: self.credit_blocked_now.get(),
-        }
-    }
-}
-
-impl Default for FlowStats {
-    fn default() -> Self {
-        FlowStats::new(&Registry::default(), u32::MAX)
-    }
-}
-
-/// Plain-data snapshot of [`FlowStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct FlowStatsSnapshot {
-    pub probes_sent: u64,
-    pub probes_received: u64,
-    pub credit_stalls: u64,
-    pub credit_resumes: u64,
-    pub credits_granted: u64,
-    pub credit_blocked_now: i64,
-}
-
-/// Plain-data snapshot of [`TransportStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct TransportStatsSnapshot {
-    pub messages_sent: u64,
-    pub messages_delivered: u64,
-    pub messages_consumed: u64,
-    pub data_packets_sent: u64,
-    pub data_packets_accepted: u64,
-    pub retransmissions: u64,
-    pub resend_bytes: u64,
-    pub duplicates_dropped: u64,
-    pub out_of_order_dropped: u64,
-    pub ooo_buffered: u64,
-    pub noncontiguous_dropped: u64,
-    pub frags_streamed: u64,
-    pub bytes_buffered_hwm: i64,
-    pub acks_sent: u64,
-    pub acks_coalesced: u64,
-    pub acks_received: u64,
-    pub garbage_dropped: u64,
-    pub checksum_rejects: u64,
-    pub peers_stalled: u64,
-    pub peers_recovered: u64,
-    pub peers_stalled_now: i64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let s = TransportStats::default();
-        s.messages_sent.add(2);
-        s.retransmissions.add(5);
-        s.stalled_now.inc();
-        let snap = s.snapshot();
-        assert_eq!(snap.messages_sent, 2);
-        assert_eq!(snap.retransmissions, 5);
-        assert_eq!(snap.acks_sent, 0);
-        assert_eq!(snap.peers_stalled_now, 1);
-    }
 
     #[test]
     fn series_sum_across_nodes_through_one_registry() {
@@ -265,6 +144,8 @@ mod tests {
         let b = TransportStats::new(&registry, 1);
         a.messages_sent.add(3);
         b.messages_sent.add(4);
+        b.credit_stalls.inc();
         assert_eq!(registry.sum_counters("transport.messages_sent"), 7);
+        assert_eq!(registry.sum_counters("flow.credit_stalls"), 1);
     }
 }

@@ -72,9 +72,9 @@ proptest! {
         // The receiver really did exercise the interesting paths.
         let sb = b.stats();
         let sa = a.stats();
-        prop_assert_eq!(sa.messages_sent, n_msgs as u64);
-        prop_assert_eq!(sb.messages_delivered, n_msgs as u64);
-        prop_assert_eq!(sb.peers_stalled_now, 0);
-        prop_assert_eq!(sa.peers_recovered, sa.peers_stalled);
+        prop_assert_eq!(sa.messages_sent.get(), n_msgs as u64);
+        prop_assert_eq!(sb.messages_delivered.get(), n_msgs as u64);
+        prop_assert_eq!(sb.stalled_now.get(), 0);
+        prop_assert_eq!(sa.peers_recovered.get(), sa.peers_stalled.get());
     }
 }

@@ -102,10 +102,7 @@ fn main() {
         );
     }
     for (i, s) in servers.iter().enumerate() {
-        let reqs = s
-            .stats()
-            .requests
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let reqs = s.stats().requests.get();
         let size = s.file_size(b"checkpoint").unwrap_or(0);
         println!("server {i}: {reqs} requests served, component size {size} bytes");
     }

@@ -389,29 +389,30 @@ fn sec48_drop_reasons() {
         assert!(Instant::now() < deadline, "drops not observed in time");
         std::thread::yield_now();
     }
-    let snapshot = target.counters();
+    let counters = target.counters();
     println!("| drops | reason |");
     println!("|---:|---|");
-    for (reason, count) in snapshot.dropped_by_reason() {
+    for (reason, count) in counters.dropped_by_reason() {
         if count > 0 {
             println!("| {count} | {reason} |");
         }
     }
     println!(
         "| {} | total (requests accepted: {}) |",
-        snapshot.dropped_total(),
-        snapshot.requests_accepted
+        counters.dropped_total(),
+        counters.requests_accepted.get()
     );
     println!(
         "\ncopies/message at target: {:.2} ({} copies / {} messages)",
-        snapshot.copies_per_message(),
-        snapshot.payload_copies,
-        snapshot.payload_messages
+        counters.copies_per_message(),
+        counters.payload_copies.get(),
+        counters.payload_messages.get()
     );
     let ts = p.initiator_node.transport_stats();
     println!(
         "transport resend_bytes: {} (of {} data packets sent)",
-        ts.resend_bytes, ts.data_packets_sent
+        ts.resend_bytes.get(),
+        ts.data_packets_sent.get()
     );
 }
 

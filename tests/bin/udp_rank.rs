@@ -51,16 +51,16 @@ fn main() {
             "rma" => workload::run_rma(&env),
             _ => workload::run(&env),
         };
-        (env.rank().0, transcript, env.node.transport_stats())
+        let retransmissions = env.node.transport_stats().retransmissions.get();
+        (env.rank().0, transcript, retransmissions)
     });
 
-    for (rank, transcript, stats) in results {
+    for (rank, transcript, retransmissions) in results {
         std::fs::write(format!("{out_dir}/rank-{rank}.transcript"), &transcript)
             .expect("write transcript");
         println!(
-            "rank {rank} bytes {} retransmissions {}",
-            transcript.len(),
-            stats.retransmissions
+            "rank {rank} bytes {} retransmissions {retransmissions}",
+            transcript.len()
         );
     }
 }

@@ -164,15 +164,7 @@ fn flooded_receiver(env: &ProcessEnv, gate: &Barrier) {
 
 /// Drop count by reason on this rank's interface.
 fn dropped(env: &ProcessEnv, reason: DropReason) -> u64 {
-    env.mpi
-        .engine()
-        .ni()
-        .counters()
-        .dropped_by_reason()
-        .iter()
-        .find(|(r, _)| *r == reason)
-        .map(|(_, n)| *n)
-        .unwrap_or(0)
+    env.mpi.engine().ni().counters().dropped(reason)
 }
 
 proptest! {

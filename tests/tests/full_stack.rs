@@ -349,5 +349,5 @@ fn dropped_message_counters_are_complete() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(b.counters().dropped_total(), 4);
-    assert_eq!(b.counters().requests_accepted, 0);
+    assert_eq!(b.counters().requests_accepted.get(), 0);
 }

@@ -12,7 +12,8 @@
 use portals::{AckRequest, EventKind, MdSpec, MePos, NiConfig, Node, NodeConfig, Region};
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
 use portals_obs::{Layer, Obs, Stage};
-use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId};
+use portals_runtime::{Job, JobConfig};
+use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, Rank};
 use std::time::Duration;
 
 #[test]
@@ -108,7 +109,7 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
         N,
         "an ack completed twice"
     );
-    assert_eq!(b.counters().triggered_fired, 1);
+    assert_eq!(b.counters().triggered_fired.get(), 1);
 
     // The event queue holds exactly N put events — one per logical message.
     let mut puts = 0u64;
@@ -120,7 +121,7 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
 
     // The duplicates existed and died in the transport, invisibly to Portals.
     assert!(
-        nb.transport_stats().duplicates_dropped > 0,
+        nb.transport_stats().duplicates_dropped.get() > 0,
         "fault plan produced no duplicates — the test exercised nothing"
     );
     assert_eq!(a.counters().dropped_total(), 0);
@@ -150,4 +151,48 @@ fn duplicated_wire_never_double_fires_cts_eqs_or_triggers() {
         drops, DOOMED,
         "trace shows a drop the doomed puts do not explain"
     );
+}
+
+/// Every counter series the benchmark reads by name exists after one MPI
+/// message on a default two-rank job: a rename would silently zero a
+/// per-layer row rather than fail.
+#[test]
+fn a_default_job_registers_the_series_the_benchmark_reads() {
+    let obs = Obs::default();
+    let config = JobConfig {
+        obs: obs.clone(),
+        ..Default::default()
+    };
+    Job::launch(2, config, |env| {
+        if env.rank() == Rank(0) {
+            env.comm.send(Rank(1), 1, b"named");
+        } else {
+            let (data, _) = env.comm.recv(Some(Rank(0)), Some(1), 16);
+            assert_eq!(data, b"named");
+        }
+        env.comm.barrier();
+    });
+    let registered: Vec<_> = obs.registry.snapshot().iter().map(|s| s.name).collect();
+    for name in [
+        "fabric.packets_sent",
+        "transport.data_packets_sent",
+        "transport.acks_sent",
+        "transport.acks_coalesced",
+        "transport.retransmissions",
+        "transport.ooo_buffered",
+        "transport.checksum_rejects",
+        "transport.peers_stalled",
+        "flow.credit_stalls",
+        "portals.dropped",
+        "portals.payload_copies",
+        "portals.payload_messages",
+        "portals.events_overwritten",
+        "portals.triggered_fired",
+        "portals.node_dropped_no_process",
+        "portals.node_dropped_garbage",
+        "mpi.regions_pooled",
+        "mpi.regions_allocated",
+    ] {
+        assert!(registered.contains(&name), "{name} not registered");
+    }
 }

@@ -81,7 +81,7 @@ fn overwrite_after_wait(mode: ProgressMode, lossy: bool) -> u64 {
         }
         // Hold both nodes up until the last round has been checked.
         env.comm.barrier();
-        env.node.transport_stats().retransmissions
+        env.node.transport_stats().retransmissions.get()
     });
     retransmissions.iter().sum()
 }
@@ -133,11 +133,16 @@ fn one_reply_per_rendezvous_and_nothing_left_exposed() {
                     // see the pull alone.
                     assert_eq!(env.comm.probe(Some(Rank(0)), Some(9)).len, LEN);
                     let idle = ni.resources_in_use();
-                    let before = ni.counters();
+                    // Values, not the live handle: a held handle reads 0 deltas.
+                    let counts = || {
+                        let c = ni.counters();
+                        (c.replies_accepted.get(), c.payload_copies.get())
+                    };
+                    let (replies_before, copies_before) = counts();
                     let buf = Region::zeroed(cap);
                     let req = env.comm.irecv(Some(Rank(0)), Some(9), buf.clone());
                     let st = env.comm.wait(req).status().expect("recv status");
-                    let after = ni.counters();
+                    let (replies_after, copies_after) = counts();
                     assert_eq!(
                         (st.len, st.full_len, st.truncated),
                         (delivered, LEN, cap < LEN),
@@ -145,14 +150,14 @@ fn one_reply_per_rendezvous_and_nothing_left_exposed() {
                     );
                     assert_eq!(buf.read_vec(0, delivered), pattern(0)[..delivered]);
                     assert_eq!(
-                        after.replies_accepted - before.replies_accepted,
+                        replies_after - replies_before,
                         1,
                         "cap {cap}: one get, one reply"
                     );
                     // The reply is scattered straight into `buf`: one copy,
                     // or none when there is no byte to move.
                     assert_eq!(
-                        after.payload_copies - before.payload_copies,
+                        copies_after - copies_before,
                         u64::from(cap > 0),
                         "cap {cap}: no second copy behind the engine's back"
                     );

@@ -12,9 +12,10 @@
 
 use portals::{
     AckRequest, CombineOp, EqHandle, Event, EventKind, MdHandle, MdOptions, MdSpec, MePos,
-    NetworkInterface, NiConfig, NiCountersSnapshot, Node, NodeConfig, Threshold, NACK_MLENGTH,
+    NetworkInterface, NiConfig, Node, NodeConfig, Threshold, NACK_MLENGTH,
 };
 use portals_net::{Fabric, FabricConfig, FaultPlan, Link, LinkModel};
+use portals_obs::SeriesSnapshot;
 use portals_transport::{Endpoint, ProgressMode, TransportConfig};
 use portals_types::{Gather, MatchBits, MatchCriteria, NodeId, ProcessId, PtlError, Region};
 use portals_wire::{
@@ -93,9 +94,12 @@ fn run_transport(
         })
         .collect();
     let stats = b.stats();
-    assert!(stats.bytes_buffered_hwm <= 4096, "OOO budget exceeded");
-    assert_eq!(stats.noncontiguous_dropped, 0);
-    (out, stats.frags_streamed)
+    assert!(
+        stats.bytes_buffered_hwm.get() <= 4096,
+        "OOO budget exceeded"
+    );
+    assert_eq!(stats.noncontiguous_dropped.get(), 0);
+    (out, stats.frags_streamed.get())
 }
 
 proptest! {
@@ -131,11 +135,33 @@ struct Observed {
     /// Every event either interface logged: queue order within each queue,
     /// script order across queues.
     events: Vec<(&'static str, Event)>,
-    counters: [NiCountersSnapshot; 2],
+    /// Each interface's whole counter set ([`counter_set`]).
+    counters: [Vec<SeriesSnapshot>; 2],
     cts: [u64; 2],
     /// The bytes every target region ended up holding.
     landed: Vec<Vec<u8>>,
     node_garbage: [u64; 2],
+}
+
+/// Drive `ni`'s progress, then read its `portals.*{node, pid}` series.
+fn counter_set(ni: &NetworkInterface) -> Vec<SeriesSnapshot> {
+    ni.progress();
+    let (node, pid) = (ni.id().nid.0.to_string(), ni.id().pid.to_string());
+    let ours = |s: &SeriesSnapshot| s.label("node") == Some(&node) && s.label("pid") == Some(&pid);
+    ni.obs()
+        .registry
+        .snapshot()
+        .into_iter()
+        .filter(ours)
+        .collect()
+}
+
+/// Sum of the counter series named `name` in `set`.
+fn total(set: &[SeriesSnapshot], name: &str) -> u64 {
+    set.iter()
+        .filter(|s| s.name == name)
+        .filter_map(SeriesSnapshot::as_counter)
+        .sum()
 }
 
 /// Initiator `a`, target `b`, their main queues, and the log the script
@@ -375,10 +401,10 @@ fn scripted(mtu: usize, mode: ProgressMode, fabric: Fabric) -> Observed {
     }
     // The engine counts an ack or a put *after* pushing its event, so the
     // event this script just consumed may still be ahead of its counter.
-    let mut counters = [w.a.counters(), w.b.counters()];
+    let mut counters = [counter_set(&w.a), counter_set(&w.b)];
     loop {
         std::thread::sleep(Duration::from_millis(5));
-        let again = [w.a.counters(), w.b.counters()];
+        let again = [counter_set(&w.a), counter_set(&w.b)];
         if again == counters {
             break;
         }
@@ -398,8 +424,11 @@ fn scripted(mtu: usize, mode: ProgressMode, fabric: Fabric) -> Observed {
 fn arrival_shape_is_not_observable() {
     for mode in [ProgressMode::NicThread, ProgressMode::CallerDriven] {
         let clean = scripted(MTU_WHOLE, mode, Fabric::ideal());
-        assert_eq!(clean.counters[1].dropped_total(), 4, "script drift");
-        assert!(clean.counters[1].copies_per_message() <= 1.0);
+        let target = &clean.counters[1];
+        assert_eq!(total(target, "portals.dropped"), 4, "script drift");
+        assert!(
+            total(target, "portals.payload_copies") <= total(target, "portals.payload_messages")
+        );
         assert_eq!(clean.node_garbage, [0, 0]);
         let pieces = scripted(MTU_PIECES, mode, Fabric::ideal());
         assert_eq!(pieces, clean, "{mode:?}, clean wire");
@@ -513,7 +542,10 @@ fn length_mismatched_messages_complete_nothing_in_either_shape() {
         assert_eq!(ni.ct_get(ct).unwrap().success, 0, "{what}");
         let counted = ni.counters();
         assert_eq!(
-            (counted.requests_accepted, counted.replies_accepted),
+            (
+                counted.requests_accepted.get(),
+                counted.replies_accepted.get()
+            ),
             (0, 0)
         );
         assert_eq!(node.dropped_garbage(), 1, "{what}");
@@ -620,7 +652,7 @@ proptest! {
             prop_assert_eq!(&got.payload.to_vec(), want);
         }
         prop_assert!(rx.recv_timeout(Duration::from_millis(20)).is_none());
-        prop_assert_eq!(rx.stats().messages_delivered, expect.len() as u64);
+        prop_assert_eq!(rx.stats().messages_delivered.get(), expect.len() as u64);
 
         // Through a node: every intact put is delivered, the rest is garbage,
         // and the NIC thread is still alive to take one more.
