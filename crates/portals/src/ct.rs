@@ -4,7 +4,8 @@
 //! argument (§5.1) calls for once whole communication *schedules* move into
 //! the interface: a pair of monotone counters (success/failure) that the §4.8
 //! delivery paths bump directly — no event-queue round trip, no payload, no
-//! ring buffer — plus a min-heap of [`TriggeredOp`]s waiting for the success
+//! ring buffer — plus a min-heap of parked operations (a builder's
+//! `submit_after`, or a chained `triggered_ct_inc`) waiting for the success
 //! count to cross their thresholds.
 //!
 //! # Fire-before-notify invariant

@@ -437,7 +437,7 @@ pub(crate) fn deliver(core: &NiCore, node: &NodeShared, msg: PortalsMessage) {
 /// A put that arrived whole: the receive sequence with one write.
 fn handle_put(core: &NiCore, node: &NodeShared, put: PutRequest) {
     let ack = ack_to(put.ack_md, put.ack_eq);
-    if let PutBegin::Sink(sink) = put_begin(core, node, put.header, ack, Some(&put.payload)) {
+    if let Some(sink) = put_begin(core, node, put.header, ack) {
         sink.write(0, &put.payload);
         sink.finish(core, node);
     }
@@ -632,35 +632,18 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
 //
 // What the portal lock covers: admission and commit, so two messages can
 // never both consume a descriptor's last threshold count or the same managed
-// offset, and the read-modify-write of an atomic or of a *combining*
-// descriptor, which must not interleave with another contribution. What it
-// does not cover: a plain overwrite's data movement and the event push. The
-// gap between commit and event is closed for `PtlMDUpdate` — the one API
-// that tests "has anything arrived that I have not seen" — by the event
-// queue itself: `begin` marks the queue as owed an event under the portal
-// lock and `finish` settles it ([`EventQueue::owe`](crate::event::EventQueue)).
+// offset, and an atomic's read-modify-write, which must not interleave with
+// another contribution. What it does not cover: a plain overwrite's data
+// movement and the event push. The gap between commit and event is closed for
+// `PtlMDUpdate` — the one API that tests "has anything arrived that I have
+// not seen" — by the event queue itself: `begin` marks the queue as owed an
+// event under the portal lock and `finish` settles it
+// ([`EventQueue::owe`](crate::event::EventQueue)).
 //
 // Partial-delivery visibility: between begin and finish the target region
 // holds a mix of old and new bytes. This is exactly the §6c torn-read/RDMA
 // contract — the paper's semantics make no promise about a region's contents
 // before the completion event is delivered.
-
-/// What [`put_begin`] decided at header time.
-// Returned by value once per put and matched on the spot; boxing the sink
-// would put an allocation on the small-message path to save a memcpy.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum PutBegin {
-    /// Header accepted: write the payload into the sink, then
-    /// [`PutSink::finish`].
-    Sink(PutSink),
-    /// The matched descriptor combines, and the contribution is not all here
-    /// yet: nothing was committed; accumulate the message and deliver it
-    /// whole.
-    NeedWhole,
-    /// Dropped (and possibly nacked) at header time: swallow whatever payload
-    /// is still to come.
-    Done,
-}
 
 /// An accepted put between header and completion: the matched region plus
 /// everything completion needs. Payload writes go through the captured
@@ -672,51 +655,29 @@ pub(crate) struct PutSink {
     header: RequestHeader,
     ack: AckTo,
     accepted: Accepted,
-    /// Where payload lands; `None` once a combining descriptor has folded the
-    /// whole contribution in at begin.
-    mem: Option<MdMemory>,
+    /// Where payload lands.
+    mem: MdMemory,
     ct: Option<CtHandle>,
     committed: Option<Committed>,
 }
 
 /// Run the §4.8 receive checks for a put, up to and including commit; data
-/// movement and event visibility belong to the sink. `whole` is the payload
-/// when all of it has already arrived.
+/// movement and event visibility belong to the sink. `None`: dropped (and
+/// possibly nacked) at header time — swallow whatever payload is still to
+/// come.
 pub(crate) fn put_begin(
     core: &NiCore,
     node: &NodeShared,
     h: RequestHeader,
     ack: AckTo,
-    whole: Option<&Gather>,
-) -> PutBegin {
-    let Some((mut list, accepted)) = admit(core, node, &h, EventKind::Put, ack) else {
-        return PutBegin::Done;
-    };
+) -> Option<PutSink> {
+    let (mut list, accepted) = admit(core, node, &h, EventKind::Put, ack)?;
     let state = &core.state;
     // Capture the counting event and the memory map before commit can
-    // auto-unlink the descriptor. A combining descriptor's fold is a
-    // read-modify-write over the whole contribution: it happens here, inside
-    // the portal-lock critical section that serializes it against every other
-    // contribution, or not yet at all.
-    let landing = state.mds.with(accepted.md, |md| {
-        let mem = match (md.combine, whole) {
-            (None, _) => Some(md.region.clone()),
-            (Some(_), Some(payload)) => {
-                let data = payload.slice(0, accepted.mlength as usize).to_vec();
-                md.deliver(accepted.offset, &data);
-                None
-            }
-            (Some(_), None) => return None,
-        };
-        Some((mem, md.ct))
-    });
-    let (mem, ct) = match landing {
-        Some(Some(landing)) => landing,
-        Some(None) => return PutBegin::NeedWhole,
-        None => {
-            drop_msg(core, DropReason::NoMatch);
-            return PutBegin::Done;
-        }
+    // auto-unlink the descriptor.
+    let Some((mem, ct)) = state.mds.with(accepted.md, |md| (md.region.clone(), md.ct)) else {
+        drop_msg(core, DropReason::NoMatch);
+        return None;
     };
     // Commit under the portal lock — threshold, managed offset and
     // auto-unlink — but hold the resulting events back until the payload has
@@ -726,7 +687,7 @@ pub(crate) fn put_begin(
         state.eqs.with(eq, |queue| queue.owe());
     }
     drop(list);
-    PutBegin::Sink(PutSink {
+    Some(PutSink {
         header: h,
         ack,
         accepted,
@@ -747,13 +708,11 @@ impl PutSink {
     /// bytes past `mlength` are the truncated tail and are dropped here,
     /// preserving §4.8 truncation.
     pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
-        let Some(mem) = &self.mem else {
-            return;
-        };
         let room = self.accepted.mlength.saturating_sub(payload_off);
         let take = (data.len() as u64).min(room) as usize;
         if take > 0 {
-            mem.write_gather(self.accepted.offset + payload_off, &data.slice(0, take));
+            self.mem
+                .write_gather(self.accepted.offset + payload_off, &data.slice(0, take));
         }
     }
 
@@ -907,7 +866,7 @@ impl ReplySink {
             core.push_event(eqh, event);
         }
         // Every lock is released before firing, so a trigger's own
-        // do_put/do_get can re-enter the arena without self-deadlock.
+        // launch can re-enter the arena without self-deadlock.
         if let Some(ct) = self.ct {
             crate::triggered::ct_increment(core, node, ct, 1);
         }

@@ -97,7 +97,7 @@ pub use builder::{AtomicBuilder, GetBuilder, PutBuilder};
 pub use counters::{DropReason, NiCounters};
 pub use ct::{CountingEvent, CtValue};
 pub use event::{Event, EventKind, EventQueue};
-pub use md::{CombineOp, Md, MdMemory, MdOptions, MdSpec, MdVerdict, ReqOp, Segment, Threshold};
+pub use md::{Md, MdMemory, MdOptions, MdSpec, MdVerdict, ReqOp, Segment, Threshold};
 pub use me::MatchEntry;
 pub use ni::{AckRequest, NetworkInterface, NiConfig, NACK_MLENGTH};
 pub use node::{Node, NodeConfig, ProcessDirectory};
@@ -105,7 +105,6 @@ pub use portals_transport::TransportConfig;
 pub use portals_types::{ErrorKind, Gather, ProgressMode, Region, RegionPool};
 pub use portals_wire::{AtomicDatatype, AtomicOp};
 pub use table::MePos;
-pub use triggered::TriggeredOp;
 
 /// Handle to a memory descriptor.
 pub type MdHandle = portals_types::Handle<md::Md>;

@@ -11,45 +11,6 @@ use crate::{CtHandle, EqHandle};
 use portals_types::{Gather, Region};
 use portals_wire::{AtomicDatatype, AtomicOp};
 
-/// Element-wise combine applied by [`Md::deliver`] when the descriptor is a
-/// *combining* MD: incoming put payloads are folded into the region as
-/// little-endian `f64` lanes instead of overwriting it. This is the arrival
-/// side of offloaded reductions — a stage buffer initialized to the
-/// operator's identity accumulates contributions in whatever order they
-/// land, with no host involvement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombineOp {
-    /// Lane-wise IEEE addition.
-    Sum,
-    /// Lane-wise minimum.
-    Min,
-    /// Lane-wise maximum.
-    Max,
-}
-
-impl CombineOp {
-    /// Combine one lane.
-    #[inline]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            CombineOp::Sum => a + b,
-            CombineOp::Min => a.min(b),
-            CombineOp::Max => a.max(b),
-        }
-    }
-
-    /// The operator's identity element (what a combining buffer is
-    /// initialized to so the first arrival passes through unchanged).
-    #[inline]
-    pub fn identity(self) -> f64 {
-        match self {
-            CombineOp::Sum => 0.0,
-            CombineOp::Min => f64::INFINITY,
-            CombineOp::Max => f64::NEG_INFINITY,
-        }
-    }
-}
-
 /// One piece of a scattered memory region.
 ///
 /// The backing store is a refcounted [`Region`]: the paper requires "all
@@ -166,8 +127,8 @@ impl MdMemory {
     }
 
     /// Read `mlength` bytes at logical `offset` into a fresh `Vec` (the
-    /// read half of an atomic's or a combining descriptor's
-    /// read-modify-write). Caller has validated bounds.
+    /// read half of an atomic's read-modify-write). Caller has validated
+    /// bounds.
     pub fn read(&self, offset: u64, mlength: u64) -> Vec<u8> {
         match self {
             MdMemory::Contiguous { region, .. } => {
@@ -308,8 +269,6 @@ pub struct MdSpec {
     pub eq: Option<EqHandle>,
     /// Counting event bumped by the §4.8 delivery paths, if any.
     pub ct: Option<CtHandle>,
-    /// Fold incoming put payloads into the region instead of overwriting.
-    pub combine: Option<CombineOp>,
 }
 
 impl MdSpec {
@@ -323,7 +282,6 @@ impl MdSpec {
             threshold: Threshold::Infinite,
             eq: None,
             ct: None,
-            combine: None,
         }
     }
 
@@ -335,7 +293,6 @@ impl MdSpec {
             threshold: Threshold::Infinite,
             eq: None,
             ct: None,
-            combine: None,
         }
     }
 
@@ -350,13 +307,6 @@ impl MdSpec {
     /// success on it.
     pub fn with_ct(mut self, ct: CtHandle) -> MdSpec {
         self.ct = Some(ct);
-        self
-    }
-
-    /// Make this a combining descriptor: incoming puts fold into the region
-    /// as `f64` lanes under `op` instead of overwriting.
-    pub fn with_combine(mut self, op: CombineOp) -> MdSpec {
-        self.combine = Some(op);
         self
     }
 
@@ -436,8 +386,6 @@ pub struct Md {
     pub eq: Option<EqHandle>,
     /// Counting event bumped by the §4.8 delivery paths, if any.
     pub ct: Option<CtHandle>,
-    /// Fold incoming put payloads into the region instead of overwriting.
-    pub combine: Option<CombineOp>,
     /// Locally managed offset (used when `options.manage_local_offset`).
     pub local_offset: u64,
     /// Operations in flight that must complete before unlink (a get's MD
@@ -458,7 +406,6 @@ impl Md {
             threshold: spec.threshold,
             eq: spec.eq,
             ct: spec.ct,
-            combine: spec.combine,
             local_offset: 0,
             pending_ops: 0,
             owner: None,
@@ -532,31 +479,6 @@ impl Md {
     /// movement). Caller has already validated bounds via [`Md::evaluate`].
     pub fn write(&self, offset: u64, data: &[u8]) {
         self.region.write(offset, data);
-    }
-
-    /// Land an incoming put: plain overwrite, or — for a combining
-    /// descriptor — fold full 8-byte lanes under the combine op (any partial
-    /// tail lane overwrites). Only the put path uses this; replies always
-    /// overwrite, matching §4.8's accept-and-truncate rule.
-    pub fn deliver(&self, offset: u64, data: &[u8]) {
-        let Some(op) = self.combine else {
-            return self.write(offset, data);
-        };
-        if data.is_empty() {
-            return;
-        }
-        let existing = self.read(offset, data.len() as u64);
-        let mut out = data.to_vec();
-        for (lane, (cur, inc)) in existing
-            .chunks_exact(8)
-            .zip(data.chunks_exact(8))
-            .enumerate()
-        {
-            let a = f64::from_le_bytes(cur.try_into().expect("8-byte lane"));
-            let b = f64::from_le_bytes(inc.try_into().expect("8-byte lane"));
-            out[lane * 8..lane * 8 + 8].copy_from_slice(&op.apply(a, b).to_le_bytes());
-        }
-        self.write(offset, &out);
     }
 
     /// Read `mlength` bytes from the region at `offset` (the get side).
@@ -923,49 +845,6 @@ mod tests {
     fn with_length_rejected_on_scattered() {
         let seg = Segment::new(Region::from_vec(vec![0u8; 4]), 0, 4);
         let _ = MdSpec::scattered(vec![seg]).with_length(2);
-    }
-
-    #[test]
-    fn combining_md_folds_lanes_and_overwrites_tail() {
-        let md = Md::from_spec(
-            MdSpec::new(Region::from_vec(vec![0u8; 19])).with_combine(CombineOp::Sum),
-        );
-        // Initialize two lanes to the Sum identity explicitly (already 0.0).
-        md.deliver(0, &{
-            let mut d = Vec::new();
-            d.extend_from_slice(&1.5f64.to_le_bytes());
-            d.extend_from_slice(&2.0f64.to_le_bytes());
-            d.extend_from_slice(&[7, 7, 7]); // tail: overwritten, not combined
-            d
-        });
-        md.deliver(0, &{
-            let mut d = Vec::new();
-            d.extend_from_slice(&0.25f64.to_le_bytes());
-            d.extend_from_slice(&(-1.0f64).to_le_bytes());
-            d.extend_from_slice(&[9, 9, 9]);
-            d
-        });
-        let bytes = md.read(0, 19);
-        assert_eq!(f64::from_le_bytes(bytes[..8].try_into().unwrap()), 1.75);
-        assert_eq!(f64::from_le_bytes(bytes[8..16].try_into().unwrap()), 1.0);
-        assert_eq!(&bytes[16..], &[9, 9, 9]);
-    }
-
-    #[test]
-    fn combine_identities_pass_first_arrival_through() {
-        for op in [CombineOp::Sum, CombineOp::Min, CombineOp::Max] {
-            for v in [3.5f64, -2.25, 0.0] {
-                assert_eq!(op.apply(op.identity(), v), v, "{op:?} identity");
-                assert_eq!(op.apply(v, op.identity()), v, "{op:?} identity (sym)");
-            }
-        }
-    }
-
-    #[test]
-    fn non_combining_deliver_is_plain_write() {
-        let md = md_with(MdOptions::default(), Threshold::Infinite, 8);
-        md.deliver(2, b"xy");
-        assert_eq!(md.read(2, 2), b"xy");
     }
 
     #[test]

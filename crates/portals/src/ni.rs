@@ -40,7 +40,7 @@
 //! exactly the lock the engine holds for the whole of a put/get delivery.
 
 use crate::acl::{AcEntry, AccessControlList, AclReject, InitiatorClass};
-use crate::builder::{AtomicBuilder, GetBuilder, PutBuilder};
+use crate::builder::{AtomicBuilder, GetBuilder, Op, PutBuilder, Verb};
 use crate::counters::{DropReason, NiCounters};
 use crate::ct::{CountingEvent, CtValue};
 use crate::engine;
@@ -54,8 +54,7 @@ use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::{Mutex, RwLock};
 use portals_obs::{Layer, Obs, Stage, TraceEvent};
 use portals_types::{
-    MatchBits, MatchCriteria, NiLimits, ProcessId, ProgressMode, PtlError, PtlResult, Readiness,
-    Sharded,
+    MatchCriteria, NiLimits, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, Sharded,
 };
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
@@ -771,74 +770,6 @@ impl NetworkInterface {
         Ok(())
     }
 
-    /// Queue a put against `trig_ct`: it launches — in engine context — the
-    /// moment the counter's success count reaches `threshold` (spec lineage:
-    /// `PtlTriggeredPut`). The source bytes are read at fire time. If the
-    /// threshold is already met the put fires immediately in this thread.
-    #[allow(clippy::too_many_arguments)] // mirrors PtlTriggeredPut's arity
-    pub fn triggered_put(
-        &self,
-        md: MdHandle,
-        ack: AckRequest,
-        target: ProcessId,
-        portal_index: u32,
-        cookie: u32,
-        match_bits: MatchBits,
-        remote_offset: u64,
-        trig_ct: CtHandle,
-        threshold: u64,
-    ) -> PtlResult<()> {
-        if target.has_wildcard() {
-            return Err(PtlError::InvalidProcess);
-        }
-        self.register_trigger(
-            trig_ct,
-            threshold,
-            TriggeredOp::Put {
-                md,
-                ack,
-                target,
-                portal_index,
-                cookie,
-                match_bits,
-                remote_offset,
-            },
-        )
-    }
-
-    /// Queue a get against `trig_ct` (spec lineage: `PtlTriggeredGet`); same
-    /// firing contract as [`NetworkInterface::triggered_put`].
-    #[allow(clippy::too_many_arguments)] // mirrors PtlTriggeredGet's arity
-    pub fn triggered_get(
-        &self,
-        md: MdHandle,
-        target: ProcessId,
-        portal_index: u32,
-        cookie: u32,
-        match_bits: MatchBits,
-        remote_offset: u64,
-        length: u64,
-        trig_ct: CtHandle,
-        threshold: u64,
-    ) -> PtlResult<()> {
-        if target.has_wildcard() {
-            return Err(PtlError::InvalidProcess);
-        }
-        self.register_trigger(
-            trig_ct,
-            threshold,
-            TriggeredOp::Get {
-                md,
-                target,
-                portal_index,
-                cookie,
-                match_bits,
-                remote_offset,
-                length,
-            },
-        )
-    }
-
     /// Queue an increment of `ct` against `trig_ct` (spec lineage:
     /// `PtlTriggeredCTInc`) — the primitive for chaining counters.
     pub fn triggered_ct_inc(
@@ -851,7 +782,9 @@ impl NetworkInterface {
         self.register_trigger(trig_ct, threshold, TriggeredOp::CtInc { ct, increment })
     }
 
-    fn register_trigger(
+    /// Park `op` on `trig_ct` until its success count reaches `threshold`,
+    /// or fire it now in this thread if it already has.
+    pub(crate) fn register_trigger(
         &self,
         trig_ct: CtHandle,
         threshold: u64,
@@ -925,28 +858,74 @@ impl NetworkInterface {
     }
 }
 
-/// The body of [`NetworkInterface::put`], shared with engine-context firing
-/// of triggered puts (which hold only a `NiCore`, not the interface).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn do_put(
-    core: &NiCore,
-    node: &NodeShared,
-    md: MdHandle,
-    ack: AckRequest,
-    target: ProcessId,
-    portal_index: u32,
-    cookie: u32,
-    match_bits: MatchBits,
-    remote_offset: u64,
-) -> PtlResult<()> {
-    if target.has_wildcard() {
-        return Err(PtlError::InvalidProcess);
+/// Launch one checked operation: the body of every builder's `submit`, and
+/// what a parked operation runs when its counter fires (engine context,
+/// holding only a `NiCore`). The descriptor checks run here, at launch.
+pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> {
+    let (msg, eq, length) = match op.verb {
+        Verb::Put { ack } => put_message(core, &op, ack)?,
+        Verb::Get { length } => get_message(core, &op, length)?,
+        Verb::Atomic {
+            op: aop,
+            datatype,
+            fetch_md,
+            ack,
+            length,
+        } => atomic_message(core, &op, aop, datatype, fetch_md, ack, length)?,
+    };
+    // Log `Sent` *before* handing the message to the network: the reply or
+    // ack for this operation can race back through the NIC thread,
+    // and its event must not be able to precede ours on the same queue.
+    if let Some(eqh) = eq {
+        let event = Event {
+            kind: EventKind::Sent,
+            initiator: core.id,
+            portal_index: op.portal_index,
+            match_bits: op.match_bits,
+            rlength: length,
+            mlength: length,
+            offset: 0,
+            md: op.md,
+        };
+        core.push_event(eqh, event);
     }
+    send_message(core, node, op.target.nid, &msg);
+    core.counters.messages_sent.inc();
+    Ok(())
+}
+
+/// What a launch puts on the wire, the queue its `Sent` event goes to, and
+/// the length that event reports.
+type Launched = (PortalsMessage, Option<EqHandle>, u64);
+
+/// The request header `op` carries for `length` bytes.
+fn request_header(core: &NiCore, op: &Op, length: u64) -> RequestHeader {
+    RequestHeader {
+        initiator: core.id,
+        target: op.target,
+        portal_index: op.portal_index,
+        cookie: op.cookie,
+        match_bits: op.match_bits,
+        offset: op.remote_offset,
+        length,
+    }
+}
+
+/// The raw `(md, eq)` pair a request names for its ack: none unless asked.
+fn ack_handles(ack: AckRequest, md: MdHandle, eq: Option<EqHandle>) -> (u64, u64) {
+    match ack {
+        AckRequest::Ack => (md.to_raw(), eq.map_or(RAW_HANDLE_NONE, |e| e.to_raw())),
+        AckRequest::NoAck => (RAW_HANDLE_NONE, RAW_HANDLE_NONE),
+    }
+}
+
+/// A put of the source descriptor's whole region.
+fn put_message(core: &NiCore, op: &Op, ack: AckRequest) -> PtlResult<Launched> {
     let max = core.config.limits.max_message_size;
     let (payload, eq, length) = core
         .state
         .mds
-        .with_mut(md, |mdr| {
+        .with_mut(op.md, |mdr| {
             if !mdr.threshold.active() {
                 return Err(PtlError::InvalidMd);
             }
@@ -958,62 +937,26 @@ pub(crate) fn do_put(
             Ok((mdr.payload_gather(0, length), mdr.eq, length))
         })
         .ok_or(PtlError::InvalidMd)??;
-
-    let (ack_md, ack_eq) = match ack {
-        AckRequest::Ack => (md.to_raw(), eq.map_or(RAW_HANDLE_NONE, |e| e.to_raw())),
-        AckRequest::NoAck => (RAW_HANDLE_NONE, RAW_HANDLE_NONE),
-    };
+    let (ack_md, ack_eq) = ack_handles(ack, op.md, eq);
     let msg = PortalsMessage::Put(PutRequest {
-        header: RequestHeader {
-            initiator: core.id,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            offset: remote_offset,
-            length,
-        },
+        header: request_header(core, op, length),
         ack_md,
         ack_eq,
         payload,
     });
-    transmit(
-        core,
-        node,
-        target,
-        msg,
-        md,
-        eq,
-        match_bits,
-        portal_index,
-        length,
-    )
+    Ok((msg, eq, length))
 }
 
-/// The body of [`NetworkInterface::get`], shared with engine-context firing
-/// of triggered gets.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn do_get(
-    core: &NiCore,
-    node: &NodeShared,
-    md: MdHandle,
-    target: ProcessId,
-    portal_index: u32,
-    cookie: u32,
-    match_bits: MatchBits,
-    remote_offset: u64,
-    length: u64,
-) -> PtlResult<()> {
-    if target.has_wildcard() {
-        return Err(PtlError::InvalidProcess);
-    }
+/// A get whose reply lands at the start of the descriptor, which stays
+/// pinned (`pending_ops`) until the reply arrives.
+fn get_message(core: &NiCore, op: &Op, length: u64) -> PtlResult<Launched> {
     if length as usize > core.config.limits.max_message_size {
         return Err(PtlError::LimitExceeded);
     }
     let eq = core
         .state
         .mds
-        .with_mut(md, |mdr| {
+        .with_mut(op.md, |mdr| {
             if !mdr.threshold.active() {
                 return Err(PtlError::InvalidMd);
             }
@@ -1023,62 +966,27 @@ pub(crate) fn do_get(
         })
         .ok_or(PtlError::InvalidMd)??;
     let msg = PortalsMessage::Get(GetRequest {
-        header: RequestHeader {
-            initiator: core.id,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            offset: remote_offset,
-            length,
-        },
-        reply_md: md.to_raw(),
+        header: request_header(core, op, length),
+        reply_md: op.md.to_raw(),
     });
-    transmit(
-        core,
-        node,
-        target,
-        msg,
-        md,
-        eq,
-        match_bits,
-        portal_index,
-        length,
-    )
+    Ok((msg, eq, length))
 }
 
-/// The body of [`NetworkInterface::atomic_op`]'s submit. `md` is the operand
-/// source (for CAS its region holds `compare ++ operand`); `fetch_md`, when
-/// set, turns the operation into a fetching atomic whose reply — the prior
-/// value — lands at offset 0 of that descriptor through the ordinary
-/// reply path ([`engine::reply_begin`]), pinning it (`pending_ops`) exactly like a
-/// get pins its reply descriptor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn do_atomic(
+/// An atomic whose operand comes from the descriptor (for CAS its region
+/// holds `compare ++ operand`). `fetch_md`, when set, turns it into a
+/// fetching atomic whose reply — the prior value — lands at offset 0 of that
+/// descriptor through the ordinary reply path ([`engine::reply_begin`]),
+/// pinning it (`pending_ops`) exactly like a get pins its reply descriptor.
+fn atomic_message(
     core: &NiCore,
-    node: &NodeShared,
-    md: MdHandle,
+    op: &Op,
+    aop: AtomicOp,
+    datatype: AtomicDatatype,
     fetch_md: Option<MdHandle>,
     ack: AckRequest,
-    op: AtomicOp,
-    datatype: AtomicDatatype,
-    target: ProcessId,
-    portal_index: u32,
-    cookie: u32,
-    match_bits: MatchBits,
-    remote_offset: u64,
     length: u64,
-) -> PtlResult<()> {
-    if target.has_wildcard() {
-        return Err(PtlError::InvalidProcess);
-    }
-    // Reject bad lane geometry at the initiator — the target would only drop
-    // it (`DropReason::AtomicInvalid`), and a local error is debuggable.
-    let lane = AtomicDatatype::WIDTH;
-    if length == 0 || length % lane != 0 || (op == AtomicOp::Cas && length != lane) {
-        return Err(PtlError::InvalidArgument);
-    }
-    let operand_len = op.operand_len(length);
+) -> PtlResult<Launched> {
+    let operand_len = aop.operand_len(length);
     if length as usize > core.config.limits.max_message_size {
         return Err(PtlError::LimitExceeded);
     }
@@ -1093,7 +1001,7 @@ pub(crate) fn do_atomic(
     let sourced = core
         .state
         .mds
-        .with_mut(md, |mdr| {
+        .with_mut(op.md, |mdr| {
             if !mdr.threshold.active() {
                 return Err(PtlError::InvalidMd);
             }
@@ -1116,23 +1024,16 @@ pub(crate) fn do_atomic(
             return Err(e);
         }
     };
-
-    let (ack_md, ack_eq) = match (fetch_md, ack) {
-        // A fetching atomic completes through its reply, never an ack.
-        (Some(_), _) | (None, AckRequest::NoAck) => (RAW_HANDLE_NONE, RAW_HANDLE_NONE),
-        (None, AckRequest::Ack) => (md.to_raw(), eq.map_or(RAW_HANDLE_NONE, |e| e.to_raw())),
+    // A fetching atomic completes through its reply, never an ack.
+    let ack = if fetch_md.is_some() {
+        AckRequest::NoAck
+    } else {
+        ack
     };
+    let (ack_md, ack_eq) = ack_handles(ack, op.md, eq);
     let msg = PortalsMessage::Atomic(AtomicRequest {
-        header: RequestHeader {
-            initiator: core.id,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            offset: remote_offset,
-            length,
-        },
-        op,
+        header: request_header(core, op, length),
+        op: aop,
         datatype,
         fetch: fetch_md.is_some(),
         ack_md,
@@ -1140,50 +1041,7 @@ pub(crate) fn do_atomic(
         reply_md: fetch_md.map_or(RAW_HANDLE_NONE, |f| f.to_raw()),
         payload,
     });
-    transmit(
-        core,
-        node,
-        target,
-        msg,
-        md,
-        eq,
-        match_bits,
-        portal_index,
-        length,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn transmit(
-    core: &NiCore,
-    node: &NodeShared,
-    target: ProcessId,
-    msg: PortalsMessage,
-    md: MdHandle,
-    eq: Option<EqHandle>,
-    match_bits: MatchBits,
-    portal_index: u32,
-    length: u64,
-) -> PtlResult<()> {
-    // Log `Sent` *before* handing the message to the network: the reply or
-    // ack for this operation can race back through the NIC thread,
-    // and its event must not be able to precede ours on the same queue.
-    if let Some(eqh) = eq {
-        let event = Event {
-            kind: EventKind::Sent,
-            initiator: core.id,
-            portal_index,
-            match_bits,
-            rlength: length,
-            mlength: length,
-            offset: 0,
-            md,
-        };
-        core.push_event(eqh, event);
-    }
-    send_message(core, node, target.nid, &msg);
-    core.counters.messages_sent.inc();
-    Ok(())
+    Ok((msg, eq, length))
 }
 
 /// Put a Portals message on the wire: the payload's region views are gathered

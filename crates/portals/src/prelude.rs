@@ -35,13 +35,12 @@ pub use crate::builder::{AtomicBuilder, GetBuilder, PutBuilder};
 pub use portals_wire::{AtomicDatatype, AtomicOp};
 
 // Memory descriptors, match entries, portal-table placement.
-pub use crate::md::{CombineOp, MdOptions, MdSpec, ReqOp, Threshold};
+pub use crate::md::{MdOptions, MdSpec, ReqOp, Threshold};
 pub use crate::table::MePos;
 
-// Completion: events, counting events, triggered operations.
+// Completion: events and counting events.
 pub use crate::ct::CtValue;
 pub use crate::event::{Event, EventKind};
-pub use crate::triggered::TriggeredOp;
 
 // Observability: drop accounting.
 pub use crate::counters::{DropReason, NiCounters};

@@ -11,16 +11,16 @@
 //! the same three steps back to back ([`crate::engine::deliver`]); the only
 //! thing this module adds is the waiting in between.
 //!
-//! Messages that must be seen whole (a combining descriptor's contribution,
-//! anything on a host-driven node, and acks/gets/atomics, which are
-//! all header) accumulate and take the whole-message
+//! Messages that must be seen whole (anything on a host-driven node, and
+//! acks, gets and atomics — all header, or a read-modify-write that must not
+//! half-apply) accumulate and take the whole-message
 //! [`dispatch`](crate::node) path on completion.
 //!
 //! The transport delivers a source's fragments in order, offset-contiguous
 //! and non-interleaved — and enforces it against the wire — so one state per
 //! source suffices and a fragment's offset is trusted.
 
-use crate::engine::{self, PutBegin, PutSink, ReplySink};
+use crate::engine::{self, PutSink, ReplySink};
 use crate::ni::NiCore;
 use crate::node::{dispatch, lookup, node_drop_trace, NodeShared};
 use portals_transport::StreamFragment;
@@ -133,13 +133,12 @@ fn classify(shared: &NodeShared, acc: Gather) -> MsgStream {
             header,
             ack_md,
             ack_eq,
-        } => match engine::put_begin(&core, shared, header, engine::ack_to(ack_md, ack_eq), None) {
-            PutBegin::Sink(sink) => {
+        } => match engine::put_begin(&core, shared, header, engine::ack_to(ack_md, ack_eq)) {
+            Some(sink) => {
                 sink.write(0, &prefix);
                 MsgStream::Put(core, sink)
             }
-            PutBegin::NeedWhole => MsgStream::Accumulate(acc),
-            PutBegin::Done => MsgStream::Discard,
+            None => MsgStream::Discard,
         },
         StreamHead::Reply { header } => match engine::reply_begin(&core, header) {
             Some(sink) => {

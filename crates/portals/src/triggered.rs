@@ -1,11 +1,12 @@
 //! Triggered operations: data movement fired by counting events.
 //!
-//! A triggered put/get is an ordinary initiator operation whose *launch* is
-//! deferred until a [`crate::ct::CountingEvent`] reaches a threshold. The
-//! schedule is entirely **initiator-local** — nothing new crosses the wire;
-//! the four §4.6 message types are untouched — which keeps the paper's
-//! "minimal state in the interface" property: the remote side sees plain puts
-//! and gets.
+//! A triggered put, get or atomic is an ordinary initiator operation whose
+//! *launch* is deferred until a [`crate::ct::CountingEvent`] reaches a
+//! threshold: its builder's `submit_after` instead of `submit`. The schedule
+//! is entirely **initiator-local** — nothing new crosses the wire — which
+//! keeps the paper's "minimal state in the interface" property: the remote
+//! side sees plain puts, gets and atomics (the four §4.6 message types plus
+//! the atomic, the fifth).
 //!
 //! Firing context: the §4.8 delivery paths call `ct_increment` from the
 //! engine — the NIC thread under application bypass — so a chain
@@ -16,57 +17,25 @@
 //!
 //! Lock discipline: ops are extracted from the counter under its lock but
 //! fired *after* it is released, and the engine drops the portal-list lock
-//! before incrementing; firing re-enters the normal `do_put`/`do_get` path
-//! and may take arena shard locks and send on the endpoint, none of which
-//! nest inside a counter or portal lock. A `CtInc` trigger may recurse into
-//! another counter; chains terminate because counters are monotone and each
-//! heap only shrinks while firing.
+//! before incrementing; firing re-enters the normal launch path and may take
+//! arena shard locks and send on the endpoint, none of which nest inside a
+//! counter or portal lock. A `CtInc` trigger may recurse into another
+//! counter; chains terminate because counters are monotone and each heap
+//! only shrinks while firing.
 
-use crate::ni::{self, AckRequest, NiCore};
+use crate::builder::Op;
+use crate::ni::{self, NiCore};
 use crate::node::NodeShared;
-use crate::{CtHandle, MdHandle};
+use crate::CtHandle;
 use portals_obs::{Layer, Stage, TraceEvent};
-use portals_types::{MatchBits, ProcessId};
 
 /// An operation parked on a counting event until its threshold is reached.
 #[derive(Debug, Clone)]
-pub enum TriggeredOp {
-    /// A put, identical in meaning to [`crate::NetworkInterface::put_op`]. The
-    /// source descriptor's bytes are snapshotted at *fire* time, not at
+pub(crate) enum TriggeredOp {
+    /// A put, get or atomic, exactly as its builder's `submit` would launch
+    /// it. The source descriptor's bytes are read at *fire* time, not at
     /// registration.
-    Put {
-        /// Source memory descriptor.
-        md: MdHandle,
-        /// Ack request flag.
-        ack: AckRequest,
-        /// Target process.
-        target: ProcessId,
-        /// Target portal index.
-        portal_index: u32,
-        /// Access-control cookie.
-        cookie: u32,
-        /// Match bits for the target's translation.
-        match_bits: MatchBits,
-        /// Offset within the target region.
-        remote_offset: u64,
-    },
-    /// A get, identical in meaning to [`crate::NetworkInterface::get_op`].
-    Get {
-        /// Reply destination descriptor.
-        md: MdHandle,
-        /// Target process.
-        target: ProcessId,
-        /// Target portal index.
-        portal_index: u32,
-        /// Access-control cookie.
-        cookie: u32,
-        /// Match bits for the target's translation.
-        match_bits: MatchBits,
-        /// Offset within the target region.
-        remote_offset: u64,
-        /// Bytes requested.
-        length: u64,
-    },
+    Launch(Op),
     /// Increment another counting event — the chaining primitive.
     CtInc {
         /// Counter to bump.
@@ -80,44 +49,7 @@ pub enum TriggeredOp {
 /// lock (see module docs).
 pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
     let result = match op {
-        TriggeredOp::Put {
-            md,
-            ack,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            remote_offset,
-        } => ni::do_put(
-            core,
-            node,
-            md,
-            ack,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            remote_offset,
-        ),
-        TriggeredOp::Get {
-            md,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            remote_offset,
-            length,
-        } => ni::do_get(
-            core,
-            node,
-            md,
-            target,
-            portal_index,
-            cookie,
-            match_bits,
-            remote_offset,
-            length,
-        ),
+        TriggeredOp::Launch(op) => ni::launch(core, node, op),
         TriggeredOp::CtInc { ct, increment } => {
             // A chained increment cannot fail, so it is counted before it
             // lands: whoever reads the chained counter's new value and then

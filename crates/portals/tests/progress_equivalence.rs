@@ -169,18 +169,11 @@ fn scripted_scenario(mode: ProgressMode) -> Trace {
     let md_trig = tgt
         .md_bind(MdSpec::new(Region::from_vec(vec![0xAB; 24])))
         .unwrap();
-    tgt.triggered_put(
-        md_trig,
-        AckRequest::NoAck,
-        ini_id,
-        5,
-        0,
-        MatchBits::new(0),
-        0,
-        ct_t,
-        ct_expect + 1,
-    )
-    .unwrap();
+    tgt.put_op(md_trig)
+        .target(ini_id, 5)
+        .bits(MatchBits::new(0))
+        .submit_after(ct_t, ct_expect + 1)
+        .unwrap();
     let md_small = ini
         .md_bind(MdSpec::new(Region::zeroed(8)).with_eq(eq_i))
         .unwrap();

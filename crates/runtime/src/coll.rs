@@ -14,7 +14,7 @@
 
 use parking_lot::Mutex;
 use portals::{
-    AckRequest, CombineOp, CtHandle, MdHandle, MdOptions, MdSpec, MePos, Region, Threshold,
+    AtomicDatatype, AtomicOp, CtHandle, MdHandle, MdOptions, MdSpec, MePos, Region, Threshold,
 };
 use portals_mpi::bits::{Context, MAX_USER_TAG};
 use portals_mpi::{Communicator, Request};
@@ -72,14 +72,25 @@ impl ReduceOp {
         }
     }
 
-    /// The equivalent engine-side combining operator. Lane-for-lane identical
-    /// to [`ReduceOp::combine`] with the existing value on the left — the
+    /// The equivalent engine-side atomic, applied over
+    /// [`AtomicDatatype::F64`] lanes. Lane-for-lane identical to
+    /// [`ReduceOp::combine`] with the existing value on the left — the
     /// property the offloaded/host-driven differential test relies on.
-    fn combine_op(self) -> CombineOp {
+    fn atomic_op(self) -> AtomicOp {
         match self {
-            ReduceOp::Sum => CombineOp::Sum,
-            ReduceOp::Min => CombineOp::Min,
-            ReduceOp::Max => CombineOp::Max,
+            ReduceOp::Sum => AtomicOp::Sum,
+            ReduceOp::Min => AtomicOp::Min,
+            ReduceOp::Max => AtomicOp::Max,
+        }
+    }
+
+    /// The operator's identity element: what a stage buffer is initialised
+    /// to, so the first contribution to land passes through unchanged.
+    fn identity(self) -> f64 {
+        match self {
+            ReduceOp::Sum => 0.0,
+            ReduceOp::Min => f64::INFINITY,
+            ReduceOp::Max => f64::NEG_INFINITY,
         }
     }
 }
@@ -465,7 +476,7 @@ impl Collectives {
 // -- offloaded (triggered) collectives --------------------------------------
 //
 // The host's only jobs are to pre-post the schedule (match entries with
-// counting events, plus triggered puts parked on those counters) and to block
+// counting events, plus puts and atomics parked on those counters) and to block
 // on ONE terminal counter. Every intermediate step — combine, forward,
 // hand-back — fires in engine context the moment its input counter crosses
 // threshold. Collective traffic lives on its own portal (`PT_COLL`) with
@@ -664,18 +675,12 @@ impl Collectives {
         let mut prev = (slot.recvs[0], 1u64);
         for r in 1..rounds {
             let peer = Rank(((me + (1usize << r)) % n) as u32);
-            ni.triggered_put(
-                st.zero_md,
-                AckRequest::NoAck,
-                self.comm.process(peer),
-                PT_COLL,
-                COLL_COOKIE,
-                coll_bits(KIND_BARRIER + r, self.comm.context(), slot.seq),
-                0,
-                prev.0,
-                prev.1,
-            )
-            .expect("park barrier round");
+            ni.put_op(st.zero_md)
+                .target(self.comm.process(peer), PT_COLL)
+                .bits(coll_bits(KIND_BARRIER + r, self.comm.context(), slot.seq))
+                .cookie(COLL_COOKIE)
+                .submit_after(prev.0, prev.1)
+                .expect("park barrier round");
             prev = (slot.dones[(r - 1) as usize], 2);
         }
         let peer0 = Rank(((me + 1) % n) as u32);
@@ -715,7 +720,7 @@ impl Collectives {
 
     /// Pre-post an offloaded binomial broadcast of `data` from `root`.
     ///
-    /// Non-root ranks post a combining-free landing entry counting one put and
+    /// Non-root ranks post a plain landing entry counting one put and
     /// park their forwarding puts at threshold 1 on it; the root parks its
     /// child puts on the fence counter — so the data wave starts only after
     /// every rank has posted, and propagates entirely in engine context.
@@ -784,18 +789,12 @@ impl Collectives {
         while m > 0 {
             if vrank & m == 0 && vrank + m < n {
                 let child = Rank((((vrank + m) + root) % n) as u32);
-                ni.triggered_put(
-                    send_md,
-                    AckRequest::NoAck,
-                    self.comm.process(child),
-                    PT_COLL,
-                    COLL_COOKIE,
-                    bits,
-                    0,
-                    trig_ct,
-                    threshold,
-                )
-                .expect("park bcast forward");
+                ni.put_op(send_md)
+                    .target(self.comm.process(child), PT_COLL)
+                    .bits(bits)
+                    .cookie(COLL_COOKIE)
+                    .submit_after(trig_ct, threshold)
+                    .expect("park bcast forward");
             }
             m >>= 1;
         }
@@ -810,16 +809,21 @@ impl Collectives {
 
     /// Pre-post an offloaded recursive-doubling allreduce over `data`.
     ///
-    /// Identity-initialized *combining* descriptors (one per stage) fold the
-    /// two per-stage contributions in the engine; each rank's stage-`j` sends
-    /// — one to the stage partner, one loopback to itself — are parked on the
-    /// stage-`j−1` counter. Non-power-of-two sizes use the standard fold-in:
-    /// extras hand their vector to a core partner up front (parked on the
-    /// fence) and receive the final result back.
+    /// Identity-initialised stage descriptors (one per stage) fold the two
+    /// per-stage contributions in the engine: each rank's stage-`j` sends —
+    /// one to the stage partner, one loopback to itself — are `F64` atomics
+    /// of the reduction's operator, parked on the stage-`j−1` counter.
+    /// Non-power-of-two sizes use the standard fold-in: extras fold their
+    /// vector into a core partner's up front (an atomic parked on the fence)
+    /// and receive the final result back.
+    ///
+    /// An empty vector, like a single rank, returns at once without taking a
+    /// sequence number, so every rank's sequence stays aligned: an atomic
+    /// must touch at least one lane.
     pub fn start_allreduce(&self, data: &[f64], op: ReduceOp) -> PendingColl {
         let mut st = self.offload_state();
         let n = self.n();
-        if n == 1 {
+        if n == 1 || data.is_empty() {
             return PendingColl::noop();
         }
         let me = self.me();
@@ -835,7 +839,16 @@ impl Collectives {
             .terminal();
         let p = n.next_power_of_two() >> if n.is_power_of_two() { 0 } else { 1 };
         let extra = n - p;
-        let cop = op.combine_op();
+        let park_atomic = |md: MdHandle, dest: usize, bits: MatchBits, trig: CtHandle, thr: u64| {
+            ni.atomic_op(md)
+                .target(self.comm.process(Rank(dest as u32)), PT_COLL)
+                .bits(bits)
+                .cookie(COLL_COOKIE)
+                .op(op.atomic_op())
+                .datatype(AtomicDatatype::F64)
+                .length(data.len() as u64 * AtomicDatatype::WIDTH)
+                .submit_after(trig, thr)
+        };
         let unlink = MdOptions {
             unlink_on_exhaustion: true,
             ..Default::default()
@@ -849,7 +862,7 @@ impl Collectives {
         if me < p {
             let stages = ceil_log2(p) as u64; // p ≥ 2 whenever n ≥ 2
                                               // Fold buffer: starts as this rank's own contribution; an extra's
-                                              // vector (if any) combines into it.
+                                              // vector (if any) is folded into it by an atomic.
             let fold_buf = Region::from_vec(encode_f64(data));
             let fold_bind = ni
                 .md_bind(MdSpec::new(fold_buf.clone()))
@@ -870,18 +883,17 @@ impl Collectives {
                     meh,
                     MdSpec::new(fold_buf.clone())
                         .with_ct(ct)
-                        .with_combine(cop)
                         .with_threshold(Threshold::Count(1))
                         .with_options(unlink),
                 )
                 .expect("attach fold descriptor");
                 ct
             });
-            // Per-stage identity-initialized combining buffers.
+            // Per-stage identity-initialised buffers.
             let mut stage_bufs = Vec::new();
             let mut stage_cts = Vec::new();
             for j in 1..=stages {
-                let buf = Region::from_vec(encode_f64(&vec![cop.identity(); data.len()]));
+                let buf = Region::from_vec(encode_f64(&vec![op.identity(); data.len()]));
                 let ct = ni.ct_alloc().expect("allocate stage counter");
                 let meh = ni
                     .me_attach(
@@ -896,7 +908,6 @@ impl Collectives {
                     meh,
                     MdSpec::new(buf.clone())
                         .with_ct(ct)
-                        .with_combine(cop)
                         .with_threshold(Threshold::Count(2))
                         .with_options(unlink),
                 )
@@ -915,18 +926,7 @@ impl Collectives {
                 let partner = me ^ (1usize << (j - 1));
                 let bits_j = coll_bits(KIND_STAGE + j, ctx, seq);
                 for dest in [partner, me] {
-                    ni.triggered_put(
-                        prev_bind,
-                        AckRequest::NoAck,
-                        self.comm.process(Rank(dest as u32)),
-                        PT_COLL,
-                        COLL_COOKIE,
-                        bits_j,
-                        0,
-                        trig,
-                        thr,
-                    )
-                    .expect("park stage send");
+                    park_atomic(prev_bind, dest, bits_j, trig, thr).expect("park stage send");
                 }
                 let bind = ni
                     .md_bind(MdSpec::new(stage_bufs[(j - 1) as usize].clone()))
@@ -938,26 +938,20 @@ impl Collectives {
             }
             // Hand the finished vector back to the folded-in extra.
             if me < extra {
-                ni.triggered_put(
-                    prev_bind,
-                    AckRequest::NoAck,
-                    self.comm.process(Rank((me + p) as u32)),
-                    PT_COLL,
-                    COLL_COOKIE,
-                    coll_bits(KIND_FINAL, ctx, seq),
-                    0,
-                    trig,
-                    thr,
-                )
-                .expect("park final hand-back");
+                ni.put_op(prev_bind)
+                    .target(self.comm.process(Rank((me + p) as u32)), PT_COLL)
+                    .bits(coll_bits(KIND_FINAL, ctx, seq))
+                    .cookie(COLL_COOKIE)
+                    .submit_after(trig, thr)
+                    .expect("park final hand-back");
             }
             waits.push((trig, thr)); // == (stage R counter, 2)
             cts.extend(c0);
             cts.extend(&stage_cts[..stage_cts.len() - 1]);
             result = stage_bufs.pop();
         } else {
-            // Extra rank: ship the input to the core partner once every rank
-            // has posted (fence), receive the final result.
+            // Extra rank: fold the input into the core partner's once every
+            // rank has posted (fence), receive the final result.
             let input_bind = ni
                 .md_bind(MdSpec::new(Region::from_vec(encode_f64(data))))
                 .expect("bind extra input");
@@ -981,18 +975,8 @@ impl Collectives {
                     .with_options(unlink),
             )
             .expect("attach final descriptor");
-            ni.triggered_put(
-                input_bind,
-                AckRequest::NoAck,
-                self.comm.process(Rank((me - p) as u32)),
-                PT_COLL,
-                COLL_COOKIE,
-                coll_bits(KIND_FOLD, ctx, seq),
-                0,
-                fence_ct,
-                fence_thr,
-            )
-            .expect("park extra fold-in");
+            let bits = coll_bits(KIND_FOLD, ctx, seq);
+            park_atomic(input_bind, me - p, bits, fence_ct, fence_thr).expect("park extra fold-in");
             waits.push((cf, 1));
             result = Some(final_buf);
         }
@@ -1077,6 +1061,20 @@ mod tests {
     fn f64_codec_roundtrip() {
         let data = vec![1.5, -2.25, f64::MAX, 0.0, f64::MIN_POSITIVE];
         assert_eq!(decode_f64(&encode_f64(&data)), data);
+    }
+
+    #[test]
+    fn combine_identities_pass_first_arrival_through() {
+        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+            for v in [3.5f64, -2.25, 0.0] {
+                let mut a = [op.identity()];
+                op.combine(&mut a, &[v]);
+                assert_eq!(a, [v], "{op:?} identity");
+                let mut a = [v];
+                op.combine(&mut a, &[op.identity()]);
+                assert_eq!(a, [v], "{op:?} identity (sym)");
+            }
+        }
     }
 
     #[test]

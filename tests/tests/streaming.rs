@@ -11,8 +11,8 @@
 //! transport over a real lossy UDP socket is `crates/netudp/tests/udp.rs`.)
 
 use portals::{
-    AckRequest, CombineOp, EqHandle, Event, EventKind, MdHandle, MdOptions, MdSpec, MePos,
-    NetworkInterface, NiConfig, Node, NodeConfig, Threshold, NACK_MLENGTH,
+    AckRequest, AtomicDatatype, AtomicOp, EqHandle, Event, EventKind, MdHandle, MdOptions, MdSpec,
+    MePos, NetworkInterface, NiConfig, Node, NodeConfig, Threshold, NACK_MLENGTH,
 };
 use portals_net::{Fabric, FabricConfig, FaultPlan, Link, LinkModel};
 use portals_obs::SeriesSnapshot;
@@ -274,7 +274,7 @@ impl World {
 
 /// The script: every §4.8 outcome a put or a reply can have.
 fn scripted(mtu: usize, mode: ProgressMode, fabric: Fabric) -> Observed {
-    use EventKind::{FlowCtrl, Put, Reply as ReplyEv, Sent, Unlink};
+    use EventKind::{Ack, Atomic, FlowCtrl, Put, Reply as ReplyEv, Sent, Unlink};
     let cfg = || NodeConfig {
         transport: TransportConfig {
             mtu,
@@ -385,14 +385,21 @@ fn scripted(mtu: usize, mode: ProgressMode, fabric: Fabric) -> Observed {
     w.expect("a", one_slot, &[Sent]);
     assert_eq!(w.a.md_unlink(lost), Ok(()), "lost reply left the MD pinned");
 
-    // 7. A combining descriptor folds two contributions (allreduce-style).
+    // 7. Two 50-lane `F64` sums fold into one region (allreduce-style); at
+    //    the small MTU each read-modify-write arrives in fragments.
     let r = w.region(400);
-    let sum = logged(r).with_ct(ct).with_combine(CombineOp::Sum);
-    w.expose(0, 7, false, sum);
+    w.expose(0, 7, false, logged(r).with_ct(ct));
     for k in [1.0, 2.0] {
         let v = (0..50).flat_map(|i| (f64::from(i) * k).to_le_bytes());
         let md = w.src(v.collect());
-        w.accepted(md, 0, 7, &[Put]);
+        let sum =
+            w.a.atomic_op(md)
+                .target(w.b.id(), 0)
+                .bits(MatchBits::new(7));
+        let sum = sum.op(AtomicOp::Sum).datatype(AtomicDatatype::F64);
+        sum.length(400).ack(AckRequest::Ack).submit().unwrap();
+        w.expect("a", aeq, &[Sent, Ack]);
+        w.expect("b", beq, &[Atomic]);
     }
 
     // Nothing may be left unread.

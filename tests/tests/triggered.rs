@@ -7,10 +7,16 @@
 //! * offloaded collectives are *byte-identical* to the host-driven ones across
 //!   power-of-two and non-power-of-two worlds, and complete with **zero host
 //!   progress** between pre-post and the terminal-counter wait;
+//! * the host-side counter calls (`ct_set`, `ct_inc_failure`) fire or wake
+//!   exactly what they should, and a parked operation that cannot launch is
+//!   counted as failed without disturbing its neighbours;
 //! * trigger-fire racing `ct_free` never deadlocks, panics, or fires after
 //!   the free (threaded stress, same shape as `concurrency.rs`).
 
-use portals::{AckRequest, MdSpec, MePos, NiConfig, Node, NodeConfig, Region};
+use portals::{
+    AckRequest, AtomicOp, CtHandle, CtValue, MdSpec, MePos, NetworkInterface, NiConfig, Node,
+    NodeConfig, ProgressMode, Region, TransportConfig,
+};
 use portals_net::Fabric;
 use portals_runtime::{Collectives, Job, JobConfig, ReduceOp};
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError};
@@ -109,17 +115,10 @@ fn recv_counter_trigger_put_chain_runs_in_engine_context() {
         .unwrap();
     let fwd_md = nis[1].md_bind(MdSpec::new(relay_buf)).unwrap();
     nis[1]
-        .triggered_put(
-            fwd_md,
-            AckRequest::NoAck,
-            ProcessId::new(2, 1),
-            0,
-            0,
-            MatchBits::new(0),
-            0,
-            relay_ct,
-            1,
-        )
+        .put_op(fwd_md)
+        .target(ProcessId::new(2, 1), 0)
+        .bits(MatchBits::new(0))
+        .submit_after(relay_ct, 1)
         .unwrap();
 
     // Kick the chain from node 0.
@@ -135,6 +134,156 @@ fn recv_counter_trigger_put_chain_runs_in_engine_context() {
     assert_eq!(nis[2].ct_wait(c_ct, 1).unwrap().success, 1);
     assert_eq!(&c_buf.read_vec(0, 8)[..], b"relayed!");
     assert_eq!(nis[1].counters().triggered_fired.get(), 1);
+}
+
+// -- host-side counter calls --------------------------------------------------
+
+/// An initiator `a` and a target `b` whose portal 0 takes any put into a
+/// 64-byte region counted on the returned counter.
+fn pair(
+    mode: ProgressMode,
+) -> (
+    Node,
+    Node,
+    NetworkInterface,
+    NetworkInterface,
+    CtHandle,
+    Region,
+) {
+    let fabric = Fabric::ideal();
+    let cfg = || NodeConfig {
+        transport: TransportConfig {
+            progress_mode: mode,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let n0 = Node::new(fabric.attach(NodeId(0)), cfg());
+    let n1 = Node::new(fabric.attach(NodeId(1)), cfg());
+    let a = n0.create_ni(1, NiConfig::default()).unwrap();
+    let b = n1.create_ni(1, NiConfig::default()).unwrap();
+    let landed = b.ct_alloc().unwrap();
+    let me = b
+        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+        .unwrap();
+    let sink = Region::zeroed(64);
+    b.md_attach(me, MdSpec::new(sink.clone()).with_ct(landed))
+        .unwrap();
+    (n0, n1, a, b, landed, sink)
+}
+
+#[test]
+fn ct_set_fires_and_ct_inc_failure_only_wakes() {
+    for mode in [ProgressMode::NicThread, ProgressMode::CallerDriven] {
+        let (_n0, _n1, a, b, landed, sink) = pair(mode);
+        let ct = a.ct_alloc().unwrap();
+        let md = a
+            .md_bind(MdSpec::new(Region::from_vec(b"set fired".to_vec())))
+            .unwrap();
+        a.put_op(md).target(b.id(), 0).submit_after(ct, 3).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| a.ct_poll(ct, 3, Duration::from_secs(30)));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "{mode:?}: waiter returned early");
+            let three = CtValue {
+                success: 3,
+                failure: 0,
+            };
+            a.ct_set(ct, three).unwrap();
+            assert_eq!(waiter.join().unwrap(), Ok(three), "{mode:?}");
+        });
+        assert_eq!(
+            b.ct_poll(landed, 1, Duration::from_secs(30))
+                .unwrap()
+                .success,
+            1
+        );
+        assert_eq!(sink.read_vec(0, 9), b"set fired", "{mode:?}");
+        assert_eq!(a.counters().triggered_fired.get(), 1, "{mode:?}");
+
+        // A failure satisfies the wait but fires nothing parked on successes.
+        let fresh = a.ct_alloc().unwrap();
+        a.put_op(md)
+            .target(b.id(), 0)
+            .submit_after(fresh, 1)
+            .unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| a.ct_poll(fresh, 1, Duration::from_secs(30)));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "{mode:?}: waiter returned early");
+            a.ct_inc_failure(fresh, 1).unwrap();
+            let woke = waiter.join().unwrap().unwrap();
+            assert_eq!((woke.success, woke.failure), (0, 1), "{mode:?}");
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(a.counters().triggered_fired.get(), 1, "{mode:?}");
+        assert_eq!(
+            b.ct_get(landed).unwrap().success,
+            1,
+            "{mode:?}: a failure fired a put"
+        );
+    }
+}
+
+#[test]
+fn a_parked_put_that_cannot_launch_counts_as_failed() {
+    let (_n0, _n1, a, b, landed, sink) = pair(ProgressMode::NicThread);
+    let ct = a.ct_alloc().unwrap();
+    let gone = a
+        .md_bind(MdSpec::new(Region::from_vec(b"gone".to_vec())))
+        .unwrap();
+    let kept = a
+        .md_bind(MdSpec::new(Region::from_vec(b"kept".to_vec())))
+        .unwrap();
+    for md in [gone, kept] {
+        a.put_op(md).target(b.id(), 0).submit_after(ct, 1).unwrap();
+    }
+    a.md_unlink(gone).unwrap();
+    a.ct_inc(ct, 1).unwrap();
+    assert_eq!(
+        b.ct_poll(landed, 1, Duration::from_secs(30))
+            .unwrap()
+            .success,
+        1
+    );
+    assert_eq!(sink.read_vec(0, 4), b"kept");
+    let counters = a.counters();
+    assert_eq!(counters.triggered_failed.get(), 1);
+    assert_eq!(counters.triggered_fired.get(), 1);
+}
+
+#[test]
+fn submit_after_refuses_what_submit_refuses() {
+    let (_n0, _n1, a, b, ..) = pair(ProgressMode::NicThread);
+    let ct = a.ct_alloc().unwrap();
+    let md = a.md_bind(MdSpec::new(Region::zeroed(16))).unwrap();
+    let wildcard = ProcessId::ANY;
+    assert_eq!(
+        a.put_op(md).target(wildcard, 0).submit_after(ct, 1),
+        Err(PtlError::InvalidProcess)
+    );
+    assert_eq!(
+        a.get_op(md).target(b.id(), 0).submit_after(ct, 1),
+        Err(PtlError::InvalidArgument),
+        "a get needs its length"
+    );
+    let sum = || a.atomic_op(md).target(b.id(), 0).op(AtomicOp::Sum);
+    for length in [0, 12] {
+        assert_eq!(
+            sum().length(length).submit_after(ct, 1),
+            Err(PtlError::InvalidArgument),
+            "{length}-byte atomic"
+        );
+    }
+    assert_eq!(
+        a.atomic_op(md).target(b.id(), 0).submit_after(ct, 1),
+        Err(PtlError::InvalidArgument),
+        "an atomic needs its op"
+    );
+    // Nothing was parked: reaching the threshold fires nothing.
+    a.ct_inc(ct, 1).unwrap();
+    assert_eq!(a.counters().triggered_fired.get(), 0);
+    assert_eq!(a.counters().triggered_failed.get(), 0);
 }
 
 // -- offloaded collectives: differential vs host-driven ----------------------
@@ -169,6 +318,26 @@ fn offloaded_allreduce_is_byte_identical_to_host_driven() {
                     );
                 }
             }
+        });
+    }
+}
+
+#[test]
+fn offloaded_allreduce_of_nothing_keeps_the_sequence() {
+    for n in [2usize, 3, 5] {
+        Job::launch(n, JobConfig::default(), move |env| {
+            let host = Collectives::new(env.comm.clone());
+            let off = Collectives::triggered(env.comm.clone());
+            let me = env.rank().0 as usize;
+            host.allreduce(&mut [], ReduceOp::Sum);
+            off.allreduce(&mut [], ReduceOp::Sum);
+            let input = rank_input(me, 33);
+            let mut host_out = input.clone();
+            host.allreduce(&mut host_out, ReduceOp::Max);
+            let mut off_out = input;
+            off.allreduce(&mut off_out, ReduceOp::Max);
+            let bytes = |v: &[f64]| v.iter().map(|x| x.to_le_bytes()).collect::<Vec<_>>();
+            assert_eq!(bytes(&host_out), bytes(&off_out), "n={n} rank={me}");
         });
     }
 }
