@@ -160,16 +160,22 @@ fn run_once(cfg: BypassConfig) -> (Duration, Duration) {
     let mpi0 = Mpi::init(ni0, ranks.clone(), Rank(0), cfg.mpi).unwrap();
     let mpi1 = Mpi::init(ni1, ranks, Rank(1), cfg.mpi).unwrap();
 
+    // The peer hands its stack back instead of dropping it. It finishes its
+    // last iteration while the worker is still in the timed one, and a
+    // teardown on its thread would compete for the CPU that the worker and
+    // the NIC threads share. On a 2-CPU box it added about 1 ms to the
+    // measured wait.
     let peer = std::thread::spawn(move || {
         let comm = mpi1.world();
         for _ in 0..2 {
             iteration(&comm, &cfg, /* worker = */ false);
         }
+        mpi1
     });
     let comm = mpi0.world();
     iteration(&comm, &cfg, /* worker = */ true);
     let timed = iteration(&comm, &cfg, /* worker = */ true);
-    peer.join().expect("peer thread");
+    drop(peer.join().expect("peer thread"));
     timed
 }
 

@@ -934,6 +934,9 @@ mod tests {
             fn has_work(&self) -> bool {
                 true
             }
+            fn drive(&self) -> Option<std::time::Instant> {
+                None
+            }
         }
         let fabric = Fabric::ideal();
         let a = fabric.attach(NodeId(0));

@@ -30,7 +30,9 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct LinkCaps {
     /// Handle for cooperative caller-driven progress among the nodes sharing
-    /// this backend's process.
+    /// this backend's process, and — on a backend whose link takes datagrams
+    /// on a receive thread of its own — for hosting the endpoint's step on
+    /// that thread ([`DriverHub::host`]).
     pub hub: DriverHub,
     /// Hard upper bound on a single datagram's payload size, if the wire has
     /// one (a UDP socket does; the in-process fabric does not). The
@@ -93,8 +95,8 @@ pub trait Link: Send + Sync + 'static {
 
     /// On a caller-pumped wire, deliver every due packet and return the next
     /// delivery deadline. Backends with their own delivery agent (a
-    /// scheduler thread, a socket rx thread) return `None` and need no
-    /// pumping.
+    /// scheduler thread, a socket rx thread — which on UDP also runs the
+    /// step that calls this) return `None` and need no pumping.
     fn pump_wire(&self) -> Option<Instant> {
         None
     }

@@ -7,9 +7,12 @@
 //! real OS process boundaries with real (or shimmed-in) datagram loss:
 //!
 //! * [`UdpLink`] — one UDP socket presented as a `Link`: an rx thread drains
-//!   the socket into the inbound queue, sends frame-and-forward from the
-//!   calling thread, a `NodeId` → `SocketAddr` peer table does the routing
-//!   (seeded by rendezvous, refreshed by learning inbound source addresses).
+//!   the socket into the inbound queue and, beneath an endpoint in the
+//!   NIC-thread or host-driven mode, steps that endpoint on what it took —
+//!   the link's thread is the node's NIC thread, and no second one exists.
+//!   Sends frame-and-forward from the calling thread; a `NodeId` →
+//!   `SocketAddr` peer table does the routing (seeded by rendezvous,
+//!   refreshed by learning inbound source addresses).
 //! * [`frame`] — the 18-byte datagram frame carrying node-id routing and a
 //!   header CRC; payload integrity rides on the transport packet's own CRC,
 //!   which [`UdpLink`] forces on via `LinkCaps::body_checksum`.

@@ -1,4 +1,6 @@
-//! The UDP socket [`Link`] backend.
+//! The UDP socket [`Link`] backend: a socket, and the one receive thread
+//! that drains it and — beneath an endpoint that would otherwise spawn a NIC
+//! thread — runs that endpoint's step on what it drained.
 
 use crate::frame::{self, FrameError, FRAME_HEADER};
 use crate::mmsg::{self, RecvMeta};
@@ -15,12 +17,18 @@ use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long the receive thread blocks in the kernel before re-checking the
 /// shutdown flag. Bounds teardown latency, not delivery latency (a datagram
 /// arriving mid-wait wakes the call immediately).
 const RX_POLL: Duration = Duration::from_millis(5);
+
+/// How late a wait of [`RX_POLL`] on the socket's read timeout can end: the
+/// kernel counts that timeout in scheduler ticks, 10 ms apart at the
+/// coarsest. A hosted stepper's timer due sooner than this is waited for on
+/// a high-resolution timer instead.
+const RX_POLL_SLACK: Duration = Duration::from_millis(15);
 
 /// Send retries on `WouldBlock`/`Interrupted` before the datagram is dropped.
 /// Dropping is legal — this is an unreliable link and the transport
@@ -33,6 +41,11 @@ const SEND_RETRIES: u32 = 16;
 /// that the copy dominates and bigger vectors stop paying. The rx thread
 /// allocates one 64 KiB buffer per slot.
 const BATCH: usize = 32;
+
+/// Most datagrams the rx thread takes off the socket before it steps a
+/// hosted endpoint on them: one run of the transport's receive drain, which
+/// acks once per run.
+const DRAIN: usize = 64;
 
 /// Back off before retry `attempt` (1-based): two free yields for
 /// scheduling blips, then an exponentially growing sleep from 10 µs capped
@@ -123,14 +136,19 @@ fn clamp_payload(max_payload: usize) -> usize {
 /// A real UDP socket presented as a [`Link`]: the transport's reliability
 /// machinery runs over actual OS datagrams, process boundaries and all.
 ///
-/// A dedicated receive thread drains the socket (readiness-driven from the
-/// kernel's side: it parks in `recvmmsg`), validates frames, learns peer
-/// addresses, and feeds the inbound queue — the same delivery contract the
-/// in-process fabric's scheduler thread provides, with one push and one
-/// doorbell ring per received batch. Sends go straight to the socket from
-/// the calling thread; [`Link::send_batch`] moves a whole vector of datagrams
-/// per `sendmmsg` call, and [`Link::send`] is a vector of one through the
-/// same path.
+/// A dedicated receive thread, `portals-udp-rx-<nid>`, drains the socket
+/// (readiness-driven from the kernel's side: it parks in `recvmmsg`),
+/// validates frames, learns peer addresses, and feeds the inbound queue —
+/// the same delivery contract the in-process fabric's scheduler thread
+/// provides, with one push and one doorbell ring per received batch. That
+/// is all it does for a bare link. An endpoint built on the link in the
+/// NIC-thread or host-driven mode hosts its stepper here
+/// ([`DriverHub::host`]) instead of spawning a NIC thread, and the receive
+/// thread then steps it after each batch and when its next timer is due: the
+/// thread that takes a datagram runs the protocol on it. Sends go straight
+/// to the socket from the calling thread; [`Link::send_batch`] moves a whole
+/// vector of datagrams per `sendmmsg` call, and [`Link::send`] is a vector
+/// of one through the same path.
 ///
 /// Peer routing: a [`NodeId`] → [`SocketAddr`] table, seeded explicitly via
 /// [`UdpLink::set_peer`] (from the rendezvous exchange) and kept fresh by
@@ -175,6 +193,7 @@ impl UdpLink {
             Readiness::INBOUND,
         ));
         let peers = Arc::new(RwLock::new(HashMap::new()));
+        let drivers = Arc::new(DriverRegistry::hosting());
         let stats = Arc::new(UdpStats::new(&cfg.obs.registry, cfg.nid.0));
         let shutdown = Arc::new(AtomicBool::new(false));
 
@@ -183,6 +202,7 @@ impl UdpLink {
             socket: rx_socket,
             peers: Arc::clone(&peers),
             out: Arc::clone(&inbound),
+            drivers: Arc::clone(&drivers),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
         };
@@ -196,7 +216,7 @@ impl UdpLink {
             local_addr,
             peers,
             inbound,
-            drivers: Arc::new(DriverRegistry::new()),
+            drivers,
             stats,
             max_payload: AtomicUsize::new(clamp_payload(cfg.max_payload)),
             loss: cfg.loss,
@@ -373,6 +393,8 @@ struct RxThread {
     socket: UdpSocket,
     peers: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
     out: Arc<DoorbellQueue<Datagram>>,
+    /// Where an endpoint on this link hosts the stepper this thread runs.
+    drivers: Arc<DriverRegistry>,
     stats: Arc<UdpStats>,
     shutdown: Arc<AtomicBool>,
 }
@@ -385,38 +407,66 @@ impl RxThread {
         let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 65536]).collect();
         let mut metas: Vec<RecvMeta> = Vec::with_capacity(BATCH);
         let mut accepted: Vec<Datagram> = Vec::with_capacity(BATCH);
+        // When the hosted stepper must step again, if one is hosted.
+        let mut next: Option<Instant> = None;
         while !self.shutdown.load(Ordering::Acquire) {
             metas.clear();
-            // Block (up to RX_POLL) for the first datagram, drain whatever
-            // else is already queued in the same syscall.
-            let received = mmsg::recv_batch(&self.socket, &mut bufs, &mut metas);
+            // Block for the first datagram, drain whatever else is already
+            // queued in the same syscall: up to RX_POLL on the socket's read
+            // timeout, or exactly until the hosted stepper's next timer when
+            // that timeout's ticks could overshoot it.
+            let received = match next.map(|at| at.saturating_duration_since(Instant::now())) {
+                Some(left) if left < RX_POLL_SLACK => {
+                    match mmsg::wait_readable(&self.socket, left.min(RX_POLL)) {
+                        Ok(true) => mmsg::recv_batch(&self.socket, &mut bufs, &mut metas, true),
+                        other => other.map(|_| 0),
+                    }
+                }
+                _ => mmsg::recv_batch(&self.socket, &mut bufs, &mut metas, true),
+            };
             match received {
-                Ok(n) if n > 0 => {}
-                Ok(_) => continue,
+                Ok(n) if n > 0 => {
+                    self.take(&bufs, &metas, &mut accepted);
+                    // Beneath a hosted stepper (it asked to be stepped again
+                    // by `next`), what else has arrived by now joins the
+                    // batch before the step, which acks once for all of it.
+                    while next.is_some() && accepted.len() < DRAIN {
+                        metas.clear();
+                        match mmsg::recv_batch(&self.socket, &mut bufs, &mut metas, false) {
+                            Ok(n) if n > 0 => self.take(&bufs, &metas, &mut accepted),
+                            _ => break,
+                        }
+                    }
+                    // One lock and one doorbell per burst: a parked consumer
+                    // wakes once and drains the whole of it.
+                    self.out.push_all(accepted.drain(..));
+                }
+                Ok(_) => {}
                 Err(e)
                     if matches!(
                         e.kind(),
                         ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue;
-                }
+                    ) => {}
                 // On Linux a previous send to an unreachable port can surface
                 // here as ECONNREFUSED; not a receive failure.
-                Err(e) if e.kind() == ErrorKind::ConnectionRefused => continue,
+                Err(e) if e.kind() == ErrorKind::ConnectionRefused => {}
                 Err(_) => break, // socket gone
             }
-            self.stats.batches_received.inc();
-            self.stats.recv_batch_frames.observe(metas.len() as u64);
-            accepted.extend(
-                metas
-                    .iter()
-                    .filter_map(|meta| self.accept(&bufs[meta.buf][..meta.len], meta.addr)),
-            );
-            // One lock and one doorbell per batch: a parked consumer wakes
-            // once and drains the whole burst.
-            self.out.push_all(accepted.drain(..));
+            // Step the hosted endpoint on what just arrived, or on a timer
+            // that came due while the socket was silent.
+            next = self.drivers.step_hosted();
         }
+    }
+
+    /// Count one received batch and keep the datagrams it carried.
+    fn take(&self, bufs: &[Vec<u8>], metas: &[RecvMeta], accepted: &mut Vec<Datagram>) {
+        self.stats.batches_received.inc();
+        self.stats.recv_batch_frames.observe(metas.len() as u64);
+        accepted.extend(
+            metas
+                .iter()
+                .filter_map(|meta| self.accept(&bufs[meta.buf][..meta.len], meta.addr)),
+        );
     }
 
     /// Validate one received frame; `Some` is the datagram it carried.
@@ -466,7 +516,6 @@ mod tests {
     use portals_obs::Registry;
     use std::io;
     use std::sync::atomic::AtomicU32;
-    use std::time::Instant;
 
     fn would_block() -> io::Error {
         io::Error::new(ErrorKind::WouldBlock, "buffer full")

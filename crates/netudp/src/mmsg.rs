@@ -11,7 +11,9 @@
 //! * [`recv_batch`] — `recvmmsg` with `MSG_WAITFORONE`: block (bounded by
 //!   the socket's read timeout) until at least one datagram arrives, then
 //!   drain everything else already queued, up to the vector length, without
-//!   blocking again.
+//!   blocking again; or, not blocking at all, only what is already queued.
+//! * [`wait_readable`] — `ppoll` for a wait shorter or more exact than the
+//!   socket's read timeout, which the kernel counts in scheduler ticks.
 //!
 //! The FFI surface is declared locally against the C library that `std`
 //! already links on Linux — no new dependency — and kept to the exact
@@ -40,10 +42,10 @@ pub(crate) struct RecvMeta {
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use linux::{recv_batch, send_batch, set_buffer_sizes};
+pub(crate) use linux::{recv_batch, send_batch, set_buffer_sizes, wait_readable};
 
 #[cfg(not(target_os = "linux"))]
-pub(crate) use portable::{recv_batch, send_batch, set_buffer_sizes};
+pub(crate) use portable::{recv_batch, send_batch, set_buffer_sizes, wait_readable};
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -51,12 +53,15 @@ mod linux {
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
     use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
     /// `recvmmsg`: return once at least one datagram has been read, with
     /// whatever else was already queued — never block for a *second* one.
     const MSG_WAITFORONE: i32 = 0x10000;
+    /// `recvmmsg`: take only what is already queued; `EAGAIN` if nothing is.
+    const MSG_DONTWAIT: i32 = 0x40;
 
     /// `struct iovec` (one segment per datagram; frames arrive contiguous).
     #[repr(C)]
@@ -98,6 +103,23 @@ mod linux {
         const ZERO: AddrStorage = AddrStorage { bytes: [0; 28] };
     }
 
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    /// `struct timespec` on the 64-bit targets.
+    #[repr(C)]
+    struct TimeSpec {
+        sec: i64,
+        nsec: i64,
+    }
+
+    const POLLIN: i16 = 1;
+
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
@@ -123,6 +145,34 @@ mod linux {
             optval: *const core::ffi::c_void,
             optlen: u32,
         ) -> i32;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: u64,
+            timeout: *const TimeSpec,
+            sigmask: *const core::ffi::c_void,
+        ) -> i32;
+    }
+
+    /// Block until a datagram is queued on `socket` or `timeout` passes, on
+    /// a high-resolution timer. Returns whether one is queued (or the socket
+    /// has an error for the next receive to report).
+    pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+        let mut fd = PollFd {
+            fd: socket.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout = TimeSpec {
+            sec: timeout.as_secs() as i64,
+            nsec: i64::from(timeout.subsec_nanos()),
+        };
+        // SAFETY: `fd` and `timeout` are valid for the call; a null signal
+        // mask leaves the mask unchanged.
+        let n = unsafe { ppoll(&mut fd, 1, &timeout, std::ptr::null()) };
+        if n < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(n > 0)
     }
 
     /// Best-effort socket buffer sizing. The default ~212 KiB receive
@@ -241,14 +291,17 @@ mod linux {
         }
     }
 
-    /// Drain up to `bufs.len()` datagrams in one `recvmmsg` call. Blocks
-    /// only for the first (bounded by the socket's `SO_RCVTIMEO`, so the rx
-    /// thread's shutdown poll still works); everything already queued rides
-    /// along free. Successful receives are appended to `out`.
+    /// Drain up to `bufs.len()` datagrams in one `recvmmsg` call. With
+    /// `block`, waits only for the first (bounded by the socket's
+    /// `SO_RCVTIMEO`, so the rx thread's shutdown poll still works);
+    /// without, fails with `WouldBlock` when nothing is queued. Everything
+    /// already queued rides along free. Successful receives are appended to
+    /// `out`.
     pub(crate) fn recv_batch(
         socket: &UdpSocket,
         bufs: &mut [Vec<u8>],
         out: &mut Vec<RecvMeta>,
+        block: bool,
     ) -> io::Result<usize> {
         debug_assert!(!bufs.is_empty());
         let mut addrs: Vec<AddrStorage> = vec![AddrStorage::ZERO; bufs.len()];
@@ -282,7 +335,7 @@ mod linux {
                 socket.as_raw_fd(),
                 hdrs.as_mut_ptr(),
                 hdrs.len() as u32,
-                MSG_WAITFORONE,
+                if block { MSG_WAITFORONE } else { MSG_DONTWAIT },
                 std::ptr::null_mut(),
             )
         };
@@ -306,6 +359,7 @@ mod linux {
 mod portable {
     use super::{RecvMeta, SocketAddr, UdpSocket};
     use std::io;
+    use std::time::Duration;
 
     /// Per-datagram `send_to` loop with `sendmmsg` result semantics: a
     /// prefix count on partial progress, an error only when the first
@@ -325,12 +379,17 @@ mod portable {
         Ok(sent)
     }
 
-    /// Single blocking `recv_from` presented as a batch of one.
+    /// Single `recv_from` presented as a batch of one; without `block`,
+    /// `WouldBlock` unless a datagram is already queued.
     pub(crate) fn recv_batch(
         socket: &UdpSocket,
         bufs: &mut [Vec<u8>],
         out: &mut Vec<RecvMeta>,
+        block: bool,
     ) -> io::Result<usize> {
+        if !block && !wait_readable(socket, Duration::ZERO)? {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
         let (len, addr) = socket.recv_from(&mut bufs[0])?;
         out.push(RecvMeta { buf: 0, len, addr });
         Ok(1)
@@ -339,6 +398,27 @@ mod portable {
     /// Socket buffer sizing is a Linux-path optimisation; elsewhere the OS
     /// defaults stand.
     pub(crate) fn set_buffer_sizes(_socket: &UdpSocket, _bytes: usize) {}
+
+    /// A one-byte peek under a temporary read timeout: whether a datagram
+    /// (or an error for the next receive to report) is queued by
+    /// `timeout`.
+    pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+        let restore = socket.read_timeout()?;
+        socket.set_read_timeout(Some(timeout.max(Duration::from_micros(1))))?;
+        let peeked = socket.peek_from(&mut [0u8; 1]);
+        socket.set_read_timeout(restore)?;
+        match peeked {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            _ => Ok(true),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,7 +445,7 @@ mod tests {
         let mut got: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
         while got.len() < frames.len() {
             let mut metas = Vec::new();
-            recv_batch(&rx, &mut bufs, &mut metas).expect("recv batch");
+            recv_batch(&rx, &mut bufs, &mut metas, true).expect("recv batch");
             for m in metas {
                 got.push((bufs[m.buf][..m.len].to_vec(), m.addr));
             }
@@ -385,7 +465,7 @@ mod tests {
             .unwrap();
         let mut bufs = vec![vec![0u8; 256]; 4];
         let mut metas = Vec::new();
-        let err = recv_batch(&rx, &mut bufs, &mut metas).expect_err("nothing to read");
+        let err = recv_batch(&rx, &mut bufs, &mut metas, true).expect_err("nothing to read");
         assert!(
             matches!(
                 err.kind(),
@@ -394,6 +474,21 @@ mod tests {
             "{err:?}"
         );
         assert!(metas.is_empty());
+    }
+
+    #[test]
+    fn wait_readable_reports_a_queued_datagram_and_times_out_without_one() {
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let t0 = std::time::Instant::now();
+        assert!(!wait_readable(&rx, Duration::from_millis(2)).unwrap());
+        assert!(t0.elapsed() >= Duration::from_millis(2));
+        tx.send_to(b"here", rx.local_addr().unwrap()).unwrap();
+        assert!(wait_readable(&rx, Duration::from_secs(5)).unwrap());
+        let mut bufs = vec![vec![0u8; 64]; 2];
+        let mut metas = Vec::new();
+        assert_eq!(recv_batch(&rx, &mut bufs, &mut metas, true).unwrap(), 1);
+        assert_eq!(&bufs[metas[0].buf][..metas[0].len], b"here");
     }
 
     #[cfg(target_os = "linux")]
@@ -406,7 +501,7 @@ mod tests {
         send_batch(&tx, &[(dst, b"six".to_vec())]).unwrap();
         let mut bufs = vec![vec![0u8; 256]; 2];
         let mut metas = Vec::new();
-        recv_batch(&rx, &mut bufs, &mut metas).unwrap();
+        recv_batch(&rx, &mut bufs, &mut metas, true).unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(&bufs[metas[0].buf][..metas[0].len], b"six");
         assert_eq!(metas[0].addr, tx.local_addr().unwrap());

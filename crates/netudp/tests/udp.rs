@@ -1,12 +1,26 @@
 //! Loopback integration tests: the UDP link alone, and the full transport
 //! stack running over it.
 
-use portals_net::Link;
+use portals_net::{Link, LinkCaps};
 use portals_netudp::{UdpLink, UdpLinkConfig};
 use portals_transport::{Endpoint, TransportConfig};
-use portals_types::{Gather, NodeId};
+use portals_types::{DoorbellQueue, Gather, NodeId, ProgressMode};
 use std::net::UdpSocket;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// Every test takes a turn: shared, except the census, which counts this
+/// process's threads and so runs alone.
+static TURNS: RwLock<()> = RwLock::new(());
+
+fn turn() -> RwLockReadGuard<'static, ()> {
+    TURNS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    TURNS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn link(nid: u32) -> UdpLink {
     UdpLink::bind(UdpLinkConfig {
@@ -27,6 +41,7 @@ fn recv_one(l: &UdpLink, timeout: Duration) -> Option<portals_net::Datagram> {
 
 #[test]
 fn datagram_roundtrip_over_loopback() {
+    let _turn = turn();
     let a = link(0);
     let b = link(1);
     a.set_peer(NodeId(1), b.local_addr());
@@ -43,6 +58,7 @@ fn datagram_roundtrip_over_loopback() {
 /// silently zero its netudp rows.
 #[test]
 fn bound_link_registers_the_series_the_benchmark_reads() {
+    let _turn = turn();
     let obs = portals_obs::Obs::default();
     let _link = UdpLink::bind(UdpLinkConfig {
         nid: NodeId(0),
@@ -68,6 +84,7 @@ fn bound_link_registers_the_series_the_benchmark_reads() {
 
 #[test]
 fn receiver_learns_sender_address() {
+    let _turn = turn();
     // b never calls set_peer: the inbound frame teaches it where a lives.
     let a = link(0);
     let b = link(1);
@@ -82,6 +99,7 @@ fn receiver_learns_sender_address() {
 
 #[test]
 fn unroutable_destination_is_counted_not_fatal() {
+    let _turn = turn();
     let a = link(0);
     a.send(NodeId(9), Gather::copy_from_slice(b"nowhere"));
     assert_eq!(a.stats().unroutable.get(), 1);
@@ -90,6 +108,7 @@ fn unroutable_destination_is_counted_not_fatal() {
 
 #[test]
 fn loss_shim_drops_sends() {
+    let _turn = turn();
     let a = UdpLink::bind(UdpLinkConfig {
         nid: NodeId(0),
         loss: 1.0,
@@ -109,6 +128,7 @@ fn loss_shim_drops_sends() {
 
 #[test]
 fn foreign_and_corrupt_datagrams_are_rejected_and_counted() {
+    let _turn = turn();
     let b = link(1);
     let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
 
@@ -156,6 +176,7 @@ fn foreign_and_corrupt_datagrams_are_rejected_and_counted() {
 
 #[test]
 fn transport_over_udp_delivers_large_messages() {
+    let _turn = turn();
     // The full reliability stack over real sockets: fragmentation sized by
     // the link's datagram bound, body CRCs forced on, reassembly across
     // many datagrams.
@@ -180,6 +201,7 @@ fn transport_over_udp_delivers_large_messages() {
 
 #[test]
 fn transport_over_lossy_udp_recovers() {
+    let _turn = turn();
     // Seeded send-side loss on both links: the go-back-N machinery must
     // retransmit over the real wire until everything lands, byte-exact.
     let obs = portals_obs::Obs::default();
@@ -234,6 +256,7 @@ fn transport_over_lossy_udp_recovers() {
 
 #[test]
 fn send_batch_moves_a_vector_per_syscall() {
+    let _turn = turn();
     let a = link(0);
     let b = link(1);
     a.set_peer(NodeId(1), b.local_addr());
@@ -279,6 +302,7 @@ fn tagged(range: std::ops::Range<u8>) -> Vec<(NodeId, Gather)> {
 
 #[test]
 fn one_tx_path_is_accounted_once() {
+    let _turn = turn();
     // `send` and `send_batch` are one path: singles interleaved with vectors
     // longer than the constant land in one set of counters, one accounting
     // block per wire call.
@@ -302,6 +326,7 @@ fn one_tx_path_is_accounted_once() {
 
 #[test]
 fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
+    let _turn = turn();
     // Two links with the same seed send the same 120-datagram stream to one
     // receiver: one as singles, one as a single, a long vector, singles and
     // a vector of the rest. The shim draws per datagram in submission
@@ -346,6 +371,7 @@ fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
 
 #[test]
 fn loss_shim_sits_below_the_batch_boundary() {
+    let _turn = turn();
     // Per-datagram drop decisions inside the mmsg vector: a full-loss link
     // sends nothing even through send_batch, and the drops are counted
     // individually.
@@ -374,6 +400,7 @@ fn loss_shim_sits_below_the_batch_boundary() {
 
 #[test]
 fn frame_bytes_count_the_wire_not_just_the_payload() {
+    let _turn = turn();
     let a = link(0);
     let b = link(1);
     a.set_peer(NodeId(1), b.local_addr());
@@ -406,6 +433,7 @@ fn frame_bytes_count_the_wire_not_just_the_payload() {
 
 #[test]
 fn routing_follows_a_peer_across_rebinds() {
+    let _turn = turn();
     // Two-link churn: node 1 goes away and comes back on a fresh port (same
     // node id). Learn-on-rx must re-point node 0's routing at the new
     // address even though the stale entry was "known".
@@ -437,6 +465,7 @@ fn routing_follows_a_peer_across_rebinds() {
 
 #[test]
 fn negotiated_jumbo_payload_cuts_fragment_count() {
+    let _turn = turn();
     // set_max_payload (what rendezvous negotiation calls) installed before
     // endpoint construction: a 100 KB message needs ~2 jumbo datagrams
     // instead of ~72 MTU-sized ones.
@@ -460,6 +489,7 @@ fn negotiated_jumbo_payload_cuts_fragment_count() {
 
 #[test]
 fn transport_over_udp_bidirectional_pingpong() {
+    let _turn = turn();
     let a_link = link(0);
     let b_link = link(1);
     wire(&a_link, &b_link);
@@ -482,4 +512,283 @@ fn transport_over_udp_bidirectional_pingpong() {
             i + 1000
         );
     }
+}
+
+/// The stack's threads in this process, sorted. The kernel keeps 15 bytes of
+/// a thread's name, so `portals-udp-rx-<nid>` reads back as
+/// `portals-udp-rx-`.
+#[cfg(target_os = "linux")]
+fn stack_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .filter(|comm| comm.starts_with("portals-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Poll for up to `within` until the stack's threads are `expected` (a
+/// thread names itself as it starts, and one handed its own teardown leaves
+/// a moment after the call that started it).
+#[cfg(target_os = "linux")]
+fn await_threads(expected: &[&str], within: Duration) -> Vec<String> {
+    let deadline = Instant::now() + within;
+    loop {
+        let threads = stack_threads();
+        if threads == expected || Instant::now() >= deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Panics on the stack's own threads, counted: a panic on a receive thread
+/// ends that thread, not the test that caused it.
+fn stack_panics() -> usize {
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    static HOOK: OnceLock<()> = OnceLock::new();
+    HOOK.get_or_init(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let name = std::thread::current().name().map(str::to_owned);
+            if name.is_some_and(|name| name.starts_with("portals-")) {
+                PANICS.fetch_add(1, Ordering::SeqCst);
+            }
+            previous(info);
+        }));
+    });
+    PANICS.load(Ordering::SeqCst)
+}
+
+const MODES: [ProgressMode; 3] = [
+    ProgressMode::NicThread,
+    ProgressMode::HostDriven,
+    ProgressMode::CallerDriven,
+];
+
+fn mode(progress_mode: ProgressMode) -> TransportConfig {
+    TransportConfig {
+        progress_mode,
+        ..Default::default()
+    }
+}
+
+/// A bare endpoint on UDP owns no thread of its own in any mode: the
+/// socket's receive thread steps it (NIC-thread, host-driven) or only feeds
+/// the caller that does (caller-driven), and it goes with the link.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_udp_endpoint_owns_only_its_receive_thread() {
+    let _alone = alone();
+    assert_eq!(stack_threads(), Vec::<String>::new(), "before any link");
+    for progress_mode in MODES {
+        {
+            let (a_link, b_link) = (link(0), link(1));
+            wire(&a_link, &b_link);
+            let a = Endpoint::new(a_link, mode(progress_mode));
+            let b = Endpoint::new(b_link, mode(progress_mode));
+            a.send(NodeId(1), Gather::copy_from_slice(b"census"));
+            let m = b.recv_timeout(Duration::from_secs(5)).expect("delivered");
+            assert_eq!(m.payload.to_vec(), b"census");
+            let rx = ["portals-udp-rx-", "portals-udp-rx-"];
+            assert_eq!(
+                await_threads(&rx, Duration::from_secs(5)),
+                rx,
+                "{progress_mode:?}: one receive thread per endpoint, no portals-node-*"
+            );
+        }
+        assert_eq!(
+            stack_threads(),
+            Vec::<String>::new(),
+            "{progress_mode:?}: dropped"
+        );
+    }
+}
+
+/// A [`UdpLink`] an endpoint owns while the test keeps a handle on it.
+struct Held(Arc<UdpLink>);
+
+impl Link for Held {
+    fn nid(&self) -> NodeId {
+        Link::nid(&*self.0)
+    }
+    fn send(&self, dst: NodeId, payload: Gather) {
+        self.0.send(dst, payload)
+    }
+    fn send_batch(&self, batch: Vec<(NodeId, Gather)>) {
+        self.0.send_batch(batch)
+    }
+    fn inbound_receiver(&self) -> Arc<DoorbellQueue<portals_net::Datagram>> {
+        self.0.inbound_receiver()
+    }
+    fn caps(&self) -> LinkCaps {
+        self.0.caps()
+    }
+}
+
+/// The receive thread that steps an endpoint also keeps its timers: a
+/// message sent while its destination is unroutable goes out on its first
+/// retransmission, `rto_base` after the send, with nothing arriving at the
+/// sender's socket to wake that thread. `rto_base` is below the thread's
+/// idle poll, and the thread has just begun an idle wait when the message
+/// is sent (a stray datagram poked it): a retransmission that waited for the
+/// poll would come late.
+///
+/// The best of three trials must arrive within 2 × `rto_base`: a thread
+/// descheduled on a loaded box can make any one trial late, but a timer
+/// that waits for the poll is late in every one.
+#[test]
+fn a_timer_fires_on_time_on_a_silent_socket() {
+    let _alone = alone();
+    let rto = Duration::from_millis(2);
+    let trial = || {
+        let sender = Arc::new(link(0));
+        // A bare link: it takes the message and never answers.
+        let receiver = link(1);
+        let endpoint = Endpoint::new(
+            Held(Arc::clone(&sender)),
+            TransportConfig {
+                rto_base: rto,
+                ..Default::default()
+            },
+        );
+        let poke = UdpSocket::bind("127.0.0.1:0").unwrap();
+        poke.send_to(b"not a frame", sender.local_addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sender.stats().bad_magic.get() == 0 {
+            assert!(Instant::now() < deadline, "the poke never arrived");
+            std::hint::spin_loop();
+        }
+        let t0 = Instant::now();
+        endpoint.send(NodeId(1), Gather::copy_from_slice(b"unroutable at first"));
+        sender.set_peer(NodeId(1), receiver.local_addr());
+        let d = receiver
+            .inbound_receiver()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("retransmitted");
+        let took = t0.elapsed();
+        assert_eq!(
+            sender.stats().unroutable.get(),
+            1,
+            "the first send had no route"
+        );
+        assert_eq!(d.src, NodeId(0));
+        assert_eq!(sender.stats().datagrams_received.get(), 0);
+        assert_eq!(
+            sender.stats().bad_magic.get(),
+            1,
+            "nothing else reached the sender"
+        );
+        took
+    };
+    let trials: Vec<Duration> = (0..3).map(|_| trial()).collect();
+    let best = trials.iter().min().unwrap();
+    assert!(
+        *best < 2 * rto,
+        "retransmitted {trials:?} after the send, never within {:?}",
+        2 * rto
+    );
+}
+
+/// Tearing an endpoint down mid-stream: 4 MiB in flight, the receiving
+/// endpoint dropped at a different point of it 50 times, the sending one 50
+/// times. Each drop waits out the receive thread's step and joins it, within
+/// a second, and no thread of the stack panics.
+#[test]
+fn an_endpoint_dropped_mid_stream_stops_promptly() {
+    let _turn = turn();
+    let panics = stack_panics();
+    let body = Gather::from_vec(vec![0x5a; 4 << 20]);
+    for run in 0..100u64 {
+        let (a_link, b_link) = (link(0), link(1));
+        wire(&a_link, &b_link);
+        let a = Endpoint::new(a_link, TransportConfig::default());
+        let b = Endpoint::new(b_link, TransportConfig::default());
+        a.send(NodeId(1), body.clone());
+        // Somewhere in the first three quarters of the ~2 950 fragments.
+        let mid = 1 + (run % 10) * 220;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b.stats().data_packets_accepted.get() < mid {
+            assert!(Instant::now() < deadline, "run {run}: the stream stalled");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let (first, second) = if run < 50 { (b, a) } else { (a, b) };
+        for (which, endpoint) in [("first", first), ("second", second)] {
+            let t = Instant::now();
+            drop(endpoint);
+            let took = t.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "run {run}: {which} drop took {took:?}"
+            );
+        }
+    }
+    assert_eq!(stack_panics(), panics, "a thread of the stack panicked");
+}
+
+/// A node above an endpoint, reduced to what its teardown needs: the last
+/// reference to it, which its first dispatch lets go of.
+struct SelfOwned {
+    endpoint: Endpoint,
+    last: Mutex<Option<Arc<SelfOwned>>>,
+}
+
+impl AsRef<Endpoint> for SelfOwned {
+    fn as_ref(&self) -> &Endpoint {
+        &self.endpoint
+    }
+}
+
+fn let_go(owner: &SelfOwned) -> bool {
+    while owner.endpoint.pop_delivery().is_some() {}
+    owner.last.lock().unwrap().take();
+    true
+}
+
+/// The endpoint dropped from inside its own step: a node whose last
+/// reference goes in a dispatch running on the receive thread. Stopping
+/// there must not wait for the step it is in, and the stepper it leaves
+/// behind must not be dropped on that thread, whose link joins it. The
+/// endpoint goes, and so does its receive thread, in both modes that step
+/// there.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_endpoint_dropped_by_its_own_dispatch_stops() {
+    let _alone = alone();
+    let panics = stack_panics();
+    for progress_mode in [ProgressMode::NicThread, ProgressMode::HostDriven] {
+        let (a_link, b_link) = (link(0), link(1));
+        wire(&a_link, &b_link);
+        let a = Endpoint::new(a_link, mode(progress_mode));
+        let owner = Endpoint::with_dispatcher(
+            b_link,
+            mode(progress_mode),
+            portals_obs::Obs::default(),
+            |endpoint| SelfOwned {
+                endpoint,
+                last: Mutex::new(None),
+            },
+            let_go,
+        );
+        *owner.last.lock().unwrap() = Some(Arc::clone(&owner));
+        let gone = Arc::downgrade(&owner);
+        drop(owner);
+        a.send(NodeId(1), Gather::copy_from_slice(b"the last straw"));
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while gone.strong_count() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{progress_mode:?}: never dropped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            await_threads(&["portals-udp-rx-"], Duration::from_secs(1)),
+            ["portals-udp-rx-"],
+            "{progress_mode:?}: only the sender's receive thread is left"
+        );
+    }
+    assert_eq!(stack_panics(), panics, "a thread of the stack panicked");
 }

@@ -862,6 +862,16 @@ impl NetworkInterface {
 /// what a parked operation runs when its counter fires (engine context,
 /// holding only a `NiCore`). The descriptor checks run here, at launch.
 pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> {
+    let (dst, msg) = prepare(core, op)?;
+    transmit(core, node, dst, &msg);
+    Ok(())
+}
+
+/// The checked half of [`launch`]: run the descriptor checks, build the
+/// message and log its `Sent` event. Nothing has left the interface yet, so
+/// a caller can publish what the launch means (a fired trigger) before
+/// [`transmit`] makes it observable remotely.
+pub(crate) fn prepare(core: &NiCore, op: Op) -> PtlResult<(portals_types::NodeId, PortalsMessage)> {
     let (msg, eq, length) = match op.verb {
         Verb::Put { ack } => put_message(core, &op, ack)?,
         Verb::Get { length } => get_message(core, &op, length)?,
@@ -889,9 +899,19 @@ pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> 
         };
         core.push_event(eqh, event);
     }
-    send_message(core, node, op.target.nid, &msg);
+    Ok((op.target.nid, msg))
+}
+
+/// The transmitting half of [`launch`]: hand a [`prepare`]d message to the
+/// network.
+pub(crate) fn transmit(
+    core: &NiCore,
+    node: &NodeShared,
+    dst: portals_types::NodeId,
+    msg: &PortalsMessage,
+) {
+    send_message(core, node, dst, msg);
     core.counters.messages_sent.inc();
-    Ok(())
 }
 
 /// What a launch puts on the wire, the queue its `Sent` event goes to, and

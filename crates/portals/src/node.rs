@@ -7,8 +7,10 @@
 //! fails, the runtime system discards the message and increments the dropped
 //! message count for the interface."
 //!
-//! The node's transport endpoint owns its step: it spawns the one thread that
-//! stands in for NIC firmware, or lets blocked callers step. The node hands
+//! The node's transport endpoint owns its step: the one thread that stands in
+//! for NIC firmware steps it — the thread the endpoint spawns, or on a wire
+//! with a receive thread of its own (UDP) that thread — or blocked callers
+//! do. The node hands
 //! it one dispatcher, `NodeShared::dispatch_queued`, which takes each
 //! step's deliveries through the receive engine — or, host-driven, onto the
 //! target interface's raw queue — so selection and delivery proceed while
@@ -189,8 +191,9 @@ impl Drop for Burst<'_> {
     }
 }
 
-/// A simulated machine: one transport endpoint, one NIC thread (none when
-/// caller-driven), and any number of process-level [`NetworkInterface`]s.
+/// A simulated machine: one transport endpoint, one NIC thread (the link's
+/// receive thread on UDP; none when caller-driven), and any number of
+/// process-level [`NetworkInterface`]s.
 ///
 /// Dropping the node powers it off: the NIC thread stops and its interfaces
 /// stop receiving (sends from elsewhere are retried by their transports until
@@ -203,12 +206,14 @@ impl Node {
     /// Bring up a node on a [`Link`](portals_net::Link) — an attached
     /// in-process NIC, a UDP socket endpoint, any datagram backend.
     ///
-    /// With [`ProgressMode::NicThread`] (the transport-config default) the
-    /// endpoint spawns the one thread that stands in for NIC firmware: parked
-    /// on the link's doorbell, it steps the transport and dispatches what
-    /// arrived. [`ProgressMode::HostDriven`] spawns the same thread; its
-    /// dispatch queues each message raw on the target interface for that
-    /// interface's next API call instead of running the engine.
+    /// With [`ProgressMode::NicThread`] (the transport-config default) one
+    /// thread stands in for NIC firmware: it steps the transport and
+    /// dispatches what arrived. On a link with a receive thread of its own (a
+    /// UDP socket) that is the receive thread, stepping after each batch it
+    /// takes; otherwise the endpoint spawns `portals-node-<nid>`, parked on
+    /// the link's doorbell. [`ProgressMode::HostDriven`] uses the same
+    /// thread; its dispatch queues each message raw on the target interface
+    /// for that interface's next API call instead of running the engine.
     /// With [`ProgressMode::CallerDriven`] no thread is spawned: the endpoint
     /// is a cooperative fabric driver and blocked API calls run that step
     /// inline.

@@ -48,22 +48,24 @@ pub(crate) enum TriggeredOp {
 /// Launch one extracted trigger. Never called holding a counter or portal
 /// lock (see module docs).
 pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
-    let result = match op {
-        TriggeredOp::Launch(op) => ni::launch(core, node, op),
+    match op {
+        // Counted between the checks and the transmission: the launched
+        // message can complete a remote wait, and whoever then reads
+        // `triggered_fired` must find this fire already there.
+        TriggeredOp::Launch(op) => match ni::prepare(core, op) {
+            Ok((dst, msg)) => {
+                core.counters.triggered_fired.inc();
+                ni::transmit(core, node, dst, &msg);
+            }
+            Err(_) => core.counters.triggered_failed.inc(),
+        },
+        // A chained increment cannot fail, so it is counted before it lands,
+        // for the same reason.
         TriggeredOp::CtInc { ct, increment } => {
-            // A chained increment cannot fail, so it is counted before it
-            // lands: whoever reads the chained counter's new value and then
-            // `triggered_fired` finds this fire already there.
             core.counters.triggered_fired.inc();
             ct_increment(core, node, ct, increment);
-            return;
         }
-    };
-    let counter = match result {
-        Ok(()) => &core.counters.triggered_fired,
-        Err(_) => &core.counters.triggered_failed,
-    };
-    counter.inc();
+    }
 }
 
 /// Count `n` successes on `h`, fire every trigger that becomes due, in

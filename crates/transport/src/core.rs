@@ -181,7 +181,9 @@ impl ProgressCore {
         // Pump first so packets due *now* land in inbound queues (a global
         // drain: the single wire heap serves every node, so an active waiter
         // delivers for idle nodes too). No-op on bypass/scheduler wires and
-        // on links with their own delivery agent (socket rx threads).
+        // on links with their own delivery agent: a socket's rx thread has
+        // already pushed what it took, and is often the thread running this
+        // step.
         self.link.pump_wire();
         let mut worked = false;
         while let Ok(d) = self.inbound.try_recv() {

@@ -1,8 +1,10 @@
 //! The public transport endpoint: one progress core behind one mutex, and the
 //! one owner of its step. Callers submit inline under the core lock. The
-//! [`ProgressMode`] decides who steps it — a NIC thread the endpoint spawns,
-//! parked on the link's doorbell, or the caller blocked in a wait — and so
-//! where blocked callers park. A node above hands the endpoint one
+//! [`ProgressMode`] decides who steps it — the thread that takes datagrams
+//! off the wire, or the caller blocked in a wait — and so where blocked
+//! callers park. Where the wire takes datagrams on a receive thread of its
+//! own (a UDP socket), that thread steps; otherwise the endpoint spawns a NIC
+//! thread parked on the link's doorbell. A node above hands the endpoint one
 //! dispatcher, run over each step's deliveries; a bare endpoint has none.
 
 use crate::config::TransportConfig;
@@ -106,11 +108,12 @@ pub struct Endpoint {
     stats: Arc<TransportStats>,
     outstanding: Arc<AtomicUsize>,
     mode: ProgressMode,
-    /// Shared with this endpoint's NIC thread or — caller-driven — registered
-    /// (through a `Weak`) as its cooperative [`NodeDriver`] for peers' waits.
+    /// Shared with this endpoint's NIC thread, or handed (through a `Weak`)
+    /// to the link's receive thread to step or — caller-driven — registered
+    /// as its cooperative [`NodeDriver`] for peers' waits.
     stepper: Arc<Stepper>,
     /// The NIC thread, until [`Endpoint::stop`] joins it. `None` when callers
-    /// step.
+    /// or the link's receive thread step.
     nic_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -132,10 +135,13 @@ struct Stepper {
     work: u64,
     /// Next deadline the core published (`DEADLINE_NONE` when idle).
     deadline_ns: Arc<AtomicU64>,
-    /// Longest park of the NIC thread (see [`Stepper::run`]).
+    /// Longest park of the NIC thread (see [`Stepper::run`]), and longest
+    /// wait of a receive thread that steps.
     rto_base: Duration,
     /// Cleared by [`Endpoint::stop`]: nothing steps a stopped endpoint.
     alive: AtomicBool,
+    /// Where the NIC thread counts its parks.
+    stats: Arc<TransportStats>,
 }
 
 impl Stepper {
@@ -192,14 +198,23 @@ impl Stepper {
         deadline != DEADLINE_NONE && deadline <= instant_to_ns(Instant::now())
     }
 
+    /// How long a thread that steps may wait for the wire after a step that
+    /// started at `started`: until the next timer, and no longer than
+    /// `rto_base`. Submitting callers do *not* ring, and a timer one arms
+    /// during the wait is due no earlier than the wait's start plus
+    /// `rto_base`.
+    fn wait_bound(&self, started: Instant) -> Instant {
+        let bound = started + self.rto_base;
+        self.next_deadline().map_or(bound, |next| bound.min(next))
+    }
+
     /// The NIC thread, until stopped: step ([`Stepper::step`], blocking),
-    /// then park on the link's doorbell until it rings or a timer is due.
+    /// then park on the link's doorbell until it rings or
+    /// [`Stepper::wait_bound`] passes.
     ///
     /// The doorbell sequence is read before the stop flag and the step, so a
     /// datagram landing after it — or [`Endpoint::stop`], which rings — makes
-    /// the park return at once. Submitting callers do *not* ring: a timer one
-    /// arms during the park is due no earlier than the park's start plus
-    /// `rto_base`, which therefore bounds every park.
+    /// the park return at once.
     fn run(&self) {
         loop {
             let observed = self.readiness.seq();
@@ -208,12 +223,14 @@ impl Stepper {
             }
             let started = Instant::now();
             self.step(true);
-            let mut bound = started + self.rto_base;
-            if let Some(next) = self.next_deadline() {
-                bound = bound.min(next);
-            }
-            self.readiness
+            let bound = self.wait_bound(started);
+            let woke = self
+                .readiness
                 .wait(observed, bound.saturating_duration_since(Instant::now()));
+            self.stats.nic_parks.inc();
+            if woke == observed {
+                self.stats.nic_park_timeouts.inc();
+            }
         }
     }
 }
@@ -225,6 +242,15 @@ impl NodeDriver for Stepper {
 
     fn has_work(&self) -> bool {
         self.readiness.peek() & self.work != 0 || self.timer_due()
+    }
+
+    /// The link's receive thread, after each batch it took and whenever the
+    /// bound returned comes due: the NIC thread's step, blocking, while
+    /// there is work for it — the batch it just pushed, a due timer.
+    fn drive(&self) -> Option<Instant> {
+        let started = Instant::now();
+        while self.has_work() && self.step(true) {}
+        Some(self.wait_bound(started))
     }
 }
 
@@ -245,7 +271,9 @@ impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
     /// UDP socket, …) in a reliable endpoint. In `CallerDriven` mode there is
     /// no thread and the calling threads drive the protocol from
-    /// `recv`/`flush`; otherwise this spawns the NIC thread.
+    /// `recv`/`flush`. Otherwise the thread that takes datagrams off the wire
+    /// steps it: the link's own receive thread where it has one (a UDP
+    /// socket), else the NIC thread this spawns.
     pub fn new(link: impl Link, cfg: TransportConfig) -> Endpoint {
         Endpoint::with_obs(link, cfg, Obs::default())
     }
@@ -346,6 +374,7 @@ impl Endpoint {
             deadline_ns,
             rto_base: cfg.rto_base,
             alive: AtomicBool::new(true),
+            stats: Arc::clone(&stats),
         });
         Endpoint {
             nid,
@@ -362,16 +391,16 @@ impl Endpoint {
     }
 
     /// Hand the stepper its dispatcher, then start whoever steps: register
-    /// the cooperative driver when callers step, spawn the NIC thread
-    /// otherwise.
+    /// the cooperative driver when callers step, else host it on the link's
+    /// receive thread, else spawn the NIC thread.
     fn start(&self, dispatch: Option<Dispatch>) {
         *self.stepper.step.lock() = dispatch;
+        let driver = Arc::downgrade(&self.stepper) as Weak<dyn NodeDriver>;
         if self.mode.is_caller_driven() {
             // Volunteer for cooperative servicing so peers' wait loops keep
             // this endpoint's protocol moving while nothing here blocks.
-            self.hub
-                .register(Arc::downgrade(&self.stepper) as Weak<dyn NodeDriver>);
-        } else {
+            self.hub.register(driver);
+        } else if !self.hub.host(driver) {
             let stepper = Arc::clone(&self.stepper);
             *self.nic_thread.lock() = Some(
                 std::thread::Builder::new()
@@ -384,21 +413,26 @@ impl Endpoint {
 
     /// Power the endpoint off: nothing steps it from now on. Clears the
     /// stepper's alive flag, rings its doorbell, and joins the NIC thread or
-    /// withdraws the cooperative driver. Dropping the endpoint stops it; a
-    /// node stops it when the node powers off while its interfaces still
-    /// hold the endpoint. Idempotent.
+    /// withdraws the cooperative or hosted driver. Dropping the endpoint
+    /// stops it; a node stops it when the node powers off while its
+    /// interfaces still hold the endpoint. Idempotent.
+    ///
+    /// Returns once the link's receive thread is outside any step of this
+    /// endpoint — at once when it is that thread, stopping from inside a
+    /// step — so that thread never holds the stepper's last reference when
+    /// another thread drops the endpoint.
     pub fn stop(&self) {
-        if !self.stepper.alive.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        self.stepper.readiness.ring();
-        let nic_thread = self.nic_thread.lock().take();
-        match nic_thread {
-            Some(handle) => {
-                let _ = handle.join();
+        if self.stepper.alive.swap(false, Ordering::AcqRel) {
+            self.stepper.readiness.ring();
+            let nic_thread = self.nic_thread.lock().take();
+            match nic_thread {
+                Some(handle) => {
+                    let _ = handle.join();
+                }
+                None => self.hub.unregister(),
             }
-            None => self.hub.unregister(),
         }
+        self.hub.withdraw();
     }
 
     /// Endpoint with default configuration.

@@ -93,6 +93,12 @@ pub struct TransportStats {
     pub credits_granted: Counter,
     /// Sender peers currently credit-blocked.
     pub credit_blocked_now: Gauge,
+    /// Parks of the endpoint's NIC thread on the link's doorbell (none
+    /// where callers or the link's receive thread step).
+    pub nic_parks: Counter,
+    /// The `nic_parks` that ended because their bound passed, not because
+    /// the doorbell rang.
+    pub nic_park_timeouts: Counter,
 }
 
 impl TransportStats {
@@ -129,6 +135,8 @@ impl TransportStats {
             credit_resumes: c("flow.credit_resumes"),
             credits_granted: c("flow.credits_granted"),
             credit_blocked_now: registry.gauge("flow.credit_blocked_now", &labels),
+            nic_parks: c("transport.nic_parks"),
+            nic_park_timeouts: c("transport.nic_park_timeouts"),
         }
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! * **NIC-thread** — one thread per node stands in for NIC firmware. It
 //!   parks on the link's [`Readiness`] doorbell; an arriving datagram rings
-//!   it, and the thread that takes the datagram runs the engine. Callers
+//!   it, and the thread that takes the datagram runs the engine. On a UDP
+//!   socket the thread that takes the datagram is the socket's own receive
+//!   thread, which runs the step itself. Callers
 //!   park on a doorbell of their own that only completions ring: one thread
 //!   handoff per message in, none out.
 //! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
@@ -59,8 +61,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
     /// One thread per node (the NIC-firmware stand-in), parked on the link's
-    /// doorbell, steps the transport and runs the receive engine on what
-    /// arrives; callers park, without stepping, until it completes something
+    /// doorbell — on a UDP socket, the socket's receive thread — steps the
+    /// transport and runs the receive engine on what arrives; callers park, without stepping, until it completes something
     /// for them and rings their doorbell. The paper's application bypass
     /// (§5.1).
     #[default]
