@@ -10,7 +10,9 @@
 //!   the socket into the inbound queue and, beneath an endpoint in the
 //!   NIC-thread or host-driven mode, steps that endpoint on what it took —
 //!   the link's thread is the node's NIC thread, and no second one exists.
-//!   Sends frame-and-forward from the calling thread; a `NodeId` →
+//!   Sends frame-and-forward from the calling thread, consecutive frames of
+//!   one size to one peer as one GSO send, which the receiver's kernel
+//!   hands back as one GRO buffer and its rx thread cuts apart; a `NodeId` →
 //!   `SocketAddr` peer table does the routing (seeded by rendezvous,
 //!   refreshed by learning inbound source addresses).
 //! * [`frame`] — the 18-byte datagram frame carrying node-id routing and a

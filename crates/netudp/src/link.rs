@@ -3,7 +3,7 @@
 //! thread — runs that endpoint's step on what it drained.
 
 use crate::frame::{self, FrameError, FRAME_HEADER};
-use crate::mmsg::{self, RecvMeta};
+use crate::mmsg::{self, RecvMeta, Run};
 use crate::stats::UdpStats;
 use parking_lot::{Mutex, RwLock};
 use portals_net::{Datagram, DriverHub, DriverRegistry, Link, LinkCaps};
@@ -12,8 +12,9 @@ use portals_types::{DoorbellQueue, Gather, NodeId, Readiness};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,15 +37,21 @@ const RX_POLL_SLACK: Duration = Duration::from_millis(15);
 /// than a retransmission timeout.
 const SEND_RETRIES: u32 = 16;
 
-/// `sendmmsg`/`recvmmsg` vector length: how many datagrams one kernel
-/// crossing moves at most. 32 × 1432-byte frames ≈ 45 KiB per syscall; past
-/// that the copy dominates and bigger vectors stop paying. The rx thread
-/// allocates one 64 KiB buffer per slot.
+/// `sendmmsg`/`recvmmsg` vector length: how many entries one kernel crossing
+/// moves at most. A send entry is a run of up to [`mmsg::MAX_SEGMENTS`]
+/// frames (one GSO send of at most [`mmsg::UDP_MAX_DATAGRAM`] bytes), a
+/// receive entry a buffer of one datagram or of several the kernel coalesced
+/// (GRO). A bulk stream at the 1432-byte MTU fills a 64 KiB run with 45
+/// frames, so the transport's window of 64 fragments is two entries; the
+/// vector length then matters only for streams of small or mixed frames,
+/// which form runs of one. The rx thread allocates one 64 KiB buffer per
+/// slot, enough for the largest coalesced buffer.
 const BATCH: usize = 32;
 
 /// Most datagrams the rx thread takes off the socket before it steps a
 /// hosted endpoint on them: one run of the transport's receive drain, which
-/// acks once per run.
+/// acks once per run. A GRO buffer counts as the datagrams it holds, and is
+/// taken whole.
 const DRAIN: usize = 64;
 
 /// Back off before retry `attempt` (1-based): two free yields for
@@ -105,8 +112,9 @@ pub struct UdpLinkConfig {
     /// is silently dropped instead of sent. Real loss recovery (the
     /// transport's go-back-N machinery) can then be exercised over a
     /// loopback wire that never loses anything by itself. Drop decisions
-    /// are made per datagram *below* the batch boundary — inside the mmsg
-    /// vector — in submission order, whichever entry point carried it.
+    /// are made per datagram *below* the batch boundary — before frames are
+    /// grouped into runs and vectors — in submission order, whichever entry
+    /// point carried it.
     pub loss: f64,
     /// Seed for the loss shim (deterministic per link instance).
     pub seed: u64,
@@ -137,8 +145,10 @@ fn clamp_payload(max_payload: usize) -> usize {
 /// machinery runs over actual OS datagrams, process boundaries and all.
 ///
 /// A dedicated receive thread, `portals-udp-rx-<nid>`, drains the socket
-/// (readiness-driven from the kernel's side: it parks in `recvmmsg`),
-/// validates frames, learns peer addresses, and feeds the inbound queue —
+/// (readiness-driven from the kernel's side: it parks in `recvmmsg`), cuts
+/// each buffer the kernel coalesced (GRO) back into its datagrams,
+/// validates each frame on its own, learns peer addresses, and feeds the
+/// inbound queue —
 /// the same delivery contract the in-process fabric's scheduler thread
 /// provides, with one push and one doorbell ring per received batch. That
 /// is all it does for a bare link. An endpoint built on the link in the
@@ -146,9 +156,14 @@ fn clamp_payload(max_payload: usize) -> usize {
 /// ([`DriverHub::host`]) instead of spawning a NIC thread, and the receive
 /// thread then steps it after each batch and when its next timer is due: the
 /// thread that takes a datagram runs the protocol on it. Sends go straight
-/// to the socket from the calling thread; [`Link::send_batch`] moves a whole
-/// vector of datagrams per `sendmmsg` call, and [`Link::send`] is a vector
-/// of one through the same path.
+/// to the socket from the calling thread, through one tx path for
+/// [`Link::send`] (a vector of one) and [`Link::send_batch`] alike: each
+/// frame is encoded straight into one wire buffer, consecutive frames to
+/// one peer of one size (the last may be shorter) form a run, and one
+/// `sendmmsg` call moves a vector of runs, each run one GSO send the kernel
+/// cuts into datagrams. Where the kernel refuses GSO, the link re-sends
+/// that run frame by frame and sends runs of one from then on
+/// (`net.udp.gso_fallbacks`).
 ///
 /// Peer routing: a [`NodeId`] → [`SocketAddr`] table, seeded explicitly via
 /// [`UdpLink::set_peer`] (from the rendezvous exchange) and kept fresh by
@@ -166,6 +181,9 @@ pub struct UdpLink {
     /// negotiated job-wide value after bind but before the transport reads
     /// [`Link::caps`].
     max_payload: AtomicUsize,
+    /// Most frames one run may carry: [`mmsg::MAX_SEGMENTS`], or 1 once
+    /// the kernel has refused a GSO send.
+    run_frames: AtomicUsize,
     loss: f64,
     rng: Mutex<SmallRng>,
     shutdown: Arc<AtomicBool>,
@@ -187,6 +205,7 @@ impl UdpLink {
         let local_addr = socket.local_addr()?;
         let rx_socket = socket.try_clone()?;
         rx_socket.set_read_timeout(Some(RX_POLL))?;
+        mmsg::enable_gro(&rx_socket);
 
         let inbound = Arc::new(DoorbellQueue::new(
             Arc::new(Readiness::new()),
@@ -219,6 +238,7 @@ impl UdpLink {
             drivers,
             stats,
             max_payload: AtomicUsize::new(clamp_payload(cfg.max_payload)),
+            run_frames: AtomicUsize::new(mmsg::MAX_SEGMENTS),
             loss: cfg.loss,
             rng: Mutex::new(SmallRng::seed_from_u64(cfg.seed)),
             shutdown,
@@ -269,33 +289,28 @@ impl UdpLink {
         &self.stats
     }
 
-    /// Frame `payload` for the wire: header plus the gather's segments
-    /// copied exactly once into one contiguous datagram buffer.
-    fn encode_frame(&self, dst: NodeId, payload: &Gather) -> Vec<u8> {
-        let len = payload.len();
-        let mut buf = Vec::with_capacity(FRAME_HEADER + len);
-        frame::encode_header(self.nid, dst, len, &mut buf);
-        for seg in payload.segments() {
-            buf.extend_from_slice(seg.as_ref());
-        }
-        buf
-    }
-
     /// The per-datagram drop decision of the seeded loss shim. Sits below
-    /// the batch boundary: consulted per datagram while building an mmsg
-    /// vector, so the same send stream draws the same RNG sequence however
-    /// it was cut into vectors.
+    /// the batch boundary: consulted per datagram, in submission order,
+    /// before runs are formed, so the same send stream draws the same RNG
+    /// sequence however it was cut into vectors and runs.
     fn shim_drops(&self) -> bool {
         self.loss > 0.0 && self.rng.lock().gen::<f64>() < self.loss
     }
 
-    /// The one tx path, for a vector of any length including one: frame,
-    /// shim, `sendmmsg` in chunks of [`BATCH`].
+    /// The one tx path, for a vector of any length including one: resolve,
+    /// shim and frame per datagram, then send in runs.
     fn transmit(&self, batch: &[(NodeId, Gather)]) {
-        // Resolve and apply the loss shim per datagram while building the
-        // vector: the shim sits below the batch boundary, so a dropped
-        // datagram simply never enters the mmsg vector.
-        let mut frames: Vec<(SocketAddr, Vec<u8>)> = Vec::with_capacity(batch.len());
+        // Resolve and apply the loss shim per datagram, in submission order,
+        // before runs are formed: a dropped datagram simply never enters the
+        // wire buffer. Each survivor's header and payload are copied exactly
+        // once, straight into that buffer.
+        let mut wire = Vec::with_capacity(
+            batch
+                .iter()
+                .map(|(_, payload)| FRAME_HEADER + payload.len())
+                .sum(),
+        );
+        let mut frames: Vec<(SocketAddr, usize)> = Vec::with_capacity(batch.len());
         for (dst, payload) in batch {
             let Some(addr) = self.peer_addr(*dst) else {
                 self.stats.unroutable.inc();
@@ -305,41 +320,119 @@ impl UdpLink {
                 self.stats.shim_dropped.inc();
                 continue;
             }
-            frames.push((addr, self.encode_frame(*dst, payload)));
+            frame::encode_header(self.nid, *dst, payload.len(), &mut wire);
+            for seg in payload.segments() {
+                wire.extend_from_slice(seg.as_ref());
+            }
+            frames.push((addr, FRAME_HEADER + payload.len()));
         }
-        for chunk in frames.chunks(BATCH) {
-            self.send_frames(chunk);
-        }
+        self.send_frames(&wire, &frames, &mut |runs| {
+            mmsg::send_batch(&self.socket, runs)
+        });
     }
 
-    /// Put one pre-framed mmsg vector on the wire, retrying transient
-    /// pressure on the *next unsent* datagram with the bounded backoff
-    /// (partial progress resets the budget).
-    fn send_frames(&self, frames: &[(SocketAddr, Vec<u8>)]) {
-        let mut done = 0;
-        while done < frames.len() {
-            match retry_transient(&self.stats.wouldblock_retries, || {
-                mmsg::send_batch(&self.socket, &frames[done..])
-            }) {
-                Ok(n) if n > 0 => {
-                    self.stats.batches_sent.inc();
-                    self.stats.send_batch_frames.observe(n as u64);
-                    for (_, buf) in &frames[done..done + n] {
-                        self.stats.datagrams_sent.inc();
-                        self.stats.bytes_sent.add((buf.len() - FRAME_HEADER) as u64);
-                        self.stats.frame_bytes_sent.add(buf.len() as u64);
-                    }
-                    done += n;
+    /// Put `frames`, laid back to back in `wire`, on the wire in runs,
+    /// [`BATCH`] runs per call of `send` (`sendmmsg`). Transient pressure
+    /// on the *next unsent* run is retried with the bounded backoff (partial
+    /// progress resets the budget). A run the kernel refuses to segment
+    /// switches the link to runs of one and is re-sent that way, with all
+    /// that follows it.
+    fn send_frames(
+        &self,
+        wire: &[u8],
+        frames: &[(SocketAddr, usize)],
+        send: &mut dyn FnMut(&[Run<'_>]) -> io::Result<usize>,
+    ) {
+        let plan = plan_runs(frames, self.run_frames.load(Ordering::Relaxed));
+        let mut at = 0; // where the next run's bytes start in `wire`
+        let runs: Vec<Run<'_>> = plan
+            .iter()
+            .map(|range| {
+                let (addr, segment) = frames[range.start];
+                let len: usize = frames[range.clone()].iter().map(|&(_, len)| len).sum();
+                at += len;
+                Run {
+                    addr,
+                    bytes: &wire[at - len..at],
+                    segment,
+                    frames: range.len(),
                 }
-                // A zero-progress return or a hard error drops the rest of
-                // the vector: unreliable link, transport recovers.
-                Ok(_) | Err(_) => {
-                    self.stats.send_errors.add((frames.len() - done) as u64);
-                    return;
+            })
+            .collect();
+        for first in (0..runs.len()).step_by(BATCH) {
+            let chunk = &runs[first..runs.len().min(first + BATCH)];
+            let mut done = 0;
+            while done < chunk.len() {
+                let sent = retry_transient(&self.stats.wouldblock_retries, || send(&chunk[done..]));
+                match sent {
+                    Ok(n) if n > 0 => {
+                        self.account(&chunk[done..done + n]);
+                        done += n;
+                    }
+                    Err(e) if chunk[done].frames > 1 && mmsg::refuses_segmentation(&e) => {
+                        // Nothing of the refused run left. Runs of one from
+                        // now on, starting with it; counted by whichever
+                        // sender switched the link.
+                        if self.run_frames.swap(1, Ordering::Relaxed) > 1 {
+                            self.stats.gso_fallbacks.inc();
+                        }
+                        let rest = plan[first + done].start;
+                        let skip: usize = frames[..rest].iter().map(|&(_, len)| len).sum();
+                        return self.send_frames(&wire[skip..], &frames[rest..], send);
+                    }
+                    // A zero-progress return or a hard error drops the rest
+                    // of the vector: unreliable link, transport recovers.
+                    Ok(_) | Err(_) => {
+                        let lost: usize = chunk[done..].iter().map(|run| run.frames).sum();
+                        self.stats.send_errors.add(lost as u64);
+                        break;
+                    }
                 }
             }
         }
     }
+
+    /// Count one wire call that moved `runs`, each frame as one datagram.
+    fn account(&self, runs: &[Run<'_>]) {
+        let frames: usize = runs.iter().map(|run| run.frames).sum();
+        let bytes: usize = runs.iter().map(|run| run.bytes.len()).sum();
+        self.stats.batches_sent.inc();
+        self.stats.send_batch_frames.observe(frames as u64);
+        self.stats.datagrams_sent.add(frames as u64);
+        self.stats
+            .bytes_sent
+            .add((bytes - FRAME_HEADER * frames) as u64);
+        self.stats.frame_bytes_sent.add(bytes as u64);
+    }
+}
+
+/// Cut `frames` — each its destination and wire length, in submission order
+/// — into runs: consecutive frames to one destination, all the length of the
+/// first except a shorter last one, at most `max_frames` of them and
+/// [`mmsg::UDP_MAX_DATAGRAM`] bytes together. Returns each run as the range
+/// of `frames` it covers; the ranges tile `frames` in order.
+fn plan_runs<A: PartialEq>(frames: &[(A, usize)], max_frames: usize) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    let mut bytes = 0;
+    for (i, (addr, len)) in frames.iter().enumerate() {
+        if let Some(run) = runs.last_mut() {
+            let (head, segment) = &frames[run.start];
+            let open = frames[run.end - 1].1 == *segment;
+            if open
+                && addr == head
+                && len <= segment
+                && run.len() < max_frames
+                && bytes + len <= mmsg::UDP_MAX_DATAGRAM
+            {
+                run.end = i + 1;
+                bytes += len;
+                continue;
+            }
+        }
+        runs.push(i..i + 1);
+        bytes = *len;
+    }
+    runs
 }
 
 impl Link for UdpLink {
@@ -458,15 +551,19 @@ impl RxThread {
         }
     }
 
-    /// Count one received batch and keep the datagrams it carried.
+    /// Count one received batch and keep the datagrams it carried: each
+    /// buffer cut at the segment size the kernel reported, each piece
+    /// validated on its own, so a bad frame drops only itself.
     fn take(&self, bufs: &[Vec<u8>], metas: &[RecvMeta], accepted: &mut Vec<Datagram>) {
+        let mut datagrams = 0;
+        for meta in metas {
+            for frame in mmsg::segments(&bufs[meta.buf][..meta.len], meta.segment) {
+                datagrams += 1;
+                accepted.extend(self.accept(frame, meta.addr));
+            }
+        }
         self.stats.batches_received.inc();
-        self.stats.recv_batch_frames.observe(metas.len() as u64);
-        accepted.extend(
-            metas
-                .iter()
-                .filter_map(|meta| self.accept(&bufs[meta.buf][..meta.len], meta.addr)),
-        );
+        self.stats.recv_batch_frames.observe(datagrams);
     }
 
     /// Validate one received frame; `Some` is the datagram it carried.
@@ -565,6 +662,142 @@ mod tests {
         });
         assert_eq!(result.unwrap_err().kind(), ErrorKind::PermissionDenied);
         assert_eq!(stats.wouldblock_retries.get(), 0);
+    }
+
+    /// Wire lengths the planner sees on a stream: full fragments, a short
+    /// last fragment, an ACK, a jumbo fragment.
+    const LENS: [usize; 5] = [1450, 1450, 700, 38, 40000];
+
+    proptest::proptest! {
+        /// The runs put every frame back in submission order, each run
+        /// keeps the limits, and a run ends only where the next frame could
+        /// not have joined it.
+        #[test]
+        fn runs_tile_the_frames_within_the_limits(
+            picks in proptest::collection::vec((0u8..3, 0usize..LENS.len()), 0..200),
+            max_frames in 1usize..=64,
+        ) {
+            let frames: Vec<(u8, usize)> =
+                picks.iter().map(|&(addr, pick)| (addr % 2, LENS[pick])).collect();
+            let runs = plan_runs(&frames, max_frames);
+            let tiled: Vec<usize> = runs.iter().flat_map(|run| run.clone()).collect();
+            proptest::prop_assert_eq!(tiled, (0..frames.len()).collect::<Vec<_>>());
+            for (k, run) in runs.iter().enumerate() {
+                let members = &frames[run.clone()];
+                let (head, segment) = members[0];
+                let (last, body) = members.split_last().expect("no empty run");
+                proptest::prop_assert!(members.iter().all(|&(addr, _)| addr == head));
+                proptest::prop_assert!(body.iter().all(|&(_, len)| len == segment));
+                proptest::prop_assert!(last.1 <= segment);
+                proptest::prop_assert!(members.len() <= max_frames);
+                let bytes: usize = members.iter().map(|&(_, len)| len).sum();
+                proptest::prop_assert!(members.len() == 1 || bytes <= mmsg::UDP_MAX_DATAGRAM);
+                if let Some(next) = runs.get(k + 1) {
+                    let (addr, len) = frames[next.start];
+                    let could_join = addr == head
+                        && last.1 == segment
+                        && len <= segment
+                        && members.len() < max_frames
+                        && bytes + len <= mmsg::UDP_MAX_DATAGRAM;
+                    proptest::prop_assert!(!could_join, "run {k} ended early");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_frames_to_one_peer_fill_runs_to_a_limit() {
+        let addr = |n| (n, 1450);
+        // 45 frames of 1450 bytes fill 65 250 of the 65 507 bytes a run holds.
+        let frames: Vec<(u8, usize)> = (0..100).map(|_| addr(0)).collect();
+        assert_eq!(plan_runs(&frames, 64), [0..45, 45..90, 90..100]);
+        assert_eq!(plan_runs(&frames[..30], 16), [0..16, 16..30]);
+        assert_eq!(plan_runs(&frames[..3], 1), [0..1, 1..2, 2..3]);
+        // A shorter frame ends its run; a longer one starts the next.
+        let mixed = [(0, 100), (0, 100), (0, 60), (0, 60), (0, 100), (1, 100)];
+        assert_eq!(plan_runs(&mixed, 64), [0..3, 3..4, 4..5, 5..6]);
+    }
+
+    /// A frame of 40 bytes, then ten of 100 and a shorter last one: a run of
+    /// one, then a run of eleven. Frame `i` is `len` copies of `i`.
+    fn two_runs() -> (Vec<(SocketAddr, usize)>, Vec<u8>) {
+        let addr: SocketAddr = "127.0.0.1:9".parse().expect("literal addr");
+        let frames: Vec<(SocketAddr, usize)> = std::iter::once(40)
+            .chain([100; 10])
+            .chain([60])
+            .map(|len| (addr, len))
+            .collect();
+        let wire = frames
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(_, len))| std::iter::repeat_n(i as u8, len))
+            .collect();
+        (frames, wire)
+    }
+
+    /// Run `send_frames` against a kernel that fails every entry of more
+    /// than one frame with `errno`, reporting it as `sendmmsg` does: an
+    /// error only when the first entry failed. Returns each call's entries
+    /// as their frame counts, and the bytes the kernel took, in order.
+    fn send_refused(link: &UdpLink, errno: i32) -> (Vec<Vec<usize>>, Vec<u8>) {
+        let (frames, wire) = two_runs();
+        let mut calls = Vec::new();
+        let mut taken = Vec::new();
+        link.send_frames(&wire, &frames, &mut |runs| {
+            calls.push(runs.iter().map(|run| run.frames).collect());
+            let n = match runs.iter().position(|run| run.frames > 1) {
+                Some(0) => return Err(io::Error::from_raw_os_error(errno)),
+                Some(n) => n,
+                None => runs.len(),
+            };
+            runs[..n]
+                .iter()
+                .for_each(|run| taken.extend_from_slice(run.bytes));
+            Ok(n)
+        });
+        (calls, taken)
+    }
+
+    /// The refusal fallback: a run the kernel will not segment is re-sent
+    /// one frame per entry, nothing lost or sent twice, and the link sends
+    /// runs of one from then on, counted once.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_refused_run_is_resent_frame_by_frame_and_runs_stay_off() {
+        for errno in [5, 22, 92] {
+            let link = UdpLink::bind(UdpLinkConfig::default()).expect("bind loopback");
+            let (_, wire) = two_runs();
+            let (calls, taken) = send_refused(&link, errno);
+            assert_eq!(calls, [vec![1, 11], vec![11], vec![1; 11]], "errno {errno}");
+            assert_eq!(taken, wire, "errno {errno}: every frame once, in order");
+            let s = link.stats();
+            assert_eq!(s.gso_fallbacks.get(), 1);
+            assert_eq!(s.datagrams_sent.get(), 12);
+            assert_eq!(s.batches_sent.get(), 2, "the refused call moved nothing");
+            assert_eq!(s.send_errors.get(), 0);
+            // For the rest of its life: runs of one, and no second switch.
+            let (calls, taken) = send_refused(&link, errno);
+            assert_eq!(calls, [vec![1; 12]]);
+            assert_eq!(taken, wire);
+            assert_eq!(s.gso_fallbacks.get(), 1);
+        }
+    }
+
+    /// Any other error on a run is the socket failing, not a refusal: the
+    /// run is dropped like a single datagram would be, and runs stay on.
+    #[test]
+    fn a_hard_error_on_a_run_drops_it_and_keeps_runs() {
+        let link = UdpLink::bind(UdpLinkConfig::default()).expect("bind loopback");
+        let (calls, taken) = send_refused(&link, 1); // EPERM
+        if mmsg::MAX_SEGMENTS > 1 {
+            assert_eq!(calls, [vec![1, 11], vec![11]]);
+            assert_eq!(taken.len(), 40);
+            assert_eq!(link.stats().send_errors.get(), 11);
+            assert_eq!(link.stats().gso_fallbacks.get(), 0);
+            assert_eq!(send_refused(&link, 1).0, [vec![1, 11], vec![11]]);
+        } else {
+            assert_eq!(calls, [vec![1; 12]]);
+        }
     }
 
     #[test]

@@ -1,25 +1,38 @@
-//! Batched wire I/O: `sendmmsg` / `recvmmsg` behind a portable seam.
+//! Batched wire I/O: `sendmmsg` / `recvmmsg` behind a portable seam, with
+//! UDP segmentation offload in both directions.
 //!
-//! One syscall per 1432-byte datagram tops out at ~170 MiB/s on loopback
-//! (EXPERIMENTS.md §5). These helpers move a whole vector of datagrams per
-//! kernel crossing:
+//! One syscall per 1432-byte datagram tops out at a few hundred MiB/s on
+//! loopback (EXPERIMENTS.md, "The bulk UDP ladder"), and a vector of them per
+//! syscall still pays the kernel's per-datagram path for each. These helpers
+//! move a vector of *runs* per kernel crossing, and each run is up to 64
+//! datagrams that cross the kernel as one:
 //!
-//! * [`send_batch`] — hand a slice of `(SocketAddr, framed bytes)` pairs to
-//!   `sendmmsg`; returns how many of them the kernel accepted (always a
-//!   prefix), so the caller retries the remainder and sees `WouldBlock`
-//!   only when the *next* datagram cannot be queued.
+//! * [`send_batch`] — hand a slice of [`Run`]s to `sendmmsg`, one entry per
+//!   run. A run of several frames carries a `UDP_SEGMENT` control message
+//!   with its segment size (GSO): the kernel cuts the one buffer into
+//!   datagrams of that size, the last one possibly shorter, below the socket.
+//!   A run of one frame carries no control message. Returns how many leading
+//!   runs the kernel accepted (always a prefix), so the caller retries the
+//!   remainder and sees `WouldBlock` only when the *next* run cannot be
+//!   queued. A kernel that cannot segment refuses the run outright
+//!   ([`refuses_segmentation`]); no datagram of it left.
 //! * [`recv_batch`] — `recvmmsg` with `MSG_WAITFORONE`: block (bounded by
-//!   the socket's read timeout) until at least one datagram arrives, then
+//!   the socket's read timeout) until at least one buffer arrives, then
 //!   drain everything else already queued, up to the vector length, without
 //!   blocking again; or, not blocking at all, only what is already queued.
+//!   On a socket with [`enable_gro`], one buffer may hold several datagrams
+//!   of one sender, coalesced by the kernel (GRO); the `UDP_GRO` control
+//!   message reports their size in [`RecvMeta::segment`], and [`segments`]
+//!   cuts the buffer back into them.
 //! * [`wait_readable`] — `ppoll` for a wait shorter or more exact than the
 //!   socket's read timeout, which the kernel counts in scheduler ticks.
 //!
 //! The FFI surface is declared locally against the C library that `std`
 //! already links on Linux — no new dependency — and kept to the exact
-//! subset used here. Off Linux the same two functions degrade to
+//! subset used here. Off Linux the same functions degrade to
 //! `send_to`/`recv_from` loops with identical semantics (a batch size of 1
-//! per syscall), so `UdpLink` never needs platform knowledge of its own.
+//! per syscall, and [`MAX_SEGMENTS`] of 1, so every run is one frame), so
+//! `UdpLink` never needs platform knowledge of its own.
 
 use std::net::{SocketAddr, UdpSocket};
 
@@ -29,27 +42,67 @@ use std::net::{SocketAddr, UdpSocket};
 /// its payload bound under it.
 pub const UDP_MAX_DATAGRAM: usize = 65507;
 
-/// One received datagram's placement: which buffer it landed in, how many
-/// bytes, and the sender's socket address.
+/// One `sendmmsg` entry: consecutive frames to one address, contiguous in
+/// the caller's buffer. Every frame but the last is `segment` bytes long,
+/// and the last is no longer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run<'a> {
+    /// Destination socket address of every frame in the run.
+    pub addr: SocketAddr,
+    /// The frames, back to back.
+    pub bytes: &'a [u8],
+    /// Length of each frame but the last: the GSO segment size.
+    pub segment: usize,
+    /// How many frames (datagrams on the wire) the run holds.
+    pub frames: usize,
+}
+
+/// One received buffer's placement: which buffer it landed in, how many
+/// bytes, the sender's socket address, and the size of the datagrams the
+/// kernel coalesced into it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecvMeta {
     /// Index into the caller's buffer slice.
     pub buf: usize,
-    /// Datagram length in bytes.
+    /// Buffer length in bytes.
     pub len: usize,
     /// Source socket address.
     pub addr: SocketAddr,
+    /// The `UDP_GRO` segment size the kernel reported, `0` when it reported
+    /// none: see [`segments`].
+    pub segment: usize,
+}
+
+/// The datagrams in one received buffer: cut at `segment` bytes, the last
+/// piece possibly shorter. A `segment` of zero (none reported) or at least
+/// the buffer's length means the buffer is one datagram, so an empty buffer
+/// is one empty datagram.
+pub(crate) fn segments(buf: &[u8], segment: usize) -> impl Iterator<Item = &[u8]> {
+    let size = if segment == 0 || segment >= buf.len() {
+        buf.len().max(1)
+    } else {
+        segment
+    };
+    (0..buf.len().max(1))
+        .step_by(size)
+        .map(move |at| &buf[at..(at + size).min(buf.len())])
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use linux::{recv_batch, send_batch, set_buffer_sizes, wait_readable};
+pub(crate) use linux::{
+    enable_gro, recv_batch, refuses_segmentation, send_batch, set_buffer_sizes, wait_readable,
+    MAX_SEGMENTS,
+};
 
 #[cfg(not(target_os = "linux"))]
-pub(crate) use portable::{recv_batch, send_batch, set_buffer_sizes, wait_readable};
+pub(crate) use portable::{
+    enable_gro, recv_batch, refuses_segmentation, send_batch, set_buffer_sizes, wait_readable,
+    MAX_SEGMENTS,
+};
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{RecvMeta, SocketAddr, UdpSocket};
+    use super::{RecvMeta, Run, SocketAddr, UdpSocket};
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
     use std::os::fd::AsRawFd;
@@ -119,6 +172,95 @@ mod linux {
     }
 
     const POLLIN: i16 = 1;
+
+    /// Most frames one GSO send may carry: `UDP_MAX_SEGMENTS` on the kernels
+    /// that have the smallest one (later kernels allow 128).
+    pub(crate) const MAX_SEGMENTS: usize = 64;
+
+    const SOL_UDP: i32 = 17;
+    /// Send-side control message: cut this buffer into datagrams of the
+    /// `u16` segment size it carries.
+    const UDP_SEGMENT: i32 = 103;
+    /// Socket option and receive-side control message: coalesce datagrams
+    /// of one sender into one buffer, and report their size as an `int`.
+    const UDP_GRO: i32 = 104;
+
+    /// `struct cmsghdr` and room for one small payload: 16 bytes of header
+    /// on the 64-bit targets, then `CMSG_DATA` at the next 8-byte boundary.
+    /// Sized for one `UDP_SEGMENT` (`u16`) or `UDP_GRO` (`int`) value.
+    #[repr(C, align(8))]
+    #[derive(Clone, Copy)]
+    struct Cmsg {
+        len: usize,
+        level: i32,
+        kind: i32,
+        data: [u8; 8],
+    }
+
+    impl Cmsg {
+        const ZERO: Cmsg = Cmsg {
+            len: 0,
+            level: 0,
+            kind: 0,
+            data: [0; 8],
+        };
+        /// `CMSG_LEN(0)`: where the payload starts.
+        const HEADER: usize = 16;
+
+        /// The `UDP_SEGMENT` control message for a run cut at `segment`.
+        fn segment(segment: usize) -> Cmsg {
+            let mut data = [0; 8];
+            data[..2].copy_from_slice(&(segment as u16).to_ne_bytes());
+            Cmsg {
+                len: Self::HEADER + 2,
+                level: SOL_UDP,
+                kind: UDP_SEGMENT,
+                data,
+            }
+        }
+
+        /// The segment size a received `UDP_GRO` control message reports;
+        /// `0` for no such message or a truncated one.
+        fn gro_segment(&self, controllen: usize) -> usize {
+            let whole = controllen >= Self::HEADER + 4 && self.len >= Self::HEADER + 4;
+            if whole && self.level == SOL_UDP && self.kind == UDP_GRO {
+                let size = i32::from_ne_bytes(self.data[..4].try_into().expect("4 bytes"));
+                usize::try_from(size).unwrap_or(0)
+            } else {
+                0
+            }
+        }
+    }
+
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    const ENOPROTOOPT: i32 = 92;
+
+    /// Whether a failed `sendmmsg` entry that carried `UDP_SEGMENT` was the
+    /// kernel refusing to segment, rather than the socket failing: `EIO`
+    /// where the route's device has no checksum offload, `EINVAL` or
+    /// `ENOPROTOOPT` where the kernel or the socket does not support it.
+    pub(crate) fn refuses_segmentation(e: &io::Error) -> bool {
+        matches!(e.raw_os_error(), Some(EIO | EINVAL | ENOPROTOOPT))
+    }
+
+    /// Ask the kernel to coalesce datagrams of one sender into one buffer
+    /// (`UDP_GRO`), reported by [`recv_batch`] as [`RecvMeta::segment`].
+    /// Best effort: a kernel without it delivers every datagram on its own,
+    /// which [`recv_batch`] takes just the same.
+    pub(crate) fn enable_gro(socket: &UdpSocket) {
+        let on: i32 = 1;
+        // SAFETY: `on` is a valid `int` for the length passed.
+        let _ = unsafe {
+            setsockopt(
+                socket.as_raw_fd(),
+                SOL_UDP,
+                UDP_GRO,
+                (&on as *const i32).cast(),
+                4,
+            )
+        };
+    }
 
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
@@ -247,36 +389,43 @@ mod linux {
         }
     }
 
-    /// Send `frames` (already wire-framed) in one `sendmmsg` call. Returns
-    /// how many leading frames the kernel accepted; an error is returned
-    /// only when the *first* frame failed, exactly the contract the retry
-    /// loop in `UdpLink` wants.
-    pub(crate) fn send_batch(
-        socket: &UdpSocket,
-        frames: &[(SocketAddr, Vec<u8>)],
-    ) -> io::Result<usize> {
-        debug_assert!(!frames.is_empty());
+    /// Send `runs` in one `sendmmsg` call, one entry each; a run of several
+    /// frames carries its segment size in a `UDP_SEGMENT` control message.
+    /// Returns how many leading runs the kernel accepted; an error is
+    /// returned only when the *first* run failed, exactly the contract the
+    /// retry loop in `UdpLink` wants.
+    pub(crate) fn send_batch(socket: &UdpSocket, runs: &[Run<'_>]) -> io::Result<usize> {
+        debug_assert!(!runs.is_empty());
         let mut addrs: Vec<(AddrStorage, u32)> =
-            frames.iter().map(|(a, _)| encode_addr(a)).collect();
-        let mut iovs: Vec<IoVec> = frames
+            runs.iter().map(|r| encode_addr(&r.addr)).collect();
+        let mut iovs: Vec<IoVec> = runs
             .iter()
-            .map(|(_, b)| IoVec {
-                base: b.as_ptr() as *mut u8,
-                len: b.len(),
+            .map(|r| IoVec {
+                base: r.bytes.as_ptr() as *mut u8,
+                len: r.bytes.len(),
             })
             .collect();
+        let mut cmsgs: Vec<Cmsg> = runs.iter().map(|r| Cmsg::segment(r.segment)).collect();
         let aptr = addrs.as_mut_ptr();
         let iptr = iovs.as_mut_ptr();
-        let mut hdrs: Vec<MMsgHdr> = (0..frames.len())
-            .map(|i| unsafe {
+        let cptr = cmsgs.as_mut_ptr();
+        let mut hdrs: Vec<MMsgHdr> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| unsafe {
+                let (control, controllen) = if run.frames > 1 {
+                    (cptr.add(i).cast(), std::mem::size_of::<Cmsg>())
+                } else {
+                    (std::ptr::null_mut(), 0)
+                };
                 MMsgHdr {
                     hdr: MsgHdr {
                         name: &mut (*aptr.add(i)).0,
                         namelen: (*aptr.add(i)).1,
                         iov: iptr.add(i),
                         iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
+                        control,
+                        controllen,
                         flags: 0,
                     },
                     len: 0,
@@ -291,12 +440,13 @@ mod linux {
         }
     }
 
-    /// Drain up to `bufs.len()` datagrams in one `recvmmsg` call. With
+    /// Drain up to `bufs.len()` buffers in one `recvmmsg` call. With
     /// `block`, waits only for the first (bounded by the socket's
     /// `SO_RCVTIMEO`, so the rx thread's shutdown poll still works);
     /// without, fails with `WouldBlock` when nothing is queued. Everything
     /// already queued rides along free. Successful receives are appended to
-    /// `out`.
+    /// `out`, each with the `UDP_GRO` segment size its control message
+    /// reported, if any.
     pub(crate) fn recv_batch(
         socket: &UdpSocket,
         bufs: &mut [Vec<u8>],
@@ -312,8 +462,10 @@ mod linux {
                 len: b.len(),
             })
             .collect();
+        let mut cmsgs: Vec<Cmsg> = vec![Cmsg::ZERO; bufs.len()];
         let aptr = addrs.as_mut_ptr();
         let iptr = iovs.as_mut_ptr();
+        let cptr = cmsgs.as_mut_ptr();
         let mut hdrs: Vec<MMsgHdr> = (0..bufs.len())
             .map(|i| unsafe {
                 MMsgHdr {
@@ -322,8 +474,8 @@ mod linux {
                         namelen: 28,
                         iov: iptr.add(i),
                         iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
+                        control: cptr.add(i).cast(),
+                        controllen: std::mem::size_of::<Cmsg>(),
                         flags: 0,
                     },
                     len: 0,
@@ -348,6 +500,7 @@ mod linux {
                     buf: i,
                     len: hdrs[i].len as usize,
                     addr,
+                    segment: cmsgs[i].gro_segment(hdrs[i].hdr.controllen),
                 });
             }
         }
@@ -357,20 +510,30 @@ mod linux {
 
 #[cfg(not(target_os = "linux"))]
 mod portable {
-    use super::{RecvMeta, SocketAddr, UdpSocket};
+    use super::{RecvMeta, Run, SocketAddr, UdpSocket};
     use std::io;
     use std::time::Duration;
+
+    /// No segmentation offload here: every run is one frame.
+    pub(crate) const MAX_SEGMENTS: usize = 1;
+
+    /// Never asked: no run carries more than one frame.
+    pub(crate) fn refuses_segmentation(_e: &io::Error) -> bool {
+        false
+    }
+
+    /// Receive coalescing is a Linux-path optimisation; elsewhere every
+    /// datagram arrives on its own.
+    pub(crate) fn enable_gro(_socket: &UdpSocket) {}
 
     /// Per-datagram `send_to` loop with `sendmmsg` result semantics: a
     /// prefix count on partial progress, an error only when the first
     /// datagram failed.
-    pub(crate) fn send_batch(
-        socket: &UdpSocket,
-        frames: &[(SocketAddr, Vec<u8>)],
-    ) -> io::Result<usize> {
+    pub(crate) fn send_batch(socket: &UdpSocket, runs: &[Run<'_>]) -> io::Result<usize> {
         let mut sent = 0;
-        for (addr, buf) in frames {
-            match socket.send_to(buf, *addr) {
+        for run in runs {
+            debug_assert_eq!(run.frames, 1, "runs of one off Linux");
+            match socket.send_to(run.bytes, run.addr) {
                 Ok(_) => sent += 1,
                 Err(e) if sent == 0 => return Err(e),
                 Err(_) => break,
@@ -391,7 +554,12 @@ mod portable {
             return Err(io::ErrorKind::WouldBlock.into());
         }
         let (len, addr) = socket.recv_from(&mut bufs[0])?;
-        out.push(RecvMeta { buf: 0, len, addr });
+        out.push(RecvMeta {
+            buf: 0,
+            len,
+            addr,
+            segment: 0,
+        });
         Ok(1)
     }
 
@@ -427,6 +595,30 @@ mod tests {
     use std::io;
     use std::time::Duration;
 
+    /// A run of the one frame `bytes`.
+    fn one(addr: SocketAddr, bytes: &[u8]) -> Run<'_> {
+        Run {
+            addr,
+            bytes,
+            segment: bytes.len(),
+            frames: 1,
+        }
+    }
+
+    #[test]
+    fn segments_cut_at_the_reported_size() {
+        let buf: Vec<u8> = (0..10).collect();
+        let cut = |segment| segments(&buf, segment).collect::<Vec<_>>();
+        assert_eq!(cut(4), [&buf[0..4], &buf[4..8], &buf[8..10]]);
+        assert_eq!(cut(5), [&buf[0..5], &buf[5..10]]);
+        // None reported, or no smaller than the buffer: one datagram.
+        for segment in [0, 10, 11, 65536] {
+            assert_eq!(cut(segment), [&buf[..]], "segment {segment}");
+        }
+        assert_eq!(segments(&[], 0).collect::<Vec<_>>(), [&[] as &[u8]]);
+        assert_eq!(segments(&[], 4).collect::<Vec<_>>(), [&[] as &[u8]]);
+    }
+
     #[test]
     fn batch_roundtrip_over_loopback() {
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -434,11 +626,11 @@ mod tests {
         rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let dst = rx.local_addr().unwrap();
 
-        let frames: Vec<(SocketAddr, Vec<u8>)> =
-            (0..5u8).map(|i| (dst, vec![i; 64 + i as usize])).collect();
+        let frames: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 64 + i as usize]).collect();
+        let runs: Vec<Run> = frames.iter().map(|f| one(dst, f)).collect();
         let mut done = 0;
-        while done < frames.len() {
-            done += send_batch(&tx, &frames[done..]).expect("send batch");
+        while done < runs.len() {
+            done += send_batch(&tx, &runs[done..]).expect("send batch");
         }
 
         let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| vec![0u8; 2048]).collect();
@@ -498,12 +690,107 @@ mod tests {
         let rx = UdpSocket::bind("[::1]:0").unwrap();
         rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let dst = rx.local_addr().unwrap();
-        send_batch(&tx, &[(dst, b"six".to_vec())]).unwrap();
+        send_batch(&tx, &[one(dst, b"six")]).unwrap();
         let mut bufs = vec![vec![0u8; 256]; 2];
         let mut metas = Vec::new();
         recv_batch(&rx, &mut bufs, &mut metas, true).unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(&bufs[metas[0].buf][..metas[0].len], b"six");
         assert_eq!(metas[0].addr, tx.local_addr().unwrap());
+    }
+
+    /// Send `runs` to a fresh receiver and take back every datagram, as
+    /// `(bytes, reported segment size)` per received buffer.
+    #[cfg(target_os = "linux")]
+    fn gso_roundtrip(gro: bool, runs: &[(usize, usize)]) -> Vec<(Vec<u8>, usize)> {
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        if gro {
+            enable_gro(&rx);
+        }
+        let dst = rx.local_addr().unwrap();
+        // Frame `k` of a run is `segment` bytes of `k`, the last one byte
+        // shorter.
+        let bodies: Vec<Vec<u8>> = runs
+            .iter()
+            .map(|&(frames, segment)| {
+                (0..frames)
+                    .flat_map(|k| {
+                        let len = if k + 1 == frames {
+                            segment - 1
+                        } else {
+                            segment
+                        };
+                        std::iter::repeat_n(k as u8, len)
+                    })
+                    .collect()
+            })
+            .collect();
+        let entries: Vec<Run> = runs
+            .iter()
+            .zip(&bodies)
+            .map(|(&(frames, segment), bytes)| Run {
+                addr: dst,
+                bytes,
+                segment,
+                frames,
+            })
+            .collect();
+        assert_eq!(send_batch(&tx, &entries).unwrap(), entries.len());
+        let total: usize = runs.iter().map(|&(frames, _)| frames).sum();
+        let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| vec![0u8; 65536]).collect();
+        let mut got = Vec::new();
+        let mut datagrams = 0;
+        while datagrams < total {
+            let mut metas = Vec::new();
+            recv_batch(&rx, &mut bufs, &mut metas, true).expect("recv batch");
+            for m in metas {
+                datagrams += segments(&bufs[m.buf][..m.len], m.segment).count();
+                got.push((bufs[m.buf][..m.len].to_vec(), m.segment));
+            }
+        }
+        got
+    }
+
+    /// One `sendmmsg` entry of five frames is five datagrams on the wire: a
+    /// receiver without GRO reads them one by one, a receiver with it reads
+    /// one buffer and the segment size to cut it at.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_run_crosses_as_one_and_splits_back() {
+        let apart = gso_roundtrip(false, &[(5, 100)]);
+        let sizes: Vec<(usize, usize)> = apart.iter().map(|(b, s)| (b.len(), *s)).collect();
+        assert_eq!(sizes, [(100, 0), (100, 0), (100, 0), (100, 0), (99, 0)]);
+        for (k, (bytes, _)) in apart.iter().enumerate() {
+            assert!(bytes.iter().all(|&b| b == k as u8), "datagram {k}");
+        }
+        let whole = gso_roundtrip(true, &[(5, 100)]);
+        assert_eq!(whole.len(), 1, "one buffer");
+        let (bytes, segment) = &whole[0];
+        assert_eq!(*segment, 100);
+        let cut: Vec<&[u8]> = segments(bytes, *segment).collect();
+        assert_eq!(cut.len(), 5);
+        for (k, piece) in cut.iter().enumerate() {
+            let len = if k == 4 { 99 } else { 100 };
+            assert_eq!(*piece, vec![k as u8; len].as_slice(), "datagram {k}");
+        }
+        // A lone datagram on a GRO socket reports no segment size.
+        let lone = gso_roundtrip(true, &[(1, 40)]);
+        assert_eq!(lone.len(), 1);
+        assert_eq!(lone[0].0.len(), 39);
+        assert_eq!(segments(&lone[0].0, lone[0].1).count(), 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn only_segmentation_refusals_switch_runs_off() {
+        for errno in [5, 22, 92] {
+            assert!(refuses_segmentation(&io::Error::from_raw_os_error(errno)));
+        }
+        for errno in [1, 11, 90, 105, 111] {
+            assert!(!refuses_segmentation(&io::Error::from_raw_os_error(errno)));
+        }
+        assert!(!refuses_segmentation(&io::ErrorKind::WouldBlock.into()));
     }
 }

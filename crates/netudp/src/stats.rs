@@ -9,7 +9,8 @@
 use portals_obs::{Counter, Histogram, Registry};
 
 /// Bucket upper bounds for the batch-size histograms: how many datagrams
-/// each `sendmmsg`/`recvmmsg` call actually moved.
+/// each `sendmmsg`/`recvmmsg` call actually moved, a GSO run or a GRO buffer
+/// counted as the datagrams it holds.
 const BATCH_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Counters maintained by a [`UdpLink`](crate::UdpLink).
@@ -33,10 +34,12 @@ pub struct UdpStats {
     pub frame_bytes_received: Counter,
     /// Batched send calls (`sendmmsg` or the per-datagram fallback): the
     /// send-side syscall count. `datagrams_sent / batches_sent` is the
-    /// realized outbound batch size.
+    /// realized outbound batch size, in datagrams: a GSO run counts as the
+    /// frames it carries.
     pub batches_sent: Counter,
     /// Batched receive calls that returned at least one datagram: the
-    /// receive-side syscall count (timeouts excluded).
+    /// receive-side syscall count (timeouts excluded). A GRO buffer counts
+    /// as the datagrams it holds in `datagrams_received`, not here.
     pub batches_received: Counter,
     /// Datagrams per send batch (`net.udp.send_batch_frames`).
     pub send_batch_frames: Histogram,
@@ -66,6 +69,10 @@ pub struct UdpStats {
     /// Sends dropped after exhausting the retry budget or on a hard socket
     /// error.
     pub send_errors: Counter,
+    /// Times the kernel refused a GSO run (`net.udp.gso_fallbacks`): the
+    /// link re-sent it one frame per datagram and sends runs of one from
+    /// then on, so this is 0 or 1 per link.
+    pub gso_fallbacks: Counter,
 }
 
 impl UdpStats {
@@ -93,6 +100,7 @@ impl UdpStats {
             shim_dropped: c("net.udp.shim_dropped"),
             unroutable: c("net.udp.unroutable"),
             send_errors: c("net.udp.send_errors"),
+            gso_fallbacks: c("net.udp.gso_fallbacks"),
         }
     }
 }

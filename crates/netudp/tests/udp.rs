@@ -324,13 +324,11 @@ fn one_tx_path_is_accounted_once() {
     assert_eq!(s.send_errors.get(), 0);
 }
 
-#[test]
-fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
-    let _turn = turn();
-    // Two links with the same seed send the same 120-datagram stream to one
-    // receiver: one as singles, one as a single, a long vector, singles and
-    // a vector of the rest. The shim draws per datagram in submission
-    // order, so the survivors are the same set.
+/// Two links with the same seed send the same 120-datagram `stream` to one
+/// receiver: one as singles, one as a single, a long vector, singles and a
+/// vector of the rest. The shim draws per datagram in submission order, so
+/// the survivors are the same set. Returns the two senders.
+fn send_the_stream_twice(stream: fn(std::ops::Range<u8>) -> Vec<(NodeId, Gather)>) -> [UdpLink; 2] {
     let mk = |nid| {
         UdpLink::bind(UdpLinkConfig {
             nid: NodeId(nid),
@@ -345,10 +343,10 @@ fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
     singles.set_peer(NodeId(1), b.local_addr());
     mixed.set_peer(NodeId(1), b.local_addr());
     const N: u8 = 120;
-    for (_, g) in tagged(0..N) {
+    for (_, g) in stream(0..N) {
         singles.send(NodeId(1), g);
     }
-    let mut stream = tagged(0..N).into_iter();
+    let mut stream = stream(0..N).into_iter();
     let (_, first) = stream.next().unwrap();
     mixed.send(NodeId(1), first);
     mixed.send_batch(stream.by_ref().take(LONG_VECTOR as usize).collect());
@@ -367,6 +365,190 @@ fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
     }
     survivors.iter_mut().for_each(|s| s.sort_unstable());
     assert_eq!(survivors[0], survivors[1]);
+    [singles, mixed]
+}
+
+#[test]
+fn loss_shim_drops_the_same_set_whichever_entry_point_carried_it() {
+    let _turn = turn();
+    send_the_stream_twice(tagged);
+}
+
+/// The same stream with every frame one size: the mixed sender's vectors
+/// now form runs, its singles cannot, and the shim still draws per datagram
+/// before either.
+#[test]
+fn loss_shim_drops_the_same_set_when_frames_form_runs() {
+    let _turn = turn();
+    let [singles, mixed] = send_the_stream_twice(|range| {
+        range
+            .map(|i| (NodeId(1), Gather::from_vec(vec![i; 64])))
+            .collect()
+    });
+    let sent = singles.stats().datagrams_sent.get();
+    assert_eq!(mixed.stats().datagrams_sent.get(), sent);
+    assert_eq!(singles.stats().batches_sent.get(), sent, "one call each");
+    if cfg!(target_os = "linux") {
+        assert!(
+            mixed.stats().batches_sent.get() < 10,
+            "the mixed sender's survivors form runs: {} calls",
+            mixed.stats().batches_sent.get()
+        );
+    }
+}
+
+/// `n` frames to node 1 of `len` payload bytes each, frame `i` filled with
+/// `i`: all one size, so consecutive ones form runs.
+fn equal(n: u8, len: usize) -> Vec<(NodeId, Gather)> {
+    (0..n)
+        .map(|i| (NodeId(1), Gather::from_vec(vec![i; len])))
+        .collect()
+}
+
+/// Take `n` datagrams off `l`'s inbound queue, in arrival order.
+fn recv_n(l: &UdpLink, n: usize) -> Vec<portals_net::Datagram> {
+    (0..n)
+        .map(|k| recv_one(l, Duration::from_secs(5)).unwrap_or_else(|| panic!("datagram {k}")))
+        .collect()
+}
+
+/// Longer than one `sendmmsg` vector, short enough for one GSO run: a
+/// `send_batch` of equal frames to one peer is one wire call, and the
+/// receiver cuts it back into every datagram, byte-exact and in order.
+#[cfg(target_os = "linux")]
+#[test]
+fn equal_frames_to_one_peer_cross_in_one_wire_call() {
+    let _turn = turn();
+    let a = link(0);
+    let b = link(1);
+    a.set_peer(NodeId(1), b.local_addr());
+    a.send_batch(equal(LONG_VECTOR, 100));
+    let s = a.stats();
+    assert_eq!(s.batches_sent.get(), 1, "one run, one wire call");
+    assert_eq!(s.datagrams_sent.get(), LONG_VECTOR as u64);
+    assert_eq!(s.bytes_sent.get(), 100 * LONG_VECTOR as u64);
+    for (i, d) in recv_n(&b, LONG_VECTOR as usize).iter().enumerate() {
+        assert_eq!(d.src, NodeId(0));
+        assert_eq!(d.payload.to_vec(), vec![i as u8; 100], "datagram {i}");
+    }
+    let r = b.stats();
+    assert_eq!(r.datagrams_received.get(), LONG_VECTOR as u64);
+    assert_eq!(
+        r.frame_bytes_received.get(),
+        s.frame_bytes_sent.get(),
+        "every wire byte counted once on each side"
+    );
+}
+
+/// A run is one size except its last frame, which may be shorter: ten
+/// 100-byte frames and a 50-byte one are still one run.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_shorter_last_frame_stays_in_the_run() {
+    let _turn = turn();
+    let a = link(0);
+    let b = link(1);
+    a.set_peer(NodeId(1), b.local_addr());
+    let mut batch = equal(10, 100);
+    batch.push((NodeId(1), Gather::from_vec(vec![10; 50])));
+    a.send_batch(batch);
+    assert_eq!(a.stats().batches_sent.get(), 1);
+    assert_eq!(a.stats().datagrams_sent.get(), 11);
+    let got = recv_n(&b, 11);
+    for (i, d) in got.iter().enumerate() {
+        let len = if i == 10 { 50 } else { 100 };
+        assert_eq!(d.payload.to_vec(), vec![i as u8; len], "datagram {i}");
+    }
+}
+
+/// Frames to two peers, interleaved in fours: each four is a run of its
+/// own, so the vector of ten runs is one wire call, and each peer takes
+/// exactly its own frames, in order.
+#[cfg(target_os = "linux")]
+#[test]
+fn frames_to_two_peers_never_share_a_run() {
+    let _turn = turn();
+    let a = link(0);
+    let (b, c) = (link(1), link(2));
+    a.set_peer(NodeId(1), b.local_addr());
+    a.set_peer(NodeId(2), c.local_addr());
+    let batch: Vec<(NodeId, Gather)> = (0..LONG_VECTOR)
+        .map(|i| {
+            let dst = NodeId(1 + u32::from(i / 4 % 2));
+            (dst, Gather::from_vec(vec![i; 64]))
+        })
+        .collect();
+    a.send_batch(batch);
+    assert_eq!(a.stats().batches_sent.get(), 1);
+    assert_eq!(a.stats().datagrams_sent.get(), LONG_VECTOR as u64);
+    for (peer, nid) in [(&b, 1u8), (&c, 2)] {
+        let tags: Vec<u8> = recv_n(peer, LONG_VECTOR as usize / 2)
+            .iter()
+            .map(|d| d.payload.to_vec()[0])
+            .collect();
+        let own: Vec<u8> = (0..LONG_VECTOR).filter(|i| 1 + i / 4 % 2 == nid).collect();
+        assert_eq!(tags, own, "node {nid}");
+        assert_eq!(peer.stats().misrouted.get(), 0);
+    }
+}
+
+/// Make every send on `socket` a GSO send cut at `segment` bytes.
+#[cfg(target_os = "linux")]
+fn segment_sends(socket: &UdpSocket, segment: u16) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+    }
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    let value = i32::from(segment);
+    // SAFETY: `value` is a valid `int` for the length passed.
+    let rc = unsafe {
+        setsockopt(
+            socket.as_raw_fd(),
+            SOL_UDP,
+            UDP_SEGMENT,
+            (&value as *const i32).cast(),
+            4,
+        )
+    };
+    assert_eq!(rc, 0, "UDP_SEGMENT: {}", std::io::Error::last_os_error());
+}
+
+/// A foreign sender's GSO buffer of ten frames, one with a corrupted
+/// header: the receiver validates each frame on its own, so that frame
+/// alone is dropped and counted, and the other nine arrive in order.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_corrupt_frame_in_a_run_drops_only_itself() {
+    let _turn = turn();
+    let b = link(1);
+    let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let header = portals_netudp::frame::FRAME_HEADER;
+    let mut buffer = Vec::new();
+    for i in 0..10u8 {
+        let at = buffer.len();
+        portals_netudp::frame::encode_header(NodeId(0), NodeId(1), 100, &mut buffer);
+        buffer.extend_from_slice(&[i; 100]);
+        if i == 4 {
+            buffer[at + 6] ^= 0x01; // dst byte: the header CRC now fails
+        }
+    }
+    segment_sends(&raw, (header + 100) as u16);
+    raw.send_to(&buffer, b.local_addr()).unwrap();
+    let tags: Vec<u8> = recv_n(&b, 9)
+        .iter()
+        .map(|d| {
+            assert_eq!(d.payload.len(), 100);
+            d.payload.to_vec()[0]
+        })
+        .collect();
+    assert_eq!(tags, [0, 1, 2, 3, 5, 6, 7, 8, 9]);
+    let r = b.stats();
+    assert_eq!(r.checksum_rejects.get(), 1);
+    assert_eq!(r.datagrams_received.get(), 9);
+    assert_eq!(r.truncated.get() + r.bad_magic.get() + r.misrouted.get(), 0);
+    assert_eq!(b.peer_addr(NodeId(0)), Some(raw.local_addr().unwrap()));
 }
 
 #[test]

@@ -776,16 +776,10 @@ pub(crate) struct ReplySink {
 /// pending-operation pin and perform the unlink it was deferring — or the MD
 /// stays pinned forever and every later `md_unlink` reports `MdInUse`.
 fn release_reply_pin(core: &NiCore, md_handle: MdHandle) {
-    let Some((mut shard, local)) = core.state.mds.lock_shard_of(md_handle) else {
-        return;
-    };
-    let Some(md) = shard.get_mut(local) else {
-        return;
-    };
-    md.pending_ops = md.pending_ops.saturating_sub(1);
-    if md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0 {
-        shard.remove(local);
-    }
+    core.state.mds.remove_if(md_handle, |md| {
+        md.pending_ops = md.pending_ops.saturating_sub(1);
+        md.options.unlink_on_exhaustion && !md.threshold.active() && md.pending_ops == 0
+    });
 }
 
 /// Run the §4.8 reply checks: "Each reply message includes a handle for a

@@ -483,13 +483,11 @@ impl NetworkInterface {
         // engine never works on a half-unlinked descriptor.
         let portal_index = state.portal_of_md(h);
         let _list = portal_index.map(|p| state.table.lock(p).expect("attached index in range"));
-        let (mut shard, local) = state.mds.lock_shard_of(h).ok_or(PtlError::InvalidMd)?;
-        let md = shard.get(local).ok_or(PtlError::InvalidMd)?;
-        if md.pending_ops > 0 {
-            return Err(PtlError::MdInUse);
-        }
-        let md = shard.remove(local).expect("resolved above");
-        drop(shard);
+        let md = state
+            .mds
+            .remove_if(h, |md| md.pending_ops == 0)
+            .ok_or(PtlError::InvalidMd)?
+            .ok_or(PtlError::MdInUse)?;
         if let Some(me) = md.owner {
             state.mes.with_mut(me, |m| m.remove_md(h));
         }

@@ -14,7 +14,7 @@
 //! resolve in its shard exactly as it would in one big arena.
 
 use crate::arena::{Arena, Handle};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default shard count. Small and fixed: the goal is to split *classes* of
@@ -27,6 +27,10 @@ pub struct Sharded<T> {
     shards: Vec<Mutex<Arena<T>>>,
     /// Round-robin cursor for insert placement.
     next: AtomicUsize,
+    /// Live objects across all shards, changed under the shard lock of the
+    /// insert or remove that changed it, so that no count drops below the
+    /// insert it undoes.
+    live: AtomicUsize,
 }
 
 impl<T> Sharded<T> {
@@ -41,6 +45,7 @@ impl<T> Sharded<T> {
         Sharded {
             shards: (0..nshards).map(|_| Mutex::new(Arena::new())).collect(),
             next: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
         }
     }
 
@@ -80,7 +85,10 @@ impl<T> Sharded<T> {
     /// round-robin; only that one shard's lock is taken.
     pub fn insert(&self, value: T) -> Handle<T> {
         let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let local = self.shards[shard].lock().insert(value);
+        let mut guard = self.shards[shard].lock();
+        let local = guard.insert(value);
+        self.live.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
         self.globalize(shard, local)
     }
 
@@ -101,8 +109,25 @@ impl<T> Sharded<T> {
 
     /// Remove and return the object, invalidating the handle.
     pub fn remove(&self, handle: Handle<T>) -> Option<T> {
+        self.remove_if(handle, |_| true)?
+    }
+
+    /// Run `f` with a mutable view of the object and remove it if `f`
+    /// returns true, all under its shard lock. `None`: the handle is stale
+    /// or the sentinel; `Some(None)`: `f` kept the object.
+    pub fn remove_if(
+        &self,
+        handle: Handle<T>,
+        f: impl FnOnce(&mut T) -> bool,
+    ) -> Option<Option<T>> {
         let (shard, local) = self.localize(handle)?;
-        self.shards[shard].lock().remove(local)
+        let mut guard = self.shards[shard].lock();
+        if !f(guard.get_mut(local)?) {
+            return Some(None);
+        }
+        let removed = guard.remove(local);
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        Some(removed)
     }
 
     /// True if the handle currently resolves.
@@ -119,10 +144,11 @@ impl<T> Sharded<T> {
         self.with(handle, T::clone)
     }
 
-    /// Total number of live objects across all shards (takes each shard lock
-    /// briefly in turn; the answer is a snapshot, not an atomic census).
+    /// Total number of live objects across all shards, without taking a
+    /// lock: a count that inserts and removes on other threads may change
+    /// as soon as it is read.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// True if no objects are live (same snapshot caveat as [`Sharded::len`]).
@@ -143,17 +169,6 @@ impl<T> Sharded<T> {
             );
         }
         out
-    }
-
-    /// Lock one shard directly (advanced; used when a caller must hold the
-    /// object's lock across several operations). The handle's object, if live,
-    /// is at the returned shard-local handle within the returned guard.
-    pub fn lock_shard_of(
-        &self,
-        handle: Handle<T>,
-    ) -> Option<(MutexGuard<'_, Arena<T>>, Handle<T>)> {
-        let (shard, local) = self.localize(handle)?;
-        Some((self.shards[shard].lock(), local))
     }
 }
 
@@ -254,5 +269,47 @@ mod tests {
             t.join().unwrap();
         }
         assert!(s.is_empty());
+    }
+
+    /// Four threads insert and remove at once, each keeping some of what it
+    /// inserted: the lock-free count equals a census of the shards after.
+    #[test]
+    fn len_matches_the_census_after_concurrent_churn() {
+        use std::sync::Arc;
+        let s: Arc<Sharded<u64>> = Arc::new(Sharded::new());
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let mut kept = Vec::new();
+                    for i in 0..500u64 {
+                        let h = s.insert(t * 1000 + i);
+                        if i % 3 == 0 {
+                            kept.push(h);
+                        } else {
+                            assert_eq!(s.remove(h), Some(t * 1000 + i));
+                            assert_eq!(s.remove(h), None);
+                        }
+                    }
+                    // Of the 167 kept, 84 go through `remove_if`; the rest
+                    // are asked and stay.
+                    for (k, h) in kept.iter().enumerate() {
+                        if k % 2 == 0 {
+                            assert!(matches!(s.remove_if(*h, |_| true), Some(Some(_))));
+                            assert!(s.remove_if(*h, |_| true).is_none());
+                        } else {
+                            assert!(matches!(s.remove_if(*h, |_| false), Some(None)));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let census: usize = s.shards.iter().map(|shard| shard.lock().len()).sum();
+        assert_eq!(census, 4 * 83);
+        assert_eq!(s.len(), census);
+        assert_eq!(s.handles().len(), census);
     }
 }
