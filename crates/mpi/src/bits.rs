@@ -7,7 +7,10 @@
 //!
 //! The 64 bits are packed `[context:16 | source rank:16 | tag:32]`, and the
 //! MPI wildcards map exactly onto the "don't care" masks of a match entry:
-//! `MPI_ANY_SOURCE` ignores the rank field, `MPI_ANY_TAG` the tag field.
+//! `MPI_ANY_SOURCE` ignores the rank field, `MPI_ANY_TAG` the tag field. The
+//! top bit of the tag field is not a tag: it is [`LONG`], set on the put of a
+//! long message. Receives ignore it, so a posted receive takes a message of
+//! any size; the overflow list's long entry matches on it alone.
 
 use portals_types::{MatchBits, MatchCriteria};
 
@@ -21,6 +24,9 @@ pub use portals_types::{Tag, TagError, COLL_TAG_BASE_OFFSET, MAX_USER_TAG};
 /// Number of reserved offsets granted to the collective library, starting at
 /// [`COLL_TAG_BASE_OFFSET`].
 pub const COLL_TAG_SPAN: Tag = 0x10;
+/// The flag bit a long message's put carries: bit 31 of the tag field. Every
+/// tag, reserved ones included, stays below it.
+pub const LONG: u64 = 1 << 31;
 
 /// Reject user tags that would match internal-protocol traffic.
 #[inline]
@@ -34,8 +40,8 @@ pub fn check_user_tag(tag: Tag) -> Result<(), TagError> {
 
 /// Check that for `nranks` processes the reserved band holds together:
 /// barrier rounds (`MAX_USER_TAG + round`) stay below the collective-library
-/// offsets, and the whole band stays encodable in the 32-bit tag field.
-/// Called at communicator construction.
+/// offsets, and the whole band stays below the [`LONG`] bit of the tag
+/// field. Called at communicator construction.
 pub fn validate_reserved_layout(nranks: usize) -> Result<(), TagError> {
     let rounds = if nranks <= 1 {
         0
@@ -43,7 +49,7 @@ pub fn validate_reserved_layout(nranks: usize) -> Result<(), TagError> {
         usize::BITS - (nranks - 1).leading_zeros()
     };
     let fits_field =
-        MAX_USER_TAG as u64 + COLL_TAG_BASE_OFFSET as u64 + COLL_TAG_SPAN as u64 <= u32::MAX as u64;
+        MAX_USER_TAG as u64 + COLL_TAG_BASE_OFFSET as u64 + COLL_TAG_SPAN as u64 <= LONG;
     if rounds >= COLL_TAG_BASE_OFFSET || !fits_field {
         return Err(TagError::ReservedOverflow { nranks });
     }
@@ -61,23 +67,23 @@ pub fn encode(context: Context, src_rank: u16, tag: Tag) -> MatchBits {
     MatchBits::new(((context as u64) << CTX_SHIFT) | ((src_rank as u64) << SRC_SHIFT) | tag as u64)
 }
 
-/// Unpack `(context, source rank, tag)`.
+/// Unpack `(context, source rank, tag)`, without the [`LONG`] flag.
 #[inline]
 pub fn decode(bits: MatchBits) -> (Context, u16, Tag) {
     let raw = bits.raw();
     (
         (raw >> CTX_SHIFT) as u16,
         (raw >> SRC_SHIFT) as u16,
-        (raw & TAG_MASK) as u32,
+        (raw & TAG_MASK & !LONG) as u32,
     )
 }
 
 /// Build the receive-side criteria: exact context, optionally wildcarded
-/// source and tag.
+/// source and tag, and the [`LONG`] flag ignored.
 #[inline]
 pub fn recv_criteria(context: Context, src: Option<u16>, tag: Option<Tag>) -> MatchCriteria {
     let must = encode(context, src.unwrap_or(0), tag.unwrap_or(0));
-    let mut ignore = 0u64;
+    let mut ignore = LONG;
     if src.is_none() {
         ignore |= SRC_MASK;
     }
@@ -102,6 +108,7 @@ mod tests {
     fn exact_criteria_match_only_their_triple() {
         let c = recv_criteria(1, Some(2), Some(3));
         assert!(c.matches(encode(1, 2, 3)));
+        assert!(c.matches(MatchBits::new(encode(1, 2, 3).raw() | LONG)));
         assert!(!c.matches(encode(1, 2, 4)));
         assert!(!c.matches(encode(1, 3, 3)));
         assert!(!c.matches(encode(2, 2, 3)));
@@ -151,18 +158,27 @@ mod tests {
         // boundary directly.
         let rounds_at_boundary = COLL_TAG_BASE_OFFSET;
         assert!(rounds_at_boundary > usize::BITS, "layout leaves headroom");
+        let top = MAX_USER_TAG + COLL_TAG_BASE_OFFSET + COLL_TAG_SPAN - 1;
+        assert_eq!(top as u64 & LONG, 0, "the reserved band stays below LONG");
+        assert_eq!(decode(encode(1, 2, top)), (1, 2, top));
+    }
+
+    #[test]
+    fn decode_strips_the_long_flag() {
+        let long = MatchBits::new(encode(4, 5, 6).raw() | LONG);
+        assert_eq!(decode(long), (4, 5, 6));
     }
 
     proptest! {
         #[test]
-        fn encode_decode_roundtrips(ctx in any::<u16>(), src in any::<u16>(), tag in any::<u32>()) {
+        fn encode_decode_roundtrips(ctx in any::<u16>(), src in any::<u16>(), tag in 0..LONG as u32) {
             prop_assert_eq!(decode(encode(ctx, src, tag)), (ctx, src, tag));
         }
 
         #[test]
         fn wildcards_never_leak_across_fields(
-            ctx in any::<u16>(), src in any::<u16>(), tag in any::<u32>(),
-            other_src in any::<u16>(), other_tag in any::<u32>()
+            ctx in any::<u16>(), src in any::<u16>(), tag in 0..LONG as u32,
+            other_src in any::<u16>(), other_tag in 0..LONG as u32
         ) {
             // ANY_SOURCE accepts any source but still requires the tag.
             let c = recv_criteria(ctx, None, Some(tag));

@@ -2,7 +2,7 @@
 //! the NIC side (whichever `PORTALS_PROGRESS_MODE` selects) and by the host.
 
 use portals::{NiConfig, Node, NodeConfig, ProgressMode, Region, TransportConfig};
-use portals_mpi::{Communicator, Completion, Mpi, MpiConfig, Protocol};
+use portals_mpi::{Communicator, Completion, Mpi, MpiConfig};
 use portals_net::Fabric;
 use portals_types::{NodeId, ProcessId, Rank};
 use std::time::Duration;
@@ -91,8 +91,9 @@ fn ping_pong_all_stacks() {
 
 #[test]
 fn large_messages_cross_rendezvous_threshold() {
-    // 100 KB with a 16 KB eager limit exercises the RTS/get path; the same
-    // payload over EagerDirect exercises any-size direct delivery.
+    // 100 KB is long under both configs: library matching pulls it (16 KiB
+    // cutoff), hardware matching puts it straight into the posted receive or
+    // pulls it if it arrived first.
     let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
     for (progress, cfg) in all_stacks() {
         let expect = payload.clone();
@@ -112,13 +113,14 @@ fn large_messages_cross_rendezvous_threshold() {
 #[test]
 fn message_ordering_is_non_overtaking() {
     // 50 same-signature messages must arrive in posting order, even when
-    // sizes straddle the rendezvous threshold (mixing the two paths).
+    // sizes straddle gm_style's 16 KiB cutoff (mixing the eager and long
+    // paths).
     for (progress, cfg) in all_stacks() {
         world_run(2, progress, cfg, |comm| {
             let n = 50u32;
             if comm.rank() == Rank(0) {
                 for i in 0..n {
-                    // Odd messages are big (rendezvous in gm_style), even small.
+                    // Odd messages are big (long in gm_style), even small.
                     let size = if i % 2 == 1 { 20_000 } else { 64 };
                     let mut m = vec![0u8; size];
                     m[..4].copy_from_slice(&i.to_le_bytes());
@@ -341,7 +343,7 @@ fn ring_pipeline_many_ranks() {
 
 #[test]
 fn irecv_before_send_gets_direct_delivery() {
-    // EagerDirect: a pre-posted receive means zero unexpected buffering.
+    // Hardware matching: a pre-posted receive means zero unexpected buffering.
     world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
         if comm.rank() == Rank(1) {
             let buf = Region::zeroed(64 * 1024);
@@ -405,7 +407,7 @@ fn probe_reports_length_then_recv_consumes() {
                 // Rank 1's first probe is already waiting when this arrives.
                 std::thread::sleep(Duration::from_millis(20));
                 comm.send(Rank(1), 6, &vec![1u8; 777]);
-                // Also a big one that crosses the rendezvous threshold.
+                // Also a big one, long under gm_style.
                 comm.send(Rank(1), 7, &vec![2u8; 40_000]);
             } else {
                 let st = comm.probe(Some(Rank(0)), Some(6));
@@ -508,23 +510,22 @@ fn wait_any_recovers_from_event_queue_overflow() {
     });
 }
 
-/// A receive posted while its rendezvous announcement is in flight. When
-/// the RTS event lands after the receive's hardware entry is linked but
-/// before it is activated, the drain inside `irecv` matches it and starts
-/// the pull: the receive is then neither posted nor done, and its entry is
-/// gone. `irecv` used to fail that state with `InvalidMd`. The echo loop
-/// sends each announcement right behind the token that lets the receiver
-/// post; over a few thousand rounds some land in the window.
+/// A receive posted while its long message's overflow record is in flight.
+/// When the long entry's event lands after the receive's hardware entry is
+/// linked but before it is activated (the put fell through the inactive
+/// entry), the drain inside `irecv` matches it and starts the pull: the
+/// receive is then neither posted nor done, and its entry is gone. `irecv`
+/// used to fail that state with `InvalidMd`. The echo loop sends each long
+/// put right behind the token that lets the receiver post; over a few
+/// thousand rounds some land in the window.
 #[test]
 fn irecv_racing_its_rendezvous_announcement() {
-    // Always rendezvous (at `max_eager`), with hardware receive entries.
+    // Every message is long (above a 1 KiB cutoff), with hardware receive
+    // entries.
     const LEN: usize = 4096;
     const ROUNDS: usize = 3000;
     let cfg = MpiConfig {
-        protocol: Protocol::Adaptive {
-            min_eager: 1024,
-            max_eager: LEN,
-        },
+        slab_min_free: 1024,
         ..MpiConfig::default()
     };
     world_run(2, ProgressMode::from_env(), cfg, |comm| {
@@ -544,6 +545,115 @@ fn irecv_racing_its_rendezvous_announcement() {
             }
         }
     });
+}
+
+/// Seven unexpected 600 KiB messages under the default config. Each is
+/// longer than `slab_min_free`, so it must never land in a slab: when the
+/// cutoff was not the protocol's, the seventh matched a slab with 496 KiB
+/// free and was cut to fit.
+#[test]
+fn unexpected_messages_above_the_cutoff_arrive_whole() {
+    const LEN: usize = 600 * 1024;
+    const N: u32 = 7;
+    let fill = |i: u32| -> Vec<u8> { (0..LEN).map(|b| (b as u32 ^ (i * 77)) as u8).collect() };
+    world_run(
+        2,
+        ProgressMode::from_env(),
+        MpiConfig::default(),
+        move |comm| {
+            if comm.rank() == Rank(0) {
+                let reqs: Vec<_> = (0..N)
+                    .map(|i| comm.isend_region(Rank(1), i, Region::copy_from_slice(&fill(i))))
+                    .collect();
+                comm.wait_all(&reqs);
+            } else {
+                // Every message has arrived before any receive is posted.
+                for i in 0..N {
+                    assert_eq!(comm.probe(Some(Rank(0)), Some(i)).len, LEN);
+                }
+                for i in 0..N {
+                    let buf = Region::zeroed(LEN);
+                    let req = comm.irecv(Some(Rank(0)), Some(i), buf.clone());
+                    let st = comm.wait(req).status().unwrap();
+                    assert_eq!(
+                        (st.len, st.full_len, st.truncated),
+                        (LEN, LEN, false),
+                        "message {i}"
+                    );
+                    assert!(buf.read_vec(0, LEN) == fill(i), "message {i} corrupted");
+                }
+            }
+        },
+    );
+}
+
+/// A long message into a posted receive with no room at all: the put lands
+/// zero bytes in the posted entry, so nothing is pulled, and both sides
+/// report the truncation.
+#[test]
+fn long_message_into_a_zero_capacity_receive_completes_both_sides() {
+    const LEN: usize = 512 * 1024;
+    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
+        if comm.rank() == Rank(0) {
+            comm.barrier();
+            let req = comm.isend_region(Rank(1), 4, Region::zeroed(LEN));
+            assert_eq!(
+                comm.wait(req),
+                Completion::Send {
+                    delivered: 0,
+                    requested: LEN as u64,
+                }
+            );
+        } else {
+            let req = comm.irecv(Some(Rank(0)), Some(4), Region::zeroed(0));
+            comm.barrier();
+            let st = comm.wait(req).status().unwrap();
+            assert_eq!((st.len, st.truncated, st.full_len), (0, true, LEN));
+            assert_eq!(comm.engine().unexpected_pending(), 0);
+        }
+        assert_eq!(comm.engine().sends_pending(), 0);
+    });
+}
+
+/// Application bypass at every size (§5.1): with NIC-thread progress, a long
+/// message into a pre-posted receive completes while the receiving rank
+/// makes no MPI call at all. Rank 1 posts and then blocks outside MPI until
+/// rank 0's send has completed; its buffer must already hold the bytes.
+#[test]
+fn long_messages_bypass_the_receiving_application() {
+    use std::sync::{Arc, Barrier};
+    for len in [512 * 1024, 4 * 1024 * 1024] {
+        let oob = Arc::new(Barrier::new(2));
+        let pattern = move || -> Vec<u8> { (0..len).map(|b| (b * 7 + len) as u8).collect() };
+        world_run(
+            2,
+            ProgressMode::NicThread,
+            MpiConfig::adaptive(),
+            move |comm| {
+                if comm.rank() == Rank(0) {
+                    oob.wait(); // rank 1's receive is posted
+                    let req = comm.isend_region(Rank(1), 8, Region::copy_from_slice(&pattern()));
+                    let done = comm.engine().wait_timeout(req, Duration::from_secs(5));
+                    oob.wait(); // let rank 1 look, whatever happened
+                    assert!(
+                        done.is_some(),
+                        "{len} B: the send needed the receiving application"
+                    );
+                } else {
+                    let buf = Region::zeroed(len);
+                    let req = comm.irecv(Some(Rank(0)), Some(8), buf.clone());
+                    oob.wait();
+                    oob.wait(); // no MPI call until the sender is done
+                    assert!(
+                        buf.read_vec(0, len) == pattern(),
+                        "{len} B: bytes not in place"
+                    );
+                    let st = comm.wait(req).status().unwrap();
+                    assert_eq!((st.len, st.truncated), (len, false));
+                }
+            },
+        );
+    }
 }
 
 #[test]

@@ -14,6 +14,13 @@ use portals_obs::{Counter, Histogram, Registry};
 const BATCH_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Counters maintained by a [`UdpLink`](crate::UdpLink).
+///
+/// The send-side counts (`datagrams_sent`, `bytes_sent`, `frame_bytes_sent`,
+/// `batches_sent`) are published after the `sendmmsg` call that moved the
+/// datagrams returns, because only its result says how many it moved: a
+/// peer can receive a datagram before the count includes it. Read them once
+/// the traffic has quiesced. Every receive-side count is published before
+/// the datagram enters the inbound queue.
 #[derive(Debug)]
 pub struct UdpStats {
     /// Datagrams handed to the socket (after the loss shim).

@@ -103,6 +103,13 @@ impl std::fmt::Display for DropReason {
 ///
 /// Registered as `portals.*` series labeled `{node, pid}` (drops additionally
 /// carry `{reason}`).
+///
+/// Each is published before the effect it counts can be observed: a drop
+/// before its nack leaves, a delivery's counts before its event is pushed or
+/// its ack or reply leaves, `acks_accepted` before the `Ack` event,
+/// `messages_sent` before the message is handed to the network, and a fired
+/// trigger before its operation is transmitted. A reader woken by any of
+/// those effects sees a count that includes it.
 #[derive(Debug)]
 pub struct NiCounters {
     drops: [Counter; DropReason::ALL.len()],

@@ -314,16 +314,17 @@ fn admit<'a>(
         drop_msg(core, DropReason::InvalidPortalIndex);
         return None;
     };
-    // Refuse on behalf of a disabled portal; the nack goes out with the list
-    // lock released.
+    // Refuse on behalf of a disabled portal. The drop is counted before a
+    // trip's `FlowCtrl` event or the nack can be seen; the nack goes out with
+    // the list lock released.
     let refuse = |list: MutexGuard<'a, MatchList>| {
         drop(list);
-        drop_msg(core, DropReason::PtDisabled);
         if let Some(to) = ack {
             send_ack(core, node, h, to, 0, NACK_MLENGTH);
         }
     };
     if !state.table.is_enabled(h.portal_index) {
+        drop_msg(core, DropReason::PtDisabled);
         refuse(list);
         return None;
     }
@@ -375,6 +376,7 @@ fn admit<'a>(
         // resource-exhaustion signal (the MPI layer's unexpected-message
         // blocks ran out): trip instead of silently dropping.
         Err(DropReason::NoMatch) if flow_armed => {
+            drop_msg(core, DropReason::PtDisabled);
             trip_flow_control(core, h);
             refuse(list);
             return None;
@@ -392,6 +394,7 @@ fn admit<'a>(
         let md_eq = state.mds.with(accepted.md, |md| md.eq).flatten();
         let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
         if room == Some(Some(false)) {
+            drop_msg(core, DropReason::PtDisabled);
             trip_flow_control(core, h);
             refuse(list);
             return None;
@@ -547,8 +550,9 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
     count_landed(core, h.initiator, accepted.mlength, kind.name());
     core.counters.requests_accepted.inc();
     if let Some(committed) = commit(core, &mut list, accepted, &h, kind) {
-        committed.fire(core, true);
+        // Counted before the event can wake anyone, as every path here does.
         core.counters.completed_bytes.add(accepted.mlength);
+        committed.fire(core, true);
     }
     drop(list);
 
@@ -588,16 +592,19 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
         offset: h.offset,
         md: Handle::from_raw(h.md_handle),
     };
-    let pushed =
-        h.eq_handle != RAW_HANDLE_NONE && core.push_event(Handle::from_raw(h.eq_handle), event);
+    let eqh: EqHandle = Handle::from_raw(h.eq_handle);
+    let has_eq = h.eq_handle != RAW_HANDLE_NONE && core.state.eqs.contains(eqh);
     // A counting event on the source MD consumes the ack even when no event
     // queue does — a triggered schedule has no EQ at all, only counters.
     let mdh: MdHandle = Handle::from_raw(h.md_handle);
     let ct = core.state.mds.with(mdh, |md| md.ct).flatten();
-    if !pushed && ct.is_none() {
+    if !has_eq && ct.is_none() {
         drop_msg(core, DropReason::AckEqMissing);
         return;
     }
+    // Counted before the event is pushed, so a waiter the event wakes reads
+    // a count that includes it. A queue the application frees between the
+    // check above and the push loses the event but keeps the count.
     core.counters.acks_accepted.inc();
     core.obs.tracer.emit(|| {
         TraceEvent::new(Layer::Portals, Stage::Deliver)
@@ -605,6 +612,9 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
             .peer(h.initiator.nid.0)
             .detail("ack")
     });
+    if has_eq {
+        core.push_event(eqh, event);
+    }
     if let Some(ct) = ct {
         crate::triggered::ct_increment(core, node, ct, 1);
     }

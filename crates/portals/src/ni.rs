@@ -900,16 +900,17 @@ pub(crate) fn prepare(core: &NiCore, op: Op) -> PtlResult<(portals_types::NodeId
     Ok((op.target.nid, msg))
 }
 
-/// The transmitting half of [`launch`]: hand a [`prepare`]d message to the
-/// network.
+/// The transmitting half of [`launch`]: count a [`prepare`]d message and
+/// hand it to the network. The count comes first: once the message is out,
+/// its ack or reply can be observed before this function returns.
 pub(crate) fn transmit(
     core: &NiCore,
     node: &NodeShared,
     dst: portals_types::NodeId,
     msg: &PortalsMessage,
 ) {
-    send_message(core, node, dst, msg);
     core.counters.messages_sent.inc();
+    send_message(core, node, dst, msg);
 }
 
 /// What a launch puts on the wire, the queue its `Sent` event goes to, and

@@ -62,8 +62,8 @@ fn eager_transcripts_identical_across_modes() {
 #[test]
 fn rendezvous_transcripts_identical_across_modes() {
     for n in world_sizes() {
-        // GM-style rendezvous: sizes straddle the eager limit so both the
-        // RTS/get pull path and the small eager path are exercised.
+        // GM-style: sizes straddle the 16 KiB cutoff so both the long pull
+        // path and the small eager path are exercised.
         let rdv = |mode| {
             let mut cfg = job_config(mode);
             cfg.mpi = MpiConfig::gm_style();

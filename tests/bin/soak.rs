@@ -235,14 +235,10 @@ fn run_cell(
             rto_base: Duration::from_millis(5),
             ..Default::default()
         },
-        mpi: MpiConfig {
-            // Small sends ride the eager slab; 48 KiB sends go RTS/get, so one
-            // job exercises both §5.3 protocols.
-            protocol: Protocol::Rendezvous {
-                eager_limit: 16 * 1024,
-            },
-            ..Default::default()
-        },
+        // Library matching with a 16 KiB cutoff: small sends ride the eager
+        // slab and 48 KiB sends are long, parked and pulled, so one job
+        // exercises both paths.
+        mpi: MpiConfig::gm_style(),
         obs: obs.clone(),
         ..Default::default()
     };
@@ -359,7 +355,7 @@ fn workload(env: &ProcessEnv, server: ProcessId) {
         comm.wait(req);
     }
 
-    // 2. Rendezvous path: 48 KiB (above the 16 KiB eager limit) pairwise.
+    // 2. Long path: 48 KiB (above the 16 KiB cutoff) pairwise.
     let partner = Rank((me ^ 1) as u32);
     for round in 0..3u32 {
         let fill = (me as u32 * 7 + round) as u8;
@@ -437,10 +433,10 @@ fn run_overload_cell(
             .with_seed(seed),
         transport,
         mpi: MpiConfig {
-            protocol: Protocol::Rendezvous { eager_limit: 2048 },
+            protocol: Protocol::LibraryMatching,
             slab_size: OVERLOAD_SLAB,
             slab_count: OVERLOAD_SLAB_COUNT,
-            // Must cover the largest unexpected message (the eager limit).
+            // The cutoff: larger messages are long and never land in a slab.
             slab_min_free: 2048,
             ..Default::default()
         },

@@ -18,6 +18,7 @@
 
 use portals::DropReason;
 use portals_mpi::{MpiConfig, Protocol};
+use portals_obs::{Layer, Stage};
 use portals_runtime::{Job, JobConfig, ProcessEnv};
 use portals_types::Rank;
 use proptest::prelude::*;
@@ -38,7 +39,7 @@ fn overload_config(flow_control: bool) -> JobConfig {
             ..Default::default()
         },
         mpi: MpiConfig {
-            protocol: Protocol::Rendezvous { eager_limit: 2048 },
+            protocol: Protocol::LibraryMatching,
             slab_size: 16 * 1024,
             slab_count: 2,
             slab_min_free: 2048,
@@ -91,6 +92,77 @@ fn overflow_disables_then_resume_delivers_every_message() {
     for h in handles {
         h.join().unwrap();
     }
+    drop(job);
+}
+
+/// A flood that mixes long messages (above `slab_min_free`) into the eager
+/// ones. Long puts never land in a slab, but while the eager overflow has the
+/// portal disabled they are nacked like any put: each must be re-put with its
+/// serial as the remote offset, or the receiver would pull the wrong
+/// exposure. Every message must arrive intact after resume.
+#[test]
+fn nacked_long_puts_are_re_put_with_their_serial() {
+    const LONG_MSG: usize = 3 * MSG + 5;
+    let payload = |i: usize| {
+        let len = if i % 4 == 3 { LONG_MSG } else { MSG };
+        vec![(i * 31 + 7) as u8; len]
+    };
+    let (obs, ring) = portals_obs::Obs::with_ring(1 << 16);
+    let cfg = JobConfig {
+        obs,
+        ..overload_config(true)
+    };
+    assert!(LONG_MSG > cfg.mpi.slab_min_free && MSG <= cfg.mpi.slab_min_free);
+    let (job, envs) = Job::build(2, cfg);
+    let gate = Arc::new(Barrier::new(2));
+    let handles: Vec<_> = envs
+        .into_iter()
+        .map(|env| {
+            let gate = gate.clone();
+            std::thread::spawn(move || {
+                if env.comm.rank() == Rank(0) {
+                    gate.wait();
+                    std::thread::sleep(Duration::from_millis(20));
+                    for i in 0..FLOOD {
+                        let want = payload(i);
+                        let buf = portals::Region::zeroed(want.len());
+                        let req =
+                            env.comm
+                                .irecv(Some(Rank(1)), Some((500 + i) as u32), buf.clone());
+                        let done = env.mpi.engine().wait_timeout(req, Duration::from_secs(30));
+                        let st = done.expect("message never arrived").status().unwrap();
+                        assert_eq!((st.len, st.truncated), (want.len(), false), "message {i}");
+                        assert_eq!(buf.read_vec(0, want.len()), want, "message {i} corrupted");
+                    }
+                    assert!(
+                        dropped(&env, DropReason::PtDisabled) > 0,
+                        "nothing was nacked"
+                    );
+                } else {
+                    let reqs: Vec<_> = (0..FLOOD)
+                        .map(|i| env.comm.isend(Rank(0), (500 + i) as u32, &payload(i)))
+                        .collect();
+                    gate.wait();
+                    for r in reqs {
+                        env.comm.wait(r);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let long_retries = ring
+        .events()
+        .iter()
+        .filter(|e| e.layer == Layer::Mpi && e.stage == Stage::Retransmit)
+        .filter(|e| e.bytes == LONG_MSG as u64)
+        .count();
+    assert!(
+        long_retries > 0,
+        "no long put was nacked: nothing was tested"
+    );
     drop(job);
 }
 

@@ -1,14 +1,16 @@
-//! The rendezvous protocol's two contracts (DESIGN.md §5a, §6c, §6h):
+//! The long-message protocol's two contracts (DESIGN.md §5a, §6c, §6h):
 //!
-//! * **completion means quiescent** — when `wait` returns on a rendezvous
-//!   send, no byte the buffer holds from then on can reach the receiver: the
-//!   reply is no longer streaming out of it, and any retransmission still to
-//!   come is a duplicate the receiver discards. The sender completes on the
-//!   receiver's FIN put, never on the `Get` event that merely started the
-//!   read.
-//! * **one reply per message** — a matched announcement is pulled with one
-//!   get bound over the user's receive region, whatever the size and however
-//!   the receive truncates, and the sender's exposure is gone afterwards.
+//! * **completion means quiescent** — when `wait` returns on a long send, no
+//!   byte the buffer holds from then on can reach the receiver: the message
+//!   is no longer streaming out of it, and any retransmission still to come
+//!   is a duplicate the receiver discards. A put a posted receive took has
+//!   landed whole before the target acks it; a send whose put was parked
+//!   unexpected completes on the receiver's FIN put, never on the `Get`
+//!   event that merely started the read.
+//! * **one reply per message** — an unexpected long message is pulled with
+//!   one get bound over the user's receive region, whatever the size and
+//!   however the receive truncates, and the sender's exposure is gone
+//!   afterwards.
 
 use portals::Region;
 use portals_mpi::{Completion, MpiConfig};
@@ -17,7 +19,7 @@ use portals_runtime::{Job, JobConfig};
 use portals_types::{ProgressMode, Rank};
 use std::time::Duration;
 
-/// Far above `MpiConfig::adaptive()`'s band: always rendezvous.
+/// Far above `MpiConfig::adaptive()`'s cutoff: always long.
 const LEN: usize = 4 * 1024 * 1024;
 
 fn pattern(round: usize) -> Vec<u8> {
@@ -124,12 +126,12 @@ fn one_reply_per_rendezvous_and_nothing_left_exposed() {
                         },
                         "cap {cap}"
                     );
-                    // The exposure (one entry, one descriptor) and the RTS
+                    // The exposure (one entry, one descriptor) and the put's
                     // descriptor are gone; nothing is tracked any more.
                     assert_eq!(ni.resources_in_use(), idle, "cap {cap}: leaked ME/MD");
                     assert_eq!(env.mpi.engine().sends_pending(), 0, "cap {cap}");
                 } else {
-                    // Let the announcement land first, so the counters below
+                    // Let the long put land unexpected first, so the counters below
                     // see the pull alone.
                     assert_eq!(env.comm.probe(Some(Rank(0)), Some(9)).len, LEN);
                     let idle = ni.resources_in_use();
