@@ -12,11 +12,10 @@
 //! 4. if the list is exhausted the message is discarded and the dropped
 //!    message count incremented.
 //!
-//! Translation consults the match list's exact-bits index first
-//! ([`MatchList::lookup`]): a provable `Hit` whose descriptor accepts skips
-//! the walk entirely, a provable `Miss` drops with `NoMatch` immediately, and
-//! everything else runs the reference `walk`. Either way the answer is
-//! identical to Fig. 4's — the index is an accelerator, never an authority.
+//! Translation asks the match list's index ([`MatchList::lookup`]) for the
+//! next entry the walk would try and consults its first descriptor; a
+//! rejection asks again after that entry. The reference `walk` is kept only
+//! as the oracle the index is tested and timed against.
 //!
 //! A put or a reply is received by one sequence whatever shape it arrived in
 //! — **begin** (every check and state transition, at header time), **write**
@@ -35,7 +34,7 @@ use crate::event::{Event, EventKind};
 use crate::md::{MdMemory, MdVerdict, ReqOp};
 use crate::ni::{send_message, NiClass, NiCore, NiState, NACK_MLENGTH};
 use crate::node::NodeShared;
-use crate::table::{FastPath, MatchList};
+use crate::table::MatchList;
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::MutexGuard;
 use portals_obs::{Layer, Stage, TraceEvent};
@@ -81,9 +80,8 @@ fn try_entry(
     }
 }
 
-/// The Fig. 4 reference walk over an already locked match list: the fallback
-/// for everything the index cannot decide, and the oracle the index is tested
-/// against.
+/// The Fig. 4 reference walk over an already locked match list: the oracle
+/// `translate` is tested and timed against.
 pub(crate) fn walk(
     list: &MatchList,
     state: &NiState,
@@ -106,8 +104,8 @@ pub(crate) fn walk(
     Err(DropReason::NoMatch)
 }
 
-/// Translation over a locked list: index probe first, walk as the fallback
-/// authority.
+/// Translation over a locked list: the walk's answer, taken from the index
+/// one candidate at a time.
 pub(crate) fn translate(
     list: &MatchList,
     state: &NiState,
@@ -117,20 +115,15 @@ pub(crate) fn translate(
     offset: u64,
     rlength: u64,
 ) -> Result<Accepted, DropReason> {
-    match list.lookup(initiator, match_bits) {
-        FastPath::Hit(me_h) => {
-            // Provably the first criteria-matching entry; its MD can still
-            // reject, in which case the walk resumes from scratch — safe
-            // because `evaluate` is pure, so re-checking rejected entries
-            // reaches the same continuation Fig. 4 would.
-            if let Some(accepted) = try_entry(state, me_h, op, offset, rlength) {
-                return Ok(accepted);
-            }
+    let mut after = None;
+    while let Some((rank, me_h)) = list.lookup(initiator, match_bits, after) {
+        debug_assert!(after < Some(rank), "the index went backwards");
+        if let Some(accepted) = try_entry(state, me_h, op, offset, rlength) {
+            return Ok(accepted);
         }
-        FastPath::Miss => return Err(DropReason::NoMatch),
-        FastPath::Ambiguous => {}
+        after = Some(rank);
     }
-    walk(list, state, op, initiator, match_bits, offset, rlength)
+    Err(DropReason::NoMatch)
 }
 
 /// Record a §4.8 drop: bump the per-reason counter and emit the lifecycle
@@ -892,6 +885,7 @@ mod tests {
     use crate::table::MePos;
     use portals_types::Region;
     use portals_types::{MatchCriteria, NiLimits};
+    use std::collections::HashMap;
 
     /// Build a state and attach one entry+MD through the same structures the
     /// API uses (entry metadata must reach the list for the index to work).
@@ -950,7 +944,7 @@ mod tests {
     }
 
     /// Run translation and the reference walk and require agreement — every
-    /// unit test below doubles as a fast-path differential check.
+    /// unit test below doubles as an index differential check.
     fn translate_put(
         state: &NiState,
         initiator: ProcessId,
@@ -1050,8 +1044,9 @@ mod tests {
     #[test]
     fn indexed_hit_with_rejecting_md_falls_back_to_walk() {
         // Exact entry for bits 5 whose MD rejects puts, then a wildcard entry
-        // that accepts: the index reports the first as a Hit, the engine must
-        // still land on the wildcard, exactly as the walk would.
+        // that accepts: the index offers the first, its MD rejects, and the
+        // engine asks again after it and lands on the wildcard, exactly as
+        // the walk would.
         let state = open_state();
         let (_, _) = attach(
             &state,
@@ -1134,6 +1129,78 @@ mod tests {
         assert_eq!(r.md, md);
     }
 
+    #[test]
+    fn posted_receives_on_the_message_portal_follow_the_walk() {
+        // The message portal as MPI lays it out (`portals_mpi::bits`): 64
+        // exact receives that ignore the LONG flag, one ANY_TAG receive
+        // posted halfway through them, then the long entry and two wildcard
+        // slabs. Receives are inserted before the long entry, as `irecv`
+        // does, in one order and probed in another.
+        const LONG: u64 = 1 << 31;
+        const TAG_MASK: u64 = 0xffff_ffff;
+        let bits = |src: u64, tag: u64| (1u64 << 48) | (src << 32) | tag;
+        let crit = |must: u64, ignore: u64| {
+            MatchCriteria::with_ignore(MatchBits::new(must), MatchBits::new(ignore))
+        };
+        let buffer = || MdSpec::new(Region::from_vec(vec![0u8; 64]));
+        let state = open_state();
+        let any = ProcessId::ANY;
+        let (long_me, _) = attach(
+            &state,
+            0,
+            MePos::Back,
+            any,
+            crit(LONG, !LONG),
+            MdSpec::new(Region::from_vec(Vec::new())).with_options(MdOptions {
+                truncate: true,
+                ..Default::default()
+            }),
+        );
+        let (slab, _) = attach(&state, 0, MePos::Back, any, MatchCriteria::any(), buffer());
+        attach(&state, 0, MePos::Back, any, MatchCriteria::any(), buffer());
+        let mut recv = HashMap::new();
+        let mut any_tag = None;
+        for i in 0..64u64 {
+            if i == 32 {
+                let pos = MePos::Before(long_me);
+                let (me, _) = attach(
+                    &state,
+                    0,
+                    pos,
+                    any,
+                    crit(bits(0, 0), LONG | TAG_MASK),
+                    buffer(),
+                );
+                any_tag = Some(me);
+            }
+            let tag = (i * 37) % 64;
+            let pos = MePos::Before(long_me);
+            let (me, _) = attach(&state, 0, pos, any, crit(bits(0, tag), LONG), buffer());
+            recv.insert(tag, (me, any_tag.is_none()));
+        }
+        let any_tag = any_tag.expect("posted");
+        let pick = |bits: u64| {
+            translate_put(&state, ProcessId::new(1, 1), 0, MatchBits::new(bits), 0, 8)
+                .expect("the slabs catch everything")
+                .me
+        };
+        for i in 0..64u64 {
+            let tag = (i * 23 + 5) % 64;
+            let (me, before_any_tag) = recv[&tag];
+            let expect = if before_any_tag { me } else { any_tag };
+            assert_eq!(pick(bits(0, tag)), expect, "tag {tag}");
+            assert_eq!(pick(bits(0, tag) | LONG), expect, "long, tag {tag}");
+            // Rank 1 has nothing posted: a short message goes to the first
+            // slab, a long one to the long entry.
+            assert_eq!(pick(bits(1, tag)), slab, "unexpected, tag {tag}");
+            assert_eq!(
+                pick(bits(1, tag) | LONG),
+                long_me,
+                "unexpected long, tag {tag}"
+            );
+        }
+    }
+
     mod differential {
         //! Engine-level differential proptest — with MD evaluation in the
         //! loop, translation must pick the same entry (or the same drop) as
@@ -1141,6 +1208,7 @@ mod tests {
         //! descriptors and unlink churn.
 
         use super::*;
+        use crate::table::tests::differential::{bits_strategy, ignore_strategy};
         use proptest::prelude::*;
 
         #[derive(Debug, Clone)]
@@ -1161,8 +1229,8 @@ mod tests {
         fn op_strategy() -> impl Strategy<Value = Op> {
             prop_oneof![
                 (
-                    0u64..12,
-                    prop_oneof![Just(0u64), Just(1u64), Just(u64::MAX)],
+                    bits_strategy(),
+                    ignore_strategy(),
                     (any::<bool>(), 0u32..3, 0u32..3),
                     any::<u8>(),
                     any::<bool>()
@@ -1186,7 +1254,7 @@ mod tests {
             #[test]
             fn indexed_translation_matches_reference_walk(
                 ops in proptest::collection::vec(op_strategy(), 1..32),
-                probes in proptest::collection::vec((0u64..12, 0u32..3, 0u32..3), 1..10),
+                probes in proptest::collection::vec((bits_strategy(), 0u32..3, 0u32..3), 1..10),
             ) {
                 let state = open_state();
                 let mut attached: Vec<MeHandle> = Vec::new();

@@ -7,28 +7,20 @@
 //! overflow (unexpected-message) entries last — so insertion position is part
 //! of the API.
 //!
-//! # Fast path
+//! # Index
 //!
-//! The Fig. 4 translation walk is O(list length). Under heavy pre-posting
-//! (thousands of exact-tag receives) that linear walk dominates the receive
-//! path, which is exactly the overhead the paper's building-block argument
-//! says the NI must avoid. [`MatchList`] therefore maintains, alongside the
-//! authoritative posting order:
-//!
-//! * a hash index from exact `must_match` bits to the entries carrying them
-//!   (an entry is *exact* when its ignore mask is zero — its criteria match
-//!   exactly one bit pattern), and
-//! * a *wildcard watermark*: the posting-order rank of the earliest entry
-//!   whose criteria are **not** exact.
-//!
-//! [`MatchList::lookup`] may answer from the index **only** for candidates
-//! that precede the watermark: an exact entry with different bits provably
-//! cannot match the incoming bits, so skipping over it is equivalent to the
-//! walk rejecting it, while any non-exact entry *might* match anything and
-//! must be evaluated in posting order. The three-way [`FastPath`] answer keeps
-//! the reference walk as the semantic authority: `Hit` and `Miss` are only
-//! returned when provably identical to the walk's outcome; everything else is
-//! `Ambiguous` and falls back to the walk.
+//! The Fig. 4 walk is O(list length), and MPI keeps many receives posted.
+//! [`MatchList`] therefore files every entry, beside the authoritative posting
+//! order, in a rank-ordered bucket keyed by `(ignore, must_match & !ignore)`:
+//! under its ignore mask, then under the bits it must match there. A mask
+//! leaves the index with its last entry. Bits `b` satisfy an entry with mask
+//! `m` exactly when `b & !m` is its key under `m`, so [`MatchList::lookup`]
+//! probes one bucket per live mask and takes the lowest-ranked candidate whose
+//! source passes: the next entry the walk would try. MPI's message portal
+//! holds about three masks (posted receives, the long entry, the slabs), so a
+//! match is a few hash probes; one mask per entry costs one probe per entry,
+//! never more in order than the walk, which stays as the oracle the index is
+//! tested against (`engine::walk`).
 //!
 //! Posting order itself is held as a sorted list of `u64` *ranks* assigned
 //! with large gaps, plus a handle→rank map, so `PTL_INS_BEFORE`/`AFTER`
@@ -37,7 +29,7 @@
 
 use crate::{EqHandle, MeHandle};
 use portals_types::{MatchBits, MatchCriteria, ProcessId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where to insert a match entry relative to the existing list (spec:
@@ -54,21 +46,6 @@ pub enum MePos {
     After(MeHandle),
 }
 
-/// Outcome of an indexed [`MatchList::lookup`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastPath {
-    /// Provably the first entry the Fig. 4 walk would accept on criteria and
-    /// source. (Its memory descriptor may still reject; that case falls back
-    /// to the walk.)
-    Hit(MeHandle),
-    /// Provably no entry in the list matches: no indexed candidate accepts the
-    /// initiator and the list contains no non-exact entries at all.
-    Miss,
-    /// The index cannot decide (a non-exact entry precedes every candidate);
-    /// the caller must run the reference walk.
-    Ambiguous,
-}
-
 /// Rank gap left between adjacent entries so Before/After inserts bisect
 /// instead of renumbering.
 const RANK_GAP: u64 = 1 << 32;
@@ -82,23 +59,24 @@ struct EntryMeta {
     criteria: MatchCriteria,
 }
 
-/// One portal's ordered match list with the exact-bits index layered on top.
+/// One rank-ordered bucket of the index: `(rank, entry, source filter)`.
+type Bucket = Vec<(u64, MeHandle, ProcessId)>;
+
+/// One portal's ordered match list with its index layered on top.
 #[derive(Debug, Default)]
 pub struct MatchList {
     /// Authoritative posting order: `(rank, handle)` sorted by rank.
     entries: Vec<(u64, MeHandle)>,
     /// Per-entry rank and matching metadata (criteria are fixed at attach).
     meta: HashMap<MeHandle, EntryMeta>,
-    /// Exact-criteria entries bucketed by their `must_match` bits, each bucket
-    /// sorted by rank.
-    index: HashMap<u64, Vec<(u64, MeHandle, ProcessId)>>,
-    /// Ranks of entries whose criteria are not exact. The minimum is the
-    /// wildcard watermark.
-    non_exact: BTreeSet<u64>,
+    /// Every entry, filed under its ignore mask and then under the bits it
+    /// must match there (`must_match & !ignore`). A mask leaves with its last
+    /// entry, so only live masks are probed.
+    index: Vec<(u64, HashMap<u64, Bucket>)>,
 }
 
 impl MatchList {
-    /// Insert `me` at `pos` with the matching metadata the fast path indexes.
+    /// Insert `me` at `pos` with the matching metadata the index files.
     /// Criteria and source are immutable for the lifetime of the attachment.
     /// Returns false if an anchor handle isn't present.
     pub fn insert(
@@ -116,13 +94,18 @@ impl MatchList {
         let at = self.entries.partition_point(|&(r, _)| r < rank);
         self.entries.insert(at, (rank, me));
         self.meta.insert(me, EntryMeta { rank, criteria });
-        if criteria.is_exact() {
-            let bucket = self.index.entry(criteria.must_match.raw()).or_default();
-            let at = bucket.partition_point(|&(r, _, _)| r < rank);
-            bucket.insert(at, (rank, me, source));
-        } else {
-            self.non_exact.insert(rank);
-        }
+        let ignore = criteria.ignore.raw();
+        let at = match self.index.iter().position(|&(mask, _)| mask == ignore) {
+            Some(at) => at,
+            None => {
+                self.index.push((ignore, HashMap::new()));
+                self.index.len() - 1
+            }
+        };
+        let key = criteria.must_match.raw() & !ignore;
+        let bucket = self.index[at].1.entry(key).or_default();
+        let at = bucket.partition_point(|&(r, _, _)| r < rank);
+        bucket.insert(at, (rank, me, source));
         true
     }
 
@@ -182,12 +165,11 @@ impl MatchList {
             *rank = fresh;
             self.meta.get_mut(me).expect("entry without meta").rank = fresh;
         }
-        for bucket in self.index.values_mut() {
+        for bucket in self.index.iter_mut().flat_map(|(_, b)| b.values_mut()) {
             for (rank, _, _) in bucket.iter_mut() {
                 *rank = translation[rank];
             }
         }
-        self.non_exact = self.non_exact.iter().map(|r| translation[r]).collect();
     }
 
     /// Remove `me`; true if it was present.
@@ -198,20 +180,20 @@ impl MatchList {
         let at = self.entries.partition_point(|&(r, _)| r < meta.rank);
         debug_assert_eq!(self.entries[at], (meta.rank, me));
         self.entries.remove(at);
-        if meta.criteria.is_exact() {
-            let bits = meta.criteria.must_match.raw();
-            let bucket = self
-                .index
-                .get_mut(&bits)
-                .expect("exact entry without bucket");
-            let at = bucket.partition_point(|&(r, _, _)| r < meta.rank);
-            debug_assert_eq!(bucket[at].1, me);
-            bucket.remove(at);
-            if bucket.is_empty() {
-                self.index.remove(&bits);
+        let ignore = meta.criteria.ignore.raw();
+        let key = meta.criteria.must_match.raw() & !ignore;
+        let at = self.index.iter().position(|&(mask, _)| mask == ignore);
+        let at = at.expect("entry without mask");
+        let buckets = &mut self.index[at].1;
+        let bucket = buckets.get_mut(&key).expect("entry without bucket");
+        let slot = bucket.partition_point(|&(r, _, _)| r < meta.rank);
+        debug_assert_eq!(bucket[slot].1, me);
+        bucket.remove(slot);
+        if bucket.is_empty() {
+            buckets.remove(&key);
+            if buckets.is_empty() {
+                self.index.swap_remove(at);
             }
-        } else {
-            self.non_exact.remove(&meta.rank);
         }
         true
     }
@@ -223,26 +205,30 @@ impl MatchList {
         Some(at)
     }
 
-    /// Answer a translation probe from the index alone, without touching any
-    /// match entry. See the module docs for the proof obligations of each
-    /// variant.
-    pub fn lookup(&self, initiator: ProcessId, bits: MatchBits) -> FastPath {
-        let watermark = self.non_exact.first().copied().unwrap_or(u64::MAX);
-        if let Some(bucket) = self.index.get(&bits.raw()) {
-            for &(rank, me, source) in bucket {
-                if rank >= watermark {
-                    break;
-                }
-                if source.matches(initiator) {
-                    return FastPath::Hit(me);
-                }
+    /// The lowest-ranked entry above rank `after` (from the head, for `None`)
+    /// whose criteria accept `bits` and whose source accepts `initiator`,
+    /// with its rank: the next entry the Fig. 4 walk would try.
+    pub fn lookup(
+        &self,
+        initiator: ProcessId,
+        bits: MatchBits,
+        after: Option<u64>,
+    ) -> Option<(u64, MeHandle)> {
+        let mut best: Option<(u64, MeHandle)> = None;
+        for (ignore, buckets) in &self.index {
+            let Some(bucket) = buckets.get(&(bits.raw() & !ignore)) else {
+                continue;
+            };
+            let from = after.map_or(0, |a| bucket.partition_point(|&(r, _, _)| r <= a));
+            let found = bucket[from..]
+                .iter()
+                .take_while(|&&(r, _, _)| best.is_none_or(|(b, _)| r < b))
+                .find(|&&(_, _, source)| source.matches(initiator));
+            if let Some(&(rank, me, _)) = found {
+                best = Some((rank, me));
             }
         }
-        if watermark == u64::MAX {
-            FastPath::Miss
-        } else {
-            FastPath::Ambiguous
-        }
+        best
     }
 
     /// Walk order.
@@ -369,7 +355,7 @@ impl PortalTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use portals_types::Handle;
 
@@ -383,7 +369,13 @@ mod tests {
         MatchCriteria::exact(MatchBits(n))
     }
 
-    /// Insert with wildcard criteria (not indexable).
+    /// The first entry the index offers for `bits`.
+    fn first(list: &MatchList, initiator: ProcessId, bits: u64) -> Option<MeHandle> {
+        list.lookup(initiator, MatchBits(bits), None)
+            .map(|(_, me)| me)
+    }
+
+    /// Insert with wildcard criteria.
     fn put_any(list: &mut MatchList, me: MeHandle, pos: MePos) -> bool {
         list.insert(me, pos, ANY_SRC, MatchCriteria::any())
     }
@@ -471,10 +463,7 @@ mod tests {
         let expect: Vec<_> = (0..200).rev().map(h).collect();
         assert_eq!(order, expect);
         // The index stays coherent across renumbering.
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(150)),
-            FastPath::Hit(h(150))
-        );
+        assert_eq!(first(&list, ProcessId::new(0, 0), 150), Some(h(150)));
     }
 
     #[test]
@@ -500,14 +489,8 @@ mod tests {
         for i in 0..64 {
             list.insert(h(i), MePos::Back, ANY_SRC, exact(i));
         }
-        assert_eq!(
-            list.lookup(ProcessId::new(1, 1), MatchBits(63)),
-            FastPath::Hit(h(63))
-        );
-        assert_eq!(
-            list.lookup(ProcessId::new(1, 1), MatchBits(999)),
-            FastPath::Miss
-        );
+        assert_eq!(first(&list, ProcessId::new(1, 1), 63), Some(h(63)));
+        assert_eq!(first(&list, ProcessId::new(1, 1), 999), None);
     }
 
     #[test]
@@ -515,16 +498,22 @@ mod tests {
         let mut list = MatchList::default();
         put_any(&mut list, h(100), MePos::Back); // wildcard first
         list.insert(h(1), MePos::Back, ANY_SRC, exact(1));
-        // The exact entry is behind the watermark: the wildcard might match
-        // first, so the index must not answer.
+        // The wildcard precedes the exact entry, so it wins for bits 1 too,
+        // and it catches bits nothing else matches.
+        assert_eq!(first(&list, ProcessId::new(0, 0), 1), Some(h(100)));
+        assert_eq!(first(&list, ProcessId::new(0, 0), 999), Some(h(100)));
+        // Past the wildcard, the exact entry is next for its own bits.
+        let (rank, _) = list
+            .lookup(ProcessId::new(0, 0), MatchBits(1), None)
+            .unwrap();
         assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(1)),
-            FastPath::Ambiguous
+            list.lookup(ProcessId::new(0, 0), MatchBits(1), Some(rank))
+                .map(|(_, me)| me),
+            Some(h(1))
         );
-        // A miss is not provable either while a wildcard is present.
         assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(999)),
-            FastPath::Ambiguous
+            list.lookup(ProcessId::new(0, 0), MatchBits(999), Some(rank)),
+            None
         );
     }
 
@@ -533,15 +522,9 @@ mod tests {
         let mut list = MatchList::default();
         list.insert(h(1), MePos::Back, ANY_SRC, exact(1));
         put_any(&mut list, h(100), MePos::Back);
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(1)),
-            FastPath::Hit(h(1))
-        );
-        // Unknown bits could still match the trailing wildcard.
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(2)),
-            FastPath::Ambiguous
-        );
+        assert_eq!(first(&list, ProcessId::new(0, 0), 1), Some(h(1)));
+        // Other bits fall through to the trailing wildcard.
+        assert_eq!(first(&list, ProcessId::new(0, 0), 2), Some(h(100)));
     }
 
     #[test]
@@ -549,19 +532,10 @@ mod tests {
         let mut list = MatchList::default();
         put_any(&mut list, h(100), MePos::Back);
         list.insert(h(1), MePos::Back, ANY_SRC, exact(1));
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(1)),
-            FastPath::Ambiguous
-        );
+        assert_eq!(first(&list, ProcessId::new(0, 0), 1), Some(h(100)));
         list.remove(h(100));
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(1)),
-            FastPath::Hit(h(1))
-        );
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(2)),
-            FastPath::Miss
-        );
+        assert_eq!(first(&list, ProcessId::new(0, 0), 1), Some(h(1)));
+        assert_eq!(first(&list, ProcessId::new(0, 0), 2), None);
     }
 
     #[test]
@@ -571,36 +545,26 @@ mod tests {
         list.insert(h(1), MePos::Back, ProcessId::new(7, 7), exact(5));
         list.insert(h(2), MePos::Back, ANY_SRC, exact(5));
         // Initiator (7,7) matches the first; anyone else falls through to the
-        // second — both still provable from the index.
-        assert_eq!(
-            list.lookup(ProcessId::new(7, 7), MatchBits(5)),
-            FastPath::Hit(h(1))
-        );
-        assert_eq!(
-            list.lookup(ProcessId::new(3, 3), MatchBits(5)),
-            FastPath::Hit(h(2))
-        );
+        // second within the same bucket.
+        assert_eq!(first(&list, ProcessId::new(7, 7), 5), Some(h(1)));
+        assert_eq!(first(&list, ProcessId::new(3, 3), 5), Some(h(2)));
         list.remove(h(2));
-        assert_eq!(
-            list.lookup(ProcessId::new(3, 3), MatchBits(5)),
-            FastPath::Miss
-        );
+        assert_eq!(first(&list, ProcessId::new(3, 3), 5), None);
     }
 
     #[test]
     fn nonzero_ignore_mask_is_not_exact() {
         let mut list = MatchList::default();
-        // Ignores the low bit: matches 6 and 7; must not be indexed as exact.
+        // Ignores the low bit: matches 6 and 7, and nothing else.
         list.insert(
             h(1),
             MePos::Back,
             ANY_SRC,
             MatchCriteria::with_ignore(MatchBits(6), MatchBits(1)),
         );
-        assert_eq!(
-            list.lookup(ProcessId::new(0, 0), MatchBits(7)),
-            FastPath::Ambiguous
-        );
+        assert_eq!(first(&list, ProcessId::new(0, 0), 7), Some(h(1)));
+        assert_eq!(first(&list, ProcessId::new(0, 0), 6), Some(h(1)));
+        assert_eq!(first(&list, ProcessId::new(0, 0), 5), None);
     }
 
     #[test]
@@ -612,32 +576,65 @@ mod tests {
         assert_eq!(table.lock_all().len(), 4);
     }
 
-    mod differential {
-        //! Satellite: the fast path must agree with the reference linear walk
-        //! on every list shape reachable through the public API, including
-        //! wildcard-before-exact orders and unlink/re-insert churn.
+    pub(crate) mod differential {
+        //! The index must agree with the reference linear walk on every list
+        //! shape reachable through the public API, including wildcard-before-
+        //! exact orders, MPI's mask layouts and unlink/re-insert churn.
 
         use super::*;
         use proptest::prelude::*;
 
+        /// MPI's match-bit fields (`portals_mpi::bits`), as literals.
+        const LONG: u64 = 1 << 31;
+        const SRC_MASK: u64 = 0xffff << 32;
+        const TAG_MASK: u64 = 0xffff_ffff;
+
         /// Reference model: the Fig. 4 walk over the list in posting order,
         /// deciding purely on criteria + source (MD evaluation excluded — the
-        /// list-level contract).
+        /// list-level contract). Every entry it would try, in order.
         fn reference_walk(
             list: &MatchList,
             crit: &HashMap<MeHandle, (ProcessId, MatchCriteria)>,
             initiator: ProcessId,
             bits: MatchBits,
-        ) -> Option<MeHandle> {
-            list.iter().find(|me| {
-                let (source, criteria) = crit[me];
-                source.matches(initiator) && criteria.matches(bits)
+        ) -> Vec<MeHandle> {
+            list.iter()
+                .filter(|me| {
+                    let (source, criteria) = crit[me];
+                    source.matches(initiator) && criteria.matches(bits)
+                })
+                .collect()
+        }
+
+        /// Match bits in MPI's layout: context, source rank, the `LONG` flag
+        /// and a small tag, so that every mask below cuts something.
+        pub(crate) fn bits_strategy() -> impl Strategy<Value = u64> {
+            (0u64..2, 0u64..2, any::<bool>(), 0u64..4).prop_map(|(ctx, src, long, tag)| {
+                (ctx << 48) | (src << 32) | if long { LONG } else { 0 } | tag
             })
+        }
+
+        /// Exact, low-bit and full wildcards, MPI's receive, ANY_SOURCE,
+        /// ANY_TAG, both-wildcard and long-entry masks, and two masks that
+        /// cut across the fields.
+        pub(crate) fn ignore_strategy() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                Just(0u64),
+                Just(1u64),
+                Just(u64::MAX),
+                Just(LONG),
+                Just(LONG | SRC_MASK),
+                Just(LONG | TAG_MASK),
+                Just(LONG | SRC_MASK | TAG_MASK),
+                Just(!LONG),
+                Just(0x0001_0001_8000_0002u64),
+                Just(0xffff_0000_0000_fff1u64),
+            ]
         }
 
         #[derive(Debug, Clone)]
         enum Op {
-            /// (bits, ignore mask present?, source filter, position seed)
+            /// (bits, ignore mask, source filter, position seed)
             Insert {
                 bits: u64,
                 ignore: u64,
@@ -651,8 +648,8 @@ mod tests {
         fn op_strategy() -> impl Strategy<Value = Op> {
             prop_oneof![
                 (
-                    0u64..16,
-                    prop_oneof![Just(0u64), Just(1u64), Just(u64::MAX)],
+                    bits_strategy(),
+                    ignore_strategy(),
                     (any::<bool>(), 0u32..3, 0u32..3),
                     any::<u8>()
                 )
@@ -672,7 +669,7 @@ mod tests {
             #[test]
             fn fast_path_agrees_with_reference_walk(
                 ops in proptest::collection::vec(op_strategy(), 1..40),
-                probes in proptest::collection::vec((0u64..16, 0u32..3, 0u32..3), 1..12),
+                probes in proptest::collection::vec((bits_strategy(), 0u32..3, 0u32..3), 1..12),
             ) {
                 let mut list = MatchList::default();
                 let mut crit: HashMap<MeHandle, (ProcessId, MatchCriteria)> = HashMap::new();
@@ -707,15 +704,19 @@ mod tests {
                         }
                     }
                     // Probe after *every* mutation so intermediate shapes
-                    // (wildcard-before-exact, post-unlink holes) are covered.
+                    // (wildcard-before-exact, post-unlink holes) are covered:
+                    // asked again after each answer's rank, the index must
+                    // name every entry the walk would try, in order, then none.
                     for &(bits, n, p) in &probes {
                         let initiator = ProcessId::new(n, p);
                         let expect = reference_walk(&list, &crit, initiator, MatchBits(bits));
-                        match list.lookup(initiator, MatchBits(bits)) {
-                            FastPath::Hit(me) => prop_assert_eq!(Some(me), expect),
-                            FastPath::Miss => prop_assert_eq!(None, expect),
-                            FastPath::Ambiguous => {} // walk decides; nothing claimed
+                        let mut after = None;
+                        for &me in &expect {
+                            let got = list.lookup(initiator, MatchBits(bits), after);
+                            prop_assert_eq!(got.map(|(_, me)| me), Some(me));
+                            after = got.map(|(rank, _)| rank);
                         }
+                        prop_assert_eq!(list.lookup(initiator, MatchBits(bits), after), None);
                     }
                 }
             }
