@@ -36,13 +36,6 @@ pub struct MpiConfig {
     pub slab_min_free: usize,
     /// Event queue capacity; bounds outstanding operations.
     pub eq_capacity: usize,
-    /// Largest eager message served from the send-side region pool, bytes.
-    /// Sends at or below this size snapshot into a recycled slab instead of a
-    /// fresh allocation; larger sends (and all long sends) allocate.
-    /// `0` disables pooling.
-    pub pool_slab: usize,
-    /// Bound on the pool's free list (slabs kept for reuse).
-    pub pool_free: usize,
 }
 
 impl Default for MpiConfig {
@@ -53,8 +46,6 @@ impl Default for MpiConfig {
             slab_count: 2,
             slab_min_free: 256 * 1024,
             eq_capacity: 8192,
-            pool_slab: 2048,
-            pool_free: 64,
         }
     }
 }

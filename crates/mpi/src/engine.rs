@@ -154,6 +154,14 @@ pub struct AdaptiveReport {
     pub rdvz_decisions: u64,
 }
 
+/// Largest eager message served from the send-side region pool, bytes:
+/// sends at or below it snapshot into a recycled slab instead of a fresh
+/// allocation; larger sends (and all long sends) allocate.
+pub const POOL_SLAB: usize = 2048;
+
+/// Bound on the send-side pool's free list (slabs kept for reuse).
+pub const POOL_FREE: usize = 64;
+
 /// The per-process MPI engine (see module docs).
 pub struct MpiEngine {
     ni: NetworkInterface,
@@ -164,7 +172,8 @@ pub struct MpiEngine {
     /// event queue).
     fin_md: MdHandle,
     /// Slab pool for small eager sends (the malloc/free pair that path used
-    /// to pay per message).
+    /// to pay per message): [`POOL_SLAB`]-byte slabs, at most [`POOL_FREE`]
+    /// kept for reuse.
     pool: RegionPool,
     /// `mpi.regions_pooled`: takes served from a recycled slab.
     regions_pooled: Counter,
@@ -221,7 +230,7 @@ impl MpiEngine {
         let fin_md = ni.md_bind(MdSpec::new(Region::zeroed(0)))?;
         let engine = MpiEngine {
             fin_md,
-            pool: RegionPool::new(config.pool_slab, config.pool_free),
+            pool: RegionPool::new(POOL_SLAB, POOL_FREE),
             regions_pooled,
             regions_allocated,
             ni,
@@ -299,8 +308,7 @@ impl MpiEngine {
     ) -> PtlResult<Request> {
         let match_bits = bits::encode(context, my_rank, tag);
         let len = data.len();
-        if len <= self.config.pool_slab.min(self.config.slab_min_free) && self.config.pool_slab > 0
-        {
+        if len <= POOL_SLAB.min(self.config.slab_min_free) {
             let slab = self.take_pooled();
             if !data.is_empty() {
                 slab.write(0, data);
@@ -326,7 +334,7 @@ impl MpiEngine {
         self.isend_inner(dest, bits::encode(context, my_rank, tag), data, len, false)
     }
 
-    /// A `pool_slab`-byte region from the pool, with the hit/miss mirrored
+    /// A [`POOL_SLAB`]-byte region from the pool, with the hit/miss mirrored
     /// into the obs counters.
     fn take_pooled(&self) -> Region {
         let (slab, hit) = self.pool.take_tracked();
@@ -669,8 +677,8 @@ impl MpiEngine {
     }
 
     /// The one blocking loop behind every wait: drain, ask `done`, and
-    /// otherwise block briefly on the event queue (under a host-driven
-    /// interface this is also what pumps the Portals raw queue) until `done`
+    /// otherwise block briefly on the event queue (on a host-driven node this
+    /// wait is also what runs the Portals receive engine) until `done`
     /// yields or `deadline` passes.
     fn wait_until<T>(
         &self,

@@ -19,8 +19,8 @@
 //!
 //! A put or a reply is received by one sequence whatever shape it arrived in
 //! — **begin** (every check and state transition, at header time), **write**
-//! (payload bytes scattered at their offsets, once for a message that came
-//! whole, once per fragment for one that is streaming in), **finish** (events,
+//! (payload bytes scattered at their offsets, once per fragment: once for a
+//! message that came in one), **finish** (events,
 //! ack, counting event). The engine holds the target portal's list lock for
 //! the *begin* of a put and for the whole of a get or an atomic; see the
 //! section comment above `PutSink` for what that lock does and does not
@@ -40,8 +40,8 @@ use parking_lot::MutexGuard;
 use portals_obs::{Layer, Stage, TraceEvent};
 use portals_types::{Gather, Handle, MatchBits, ProcessId};
 use portals_wire::{
-    Ack, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, Reply, RequestHeader,
-    ResponseHeader, RAW_HANDLE_NONE,
+    Ack, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, Reply, RequestHeader, ResponseHeader,
+    RAW_HANDLE_NONE,
 };
 
 /// A successful Fig. 4 translation.
@@ -419,31 +419,17 @@ fn count_landed(core: &NiCore, peer: ProcessId, mlength: u64, what: &'static str
     });
 }
 
-/// Entry point: apply §4.8 to one incoming message for `core`.
+/// Apply §4.8 to one whole get, atomic or ack for `core`. Puts and replies
+/// take the streamed sequence below ([`put_begin`], [`reply_begin`]) in
+/// whatever shape they arrive; one handed here is counted as garbage.
 pub(crate) fn deliver(core: &NiCore, node: &NodeShared, msg: PortalsMessage) {
     match msg {
-        PortalsMessage::Put(put) => handle_put(core, node, put),
         PortalsMessage::Get(get) => handle_get(core, node, get),
         PortalsMessage::Atomic(atomic) => handle_atomic(core, node, atomic),
         PortalsMessage::Ack(ack) => handle_ack(core, node, ack),
-        PortalsMessage::Reply(reply) => handle_reply(core, node, reply),
-    }
-}
-
-/// A put that arrived whole: the receive sequence with one write.
-fn handle_put(core: &NiCore, node: &NodeShared, put: PutRequest) {
-    let ack = ack_to(put.ack_md, put.ack_eq);
-    if let Some(sink) = put_begin(core, node, put.header, ack) {
-        sink.write(0, &put.payload);
-        sink.finish(core, node);
-    }
-}
-
-/// A reply that arrived whole: the receive sequence with one write.
-fn handle_reply(core: &NiCore, node: &NodeShared, reply: Reply) {
-    if let Some(sink) = reply_begin(core, reply.header) {
-        sink.write(0, &reply.payload);
-        sink.finish(core, node);
+        PortalsMessage::Put(_) | PortalsMessage::Reply(_) => {
+            crate::stream::garbage(node);
+        }
     }
 }
 
@@ -551,7 +537,7 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
 
     if atomic.fetch {
         // The prior value travels back exactly like a get's reply and lands at
-        // offset 0 of the initiator's fetch descriptor via `handle_reply`.
+        // offset 0 of the initiator's fetch descriptor via `reply_begin`.
         let reply = PortalsMessage::Reply(Reply {
             header: response(
                 &h,
@@ -623,9 +609,8 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
 // flow control, threshold commit, managed-offset advance, auto-unlink), all
 // under the portal lock, and captures a clone of the matched descriptor's
 // memory map. Payload bytes are then scattered into that memory at their
-// absolute offsets with no lock held: in one `write` for a message that
-// arrived whole, one per fragment for a message still coming off the wire,
-// where placement overlaps transfer. Events, counting events and the ack are
+// absolute offsets with no lock held, one `write` per fragment as it comes
+// off the wire, so placement overlaps transfer. Events, counting events and the ack are
 // fired only by `finish`, so the §4.8 observable order — data before event —
 // is preserved.
 //

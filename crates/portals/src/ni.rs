@@ -14,10 +14,13 @@
 //!   the moment they arrive. "The fundamental concept of Portals is to
 //!   decouple the host processor from the network and allow data to flow with
 //!   virtually no application processing" (§5.1).
-//! * `HostDriven` — arriving messages queue raw; they are processed only
-//!   inside API calls on the application's thread. This is the GM-style
-//!   baseline of §5.3, kept protocol-identical so the Figure 6 comparison
-//!   isolates exactly the progress question.
+//! * `HostDriven` — arriving messages wait raw in the node's transport
+//!   endpoint, under its credit flow control; they are processed only inside
+//!   the API calls that run the engine ([`NetworkInterface::progress`], the
+//!   event and counter waits) on the application's thread. This is the
+//!   GM-style baseline of §5.3, kept protocol-identical so the Figure 6
+//!   comparison isolates exactly the progress question. The endpoint alone
+//!   decides which: this module makes the same calls in every mode.
 //!
 //! # Locking model
 //!
@@ -43,7 +46,6 @@ use crate::acl::{AcEntry, AccessControlList, AclReject, InitiatorClass};
 use crate::builder::{AtomicBuilder, GetBuilder, Op, PutBuilder, Verb};
 use crate::counters::{DropReason, NiCounters};
 use crate::ct::{CountingEvent, CtValue};
-use crate::engine;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::md::{Md, MdSpec};
 use crate::me::MatchEntry;
@@ -51,16 +53,13 @@ use crate::node::{ring_waiters, NodeShared};
 use crate::table::{MePos, PortalTable};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use portals_obs::{Layer, Obs, Stage, TraceEvent};
-use portals_types::{
-    MatchCriteria, NiLimits, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, Sharded,
-};
+use portals_types::{MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded};
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
     RAW_HANDLE_NONE,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -151,9 +150,6 @@ pub(crate) struct NiCore {
     /// The node's observability handle: the interface's counters register in
     /// its registry and the engine's lifecycle traces flow to its sinks.
     pub(crate) obs: Obs,
-    /// Host-driven node: raw messages awaiting an API call. Arrivals ring
-    /// the node's waiters' doorbell, where blocked API calls park.
-    pub(crate) raw: Mutex<VecDeque<PortalsMessage>>,
     /// The node's waiters' doorbell: every completion on this interface
     /// rings it ([`NiCore::completed`]).
     pub(crate) waiters: Arc<Readiness>,
@@ -167,7 +163,6 @@ impl NiCore {
             config,
             counters: NiCounters::new(&node.obs.registry, id.nid.0, id.pid),
             obs: node.obs.clone(),
-            raw: Mutex::new(VecDeque::new()),
             waiters: Arc::clone(&node.waiters),
         }
     }
@@ -190,18 +185,6 @@ impl NiCore {
         }
         self.completed();
         true
-    }
-
-    /// Enqueue a raw message for host-driven processing.
-    pub(crate) fn enqueue_raw(&self, msg: PortalsMessage) {
-        self.raw.lock().push_back(msg);
-        self.completed();
-    }
-
-    /// Take the oldest raw message; the queue lock is released on return, so
-    /// the engine runs on it unlocked.
-    pub(crate) fn pop_raw(&self) -> Option<PortalsMessage> {
-        self.raw.lock().pop_front()
     }
 }
 
@@ -806,9 +789,8 @@ impl NetworkInterface {
 
     /// Every blocking call, whatever the mode: the transport's one wait loop
     /// on the node's waiters' doorbell until `check` yields or `timeout`
-    /// passes. The endpoint steps the node when callers step it; this caller
-    /// adds its own interface's raw queue, which only a host-driven node
-    /// fills.
+    /// passes. It runs the node's engine wherever the endpoint leaves that
+    /// to waiting callers.
     fn wait<T>(
         &self,
         timeout: Option<Duration>,
@@ -816,43 +798,23 @@ impl NetworkInterface {
     ) -> PtlResult<T> {
         self.node
             .endpoint
-            .drive_until(
-                timeout.map(|t| Instant::now() + t),
-                true,
-                || self.drain_raw(),
-                check,
-            )
+            .drive_until(timeout.map(|t| Instant::now() + t), true, check)
             .unwrap_or(Err(PtlError::Timeout))
     }
 
     /// Make progress from this call: on a caller-driven node, step the
     /// transport and dispatch inline (there is no NIC thread); on a
-    /// host-driven node, run the engine over this interface's raw queue. A
-    /// no-op beside a NIC thread that runs the engine itself.
+    /// host-driven node, run the engine over the deliveries waiting for an
+    /// API call. A no-op beside a NIC thread that runs the engine itself.
     pub fn progress(&self) {
-        self.node.endpoint.progress_once();
-        self.drain_raw();
+        self.node.endpoint.progress_dispatch();
     }
 
-    /// Run the engine over every queued raw message (host-driven node; the
-    /// queue is always empty otherwise). Returns whether there was any.
-    fn drain_raw(&self) -> bool {
-        if self.node.mode != ProgressMode::HostDriven {
-            return false;
-        }
-        let mut delivered = false;
-        while let Some(msg) = self.core.pop_raw() {
-            engine::deliver(&self.core, &self.node, msg);
-            delivered = true;
-        }
-        delivered
-    }
-
-    /// Raw messages awaiting progress (always 0 unless the node is
-    /// host-driven). Never *processes* raw traffic: "no receive rules outside
-    /// API calls" is the host-driven contract.
+    /// The node's deliveries waiting for an API call to run the engine
+    /// (always 0 unless the node is host-driven). Never *processes* them:
+    /// "no receive rules outside API calls" is the host-driven contract.
     pub fn raw_pending(&self) -> usize {
-        self.core.raw.lock().len()
+        self.node.endpoint.deliveries_pending()
     }
 }
 
@@ -994,7 +956,7 @@ fn get_message(core: &NiCore, op: &Op, length: u64) -> PtlResult<Launched> {
 /// An atomic whose operand comes from the descriptor (for CAS its region
 /// holds `compare ++ operand`). `fetch_md`, when set, turns it into a
 /// fetching atomic whose reply — the prior value — lands at offset 0 of that
-/// descriptor through the ordinary reply path ([`engine::reply_begin`]),
+/// descriptor through the ordinary reply path ([`crate::engine::reply_begin`]),
 /// pinning it (`pending_ops`) exactly like a get pins its reply descriptor.
 fn atomic_message(
     core: &NiCore,
@@ -1092,7 +1054,8 @@ impl std::fmt::Debug for NetworkInterface {
         write!(
             f,
             "NetworkInterface({}, {:?})",
-            self.core.id, self.node.mode
+            self.core.id,
+            self.node.endpoint.progress_mode()
         )
     }
 }

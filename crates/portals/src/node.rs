@@ -10,26 +10,23 @@
 //! The node's transport endpoint owns its step: the one thread that stands in
 //! for NIC firmware steps it — the thread the endpoint spawns, or on a wire
 //! with a receive thread of its own (UDP) that thread — or blocked callers
-//! do. The node hands
-//! it one dispatcher, `NodeShared::dispatch_queued`, which takes each
-//! step's deliveries through the receive engine — or, host-driven, onto the
-//! target interface's raw queue — so selection and delivery proceed while
-//! the application computes.
+//! do. The node hands it one dispatcher, `NodeShared::dispatch_queued`, which
+//! takes the endpoint's deliveries — fragments, one per message that fit one
+//! — through [`crate::stream`] into the receive engine. The endpoint decides
+//! when it runs: after each step, so selection and delivery proceed while
+//! the application computes, or, host-driven, only inside the API calls that
+//! run the engine.
 //!
 //! Blocked API calls park on the endpoint's *waiters' doorbell*
 //! ([`Endpoint::readiness`]): the link's when they step the protocol
 //! themselves (caller-driven), one of their own that only completions ring
 //! beside a NIC thread. The node rings it for every completion.
 
-use crate::engine;
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
 use parking_lot::{Mutex, RwLock};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_transport::{Delivery, Endpoint, TransportConfig};
-use portals_types::{
-    Gather, NodeId, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, UserId,
-};
-use portals_wire::PortalsMessage;
+use portals_types::{NodeId, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, UserId};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -107,13 +104,9 @@ pub(crate) struct NodeShared {
     pub(crate) dropped_no_process: Counter,
     /// Misrouted or undecodable traffic.
     pub(crate) dropped_garbage: Counter,
-    /// Who runs the protocol here. Per node, not per interface: the thread
-    /// that takes a datagram either runs the engine on it or does not, and it
-    /// decides before it knows which interface the datagram is for.
-    pub(crate) mode: ProgressMode,
     /// Per-source stream state for fragment-at-a-time delivery
-    /// ([`crate::stream`]). Only ever touched from the dispatcher, under the
-    /// endpoint's step lock.
+    /// ([`crate::stream`]). Only ever touched from the dispatcher, which the
+    /// endpoint runs on one thread at a time.
     pub(crate) streams: Mutex<HashMap<NodeId, crate::stream::MsgStream>>,
     /// Where blocked `eq_wait`/`ct_wait` callers park, and what every
     /// completion rings: the endpoint's waiters' doorbell (see the module
@@ -122,17 +115,20 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
-    /// The node's dispatcher: run the endpoint's delivery stream — whole
-    /// messages and fragments of larger ones, queued by the transport step
-    /// just before — through the engine, with the transport's core lock
-    /// released (the engine re-enters the endpoint to send). The endpoint's
-    /// stepper runs it under its step lock. The whole run is one [`Burst`]
-    /// for the waiters' doorbell.
+    /// The node's dispatcher: run the endpoint's delivery stream — the
+    /// fragments the transport queued — through the engine, with the
+    /// transport's core lock released (the engine re-enters the endpoint to
+    /// send). The endpoint runs it on one thread at a time: its stepper after
+    /// each step, or a host-driven node's API calls. The whole run is one
+    /// [`Burst`] for the waiters' doorbell.
     fn dispatch_queued(&self) -> bool {
         let _burst = Burst::open(&self.waiters);
         let mut worked = false;
         while let Some(delivery) = self.endpoint.pop_delivery() {
-            deliver(self, delivery);
+            match delivery {
+                Delivery::Fragment(frag) => crate::stream::on_fragment(self, frag),
+                Delivery::Abandoned { src } => crate::stream::on_abandoned(self, src),
+            }
             worked = true;
         }
         worked
@@ -212,8 +208,8 @@ impl Node {
     /// UDP socket) that is the receive thread, stepping after each batch it
     /// takes; otherwise the endpoint spawns `portals-node-<nid>`, parked on
     /// the link's doorbell. [`ProgressMode::HostDriven`] uses the same
-    /// thread; its dispatch queues each message raw on the target interface
-    /// for that interface's next API call instead of running the engine.
+    /// thread for the transport alone: what it delivers waits in the
+    /// endpoint's queue for the node's next API call that runs the engine.
     /// With [`ProgressMode::CallerDriven`] no thread is spawned: the endpoint
     /// is a cooperative fabric driver and blocked API calls run that step
     /// inline.
@@ -232,7 +228,6 @@ impl Node {
             obs.clone(),
             |endpoint| NodeShared {
                 nid,
-                mode: endpoint.progress_mode(),
                 waiters: endpoint.readiness(),
                 endpoint,
                 nis: RwLock::new(HashMap::new()),
@@ -322,41 +317,6 @@ impl Drop for Node {
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Node({})", self.shared.nid)
-    }
-}
-
-/// Route one transport delivery: a whole message is decoded and received in
-/// one go, a fragment feeds the per-source state machine that spreads the
-/// same receive sequence over the message's arrival.
-fn deliver(shared: &NodeShared, delivery: Delivery) {
-    match delivery {
-        Delivery::Message(msg) => dispatch(shared, &msg.payload),
-        Delivery::Fragment(frag) => crate::stream::on_fragment(shared, frag),
-        Delivery::Abandoned { src } => crate::stream::on_abandoned(shared, src),
-    }
-}
-
-/// One whole message's §4.8 journey, starting from the node-level checks.
-///
-/// The message arrives as a [`Gather`] of datagram views; decoding peeks the
-/// fixed headers into a stack buffer and leaves the payload as zero-copy
-/// sub-slices of those views.
-pub(crate) fn dispatch(shared: &NodeShared, payload: &Gather) {
-    let msg = match PortalsMessage::decode_gather(payload) {
-        Ok(m) => m,
-        Err(_) => {
-            shared.dropped_garbage.inc();
-            node_drop_trace(shared, "garbage");
-            return;
-        }
-    };
-    let Some(core) = lookup(shared, msg.wire_target()) else {
-        return;
-    };
-    if shared.mode == ProgressMode::HostDriven {
-        core.enqueue_raw(msg);
-    } else {
-        engine::deliver(&core, shared, msg);
     }
 }
 

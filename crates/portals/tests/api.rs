@@ -547,6 +547,62 @@ fn host_driven_makes_no_progress_without_calls() {
     assert_eq!(buf.read_vec(0, 6), b"parked");
 }
 
+/// A host-driven target that makes no API calls holds what arrives in its
+/// endpoint, under credit: a sender with 1 000 puts for it stops at the
+/// credit window instead of filling an unbounded queue, and resumes without
+/// a retransmission once the target's waits drain the backlog.
+#[test]
+fn host_driven_backlog_is_bounded_by_credit() {
+    const PUTS: u64 = 1000;
+    let fabric = Fabric::ideal();
+    let mode = |progress_mode| NodeConfig {
+        transport: TransportConfig {
+            progress_mode,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let na = Node::new(fabric.attach(NodeId(0)), mode(ProgressMode::NicThread));
+    let nb = Node::new(fabric.attach(NodeId(1)), mode(ProgressMode::HostDriven));
+    let window = TransportConfig::default().credit_window;
+    let a = default_ni(&na);
+    let b = default_ni(&nb);
+    let eq = b.eq_alloc(PUTS as usize).unwrap();
+    let me = b
+        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+        .unwrap();
+    b.md_attach(me, MdSpec::new(Region::zeroed(8)).with_eq(eq))
+        .unwrap();
+
+    let md = a.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
+    for i in 0..PUTS {
+        a.put_op(md)
+            .target(b.id(), 0)
+            .bits(MatchBits::new(i))
+            .ack(AckRequest::NoAck)
+            .submit()
+            .unwrap();
+    }
+    let flow = na.transport_stats();
+    wait_for(|| {
+        assert!(b.raw_pending() <= window, "{} raw", b.raw_pending());
+        flow.credit_blocked_now.get() == 1
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(b.raw_pending() <= window, "{} raw", b.raw_pending());
+    assert_eq!(flow.credit_blocked_now.get(), 1);
+    assert_eq!(flow.retransmissions.get(), 0);
+
+    for i in 0..PUTS {
+        let ev = b.eq_poll(eq, TIMEOUT).unwrap();
+        assert_eq!(
+            (ev.kind, ev.match_bits),
+            (EventKind::Put, MatchBits::new(i))
+        );
+    }
+    assert_eq!(flow.retransmissions.get(), 0);
+}
+
 #[test]
 fn application_bypass_progresses_without_calls() {
     let fabric = Fabric::ideal();

@@ -25,9 +25,9 @@ use portals_types::{MatchBits, MatchCriteria, ProcessId, Rank};
 // layer; `validate_reserved_layout` (checked at communicator construction)
 // keeps barrier rounds below it. Drifting outside the band is a compile error.
 const _: () = assert!(
-    0x10a >= portals_mpi::bits::COLL_TAG_BASE_OFFSET
+    0x108 >= portals_mpi::bits::COLL_TAG_BASE_OFFSET
         && 0x100 == portals_mpi::bits::COLL_TAG_BASE_OFFSET
-        && 0x10a < portals_mpi::bits::COLL_TAG_BASE_OFFSET + portals_mpi::bits::COLL_TAG_SPAN,
+        && 0x108 < portals_mpi::bits::COLL_TAG_BASE_OFFSET + portals_mpi::bits::COLL_TAG_SPAN,
     "collective tags outside the reserved band granted by the MPI layer"
 );
 
@@ -40,10 +40,6 @@ const TAG_GATHER: u32 = MAX_USER_TAG + 0x105;
 const TAG_SCATTER: u32 = MAX_USER_TAG + 0x106;
 const TAG_ALLGATHER: u32 = MAX_USER_TAG + 0x107;
 const TAG_ALLTOALL: u32 = MAX_USER_TAG + 0x108;
-/// Clear-to-send for size-announced transfers (gather/scatter).
-const TAG_XFER_CTS: u32 = MAX_USER_TAG + 0x109;
-/// Payload of a size-announced transfer.
-const TAG_XFER_DATA: u32 = MAX_USER_TAG + 0x10a;
 
 /// A collective that could not complete correctly. Defined in
 /// `portals_types::error` (so the layered `ErrorKind` can wrap it) and
@@ -198,39 +194,13 @@ impl Collectives {
         Ok(buf.read_vec(0, st.len))
     }
 
-    /// Send `data` preceded by a size announcement: the receiver posts an
-    /// exactly-sized receive MD and clears the payload to fly only once that
-    /// landing zone exists. Works for any length up to the interface limit —
-    /// unlike a plain eager send, the payload can never be truncated by an
-    /// overflow slab or a guessed receive cap.
-    fn send_sized(&self, to: usize, tag: u32, data: &[u8]) {
-        self.send_to(to, tag, &(data.len() as u64).to_le_bytes());
-        let cts = self.recv_from(to, TAG_XFER_CTS, 0);
-        debug_assert!(cts.is_empty());
-        self.send_to(to, TAG_XFER_DATA, data);
-    }
-
-    /// Receive one [`Collectives::send_sized`] transfer: read the announced
-    /// length, post a receive MD of exactly that size, then send clear-to-send.
-    fn recv_sized(&self, from: usize, tag: u32) -> Result<Vec<u8>, CollError> {
-        let hdr = self.try_recv_from(from, tag, 8)?;
-        let len = u64::from_le_bytes(hdr.try_into().map_err(|_| CollError::Truncated {
-            expected: 8,
-            got: 0,
-        })?) as usize;
-        let buf = Region::zeroed(len);
-        let req = self
-            .comm
-            .irecv_reserved(Rank(from as u32), TAG_XFER_DATA, buf.clone());
-        self.send_to(from, TAG_XFER_CTS, &[]);
-        let st = self.comm.wait(req).status().expect("sized transfer recv");
-        if st.truncated || st.len != len {
-            return Err(CollError::Truncated {
-                expected: len,
-                got: st.full_len,
-            });
-        }
-        Ok(buf.read_vec(0, st.len))
+    /// Receive the next message `from` sends on `tag`, whatever its length:
+    /// probe it for its length, then post a receive of exactly that size. An
+    /// unexpected message of any size arrives whole — a long one is pulled
+    /// into the posted receive — so a part needs no size announcement.
+    fn recv_probed(&self, from: usize, tag: u32) -> Result<Vec<u8>, CollError> {
+        let len = self.comm.probe(Some(Rank(from as u32)), Some(tag)).len;
+        self.try_recv_from(from, tag, len)
     }
 
     // -- collectives --------------------------------------------------------
@@ -370,13 +340,13 @@ impl Collectives {
     }
 
     /// Gather every rank's bytes at `root` (rank-ordered); `Ok(None)`
-    /// elsewhere. Each receive is sized from the arrival envelope, so parts
-    /// of any length work — there is no built-in cap.
+    /// elsewhere. One message per part, each received at the length a probe
+    /// reports, so parts of any length work — there is no built-in cap.
     pub fn gather(&self, root: usize, mine: &[u8]) -> Result<Option<Vec<Vec<u8>>>, CollError> {
         let n = self.n();
         let me = self.me();
         if me != root {
-            self.send_sized(root, TAG_GATHER, mine);
+            self.send_to(root, TAG_GATHER, mine);
             return Ok(None);
         }
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
@@ -385,15 +355,15 @@ impl Collectives {
         // by source).
         for (r, slot) in out.iter_mut().enumerate() {
             if r != me {
-                *slot = self.recv_sized(r, TAG_GATHER)?;
+                *slot = self.recv_probed(r, TAG_GATHER)?;
             }
         }
         Ok(Some(out))
     }
 
     /// Scatter `parts[i]` from `root` to rank `i`; returns this rank's part.
-    /// The receive is sized from the arrival envelope, so parts of any length
-    /// work — there is no built-in cap.
+    /// One message per part, received at the length a probe reports, so parts
+    /// of any length work — there is no built-in cap.
     pub fn scatter(&self, root: usize, parts: Option<&[Vec<u8>]>) -> Result<Vec<u8>, CollError> {
         let n = self.n();
         let me = self.me();
@@ -401,11 +371,11 @@ impl Collectives {
             let parts = parts.expect("root must supply parts");
             assert_eq!(parts.len(), n, "one part per rank");
             for r in (0..n).filter(|&r| r != me) {
-                self.send_sized(r, TAG_SCATTER, &parts[r]);
+                self.send_to(r, TAG_SCATTER, &parts[r]);
             }
             Ok(parts[me].clone())
         } else {
-            self.recv_sized(root, TAG_SCATTER)
+            self.recv_probed(root, TAG_SCATTER)
         }
     }
 

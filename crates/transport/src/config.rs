@@ -45,12 +45,12 @@ pub struct TransportConfig {
     /// Who runs the protocol — a property of the node built on this
     /// endpoint. [`ProgressMode::NicThread`] (default) and
     /// [`ProgressMode::HostDriven`] park one thread per endpoint (the node's,
-    /// when there is a node above) on the link's doorbell;
-    /// [`ProgressMode::CallerDriven`] runs the same step inline from the
-    /// blocked or polling caller. Submission is inline in all three. The
-    /// transport itself does nothing else with the value: whether the thread
-    /// that takes a datagram also runs the receive engine is the node's
-    /// business.
+    /// when there is a node above) on the link's doorbell, or step on the
+    /// link's receive thread; [`ProgressMode::CallerDriven`] runs the same
+    /// step inline from the blocked or polling caller. Submission is inline
+    /// in all three. The endpoint also decides with it when a node's
+    /// dispatcher (its receive engine) runs: in the step, or host-driven only
+    /// inside the node's API calls that run the engine.
     /// Always defaults to `NicThread` here: higher-level configs
     /// (`NodeConfig`) consult `PORTALS_PROGRESS_MODE`, so transport unit
     /// tests that rely on autonomous background progress keep it.

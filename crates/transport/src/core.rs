@@ -46,7 +46,7 @@
 //! idle-loop cost no longer scans every sender peer.
 
 use crate::config::TransportConfig;
-use crate::endpoint::{Delivery, IncomingMessage, StreamFragment};
+use crate::endpoint::{Delivery, StreamFragment};
 use crate::peer::{ReceiverPeer, Released, SenderPeer};
 use crate::stats::TransportStats;
 use portals_net::{Datagram, Link};
@@ -568,19 +568,14 @@ impl ProgressCore {
                                 .bytes(slice.offset + slice.body.len() as u64)
                         });
                     }
-                    if slice.frag_count == 1 {
-                        // A single-fragment slice *is* the message.
-                        self.staged.push(Delivery::Message(IncomingMessage {
-                            src,
-                            payload: slice.body,
-                        }));
-                        continue;
-                    }
-                    // Stream the fragment upward with its placement offset;
+                    // Hand the fragment upward with its placement offset;
                     // the consumer scatters it immediately instead of waiting
                     // for the rest. Contiguous fragments within one run
-                    // coalesce into a single delivery.
-                    self.stats.frags_streamed.add(1);
+                    // coalesce into a single delivery. A single-fragment
+                    // slice is the whole message: offset 0, last.
+                    if slice.frag_count > 1 {
+                        self.stats.frags_streamed.add(1);
+                    }
                     match self.staged.last_mut() {
                         Some(Delivery::Fragment(p))
                             if p.src == src

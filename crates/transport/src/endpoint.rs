@@ -5,7 +5,10 @@
 //! callers park. Where the wire takes datagrams on a receive thread of its
 //! own (a UDP socket), that thread steps; otherwise the endpoint spawns a NIC
 //! thread parked on the link's doorbell. A node above hands the endpoint one
-//! dispatcher, run over each step's deliveries; a bare endpoint has none.
+//! dispatcher; a bare endpoint has none. The endpoint alone decides when the
+//! dispatcher runs: over each step's deliveries, or — host-driven — only
+//! inside the API calls that run the node's engine, so that deliveries wait
+//! in the endpoint's own queue, under its credit flow control.
 
 use crate::config::TransportConfig;
 use crate::core::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
@@ -29,8 +32,9 @@ pub struct IncomingMessage {
     pub payload: Gather,
 }
 
-/// One in-order fragment of a multi-fragment message, streamed upward with
-/// its placement offset while the rest of the message is still in flight.
+/// One in-order fragment of a message, handed upward with its placement
+/// offset while the rest of the message may still be in flight. A message
+/// that fit one transport fragment is one fragment: offset 0, `last` set.
 ///
 /// The transport guarantees per-source ordering, and enforces it against the
 /// wire (see [`ReceiverPeer`](crate::peer::ReceiverPeer)): a message's
@@ -52,13 +56,11 @@ pub struct StreamFragment {
     pub payload: Gather,
 }
 
-/// What the transport hands upward: a whole message (one that fit in a
-/// single fragment) or one streamed fragment of a larger message.
+/// What the transport hands upward: one fragment of a message, or the end
+/// of one its sender broke off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery {
-    /// A complete message.
-    Message(IncomingMessage),
-    /// One in-order fragment of a multi-fragment message.
+    /// One in-order fragment of a message.
     Fragment(StreamFragment),
     /// The multi-fragment message `src` was in the middle of will never
     /// complete (its sender violated fragment contiguity): discard whatever
@@ -75,8 +77,8 @@ pub enum Delivery {
 /// wire and returns; acks, pacing and retransmission happen in whoever steps
 /// the protocol (see [`ProgressMode`]). Reassembled inbound messages are read
 /// from [`Endpoint::recv`] or drained with [`Endpoint::try_recv`]; the Portals
-/// node built on top takes the raw delivery stream
-/// ([`Endpoint::pop_delivery`]) instead.
+/// node built on top takes the fragment stream ([`Endpoint::pop_delivery`])
+/// instead.
 ///
 /// ```
 /// use portals_transport::{Endpoint, TransportConfig};
@@ -94,7 +96,8 @@ pub enum Delivery {
 pub struct Endpoint {
     nid: NodeId,
     /// What the core delivered. It rings whoever consumes it: the stepper's
-    /// doorbell when a dispatcher runs over it, `waiters` when `recv` does.
+    /// doorbell when a dispatcher runs over it in the step, `waiters` when
+    /// `recv` or a host-driven node's API calls do.
     incoming: Arc<DoorbellQueue<Delivery>>,
     /// Where blocked callers park ([`Endpoint::readiness`]).
     waiters: Arc<Readiness>,
@@ -115,6 +118,11 @@ pub struct Endpoint {
     /// The NIC thread, until [`Endpoint::stop`] joins it. `None` when callers
     /// or the link's receive thread step.
     nic_thread: Mutex<Option<JoinHandle<()>>>,
+    /// A host-driven node's dispatcher, which no step runs: only a
+    /// receiving wait ([`Endpoint::drive_until`]) and
+    /// [`Endpoint::progress_dispatch`] do. `None` in every other mode, where
+    /// the stepper holds the dispatcher.
+    deferred: Mutex<Option<Dispatch>>,
 }
 
 /// What a node runs over each step's deliveries, with the core lock
@@ -297,7 +305,9 @@ impl Endpoint {
     /// [`Endpoint::with_obs`] for a node: `owner` builds the node around the
     /// endpoint, and only then does the stepper start, running `dispatch`
     /// over every step's deliveries — so no delivery ever waits on a node
-    /// that does not exist yet.
+    /// that does not exist yet. A host-driven endpoint is built like a bare
+    /// one: its step leaves the deliveries queued, and `dispatch` runs only
+    /// inside the node's API calls.
     #[doc(hidden)]
     pub fn with_dispatcher<N>(
         link: impl Link,
@@ -309,7 +319,8 @@ impl Endpoint {
     where
         N: AsRef<Endpoint> + Send + Sync + 'static,
     {
-        let node = Arc::new(owner(Endpoint::build(link, cfg, obs, true)));
+        let stepped = cfg.progress_mode != ProgressMode::HostDriven;
+        let node = Arc::new(owner(Endpoint::build(link, cfg, obs, stepped)));
         let weak = Arc::downgrade(&node);
         (*node).as_ref().start(Some(Box::new(move || {
             weak.upgrade().is_some_and(|node| dispatch(&node))
@@ -321,8 +332,8 @@ impl Endpoint {
     /// the link's doorbell when they step, and beside a NIC thread on one of
     /// their own, so that a datagram (an ack among them) wakes the NIC thread
     /// only. The delivery queue rings whoever consumes it: the stepper when
-    /// a dispatcher will (`dispatched`), the waiters otherwise.
-    fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, dispatched: bool) -> Endpoint {
+    /// a dispatcher runs in its step (`stepped`), the waiters otherwise.
+    fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, stepped: bool) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         let LinkCaps {
             hub,
@@ -344,7 +355,7 @@ impl Endpoint {
         } else {
             Arc::new(Readiness::new())
         };
-        let (delivered_on, work) = if dispatched {
+        let (delivered_on, work) = if stepped {
             (&readiness, Readiness::INBOUND | Readiness::DELIVERED)
         } else {
             (&waiters, Readiness::INBOUND)
@@ -387,14 +398,20 @@ impl Endpoint {
             mode: cfg.progress_mode,
             stepper,
             nic_thread: Mutex::new(None),
+            deferred: Mutex::new(None),
         }
     }
 
-    /// Hand the stepper its dispatcher, then start whoever steps: register
-    /// the cooperative driver when callers step, else host it on the link's
-    /// receive thread, else spawn the NIC thread.
+    /// Hand the dispatcher to whoever runs it — the stepper, or host-driven
+    /// the API calls — then start whoever steps: register the cooperative
+    /// driver when callers step, else host it on the link's receive thread,
+    /// else spawn the NIC thread.
     fn start(&self, dispatch: Option<Dispatch>) {
-        *self.stepper.step.lock() = dispatch;
+        if self.mode == ProgressMode::HostDriven {
+            *self.deferred.lock() = dispatch;
+        } else {
+            *self.stepper.step.lock() = dispatch;
+        }
         let driver = Arc::downgrade(&self.stepper) as Weak<dyn NodeDriver>;
         if self.mode.is_caller_driven() {
             // Volunteer for cooperative servicing so peers' wait loops keep
@@ -463,7 +480,6 @@ impl Endpoint {
     /// message comes back out.
     fn fold(&self, delivery: Delivery) -> Option<IncomingMessage> {
         match delivery {
-            Delivery::Message(m) => Some(m),
             Delivery::Fragment(f) => {
                 let mut reasm = self.reasm.lock();
                 let acc = reasm.entry(f.src).or_default();
@@ -519,18 +535,19 @@ impl Endpoint {
     }
 
     fn recv_until(&self, deadline: Option<Instant>) -> Option<IncomingMessage> {
-        self.drive_until(deadline, true, || false, || self.pop_message())
+        self.drive_until(deadline, true, || self.pop_message())
     }
 
     /// The one wait loop beneath every blocking call (`recv`, `flush`, and
     /// through this hidden seam the Portals event and counter waits): step
-    /// (when callers step) and `work` (the caller's own extra work; true if
-    /// it did any) → `check` → service peers → bounded spin → park on the
+    /// (when callers step) and, if `receiving`, run a host-driven node's
+    /// dispatcher → `check` → service peers → bounded spin → park on the
     /// waiters' doorbell ([`Endpoint::readiness`]), until `check` yields or
     /// `deadline` passes (`None`). Only a caller-driven waiter steps,
-    /// services peers, spins (if `spin`) and wakes for the transport's
+    /// services peers, spins (if `receiving`) and wakes for the transport's
     /// timers; beside a NIC thread it parks at once, on a doorbell the work
-    /// it waits for rings.
+    /// it waits for rings. A waiter that is not `receiving` (`flush`, which
+    /// waits only for acks) neither spins nor runs the engine.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// step and predicate check, and the park returns immediately if it
@@ -539,12 +556,11 @@ impl Endpoint {
     pub fn drive_until<T>(
         &self,
         deadline: Option<Instant>,
-        spin: bool,
-        mut work: impl FnMut() -> bool,
+        receiving: bool,
         mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
         let stepping = self.mode.is_caller_driven();
-        let spin_iters = if stepping && spin {
+        let spin_iters = if stepping && receiving {
             portals_types::spin_budget(SPIN_ITERS)
         } else {
             0
@@ -552,7 +568,7 @@ impl Endpoint {
         let mut idle_iters: u32 = 0;
         loop {
             let observed = self.waiters.seq();
-            let worked = (stepping && self.stepper.step(false)) | work();
+            let worked = (stepping && self.stepper.step(false)) | (receiving && self.dispatch());
             if let Some(v) = check() {
                 return Some(v);
             }
@@ -595,23 +611,40 @@ impl Endpoint {
         }
     }
 
-    /// Pop the next raw delivery — a whole message, or one streamed
-    /// fragment of a larger one — for engines that place fragments as they
-    /// arrive. The pop is reported to the core, which sheds inbound credit
-    /// against the message-unit backlog (`messages_delivered -
-    /// messages_consumed`): whole messages and last fragments count one unit
-    /// each, intermediate fragments are free.
+    /// Pop the next delivery — one fragment of a message — for engines that
+    /// place fragments as they arrive. The pop is reported to the core, which
+    /// sheds inbound credit against the message-unit backlog
+    /// (`messages_delivered - messages_consumed`): a last fragment counts one
+    /// unit, every other fragment is free.
     pub fn pop_delivery(&self) -> Option<Delivery> {
         let delivery = self.incoming.try_recv().ok()?;
-        let unit = match &delivery {
-            Delivery::Message(_) => true,
-            Delivery::Fragment(f) => f.last,
-            Delivery::Abandoned { .. } => false,
-        };
-        if unit {
+        if matches!(&delivery, Delivery::Fragment(f) if f.last) {
             self.stats.messages_consumed.inc();
         }
         Some(delivery)
+    }
+
+    /// Deliveries waiting for an API call: those a host-driven node's
+    /// dispatcher has yet to run over (always 0 in the other modes, whose
+    /// steps dispatch what they deliver).
+    pub fn deliveries_pending(&self) -> usize {
+        if self.mode == ProgressMode::HostDriven {
+            self.incoming.len()
+        } else {
+            0
+        }
+    }
+
+    /// Run a host-driven node's dispatcher over the deliveries waiting for
+    /// it, unless another caller is already running it or the endpoint is
+    /// stopped. Returns whether it had any; always `false` in the other
+    /// modes.
+    fn dispatch(&self) -> bool {
+        let Some(deferred) = self.deferred.try_lock() else {
+            return false;
+        };
+        self.stepper.alive.load(Ordering::Acquire)
+            && deferred.as_ref().is_some_and(|dispatch| dispatch())
     }
 
     /// Fragments queued or in flight (0 means everything sent so far has been
@@ -627,12 +660,9 @@ impl Endpoint {
         // No spin: the acks come from threads that may need this CPU. And no
         // ring from the step that takes the last ack: it would cost every
         // caller-driven waiter an idle turn per ack (DESIGN.md §6f).
-        self.drive_until(
-            Some(Instant::now() + timeout),
-            false,
-            || false,
-            || (self.outstanding() == 0).then_some(()),
-        )
+        self.drive_until(Some(Instant::now() + timeout), false, || {
+            (self.outstanding() == 0).then_some(())
+        })
         .is_some()
     }
 
@@ -644,6 +674,15 @@ impl Endpoint {
     /// done; always `false` beside a NIC thread, which does this itself.
     pub fn progress_once(&self) -> bool {
         self.mode.is_caller_driven() && (self.stepper.step(false) | self.hub.service_peers())
+    }
+
+    /// [`Endpoint::progress_once`] from an API call that runs the node's
+    /// receive engine: on a host-driven endpoint, also run the node's
+    /// dispatcher over every delivery waiting for it. Observers (a queue
+    /// length, a counter read) call `progress_once` instead, so on a
+    /// host-driven node they never run the engine.
+    pub fn progress_dispatch(&self) -> bool {
+        self.progress_once() | self.dispatch()
     }
 
     /// The progress mode this endpoint was built with.

@@ -18,13 +18,13 @@ pub struct TransportStats {
     /// Messages fully reassembled and delivered upward.
     pub messages_delivered: Counter,
     /// Message-unit deliveries the consumer has popped from the inbound
-    /// queue (a whole [`Delivery::Message`](crate::Delivery) or the `last`
-    /// fragment of a streamed message). `messages_delivered -
-    /// messages_consumed` is the consumer backlog the receiver sheds
-    /// against when advertising credits; counting message units rather than
-    /// queue items keeps one large streamed message — thousands of
-    /// fragment deliveries, drained at placement speed — from reading as an
-    /// oversubscribed consumer.
+    /// queue: the `last` [`Delivery::Fragment`](crate::Delivery) of each
+    /// message, the only one of a message that fit one fragment.
+    /// `messages_delivered - messages_consumed` is the consumer backlog the
+    /// receiver sheds against when advertising credits; counting message
+    /// units rather than queue items keeps one large streamed message —
+    /// thousands of fragment deliveries, drained at placement speed — from
+    /// reading as an oversubscribed consumer.
     pub messages_consumed: Counter,
     /// DATA packets put on the wire (including retransmissions).
     pub data_packets_sent: Counter,

@@ -16,11 +16,12 @@
 //! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
 //!   in a wait runs that same step inline, spinning briefly and then parking
 //!   on the link's doorbell between arrivals.
-//! * **Host-driven** — the NIC thread runs the transport only and queues what
-//!   arrives; the receive engine runs inside API calls on the application's
+//! * **Host-driven** — the NIC thread runs the transport only, and what it
+//!   delivers waits in the endpoint's delivery queue, under credit flow
+//!   control; the receive engine runs inside API calls on the application's
 //!   thread (the GM-style baseline of the paper's §5.3). A blocked caller
-//!   drains that queue, then parks on a doorbell that completions and raw
-//!   arrivals ring.
+//!   runs the engine over that queue, then parks on a doorbell that
+//!   completions and deliveries ring.
 //!
 //! So there is one way to wait: step what the caller may step, check, and
 //! park on a doorbell. The mode only picks the doorbell — the one the
@@ -70,10 +71,11 @@ pub enum ProgressMode {
     /// Threadless: the blocked or polling caller steps the transport, the
     /// fabric and the receive engine inline. No handoff at all.
     CallerDriven,
-    /// The NIC thread steps the transport and queues arrivals raw; the
-    /// receive rules of §4.8 run only inside API calls on the interface the
-    /// message is for. The GM-style baseline of §5.3 and Figure 6, kept
-    /// protocol-identical so the comparison isolates the progress question.
+    /// The NIC thread steps the transport and leaves arrivals queued raw in
+    /// the endpoint; the receive rules of §4.8 run only inside the node's
+    /// API calls that run the engine. The GM-style baseline of §5.3 and
+    /// Figure 6, kept protocol-identical so the comparison isolates the
+    /// progress question.
     HostDriven,
 }
 

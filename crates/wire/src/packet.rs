@@ -26,7 +26,7 @@
 
 use crate::checksum::Crc32;
 use crate::error::WireError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use portals_types::Gather;
 
 /// Packet type discriminator.
@@ -311,42 +311,13 @@ impl Packet {
         Ok((header, size, flags, stored, crc))
     }
 
-    /// Final CRC comparison shared by the decode variants.
+    /// Final CRC comparison.
     fn verify(stored: u32, crc: Crc32) -> Result<(), WireError> {
         let computed = crc.finish();
         if computed != stored {
             return Err(WireError::Checksum { stored, computed });
         }
         Ok(())
-    }
-
-    /// Parse, copying the body out of the borrowed buffer.
-    pub fn decode(buf: &[u8]) -> Result<Packet, WireError> {
-        let (header, body_at, flags, stored, mut crc) = Self::decode_header(buf)?;
-        if flags & Self::FLAG_BODY_CRC != 0 {
-            crc.update(&buf[body_at..]);
-        }
-        Self::verify(stored, crc)?;
-        let body = match header {
-            PacketHeader::Data { .. } => Gather::copy_from_slice(&buf[body_at..]),
-            PacketHeader::Ack { .. } | PacketHeader::Probe { .. } => Gather::new(),
-        };
-        Ok(Packet { header, body })
-    }
-
-    /// Parse a datagram already held as [`Bytes`] without copying: the body is
-    /// an O(1) slice sharing the datagram's backing storage.
-    pub fn decode_bytes(buf: &Bytes) -> Result<Packet, WireError> {
-        let (header, body_at, flags, stored, mut crc) = Self::decode_header(buf)?;
-        if flags & Self::FLAG_BODY_CRC != 0 {
-            crc.update(&buf[body_at..]);
-        }
-        Self::verify(stored, crc)?;
-        let body = match header {
-            PacketHeader::Data { .. } => Gather::from_bytes(buf.slice(body_at..)),
-            PacketHeader::Ack { .. } | PacketHeader::Probe { .. } => Gather::new(),
-        };
-        Ok(Packet { header, body })
     }
 
     /// Parse a datagram held as a [`Gather`] without coalescing it: the header
@@ -378,12 +349,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Decode a datagram received as one contiguous buffer.
+    fn decode(buf: &[u8]) -> Result<Packet, WireError> {
+        Packet::decode_gather(&Gather::copy_from_slice(buf))
+    }
+
     #[test]
     fn data_roundtrip() {
         let p = Packet::data(7, 3, 4, 1, 4, Gather::copy_from_slice(b"frag"));
         let encoded = p.encode();
         assert_eq!(encoded.len(), p.encoded_len());
-        let decoded = Packet::decode(&encoded.to_vec()).unwrap();
+        let decoded = decode(&encoded.to_vec()).unwrap();
         assert_eq!(decoded, p);
     }
 
@@ -392,7 +368,7 @@ mod tests {
         let p = Packet::ack(41, 105);
         let encoded = p.encode();
         assert_eq!(encoded.len(), Packet::ACK_SIZE);
-        assert_eq!(Packet::decode(&encoded.to_vec()).unwrap(), p);
+        assert_eq!(decode(&encoded.to_vec()).unwrap(), p);
     }
 
     #[test]
@@ -400,7 +376,7 @@ mod tests {
         let p = Packet::probe(17);
         let encoded = p.encode();
         assert_eq!(encoded.len(), Packet::PROBE_SIZE);
-        assert_eq!(Packet::decode(&encoded.to_vec()).unwrap(), p);
+        assert_eq!(decode(&encoded.to_vec()).unwrap(), p);
         assert_eq!(Packet::decode_gather(&p.encode()).unwrap(), p);
     }
 
@@ -409,44 +385,37 @@ mod tests {
         let p = Packet::data(7, 3, 4, 1, 4, Gather::copy_from_slice(b"covered"));
         let encoded = p.encode_with(true);
         assert_eq!(encoded.len(), p.encoded_len());
-        assert_eq!(Packet::decode(&encoded.to_vec()).unwrap(), p);
+        assert_eq!(decode(&encoded.to_vec()).unwrap(), p);
         assert_eq!(Packet::decode_gather(&encoded).unwrap(), p);
-        assert_eq!(Packet::decode_bytes(&encoded.to_bytes()).unwrap(), p);
     }
 
     #[test]
     fn truncated_ack_and_probe_rejected() {
         let ack = Packet::ack(3, 9).encode().to_vec();
         assert!(matches!(
-            Packet::decode(&ack[..Packet::ACK_SIZE - 1]),
+            decode(&ack[..Packet::ACK_SIZE - 1]),
             Err(WireError::Truncated { .. })
         ));
         let probe = Packet::probe(3).encode().to_vec();
         assert!(matches!(
-            Packet::decode(&probe[..Packet::PROBE_SIZE - 1]),
+            decode(&probe[..Packet::PROBE_SIZE - 1]),
             Err(WireError::Truncated { .. })
         ));
     }
 
     #[test]
     fn empty_unknown_and_foreign_rejected() {
-        assert!(matches!(
-            Packet::decode(&[]),
-            Err(WireError::Truncated { .. })
-        ));
+        assert!(matches!(decode(&[]), Err(WireError::Truncated { .. })));
         // Wrong magic: foreign traffic, rejected before anything else.
-        assert!(matches!(
-            Packet::decode(&[0x99, 0, 0]),
-            Err(WireError::BadMagic)
-        ));
+        assert!(matches!(decode(&[0x99, 0, 0]), Err(WireError::BadMagic)));
         // Right magic, wrong version: a cross-version peer.
         assert!(matches!(
-            Packet::decode(&[Packet::MAGIC, Packet::VERSION + 1, 0, 0, 0, 0, 0, 0x10]),
+            decode(&[Packet::MAGIC, Packet::VERSION + 1, 0, 0, 0, 0, 0, 0x10]),
             Err(WireError::BadMagic)
         ));
         // Valid prefix, unknown kind byte.
         assert!(matches!(
-            Packet::decode(&[Packet::MAGIC, Packet::VERSION, 0, 0, 0, 0, 0, 0x99]),
+            decode(&[Packet::MAGIC, Packet::VERSION, 0, 0, 0, 0, 0, 0x99]),
             Err(WireError::UnknownPacketKind(0x99))
         ));
     }
@@ -458,16 +427,13 @@ mod tests {
         // misparse or a panic.
         let p = Packet::data(9, 2, 0, 0, 1, Gather::copy_from_slice(b"precious payload"));
         let clean = p.encode_with(true).to_vec();
-        assert_eq!(Packet::decode(&clean).unwrap(), p);
+        assert_eq!(decode(&clean).unwrap(), p);
 
         // Corrupt one body byte.
         let mut corrupt = clean.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x40;
-        assert!(matches!(
-            Packet::decode(&corrupt),
-            Err(WireError::Checksum { .. })
-        ));
+        assert!(matches!(decode(&corrupt), Err(WireError::Checksum { .. })));
         assert!(matches!(
             Packet::decode_gather(&Gather::copy_from_slice(&corrupt)),
             Err(WireError::Checksum { .. })
@@ -476,15 +442,12 @@ mod tests {
         // Corrupt a header field byte — caught even without body coverage.
         let mut corrupt = p.encode().to_vec();
         corrupt[Packet::PREFIX_SIZE + 1] ^= 0x01; // low byte of `seq`
-        assert!(matches!(
-            Packet::decode(&corrupt),
-            Err(WireError::Checksum { .. })
-        ));
+        assert!(matches!(decode(&corrupt), Err(WireError::Checksum { .. })));
 
         // Corrupt the magic byte: rejected as foreign before the CRC runs.
         let mut corrupt = clean.clone();
         corrupt[0] ^= 0xFF;
-        assert!(matches!(Packet::decode(&corrupt), Err(WireError::BadMagic)));
+        assert!(matches!(decode(&corrupt), Err(WireError::BadMagic)));
 
         // A body flip *without* body coverage decodes fine: the simulation
         // path deliberately skips the body pass (its handoff cannot corrupt),
@@ -492,7 +455,7 @@ mod tests {
         let mut silent = p.encode().to_vec();
         let last = silent.len() - 1;
         silent[last] ^= 0x40;
-        assert!(Packet::decode(&silent).is_ok());
+        assert!(decode(&silent).is_ok());
     }
 
     #[test]
@@ -500,7 +463,7 @@ mod tests {
         let p = Packet::data(1, 1, 0, 0, 1, Gather::new());
         let encoded = p.encode().to_vec();
         assert!(matches!(
-            Packet::decode(&encoded[..10]),
+            decode(&encoded[..10]),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -521,13 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_bytes_is_zero_copy_and_agrees() {
+    fn a_contiguous_datagram_decodes_without_a_copy() {
         let p = Packet::data(9, 2, 0, 0, 1, Gather::copy_from_slice(b"payload bytes"));
         let encoded = p.encode().to_bytes();
-        let by_slice = Packet::decode_bytes(&encoded).unwrap();
-        assert_eq!(by_slice, Packet::decode(&encoded).unwrap());
+        let decoded = Packet::decode_gather(&Gather::from_bytes(encoded.clone())).unwrap();
+        assert_eq!(decoded, p);
         // The body is a view into the datagram, not a copy.
-        let body_ptr = by_slice.body.segments()[0].as_ref().as_ptr();
+        let body_ptr = decoded.body.segments()[0].as_ref().as_ptr();
         let datagram_ptr = encoded.as_ref()[Packet::DATA_HEADER_SIZE..].as_ptr();
         assert_eq!(body_ptr, datagram_ptr);
     }
@@ -549,21 +512,20 @@ mod tests {
     }
 
     #[test]
-    fn decode_variants_reject_what_decode_rejects() {
-        for bad in [
-            Bytes::new(),
-            Bytes::from_static(&[0x99, 0, 0]),
-            Bytes::from_static(&[0x10, 1, 2]),
-            Bytes::from_static(&[Packet::MAGIC, Packet::VERSION, 0, 0, 0, 0, 0, 0x10, 1]),
-        ] {
-            assert_eq!(
-                Packet::decode_bytes(&bad).is_err(),
-                Packet::decode(&bad).is_err(),
-            );
-            assert_eq!(
-                Packet::decode_gather(&Gather::from_bytes(bad.clone())).is_err(),
-                Packet::decode(&bad).is_err(),
-            );
+    fn malformed_datagrams_are_rejected_in_any_segmentation() {
+        let bad: [&[u8]; 4] = [
+            &[],
+            &[0x99, 0, 0],
+            &[0x10, 1, 2],
+            &[Packet::MAGIC, Packet::VERSION, 0, 0, 0, 0, 0, 0x10, 1],
+        ];
+        for bytes in bad {
+            assert!(decode(bytes).is_err(), "{bytes:?}");
+            for cut in 0..bytes.len() {
+                let mut split = Gather::copy_from_slice(&bytes[..cut]);
+                split.append(Gather::copy_from_slice(&bytes[cut..]));
+                assert!(Packet::decode_gather(&split).is_err(), "{bytes:?} at {cut}");
+            }
         }
     }
 
@@ -577,14 +539,20 @@ mod tests {
         ) {
             let p = Packet::data(seq, msg_id, offset, frag_index, frag_count, Gather::from_vec(body));
             let encoded = p.encode_with(cover_body);
-            prop_assert_eq!(Packet::decode(&encoded.to_vec()).unwrap(), p.clone());
+            prop_assert_eq!(decode(&encoded.to_vec()).unwrap(), p.clone());
             prop_assert_eq!(Packet::decode_gather(&encoded).unwrap(), p);
         }
 
         #[test]
-        fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = Packet::decode(&bytes);
-            let _ = Packet::decode_gather(&Gather::copy_from_slice(&bytes));
+        fn decode_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            cut in any::<usize>()
+        ) {
+            let _ = decode(&bytes);
+            let cut = cut % (bytes.len() + 1);
+            let mut split = Gather::copy_from_slice(&bytes[..cut]);
+            split.append(Gather::copy_from_slice(&bytes[cut..]));
+            let _ = Packet::decode_gather(&split);
         }
 
         #[test]
@@ -599,7 +567,7 @@ mod tests {
             let mut bytes = p.encode_with(true).to_vec();
             let bit = flip % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(q) = Packet::decode(&bytes) {
+            if let Ok(q) = decode(&bytes) {
                 prop_assert_eq!(q, p);
             }
         }
@@ -621,7 +589,7 @@ mod tests {
             prop_assert_eq!(body.len(), flat.len());
             let p = Packet::data(7, 9, 0, 0, 1, body);
             let encoded = p.encode_with(cover_body);
-            let q = Packet::decode(&encoded.to_vec()).unwrap();
+            let q = decode(&encoded.to_vec()).unwrap();
             prop_assert_eq!(&q, &p);
             prop_assert_eq!(q.body.to_vec(), flat);
         }
@@ -647,7 +615,7 @@ mod tests {
                 let p = Packet::data(i as u64, 42, off as u64, i as u32, count as u32, frag);
                 let bytes = p.encode_with(cover_body).to_vec();
                 prop_assert!(bytes.len() <= Packet::DATA_HEADER_SIZE + mtu);
-                let q = Packet::decode(&bytes).unwrap();
+                let q = decode(&bytes).unwrap();
                 prop_assert_eq!(&q, &p);
                 rebuilt.extend_from_slice(&q.body.to_vec());
             }
