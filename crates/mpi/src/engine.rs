@@ -157,10 +157,10 @@ pub struct AdaptiveReport {
 /// Largest eager message served from the send-side region pool, bytes:
 /// sends at or below it snapshot into a recycled slab instead of a fresh
 /// allocation; larger sends (and all long sends) allocate.
-pub const POOL_SLAB: usize = 2048;
+const POOL_SLAB: usize = 2048;
 
 /// Bound on the send-side pool's free list (slabs kept for reuse).
-pub const POOL_FREE: usize = 64;
+const POOL_FREE: usize = 64;
 
 /// The per-process MPI engine (see module docs).
 pub struct MpiEngine {

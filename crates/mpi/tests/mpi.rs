@@ -728,7 +728,7 @@ fn oversize_sends_bypass_the_pool() {
     world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
         let me = comm.rank().0;
         if me == 0 {
-            // Larger than the pool's slab (`engine::POOL_SLAB`, 2048).
+            // Larger than the send pool's 2048-byte slab.
             comm.send(Rank(1), 3, &vec![9u8; 8192]);
             assert_eq!(comm.engine().regions_pooled(), 0);
             assert_eq!(comm.engine().regions_allocated(), 0);

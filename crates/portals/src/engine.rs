@@ -19,11 +19,10 @@
 //!
 //! A put or a reply is received by one sequence whatever shape it arrived in
 //! — **begin** (every check and state transition, at header time), **write**
-//! (payload bytes scattered at their offsets, once per fragment: once for a
-//! message that came in one), **finish** (events,
-//! ack, counting event). The engine holds the target portal's list lock for
-//! the *begin* of a put and for the whole of a get or an atomic; see the
-//! section comment above `PutSink` for what that lock does and does not
+//! (payload bytes scattered at their offsets, once per fragment), **finish**
+//! (events, ack, counting event). The engine holds the target portal's list
+//! lock for the *begin* of a put and for the whole of a get or an atomic; see
+//! the section comment above `PutSink` for what that lock does and does not
 //! cover. Acks and replies "bypass the access control checks and the
 //! translation step" and touch no portal: an ack needs only its event queue
 //! to still exist; a reply needs its memory descriptor to exist and its event
@@ -610,9 +609,9 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
 // under the portal lock, and captures a clone of the matched descriptor's
 // memory map. Payload bytes are then scattered into that memory at their
 // absolute offsets with no lock held, one `write` per fragment as it comes
-// off the wire, so placement overlaps transfer. Events, counting events and the ack are
-// fired only by `finish`, so the §4.8 observable order — data before event —
-// is preserved.
+// off the wire, so placement overlaps transfer. Events, counting events and
+// the ack are fired only by `finish`, so the §4.8 observable order — data
+// before event — is preserved.
 //
 // Matching at header time is what a receiver-side NIC does. A message's match
 // outcome reflects the list state at arrival order: the transport delivers

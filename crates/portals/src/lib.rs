@@ -30,8 +30,9 @@
 //! that only make progress inside library calls. Both are first-class here:
 //! see [`ProgressMode`], a property of the node. A bypass node's NIC thread
 //! (our "NIC firmware") runs the receive rules; a host-driven node's NIC
-//! thread enqueues raw messages that are processed only inside API calls on
-//! the application's thread.
+//! thread runs only the transport, and what it delivers waits in the node's
+//! endpoint until an API call runs the receive rules on the application's
+//! thread.
 //!
 //! # Quick start
 //!

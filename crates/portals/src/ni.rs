@@ -6,7 +6,7 @@
 //! [`NetworkInterface::get_op`]).
 //!
 //! *Who* runs the receive rules of §4.8 for it is a property of its node
-//! ([`ProgressMode`], on
+//! ([`ProgressMode`](portals_types::ProgressMode), on
 //! `TransportConfig::progress_mode`):
 //!
 //! * `NicThread` / `CallerDriven` — application bypass: the node's NIC thread
@@ -810,9 +810,10 @@ impl NetworkInterface {
         self.node.endpoint.progress_dispatch();
     }
 
-    /// The node's deliveries waiting for an API call to run the engine
-    /// (always 0 unless the node is host-driven). Never *processes* them:
-    /// "no receive rules outside API calls" is the host-driven contract.
+    /// The node's deliveries waiting for an API call to run the engine (on a
+    /// node that is not host-driven, only ever a step's worth in passing).
+    /// Never *processes* them: "no receive rules outside API calls" is the
+    /// host-driven contract.
     pub fn raw_pending(&self) -> usize {
         self.node.endpoint.deliveries_pending()
     }

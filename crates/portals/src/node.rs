@@ -12,15 +12,16 @@
 //! with a receive thread of its own (UDP) that thread — or blocked callers
 //! do. The node hands it one dispatcher, `NodeShared::dispatch_queued`, which
 //! takes the endpoint's deliveries — fragments, one per message that fit one
-//! — through [`crate::stream`] into the receive engine. The endpoint decides
+//! — through `crate::stream` into the receive engine. The endpoint decides
 //! when it runs: after each step, so selection and delivery proceed while
 //! the application computes, or, host-driven, only inside the API calls that
 //! run the engine.
 //!
 //! Blocked API calls park on the endpoint's *waiters' doorbell*
 //! ([`Endpoint::readiness`]): the link's when they step the protocol
-//! themselves (caller-driven), one of their own that only completions ring
-//! beside a NIC thread. The node rings it for every completion.
+//! themselves (caller-driven), one of their own beside a NIC thread, which
+//! only completions ring — and, host-driven, the deliveries waiting for
+//! them. The node rings it for every completion.
 
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
 use parking_lot::{Mutex, RwLock};
@@ -279,6 +280,8 @@ impl Node {
     }
 
     /// Messages dropped because no process claimed them (§4.8 first check).
+    /// On a host-driven node a message is judged when an API call runs the
+    /// engine over it, not on arrival.
     pub fn dropped_no_process(&self) -> u64 {
         self.shared.endpoint.progress_once();
         self.shared.dropped_no_process.get()

@@ -118,10 +118,9 @@ pub struct Endpoint {
     /// The NIC thread, until [`Endpoint::stop`] joins it. `None` when callers
     /// or the link's receive thread step.
     nic_thread: Mutex<Option<JoinHandle<()>>>,
-    /// A host-driven node's dispatcher, which no step runs: only a
-    /// receiving wait ([`Endpoint::drive_until`]) and
-    /// [`Endpoint::progress_dispatch`] do. `None` in every other mode, where
-    /// the stepper holds the dispatcher.
+    /// A host-driven node's dispatcher, which only a receiving
+    /// [`Endpoint::drive_until`] and [`Endpoint::progress_dispatch`] run.
+    /// `None` in the other modes, whose stepper holds the dispatcher.
     deferred: Mutex<Option<Dispatch>>,
 }
 
@@ -305,9 +304,8 @@ impl Endpoint {
     /// [`Endpoint::with_obs`] for a node: `owner` builds the node around the
     /// endpoint, and only then does the stepper start, running `dispatch`
     /// over every step's deliveries — so no delivery ever waits on a node
-    /// that does not exist yet. A host-driven endpoint is built like a bare
-    /// one: its step leaves the deliveries queued, and `dispatch` runs only
-    /// inside the node's API calls.
+    /// that does not exist yet. Host-driven, the step is a bare endpoint's
+    /// and `dispatch` runs only inside the node's API calls.
     #[doc(hidden)]
     pub fn with_dispatcher<N>(
         link: impl Link,
@@ -624,15 +622,10 @@ impl Endpoint {
         Some(delivery)
     }
 
-    /// Deliveries waiting for an API call: those a host-driven node's
-    /// dispatcher has yet to run over (always 0 in the other modes, whose
-    /// steps dispatch what they deliver).
+    /// Deliveries queued and not yet popped: on a host-driven node, those
+    /// waiting for an API call; elsewhere, at most a step's worth in passing.
     pub fn deliveries_pending(&self) -> usize {
-        if self.mode == ProgressMode::HostDriven {
-            self.incoming.len()
-        } else {
-            0
-        }
+        self.incoming.len()
     }
 
     /// Run a host-driven node's dispatcher over the deliveries waiting for
