@@ -497,10 +497,16 @@ mod tests {
             Packet::decode_gather(&Packet::ack(5, 12).encode()).unwrap(),
             Packet::ack(5, 12)
         );
-        // A datagram received contiguous: the body is a view into it.
-        let datagram = encoded.to_bytes();
+    }
+
+    #[test]
+    fn decode_bytes_is_zero_copy_and_agrees() {
+        // A datagram received as one contiguous `Bytes` buffer.
+        let p = Packet::data(9, 2, 0, 0, 1, Gather::copy_from_slice(b"payload bytes"));
+        let datagram = p.encode().to_bytes();
         let decoded = Packet::decode_gather(&Gather::from_bytes(datagram.clone())).unwrap();
         assert_eq!(decoded, p);
+        // The body is a view into the datagram, not a copy.
         let body_ptr = decoded.body.segments()[0].as_ref().as_ptr();
         let datagram_ptr = datagram.as_ref()[Packet::DATA_HEADER_SIZE..].as_ptr();
         assert_eq!(body_ptr, datagram_ptr);
