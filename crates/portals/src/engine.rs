@@ -31,7 +31,7 @@
 use crate::counters::DropReason;
 use crate::event::{Event, EventKind};
 use crate::md::{MdMemory, MdVerdict, ReqOp};
-use crate::ni::{send_message, NiClass, NiCore, NiState, NACK_MLENGTH};
+use crate::ni::{NiClass, NiCore, NiState, NACK_MLENGTH};
 use crate::node::NodeShared;
 use crate::table::MatchList;
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
@@ -273,19 +273,13 @@ fn response(
 
 /// Acknowledge `h` to its initiator: `mlength` bytes landed at `offset` — or,
 /// with `mlength == NACK_MLENGTH`, nothing landed and the initiator should
-/// re-issue.
-fn send_ack(
-    core: &NiCore,
-    node: &NodeShared,
-    h: &RequestHeader,
-    to: (u64, u64),
-    offset: u64,
-    mlength: u64,
-) {
-    let ack = PortalsMessage::Ack(Ack {
+/// re-issue. Inside a dispatch step, acks after the step's first to the same
+/// node wait for the step's batch ([`NodeShared::send_ack`]).
+fn send_ack(node: &NodeShared, h: &RequestHeader, to: (u64, u64), offset: u64, mlength: u64) {
+    let ack = Ack {
         header: response(h, to, offset, mlength),
-    });
-    send_message(core, node, h.initiator.nid, &ack);
+    };
+    node.send_ack(h.initiator.nid, ack);
 }
 
 /// §4.8 steps 1–3 for a put, get or atomic request (`kind` says which):
@@ -312,7 +306,7 @@ fn admit<'a>(
     let refuse = |list: MutexGuard<'a, MatchList>| {
         drop(list);
         if let Some(to) = ack {
-            send_ack(core, node, h, to, 0, NACK_MLENGTH);
+            send_ack(node, h, to, 0, NACK_MLENGTH);
         }
     };
     if !state.table.is_enabled(h.portal_index) {
@@ -420,13 +414,14 @@ fn count_landed(core: &NiCore, peer: ProcessId, mlength: u64, what: &'static str
 
 /// Apply §4.8 to one whole get, atomic or ack for `core`. Puts and replies
 /// take the streamed sequence below ([`put_begin`], [`reply_begin`]) in
-/// whatever shape they arrive; one handed here is counted as garbage.
+/// whatever shape they arrive, and a batch's acks come one by one; one handed
+/// here is counted as garbage.
 pub(crate) fn deliver(core: &NiCore, node: &NodeShared, msg: PortalsMessage) {
     match msg {
         PortalsMessage::Get(get) => handle_get(core, node, get),
         PortalsMessage::Atomic(atomic) => handle_atomic(core, node, atomic),
         PortalsMessage::Ack(ack) => handle_ack(core, node, ack),
-        PortalsMessage::Put(_) | PortalsMessage::Reply(_) => {
+        PortalsMessage::Put(_) | PortalsMessage::Reply(_) | PortalsMessage::AckBatch(_) => {
             crate::stream::garbage(node);
         }
     }
@@ -468,7 +463,7 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
         ),
         payload,
     });
-    send_message(core, node, h.initiator.nid, &reply);
+    node.send(h.initiator.nid, &reply);
 
     // Get served from this descriptor: bump its counter after the reply is on
     // the wire and every lock is dropped.
@@ -546,9 +541,9 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
             ),
             payload: Gather::from_vec(old),
         });
-        send_message(core, node, h.initiator.nid, &reply);
+        node.send(h.initiator.nid, &reply);
     } else if let Some(to) = ack {
-        send_ack(core, node, &h, to, accepted.offset, accepted.mlength);
+        send_ack(node, &h, to, accepted.offset, accepted.mlength);
     }
 
     if let Some(ct) = ct {
@@ -717,7 +712,7 @@ impl PutSink {
         // "the target optionally sends an acknowledgment message" (§4.3): only
         // if the initiator asked and the operation was accepted.
         if let Some(to) = self.ack {
-            send_ack(core, node, &h, to, accepted.offset, accepted.mlength);
+            send_ack(node, &h, to, accepted.offset, accepted.mlength);
         }
         // Put delivered: count it and fire whatever the schedule parked on it
         // — still engine context, zero host involvement.

@@ -54,7 +54,7 @@ use crate::table::{MePos, PortalTable};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::RwLock;
-use portals_obs::{Layer, Obs, Stage, TraceEvent};
+use portals_obs::Obs;
 use portals_types::{MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded};
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
@@ -819,12 +819,14 @@ impl NetworkInterface {
     }
 }
 
-/// Launch one checked operation: the body of every builder's `submit`, and
-/// what a parked operation runs when its counter fires (engine context,
-/// holding only a `NiCore`). The descriptor checks run here, at launch.
+/// Launch one checked operation: the body of every builder's `submit`. The
+/// descriptor checks run here, at launch. The count comes first, as in
+/// [`transmit`]; an API call runs no dispatch step, so it owes no acks that
+/// would have to leave before the message.
 pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> {
     let (dst, msg) = prepare(core, op)?;
-    transmit(core, node, dst, &msg);
+    core.counters.messages_sent.inc();
+    node.put_on_wire(dst, &msg);
     Ok(())
 }
 
@@ -863,9 +865,11 @@ pub(crate) fn prepare(core: &NiCore, op: Op) -> PtlResult<(portals_types::NodeId
     Ok((op.target.nid, msg))
 }
 
-/// The transmitting half of [`launch`]: count a [`prepare`]d message and
-/// hand it to the network. The count comes first: once the message is out,
-/// its ack or reply can be observed before this function returns.
+/// Send a parked operation that fired in engine context: count a
+/// [`prepare`]d message and hand it to the network behind any acks the
+/// running dispatch step owes its destination. The count comes first: once
+/// the message is out, its ack or reply can be observed before this function
+/// returns.
 pub(crate) fn transmit(
     core: &NiCore,
     node: &NodeShared,
@@ -873,7 +877,7 @@ pub(crate) fn transmit(
     msg: &PortalsMessage,
 ) {
     core.counters.messages_sent.inc();
-    send_message(core, node, dst, msg);
+    node.send(dst, msg);
 }
 
 /// What a launch puts on the wire, the queue its `Sent` event goes to, and
@@ -1024,24 +1028,6 @@ fn atomic_message(
         payload,
     });
     Ok((msg, eq, length))
-}
-
-/// Put a Portals message on the wire: the payload's region views are gathered
-/// behind a fresh header segment, so no payload byte moves.
-pub(crate) fn send_message(
-    core: &NiCore,
-    node: &NodeShared,
-    dst: portals_types::NodeId,
-    msg: &PortalsMessage,
-) {
-    core.obs.tracer.emit(|| {
-        TraceEvent::new(Layer::Portals, Stage::Submit)
-            .node(core.id.nid.0)
-            .peer(dst.0)
-            .bytes(msg.payload_len() as u64)
-            .detail(msg.kind_name())
-    });
-    node.endpoint.send(dst, msg.encode_gather());
 }
 
 impl Drop for NetworkInterface {

@@ -22,13 +22,23 @@
 //! themselves (caller-driven), one of their own beside a NIC thread, which
 //! only completions ring — and, host-driven, the deliveries waiting for
 //! them. The node rings it for every completion.
+//!
+//! The engine sends through `NodeShared::{send, send_ack}`; an API call,
+//! which runs no dispatch step, through `NodeShared::put_on_wire`.
+//! The acks a dispatch step owes (`NodeShared::send_ack`) are coalesced
+//! per initiator node: the step's first ack to a node leaves at once, the
+//! later ones wait in the step's `AckBatches` and leave as one
+//! [`PortalsMessage::AckBatch`] when the step ends — or earlier, just before
+//! anything else the step sends to that node, so the wire order between two
+//! nodes is what it would be if every ack had left alone.
 
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
 use parking_lot::{Mutex, RwLock};
 use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_transport::{Delivery, Endpoint, TransportConfig};
 use portals_types::{NodeId, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, UserId};
-use std::cell::Cell;
+use portals_wire::{Ack, PortalsMessage};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,9 +131,10 @@ impl NodeShared {
     /// transport's core lock released (the engine re-enters the endpoint to
     /// send). The endpoint runs it on one thread at a time: its stepper after
     /// each step, or a host-driven node's API calls. The whole run is one
-    /// [`Burst`] for the waiters' doorbell.
+    /// [`Burst`] for the waiters' doorbell and one set of [`AckBatches`].
     fn dispatch_queued(&self) -> bool {
         let _burst = Burst::open(&self.waiters);
+        let _acks = AckBatches::open(self);
         let mut worked = false;
         while let Some(delivery) = self.endpoint.pop_delivery() {
             match delivery {
@@ -133,6 +144,45 @@ impl NodeShared {
             worked = true;
         }
         worked
+    }
+
+    /// Send a message from engine context — a reply, or a triggered
+    /// operation that fired — to `dst`, after the acks the running dispatch
+    /// step still owes `dst`.
+    pub(crate) fn send(&self, dst: NodeId, msg: &PortalsMessage) {
+        let owed = ACKS.with_borrow_mut(|owed| owed.take_later(self, dst));
+        if let Some(acks) = owed {
+            self.put_on_wire(dst, &PortalsMessage::AckBatch(acks));
+        }
+        self.put_on_wire(dst, msg);
+    }
+
+    /// Acknowledge a put to `dst`: at once if it is the first ack this
+    /// thread's dispatch step on this node owes `dst` (so none is held for
+    /// it yet), or if no step is running; otherwise into the step's batch
+    /// for `dst`.
+    pub(crate) fn send_ack(&self, dst: NodeId, ack: Ack) {
+        if !ACKS.with_borrow_mut(|owed| owed.hold(self, dst, ack)) {
+            self.put_on_wire(dst, &PortalsMessage::Ack(ack));
+        }
+    }
+
+    /// Put a Portals message on the wire to `dst`: one lifecycle `Submit`
+    /// per Portals message carried (a batch carries one per ack), then the
+    /// payload's region views gathered behind a fresh header segment, so no
+    /// payload byte moves. An API call sends this way: it runs no dispatch
+    /// step, so it owes no acks.
+    pub(crate) fn put_on_wire(&self, dst: NodeId, msg: &PortalsMessage) {
+        for _ in 0..msg.carried() {
+            self.obs.tracer.emit(|| {
+                TraceEvent::new(Layer::Portals, Stage::Submit)
+                    .node(self.nid.0)
+                    .peer(dst.0)
+                    .bytes(msg.payload_len() as u64)
+                    .detail(msg.kind_name())
+            });
+        }
+        self.endpoint.send(dst, msg.encode_gather());
     }
 }
 
@@ -185,6 +235,110 @@ impl Drop for Burst<'_> {
         if BURST.replace(self.outer).1 > 1 {
             self.doorbell.ring();
         }
+    }
+}
+
+thread_local! {
+    /// The acks owed by the dispatch step this thread is running, kept beside
+    /// its [`BURST`] (see [`AckBatches`]).
+    static ACKS: RefCell<OwedAcks> = const { RefCell::new(OwedAcks::none()) };
+}
+
+/// The acks owed by the dispatch steps this thread is running: the address
+/// of the node whose step is innermost (0: none), where that step's entries
+/// start, and, per initiator node that has had a step's first ack, the later
+/// ones still waiting, in the order they were owed. The list keeps its
+/// capacity from step to step.
+struct OwedAcks {
+    node: usize,
+    base: usize,
+    peers: Vec<(NodeId, Vec<Ack>)>,
+}
+
+impl OwedAcks {
+    const fn none() -> OwedAcks {
+        OwedAcks {
+            node: 0,
+            base: 0,
+            peers: Vec::new(),
+        }
+    }
+
+    fn key(node: &NodeShared) -> usize {
+        node as *const NodeShared as usize
+    }
+
+    /// Hold `ack` for `dst` if this is `node`'s step and its first ack to
+    /// `dst` has left. `false`: the ack must leave now.
+    fn hold(&mut self, node: &NodeShared, dst: NodeId, ack: Ack) -> bool {
+        if self.node != Self::key(node) {
+            return false;
+        }
+        match self.peers[self.base..]
+            .iter_mut()
+            .find(|(nid, _)| *nid == dst)
+        {
+            Some((_, later)) => later.push(ack),
+            None => {
+                self.peers.push((dst, Vec::new()));
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The acks `node`'s step holds for `dst`, if any; later ones are held
+    /// again.
+    fn take_later(&mut self, node: &NodeShared, dst: NodeId) -> Option<Vec<Ack>> {
+        if self.node != Self::key(node) {
+            return None;
+        }
+        let (_, later) = self.peers[self.base..]
+            .iter_mut()
+            .find(|(nid, _)| *nid == dst)?;
+        (!later.is_empty()).then(|| std::mem::take(later))
+    }
+}
+
+/// One dispatch step's ack batches, from `open` to drop (see
+/// [`NodeShared::send_ack`]). Dropping it sends each initiator's waiting
+/// acks as one message and restores any step it was opened inside.
+pub(crate) struct AckBatches<'a> {
+    node: &'a NodeShared,
+    /// The enclosing step's `(node, base)`.
+    outer: (usize, usize),
+}
+
+impl<'a> AckBatches<'a> {
+    pub(crate) fn open(node: &'a NodeShared) -> AckBatches<'a> {
+        let outer = ACKS.with_borrow_mut(|owed| {
+            let outer = (owed.node, owed.base);
+            (owed.node, owed.base) = (OwedAcks::key(node), owed.peers.len());
+            outer
+        });
+        AckBatches { node, outer }
+    }
+}
+
+impl Drop for AckBatches<'_> {
+    fn drop(&mut self) {
+        let base = ACKS.with_borrow(|owed| owed.base);
+        // One entry at a time, the list released while the batch is sent.
+        for at in base.. {
+            let Some((dst, later)) = ACKS.with_borrow_mut(|owed| {
+                let (dst, later) = owed.peers.get_mut(at)?;
+                Some((*dst, std::mem::take(later)))
+            }) else {
+                break;
+            };
+            if !later.is_empty() {
+                self.node.put_on_wire(dst, &PortalsMessage::AckBatch(later));
+            }
+        }
+        ACKS.with_borrow_mut(|owed| {
+            owed.peers.truncate(base);
+            (owed.node, owed.base) = self.outer;
+        });
     }
 }
 

@@ -186,12 +186,22 @@ fn finalize(shared: &NodeShared, state: MsgStream, end: u64) {
 
 /// A message needed whole — an ack, a get, an atomic — from the node-level
 /// checks on. Decoding peeks the fixed headers into a stack buffer and leaves
-/// any operand as zero-copy sub-slices of the fragments' views.
+/// any operand as zero-copy sub-slices of the fragments' views. A batch's
+/// acks go through the checks and the engine one by one, in order, inside
+/// the one dispatch step (one [`Burst`](crate::node::Burst)).
 fn dispatch_whole(shared: &NodeShared, acc: &Gather) {
-    let Ok(msg) = PortalsMessage::decode_gather(acc) else {
-        garbage(shared);
-        return;
-    };
+    match PortalsMessage::decode_gather(acc) {
+        Ok(PortalsMessage::AckBatch(acks)) => acks
+            .into_iter()
+            .for_each(|ack| deliver(shared, PortalsMessage::Ack(ack))),
+        Ok(msg) => deliver(shared, msg),
+        Err(_) => {
+            garbage(shared);
+        }
+    }
+}
+
+fn deliver(shared: &NodeShared, msg: PortalsMessage) {
     if let Some(core) = lookup(shared, msg.wire_target()) {
         engine::deliver(&core, shared, msg);
     }

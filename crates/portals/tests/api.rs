@@ -8,7 +8,9 @@ use portals::{
     Threshold, TransportConfig,
 };
 use portals_net::{Fabric, FabricConfig, FaultPlan, LinkModel};
+use portals_transport::Endpoint;
 use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError, Region, UserId};
+use portals_wire::{Ack, PortalsMessage, PutRequest, RequestHeader, ResponseHeader};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1180,6 +1182,207 @@ fn pt_flow_ctrl_validates_handles() {
     assert!(!a.pt_is_enabled(2).unwrap());
     a.pt_enable(2).unwrap();
     assert!(a.pt_is_enabled(2).unwrap());
+}
+
+// ---------------------------------------------------------------------------
+// Ack batches: the acks one dispatch step owes one node leave as the step's
+// first ack, then one batch
+// ---------------------------------------------------------------------------
+
+/// A NIC-thread initiator and a caller-driven target, so everything the
+/// initiator submits waits at the target until one `progress()` takes it all
+/// in one dispatch step.
+fn stepped_target(fabric: &Fabric) -> (Node, Node) {
+    let initiator = NodeConfig {
+        transport: transport(ProgressMode::NicThread),
+        ..Default::default()
+    };
+    (
+        Node::new(fabric.attach(NodeId(0)), initiator),
+        caller_driven(fabric, NodeId(1)),
+    )
+}
+
+fn transport(progress_mode: ProgressMode) -> TransportConfig {
+    TransportConfig {
+        progress_mode,
+        ..Default::default()
+    }
+}
+
+fn caller_driven(fabric: &Fabric, nid: NodeId) -> Node {
+    let config = NodeConfig {
+        transport: transport(ProgressMode::CallerDriven),
+        ..Default::default()
+    };
+    Node::new(fabric.attach(nid), config)
+}
+
+/// The next `n` events on `eq` that are not `Sent`.
+fn responses(ni: &NetworkInterface, eq: portals::EqHandle, n: usize) -> Vec<portals::Event> {
+    let mut seen = Vec::new();
+    while seen.len() < n {
+        let ev = ni.eq_poll(eq, TIMEOUT).unwrap();
+        if ev.kind != EventKind::Sent {
+            seen.push(ev);
+        }
+    }
+    seen
+}
+
+/// Submit `count` acked 1 KiB puts from `a` to portal 0 of `target`, put `i`
+/// with match bits `i` at remote offset `i` KiB; their events go to the
+/// returned queue.
+fn acked_puts(a: &NetworkInterface, target: ProcessId, count: u64) -> portals::EqHandle {
+    let aeq = a.eq_alloc(4 * count as usize).unwrap();
+    let md = a
+        .md_bind(MdSpec::new(Region::from_vec(vec![9u8; 1024])).with_eq(aeq))
+        .unwrap();
+    for i in 0..count {
+        a.put_op(md)
+            .target(target, 0)
+            .bits(MatchBits::new(i))
+            .offset(i * 1024)
+            .ack(AckRequest::Ack)
+            .submit()
+            .unwrap();
+    }
+    aeq
+}
+
+#[test]
+fn one_step_acks_64_puts_in_two_messages() {
+    const PUTS: u64 = 64;
+    let fabric = Fabric::ideal();
+    let (na, nb) = stepped_target(&fabric);
+    let a = default_ni(&na);
+    let b = default_ni(&nb);
+    let (_, _, beq, buf) = listen(&b, 0, MatchCriteria::any(), 64 * 1024);
+    let aeq = acked_puts(&a, b.id(), PUTS);
+
+    let sent = nb.transport_stats().messages_sent.get();
+    nb.progress();
+    let messages = nb.transport_stats().messages_sent.get() - sent;
+    assert!(messages <= 2, "{PUTS} acks took {messages} messages");
+
+    let acks = responses(&a, aeq, PUTS as usize);
+    for (i, ack) in (0..PUTS).zip(&acks) {
+        assert_eq!(ack.kind, EventKind::Ack);
+        assert_eq!(
+            (ack.match_bits, ack.offset, ack.mlength),
+            (MatchBits::new(i), i * 1024, 1024),
+            "ack {i} out of order"
+        );
+    }
+    assert_eq!(a.counters().acks_accepted.get(), PUTS);
+    assert_eq!(b.eq_len(beq).unwrap(), PUTS as usize);
+    assert_eq!(buf.read_vec(63 * 1024, 1024), vec![9u8; 1024]);
+}
+
+#[test]
+fn one_step_nacks_64_puts_in_two_messages() {
+    const PUTS: u64 = 64;
+    let fabric = Fabric::ideal();
+    let (na, nb) = stepped_target(&fabric);
+    let a = default_ni(&na);
+    let b = default_ni(&nb);
+    let flow_eq = b.eq_alloc(8).unwrap();
+    b.pt_flow_ctrl(0, Some(flow_eq)).unwrap();
+    b.pt_disable(0).unwrap();
+    let aeq = acked_puts(&a, b.id(), PUTS);
+
+    let sent = nb.transport_stats().messages_sent.get();
+    nb.progress();
+    let messages = nb.transport_stats().messages_sent.get() - sent;
+    assert!(messages <= 2, "{PUTS} nacks took {messages} messages");
+
+    let nacks = responses(&a, aeq, PUTS as usize);
+    for (i, nack) in (0..PUTS).zip(&nacks) {
+        assert_eq!(nack.kind, EventKind::Ack);
+        assert_eq!(
+            (nack.match_bits, nack.mlength),
+            (MatchBits::new(i), portals::NACK_MLENGTH),
+            "nack {i} out of order"
+        );
+    }
+    assert_eq!(b.counters().dropped(DropReason::PtDisabled), PUTS);
+}
+
+/// A batched ack leaves before anything else the step sends its node: here
+/// the reply to a get that followed the puts.
+#[test]
+fn a_batched_ack_leaves_before_the_steps_reply() {
+    let fabric = Fabric::ideal();
+    let (na, nb) = stepped_target(&fabric);
+    let a = default_ni(&na);
+    let b = default_ni(&nb);
+    let (_, _, _, buf) = listen(&b, 0, MatchCriteria::any(), 4096);
+    buf.write(0, b"readable");
+    let aeq = acked_puts(&a, b.id(), 2);
+    let dst = Region::from_vec(vec![0u8; 8]);
+    let get_md = a.md_bind(MdSpec::new(dst.clone()).with_eq(aeq)).unwrap();
+    a.get_op(get_md)
+        .target(b.id(), 0)
+        .offset(3072)
+        .length(8)
+        .submit()
+        .unwrap();
+
+    let sent = nb.transport_stats().messages_sent.get();
+    nb.progress();
+    assert_eq!(nb.transport_stats().messages_sent.get() - sent, 3);
+
+    let kinds: Vec<EventKind> = responses(&a, aeq, 3).iter().map(|ev| ev.kind).collect();
+    assert_eq!(kinds, [EventKind::Ack, EventKind::Ack, EventKind::Reply]);
+}
+
+/// A step that owes one ack sends exactly the lone ack's wire image.
+#[test]
+fn a_step_owing_one_ack_sends_the_plain_ack() {
+    let fabric = Fabric::ideal();
+    let initiator = Endpoint::new(fabric.attach(NodeId(0)), transport(ProgressMode::NicThread));
+    let nb = caller_driven(&fabric, NodeId(1));
+    let b = default_ni(&nb);
+    listen(&b, 0, MatchCriteria::any(), 64);
+    let put = RequestHeader {
+        initiator: ProcessId::new(0, 1),
+        target: b.id(),
+        portal_index: 0,
+        cookie: 0,
+        match_bits: MatchBits::new(5),
+        offset: 8,
+        length: 16,
+    };
+    initiator.send(
+        NodeId(1),
+        PortalsMessage::Put(PutRequest {
+            header: put,
+            ack_md: 11,
+            ack_eq: 12,
+            payload: portals_types::Gather::from_vec(vec![1; 16]),
+        })
+        .encode_gather(),
+    );
+
+    let sent = nb.transport_stats().messages_sent.get();
+    nb.progress();
+    assert_eq!(nb.transport_stats().messages_sent.get() - sent, 1);
+    let expected = PortalsMessage::Ack(Ack {
+        header: ResponseHeader {
+            initiator: b.id(),
+            target: put.initiator,
+            portal_index: 0,
+            match_bits: put.match_bits,
+            offset: 8,
+            md_handle: 11,
+            eq_handle: 12,
+            requested_length: 16,
+            manipulated_length: 16,
+        },
+    })
+    .encode();
+    let got = initiator.recv_timeout(TIMEOUT).expect("the ack arrives");
+    assert_eq!(got.payload.to_vec(), expected.to_vec());
 }
 
 /// Poll `eq` until an event of `kind` arrives (skipping Sent and other

@@ -136,14 +136,6 @@ impl MatchCriteria {
     pub fn is_wildcard(&self) -> bool {
         self.ignore == MatchBits::ONES
     }
-
-    /// True if the criteria require exact equality (no ignore bits). Exact-match
-    /// entries are eligible for the hash-bucketed fast path ablation in the core
-    /// crate's matcher.
-    #[inline]
-    pub fn is_exact(&self) -> bool {
-        self.ignore == MatchBits::ZERO
-    }
 }
 
 impl Default for MatchCriteria {
@@ -162,7 +154,6 @@ mod tests {
         let c = MatchCriteria::exact(MatchBits(0xdead_beef));
         assert!(c.matches(MatchBits(0xdead_beef)));
         assert!(!c.matches(MatchBits(0xdead_beee)));
-        assert!(c.is_exact());
         assert!(!c.is_wildcard());
     }
 
@@ -172,7 +163,6 @@ mod tests {
         assert!(c.matches(MatchBits(0)));
         assert!(c.matches(MatchBits(u64::MAX)));
         assert!(c.is_wildcard());
-        assert!(!c.is_exact());
     }
 
     #[test]

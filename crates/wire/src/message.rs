@@ -1,7 +1,9 @@
 //! The top-level Portals message envelope.
 //!
 //! One byte of operation code (plus a magic/version byte to catch cross-version
-//! or corrupted traffic) selects among the four §4.6 message types.
+//! or corrupted traffic) selects among the four §4.6 message types, the atomic
+//! extension, and the ack batch: the acks one dispatch step owes one node,
+//! sent as one message and decoded all or nothing (see [`crate::ack`]).
 
 use crate::ack::Ack;
 use crate::atomic::AtomicRequest;
@@ -24,6 +26,9 @@ pub enum PortalsMessage {
     Put(PutRequest),
     /// Table 2.
     Ack(Ack),
+    /// Table 2 several times over, in the order the acks were owed. Never
+    /// empty: the decoders refuse a count of zero.
+    AckBatch(Vec<Ack>),
     /// Table 3.
     Get(GetRequest),
     /// Table 4.
@@ -54,8 +59,8 @@ pub enum StreamHead {
         /// The response header.
         header: ResponseHeader,
     },
-    /// An ack, get, or atomic: messages whose whole body (operands included)
-    /// is small enough to dispatch without streaming.
+    /// An ack, ack batch, get, or atomic: messages whose whole body (operands
+    /// included) is small enough to dispatch without streaming.
     Other,
 }
 
@@ -107,6 +112,7 @@ impl PortalsMessage {
                 Some(StreamHead::Reply { header })
             }
             Operation::Ack
+            | Operation::AckBatch
             | Operation::GetRequest
             | Operation::AtomicRequest
             | Operation::FetchAtomicRequest => Some(StreamHead::Other),
@@ -118,6 +124,7 @@ impl PortalsMessage {
         match self {
             PortalsMessage::Put(_) => Operation::PutRequest,
             PortalsMessage::Ack(_) => Operation::Ack,
+            PortalsMessage::AckBatch(_) => Operation::AckBatch,
             PortalsMessage::Get(_) => Operation::GetRequest,
             PortalsMessage::Reply(_) => Operation::Reply,
             PortalsMessage::Atomic(m) if m.fetch => Operation::FetchAtomicRequest,
@@ -126,11 +133,11 @@ impl PortalsMessage {
     }
 
     /// Stable lowercase name of the operation, for lifecycle traces and
-    /// reports.
+    /// reports. A batch is named for the acks it carries.
     pub fn kind_name(&self) -> &'static str {
         match self {
             PortalsMessage::Put(_) => "put",
-            PortalsMessage::Ack(_) => "ack",
+            PortalsMessage::Ack(_) | PortalsMessage::AckBatch(_) => "ack",
             PortalsMessage::Get(_) => "get",
             PortalsMessage::Reply(_) => "reply",
             PortalsMessage::Atomic(m) if m.fetch => "fetch_atomic",
@@ -138,25 +145,36 @@ impl PortalsMessage {
         }
     }
 
+    /// How many Portals messages this one carries: a batch's acks, else 1.
+    pub fn carried(&self) -> usize {
+        match self {
+            PortalsMessage::AckBatch(acks) => acks.len(),
+            _ => 1,
+        }
+    }
+
     /// The process this message must be delivered to. This is how the runtime
     /// on the receiving node demultiplexes traffic among its processes (§4.8:
     /// "the runtime system first checks that the target process identified in
-    /// the request is a valid process").
+    /// the request is a valid process"). A batch answers with its first
+    /// ack's; each ack in it names its own.
     pub fn wire_target(&self) -> ProcessId {
         match self {
             PortalsMessage::Put(m) => m.header.target,
             PortalsMessage::Ack(m) => m.header.target,
+            PortalsMessage::AckBatch(m) => m[0].header.target,
             PortalsMessage::Get(m) => m.header.target,
             PortalsMessage::Reply(m) => m.header.target,
             PortalsMessage::Atomic(m) => m.header.target,
         }
     }
 
-    /// The process that sent this message.
+    /// The process that sent this message (a batch: its first ack's).
     pub fn wire_initiator(&self) -> ProcessId {
         match self {
             PortalsMessage::Put(m) => m.header.initiator,
             PortalsMessage::Ack(m) => m.header.initiator,
+            PortalsMessage::AckBatch(m) => m[0].header.initiator,
             PortalsMessage::Get(m) => m.header.initiator,
             PortalsMessage::Reply(m) => m.header.initiator,
             PortalsMessage::Atomic(m) => m.header.initiator,
@@ -172,6 +190,7 @@ impl PortalsMessage {
         match self {
             PortalsMessage::Put(m) => m.encode_body(&mut buf),
             PortalsMessage::Ack(m) => m.encode_body(&mut buf),
+            PortalsMessage::AckBatch(m) => Ack::encode_batch(m, &mut buf),
             PortalsMessage::Get(m) => m.encode_body(&mut buf),
             PortalsMessage::Reply(m) => m.encode_body(&mut buf),
             PortalsMessage::Atomic(m) => m.encode_body(&mut buf),
@@ -194,6 +213,10 @@ impl PortalsMessage {
                 m.encode_body(&mut hdr);
                 None
             }
+            PortalsMessage::AckBatch(m) => {
+                Ack::encode_batch(m, &mut hdr);
+                None
+            }
             PortalsMessage::Get(m) => {
                 m.encode_body(&mut hdr);
                 None
@@ -214,14 +237,14 @@ impl PortalsMessage {
         out
     }
 
-    /// Payload bytes this message carries (0 for ack/get; operand bytes for
-    /// atomics).
+    /// Payload bytes this message carries (0 for acks and gets; operand bytes
+    /// for atomics).
     pub fn payload_len(&self) -> usize {
         match self {
             PortalsMessage::Put(m) => m.payload.len(),
             PortalsMessage::Reply(m) => m.payload.len(),
             PortalsMessage::Atomic(m) => m.payload.len(),
-            PortalsMessage::Ack(_) | PortalsMessage::Get(_) => 0,
+            PortalsMessage::Ack(_) | PortalsMessage::AckBatch(_) | PortalsMessage::Get(_) => 0,
         }
     }
 
@@ -231,6 +254,7 @@ impl PortalsMessage {
             + match self {
                 PortalsMessage::Put(m) => PutRequest::WIRE_HEADER_SIZE + m.payload.len(),
                 PortalsMessage::Ack(_) => Ack::WIRE_SIZE,
+                PortalsMessage::AckBatch(m) => Ack::batch_wire_size(m.len()),
                 PortalsMessage::Get(_) => GetRequest::WIRE_SIZE,
                 PortalsMessage::Reply(m) => Reply::WIRE_HEADER_SIZE + m.payload.len(),
                 PortalsMessage::Atomic(m) => AtomicRequest::WIRE_HEADER_SIZE + m.payload.len(),
@@ -241,7 +265,8 @@ impl PortalsMessage {
     ///
     /// The envelope and fixed-size header are peeked into a stack buffer; a
     /// put or reply payload becomes a zero-copy sub-gather of `buf`, so the
-    /// payload bytes stay wherever the transport received them.
+    /// payload bytes stay wherever the transport received them. An ack batch,
+    /// all headers, is read from one contiguous view of `buf`.
     pub fn decode_gather(buf: &Gather) -> Result<PortalsMessage, WireError> {
         // Large enough for the envelope plus the largest fixed-size header.
         let mut hdr = [0u8; PortalsMessage::MAX_FIXED];
@@ -278,6 +303,9 @@ impl PortalsMessage {
                 })
             }
             Operation::Ack => PortalsMessage::Ack(Ack::decode_body(body)?),
+            Operation::AckBatch => {
+                PortalsMessage::AckBatch(Ack::decode_batch(&buf.to_bytes()[Self::ENVELOPE_SIZE..])?)
+            }
             Operation::GetRequest => PortalsMessage::Get(GetRequest::decode_body(body)?),
             Operation::Reply => {
                 let header = Reply::decode_fields(body)?;
@@ -335,6 +363,7 @@ impl PortalsMessage {
         Ok(match op {
             Operation::PutRequest => PortalsMessage::Put(PutRequest::decode_body(body)?),
             Operation::Ack => PortalsMessage::Ack(Ack::decode_body(body)?),
+            Operation::AckBatch => PortalsMessage::AckBatch(Ack::decode_batch(body)?),
             Operation::GetRequest => PortalsMessage::Get(GetRequest::decode_body(body)?),
             Operation::Reply => PortalsMessage::Reply(Reply::decode_body(body)?),
             Operation::AtomicRequest => {
@@ -391,6 +420,14 @@ mod tests {
             PortalsMessage::Ack(Ack {
                 header: resp_header(3, 3),
             }),
+            PortalsMessage::AckBatch(vec![
+                Ack {
+                    header: resp_header(3, 3),
+                },
+                Ack {
+                    header: resp_header(5, u64::MAX),
+                },
+            ]),
             PortalsMessage::Get(GetRequest {
                 header: req_header(100),
                 reply_md: 6,
@@ -539,6 +576,7 @@ mod tests {
                     assert_eq!(header, r.header);
                 }
                 (PortalsMessage::Ack(_), StreamHead::Other)
+                | (PortalsMessage::AckBatch(_), StreamHead::Other)
                 | (PortalsMessage::Get(_), StreamHead::Other)
                 | (PortalsMessage::Atomic(_), StreamHead::Other) => {}
                 (m, h) => panic!("misclassified {m:?} as {h:?}"),
@@ -586,7 +624,75 @@ mod tests {
         ));
     }
 
+    /// Every decoder's verdict on `bytes`, which must agree.
+    fn decode_both(bytes: &[u8]) -> Result<PortalsMessage, WireError> {
+        let flat = PortalsMessage::decode(bytes);
+        let gathered = PortalsMessage::decode_gather(&Gather::copy_from_slice(bytes));
+        assert_eq!(flat, gathered);
+        flat
+    }
+
+    #[test]
+    fn a_hostile_ack_batch_is_refused_whole() {
+        let acks: Vec<Ack> = (0..3)
+            .map(|i| Ack {
+                header: resp_header(i, i),
+            })
+            .collect();
+        let good = PortalsMessage::AckBatch(acks).encode().to_vec();
+        assert!(decode_both(&good).is_ok());
+        let count_at = PortalsMessage::ENVELOPE_SIZE;
+        let with_count = |count: u32| {
+            let mut bytes = good.clone();
+            bytes[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            bytes
+        };
+        // A count of zero, with or without headers after it.
+        assert!(decode_both(&with_count(0)).is_err());
+        let mut empty = good[..count_at].to_vec();
+        empty.extend_from_slice(&0u32.to_le_bytes());
+        assert!(decode_both(&empty).is_err());
+        // A count that disagrees with the body.
+        for count in [1, 2, 4, u32::MAX] {
+            assert!(decode_both(&with_count(count)).is_err(), "count {count}");
+        }
+        // A truncated header, or no room for the count itself.
+        for cut in [count_at + 2, count_at + 4 + 10, good.len() - 1] {
+            assert!(decode_both(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // Trailing bytes.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(decode_both(&long).is_err());
+        // The garbage proptest below draws this operation byte too.
+        assert!((0u8..8).contains(&Operation::AckBatch.to_byte()));
+    }
+
     proptest! {
+        #[test]
+        fn an_ack_batch_roundtrips(
+            fields in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..=128)
+        ) {
+            let acks: Vec<Ack> = fields
+                .into_iter()
+                .map(|(offset, md_handle, manipulated_length)| Ack {
+                    header: ResponseHeader {
+                        offset,
+                        md_handle,
+                        manipulated_length,
+                        ..resp_header(1024, 0)
+                    },
+                })
+                .collect();
+            let m = PortalsMessage::AckBatch(acks);
+            let encoded = m.encode();
+            prop_assert_eq!(encoded.len(), m.encoded_len());
+            prop_assert_eq!(PortalsMessage::decode(&encoded).unwrap(), m.clone());
+            let gathered = m.encode_gather();
+            prop_assert_eq!(gathered.to_vec(), encoded.to_vec());
+            prop_assert_eq!(PortalsMessage::decode_gather(&gathered).unwrap(), m);
+        }
+
         #[test]
         fn put_roundtrips_any_payload(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
             let m = PortalsMessage::Put(PutRequest {
@@ -611,6 +717,7 @@ mod tests {
 
         #[test]
         fn decode_garbage_with_valid_envelope_never_panics(
+            // Every operation byte, the ack batch's 0x07 included, and 0x00.
             op in 0u8..8, body in proptest::collection::vec(any::<u8>(), 0..256)
         ) {
             let mut buf = vec![MAGIC, op];

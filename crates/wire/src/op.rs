@@ -5,7 +5,8 @@ use crate::error::WireError;
 /// The four Portals message types (§4.6: "The Portals API uses four types of
 /// messages: put requests, acknowledgments, get requests, and replies"), plus
 /// the atomic extension (Portals 4 lineage: `PtlAtomic`/`PtlFetchAtomic`)
-/// carrying a target-side read-modify-write request.
+/// carrying a target-side read-modify-write request, and a batch of
+/// acknowledgments sharing one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Operation {
@@ -23,6 +24,8 @@ pub enum Operation {
     /// A fetching atomic request: operand in, prior value returned via a
     /// reply (like a get).
     FetchAtomicRequest = 0x06,
+    /// Several acknowledgments in one message, each a whole Table 2 header.
+    AckBatch = 0x07,
 }
 
 impl Operation {
@@ -35,6 +38,7 @@ impl Operation {
             0x04 => Ok(Operation::Reply),
             0x05 => Ok(Operation::AtomicRequest),
             0x06 => Ok(Operation::FetchAtomicRequest),
+            0x07 => Ok(Operation::AckBatch),
             other => Err(WireError::UnknownOperation(other)),
         }
     }
@@ -50,7 +54,10 @@ impl Operation {
     /// take the full validation path.
     #[inline]
     pub fn is_response(self) -> bool {
-        matches!(self, Operation::Ack | Operation::Reply)
+        matches!(
+            self,
+            Operation::Ack | Operation::AckBatch | Operation::Reply
+        )
     }
 
     /// True for the two request types.
@@ -73,6 +80,7 @@ mod tests {
             Operation::Reply,
             Operation::AtomicRequest,
             Operation::FetchAtomicRequest,
+            Operation::AckBatch,
         ] {
             assert_eq!(Operation::from_byte(op.to_byte()).unwrap(), op);
         }
@@ -97,6 +105,7 @@ mod tests {
         assert!(Operation::AtomicRequest.is_request());
         assert!(Operation::FetchAtomicRequest.is_request());
         assert!(Operation::Ack.is_response());
+        assert!(Operation::AckBatch.is_response());
         assert!(Operation::Reply.is_response());
     }
 }
