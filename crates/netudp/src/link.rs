@@ -3,7 +3,7 @@
 //! thread — runs that endpoint's step on what it drained.
 
 use crate::frame::{self, FrameError, FRAME_HEADER};
-use crate::mmsg::{self, RecvMeta, Run};
+use crate::mmsg::{self, RecvBufs, RecvMeta, Run};
 use crate::stats::UdpStats;
 use parking_lot::{Mutex, RwLock};
 use portals_net::{Datagram, DriverHub, DriverRegistry, Link, LinkCaps};
@@ -44,9 +44,13 @@ const SEND_RETRIES: u32 = 16;
 /// (GRO). A bulk stream at the 1432-byte MTU fills a 64 KiB run with 45
 /// frames, so the transport's window of 64 fragments is two entries; the
 /// vector length then matters only for streams of small or mixed frames,
-/// which form runs of one. The rx thread allocates one 64 KiB buffer per
-/// slot, enough for the largest coalesced buffer.
+/// which form runs of one. The rx thread keeps one 64 KiB buffer per slot,
+/// enough for the largest coalesced buffer.
 const BATCH: usize = 32;
+
+/// Size of one receive buffer: the largest datagram, or the largest run of
+/// them the kernel coalesces into one buffer (GRO).
+const RECV_BUF: usize = 65536;
 
 /// Most datagrams the rx thread takes off the socket before it steps a
 /// hosted endpoint on them: one run of the transport's receive drain, which
@@ -186,8 +190,18 @@ pub struct UdpLink {
     run_frames: AtomicUsize,
     loss: f64,
     rng: Mutex<SmallRng>,
+    tx: Mutex<TxScratch>,
     shutdown: Arc<AtomicBool>,
     rx_thread: Option<JoinHandle<()>>,
+}
+
+/// The tx path's frame buffer and frame list, kept for their capacity.
+#[derive(Default)]
+struct TxScratch {
+    /// The frames, header and payload each, back to back.
+    wire: Vec<u8>,
+    /// Each frame's destination and wire length, in order.
+    frames: Vec<(SocketAddr, usize)>,
 }
 
 impl UdpLink {
@@ -241,6 +255,7 @@ impl UdpLink {
             run_frames: AtomicUsize::new(mmsg::MAX_SEGMENTS),
             loss: cfg.loss,
             rng: Mutex::new(SmallRng::seed_from_u64(cfg.seed)),
+            tx: Mutex::new(TxScratch::default()),
             shutdown,
             rx_thread: Some(rx_thread),
         })
@@ -300,19 +315,35 @@ impl UdpLink {
     /// The one tx path, for a vector of any length including one: resolve,
     /// shim and frame per datagram, then send in runs.
     fn transmit(&self, batch: &[(NodeId, Gather)]) {
-        // Resolve and apply the loss shim per datagram, in submission order,
-        // before runs are formed: a dropped datagram simply never enters the
-        // wire buffer. Each survivor's header and payload are copied exactly
-        // once, straight into that buffer.
-        let mut wire = Vec::with_capacity(
+        // The wire buffer is reused from call to call; a sender that finds
+        // another thread inside this path builds a buffer of its own.
+        let mut held = self.tx.try_lock();
+        let mut own = TxScratch::default();
+        let TxScratch { wire, frames } = held.as_deref_mut().unwrap_or(&mut own);
+        wire.clear();
+        frames.clear();
+        wire.reserve(
             batch
                 .iter()
                 .map(|(_, payload)| FRAME_HEADER + payload.len())
                 .sum(),
         );
-        let mut frames: Vec<(SocketAddr, usize)> = Vec::with_capacity(batch.len());
+        // Resolve and apply the loss shim per datagram, in submission order,
+        // before runs are formed: a dropped datagram simply never enters the
+        // wire buffer. A destination is looked up once per stretch of
+        // datagrams to it. Each survivor's header and payload are copied
+        // exactly once, straight into that buffer.
+        let mut route: Option<(NodeId, Option<SocketAddr>)> = None;
         for (dst, payload) in batch {
-            let Some(addr) = self.peer_addr(*dst) else {
+            let addr = match route {
+                Some((nid, addr)) if nid == *dst => addr,
+                _ => {
+                    let addr = self.peer_addr(*dst);
+                    route = Some((*dst, addr));
+                    addr
+                }
+            };
+            let Some(addr) = addr else {
                 self.stats.unroutable.inc();
                 continue;
             };
@@ -320,13 +351,13 @@ impl UdpLink {
                 self.stats.shim_dropped.inc();
                 continue;
             }
-            frame::encode_header(self.nid, *dst, payload.len(), &mut wire);
+            frame::encode_header(self.nid, *dst, payload.len(), wire);
             for seg in payload.segments() {
                 wire.extend_from_slice(seg.as_ref());
             }
             frames.push((addr, FRAME_HEADER + payload.len()));
         }
-        self.send_frames(&wire, &frames, &mut |runs| {
+        self.send_frames(wire, frames, &mut |runs| {
             mmsg::send_batch(&self.socket, runs)
         });
     }
@@ -497,7 +528,7 @@ impl RxThread {
         // One max-size buffer per batch slot: frames above max_payload
         // still parse (the bound is a courtesy to senders, not a
         // receive-side limit).
-        let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 65536]).collect();
+        let mut bufs = RecvBufs::new(BATCH, RECV_BUF);
         let mut metas: Vec<RecvMeta> = Vec::with_capacity(BATCH);
         let mut accepted: Vec<Datagram> = Vec::with_capacity(BATCH);
         // When the hosted stepper must step again, if one is hosted.
@@ -553,22 +584,37 @@ impl RxThread {
 
     /// Count one received batch and keep the datagrams it carried: each
     /// buffer cut at the segment size the kernel reported, each piece
-    /// validated on its own, so a bad frame drops only itself.
-    fn take(&self, bufs: &[Vec<u8>], metas: &[RecvMeta], accepted: &mut Vec<Datagram>) {
+    /// validated on its own, so a bad frame drops only itself. A datagram's
+    /// payload is a view into the buffer it arrived in, not a copy.
+    fn take(&self, bufs: &RecvBufs, metas: &[RecvMeta], accepted: &mut Vec<Datagram>) {
         let mut datagrams = 0;
+        let mut learned = None;
         for meta in metas {
-            for frame in mmsg::segments(&bufs[meta.buf][..meta.len], meta.segment) {
+            let buf = bufs.get(meta.buf);
+            let mut end = 0;
+            for frame in mmsg::segments(&buf[..meta.len], meta.segment) {
+                let start = end;
+                end += frame.len();
                 datagrams += 1;
-                accepted.extend(self.accept(frame, meta.addr));
+                accepted.extend(self.accept(buf, start..end, meta.addr, &mut learned));
             }
         }
         self.stats.batches_received.inc();
         self.stats.recv_batch_frames.observe(datagrams);
     }
 
-    /// Validate one received frame; `Some` is the datagram it carried.
-    fn accept(&self, buf: &[u8], from: SocketAddr) -> Option<Datagram> {
-        let (src, dst, payload) = match frame::decode(buf) {
+    /// Validate the frame at `frame` in `buf`; `Some` is the datagram it
+    /// carried, its payload a view into `buf`. `learned` is the route this
+    /// batch last confirmed, so a run of frames from one peer checks the
+    /// peer table once.
+    fn accept(
+        &self,
+        buf: &Arc<Vec<u8>>,
+        frame: Range<usize>,
+        from: SocketAddr,
+        learned: &mut Option<(NodeId, SocketAddr)>,
+    ) -> Option<Datagram> {
+        let (src, dst, payload) = match frame::decode(&buf[frame.clone()]) {
             Ok(parts) => parts,
             Err(FrameError::Truncated) => {
                 self.stats.truncated.inc();
@@ -592,17 +638,20 @@ impl RxThread {
         // already known, and taking the write lock per inbound datagram
         // would serialize this thread against every concurrent
         // `peer_addr()` read on the send path.
-        let known = self.peers.read().get(&src) == Some(&from);
-        if !known {
-            self.peers.write().insert(src, from);
+        if *learned != Some((src, from)) {
+            let known = self.peers.read().get(&src) == Some(&from);
+            if !known {
+                self.peers.write().insert(src, from);
+            }
+            *learned = Some((src, from));
         }
         self.stats.datagrams_received.inc();
         self.stats.bytes_received.add(payload.len() as u64);
-        self.stats.frame_bytes_received.add(buf.len() as u64);
+        self.stats.frame_bytes_received.add(frame.len() as u64);
         Some(Datagram {
             src,
             dst,
-            payload: Gather::from_vec(payload.to_vec()),
+            payload: Gather::view(buf, frame.start + FRAME_HEADER..frame.end),
         })
     }
 }

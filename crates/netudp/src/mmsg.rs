@@ -35,6 +35,7 @@
 //! `UdpLink` never needs platform knowledge of its own.
 
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::Arc;
 
 /// Largest payload a single UDP/IPv4 datagram can carry
 /// (65535 − 8-byte UDP header − 20-byte IP header). Frames above this can
@@ -88,21 +89,87 @@ pub(crate) fn segments(buf: &[u8], segment: usize) -> impl Iterator<Item = &[u8]
         .map(move |at| &buf[at..(at + size).min(buf.len())])
 }
 
+/// The receive buffers, one per `recvmmsg` slot, and the scratch the call
+/// needs, kept across calls.
+///
+/// A received frame's payload is handed up as a view into the buffer it
+/// arrived in ([`Gather::view`](portals_types::Gather::view)), so a buffer
+/// is written again only once no view of it is alive (`Arc::get_mut`).
+/// A slot whose buffer is still viewed gets a spare that is not, or a fresh
+/// buffer; the one it held waits among the spares, at most one spare per
+/// slot, until its views drop.
+pub(crate) struct RecvBufs {
+    slots: Vec<Arc<Vec<u8>>>,
+    spares: Vec<Arc<Vec<u8>>>,
+    size: usize,
+    /// Slots the last receive wrote: the only ones views can point into.
+    filled: usize,
+    scratch: RecvScratch,
+}
+
+impl RecvBufs {
+    /// `slots` buffers of `size` bytes each.
+    pub(crate) fn new(slots: usize, size: usize) -> RecvBufs {
+        RecvBufs {
+            slots: (0..slots).map(|_| Arc::new(vec![0; size])).collect(),
+            spares: Vec::new(),
+            size,
+            filled: 0,
+            scratch: RecvScratch::default(),
+        }
+    }
+
+    /// The buffer in slot `i`, as the last receive left it.
+    pub(crate) fn get(&self, i: usize) -> &Arc<Vec<u8>> {
+        &self.slots[i]
+    }
+
+    /// Every slot, writable: the slots the last receive filled swap a
+    /// buffer that still has views for one that has none. The receive that
+    /// writes them records how many it filled in `self.filled`.
+    fn writable(&mut self) -> impl Iterator<Item = &mut [u8]> {
+        let most_spares = self.slots.len();
+        for slot in &mut self.slots[..self.filled] {
+            if Arc::get_mut(slot).is_some() {
+                continue;
+            }
+            let free = self
+                .spares
+                .iter_mut()
+                .position(|b| Arc::get_mut(b).is_some());
+            let fresh = match free {
+                Some(i) => self.spares.swap_remove(i),
+                None => Arc::new(vec![0; self.size]),
+            };
+            let held = std::mem::replace(slot, fresh);
+            if self.spares.len() < most_spares {
+                self.spares.push(held);
+            }
+        }
+        self.filled = 0;
+        self.slots.iter_mut().map(|slot| {
+            Arc::get_mut(slot)
+                .expect("a writable slot has no views")
+                .as_mut_slice()
+        })
+    }
+}
+
 #[cfg(target_os = "linux")]
 pub(crate) use linux::{
     enable_gro, recv_batch, refuses_segmentation, send_batch, set_buffer_sizes, wait_readable,
-    MAX_SEGMENTS,
+    RecvScratch, MAX_SEGMENTS,
 };
 
 #[cfg(not(target_os = "linux"))]
 pub(crate) use portable::{
     enable_gro, recv_batch, refuses_segmentation, send_batch, set_buffer_sizes, wait_readable,
-    MAX_SEGMENTS,
+    RecvScratch, MAX_SEGMENTS,
 };
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{RecvMeta, Run, SocketAddr, UdpSocket};
+    use super::{RecvBufs, RecvMeta, Run, SocketAddr, UdpSocket};
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
     use std::os::fd::AsRawFd;
@@ -440,8 +507,18 @@ mod linux {
         }
     }
 
-    /// Drain up to `bufs.len()` buffers in one `recvmmsg` call. With
-    /// `block`, waits only for the first (bounded by the socket's
+    /// The vectors one `recvmmsg` call hands the kernel, kept for their
+    /// capacity: refilled on every call, allocated on none.
+    #[derive(Default)]
+    pub(crate) struct RecvScratch {
+        addrs: Vec<AddrStorage>,
+        iovs: Vec<IoVec>,
+        cmsgs: Vec<Cmsg>,
+        hdrs: Vec<MMsgHdr>,
+    }
+
+    /// Drain up to one buffer per slot of `bufs` in one `recvmmsg` call.
+    /// With `block`, waits only for the first (bounded by the socket's
     /// `SO_RCVTIMEO`, so the rx thread's shutdown poll still works);
     /// without, fails with `WouldBlock` when nothing is queued. Everything
     /// already queued rides along free. Successful receives are appended to
@@ -449,70 +526,93 @@ mod linux {
     /// reported, if any.
     pub(crate) fn recv_batch(
         socket: &UdpSocket,
-        bufs: &mut [Vec<u8>],
+        bufs: &mut RecvBufs,
         out: &mut Vec<RecvMeta>,
         block: bool,
     ) -> io::Result<usize> {
-        debug_assert!(!bufs.is_empty());
-        let mut addrs: Vec<AddrStorage> = vec![AddrStorage::ZERO; bufs.len()];
-        let mut iovs: Vec<IoVec> = bufs
-            .iter_mut()
-            .map(|b| IoVec {
-                base: b.as_mut_ptr(),
-                len: b.len(),
-            })
-            .collect();
-        let mut cmsgs: Vec<Cmsg> = vec![Cmsg::ZERO; bufs.len()];
+        let n = bufs.slots.len();
+        debug_assert!(n > 0);
+        let mut scratch = std::mem::take(&mut bufs.scratch);
+        let RecvScratch {
+            addrs,
+            iovs,
+            cmsgs,
+            hdrs,
+        } = &mut scratch;
+        addrs.clear();
+        addrs.resize(n, AddrStorage::ZERO);
+        cmsgs.clear();
+        cmsgs.resize(n, Cmsg::ZERO);
+        iovs.clear();
+        // Every slot is offered; the kernel fills a prefix of them.
+        iovs.extend(bufs.writable().map(|b| IoVec {
+            base: b.as_mut_ptr(),
+            len: b.len(),
+        }));
         let aptr = addrs.as_mut_ptr();
         let iptr = iovs.as_mut_ptr();
         let cptr = cmsgs.as_mut_ptr();
-        let mut hdrs: Vec<MMsgHdr> = (0..bufs.len())
-            .map(|i| unsafe {
-                MMsgHdr {
-                    hdr: MsgHdr {
-                        name: aptr.add(i),
-                        namelen: 28,
-                        iov: iptr.add(i),
-                        iovlen: 1,
-                        control: cptr.add(i).cast(),
-                        controllen: std::mem::size_of::<Cmsg>(),
-                        flags: 0,
-                    },
-                    len: 0,
-                }
-            })
-            .collect();
-        let n = unsafe {
+        hdrs.clear();
+        // SAFETY: `i < n`, and `addrs`, `iovs` and `cmsgs` each hold `n`
+        // entries, so every offset stays inside its vector.
+        hdrs.extend((0..n).map(|i| unsafe {
+            MMsgHdr {
+                hdr: MsgHdr {
+                    name: aptr.add(i),
+                    namelen: 28,
+                    iov: iptr.add(i),
+                    iovlen: 1,
+                    control: cptr.add(i).cast(),
+                    controllen: std::mem::size_of::<Cmsg>(),
+                    flags: 0,
+                },
+                len: 0,
+            }
+        }));
+        // SAFETY: `hdrs` holds `n` entries whose name, iovec and control
+        // pointers point into `addrs`, `iovs` and `cmsgs`, none of which is
+        // touched until the call returns. Each iovec covers a whole slot
+        // buffer that `writable` found unshared, and `bufs` stays borrowed
+        // here, so no view of it can be cut before the kernel has written.
+        let got = unsafe {
             recvmmsg(
                 socket.as_raw_fd(),
                 hdrs.as_mut_ptr(),
-                hdrs.len() as u32,
+                n as u32,
                 if block { MSG_WAITFORONE } else { MSG_DONTWAIT },
                 std::ptr::null_mut(),
             )
         };
-        if n < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for i in 0..n as usize {
-            if let Some(addr) = decode_addr(&addrs[i]) {
-                out.push(RecvMeta {
-                    buf: i,
-                    len: hdrs[i].len as usize,
-                    addr,
-                    segment: cmsgs[i].gro_segment(hdrs[i].hdr.controllen),
-                });
+        let result = if got < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            bufs.filled = got as usize;
+            for i in 0..got as usize {
+                if let Some(addr) = decode_addr(&addrs[i]) {
+                    out.push(RecvMeta {
+                        buf: i,
+                        len: hdrs[i].len as usize,
+                        addr,
+                        segment: cmsgs[i].gro_segment(hdrs[i].hdr.controllen),
+                    });
+                }
             }
-        }
-        Ok(n as usize)
+            Ok(got as usize)
+        };
+        bufs.scratch = scratch;
+        result
     }
 }
 
 #[cfg(not(target_os = "linux"))]
 mod portable {
-    use super::{RecvMeta, Run, SocketAddr, UdpSocket};
+    use super::{RecvBufs, RecvMeta, Run, SocketAddr, UdpSocket};
     use std::io;
     use std::time::Duration;
+
+    /// `recv_from` needs no scratch.
+    #[derive(Default)]
+    pub(crate) struct RecvScratch;
 
     /// No segmentation offload here: every run is one frame.
     pub(crate) const MAX_SEGMENTS: usize = 1;
@@ -546,14 +646,16 @@ mod portable {
     /// `WouldBlock` unless a datagram is already queued.
     pub(crate) fn recv_batch(
         socket: &UdpSocket,
-        bufs: &mut [Vec<u8>],
+        bufs: &mut RecvBufs,
         out: &mut Vec<RecvMeta>,
         block: bool,
     ) -> io::Result<usize> {
         if !block && !wait_readable(socket, Duration::ZERO)? {
             return Err(io::ErrorKind::WouldBlock.into());
         }
-        let (len, addr) = socket.recv_from(&mut bufs[0])?;
+        let buf = bufs.writable().next().expect("at least one slot");
+        let (len, addr) = socket.recv_from(buf)?;
+        bufs.filled = 1;
         out.push(RecvMeta {
             buf: 0,
             len,
@@ -633,13 +735,13 @@ mod tests {
             done += send_batch(&tx, &runs[done..]).expect("send batch");
         }
 
-        let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| vec![0u8; 2048]).collect();
+        let mut bufs = RecvBufs::new(8, 2048);
         let mut got: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
         while got.len() < frames.len() {
             let mut metas = Vec::new();
             recv_batch(&rx, &mut bufs, &mut metas, true).expect("recv batch");
             for m in metas {
-                got.push((bufs[m.buf][..m.len].to_vec(), m.addr));
+                got.push((bufs.get(m.buf)[..m.len].to_vec(), m.addr));
             }
         }
         assert_eq!(got.len(), 5);
@@ -655,7 +757,7 @@ mod tests {
         let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.set_read_timeout(Some(Duration::from_millis(20)))
             .unwrap();
-        let mut bufs = vec![vec![0u8; 256]; 4];
+        let mut bufs = RecvBufs::new(4, 256);
         let mut metas = Vec::new();
         let err = recv_batch(&rx, &mut bufs, &mut metas, true).expect_err("nothing to read");
         assert!(
@@ -677,10 +779,10 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(2));
         tx.send_to(b"here", rx.local_addr().unwrap()).unwrap();
         assert!(wait_readable(&rx, Duration::from_secs(5)).unwrap());
-        let mut bufs = vec![vec![0u8; 64]; 2];
+        let mut bufs = RecvBufs::new(2, 64);
         let mut metas = Vec::new();
         assert_eq!(recv_batch(&rx, &mut bufs, &mut metas, true).unwrap(), 1);
-        assert_eq!(&bufs[metas[0].buf][..metas[0].len], b"here");
+        assert_eq!(&bufs.get(metas[0].buf)[..metas[0].len], b"here");
     }
 
     #[cfg(target_os = "linux")]
@@ -691,11 +793,11 @@ mod tests {
         rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let dst = rx.local_addr().unwrap();
         send_batch(&tx, &[one(dst, b"six")]).unwrap();
-        let mut bufs = vec![vec![0u8; 256]; 2];
+        let mut bufs = RecvBufs::new(2, 256);
         let mut metas = Vec::new();
         recv_batch(&rx, &mut bufs, &mut metas, true).unwrap();
         assert_eq!(metas.len(), 1);
-        assert_eq!(&bufs[metas[0].buf][..metas[0].len], b"six");
+        assert_eq!(&bufs.get(metas[0].buf)[..metas[0].len], b"six");
         assert_eq!(metas[0].addr, tx.local_addr().unwrap());
     }
 
@@ -739,15 +841,15 @@ mod tests {
             .collect();
         assert_eq!(send_batch(&tx, &entries).unwrap(), entries.len());
         let total: usize = runs.iter().map(|&(frames, _)| frames).sum();
-        let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| vec![0u8; 65536]).collect();
+        let mut bufs = RecvBufs::new(8, 65536);
         let mut got = Vec::new();
         let mut datagrams = 0;
         while datagrams < total {
             let mut metas = Vec::new();
             recv_batch(&rx, &mut bufs, &mut metas, true).expect("recv batch");
             for m in metas {
-                datagrams += segments(&bufs[m.buf][..m.len], m.segment).count();
-                got.push((bufs[m.buf][..m.len].to_vec(), m.segment));
+                datagrams += segments(&bufs.get(m.buf)[..m.len], m.segment).count();
+                got.push((bufs.get(m.buf)[..m.len].to_vec(), m.segment));
             }
         }
         got

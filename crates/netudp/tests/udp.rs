@@ -412,6 +412,44 @@ fn recv_n(l: &UdpLink, n: usize) -> Vec<portals_net::Datagram> {
         .collect()
 }
 
+/// A received payload is a view into the receive buffer it arrived in, so
+/// the receive thread must never write into a buffer while a view of it is
+/// alive. Hold every payload of a first burst, sent frame by frame and as
+/// one run, while later bursts of other bytes arrive through the same
+/// receive slots: the held bytes must not change.
+#[test]
+fn held_payloads_survive_later_arrivals() {
+    let _turn = turn();
+    let a = link(0);
+    let b = link(1);
+    a.set_peer(NodeId(1), b.local_addr());
+    let burst = |fill: u8| -> Vec<(NodeId, Gather)> {
+        (0..40u8)
+            .map(|i| (NodeId(1), Gather::from_vec(vec![fill ^ i; 1000])))
+            .collect()
+    };
+    for (dst, payload) in burst(0) {
+        a.send(dst, payload);
+    }
+    a.send_batch(burst(0x80));
+    let held = recv_n(&b, 80);
+    for round in 1..=8u8 {
+        let fill = round.wrapping_mul(0x11);
+        a.send_batch(burst(fill));
+        for (i, d) in recv_n(&b, 40).iter().enumerate() {
+            assert_eq!(
+                d.payload.to_vec(),
+                vec![fill ^ i as u8; 1000],
+                "round {round}"
+            );
+        }
+    }
+    for (i, d) in held.iter().enumerate() {
+        let want = ((i / 40) as u8 * 0x80) ^ (i % 40) as u8;
+        assert_eq!(d.payload.to_vec(), vec![want; 1000], "held datagram {i}");
+    }
+}
+
 /// Longer than one `sendmmsg` vector, short enough for one GSO run: a
 /// `send_batch` of equal frames to one peer is one wire call, and the
 /// receiver cuts it back into every datagram, byte-exact and in order.

@@ -62,20 +62,24 @@ fn expose(ni: &NetworkInterface, portal: u32, region: Region, events: usize) -> 
     eq
 }
 
+/// The wall backstop on `nic_thread_never_sleeps_through_a_doorbell`'s
+/// slowest round: 25 park bounds. The slowest round of each of 25 debug
+/// runs of that test alone, on a 2-vCPU Xeon beside two release builds
+/// (load average 2.4), in ms: min 0.4, quartiles 3.2 / 3.3 / 4.6, max 11.9.
+/// A 10 ms wall bound would sit inside that spread.
+const WORST_ROUND_BACKSTOP: Duration = Duration::from_millis(500);
+
 /// (a) No lost wake-up. Each round is a put to the peer and its echo back;
 /// between rounds the producer waits a varying few microseconds, so its submit
 /// lands before, inside and after the moment the peer's NIC thread — idle
 /// since the last round — reads the doorbell sequence, steps and parks. A
-/// doorbell slept through costs the park bound, `rto_base` = 20 ms; every
-/// round must finish in under half of that. The twin of
-/// `caller_driven_wait_never_loses_a_wakeup`.
-///
-/// A slow round names its cause: how many of the two NIC threads' parks in
-/// it ended at their bound rather than on a ring. None means no NIC thread
-/// waited out a timer in that round, and the time went elsewhere (a
-/// preempted thread on a loaded box). One or more means one did: a doorbell
-/// slept through, or, in a round longer than the bound, an idle park begun
-/// before the round.
+/// doorbell slept through leaves that park to end at its bound, `rto_base` =
+/// 20 ms, so the check is timer-free: no park of either NIC thread may end at
+/// its bound during any round (`transport.nic_park_timeouts` unchanged
+/// across it). A wall bound on the slowest round stays as a backstop only;
+/// on a loaded box preemption alone stretches rounds well past the park
+/// bound ([`WORST_ROUND_BACKSTOP`] has the measured distribution). The twin
+/// of `caller_driven_wait_never_loses_a_wakeup`.
 #[test]
 fn nic_thread_never_sleeps_through_a_doorbell() {
     let _turn = serial();
@@ -108,7 +112,9 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
         }
     });
     let md = a.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
-    let (mut worst, mut worst_round, mut worst_reason) = (Duration::ZERO, 0, String::new());
+    let (mut worst, mut worst_round) = (Duration::ZERO, 0);
+    // Rounds in which a park ended at its bound: (round, timed out, parks, took).
+    let mut slept = Vec::new();
     for i in 0..ROUNDS {
         match i % 8 {
             0 => std::thread::sleep(Duration::from_micros(200)),
@@ -129,23 +135,23 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
         let ev = a.eq_wait(eq_a).unwrap();
         let took = t0.elapsed();
         assert_eq!(ev.kind, EventKind::Put);
+        let after = parks();
+        if after.1 > before.1 {
+            slept.push((i, after.1 - before.1, after.0 - before.0, took));
+        }
         if took > worst {
-            let after = parks();
-            let (parked, timed_out) = (after.0 - before.0, after.1 - before.1);
-            worst = took;
-            worst_round = i;
-            worst_reason = if timed_out == 0 {
-                format!("all {parked} NIC-thread parks in it were rung")
-            } else {
-                format!("{timed_out} of its {parked} NIC-thread parks ended at their bound")
-            };
+            (worst, worst_round) = (took, i);
         }
     }
     echo.join().unwrap();
-    eprintln!("worst echo round: {worst:?} (round {worst_round}: {worst_reason})");
+    eprintln!("worst echo round: {worst:?} (round {worst_round})");
     assert!(
-        worst < Duration::from_millis(10),
-        "round {worst_round} took {worst:?}: {worst_reason}"
+        slept.is_empty(),
+        "NIC-thread parks ended at their bound in (round, timed out, parks, took): {slept:?}"
+    );
+    assert!(
+        worst < WORST_ROUND_BACKSTOP,
+        "round {worst_round} took {worst:?}, though every park in it was rung"
     );
 }
 

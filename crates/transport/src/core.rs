@@ -116,6 +116,8 @@ pub(crate) struct ProgressCore {
     /// the wire at run granularity, but the consumer pays one queue hop and
     /// one scatter per run instead of one per MTU fragment.
     staged: Vec<Delivery>,
+    /// What the datagram in hand released; kept for its capacity.
+    released: Vec<Released>,
     /// The cumulative ACK owed to each source (at most one entry per source),
     /// until [`ProgressCore::flush_acks`] or data to that source sends it.
     acks_owed: Vec<(NodeId, u64)>,
@@ -157,6 +159,7 @@ impl ProgressCore {
             deadline_ns,
             delivered,
             staged: Vec::new(),
+            released: Vec::new(),
             acks_owed: Vec::new(),
             stats,
             outstanding,
@@ -503,7 +506,7 @@ impl ProgressCore {
                     .rx_peers
                     .entry(src)
                     .or_insert_with(|| ReceiverPeer::with_limit(limit));
-                let result = peer.on_data(header, packet.body);
+                let result = peer.on_data(header, packet.body, &mut self.released);
                 let hwm = peer.buffered_hwm() as i64;
                 if result.duplicate {
                     self.stats.duplicates_dropped.add(1);
@@ -546,7 +549,7 @@ impl ProgressCore {
                             .detail("noncontiguous")
                     });
                 }
-                for released in result.released {
+                for released in self.released.drain(..) {
                     let slice = match released {
                         Released::Frag(slice) => slice,
                         Released::Abandoned => {

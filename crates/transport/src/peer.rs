@@ -150,29 +150,37 @@ impl SenderPeer {
     /// Move pending fragments into the window while both window space and
     /// credits remain.
     fn admit(&mut self, cfg: &TransportConfig, now: Instant) -> Vec<Gather> {
-        let mut out = Vec::new();
-        while self.in_flight.len() < cfg.window && self.next_seq < self.credit {
-            let Some(frag) = self.pending.pop_front() else {
-                break;
-            };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            // Body coverage is decided here, at encode time: the in-flight
-            // image (and every retransmission of it) carries the same CRC.
-            let encoded = Packet::data(
-                seq,
-                frag.msg_id,
-                frag.offset,
-                frag.frag_index,
-                frag.frag_count,
-                frag.body,
-            )
-            .encode_with(self.checksum_body);
+        let credits =
+            usize::try_from(self.credit.saturating_sub(self.next_seq)).unwrap_or(usize::MAX);
+        let room = cfg
+            .window
+            .saturating_sub(self.in_flight.len())
+            .min(credits)
+            .min(self.pending.len());
+        let first = self.next_seq;
+        self.next_seq += room as u64;
+        let packets: Vec<Packet> = (first..)
+            .zip(self.pending.drain(..room))
+            .map(|(seq, frag)| {
+                Packet::data(
+                    seq,
+                    frag.msg_id,
+                    frag.offset,
+                    frag.frag_index,
+                    frag.frag_count,
+                    frag.body,
+                )
+            })
+            .collect();
+        // Body coverage is decided here, at encode time: the in-flight image
+        // (and every retransmission of it) carries the same CRC. The
+        // admitted packets' headers share one allocation.
+        let out = Packet::encode_all(&packets, self.checksum_body);
+        for (seq, encoded) in (first..).zip(&out) {
             self.in_flight.push_back(InFlight {
                 seq,
                 encoded: encoded.clone(),
             });
-            out.push(encoded);
         }
         if !out.is_empty() && self.deadline.is_none() {
             self.deadline = Some(now + cfg.rto_after(self.retries));
@@ -389,13 +397,10 @@ pub enum Released {
     Abandoned,
 }
 
-/// What [`ReceiverPeer::on_data`] produced.
+/// What [`ReceiverPeer::on_data`] produced, beside the releases it
+/// appended.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RxResult {
-    /// What this packet released, in order: the packet itself when it arrived
-    /// at the horizon, plus any buffered successors it unblocked. Empty for
-    /// duplicates and buffered/dropped out-of-order arrivals.
-    pub released: Vec<Released>,
     /// In-sequence packets whose fragment fields neither continued the
     /// message in progress nor started a new one. Each abandons the message
     /// it interrupted and is itself discarded unless it starts a message.
@@ -413,10 +418,9 @@ pub struct RxResult {
 }
 
 impl RxResult {
-    /// A result that releases nothing.
+    /// A result with no noncontiguous arrival.
     fn held(ack: u64, duplicate: bool, out_of_order: bool, buffered: bool) -> RxResult {
         RxResult {
-            released: Vec::new(),
             noncontiguous: 0,
             ack,
             duplicate,
@@ -519,11 +523,20 @@ impl ReceiverPeer {
     }
 
     /// Process a DATA packet. In-order packets (and any buffered successors
-    /// they unblock) come back as releases; out-of-order packets are buffered
-    /// within the byte budget and dropped beyond it; duplicates are
-    /// suppressed. Every arrival elicits a cumulative ack so the sender can
-    /// resynchronize.
-    pub fn on_data(&mut self, header: PacketHeader, body: Gather) -> RxResult {
+    /// they unblock) are appended to `released`, in order: the packet itself
+    /// when it arrived at the horizon, then what it spliced back. Duplicates
+    /// and buffered or dropped out-of-order arrivals append nothing.
+    /// Out-of-order packets are buffered within the byte budget, each copied
+    /// into an allocation of its own so that it pins no receive buffer, and
+    /// dropped beyond it; duplicates are suppressed. Every arrival elicits a
+    /// cumulative ack so the sender can resynchronize. `released` is the
+    /// caller's, reused across calls.
+    pub fn on_data(
+        &mut self,
+        header: PacketHeader,
+        body: Gather,
+        released: &mut Vec<Released>,
+    ) -> RxResult {
         let PacketHeader::Data {
             seq,
             msg_id,
@@ -552,7 +565,8 @@ impl ReceiverPeer {
             if fits {
                 self.stashed_bytes += slice.body.len();
                 self.stashed_hwm = self.stashed_hwm.max(self.stashed_bytes);
-                self.stashed.insert(seq, slice);
+                let body = Gather::from_vec(slice.body.to_vec());
+                self.stashed.insert(seq, FragSlice { body, ..slice });
             }
             return RxResult::held(self.cumulative(), false, true, fits);
         }
@@ -560,11 +574,11 @@ impl ReceiverPeer {
         // successor the hole-fill unblocked.
         let mut result = RxResult::held(ACK_NONE, false, false, false);
         self.expected += 1;
-        self.release(slice, &mut result);
+        self.release(slice, released, &mut result);
         while let Some(next) = self.stashed.remove(&self.expected) {
             self.stashed_bytes -= next.body.len();
             self.expected += 1;
-            self.release(next, &mut result);
+            self.release(next, released, &mut result);
         }
         result.ack = self.cumulative();
         result
@@ -575,7 +589,7 @@ impl ReceiverPeer {
     /// that honours the protocol never fails the test; one that was restarted
     /// mid-message, or is hostile, loses the message it broke and nothing
     /// else.
-    fn release(&mut self, slice: FragSlice, out: &mut RxResult) {
+    fn release(&mut self, slice: FragSlice, released: &mut Vec<Released>, out: &mut RxResult) {
         let continues = self.open.is_some_and(|m| {
             slice.msg_id == m.msg_id
                 && slice.frag_count == m.frag_count
@@ -586,7 +600,7 @@ impl ReceiverPeer {
             let interrupted = self.open.take().is_some();
             let starts = slice.frag_index == 0 && slice.offset == 0 && slice.frag_count != 0;
             if interrupted {
-                out.released.push(Released::Abandoned);
+                released.push(Released::Abandoned);
             }
             if interrupted || !starts {
                 out.noncontiguous += 1;
@@ -603,7 +617,7 @@ impl ReceiverPeer {
             next_index: slice.frag_index + 1,
             next_offset: slice.offset + slice.body.len() as u64,
         });
-        out.released.push(Released::Frag(slice));
+        released.push(Released::Frag(slice));
     }
 }
 
@@ -823,8 +837,27 @@ mod tests {
         }
     }
 
+    /// One arrival as the core sees it: the result, and what it released.
+    struct Arrival {
+        released: Vec<Released>,
+        result: RxResult,
+    }
+
+    impl std::ops::Deref for Arrival {
+        type Target = RxResult;
+        fn deref(&self) -> &RxResult {
+            &self.result
+        }
+    }
+
+    fn arrive(rx: &mut ReceiverPeer, header: PacketHeader, body: Gather) -> Arrival {
+        let mut released = Vec::new();
+        let result = rx.on_data(header, body, &mut released);
+        Arrival { released, result }
+    }
+
     /// The fragments a result released (tests that expect no abandonment).
-    fn frags(r: &RxResult) -> Vec<&FragSlice> {
+    fn frags(r: &Arrival) -> Vec<&FragSlice> {
         r.released
             .iter()
             .map(|rel| match rel {
@@ -836,7 +869,7 @@ mod tests {
 
     /// Append a result's releases to `acc` the way a consumer would; each
     /// message comes back out at its last fragment.
-    fn fold(acc: &mut Vec<u8>, r: RxResult) -> Vec<Vec<u8>> {
+    fn fold(acc: &mut Vec<u8>, r: Arrival) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         for rel in r.released {
             match rel {
@@ -856,7 +889,7 @@ mod tests {
     #[test]
     fn receiver_delivers_in_order_single_fragment() {
         let mut rx = ReceiverPeer::new();
-        let r = rx.on_data(dh(0, 0, 0, 0, 1), g(b"hello"));
+        let r = arrive(&mut rx, dh(0, 0, 0, 0, 1), g(b"hello"));
         let f = frags(&r);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].offset, 0);
@@ -870,12 +903,12 @@ mod tests {
     fn receiver_streams_fragments_with_offsets() {
         let mut rx = ReceiverPeer::new();
         let mut asm = Vec::new();
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
+        let r0 = arrive(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"));
         assert_eq!(frags(&r0).len(), 1);
         assert_eq!(frags(&r0)[0].offset, 0);
         assert!(!frags(&r0)[0].last());
         assert!(fold(&mut asm, r0).is_empty());
-        let r1 = rx.on_data(dh(1, 0, 3, 1, 2), g(b"lo"));
+        let r1 = arrive(&mut rx, dh(1, 0, 3, 1, 2), g(b"lo"));
         assert_eq!(frags(&r1).len(), 1);
         assert_eq!(frags(&r1)[0].offset, 3);
         assert!(frags(&r1)[0].last());
@@ -886,7 +919,7 @@ mod tests {
     #[test]
     fn receiver_buffers_out_of_order_within_budget() {
         let mut rx = ReceiverPeer::new();
-        let r = rx.on_data(dh(5, 0, 0, 0, 1), g(b"x"));
+        let r = arrive(&mut rx, dh(5, 0, 0, 0, 1), g(b"x"));
         assert!(r.released.is_empty());
         assert!(r.out_of_order);
         assert!(r.buffered);
@@ -898,12 +931,12 @@ mod tests {
     fn receiver_splices_buffered_packet_when_hole_fills() {
         let mut rx = ReceiverPeer::new();
         // seq 1 (frag 1/2) arrives first: held, not delivered.
-        let r1 = rx.on_data(dh(1, 0, 3, 1, 2), g(b"lo"));
+        let r1 = arrive(&mut rx, dh(1, 0, 3, 1, 2), g(b"lo"));
         assert!(r1.buffered);
         assert_eq!(rx.buffered_bytes(), 2);
         assert_eq!(rx.buffered_hwm(), 2);
         // seq 0 fills the hole: both come out, in order, in one result.
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"));
+        let r0 = arrive(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"));
         assert_eq!(frags(&r0).len(), 2);
         assert_eq!(frags(&r0)[0].offset, 0);
         assert_eq!(frags(&r0)[1].offset, 3);
@@ -916,13 +949,13 @@ mod tests {
     #[test]
     fn receiver_drops_out_of_order_beyond_budget() {
         let mut rx = ReceiverPeer::with_limit(4);
-        let r1 = rx.on_data(dh(1, 0, 4, 1, 3), g(b"abcd"));
+        let r1 = arrive(&mut rx, dh(1, 0, 4, 1, 3), g(b"abcd"));
         assert!(r1.buffered, "first packet fills the budget exactly");
-        let r2 = rx.on_data(dh(2, 0, 8, 2, 3), g(b"efgh"));
+        let r2 = arrive(&mut rx, dh(2, 0, 8, 2, 3), g(b"efgh"));
         assert!(r2.out_of_order && !r2.buffered, "budget exhausted: dropped");
         assert_eq!(rx.buffered_bytes(), 4);
         // Go-back-N still recovers: the hole fill splices what was kept.
-        let r0 = rx.on_data(dh(0, 0, 0, 0, 3), g(b"wxyz"));
+        let r0 = arrive(&mut rx, dh(0, 0, 0, 0, 3), g(b"wxyz"));
         assert_eq!(frags(&r0).len(), 2);
         assert_eq!(r0.ack, 1);
     }
@@ -930,7 +963,7 @@ mod tests {
     #[test]
     fn zero_limit_is_pure_go_back_n() {
         let mut rx = ReceiverPeer::with_limit(0);
-        let r = rx.on_data(dh(1, 0, 1, 1, 2), g(b"y"));
+        let r = arrive(&mut rx, dh(1, 0, 1, 1, 2), g(b"y"));
         assert!(r.out_of_order && !r.buffered);
         assert_eq!(rx.buffered_bytes(), 0);
     }
@@ -939,9 +972,9 @@ mod tests {
     fn receiver_suppresses_duplicates() {
         let mut rx = ReceiverPeer::new();
         let h = dh(0, 0, 0, 0, 1);
-        let first = rx.on_data(h, g(b"x"));
+        let first = arrive(&mut rx, h, g(b"x"));
         assert_eq!(first.released.len(), 1);
-        let dup = rx.on_data(h, g(b"x"));
+        let dup = arrive(&mut rx, h, g(b"x"));
         assert!(dup.released.is_empty());
         assert!(dup.duplicate);
         assert_eq!(dup.ack, 0); // re-ack so the sender resyncs
@@ -952,32 +985,32 @@ mod tests {
         let mut rx = ReceiverPeer::new();
         let mut acc = Vec::new();
         // Message 0 opens (2 fragments), then its tail claims the wrong byte.
-        assert!(fold(&mut acc, rx.on_data(dh(0, 0, 0, 0, 2), g(b"hel"))).is_empty());
-        let bad = rx.on_data(dh(1, 0, 4, 1, 2), g(b"lo"));
+        assert!(fold(&mut acc, arrive(&mut rx, dh(0, 0, 0, 0, 2), g(b"hel"))).is_empty());
+        let bad = arrive(&mut rx, dh(1, 0, 4, 1, 2), g(b"lo"));
         assert_eq!(bad.released, [Released::Abandoned]);
         assert_eq!(bad.noncontiguous, 1);
         assert_eq!(bad.ack, 1, "the packet is still acknowledged");
         assert!(fold(&mut acc, bad).is_empty() && acc.is_empty());
         // A stray tail with nothing open is dropped and counted.
-        let stray = rx.on_data(dh(2, 0, 3, 1, 2), g(b"lo"));
+        let stray = arrive(&mut rx, dh(2, 0, 3, 1, 2), g(b"lo"));
         assert!(stray.released.is_empty());
         assert_eq!(stray.noncontiguous, 1);
         // A new message interrupting an open one abandons it and proceeds.
-        rx.on_data(dh(3, 1, 0, 0, 3), g(b"ab"));
-        let next = rx.on_data(dh(4, 2, 0, 0, 1), g(b"whole"));
+        arrive(&mut rx, dh(3, 1, 0, 0, 3), g(b"ab"));
+        let next = arrive(&mut rx, dh(4, 2, 0, 0, 1), g(b"whole"));
         assert_eq!(next.noncontiguous, 1);
         assert_eq!(next.released[0], Released::Abandoned);
         assert!(matches!(&next.released[1], Released::Frag(s) if s.msg_id == 2));
         // frag_count 0 can start nothing.
-        assert_eq!(rx.on_data(dh(5, 3, 0, 0, 0), g(b"")).noncontiguous, 1);
+        assert_eq!(arrive(&mut rx, dh(5, 3, 0, 0, 0), g(b"")).noncontiguous, 1);
     }
 
     #[test]
     fn duplicate_of_a_buffered_packet_is_suppressed() {
         let mut rx = ReceiverPeer::new();
         let h = dh(2, 0, 2, 1, 3);
-        assert!(rx.on_data(h, g(b"y")).buffered);
-        let dup = rx.on_data(h, g(b"y"));
+        assert!(arrive(&mut rx, h, g(b"y")).buffered);
+        let dup = arrive(&mut rx, h, g(b"y"));
         assert!(dup.duplicate, "already held: retransmission suppressed");
         assert_eq!(rx.buffered_bytes(), 1, "no double accounting");
     }
@@ -996,12 +1029,12 @@ mod tests {
         let pkts = decode(&pkts);
 
         // Deliver fragment 0 only.
-        let r0 = rx.on_data(pkts[0].header, pkts[0].body.clone());
+        let r0 = arrive(&mut rx, pkts[0].header, pkts[0].body.clone());
         assert_eq!(r0.ack, 0);
         assert!(fold(&mut asm, r0).is_empty());
         tx.on_ack(0, &c, t);
         // Fragment 1 lost; fragment 2 arrives out of order and is held.
-        let r2 = rx.on_data(pkts[2].header, pkts[2].body.clone());
+        let r2 = arrive(&mut rx, pkts[2].header, pkts[2].body.clone());
         assert!(r2.out_of_order && r2.buffered);
         tx.on_ack(r2.ack, &c, t); // duplicate cumulative ack: no progress
 
@@ -1011,7 +1044,7 @@ mod tests {
         assert_eq!(resend.len(), 2);
         let mut delivered = Vec::new();
         for p in &resend {
-            let r = rx.on_data(p.header, p.body.clone());
+            let r = arrive(&mut rx, p.header, p.body.clone());
             let ack = r.ack;
             delivered.extend(fold(&mut asm, r));
             tx.on_ack(ack, &c, t);
@@ -1164,7 +1197,7 @@ mod tests {
                         *dropped += 1;
                         continue; // dropped by the wire
                     }
-                    let r = rx.on_data(p.header, p.body);
+                    let r = arrive(&mut rx, p.header, p.body);
                     let ack = r.ack;
                     prop_assert_eq!(r.noncontiguous, 0);
                     for s in frags(&r) {

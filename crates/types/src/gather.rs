@@ -14,13 +14,41 @@
 use crate::region::Region;
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// An ordered sequence of [`Bytes`] segments forming one logical byte string.
+///
+/// Up to two segments — a packet header and the payload view behind it — are
+/// kept inline, so building, slicing and cloning a packet allocates nothing;
+/// only a third segment moves them to the heap. The type stays at most 80
+/// bytes (asserted below): every datagram, delivery and in-flight entry
+/// moves a `Gather` by value, and a larger one costs more in copies than the
+/// allocations it saves.
 #[derive(Clone, Default)]
 pub struct Gather {
-    segs: Vec<Bytes>,
+    segs: Segs,
     len: usize,
 }
+
+#[derive(Clone)]
+enum Segs {
+    /// At most two segments, in order. An unused slot holds an empty
+    /// [`Bytes`], which owns nothing; the second slot is used only after the
+    /// first.
+    Inline([Bytes; 2]),
+    /// Three or more segments.
+    Spilled(Vec<Bytes>),
+}
+
+impl Default for Segs {
+    fn default() -> Segs {
+        Segs::Inline([Bytes::new(), Bytes::new()])
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Bytes>() <= 32);
+const _: () = assert!(std::mem::size_of::<Gather>() <= 80);
 
 impl Gather {
     /// An empty gather.
@@ -30,11 +58,9 @@ impl Gather {
 
     /// A gather of one segment.
     pub fn from_bytes(b: Bytes) -> Gather {
-        let len = b.len();
-        if len == 0 {
-            return Gather::new();
-        }
-        Gather { segs: vec![b], len }
+        let mut g = Gather::new();
+        g.push(b);
+        g
     }
 
     /// Take ownership of `v` as a single segment (no copy).
@@ -45,6 +71,18 @@ impl Gather {
     /// Copy `data` into a single fresh segment.
     pub fn copy_from_slice(data: &[u8]) -> Gather {
         Gather::from_bytes(Bytes::copy_from_slice(data))
+    }
+
+    /// A one-segment view of `owner`'s bytes in `range`, without copying
+    /// them. The view keeps `owner` alive, and while it lives no one can
+    /// write through the `Arc` (`Arc::get_mut` fails): a receive buffer is
+    /// reused only once every view of it has dropped. Panics if `range`
+    /// exceeds the owner's bytes.
+    pub fn view<T>(owner: &Arc<T>, range: Range<usize>) -> Gather
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        Gather::from_bytes(Bytes::from_shared(Arc::clone(owner), range))
     }
 
     /// Total logical length in bytes.
@@ -59,26 +97,46 @@ impl Gather {
 
     /// Number of segments (empty segments are never stored).
     pub fn segment_count(&self) -> usize {
-        self.segs.len()
+        self.segments().len()
     }
 
     /// The segments, in order.
     pub fn segments(&self) -> &[Bytes] {
-        &self.segs
+        match &self.segs {
+            Segs::Inline(slots) => {
+                let used = slots.iter().take_while(|s| !s.is_empty()).count();
+                &slots[..used]
+            }
+            Segs::Spilled(segs) => segs,
+        }
     }
 
     /// Append `b` as a new segment (no copy). Empty segments are dropped.
     pub fn push(&mut self, b: Bytes) {
-        if !b.is_empty() {
-            self.len += b.len();
-            self.segs.push(b);
+        if b.is_empty() {
+            return;
+        }
+        self.len += b.len();
+        match &mut self.segs {
+            Segs::Inline([first, _]) if first.is_empty() => *first = b,
+            Segs::Inline([_, second]) if second.is_empty() => *second = b,
+            Segs::Inline([first, second]) => {
+                let mut segs = Vec::with_capacity(4);
+                segs.push(std::mem::take(first));
+                segs.push(std::mem::take(second));
+                segs.push(b);
+                self.segs = Segs::Spilled(segs);
+            }
+            Segs::Spilled(segs) => segs.push(b),
         }
     }
 
     /// Append every segment of `other` (no copy).
     pub fn append(&mut self, other: Gather) {
-        self.len += other.len;
-        self.segs.extend(other.segs);
+        match other.segs {
+            Segs::Inline(slots) => slots.into_iter().for_each(|b| self.push(b)),
+            Segs::Spilled(segs) => segs.into_iter().for_each(|b| self.push(b)),
+        }
     }
 
     /// Zero-copy sub-gather covering `[start, start + len)`.
@@ -94,7 +152,7 @@ impl Gather {
         let mut out = Gather::new();
         let mut skip = start;
         let mut want = len;
-        for seg in &self.segs {
+        for seg in self.segments() {
             if want == 0 {
                 break;
             }
@@ -116,7 +174,7 @@ impl Gather {
     /// payload behind them.
     pub fn peek(&self, dst: &mut [u8]) -> usize {
         let mut filled = 0;
-        for seg in &self.segs {
+        for seg in self.segments() {
             if filled == dst.len() {
                 break;
             }
@@ -131,7 +189,7 @@ impl Gather {
     pub fn copy_to_slice(&self, dst: &mut [u8]) {
         assert_eq!(dst.len(), self.len, "destination length mismatch");
         let mut at = 0;
-        for seg in &self.segs {
+        for seg in self.segments() {
             dst[at..at + seg.len()].copy_from_slice(seg);
             at += seg.len();
         }
@@ -141,7 +199,7 @@ impl Gather {
     /// [`Region::write`] per segment.
     pub fn copy_to_region(&self, region: &Region, offset: usize) {
         let mut at = offset;
-        for seg in &self.segs {
+        for seg in self.segments() {
             region.write(at, seg);
             at += seg.len();
         }
@@ -152,9 +210,9 @@ impl Gather {
     /// Free when the gather has zero or one segment (the segment is shared,
     /// not copied); coalesces into a fresh allocation otherwise.
     pub fn to_bytes(&self) -> Bytes {
-        match self.segs.len() {
-            0 => Bytes::new(),
-            1 => self.segs[0].clone(),
+        match self.segments() {
+            [] => Bytes::new(),
+            [only] => only.clone(),
             _ => Bytes::from(self.to_vec()),
         }
     }
@@ -168,7 +226,7 @@ impl Gather {
 
     /// Iterate the logical bytes (for tests and diagnostics; O(1) per byte).
     pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.segs.iter().flat_map(|s| s.iter().copied())
+        self.segments().iter().flat_map(|s| s.iter().copied())
     }
 }
 
@@ -212,7 +270,7 @@ impl fmt::Debug for Gather {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Gather")
             .field("len", &self.len)
-            .field("segments", &self.segs.len())
+            .field("segments", &self.segment_count())
             .finish()
     }
 }
@@ -293,6 +351,17 @@ mod tests {
         a.append(b);
         assert_eq!(a.to_vec(), vec![1, 2, 3]);
         assert_eq!(a.segments()[1].as_ref().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn a_view_holds_its_owner_until_dropped() {
+        let mut owner = Arc::new(vec![1u8, 2, 3, 4, 5]);
+        let g = Gather::view(&owner, 1..4);
+        assert_eq!(g.to_vec(), vec![2, 3, 4]);
+        assert_eq!(g.segments()[0].as_ptr(), owner[1..].as_ptr(), "no copy");
+        assert!(Arc::get_mut(&mut owner).is_none(), "no writer while viewed");
+        drop(g);
+        assert!(Arc::get_mut(&mut owner).is_some());
     }
 
     #[test]

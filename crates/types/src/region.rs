@@ -4,8 +4,9 @@
 //! refcounted byte slab that supports
 //!
 //! * **zero-copy subslicing** — [`Region::slice`] returns a [`Bytes`] window
-//!   over the region's own allocation (no copy, the view holds a strong
-//!   reference so the memory outlives it), and
+//!   over the region's own allocation (no copy and no allocation: the view
+//!   holds a strong reference on the region's `Arc`, so the memory outlives
+//!   it), and
 //! * **range-scoped writes** — [`Region::write`] and [`Region::rmw`] lock only
 //!   the *stripes* overlapping the written range, so concurrent deliveries to
 //!   disjoint offsets of one memory descriptor proceed in parallel instead of
@@ -53,6 +54,15 @@ struct RegionInner {
 // docs) but never access memory out of bounds.
 unsafe impl Send for RegionInner {}
 unsafe impl Sync for RegionInner {}
+
+/// The stripe locks one write holds, in ascending order: the first two
+/// inline, so a write within one 4 KiB stripe or across the boundary of two
+/// allocates nothing for its guards.
+type StripeGuards<'a> = (
+    Option<MutexGuard<'a, ()>>,
+    Option<MutexGuard<'a, ()>>,
+    Vec<MutexGuard<'a, ()>>,
+);
 
 /// A refcounted, fixed-size byte slab with striped write locking.
 ///
@@ -109,15 +119,14 @@ impl Region {
     }
 
     /// Lock every stripe overlapping `[offset, offset + len)`, ascending.
-    fn lock_range(&self, offset: usize, len: usize) -> Vec<MutexGuard<'_, ()>> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let first = offset / STRIPE_SIZE;
-        let last = (offset + len - 1) / STRIPE_SIZE;
-        (first..=last)
-            .map(|i| self.inner.stripes[i].lock())
-            .collect()
+    fn lock_range(&self, offset: usize, len: usize) -> StripeGuards<'_> {
+        let stripes = if len == 0 {
+            0..0
+        } else {
+            offset / STRIPE_SIZE..(offset + len - 1) / STRIPE_SIZE + 1
+        };
+        let mut guards = stripes.map(|i| self.inner.stripes[i].lock());
+        (guards.next(), guards.next(), guards.collect())
     }
 
     /// Zero-copy [`Bytes`] view of `[offset, offset + len)`.
@@ -130,10 +139,9 @@ impl Region {
             "slice [{offset}, {offset}+{len}) exceeds region of {} bytes",
             self.len()
         );
-        let owner: Arc<dyn std::any::Any + Send + Sync> = Arc::new(self.clone());
-        // SAFETY: the pointer stays valid while `owner` (a region handle) is
-        // alive, and bounds were checked above.
-        unsafe { Bytes::from_raw_owner(self.base_ptr().add(offset), len, owner) }
+        // SAFETY: the pointer stays valid while the view's handle on the
+        // region's allocation is alive, and bounds were checked above.
+        unsafe { Bytes::from_raw_owner(self.base_ptr().add(offset), len, self.inner.clone()) }
     }
 
     /// Write `src` at `offset`, holding the overlapping stripe locks.

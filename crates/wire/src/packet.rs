@@ -26,7 +26,7 @@
 
 use crate::checksum::Crc32;
 use crate::error::WireError;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, Bytes};
 use portals_types::Gather;
 
 /// Packet type discriminator.
@@ -174,10 +174,66 @@ impl Packet {
     /// so the decoder verifies the same span). Links that front a real wire
     /// ask the transport for this; it reads every body byte once at encode
     /// time, which the socket send was about to do anyway.
+    ///
+    /// The header is built on the stack and becomes one small segment (one
+    /// allocation); with a one-segment body the result is the two segments
+    /// a [`Gather`] keeps inline.
     pub fn encode_with(&self, cover_body: bool) -> Gather {
-        // Kind byte + fields, staged first so the CRC can run over them
-        // before the prefix is written.
-        let mut fields = BytesMut::with_capacity(Self::DATA_HEADER_SIZE - Self::PREFIX_SIZE);
+        let mut hdr = [0u8; Self::DATA_HEADER_SIZE];
+        let size = self.write_header(cover_body, &mut hdr);
+        self.behind(Bytes::copy_from_slice(&hdr[..size]))
+    }
+
+    /// Serialize each of `packets` like [`Packet::encode_with`], their
+    /// headers sharing one allocation: a sender admitting a window of
+    /// fragments allocates for their headers once, not once per packet.
+    pub fn encode_all(packets: &[Packet], cover_body: bool) -> Vec<Gather> {
+        let mut headers = Vec::with_capacity(packets.len() * Self::DATA_HEADER_SIZE);
+        for packet in packets {
+            let mut hdr = [0u8; Self::DATA_HEADER_SIZE];
+            let size = packet.write_header(cover_body, &mut hdr);
+            headers.extend_from_slice(&hdr[..size]);
+        }
+        let headers = Bytes::from(headers);
+        let mut at = 0;
+        packets
+            .iter()
+            .map(|packet| {
+                let size = packet.header_len();
+                at += size;
+                packet.behind(headers.slice(at - size..at))
+            })
+            .collect()
+    }
+
+    /// The wire image: `header` (the encoded header), then a DATA packet's
+    /// body segments, shared rather than copied.
+    fn behind(&self, header: Bytes) -> Gather {
+        let mut out = Gather::from_bytes(header);
+        if matches!(self.header, PacketHeader::Data { .. }) {
+            out.append(self.body.clone());
+        }
+        out
+    }
+
+    /// Length of the encoded header: all of an ACK or PROBE packet.
+    fn header_len(&self) -> usize {
+        match self.header {
+            PacketHeader::Data { .. } => Self::DATA_HEADER_SIZE,
+            PacketHeader::Ack { .. } => Self::ACK_SIZE,
+            PacketHeader::Probe { .. } => Self::PROBE_SIZE,
+        }
+    }
+
+    /// Write the encoded header — prefix, kind, fields — into `hdr`, its CRC
+    /// covering the body too when `cover_body` is set and this is a DATA
+    /// packet. Returns the header's length.
+    fn write_header(&self, cover_body: bool, hdr: &mut [u8; Self::DATA_HEADER_SIZE]) -> usize {
+        let mut at = Self::PREFIX_SIZE;
+        let mut put = |field: &[u8]| {
+            hdr[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        };
         let flags = match self.header {
             PacketHeader::Data {
                 seq,
@@ -186,12 +242,12 @@ impl Packet {
                 frag_index,
                 frag_count,
             } => {
-                fields.put_u8(PacketKind::Data as u8);
-                fields.put_u64_le(seq);
-                fields.put_u64_le(msg_id);
-                fields.put_u64_le(offset);
-                fields.put_u32_le(frag_index);
-                fields.put_u32_le(frag_count);
+                put(&[PacketKind::Data as u8]);
+                put(&seq.to_le_bytes());
+                put(&msg_id.to_le_bytes());
+                put(&offset.to_le_bytes());
+                put(&frag_index.to_le_bytes());
+                put(&frag_count.to_le_bytes());
                 if cover_body {
                     Self::FLAG_BODY_CRC
                 } else {
@@ -199,44 +255,36 @@ impl Packet {
                 }
             }
             PacketHeader::Ack { cumulative, credit } => {
-                fields.put_u8(PacketKind::Ack as u8);
-                fields.put_u64_le(cumulative);
-                fields.put_u64_le(credit);
+                put(&[PacketKind::Ack as u8]);
+                put(&cumulative.to_le_bytes());
+                put(&credit.to_le_bytes());
                 0
             }
             PacketHeader::Probe { base } => {
-                fields.put_u8(PacketKind::Probe as u8);
-                fields.put_u64_le(base);
+                put(&[PacketKind::Probe as u8]);
+                put(&base.to_le_bytes());
                 0
             }
         };
+        let size = at;
+        hdr[..3].copy_from_slice(&[Self::MAGIC, Self::VERSION, flags]);
         let mut crc = Crc32::new();
-        crc.update(&[Self::MAGIC, Self::VERSION, flags]);
-        crc.update(&fields);
+        crc.update(&hdr[..3]);
+        crc.update(&hdr[Self::PREFIX_SIZE..size]);
         if flags & Self::FLAG_BODY_CRC != 0 {
             for seg in self.body.segments() {
                 crc.update(seg.as_ref());
             }
         }
-        let mut buf = BytesMut::with_capacity(Self::PREFIX_SIZE + fields.len());
-        buf.put_u8(Self::MAGIC);
-        buf.put_u8(Self::VERSION);
-        buf.put_u8(flags);
-        buf.put_u32_le(crc.finish());
-        buf.put_slice(&fields);
-        let mut out = Gather::from_bytes(buf.freeze());
-        if matches!(self.header, PacketHeader::Data { .. }) {
-            out.append(self.body.clone());
-        }
-        out
+        hdr[3..Self::PREFIX_SIZE].copy_from_slice(&crc.finish().to_le_bytes());
+        size
     }
 
     /// Exact number of bytes [`Packet::encode`] produces.
     pub fn encoded_len(&self) -> usize {
         match self.header {
             PacketHeader::Data { .. } => Self::DATA_HEADER_SIZE + self.body.len(),
-            PacketHeader::Ack { .. } => Self::ACK_SIZE,
-            PacketHeader::Probe { .. } => Self::PROBE_SIZE,
+            PacketHeader::Ack { .. } | PacketHeader::Probe { .. } => self.header_len(),
         }
     }
 
@@ -387,6 +435,32 @@ mod tests {
         assert_eq!(encoded.len(), p.encoded_len());
         assert_eq!(decode(&encoded.to_vec()).unwrap(), p);
         assert_eq!(Packet::decode_gather(&encoded).unwrap(), p);
+    }
+
+    #[test]
+    fn encode_all_matches_encode_with_and_shares_one_header_buffer() {
+        let packets = [
+            Packet::data(7, 3, 0, 0, 2, Gather::copy_from_slice(b"first")),
+            Packet::ack(41, 105),
+            Packet::data(8, 3, 5, 1, 2, Gather::copy_from_slice(b"second")),
+            Packet::probe(17),
+        ];
+        for cover_body in [false, true] {
+            let all = Packet::encode_all(&packets, cover_body);
+            assert_eq!(all.len(), packets.len());
+            for (p, encoded) in packets.iter().zip(&all) {
+                assert_eq!(encoded.to_vec(), p.encode_with(cover_body).to_vec());
+                assert_eq!(&Packet::decode_gather(encoded).unwrap(), p);
+            }
+            let at = |i: usize| all[i].segments()[0].as_ptr() as usize;
+            assert_eq!(
+                at(1) - at(0),
+                Packet::DATA_HEADER_SIZE,
+                "headers back to back"
+            );
+            assert_eq!(at(2) - at(1), Packet::ACK_SIZE);
+        }
+        assert!(Packet::encode_all(&[], true).is_empty());
     }
 
     #[test]

@@ -1,60 +1,54 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Implements the subset of the published API this workspace uses: `Bytes`
-//! (cheaply clonable, zero-copy `slice()` over a shared allocation),
+//! (cheaply clonable, zero-copy `slice()` over a shared allocation, built
+//! from a `Vec` without copying it),
 //! `BytesMut` (append-only builder that freezes into `Bytes`), and the
 //! `Buf`/`BufMut` cursor traits. The container image cannot reach a crates.io
 //! mirror, so the workspace vendors this instead of the real dependency.
 
+use std::any::Any;
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, Range, RangeBounds};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
-/// Backing storage for a [`Bytes`] window.
-///
-/// `Slab` is the ordinary case: an owned, immutable allocation. `Raw` lets an
-/// external allocator (e.g. a refcounted buffer region) expose a window over
-/// memory it owns without copying it into a fresh `Arc<[u8]>`; the `owner`
-/// keeps that memory alive for as long as any view exists.
-#[derive(Clone)]
-enum Storage {
-    Slab(Arc<[u8]>),
-    Raw {
-        ptr: *const u8,
-        len: usize,
-        _owner: Arc<dyn std::any::Any + Send + Sync>,
-    },
-}
+/// Longest copy [`Bytes::copy_from_slice`] keeps in one fixed-size
+/// allocation (owner and bytes together) rather than a `Vec` behind an `Arc`.
+const SMALL: usize = 64;
 
-impl Storage {
-    fn as_full_slice(&self) -> &[u8] {
-        match self {
-            Storage::Slab(data) => data,
-            // SAFETY: `from_raw_owner`'s contract guarantees `ptr` is valid
-            // for `len` bytes for as long as `_owner` is alive, and `_owner`
-            // lives at least as long as `self`.
-            Storage::Raw { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
+/// The owner of a small copy: the bytes live inline in the `Arc`'s own
+/// allocation.
+struct Small([u8; SMALL]);
+
+impl AsRef<[u8]> for Small {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
     }
 }
 
-// SAFETY: `Slab` is `Send + Sync` already; `Raw` carries a pointer into memory
-// owned by a `Send + Sync` owner, and the shim only ever reads through it.
-unsafe impl Send for Storage {}
-unsafe impl Sync for Storage {}
-
 /// A cheaply clonable, immutable view into a shared byte allocation.
 ///
-/// `clone()` and [`Bytes::slice`] are O(1): both produce a new window over the
-/// same `Arc`'d storage without copying payload bytes.
+/// A view is a pointer, a length and a handle on whatever owns the memory
+/// (none for static and empty views), 32 bytes in all. `clone()` and
+/// [`Bytes::slice`] are O(1): both produce a new window over the same owner
+/// without copying payload bytes. Building a `Bytes` from a `Vec` or a
+/// `BytesMut` keeps the vector's buffer; the only allocation is the owner
+/// handle.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Storage,
-    start: usize,
-    end: usize,
+    ptr: NonNull<u8>,
+    len: usize,
+    /// Keeps the memory behind `ptr` alive; `None` for static memory.
+    owner: Option<Arc<dyn Any + Send + Sync>>,
 }
+
+// SAFETY: a `Bytes` only reads through `ptr`, into memory that is static or
+// owned by a `Send + Sync` owner it keeps alive.
+unsafe impl Send for Bytes {}
+unsafe impl Sync for Bytes {}
 
 impl Default for Bytes {
     fn default() -> Bytes {
@@ -63,28 +57,59 @@ impl Default for Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared until data exists).
-    pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
-    }
-
-    /// Wrap a static slice. The shim copies once into shared storage; the
-    /// published crate avoids even that, but callers only rely on semantics.
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
-    }
-
-    /// Copy `data` into new shared storage.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
-    }
-
-    fn from_vec(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+    /// An empty buffer; allocates nothing.
+    pub const fn new() -> Bytes {
         Bytes {
-            data: Storage::Slab(Arc::from(v.into_boxed_slice())),
-            start: 0,
-            end,
+            ptr: NonNull::dangling(),
+            len: 0,
+            owner: None,
+        }
+    }
+
+    /// A view of a static slice; allocates nothing.
+    pub fn from_static(data: &'static [u8]) -> Bytes {
+        Bytes {
+            ptr: NonNull::from(data).cast(),
+            len: data.len(),
+            owner: None,
+        }
+    }
+
+    /// Copy `data` into new shared storage: one allocation up to 64 bytes,
+    /// two (the vector and its owner handle) beyond.
+    pub fn copy_from_slice(data: &[u8]) -> Bytes {
+        if data.is_empty() {
+            return Bytes::new();
+        }
+        if data.len() > SMALL {
+            return Bytes::from(data.to_vec());
+        }
+        let mut small = Small([0; SMALL]);
+        small.0[..data.len()].copy_from_slice(data);
+        let owner = Arc::new(small);
+        Bytes::from_shared(owner, 0..data.len())
+    }
+
+    /// Zero-copy view of `owner`'s bytes in `range`, keeping `owner` alive.
+    ///
+    /// Nothing can write to the bytes while the view exists: the view holds
+    /// a handle on the `Arc`, so no one can take `&mut T` through it.
+    /// Panics if `range` exceeds the owner's bytes.
+    pub fn from_shared<T>(owner: Arc<T>, range: Range<usize>) -> Bytes
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let bytes = (*owner).as_ref();
+        assert!(
+            range.start <= range.end && range.end <= bytes.len(),
+            "range {range:?} exceeds an owner of {} bytes",
+            bytes.len()
+        );
+        let window = &bytes[range];
+        Bytes {
+            ptr: NonNull::from(window).cast(),
+            len: window.len(),
+            owner: Some(owner),
         }
     }
 
@@ -96,32 +121,28 @@ impl Bytes {
     ///
     /// # Safety
     ///
-    /// `ptr` must be valid for reads of `len` bytes for as long as `owner` is
-    /// alive. If the owner permits concurrent writers to the range, the caller
-    /// takes responsibility for that data race being benign (readers may
-    /// observe torn bytes but never touch unowned memory).
+    /// `ptr` must be non-null and valid for reads of `len` bytes for as long
+    /// as `owner` is alive. If the owner permits concurrent writers to the
+    /// range, the caller takes responsibility for that data race being benign
+    /// (readers may observe torn bytes but never touch unowned memory).
     pub unsafe fn from_raw_owner(
         ptr: *const u8,
         len: usize,
-        owner: Arc<dyn std::any::Any + Send + Sync>,
+        owner: Arc<dyn Any + Send + Sync>,
     ) -> Bytes {
         Bytes {
-            data: Storage::Raw {
-                ptr,
-                len,
-                _owner: owner,
-            },
-            start: 0,
-            end: len,
+            ptr: NonNull::new(ptr as *mut u8).expect("a view of null"),
+            len,
+            owner: Some(owner),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// O(1) sub-view sharing the same storage.
@@ -145,14 +166,17 @@ impl Bytes {
         );
         assert!(end <= len, "range end out of bounds: {end} > {len}");
         Bytes {
-            data: self.data.clone(),
-            start: self.start + begin,
-            end: self.start + end,
+            ptr: NonNull::from(&self.as_slice()[begin..end]).cast(),
+            len: end - begin,
+            owner: self.owner.clone(),
         }
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        &self.data.as_full_slice()[self.start..self.end]
+        // SAFETY: every constructor makes `ptr` valid for `len` bytes for as
+        // long as `owner` lives (static memory, a dangling pointer for an
+        // empty view), and `owner` lives at least as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
@@ -179,9 +203,15 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// Keeps the vector's buffer: the one allocation is the owner handle, none
+/// for an empty vector.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_vec(v)
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        let len = v.len();
+        Bytes::from_shared(Arc::new(v), 0..len)
     }
 }
 
@@ -199,7 +229,7 @@ impl<const N: usize> From<&'static [u8; N]> for Bytes {
 
 impl From<String> for Bytes {
     fn from(v: String) -> Bytes {
-        Bytes::from_vec(v.into_bytes())
+        Bytes::from(v.into_bytes())
     }
 }
 
@@ -429,7 +459,8 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "buffer underflow");
-        self.start += cnt;
+        self.ptr = NonNull::from(&self.as_slice()[cnt..]).cast();
+        self.len -= cnt;
     }
 }
 
@@ -526,6 +557,45 @@ mod tests {
         // Dropping the local handle must not invalidate the view.
         drop(owner);
         assert_eq!(&s[..], &[20, 30]);
+    }
+
+    #[test]
+    fn owning_constructors_keep_their_buffers() {
+        let v = vec![1u8, 2, 3];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_slice().as_ptr(), at, "a vector's buffer is kept");
+        let mut m = BytesMut::with_capacity(8);
+        m.put_slice(b"frozen");
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_slice().as_ptr(), at);
+        static DATA: [u8; 4] = *b"stat";
+        let s = Bytes::from_static(&DATA);
+        assert_eq!(s.as_slice().as_ptr(), DATA.as_ptr());
+        assert!(s.owner.is_none() && Bytes::new().owner.is_none());
+        assert!(Bytes::from(Vec::new()).owner.is_none());
+    }
+
+    #[test]
+    fn copies_and_shared_views_read_back() {
+        for len in [1, SMALL, SMALL + 1, 1000] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let b = Bytes::copy_from_slice(&data);
+            assert_eq!(b, data);
+            assert_eq!(b.slice(1..), data[1..]);
+        }
+        let owner = Arc::new(vec![5u8, 6, 7, 8]);
+        let view = Bytes::from_shared(Arc::clone(&owner), 1..3);
+        assert_eq!(&view[..], &[6, 7]);
+        assert_eq!(Arc::strong_count(&owner), 2, "the view holds the owner");
+        drop(view);
+        assert_eq!(Arc::strong_count(&owner), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds an owner")]
+    fn shared_view_out_of_bounds_panics() {
+        Bytes::from_shared(Arc::new(vec![0u8; 2]), 1..3);
     }
 
     #[test]
