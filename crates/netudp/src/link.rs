@@ -47,6 +47,10 @@ const SEND_RETRIES: u32 = 16;
 /// which form runs of one. The rx thread keeps one 64 KiB buffer per slot,
 /// enough for the largest coalesced buffer.
 const BATCH: usize = 32;
+const _: () = assert!(
+    BATCH <= mmsg::SEND_MAX,
+    "one chunk of runs is one send_batch"
+);
 
 /// Size of one receive buffer: the largest datagram, or the largest run of
 /// them the kernel coalesces into one buffer (GRO).
@@ -195,13 +199,16 @@ pub struct UdpLink {
     rx_thread: Option<JoinHandle<()>>,
 }
 
-/// The tx path's frame buffer and frame list, kept for their capacity.
+/// The tx path's frame buffer, frame list and run plan, kept for their
+/// capacity.
 #[derive(Default)]
 struct TxScratch {
     /// The frames, header and payload each, back to back.
     wire: Vec<u8>,
     /// Each frame's destination and wire length, in order.
     frames: Vec<(SocketAddr, usize)>,
+    /// The runs `frames` is cut into ([`plan_runs`]).
+    plan: Vec<Range<usize>>,
 }
 
 impl UdpLink {
@@ -319,7 +326,7 @@ impl UdpLink {
         // another thread inside this path builds a buffer of its own.
         let mut held = self.tx.try_lock();
         let mut own = TxScratch::default();
-        let TxScratch { wire, frames } = held.as_deref_mut().unwrap_or(&mut own);
+        let TxScratch { wire, frames, plan } = held.as_deref_mut().unwrap_or(&mut own);
         wire.clear();
         frames.clear();
         wire.reserve(
@@ -357,41 +364,46 @@ impl UdpLink {
             }
             frames.push((addr, FRAME_HEADER + payload.len()));
         }
-        self.send_frames(wire, frames, &mut |runs| {
+        self.send_frames(wire, frames, plan, &mut |runs| {
             mmsg::send_batch(&self.socket, runs)
         });
     }
 
-    /// Put `frames`, laid back to back in `wire`, on the wire in runs,
-    /// [`BATCH`] runs per call of `send` (`sendmmsg`). Transient pressure
-    /// on the *next unsent* run is retried with the bounded backoff (partial
-    /// progress resets the budget). A run the kernel refuses to segment
-    /// switches the link to runs of one and is re-sent that way, with all
-    /// that follows it.
+    /// Put `frames`, laid back to back in `wire`, on the wire in runs
+    /// (planned into `plan`), [`BATCH`] runs per call of `send`
+    /// (`sendmmsg`). Transient pressure on the *next unsent* run is retried
+    /// with the bounded backoff (partial progress resets the budget). A run
+    /// the kernel refuses to segment switches the link to runs of one and
+    /// is re-sent that way, with all that follows it.
     fn send_frames(
         &self,
         wire: &[u8],
         frames: &[(SocketAddr, usize)],
+        plan: &mut Vec<Range<usize>>,
         send: &mut dyn FnMut(&[Run<'_>]) -> io::Result<usize>,
     ) {
-        let plan = plan_runs(frames, self.run_frames.load(Ordering::Relaxed));
+        plan_runs(frames, self.run_frames.load(Ordering::Relaxed), plan);
         let mut at = 0; // where the next run's bytes start in `wire`
-        let runs: Vec<Run<'_>> = plan
-            .iter()
-            .map(|range| {
+        let mut runs = [Run {
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+            bytes: &[],
+            segment: 0,
+            frames: 0,
+        }; BATCH];
+        for first in (0..plan.len()).step_by(BATCH) {
+            let ranges = &plan[first..plan.len().min(first + BATCH)];
+            for (run, range) in runs.iter_mut().zip(ranges) {
                 let (addr, segment) = frames[range.start];
                 let len: usize = frames[range.clone()].iter().map(|&(_, len)| len).sum();
-                at += len;
-                Run {
+                *run = Run {
                     addr,
-                    bytes: &wire[at - len..at],
+                    bytes: &wire[at..at + len],
                     segment,
                     frames: range.len(),
-                }
-            })
-            .collect();
-        for first in (0..runs.len()).step_by(BATCH) {
-            let chunk = &runs[first..runs.len().min(first + BATCH)];
+                };
+                at += len;
+            }
+            let chunk = &runs[..ranges.len()];
             let mut done = 0;
             while done < chunk.len() {
                 let sent = retry_transient(&self.stats.wouldblock_retries, || send(&chunk[done..]));
@@ -409,7 +421,7 @@ impl UdpLink {
                         }
                         let rest = plan[first + done].start;
                         let skip: usize = frames[..rest].iter().map(|&(_, len)| len).sum();
-                        return self.send_frames(&wire[skip..], &frames[rest..], send);
+                        return self.send_frames(&wire[skip..], &frames[rest..], plan, send);
                     }
                     // A zero-progress return or a hard error drops the rest
                     // of the vector: unreliable link, transport recovers.
@@ -440,10 +452,10 @@ impl UdpLink {
 /// Cut `frames` — each its destination and wire length, in submission order
 /// — into runs: consecutive frames to one destination, all the length of the
 /// first except a shorter last one, at most `max_frames` of them and
-/// [`mmsg::UDP_MAX_DATAGRAM`] bytes together. Returns each run as the range
-/// of `frames` it covers; the ranges tile `frames` in order.
-fn plan_runs<A: PartialEq>(frames: &[(A, usize)], max_frames: usize) -> Vec<Range<usize>> {
-    let mut runs: Vec<Range<usize>> = Vec::new();
+/// [`mmsg::UDP_MAX_DATAGRAM`] bytes together. Leaves in `runs` each run as
+/// the range of `frames` it covers; the ranges tile `frames` in order.
+fn plan_runs<A: PartialEq>(frames: &[(A, usize)], max_frames: usize, runs: &mut Vec<Range<usize>>) {
+    runs.clear();
     let mut bytes = 0;
     for (i, (addr, len)) in frames.iter().enumerate() {
         if let Some(run) = runs.last_mut() {
@@ -463,7 +475,6 @@ fn plan_runs<A: PartialEq>(frames: &[(A, usize)], max_frames: usize) -> Vec<Rang
         runs.push(i..i + 1);
         bytes = *len;
     }
-    runs
 }
 
 impl Link for UdpLink {
@@ -713,6 +724,13 @@ mod tests {
         assert_eq!(stats.wouldblock_retries.get(), 0);
     }
 
+    /// [`plan_runs`] into a fresh vector.
+    fn plan<A: PartialEq>(frames: &[(A, usize)], max_frames: usize) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        plan_runs(frames, max_frames, &mut runs);
+        runs
+    }
+
     /// Wire lengths the planner sees on a stream: full fragments, a short
     /// last fragment, an ACK, a jumbo fragment.
     const LENS: [usize; 5] = [1450, 1450, 700, 38, 40000];
@@ -728,7 +746,7 @@ mod tests {
         ) {
             let frames: Vec<(u8, usize)> =
                 picks.iter().map(|&(addr, pick)| (addr % 2, LENS[pick])).collect();
-            let runs = plan_runs(&frames, max_frames);
+            let runs = plan(&frames, max_frames);
             let tiled: Vec<usize> = runs.iter().flat_map(|run| run.clone()).collect();
             proptest::prop_assert_eq!(tiled, (0..frames.len()).collect::<Vec<_>>());
             for (k, run) in runs.iter().enumerate() {
@@ -759,12 +777,12 @@ mod tests {
         let addr = |n| (n, 1450);
         // 45 frames of 1450 bytes fill 65 250 of the 65 507 bytes a run holds.
         let frames: Vec<(u8, usize)> = (0..100).map(|_| addr(0)).collect();
-        assert_eq!(plan_runs(&frames, 64), [0..45, 45..90, 90..100]);
-        assert_eq!(plan_runs(&frames[..30], 16), [0..16, 16..30]);
-        assert_eq!(plan_runs(&frames[..3], 1), [0..1, 1..2, 2..3]);
+        assert_eq!(plan(&frames, 64), [0..45, 45..90, 90..100]);
+        assert_eq!(plan(&frames[..30], 16), [0..16, 16..30]);
+        assert_eq!(plan(&frames[..3], 1), [0..1, 1..2, 2..3]);
         // A shorter frame ends its run; a longer one starts the next.
         let mixed = [(0, 100), (0, 100), (0, 60), (0, 60), (0, 100), (1, 100)];
-        assert_eq!(plan_runs(&mixed, 64), [0..3, 3..4, 4..5, 5..6]);
+        assert_eq!(plan(&mixed, 64), [0..3, 3..4, 4..5, 5..6]);
     }
 
     /// A frame of 40 bytes, then ten of 100 and a shorter last one: a run of
@@ -792,7 +810,7 @@ mod tests {
         let (frames, wire) = two_runs();
         let mut calls = Vec::new();
         let mut taken = Vec::new();
-        link.send_frames(&wire, &frames, &mut |runs| {
+        link.send_frames(&wire, &frames, &mut Vec::new(), &mut |runs| {
             calls.push(runs.iter().map(|run| run.frames).collect());
             let n = match runs.iter().position(|run| run.frames > 1) {
                 Some(0) => return Err(io::Error::from_raw_os_error(errno)),

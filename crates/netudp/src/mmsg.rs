@@ -37,6 +37,12 @@
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 
+/// Most runs one [`send_batch`] call hands the kernel; a longer slice is
+/// sent in part, as a partial `sendmmsg` would leave it. The vectors the
+/// call builds for `sendmmsg` live on the stack at this length, so a send
+/// allocates nothing.
+pub(crate) const SEND_MAX: usize = 32;
+
 /// Largest payload a single UDP/IPv4 datagram can carry
 /// (65535 − 8-byte UDP header − 20-byte IP header). Frames above this can
 /// never leave the socket; [`UdpLinkConfig`](crate::UdpLinkConfig) clamps
@@ -169,7 +175,7 @@ pub(crate) use portable::{
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{RecvBufs, RecvMeta, Run, SocketAddr, UdpSocket};
+    use super::{RecvBufs, RecvMeta, Run, SocketAddr, UdpSocket, SEND_MAX};
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
     use std::os::fd::AsRawFd;
@@ -190,6 +196,13 @@ mod linux {
         len: usize,
     }
 
+    impl IoVec {
+        const EMPTY: IoVec = IoVec {
+            base: std::ptr::null_mut(),
+            len: 0,
+        };
+    }
+
     /// `struct msghdr`, Linux layout (`repr(C)` inserts the padding after
     /// `namelen` and `flags` that the C definition has on 64-bit targets).
     #[repr(C)]
@@ -208,6 +221,21 @@ mod linux {
     struct MMsgHdr {
         hdr: MsgHdr,
         len: u32,
+    }
+
+    impl MMsgHdr {
+        const EMPTY: MMsgHdr = MMsgHdr {
+            hdr: MsgHdr {
+                name: std::ptr::null_mut(),
+                namelen: 0,
+                iov: std::ptr::null_mut(),
+                iovlen: 0,
+                control: std::ptr::null_mut(),
+                controllen: 0,
+                flags: 0,
+            },
+            len: 0,
+        };
     }
 
     /// Raw bytes of a `sockaddr_in` / `sockaddr_in6` (28 bytes covers the
@@ -456,30 +484,34 @@ mod linux {
         }
     }
 
-    /// Send `runs` in one `sendmmsg` call, one entry each; a run of several
-    /// frames carries its segment size in a `UDP_SEGMENT` control message.
-    /// Returns how many leading runs the kernel accepted; an error is
-    /// returned only when the *first* run failed, exactly the contract the
-    /// retry loop in `UdpLink` wants.
+    /// Send the first [`SEND_MAX`](super::SEND_MAX) of `runs` in one
+    /// `sendmmsg` call, one entry each; a run of several frames carries its
+    /// segment size in a `UDP_SEGMENT` control message. Returns how many
+    /// leading runs the kernel accepted; an error is returned only when the
+    /// *first* run failed, exactly the contract the retry loop in `UdpLink`
+    /// wants.
     pub(crate) fn send_batch(socket: &UdpSocket, runs: &[Run<'_>]) -> io::Result<usize> {
         debug_assert!(!runs.is_empty());
-        let mut addrs: Vec<(AddrStorage, u32)> =
-            runs.iter().map(|r| encode_addr(&r.addr)).collect();
-        let mut iovs: Vec<IoVec> = runs
-            .iter()
-            .map(|r| IoVec {
-                base: r.bytes.as_ptr() as *mut u8,
-                len: r.bytes.len(),
-            })
-            .collect();
-        let mut cmsgs: Vec<Cmsg> = runs.iter().map(|r| Cmsg::segment(r.segment)).collect();
+        let runs = &runs[..runs.len().min(SEND_MAX)];
+        let mut addrs = [(AddrStorage::ZERO, 0); SEND_MAX];
+        let mut iovs = [IoVec::EMPTY; SEND_MAX];
+        let mut cmsgs = [Cmsg::ZERO; SEND_MAX];
+        let mut hdrs = [MMsgHdr::EMPTY; SEND_MAX];
+        for (i, run) in runs.iter().enumerate() {
+            addrs[i] = encode_addr(&run.addr);
+            iovs[i] = IoVec {
+                base: run.bytes.as_ptr() as *mut u8,
+                len: run.bytes.len(),
+            };
+            cmsgs[i] = Cmsg::segment(run.segment);
+        }
         let aptr = addrs.as_mut_ptr();
         let iptr = iovs.as_mut_ptr();
         let cptr = cmsgs.as_mut_ptr();
-        let mut hdrs: Vec<MMsgHdr> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| unsafe {
+        for (i, run) in runs.iter().enumerate() {
+            // SAFETY: `i < runs.len() <= SEND_MAX`, the length of `addrs`,
+            // `iovs` and `cmsgs`, so every offset stays inside its array.
+            hdrs[i] = unsafe {
                 let (control, controllen) = if run.frames > 1 {
                     (cptr.add(i).cast(), std::mem::size_of::<Cmsg>())
                 } else {
@@ -497,9 +529,12 @@ mod linux {
                     },
                     len: 0,
                 }
-            })
-            .collect();
-        let n = unsafe { sendmmsg(socket.as_raw_fd(), hdrs.as_mut_ptr(), hdrs.len() as u32, 0) };
+            };
+        }
+        // SAFETY: the first `runs.len()` entries of `hdrs` point into
+        // `addrs`, `iovs` and `cmsgs`, which outlive the call, and each iovec
+        // covers a run's borrowed bytes.
+        let n = unsafe { sendmmsg(socket.as_raw_fd(), hdrs.as_mut_ptr(), runs.len() as u32, 0) };
         if n < 0 {
             Err(io::Error::last_os_error())
         } else {

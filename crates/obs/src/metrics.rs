@@ -11,9 +11,8 @@ use portals_types::stripe::thread_stripe;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Stripe count for counters. Matches the "classes of concurrent activity"
-/// sizing of [`portals_types::shard::DEFAULT_SHARDS`]: enough to split a
-/// dispatcher thread, a transport worker and a handful of API threads.
+/// Stripe count for counters: enough to split a node's stepper thread and a
+/// handful of application threads, which do write one counter from two CPUs.
 pub const COUNTER_STRIPES: usize = 8;
 
 /// One cache line per stripe so writers on different threads never share one.

@@ -39,7 +39,8 @@ impl MatchBench {
             };
             let me = state
                 .mes
-                .insert(MatchEntry::at_portal(0, ProcessId::ANY, criteria, false));
+                .insert(MatchEntry::at_portal(0, ProcessId::ANY, criteria, false))
+                .expect("within the limit");
             assert!(state.table.lock(0).expect("portal 0").insert(
                 me,
                 MePos::Back,
@@ -48,7 +49,8 @@ impl MatchBench {
             ));
             let md = state
                 .mds
-                .insert(Md::from_spec(MdSpec::new(Region::zeroed(4096))));
+                .insert(Md::from_spec(MdSpec::new(Region::zeroed(4096))))
+                .expect("within the limit");
             state
                 .mes
                 .with_mut(me, |m| m.md_list.push_back(md))

@@ -878,7 +878,8 @@ mod tests {
     ) -> (MeHandle, MdHandle) {
         let me = state
             .mes
-            .insert(MatchEntry::at_portal(portal, source, criteria, false));
+            .insert(MatchEntry::at_portal(portal, source, criteria, false))
+            .unwrap();
         assert!(state
             .table
             .lock(portal)
@@ -886,7 +887,7 @@ mod tests {
             .insert(me, pos, source, criteria));
         let mut md = Md::from_spec(spec);
         md.owner = Some(me);
-        let mdh = state.mds.insert(md);
+        let mdh = state.mds.insert(md).unwrap();
         state
             .mes
             .with_mut(me, |m| m.md_list.push_back(mdh))
@@ -1070,7 +1071,8 @@ mod tests {
         );
         let good = state
             .mds
-            .insert(Md::from_spec(MdSpec::new(Region::from_vec(vec![0u8; 64]))));
+            .insert(Md::from_spec(MdSpec::new(Region::from_vec(vec![0u8; 64]))))
+            .unwrap();
         state
             .mes
             .with_mut(me, |m| m.md_list.push_back(good))
@@ -1083,12 +1085,15 @@ mod tests {
     #[test]
     fn empty_md_list_continues_walk() {
         let state = open_state();
-        let empty = state.mes.insert(MatchEntry::at_portal(
-            0,
-            ProcessId::ANY,
-            MatchCriteria::any(),
-            false,
-        ));
+        let empty = state
+            .mes
+            .insert(MatchEntry::at_portal(
+                0,
+                ProcessId::ANY,
+                MatchCriteria::any(),
+                false,
+            ))
+            .unwrap();
         assert!(state.table.lock(0).unwrap().insert(
             empty,
             MePos::Back,

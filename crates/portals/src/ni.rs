@@ -30,17 +30,18 @@
 //!
 //! * each portal index has its own match-list lock ([`PortalTable`]) — the
 //!   unit at which Fig. 4's posting-order semantics must serialize;
-//! * MEs, MDs and EQs live in independently locked sharded arenas
-//!   ([`portals_types::Sharded`]);
+//! * MEs, MDs, EQs and CTs live in four handle tables, one lock each
+//!   ([`portals_types::Table`]): one thread per node runs the engine, so a
+//!   table lock is contended only by an API call meeting that step;
 //! * the ACL sits behind a read/write lock (checked on every request, changed
 //!   almost never).
 //!
-//! Lock order, outermost first: portal list → any one arena shard → event
-//! ring. The engine additionally nests MD shard → EQ shard in the reply path;
-//! nothing nests the other way around. API calls that must be atomic with
-//! message delivery on a portal (notably [`NetworkInterface::md_update`], the
-//! MPI receive-posting primitive) take that portal's list lock, which is
-//! exactly the lock the engine holds for the whole of a put/get delivery.
+//! Lock order, outermost first: portal list → one table (never two at once)
+//! → the object's own lock (event ring, counter state, region write lock).
+//! API calls that must be atomic with message delivery on a portal (notably
+//! [`NetworkInterface::md_update`], the MPI receive-posting primitive) take
+//! that portal's list lock, which is exactly the lock the engine holds while
+//! it admits, translates and commits a delivery.
 
 use crate::acl::{AcEntry, AccessControlList, AclReject, InitiatorClass};
 use crate::builder::{AtomicBuilder, GetBuilder, Op, PutBuilder, Verb};
@@ -55,7 +56,7 @@ use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::RwLock;
 use portals_obs::Obs;
-use portals_types::{MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Sharded};
+use portals_types::{MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Table};
 use portals_wire::{
     AtomicDatatype, AtomicOp, AtomicRequest, GetRequest, PortalsMessage, PutRequest, RequestHeader,
     RAW_HANDLE_NONE,
@@ -112,10 +113,10 @@ pub enum AckRequest {
 /// module docs for the locking model).
 pub(crate) struct NiState {
     pub(crate) table: PortalTable,
-    pub(crate) mes: Sharded<MatchEntry>,
-    pub(crate) mds: Sharded<Md>,
-    pub(crate) eqs: Sharded<EventQueue>,
-    pub(crate) cts: Sharded<CountingEvent>,
+    pub(crate) mes: Table<MatchEntry>,
+    pub(crate) mds: Table<Md>,
+    pub(crate) eqs: Table<EventQueue>,
+    pub(crate) cts: Table<CountingEvent>,
     pub(crate) acl: RwLock<AccessControlList>,
 }
 
@@ -123,10 +124,10 @@ impl NiState {
     pub(crate) fn new(limits: &NiLimits) -> NiState {
         NiState {
             table: PortalTable::new(limits.max_portal_table_size),
-            mes: Sharded::new(),
-            mds: Sharded::new(),
-            eqs: Sharded::new(),
-            cts: Sharded::new(),
+            mes: Table::new(limits.max_match_entries),
+            mds: Table::new(limits.max_memory_descriptors),
+            eqs: Table::new(limits.max_event_queues),
+            cts: Table::new(limits.max_counting_events),
             acl: RwLock::new(AccessControlList::standard(
                 limits.max_access_control_entries,
             )),
@@ -281,10 +282,7 @@ impl NetworkInterface {
         if capacity == 0 {
             return Err(PtlError::InvalidArgument);
         }
-        if self.core.state.eqs.len() >= self.core.config.limits.max_event_queues {
-            return Err(PtlError::NoSpace);
-        }
-        Ok(self.core.state.eqs.insert(EventQueue::new(capacity)))
+        self.core.state.eqs.insert(EventQueue::new(capacity))
     }
 
     /// Free an event queue (spec: `PtlEQFree`). Messages that later name this
@@ -351,9 +349,6 @@ impl NetworkInterface {
         pos: MePos,
     ) -> PtlResult<MeHandle> {
         let state = &self.core.state;
-        if state.mes.len() >= self.core.config.limits.max_match_entries {
-            return Err(PtlError::NoSpace);
-        }
         let Some(mut list) = state.table.lock(portal_index) else {
             return Err(PtlError::InvalidPortalIndex);
         };
@@ -362,7 +357,7 @@ impl NetworkInterface {
             source,
             criteria,
             unlink_when_empty,
-        ));
+        ))?;
         if !list.insert(me, pos, source, criteria) {
             drop(list);
             state.mes.remove(me);
@@ -400,9 +395,6 @@ impl NetworkInterface {
     /// (spec: `PtlMDAttach`).
     pub fn md_attach(&self, me: MeHandle, spec: MdSpec) -> PtlResult<MdHandle> {
         let state = &self.core.state;
-        if state.mds.len() >= self.core.config.limits.max_memory_descriptors {
-            return Err(PtlError::NoSpace);
-        }
         if let Some(eq) = spec.eq {
             if !state.eqs.contains(eq) {
                 return Err(PtlError::InvalidEq);
@@ -425,7 +417,7 @@ impl NetworkInterface {
             .expect("attached index in range");
         let mut md = Md::from_spec(spec);
         md.owner = Some(me);
-        let mdh = state.mds.insert(md);
+        let mdh = state.mds.insert(md)?;
         if state
             .mes
             .with_mut(me, |m| m.md_list.push_back(mdh))
@@ -441,9 +433,6 @@ impl NetworkInterface {
     /// (spec: `PtlMDBind`).
     pub fn md_bind(&self, spec: MdSpec) -> PtlResult<MdHandle> {
         let state = &self.core.state;
-        if state.mds.len() >= self.core.config.limits.max_memory_descriptors {
-            return Err(PtlError::NoSpace);
-        }
         if let Some(eq) = spec.eq {
             if !state.eqs.contains(eq) {
                 return Err(PtlError::InvalidEq);
@@ -454,7 +443,7 @@ impl NetworkInterface {
                 return Err(PtlError::InvalidCt);
             }
         }
-        Ok(state.mds.insert(Md::from_spec(spec)))
+        state.mds.insert(Md::from_spec(spec))
     }
 
     /// Unlink an MD (spec: `PtlMDUnlink`). Fails with [`PtlError::MdInUse`]
@@ -653,10 +642,7 @@ impl NetworkInterface {
 
     /// Allocate a counting event (spec lineage: `PtlCTAlloc`).
     pub fn ct_alloc(&self) -> PtlResult<CtHandle> {
-        if self.core.state.cts.len() >= self.core.config.limits.max_counting_events {
-            return Err(PtlError::NoSpace);
-        }
-        Ok(self.core.state.cts.insert(CountingEvent::new()))
+        self.core.state.cts.insert(CountingEvent::new())
     }
 
     /// Free a counting event (spec lineage: `PtlCTFree`). Blocked waiters

@@ -298,13 +298,6 @@ impl PortalTable {
         self.lists.get(index as usize).map(|m| m.lock())
     }
 
-    /// Lock *every* portal's list, in index order (the canonical lock order —
-    /// required by callers such as `md_update` that need a moment of quiescence
-    /// across the whole receive path).
-    pub fn lock_all(&self) -> Vec<parking_lot::MutexGuard<'_, MatchList>> {
-        self.lists.iter().map(|m| m.lock()).collect()
-    }
-
     /// True if the portal accepts requests (out-of-range indices are handled
     /// separately by `lock`; they report enabled here so the §4.8
     /// invalid-index drop reason wins).
@@ -573,7 +566,6 @@ pub(crate) mod tests {
         assert_eq!(table.size(), 4);
         assert!(table.lock(3).is_some());
         assert!(table.lock(4).is_none());
-        assert_eq!(table.lock_all().len(), 4);
     }
 
     pub(crate) mod differential {

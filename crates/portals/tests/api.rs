@@ -552,10 +552,18 @@ fn host_driven_makes_no_progress_without_calls() {
 /// A host-driven target that makes no API calls holds what arrives in its
 /// endpoint, under credit: a sender with 1 000 puts for it stops at the
 /// credit window instead of filling an unbounded queue, and resumes without
-/// a retransmission once the target's waits drain the backlog.
+/// a retransmission once the target's waits drain the backlog. The target's
+/// pops advertise the credit they free at once, so the drain does not wait
+/// for the sender's next credit probe, however far the probe timer has
+/// backed off while the target sat idle (50 ms, then 1.5 s).
 #[test]
 fn host_driven_backlog_is_bounded_by_credit() {
     const PUTS: u64 = 1000;
+    // Measured on a 2-vCPU x86-64 box, 5 release and 30 debug runs: the
+    // drain took 2.0–3.8 ms (release) and 6.5–21 ms (debug) after the 1.5 s
+    // idle, 2.5–12 ms and 7.4–28 ms after the 50 ms one. A drain that waits
+    // for the sender's backed-off PROBE took 1.04 s after the 1.5 s idle.
+    const DRAIN_BOUND: Duration = Duration::from_millis(300);
     let fabric = Fabric::ideal();
     let mode = |progress_mode| NodeConfig {
         transport: TransportConfig {
@@ -577,32 +585,45 @@ fn host_driven_backlog_is_bounded_by_credit() {
         .unwrap();
 
     let md = a.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
-    for i in 0..PUTS {
-        a.put_op(md)
-            .target(b.id(), 0)
-            .bits(MatchBits::new(i))
-            .ack(AckRequest::NoAck)
-            .submit()
-            .unwrap();
-    }
     let flow = na.transport_stats();
-    wait_for(|| {
+    for (round, idle) in [Duration::from_millis(50), Duration::from_millis(1500)]
+        .into_iter()
+        .enumerate()
+    {
+        let bits = round as u64 * PUTS..(round as u64 + 1) * PUTS;
+        for i in bits.clone() {
+            a.put_op(md)
+                .target(b.id(), 0)
+                .bits(MatchBits::new(i))
+                .ack(AckRequest::NoAck)
+                .submit()
+                .unwrap();
+        }
+        wait_for(|| {
+            assert!(b.raw_pending() <= window, "{} raw", b.raw_pending());
+            flow.credit_blocked_now.get() == 1
+        });
+        std::thread::sleep(idle);
         assert!(b.raw_pending() <= window, "{} raw", b.raw_pending());
-        flow.credit_blocked_now.get() == 1
-    });
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(b.raw_pending() <= window, "{} raw", b.raw_pending());
-    assert_eq!(flow.credit_blocked_now.get(), 1);
-    assert_eq!(flow.retransmissions.get(), 0);
+        assert_eq!(flow.credit_blocked_now.get(), 1);
+        assert_eq!(flow.retransmissions.get(), 0);
 
-    for i in 0..PUTS {
-        let ev = b.eq_poll(eq, TIMEOUT).unwrap();
-        assert_eq!(
-            (ev.kind, ev.match_bits),
-            (EventKind::Put, MatchBits::new(i))
+        let started = std::time::Instant::now();
+        for i in bits {
+            let ev = b.eq_poll(eq, TIMEOUT).unwrap();
+            assert_eq!(
+                (ev.kind, ev.match_bits),
+                (EventKind::Put, MatchBits::new(i))
+            );
+        }
+        let drain = started.elapsed();
+        eprintln!("idle {idle:?}: drain {drain:?}");
+        assert!(
+            drain < DRAIN_BOUND,
+            "after {idle:?} idle the drain took {drain:?}"
         );
+        assert_eq!(flow.retransmissions.get(), 0);
     }
-    assert_eq!(flow.retransmissions.get(), 0);
 }
 
 #[test]
@@ -803,6 +824,75 @@ fn limits_exhaustion_returns_no_space() {
     }
     let r = a.me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back);
     assert_eq!(r.err(), Some(PtlError::NoSpace));
+}
+
+/// Two threads bind the last free descriptor slot at once, round after
+/// round: at most one of each pair may succeed, so the interface never holds
+/// more descriptors than its limit. This needs the limit check and the insert
+/// in one critical section; a check made apart from the insert lets both
+/// binders pass it.
+#[test]
+fn concurrent_binds_never_pass_the_descriptor_limit() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const ROUNDS: usize = 2000;
+    let fabric = Fabric::ideal();
+    let na = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
+    let limits = portals_types::NiLimits::TINY;
+    let a = na
+        .create_ni(
+            1,
+            NiConfig {
+                limits,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let spec = || MdSpec::new(Region::zeroed(8));
+    for _ in 1..limits.max_memory_descriptors {
+        a.md_bind(spec()).unwrap();
+    }
+
+    // A spinning rendezvous, so that both binders leave it within a few
+    // hundred nanoseconds of each other, which a parking barrier does not
+    // give. Phase `p` opens once both threads have arrived `p` times.
+    let arrived = AtomicUsize::new(0);
+    let rendezvous = |phase: usize| {
+        arrived.fetch_add(1, Ordering::AcqRel);
+        while arrived.load(Ordering::Acquire) < 2 * phase {
+            std::hint::spin_loop();
+        }
+    };
+    let bind_each_round = || {
+        (0..ROUNDS)
+            .map(|round| {
+                rendezvous(2 * round + 1);
+                let got = a.md_bind(spec());
+                rendezvous(2 * round + 2);
+                match got {
+                    Ok(md) => {
+                        a.md_unlink(md).unwrap();
+                        true
+                    }
+                    Err(e) => {
+                        assert_eq!(e, PtlError::NoSpace);
+                        false
+                    }
+                }
+            })
+            .collect::<Vec<bool>>()
+    };
+    let (mine, theirs) = std::thread::scope(|s| {
+        let peer = s.spawn(bind_each_round);
+        let mine = bind_each_round();
+        (mine, peer.join().unwrap())
+    });
+    let both = mine.iter().zip(&theirs).filter(|(m, t)| **m && **t).count();
+    assert_eq!(both, 0, "{both} of {ROUNDS} rounds bound past the limit");
+    assert_eq!(
+        mine.iter().chain(&theirs).filter(|b| **b).count(),
+        ROUNDS,
+        "every round binds exactly one descriptor"
+    );
 }
 
 #[test]

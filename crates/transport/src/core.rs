@@ -54,7 +54,7 @@ use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_wire::{Packet, PacketHeader};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -65,6 +65,13 @@ use portals_types::{DoorbellQueue, Gather, NodeId, WireError};
 /// the next run starts; a shorter run, the last of its step, leaves them owed
 /// until the step's deliveries have been dispatched.
 const RECV_BATCH: usize = 64;
+
+/// The credit room at which a starved source is reopened: half the credit
+/// window, so that a draining consumer grants credit in runs rather than one
+/// message at a time.
+pub(crate) fn reopen_room(credit_window: usize) -> u64 {
+    (credit_window as u64 / 2).max(1)
+}
 
 /// Sentinel for "no published deadline".
 pub(crate) const DEADLINE_NONE: u64 = u64::MAX;
@@ -121,6 +128,13 @@ pub(crate) struct ProgressCore {
     /// The cumulative ACK owed to each source (at most one entry per source),
     /// until [`ProgressCore::flush_acks`] or data to that source sends it.
     acks_owed: Vec<(NodeId, u64)>,
+    /// Sources whose last ACK advertised no room past what they had sent.
+    /// Once the consumer frees room, the next step reopens their credit
+    /// ([`ProgressCore::reopen_credit`]) instead of waiting for a PROBE.
+    starved: Vec<NodeId>,
+    /// Raised with every entry in `starved`; the endpoint's next consuming
+    /// pop clears it and wakes the stepper.
+    credit_closed: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
     outstanding: Arc<AtomicUsize>,
     tx_peers: HashMap<NodeId, SenderPeer>,
@@ -146,6 +160,7 @@ impl ProgressCore {
         stats: Arc<TransportStats>,
         outstanding: Arc<AtomicUsize>,
         deadline_ns: Arc<AtomicU64>,
+        credit_closed: Arc<AtomicBool>,
     ) -> ProgressCore {
         let nid = link.nid();
         let inbound = link.inbound_receiver();
@@ -161,6 +176,8 @@ impl ProgressCore {
             staged: Vec::new(),
             released: Vec::new(),
             acks_owed: Vec::new(),
+            starved: Vec::new(),
+            credit_closed,
             stats,
             outstanding,
             tx_peers: HashMap::new(),
@@ -188,6 +205,7 @@ impl ProgressCore {
         // already pushed what it took, and is often the thread running this
         // step.
         self.link.pump_wire();
+        self.reopen_credit();
         let mut worked = false;
         while let Ok(d) = self.inbound.try_recv() {
             self.on_inbound(d);
@@ -224,22 +242,32 @@ impl ProgressCore {
         }
     }
 
-    /// The credit horizon this node advertises to `src` right now: the
-    /// in-order base plus the configured window, shrunk by however many
-    /// delivered *messages* are still waiting for the consumer — an
-    /// oversubscribed receiver sheds load instead of buffering it. The
-    /// backlog is counted in message units, not queue items: one streamed
-    /// message is thousands of fragment deliveries that drain at placement
-    /// speed, and shedding against the raw item count would stall every
-    /// large transfer into probe backoff.
-    fn advertised_credit(&self, src: NodeId) -> u64 {
-        let expected = self.rx_peers.get(&src).map_or(0, ReceiverPeer::expected);
-        let backlog = self
-            .stats
-            .messages_delivered
-            .get()
-            .saturating_sub(self.stats.messages_consumed.get());
-        expected + (self.cfg.credit_window as u64).saturating_sub(backlog)
+    /// How far past its in-order base any source may send right now: the
+    /// configured window, shrunk by however many delivered *messages* are
+    /// still waiting for the consumer — an oversubscribed receiver sheds
+    /// load instead of buffering it. The backlog is counted in message
+    /// units, not queue items: one streamed message is thousands of
+    /// fragment deliveries that drain at placement speed, and shedding
+    /// against the raw item count would stall every large transfer into
+    /// probe backoff.
+    fn credit_room(&self) -> u64 {
+        self.stats.credit_room(self.cfg.credit_window)
+    }
+
+    /// Owe a fresh ACK to every starved source once the consumer has freed
+    /// [`reopen_room`]: a sender that used up its horizon would otherwise
+    /// wait for its next PROBE, whose backoff grows while the receiver sits
+    /// idle.
+    fn reopen_credit(&mut self) {
+        if self.starved.is_empty() || self.credit_room() < reopen_room(self.cfg.credit_window) {
+            return;
+        }
+        for i in 0..self.starved.len() {
+            let src = self.starved[i];
+            if let Some(ack) = self.rx_peers.get(&src).map(ReceiverPeer::current_ack) {
+                self.owe_ack(src, ack);
+            }
+        }
     }
 
     /// Record `nid`'s current deadline (if any) in the timer heap.
@@ -350,20 +378,35 @@ impl ProgressCore {
         if self.acks_owed.is_empty() {
             return;
         }
-        let acks = self
-            .acks_owed
+        let mut owed = std::mem::take(&mut self.acks_owed);
+        let acks = owed
             .iter()
             .map(|&(src, cumulative)| (src, self.ack(src, cumulative)))
             .collect();
-        self.acks_owed.clear();
+        owed.clear();
+        self.acks_owed = owed;
         self.link.send_batch(acks);
     }
 
     /// Encode (and count) the cumulative ACK for `src`, carrying the credit
-    /// horizon as of now.
-    fn ack(&self, src: NodeId, cumulative: u64) -> Gather {
+    /// horizon as of now: `src`'s in-order base plus the credit room. An ACK
+    /// with no room in it leaves `src` starved until the consumer frees some.
+    fn ack(&mut self, src: NodeId, cumulative: u64) -> Gather {
         self.stats.acks_sent.add(1);
-        Packet::ack(cumulative, self.advertised_credit(src)).encode()
+        let mut room = self.credit_room();
+        if room == 0 {
+            if !self.starved.contains(&src) {
+                self.starved.push(src);
+            }
+            // Raised before the room is read again: a pop either counts in
+            // it or finds the flag.
+            self.credit_closed.store(true, Ordering::SeqCst);
+            room = self.credit_room();
+        } else {
+            self.starved.retain(|&s| s != src);
+        }
+        let expected = self.rx_peers.get(&src).map_or(0, ReceiverPeer::expected);
+        Packet::ack(cumulative, expected + room).encode()
     }
 
     /// Owe `src` the cumulative ACK `cumulative`, replacing (and counting as
@@ -737,6 +780,7 @@ mod tests {
                 Arc::clone(&stats),
                 Arc::default(),
                 Arc::new(AtomicU64::new(DEADLINE_NONE)),
+                Arc::default(),
             );
             Rig {
                 core,

@@ -11,7 +11,7 @@
 //! in the endpoint's own queue, under its credit flow control.
 
 use crate::config::TransportConfig;
-use crate::core::{instant_to_ns, ns_to_instant, ProgressCore, DEADLINE_NONE};
+use crate::core::{instant_to_ns, ns_to_instant, reopen_room, ProgressCore, DEADLINE_NONE};
 use crate::stats::TransportStats;
 use parking_lot::Mutex;
 use portals_net::{DriverHub, Link, LinkCaps, NodeDriver};
@@ -110,6 +110,11 @@ pub struct Endpoint {
     hub: DriverHub,
     stats: Arc<TransportStats>,
     outstanding: Arc<AtomicUsize>,
+    /// Raised by the core when it advertises a source no credit room; the
+    /// consuming pop that frees [`reopen_room`] clears it and wakes the
+    /// stepper to reopen it.
+    credit_closed: Arc<AtomicBool>,
+    credit_window: usize,
     mode: ProgressMode,
     /// Shared with this endpoint's NIC thread, or handed (through a `Weak`)
     /// to the link's receive thread to step or — caller-driven — registered
@@ -365,6 +370,7 @@ impl Endpoint {
         let stats = Arc::new(TransportStats::new(&obs.registry, nid.0));
         let outstanding = Arc::new(AtomicUsize::new(0));
         let deadline_ns = Arc::new(AtomicU64::new(DEADLINE_NONE));
+        let credit_closed = Arc::new(AtomicBool::new(false));
         let core = ProgressCore::new(
             link,
             cfg,
@@ -374,6 +380,7 @@ impl Endpoint {
             Arc::clone(&stats),
             Arc::clone(&outstanding),
             Arc::clone(&deadline_ns),
+            Arc::clone(&credit_closed),
         );
         let stepper = Arc::new(Stepper {
             core: Mutex::new(core),
@@ -393,6 +400,8 @@ impl Endpoint {
             hub,
             stats,
             outstanding,
+            credit_closed,
+            credit_window: cfg.credit_window,
             mode: cfg.progress_mode,
             stepper,
             nic_thread: Mutex::new(None),
@@ -613,11 +622,19 @@ impl Endpoint {
     /// place fragments as they arrive. The pop is reported to the core, which
     /// sheds inbound credit against the message-unit backlog
     /// (`messages_delivered - messages_consumed`): a last fragment counts one
-    /// unit, every other fragment is free.
+    /// unit, every other fragment is free. After the core advertised a
+    /// source no room, the pop that frees half the credit window wakes the
+    /// stepper, whose next step advertises it at once.
     pub fn pop_delivery(&self) -> Option<Delivery> {
         let delivery = self.incoming.try_recv().ok()?;
         if matches!(&delivery, Delivery::Fragment(f) if f.last) {
             self.stats.messages_consumed.inc();
+            if self.credit_closed.load(Ordering::Relaxed)
+                && self.stats.credit_room(self.credit_window) >= reopen_room(self.credit_window)
+                && self.credit_closed.swap(false, Ordering::SeqCst)
+            {
+                self.stepper.readiness.set(Readiness::INBOUND);
+            }
         }
         Some(delivery)
     }
@@ -1137,6 +1154,36 @@ mod tests {
             "acks must have granted credits"
         );
         assert!(b.stats().probes_received.get() >= 1);
+    }
+
+    /// A bare NIC-thread endpoint whose `recv` consumer lags: the sender
+    /// stops at the credit window, and the consumer's pops reopen it without
+    /// a PROBE. The PROBE timer is set far beyond the test's length, so a
+    /// credit that only a probe could reopen strands the stream.
+    #[test]
+    fn a_lagging_consumer_reopens_credit_without_a_probe() {
+        let fabric = Fabric::ideal();
+        let cfg = TransportConfig {
+            rto_base: Duration::from_secs(30),
+            ..Default::default()
+        };
+        let (a, b) = pair(&fabric, cfg);
+        let total = 3 * cfg.credit_window as u32;
+        for i in 0..total {
+            a.send(NodeId(1), Gather::from_vec(i.to_le_bytes().to_vec()));
+        }
+        let blocked_by = Instant::now() + Duration::from_secs(10);
+        while a.stats().credit_blocked_now.get() != 1 {
+            assert!(Instant::now() < blocked_by, "the sender never blocked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..total {
+            let m = b.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            assert_eq!(m.payload.to_bytes()[..], i.to_le_bytes());
+        }
+        assert!(a.flush(Duration::from_secs(5)));
+        assert_eq!(a.stats().probes_sent.get(), 0);
+        assert_eq!(a.stats().retransmissions.get(), 0);
     }
 
     #[test]

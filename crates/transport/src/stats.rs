@@ -102,6 +102,17 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
+    /// How far past its in-order base a source may send while `window`
+    /// messages of consumer backlog are allowed: `window` less the backlog
+    /// (`messages_delivered - messages_consumed`), floored at zero.
+    pub(crate) fn credit_room(&self, window: usize) -> u64 {
+        let backlog = self
+            .messages_delivered
+            .get()
+            .saturating_sub(self.messages_consumed.get());
+        (window as u64).saturating_sub(backlog)
+    }
+
     /// Register the `transport.*` and `flow.*` series for node `nid` in
     /// `registry`.
     pub fn new(registry: &Registry, nid: u32) -> TransportStats {

@@ -68,18 +68,6 @@ impl<T> Handle<T> {
     pub fn generation(self) -> u32 {
         self.generation
     }
-
-    /// Build a handle from an explicit `(index, generation)` pair. Used by
-    /// [`crate::shard::Sharded`] to renumber slot indices across shards; the
-    /// result only resolves in the arena that issued the generation.
-    #[inline]
-    pub fn from_parts(index: u32, generation: u32) -> Self {
-        Handle {
-            index,
-            generation,
-            _marker: PhantomData,
-        }
-    }
 }
 
 impl<T> Clone for Handle<T> {

@@ -36,4 +36,4 @@ pub use matchbits::{MatchBits, MatchCriteria};
 pub use pool::RegionPool;
 pub use readiness::{spin_budget, DoorbellQueue, ProgressMode, Readiness};
 pub use region::Region;
-pub use shard::Sharded;
+pub use shard::Table;

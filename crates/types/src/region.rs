@@ -1,4 +1,4 @@
-//! Refcounted byte regions with range-scoped interior mutability.
+//! Refcounted byte regions with locked interior mutability.
 //!
 //! [`Region`] is the buffer model for the whole data path: a fixed-size,
 //! refcounted byte slab that supports
@@ -7,16 +7,15 @@
 //!   over the region's own allocation (no copy and no allocation: the view
 //!   holds a strong reference on the region's `Arc`, so the memory outlives
 //!   it), and
-//! * **range-scoped writes** — [`Region::write`] and [`Region::rmw`] lock only
-//!   the *stripes* overlapping the written range, so concurrent deliveries to
-//!   disjoint offsets of one memory descriptor proceed in parallel instead of
-//!   contending on a single buffer-wide mutex.
+//! * **locked writes** — [`Region::write`] and [`Region::rmw`] hold the
+//!   region's one write lock. One thread per node places every delivery (the
+//!   node's step), so a writer meets another only when an application thread
+//!   fills a buffer the engine is also writing.
 //!
 //! # Aliasing model (DESIGN.md §6c)
 //!
-//! Writers are mutually excluded per overlapping stripe; they acquire stripe
-//! locks in ascending index order, so any set of concurrent writers is
-//! deadlock-free. Readers ([`Region::slice`], [`Region::read_into`],
+//! Writers are mutually excluded by the region's write lock, which nothing
+//! else nests inside. Readers ([`Region::slice`], [`Region::read_into`],
 //! [`Region::read_vec`]) take **no** locks: like real RDMA hardware, a read
 //! racing a write to the same range may observe torn bytes. Higher layers make
 //! such races benign the same way Portals applications do — a buffer is only
@@ -25,16 +24,10 @@
 //! after [`Region::write`] returns.
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::Arc;
-
-/// Bytes covered by one write-exclusion stripe.
-///
-/// Chosen so small control buffers get a single lock while large payload
-/// buffers spread concurrent writers across many.
-const STRIPE_SIZE: usize = 4096;
 
 struct RegionInner {
     /// The allocation. Held only to own the memory; all access goes through
@@ -43,28 +36,18 @@ struct RegionInner {
     _buf: UnsafeCell<Box<[u8]>>,
     ptr: *mut u8,
     len: usize,
-    /// One lock per `STRIPE_SIZE` bytes (at least one). Writers lock every
-    /// stripe overlapping their range, in ascending order.
-    stripes: Box<[Mutex<()>]>,
+    /// Held by every writer for the whole of its mutation.
+    write_lock: Mutex<()>,
 }
 
-// SAFETY: all mutation goes through `write`/`rmw`, which hold the locks of
-// every stripe overlapping the mutated range; disjoint writers touch disjoint
-// bytes. Unlocked readers racing a writer observe torn bytes (see the module
-// docs) but never access memory out of bounds.
+// SAFETY: all mutation goes through `write`/`rmw`, which hold the region's
+// write lock, so no two writers touch the bytes at once. Unlocked readers
+// racing a writer observe torn bytes (see the module docs) but never access
+// memory out of bounds.
 unsafe impl Send for RegionInner {}
 unsafe impl Sync for RegionInner {}
 
-/// The stripe locks one write holds, in ascending order: the first two
-/// inline, so a write within one 4 KiB stripe or across the boundary of two
-/// allocates nothing for its guards.
-type StripeGuards<'a> = (
-    Option<MutexGuard<'a, ()>>,
-    Option<MutexGuard<'a, ()>>,
-    Vec<MutexGuard<'a, ()>>,
-);
-
-/// A refcounted, fixed-size byte slab with striped write locking.
+/// A refcounted, fixed-size byte slab with one write lock.
 ///
 /// Cloning a `Region` is O(1) and yields another handle to the same memory.
 /// See the module docs for the aliasing rules.
@@ -92,14 +75,12 @@ impl Region {
     fn from_boxed(mut buf: Box<[u8]>) -> Region {
         let ptr = buf.as_mut_ptr();
         let len = buf.len();
-        let n_stripes = len.div_ceil(STRIPE_SIZE).max(1);
-        let stripes = (0..n_stripes).map(|_| Mutex::new(())).collect();
         Region {
             inner: Arc::new(RegionInner {
                 _buf: UnsafeCell::new(buf),
                 ptr,
                 len,
-                stripes,
+                write_lock: Mutex::new(()),
             }),
         }
     }
@@ -118,17 +99,6 @@ impl Region {
         self.inner.ptr
     }
 
-    /// Lock every stripe overlapping `[offset, offset + len)`, ascending.
-    fn lock_range(&self, offset: usize, len: usize) -> StripeGuards<'_> {
-        let stripes = if len == 0 {
-            0..0
-        } else {
-            offset / STRIPE_SIZE..(offset + len - 1) / STRIPE_SIZE + 1
-        };
-        let mut guards = stripes.map(|i| self.inner.stripes[i].lock());
-        (guards.next(), guards.next(), guards.collect())
-    }
-
     /// Zero-copy [`Bytes`] view of `[offset, offset + len)`.
     ///
     /// The view keeps the region alive. Reads through it are unlocked; see
@@ -144,7 +114,7 @@ impl Region {
         unsafe { Bytes::from_raw_owner(self.base_ptr().add(offset), len, self.inner.clone()) }
     }
 
-    /// Write `src` at `offset`, holding the overlapping stripe locks.
+    /// Write `src` at `offset`, holding the write lock.
     ///
     /// Panics if the range exceeds the region.
     pub fn write(&self, offset: usize, src: &[u8]) {
@@ -156,18 +126,17 @@ impl Region {
             src.len(),
             self.len()
         );
-        let _guards = self.lock_range(offset, src.len());
-        // SAFETY: bounds checked; stripe locks exclude every other writer to
-        // this range.
+        let _guard = self.inner.write_lock.lock();
+        // SAFETY: bounds checked; the write lock excludes every other writer.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.base_ptr().add(offset), src.len());
         }
     }
 
-    /// Read-modify-write `[offset, offset + len)` under the stripe locks.
+    /// Read-modify-write `[offset, offset + len)` under the write lock.
     ///
     /// Needed when the new contents depend on the old (e.g. combining
-    /// deliveries): the locks are held across both the read and the write so
+    /// deliveries): the lock is held across both the read and the write so
     /// no other writer can interleave.
     pub fn rmw(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8])) {
         assert!(
@@ -175,8 +144,8 @@ impl Region {
             "rmw [{offset}, {offset}+{len}) exceeds region of {} bytes",
             self.len()
         );
-        let _guards = self.lock_range(offset, len);
-        // SAFETY: bounds checked; stripe locks grant exclusive write access.
+        let _guard = self.inner.write_lock.lock();
+        // SAFETY: bounds checked; the write lock grants exclusive write access.
         let window = unsafe { std::slice::from_raw_parts_mut(self.base_ptr().add(offset), len) };
         f(window);
     }
@@ -289,22 +258,32 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_stripe_writes_run_concurrently() {
-        // Two threads write disjoint stripes of one region many times; the
-        // final contents must be exactly what each wrote (no lost updates).
-        let r = Region::zeroed(2 * STRIPE_SIZE);
+    fn two_writers_lose_no_update() {
+        // Two threads add into one counter with `rmw` and write their own
+        // words with `write`: every increment lands, and each word holds
+        // its writer's last value.
+        let r = Region::zeroed(64);
         let r2 = r.clone();
+        let bump = |r: &Region| {
+            r.rmw(0, 8, |w| {
+                let n = u64::from_le_bytes(w.try_into().unwrap());
+                w.copy_from_slice(&(n + 1).to_le_bytes());
+            })
+        };
         let t = std::thread::spawn(move || {
             for i in 0..1000u32 {
-                r2.write(0, &i.to_le_bytes());
+                bump(&r2);
+                r2.write(8, &i.to_le_bytes());
             }
         });
         for i in 0..1000u32 {
-            r.write(STRIPE_SIZE, &i.to_le_bytes());
+            bump(&r);
+            r.write(32, &i.to_le_bytes());
         }
         t.join().unwrap();
-        assert_eq!(r.read_vec(0, 4), 999u32.to_le_bytes().to_vec());
-        assert_eq!(r.read_vec(STRIPE_SIZE, 4), 999u32.to_le_bytes().to_vec());
+        assert_eq!(r.read_vec(0, 8), 2000u64.to_le_bytes().to_vec());
+        assert_eq!(r.read_vec(8, 4), 999u32.to_le_bytes().to_vec());
+        assert_eq!(r.read_vec(32, 4), 999u32.to_le_bytes().to_vec());
     }
 
     #[test]
