@@ -1,6 +1,6 @@
 //! Communicators: the user-facing MPI surface.
 
-use crate::bits::{check_user_tag, validate_reserved_layout, Context, Tag, TagError, MAX_USER_TAG};
+use crate::bits::{check_user_tag, validate_reserved_layout, Context, Tag, MAX_USER_TAG};
 use crate::config::MpiConfig;
 use crate::engine::MpiEngine;
 use crate::request::{Completion, Request, Status};
@@ -143,13 +143,6 @@ impl Communicator {
         self.isend_internal(dest, tag, data)
     }
 
-    /// [`Communicator::isend`] that reports a reserved tag as a typed error
-    /// instead of panicking.
-    pub fn try_isend(&self, dest: Rank, tag: Tag, data: &[u8]) -> Result<Request, TagError> {
-        check_user_tag(tag)?;
-        Ok(self.isend_internal(dest, tag, data))
-    }
-
     fn isend_internal(&self, dest: Rank, tag: Tag, data: &[u8]) -> Request {
         self.engine
             .isend(
@@ -189,20 +182,6 @@ impl Communicator {
             Self::check_tag(t);
         }
         self.irecv_internal(src, tag, buf)
-    }
-
-    /// [`Communicator::irecv`] that reports a reserved tag as a typed error
-    /// instead of panicking.
-    pub fn try_irecv(
-        &self,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        buf: Region,
-    ) -> Result<Request, TagError> {
-        if let Some(t) = tag {
-            check_user_tag(t)?;
-        }
-        Ok(self.irecv_internal(src, tag, buf))
     }
 
     fn irecv_internal(&self, src: Option<Rank>, tag: Option<Tag>, buf: Region) -> Request {

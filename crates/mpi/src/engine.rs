@@ -1,10 +1,14 @@
 //! The MPI progress engine.
 //!
 //! One engine exists per process. It owns a Portals [`NetworkInterface`], one
-//! event queue for all MPI traffic, and the per-process matching state:
-//! posted receives (in posting order) and unexpected arrivals (in
-//! wire-arrival order, eager and long alike, so the MPI non-overtaking rule
-//! holds across sizes).
+//! event queue for all MPI traffic, and the receives the interface has not
+//! taken yet, in posting order. Unexpected arrivals are the interface's: its
+//! overflow entries (the long entry and the slabs) record every put they
+//! take, in wire-arrival order, eager and long alike, and posting a receive
+//! ([`NetworkInterface::me_post`]) claims the oldest matching one or links
+//! the receive, in one step under the portal lock. Receives are offered in
+//! posting order and none overtakes one still waiting, so the MPI
+//! non-overtaking rule holds across sizes.
 //!
 //! Portal assignments:
 //!
@@ -25,8 +29,9 @@
 //! Under [`Protocol::HardwareMatching`] posted receives are *hardware* match
 //! entries: the Portals receive engine steers data into user buffers with no
 //! MPI involvement (application bypass). Under [`Protocol::LibraryMatching`]
-//! no hardware entries exist: everything overflows and is matched here,
-//! inside MPI calls — the GM-style baseline.
+//! no hardware entries exist: everything overflows, and a receive claims its
+//! message from the interface's record only inside MPI calls — the GM-style
+//! baseline.
 
 use crate::bits::{self, Tag};
 use crate::config::{MpiConfig, Protocol};
@@ -34,11 +39,11 @@ use crate::request::{Completion, ReqKind, Request, Status};
 use parking_lot::Mutex;
 use portals::{
     AckRequest, EqHandle, EventKind, MdHandle, MdOptions, MdSpec, MeHandle, MePos,
-    NetworkInterface, Region, RegionPool, Threshold,
+    NetworkInterface, Posted, Region, RegionPool, Threshold, Unexpected,
 };
 use portals_obs::{Counter, Layer, Stage, TraceEvent};
 use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlError, PtlResult, Rank};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 const PT_MSG: u32 = 0;
@@ -46,35 +51,12 @@ const PT_RDVZ: u32 = 2;
 /// ACL cookie: entry 0 = same parallel application (§4.5).
 const COOKIE: u32 = 0;
 
-/// A posted-but-unmatched receive.
+/// A receive the interface has not taken yet.
 struct PostedRecv {
     id: u64,
     criteria: MatchCriteria,
     buf: Region,
     cap: usize,
-    /// `Some` when a hardware match entry backs this receive.
-    hw: Option<(MeHandle, MdHandle)>,
-}
-
-/// An unexpected message, waiting for its receive.
-struct Arrival {
-    bits: MatchBits,
-    /// The message's full length.
-    rlength: usize,
-    body: Body,
-}
-
-/// Where an unexpected message's bytes are.
-enum Body {
-    /// An eager message: `mlength` bytes at `offset` of an overflow slab.
-    Slab {
-        buf: Region,
-        offset: usize,
-        mlength: usize,
-    },
-    /// A long message: still in the sender's buffer, exposed on `PT_RDVZ`
-    /// under `serial`.
-    Exposed { sender: ProcessId, serial: u64 },
 }
 
 /// An in-flight send tracked for completion and, under flow control, re-issue
@@ -106,41 +88,32 @@ struct SendInfo {
     closed: u8,
 }
 
-/// An outstanding long-message pull: one get bound over the user's receive
-/// region, keyed in `EngState::pulls` by that MD.
-struct PullState {
-    /// The receive request this pull completes.
-    id: u64,
-    src: u16,
-    tag: Tag,
-    total_len: u64,
-    cap: usize,
-    sender: ProcessId,
-    serial: u64,
-}
-
 struct EngState {
     next_req: u64,
     next_serial: u64,
     sends: HashMap<MdHandle, SendInfo>,
     send_done: HashMap<u64, (u64, u64)>,
-    recvs: Vec<PostedRecv>,
+    /// Receives the interface has not taken, in posting order.
+    waiting: VecDeque<PostedRecv>,
+    /// An overflow put landed, or the last offer ended at one still landing.
+    reoffer: bool,
+    /// Receives linked as hardware entries, by their descriptor.
+    linked: HashMap<MdHandle, u64>,
     recv_done: HashMap<u64, Status>,
-    pulls: HashMap<MdHandle, PullState>,
-    unexpected: VecDeque<Arrival>,
-    /// The long entry, between the posted receives and the slabs: it
-    /// matches [`bits::LONG`] alone and takes every long put no posted
-    /// receive took. Its MD keeps none of the put's bytes and never
+    /// Long-message pulls by their get's MD: the receive and its message.
+    pulls: HashMap<MdHandle, (u64, Unexpected)>,
+    /// The long entry's descriptor. The long entry is the first overflow
+    /// entry: it matches [`bits::LONG`] alone and takes every long put no
+    /// posted receive took. Its MD keeps none of the put's bytes and never
     /// exhausts: zero bytes long, truncating, infinite threshold. It does
     /// not manage its offset, so the put's remote offset — the sender's
-    /// serial — comes back as the `Put` event's offset (`Md::evaluate`
-    /// accepts zero bytes at any requested offset). Every other `PT_MSG` MD
-    /// manages its own offset and ignores the serial. (Portals 3.3 added
-    /// `hdr_data` for out-of-band fields like this one.)
-    long_me: MeHandle,
+    /// serial — is recorded as the put's offset (`Md::evaluate` accepts zero
+    /// bytes at any requested offset). Every other `PT_MSG` MD manages its
+    /// own offset and ignores the serial. (Portals 3.3 added `hdr_data` for
+    /// out-of-band fields like this one.)
     long_md: MdHandle,
     slab_me: MeHandle,
-    slab_mds: HashMap<MdHandle, Region>,
+    slab_mds: HashSet<MdHandle>,
 }
 
 /// Protocol choices made per send. Both counts are always zero: there is
@@ -203,9 +176,12 @@ impl MpiEngine {
         if ni.flow_control() {
             ni.pt_flow_ctrl(PT_MSG, Some(eq))?;
         }
-        let long_criteria =
-            MatchCriteria::with_ignore(MatchBits::new(bits::LONG), MatchBits::new(!bits::LONG));
-        let long_me = ni.me_attach(PT_MSG, ProcessId::ANY, long_criteria, false, MePos::Back)?;
+        let overflow =
+            |criteria| ni.me_attach(PT_MSG, ProcessId::ANY, criteria, false, MePos::Overflow);
+        let long_me = overflow(MatchCriteria::with_ignore(
+            MatchBits::new(bits::LONG),
+            MatchBits::new(!bits::LONG),
+        ))?;
         let long_md = ni.md_attach(
             long_me,
             MdSpec::new(Region::zeroed(0))
@@ -217,13 +193,7 @@ impl MpiEngine {
                     ..Default::default()
                 }),
         )?;
-        let slab_me = ni.me_attach(
-            PT_MSG,
-            ProcessId::ANY,
-            MatchCriteria::any(),
-            false,
-            MePos::Back,
-        )?;
+        let slab_me = overflow(MatchCriteria::any())?;
         let labels = [("node", ni.id().nid.0.to_string())];
         let regions_pooled = ni.obs().registry.counter("mpi.regions_pooled", &labels);
         let regions_allocated = ni.obs().registry.counter("mpi.regions_allocated", &labels);
@@ -243,14 +213,14 @@ impl MpiEngine {
                 next_serial: 1,
                 sends: HashMap::new(),
                 send_done: HashMap::new(),
-                recvs: Vec::new(),
+                waiting: VecDeque::new(),
+                reoffer: false,
+                linked: HashMap::new(),
                 recv_done: HashMap::new(),
                 pulls: HashMap::new(),
-                unexpected: VecDeque::new(),
-                long_me,
                 long_md,
                 slab_me,
-                slab_mds: HashMap::new(),
+                slab_mds: HashSet::new(),
             }),
         };
         {
@@ -273,10 +243,9 @@ impl MpiEngine {
     }
 
     fn attach_slab(&self, st: &mut EngState) -> PtlResult<()> {
-        let buf = Region::zeroed(self.config.slab_size);
         let md = self.ni.md_attach(
             st.slab_me,
-            MdSpec::new(buf.clone())
+            MdSpec::new(Region::zeroed(self.config.slab_size))
                 .with_eq(self.eq)
                 .with_options(MdOptions {
                     op_put: true,
@@ -287,7 +256,7 @@ impl MpiEngine {
                     min_free: self.config.slab_min_free,
                 }),
         )?;
-        st.slab_mds.insert(md, buf);
+        st.slab_mds.insert(md);
         Ok(())
     }
 
@@ -407,13 +376,14 @@ impl MpiEngine {
         } else {
             (match_bits, 0, None)
         };
-        // The put goes from a descriptor of its own, so that its threshold
-        // is not the exposure's.
+        // The put goes from a descriptor of its own, which never exhausts:
+        // a nacked put is re-put from it as it is, and its real ack unlinks
+        // it.
         let md = self.ni.md_bind(
             MdSpec::new(data.clone())
                 .with_length(len)
                 .with_eq(self.eq)
-                .with_threshold(Threshold::Count(1)),
+                .with_threshold(Threshold::Infinite),
         )?;
         st.sends.insert(
             md,
@@ -460,158 +430,117 @@ impl MpiEngine {
         let id = st.next_req;
         st.next_req += 1;
         self.drain(&mut st);
-
-        // Already arrived? Take the oldest matching arrival.
-        if let Some(i) = st.unexpected.iter().position(|a| criteria.matches(a.bits)) {
-            let arrival = st.unexpected.remove(i).expect("indexed");
-            self.deliver(&mut st, id, buf, cap, arrival);
-            return Ok(Request {
-                id,
-                kind: ReqKind::Recv,
-            });
-        }
-
-        if self.config.protocol == Protocol::LibraryMatching {
-            st.recvs.push(PostedRecv {
-                id,
-                criteria,
-                buf,
-                cap,
-                hw: None,
-            });
-            return Ok(Request {
-                id,
-                kind: ReqKind::Recv,
-            });
-        }
-        // Post a hardware match entry ahead of the long entry, with an
-        // inactive MD, then activate it atomically against the event queue
-        // (the PtlMDUpdate pattern). The MD is single-use, so managing its
-        // offset still lands the data at 0 — and ignores a long put's serial.
-        let long_me = st.long_me;
-        let me = self.ni.me_attach(
-            PT_MSG,
-            ProcessId::ANY,
-            criteria,
-            true,
-            MePos::Before(long_me),
-        )?;
-        let md = self.ni.md_attach(
-            me,
-            MdSpec::new(buf.clone())
-                .with_length(cap)
-                .with_eq(self.eq)
-                .with_threshold(Threshold::Count(0))
-                .with_options(MdOptions {
-                    op_put: true,
-                    op_get: false,
-                    truncate: true,
-                    manage_local_offset: true,
-                    unlink_on_exhaustion: true,
-                    ..Default::default()
-                }),
-        )?;
-        st.recvs.push(PostedRecv {
+        st.waiting.push_back(PostedRecv {
             id,
             criteria,
             buf,
             cap,
-            hw: Some((me, md)),
         });
-        loop {
-            match self
-                .ni
-                .md_update(md, Some(self.eq), |m| m.threshold = Threshold::Count(1))
-            {
-                Ok(()) => break,
-                Err(PtlError::NoUpdate) => {
-                    // Pending events might include the very message this
-                    // receive wants: drain and re-check. If one did, the
-                    // receive is no longer posted — delivered from a slab, or
-                    // matched by a long arrival whose pull is now in flight —
-                    // and its entry is gone. An empty queue refuses the
-                    // update when a put has matched and is still landing: its
-                    // event is imminent, so sleep until it is pushed rather
-                    // than spin against the thread that must push it.
-                    if !self.drain(&mut st) {
-                        let brief = Duration::from_micros(200);
-                        if let Ok(ev) = self.ni.eq_poll(self.eq, brief) {
-                            self.handle_event(&mut st, ev);
-                        }
-                    }
-                    if !st.recvs.iter().rev().any(|r| r.id == id) {
-                        break;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.offer(&mut st)
+            .inspect_err(|_| st.waiting.retain(|r| r.id != id))?;
         Ok(Request {
             id,
             kind: ReqKind::Recv,
         })
     }
 
-    /// Hand an unexpected message to receive `id`: copy it out of its slab,
-    /// or start pulling it from the sender's exposure.
-    fn deliver(&self, st: &mut EngState, id: u64, buf: Region, cap: usize, a: Arrival) {
-        match a.body {
-            Body::Slab {
-                buf: slab,
-                offset,
-                mlength,
-            } => {
-                let n = mlength.min(cap);
-                if n > 0 {
-                    buf.write(0, &slab.slice(offset, n));
+    /// Offer the waiting receives to the interface, front to back. Each one
+    /// claims the oldest message it matches, or under hardware matching is
+    /// linked as a match entry. One whose message is still landing ends the
+    /// pass, so that no later receive overtakes it: the `Put` event that
+    /// ends the landing, or the next drain, offers the list again.
+    fn offer(&self, st: &mut EngState) -> PtlResult<()> {
+        st.reoffer = false;
+        let mut at = 0;
+        while let Some(r) = st.waiting.get(at) {
+            let spec = (self.config.protocol == Protocol::HardwareMatching).then(|| {
+                // The MD is single-use, so managing its offset still lands
+                // the data at 0 — and ignores a long put's serial.
+                MdSpec::new(r.buf.clone())
+                    .with_length(r.cap)
+                    .with_eq(self.eq)
+                    .with_threshold(Threshold::Count(1))
+                    .with_options(MdOptions {
+                        op_put: true,
+                        op_get: false,
+                        truncate: true,
+                        manage_local_offset: true,
+                        unlink_on_exhaustion: true,
+                        ..Default::default()
+                    })
+            });
+            match self.ni.me_post(PT_MSG, ProcessId::ANY, r.criteria, spec)? {
+                Posted::Claimed(put) => {
+                    let r = st.waiting.remove(at).expect("indexed");
+                    self.deliver(st, r, put);
                 }
-                let (_, src_rank, tag) = bits::decode(a.bits);
-                st.recv_done.insert(
-                    id,
-                    Status {
-                        source: Rank(src_rank as u32),
-                        tag,
-                        len: n,
-                        truncated: a.rlength > n,
-                        full_len: a.rlength,
-                    },
-                );
-                self.trace(Stage::Deliver, n as u64, "eager_slab");
-            }
-            Body::Exposed { sender, serial } => {
-                let (_, src, tag) = bits::decode(a.bits);
-                let pull = PullState {
-                    id,
-                    src,
-                    tag,
-                    total_len: a.rlength as u64,
-                    cap,
-                    sender,
-                    serial,
-                };
-                self.start_pull(st, buf, pull);
+                Posted::Linked(_, md) => {
+                    let r = st.waiting.remove(at).expect("indexed");
+                    st.linked.insert(md, r.id);
+                }
+                Posted::Busy => {
+                    st.reoffer = true;
+                    return Ok(());
+                }
+                Posted::Unmatched => at += 1,
             }
         }
+        Ok(())
     }
 
-    /// Pull a long message with one get bound directly over the user's
-    /// receive region: the reply lands at the MD start, and the streaming
-    /// transport scatters it there fragment by fragment. The get asks for
-    /// `min(total_len, cap)` bytes (§4.8 truncation, decided here from the
-    /// length the long entry's event reported).
-    fn start_pull(&self, st: &mut EngState, buf: Region, pull: PullState) {
-        let pull_len = pull.total_len.min(pull.cap as u64);
-        let (sender, serial) = (pull.sender, pull.serial);
+    /// Hand an unexpected message to receive `r`: copy it out of its slab,
+    /// or start pulling it from the sender's exposure.
+    fn deliver(&self, st: &mut EngState, r: PostedRecv, put: Unexpected) {
+        if put.md == st.long_md {
+            return self.start_pull(st, r, put);
+        }
+        let n = put.mlength.min(r.cap as u64);
+        put.mem.gather(put.offset, n).copy_to_region(&r.buf, 0);
+        self.complete(st, r.id, put.match_bits, n, put.rlength, "eager_slab");
+    }
+
+    /// Receive `id` is complete: `len` of the `full_len` bytes of the
+    /// message `match_bits` names have landed.
+    fn complete(
+        &self,
+        st: &mut EngState,
+        id: u64,
+        match_bits: MatchBits,
+        len: u64,
+        full_len: u64,
+        how: &'static str,
+    ) {
+        let (_, src_rank, tag) = bits::decode(match_bits);
+        let status = Status {
+            source: Rank(src_rank as u32),
+            tag,
+            len: len as usize,
+            truncated: full_len > len,
+            full_len: full_len as usize,
+        };
+        st.recv_done.insert(id, status);
+        self.trace(Stage::Deliver, len, how);
+    }
+
+    /// Pull a long message, still in the sender's buffer and exposed on
+    /// `PT_RDVZ` under the serial the long entry kept as its offset, with one
+    /// get bound directly over the user's receive region: the reply lands at
+    /// the MD start, and the streaming transport scatters it there fragment
+    /// by fragment. The get asks for `min(rlength, cap)` bytes (§4.8
+    /// truncation, decided here from the length the long entry recorded).
+    fn start_pull(&self, st: &mut EngState, r: PostedRecv, put: Unexpected) {
+        let pull_len = put.rlength.min(r.cap as u64);
+        let (sender, serial) = (put.initiator, put.offset);
         let md = self
             .ni
             .md_bind(
-                MdSpec::new(buf)
+                MdSpec::new(r.buf)
                     .with_length(pull_len as usize)
                     .with_eq(self.eq)
                     .with_threshold(Threshold::Count(1)),
             )
             .expect("bind long-message pull md");
-        st.pulls.insert(md, pull);
+        st.pulls.insert(md, (r.id, put));
         self.ni
             .get_op(md)
             .target(sender, PT_RDVZ)
@@ -634,7 +563,7 @@ impl MpiEngine {
     ) -> Option<Status> {
         let mut st = self.state.lock();
         self.drain(&mut st);
-        Self::arrived(&st, bits::recv_criteria(context, src, tag))
+        self.arrived(&st, bits::recv_criteria(context, src, tag))
     }
 
     /// Blocking probe (MPI_Probe): [`MpiEngine::iprobe`]'s test as one more
@@ -642,22 +571,34 @@ impl MpiEngine {
     pub fn probe(&self, context: bits::Context, src: Option<u16>, tag: Option<Tag>) -> Status {
         let criteria = bits::recv_criteria(context, src, tag);
         self.wait_until(Instant::now() + Duration::from_secs(300), |st| {
-            Self::arrived(st, criteria)
+            self.arrived(st, criteria)
         })
         .expect("MPI probe timed out (5 min)")
     }
 
-    /// The oldest arrived-but-unclaimed message matching `criteria`.
-    fn arrived(st: &EngState, criteria: MatchCriteria) -> Option<Status> {
-        let a = st.unexpected.iter().find(|a| criteria.matches(a.bits))?;
-        let (_, src_rank, tag) = bits::decode(a.bits);
+    /// The oldest arrived-but-unclaimed message matching `criteria` — none
+    /// while a waiting receive's message is still landing, which may be this
+    /// one and is that receive's.
+    fn arrived(&self, st: &EngState, criteria: MatchCriteria) -> Option<Status> {
+        if st.reoffer {
+            return None;
+        }
+        let put = self.unexpected(criteria).1?;
+        let (_, src_rank, tag) = bits::decode(put.match_bits);
         Some(Status {
             source: Rank(src_rank as u32),
             tag,
-            len: a.rlength,
+            len: put.rlength as usize,
             truncated: false,
-            full_len: a.rlength,
+            full_len: put.rlength as usize,
         })
+    }
+
+    /// The interface's search of the message portal's unexpected puts.
+    fn unexpected(&self, criteria: MatchCriteria) -> (usize, Option<Unexpected>) {
+        self.ni
+            .me_search(PT_MSG, ProcessId::ANY, criteria)
+            .expect("the message portal exists")
     }
 
     // ----- completion ----------------------------------------------------------
@@ -758,7 +699,7 @@ impl MpiEngine {
 
     /// Unconsumed unexpected arrivals, eager and long (diagnostics).
     pub fn unexpected_pending(&self) -> usize {
-        self.state.lock().unexpected.len()
+        self.unexpected(MatchCriteria::any()).0
     }
 
     /// Sends submitted and not yet complete (diagnostics).
@@ -783,24 +724,28 @@ impl MpiEngine {
 
     // ----- event processing -----------------------------------------------------
 
-    /// Consume every pending event; true if there was any.
-    fn drain(&self, st: &mut EngState) -> bool {
-        let mut any = false;
+    /// Consume every pending event, then offer the waiting receives if
+    /// anything since the last offer calls for it.
+    fn drain(&self, st: &mut EngState) {
         loop {
             match self.ni.eq_get(self.eq) {
                 Ok(ev) => self.handle_event(st, ev),
-                Err(PtlError::EqEmpty) => return any,
+                Err(PtlError::EqEmpty) => break,
                 Err(PtlError::EqDropped) => self.recover_dropped_events(st),
                 Err(e) => panic!("event queue failure: {e}"),
             }
-            any = true;
+        }
+        if st.reoffer {
+            self.offer(st).expect("post a waiting receive");
         }
     }
 
     /// The MPI event queue lapped its consumer and unread events are gone.
-    /// Without flow control that is unrecoverable (a lost Put event is a lost
-    /// message) and the old behaviour — panic — stands. With flow control the
-    /// data path cannot have overwritten (the engine trips the portal before
+    /// A lost overflow `Put` event loses no message: the interface keeps the
+    /// put until a receive claims it, and the waiting receives are offered
+    /// again. A lost direct `Put` event is a receive that never completes, so
+    /// without flow control the panic stands. With flow control the data
+    /// path cannot have overwritten (the engine trips the portal before
     /// pushing into a near-full queue), so the lost events are bookkeeping;
     /// re-arm the resources they would have replenished and keep going.
     fn recover_dropped_events(&self, st: &mut EngState) {
@@ -808,6 +753,7 @@ impl MpiEngine {
             panic!("MPI event queue overflowed — raise MpiConfig::eq_capacity");
         }
         self.trace(Stage::Event, 0, "eq_dropped_recover");
+        st.reoffer = true;
         self.attach_slab(st).expect("replenish slab after eq drop");
         let _ = self.ni.pt_enable(PT_MSG);
     }
@@ -857,27 +803,17 @@ impl MpiEngine {
             }
             EventKind::Reply => {
                 // A long payload has fully landed in the user buffer.
-                if let Some(p) = st.pulls.remove(&ev.md) {
+                if let Some((id, put)) = st.pulls.remove(&ev.md) {
                     let _ = self.ni.md_unlink(ev.md);
-                    st.recv_done.insert(
-                        p.id,
-                        Status {
-                            source: Rank(p.src as u32),
-                            tag: p.tag,
-                            len: ev.mlength as usize,
-                            truncated: p.total_len as usize > p.cap,
-                            full_len: p.total_len as usize,
-                        },
-                    );
-                    self.trace(Stage::Deliver, ev.mlength, "pulled");
+                    self.complete(st, id, put.match_bits, ev.mlength, put.rlength, "pulled");
                     // FIN: every byte has arrived, so nothing the sender's
                     // buffer holds from now on can reach this one (a late
                     // retransmission is a duplicate, and discarded). `PT_RDVZ`
                     // is not flow controlled, so this put cannot be nacked.
                     self.ni
                         .put_op(self.fin_md)
-                        .target(p.sender, PT_RDVZ)
-                        .bits(MatchBits::new(p.serial))
+                        .target(put.initiator, PT_RDVZ)
+                        .bits(MatchBits::new(put.offset))
                         .cookie(COOKIE)
                         .submit()
                         .expect("long-message FIN");
@@ -889,10 +825,10 @@ impl MpiEngine {
                 // the point-to-point engine's EQ never sees atomic traffic.
             }
             EventKind::Unlink => {
-                // A slab rotated out: attach a replacement. (Buffers stay
-                // alive via Arc until their last unexpected message is
-                // consumed.)
-                if st.slab_mds.remove(&ev.md).is_some() {
+                // A slab rotated out: attach a replacement. (The interface's
+                // record of each put the slab took keeps its memory until a
+                // receive claims it.)
+                if st.slab_mds.remove(&ev.md) {
                     self.attach_slab(st).expect("replenish slab");
                 }
             }
@@ -931,19 +867,16 @@ impl MpiEngine {
     }
 
     /// Re-issue a nacked put. The nack guarantees the target delivered
-    /// nothing, so the MD still holds the complete message: restore its
-    /// single-use threshold and put again, a long one at its serial. The
-    /// cycle repeats until the target re-enables its portal and acks for
-    /// real; the transport's credit window paces the retries.
+    /// nothing, so the MD still holds the complete message: put again, a
+    /// long one at its serial. The cycle repeats until the target re-enables
+    /// its portal and acks for real; the transport's credit window paces the
+    /// retries.
     fn retry_send(&self, st: &mut EngState, md: MdHandle) {
         let Some(info) = st.sends.get(&md) else {
             return;
         };
         let (dest, bits, serial) = (info.dest, info.match_bits, info.serial);
         self.trace(Stage::Retransmit, info.total_len, "nack_retry");
-        let _ = self
-            .ni
-            .md_update(md, None, |m| m.threshold = Threshold::Count(1));
         self.ni
             .put_op(md)
             .target(dest, PT_MSG)
@@ -966,64 +899,14 @@ impl MpiEngine {
             }
             return;
         }
-        let body = if ev.md == st.long_md {
-            // A long message no posted receive took: its bytes stay with the
-            // sender until the receive is posted and pulls them.
-            Body::Exposed {
-                sender: ev.initiator,
-                serial: ev.offset,
-            }
-        } else if let Some(buf) = st.slab_mds.get(&ev.md).cloned() {
-            // An eager message landed in an overflow slab.
-            Body::Slab {
-                buf,
-                offset: ev.offset as usize,
-                mlength: ev.mlength as usize,
-            }
-        } else {
-            // Direct delivery into a posted hardware receive.
-            if let Some(pos) = st
-                .recvs
-                .iter()
-                .position(|r| r.hw.map(|(_, md)| md) == Some(ev.md))
-            {
-                let r = st.recvs.remove(pos);
-                let (_, src_rank, tag) = bits::decode(ev.match_bits);
-                st.recv_done.insert(
-                    r.id,
-                    Status {
-                        source: Rank(src_rank as u32),
-                        tag,
-                        len: ev.mlength as usize,
-                        truncated: ev.rlength > ev.mlength,
-                        full_len: ev.rlength as usize,
-                    },
-                );
-                self.trace(Stage::Deliver, ev.mlength, "direct");
-            }
+        let Some(id) = st.linked.remove(&ev.md) else {
+            // An overflow entry took a put, which has now landed: a waiting
+            // receive may claim it.
+            st.reoffer = true;
             return;
         };
-        let arrival = Arrival {
-            bits: ev.match_bits,
-            rlength: ev.rlength as usize,
-            body,
-        };
-        if let Some(pos) = st
-            .recvs
-            .iter()
-            .position(|r| r.criteria.matches(arrival.bits))
-        {
-            let r = st.recvs.remove(pos);
-            if let Some((me, _)) = r.hw {
-                // The receive was posted but not yet activated when this
-                // message arrived: tear the hardware entry down and deliver
-                // from the overflow.
-                let _ = self.ni.me_unlink(me);
-            }
-            self.deliver(st, r.id, r.buf, r.cap, arrival);
-        } else {
-            st.unexpected.push_back(arrival);
-        }
+        // Direct delivery into a linked receive.
+        self.complete(st, id, ev.match_bits, ev.mlength, ev.rlength, "direct");
     }
 }
 

@@ -19,8 +19,9 @@
 //!   match entries + memory descriptors; incoming messages of *any* size are
 //!   steered directly into the user buffer by the receive engine (NIC
 //!   firmware in the paper, the node's NIC thread here) with no library
-//!   involvement. The race between posting a receive and an unexpected
-//!   arrival is closed with the spec's `PtlMDUpdate` conditional update.
+//!   involvement. A receive is posted by one interface call that, under
+//!   the portal lock, either claims the oldest matching unexpected message
+//!   or links the receive, so no arrival slips between the two.
 //!
 //! * [`Protocol::LibraryMatching`] — the GM-style baseline of §5.3. No
 //!   receiver-side hardware matching: every message overflows, short ones
@@ -34,9 +35,9 @@
 //! §5.3 experiment: see [`bypass`].
 //!
 //! MPI ordering (non-overtaking) holds because the transport is ordered per
-//! process pair, the Portals event queue serializes arrivals, and matching —
-//! hardware or software — always examines receives in posting order and
-//! arrivals in wire order.
+//! process pair, the interface records unexpected arrivals in wire order,
+//! and receives are offered to it in posting order, none overtaking one
+//! still waiting for its message to land.
 
 #![warn(missing_docs)]
 

@@ -33,7 +33,7 @@ use crate::event::{Event, EventKind};
 use crate::md::{MdMemory, MdVerdict, ReqOp};
 use crate::ni::{NiClass, NiCore, NiState, NACK_MLENGTH};
 use crate::node::NodeShared;
-use crate::table::MatchList;
+use crate::table::{MatchList, Unexpected};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::MutexGuard;
 use portals_obs::{Layer, Stage, TraceEvent};
@@ -617,10 +617,12 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
 // offset, and an atomic's read-modify-write, which must not interleave with
 // another contribution. What it does not cover: a plain overwrite's data
 // movement and the event push. The gap between commit and event is closed for
-// `PtlMDUpdate` — the one API that tests "has anything arrived that I have
-// not seen" — by the event queue itself: `begin` marks the queue as owed an
-// event under the portal lock and `finish` settles it
-// ([`EventQueue::owe`](crate::event::EventQueue)).
+// `PtlMDUpdate` — which tests "has anything arrived that I have not seen" —
+// by the event queue itself: `begin` marks the queue as owed an event under
+// the portal lock and `finish` settles it
+// ([`EventQueue::owe`](crate::event::EventQueue)). For a posting call it is
+// closed by the overflow record: `begin` makes it under the portal lock,
+// `finish` marks it landed before the event, `abort` removes it.
 //
 // Partial-delivery visibility: between begin and finish the target region
 // holds a mix of old and new bytes. This is exactly the §6c torn-read/RDMA
@@ -641,6 +643,8 @@ pub(crate) struct PutSink {
     mem: MdMemory,
     ct: Option<CtHandle>,
     committed: Option<Committed>,
+    /// The serial of the put's record, if an overflow entry took it.
+    record: Option<u64>,
 }
 
 /// Run the §4.8 receive checks for a put, up to and including commit; data
@@ -661,6 +665,19 @@ pub(crate) fn put_begin(
         drop_msg(core, DropReason::NoMatch);
         return None;
     };
+    // A put an overflow entry takes is recorded for a posting call to claim
+    // once it has landed.
+    let record = list.is_overflow(accepted.me).then(|| {
+        list.record(Unexpected {
+            initiator: h.initiator,
+            match_bits: h.match_bits,
+            rlength: h.length,
+            mlength: accepted.mlength,
+            offset: accepted.offset,
+            md: accepted.md,
+            mem: mem.clone(),
+        })
+    });
     // Commit under the portal lock — threshold, managed offset and
     // auto-unlink — but hold the resulting events back until the payload has
     // landed; until then the queue is owed one.
@@ -676,6 +693,7 @@ pub(crate) fn put_begin(
         mem,
         ct,
         committed,
+        record,
     })
 }
 
@@ -708,6 +726,8 @@ impl PutSink {
         if self.committed.is_some() {
             core.counters.completed_bytes.add(accepted.mlength);
         }
+        // Claimable before its event says so.
+        self.settle_record(core, true);
         self.settle(core, true);
         // "the target optionally sends an acknowledgment message" (§4.3): only
         // if the initiator asked and the operation was accepted.
@@ -723,11 +743,21 @@ impl PutSink {
 
     /// The payload will never be complete (its length contradicted the header,
     /// or the sender broke the message off): no `Put` event, no ack, no
-    /// counting-event increment. What `begin` committed stays committed — the
-    /// threshold count is spent — so an auto-unlink it performed is still
-    /// reported.
+    /// counting-event increment, no record. What `begin` committed stays
+    /// committed — the threshold count is spent — so an auto-unlink it
+    /// performed is still reported.
     pub(crate) fn abort(self, core: &NiCore) {
+        self.settle_record(core, false);
         self.settle(core, false);
+    }
+
+    /// Mark the put's record, if it has one, landed or broken off.
+    fn settle_record(&self, core: &NiCore, landed: bool) {
+        if let Some(serial) = self.record {
+            let list = core.state.table.lock(self.header.portal_index);
+            list.expect("admitted index in range")
+                .settle(serial, landed);
+        }
     }
 
     /// Fire the commit's events and settle the queue's debt.

@@ -105,7 +105,7 @@ pub use node::{Node, NodeConfig, ProcessDirectory};
 pub use portals_transport::TransportConfig;
 pub use portals_types::{ErrorKind, Gather, ProgressMode, Region, RegionPool};
 pub use portals_wire::{AtomicDatatype, AtomicOp};
-pub use table::MePos;
+pub use table::{MePos, Posted, Unexpected};
 
 /// Handle to a memory descriptor.
 pub type MdHandle = portals_types::Handle<md::Md>;

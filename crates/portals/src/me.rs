@@ -32,18 +32,7 @@ pub struct MatchEntry {
 }
 
 impl MatchEntry {
-    /// A new entry with an empty MD list.
-    pub fn new(source: ProcessId, criteria: MatchCriteria, unlink_when_empty: bool) -> MatchEntry {
-        MatchEntry {
-            source,
-            criteria,
-            portal_index: 0,
-            md_list: VecDeque::new(),
-            unlink_when_empty,
-        }
-    }
-
-    /// Same, attached to a specific portal index.
+    /// A new entry with an empty MD list, attached to `portal_index`.
     pub fn at_portal(
         portal_index: u32,
         source: ProcessId,
@@ -90,7 +79,8 @@ mod tests {
 
     #[test]
     fn matching_requires_both_source_and_bits() {
-        let me = MatchEntry::new(
+        let me = MatchEntry::at_portal(
+            0,
             ProcessId::new(3, 1),
             MatchCriteria::exact(MatchBits::new(7)),
             false,
@@ -108,14 +98,14 @@ mod tests {
 
     #[test]
     fn wildcard_source_accepts_anyone() {
-        let me = MatchEntry::new(ProcessId::ANY, MatchCriteria::any(), false);
+        let me = MatchEntry::at_portal(0, ProcessId::ANY, MatchCriteria::any(), false);
         assert!(me.matches(ProcessId::new(0, 0), MatchBits::new(0)));
         assert!(me.matches(ProcessId::new(9, 9), MatchBits::ONES));
     }
 
     #[test]
     fn md_list_is_fifo_and_first_only() {
-        let mut me = MatchEntry::new(ProcessId::ANY, MatchCriteria::any(), false);
+        let mut me = MatchEntry::at_portal(0, ProcessId::ANY, MatchCriteria::any(), false);
         let a: MdHandle = Handle::from_raw(1);
         let b: MdHandle = Handle::from_raw(2);
         me.md_list.push_back(a);

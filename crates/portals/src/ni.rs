@@ -39,9 +39,9 @@
 //! Lock order, outermost first: portal list → one table (never two at once)
 //! → the object's own lock (event ring, counter state, region write lock).
 //! API calls that must be atomic with message delivery on a portal (notably
-//! [`NetworkInterface::md_update`], the MPI receive-posting primitive) take
-//! that portal's list lock, which is exactly the lock the engine holds while
-//! it admits, translates and commits a delivery.
+//! [`NetworkInterface::me_post`], which posts a receive or claims what
+//! already arrived for it) take that portal's list lock, which is exactly the
+//! lock the engine holds while it admits, translates and commits a delivery.
 
 use crate::acl::{AcEntry, AccessControlList, AclReject, InitiatorClass};
 use crate::builder::{AtomicBuilder, GetBuilder, Op, PutBuilder, Verb};
@@ -51,10 +51,10 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::md::{Md, MdSpec};
 use crate::me::MatchEntry;
 use crate::node::{ring_waiters, NodeShared};
-use crate::table::{MePos, PortalTable};
+use crate::table::{MatchList, MePos, PortalTable, Posted, Unexpected};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
-use parking_lot::RwLock;
+use parking_lot::{MutexGuard, RwLock};
 use portals_obs::Obs;
 use portals_types::{MatchCriteria, NiLimits, ProcessId, PtlError, PtlResult, Readiness, Table};
 use portals_wire::{
@@ -132,6 +132,23 @@ impl NiState {
                 limits.max_access_control_entries,
             )),
         }
+    }
+
+    /// Put a new MD at the back of `me`'s descriptor list. The caller holds
+    /// the entry's portal lock.
+    fn link_md(&self, me: MeHandle, spec: MdSpec) -> PtlResult<MdHandle> {
+        let mut md = Md::from_spec(spec);
+        md.owner = Some(me);
+        let mdh = self.mds.insert(md)?;
+        if self
+            .mes
+            .with_mut(me, |m| m.md_list.push_back(mdh))
+            .is_none()
+        {
+            self.mds.remove(mdh); // entry unlinked while we raced in
+            return Err(PtlError::InvalidMe);
+        }
+        Ok(mdh)
     }
 
     /// The portal index an MD's delivery path serializes on, if the MD is
@@ -348,22 +365,61 @@ impl NetworkInterface {
         unlink_when_empty: bool,
         pos: MePos,
     ) -> PtlResult<MeHandle> {
-        let state = &self.core.state;
-        let Some(mut list) = state.table.lock(portal_index) else {
-            return Err(PtlError::InvalidPortalIndex);
-        };
-        let me = state.mes.insert(MatchEntry::at_portal(
-            portal_index,
-            source,
-            criteria,
-            unlink_when_empty,
-        ))?;
+        let mut list = self.list(portal_index)?;
+        let entry = MatchEntry::at_portal(portal_index, source, criteria, unlink_when_empty);
+        let me = self.core.state.mes.insert(entry)?;
         if !list.insert(me, pos, source, criteria) {
-            drop(list);
-            state.mes.remove(me);
+            self.core.state.mes.remove(me);
             return Err(PtlError::InvalidMe); // anchor handle not in this list
         }
         Ok(me)
+    }
+
+    /// The locked match list of `portal_index`.
+    fn list(&self, portal_index: u32) -> PtlResult<MutexGuard<'_, MatchList>> {
+        let list = self.core.state.table.lock(portal_index);
+        list.ok_or(PtlError::InvalidPortalIndex)
+    }
+
+    /// Post a receive for `(source, criteria)` in one step under the portal
+    /// lock, as Portals 4's `PtlMEAppend` does: claim the oldest put an
+    /// overflow entry took that it matches, or else link `spec` on a new
+    /// entry (which unlinks with it) ahead of the overflow entries.
+    pub fn me_post(
+        &self,
+        portal_index: u32,
+        source: ProcessId,
+        criteria: MatchCriteria,
+        spec: Option<MdSpec>,
+    ) -> PtlResult<Posted> {
+        let state = &self.core.state;
+        if let Some(spec) = &spec {
+            self.check_spec(spec)?;
+        }
+        let mut list = self.list(portal_index)?;
+        let spec = match (list.claim(source, criteria), spec) {
+            (Posted::Unmatched, Some(spec)) => spec,
+            (posted, _) => return Ok(posted),
+        };
+        let me = state
+            .mes
+            .insert(MatchEntry::at_portal(portal_index, source, criteria, true))?;
+        let md = state.link_md(me, spec).inspect_err(|_| {
+            state.mes.remove(me);
+        })?;
+        list.insert(me, MePos::Back, source, criteria);
+        Ok(Posted::Linked(me, md))
+    }
+
+    /// How many unclaimed puts [`NetworkInterface::me_post`] would find for
+    /// `(source, criteria)`, and the oldest of them, landed or not.
+    pub fn me_search(
+        &self,
+        portal_index: u32,
+        source: ProcessId,
+        criteria: MatchCriteria,
+    ) -> PtlResult<(usize, Option<Unexpected>)> {
+        Ok(self.list(portal_index)?.search(source, criteria))
     }
 
     /// Unlink a match entry and every memory descriptor attached to it
@@ -374,10 +430,7 @@ impl NetworkInterface {
             .mes
             .with(h, |me| me.portal_index)
             .ok_or(PtlError::InvalidMe)?;
-        let mut list = state
-            .table
-            .lock(portal_index)
-            .expect("attached index in range");
+        let mut list = self.list(portal_index)?;
         // Re-resolve under the portal lock: the engine may have auto-unlinked
         // the entry between our peek and the lock.
         let me = state.mes.remove(h).ok_or(PtlError::InvalidMe)?;
@@ -395,55 +448,34 @@ impl NetworkInterface {
     /// (spec: `PtlMDAttach`).
     pub fn md_attach(&self, me: MeHandle, spec: MdSpec) -> PtlResult<MdHandle> {
         let state = &self.core.state;
-        if let Some(eq) = spec.eq {
-            if !state.eqs.contains(eq) {
-                return Err(PtlError::InvalidEq);
-            }
-        }
-        if let Some(ct) = spec.ct {
-            if !state.cts.contains(ct) {
-                return Err(PtlError::InvalidCt);
-            }
-        }
+        self.check_spec(&spec)?;
         let portal_index = state
             .mes
             .with(me, |m| m.portal_index)
             .ok_or(PtlError::InvalidMe)?;
         // Hold the portal lock so the attach is atomic with delivery: the
         // engine never observes the MD inserted but not yet on the entry.
-        let _list = state
-            .table
-            .lock(portal_index)
-            .expect("attached index in range");
-        let mut md = Md::from_spec(spec);
-        md.owner = Some(me);
-        let mdh = state.mds.insert(md)?;
-        if state
-            .mes
-            .with_mut(me, |m| m.md_list.push_back(mdh))
-            .is_none()
-        {
-            state.mds.remove(mdh); // entry unlinked while we raced in
-            return Err(PtlError::InvalidMe);
-        }
-        Ok(mdh)
+        let _list = self.list(portal_index)?;
+        state.link_md(me, spec)
     }
 
     /// Create a free-standing MD for initiator-side operations
     /// (spec: `PtlMDBind`).
     pub fn md_bind(&self, spec: MdSpec) -> PtlResult<MdHandle> {
+        self.check_spec(&spec)?;
+        self.core.state.mds.insert(Md::from_spec(spec))
+    }
+
+    /// The event queue and counting event a descriptor names must exist.
+    fn check_spec(&self, spec: &MdSpec) -> PtlResult<()> {
         let state = &self.core.state;
-        if let Some(eq) = spec.eq {
-            if !state.eqs.contains(eq) {
-                return Err(PtlError::InvalidEq);
-            }
+        if spec.eq.is_some_and(|eq| !state.eqs.contains(eq)) {
+            return Err(PtlError::InvalidEq);
         }
-        if let Some(ct) = spec.ct {
-            if !state.cts.contains(ct) {
-                return Err(PtlError::InvalidCt);
-            }
+        if spec.ct.is_some_and(|ct| !state.cts.contains(ct)) {
+            return Err(PtlError::InvalidCt);
         }
-        state.mds.insert(Md::from_spec(spec))
+        Ok(())
     }
 
     /// Unlink an MD (spec: `PtlMDUnlink`). Fails with [`PtlError::MdInUse`]
@@ -480,31 +512,6 @@ impl NetworkInterface {
             .ok_or(PtlError::InvalidMd)?
     }
 
-    /// Write bytes into an MD's region (application-side buffer access).
-    pub fn md_write(&self, h: MdHandle, offset: usize, data: &[u8]) -> PtlResult<()> {
-        self.core
-            .state
-            .mds
-            .with(h, |md| {
-                if offset + data.len() > md.len() {
-                    return Err(PtlError::InvalidArgument);
-                }
-                md.write(offset as u64, data);
-                Ok(())
-            })
-            .ok_or(PtlError::InvalidMd)?
-    }
-
-    /// Current managed local offset of an MD (how far an offset-managed
-    /// unexpected buffer has filled).
-    pub fn md_local_offset(&self, h: MdHandle) -> PtlResult<u64> {
-        self.core
-            .state
-            .mds
-            .with(h, |md| md.local_offset)
-            .ok_or(PtlError::InvalidMd)
-    }
-
     /// Atomically update an MD, conditional on an event queue being empty
     /// (spec: `PtlMDUpdate`).
     ///
@@ -514,9 +521,9 @@ impl NetworkInterface {
     /// `mutate` is not run. For an MD attached to a match entry, the test and
     /// the update run under that entry's portal-list lock — the lock the
     /// receive engine holds while it matches, commits and marks the queue owed
-    /// — so the pair is atomic with respect to message arrival. This is the primitive an MPI
-    /// implementation uses to close the race between posting a receive and an
-    /// unexpected message landing in the overflow slab.
+    /// — so the pair is atomic with respect to message arrival. Posting a
+    /// receive against unexpected arrivals needs no update:
+    /// [`NetworkInterface::me_post`] does it in one call.
     pub fn md_update(
         &self,
         h: MdHandle,
@@ -589,12 +596,7 @@ impl NetworkInterface {
     /// `PtlPTDisable`). Takes the portal's list lock, so returning guarantees
     /// no delivery is mid-flight on this portal.
     pub fn pt_disable(&self, portal_index: u32) -> PtlResult<()> {
-        let guard = self
-            .core
-            .state
-            .table
-            .lock(portal_index)
-            .ok_or(PtlError::InvalidPortalIndex)?;
+        let guard = self.list(portal_index)?;
         self.core.state.table.try_disable(portal_index);
         drop(guard);
         Ok(())

@@ -36,7 +36,7 @@ pub use portals_wire::{AtomicDatatype, AtomicOp};
 
 // Memory descriptors, match entries, portal-table placement.
 pub use crate::md::{MdOptions, MdSpec, ReqOp, Threshold};
-pub use crate::table::MePos;
+pub use crate::table::{MePos, Posted, Unexpected};
 
 // Completion: events and counting events.
 pub use crate::ct::CtValue;

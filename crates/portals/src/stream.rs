@@ -232,7 +232,10 @@ pub(crate) fn garbage(shared: &NodeShared) -> MsgStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, MdOptions, MdSpec, MePos, NiConfig, Node, NodeConfig, Threshold};
+    use crate::{
+        EventKind, MdOptions, MdSpec, MePos, NetworkInterface, NiConfig, Node, NodeConfig, Posted,
+        Threshold,
+    };
     use portals_net::Fabric;
     use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlError, Region};
     use portals_wire::{PutRequest, RequestHeader, RAW_HANDLE_NONE};
@@ -356,5 +359,187 @@ mod tests {
         assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         assert_eq!(update(), Ok(()));
         assert_eq!(node.dropped_garbage(), 1);
+    }
+
+    /// The interface of process 1 on node 1, an event queue, and one overflow
+    /// entry on portal 0 whose offset-managed slab of `slab` bytes unlinks
+    /// once fewer than `min_free` are left.
+    fn overflow_rig(slab: usize, min_free: usize) -> (Node, NetworkInterface, crate::EqHandle) {
+        let fabric = Fabric::ideal();
+        let node = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
+        let ni = node.create_ni(1, NiConfig::default()).unwrap();
+        let eq = ni.eq_alloc(16).unwrap();
+        let any = MatchCriteria::any();
+        let me = ni
+            .me_attach(0, ProcessId::ANY, any, false, MePos::Overflow)
+            .unwrap();
+        let options = MdOptions {
+            truncate: true,
+            manage_local_offset: true,
+            min_free,
+            ..MdOptions::default()
+        };
+        let spec = MdSpec::new(Region::zeroed(slab))
+            .with_eq(eq)
+            .with_options(options);
+        ni.md_attach(me, spec).unwrap();
+        (node, ni, eq)
+    }
+
+    /// The wire image of a put of `payload` from process 1 on node `nid` to
+    /// portal 0 of `ni`, cut at `cut` into two fragments (one when `cut` is
+    /// the whole length).
+    fn put_in_two(
+        ni: &NetworkInterface,
+        nid: u32,
+        bits: u64,
+        payload: &[u8],
+        cut: usize,
+    ) -> Vec<StreamFragment> {
+        let msg = PortalsMessage::Put(PutRequest {
+            header: RequestHeader {
+                initiator: ProcessId::new(nid, 1),
+                target: ni.id(),
+                portal_index: 0,
+                cookie: 0,
+                match_bits: MatchBits::new(bits),
+                offset: 0,
+                length: payload.len() as u64,
+            },
+            ack_md: RAW_HANDLE_NONE,
+            ack_eq: RAW_HANDLE_NONE,
+            payload: Gather::copy_from_slice(payload),
+        })
+        .encode();
+        let cut = PortalsMessage::PUT_PAYLOAD_AT + cut;
+        let frag = |range: std::ops::Range<usize>| StreamFragment {
+            src: NodeId(nid),
+            msg_id: 0,
+            offset: range.start as u64,
+            last: range.end == msg.len(),
+            payload: Gather::copy_from_slice(&msg[range]),
+        };
+        if cut == msg.len() {
+            vec![frag(0..cut)]
+        } else {
+            vec![frag(0..cut), frag(cut..msg.len())]
+        }
+    }
+
+    fn deliver_all(ni: &NetworkInterface, frags: Vec<StreamFragment>) {
+        frags.into_iter().for_each(|f| on_fragment(&ni.node, f));
+    }
+
+    fn post(ni: &NetworkInterface, source: ProcessId, bits: u64) -> Posted {
+        let criteria = MatchCriteria::exact(MatchBits::new(bits));
+        ni.me_post(0, source, criteria, None).unwrap()
+    }
+
+    /// How many unclaimed records portal 0 holds.
+    fn records(ni: &NetworkInterface) -> usize {
+        ni.me_search(0, ProcessId::ANY, MatchCriteria::any())
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn a_post_claims_the_oldest_matching_record_across_initiators() {
+        let (_node, ni, _eq) = overflow_rig(256, 0);
+        deliver_all(&ni, put_in_two(&ni, 0, 5, b"first", 5));
+        deliver_all(&ni, put_in_two(&ni, 2, 5, b"second", 6));
+        deliver_all(&ni, put_in_two(&ni, 0, 6, b"other", 5));
+        assert_eq!(records(&ni), 3);
+        let Posted::Claimed(put) = post(&ni, ProcessId::ANY, 5) else {
+            panic!("the oldest match has landed");
+        };
+        assert_eq!(put.initiator, ProcessId::new(0, 1));
+        assert_eq!(put.mem.read(put.offset, put.mlength), b"first");
+        assert_eq!(records(&ni), 2, "the others stay");
+        let Posted::Claimed(put) = post(&ni, ProcessId::new(2, 1), 5) else {
+            panic!("the second initiator's put");
+        };
+        assert_eq!(put.mem.read(put.offset, put.mlength), b"second");
+        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched));
+        assert!(matches!(post(&ni, ProcessId::ANY, 6), Posted::Claimed(_)));
+        assert_eq!(records(&ni), 0);
+    }
+
+    #[test]
+    fn a_post_is_busy_until_the_put_it_matches_has_landed() {
+        let (_node, ni, eq) = overflow_rig(256, 0);
+        let mut frags = put_in_two(&ni, 0, 5, &[7; 32], 8).into_iter();
+        on_fragment(&ni.node, frags.next().unwrap());
+        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Busy));
+        assert_eq!(records(&ni), 1, "a busy post changes nothing");
+        on_fragment(&ni.node, frags.next().unwrap());
+        assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Put);
+        let Posted::Claimed(put) = post(&ni, ProcessId::ANY, 5) else {
+            panic!("landed");
+        };
+        assert_eq!((put.rlength, put.mlength), (32, 32));
+        assert_eq!(put.mem.read(put.offset, 32), [7; 32]);
+    }
+
+    #[test]
+    fn a_broken_off_overflow_put_leaves_no_record() {
+        let (node, ni, eq) = overflow_rig(256, 0);
+        let mut frags = put_in_two(&ni, 0, 5, &[7; 32], 8).into_iter();
+        on_fragment(&ni.node, frags.next().unwrap());
+        assert_eq!(records(&ni), 1);
+        on_abandoned(&ni.node, NodeId(0));
+        assert_eq!(records(&ni), 0);
+        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched));
+        assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
+        assert_eq!(node.dropped_garbage(), 1);
+    }
+
+    #[test]
+    fn a_record_outlives_its_slabs_unlink() {
+        // 32 bytes leave 8 of 40, under the 16 the slab must keep free.
+        let (_node, ni, eq) = overflow_rig(40, 16);
+        deliver_all(&ni, put_in_two(&ni, 0, 5, &[9; 32], 32));
+        let kinds = [ni.eq_get(eq).unwrap().kind, ni.eq_get(eq).unwrap().kind];
+        assert_eq!(kinds, [EventKind::Put, EventKind::Unlink]);
+        assert_eq!(ni.resources_in_use(), (1, 0), "the slab is gone");
+        let Posted::Claimed(put) = post(&ni, ProcessId::ANY, 5) else {
+            panic!("landed");
+        };
+        assert_eq!(ni.md_read(put.md, 0, 1), Err(PtlError::InvalidMd));
+        assert_eq!(put.mem.read(put.offset, put.mlength), [9; 32]);
+    }
+
+    #[test]
+    fn an_unmatched_post_links_ahead_of_every_overflow_entry() {
+        let (_node, ni, eq) = overflow_rig(256, 0);
+        let any = MatchCriteria::any();
+        let late = ni
+            .me_attach(0, ProcessId::ANY, any, false, MePos::Overflow)
+            .unwrap();
+        ni.md_attach(late, MdSpec::new(Region::zeroed(64)).with_eq(eq))
+            .unwrap();
+        let buf = Region::zeroed(32);
+        let spec = MdSpec::new(buf.clone())
+            .with_eq(eq)
+            .with_threshold(Threshold::Count(1))
+            .with_options(MdOptions {
+                unlink_on_exhaustion: true,
+                ..MdOptions::default()
+            });
+        let criteria = MatchCriteria::exact(MatchBits::new(5));
+        let Posted::Linked(_, md) = ni.me_post(0, ProcessId::ANY, criteria, Some(spec)).unwrap()
+        else {
+            panic!("nothing to claim");
+        };
+        deliver_all(&ni, put_in_two(&ni, 0, 5, &[3; 16], 8));
+        let ev = ni.eq_get(eq).unwrap();
+        assert_eq!((ev.kind, ev.md), (EventKind::Put, md));
+        assert_eq!(buf.read_vec(0, 16), [3; 16]);
+        assert_eq!(records(&ni), 0, "a linked receive's put is not recorded");
+        // The entry unlinked with its one-shot descriptor.
+        assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Unlink);
+        assert_eq!(ni.resources_in_use(), (2, 2));
+        // No other entry may go among the overflow entries.
+        let among = ni.me_attach(0, ProcessId::ANY, any, false, MePos::After(late));
+        assert_eq!(among, Err(PtlError::InvalidMe));
     }
 }

@@ -26,10 +26,15 @@
 //! with large gaps, plus a handle→rank map, so `PTL_INS_BEFORE`/`AFTER`
 //! anchor lookups are O(log n) instead of the former O(n) scan (ranks are
 //! renumbered in the rare case a gap is exhausted).
+//!
+//! Entries attached at [`MePos::Overflow`] form the list's tail (Portals 4's
+//! overflow list). The list records each put they take ([`Unexpected`]), in
+//! arrival order, until a posting call claims it under the same lock.
 
-use crate::{EqHandle, MeHandle};
+use crate::md::MdMemory;
+use crate::{EqHandle, MdHandle, MeHandle};
 use portals_types::{MatchBits, MatchCriteria, ProcessId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where to insert a match entry relative to the existing list (spec:
@@ -38,12 +43,62 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub enum MePos {
     /// Head of the list: considered first.
     Front,
-    /// Tail of the list: considered last (where overflow entries live).
+    /// Tail of the list, ahead of any overflow entry.
     Back,
     /// Immediately before an existing entry.
     Before(MeHandle),
     /// Immediately after an existing entry.
     After(MeHandle),
+    /// Tail of the overflow entries, behind every other entry. They stay a
+    /// tail: no other entry goes `Before` one but the first, or `After` one.
+    Overflow,
+}
+
+/// A put an overflow entry took, kept by its portal until a posting call
+/// claims it ([`Posted::Claimed`]).
+#[derive(Debug, Clone)]
+pub struct Unexpected {
+    /// Who sent it.
+    pub initiator: ProcessId,
+    /// Its match bits.
+    pub match_bits: MatchBits,
+    /// The length it was sent with.
+    pub rlength: u64,
+    /// The bytes the overflow descriptor kept.
+    pub mlength: u64,
+    /// Where they are in the descriptor (or, unmanaged, the remote offset).
+    pub offset: u64,
+    /// The overflow descriptor that took it.
+    pub md: MdHandle,
+    /// Its memory, which outlives the descriptor's unlink.
+    pub mem: MdMemory,
+}
+
+/// What a posting call did (`NetworkInterface::me_post`).
+#[derive(Debug)]
+pub enum Posted {
+    /// The oldest matching put has landed, and is no longer recorded.
+    Claimed(Unexpected),
+    /// The oldest matching put is still landing: nothing changed.
+    Busy,
+    /// Nothing matched: the entry and its descriptor were linked.
+    Linked(MeHandle, MdHandle),
+    /// Nothing matched, and there was no descriptor to link.
+    Unmatched,
+}
+
+/// One recorded put and whether its payload has landed.
+#[derive(Debug)]
+struct Record {
+    /// Arrival order, and how the put's sink finds its record again.
+    serial: u64,
+    landed: bool,
+    put: Unexpected,
+}
+
+/// Does a receive for `(source, criteria)` match a recorded put?
+fn wants(source: ProcessId, criteria: MatchCriteria) -> impl Fn(&&Record) -> bool {
+    move |r| source.matches(r.put.initiator) && criteria.matches(r.put.match_bits)
 }
 
 /// Rank gap left between adjacent entries so Before/After inserts bisect
@@ -73,6 +128,11 @@ pub struct MatchList {
     /// must match there (`must_match & !ignore`). A mask leaves with its last
     /// entry, so only live masks are probed.
     index: Vec<(u64, HashMap<u64, Bucket>)>,
+    /// How many entries at the tail of `entries` are overflow entries.
+    overflow: usize,
+    /// The puts overflow entries took and nobody has claimed, oldest first.
+    unexpected: VecDeque<Record>,
+    next_serial: u64,
 }
 
 impl MatchList {
@@ -93,6 +153,7 @@ impl MatchList {
         };
         let at = self.entries.partition_point(|&(r, _)| r < rank);
         self.entries.insert(at, (rank, me));
+        self.overflow += usize::from(pos == MePos::Overflow);
         self.meta.insert(me, EntryMeta { rank, criteria });
         let ignore = criteria.ignore.raw();
         let at = match self.index.iter().position(|&(mask, _)| mask == ignore) {
@@ -110,31 +171,29 @@ impl MatchList {
     }
 
     /// Pick a free rank realizing `pos`, renumbering if the local gap is
-    /// exhausted. `None` only when an anchor handle isn't present.
+    /// exhausted. `None` only when an anchor handle isn't present, or would
+    /// place an entry that is not overflow among the overflow entries.
     fn rank_for(&mut self, pos: MePos) -> Option<u64> {
         if self.entries.is_empty() {
             return match pos {
-                MePos::Front | MePos::Back => Some(RANK_ORIGIN),
+                MePos::Front | MePos::Back | MePos::Overflow => Some(RANK_ORIGIN),
                 MePos::Before(_) | MePos::After(_) => None,
             };
         }
         // Resolve to exclusive bounds (lo, hi) the new rank must fall between;
-        // None = unbounded on that side.
+        // None = unbounded on that side. Every entry but an overflow one goes
+        // at or before `split`, the first overflow entry.
         let bounds = |list: &MatchList| -> Option<(Option<u64>, Option<u64>)> {
-            match pos {
-                MePos::Front => Some((None, Some(list.entries[0].0))),
-                MePos::Back => Some((Some(list.entries[list.entries.len() - 1].0), None)),
-                MePos::Before(anchor) => {
-                    let at = list.position(anchor)?;
-                    let lo = at.checked_sub(1).map(|i| list.entries[i].0);
-                    Some((lo, Some(list.entries[at].0)))
-                }
-                MePos::After(anchor) => {
-                    let at = list.position(anchor)?;
-                    let hi = list.entries.get(at + 1).map(|&(r, _)| r);
-                    Some((Some(list.entries[at].0), hi))
-                }
-            }
+            let rank = |at: usize| list.entries.get(at).map(|&(r, _)| r);
+            let split = list.entries.len() - list.overflow;
+            let at = match pos {
+                MePos::Front => 0,
+                MePos::Back => split,
+                MePos::Overflow => list.entries.len(),
+                MePos::Before(anchor) => list.position(anchor).filter(|&at| at <= split)?,
+                MePos::After(anchor) => list.position(anchor).filter(|&at| at < split)? + 1,
+            };
+            Some((at.checked_sub(1).and_then(rank), rank(at)))
         };
         let pick = |lo: Option<u64>, hi: Option<u64>| -> Option<u64> {
             match (lo, hi) {
@@ -179,6 +238,7 @@ impl MatchList {
         };
         let at = self.entries.partition_point(|&(r, _)| r < meta.rank);
         debug_assert_eq!(self.entries[at], (meta.rank, me));
+        self.overflow -= usize::from(at >= self.entries.len() - self.overflow);
         self.entries.remove(at);
         let ignore = meta.criteria.ignore.raw();
         let key = meta.criteria.must_match.raw() & !ignore;
@@ -229,6 +289,61 @@ impl MatchList {
             }
         }
         best
+    }
+
+    /// True if `me` was attached at [`MePos::Overflow`].
+    pub(crate) fn is_overflow(&self, me: MeHandle) -> bool {
+        self.position(me)
+            .is_some_and(|at| at >= self.entries.len() - self.overflow)
+    }
+
+    /// Record a put an overflow entry took, until [`MatchList::settle`]
+    /// names its serial.
+    pub(crate) fn record(&mut self, put: Unexpected) -> u64 {
+        self.next_serial += 1;
+        let serial = self.next_serial;
+        self.unexpected.push_back(Record {
+            serial,
+            landed: false,
+            put,
+        });
+        serial
+    }
+
+    /// The recorded put has landed, and a post may claim it; or it was
+    /// broken off, and its record goes.
+    pub(crate) fn settle(&mut self, serial: u64, landed: bool) {
+        let found = self.unexpected.binary_search_by_key(&serial, |r| r.serial);
+        match (found, landed) {
+            (Ok(at), true) => self.unexpected[at].landed = true,
+            (Ok(at), false) => drop(self.unexpected.remove(at)),
+            (Err(_), _) => {}
+        }
+    }
+
+    /// Claim the oldest recorded put a receive for `(source, criteria)`
+    /// matches: [`Posted::Claimed`], [`Posted::Busy`] or, with no match,
+    /// [`Posted::Unmatched`].
+    pub(crate) fn claim(&mut self, source: ProcessId, criteria: MatchCriteria) -> Posted {
+        let wanted = wants(source, criteria);
+        let at = self.unexpected.iter().position(|r| wanted(&r));
+        match at.map(|at| (at, self.unexpected[at].landed)) {
+            Some((at, true)) => Posted::Claimed(self.unexpected.remove(at).expect("indexed").put),
+            Some((_, false)) => Posted::Busy,
+            None => Posted::Unmatched,
+        }
+    }
+
+    /// How many recorded puts a receive for `(source, criteria)` matches, and
+    /// the oldest of them, landed or not. Claims nothing.
+    pub(crate) fn search(
+        &self,
+        source: ProcessId,
+        criteria: MatchCriteria,
+    ) -> (usize, Option<Unexpected>) {
+        let mut hits = self.unexpected.iter().filter(wants(source, criteria));
+        let oldest = hits.next().map(|r| r.put.clone());
+        (usize::from(oldest.is_some()) + hits.count(), oldest)
     }
 
     /// Walk order.
@@ -423,6 +538,25 @@ pub(crate) mod tests {
         assert!(put_any(&mut list, h(4), MePos::After(h(3))));
         let order: Vec<_> = list.iter().collect();
         assert_eq!(order, vec![h(1), h(2), h(3), h(4)]);
+    }
+
+    #[test]
+    fn overflow_entries_stay_the_tail() {
+        let mut list = MatchList::default();
+        put_any(&mut list, h(10), MePos::Overflow);
+        put_any(&mut list, h(1), MePos::Back);
+        put_any(&mut list, h(11), MePos::Overflow);
+        put_any(&mut list, h(2), MePos::Back);
+        assert!(put_any(&mut list, h(3), MePos::Before(h(10))));
+        assert!(!put_any(&mut list, h(4), MePos::Before(h(11))));
+        assert!(!put_any(&mut list, h(4), MePos::After(h(10))));
+        let order: Vec<_> = list.iter().collect();
+        assert_eq!(order, vec![h(1), h(2), h(3), h(10), h(11)]);
+        assert!(list.is_overflow(h(10)) && !list.is_overflow(h(3)));
+        list.remove(h(10));
+        put_any(&mut list, h(5), MePos::Back);
+        let order: Vec<_> = list.iter().collect();
+        assert_eq!(order, vec![h(1), h(2), h(3), h(5), h(11)]);
     }
 
     #[test]
