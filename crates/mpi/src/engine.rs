@@ -446,11 +446,14 @@ impl MpiEngine {
 
     /// Offer the waiting receives to the interface, front to back. Each one
     /// claims the oldest message it matches, or under hardware matching is
-    /// linked as a match entry. One whose message is still landing ends the
-    /// pass, so that no later receive overtakes it: the `Put` event that
-    /// ends the landing, or the next drain, offers the list again.
+    /// linked as a match entry. No later receive may take a message an
+    /// earlier one would match first. So a receive whose message is still
+    /// landing ends the pass; and once one finds nothing, the later ones
+    /// claim only messages recorded before it searched. Either way the
+    /// message's `Put` event, or the next drain, offers the list again.
     fn offer(&self, st: &mut EngState) -> PtlResult<()> {
         st.reoffer = false;
+        let mut upto = None;
         let mut at = 0;
         while let Some(r) = st.waiting.get(at) {
             let spec = (self.config.protocol == Protocol::HardwareMatching).then(|| {
@@ -469,7 +472,10 @@ impl MpiEngine {
                         ..Default::default()
                     })
             });
-            match self.ni.me_post(PT_MSG, ProcessId::ANY, r.criteria, spec)? {
+            match self
+                .ni
+                .me_post(PT_MSG, ProcessId::ANY, r.criteria, spec, upto)?
+            {
                 Posted::Claimed(put) => {
                     let r = st.waiting.remove(at).expect("indexed");
                     self.deliver(st, r, put);
@@ -482,7 +488,10 @@ impl MpiEngine {
                     st.reoffer = true;
                     return Ok(());
                 }
-                Posted::Unmatched => at += 1,
+                Posted::Unmatched(seen) => {
+                    upto = upto.or(Some(seen));
+                    at += 1;
+                }
             }
         }
         Ok(())

@@ -3,15 +3,18 @@
 //! Rank 0 sends a random batch of messages (random tags, sizes straddling the
 //! eager/long cutoff of both configurations: eager at 64 B, long at 300 KB,
 //! and 20 KB eager under hardware matching but long under the GM-style
-//! config); rank 1 then posts receives (random mixture of exact
-//! and wildcard signatures). The reference model applies the MPI matching
-//! rule — each receive takes the *earliest unconsumed* message its signature
-//! matches — and the real stacks must deliver exactly the same assignment.
+//! config); rank 1 posts receives (random mixture of exact and wildcard
+//! signatures) after every message has arrived, or before any is sent. The
+//! reference model applies the MPI matching rule — each receive takes the
+//! *earliest unconsumed* message its signature matches — and the real stacks
+//! must deliver exactly the same assignment. With the exact receives posted
+//! ahead of the wildcards that rule gives the same assignment whichever side
+//! comes first.
 
 use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
 use portals_mpi::{Communicator, Mpi, MpiConfig};
 use portals_net::Fabric;
-use portals_types::{NodeId, ProcessId, Rank};
+use portals_types::{NodeId, ProcessId, Rank, Region};
 use proptest::prelude::*;
 
 /// The largest message size drawn, above the default 256 KiB cutoff; the
@@ -53,6 +56,7 @@ fn run_world(
     recvs: Vec<RecvSpec>,
     progress: ProgressMode,
     cfg: MpiConfig,
+    prepost: bool,
 ) -> Vec<u8> {
     let fabric = Fabric::ideal();
     let ranks = vec![ProcessId::new(0, 1), ProcessId::new(1, 1)];
@@ -72,6 +76,10 @@ fn run_world(
     let sender_msgs = messages.clone();
     let sender = std::thread::spawn(move || {
         let comm: Communicator = mpi0.world();
+        if prepost {
+            let (go, _) = comm.recv(Some(Rank(1)), Some(100), 2);
+            assert_eq!(go, b"go");
+        }
         // Nonblocking sends: an unexpected long send only completes when the
         // receiver pulls, which may happen in any receive order — blocking
         // here would deadlock against out-of-order receive posting.
@@ -86,20 +94,38 @@ fn run_world(
     });
 
     let comm = mpi1.world();
-    // Let every put arrive so all messages are "already there" when the
-    // receives are posted (the scenario the reference model assumes).
-    std::thread::sleep(std::time::Duration::from_millis(50));
-
-    let mut out = Vec::new();
-    for r in &recvs {
-        let (data, st) = comm.recv(Some(Rank(0)), r.tag, LARGEST);
-        assert!(st.len > 0);
+    let uniform = |data: &[u8]| {
+        assert!(!data.is_empty());
         assert!(
             data.iter().all(|&b| b == data[0]),
             "payload must be uniform"
         );
-        out.push(data[0]);
-    }
+        data[0]
+    };
+    let out = if prepost {
+        // Every receive waits before the first message is sent, so the
+        // messages stream in while the library offers the waiting list.
+        let bufs: Vec<Region> = recvs.iter().map(|_| Region::zeroed(LARGEST)).collect();
+        let reqs: Vec<_> = recvs
+            .iter()
+            .zip(&bufs)
+            .map(|(r, buf)| comm.irecv(Some(Rank(0)), r.tag, buf.clone()))
+            .collect();
+        comm.send(Rank(0), 100, b"go");
+        comm.wait_all(&reqs)
+            .iter()
+            .zip(&bufs)
+            .map(|(c, buf)| uniform(&buf.read_vec(0, c.status().expect("recv").len)))
+            .collect()
+    } else {
+        // Let every put arrive so all messages are "already there" when the
+        // receives are posted.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        recvs
+            .iter()
+            .map(|r| uniform(&comm.recv(Some(Rank(0)), r.tag, LARGEST).0))
+            .collect()
+    };
     comm.send(Rank(0), 101, b"done");
     sender.join().expect("sender");
     out
@@ -156,6 +182,7 @@ proptest! {
             recvs,
             ProgressMode::from_env(),
             MpiConfig::default(),
+            false,
         );
         prop_assert_eq!(got, expect);
     }
@@ -168,6 +195,23 @@ proptest! {
             recvs,
             ProgressMode::HostDriven,
             MpiConfig::gm_style(),
+            false,
+        );
+        prop_assert_eq!(got, expect);
+    }
+
+    /// Library matching beside a NIC thread, with the receives waiting
+    /// before the messages stream in: a later receive must not take a
+    /// message that lands while an earlier one, already offered, waits.
+    #[test]
+    fn gm_style_preposted_on_a_nic_thread_matches_reference((messages, recvs) in scenario()) {
+        let expect = reference(&messages, &recvs);
+        let got = run_world(
+            messages,
+            recvs,
+            ProgressMode::NicThread,
+            MpiConfig::gm_style(),
+            true,
         );
         prop_assert_eq!(got, expect);
     }

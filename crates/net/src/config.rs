@@ -79,14 +79,6 @@ pub struct FabricConfig {
     /// Observability handle: the fabric registers its `fabric.*` counters in
     /// `obs.registry` and emits wire/drop trace events through `obs.tracer`.
     pub obs: Obs,
-    /// Pump the timed wire from callers (`Nic::pump_wire`) instead of a
-    /// dedicated scheduler thread, so no thread at all stands between a send
-    /// and its delivery. Nothing derives this from the progress mode: only
-    /// tests set it (the fabric's own, and the transport's caller-driven
-    /// loss test), and a caller-driven job on a timed or faulty fabric keeps
-    /// the scheduler thread. Meaningless (ignored) when the wire qualifies
-    /// for full bypass anyway.
-    pub caller_driven_wire: bool,
 }
 
 impl FabricConfig {
@@ -124,13 +116,6 @@ impl FabricConfig {
     /// Set the observability handle.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Choose caller-pumped wire scheduling (see
-    /// [`FabricConfig::caller_driven_wire`]).
-    pub fn with_caller_driven_wire(mut self, on: bool) -> Self {
-        self.caller_driven_wire = on;
         self
     }
 }

@@ -17,7 +17,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A packet waiting on the simulated wire.
 struct ScheduledPacket {
@@ -72,13 +72,6 @@ pub(crate) struct Shared {
     /// True when the link model and fault plan allow delivering in the sender's
     /// thread (zero delay, no faults) — the scheduler is skipped entirely.
     bypass_wire: bool,
-    /// True when a timed/faulty wire is pumped by callers (via
-    /// [`Shared::pump_wire`]) instead of a scheduler thread.
-    caller_pumped: bool,
-    /// Single-pumper exclusion for [`Shared::pump_wire`]: packets must leave
-    /// the heap in (deliver_at, seq) order, so only one caller drains at a
-    /// time; others skip (the pumper delivers their packets too).
-    pump_lock: Mutex<()>,
     alive: AtomicBool,
 }
 
@@ -190,7 +183,6 @@ impl Shared {
             return;
         }
         let tracer = &self.config.obs.tracer;
-        let dst_node = datagram.dst;
         let (src, dst) = (datagram.src.0, datagram.dst.0);
         let bytes = datagram.payload.len() as u64;
 
@@ -274,60 +266,7 @@ impl Shared {
             }));
         }
         drop(wire);
-        if self.caller_pumped {
-            // No scheduler thread to wake. Ring the destination's doorbell
-            // (sequence bump only, no bits — nothing is queued yet) so a
-            // parked waiter re-derives its park deadline from the new wire
-            // schedule and pumps the packet out at its delivery time.
-            if let Some(inbound) = self.routes.read().get(&dst_node) {
-                inbound.readiness().ring();
-            }
-        } else {
-            self.wire_cond.notify_one();
-        }
-    }
-
-    /// Deliver every wire packet whose time has come, in (deliver_at, seq)
-    /// order, and return the delivery deadline of the next pending packet (if
-    /// any). Only meaningful on a caller-pumped wire; a no-op returning `None`
-    /// otherwise.
-    ///
-    /// Any caller-driven progress loop may call this; a non-blocking try-lock
-    /// keeps ordering single-threaded (losers return the next deadline
-    /// without draining).
-    pub(crate) fn pump_wire(&self) -> Option<Instant> {
-        if !self.caller_pumped {
-            return None;
-        }
-        let Some(_pumper) = self.pump_lock.try_lock() else {
-            return self.next_wire_deadline();
-        };
-        loop {
-            let now = self.clock.now();
-            let mut wire = self.wire.lock();
-            match wire.heap.peek() {
-                Some(Reverse(pkt)) if pkt.deliver_at <= now => {
-                    let pkt = wire.heap.pop().expect("peeked").0;
-                    // Deliver outside the wire lock (see wire_scheduler).
-                    drop(wire);
-                    self.deliver(pkt.datagram, pkt.seq, pkt.dup);
-                }
-                Some(Reverse(pkt)) => return Some(self.clock.instant_at(pkt.deliver_at)),
-                None => return None,
-            }
-        }
-    }
-
-    /// Delivery deadline of the earliest scheduled wire packet, if any (and
-    /// only if the wire is caller-pumped).
-    pub(crate) fn next_wire_deadline(&self) -> Option<Instant> {
-        if !self.caller_pumped {
-            return None;
-        }
-        let wire = self.wire.lock();
-        wire.heap
-            .peek()
-            .map(|Reverse(pkt)| self.clock.instant_at(pkt.deliver_at))
+        self.wire_cond.notify_one();
     }
 }
 
@@ -349,7 +288,6 @@ impl Fabric {
             && config.link.latency == Duration::ZERO
             && config.link.per_packet_overhead == Duration::ZERO
             && config.link.bandwidth_bytes_per_sec.is_infinite();
-        let caller_pumped = config.caller_driven_wire && !bypass_wire;
         let shared = Arc::new(Shared {
             clock: SimClock::new(),
             stats: FabricStats::new(&config.obs.registry),
@@ -365,13 +303,11 @@ impl Fabric {
             }),
             wire_cond: Condvar::new(),
             bypass_wire,
-            caller_pumped,
-            pump_lock: Mutex::new(()),
             alive: AtomicBool::new(true),
             config,
         });
 
-        let scheduler = if bypass_wire || caller_pumped {
+        let scheduler = if bypass_wire {
             None
         } else {
             let shared = Arc::clone(&shared);
@@ -872,52 +808,6 @@ mod tests {
         let (lost, singles) = survivors(false);
         assert!(lost > 0 && lost < u64::from(N), "50% of {N}: {lost}");
         assert_eq!(survivors(true), (lost, singles));
-    }
-
-    #[test]
-    fn caller_pumped_wire_delivers_only_when_pumped() {
-        let latency = Duration::from_millis(5);
-        let cfg = FabricConfig::default()
-            .with_caller_driven_wire(true)
-            .with_link(LinkModel {
-                latency,
-                bandwidth_bytes_per_sec: f64::INFINITY,
-                per_packet_overhead: Duration::ZERO,
-            });
-        let fabric = Fabric::new(cfg);
-        let a = fabric.attach(NodeId(0));
-        let b = fabric.attach(NodeId(1));
-        for i in 0..10u8 {
-            a.send(NodeId(1), Bytes::from(vec![i]));
-        }
-        // Nothing moves without a pump (no scheduler thread exists).
-        std::thread::sleep(2 * latency);
-        assert!(b.try_recv().is_err(), "no delivery before a pump");
-        let next = a.pump_wire();
-        assert!(next.is_none(), "all packets were due and must be drained");
-        for i in 0..10u8 {
-            let d = b.try_recv().expect("pumped delivery");
-            assert_eq!(d.payload.to_bytes()[0], i, "in (time, seq) order");
-        }
-    }
-
-    #[test]
-    fn caller_pumped_wire_reports_future_deadline() {
-        let latency = Duration::from_secs(3600); // far future: never due in-test
-        let cfg = FabricConfig::default()
-            .with_caller_driven_wire(true)
-            .with_link(LinkModel {
-                latency,
-                bandwidth_bytes_per_sec: f64::INFINITY,
-                per_packet_overhead: Duration::ZERO,
-            });
-        let fabric = Fabric::new(cfg);
-        let a = fabric.attach(NodeId(0));
-        let _b = fabric.attach(NodeId(1));
-        assert!(a.pump_wire().is_none(), "empty wire has no deadline");
-        a.send(NodeId(1), dgram(0, 1, 4));
-        let deadline = a.pump_wire().expect("scheduled packet has a deadline");
-        assert!(deadline > std::time::Instant::now());
     }
 
     #[test]

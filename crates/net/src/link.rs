@@ -23,7 +23,6 @@ use crate::driver::DriverHub;
 use crate::nic::Datagram;
 use portals_types::{DoorbellQueue, Gather, NodeId};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a wire says about itself. The transport asks once, when an endpoint
 /// is built on the link.
@@ -92,18 +91,4 @@ pub trait Link: Send + Sync + 'static {
 
     /// This wire's properties and its [`DriverHub`].
     fn caps(&self) -> LinkCaps;
-
-    /// On a caller-pumped wire, deliver every due packet and return the next
-    /// delivery deadline. Backends with their own delivery agent (a
-    /// scheduler thread, a socket rx thread — which on UDP also runs the
-    /// step that calls this) return `None` and need no pumping.
-    fn pump_wire(&self) -> Option<Instant> {
-        None
-    }
-
-    /// Delivery deadline of the earliest packet a caller-pumped wire is
-    /// holding, without pumping it. `None` when idle or not caller-pumped.
-    fn next_wire_deadline(&self) -> Option<Instant> {
-        None
-    }
 }

@@ -6,7 +6,7 @@ use crate::link::{Link, LinkCaps};
 use portals_types::{DoorbellQueue, Gather, NodeId};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One packet on the wire: source, destination, opaque payload.
 #[derive(Clone, PartialEq, Eq)]
@@ -46,8 +46,7 @@ pub struct Nic {
     nid: NodeId,
     shared: Arc<Shared>,
     /// Shared with this node's route: the fabric pushes, which rings the
-    /// doorbell the queue is bound to. The fabric also rings it bare when a
-    /// packet is scheduled toward this node on a caller-pumped wire.
+    /// doorbell the queue is bound to.
     inbound: Arc<DoorbellQueue<Datagram>>,
 }
 
@@ -99,24 +98,10 @@ impl Nic {
     pub fn pending(&self) -> usize {
         self.inbound.len()
     }
-
-    /// On a caller-pumped wire (see
-    /// [`FabricConfig::caller_driven_wire`](crate::FabricConfig)), deliver
-    /// every due wire packet and return the next delivery deadline, if any.
-    /// A no-op returning `None` on bypass wires and scheduler-thread wires.
-    pub fn pump_wire(&self) -> Option<Instant> {
-        self.shared.pump_wire()
-    }
-
-    /// Delivery deadline of the earliest packet scheduled on a caller-pumped
-    /// wire, without pumping. `None` on bypass/scheduler wires or when idle.
-    pub fn next_wire_deadline(&self) -> Option<Instant> {
-        self.shared.next_wire_deadline()
-    }
 }
 
 /// The in-process fabric is the reference [`Link`] backend: deterministic,
-/// seeded fault injection, caller-pumpable wire — and a refcounted handoff
+/// seeded fault injection, a modelled wire — and a refcounted handoff
 /// that cannot corrupt payloads, so body checksums stay off.
 impl Link for Nic {
     fn nid(&self) -> NodeId {
@@ -150,14 +135,6 @@ impl Link for Nic {
             preferred_mtu: Some(64 * 1024),
             body_checksum: false,
         }
-    }
-
-    fn pump_wire(&self) -> Option<Instant> {
-        Nic::pump_wire(self)
-    }
-
-    fn next_wire_deadline(&self) -> Option<Instant> {
-        Nic::next_wire_deadline(self)
     }
 }
 

@@ -31,8 +31,8 @@
 use crate::counters::DropReason;
 use crate::event::{Event, EventKind};
 use crate::md::{MdMemory, MdVerdict, ReqOp};
-use crate::ni::{NiClass, NiCore, NiState, NACK_MLENGTH};
-use crate::node::NodeShared;
+use crate::ni::{NiCore, NiState, NACK_MLENGTH};
+use crate::node::Step;
 use crate::table::{MatchList, Unexpected};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 use parking_lot::MutexGuard;
@@ -196,17 +196,17 @@ fn commit(
 impl Committed {
     /// Make the commit's events visible: the operation's own (unless the
     /// operation was aborted after committing), then the unlink.
-    fn fire(&self, core: &NiCore, completed: bool) {
+    fn fire(&self, core: &NiCore, step: &mut Step, completed: bool) {
         let own = completed.then_some(self.event);
         for event in own.into_iter().chain(self.unlink) {
-            push_event(core, self.eq, event);
+            push_event(core, step, self.eq, event);
         }
     }
 }
 
-fn push_event(core: &NiCore, eq: Option<EqHandle>, event: Event) {
+fn push_event(core: &NiCore, step: &mut Step, eq: Option<EqHandle>, event: Event) {
     if let Some(eqh) = eq {
-        core.push_event(eqh, event);
+        core.push_event(step, eqh, event);
         core.obs.tracer.emit(|| {
             TraceEvent::new(Layer::Portals, Stage::Event)
                 .node(core.id.nid.0)
@@ -221,11 +221,12 @@ fn push_event(core: &NiCore, eq: Option<EqHandle>, event: Event) {
 /// the portal's registered flow event queue. Called with the portal's list
 /// lock held, which is what serializes the trip against `pt_disable`'s
 /// quiescence guarantee.
-fn trip_flow_control(core: &NiCore, h: &RequestHeader) {
+fn trip_flow_control(core: &NiCore, step: &mut Step, h: &RequestHeader) {
     if core.state.table.try_disable(h.portal_index) {
         let flow_eq = core.state.table.flow_eq(h.portal_index);
         push_event(
             core,
+            step,
             flow_eq,
             Event {
                 kind: EventKind::FlowCtrl,
@@ -273,13 +274,13 @@ fn response(
 
 /// Acknowledge `h` to its initiator: `mlength` bytes landed at `offset` — or,
 /// with `mlength == NACK_MLENGTH`, nothing landed and the initiator should
-/// re-issue. Inside a dispatch step, acks after the step's first to the same
-/// node wait for the step's batch ([`NodeShared::send_ack`]).
-fn send_ack(node: &NodeShared, h: &RequestHeader, to: (u64, u64), offset: u64, mlength: u64) {
+/// re-issue. Acks after the step's first to the same node wait for the
+/// step's batch ([`Step::send_ack`]).
+fn send_ack(step: &mut Step, h: &RequestHeader, to: (u64, u64), offset: u64, mlength: u64) {
     let ack = Ack {
         header: response(h, to, offset, mlength),
     };
-    node.send_ack(h.initiator.nid, ack);
+    step.send_ack(h.initiator.nid, ack);
 }
 
 /// §4.8 steps 1–3 for a put, get or atomic request (`kind` says which):
@@ -290,7 +291,7 @@ fn send_ack(node: &NodeShared, h: &RequestHeader, to: (u64, u64), offset: u64, m
 /// initiator re-issues instead of losing the message.
 fn admit<'a>(
     core: &'a NiCore,
-    node: &NodeShared,
+    step: &mut Step,
     h: &RequestHeader,
     kind: EventKind,
     ack: AckTo,
@@ -303,25 +304,21 @@ fn admit<'a>(
     // Refuse on behalf of a disabled portal. The drop is counted before a
     // trip's `FlowCtrl` event or the nack can be seen; the nack goes out with
     // the list lock released.
-    let refuse = |list: MutexGuard<'a, MatchList>| {
+    let refuse = |list: MutexGuard<'a, MatchList>, step: &mut Step| {
         drop(list);
         if let Some(to) = ack {
-            send_ack(node, h, to, 0, NACK_MLENGTH);
+            send_ack(step, h, to, 0, NACK_MLENGTH);
         }
     };
     if !state.table.is_enabled(h.portal_index) {
         drop_msg(core, DropReason::PtDisabled);
-        refuse(list);
+        refuse(list, step);
         return None;
     }
-    let class = NiClass {
-        node,
-        my_job: core.config.job,
-    };
     if let Err(r) = state
         .acl
         .read()
-        .check(h.cookie, h.initiator, h.portal_index, &class)
+        .check(h.cookie, h.initiator, h.portal_index, core)
     {
         drop_msg(core, r.into());
         return None;
@@ -363,8 +360,8 @@ fn admit<'a>(
         // blocks ran out): trip instead of silently dropping.
         Err(DropReason::NoMatch) if flow_armed => {
             drop_msg(core, DropReason::PtDisabled);
-            trip_flow_control(core, h);
-            refuse(list);
+            trip_flow_control(core, step, h);
+            refuse(list, step);
             return None;
         }
         Err(reason) => {
@@ -381,8 +378,8 @@ fn admit<'a>(
         let room = md_eq.map(|eqh| state.eqs.with(eqh, |q| q.has_room_for(2)));
         if room == Some(Some(false)) {
             drop_msg(core, DropReason::PtDisabled);
-            trip_flow_control(core, h);
-            refuse(list);
+            trip_flow_control(core, step, h);
+            refuse(list, step);
             return None;
         }
     }
@@ -416,24 +413,24 @@ fn count_landed(core: &NiCore, peer: ProcessId, mlength: u64, what: &'static str
 /// take the streamed sequence below ([`put_begin`], [`reply_begin`]) in
 /// whatever shape they arrive, and a batch's acks come one by one; one handed
 /// here is counted as garbage.
-pub(crate) fn deliver(core: &NiCore, node: &NodeShared, msg: PortalsMessage) {
+pub(crate) fn deliver(core: &NiCore, step: &mut Step, msg: PortalsMessage) {
     match msg {
-        PortalsMessage::Get(get) => handle_get(core, node, get),
-        PortalsMessage::Atomic(atomic) => handle_atomic(core, node, atomic),
-        PortalsMessage::Ack(ack) => handle_ack(core, node, ack),
+        PortalsMessage::Get(get) => handle_get(core, step, get),
+        PortalsMessage::Atomic(atomic) => handle_atomic(core, step, atomic),
+        PortalsMessage::Ack(ack) => handle_ack(core, step, ack),
         PortalsMessage::Put(_) | PortalsMessage::Reply(_) | PortalsMessage::AckBatch(_) => {
-            crate::stream::garbage(node);
+            crate::stream::garbage(step.node);
         }
     }
 }
 
-fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
+fn handle_get(core: &NiCore, step: &mut Step, get: GetRequest) {
     let h = get.header;
     // A get to a flow-disabled portal is dropped like any other §4.8 drop of
     // a get (no payload to lose, no nack channel on the reply path). The MPI
     // layer only flow-controls its put-target portals, so this path is never
     // taken end-to-end there.
-    let Some((mut list, accepted)) = admit(core, node, &h, EventKind::Get, None) else {
+    let Some((mut list, accepted)) = admit(core, step, &h, EventKind::Get, None) else {
         return;
     };
     let state = &core.state;
@@ -448,7 +445,7 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
     // A get moves no bytes into this process's memory: the reply's landing at
     // the initiator is where delivered/completed bytes are accounted.
     if let Some(committed) = commit(core, &mut list, accepted, &h, EventKind::Get) {
-        committed.fire(core, true);
+        committed.fire(core, step, true);
     }
     drop(list);
 
@@ -463,12 +460,12 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
         ),
         payload,
     });
-    node.send(h.initiator.nid, &reply);
+    step.send(h.initiator.nid, &reply);
 
     // Get served from this descriptor: bump its counter after the reply is on
     // the wire and every lock is dropped.
     if let Some(ct) = ct {
-        crate::triggered::ct_increment(core, node, ct, 1);
+        crate::triggered::ct_increment(core, step, ct, 1);
     }
 }
 
@@ -485,7 +482,7 @@ fn handle_get(core: &NiCore, node: &NodeShared, get: GetRequest) {
 /// the matched descriptor must accept the full length (`mlength == rlength`) —
 /// a truncated RMW would half-apply, so it drops as [`DropReason::AtomicInvalid`]
 /// instead.
-fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
+fn handle_atomic(core: &NiCore, step: &mut Step, atomic: AtomicRequest) {
     let h = atomic.header;
     // Lane geometry first — it is a property of the request alone, and
     // nothing downstream may see a partial RMW.
@@ -505,7 +502,7 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
     } else {
         (EventKind::Atomic, ack_to(atomic.ack_md, atomic.ack_eq))
     };
-    let Some((mut list, accepted)) = admit(core, node, &h, kind, ack) else {
+    let Some((mut list, accepted)) = admit(core, step, &h, kind, ack) else {
         return;
     };
     let state = &core.state;
@@ -525,7 +522,7 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
     if let Some(committed) = commit(core, &mut list, accepted, &h, kind) {
         // Counted before the event can wake anyone, as every path here does.
         core.counters.completed_bytes.add(accepted.mlength);
-        committed.fire(core, true);
+        committed.fire(core, step, true);
     }
     drop(list);
 
@@ -541,17 +538,17 @@ fn handle_atomic(core: &NiCore, node: &NodeShared, atomic: AtomicRequest) {
             ),
             payload: Gather::from_vec(old),
         });
-        node.send(h.initiator.nid, &reply);
+        step.send(h.initiator.nid, &reply);
     } else if let Some(to) = ack {
-        send_ack(node, &h, to, accepted.offset, accepted.mlength);
+        send_ack(step, &h, to, accepted.offset, accepted.mlength);
     }
 
     if let Some(ct) = ct {
-        crate::triggered::ct_increment(core, node, ct, 1);
+        crate::triggered::ct_increment(core, step, ct, 1);
     }
 }
 
-fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
+fn handle_ack(core: &NiCore, step: &mut Step, ack: Ack) {
     // §4.8: "Upon receipt of an acknowledgment, the runtime system only needs
     // to confirm that the event queue still exists."
     let h = ack.header;
@@ -586,10 +583,10 @@ fn handle_ack(core: &NiCore, node: &NodeShared, ack: Ack) {
             .detail("ack")
     });
     if has_eq {
-        core.push_event(eqh, event);
+        core.push_event(step, eqh, event);
     }
     if let Some(ct) = ct {
-        crate::triggered::ct_increment(core, node, ct, 1);
+        crate::triggered::ct_increment(core, step, ct, 1);
     }
 }
 
@@ -653,11 +650,11 @@ pub(crate) struct PutSink {
 /// come.
 pub(crate) fn put_begin(
     core: &NiCore,
-    node: &NodeShared,
+    step: &mut Step,
     h: RequestHeader,
     ack: AckTo,
 ) -> Option<PutSink> {
-    let (mut list, accepted) = admit(core, node, &h, EventKind::Put, ack)?;
+    let (mut list, accepted) = admit(core, step, &h, EventKind::Put, ack)?;
     let state = &core.state;
     // Capture the counting event and the memory map before commit can
     // auto-unlink the descriptor.
@@ -718,7 +715,7 @@ impl PutSink {
 
     /// Complete the put: counters, the held-back events, the optional ack and
     /// the counting-event increment.
-    pub(crate) fn finish(self, core: &NiCore, node: &NodeShared) {
+    pub(crate) fn finish(self, core: &NiCore, step: &mut Step) {
         let h = self.header;
         let accepted = self.accepted;
         count_landed(core, h.initiator, accepted.mlength, "put");
@@ -728,16 +725,16 @@ impl PutSink {
         }
         // Claimable before its event says so.
         self.settle_record(core, true);
-        self.settle(core, true);
+        self.settle(core, step, true);
         // "the target optionally sends an acknowledgment message" (§4.3): only
         // if the initiator asked and the operation was accepted.
         if let Some(to) = self.ack {
-            send_ack(node, &h, to, accepted.offset, accepted.mlength);
+            send_ack(step, &h, to, accepted.offset, accepted.mlength);
         }
         // Put delivered: count it and fire whatever the schedule parked on it
         // — still engine context, zero host involvement.
         if let Some(ct) = self.ct {
-            crate::triggered::ct_increment(core, node, ct, 1);
+            crate::triggered::ct_increment(core, step, ct, 1);
         }
     }
 
@@ -746,9 +743,9 @@ impl PutSink {
     /// counting-event increment, no record. What `begin` committed stays
     /// committed — the threshold count is spent — so an auto-unlink it
     /// performed is still reported.
-    pub(crate) fn abort(self, core: &NiCore) {
+    pub(crate) fn abort(self, core: &NiCore, step: &mut Step) {
         self.settle_record(core, false);
-        self.settle(core, false);
+        self.settle(core, step, false);
     }
 
     /// Mark the put's record, if it has one, landed or broken off.
@@ -761,9 +758,9 @@ impl PutSink {
     }
 
     /// Fire the commit's events and settle the queue's debt.
-    fn settle(&self, core: &NiCore, completed: bool) {
+    fn settle(&self, core: &NiCore, step: &mut Step, completed: bool) {
         if let Some(committed) = &self.committed {
-            committed.fire(core, completed);
+            committed.fire(core, step, completed);
             if let Some(eq) = committed.eq {
                 core.state.eqs.with(eq, |queue| queue.settle());
             }
@@ -852,7 +849,7 @@ impl ReplySink {
     /// advance. If the event queue filled between begin and finish the event
     /// is counted as overwritten — the same back-pressure signal any racing
     /// queue gives.
-    pub(crate) fn finish(self, core: &NiCore, node: &NodeShared) {
+    pub(crate) fn finish(self, core: &NiCore, step: &mut Step) {
         let h = self.header;
         count_landed(core, h.initiator, self.mlength, "reply");
         core.counters.completed_bytes.add(self.mlength);
@@ -869,12 +866,12 @@ impl ReplySink {
                 offset: 0,
                 md: self.md_handle,
             };
-            core.push_event(eqh, event);
+            core.push_event(step, eqh, event);
         }
         // Every lock is released before firing, so a trigger's own
         // launch can re-enter the arena without self-deadlock.
         if let Some(ct) = self.ct {
-            crate::triggered::ct_increment(core, node, ct, 1);
+            crate::triggered::ct_increment(core, step, ct, 1);
         }
     }
 

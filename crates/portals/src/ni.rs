@@ -50,7 +50,7 @@ use crate::ct::{CountingEvent, CtValue};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::md::{Md, MdSpec};
 use crate::me::MatchEntry;
-use crate::node::{ring_waiters, NodeShared};
+use crate::node::{NodeShared, ProcessDirectory, Step};
 use crate::table::{MatchList, MePos, PortalTable, Posted, Unexpected};
 use crate::triggered::{self, TriggeredOp};
 use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
@@ -169,8 +169,11 @@ pub(crate) struct NiCore {
     /// its registry and the engine's lifecycle traces flow to its sinks.
     pub(crate) obs: Obs,
     /// The node's waiters' doorbell: every completion on this interface
-    /// rings it ([`NiCore::completed`]).
+    /// rings it ([`NiCore::completed`], [`Step::completed`]).
     pub(crate) waiters: Arc<Readiness>,
+    /// The node's process classifier, for the ACL's "same application" and
+    /// "system" entries.
+    directory: Arc<dyn ProcessDirectory>,
 }
 
 impl NiCore {
@@ -182,50 +185,43 @@ impl NiCore {
             counters: NiCounters::new(&node.obs.registry, id.nid.0, id.pid),
             obs: node.obs.clone(),
             waiters: Arc::clone(&node.waiters),
+            directory: Arc::clone(&node.directory),
         }
     }
 
-    /// A completion a blocked call may be waiting on is visible and its
-    /// locks are released: ring the waiters ([`ring_waiters`]).
+    /// A completion an API call made outside any [`Step`] is visible and its
+    /// locks are released: ring the waiters at once.
     pub(crate) fn completed(&self) {
-        ring_waiters(&self.waiters);
+        self.waiters.ring();
     }
 
     /// Push `event` on queue `eqh` (false: no such queue), count it if it
-    /// overwrote an unread one, and ring the waiters once the queue is
-    /// unlocked.
-    pub(crate) fn push_event(&self, eqh: EqHandle, event: Event) -> bool {
+    /// overwrote an unread one, and tell `step` of the completion once the
+    /// queue is unlocked.
+    pub(crate) fn push_event(&self, step: &mut Step, eqh: EqHandle, event: Event) -> bool {
         let Some(clean) = self.state.eqs.with(eqh, |queue| queue.push(event)) else {
             return false;
         };
         if !clean {
             self.counters.events_overwritten.inc();
         }
-        self.completed();
+        step.completed();
         true
     }
 }
 
-/// ACL classification adapter: resolves `SameApplication`/`SystemProcess`
-/// through the node's process directory.
-pub(crate) struct NiClass<'a> {
-    pub(crate) node: &'a NodeShared,
-    pub(crate) my_job: u32,
-}
-
-impl InitiatorClass for NiClass<'_> {
+/// ACL classification: `SameApplication`/`SystemProcess` resolve through the
+/// node's process directory.
+impl InitiatorClass for NiCore {
     fn is_same_application(&self, id: ProcessId) -> bool {
-        match self.node.directory.classify(id) {
-            portals_types::UserId::Application(job) => job == self.my_job,
+        match self.directory.classify(id) {
+            portals_types::UserId::Application(job) => job == self.config.job,
             portals_types::UserId::System => false,
         }
     }
 
     fn is_system(&self, id: ProcessId) -> bool {
-        matches!(
-            self.node.directory.classify(id),
-            portals_types::UserId::System
-        )
+        matches!(self.directory.classify(id), portals_types::UserId::System)
     }
 }
 
@@ -384,21 +380,29 @@ impl NetworkInterface {
     /// Post a receive for `(source, criteria)` in one step under the portal
     /// lock, as Portals 4's `PtlMEAppend` does: claim the oldest put an
     /// overflow entry took that it matches, or else link `spec` on a new
-    /// entry (which unlinks with it) ahead of the overflow entries.
+    /// entry (which unlinks with it) ahead of the overflow entries. `upto`,
+    /// the serial an earlier post reported in [`Posted::Unmatched`], hides
+    /// the puts recorded after it, so this post cannot take a put the
+    /// earlier one would match first; only a post without `spec` may be
+    /// bounded, or a put it hides would be passed over for good.
     pub fn me_post(
         &self,
         portal_index: u32,
         source: ProcessId,
         criteria: MatchCriteria,
         spec: Option<MdSpec>,
+        upto: Option<u64>,
     ) -> PtlResult<Posted> {
         let state = &self.core.state;
         if let Some(spec) = &spec {
+            if upto.is_some() {
+                return Err(PtlError::InvalidArgument);
+            }
             self.check_spec(spec)?;
         }
         let mut list = self.list(portal_index)?;
-        let spec = match (list.claim(source, criteria), spec) {
-            (Posted::Unmatched, Some(spec)) => spec,
+        let spec = match (list.claim(source, criteria, upto), spec) {
+            (Posted::Unmatched(_), Some(spec)) => spec,
             (posted, _) => return Ok(posted),
         };
         let me = state
@@ -704,20 +708,25 @@ impl NetworkInterface {
             .get_clone(h)
             .ok_or(PtlError::InvalidCt)?;
         let due = ct.set_and_take(value);
+        let mut step = Step::new(&self.node);
         if !due.is_empty() {
             for op in due {
-                triggered::fire(&self.core, &self.node, op);
+                triggered::fire(&self.core, &mut step, op);
             }
             ct.fire_done();
         }
-        self.core.completed();
+        step.completed();
+        step.finish();
         Ok(())
     }
 
     /// Host-side success increment (spec lineage: `PtlCTInc`); fires any
     /// triggers that become due, in the calling thread.
     pub fn ct_inc(&self, h: CtHandle, increment: u64) -> PtlResult<()> {
-        if triggered::ct_increment(&self.core, &self.node, h, increment) {
+        let mut step = Step::new(&self.node);
+        let found = triggered::ct_increment(&self.core, &mut step, h, increment);
+        step.finish();
+        if found {
             Ok(())
         } else {
             Err(PtlError::InvalidCt)
@@ -766,9 +775,11 @@ impl NetworkInterface {
             .get_clone(trig_ct)
             .ok_or(PtlError::InvalidCt)?;
         if let Some(op) = ct.register(threshold, op)? {
-            triggered::fire(&self.core, &self.node, op);
+            let mut step = Step::new(&self.node);
+            triggered::fire(&self.core, &mut step, op);
             ct.fire_done();
-            self.core.completed();
+            step.completed();
+            step.finish();
         }
         Ok(())
     }
@@ -808,13 +819,13 @@ impl NetworkInterface {
 }
 
 /// Launch one checked operation: the body of every builder's `submit`. The
-/// descriptor checks run here, at launch. The count comes first, as in
-/// [`transmit`]; an API call runs no dispatch step, so it owes no acks that
-/// would have to leave before the message.
+/// descriptor checks run here, at launch, in a step of the call's own, which
+/// owes no acks and makes at most one completion (the `Sent` event).
 pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> {
-    let (dst, msg) = prepare(core, op)?;
-    core.counters.messages_sent.inc();
-    node.put_on_wire(dst, &msg);
+    let mut step = Step::new(node);
+    let (dst, msg) = prepare(core, &mut step, op)?;
+    transmit(core, &mut step, dst, &msg);
+    step.finish();
     Ok(())
 }
 
@@ -822,7 +833,11 @@ pub(crate) fn launch(core: &NiCore, node: &NodeShared, op: Op) -> PtlResult<()> 
 /// message and log its `Sent` event. Nothing has left the interface yet, so
 /// a caller can publish what the launch means (a fired trigger) before
 /// [`transmit`] makes it observable remotely.
-pub(crate) fn prepare(core: &NiCore, op: Op) -> PtlResult<(portals_types::NodeId, PortalsMessage)> {
+pub(crate) fn prepare(
+    core: &NiCore,
+    step: &mut Step,
+    op: Op,
+) -> PtlResult<(portals_types::NodeId, PortalsMessage)> {
     let (msg, eq, length) = match op.verb {
         Verb::Put { ack } => put_message(core, &op, ack)?,
         Verb::Get { length } => get_message(core, &op, length)?,
@@ -848,24 +863,22 @@ pub(crate) fn prepare(core: &NiCore, op: Op) -> PtlResult<(portals_types::NodeId
             offset: 0,
             md: op.md,
         };
-        core.push_event(eqh, event);
+        core.push_event(step, eqh, event);
     }
     Ok((op.target.nid, msg))
 }
 
-/// Send a parked operation that fired in engine context: count a
-/// [`prepare`]d message and hand it to the network behind any acks the
-/// running dispatch step owes its destination. The count comes first: once
-/// the message is out, its ack or reply can be observed before this function
-/// returns.
+/// Count a [`prepare`]d message and hand it to the network behind any acks
+/// `step` owes its destination. The count comes first: once the message is
+/// out, its ack or reply can be observed before this function returns.
 pub(crate) fn transmit(
     core: &NiCore,
-    node: &NodeShared,
+    step: &mut Step,
     dst: portals_types::NodeId,
     msg: &PortalsMessage,
 ) {
     core.counters.messages_sent.inc();
-    node.send(dst, msg);
+    step.send(dst, msg);
 }
 
 /// What a launch puts on the wire, the queue its `Sent` event goes to, and

@@ -23,14 +23,14 @@
 //! only completions ring — and, host-driven, the deliveries waiting for
 //! them. The node rings it for every completion.
 //!
-//! The engine sends through `NodeShared::{send, send_ack}`; an API call,
-//! which runs no dispatch step, through `NodeShared::put_on_wire`.
-//! The acks a dispatch step owes (`NodeShared::send_ack`) are coalesced
-//! per initiator node: the step's first ack to a node leaves at once, the
-//! later ones wait in the step's `AckBatches` and leave as one
-//! [`PortalsMessage::AckBatch`] when the step ends — or earlier, just before
-//! anything else the step sends to that node, so the wire order between two
-//! nodes is what it would be if every ack had left alone.
+//! One run of the dispatcher is a dispatch step, a `Step` value passed by
+//! `&mut` down the receive path: the engine sends and counts completions
+//! through it. It holds what the run owes: the acks to each initiator node
+//! after the first, which leave as one [`PortalsMessage::AckBatch`] when the
+//! step finishes — or earlier, just before anything else the step sends to
+//! that node, so the wire order between two nodes is what it would be if
+//! every ack had left alone — and whether a second completion must ring the
+//! waiters when it finishes.
 
 use crate::ni::{NetworkInterface, NiConfig, NiCore};
 use parking_lot::{Mutex, RwLock};
@@ -38,7 +38,6 @@ use portals_obs::{Counter, Layer, Obs, Stage, TraceEvent};
 use portals_transport::{Delivery, Endpoint, TransportConfig};
 use portals_types::{NodeId, ProcessId, ProgressMode, PtlError, PtlResult, Readiness, UserId};
 use portals_wire::{Ack, PortalsMessage};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -131,48 +130,26 @@ impl NodeShared {
     /// transport's core lock released (the engine re-enters the endpoint to
     /// send). The endpoint runs it on one thread at a time: its stepper after
     /// each step, or a host-driven node's API calls. The whole run is one
-    /// [`Burst`] for the waiters' doorbell and one set of [`AckBatches`].
+    /// [`Step`].
     fn dispatch_queued(&self) -> bool {
-        let _burst = Burst::open(&self.waiters);
-        let _acks = AckBatches::open(self);
+        let mut step = Step::new(self);
         let mut worked = false;
         while let Some(delivery) = self.endpoint.pop_delivery() {
             match delivery {
-                Delivery::Fragment(frag) => crate::stream::on_fragment(self, frag),
-                Delivery::Abandoned { src } => crate::stream::on_abandoned(self, src),
+                Delivery::Fragment(frag) => crate::stream::on_fragment(&mut step, frag),
+                Delivery::Abandoned { src } => crate::stream::on_abandoned(&mut step, src),
             }
             worked = true;
         }
+        step.finish();
         worked
-    }
-
-    /// Send a message from engine context — a reply, or a triggered
-    /// operation that fired — to `dst`, after the acks the running dispatch
-    /// step still owes `dst`.
-    pub(crate) fn send(&self, dst: NodeId, msg: &PortalsMessage) {
-        let owed = ACKS.with_borrow_mut(|owed| owed.take_later(self, dst));
-        if let Some(acks) = owed {
-            self.put_on_wire(dst, &PortalsMessage::AckBatch(acks));
-        }
-        self.put_on_wire(dst, msg);
-    }
-
-    /// Acknowledge a put to `dst`: at once if it is the first ack this
-    /// thread's dispatch step on this node owes `dst` (so none is held for
-    /// it yet), or if no step is running; otherwise into the step's batch
-    /// for `dst`.
-    pub(crate) fn send_ack(&self, dst: NodeId, ack: Ack) {
-        if !ACKS.with_borrow_mut(|owed| owed.hold(self, dst, ack)) {
-            self.put_on_wire(dst, &PortalsMessage::Ack(ack));
-        }
     }
 
     /// Put a Portals message on the wire to `dst`: one lifecycle `Submit`
     /// per Portals message carried (a batch carries one per ack), then the
     /// payload's region views gathered behind a fresh header segment, so no
-    /// payload byte moves. An API call sends this way: it runs no dispatch
-    /// step, so it owes no acks.
-    pub(crate) fn put_on_wire(&self, dst: NodeId, msg: &PortalsMessage) {
+    /// payload byte moves.
+    fn put_on_wire(&self, dst: NodeId, msg: &PortalsMessage) {
         for _ in 0..msg.carried() {
             self.obs.tracer.emit(|| {
                 TraceEvent::new(Layer::Portals, Stage::Submit)
@@ -192,153 +169,74 @@ impl AsRef<Endpoint> for NodeShared {
     }
 }
 
-thread_local! {
-    /// The dispatch step this thread is running: the address of the doorbell
-    /// it coalesces rings for (0: none) and its completions so far, counted
-    /// up to 2. Per thread, so a ring from any other thread is never absorbed.
-    static BURST: Cell<(usize, u8)> = const { Cell::new((0, 0)) };
+/// One dispatch step: what one run of the receive rules owes its node's
+/// wire and waiters until it [finishes](Step::finish). The dispatcher opens
+/// one per run over the deliveries; an API call that sends or fires
+/// triggered operations opens and finishes its own.
+pub(crate) struct Step<'a> {
+    pub(crate) node: &'a NodeShared,
+    /// Per initiator node that has had the step's first ack, the later ones
+    /// still waiting, in the order they were owed.
+    acks: Vec<(NodeId, Vec<Ack>)>,
+    /// Completions so far, counted up to 2.
+    rings: u8,
 }
 
-/// Ring a node's waiters' doorbell for a completion, once it is visible and
-/// the lock the waiters' check takes (event ring, arena shard, counter state)
-/// is released. Inside a dispatch step on the same doorbell ([`Burst`]) only
-/// the step's first completion rings at once and the rest share one ring at
-/// its end, so a burst of deliveries wakes a parked waiter once, not per
-/// message.
-pub(crate) fn ring_waiters(doorbell: &Readiness) {
-    let (bell, seen) = BURST.get();
-    if bell == doorbell as *const Readiness as usize {
-        BURST.set((bell, (seen + 1).min(2)));
-        if seen > 0 {
-            return;
-        }
-    }
-    doorbell.ring();
-}
-
-/// One dispatch step, from `open` to drop (see [`ring_waiters`]). Dropping it
-/// pays the ring the step owes and restores any step it was opened inside.
-pub(crate) struct Burst<'a> {
-    doorbell: &'a Readiness,
-    outer: (usize, u8),
-}
-
-impl<'a> Burst<'a> {
-    pub(crate) fn open(doorbell: &'a Readiness) -> Burst<'a> {
-        let outer = BURST.replace((doorbell as *const Readiness as usize, 0));
-        Burst { doorbell, outer }
-    }
-}
-
-impl Drop for Burst<'_> {
-    fn drop(&mut self) {
-        if BURST.replace(self.outer).1 > 1 {
-            self.doorbell.ring();
-        }
-    }
-}
-
-thread_local! {
-    /// The acks owed by the dispatch step this thread is running, kept beside
-    /// its [`BURST`] (see [`AckBatches`]).
-    static ACKS: RefCell<OwedAcks> = const { RefCell::new(OwedAcks::none()) };
-}
-
-/// The acks owed by the dispatch steps this thread is running: the address
-/// of the node whose step is innermost (0: none), where that step's entries
-/// start, and, per initiator node that has had a step's first ack, the later
-/// ones still waiting, in the order they were owed. The list keeps its
-/// capacity from step to step.
-struct OwedAcks {
-    node: usize,
-    base: usize,
-    peers: Vec<(NodeId, Vec<Ack>)>,
-}
-
-impl OwedAcks {
-    const fn none() -> OwedAcks {
-        OwedAcks {
-            node: 0,
-            base: 0,
-            peers: Vec::new(),
+impl<'a> Step<'a> {
+    pub(crate) fn new(node: &'a NodeShared) -> Step<'a> {
+        Step {
+            node,
+            acks: Vec::new(),
+            rings: 0,
         }
     }
 
-    fn key(node: &NodeShared) -> usize {
-        node as *const NodeShared as usize
+    /// Send a message — a reply, or a triggered operation that fired — to
+    /// `dst`, after the acks the step still owes `dst`.
+    pub(crate) fn send(&mut self, dst: NodeId, msg: &PortalsMessage) {
+        let owed = self.acks.iter_mut().find(|(nid, _)| *nid == dst);
+        if let Some((_, later)) = owed.filter(|(_, later)| !later.is_empty()) {
+            let batch = PortalsMessage::AckBatch(std::mem::take(later));
+            self.node.put_on_wire(dst, &batch);
+        }
+        self.node.put_on_wire(dst, msg);
     }
 
-    /// Hold `ack` for `dst` if this is `node`'s step and its first ack to
-    /// `dst` has left. `false`: the ack must leave now.
-    fn hold(&mut self, node: &NodeShared, dst: NodeId, ack: Ack) -> bool {
-        if self.node != Self::key(node) {
-            return false;
-        }
-        match self.peers[self.base..]
-            .iter_mut()
-            .find(|(nid, _)| *nid == dst)
-        {
+    /// Acknowledge a put to `dst`: at once if it is the step's first ack to
+    /// `dst`, otherwise into the step's batch for `dst`.
+    pub(crate) fn send_ack(&mut self, dst: NodeId, ack: Ack) {
+        match self.acks.iter_mut().find(|(nid, _)| *nid == dst) {
             Some((_, later)) => later.push(ack),
             None => {
-                self.peers.push((dst, Vec::new()));
-                return false;
+                self.acks.push((dst, Vec::new()));
+                self.node.put_on_wire(dst, &PortalsMessage::Ack(ack));
             }
         }
-        true
     }
 
-    /// The acks `node`'s step holds for `dst`, if any; later ones are held
-    /// again.
-    fn take_later(&mut self, node: &NodeShared, dst: NodeId) -> Option<Vec<Ack>> {
-        if self.node != Self::key(node) {
-            return None;
+    /// A completion a blocked call may be waiting on is visible and the lock
+    /// the waiters' check takes (event ring, arena shard, counter state) is
+    /// released: the step's first completion rings the node's waiters at
+    /// once, the rest share one ring when it finishes, so a burst of
+    /// deliveries wakes a parked waiter once, not per message.
+    pub(crate) fn completed(&mut self) {
+        if self.rings == 0 {
+            self.node.waiters.ring();
         }
-        let (_, later) = self.peers[self.base..]
-            .iter_mut()
-            .find(|(nid, _)| *nid == dst)?;
-        (!later.is_empty()).then(|| std::mem::take(later))
+        self.rings = (self.rings + 1).min(2);
     }
-}
 
-/// One dispatch step's ack batches, from `open` to drop (see
-/// [`NodeShared::send_ack`]). Dropping it sends each initiator's waiting
-/// acks as one message and restores any step it was opened inside.
-pub(crate) struct AckBatches<'a> {
-    node: &'a NodeShared,
-    /// The enclosing step's `(node, base)`.
-    outer: (usize, usize),
-}
-
-impl<'a> AckBatches<'a> {
-    pub(crate) fn open(node: &'a NodeShared) -> AckBatches<'a> {
-        let outer = ACKS.with_borrow_mut(|owed| {
-            let outer = (owed.node, owed.base);
-            (owed.node, owed.base) = (OwedAcks::key(node), owed.peers.len());
-            outer
-        });
-        AckBatches { node, outer }
-    }
-}
-
-impl Drop for AckBatches<'_> {
-    fn drop(&mut self) {
-        let base = ACKS.with_borrow(|owed| owed.base);
-        // One entry at a time, the list released while the batch is sent.
-        for at in base.. {
-            let Some((dst, later)) = ACKS.with_borrow_mut(|owed| {
-                let (dst, later) = owed.peers.get_mut(at)?;
-                Some((*dst, std::mem::take(later)))
-            }) else {
-                break;
-            };
+    /// End the step: each initiator's waiting acks leave as one
+    /// [`PortalsMessage::AckBatch`], then the ring the step owes.
+    pub(crate) fn finish(self) {
+        for (dst, later) in self.acks {
             if !later.is_empty() {
                 self.node.put_on_wire(dst, &PortalsMessage::AckBatch(later));
             }
         }
-        ACKS.with_borrow_mut(|owed| {
-            owed.peers.truncate(base);
-            (owed.node, owed.base) = self.outer;
-        });
+        if self.rings > 1 {
+            self.node.waiters.ring();
+        }
     }
 }
 
@@ -508,21 +406,37 @@ mod tests {
     use super::*;
     use crate::{AckRequest, EventKind, MdSpec, MePos};
     use portals_net::Fabric;
-    use portals_types::{MatchCriteria, Region};
+    use portals_types::{Gather, MatchBits, MatchCriteria, Region};
+    use portals_wire::{Reply, ResponseHeader};
+
+    fn caller_driven(fabric: &Fabric, nid: NodeId) -> Node {
+        let transport = TransportConfig {
+            progress_mode: ProgressMode::CallerDriven,
+            ..Default::default()
+        };
+        Node::new(
+            fabric.attach(nid),
+            NodeConfig {
+                transport,
+                ..Default::default()
+            },
+        )
+    }
 
     #[test]
     fn a_dispatch_step_rings_its_waiters_at_most_twice() {
-        let waiters = Readiness::new();
+        let fabric = Fabric::ideal();
+        let node = caller_driven(&fabric, NodeId(0));
+        let waiters = &node.shared.waiters;
         for completions in 0..=8u64 {
             let before = waiters.seq();
             let mut before_last = before;
-            {
-                let _step = Burst::open(&waiters);
-                for _ in 0..completions {
-                    before_last = waiters.seq();
-                    ring_waiters(&waiters);
-                }
+            let mut step = Step::new(&node.shared);
+            for _ in 0..completions {
+                before_last = waiters.seq();
+                step.completed();
             }
+            step.finish();
             assert_eq!(waiters.seq() - before, completions.min(2), "{completions}");
             assert!(
                 completions == 0 || waiters.seq() > before_last,
@@ -530,13 +444,65 @@ mod tests {
             );
         }
         // Outside a step, and from another thread during one: each at once.
+        let ni = node.create_ni(1, NiConfig::default()).unwrap();
         let before = waiters.seq();
-        ring_waiters(&waiters);
-        let _step = Burst::open(&waiters);
+        ni.core.completed();
+        let step = Step::new(&node.shared);
         std::thread::scope(|s| {
-            s.spawn(|| (0..3).for_each(|_| ring_waiters(&waiters)));
+            s.spawn(|| (0..3).for_each(|_| ni.core.completed()));
         });
         assert_eq!(waiters.seq(), before + 4);
+        step.finish();
+    }
+
+    /// The first ack to a node leaves at once; the later ones leave as one
+    /// batch just before anything else the step sends there, and at its end.
+    #[test]
+    fn a_steps_later_acks_leave_before_its_next_message_and_at_its_end() {
+        let fabric = Fabric::ideal();
+        let initiator = Endpoint::new(
+            fabric.attach(NodeId(0)),
+            TransportConfig {
+                progress_mode: ProgressMode::NicThread,
+                ..Default::default()
+            },
+        );
+        let target = caller_driven(&fabric, NodeId(1));
+        let header = |md_handle| ResponseHeader {
+            initiator: ProcessId::new(1, 1),
+            target: ProcessId::new(0, 1),
+            portal_index: 0,
+            match_bits: MatchBits::ZERO,
+            offset: 0,
+            md_handle,
+            eq_handle: 0,
+            requested_length: 8,
+            manipulated_length: 8,
+        };
+        let ack = |n| Ack { header: header(n) };
+        let reply = PortalsMessage::Reply(Reply {
+            header: header(9),
+            payload: Gather::from_vec(vec![5; 8]),
+        });
+        let mut step = Step::new(&target.shared);
+        step.send_ack(NodeId(0), ack(1));
+        step.send_ack(NodeId(0), ack(2));
+        step.send(NodeId(0), &reply);
+        step.send_ack(NodeId(0), ack(3));
+        step.finish();
+        let wire: Vec<PortalsMessage> = (0..4)
+            .map(|_| {
+                let msg = initiator.recv_timeout(Duration::from_secs(5)).unwrap();
+                PortalsMessage::decode_gather(&msg.payload).unwrap()
+            })
+            .collect();
+        let expected = [
+            PortalsMessage::Ack(ack(1)),
+            PortalsMessage::AckBatch(vec![ack(2)]),
+            reply,
+            PortalsMessage::AckBatch(vec![ack(3)]),
+        ];
+        assert_eq!(wire, expected);
     }
 
     #[test]

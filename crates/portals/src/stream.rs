@@ -30,7 +30,7 @@
 
 use crate::engine::{self, PutSink, ReplySink};
 use crate::ni::NiCore;
-use crate::node::{lookup, node_drop_trace, NodeShared};
+use crate::node::{lookup, node_drop_trace, NodeShared, Step};
 use portals_transport::StreamFragment;
 use portals_types::{Gather, NodeId};
 use portals_wire::{PortalsMessage, StreamHead};
@@ -53,16 +53,16 @@ pub(crate) enum MsgStream {
 
 /// Feed one transport fragment through the stream state machine. A message's
 /// first fragment starts its head from the fragment's own bytes.
-pub(crate) fn on_fragment(shared: &NodeShared, frag: StreamFragment) {
-    let mut streams = shared.streams.lock();
+pub(crate) fn on_fragment(step: &mut Step, frag: StreamFragment) {
+    let mut streams = step.node.streams.lock();
     let (src, last) = (frag.src, frag.last);
     let end = frag.offset + frag.payload.len() as u64;
     let next = match streams.remove(&src) {
-        Some(state) => advance(shared, state, frag),
-        None => classify(shared, frag.payload, last),
+        Some(state) => advance(step, state, frag),
+        None => classify(step, frag.payload, last),
     };
     if last {
-        finalize(shared, next, end);
+        finalize(step, next, end);
     } else {
         streams.insert(src, next);
     }
@@ -70,18 +70,19 @@ pub(crate) fn on_fragment(shared: &NodeShared, frag: StreamFragment) {
 
 /// The transport gave up on the message `src` was sending: undo what can be
 /// undone.
-pub(crate) fn on_abandoned(shared: &NodeShared, src: NodeId) {
-    if let Some(state) = shared.streams.lock().remove(&src) {
-        abort(shared, state);
+pub(crate) fn on_abandoned(step: &mut Step, src: NodeId) {
+    let state = step.node.streams.lock().remove(&src);
+    if let Some(state) = state {
+        abort(step, state);
     }
 }
 
 /// Apply one fragment to the current state, returning the next state.
-fn advance(shared: &NodeShared, state: MsgStream, frag: StreamFragment) -> MsgStream {
+fn advance(step: &mut Step, state: MsgStream, frag: StreamFragment) -> MsgStream {
     match state {
         MsgStream::Head(mut acc) => {
             acc.append(frag.payload);
-            classify(shared, acc, frag.last)
+            classify(step, acc, frag.last)
         }
         MsgStream::Accumulate(mut acc) => {
             acc.append(frag.payload);
@@ -111,13 +112,13 @@ fn advance(shared: &NodeShared, state: MsgStream, frag: StreamFragment) -> MsgSt
 /// Stays in [`MsgStream::Head`] until the fixed prefix is complete, then runs
 /// the node-level §4.8 checks and the engine's `begin`, feeding any payload
 /// bytes that rode along with the header fragments into the fresh sink.
-fn classify(shared: &NodeShared, acc: Gather, whole: bool) -> MsgStream {
+fn classify(step: &mut Step, acc: Gather, whole: bool) -> MsgStream {
     let mut head = [0u8; PortalsMessage::MAX_FIXED];
     let got = acc.peek(&mut head);
     let head = match PortalsMessage::peek_stream_head(&head[..got]) {
         Ok(Some(h)) => h,
         Ok(None) => return MsgStream::Head(acc),
-        Err(_) => return garbage(shared),
+        Err(_) => return garbage(step.node),
     };
     let (target, payload_at, declared) = match &head {
         StreamHead::Put { header, .. } => {
@@ -133,9 +134,9 @@ fn classify(shared: &NodeShared, acc: Gather, whole: bool) -> MsgStream {
     // A message in hand whole is judged whole: a length its header
     // contradicts is garbage before anything is looked up or committed.
     if whole && (acc.len() - payload_at) as u64 != declared {
-        return garbage(shared);
+        return garbage(step.node);
     }
-    let Some(core) = lookup(shared, target) else {
+    let Some(core) = lookup(step.node, target) else {
         return MsgStream::Discard;
     };
     // Payload bytes that arrived in the same fragments as the header.
@@ -145,7 +146,7 @@ fn classify(shared: &NodeShared, acc: Gather, whole: bool) -> MsgStream {
             header,
             ack_md,
             ack_eq,
-        } => match engine::put_begin(&core, shared, header, engine::ack_to(ack_md, ack_eq)) {
+        } => match engine::put_begin(&core, step, header, engine::ack_to(ack_md, ack_eq)) {
             Some(sink) => {
                 sink.write(0, &prefix);
                 MsgStream::Put(core, sink)
@@ -166,20 +167,20 @@ fn classify(shared: &NodeShared, acc: Gather, whole: bool) -> MsgStream {
 /// The last fragment of a message has been applied; `end` is where it ended.
 /// Complete whatever the stream became — or, if a put's or reply's payload
 /// did not total what its header declared, abort it.
-fn finalize(shared: &NodeShared, state: MsgStream, end: u64) {
+fn finalize(step: &mut Step, state: MsgStream, end: u64) {
     let declared_end = match &state {
         MsgStream::Put(_, sink) => PortalsMessage::PUT_PAYLOAD_AT as u64 + sink.declared_len(),
         MsgStream::Reply(_, sink) => PortalsMessage::REPLY_PAYLOAD_AT as u64 + sink.declared_len(),
         _ => end,
     };
     if end != declared_end {
-        return abort(shared, state);
+        return abort(step, state);
     }
     match state {
         // A header that never completed decodes as garbage there.
-        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => dispatch_whole(shared, &acc),
-        MsgStream::Put(core, sink) => sink.finish(&core, shared),
-        MsgStream::Reply(core, sink) => sink.finish(&core, shared),
+        MsgStream::Head(acc) | MsgStream::Accumulate(acc) => dispatch_whole(step, &acc),
+        MsgStream::Put(core, sink) => sink.finish(&core, step),
+        MsgStream::Reply(core, sink) => sink.finish(&core, step),
         MsgStream::Discard => {}
     }
 }
@@ -188,37 +189,37 @@ fn finalize(shared: &NodeShared, state: MsgStream, end: u64) {
 /// checks on. Decoding peeks the fixed headers into a stack buffer and leaves
 /// any operand as zero-copy sub-slices of the fragments' views. A batch's
 /// acks go through the checks and the engine one by one, in order, inside
-/// the one dispatch step (one [`Burst`](crate::node::Burst)).
-fn dispatch_whole(shared: &NodeShared, acc: &Gather) {
+/// the one [`Step`].
+fn dispatch_whole(step: &mut Step, acc: &Gather) {
     match PortalsMessage::decode_gather(acc) {
         Ok(PortalsMessage::AckBatch(acks)) => acks
             .into_iter()
-            .for_each(|ack| deliver(shared, PortalsMessage::Ack(ack))),
-        Ok(msg) => deliver(shared, msg),
+            .for_each(|ack| deliver(step, PortalsMessage::Ack(ack))),
+        Ok(msg) => deliver(step, msg),
         Err(_) => {
-            garbage(shared);
+            garbage(step.node);
         }
     }
 }
 
-fn deliver(shared: &NodeShared, msg: PortalsMessage) {
-    if let Some(core) = lookup(shared, msg.wire_target()) {
-        engine::deliver(&core, shared, msg);
+fn deliver(step: &mut Step, msg: PortalsMessage) {
+    if let Some(core) = lookup(step.node, msg.wire_target()) {
+        engine::deliver(&core, step, msg);
     }
 }
 
 /// A message that will never complete correctly is garbage, whatever state it
 /// reached (one already rejected at header time was counted then).
-fn abort(shared: &NodeShared, state: MsgStream) {
+fn abort(step: &mut Step, state: MsgStream) {
     // Sinks first — an auto-unlink committed at header time is still
     // reported — so whoever sees the count also sees the events.
     match state {
-        MsgStream::Put(core, sink) => sink.abort(&core),
+        MsgStream::Put(core, sink) => sink.abort(&core, step),
         MsgStream::Reply(core, sink) => sink.abort(&core),
         MsgStream::Head(_) | MsgStream::Accumulate(_) => {}
         MsgStream::Discard => return,
     }
-    garbage(shared);
+    garbage(step.node);
 }
 
 /// Count a node-level garbage drop; the message's remaining fragments, if
@@ -239,6 +240,20 @@ mod tests {
     use portals_net::Fabric;
     use portals_types::{MatchBits, MatchCriteria, ProcessId, PtlError, Region};
     use portals_wire::{PutRequest, RequestHeader, RAW_HANDLE_NONE};
+
+    /// Run one fragment through the stream in a dispatch step of its own.
+    fn feed(ni: &NetworkInterface, frag: StreamFragment) {
+        let mut step = Step::new(&ni.node);
+        on_fragment(&mut step, frag);
+        step.finish();
+    }
+
+    /// The transport gave up on `src`'s message, in a step of its own.
+    fn abandon(ni: &NetworkInterface, src: NodeId) {
+        let mut step = Step::new(&ni.node);
+        on_abandoned(&mut step, src);
+        step.finish();
+    }
 
     /// The wire image of a 32-byte put from (0, 1) to portal 0 of `target`.
     fn put_to(target: ProcessId) -> Gather {
@@ -289,16 +304,16 @@ mod tests {
             payload,
         };
         let put = put_to(ni.id());
-        on_fragment(&ni.node, whole(put.slice(0, put.len() - 1)));
+        feed(&ni, whole(put.slice(0, put.len() - 1)));
         assert_eq!(node.dropped_garbage(), 1);
         assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         assert_eq!(ni.resources_in_use(), (1, 1), "nothing committed");
         // Judged before lookup: garbage, not a missing process.
         let stray = put_to(ProcessId::new(1, 9));
-        on_fragment(&ni.node, whole(stray.slice(0, stray.len() - 1)));
+        feed(&ni, whole(stray.slice(0, stray.len() - 1)));
         assert_eq!((node.dropped_garbage(), node.dropped_no_process()), (2, 0));
 
-        on_fragment(&ni.node, whole(put));
+        feed(&ni, whole(put));
         let kinds = [ni.eq_get(eq).unwrap().kind, ni.eq_get(eq).unwrap().kind];
         assert_eq!(kinds, [EventKind::Put, EventKind::Unlink]);
         assert_eq!(ni.resources_in_use(), (0, 0));
@@ -344,18 +359,18 @@ mod tests {
         };
         let update = || ni.md_update(md, Some(eq), |_| ());
 
-        on_fragment(&ni.node, frag(0..cut));
+        feed(&ni, frag(0..cut));
         assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         assert_eq!(update(), Err(PtlError::NoUpdate), "owed event not seen");
-        on_fragment(&ni.node, frag(cut..msg.len()));
+        feed(&ni, frag(cut..msg.len()));
         assert_eq!(update(), Err(PtlError::NoUpdate), "pushed event not seen");
         assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Put);
         assert_eq!(update(), Ok(()));
 
         // A put the sender broke off settles its debt without an event.
-        on_fragment(&ni.node, frag(0..cut));
+        feed(&ni, frag(0..cut));
         assert_eq!(update(), Err(PtlError::NoUpdate));
-        on_abandoned(&ni.node, NodeId(0));
+        abandon(&ni, NodeId(0));
         assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         assert_eq!(update(), Ok(()));
         assert_eq!(node.dropped_garbage(), 1);
@@ -427,12 +442,12 @@ mod tests {
     }
 
     fn deliver_all(ni: &NetworkInterface, frags: Vec<StreamFragment>) {
-        frags.into_iter().for_each(|f| on_fragment(&ni.node, f));
+        frags.into_iter().for_each(|f| feed(ni, f));
     }
 
     fn post(ni: &NetworkInterface, source: ProcessId, bits: u64) -> Posted {
         let criteria = MatchCriteria::exact(MatchBits::new(bits));
-        ni.me_post(0, source, criteria, None).unwrap()
+        ni.me_post(0, source, criteria, None, None).unwrap()
     }
 
     /// How many unclaimed records portal 0 holds.
@@ -459,19 +474,43 @@ mod tests {
             panic!("the second initiator's put");
         };
         assert_eq!(put.mem.read(put.offset, put.mlength), b"second");
-        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched));
+        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched(_)));
         assert!(matches!(post(&ni, ProcessId::ANY, 6), Posted::Claimed(_)));
         assert_eq!(records(&ni), 0);
+    }
+
+    /// A post bounded by an earlier unmatched post's serial cannot take a
+    /// put recorded after that post searched: the earlier receive, offered
+    /// again, would match it first.
+    #[test]
+    fn a_bounded_post_skips_puts_recorded_after_the_bound() {
+        let (_node, ni, _eq) = overflow_rig(256, 0);
+        let Posted::Unmatched(seen) = post(&ni, ProcessId::ANY, 5) else {
+            panic!("nothing recorded yet");
+        };
+        deliver_all(&ni, put_in_two(&ni, 0, 5, b"late", 2));
+        let criteria = MatchCriteria::exact(MatchBits::new(5));
+        let bounded = ni.me_post(0, ProcessId::ANY, criteria, None, Some(seen));
+        assert!(matches!(bounded.unwrap(), Posted::Unmatched(_)));
+        assert_eq!(records(&ni), 1, "a bounded miss changes nothing");
+        // Linked behind the hidden put, a receive would never see it.
+        let spec = MdSpec::new(Region::zeroed(8));
+        let linked = ni.me_post(0, ProcessId::ANY, criteria, Some(spec), Some(seen));
+        assert_eq!(linked.unwrap_err(), PtlError::InvalidArgument);
+        let Posted::Claimed(put) = post(&ni, ProcessId::ANY, 5) else {
+            panic!("an unbounded post sees the late put");
+        };
+        assert_eq!(put.mem.read(put.offset, put.mlength), b"late");
     }
 
     #[test]
     fn a_post_is_busy_until_the_put_it_matches_has_landed() {
         let (_node, ni, eq) = overflow_rig(256, 0);
         let mut frags = put_in_two(&ni, 0, 5, &[7; 32], 8).into_iter();
-        on_fragment(&ni.node, frags.next().unwrap());
+        feed(&ni, frags.next().unwrap());
         assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Busy));
         assert_eq!(records(&ni), 1, "a busy post changes nothing");
-        on_fragment(&ni.node, frags.next().unwrap());
+        feed(&ni, frags.next().unwrap());
         assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Put);
         let Posted::Claimed(put) = post(&ni, ProcessId::ANY, 5) else {
             panic!("landed");
@@ -484,11 +523,11 @@ mod tests {
     fn a_broken_off_overflow_put_leaves_no_record() {
         let (node, ni, eq) = overflow_rig(256, 0);
         let mut frags = put_in_two(&ni, 0, 5, &[7; 32], 8).into_iter();
-        on_fragment(&ni.node, frags.next().unwrap());
+        feed(&ni, frags.next().unwrap());
         assert_eq!(records(&ni), 1);
-        on_abandoned(&ni.node, NodeId(0));
+        abandon(&ni, NodeId(0));
         assert_eq!(records(&ni), 0);
-        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched));
+        assert!(matches!(post(&ni, ProcessId::ANY, 5), Posted::Unmatched(_)));
         assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         assert_eq!(node.dropped_garbage(), 1);
     }
@@ -526,7 +565,9 @@ mod tests {
                 ..MdOptions::default()
             });
         let criteria = MatchCriteria::exact(MatchBits::new(5));
-        let Posted::Linked(_, md) = ni.me_post(0, ProcessId::ANY, criteria, Some(spec)).unwrap()
+        let Posted::Linked(_, md) = ni
+            .me_post(0, ProcessId::ANY, criteria, Some(spec), None)
+            .unwrap()
         else {
             panic!("nothing to claim");
         };

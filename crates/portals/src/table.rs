@@ -83,8 +83,11 @@ pub enum Posted {
     Busy,
     /// Nothing matched: the entry and its descriptor were linked.
     Linked(MeHandle, MdHandle),
-    /// Nothing matched, and there was no descriptor to link.
-    Unmatched,
+    /// Nothing matched, and there was no descriptor to link. Carries the
+    /// serial of the newest put recorded when the post searched: a later
+    /// post bounded by it claims only a put this one saw, not one that
+    /// landed since.
+    Unmatched(u64),
 }
 
 /// One recorded put and whether its payload has landed.
@@ -321,16 +324,26 @@ impl MatchList {
         }
     }
 
-    /// Claim the oldest recorded put a receive for `(source, criteria)`
-    /// matches: [`Posted::Claimed`], [`Posted::Busy`] or, with no match,
-    /// [`Posted::Unmatched`].
-    pub(crate) fn claim(&mut self, source: ProcessId, criteria: MatchCriteria) -> Posted {
+    /// Claim the oldest recorded put, at or before serial `upto` if given,
+    /// that a receive for `(source, criteria)` matches: [`Posted::Claimed`],
+    /// [`Posted::Busy`] or, with no match, [`Posted::Unmatched`].
+    pub(crate) fn claim(
+        &mut self,
+        source: ProcessId,
+        criteria: MatchCriteria,
+        upto: Option<u64>,
+    ) -> Posted {
         let wanted = wants(source, criteria);
-        let at = self.unexpected.iter().position(|r| wanted(&r));
+        let upto = upto.unwrap_or(u64::MAX);
+        let at = self
+            .unexpected
+            .iter()
+            .take_while(|r| r.serial <= upto)
+            .position(|r| wanted(&r));
         match at.map(|at| (at, self.unexpected[at].landed)) {
             Some((at, true)) => Posted::Claimed(self.unexpected.remove(at).expect("indexed").put),
             Some((_, false)) => Posted::Busy,
-            None => Posted::Unmatched,
+            None => Posted::Unmatched(self.next_serial),
         }
     }
 

@@ -25,7 +25,7 @@
 
 use crate::builder::Op;
 use crate::ni::{self, NiCore};
-use crate::node::NodeShared;
+use crate::node::Step;
 use crate::CtHandle;
 use portals_obs::{Layer, Stage, TraceEvent};
 
@@ -47,15 +47,15 @@ pub(crate) enum TriggeredOp {
 
 /// Launch one extracted trigger. Never called holding a counter or portal
 /// lock (see module docs).
-pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
+pub(crate) fn fire(core: &NiCore, step: &mut Step, op: TriggeredOp) {
     match op {
         // Counted between the checks and the transmission: the launched
         // message can complete a remote wait, and whoever then reads
         // `triggered_fired` must find this fire already there.
-        TriggeredOp::Launch(op) => match ni::prepare(core, op) {
+        TriggeredOp::Launch(op) => match ni::prepare(core, step, op) {
             Ok((dst, msg)) => {
                 core.counters.triggered_fired.inc();
-                ni::transmit(core, node, dst, &msg);
+                ni::transmit(core, step, dst, &msg);
             }
             Err(_) => core.counters.triggered_failed.inc(),
         },
@@ -63,7 +63,7 @@ pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
         // for the same reason.
         TriggeredOp::CtInc { ct, increment } => {
             core.counters.triggered_fired.inc();
-            ct_increment(core, node, ct, increment);
+            ct_increment(core, step, ct, increment);
         }
     }
 }
@@ -71,7 +71,7 @@ pub(crate) fn fire(core: &NiCore, node: &NodeShared, op: TriggeredOp) {
 /// Count `n` successes on `h`, fire every trigger that becomes due, in
 /// (threshold, registration) order, and then ring the waiters. Returns false
 /// if the handle is stale.
-pub(crate) fn ct_increment(core: &NiCore, node: &NodeShared, h: CtHandle, n: u64) -> bool {
+pub(crate) fn ct_increment(core: &NiCore, step: &mut Step, h: CtHandle, n: u64) -> bool {
     let Some(ct) = core.state.cts.get_clone(h) else {
         return false;
     };
@@ -84,10 +84,10 @@ pub(crate) fn ct_increment(core: &NiCore, node: &NodeShared, h: CtHandle, n: u64
     });
     if !due.is_empty() {
         for op in due {
-            fire(core, node, op);
+            fire(core, step, op);
         }
         ct.fire_done();
     }
-    core.completed();
+    step.completed();
     true
 }

@@ -109,8 +109,8 @@ pub(crate) struct ProgressCore {
     /// This NIC's inbound datagram queue (drained by `progress_once` /
     /// `on_inbound`).
     inbound: Arc<DoorbellQueue<Datagram>>,
-    /// Published copy of the nearest deadline (retransmission timer or
-    /// caller-pumped wire delivery), as ns-since-epoch, [`DEADLINE_NONE`]
+    /// Published copy of the nearest retransmission deadline, as
+    /// ns-since-epoch, [`DEADLINE_NONE`]
     /// when idle. Lets peers' wait loops answer "does this core need
     /// servicing?" without taking its lock.
     deadline_ns: Arc<AtomicU64>,
@@ -198,13 +198,6 @@ impl ProgressCore {
     /// to call from any thread holding this core's lock, at any point between
     /// (not within) other core steps.
     pub(crate) fn progress_once(&mut self) -> bool {
-        // Pump first so packets due *now* land in inbound queues (a global
-        // drain: the single wire heap serves every node, so an active waiter
-        // delivers for idle nodes too). No-op on bypass/scheduler wires and
-        // on links with their own delivery agent: a socket's rx thread has
-        // already pushed what it took, and is often the thread running this
-        // step.
-        self.link.pump_wire();
         self.reopen_credit();
         let mut worked = false;
         while let Ok(d) = self.inbound.try_recv() {
@@ -216,15 +209,10 @@ impl ProgressCore {
         worked
     }
 
-    /// Publish min(retransmission deadline, caller-pumped wire deadline) for
-    /// lock-free `has_work` checks by peers' wait loops.
+    /// Publish the retransmission deadline for lock-free `has_work` checks
+    /// by peers' wait loops.
     fn publish_deadline(&mut self) {
-        let timer = self.next_deadline_instant();
-        let wire = self.link.next_wire_deadline();
-        let next = match (timer, wire) {
-            (Some(t), Some(w)) => Some(t.min(w)),
-            (t, w) => t.or(w),
-        };
+        let next = self.next_deadline_instant();
         self.deadline_ns
             .store(next.map_or(DEADLINE_NONE, instant_to_ns), Ordering::Release);
     }

@@ -521,7 +521,7 @@ impl Endpoint {
     }
 
     /// Block until a message arrives. In caller-driven mode the wait drives
-    /// protocol progress (own core, peers, wire pump) between parks.
+    /// protocol progress (own core, peers) between parks.
     pub fn recv(&self) -> Option<IncomingMessage> {
         self.recv_until(None)
     }
@@ -1260,15 +1260,13 @@ mod tests {
     }
 
     #[test]
-    fn caller_driven_survives_loss_on_caller_pumped_wire() {
-        // The full threadless configuration: no NIC threads, no wire
-        // scheduler thread — retransmission recovery must run entirely from
-        // the receiving caller's wait loop (which services the sender's core
-        // cooperatively and pumps the wire).
+    fn caller_driven_survives_loss_on_a_scheduled_wire() {
+        // No NIC threads: retransmission recovery must run entirely from the
+        // receiving caller's wait loop, which services the sender's core
+        // cooperatively while the wire's scheduler thread delivers.
         let cfg = FabricConfig::default()
             .with_faults(FaultPlan::lossy(0.3))
             .with_seed(7)
-            .with_caller_driven_wire(true)
             .with_link(LinkModel {
                 latency: Duration::from_micros(10),
                 bandwidth_bytes_per_sec: f64::INFINITY,
