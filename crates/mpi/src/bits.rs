@@ -17,9 +17,8 @@ use portals_types::{MatchBits, MatchCriteria};
 /// Communicator context id (16 bits).
 pub type Context = u16;
 /// The tag-space layout (`Tag`, `MAX_USER_TAG`, `COLL_TAG_BASE_OFFSET`) and
-/// the [`TagError`] it bounds are defined in `portals_types::error` (so the
-/// layered `ErrorKind` can wrap the error) and re-exported from this, their
-/// owning crate.
+/// the [`TagError`] it bounds are defined in `portals_types::error`, beside
+/// every layer's error enum, and re-exported from this, their owning crate.
 pub use portals_types::{Tag, TagError, COLL_TAG_BASE_OFFSET, MAX_USER_TAG};
 /// Number of reserved offsets granted to the collective library, starting at
 /// [`COLL_TAG_BASE_OFFSET`].

@@ -6,7 +6,7 @@ use portals::{
 };
 use portals_mpi::{Communicator, Mpi, MpiConfig, Window};
 use portals_net::Fabric;
-use portals_types::{ErrorKind, NodeId, ProcessId, PtlError, Rank};
+use portals_types::{NodeId, ProcessId, PtlError, Rank};
 use proptest::prelude::*;
 
 fn world_run(n: usize, mode: ProgressMode, f: impl Fn(Communicator) + Send + Sync + 'static) {
@@ -441,24 +441,17 @@ fn lock_all_epochs_complete_on_unlock() {
 }
 
 #[test]
-fn rma_errors_fold_into_the_layered_error_kind() {
+fn rma_errors_are_portals_errors() {
     world_run(2, ProgressMode::NicThread, |comm| {
         let mut win = Window::create(&comm, 53, Region::zeroed(16)).unwrap();
-        // A get spec without a length is rejected before anything is issued,
-        // and the Portals error folds into the layered kind.
+        // A get spec without a length is rejected before anything is issued.
         let err = win.get_from(Rank(1)).submit().unwrap_err();
-        assert_eq!(
-            ErrorKind::from(err),
-            ErrorKind::Portals(PtlError::InvalidArgument)
-        );
+        assert_eq!(err, PtlError::InvalidArgument);
         // CAS must be spelled rcompare_and_swap, not raccumulate.
         let err = win
             .raccumulate(Rank(1), 0, AtomicOp::Cas, AtomicDatatype::U64, &[0; 16])
             .unwrap_err();
-        assert_eq!(
-            ErrorKind::from(err),
-            ErrorKind::Portals(PtlError::InvalidArgument)
-        );
+        assert_eq!(err, PtlError::InvalidArgument);
         win.sync().unwrap();
     });
 }

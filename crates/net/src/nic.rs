@@ -32,8 +32,8 @@ impl fmt::Debug for Datagram {
     }
 }
 
-/// Errors from the receive calls. Defined in `portals_types::error` (so the
-/// layered `ErrorKind` can wrap it) and re-exported from its owning crate.
+/// Errors from the receive calls. Defined in `portals_types::error`, beside
+/// every layer's error enum, and re-exported from its owning crate.
 pub use portals_types::RecvError;
 
 /// A network interface attached to a fabric.

@@ -183,9 +183,9 @@ impl Reply {
     }
 }
 
-/// Client-visible errors. Defined in `portals_types::error` (so the layered
-/// `ErrorKind` can wrap it, and so `From<PtlError>` lives beside both types)
-/// and re-exported from its owning crate.
+/// Client-visible errors. Defined in `portals_types::error` (so
+/// `From<PtlError>` lives beside both types) and re-exported from its owning
+/// crate.
 pub use portals_types::FsError;
 
 /// Result alias.

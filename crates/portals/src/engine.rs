@@ -490,7 +490,7 @@ fn handle_atomic(core: &NiCore, step: &mut Step, atomic: AtomicRequest) {
     if h.length == 0
         || h.length % lane != 0
         || (atomic.op == AtomicOp::Cas && h.length != lane)
-        || atomic.payload.len() as u64 != atomic.op.operand_len(h.length)
+        || Some(atomic.payload.len() as u64) != atomic.op.operand_len(h.length)
     {
         drop_msg(core, DropReason::AtomicInvalid);
         return;
@@ -695,11 +695,6 @@ pub(crate) fn put_begin(
 }
 
 impl PutSink {
-    /// The payload length the put's header declared.
-    pub(crate) fn declared_len(&self) -> u64 {
-        self.header.length
-    }
-
     /// Scatter payload bytes at `payload_off` (offset within the message's
     /// payload) into the matched region, clamped to the manipulated length —
     /// bytes past `mlength` are the truncated tail and are dropped here,
@@ -828,11 +823,6 @@ pub(crate) fn reply_begin(core: &NiCore, h: ResponseHeader) -> Option<ReplySink>
 }
 
 impl ReplySink {
-    /// The payload length the reply's header declared.
-    pub(crate) fn declared_len(&self) -> u64 {
-        self.header.manipulated_length
-    }
-
     /// Scatter reply payload bytes at `payload_off` into the descriptor's
     /// region, truncating past `mlength`.
     pub(crate) fn write(&self, payload_off: u64, data: &Gather) {

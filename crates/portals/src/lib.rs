@@ -37,8 +37,8 @@
 //! # Quick start
 //!
 //! Applications should import through [`prelude`] — the one sanctioned
-//! surface covering construction, builders, specs, events, handles, and the
-//! layered [`ErrorKind`]:
+//! surface covering construction, builders, specs, events, handles, and
+//! every layer's error enum:
 //!
 //! ```
 //! use portals::{Node, NiConfig, MdSpec, Region, AckRequest, MePos};
@@ -103,7 +103,7 @@ pub use me::MatchEntry;
 pub use ni::{AckRequest, NetworkInterface, NiConfig, NACK_MLENGTH};
 pub use node::{Node, NodeConfig, ProcessDirectory};
 pub use portals_transport::TransportConfig;
-pub use portals_types::{ErrorKind, Gather, ProgressMode, Region, RegionPool};
+pub use portals_types::{Gather, ProgressMode, Region, RegionPool};
 pub use portals_wire::{AtomicDatatype, AtomicOp};
 pub use table::{MePos, Posted, Unexpected};
 

@@ -973,10 +973,10 @@ fn atomic_message(
     ack: AckRequest,
     length: u64,
 ) -> PtlResult<Launched> {
-    let operand_len = aop.operand_len(length);
-    if length as usize > core.config.limits.max_message_size {
-        return Err(PtlError::LimitExceeded);
-    }
+    let operand_len = match aop.operand_len(length) {
+        Some(n) if length as usize <= core.config.limits.max_message_size => n,
+        _ => return Err(PtlError::LimitExceeded),
+    };
     // Pin the fetch descriptor first so its reply slot cannot vanish; undo if
     // the operand source then refuses.
     if let Some(f) = fetch_md {

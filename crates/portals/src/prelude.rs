@@ -2,11 +2,11 @@
 //!
 //! `use portals::prelude::*;` brings in everything a consumer of the stack
 //! needs — node/interface construction, the op-spec builders, memory and
-//! match-entry specs, events, handles, the vocabulary types, and the layered
-//! [`ErrorKind`] with every per-layer error it wraps — without reaching into
-//! individual modules or sibling crates. Code layered *inside* the stack
-//! (transport, wire, the engine) keeps importing precisely; applications,
-//! examples, and tests should start here.
+//! match-entry specs, events, handles, the vocabulary types, and every
+//! per-layer error enum — without reaching into individual modules or
+//! sibling crates. Code layered *inside* the stack (transport, wire, the
+//! engine) keeps importing precisely; applications, examples, and tests
+//! should start here.
 //!
 //! ```
 //! use portals::prelude::*;
@@ -21,7 +21,7 @@
 //!     .put_op(md)
 //!     .submit() // no target: rejected before anything hits the wire
 //!     .unwrap_err();
-//! assert_eq!(ErrorKind::from(err), ErrorKind::Portals(PtlError::InvalidArgument));
+//! assert_eq!(err, PtlError::InvalidArgument);
 //! ```
 
 // Construction: nodes and interfaces.
@@ -51,7 +51,5 @@ pub use crate::{CtHandle, EqHandle, MdHandle, MeHandle};
 // Vocabulary types shared by every layer.
 pub use portals_types::{Gather, MatchBits, MatchCriteria, NodeId, ProcessId, Rank, Region};
 
-// Errors: the layered kind plus every per-layer enum it wraps.
-pub use portals_types::{
-    CollError, ErrorKind, FsError, PtlError, PtlResult, RecvError, TagError, WireError,
-};
+// Errors: every layer's enum.
+pub use portals_types::{CollError, FsError, PtlError, PtlResult, RecvError, TagError, WireError};

@@ -33,10 +33,12 @@ use crate::ni::NiCore;
 use crate::node::{lookup, node_drop_trace, NodeShared, Step};
 use portals_transport::StreamFragment;
 use portals_types::{Gather, NodeId};
-use portals_wire::{PortalsMessage, StreamHead};
+use portals_wire::{Head, PortalsMessage};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Where a source's in-flight message is in its delivery lifecycle.
+/// Where a source's in-flight message is in its delivery lifecycle. A sink
+/// carries the payload's place in the message, as its head declared it.
 pub(crate) enum MsgStream {
     /// Still collecting the fixed wire header; holds everything received so
     /// far.
@@ -44,9 +46,9 @@ pub(crate) enum MsgStream {
     /// Needed whole: accumulate and dispatch on the last fragment.
     Accumulate(Gather),
     /// A put past `begin`: fragments scatter straight into the matched region.
-    Put(Arc<NiCore>, PutSink),
+    Put(Arc<NiCore>, PutSink, Range<usize>),
     /// A reply past `begin`: fragments scatter into the requesting descriptor.
-    Reply(Arc<NiCore>, ReplySink),
+    Reply(Arc<NiCore>, ReplySink, Range<usize>),
     /// Rejected at header time: swallow fragments until the message ends.
     Discard,
 }
@@ -90,77 +92,61 @@ fn advance(step: &mut Step, state: MsgStream, frag: StreamFragment) -> MsgStream
         }
         // A sink exists only once the header is complete, and fragments are
         // contiguous, so these offsets are at or past the payload's start.
-        MsgStream::Put(core, sink) => {
-            sink.write(
-                frag.offset - PortalsMessage::PUT_PAYLOAD_AT as u64,
-                &frag.payload,
-            );
-            MsgStream::Put(core, sink)
+        MsgStream::Put(core, sink, payload) => {
+            sink.write(frag.offset - payload.start as u64, &frag.payload);
+            MsgStream::Put(core, sink, payload)
         }
-        MsgStream::Reply(core, sink) => {
-            sink.write(
-                frag.offset - PortalsMessage::REPLY_PAYLOAD_AT as u64,
-                &frag.payload,
-            );
-            MsgStream::Reply(core, sink)
+        MsgStream::Reply(core, sink, payload) => {
+            sink.write(frag.offset - payload.start as u64, &frag.payload);
+            MsgStream::Reply(core, sink, payload)
         }
         MsgStream::Discard => MsgStream::Discard,
     }
 }
 
 /// Try to classify an accumulating head (`whole`: it is the entire message).
-/// Stays in [`MsgStream::Head`] until the fixed prefix is complete, then runs
+/// Stays in [`MsgStream::Head`] until the fixed fields are complete, then runs
 /// the node-level §4.8 checks and the engine's `begin`, feeding any payload
 /// bytes that rode along with the header fragments into the fresh sink.
 fn classify(step: &mut Step, acc: Gather, whole: bool) -> MsgStream {
-    let mut head = [0u8; PortalsMessage::MAX_FIXED];
-    let got = acc.peek(&mut head);
-    let head = match PortalsMessage::peek_stream_head(&head[..got]) {
-        Ok(Some(h)) => h,
+    let (msg, payload) = match PortalsMessage::head(&acc) {
+        Ok(Some(Head { msg, payload })) => (msg, payload),
         Ok(None) => return MsgStream::Head(acc),
+        // A bad field, or a payload no buffer could hold.
         Err(_) => return garbage(step.node),
     };
-    let (target, payload_at, declared) = match &head {
-        StreamHead::Put { header, .. } => {
-            (header.target, PortalsMessage::PUT_PAYLOAD_AT, header.length)
-        }
-        StreamHead::Reply { header } => (
-            header.target,
-            PortalsMessage::REPLY_PAYLOAD_AT,
-            header.manipulated_length,
-        ),
-        StreamHead::Other => return MsgStream::Accumulate(acc),
-    };
+    if !matches!(msg, PortalsMessage::Put(_) | PortalsMessage::Reply(_)) {
+        return MsgStream::Accumulate(acc);
+    }
     // A message in hand whole is judged whole: a length its header
     // contradicts is garbage before anything is looked up or committed.
-    if whole && (acc.len() - payload_at) as u64 != declared {
+    if whole && acc.len() != payload.end {
         return garbage(step.node);
     }
-    let Some(core) = lookup(step.node, target) else {
+    let Some(core) = lookup(step.node, msg.wire_target()) else {
         return MsgStream::Discard;
     };
     // Payload bytes that arrived in the same fragments as the header.
-    let prefix = acc.slice(payload_at, acc.len() - payload_at);
-    match head {
-        StreamHead::Put {
-            header,
-            ack_md,
-            ack_eq,
-        } => match engine::put_begin(&core, step, header, engine::ack_to(ack_md, ack_eq)) {
+    let prefix = acc.slice(payload.start, acc.len() - payload.start);
+    match msg {
+        PortalsMessage::Put(put) => {
+            let ack = engine::ack_to(put.ack_md, put.ack_eq);
+            match engine::put_begin(&core, step, put.header, ack) {
+                Some(sink) => {
+                    sink.write(0, &prefix);
+                    MsgStream::Put(core, sink, payload)
+                }
+                None => MsgStream::Discard,
+            }
+        }
+        PortalsMessage::Reply(reply) => match engine::reply_begin(&core, reply.header) {
             Some(sink) => {
                 sink.write(0, &prefix);
-                MsgStream::Put(core, sink)
+                MsgStream::Reply(core, sink, payload)
             }
             None => MsgStream::Discard,
         },
-        StreamHead::Reply { header } => match engine::reply_begin(&core, header) {
-            Some(sink) => {
-                sink.write(0, &prefix);
-                MsgStream::Reply(core, sink)
-            }
-            None => MsgStream::Discard,
-        },
-        StreamHead::Other => unreachable!("returned above"),
+        _ => unreachable!("accumulated above"),
     }
 }
 
@@ -168,19 +154,16 @@ fn classify(step: &mut Step, acc: Gather, whole: bool) -> MsgStream {
 /// Complete whatever the stream became — or, if a put's or reply's payload
 /// did not total what its header declared, abort it.
 fn finalize(step: &mut Step, state: MsgStream, end: u64) {
-    let declared_end = match &state {
-        MsgStream::Put(_, sink) => PortalsMessage::PUT_PAYLOAD_AT as u64 + sink.declared_len(),
-        MsgStream::Reply(_, sink) => PortalsMessage::REPLY_PAYLOAD_AT as u64 + sink.declared_len(),
-        _ => end,
-    };
-    if end != declared_end {
-        return abort(step, state);
-    }
     match state {
+        MsgStream::Put(_, _, ref payload) | MsgStream::Reply(_, _, ref payload)
+            if end != payload.end as u64 =>
+        {
+            abort(step, state)
+        }
         // A header that never completed decodes as garbage there.
         MsgStream::Head(acc) | MsgStream::Accumulate(acc) => dispatch_whole(step, &acc),
-        MsgStream::Put(core, sink) => sink.finish(&core, step),
-        MsgStream::Reply(core, sink) => sink.finish(&core, step),
+        MsgStream::Put(core, sink, _) => sink.finish(&core, step),
+        MsgStream::Reply(core, sink, _) => sink.finish(&core, step),
         MsgStream::Discard => {}
     }
 }
@@ -214,8 +197,8 @@ fn abort(step: &mut Step, state: MsgStream) {
     // Sinks first — an auto-unlink committed at header time is still
     // reported — so whoever sees the count also sees the events.
     match state {
-        MsgStream::Put(core, sink) => sink.abort(&core, step),
-        MsgStream::Reply(core, sink) => sink.abort(&core),
+        MsgStream::Put(core, sink, _) => sink.abort(&core, step),
+        MsgStream::Reply(core, sink, _) => sink.abort(&core),
         MsgStream::Head(_) | MsgStream::Accumulate(_) => {}
         MsgStream::Discard => return,
     }
@@ -349,7 +332,8 @@ mod tests {
             payload: Gather::from_vec(vec![7; 32]),
         })
         .encode();
-        let cut = PortalsMessage::PUT_PAYLOAD_AT + 8;
+        // Eight of the 32 payload bytes ride with the header.
+        let cut = msg.len() - 24;
         let frag = |range: std::ops::Range<usize>| StreamFragment {
             src: NodeId(0),
             msg_id: 0,
@@ -402,13 +386,25 @@ mod tests {
     }
 
     /// The wire image of a put of `payload` from process 1 on node `nid` to
-    /// portal 0 of `ni`, cut at `cut` into two fragments (one when `cut` is
-    /// the whole length).
+    /// portal 0 of `ni`, cut `cut` bytes into the payload into two fragments
+    /// (one when that is the whole message).
     fn put_in_two(
         ni: &NetworkInterface,
         nid: u32,
         bits: u64,
         payload: &[u8],
+        cut: usize,
+    ) -> Vec<StreamFragment> {
+        put_declaring(ni, nid, bits, payload, payload.len() as u64, cut)
+    }
+
+    /// [`put_in_two`], with a header that declares `declared` payload bytes.
+    fn put_declaring(
+        ni: &NetworkInterface,
+        nid: u32,
+        bits: u64,
+        payload: &[u8],
+        declared: u64,
         cut: usize,
     ) -> Vec<StreamFragment> {
         let msg = PortalsMessage::Put(PutRequest {
@@ -419,14 +415,14 @@ mod tests {
                 cookie: 0,
                 match_bits: MatchBits::new(bits),
                 offset: 0,
-                length: payload.len() as u64,
+                length: declared,
             },
             ack_md: RAW_HANDLE_NONE,
             ack_eq: RAW_HANDLE_NONE,
             payload: Gather::copy_from_slice(payload),
         })
         .encode();
-        let cut = PortalsMessage::PUT_PAYLOAD_AT + cut;
+        let cut = msg.len() - payload.len() + cut;
         let frag = |range: std::ops::Range<usize>| StreamFragment {
             src: NodeId(nid),
             msg_id: 0,
@@ -455,6 +451,24 @@ mod tests {
         ni.me_search(0, ProcessId::ANY, MatchCriteria::any())
             .unwrap()
             .0
+    }
+
+    /// A put whose header declares more bytes than any message can hold is
+    /// garbage at its head, even streamed into a slab that would truncate
+    /// it: nothing is committed, and the fragment after the head is
+    /// swallowed.
+    #[test]
+    fn a_put_declaring_an_uncountable_length_commits_nothing() {
+        let (node, ni, eq) = overflow_rig(256, 0);
+        deliver_all(&ni, put_declaring(&ni, 0, 5, &[7; 16], u64::MAX, 8));
+        assert_eq!(node.dropped_garbage(), 1);
+        assert_eq!(records(&ni), 0);
+        assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
+        assert_eq!(ni.resources_in_use(), (1, 1), "nothing committed");
+        // The source's next message starts afresh.
+        deliver_all(&ni, put_in_two(&ni, 0, 5, &[7; 16], 8));
+        assert_eq!(ni.eq_get(eq).unwrap().kind, EventKind::Put);
+        assert_eq!(node.dropped_garbage(), 1);
     }
 
     #[test]

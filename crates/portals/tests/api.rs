@@ -1632,9 +1632,11 @@ fn atomic_geometry_is_validated_at_both_ends() {
     let a = default_ni(&na);
     let b = default_ni(&nb);
 
-    // Initiator-side: zero length, non-lane-multiple length, multi-lane CAS.
+    // Initiator-side: zero length, non-lane-multiple length, multi-lane CAS
+    // (one whose operand bytes could not even be counted among them).
     let md = a.md_bind(MdSpec::new(Region::zeroed(32))).unwrap();
-    for (op, len) in [(AtomicOp::Sum, 0), (AtomicOp::Sum, 12), (AtomicOp::Cas, 16)] {
+    let lanes = [(AtomicOp::Sum, 0), (AtomicOp::Sum, 12), (AtomicOp::Cas, 16)];
+    for (op, len) in lanes.into_iter().chain([(AtomicOp::Cas, 1 << 63)]) {
         let err = a
             .atomic_op(md)
             .target(b.id(), 0)
@@ -1643,6 +1645,19 @@ fn atomic_geometry_is_validated_at_both_ends() {
             .submit()
             .unwrap_err();
         assert_eq!(err, PtlError::InvalidArgument, "{op:?} len {len}");
+    }
+    // Whole lanes, but more than any message may carry.
+    for len in [1 << 63, u64::MAX - 7] {
+        let err = a
+            .atomic_op(md)
+            .target(b.id(), 0)
+            .op(AtomicOp::Sum)
+            .length(len);
+        assert_eq!(
+            err.submit().unwrap_err(),
+            PtlError::LimitExceeded,
+            "len {len}"
+        );
     }
 
     // Target-side: a descriptor that would truncate the RMW (8-byte region,

@@ -42,8 +42,8 @@ const TAG_ALLGATHER: u32 = MAX_USER_TAG + 0x107;
 const TAG_ALLTOALL: u32 = MAX_USER_TAG + 0x108;
 
 /// A collective that could not complete correctly. Defined in
-/// `portals_types::error` (so the layered `ErrorKind` can wrap it) and
-/// re-exported from its owning crate.
+/// `portals_types::error`, beside every layer's error enum, and re-exported
+/// from its owning crate.
 pub use portals_types::CollError;
 
 /// Element-wise reduction operator over `f64` vectors.

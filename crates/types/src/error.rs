@@ -6,9 +6,7 @@
 //!
 //! Every layer's error enum is *defined* here — [`WireError`], [`RecvError`],
 //! [`CollError`], [`FsError`], [`TagError`] — and re-exported from its home
-//! crate, so the layered [`ErrorKind`] can wrap all of them losslessly without
-//! inverting the crate dependency order. Code above the owning layer matches on
-//! `ErrorKind`; code inside a layer keeps using its own enum.
+//! crate.
 
 use std::fmt;
 
@@ -98,7 +96,7 @@ impl fmt::Display for PtlError {
 impl std::error::Error for PtlError {}
 
 // ---------------------------------------------------------------------------
-// Layer error enums, defined here so `ErrorKind` can wrap them all.
+// Layer error enums.
 // Each is re-exported from the crate that conceptually owns it.
 // ---------------------------------------------------------------------------
 
@@ -301,102 +299,6 @@ impl fmt::Display for TagError {
 
 impl std::error::Error for TagError {}
 
-/// One error type spanning every layer of the stack.
-///
-/// Each variant wraps the owning layer's full enum, so conversion through
-/// `From` is lossless in both information and type: `ErrorKind::from(e)` keeps
-/// everything `e` carried, and matching on the variant recovers the original.
-/// Flow-control failures in particular surface uniformly — a credit stall
-/// times out as `Net(RecvError::Timeout)`, a server shedding load as
-/// `Fs(FsError::Rejected)`, a disabled-portal drop as a Portals-level code —
-/// without each consumer growing its own wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorKind {
-    /// A Portals API / §4.8 receive-rule failure.
-    Portals(PtlError),
-    /// A fabric receive failure.
-    Net(RecvError),
-    /// A wire decode failure.
-    Wire(WireError),
-    /// A collective-library failure.
-    Coll(CollError),
-    /// A file-service failure.
-    Fs(FsError),
-    /// An MPI tag-space violation.
-    Tag(TagError),
-}
-
-impl ErrorKind {
-    /// The layer the error originated in, for logs and metrics labels.
-    pub fn layer(&self) -> &'static str {
-        match self {
-            ErrorKind::Portals(_) => "portals",
-            ErrorKind::Net(_) => "net",
-            ErrorKind::Wire(_) => "wire",
-            ErrorKind::Coll(_) => "coll",
-            ErrorKind::Fs(_) => "fs",
-            ErrorKind::Tag(_) => "tag",
-        }
-    }
-}
-
-impl fmt::Display for ErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ErrorKind::Portals(e) => write!(f, "portals: {e}"),
-            ErrorKind::Net(e) => write!(f, "net: {e}"),
-            ErrorKind::Wire(e) => write!(f, "wire: {e}"),
-            ErrorKind::Coll(e) => write!(f, "coll: {e}"),
-            ErrorKind::Fs(e) => write!(f, "fs: {e}"),
-            ErrorKind::Tag(e) => write!(f, "tag: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ErrorKind {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ErrorKind::Portals(e) => Some(e),
-            ErrorKind::Net(e) => Some(e),
-            ErrorKind::Wire(e) => Some(e),
-            ErrorKind::Coll(e) => Some(e),
-            ErrorKind::Fs(e) => Some(e),
-            ErrorKind::Tag(e) => Some(e),
-        }
-    }
-}
-
-impl From<PtlError> for ErrorKind {
-    fn from(e: PtlError) -> ErrorKind {
-        ErrorKind::Portals(e)
-    }
-}
-impl From<RecvError> for ErrorKind {
-    fn from(e: RecvError) -> ErrorKind {
-        ErrorKind::Net(e)
-    }
-}
-impl From<WireError> for ErrorKind {
-    fn from(e: WireError) -> ErrorKind {
-        ErrorKind::Wire(e)
-    }
-}
-impl From<CollError> for ErrorKind {
-    fn from(e: CollError) -> ErrorKind {
-        ErrorKind::Coll(e)
-    }
-}
-impl From<FsError> for ErrorKind {
-    fn from(e: FsError) -> ErrorKind {
-        ErrorKind::Fs(e)
-    }
-}
-impl From<TagError> for ErrorKind {
-    fn from(e: TagError) -> ErrorKind {
-        ErrorKind::Tag(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,40 +313,6 @@ mod tests {
     fn errors_are_small() {
         // PtlError rides inside every result on the hot path; keep it a bare tag.
         assert_eq!(std::mem::size_of::<PtlError>(), 1);
-    }
-
-    #[test]
-    fn error_kind_from_is_lossless() {
-        // Every layer enum converts in and matches back out unchanged.
-        let w = WireError::Truncated {
-            needed: 8,
-            available: 3,
-        };
-        assert_eq!(ErrorKind::from(w), ErrorKind::Wire(w));
-        let r = RecvError::Timeout;
-        assert_eq!(ErrorKind::from(r), ErrorKind::Net(r));
-        let c = CollError::Truncated {
-            expected: 64,
-            got: 128,
-        };
-        assert_eq!(ErrorKind::from(c), ErrorKind::Coll(c));
-        let fs = FsError::Portals(PtlError::NoSpace);
-        assert_eq!(ErrorKind::from(fs), ErrorKind::Fs(fs));
-        let t = TagError::ReservedTag { tag: MAX_USER_TAG };
-        assert_eq!(ErrorKind::from(t), ErrorKind::Tag(t));
-        assert_eq!(
-            ErrorKind::from(PtlError::EqDropped),
-            ErrorKind::Portals(PtlError::EqDropped)
-        );
-    }
-
-    #[test]
-    fn error_kind_display_names_the_layer() {
-        let e = ErrorKind::from(RecvError::Timeout);
-        assert_eq!(e.layer(), "net");
-        assert_eq!(e.to_string(), "net: receive timed out");
-        use std::error::Error;
-        assert!(e.source().is_some());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod stripe;
 
 pub use arena::{Arena, Handle};
 pub use error::{
-    CollError, ErrorKind, FsError, PtlError, PtlResult, RecvError, Tag, TagError, WireError,
+    CollError, FsError, PtlError, PtlResult, RecvError, Tag, TagError, WireError,
     COLL_TAG_BASE_OFFSET, MAX_USER_TAG,
 };
 pub use gather::Gather;

@@ -2,13 +2,14 @@
 //!
 //! A batch carries the acks one dispatch step owes one node in one message:
 //! a little-endian `u32` count, then that many Table 2 headers, each exactly
-//! the body a lone [`Ack`] would have. It is decoded all or nothing: a count
-//! of zero, or a body that does not hold exactly `count` headers, is an
-//! error, and no ack of it is delivered.
+//! the body a lone [`Ack`] would have. The count is the batch's fixed field
+//! and its headers are its payload, so it is decoded all or nothing like any
+//! message: a count of zero, or a body that does not hold exactly `count`
+//! headers, is an error, and no ack of it is delivered.
 
 use crate::error::WireError;
 use crate::header::{check_len, ResponseHeader};
-use bytes::{BufMut, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 /// An acknowledgment of a put.
 ///
@@ -31,11 +32,12 @@ impl Ack {
         self.header.encode(buf);
     }
 
-    pub(crate) fn decode_body(buf: &[u8]) -> Result<Ack, WireError> {
+    /// Read one ack off the front of `buf`.
+    pub(crate) fn decode_body(buf: &mut &[u8]) -> Result<Ack, WireError> {
         check_len(buf, Self::WIRE_SIZE)?;
-        let mut cursor = buf;
-        let header = ResponseHeader::decode(&mut cursor);
-        Ok(Ack { header })
+        Ok(Ack {
+            header: ResponseHeader::decode(buf),
+        })
     }
 
     /// Size of a batch's count field.
@@ -53,23 +55,17 @@ impl Ack {
         }
     }
 
-    pub(crate) fn decode_batch(buf: &[u8]) -> Result<Vec<Ack>, WireError> {
+    /// Read a batch's count off the front of `buf`: how many headers
+    /// follow. A batch of none is refused.
+    pub(crate) fn decode_batch_count(buf: &mut &[u8]) -> Result<u64, WireError> {
         check_len(buf, Self::BATCH_COUNT_SIZE)?;
-        let (count, headers) = buf.split_at(Self::BATCH_COUNT_SIZE);
-        let count = u32::from_le_bytes(count.try_into().expect("four bytes")) as usize;
-        // Checked before anything is allocated: the count is only believed
-        // once the body holds exactly that many headers.
-        let declared = count.saturating_mul(Self::WIRE_SIZE);
-        if count == 0 || headers.len() != declared {
-            return Err(WireError::LengthMismatch {
-                declared,
-                actual: headers.len(),
-            });
+        match buf.get_u32_le() {
+            0 => Err(WireError::LengthMismatch {
+                declared: 0,
+                actual: buf.len(),
+            }),
+            count => Ok(count.into()),
         }
-        headers
-            .chunks_exact(Self::WIRE_SIZE)
-            .map(Self::decode_body)
-            .collect()
     }
 }
 
@@ -77,6 +73,7 @@ impl Ack {
 mod tests {
     use super::*;
     use crate::header::RAW_HANDLE_NONE;
+    use crate::PortalsMessage;
     use portals_types::{MatchBits, ProcessId};
 
     fn sample() -> Ack {
@@ -101,7 +98,7 @@ mod tests {
         let mut buf = BytesMut::new();
         ack.encode_body(&mut buf);
         assert_eq!(buf.len(), Ack::WIRE_SIZE);
-        assert_eq!(Ack::decode_body(&buf).unwrap(), ack);
+        assert_eq!(Ack::decode_body(&mut &buf[..]).unwrap(), ack);
     }
 
     #[test]
@@ -110,7 +107,7 @@ mod tests {
         let mut buf = BytesMut::new();
         ack.encode_body(&mut buf);
         assert!(matches!(
-            Ack::decode_body(&buf[..8]),
+            Ack::decode_body(&mut &buf[..8]),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -126,29 +123,29 @@ mod tests {
             .collect()
     }
 
-    fn encoded_batch(acks: &[Ack]) -> BytesMut {
-        let mut buf = BytesMut::new();
-        Ack::encode_batch(acks, &mut buf);
-        buf
+    /// The encoded message carrying `acks`, and where its count starts.
+    fn encoded_batch(acks: Vec<Ack>) -> (Vec<u8>, usize) {
+        let buf = PortalsMessage::AckBatch(acks).encode().to_vec();
+        (buf, PortalsMessage::ENVELOPE_SIZE)
     }
 
     #[test]
     fn a_batch_of_zero_is_rejected() {
-        let mut buf = encoded_batch(&[]);
-        assert_eq!(buf.len(), Ack::BATCH_COUNT_SIZE);
-        assert!(Ack::decode_batch(&buf).is_err());
+        let (mut buf, at) = encoded_batch(vec![]);
+        assert_eq!(buf.len(), at + Ack::BATCH_COUNT_SIZE);
+        assert!(PortalsMessage::decode(&buf).is_err());
         // Nor does a zero count make room for headers after it.
-        buf.extend_from_slice(&encoded_batch(&batch(1))[Ack::BATCH_COUNT_SIZE..]);
-        assert!(Ack::decode_batch(&buf).is_err());
+        buf.extend_from_slice(&encoded_batch(batch(1)).0[at + Ack::BATCH_COUNT_SIZE..]);
+        assert!(PortalsMessage::decode(&buf).is_err());
     }
 
     #[test]
     fn a_batch_count_must_agree_with_its_body() {
-        let mut buf = encoded_batch(&batch(3));
+        let (mut buf, at) = encoded_batch(batch(3));
         for count in [2u32, 4, u32::MAX] {
-            buf[..Ack::BATCH_COUNT_SIZE].copy_from_slice(&count.to_le_bytes());
+            buf[at..at + Ack::BATCH_COUNT_SIZE].copy_from_slice(&count.to_le_bytes());
             assert!(matches!(
-                Ack::decode_batch(&buf),
+                PortalsMessage::decode(&buf),
                 Err(WireError::LengthMismatch { .. })
             ));
         }
@@ -156,19 +153,22 @@ mod tests {
 
     #[test]
     fn a_batch_with_a_truncated_header_is_rejected() {
-        let buf = encoded_batch(&batch(3));
-        for cut in [0, 2, Ack::batch_wire_size(1) + 8, buf.len() - 1] {
-            assert!(Ack::decode_batch(&buf[..cut]).is_err(), "cut at {cut}");
+        let (buf, at) = encoded_batch(batch(3));
+        for cut in [at, at + 2, at + Ack::batch_wire_size(1) + 8, buf.len() - 1] {
+            assert!(PortalsMessage::decode(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn a_batch_with_trailing_bytes_is_rejected() {
-        let mut buf = encoded_batch(&batch(2));
+        let (mut buf, _) = encoded_batch(batch(2));
         buf.extend_from_slice(&[0]);
-        assert!(Ack::decode_batch(&buf).is_err());
+        assert!(PortalsMessage::decode(&buf).is_err());
         buf.extend_from_slice(&[0; Ack::WIRE_SIZE - 1]);
-        assert!(Ack::decode_batch(&buf).is_err(), "a whole header too many");
+        assert!(
+            PortalsMessage::decode(&buf).is_err(),
+            "a whole header too many"
+        );
     }
 
     #[test]

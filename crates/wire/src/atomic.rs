@@ -55,11 +55,12 @@ impl AtomicOp {
 
     /// Operand bytes on the wire for `length` bytes touched at the target:
     /// CAS carries `compare ++ operand`, everything else just the operand.
+    /// `None` when that many bytes cannot be counted in a `u64`.
     #[inline]
-    pub fn operand_len(self, length: u64) -> u64 {
+    pub fn operand_len(self, length: u64) -> Option<u64> {
         match self {
-            AtomicOp::Cas => length * 2,
-            _ => length,
+            AtomicOp::Cas => length.checked_mul(2),
+            _ => Some(length),
         }
     }
 
@@ -164,58 +165,19 @@ impl AtomicRequest {
         buf.put_u64_le(self.reply_md);
     }
 
-    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
-        self.encode_header(buf);
-        for seg in self.payload.segments() {
-            buf.extend_from_slice(seg);
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn decode_fields(
-        buf: &[u8],
-    ) -> Result<
-        (
-            RequestHeader,
-            AtomicOp,
-            AtomicDatatype,
-            RawHandle,
-            RawHandle,
-            RawHandle,
-        ),
-        WireError,
-    > {
+    /// Read the fixed-size portion (envelope excluded) off the front of
+    /// `buf`: the request with an empty operand.
+    pub(crate) fn decode_header(buf: &mut &[u8], fetch: bool) -> Result<AtomicRequest, WireError> {
         check_len(buf, Self::WIRE_HEADER_SIZE)?;
-        let mut cursor = buf;
-        let header = RequestHeader::decode(&mut cursor);
-        let op = AtomicOp::from_byte(cursor.get_u8())?;
-        let datatype = AtomicDatatype::from_byte(cursor.get_u8())?;
-        let ack_md = cursor.get_u64_le();
-        let ack_eq = cursor.get_u64_le();
-        let reply_md = cursor.get_u64_le();
-        Ok((header, op, datatype, ack_md, ack_eq, reply_md))
-    }
-
-    pub(crate) fn decode_body(buf: &[u8], fetch: bool) -> Result<AtomicRequest, WireError> {
-        let (header, op, datatype, ack_md, ack_eq, reply_md) = Self::decode_fields(buf)?;
-        let rest = &buf[Self::WIRE_HEADER_SIZE..];
-        let declared = op.operand_len(header.length) as usize;
-        if rest.len() != declared {
-            return Err(WireError::LengthMismatch {
-                declared,
-                actual: rest.len(),
-            });
-        }
-        let payload = Gather::copy_from_slice(rest);
         Ok(AtomicRequest {
-            header,
-            op,
-            datatype,
+            header: RequestHeader::decode(buf),
+            op: AtomicOp::from_byte(buf.get_u8())?,
+            datatype: AtomicDatatype::from_byte(buf.get_u8())?,
             fetch,
-            ack_md,
-            ack_eq,
-            reply_md,
-            payload,
+            ack_md: buf.get_u64_le(),
+            ack_eq: buf.get_u64_le(),
+            reply_md: buf.get_u64_le(),
+            payload: Gather::new(),
         })
     }
 }
@@ -223,10 +185,11 @@ impl AtomicRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PortalsMessage;
     use portals_types::{MatchBits, ProcessId};
 
-    fn sample(op: AtomicOp, length: u64) -> AtomicRequest {
-        AtomicRequest {
+    fn sample(op: AtomicOp, length: u64, fetch: bool) -> PortalsMessage {
+        PortalsMessage::Atomic(AtomicRequest {
             header: RequestHeader {
                 initiator: ProcessId::new(0, 1),
                 target: ProcessId::new(1, 1),
@@ -238,43 +201,39 @@ mod tests {
             },
             op,
             datatype: AtomicDatatype::U64,
-            fetch: false,
+            fetch,
             ack_md: 9,
             ack_eq: 10,
             reply_md: RAW_HANDLE_NONE,
-            payload: Gather::from_vec(vec![7u8; op.operand_len(length) as usize]),
-        }
+            payload: Gather::from_vec(vec![7u8; op.operand_len(length).unwrap() as usize]),
+        })
     }
 
     #[test]
     fn body_roundtrip() {
-        let atomic = sample(AtomicOp::Sum, 64);
-        let mut buf = BytesMut::new();
-        atomic.encode_body(&mut buf);
-        assert_eq!(buf.len(), AtomicRequest::WIRE_HEADER_SIZE + 64);
-        let decoded = AtomicRequest::decode_body(&buf, false).unwrap();
-        assert_eq!(decoded, atomic);
+        let atomic = sample(AtomicOp::Sum, 64, false);
+        let buf = atomic.encode();
+        let at = PortalsMessage::ENVELOPE_SIZE + AtomicRequest::WIRE_HEADER_SIZE;
+        assert_eq!(buf.len(), at + 64);
+        assert_eq!(PortalsMessage::decode(&buf).unwrap(), atomic);
     }
 
     #[test]
     fn cas_carries_compare_and_operand() {
-        let atomic = sample(AtomicOp::Cas, 8);
-        assert_eq!(atomic.payload.len(), 16);
-        let mut buf = BytesMut::new();
-        atomic.encode_body(&mut buf);
-        let decoded = AtomicRequest::decode_body(&buf, true).unwrap();
+        let Ok(PortalsMessage::Atomic(decoded)) =
+            PortalsMessage::decode(&sample(AtomicOp::Cas, 8, true).encode())
+        else {
+            panic!("an atomic");
+        };
         assert!(decoded.fetch);
         assert_eq!(decoded.payload.len(), 16);
     }
 
     #[test]
     fn operand_length_mismatch_detected() {
-        let atomic = sample(AtomicOp::Sum, 16);
-        let mut buf = BytesMut::new();
-        atomic.encode_body(&mut buf);
-        let truncated = &buf[..buf.len() - 4];
+        let buf = sample(AtomicOp::Sum, 16, false).encode();
         assert!(matches!(
-            AtomicRequest::decode_body(truncated, false),
+            PortalsMessage::decode(&buf[..buf.len() - 4]),
             Err(WireError::LengthMismatch {
                 declared: 16,
                 actual: 12
@@ -284,16 +243,20 @@ mod tests {
 
     #[test]
     fn unknown_op_byte_rejected() {
-        let atomic = sample(AtomicOp::Sum, 8);
-        let mut buf = BytesMut::new();
-        atomic.encode_body(&mut buf);
-        buf[RequestHeader::WIRE_SIZE] = 0x7f;
+        let mut buf = sample(AtomicOp::Sum, 8, false).encode().to_vec();
+        buf[PortalsMessage::ENVELOPE_SIZE + RequestHeader::WIRE_SIZE] = 0x7f;
         assert!(matches!(
-            AtomicRequest::decode_body(&buf, false),
+            PortalsMessage::decode(&buf),
             Err(WireError::UnknownAtomic(0x7f))
         ));
     }
 
+    #[test]
+    fn an_operand_length_too_large_to_count_is_none() {
+        assert_eq!(AtomicOp::Cas.operand_len(1 << 62), Some(1 << 63));
+        assert_eq!(AtomicOp::Cas.operand_len(1 << 63), None);
+        assert_eq!(AtomicOp::Sum.operand_len(u64::MAX), Some(u64::MAX));
+    }
     #[test]
     fn op_and_datatype_bytes_roundtrip() {
         for op in [

@@ -1,7 +1,7 @@
 //! Wire decoding errors.
 //!
-//! [`WireError`] is *defined* in `portals_types::error` (so the layered
-//! `ErrorKind` there can wrap it without a dependency cycle) and re-exported
-//! here from the crate that owns the decode paths producing it.
+//! [`WireError`] is *defined* in `portals_types::error`, beside every other
+//! layer's error enum, and re-exported here from the crate that owns the
+//! decode paths producing it.
 
 pub use portals_types::WireError;

@@ -30,12 +30,13 @@ impl GetRequest {
         buf.put_u64_le(self.reply_md);
     }
 
-    pub(crate) fn decode_body(buf: &[u8]) -> Result<GetRequest, WireError> {
+    /// Read one get request off the front of `buf`.
+    pub(crate) fn decode_body(buf: &mut &[u8]) -> Result<GetRequest, WireError> {
         check_len(buf, Self::WIRE_SIZE)?;
-        let mut cursor = buf;
-        let header = RequestHeader::decode(&mut cursor);
-        let reply_md = cursor.get_u64_le();
-        Ok(GetRequest { header, reply_md })
+        Ok(GetRequest {
+            header: RequestHeader::decode(buf),
+            reply_md: buf.get_u64_le(),
+        })
     }
 }
 
@@ -65,7 +66,7 @@ mod tests {
         let mut buf = BytesMut::new();
         get.encode_body(&mut buf);
         assert_eq!(buf.len(), GetRequest::WIRE_SIZE);
-        assert_eq!(GetRequest::decode_body(&buf).unwrap(), get);
+        assert_eq!(GetRequest::decode_body(&mut &buf[..]).unwrap(), get);
     }
 
     #[test]
@@ -74,7 +75,7 @@ mod tests {
         let mut buf = BytesMut::new();
         get.encode_body(&mut buf);
         assert!(matches!(
-            GetRequest::decode_body(&buf[..20]),
+            GetRequest::decode_body(&mut &buf[..20]),
             Err(WireError::Truncated { .. })
         ));
     }

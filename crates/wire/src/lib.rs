@@ -14,6 +14,14 @@
 //! the packet header used by the transport (the RTS/CTS-module stand-in) for
 //! fragmentation and reliability.
 //!
+//! A Portals message is an envelope, its fixed fields, then its payload, and
+//! one decoder knows that layout: [`PortalsMessage::head`] reads the first
+//! two from a message's leading bytes and says where the payload starts and
+//! how long the header declares it, with checked arithmetic, so a span no
+//! buffer could hold is a [`WireError`]. The stream machine that scatters a
+//! payload as it arrives and [`PortalsMessage::decode_gather`] both stand on
+//! it; [`PortalsMessage::encode_gather`] is the one encoder.
+//!
 //! One deliberate deviation from Table 1 is documented in [`put::PutRequest`]:
 //! the put request carries the initiator's *event queue* handle alongside the
 //! memory-descriptor handle, because §4.8 requires the acknowledgment to name
@@ -39,7 +47,7 @@ pub use atomic::{AtomicDatatype, AtomicOp, AtomicRequest};
 pub use error::WireError;
 pub use get::GetRequest;
 pub use header::{RawHandle, RequestHeader, ResponseHeader, RAW_HANDLE_NONE};
-pub use message::{PortalsMessage, StreamHead};
+pub use message::{Head, PortalsMessage};
 pub use op::Operation;
 pub use packet::{Packet, PacketHeader, PacketKind};
 pub use put::PutRequest;

@@ -4,17 +4,22 @@
 //! or corrupted traffic) selects among the four §4.6 message types, the atomic
 //! extension, and the ack batch: the acks one dispatch step owes one node,
 //! sent as one message and decoded all or nothing (see [`crate::ack`]).
+//!
+//! Every message is its envelope, its fixed fields, then its payload. One
+//! decoder, [`PortalsMessage::head`], reads the first two and says where the
+//! payload lies; every other decode is built on it.
 
 use crate::ack::Ack;
 use crate::atomic::AtomicRequest;
 use crate::error::WireError;
 use crate::get::GetRequest;
-use crate::header::{RequestHeader, ResponseHeader};
+use crate::header::check_len;
 use crate::op::Operation;
 use crate::put::PutRequest;
 use crate::reply::Reply;
 use bytes::{Bytes, BytesMut};
 use portals_types::{Gather, ProcessId};
+use std::ops::Range;
 
 /// Magic byte identifying Portals 3.0 traffic ('P' ^ 0x30).
 const MAGIC: u8 = b'P' ^ 0x30;
@@ -27,7 +32,7 @@ pub enum PortalsMessage {
     /// Table 2.
     Ack(Ack),
     /// Table 2 several times over, in the order the acks were owed. Never
-    /// empty: the decoders refuse a count of zero.
+    /// empty: the decoder refuses a count of zero.
     AckBatch(Vec<Ack>),
     /// Table 3.
     Get(GetRequest),
@@ -38,86 +43,25 @@ pub enum PortalsMessage {
     Atomic(AtomicRequest),
 }
 
-/// What the fixed-size prefix of an incoming message identifies, for
-/// consumers that dispatch before the payload has fully arrived (streaming
-/// fragment delivery).
+/// A message's envelope and fixed fields, read by [`PortalsMessage::head`]
+/// before its payload has arrived.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamHead {
-    /// A put request; payload bytes start at
-    /// [`PortalsMessage::PUT_PAYLOAD_AT`] and run for `header.length`.
-    Put {
-        /// The request header (target, match bits, offset, length, …).
-        header: RequestHeader,
-        /// Initiator's MD handle to return in the ack.
-        ack_md: u64,
-        /// Initiator's EQ handle to return in the ack.
-        ack_eq: u64,
-    },
-    /// A reply; payload bytes start at [`PortalsMessage::REPLY_PAYLOAD_AT`]
-    /// and run for `header.manipulated_length`.
-    Reply {
-        /// The response header.
-        header: ResponseHeader,
-    },
-    /// An ack, ack batch, get, or atomic: messages whose whole body (operands
-    /// included) is small enough to dispatch without streaming.
-    Other,
+pub struct Head {
+    /// The message with an empty payload (an ack batch: with no acks yet).
+    pub msg: PortalsMessage,
+    /// Where the payload lies in the encoded message: it starts after the
+    /// fixed fields and runs for the length the header declares (an atomic's
+    /// operand bytes, a batch's acks); its end was computed without overflow.
+    pub payload: Range<usize>,
 }
 
 impl PortalsMessage {
     /// Envelope overhead: magic + operation code.
     pub const ENVELOPE_SIZE: usize = 2;
 
-    /// Offset of a put's payload within its encoded message.
-    pub const PUT_PAYLOAD_AT: usize = Self::ENVELOPE_SIZE + PutRequest::WIRE_HEADER_SIZE;
-
-    /// Offset of a reply's payload within its encoded message.
-    pub const REPLY_PAYLOAD_AT: usize = Self::ENVELOPE_SIZE + Reply::WIRE_HEADER_SIZE;
-
-    /// Envelope plus the largest fixed-size header: a prefix this long
-    /// classifies any message via [`PortalsMessage::peek_stream_head`].
-    pub const MAX_FIXED: usize = Self::ENVELOPE_SIZE + 80;
-
-    /// Classify a message from a prefix of its encoded bytes, before the
-    /// payload has arrived. `Ok(None)` means the prefix is too short to
-    /// classify yet — feed more bytes (at most [`PortalsMessage::MAX_FIXED`]
-    /// are ever needed). Invalid prefixes (bad magic, unknown operation)
-    /// error immediately.
-    pub fn peek_stream_head(head: &[u8]) -> Result<Option<StreamHead>, WireError> {
-        if head.len() < Self::ENVELOPE_SIZE {
-            return Ok(None);
-        }
-        if head[0] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let op = Operation::from_byte(head[1])?;
-        let body = &head[Self::ENVELOPE_SIZE..];
-        Ok(match op {
-            Operation::PutRequest => {
-                if head.len() < Self::PUT_PAYLOAD_AT {
-                    return Ok(None);
-                }
-                let (header, ack_md, ack_eq) = PutRequest::decode_fields(body)?;
-                Some(StreamHead::Put {
-                    header,
-                    ack_md,
-                    ack_eq,
-                })
-            }
-            Operation::Reply => {
-                if head.len() < Self::REPLY_PAYLOAD_AT {
-                    return Ok(None);
-                }
-                let header = Reply::decode_fields(body)?;
-                Some(StreamHead::Reply { header })
-            }
-            Operation::Ack
-            | Operation::AckBatch
-            | Operation::GetRequest
-            | Operation::AtomicRequest
-            | Operation::FetchAtomicRequest => Some(StreamHead::Other),
-        })
-    }
+    /// Envelope plus the largest fixed part (an atomic's): enough leading
+    /// bytes to read any message's head.
+    const HEAD_MAX: usize = Self::ENVELOPE_SIZE + AtomicRequest::WIRE_HEADER_SIZE;
 
     /// The operation code of this message.
     pub fn operation(&self) -> Operation {
@@ -181,28 +125,20 @@ impl PortalsMessage {
         }
     }
 
-    /// Serialize to one fresh contiguous buffer, copying any payload. This is
-    /// the wire-format reference (tests, tables, header-cost probes); the data
-    /// path uses [`PortalsMessage::encode_gather`].
+    /// Serialize to one contiguous buffer: [`PortalsMessage::encode_gather`]
+    /// joined, for tests, tables and header-cost probes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.extend_from_slice(&[MAGIC, self.operation().to_byte()]);
-        match self {
-            PortalsMessage::Put(m) => m.encode_body(&mut buf),
-            PortalsMessage::Ack(m) => m.encode_body(&mut buf),
-            PortalsMessage::AckBatch(m) => Ack::encode_batch(m, &mut buf),
-            PortalsMessage::Get(m) => m.encode_body(&mut buf),
-            PortalsMessage::Reply(m) => m.encode_body(&mut buf),
-            PortalsMessage::Atomic(m) => m.encode_body(&mut buf),
-        }
-        buf.freeze()
+        self.encode_gather().to_bytes()
     }
 
     /// Serialize via vectored gather: one fresh segment holds the envelope and
     /// fixed-size header, followed by the payload's own segments shared
-    /// without copying. Byte-identical to [`PortalsMessage::encode`].
+    /// without copying. The one encoder.
     pub fn encode_gather(&self) -> Gather {
-        let mut hdr = BytesMut::with_capacity(self.encoded_len() - self.payload_len());
+        let mut hdr = BytesMut::with_capacity(match self {
+            PortalsMessage::AckBatch(m) => Self::ENVELOPE_SIZE + Ack::batch_wire_size(m.len()),
+            _ => Self::HEAD_MAX,
+        });
         hdr.extend_from_slice(&[MAGIC, self.operation().to_byte()]);
         let payload = match self {
             PortalsMessage::Put(m) => {
@@ -248,137 +184,113 @@ impl PortalsMessage {
         }
     }
 
-    /// Exact size [`PortalsMessage::encode`] will produce.
-    pub fn encoded_len(&self) -> usize {
-        Self::ENVELOPE_SIZE
-            + match self {
-                PortalsMessage::Put(m) => PutRequest::WIRE_HEADER_SIZE + m.payload.len(),
-                PortalsMessage::Ack(_) => Ack::WIRE_SIZE,
-                PortalsMessage::AckBatch(m) => Ack::batch_wire_size(m.len()),
-                PortalsMessage::Get(_) => GetRequest::WIRE_SIZE,
-                PortalsMessage::Reply(m) => Reply::WIRE_HEADER_SIZE + m.payload.len(),
-                PortalsMessage::Atomic(m) => AtomicRequest::WIRE_HEADER_SIZE + m.payload.len(),
-            }
+    /// The one decoder of the message layout: read the envelope and fixed
+    /// fields from the leading bytes of `buf`, which may be a prefix of the
+    /// message. `Ok(None)` means more bytes are needed (at most the largest
+    /// fixed part). A bad envelope or fixed field is an error at once, and so
+    /// is a declared payload whose end would not fit a `usize`: no buffer can
+    /// hold it, so the message is garbage before anything acts on it.
+    pub fn head(buf: &Gather) -> Result<Option<Head>, WireError> {
+        match Self::read_head(buf) {
+            Err(WireError::Truncated { .. }) => Ok(None),
+            head => head.map(Some),
+        }
     }
 
-    /// Parse a message held as a [`Gather`] without coalescing it.
-    ///
-    /// The envelope and fixed-size header are peeked into a stack buffer; a
-    /// put or reply payload becomes a zero-copy sub-gather of `buf`, so the
-    /// payload bytes stay wherever the transport received them. An ack batch,
-    /// all headers, is read from one contiguous view of `buf`.
-    pub fn decode_gather(buf: &Gather) -> Result<PortalsMessage, WireError> {
-        // Large enough for the envelope plus the largest fixed-size header.
-        let mut hdr = [0u8; PortalsMessage::MAX_FIXED];
-        let filled = buf.peek(&mut hdr);
-        let head = &hdr[..filled];
-        if filled < Self::ENVELOPE_SIZE {
-            return Err(WireError::Truncated {
-                needed: Self::ENVELOPE_SIZE,
-                available: filled,
-            });
-        }
-        if head[0] != MAGIC {
+    /// [`PortalsMessage::head`], with a short prefix reported as
+    /// [`WireError::Truncated`].
+    fn read_head(buf: &Gather) -> Result<Head, WireError> {
+        let mut prefix = [0u8; Self::HEAD_MAX];
+        let got = buf.peek(&mut prefix);
+        let prefix = &prefix[..got];
+        check_len(prefix, Self::ENVELOPE_SIZE)?;
+        if prefix[0] != MAGIC {
             return Err(WireError::BadMagic);
         }
-        let op = Operation::from_byte(head[1])?;
-        let body = &head[Self::ENVELOPE_SIZE..];
-        let payload_at = |fixed: usize| Self::ENVELOPE_SIZE + fixed;
-        Ok(match op {
+        let op = Operation::from_byte(prefix[1])?;
+        let mut body = &prefix[Self::ENVELOPE_SIZE..];
+        let (declared, msg) = match op {
             Operation::PutRequest => {
-                let (header, ack_md, ack_eq) = PutRequest::decode_fields(body)?;
-                let at = payload_at(PutRequest::WIRE_HEADER_SIZE);
-                let declared = header.length as usize;
-                if buf.len() - at != declared {
-                    return Err(WireError::LengthMismatch {
-                        declared,
-                        actual: buf.len() - at,
-                    });
-                }
-                PortalsMessage::Put(PutRequest {
-                    header,
-                    ack_md,
-                    ack_eq,
-                    payload: buf.slice(at, declared),
-                })
+                let m = PutRequest::decode_header(&mut body)?;
+                (Some(m.header.length), PortalsMessage::Put(m))
             }
-            Operation::Ack => PortalsMessage::Ack(Ack::decode_body(body)?),
+            Operation::Ack => (Some(0), PortalsMessage::Ack(Ack::decode_body(&mut body)?)),
             Operation::AckBatch => {
-                PortalsMessage::AckBatch(Ack::decode_batch(&buf.to_bytes()[Self::ENVELOPE_SIZE..])?)
+                let count = Ack::decode_batch_count(&mut body)?;
+                let acks = count * Ack::WIRE_SIZE as u64;
+                (Some(acks), PortalsMessage::AckBatch(Vec::new()))
             }
-            Operation::GetRequest => PortalsMessage::Get(GetRequest::decode_body(body)?),
+            Operation::GetRequest => (
+                Some(0),
+                PortalsMessage::Get(GetRequest::decode_body(&mut body)?),
+            ),
             Operation::Reply => {
-                let header = Reply::decode_fields(body)?;
-                let at = payload_at(Reply::WIRE_HEADER_SIZE);
-                let declared = header.manipulated_length as usize;
-                if buf.len() - at != declared {
-                    return Err(WireError::LengthMismatch {
-                        declared,
-                        actual: buf.len() - at,
-                    });
-                }
-                PortalsMessage::Reply(Reply {
-                    header,
-                    payload: buf.slice(at, declared),
-                })
+                let m = Reply::decode_header(&mut body)?;
+                (Some(m.header.manipulated_length), PortalsMessage::Reply(m))
             }
             Operation::AtomicRequest | Operation::FetchAtomicRequest => {
-                let (header, aop, datatype, ack_md, ack_eq, reply_md) =
-                    AtomicRequest::decode_fields(body)?;
-                let at = payload_at(AtomicRequest::WIRE_HEADER_SIZE);
-                let declared = aop.operand_len(header.length) as usize;
-                if buf.len() - at != declared {
-                    return Err(WireError::LengthMismatch {
-                        declared,
-                        actual: buf.len() - at,
-                    });
-                }
-                PortalsMessage::Atomic(AtomicRequest {
-                    header,
-                    op: aop,
-                    datatype,
-                    fetch: op == Operation::FetchAtomicRequest,
-                    ack_md,
-                    ack_eq,
-                    reply_md,
-                    payload: buf.slice(at, declared),
-                })
+                let fetch = op == Operation::FetchAtomicRequest;
+                let m = AtomicRequest::decode_header(&mut body, fetch)?;
+                (m.op.operand_len(m.header.length), PortalsMessage::Atomic(m))
             }
+        };
+        // The fixed fields end where their decoder stopped reading.
+        let start = got - body.len();
+        let end = declared
+            .and_then(|len| usize::try_from(len).ok())
+            .and_then(|len| start.checked_add(len))
+            .ok_or(WireError::LengthMismatch {
+                declared: usize::MAX,
+                actual: buf.len() - start,
+            })?;
+        Ok(Head {
+            msg,
+            payload: start..end,
         })
     }
 
-    /// Parse a buffer produced by [`PortalsMessage::encode`].
-    pub fn decode(buf: &[u8]) -> Result<PortalsMessage, WireError> {
-        if buf.len() < Self::ENVELOPE_SIZE {
-            return Err(WireError::Truncated {
-                needed: Self::ENVELOPE_SIZE,
-                available: buf.len(),
+    /// Parse a message held as a [`Gather`] without coalescing it: its
+    /// [`PortalsMessage::head`], then a payload of exactly the declared
+    /// length as a zero-copy sub-gather of `buf`, so the payload bytes stay
+    /// wherever the transport received them. A batch's acks are read from
+    /// one contiguous view of theirs.
+    pub fn decode_gather(buf: &Gather) -> Result<PortalsMessage, WireError> {
+        let Head { mut msg, payload } = Self::read_head(buf)?;
+        let actual = buf.len() - payload.start;
+        if actual != payload.len() {
+            return Err(WireError::LengthMismatch {
+                declared: payload.len(),
+                actual,
             });
         }
-        if buf[0] != MAGIC {
-            return Err(WireError::BadMagic);
+        let body = buf.slice(payload.start, actual);
+        match &mut msg {
+            PortalsMessage::Put(m) => m.payload = body,
+            PortalsMessage::Reply(m) => m.payload = body,
+            PortalsMessage::Atomic(m) => m.payload = body,
+            PortalsMessage::AckBatch(acks) => {
+                *acks = body
+                    .to_bytes()
+                    .chunks_exact(Ack::WIRE_SIZE)
+                    .map(|mut ack| Ack::decode_body(&mut ack))
+                    .collect::<Result<_, _>>()?;
+            }
+            PortalsMessage::Ack(_) | PortalsMessage::Get(_) => {}
         }
-        let op = Operation::from_byte(buf[1])?;
-        let body = &buf[Self::ENVELOPE_SIZE..];
-        Ok(match op {
-            Operation::PutRequest => PortalsMessage::Put(PutRequest::decode_body(body)?),
-            Operation::Ack => PortalsMessage::Ack(Ack::decode_body(body)?),
-            Operation::AckBatch => PortalsMessage::AckBatch(Ack::decode_batch(body)?),
-            Operation::GetRequest => PortalsMessage::Get(GetRequest::decode_body(body)?),
-            Operation::Reply => PortalsMessage::Reply(Reply::decode_body(body)?),
-            Operation::AtomicRequest => {
-                PortalsMessage::Atomic(AtomicRequest::decode_body(body, false)?)
-            }
-            Operation::FetchAtomicRequest => {
-                PortalsMessage::Atomic(AtomicRequest::decode_body(body, true)?)
-            }
-        })
+        Ok(msg)
+    }
+
+    /// Parse one contiguous encoded message: [`PortalsMessage::decode_gather`]
+    /// over a copy of `buf`.
+    pub fn decode(buf: &[u8]) -> Result<PortalsMessage, WireError> {
+        Self::decode_gather(&Gather::copy_from_slice(buf))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::{AtomicDatatype, AtomicOp};
     use crate::header::{RequestHeader, ResponseHeader, RAW_HANDLE_NONE};
     use portals_types::MatchBits;
     use proptest::prelude::*;
@@ -406,6 +318,218 @@ mod tests {
             eq_handle: RAW_HANDLE_NONE,
             requested_length: req,
             manipulated_length: man,
+        }
+    }
+
+    fn golden_req(length: u64) -> RequestHeader {
+        RequestHeader {
+            initiator: ProcessId::new(3, 7),
+            target: ProcessId::new(5, 9),
+            portal_index: 4,
+            cookie: 2,
+            match_bits: MatchBits::new(0x0102_0304_0506_0708),
+            offset: 0x100,
+            length,
+        }
+    }
+
+    fn golden_resp(offset: u64, length: u64) -> ResponseHeader {
+        ResponseHeader {
+            initiator: ProcessId::new(5, 9),
+            target: ProcessId::new(3, 7),
+            portal_index: 4,
+            match_bits: MatchBits::new(0x0102_0304_0506_0708),
+            offset,
+            md_handle: 0x11,
+            eq_handle: 0x22,
+            requested_length: length,
+            manipulated_length: length,
+        }
+    }
+
+    /// One message per operation code, in code order.
+    fn golden_messages() -> [PortalsMessage; 7] {
+        let mut cas = 1u64.to_le_bytes().to_vec();
+        cas.extend_from_slice(&2u64.to_le_bytes());
+        [
+            PortalsMessage::Put(PutRequest {
+                header: golden_req(3),
+                ack_md: 0x11,
+                ack_eq: 0x22,
+                payload: Gather::copy_from_slice(b"abc"),
+            }),
+            PortalsMessage::Ack(Ack {
+                header: golden_resp(0x100, 3),
+            }),
+            PortalsMessage::Get(GetRequest {
+                header: golden_req(4),
+                reply_md: 0x33,
+            }),
+            PortalsMessage::Reply(Reply {
+                header: golden_resp(0x100, 4),
+                payload: Gather::copy_from_slice(b"wxyz"),
+            }),
+            PortalsMessage::Atomic(AtomicRequest {
+                header: golden_req(8),
+                op: AtomicOp::Sum,
+                datatype: AtomicDatatype::U64,
+                fetch: false,
+                ack_md: 0x11,
+                ack_eq: 0x22,
+                reply_md: RAW_HANDLE_NONE,
+                payload: Gather::copy_from_slice(&7u64.to_le_bytes()),
+            }),
+            PortalsMessage::Atomic(AtomicRequest {
+                header: golden_req(8),
+                op: AtomicOp::Cas,
+                datatype: AtomicDatatype::I64,
+                fetch: true,
+                ack_md: RAW_HANDLE_NONE,
+                ack_eq: RAW_HANDLE_NONE,
+                reply_md: 0x33,
+                payload: Gather::from_vec(cas),
+            }),
+            PortalsMessage::AckBatch(vec![
+                Ack {
+                    header: golden_resp(0x100, 3),
+                },
+                Ack {
+                    header: golden_resp(0x200, 5),
+                },
+            ]),
+        ]
+    }
+
+    /// The bytes of [`golden_messages`], one literal per operation code, field
+    /// by field: the reference for the wire format (little-endian throughout).
+    fn golden_bytes() -> [&'static str; 7] {
+        [
+            // PutRequest
+            concat!(
+                "6001 ",              // envelope
+                "03000000 07000000 ", // initiator
+                "05000000 09000000 ", // target
+                "04000000 02000000 ", // portal index, cookie
+                "08070605 04030201 ", // match bits
+                "00010000 00000000 ", // offset
+                "03000000 00000000 ", // length
+                "11000000 00000000 ", // ack md
+                "22000000 00000000 ", // ack eq
+                "616263 ",            // payload
+            ),
+            // Ack
+            concat!(
+                "6002 ",              // envelope
+                "05000000 09000000 ", // initiator
+                "03000000 07000000 ", // target
+                "04000000 ",          // portal index
+                "08070605 04030201 ", // match bits
+                "00010000 00000000 ", // offset
+                "11000000 00000000 ", // md handle
+                "22000000 00000000 ", // eq handle
+                "03000000 00000000 ", // requested length
+                "03000000 00000000 ", // manipulated length
+            ),
+            // GetRequest
+            concat!(
+                "6003 ",              // envelope
+                "03000000 07000000 ", // initiator
+                "05000000 09000000 ", // target
+                "04000000 02000000 ", // portal index, cookie
+                "08070605 04030201 ", // match bits
+                "00010000 00000000 ", // offset
+                "04000000 00000000 ", // length
+                "33000000 00000000 ", // reply md
+            ),
+            // Reply
+            concat!(
+                "6004 ",              // envelope
+                "05000000 09000000 ", // initiator
+                "03000000 07000000 ", // target
+                "04000000 ",          // portal index
+                "08070605 04030201 ", // match bits
+                "00010000 00000000 ", // offset
+                "11000000 00000000 ", // md handle
+                "22000000 00000000 ", // eq handle
+                "04000000 00000000 ", // requested length
+                "04000000 00000000 ", // manipulated length
+                "7778797a ",          // payload
+            ),
+            // AtomicRequest
+            concat!(
+                "6005 ",              // envelope
+                "03000000 07000000 ", // initiator
+                "05000000 09000000 ", // target
+                "04000000 02000000 ", // portal index, cookie
+                "08070605 04030201 ", // match bits
+                "00010000 00000000 ", // offset
+                "08000000 00000000 ", // length
+                "0101 ",              // op, datatype
+                "11000000 00000000 ", // ack md
+                "22000000 00000000 ", // ack eq
+                "ffffffff ffffffff ", // reply md
+                "07000000 00000000 ", // operand
+            ),
+            // FetchAtomicRequest
+            concat!(
+                "6006 ",                                // envelope
+                "03000000 07000000 ",                   // initiator
+                "05000000 09000000 ",                   // target
+                "04000000 02000000 ",                   // portal index, cookie
+                "08070605 04030201 ",                   // match bits
+                "00010000 00000000 ",                   // offset
+                "08000000 00000000 ",                   // length
+                "0502 ",                                // op, datatype
+                "ffffffff ffffffff ",                   // ack md
+                "ffffffff ffffffff ",                   // ack eq
+                "33000000 00000000 ",                   // reply md
+                "01000000 00000000 02000000 00000000 ", // compare, operand
+            ),
+            // AckBatch
+            concat!(
+                "6007 ",              // envelope
+                "02000000 ",          // count
+                "05000000 09000000 ", // ack 1: initiator
+                "03000000 07000000 ", // ack 1: target
+                "04000000 ",          // ack 1: portal index
+                "08070605 04030201 ", // ack 1: match bits
+                "00010000 00000000 ", // ack 1: offset
+                "11000000 00000000 ", // ack 1: md handle
+                "22000000 00000000 ", // ack 1: eq handle
+                "03000000 00000000 ", // ack 1: requested length
+                "03000000 00000000 ", // ack 1: manipulated length
+                "05000000 09000000 ", // ack 2: initiator
+                "03000000 07000000 ", // ack 2: target
+                "04000000 ",          // ack 2: portal index
+                "08070605 04030201 ", // ack 2: match bits
+                "00020000 00000000 ", // ack 2: offset
+                "11000000 00000000 ", // ack 2: md handle
+                "22000000 00000000 ", // ack 2: eq handle
+                "05000000 00000000 ", // ack 2: requested length
+                "05000000 00000000 ", // ack 2: manipulated length
+            ),
+        ]
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn every_operation_encodes_to_its_golden_bytes() {
+        for (m, hex) in golden_messages().into_iter().zip(golden_bytes()) {
+            let golden = unhex(hex);
+            assert_eq!(m.encode_gather().to_vec(), golden, "{:?}", m.operation());
+            assert_eq!(golden[1], m.operation().to_byte());
+            assert_eq!(
+                PortalsMessage::decode_gather(&Gather::from_vec(golden.clone())),
+                Ok(m.clone())
+            );
+            assert_eq!(PortalsMessage::decode(&golden), Ok(m));
         }
     }
 
@@ -438,8 +562,8 @@ mod tests {
             }),
             PortalsMessage::Atomic(AtomicRequest {
                 header: req_header(8),
-                op: crate::atomic::AtomicOp::Sum,
-                datatype: crate::atomic::AtomicDatatype::U64,
+                op: AtomicOp::Sum,
+                datatype: AtomicDatatype::U64,
                 fetch: false,
                 ack_md: 1,
                 ack_eq: 2,
@@ -448,8 +572,8 @@ mod tests {
             }),
             PortalsMessage::Atomic(AtomicRequest {
                 header: req_header(8),
-                op: crate::atomic::AtomicOp::Cas,
-                datatype: crate::atomic::AtomicDatatype::I64,
+                op: AtomicOp::Cas,
+                datatype: AtomicDatatype::I64,
                 fetch: true,
                 ack_md: RAW_HANDLE_NONE,
                 ack_eq: RAW_HANDLE_NONE,
@@ -459,22 +583,23 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn all_four_types_roundtrip() {
-        for m in sample_messages() {
-            let encoded = m.encode();
-            assert_eq!(encoded.len(), m.encoded_len());
-            let decoded = PortalsMessage::decode(&encoded).unwrap();
-            assert_eq!(decoded, m);
+    /// `m` with its payload taken out: what its head alone carries.
+    fn without_payload(m: &PortalsMessage) -> PortalsMessage {
+        let mut m = m.clone();
+        match &mut m {
+            PortalsMessage::Put(p) => p.payload = Gather::new(),
+            PortalsMessage::Reply(r) => r.payload = Gather::new(),
+            PortalsMessage::Atomic(a) => a.payload = Gather::new(),
+            PortalsMessage::AckBatch(acks) => acks.clear(),
+            PortalsMessage::Ack(_) | PortalsMessage::Get(_) => {}
         }
+        m
     }
 
     #[test]
-    fn gather_encoding_matches_contiguous() {
+    fn all_four_types_roundtrip() {
         for m in sample_messages() {
-            let gathered = m.encode_gather();
-            assert_eq!(gathered.to_vec(), m.encode().to_vec());
-            assert_eq!(PortalsMessage::decode_gather(&gathered).unwrap(), m);
+            assert_eq!(PortalsMessage::decode(&m.encode()).unwrap(), m);
         }
     }
 
@@ -513,13 +638,13 @@ mod tests {
 
     #[test]
     fn atomic_fixed_header_fits_the_classification_prefix() {
-        // peek_stream_head promises MAX_FIXED bytes classify anything; the
-        // atomic header must stay inside that budget.
+        // `head` peeks HEAD_MAX bytes; every fixed part must fit in them.
         const {
-            assert!(
-                PortalsMessage::ENVELOPE_SIZE + AtomicRequest::WIRE_HEADER_SIZE
-                    <= PortalsMessage::MAX_FIXED
-            );
+            assert!(PutRequest::WIRE_HEADER_SIZE <= AtomicRequest::WIRE_HEADER_SIZE);
+            assert!(Ack::WIRE_SIZE <= AtomicRequest::WIRE_HEADER_SIZE);
+            assert!(Ack::BATCH_COUNT_SIZE <= AtomicRequest::WIRE_HEADER_SIZE);
+            assert!(GetRequest::WIRE_SIZE <= AtomicRequest::WIRE_HEADER_SIZE);
+            assert!(Reply::WIRE_HEADER_SIZE <= AtomicRequest::WIRE_HEADER_SIZE);
         }
     }
 
@@ -555,32 +680,14 @@ mod tests {
     #[test]
     fn stream_head_classifies_every_type_from_its_fixed_prefix() {
         for m in sample_messages() {
-            let bytes = m.encode();
-            let cut = bytes.len().min(PortalsMessage::MAX_FIXED);
-            let head = PortalsMessage::peek_stream_head(&bytes[..cut])
+            let bytes = m.encode_gather();
+            let head = PortalsMessage::head(&bytes)
                 .unwrap()
-                .expect("fixed prefix classifies");
-            match (&m, head) {
-                (
-                    PortalsMessage::Put(p),
-                    StreamHead::Put {
-                        header,
-                        ack_md,
-                        ack_eq,
-                    },
-                ) => {
-                    assert_eq!(header, p.header);
-                    assert_eq!((ack_md, ack_eq), (p.ack_md, p.ack_eq));
-                }
-                (PortalsMessage::Reply(r), StreamHead::Reply { header }) => {
-                    assert_eq!(header, r.header);
-                }
-                (PortalsMessage::Ack(_), StreamHead::Other)
-                | (PortalsMessage::AckBatch(_), StreamHead::Other)
-                | (PortalsMessage::Get(_), StreamHead::Other)
-                | (PortalsMessage::Atomic(_), StreamHead::Other) => {}
-                (m, h) => panic!("misclassified {m:?} as {h:?}"),
-            }
+                .expect("whole message");
+            assert_eq!(head.msg, without_payload(&m));
+            assert_eq!(head.payload.end, bytes.len(), "{:?}", m.operation());
+            let fixed = bytes.slice(0, head.payload.start);
+            assert_eq!(PortalsMessage::head(&fixed).unwrap(), Some(head));
         }
     }
 
@@ -592,44 +699,75 @@ mod tests {
             ack_eq: 2,
             payload: Gather::copy_from_slice(b"abc"),
         });
-        let bytes = m.encode();
-        for cut in [
-            0,
-            1,
-            PortalsMessage::ENVELOPE_SIZE,
-            PortalsMessage::PUT_PAYLOAD_AT - 1,
-        ] {
+        let bytes = m.encode_gather();
+        let at = PortalsMessage::ENVELOPE_SIZE + PutRequest::WIRE_HEADER_SIZE;
+        for cut in [0, 1, PortalsMessage::ENVELOPE_SIZE, at - 1] {
             assert_eq!(
-                PortalsMessage::peek_stream_head(&bytes[..cut]).unwrap(),
+                PortalsMessage::head(&bytes.slice(0, cut)).unwrap(),
                 None,
                 "prefix of {cut} must ask for more"
             );
         }
-        assert!(
-            PortalsMessage::peek_stream_head(&bytes[..PortalsMessage::PUT_PAYLOAD_AT])
-                .unwrap()
-                .is_some()
-        );
+        let head = PortalsMessage::head(&bytes.slice(0, at)).unwrap().unwrap();
+        assert_eq!(head.payload, at..at + 3);
     }
 
     #[test]
     fn stream_head_rejects_garbage_immediately() {
-        assert_eq!(
-            PortalsMessage::peek_stream_head(&[0xff, 0x00]),
-            Err(WireError::BadMagic)
-        );
+        let head = |bytes: &[u8]| PortalsMessage::head(&Gather::copy_from_slice(bytes));
+        assert_eq!(head(&[0xff, 0x00]), Err(WireError::BadMagic));
         assert!(matches!(
-            PortalsMessage::peek_stream_head(&[MAGIC, 0xee]),
+            head(&[MAGIC, 0xee]),
             Err(WireError::UnknownOperation { .. })
         ));
     }
 
-    /// Every decoder's verdict on `bytes`, which must agree.
-    fn decode_both(bytes: &[u8]) -> Result<PortalsMessage, WireError> {
-        let flat = PortalsMessage::decode(bytes);
-        let gathered = PortalsMessage::decode_gather(&Gather::copy_from_slice(bytes));
-        assert_eq!(flat, gathered);
-        flat
+    /// The encoded fixed part of `m` with its declared length field set to
+    /// `length`, and no payload behind it.
+    fn declaring(m: PortalsMessage, length: u64) -> Vec<u8> {
+        let mut bytes = m.encode().to_vec();
+        let at = match &m {
+            PortalsMessage::Put(_) | PortalsMessage::Atomic(_) => {
+                PortalsMessage::ENVELOPE_SIZE + RequestHeader::WIRE_SIZE - 8
+            }
+            PortalsMessage::Reply(_) => {
+                PortalsMessage::ENVELOPE_SIZE + ResponseHeader::WIRE_SIZE - 8
+            }
+            _ => unreachable!("no declared length"),
+        };
+        bytes[at..at + 8].copy_from_slice(&length.to_le_bytes());
+        bytes.truncate(bytes.len() - m.payload_len());
+        bytes
+    }
+
+    /// A declared length whose end cannot be counted is refused by every
+    /// decode, never overflowed: a CAS doubles its length into the operand
+    /// count, and a put or reply adds its length to where its payload starts.
+    #[test]
+    fn a_length_too_large_to_count_is_an_error() {
+        let samples = sample_messages();
+        let (put, reply, cas) = (&samples[0], &samples[4], &samples[6]);
+        for (m, length) in [
+            (cas, 1 << 63),
+            (cas, u64::MAX),
+            (put, u64::MAX),
+            (put, u64::MAX - 10),
+            (reply, u64::MAX),
+        ] {
+            let bytes = declaring(m.clone(), length);
+            assert!(PortalsMessage::decode(&bytes).is_err(), "{length}");
+            let gathered = Gather::from_vec(bytes);
+            assert!(PortalsMessage::decode_gather(&gathered).is_err());
+            assert!(
+                PortalsMessage::head(&gathered).is_err(),
+                "garbage, not short"
+            );
+        }
+        // The largest put whose end still fits is a head, waiting for bytes.
+        let at = PortalsMessage::ENVELOPE_SIZE + PutRequest::WIRE_HEADER_SIZE;
+        let fits = (usize::MAX - at) as u64;
+        let head = PortalsMessage::head(&Gather::from_vec(declaring(put.clone(), fits)));
+        assert_eq!(head.unwrap().unwrap().payload, at..usize::MAX);
     }
 
     #[test]
@@ -640,7 +778,8 @@ mod tests {
             })
             .collect();
         let good = PortalsMessage::AckBatch(acks).encode().to_vec();
-        assert!(decode_both(&good).is_ok());
+        let decode = PortalsMessage::decode;
+        assert!(decode(&good).is_ok());
         let count_at = PortalsMessage::ENVELOPE_SIZE;
         let with_count = |count: u32| {
             let mut bytes = good.clone();
@@ -648,22 +787,22 @@ mod tests {
             bytes
         };
         // A count of zero, with or without headers after it.
-        assert!(decode_both(&with_count(0)).is_err());
+        assert!(decode(&with_count(0)).is_err());
         let mut empty = good[..count_at].to_vec();
         empty.extend_from_slice(&0u32.to_le_bytes());
-        assert!(decode_both(&empty).is_err());
+        assert!(decode(&empty).is_err());
         // A count that disagrees with the body.
         for count in [1, 2, 4, u32::MAX] {
-            assert!(decode_both(&with_count(count)).is_err(), "count {count}");
+            assert!(decode(&with_count(count)).is_err(), "count {count}");
         }
         // A truncated header, or no room for the count itself.
         for cut in [count_at + 2, count_at + 4 + 10, good.len() - 1] {
-            assert!(decode_both(&good[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         }
         // Trailing bytes.
         let mut long = good.clone();
         long.push(0);
-        assert!(decode_both(&long).is_err());
+        assert!(decode(&long).is_err());
         // The garbage proptest below draws this operation byte too.
         assert!((0u8..8).contains(&Operation::AckBatch.to_byte()));
     }
@@ -684,12 +823,10 @@ mod tests {
                     },
                 })
                 .collect();
+            let count = acks.len();
             let m = PortalsMessage::AckBatch(acks);
-            let encoded = m.encode();
-            prop_assert_eq!(encoded.len(), m.encoded_len());
-            prop_assert_eq!(PortalsMessage::decode(&encoded).unwrap(), m.clone());
             let gathered = m.encode_gather();
-            prop_assert_eq!(gathered.to_vec(), encoded.to_vec());
+            prop_assert_eq!(gathered.len(), PortalsMessage::ENVELOPE_SIZE + Ack::batch_wire_size(count));
             prop_assert_eq!(PortalsMessage::decode_gather(&gathered).unwrap(), m);
         }
 
@@ -701,20 +838,18 @@ mod tests {
                 ack_eq: RAW_HANDLE_NONE,
                 payload: Gather::from_vec(payload),
             });
-            let decoded = PortalsMessage::decode(&m.encode()).unwrap();
-            prop_assert_eq!(decoded, m.clone());
-            // The gather paths agree with the contiguous ones byte-for-byte.
-            let gathered = m.encode_gather();
-            prop_assert_eq!(gathered.to_vec(), m.encode().to_vec());
-            prop_assert_eq!(PortalsMessage::decode_gather(&gathered).unwrap(), m);
+            prop_assert_eq!(PortalsMessage::decode(&m.encode()).unwrap(), m.clone());
+            prop_assert_eq!(PortalsMessage::decode_gather(&m.encode_gather()).unwrap(), m);
         }
 
         #[test]
         fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
             let _ = PortalsMessage::decode(&bytes); // must not panic
-            let _ = PortalsMessage::decode_gather(&Gather::copy_from_slice(&bytes));
         }
 
+        /// The head and the whole-message decode agree: a message decodes
+        /// exactly when its head reads and its payload ends where the buffer
+        /// does, and then it is the head's message with that payload.
         #[test]
         fn decode_garbage_with_valid_envelope_never_panics(
             // Every operation byte, the ack batch's 0x07 included, and 0x00.
@@ -722,10 +857,14 @@ mod tests {
         ) {
             let mut buf = vec![MAGIC, op];
             buf.extend_from_slice(&body);
-            let _ = PortalsMessage::decode(&buf);
-            let decoded_flat = PortalsMessage::decode(&buf).is_ok();
-            let decoded_gather = PortalsMessage::decode_gather(&Gather::from_vec(buf)).is_ok();
-            prop_assert_eq!(decoded_flat, decoded_gather);
+            let buf = Gather::from_vec(buf);
+            let decoded = PortalsMessage::decode_gather(&buf);
+            match PortalsMessage::head(&buf) {
+                Ok(Some(head)) if head.payload.end == buf.len() => {
+                    prop_assert_eq!(decoded.map(|m| without_payload(&m)), Ok(head.msg));
+                }
+                _ => prop_assert!(decoded.is_err()),
+            }
         }
     }
 }

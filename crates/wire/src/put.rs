@@ -47,40 +47,15 @@ impl PutRequest {
         buf.put_u64_le(self.ack_eq);
     }
 
-    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
-        self.encode_header(buf);
-        for seg in self.payload.segments() {
-            buf.extend_from_slice(seg);
-        }
-    }
-
-    pub(crate) fn decode_fields(
-        buf: &[u8],
-    ) -> Result<(RequestHeader, RawHandle, RawHandle), WireError> {
+    /// Read the fixed-size portion (envelope excluded) off the front of
+    /// `buf`: the request with an empty payload.
+    pub(crate) fn decode_header(buf: &mut &[u8]) -> Result<PutRequest, WireError> {
         check_len(buf, Self::WIRE_HEADER_SIZE)?;
-        let mut cursor = buf;
-        let header = RequestHeader::decode(&mut cursor);
-        let ack_md = cursor.get_u64_le();
-        let ack_eq = cursor.get_u64_le();
-        Ok((header, ack_md, ack_eq))
-    }
-
-    pub(crate) fn decode_body(buf: &[u8]) -> Result<PutRequest, WireError> {
-        let (header, ack_md, ack_eq) = Self::decode_fields(buf)?;
-        let rest = &buf[Self::WIRE_HEADER_SIZE..];
-        let declared = header.length as usize;
-        if rest.len() != declared {
-            return Err(WireError::LengthMismatch {
-                declared,
-                actual: rest.len(),
-            });
-        }
-        let payload = Gather::copy_from_slice(rest);
         Ok(PutRequest {
-            header,
-            ack_md,
-            ack_eq,
-            payload,
+            header: RequestHeader::decode(buf),
+            ack_md: buf.get_u64_le(),
+            ack_eq: buf.get_u64_le(),
+            payload: Gather::new(),
         })
     }
 }
@@ -88,10 +63,11 @@ impl PutRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PortalsMessage;
     use portals_types::{MatchBits, ProcessId};
 
-    fn sample(payload_len: usize) -> PutRequest {
-        PutRequest {
+    fn sample(payload_len: usize) -> PortalsMessage {
+        PortalsMessage::Put(PutRequest {
             header: RequestHeader {
                 initiator: ProcessId::new(0, 1),
                 target: ProcessId::new(1, 1),
@@ -104,37 +80,32 @@ mod tests {
             ack_md: 9,
             ack_eq: 10,
             payload: Gather::from_vec(vec![7u8; payload_len]),
-        }
+        })
     }
 
     #[test]
     fn body_roundtrip() {
         let put = sample(128);
-        let mut buf = BytesMut::new();
-        put.encode_body(&mut buf);
-        assert_eq!(buf.len(), PutRequest::WIRE_HEADER_SIZE + 128);
-        let decoded = PutRequest::decode_body(&buf).unwrap();
-        assert_eq!(decoded, put);
+        let buf = put.encode();
+        let at = PortalsMessage::ENVELOPE_SIZE + PutRequest::WIRE_HEADER_SIZE;
+        assert_eq!(buf.len(), at + 128);
+        assert_eq!(PortalsMessage::decode(&buf).unwrap(), put);
     }
 
     #[test]
     fn zero_length_put_is_valid() {
-        let put = sample(0);
-        let mut buf = BytesMut::new();
-        put.encode_body(&mut buf);
-        let decoded = PutRequest::decode_body(&buf).unwrap();
+        let Ok(PortalsMessage::Put(decoded)) = PortalsMessage::decode(&sample(0).encode()) else {
+            panic!("a put");
+        };
         assert_eq!(decoded.payload.len(), 0);
         assert!(decoded.wants_ack());
     }
 
     #[test]
     fn length_mismatch_detected() {
-        let put = sample(16);
-        let mut buf = BytesMut::new();
-        put.encode_body(&mut buf);
-        let truncated = &buf[..buf.len() - 4];
+        let buf = sample(16).encode();
         assert!(matches!(
-            PutRequest::decode_body(truncated),
+            PortalsMessage::decode(&buf[..buf.len() - 4]),
             Err(WireError::LengthMismatch {
                 declared: 16,
                 actual: 12
@@ -144,18 +115,18 @@ mod tests {
 
     #[test]
     fn truncated_header_detected() {
-        let put = sample(0);
-        let mut buf = BytesMut::new();
-        put.encode_body(&mut buf);
+        let buf = sample(0).encode();
         assert!(matches!(
-            PutRequest::decode_body(&buf[..10]),
+            PortalsMessage::decode(&buf[..10]),
             Err(WireError::Truncated { .. })
         ));
     }
 
     #[test]
     fn no_ack_flag() {
-        let mut put = sample(0);
+        let PortalsMessage::Put(mut put) = sample(0) else {
+            unreachable!()
+        };
         put.ack_md = RAW_HANDLE_NONE;
         assert!(!put.wants_ack());
     }

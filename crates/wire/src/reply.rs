@@ -2,7 +2,6 @@
 
 use crate::error::WireError;
 use crate::header::{check_len, ResponseHeader};
-use bytes::BytesMut;
 use portals_types::Gather;
 
 /// A reply carrying a get's data back to its initiator.
@@ -24,31 +23,14 @@ impl Reply {
     /// Fixed-size portion on the wire (excludes payload).
     pub const WIRE_HEADER_SIZE: usize = ResponseHeader::WIRE_SIZE;
 
-    pub(crate) fn encode_body(&self, buf: &mut BytesMut) {
-        self.header.encode(buf);
-        for seg in self.payload.segments() {
-            buf.extend_from_slice(seg);
-        }
-    }
-
-    pub(crate) fn decode_fields(buf: &[u8]) -> Result<ResponseHeader, WireError> {
+    /// Read the fixed-size portion (envelope excluded) off the front of
+    /// `buf`: the reply with an empty payload.
+    pub(crate) fn decode_header(buf: &mut &[u8]) -> Result<Reply, WireError> {
         check_len(buf, Self::WIRE_HEADER_SIZE)?;
-        let mut cursor = buf;
-        Ok(ResponseHeader::decode(&mut cursor))
-    }
-
-    pub(crate) fn decode_body(buf: &[u8]) -> Result<Reply, WireError> {
-        let header = Self::decode_fields(buf)?;
-        let rest = &buf[Self::WIRE_HEADER_SIZE..];
-        let declared = header.manipulated_length as usize;
-        if rest.len() != declared {
-            return Err(WireError::LengthMismatch {
-                declared,
-                actual: rest.len(),
-            });
-        }
-        let payload = Gather::copy_from_slice(rest);
-        Ok(Reply { header, payload })
+        Ok(Reply {
+            header: ResponseHeader::decode(buf),
+            payload: Gather::new(),
+        })
     }
 }
 
@@ -56,6 +38,7 @@ impl Reply {
 mod tests {
     use super::*;
     use crate::header::RAW_HANDLE_NONE;
+    use crate::PortalsMessage;
     use portals_types::{MatchBits, ProcessId};
 
     fn sample(len: usize) -> Reply {
@@ -77,29 +60,25 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let reply = sample(64);
-        let mut buf = BytesMut::new();
-        reply.encode_body(&mut buf);
-        assert_eq!(buf.len(), Reply::WIRE_HEADER_SIZE + 64);
-        assert_eq!(Reply::decode_body(&buf).unwrap(), reply);
+        let reply = PortalsMessage::Reply(sample(64));
+        let buf = reply.encode();
+        let at = PortalsMessage::ENVELOPE_SIZE + Reply::WIRE_HEADER_SIZE;
+        assert_eq!(buf.len(), at + 64);
+        assert_eq!(PortalsMessage::decode(&buf).unwrap(), reply);
     }
 
     #[test]
     fn empty_reply_roundtrip() {
-        let reply = sample(0);
-        let mut buf = BytesMut::new();
-        reply.encode_body(&mut buf);
-        assert_eq!(Reply::decode_body(&buf).unwrap(), reply);
+        let reply = PortalsMessage::Reply(sample(0));
+        assert_eq!(PortalsMessage::decode(&reply.encode()).unwrap(), reply);
     }
 
     #[test]
     fn payload_must_match_manipulated_length() {
         let mut reply = sample(32);
         reply.header.manipulated_length = 16; // lie about the length
-        let mut buf = BytesMut::new();
-        reply.encode_body(&mut buf);
         assert!(matches!(
-            Reply::decode_body(&buf),
+            PortalsMessage::decode(&PortalsMessage::Reply(reply).encode()),
             Err(WireError::LengthMismatch {
                 declared: 16,
                 actual: 32

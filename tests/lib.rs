@@ -14,11 +14,13 @@ pub mod workload {
     //! rank map, never on timing, transport, or launcher. Three phases cover
     //! the three protocol regimes the UDP backend must carry:
     //!
-    //! 1. **MPI eager**: ring `sendrecv` rounds with sub-eager-limit
-    //!    payloads (served from the receiver's region pool).
-    //! 2. **MPI rendezvous**: one ring exchange of a 64 KiB payload, well
-    //!    past the 16 KiB eager limit, so the get-based rendezvous protocol
-    //!    runs.
+    //! 1. **MPI eager**: ring `sendrecv` rounds with payloads far below the
+    //!    long-message cutoff (`MpiConfig::slab_min_free`), landing in the
+    //!    receiver's unexpected slabs.
+    //! 2. **MPI long protocol**: one ring exchange of a [`BULK_LEN`]
+    //!    payload, past the default cutoff, received only once it waits
+    //!    unexpected, so every receiver pulls its message with a get and the
+    //!    reply crosses the wire.
     //! 3. **Triggered allreduce**: the offloaded (counter-chained)
     //!    collective, checked byte-identical against the host-driven one on
     //!    the spot.
@@ -28,12 +30,12 @@ pub mod workload {
     //!    `Window` API, so the wire-level atomics and the CT-driven
     //!    completion chains run over the real UDP wire too.
 
-    use portals_mpi::{AtomicDatatype, AtomicOp, Window};
+    use portals_mpi::{AtomicDatatype, AtomicOp, MpiConfig, Window};
     use portals_runtime::{Collectives, ProcessEnv, ReduceOp};
     use portals_types::{Rank, Region};
 
     /// Eager-phase payload from `from` in `round`: size varies per round but
-    /// stays far below the 16 KiB eager limit.
+    /// stays far below the long-message cutoff.
     pub fn eager_payload(from: usize, round: usize) -> Vec<u8> {
         let len = 64 + round * 777 + from * 13;
         (0..len)
@@ -41,9 +43,13 @@ pub mod workload {
             .collect()
     }
 
-    /// Rendezvous-phase payload: 64 KiB, past the eager limit.
+    /// Long-phase payload length: past `MpiConfig::default().slab_min_free`
+    /// (256 KiB), so it travels by the long protocol.
+    pub const BULK_LEN: usize = 320 * 1024;
+
+    /// Long-phase payload: [`BULK_LEN`] bytes.
     pub fn bulk_payload(from: usize) -> Vec<u8> {
-        (0..64 * 1024)
+        (0..BULK_LEN)
             .map(|i: usize| (i.wrapping_mul(131) ^ from.wrapping_mul(241)) as u8)
             .collect()
     }
@@ -80,16 +86,18 @@ pub mod workload {
             transcript.extend_from_slice(&data);
         }
 
-        // Phase 2: one rendezvous-protocol ring exchange.
-        let (data, _) = comm.sendrecv(
-            right,
-            20,
-            &bulk_payload(me),
-            Some(Rank(left as u32)),
-            Some(20),
-            128 * 1024,
-        );
+        // Phase 2: one long-protocol ring exchange, received unexpected:
+        // each rank sends, waits until its left neighbour's message has
+        // arrived, then receives it, which takes a get and its reply.
+        assert!(BULK_LEN > MpiConfig::default().slab_min_free);
+        let pulled = || comm.engine().ni().counters().replies_accepted.get();
+        let before = pulled();
+        let send = comm.isend(right, 20, &bulk_payload(me));
+        comm.probe(Some(Rank(left as u32)), Some(20));
+        let (data, _) = comm.recv(Some(Rank(left as u32)), Some(20), BULK_LEN);
+        comm.wait(send);
         assert_eq!(data, bulk_payload(left), "bulk exchange");
+        assert!(pulled() > before, "the long message was not pulled");
         transcript.extend_from_slice(&data);
 
         // Phase 3: triggered (offloaded) allreduce, differentially checked

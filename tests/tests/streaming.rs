@@ -563,7 +563,7 @@ fn length_mismatched_messages_complete_nothing_in_either_shape() {
 
 // ---------------------------------------------------------------------------
 // Hostile fragment fields: sequence numbers and CRCs are valid, nothing else
-// about a DATA packet can be trusted.
+// about a DATA packet can be trusted, nor the Portals header inside it.
 // ---------------------------------------------------------------------------
 
 /// One DATA packet's fragment fields and body; its `seq` is its position.
@@ -603,16 +603,53 @@ fn contiguous_runs(frags: &[Frag]) -> Vec<Vec<u8>> {
     out
 }
 
-/// Honest puts fragmented at a small MTU, then some fields overwritten.
+/// A field of a put's own Portals header, overwritten in its bytes.
+#[derive(Debug, Clone)]
+enum Lie {
+    /// The declared payload length.
+    Length(u64),
+    /// The operation byte: another request, or no operation at all. (A
+    /// response would read its handles out of the put's fields.)
+    Operation(u8),
+    /// The atomic op byte, with a valid datatype after it: the first bytes
+    /// of a put's `ack_md`, read as an atomic's when the operation says so.
+    AtomicOp(u8),
+}
+
+/// Where a request's declared length and an atomic's op byte sit.
+const LENGTH_AT: usize = PortalsMessage::ENVELOPE_SIZE + RequestHeader::WIRE_SIZE - 8;
+const ATOMIC_OP_AT: usize = PortalsMessage::ENVELOPE_SIZE + RequestHeader::WIRE_SIZE;
+
+fn lie() -> impl Strategy<Value = Lie> {
+    let length = prop_oneof![0u64..4, Just(u64::MAX), Just(1 << 63), Just(1 << 40)];
+    let operation = prop_oneof![Just(0x00u8), Just(0x03), Just(0x05), Just(0x06), Just(0xee)];
+    prop_oneof![
+        length.prop_map(Lie::Length),
+        operation.prop_map(Lie::Operation),
+        (1u8..=6).prop_map(Lie::AtomicOp),
+    ]
+}
+
+/// Honest puts with some header fields overwritten, fragmented at a small
+/// MTU, then some fragment fields overwritten.
 fn hostile_frags() -> impl Strategy<Value = Vec<Frag>> {
     let wide = prop_oneof![0u64..4, Just(u64::MAX), Just(1 << 40)];
     let narrow = prop_oneof![0u32..4, Just(u32::MAX)];
     let mutations = proptest::collection::vec((0usize..12, wide, narrow), 0..3);
-    let message = (0usize..200, 30usize..120, mutations);
+    let lies = proptest::collection::vec(lie(), 0..3);
+    let message = (0usize..200, 30usize..120, mutations, lies);
     proptest::collection::vec(message, 1..8).prop_map(|messages| {
         let mut frags = Vec::new();
-        for (msg_id, (len, mtu, mutations)) in messages.into_iter().enumerate() {
-            let bytes = encoded_put(pattern(len, msg_id), RAW_HANDLE_NONE);
+        for (msg_id, (len, mtu, mutations, lies)) in messages.into_iter().enumerate() {
+            let mut bytes = encoded_put(pattern(len, msg_id), RAW_HANDLE_NONE);
+            for lie in lies {
+                match lie {
+                    Lie::Length(n) => bytes[LENGTH_AT..][..8].copy_from_slice(&n.to_le_bytes()),
+                    Lie::Operation(op) => bytes[1] = op,
+                    Lie::AtomicOp(op) => bytes[ATOMIC_OP_AT..][..2]
+                        .copy_from_slice(&[op, AtomicDatatype::U64.to_byte()]),
+                }
+            }
             let (first, count) = (frags.len(), bytes.len().div_ceil(mtu));
             frags.extend(bytes.chunks(mtu).enumerate().map(|(i, chunk)| Frag {
                 msg_id: msg_id as u64,
@@ -662,7 +699,9 @@ proptest! {
         prop_assert_eq!(rx.stats().messages_delivered.get(), expect.len() as u64);
 
         // Through a node: every intact put is delivered, the rest is garbage,
-        // and the NIC thread is still alive to take one more.
+        // and the NIC thread is still alive to take one more. The descriptor
+        // truncates, so a header declaring any length is matched and a sink
+        // opened, unless the head itself is refused.
         let fabric = Fabric::ideal();
         let node = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
         let ni = node.create_ni(1, NiConfig::default()).unwrap();
@@ -670,14 +709,21 @@ proptest! {
         let me = ni
             .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
             .unwrap();
-        ni.md_attach(me, MdSpec::new(Region::zeroed(256)).with_eq(eq)).unwrap();
+        const MD_LEN: usize = 64;
+        let truncating = MdOptions {
+            truncate: true,
+            ..MdOptions::default()
+        };
+        let spec = MdSpec::new(Region::zeroed(MD_LEN)).with_options(truncating);
+        ni.md_attach(me, spec.with_eq(eq)).unwrap();
         let body = encoded_put(pattern(9, 9), RAW_HANDLE_NONE);
         frags.push(Frag { msg_id: u64::MAX, offset: 0, index: 0, count: 1, body });
         inject(&fabric.attach(NodeId(0)), &frags);
         for run in contiguous_runs(&frags) {
             if let Ok(PortalsMessage::Put(put)) = PortalsMessage::decode(&run) {
                 let ev = ni.eq_poll(eq, TIMEOUT).expect("intact put withheld");
-                prop_assert_eq!((ev.kind, ev.mlength), (EventKind::Put, put.payload.len() as u64));
+                let mlength = put.payload.len().min(MD_LEN) as u64;
+                prop_assert_eq!((ev.kind, ev.mlength), (EventKind::Put, mlength));
             }
         }
         prop_assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
