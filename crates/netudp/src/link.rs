@@ -596,10 +596,13 @@ impl RxThread {
     /// Count one received batch and keep the datagrams it carried: each
     /// buffer cut at the segment size the kernel reported, each piece
     /// validated on its own, so a bad frame drops only itself. A datagram's
-    /// payload is a view into the buffer it arrived in, not a copy.
+    /// payload is a view into the buffer it arrived in, not a copy. What
+    /// the batch accepted is counted once, before the caller pushes it up.
     fn take(&self, bufs: &RecvBufs, metas: &[RecvMeta], accepted: &mut Vec<Datagram>) {
         let mut datagrams = 0;
         let mut learned = None;
+        let taken = accepted.len();
+        let mut frame_bytes = 0;
         for meta in metas {
             let buf = bufs.get(meta.buf);
             let mut end = 0;
@@ -607,9 +610,19 @@ impl RxThread {
                 let start = end;
                 end += frame.len();
                 datagrams += 1;
-                accepted.extend(self.accept(buf, start..end, meta.addr, &mut learned));
+                if let Some(d) = self.accept(buf, start..end, meta.addr, &mut learned) {
+                    frame_bytes += frame.len() as u64;
+                    accepted.push(d);
+                }
             }
         }
+        // Each accepted frame is its header and the payload it carried.
+        let received = (accepted.len() - taken) as u64;
+        self.stats.datagrams_received.add(received);
+        self.stats
+            .bytes_received
+            .add(frame_bytes - received * FRAME_HEADER as u64);
+        self.stats.frame_bytes_received.add(frame_bytes);
         self.stats.batches_received.inc();
         self.stats.recv_batch_frames.observe(datagrams);
     }
@@ -625,7 +638,7 @@ impl RxThread {
         from: SocketAddr,
         learned: &mut Option<(NodeId, SocketAddr)>,
     ) -> Option<Datagram> {
-        let (src, dst, payload) = match frame::decode(&buf[frame.clone()]) {
+        let (src, dst, _) = match frame::decode(&buf[frame.clone()]) {
             Ok(parts) => parts,
             Err(FrameError::Truncated) => {
                 self.stats.truncated.inc();
@@ -656,9 +669,6 @@ impl RxThread {
             }
             *learned = Some((src, from));
         }
-        self.stats.datagrams_received.inc();
-        self.stats.bytes_received.add(payload.len() as u64);
-        self.stats.frame_bytes_received.add(frame.len() as u64);
         Some(Datagram {
             src,
             dst,

@@ -471,6 +471,7 @@ fn equal_frames_to_one_peer_cross_in_one_wire_call() {
     }
     let r = b.stats();
     assert_eq!(r.datagrams_received.get(), LONG_VECTOR as u64);
+    assert_eq!(r.bytes_received.get(), s.bytes_sent.get());
     assert_eq!(
         r.frame_bytes_received.get(),
         s.frame_bytes_sent.get(),

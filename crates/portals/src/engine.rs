@@ -600,10 +600,11 @@ fn handle_ack(core: &NiCore, step: &mut Step, ack: Ack) {
 // flow control, threshold commit, managed-offset advance, auto-unlink), all
 // under the portal lock, and captures a clone of the matched descriptor's
 // memory map. Payload bytes are then scattered into that memory at their
-// absolute offsets with no lock held, one `write` per fragment as it comes
-// off the wire, so placement overlaps transfer. Events, counting events and
-// the ack are fired only by `finish`, so the §4.8 observable order — data
-// before event — is preserved.
+// absolute offsets with no portal lock held, one `write` per delivery as it
+// comes off the wire, so placement overlaps transfer; a delivery takes each
+// backing region's write lock once, whatever its segment count. Events,
+// counting events and the ack are fired only by `finish`, so the §4.8
+// observable order — data before event — is preserved.
 //
 // Matching at header time is what a receiver-side NIC does. A message's match
 // outcome reflects the list state at arrival order: the transport delivers
@@ -698,13 +699,14 @@ impl PutSink {
     /// Scatter payload bytes at `payload_off` (offset within the message's
     /// payload) into the matched region, clamped to the manipulated length —
     /// bytes past `mlength` are the truncated tail and are dropped here,
-    /// preserving §4.8 truncation.
+    /// preserving §4.8 truncation. The first `take` bytes are copied straight
+    /// from the delivery's segments, under one write lock per backing region.
     pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
         let room = self.accepted.mlength.saturating_sub(payload_off);
         let take = (data.len() as u64).min(room) as usize;
         if take > 0 {
             self.mem
-                .write_gather(self.accepted.offset + payload_off, &data.slice(0, take));
+                .write_gather(self.accepted.offset + payload_off, data, take);
         }
     }
 
@@ -824,12 +826,13 @@ pub(crate) fn reply_begin(core: &NiCore, h: ResponseHeader) -> Option<ReplySink>
 
 impl ReplySink {
     /// Scatter reply payload bytes at `payload_off` into the descriptor's
-    /// region, truncating past `mlength`.
+    /// region, truncating past `mlength`: the first `take` bytes straight
+    /// from the delivery's segments, under one write lock per backing region.
     pub(crate) fn write(&self, payload_off: u64, data: &Gather) {
         let room = self.mlength.saturating_sub(payload_off);
         let take = (data.len() as u64).min(room) as usize;
         if take > 0 {
-            self.mem.write_gather(payload_off, &data.slice(0, take));
+            self.mem.write_gather(payload_off, data, take);
         }
     }
 

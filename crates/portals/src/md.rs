@@ -114,15 +114,37 @@ impl MdMemory {
         }
     }
 
-    /// Scatter a [`Gather`]'s chunks into the region at logical `offset`,
-    /// chunk by chunk — the wire segments are never coalesced first. This is
+    /// Scatter the first `len` bytes of a [`Gather`] into the region at
+    /// logical `offset`, straight from its segments — the wire segments are
+    /// never coalesced or re-sliced first, and each backing region's write
+    /// lock is taken once for the part of the delivery it receives. This is
     /// the single unavoidable payload copy of the receive path: the move from
-    /// the NIC's datagram buffers into the application's memory.
-    pub fn write_gather(&self, offset: u64, data: &Gather) {
-        let mut at = offset;
-        for seg in data.segments() {
-            self.write(at, seg);
-            at += seg.len() as u64;
+    /// the NIC's datagram buffers into the application's memory. Caller has
+    /// validated bounds.
+    pub fn write_gather(&self, offset: u64, data: &Gather, len: usize) {
+        match self {
+            MdMemory::Contiguous { region, .. } => {
+                region.write_gather(offset as usize, data, 0..len);
+            }
+            MdMemory::Scattered { segments } => {
+                let mut at = 0;
+                let mut logical = offset as usize;
+                for seg in segments {
+                    if at == len {
+                        break;
+                    }
+                    if logical >= seg.len {
+                        logical -= seg.len;
+                        continue;
+                    }
+                    let n = (len - at).min(seg.len - logical);
+                    seg.region
+                        .write_gather(seg.offset + logical, data, at..at + n);
+                    at += n;
+                    logical = 0;
+                }
+                debug_assert_eq!(at, len, "write past scattered region");
+            }
         }
     }
 

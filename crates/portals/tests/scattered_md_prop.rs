@@ -144,23 +144,31 @@ proptest! {
     }
 
     /// Receive-side delivery of an arbitrarily chunked wire gather scatters
-    /// into both layouts identically (the engine's rx path).
+    /// into both layouts identically (the engine's rx path), whole or cut
+    /// to a truncated prefix of it.
     #[test]
-    fn write_gather_matches(s in scenario()) {
+    fn write_gather_matches(s in scenario(), quarters in 0usize..=4) {
         let (contiguous, _, scattered, _) = build_pair(&s, false);
         let wire = chunked(&s.data, &s.chunk_lens);
         prop_assert_eq!(wire.len(), s.data.len());
+        let take = wire.len() * quarters / 4;
 
-        contiguous.region.write_gather(s.offset as u64, &wire);
-        scattered.region.write_gather(s.offset as u64, &wire);
+        contiguous.region.write_gather(s.offset as u64, &wire, take);
+        scattered.region.write_gather(s.offset as u64, &wire, take);
         prop_assert_eq!(
             contiguous.read(0, s.len as u64),
             scattered.read(0, s.len as u64)
         );
         prop_assert_eq!(
-            contiguous.read(s.offset as u64, s.data.len() as u64),
-            s.data.clone()
+            contiguous.read(s.offset as u64, take as u64),
+            s.data[..take].to_vec()
         );
+        // The truncated tail landed nowhere.
+        prop_assert!(contiguous
+            .read(0, s.len as u64)
+            .iter()
+            .skip(s.offset + take)
+            .all(|&b| b == 0));
     }
 
     /// §4.8 accept/truncate verdicts agree: a `with_length`-restricted

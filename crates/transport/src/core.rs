@@ -66,6 +66,16 @@ use portals_types::{DoorbellQueue, Gather, NodeId, WireError};
 /// until the step's deliveries have been dispatched.
 const RECV_BATCH: usize = 64;
 
+/// DATA fragments one receive run handed up, counted into
+/// [`TransportStats`] once per run instead of once per fragment.
+#[derive(Default)]
+struct RunTally {
+    /// `data_packets_accepted`: in-order fragments released upward.
+    accepted: u64,
+    /// `frags_streamed`: those belonging to multi-fragment messages.
+    streamed: u64,
+}
+
 /// The credit room at which a starved source is reopened: half the credit
 /// window, so that a draining consumer grants credit in runs rather than one
 /// message at a time.
@@ -414,15 +424,20 @@ impl ProgressCore {
     /// they delivered. Their acks stay owed, unless the run drained a full
     /// `RECV_BATCH`: then the receiver may never idle, and it acks now.
     fn on_inbound(&mut self, first: Datagram) {
-        self.process_datagram(first);
+        let mut run = RunTally::default();
+        self.process_datagram(first, &mut run);
         let mut drained = 1;
         while drained < RECV_BATCH {
             let Ok(d) = self.inbound.try_recv() else {
                 break;
             };
-            self.process_datagram(d);
+            self.process_datagram(d, &mut run);
             drained += 1;
         }
+        // Counted before the run goes up, so a consumer that sees its
+        // deliveries sees them counted.
+        self.stats.data_packets_accepted.add(run.accepted);
+        self.stats.frags_streamed.add(run.streamed);
         // Hand up what the run delivered before acking: the advertised
         // credit already reflects its message accounting.
         self.delivered.push_all(self.staged.drain(..));
@@ -431,7 +446,7 @@ impl ProgressCore {
         }
     }
 
-    fn process_datagram(&mut self, dgram: Datagram) {
+    fn process_datagram(&mut self, dgram: Datagram, run: &mut RunTally) {
         let src = dgram.src;
         let packet = match Packet::decode_gather(&dgram.payload) {
             Ok(p) => p,
@@ -590,7 +605,7 @@ impl ProgressCore {
                     };
                     // In-order arrival: the packet itself, or a buffered
                     // successor it spliced back into the stream.
-                    self.stats.data_packets_accepted.add(1);
+                    run.accepted += 1;
                     let last = slice.last();
                     if last {
                         self.stats.messages_delivered.add(1);
@@ -608,7 +623,7 @@ impl ProgressCore {
                     // coalesce into a single delivery. A single-fragment
                     // slice is the whole message: offset 0, last.
                     if slice.frag_count > 1 {
-                        self.stats.frags_streamed.add(1);
+                        run.streamed += 1;
                     }
                     match self.staged.last_mut() {
                         Some(Delivery::Fragment(p))
@@ -794,6 +809,22 @@ mod tests {
             *seq - 1
         }
 
+        /// Queue `n` messages of `frags` one-byte fragments each from
+        /// source node `src`.
+        fn messages_from(&mut self, src: u32, n: u64, frags: u32) {
+            let nic = &self.sources[src as usize - 1];
+            let seq = self.next_seq.entry(NodeId(src)).or_insert(0);
+            for _ in 0..n {
+                let msg_id = *seq;
+                for index in 0..frags {
+                    let body = Gather::copy_from_slice(b"x");
+                    let packet = Packet::data(*seq, msg_id, u64::from(index), index, frags, body);
+                    nic.send(NodeId(0), packet.encode());
+                    *seq += 1;
+                }
+            }
+        }
+
         /// The wire calls so far, each decoded to (destination, header).
         fn wire_calls(&self) -> Vec<Vec<(NodeId, PacketHeader)>> {
             self.calls
@@ -870,6 +901,23 @@ mod tests {
             matches!(&calls[1][..], [(NodeId(2), h)] if is_ack(h, 0)),
             "{calls:?}"
         );
+    }
+
+    #[test]
+    fn run_counters_are_exact_before_anything_is_popped() {
+        let mut rig = Rig::new(1);
+        rig.data_from(1, RECV_BATCH as u64);
+        rig.messages_from(1, 3, 4);
+        assert!(rig.core.progress_once());
+        // A full run of one-fragment messages, then a short run of twelve
+        // fragments of three messages, all still waiting to be popped.
+        assert_eq!(rig.delivered.len(), RECV_BATCH + 3);
+        assert_eq!(
+            rig.stats.data_packets_accepted.get(),
+            RECV_BATCH as u64 + 12
+        );
+        assert_eq!(rig.stats.frags_streamed.get(), 12);
+        assert_eq!(rig.stats.messages_delivered.get(), RECV_BATCH as u64 + 3);
     }
 
     #[test]

@@ -195,14 +195,11 @@ impl Gather {
         }
     }
 
-    /// Write the whole gather into `region` starting at `offset`, one locked
-    /// [`Region::write`] per segment.
+    /// Write the whole gather into `region` starting at `offset`: every
+    /// segment under one hold of the region's write lock
+    /// ([`Region::write_gather`]).
     pub fn copy_to_region(&self, region: &Region, offset: usize) {
-        let mut at = offset;
-        for seg in self.segments() {
-            region.write(at, seg);
-            at += seg.len();
-        }
+        region.write_gather(offset, self, 0..self.len);
     }
 
     /// A contiguous view of the gather.
@@ -278,6 +275,7 @@ impl fmt::Debug for Gather {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn sample() -> Gather {
         let mut g = Gather::new();
@@ -365,10 +363,19 @@ mod tests {
     }
 
     #[test]
-    fn copy_to_region_writes_each_segment() {
+    fn copy_to_region_writes_all_segments_in_one_locked_write() {
         let g = sample();
         let r = Region::zeroed(12);
         g.copy_to_region(&r, 2);
-        assert_eq!(r.read_vec(2, 9), (0u8..9).collect::<Vec<_>>());
+        assert_eq!(
+            r.read_vec(0, 12),
+            [vec![0, 0], (0u8..9).collect(), vec![0]].concat()
+        );
+        // One write: a destination too short for the last segment takes
+        // none of the three.
+        let short = Region::zeroed(10);
+        let overrun = catch_unwind(AssertUnwindSafe(|| g.copy_to_region(&short, 2)));
+        assert!(overrun.is_err());
+        assert_eq!(short.read_vec(0, 10), vec![0u8; 10]);
     }
 }

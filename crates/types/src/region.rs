@@ -7,10 +7,11 @@
 //!   over the region's own allocation (no copy and no allocation: the view
 //!   holds a strong reference on the region's `Arc`, so the memory outlives
 //!   it), and
-//! * **locked writes** — [`Region::write`] and [`Region::rmw`] hold the
-//!   region's one write lock. One thread per node places every delivery (the
-//!   node's step), so a writer meets another only when an application thread
-//!   fills a buffer the engine is also writing.
+//! * **locked writes** — [`Region::write`], [`Region::write_gather`] and
+//!   [`Region::rmw`] hold the region's one write lock; a delivery of many
+//!   wire segments takes it once. One thread per node places every delivery
+//!   (the node's step), so a writer meets another only when an application
+//!   thread fills a buffer the engine is also writing.
 //!
 //! # Aliasing model (DESIGN.md §6c)
 //!
@@ -23,10 +24,12 @@
 //! targeting it has been delivered, and the engine raises that event only
 //! after [`Region::write`] returns.
 
+use crate::gather::Gather;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 struct RegionInner {
@@ -133,6 +136,50 @@ impl Region {
         }
     }
 
+    /// Write bytes `[range.start, range.end)` of `data` at `offset`, segment
+    /// by segment under one hold of the write lock: a delivery of many wire
+    /// segments takes the lock once, not once per segment.
+    ///
+    /// Panics, before any byte lands, if `range` exceeds `data` or the
+    /// destination range exceeds the region.
+    pub fn write_gather(&self, offset: usize, data: &Gather, range: Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= data.len(),
+            "write of [{}, {}) exceeds gather of {} bytes",
+            range.start,
+            range.end,
+            data.len()
+        );
+        let len = range.end - range.start;
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= self.len()),
+            "write [{offset}, {offset}+{len}) exceeds region of {} bytes",
+            self.len()
+        );
+        let _guard = self.inner.write_lock.lock();
+        let mut skip = range.start;
+        let mut at = offset;
+        let mut want = len;
+        for seg in data.segments() {
+            if want == 0 {
+                break;
+            }
+            if skip >= seg.len() {
+                skip -= seg.len();
+                continue;
+            }
+            let n = (seg.len() - skip).min(want);
+            // SAFETY: `[at, at + n)` lies within the destination range
+            // checked above; the write lock excludes every other writer.
+            unsafe {
+                std::ptr::copy_nonoverlapping(seg[skip..].as_ptr(), self.base_ptr().add(at), n);
+            }
+            skip = 0;
+            at += n;
+            want -= n;
+        }
+    }
+
     /// Read-modify-write `[offset, offset + len)` under the write lock.
     ///
     /// Needed when the new contents depend on the old (e.g. combining
@@ -213,6 +260,7 @@ impl fmt::Debug for Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn slice_is_zero_copy_and_sees_writes() {
@@ -290,6 +338,40 @@ mod tests {
     #[should_panic(expected = "exceeds region")]
     fn out_of_bounds_write_panics() {
         Region::zeroed(4).write(2, &[0u8; 4]);
+    }
+
+    fn three_segments() -> Gather {
+        let mut g = Gather::new();
+        for seg in [&[1u8, 2, 3][..], &[4, 5], &[6, 7, 8, 9]] {
+            g.push(Bytes::copy_from_slice(seg));
+        }
+        g
+    }
+
+    #[test]
+    fn a_gather_write_places_a_window_across_segments() {
+        let r = Region::zeroed(8);
+        r.write_gather(1, &three_segments(), 2..7);
+        assert_eq!(r.read_vec(0, 8), vec![0, 3, 4, 5, 6, 7, 0, 0]);
+        r.write_gather(8, &three_segments(), 4..4);
+    }
+
+    #[test]
+    fn a_gather_write_that_overruns_lands_nothing() {
+        // Two segments would fit; the third overruns the region. The bounds
+        // are checked against the whole delivery, so not even the first
+        // segment lands.
+        let r = Region::from_vec(vec![0xEE; 6]);
+        let g = three_segments();
+        let overrun = catch_unwind(AssertUnwindSafe(|| r.write_gather(0, &g, 0..g.len())));
+        assert!(overrun.is_err(), "an overrunning write must panic");
+        assert_eq!(r.read_vec(0, 6), vec![0xEE; 6], "no byte landed");
+        let past_data = catch_unwind(AssertUnwindSafe(|| r.write_gather(0, &g, 5..10)));
+        assert!(past_data.is_err(), "a window past the gather must panic");
+        assert_eq!(r.read_vec(0, 6), vec![0xEE; 6], "no byte landed");
+        // The lock was never taken, so the region still accepts writes.
+        r.write_gather(0, &g, 0..6);
+        assert_eq!(r.read_vec(0, 6), vec![1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
