@@ -120,6 +120,10 @@ impl DriverRegistry {
         next
     }
 
+    fn hosts(&self) -> bool {
+        self.host.is_some()
+    }
+
     fn host(&self, driver: Weak<dyn NodeDriver>) -> bool {
         let Some(host) = &self.host else {
             return false;
@@ -223,6 +227,12 @@ impl DriverHub {
     /// Remove this node's cooperative driver.
     pub fn unregister(&self) {
         self.registry.unregister(self.nid);
+    }
+
+    /// Whether the link has a receive thread of its own that would step a
+    /// driver [hosted](DriverHub::host) here.
+    pub fn hosts(&self) -> bool {
+        self.registry.hosts()
     }
 
     /// Have the link's own receive thread step `driver` from now on, if the

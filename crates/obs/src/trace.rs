@@ -157,6 +157,10 @@ pub enum Stage {
     Stall,
     /// A stalled peer made progress again.
     Resume,
+    /// A NIC thread's park ran to its bound: `seq` is the doorbell sequence
+    /// it observed, `bytes` the work bits raised at wake, `detail` whether a
+    /// caller was registered as the node's driver.
+    Park,
 }
 
 impl Stage {
@@ -176,6 +180,7 @@ impl Stage {
             Stage::Retransmit => "retransmit",
             Stage::Stall => "stall",
             Stage::Resume => "resume",
+            Stage::Park => "park",
         }
     }
 }

@@ -19,9 +19,12 @@
 //!
 //! Blocked API calls park on the endpoint's *waiters' doorbell*
 //! ([`Endpoint::readiness`]): the link's when they step the protocol
-//! themselves (caller-driven), one of their own beside a NIC thread, which
-//! only completions ring — and, host-driven, the deliveries waiting for
-//! them. The node rings it for every completion.
+//! themselves — caller-driven, or on the fabric beside a NIC thread, where
+//! the blocked call steps the node while the thread stands by, and an
+//! arrival wakes the call instead of the thread; on UDP, where the socket's
+//! receive thread steps, one of their own, which only completions ring —
+//! and, host-driven, the deliveries waiting for them. The node rings it for
+//! every completion.
 //!
 //! One run of the dispatcher is a dispatch step, a `Step` value passed by
 //! `&mut` down the receive path: the engine sends and counts completions
@@ -260,7 +263,8 @@ impl Node {
     /// dispatches what arrived. On a link with a receive thread of its own (a
     /// UDP socket) that is the receive thread, stepping after each batch it
     /// takes; otherwise the endpoint spawns `portals-node-<nid>`, parked on
-    /// the link's doorbell. [`ProgressMode::HostDriven`] uses the same
+    /// the link's doorbell, and a call blocked in a wait steps the node in
+    /// its place until it returns. [`ProgressMode::HostDriven`] uses the same
     /// thread for the transport alone: what it delivers waits in the
     /// endpoint's queue for the node's next API call that runs the engine.
     /// With [`ProgressMode::CallerDriven`] no thread is spawned: the endpoint

@@ -2,8 +2,10 @@
 //!
 //! A NIC-thread node has exactly one thread: it parks on the node's readiness
 //! doorbell, and when that rings it steps the transport and runs the engine
-//! over whatever the step delivered. Callers submit inline under the same
-//! core lock and never ring the doorbell. These tests pin the four properties
+//! over whatever the step delivered — unless a caller blocked in a wait
+//! drives the node meanwhile, which steps in its place while the thread
+//! stands by. Callers submit inline under the same core lock and never ring
+//! the doorbell. These tests pin the four properties
 //! that arrangement rests on: the thread never sleeps through a datagram, a
 //! timer a caller arms while it is parked still fires on time, the engine
 //! re-entering the transport from the thread cannot deadlock against
@@ -16,6 +18,7 @@ use portals::{
     ProgressMode, Region,
 };
 use portals_net::{Fabric, Link, LinkCaps};
+use portals_obs::{Obs, Stage, TraceEvent, TraceSink};
 use portals_transport::{Endpoint, TransportConfig};
 use portals_types::{DoorbellQueue, Gather, MatchBits, MatchCriteria, NodeId, ProcessId};
 use portals_wire::{Packet, PacketHeader};
@@ -69,17 +72,45 @@ fn expose(ni: &NetworkInterface, portal: u32, region: Region, events: usize) -> 
 /// A 10 ms wall bound would sit inside that spread.
 const WORST_ROUND_BACKSTOP: Duration = Duration::from_millis(500);
 
+/// Keeps the [`Stage::Park`] events: each NIC-thread park that ran to its
+/// bound, with the sequence it observed, the work bits raised at wake and
+/// whether a caller was registered as the node's driver.
+#[derive(Default)]
+struct Parks(Mutex<Vec<TraceEvent>>);
+
+impl Parks {
+    fn take(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl TraceSink for Parks {
+    fn record(&self, event: &TraceEvent) {
+        if event.stage == Stage::Park {
+            self.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(*event);
+        }
+    }
+}
+
 /// (a) No lost wake-up. Each round is a put to the peer and its echo back;
 /// between rounds the producer waits a varying few microseconds, so its submit
 /// lands before, inside and after the moment the peer's NIC thread — idle
-/// since the last round — reads the doorbell sequence, steps and parks. A
-/// doorbell slept through leaves that park to end at its bound, `rto_base` =
-/// 20 ms, so the check is timer-free: no park of either NIC thread may end at
-/// its bound during any round (`transport.nic_park_timeouts` unchanged
-/// across it). A wall bound on the slowest round stays as a backstop only;
-/// on a loaded box preemption alone stretches rounds well past the park
-/// bound ([`WORST_ROUND_BACKSTOP`] has the measured distribution). The twin
-/// of `caller_driven_wait_never_loses_a_wakeup`.
+/// since the last round — reads the doorbell sequence, steps and parks, and
+/// the moment the peer's caller registers as its node's driver or leaves.
+/// While a caller drives, the NIC thread stands by and may sit out its
+/// bound, `rto_base` = 20 ms, by design. So the check is timer-free and
+/// reads the parks that did: a park of either NIC thread that ran to its
+/// bound during a round while a work bit was raised and no caller drove —
+/// a doorbell set that woke nobody — is a miss, and any miss fails the
+/// test, printing each missed round's park trace (the sequence observed,
+/// the bits at wake, whether a driver was registered). A wall bound on the
+/// slowest round stays as a backstop only; on a loaded box preemption alone
+/// stretches rounds well past the park bound ([`WORST_ROUND_BACKSTOP`] has
+/// the measured distribution). The twin of
+/// `caller_driven_wait_never_loses_a_wakeup`.
 #[test]
 fn nic_thread_never_sleeps_through_a_doorbell() {
     let _turn = serial();
@@ -87,22 +118,23 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
     let cfg = nic_thread(TransportConfig::default());
     assert_eq!(cfg.rto_base, Duration::from_millis(20));
     let fabric = Fabric::ideal();
-    let (na, nb) = (node(&fabric, 0, cfg), node(&fabric, 1, cfg));
+    let parks = Arc::new(Parks::default());
+    let traced = |nid| {
+        Node::new(
+            fabric.attach(NodeId(nid)),
+            NodeConfig {
+                transport: cfg,
+                obs: Obs::with_sinks(vec![Arc::clone(&parks) as Arc<dyn TraceSink>]),
+                ..Default::default()
+            },
+        )
+    };
+    let (na, nb) = (traced(0), traced(1));
     let a = na.create_ni(1, NiConfig::default()).unwrap();
     let b = nb.create_ni(1, NiConfig::default()).unwrap();
     let (a_id, b_id) = (a.id(), b.id());
     let eq_a = expose(&a, 0, Region::zeroed(8), 64);
     let eq_b = expose(&b, 0, Region::zeroed(8), 64);
-    // (parks, parks that timed out) of both NIC threads so far.
-    let parks = || {
-        [&na, &nb].iter().fold((0, 0), |(parks, timeouts), node| {
-            let stats = node.transport_stats();
-            (
-                parks + stats.nic_parks.get(),
-                timeouts + stats.nic_park_timeouts.get(),
-            )
-        })
-    };
 
     let echo = std::thread::spawn(move || {
         let md = b.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
@@ -113,8 +145,8 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
     });
     let md = a.md_bind(MdSpec::new(Region::zeroed(8))).unwrap();
     let (mut worst, mut worst_round) = (Duration::ZERO, 0);
-    // Rounds in which a park ended at its bound: (round, timed out, parks, took).
-    let mut slept = Vec::new();
+    // Rounds with a miss: (round, took, every park that ran to its bound).
+    let mut missed = Vec::new();
     for i in 0..ROUNDS {
         match i % 8 {
             0 => std::thread::sleep(Duration::from_micros(200)),
@@ -129,15 +161,27 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
                 }
             }
         }
-        let before = parks();
+        parks.take();
         let t0 = Instant::now();
         a.put_op(md).target(b_id, 0).submit().unwrap();
         let ev = a.eq_wait(eq_a).unwrap();
         let took = t0.elapsed();
         assert_eq!(ev.kind, EventKind::Put);
-        let after = parks();
-        if after.1 > before.1 {
-            slept.push((i, after.1 - before.1, after.0 - before.0, took));
+        let round = parks.take();
+        if round
+            .iter()
+            .any(|park| park.bytes != 0 && park.detail == "undriven")
+        {
+            let trace: Vec<String> = round
+                .iter()
+                .map(|park| {
+                    format!(
+                        "node {} seq {} bits {:#b} {}",
+                        park.node, park.seq, park.bytes, park.detail
+                    )
+                })
+                .collect();
+            missed.push((i, took, trace));
         }
         if took > worst {
             (worst, worst_round) = (took, i);
@@ -146,12 +190,13 @@ fn nic_thread_never_sleeps_through_a_doorbell() {
     echo.join().unwrap();
     eprintln!("worst echo round: {worst:?} (round {worst_round})");
     assert!(
-        slept.is_empty(),
-        "NIC-thread parks ended at their bound in (round, timed out, parks, took): {slept:?}"
+        missed.is_empty(),
+        "a NIC-thread park ran to its bound over a raised work bit with no driver, in \
+         (round, took, parks that ran to their bound): {missed:#?}"
     );
     assert!(
         worst < WORST_ROUND_BACKSTOP,
-        "round {worst_round} took {worst:?}, though every park in it was rung"
+        "round {worst_round} took {worst:?}, though no doorbell set was slept through"
     );
 }
 

@@ -4,7 +4,9 @@
 //! off the wire, or the caller blocked in a wait — and so where blocked
 //! callers park. Where the wire takes datagrams on a receive thread of its
 //! own (a UDP socket), that thread steps; otherwise the endpoint spawns a NIC
-//! thread parked on the link's doorbell. A node above hands the endpoint one
+//! thread parked on the link's doorbell, and on a node a caller blocked in a
+//! receiving wait steps in its place, the thread standing by meanwhile
+//! ([`Endpoint::drive_until`]). A node above hands the endpoint one
 //! dispatcher; a bare endpoint has none. The endpoint alone decides when the
 //! dispatcher runs: over each step's deliveries, or — host-driven — only
 //! inside the API calls that run the node's engine, so that deliveries wait
@@ -15,7 +17,7 @@ use crate::core::{instant_to_ns, ns_to_instant, reopen_room, ProgressCore, DEADL
 use crate::stats::TransportStats;
 use parking_lot::Mutex;
 use portals_net::{DriverHub, Link, LinkCaps, NodeDriver};
-use portals_obs::Obs;
+use portals_obs::{Layer, Obs, Stage, TraceEvent, Tracer};
 use portals_types::{DoorbellQueue, Gather, NodeId, ProgressMode, Readiness};
 use portals_wire::Packet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -101,6 +103,10 @@ pub struct Endpoint {
     incoming: Arc<DoorbellQueue<Delivery>>,
     /// Where blocked callers park ([`Endpoint::readiness`]).
     waiters: Arc<Readiness>,
+    /// A receiving waiter drives: it registers as the node's driver, steps
+    /// and parks on the link's doorbell while the NIC thread stands by. Set
+    /// for a node whose NIC thread the endpoint spawns.
+    driven: bool,
     /// Per-source accumulators folding streamed fragments back into whole
     /// messages for the message-level `recv` API. Consumers that take raw
     /// deliveries via [`Endpoint::pop_delivery`] (the Portals engine) never
@@ -154,6 +160,9 @@ struct Stepper {
     alive: AtomicBool,
     /// Where the NIC thread counts its parks.
     stats: Arc<TransportStats>,
+    /// Where the NIC thread reports a park that ran to its bound.
+    tracer: Tracer,
+    nid: NodeId,
 }
 
 impl Stepper {
@@ -220,30 +229,48 @@ impl Stepper {
         self.next_deadline().map_or(bound, |next| bound.min(next))
     }
 
-    /// The NIC thread, until stopped: step ([`Stepper::step`], blocking),
-    /// then park on the link's doorbell until it rings or
-    /// [`Stepper::wait_bound`] passes.
+    /// The NIC thread, until stopped: step ([`Stepper::step`], blocking)
+    /// unless a caller drives, then park in the doorbell's standby slot
+    /// until a work bit is set while no caller drives, or
+    /// [`Stepper::wait_bound`] passes. Completions never wake it.
     ///
-    /// The doorbell sequence is read before the stop flag and the step, so a
-    /// datagram landing after it — or [`Endpoint::stop`], which rings — makes
-    /// the park return at once.
+    /// The standby sequence is read before the stop flag and the step, so a
+    /// datagram landing after it — or [`Endpoint::stop`], which rings the
+    /// slot — makes the park return at once. A park that ran to its bound is
+    /// traced ([`Stage::Park`]) with the sequence it observed, the work bits
+    /// raised at wake and whether a caller drove.
     fn run(&self) {
         loop {
-            let observed = self.readiness.seq();
+            let observed = self.readiness.standby_seq();
             if !self.alive.load(Ordering::Acquire) {
                 return;
             }
             let started = Instant::now();
-            self.step(true);
+            if !self.readiness.driven() {
+                self.step(true);
+            }
             let bound = self.wait_bound(started);
             let woke = self
                 .readiness
-                .wait(observed, bound.saturating_duration_since(Instant::now()));
+                .wait_standby(observed, bound.saturating_duration_since(Instant::now()));
             self.stats.nic_parks.inc();
             if woke == observed {
                 self.stats.nic_park_timeouts.inc();
+                self.tracer.emit(|| {
+                    let driven = self.readiness.driven();
+                    TraceEvent::new(Layer::Transport, Stage::Park)
+                        .node(self.nid.0)
+                        .seq(observed)
+                        .bytes(self.readiness.peek() & self.work)
+                        .detail(if driven { "driven" } else { "undriven" })
+                });
             }
         }
+    }
+
+    /// Whether a live endpoint has work its next step would act on.
+    fn pending(&self) -> bool {
+        self.alive.load(Ordering::Acquire) && self.has_work()
     }
 }
 
@@ -278,6 +305,14 @@ const PARK_CAP: Duration = Duration::from_millis(1);
 /// ~220 ns unpark. Reduced to zero on single-CPU hosts, where spinning only
 /// steals the timeslice the producer needs (see [`portals_types::spin_budget`]).
 const SPIN_ITERS: u32 = 200;
+
+/// How long a driver with no spin budget (one CPU online) yields before it
+/// parks, from the end of its last step that did work. A spin would steal
+/// the timeslice the producer needs; a yield hands it over, and the
+/// producer's set then finds the driver runnable, so no futex wake-up is
+/// paid for the message. A ping-pong half-op on the benchmark's pinned CPU
+/// takes about 15 µs, so the reply lands inside the window.
+const YIELD_FOR: Duration = Duration::from_micros(50);
 
 impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
@@ -332,10 +367,12 @@ impl Endpoint {
     }
 
     /// The endpoint, with nothing stepping it yet. Blocked callers park on
-    /// the link's doorbell when they step, and beside a NIC thread on one of
-    /// their own, so that a datagram (an ack among them) wakes the NIC thread
-    /// only. The delivery queue rings whoever consumes it: the stepper when
-    /// a dispatcher runs in its step (`stepped`), the waiters otherwise.
+    /// the link's doorbell when they step: caller-driven, or receiving on a
+    /// node whose NIC thread this endpoint spawns (`driven`). Elsewhere
+    /// beside a NIC thread they park on one of their own, so that a datagram
+    /// (an ack among them) wakes the thread that steps only. The delivery
+    /// queue rings whoever consumes it: the stepper when a dispatcher runs in
+    /// its step (`stepped`), the waiters otherwise.
     fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, stepped: bool) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         let LinkCaps {
@@ -353,7 +390,8 @@ impl Endpoint {
         }
         let nid = link.nid();
         let readiness = Arc::clone(link.inbound_receiver().readiness());
-        let waiters = if cfg.progress_mode.is_caller_driven() {
+        let driven = stepped && cfg.progress_mode == ProgressMode::NicThread && !hub.hosts();
+        let waiters = if cfg.progress_mode.is_caller_driven() || driven {
             Arc::clone(&readiness)
         } else {
             Arc::new(Readiness::new())
@@ -371,6 +409,7 @@ impl Endpoint {
         let outstanding = Arc::new(AtomicUsize::new(0));
         let deadline_ns = Arc::new(AtomicU64::new(DEADLINE_NONE));
         let credit_closed = Arc::new(AtomicBool::new(false));
+        let tracer = obs.tracer.clone();
         let core = ProgressCore::new(
             link,
             cfg,
@@ -391,11 +430,14 @@ impl Endpoint {
             rto_base: cfg.rto_base,
             alive: AtomicBool::new(true),
             stats: Arc::clone(&stats),
+            tracer,
+            nid,
         });
         Endpoint {
             nid,
             incoming,
             waiters,
+            driven,
             reasm: Mutex::new(std::collections::HashMap::new()),
             hub,
             stats,
@@ -412,7 +454,8 @@ impl Endpoint {
     /// Hand the dispatcher to whoever runs it — the stepper, or host-driven
     /// the API calls — then start whoever steps: register the cooperative
     /// driver when callers step, else host it on the link's receive thread,
-    /// else spawn the NIC thread.
+    /// else spawn the NIC thread, standing by on the link's doorbell from
+    /// before it starts.
     fn start(&self, dispatch: Option<Dispatch>) {
         if self.mode == ProgressMode::HostDriven {
             *self.deferred.lock() = dispatch;
@@ -426,19 +469,23 @@ impl Endpoint {
             self.hub.register(driver);
         } else if !self.hub.host(driver) {
             let stepper = Arc::clone(&self.stepper);
+            let standby = self.stepper.readiness.stand_by();
             *self.nic_thread.lock() = Some(
                 std::thread::Builder::new()
                     .name(format!("portals-node-{}", self.nid.0))
-                    .spawn(move || stepper.run())
+                    .spawn(move || {
+                        let _standby = standby;
+                        stepper.run()
+                    })
                     .expect("spawn NIC thread"),
             );
         }
     }
 
     /// Power the endpoint off: nothing steps it from now on. Clears the
-    /// stepper's alive flag, rings its doorbell, and joins the NIC thread or
-    /// withdraws the cooperative or hosted driver. Dropping the endpoint
-    /// stops it; a node stops it when the node powers off while its
+    /// stepper's alive flag, rings both slots of its doorbell, and joins the
+    /// NIC thread or withdraws the cooperative or hosted driver. Dropping the
+    /// endpoint stops it; a node stops it when the node powers off while its
     /// interfaces still hold the endpoint. Idempotent.
     ///
     /// Returns once the link's receive thread is outside any step of this
@@ -448,6 +495,7 @@ impl Endpoint {
     pub fn stop(&self) {
         if self.stepper.alive.swap(false, Ordering::AcqRel) {
             self.stepper.readiness.ring();
+            self.stepper.readiness.ring_standby();
             let nic_thread = self.nic_thread.lock().take();
             match nic_thread {
                 Some(handle) => {
@@ -547,14 +595,20 @@ impl Endpoint {
 
     /// The one wait loop beneath every blocking call (`recv`, `flush`, and
     /// through this hidden seam the Portals event and counter waits): step
-    /// (when callers step) and, if `receiving`, run a host-driven node's
+    /// (when the caller steps) and, if `receiving`, run a host-driven node's
     /// dispatcher → `check` → service peers → bounded spin → park on the
     /// waiters' doorbell ([`Endpoint::readiness`]), until `check` yields or
-    /// `deadline` passes (`None`). Only a caller-driven waiter steps,
-    /// services peers, spins (if `receiving`) and wakes for the transport's
-    /// timers; beside a NIC thread it parks at once, on a doorbell the work
-    /// it waits for rings. A waiter that is not `receiving` (`flush`, which
-    /// waits only for acks) neither spins nor runs the engine.
+    /// `deadline` passes (`None`). A caller-driven waiter steps, services
+    /// peers, spins (if `receiving`) and wakes for the transport's timers.
+    /// A receiving waiter on a node whose NIC thread this endpoint spawned
+    /// does the same without peer service, registered as the node's driver
+    /// ([`Readiness::drive`]) for the length of the wait: the link's
+    /// doorbell then wakes it, not the NIC thread, it parks only while no
+    /// work bit is raised, and with one CPU online it yields for
+    /// `YIELD_FOR` where it would spin. Any other waiter beside a NIC thread
+    /// parks at once, on a doorbell the work it waits for rings. A waiter
+    /// that is not `receiving` (`flush`, which waits only for acks) neither
+    /// spins nor runs the engine.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// step and predicate check, and the park returns immediately if it
@@ -566,13 +620,17 @@ impl Endpoint {
         receiving: bool,
         mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
-        let stepping = self.mode.is_caller_driven();
+        let caller_driven = self.mode.is_caller_driven();
+        let driver = (receiving && self.driven).then(|| self.stepper.readiness.drive());
+        let stepping = caller_driven || driver.is_some();
         let spin_iters = if stepping && receiving {
             portals_types::spin_budget(SPIN_ITERS)
         } else {
             0
         };
+        let yielding = driver.is_some() && spin_iters == 0;
         let mut idle_iters: u32 = 0;
+        let mut idle_since = None;
         loop {
             let observed = self.waiters.seq();
             let worked = (stepping && self.stepper.step(false)) | (receiving && self.dispatch());
@@ -581,6 +639,7 @@ impl Endpoint {
             }
             if worked {
                 idle_iters = 0;
+                idle_since = None;
                 continue;
             }
             // Peers normally have their own blocked caller driving them;
@@ -590,7 +649,7 @@ impl Endpoint {
             // interference.
             idle_iters += 1;
             let parking = idle_iters > spin_iters;
-            if stepping && (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
+            if caller_driven && (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
                 idle_iters = 0;
                 continue;
             }
@@ -602,6 +661,14 @@ impl Endpoint {
             }
             if !parking {
                 std::hint::spin_loop();
+                continue;
+            }
+            // A driver is the only stepper the link's doorbell wakes, so it
+            // does not park on a raised bit its step could not take (the NIC
+            // thread finishing a step, a submitter holding the core lock).
+            let yield_window = yielding && now < *idle_since.get_or_insert(now) + YIELD_FOR;
+            if yield_window || (driver.is_some() && self.stepper.pending()) {
+                std::thread::yield_now();
                 continue;
             }
             idle_iters = 0;
@@ -701,9 +768,10 @@ impl Endpoint {
     }
 
     /// The doorbell a caller blocked on this endpoint parks on: the link's,
-    /// where arrivals ring, when callers step the protocol; beside a NIC
-    /// thread one of its own, which only the work it waits for rings. A node
-    /// rings it for every completion.
+    /// where arrivals ring, when callers step the protocol — caller-driven,
+    /// or on a node whose NIC thread this endpoint spawned; elsewhere beside
+    /// a NIC thread one of its own, which only the work it waits for rings.
+    /// A node rings it for every completion.
     pub fn readiness(&self) -> Arc<Readiness> {
         Arc::clone(&self.waiters)
     }

@@ -175,7 +175,7 @@ impl SenderPeer {
         // Body coverage is decided here, at encode time: the in-flight image
         // (and every retransmission of it) carries the same CRC. The
         // admitted packets' headers share one allocation.
-        let out = Packet::encode_all(&packets, self.checksum_body);
+        let out = Packet::encode_all(packets, self.checksum_body);
         for (seq, encoded) in (first..).zip(&out) {
             self.in_flight.push_back(InFlight {
                 seq,

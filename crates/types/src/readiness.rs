@@ -6,13 +6,17 @@
 //! runs the other half — taking arrivals through the transport and the
 //! receive engine, firing timers:
 //!
-//! * **NIC-thread** — one thread per node stands in for NIC firmware. It
-//!   parks on the link's [`Readiness`] doorbell; an arriving datagram rings
-//!   it, and the thread that takes the datagram runs the engine. On a UDP
+//! * **NIC-thread** — one thread per node stands in for NIC firmware and
+//!   steps while no caller is blocked. On the fabric it stands by in the
+//!   link's [`Readiness`] doorbell; a caller blocked in a receiving wait
+//!   [drives](Readiness::drive) instead: it steps the node itself and parks
+//!   on that doorbell, so an arriving datagram wakes the one caller that
+//!   waits for it and no thread hands it over. While nobody drives, an
+//!   arrival wakes the standby thread, which runs the engine. On a UDP
 //!   socket the thread that takes the datagram is the socket's own receive
-//!   thread, which runs the step itself. Callers
-//!   park on a doorbell of their own that only completions ring: one thread
-//!   handoff per message in, none out.
+//!   thread, which runs the step itself, and callers park on a doorbell of
+//!   their own that only completions ring: one thread handoff per message
+//!   in, none out.
 //! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
 //!   in a wait runs that same step inline, spinning briefly and then parking
 //!   on the link's doorbell between arrivals.
@@ -26,6 +30,10 @@
 //! So there is one way to wait: step what the caller may step, check, and
 //! park on a doorbell. The mode only picks the doorbell — the one the
 //! caller's own step needs to hear, or one that completions alone ring.
+//! Where a standby thread and a driver share one, a [`Readiness::set`]
+//! wakes exactly one of them: the driver while one is registered, the
+//! standby thread otherwise, and a [`Readiness::ring`] (a completion) wakes
+//! only waiters, never the standby thread.
 //!
 //! [`Readiness`] is the primitive that makes every park cheap and
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
@@ -61,11 +69,15 @@ use std::time::{Duration, Instant};
 /// `NodeConfig::default()` consults [`ProgressMode::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// One thread per node (the NIC-firmware stand-in), parked on the link's
-    /// doorbell — on a UDP socket, the socket's receive thread — steps the
-    /// transport and runs the receive engine on what arrives; callers park, without stepping, until it completes something
-    /// for them and rings their doorbell. The paper's application bypass
-    /// (§5.1).
+    /// One thread per node (the NIC-firmware stand-in), standing by on the
+    /// link's doorbell — on a UDP socket, the socket's receive thread —
+    /// steps the transport and runs the receive engine on what arrives while
+    /// no caller waits. On the fabric a caller blocked in a receiving wait
+    /// steps the node itself meanwhile, and the thread stays parked; on UDP
+    /// callers park, without stepping, until the receive thread completes
+    /// something for them and rings their doorbell. The paper's application
+    /// bypass (§5.1): the application is not needed for progress, and a
+    /// caller already blocking is not kept from making it.
     #[default]
     NicThread,
     /// Threadless: the blocked or polling caller steps the transport, the
@@ -132,28 +144,79 @@ pub fn spin_budget(requested: u32) -> u32 {
 /// One `Readiness` serves one endpoint/node: each bit marks a class of
 /// pending work (see the associated constants), and the sequence number turns
 /// "something changed since I looked" into a race-free park predicate.
+///
+/// It has two parking slots. Waiters park in the main one
+/// ([`Readiness::wait`]), which [`Readiness::ring`] and, as a rule,
+/// [`Readiness::set`] wake. A NIC thread that only steps while no caller
+/// does parks in the standby slot ([`Readiness::wait_standby`]), which has a
+/// sequence of its own and which `ring` never wakes: from the moment that
+/// thread [stands by](Readiness::stand_by), a `set` wakes the main slot
+/// while a caller [drives](Readiness::drive) and the standby slot while none
+/// does, so at most one stepper is woken per arrival.
 #[derive(Default)]
 pub struct Readiness {
     /// Pending-work classes. Producers OR bits in after enqueuing; consumers
     /// clear them (via [`Readiness::take`]).
     bits: AtomicU64,
-    /// Doorbell generation: bumped on every [`Readiness::set`]/
-    /// [`Readiness::ring`], read by waiters before their final predicate
-    /// check.
+    /// The waiters' slot.
+    main: Slot,
+    /// The standby NIC thread's slot.
+    standby: Slot,
+    /// Callers registered as the node's driver ([`Readiness::drive`]).
+    drivers: AtomicU32,
+    /// Threads standing by ([`Readiness::stand_by`]): while there are any, a
+    /// `set` with no driver registered wakes only them.
+    standbys: AtomicU32,
+    mutex: Mutex<()>,
+}
+
+/// One parking slot: a doorbell generation and the threads parked on it.
+#[derive(Default)]
+struct Slot {
+    /// Doorbell generation: bumped on every ring of this slot, read by
+    /// waiters before their final predicate check.
     seq: AtomicU64,
     /// Number of parked threads; the wake path takes the mutex only when this
     /// is non-zero, so ringing an idle doorbell is two uncontended atomics.
-    waiters: AtomicU32,
-    mutex: Mutex<()>,
+    parked: AtomicU32,
     cond: Condvar,
+}
+
+impl Slot {
+    fn ring(&self, mutex: &Mutex<()>) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _guard = mutex.lock();
+            self.cond.notify_all();
+        }
+    }
+
+    /// Race-free: the parked count is published before the sequence is
+    /// re-read under the mutex, so a ring between the caller's last check
+    /// and the park either sees the waiter (and notifies under the same
+    /// mutex) or happened early enough that the re-read observes its bump.
+    fn wait(&self, mutex: &Mutex<()>, observed: u64, timeout: Duration) -> u64 {
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let mut guard = mutex.lock();
+        let mut now = self.seq.load(Ordering::SeqCst);
+        if now == observed {
+            let _ = self.cond.wait_for(&mut guard, timeout);
+            now = self.seq.load(Ordering::SeqCst);
+        }
+        drop(guard);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        now
+    }
 }
 
 impl std::fmt::Debug for Readiness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Readiness")
             .field("bits", &self.bits.load(Ordering::Relaxed))
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .field("waiters", &self.waiters.load(Ordering::Relaxed))
+            .field("seq", &self.main.seq.load(Ordering::Relaxed))
+            .field("waiters", &self.main.parked.load(Ordering::Relaxed))
+            .field("drivers", &self.drivers.load(Ordering::Relaxed))
+            .field("standbys", &self.standbys.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -165,6 +228,9 @@ impl Readiness {
     /// Deliveries queued from the transport step to dispatch: the bit of an
     /// endpoint's delivery [`DoorbellQueue`].
     pub const DELIVERED: u64 = 1 << 1;
+    /// The bits a stepper acts on. A driver that leaves while one is raised
+    /// wakes the standby slot ([`Readiness::drive`]).
+    const WORK: u64 = Readiness::INBOUND | Readiness::DELIVERED;
 
     /// A fresh doorbell with no pending work.
     pub fn new() -> Readiness {
@@ -172,21 +238,34 @@ impl Readiness {
     }
 
     /// Raise `mask` and ring the doorbell. Producers call this *after*
-    /// enqueuing the work the bits describe.
+    /// enqueuing the work the bits describe. While a thread stands by and no
+    /// caller drives, it is that thread the set wakes, and the main slot is
+    /// left alone; otherwise the set rings the main slot.
+    ///
+    /// The bit is raised before the driver count is read, and a leaving
+    /// driver lowers the count before it reads the bits (all `SeqCst`): one
+    /// side always sees the other, so a bit raised as the last driver leaves
+    /// wakes the standby thread from one side or the other.
     pub fn set(&self, mask: u64) {
-        self.bits.fetch_or(mask, Ordering::Release);
-        self.ring();
+        self.bits.fetch_or(mask, Ordering::SeqCst);
+        if self.standbys.load(Ordering::SeqCst) > 0 && self.drivers.load(Ordering::SeqCst) == 0 {
+            self.standby.ring(&self.mutex);
+        } else {
+            self.ring();
+        }
     }
 
-    /// Ring the doorbell without raising bits — used when the only fact to
-    /// convey is "re-check your predicate": a completion landed, or a wire
-    /// packet was scheduled for a future delivery time.
+    /// Ring the main slot without raising bits — used when the only fact to
+    /// convey is "re-check your predicate": a completion landed. Never wakes
+    /// the standby slot.
     pub fn ring(&self) {
-        self.seq.fetch_add(1, Ordering::Release);
-        if self.waiters.load(Ordering::Acquire) > 0 {
-            let _guard = self.mutex.lock();
-            self.cond.notify_all();
-        }
+        self.main.ring(&self.mutex);
+    }
+
+    /// Wake the standby slot whatever the bits and the drivers: a stop, which
+    /// the standby thread must see at once.
+    pub fn ring_standby(&self) {
+        self.standby.ring(&self.mutex);
     }
 
     /// Clear and return the raised subset of `mask`. Anything produced after
@@ -198,37 +277,90 @@ impl Readiness {
         self.bits.fetch_and(!mask, Ordering::AcqRel) & mask
     }
 
-    /// Currently raised bits (no clearing).
+    /// Currently raised bits (no clearing). `SeqCst`, so a driver that reads
+    /// it after registering sees any bit whose `set` missed the registration.
     #[inline]
     pub fn peek(&self) -> u64 {
-        self.bits.load(Ordering::Acquire)
+        self.bits.load(Ordering::SeqCst)
     }
 
-    /// Current doorbell sequence. Read this *before* the final predicate
-    /// check that precedes a [`Readiness::wait`].
+    /// Current doorbell sequence of the main slot. Read this *before* the
+    /// final predicate check that precedes a [`Readiness::wait`].
     #[inline]
     pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
+        self.main.seq.load(Ordering::SeqCst)
     }
 
-    /// Park until the doorbell sequence moves past `observed` or `timeout`
-    /// elapses, whichever is first. Returns the sequence at wakeup.
-    ///
-    /// Race-free: the waiter count is published before the sequence is
-    /// re-read under the mutex, so a ring between the caller's last check and
-    /// the park either sees the waiter (and notifies under the same mutex) or
-    /// happened early enough that the re-read observes its bump.
+    /// Park in the main slot until its sequence moves past `observed` or
+    /// `timeout` elapses, whichever is first. Returns the sequence at wakeup.
     pub fn wait(&self, observed: u64, timeout: Duration) -> u64 {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.mutex.lock();
-        let mut now = self.seq.load(Ordering::Acquire);
-        if now == observed {
-            let _ = self.cond.wait_for(&mut guard, timeout);
-            now = self.seq.load(Ordering::Acquire);
+        self.main.wait(&self.mutex, observed, timeout)
+    }
+
+    /// Current sequence of the standby slot: [`Readiness::seq`]'s twin for
+    /// [`Readiness::wait_standby`].
+    #[inline]
+    pub fn standby_seq(&self) -> u64 {
+        self.standby.seq.load(Ordering::SeqCst)
+    }
+
+    /// Park in the standby slot until its sequence moves past `observed` or
+    /// `timeout` elapses. Returns the standby sequence at wakeup.
+    pub fn wait_standby(&self, observed: u64, timeout: Duration) -> u64 {
+        self.standby.wait(&self.mutex, observed, timeout)
+    }
+
+    /// Register a thread as standing by until the guard drops: from now on a
+    /// `set` with no driver registered wakes the standby slot instead of the
+    /// main one. Taken before the thread starts, so that no set made before
+    /// it first parks goes to the main slot instead.
+    pub fn stand_by(self: &Arc<Readiness>) -> StandBy {
+        self.standbys.fetch_add(1, Ordering::SeqCst);
+        StandBy(Arc::clone(self))
+    }
+
+    /// Register a caller as the node's driver until the guard drops: while
+    /// one is registered, a `set` wakes the main slot, where the driver
+    /// parks, and not the standby one. The driver reads
+    /// [`Readiness::seq`] and steps only after registering, so a set that
+    /// saw no driver raised a bit the driver's step finds.
+    pub fn drive(&self) -> Driving<'_> {
+        self.drivers.fetch_add(1, Ordering::SeqCst);
+        Driving(self)
+    }
+
+    /// Whether a caller is registered as the node's driver.
+    #[inline]
+    pub fn driven(&self) -> bool {
+        self.drivers.load(Ordering::SeqCst) > 0
+    }
+}
+
+/// A thread standing by on a [`Readiness`] ([`Readiness::stand_by`]).
+#[must_use = "the thread stands by only while the guard lives"]
+pub struct StandBy(Arc<Readiness>);
+
+impl Drop for StandBy {
+    fn drop(&mut self) {
+        self.0.standbys.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A caller registered as a node's driver ([`Readiness::drive`]).
+#[must_use = "the caller drives only while the guard lives"]
+pub struct Driving<'a>(&'a Readiness);
+
+impl Drop for Driving<'_> {
+    /// The last driver to leave hands a raised work bit to the standby slot:
+    /// the set that raised it may have seen this driver and rung the main
+    /// slot only.
+    fn drop(&mut self) {
+        let r = self.0;
+        if r.drivers.fetch_sub(1, Ordering::SeqCst) == 1
+            && r.bits.load(Ordering::SeqCst) & Readiness::WORK != 0
+        {
+            r.ring_standby();
         }
-        drop(guard);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        now
     }
 }
 
@@ -447,6 +579,112 @@ mod tests {
             producer.join().unwrap();
             done.store(0, Ordering::Release);
         }
+    }
+
+    /// Wait until a thread is parked (or about to park) in `slot`.
+    fn until_parked(slot: &Slot) {
+        let t0 = Instant::now();
+        while slot.parked.load(Ordering::SeqCst) == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A thread standing by on `r`, parked in the standby slot for at most
+    /// `bound`. Joined, it returns how long it stayed parked and whether the
+    /// slot was rung.
+    fn park_standby(
+        r: &Arc<Readiness>,
+        bound: Duration,
+    ) -> std::thread::JoinHandle<(Duration, bool)> {
+        let r2 = Arc::clone(r);
+        let thread = std::thread::spawn(move || {
+            let _standby = r2.stand_by();
+            let observed = r2.standby_seq();
+            let t0 = Instant::now();
+            let woke = r2.wait_standby(observed, bound);
+            (t0.elapsed(), woke != observed)
+        });
+        until_parked(&r.standby);
+        thread
+    }
+
+    #[test]
+    fn a_set_wakes_the_driver_while_one_drives_and_else_the_standby_thread() {
+        let r = Arc::new(Readiness::new());
+        let standby = park_standby(&r, Duration::from_millis(200));
+        let driving = r.drive();
+        let observed = r.seq();
+        let r2 = Arc::clone(&r);
+        let driver = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let woke = r2.wait(observed, Duration::from_secs(10));
+            (t0.elapsed(), woke != observed)
+        });
+        until_parked(&r.main);
+        r.set(Readiness::INBOUND);
+        let (waited, rung) = driver.join().unwrap();
+        assert!(
+            rung && waited < Duration::from_secs(5),
+            "driver: {waited:?}"
+        );
+        assert_eq!(r.standby.parked.load(Ordering::SeqCst), 1, "still parked");
+        assert_eq!(r.take(Readiness::INBOUND), Readiness::INBOUND);
+        drop(driving);
+        let (parked, rung) = standby.join().unwrap();
+        assert!(!rung, "the set woke the standby slot");
+        assert!(
+            parked >= Duration::from_millis(150),
+            "left after {parked:?}"
+        );
+        // With no driver registered, the set wakes the standby thread at
+        // once and leaves the main slot alone.
+        let standby = park_standby(&r, Duration::from_secs(10));
+        let seq = r.seq();
+        r.set(Readiness::INBOUND);
+        let (waited, rung) = standby.join().unwrap();
+        assert!(
+            rung && waited < Duration::from_secs(5),
+            "standby: {waited:?}"
+        );
+        assert_eq!(r.seq(), seq, "the set rang the main slot");
+    }
+
+    #[test]
+    fn a_completion_ring_never_wakes_the_standby_slot() {
+        let r = Arc::new(Readiness::new());
+        let standby = park_standby(&r, Duration::from_millis(100));
+        let seq = r.seq();
+        for _ in 0..100 {
+            r.ring();
+        }
+        assert_eq!(r.seq(), seq + 100, "every ring reaches the main slot");
+        let (parked, rung) = standby.join().unwrap();
+        assert!(!rung, "a ring woke the standby slot");
+        assert!(parked >= Duration::from_millis(75), "left after {parked:?}");
+    }
+
+    #[test]
+    fn a_driver_leaving_over_a_raised_work_bit_wakes_the_standby_thread() {
+        let r = Arc::new(Readiness::new());
+        // Leaving with nothing raised wakes nobody.
+        let standby = park_standby(&r, Duration::from_millis(100));
+        drop(r.drive());
+        let (parked, rung) = standby.join().unwrap();
+        assert!(!rung && parked >= Duration::from_millis(75), "{parked:?}");
+        // Leaving over the INBOUND a set raised while it drove does, well
+        // within the standby park's bound.
+        let standby = park_standby(&r, Duration::from_secs(10));
+        let driving = r.drive();
+        let standby_seq = r.standby_seq();
+        r.set(Readiness::INBOUND);
+        assert_eq!(r.standby_seq(), standby_seq, "the set went to the driver");
+        let t0 = Instant::now();
+        drop(driving);
+        let (_, rung) = standby.join().unwrap();
+        assert!(rung, "the leaving driver did not ring the standby slot");
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert_eq!(r.peek(), Readiness::INBOUND, "the bit is the standby's");
     }
 
     fn inbound_queue() -> DoorbellQueue<(u32, u32)> {

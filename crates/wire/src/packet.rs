@@ -181,15 +181,16 @@ impl Packet {
     pub fn encode_with(&self, cover_body: bool) -> Gather {
         let mut hdr = [0u8; Self::DATA_HEADER_SIZE];
         let size = self.write_header(cover_body, &mut hdr);
-        self.behind(Bytes::copy_from_slice(&hdr[..size]))
+        self.clone().behind(Bytes::copy_from_slice(&hdr[..size]))
     }
 
     /// Serialize each of `packets` like [`Packet::encode_with`], their
     /// headers sharing one allocation: a sender admitting a window of
     /// fragments allocates for their headers once, not once per packet.
-    pub fn encode_all(packets: &[Packet], cover_body: bool) -> Vec<Gather> {
+    /// Each body moves behind its header.
+    pub fn encode_all(packets: Vec<Packet>, cover_body: bool) -> Vec<Gather> {
         let mut headers = Vec::with_capacity(packets.len() * Self::DATA_HEADER_SIZE);
-        for packet in packets {
+        for packet in &packets {
             let mut hdr = [0u8; Self::DATA_HEADER_SIZE];
             let size = packet.write_header(cover_body, &mut hdr);
             headers.extend_from_slice(&hdr[..size]);
@@ -197,7 +198,7 @@ impl Packet {
         let headers = Bytes::from(headers);
         let mut at = 0;
         packets
-            .iter()
+            .into_iter()
             .map(|packet| {
                 let size = packet.header_len();
                 at += size;
@@ -208,10 +209,10 @@ impl Packet {
 
     /// The wire image: `header` (the encoded header), then a DATA packet's
     /// body segments, shared rather than copied.
-    fn behind(&self, header: Bytes) -> Gather {
+    fn behind(self, header: Bytes) -> Gather {
         let mut out = Gather::from_bytes(header);
         if matches!(self.header, PacketHeader::Data { .. }) {
-            out.append(self.body.clone());
+            out.append(self.body);
         }
         out
     }
@@ -446,7 +447,7 @@ mod tests {
             Packet::probe(17),
         ];
         for cover_body in [false, true] {
-            let all = Packet::encode_all(&packets, cover_body);
+            let all = Packet::encode_all(packets.to_vec(), cover_body);
             assert_eq!(all.len(), packets.len());
             for (p, encoded) in packets.iter().zip(&all) {
                 assert_eq!(encoded.to_vec(), p.encode_with(cover_body).to_vec());
@@ -460,7 +461,7 @@ mod tests {
             );
             assert_eq!(at(2) - at(1), Packet::ACK_SIZE);
         }
-        assert!(Packet::encode_all(&[], true).is_empty());
+        assert!(Packet::encode_all(Vec::new(), true).is_empty());
     }
 
     #[test]
