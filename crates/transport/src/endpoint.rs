@@ -298,21 +298,70 @@ impl NodeDriver for Stepper {
 /// timer toward us after we parked).
 const PARK_CAP: Duration = Duration::from_millis(1);
 
-/// Consecutive idle loop iterations before a caller-driven wait parks. Each
-/// iteration is a handful of atomics (~100 ns), so this approximates the
-/// "spin ~20 µs, then park" budget from the design notes: short enough to
-/// waste nothing measurable, long enough that a ping-pong RTT never pays the
-/// ~220 ns unpark. Reduced to zero on single-CPU hosts, where spinning only
-/// steals the timeslice the producer needs (see [`portals_types::spin_budget`]).
+/// Consecutive idle loop iterations a receiving waiter that steps spins
+/// before it parks. Each iteration is a handful of atomics (~100 ns), so this
+/// approximates the "spin ~20 µs, then park" budget from the design notes:
+/// short enough to waste nothing measurable, long enough that a ping-pong RTT
+/// never pays the ~220 ns unpark. No spin with one CPU online, where spinning
+/// only steals the timeslice the producer needs ([`idle_rule`]).
 const SPIN_ITERS: u32 = 200;
 
-/// How long a driver with no spin budget (one CPU online) yields before it
-/// parks, from the end of its last step that did work. A spin would steal
-/// the timeslice the producer needs; a yield hands it over, and the
-/// producer's set then finds the driver runnable, so no futex wake-up is
+/// How long a receiving waiter that steps (caller-driven, or a driver) yields
+/// before it parks when it has no spin budget (one CPU online), from the end
+/// of its last turn that did work, its own step or a peer's. A spin would
+/// steal the timeslice the producer needs; a yield hands it over, and the
+/// producer's set then finds the waiter runnable, so no futex wake-up is
 /// paid for the message. A ping-pong half-op on the benchmark's pinned CPU
 /// takes about 15 µs, so the reply lands inside the window.
 const YIELD_FOR: Duration = Duration::from_micros(50);
+
+/// Who steps the node while a caller waits in [`Endpoint::drive_until`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Waiter {
+    /// A thread steps for the waiter (a NIC thread, a UDP receive thread, a
+    /// host-driven node's), or it is not receiving beside a NIC thread.
+    Beside,
+    /// Caller-driven: the waiter steps its node and services peers.
+    CallerDriven,
+    /// Registered as its NIC-thread node's driver ([`Readiness::drive`]).
+    Driver,
+}
+
+/// What an idle waiter does next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Idle {
+    Spin,
+    Yield,
+    Park,
+}
+
+/// The one idle rule of [`Endpoint::drive_until`], the same for a
+/// caller-driven waiter and a driver: a receiving waiter that steps spins
+/// [`SPIN_ITERS`] idle turns when more than one CPU is online, and with one
+/// yields until [`YIELD_FOR`] has passed since its last work. Every other
+/// waiter (one beside a thread that steps for it, or `flush`, which waits
+/// for acks alone) parks at once.
+fn idle_rule(
+    waiter: Waiter,
+    receiving: bool,
+    cpus: usize,
+    idle_iters: u32,
+    idle_for: Duration,
+) -> Idle {
+    if waiter == Waiter::Beside || !receiving {
+        Idle::Park
+    } else if cpus > 1 {
+        if idle_iters <= SPIN_ITERS {
+            Idle::Spin
+        } else {
+            Idle::Park
+        }
+    } else if idle_for < YIELD_FOR {
+        Idle::Yield
+    } else {
+        Idle::Park
+    }
+}
 
 impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
@@ -596,19 +645,20 @@ impl Endpoint {
     /// The one wait loop beneath every blocking call (`recv`, `flush`, and
     /// through this hidden seam the Portals event and counter waits): step
     /// (when the caller steps) and, if `receiving`, run a host-driven node's
-    /// dispatcher → `check` → service peers → bounded spin → park on the
-    /// waiters' doorbell ([`Endpoint::readiness`]), until `check` yields or
-    /// `deadline` passes (`None`). A caller-driven waiter steps, services
-    /// peers, spins (if `receiving`) and wakes for the transport's timers.
-    /// A receiving waiter on a node whose NIC thread this endpoint spawned
+    /// dispatcher → `check` → service peers → idle by `idle_rule` (spin,
+    /// yield or park on the waiters' doorbell, [`Endpoint::readiness`]),
+    /// until `check` yields or `deadline` passes (`None`). A caller-driven
+    /// waiter steps, services peers and wakes for the transport's timers. A
+    /// receiving waiter on a node whose NIC thread this endpoint spawned
     /// does the same without peer service, registered as the node's driver
     /// ([`Readiness::drive`]) for the length of the wait: the link's
-    /// doorbell then wakes it, not the NIC thread, it parks only while no
-    /// work bit is raised, and with one CPU online it yields for
-    /// `YIELD_FOR` where it would spin. Any other waiter beside a NIC thread
-    /// parks at once, on a doorbell the work it waits for rings. A waiter
-    /// that is not `receiving` (`flush`, which waits only for acks) neither
-    /// spins nor runs the engine.
+    /// doorbell then wakes it, not the NIC thread, and it parks only while
+    /// no work bit is raised. Both idle alike: with more than one CPU online
+    /// they spin `SPIN_ITERS` idle turns, with one they yield until
+    /// `YIELD_FOR` has passed since their last work, then park. Any other
+    /// waiter beside a NIC thread parks at once, on a doorbell the work it
+    /// waits for rings. A waiter that is not `receiving` (`flush`, which
+    /// waits only for acks) neither spins, yields nor runs the engine.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// step and predicate check, and the park returns immediately if it
@@ -620,15 +670,16 @@ impl Endpoint {
         receiving: bool,
         mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
-        let caller_driven = self.mode.is_caller_driven();
         let driver = (receiving && self.driven).then(|| self.stepper.readiness.drive());
-        let stepping = caller_driven || driver.is_some();
-        let spin_iters = if stepping && receiving {
-            portals_types::spin_budget(SPIN_ITERS)
+        let waiter = if self.mode.is_caller_driven() {
+            Waiter::CallerDriven
+        } else if driver.is_some() {
+            Waiter::Driver
         } else {
-            0
+            Waiter::Beside
         };
-        let yielding = driver.is_some() && spin_iters == 0;
+        let stepping = waiter != Waiter::Beside;
+        let cpus = portals_types::cpus_online();
         let mut idle_iters: u32 = 0;
         let mut idle_since = None;
         loop {
@@ -642,34 +693,46 @@ impl Endpoint {
                 idle_since = None;
                 continue;
             }
+            idle_iters += 1;
+            let now = Instant::now();
+            let idle_for = now.duration_since(*idle_since.get_or_insert(now));
+            let idle = idle_rule(waiter, receiving, cpus, idle_iters, idle_for);
             // Peers normally have their own blocked caller driving them;
             // stepping them every iteration makes two waiters contend on each
-            // other's core locks. A decimated cadence (plus once at the park
-            // boundary) keeps single-threaded simulations live without that
+            // other's core locks. A decimated cadence (plus every turn past
+            // the spin) keeps single-threaded simulations live without that
             // interference.
-            idle_iters += 1;
-            let parking = idle_iters > spin_iters;
-            if caller_driven && (parking || idle_iters % 32 == 0) && self.hub.service_peers() {
+            if waiter == Waiter::CallerDriven
+                && (idle != Idle::Spin || idle_iters % 32 == 0)
+                && self.hub.service_peers()
+            {
                 idle_iters = 0;
+                idle_since = None;
                 continue;
             }
-            let now = Instant::now();
             if let Some(d) = deadline {
                 if now >= d {
                     return None;
                 }
             }
-            if !parking {
-                std::hint::spin_loop();
-                continue;
-            }
-            // A driver is the only stepper the link's doorbell wakes, so it
-            // does not park on a raised bit its step could not take (the NIC
-            // thread finishing a step, a submitter holding the core lock).
-            let yield_window = yielding && now < *idle_since.get_or_insert(now) + YIELD_FOR;
-            if yield_window || (driver.is_some() && self.stepper.pending()) {
-                std::thread::yield_now();
-                continue;
+            match idle {
+                Idle::Spin => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                Idle::Yield => {
+                    std::thread::yield_now();
+                    continue;
+                }
+                // A driver is the only stepper the link's doorbell wakes, so
+                // it does not park on a raised bit its step could not take
+                // (the NIC thread finishing a step, a submitter holding the
+                // core lock).
+                Idle::Park if driver.is_some() && self.stepper.pending() => {
+                    std::thread::yield_now();
+                    continue;
+                }
+                Idle::Park => {}
             }
             idle_iters = 0;
             let mut bound = now + PARK_CAP;
@@ -808,6 +871,72 @@ mod tests {
         let a = Endpoint::new(fabric.attach(NodeId(0)), cfg);
         let b = Endpoint::new(fabric.attach(NodeId(1)), cfg);
         (a, b)
+    }
+
+    const INSIDE: Duration = Duration::from_micros(10);
+    const PAST: Duration = YIELD_FOR;
+
+    #[test]
+    fn a_receiving_waiter_that_steps_yields_on_one_cpu_then_parks() {
+        // Caller-driven or a driver, the same rule: no spin budget on one
+        // CPU, a yield while the window since its last work is open, then
+        // the park. The turn count plays no part.
+        for waiter in [Waiter::CallerDriven, Waiter::Driver] {
+            for idle_iters in [1, SPIN_ITERS, SPIN_ITERS + 1] {
+                assert_eq!(
+                    idle_rule(waiter, true, 1, idle_iters, Duration::ZERO),
+                    Idle::Yield
+                );
+                assert_eq!(idle_rule(waiter, true, 1, idle_iters, INSIDE), Idle::Yield);
+                assert_eq!(idle_rule(waiter, true, 1, idle_iters, PAST), Idle::Park);
+            }
+        }
+    }
+
+    #[test]
+    fn a_receiving_waiter_that_steps_spins_its_budget_on_many_cpus() {
+        // With more than one CPU it spins `SPIN_ITERS` idle turns, then
+        // parks; it never yields, however long it has been idle.
+        for waiter in [Waiter::CallerDriven, Waiter::Driver] {
+            for cpus in [2, 64] {
+                for idle_for in [Duration::ZERO, INSIDE, PAST] {
+                    assert_eq!(idle_rule(waiter, true, cpus, 1, idle_for), Idle::Spin);
+                    assert_eq!(
+                        idle_rule(waiter, true, cpus, SPIN_ITERS, idle_for),
+                        Idle::Spin
+                    );
+                    assert_eq!(
+                        idle_rule(waiter, true, cpus, SPIN_ITERS + 1, idle_for),
+                        Idle::Park
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiter_that_does_not_step_or_does_not_receive_parks_at_once() {
+        // Beside a thread that steps for it, or in `flush` (acks only), a
+        // waiter neither spins nor yields, on any CPU count.
+        let cases = [
+            (Waiter::Beside, true),
+            (Waiter::Beside, false),
+            (Waiter::CallerDriven, false),
+            (Waiter::Driver, false),
+        ];
+        for (waiter, receiving) in cases {
+            for cpus in [1, 2] {
+                for idle_for in [Duration::ZERO, INSIDE, PAST] {
+                    for idle_iters in [1, SPIN_ITERS + 1] {
+                        assert_eq!(
+                            idle_rule(waiter, receiving, cpus, idle_iters, idle_for),
+                            Idle::Park,
+                            "{waiter:?} receiving={receiving} cpus={cpus}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

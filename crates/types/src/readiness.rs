@@ -123,20 +123,15 @@ impl ProgressMode {
     }
 }
 
-/// The number of idle wait-loop iterations worth spinning before parking:
-/// `requested` on multi-CPU hosts, `0` when only one CPU is online. Spinning
-/// bets that the producer is running *concurrently*; on a single CPU the spin
-/// merely steals the timeslice the producer needs, so waiters should go
-/// straight to the doorbell park (which yields the CPU).
-pub fn spin_budget(requested: u32) -> u32 {
-    static MULTI_CPU: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let multi = *MULTI_CPU
-        .get_or_init(|| std::thread::available_parallelism().map_or(true, |n| n.get() > 1));
-    if multi {
-        requested
-    } else {
-        0
-    }
+/// The number of CPUs this process may run on (its affinity mask, so
+/// `taskset -c 0` reads 1), read once. A waiter that steps decides on it
+/// whether to spin: a spin bets that the producer runs *concurrently*, and on
+/// one CPU it merely steals the timeslice the producer needs, so there the
+/// waiter yields for a bounded window instead, then parks on its doorbell.
+/// An unreadable count is taken as many.
+pub fn cpus_online() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()))
 }
 
 /// A lock-free readiness bitset fused with a park/unpark doorbell.
