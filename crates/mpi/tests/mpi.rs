@@ -1,5 +1,6 @@
 //! MPI-semantics tests across both protocols, with the receive rules run by
-//! the NIC side (whichever `PORTALS_PROGRESS_MODE` selects) and by the host.
+//! the NIC side (with a NIC thread standing by, and built without one) and
+//! by the host.
 
 use portals::{NiConfig, Node, NodeConfig, ProgressMode, Region, TransportConfig};
 use portals_mpi::{Communicator, Completion, Mpi, MpiConfig};
@@ -59,14 +60,23 @@ fn world_run_with(
     drop(nodes);
 }
 
-/// All four (protocol × progress) combinations under test.
+/// The two builds that run the receive rules on the NIC side: a NIC thread
+/// stands by, or, built without one, peers' waits do.
+const BOTH_BUILDS: [ProgressMode; 2] = [ProgressMode::NicThread, ProgressMode::CallerDriven];
+
+/// All six (protocol × progress) combinations under test.
 fn all_stacks() -> Vec<(ProgressMode, MpiConfig)> {
-    vec![
-        (ProgressMode::from_env(), MpiConfig::default()),
-        (ProgressMode::HostDriven, MpiConfig::default()),
-        (ProgressMode::from_env(), MpiConfig::gm_style()),
-        (ProgressMode::HostDriven, MpiConfig::gm_style()),
-    ]
+    [MpiConfig::default(), MpiConfig::gm_style()]
+        .into_iter()
+        .flat_map(|cfg| {
+            [
+                ProgressMode::NicThread,
+                ProgressMode::CallerDriven,
+                ProgressMode::HostDriven,
+            ]
+            .map(|progress| (progress, cfg))
+        })
+        .collect()
 }
 
 #[test]
@@ -244,19 +254,21 @@ fn barrier_synchronizes_all_ranks() {
 
 #[test]
 fn communicator_contexts_isolate_traffic() {
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        let comm2 = comm.dup();
-        if comm.rank() == Rank(0) {
-            // Same tag on two communicators: must not cross.
-            comm2.send(Rank(1), 5, b"on-comm2");
-            comm.send(Rank(1), 5, b"on-world");
-        } else {
-            let (w, _) = comm.recv(Some(Rank(0)), Some(5), 32);
-            assert_eq!(w, b"on-world");
-            let (d, _) = comm2.recv(Some(Rank(0)), Some(5), 32);
-            assert_eq!(d, b"on-comm2");
-        }
-    });
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            let comm2 = comm.dup();
+            if comm.rank() == Rank(0) {
+                // Same tag on two communicators: must not cross.
+                comm2.send(Rank(1), 5, b"on-comm2");
+                comm.send(Rank(1), 5, b"on-world");
+            } else {
+                let (w, _) = comm.recv(Some(Rank(0)), Some(5), 32);
+                assert_eq!(w, b"on-world");
+                let (d, _) = comm2.recv(Some(Rank(0)), Some(5), 32);
+                assert_eq!(d, b"on-comm2");
+            }
+        });
+    }
 }
 
 #[test]
@@ -311,7 +323,8 @@ fn waitall_on_mixed_batch() {
 #[test]
 fn ring_pipeline_many_ranks() {
     for (progress, cfg) in [
-        (ProgressMode::from_env(), MpiConfig::default()),
+        (ProgressMode::NicThread, MpiConfig::default()),
+        (ProgressMode::CallerDriven, MpiConfig::default()),
         (ProgressMode::HostDriven, MpiConfig::gm_style()),
     ] {
         world_run(6, progress, cfg, |comm| {
@@ -344,19 +357,21 @@ fn ring_pipeline_many_ranks() {
 #[test]
 fn irecv_before_send_gets_direct_delivery() {
     // Hardware matching: a pre-posted receive means zero unexpected buffering.
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        if comm.rank() == Rank(1) {
-            let buf = Region::zeroed(64 * 1024);
-            let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
-            comm.barrier();
-            let st = comm.wait(req).status().unwrap();
-            assert_eq!(st.len, 64 * 1024);
-            assert_eq!(comm.engine().unexpected_pending(), 0);
-        } else {
-            comm.barrier();
-            comm.send(Rank(1), 1, &vec![5u8; 64 * 1024]);
-        }
-    });
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            if comm.rank() == Rank(1) {
+                let buf = Region::zeroed(64 * 1024);
+                let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
+                comm.barrier();
+                let st = comm.wait(req).status().unwrap();
+                assert_eq!(st.len, 64 * 1024);
+                assert_eq!(comm.engine().unexpected_pending(), 0);
+            } else {
+                comm.barrier();
+                comm.send(Rank(1), 1, &vec![5u8; 64 * 1024]);
+            }
+        });
+    }
 }
 
 #[test]
@@ -373,30 +388,32 @@ fn slab_rotation_under_many_unexpected_messages() {
     // MPI calls — the paper's point about sizing unexpected-message memory to
     // application behaviour (§4.1). Send in waves that fit the attached
     // slabs, with a handshake (which drains and replenishes) between waves.
-    world_run(2, ProgressMode::from_env(), cfg, |comm| {
-        let waves = 5u32;
-        let per_wave = 8u32; // 8 × 8 KiB = 64 KiB per wave ≤ attached capacity
-        if comm.rank() == Rank(0) {
-            for w in 0..waves {
-                for i in 0..per_wave {
-                    comm.send(Rank(1), 2, &vec![(w * per_wave + i) as u8; 8 * 1024]);
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, cfg, |comm| {
+            let waves = 5u32;
+            let per_wave = 8u32; // 8 × 8 KiB = 64 KiB per wave ≤ attached capacity
+            if comm.rank() == Rank(0) {
+                for w in 0..waves {
+                    for i in 0..per_wave {
+                        comm.send(Rank(1), 2, &vec![(w * per_wave + i) as u8; 8 * 1024]);
+                    }
+                    let (ok, _) = comm.recv(Some(Rank(1)), Some(3), 4);
+                    assert_eq!(ok, b"ok");
                 }
-                let (ok, _) = comm.recv(Some(Rank(1)), Some(3), 4);
-                assert_eq!(ok, b"ok");
-            }
-        } else {
-            for w in 0..waves {
-                std::thread::sleep(Duration::from_millis(20)); // wave lands unexpectedly
-                for i in 0..per_wave {
-                    let (data, st) = comm.recv(Some(Rank(0)), Some(2), 8 * 1024);
-                    assert_eq!(st.len, 8 * 1024);
-                    let expect = (w * per_wave + i) as u8;
-                    assert!(data.iter().all(|&b| b == expect), "message {expect} intact");
+            } else {
+                for w in 0..waves {
+                    std::thread::sleep(Duration::from_millis(20)); // wave lands unexpectedly
+                    for i in 0..per_wave {
+                        let (data, st) = comm.recv(Some(Rank(0)), Some(2), 8 * 1024);
+                        assert_eq!(st.len, 8 * 1024);
+                        let expect = (w * per_wave + i) as u8;
+                        assert!(data.iter().all(|&b| b == expect), "message {expect} intact");
+                    }
+                    comm.send(Rank(0), 3, b"ok");
                 }
-                comm.send(Rank(0), 3, b"ok");
             }
-        }
-    });
+        });
+    }
 }
 
 #[test]
@@ -430,26 +447,28 @@ fn probe_reports_length_then_recv_consumes() {
 
 #[test]
 fn wait_any_returns_first_completion() {
-    world_run(3, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        if comm.rank() == Rank(0) {
-            // Two receives; rank 2 answers promptly, rank 1 after a delay.
-            let buf1 = Region::zeroed(8);
-            let buf2 = Region::zeroed(8);
-            let r1 = comm.irecv(Some(Rank(1)), Some(1), buf1);
-            let r2 = comm.irecv(Some(Rank(2)), Some(1), buf2);
-            let (idx, c) = comm.engine().wait_any(&[r1, r2]);
-            assert_eq!(idx, 1, "rank 2's message lands first");
-            assert_eq!(c.status().unwrap().source, Rank(2));
-            let (idx, c) = comm.engine().wait_any(&[r1]);
-            assert_eq!(idx, 0);
-            assert_eq!(c.status().unwrap().source, Rank(1));
-        } else if comm.rank() == Rank(1) {
-            std::thread::sleep(Duration::from_millis(80));
-            comm.send(Rank(0), 1, b"late");
-        } else {
-            comm.send(Rank(0), 1, b"fast");
-        }
-    });
+    for progress in BOTH_BUILDS {
+        world_run(3, progress, MpiConfig::default(), |comm| {
+            if comm.rank() == Rank(0) {
+                // Two receives; rank 2 answers promptly, rank 1 after a delay.
+                let buf1 = Region::zeroed(8);
+                let buf2 = Region::zeroed(8);
+                let r1 = comm.irecv(Some(Rank(1)), Some(1), buf1);
+                let r2 = comm.irecv(Some(Rank(2)), Some(1), buf2);
+                let (idx, c) = comm.engine().wait_any(&[r1, r2]);
+                assert_eq!(idx, 1, "rank 2's message lands first");
+                assert_eq!(c.status().unwrap().source, Rank(2));
+                let (idx, c) = comm.engine().wait_any(&[r1]);
+                assert_eq!(idx, 0);
+                assert_eq!(c.status().unwrap().source, Rank(1));
+            } else if comm.rank() == Rank(1) {
+                std::thread::sleep(Duration::from_millis(80));
+                comm.send(Rank(0), 1, b"late");
+            } else {
+                comm.send(Rank(0), 1, b"fast");
+            }
+        });
+    }
 }
 
 /// `wait_any` used to panic ("event queue failure") when the MPI event queue
@@ -528,23 +547,25 @@ fn irecv_racing_its_rendezvous_announcement() {
         slab_min_free: 1024,
         ..MpiConfig::default()
     };
-    world_run(2, ProgressMode::from_env(), cfg, |comm| {
-        if comm.rank() == Rank(0) {
-            let data = Region::zeroed(LEN);
-            for _ in 0..ROUNDS {
-                let req = comm.isend_region(Rank(1), 1, data.clone());
-                comm.wait(req);
-                comm.recv(Some(Rank(1)), Some(2), 1);
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, cfg, |comm| {
+            if comm.rank() == Rank(0) {
+                let data = Region::zeroed(LEN);
+                for _ in 0..ROUNDS {
+                    let req = comm.isend_region(Rank(1), 1, data.clone());
+                    comm.wait(req);
+                    comm.recv(Some(Rank(1)), Some(2), 1);
+                }
+            } else {
+                let buf = Region::zeroed(LEN);
+                for _ in 0..ROUNDS {
+                    let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
+                    assert_eq!(comm.wait(req).status().unwrap().len, LEN);
+                    comm.send(Rank(0), 2, b"k");
+                }
             }
-        } else {
-            let buf = Region::zeroed(LEN);
-            for _ in 0..ROUNDS {
-                let req = comm.irecv(Some(Rank(0)), Some(1), buf.clone());
-                assert_eq!(comm.wait(req).status().unwrap().len, LEN);
-                comm.send(Rank(0), 2, b"k");
-            }
-        }
-    });
+        });
+    }
 }
 
 /// Seven unexpected 600 KiB messages under the default config. Each is
@@ -556,11 +577,8 @@ fn unexpected_messages_above_the_cutoff_arrive_whole() {
     const LEN: usize = 600 * 1024;
     const N: u32 = 7;
     let fill = |i: u32| -> Vec<u8> { (0..LEN).map(|b| (b as u32 ^ (i * 77)) as u8).collect() };
-    world_run(
-        2,
-        ProgressMode::from_env(),
-        MpiConfig::default(),
-        move |comm| {
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), move |comm| {
             if comm.rank() == Rank(0) {
                 let reqs: Vec<_> = (0..N)
                     .map(|i| comm.isend_region(Rank(1), i, Region::copy_from_slice(&fill(i))))
@@ -583,8 +601,8 @@ fn unexpected_messages_above_the_cutoff_arrive_whole() {
                     assert!(buf.read_vec(0, LEN) == fill(i), "message {i} corrupted");
                 }
             }
-        },
-    );
+        });
+    }
 }
 
 /// A long message into a posted receive with no room at all: the put lands
@@ -593,26 +611,28 @@ fn unexpected_messages_above_the_cutoff_arrive_whole() {
 #[test]
 fn long_message_into_a_zero_capacity_receive_completes_both_sides() {
     const LEN: usize = 512 * 1024;
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        if comm.rank() == Rank(0) {
-            comm.barrier();
-            let req = comm.isend_region(Rank(1), 4, Region::zeroed(LEN));
-            assert_eq!(
-                comm.wait(req),
-                Completion::Send {
-                    delivered: 0,
-                    requested: LEN as u64,
-                }
-            );
-        } else {
-            let req = comm.irecv(Some(Rank(0)), Some(4), Region::zeroed(0));
-            comm.barrier();
-            let st = comm.wait(req).status().unwrap();
-            assert_eq!((st.len, st.truncated, st.full_len), (0, true, LEN));
-            assert_eq!(comm.engine().unexpected_pending(), 0);
-        }
-        assert_eq!(comm.engine().sends_pending(), 0);
-    });
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            if comm.rank() == Rank(0) {
+                comm.barrier();
+                let req = comm.isend_region(Rank(1), 4, Region::zeroed(LEN));
+                assert_eq!(
+                    comm.wait(req),
+                    Completion::Send {
+                        delivered: 0,
+                        requested: LEN as u64,
+                    }
+                );
+            } else {
+                let req = comm.irecv(Some(Rank(0)), Some(4), Region::zeroed(0));
+                comm.barrier();
+                let st = comm.wait(req).status().unwrap();
+                assert_eq!((st.len, st.truncated, st.full_len), (0, true, LEN));
+                assert_eq!(comm.engine().unexpected_pending(), 0);
+            }
+            assert_eq!(comm.engine().sends_pending(), 0);
+        });
+    }
 }
 
 /// Application bypass at every size (§5.1): with NIC-thread progress, a long
@@ -658,40 +678,44 @@ fn long_messages_bypass_the_receiving_application() {
 
 #[test]
 fn iprobe_wildcards() {
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        if comm.rank() == Rank(0) {
-            comm.send(Rank(1), 33, b"x");
-        } else {
-            // Wait for it with a fully wild probe.
-            let st = comm.probe(None, None);
-            assert_eq!(st.tag, 33);
-            assert_eq!(st.source, Rank(0));
-            assert!(comm.iprobe(Some(Rank(0)), Some(34)).is_none(), "wrong tag");
-            let _ = comm.recv(None, None, 8);
-        }
-    });
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            if comm.rank() == Rank(0) {
+                comm.send(Rank(1), 33, b"x");
+            } else {
+                // Wait for it with a fully wild probe.
+                let st = comm.probe(None, None);
+                assert_eq!(st.tag, 33);
+                assert_eq!(st.source, Rank(0));
+                assert!(comm.iprobe(Some(Rank(0)), Some(34)).is_none(), "wrong tag");
+                let _ = comm.recv(None, None, 8);
+            }
+        });
+    }
 }
 
 #[test]
 fn concurrent_pairs_do_not_interfere() {
     // 4 ranks: (0,1) and (2,3) exchange heavy traffic simultaneously.
-    world_run(4, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        let me = comm.rank().0;
-        let partner = Rank(me ^ 1);
-        for i in 0..30u32 {
-            let tag = 1;
-            let msg = vec![(me as u8) ^ (i as u8); 2048];
-            if me % 2 == 0 {
-                comm.send(partner, tag, &msg);
-                let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
-                assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
-            } else {
-                let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
-                assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
-                comm.send(partner, tag, &msg);
+    for progress in BOTH_BUILDS {
+        world_run(4, progress, MpiConfig::default(), |comm| {
+            let me = comm.rank().0;
+            let partner = Rank(me ^ 1);
+            for i in 0..30u32 {
+                let tag = 1;
+                let msg = vec![(me as u8) ^ (i as u8); 2048];
+                if me % 2 == 0 {
+                    comm.send(partner, tag, &msg);
+                    let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
+                    assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
+                } else {
+                    let (data, _) = comm.recv(Some(partner), Some(tag), 4096);
+                    assert_eq!(data[0], (partner.0 as u8) ^ (i as u8));
+                    comm.send(partner, tag, &msg);
+                }
             }
-        }
-    });
+        });
+    }
 }
 
 #[test]
@@ -699,42 +723,46 @@ fn small_send_slabs_are_pooled_and_recycled() {
     // A ping-pong loop long enough for acks to return slabs to the pool:
     // after warm-up nearly every small send should reuse a slab rather than
     // allocate, and the counter must converge accordingly.
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        let me = comm.rank().0;
-        let partner = Rank(me ^ 1);
-        for i in 0..100u32 {
-            let msg = [i as u8; 32];
-            if me == 0 {
-                comm.send(partner, 7, &msg);
-                let _ = comm.recv(Some(partner), Some(7), 64);
-            } else {
-                let _ = comm.recv(Some(partner), Some(7), 64);
-                comm.send(partner, 7, &msg);
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            let me = comm.rank().0;
+            let partner = Rank(me ^ 1);
+            for i in 0..100u32 {
+                let msg = [i as u8; 32];
+                if me == 0 {
+                    comm.send(partner, 7, &msg);
+                    let _ = comm.recv(Some(partner), Some(7), 64);
+                } else {
+                    let _ = comm.recv(Some(partner), Some(7), 64);
+                    comm.send(partner, 7, &msg);
+                }
             }
-        }
-        let pooled = comm.engine().regions_pooled();
-        let allocated = comm.engine().regions_allocated();
-        assert_eq!(pooled + allocated, 100, "every small send is pool-eligible");
-        assert!(
-            pooled >= 90,
-            "expected ≥90 of 100 sends served from the pool, got {pooled} \
-                 (allocated {allocated})"
-        );
-    });
+            let pooled = comm.engine().regions_pooled();
+            let allocated = comm.engine().regions_allocated();
+            assert_eq!(pooled + allocated, 100, "every small send is pool-eligible");
+            assert!(
+                pooled >= 90,
+                "expected ≥90 of 100 sends served from the pool, got {pooled} \
+                     (allocated {allocated})"
+            );
+        });
+    }
 }
 
 #[test]
 fn oversize_sends_bypass_the_pool() {
-    world_run(2, ProgressMode::from_env(), MpiConfig::default(), |comm| {
-        let me = comm.rank().0;
-        if me == 0 {
-            // Larger than the send pool's 2048-byte slab.
-            comm.send(Rank(1), 3, &vec![9u8; 8192]);
-            assert_eq!(comm.engine().regions_pooled(), 0);
-            assert_eq!(comm.engine().regions_allocated(), 0);
-        } else {
-            let (data, _) = comm.recv(Some(Rank(0)), Some(3), 16384);
-            assert_eq!(data.len(), 8192);
-        }
-    });
+    for progress in BOTH_BUILDS {
+        world_run(2, progress, MpiConfig::default(), |comm| {
+            let me = comm.rank().0;
+            if me == 0 {
+                // Larger than the send pool's 2048-byte slab.
+                comm.send(Rank(1), 3, &vec![9u8; 8192]);
+                assert_eq!(comm.engine().regions_pooled(), 0);
+                assert_eq!(comm.engine().regions_allocated(), 0);
+            } else {
+                let (data, _) = comm.recv(Some(Rank(0)), Some(3), 16384);
+                assert_eq!(data.len(), 8192);
+            }
+        });
+    }
 }

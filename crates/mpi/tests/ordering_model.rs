@@ -177,14 +177,16 @@ proptest! {
     #[test]
     fn eager_direct_matches_reference((messages, recvs) in scenario()) {
         let expect = reference(&messages, &recvs);
-        let got = run_world(
-            messages,
-            recvs,
-            ProgressMode::from_env(),
-            MpiConfig::default(),
-            false,
-        );
-        prop_assert_eq!(got, expect);
+        for progress in [ProgressMode::NicThread, ProgressMode::CallerDriven] {
+            let got = run_world(
+                messages.clone(),
+                recvs.clone(),
+                progress,
+                MpiConfig::default(),
+                false,
+            );
+            prop_assert_eq!(&got, &expect, "{:?}", progress);
+        }
     }
 
     #[test]

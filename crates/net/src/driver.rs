@@ -1,13 +1,12 @@
-//! Cooperative caller-driven progress, and a link's own receive thread as
-//! the stepper: the driver registry.
+//! Who stands by for a node built without a NIC thread, and a link's own
+//! receive thread as the stepper: the driver registry.
 //!
-//! In threadless mode no thread stands behind an idle node, so a process that
-//! parks in `eq_wait` must be able to advance its *peers'* protocol state —
-//! the in-process simulation analogue of every real process polling its own
-//! NIC. A caller-driven transport endpoint registers its stepper — which also
-//! runs a node's dispatch over what each step delivered — with its link's
-//! [`DriverHub`]; wait loops then call [`DriverHub::service_peers`] between
-//! their own progress steps.
+//! A caller blocked in a receiving wait steps its own node. While none does,
+//! a node built without a NIC thread has no thread behind it, so waits in
+//! the process step their *peers* — the in-process analogue of every real
+//! process polling its own NIC. Such an endpoint registers its stepper
+//! (which also runs a node's dispatch) with its link's [`DriverHub`]; wait
+//! loops call [`DriverHub::service_peers`] between their own steps.
 //!
 //! The registry is deliberately independent of the fabric: it is a property of
 //! *which nodes share a process*, not of which wire carries their packets, so
@@ -27,8 +26,8 @@ use std::cell::Cell;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// A protocol stack that can be driven cooperatively by *other* threads'
-/// blocking waits (the caller-driven progress mode).
+/// A protocol stack that *other* threads can step: peers' waits, for a node
+/// built without a NIC thread, or the link's receive thread that hosts it.
 ///
 /// Implementations must be re-entrancy-safe against concurrent `service`
 /// calls from different threads (internally they take a non-blocking
@@ -48,9 +47,9 @@ pub trait NodeDriver: Send + Sync {
     fn drive(&self) -> Option<Instant>;
 }
 
-/// The set of cooperative drivers sharing one process: who can be serviced
-/// from whose wait loop. One registry typically backs all the nodes attached
-/// to one link backend instance.
+/// The drivers registered in one process: which nodes peers' waits step.
+/// One registry typically backs all the nodes attached to one link backend
+/// instance.
 #[derive(Default)]
 pub struct DriverRegistry {
     /// `Weak` so the registry never keeps a node alive — and never forms a
@@ -142,7 +141,7 @@ impl DriverRegistry {
         }
     }
 
-    /// Register (or replace) the cooperative driver for `nid`.
+    /// Register (or replace) the driver peers step for `nid`.
     pub fn register(&self, nid: NodeId, driver: Weak<dyn NodeDriver>) {
         let mut drivers = self.drivers.write();
         if let Some(slot) = drivers.iter_mut().find(|(n, _)| *n == nid) {
@@ -152,7 +151,7 @@ impl DriverRegistry {
         }
     }
 
-    /// Drop the cooperative driver registered for `nid`, if any.
+    /// Drop the driver registered for `nid`, if any.
     pub fn unregister(&self, nid: NodeId) {
         self.drivers.write().retain(|(n, _)| *n != nid);
     }
@@ -197,10 +196,10 @@ impl std::fmt::Debug for DriverRegistry {
     }
 }
 
-/// A handle for participating in cooperative caller-driven progress: register
-/// a [`NodeDriver`] for this node and service peers' pending work from wait
-/// loops. Obtained from a link backend ([`LinkCaps::hub`](crate::LinkCaps));
-/// cheap to clone.
+/// One node's handle on its process's [`DriverRegistry`]: register a
+/// [`NodeDriver`] for the node and service peers' pending work from wait
+/// loops, or host the driver on the link's receive thread. Obtained from a
+/// link backend ([`LinkCaps::hub`](crate::LinkCaps)); cheap to clone.
 #[derive(Clone)]
 pub struct DriverHub {
     nid: NodeId,
@@ -219,12 +218,12 @@ impl DriverHub {
         self.nid
     }
 
-    /// Register (or replace) this node's cooperative driver.
+    /// Register (or replace) the driver peers step for this node.
     pub fn register(&self, driver: Weak<dyn NodeDriver>) {
         self.registry.register(self.nid, driver);
     }
 
-    /// Remove this node's cooperative driver.
+    /// Remove this node's registered driver.
     pub fn unregister(&self) {
         self.registry.unregister(self.nid);
     }
@@ -251,8 +250,8 @@ impl DriverHub {
     }
 
     /// Advance every *other* registered node that has pending work. Returns
-    /// `true` if anything was done. Called from caller-driven wait loops so
-    /// single-process simulations make progress for all their nodes.
+    /// `true` if anything was done. Called from the wait loops of nodes
+    /// built without a NIC thread, so that all their peers make progress.
     pub fn service_peers(&self) -> bool {
         self.registry.service_peers(self.nid)
     }

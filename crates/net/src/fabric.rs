@@ -62,8 +62,8 @@ pub(crate) struct Shared {
     pub(crate) stats: FabricStats,
     /// Each attached node's inbound queue, shared with its [`Nic`].
     pub(crate) routes: RwLock<HashMap<NodeId, Arc<DoorbellQueue<Datagram>>>>,
-    /// Caller-driven nodes that volunteered to be serviced from peers' wait
-    /// loops (see [`crate::NodeDriver`]); shared with every
+    /// Nodes built without a NIC thread, stepped from peers' wait loops
+    /// (see [`crate::NodeDriver`]); shared with every
     /// [`crate::DriverHub`] this fabric's NICs hand out.
     pub(crate) registry: Arc<DriverRegistry>,
     partitions: RwLock<HashSet<(NodeId, NodeId)>>,

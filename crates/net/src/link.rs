@@ -28,10 +28,10 @@ use std::sync::Arc;
 /// is built on the link.
 #[derive(Debug)]
 pub struct LinkCaps {
-    /// Handle for cooperative caller-driven progress among the nodes sharing
-    /// this backend's process, and — on a backend whose link takes datagrams
-    /// on a receive thread of its own — for hosting the endpoint's step on
-    /// that thread ([`DriverHub::host`]).
+    /// Handle on who stands by for the nodes sharing this backend's process:
+    /// for peers' waits to step a node built without a NIC thread, and — on
+    /// a backend whose link takes datagrams on a receive thread of its own —
+    /// for hosting the endpoint's step on that thread ([`DriverHub::host`]).
     pub hub: DriverHub,
     /// Hard upper bound on a single datagram's payload size, if the wire has
     /// one (a UDP socket does; the in-process fabric does not). The

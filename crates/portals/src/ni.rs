@@ -9,11 +9,13 @@
 //! ([`ProgressMode`](portals_types::ProgressMode), on
 //! `TransportConfig::progress_mode`):
 //!
-//! * `NicThread` / `CallerDriven` — application bypass: the node's NIC thread
-//!   (our NIC firmware), or the caller standing in for it, processes messages
-//!   the moment they arrive. "The fundamental concept of Portals is to
-//!   decouple the host processor from the network and allow data to flow with
-//!   virtually no application processing" (§5.1).
+//! * `NicThread` / `CallerDriven` — application bypass: messages are
+//!   processed the moment they arrive, by a caller blocked in a wait on the
+//!   node, and while none is by whoever stands by — the node's NIC thread
+//!   (our NIC firmware), or, built without one, the waits of its peers.
+//!   "The fundamental concept of Portals is to decouple the host processor
+//!   from the network and allow data to flow with virtually no application
+//!   processing" (§5.1).
 //! * `HostDriven` — arriving messages wait raw in the node's transport
 //!   endpoint, under its credit flow control; they are processed only inside
 //!   the API calls that run the engine ([`NetworkInterface::progress`], the
@@ -801,8 +803,8 @@ impl NetworkInterface {
             .unwrap_or(Err(PtlError::Timeout))
     }
 
-    /// Make progress from this call: on a caller-driven node, step the
-    /// transport and dispatch inline (there is no NIC thread); on a
+    /// Make progress from this call: on a node built without a NIC thread,
+    /// step the transport and dispatch inline; on a
     /// host-driven node, run the engine over the deliveries waiting for an
     /// API call. A no-op beside a NIC thread that runs the engine itself.
     pub fn progress(&self) {

@@ -7,24 +7,24 @@
 //! fails, the runtime system discards the message and increments the dropped
 //! message count for the interface."
 //!
-//! The node's transport endpoint owns its step: the one thread that stands in
-//! for NIC firmware steps it — the thread the endpoint spawns, or on a wire
-//! with a receive thread of its own (UDP) that thread — or blocked callers
-//! do. The node hands it one dispatcher, `NodeShared::dispatch_queued`, which
-//! takes the endpoint's deliveries — fragments, one per message that fit one
-//! — through `crate::stream` into the receive engine. The endpoint decides
-//! when it runs: after each step, so selection and delivery proceed while
-//! the application computes, or, host-driven, only inside the API calls that
-//! run the engine.
+//! The node's transport endpoint owns its step. A blocked API call steps it
+//! — except on a wire with a receive thread of its own (UDP), which always
+//! steps — and while none does, whoever stands by: the thread that stands in
+//! for NIC firmware (the one the endpoint spawns, or that receive thread), or
+//! for a node built without one the waits of its peers in the process. The
+//! node hands it one dispatcher, `NodeShared::dispatch_queued`, which takes
+//! the endpoint's deliveries — fragments, one per message that fit one —
+//! through `crate::stream` into the receive engine. The endpoint decides when
+//! it runs: after each step, so selection and delivery proceed while the
+//! application computes, or, host-driven, only inside the API calls that run
+//! the engine.
 //!
 //! Blocked API calls park on the endpoint's *waiters' doorbell*
-//! ([`Endpoint::readiness`]): the link's when they step the protocol
-//! themselves — caller-driven, or on the fabric beside a NIC thread, where
-//! the blocked call steps the node while the thread stands by, and an
-//! arrival wakes the call instead of the thread; on UDP, where the socket's
-//! receive thread steps, one of their own, which only completions ring —
-//! and, host-driven, the deliveries waiting for them. The node rings it for
-//! every completion.
+//! ([`Endpoint::readiness`]): the link's where they step the node
+//! themselves, so that an arrival wakes the call instead of a standby
+//! thread; on UDP, where the socket's receive thread steps, one of their
+//! own, which only completions ring — and, host-driven, the deliveries
+//! waiting for them. The node rings it for every completion.
 //!
 //! One run of the dispatcher is a dispatch step, a `Step` value passed by
 //! `&mut` down the receive path: the engine sends and counts completions
@@ -63,14 +63,15 @@ impl ProcessDirectory for OpenDirectory {
 }
 
 /// Node configuration.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct NodeConfig {
     /// Transport tuning for the node's endpoint. The
-    /// [`TransportConfig::progress_mode`] field also decides who runs the
-    /// protocol on this node: its NIC thread ([`ProgressMode::NicThread`]),
-    /// API calls stepping it inline ([`ProgressMode::CallerDriven`]), or the
-    /// NIC thread for the transport and API calls for the receive rules
-    /// ([`ProgressMode::HostDriven`]).
+    /// [`TransportConfig::progress_mode`] field also decides who stands by to
+    /// step the node while no blocked API call does: its NIC thread
+    /// ([`ProgressMode::NicThread`], the default), or, built without one,
+    /// its peers' waits and its own polls ([`ProgressMode::CallerDriven`]);
+    /// or whether the NIC thread steps the transport and API calls run the
+    /// receive rules ([`ProgressMode::HostDriven`]).
     pub transport: TransportConfig,
     /// Process classifier for ACL checks; defaults to "everyone is
     /// application 0".
@@ -80,23 +81,6 @@ pub struct NodeConfig {
     /// lifecycle traces to its sinks. The default is a private registry with
     /// tracing disabled.
     pub obs: Obs,
-}
-
-impl Default for NodeConfig {
-    /// Unlike [`TransportConfig::default`] (always NIC-thread), the node-level
-    /// default consults the `PORTALS_PROGRESS_MODE` environment variable, so a
-    /// whole application — tests included — can be flipped to the threadless
-    /// mode without code changes.
-    fn default() -> NodeConfig {
-        NodeConfig {
-            transport: TransportConfig {
-                progress_mode: ProgressMode::from_env(),
-                ..TransportConfig::default()
-            },
-            directory: None,
-            obs: Obs::default(),
-        }
-    }
 }
 
 impl std::fmt::Debug for NodeConfig {
@@ -244,7 +228,7 @@ impl<'a> Step<'a> {
 }
 
 /// A simulated machine: one transport endpoint, one NIC thread (the link's
-/// receive thread on UDP; none when caller-driven), and any number of
+/// receive thread on UDP; none when built without one), and any number of
 /// process-level [`NetworkInterface`]s.
 ///
 /// Dropping the node powers it off: the NIC thread stops and its interfaces
@@ -258,18 +242,17 @@ impl Node {
     /// Bring up a node on a [`Link`](portals_net::Link) — an attached
     /// in-process NIC, a UDP socket endpoint, any datagram backend.
     ///
-    /// With [`ProgressMode::NicThread`] (the transport-config default) one
-    /// thread stands in for NIC firmware: it steps the transport and
-    /// dispatches what arrived. On a link with a receive thread of its own (a
-    /// UDP socket) that is the receive thread, stepping after each batch it
-    /// takes; otherwise the endpoint spawns `portals-node-<nid>`, parked on
-    /// the link's doorbell, and a call blocked in a wait steps the node in
-    /// its place until it returns. [`ProgressMode::HostDriven`] uses the same
-    /// thread for the transport alone: what it delivers waits in the
-    /// endpoint's queue for the node's next API call that runs the engine.
-    /// With [`ProgressMode::CallerDriven`] no thread is spawned: the endpoint
-    /// is a cooperative fabric driver and blocked API calls run that step
-    /// inline.
+    /// A call blocked in a wait steps the node — the transport, then the
+    /// dispatch of what arrived — until it returns, except on a link with a
+    /// receive thread of its own (a UDP socket), which steps after each batch
+    /// it takes. While no call does, whoever stands by steps it: with
+    /// [`ProgressMode::NicThread`] (the default) one thread standing in for
+    /// NIC firmware, that receive thread or `portals-node-<nid>`, parked on
+    /// the link's doorbell; with [`ProgressMode::CallerDriven`] no thread is
+    /// spawned, and the waits of peer nodes in the process step it, as do its
+    /// own polls. [`ProgressMode::HostDriven`] uses the NIC thread for the
+    /// transport alone: what it delivers waits in the endpoint's queue for
+    /// the node's next API call that runs the engine.
     pub fn new(link: impl portals_net::Link, config: NodeConfig) -> Node {
         let nid = link.nid();
         let node_labels = [("node", nid.0.to_string())];
@@ -299,7 +282,7 @@ impl Node {
         Node { shared }
     }
 
-    /// Whether this node runs threadless (caller-driven progress).
+    /// Who stands by to step this node (see [`Node::new`]).
     pub fn progress_mode(&self) -> ProgressMode {
         self.shared.endpoint.progress_mode()
     }

@@ -2,12 +2,26 @@
 //! detection — the launcher and process managers talk only through Portals,
 //! authenticated as system processes (§4.5 ACL entry 1).
 
-use portals::{NiConfig, Node, NodeConfig};
+use portals::{NiConfig, Node, NodeConfig, ProgressMode, TransportConfig};
 use portals_net::Fabric;
 use portals_runtime::{JobDirectory, Launcher, NodeState, ProcessManager};
 use portals_types::{NodeId, ProcessId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The two builds a bypass test runs in: a NIC thread standing by, and
+/// built without one.
+const BOTH_BUILDS: [ProgressMode; 2] = [ProgressMode::NicThread, ProgressMode::CallerDriven];
+
+fn build(mode: ProgressMode) -> NodeConfig {
+    NodeConfig {
+        transport: TransportConfig {
+            progress_mode: mode,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -17,7 +31,10 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-fn control_world(nmanagers: usize) -> (Launcher, Vec<ProcessManager>, Vec<Node>, Arc<Fabric>) {
+fn control_world(
+    nmanagers: usize,
+    mode: ProgressMode,
+) -> (Launcher, Vec<ProcessManager>, Vec<Node>, Arc<Fabric>) {
     let fabric = Arc::new(Fabric::ideal());
     let directory = Arc::new(JobDirectory::new());
     let mut nodes = Vec::new();
@@ -34,7 +51,7 @@ fn control_world(nmanagers: usize) -> (Launcher, Vec<ProcessManager>, Vec<Node>,
             fabric.attach(NodeId(nid)),
             NodeConfig {
                 directory: Some(directory.clone()),
-                ..Default::default()
+                ..build(mode)
             },
         )
     };
@@ -64,57 +81,63 @@ fn control_world(nmanagers: usize) -> (Launcher, Vec<ProcessManager>, Vec<Node>,
 
 #[test]
 fn managers_register_and_beacon() {
-    let (launcher, _managers, _nodes, _fabric) = control_world(3);
-    wait_until("all managers registered", || launcher.nodes().len() == 3);
-    std::thread::sleep(Duration::from_millis(150));
-    assert!(
-        launcher
-            .nodes()
-            .iter()
-            .all(|(_, st)| *st == NodeState::Alive),
-        "steady heartbeats keep every node alive: {:?}",
-        launcher.nodes()
-    );
+    for mode in BOTH_BUILDS {
+        let (launcher, _managers, _nodes, _fabric) = control_world(3, mode);
+        wait_until("all managers registered", || launcher.nodes().len() == 3);
+        std::thread::sleep(Duration::from_millis(150));
+        assert!(
+            launcher
+                .nodes()
+                .iter()
+                .all(|(_, st)| *st == NodeState::Alive),
+            "steady heartbeats keep every node alive: {:?}",
+            launcher.nodes()
+        );
+    }
 }
 
 #[test]
 fn job_start_is_acknowledged_by_every_node() {
-    let (launcher, managers, _nodes, _fabric) = control_world(3);
-    wait_until("registration", || launcher.nodes().len() == 3);
-    launcher.start_job(7, 12);
-    wait_until("all acks", || launcher.started_on(7).len() == 3);
-    for pm in &managers {
-        wait_until("job visible", || pm.running_jobs().contains(&7));
-    }
-    launcher.kill_job(7);
-    for pm in &managers {
-        wait_until("job killed", || !pm.running_jobs().contains(&7));
+    for mode in BOTH_BUILDS {
+        let (launcher, managers, _nodes, _fabric) = control_world(3, mode);
+        wait_until("registration", || launcher.nodes().len() == 3);
+        launcher.start_job(7, 12);
+        wait_until("all acks", || launcher.started_on(7).len() == 3);
+        for pm in &managers {
+            wait_until("job visible", || pm.running_jobs().contains(&7));
+        }
+        launcher.kill_job(7);
+        for pm in &managers {
+            wait_until("job killed", || !pm.running_jobs().contains(&7));
+        }
     }
 }
 
 #[test]
 fn dead_node_is_detected_by_missed_heartbeats() {
-    let (launcher, _managers, _nodes, fabric) = control_world(2);
-    wait_until("registration", || launcher.nodes().len() == 2);
-    // Cut node 2 off; its beacons stop arriving.
-    fabric.partition(NodeId(2), NodeId(0));
-    wait_until("node 2 suspected", || {
-        launcher
+    for mode in BOTH_BUILDS {
+        let (launcher, _managers, _nodes, fabric) = control_world(2, mode);
+        wait_until("registration", || launcher.nodes().len() == 2);
+        // Cut node 2 off; its beacons stop arriving.
+        fabric.partition(NodeId(2), NodeId(0));
+        wait_until("node 2 suspected", || {
+            launcher
+                .nodes()
+                .iter()
+                .any(|(nid, st)| *nid == 2 && *st == NodeState::Suspect)
+        });
+        // Node 1 stays alive through it.
+        assert!(launcher
             .nodes()
             .iter()
-            .any(|(nid, st)| *nid == 2 && *st == NodeState::Suspect)
-    });
-    // Node 1 stays alive through it.
-    assert!(launcher
-        .nodes()
-        .iter()
-        .any(|(nid, st)| *nid == 1 && *st == NodeState::Alive));
-    // Healing the partition revives node 2 on the next beacon.
-    fabric.heal(NodeId(2), NodeId(0));
-    wait_until("node 2 recovered", || {
-        launcher
-            .nodes()
-            .iter()
-            .any(|(nid, st)| *nid == 2 && *st == NodeState::Alive)
-    });
+            .any(|(nid, st)| *nid == 1 && *st == NodeState::Alive));
+        // Healing the partition revives node 2 on the next beacon.
+        fabric.heal(NodeId(2), NodeId(0));
+        wait_until("node 2 recovered", || {
+            launcher
+                .nodes()
+                .iter()
+                .any(|(nid, st)| *nid == 2 && *st == NodeState::Alive)
+        });
+    }
 }

@@ -42,18 +42,15 @@ pub struct TransportConfig {
     /// are dropped and go-back-N retransmission recovers them. `0` disables
     /// buffering entirely (the pre-PR pure go-back-N receiver).
     pub ooo_buffer_bytes: usize,
-    /// Who runs the protocol — a property of the node built on this
-    /// endpoint. [`ProgressMode::NicThread`] (default) and
-    /// [`ProgressMode::HostDriven`] park one thread per endpoint (the node's,
-    /// when there is a node above) on the link's doorbell, or step on the
-    /// link's receive thread; [`ProgressMode::CallerDriven`] runs the same
-    /// step inline from the blocked or polling caller. Submission is inline
-    /// in all three. The endpoint also decides with it when a node's
-    /// dispatcher (its receive engine) runs: in the step, or host-driven only
-    /// inside the node's API calls that run the engine.
-    /// Always defaults to `NicThread` here: higher-level configs
-    /// (`NodeConfig`) consult `PORTALS_PROGRESS_MODE`, so transport unit
-    /// tests that rely on autonomous background progress keep it.
+    /// Who stands by to step the protocol while no caller drives it — a
+    /// property of the node built on this endpoint. [`ProgressMode::NicThread`]
+    /// (default) and [`ProgressMode::HostDriven`] park a NIC thread on the
+    /// link's doorbell, or step on the link's receive thread;
+    /// [`ProgressMode::CallerDriven`] builds no NIC thread, for peers' waits
+    /// to step. A caller blocked in a receiving wait steps the endpoint
+    /// itself, except on a link whose receive thread steps and host-driven;
+    /// host-driven, the node's dispatcher (its receive engine) also runs
+    /// only inside the node's API calls that run the engine.
     pub progress_mode: ProgressMode,
 }
 

@@ -1,16 +1,16 @@
 //! The public transport endpoint: one progress core behind one mutex, and the
-//! one owner of its step. Callers submit inline under the core lock. The
-//! [`ProgressMode`] decides who steps it — the thread that takes datagrams
-//! off the wire, or the caller blocked in a wait — and so where blocked
-//! callers park. Where the wire takes datagrams on a receive thread of its
-//! own (a UDP socket), that thread steps; otherwise the endpoint spawns a NIC
-//! thread parked on the link's doorbell, and on a node a caller blocked in a
-//! receiving wait steps in its place, the thread standing by meanwhile
-//! ([`Endpoint::drive_until`]). A node above hands the endpoint one
-//! dispatcher; a bare endpoint has none. The endpoint alone decides when the
-//! dispatcher runs: over each step's deliveries, or — host-driven — only
-//! inside the API calls that run the node's engine, so that deliveries wait
-//! in the endpoint's own queue, under its credit flow control.
+//! one owner of its step. Callers submit inline under the core lock. Where
+//! the wire takes datagrams on a receive thread of its own (a UDP socket),
+//! that thread steps. Everywhere else a caller blocked in a receiving wait
+//! drives: it steps the endpoint and parks on the link's doorbell
+//! ([`Endpoint::drive_until`]). While nobody drives, whoever stands by steps:
+//! the NIC thread the endpoint spawns, or, built without one
+//! ([`ProgressMode::CallerDriven`]), its peers' waits in the same process.
+//! A node above hands the endpoint one dispatcher; a bare endpoint has none.
+//! The endpoint alone decides when the dispatcher runs:
+//! over each step's deliveries, or — host-driven — only inside the API calls
+//! that run the node's engine, so that deliveries wait in the endpoint's own
+//! queue, under its credit flow control.
 
 use crate::config::TransportConfig;
 use crate::core::{instant_to_ns, ns_to_instant, reopen_room, ProgressCore, DEADLINE_NONE};
@@ -103,10 +103,13 @@ pub struct Endpoint {
     incoming: Arc<DoorbellQueue<Delivery>>,
     /// Where blocked callers park ([`Endpoint::readiness`]).
     waiters: Arc<Readiness>,
-    /// A receiving waiter drives: it registers as the node's driver, steps
-    /// and parks on the link's doorbell while the NIC thread stands by. Set
-    /// for a node whose NIC thread the endpoint spawns.
+    /// A receiving waiter drives: it steps and parks on the link's doorbell
+    /// while whoever stands by waits. Set unless the link's receive thread
+    /// steps or the node is host-driven.
     driven: bool,
+    /// Built without a NIC thread: peers' waits step the endpoint whenever it
+    /// has work, and its own polls and flushes step it too.
+    peers_stand_by: bool,
     /// Per-source accumulators folding streamed fragments back into whole
     /// messages for the message-level `recv` API. Consumers that take raw
     /// deliveries via [`Endpoint::pop_delivery`] (the Portals engine) never
@@ -123,8 +126,8 @@ pub struct Endpoint {
     credit_window: usize,
     mode: ProgressMode,
     /// Shared with this endpoint's NIC thread, or handed (through a `Weak`)
-    /// to the link's receive thread to step or — caller-driven — registered
-    /// as its cooperative [`NodeDriver`] for peers' waits.
+    /// to the link's receive thread to step or registered as its
+    /// [`NodeDriver`] for peers' waits.
     stepper: Arc<Stepper>,
     /// The NIC thread, until [`Endpoint::stop`] joins it. `None` when callers
     /// or the link's receive thread step.
@@ -166,7 +169,7 @@ struct Stepper {
 }
 
 impl Stepper {
-    /// One step, in the order every progress mode shares: under the step
+    /// One step, in the order every stepper shares: under the step
     /// lock, step the core, run the dispatcher over what the step delivered
     /// with the core lock released (the engine re-enters [`Endpoint::send`],
     /// where an owed ack rides on the first data to its peer), then send the
@@ -306,26 +309,14 @@ const PARK_CAP: Duration = Duration::from_millis(1);
 /// only steals the timeslice the producer needs ([`idle_rule`]).
 const SPIN_ITERS: u32 = 200;
 
-/// How long a receiving waiter that steps (caller-driven, or a driver) yields
-/// before it parks when it has no spin budget (one CPU online), from the end
-/// of its last turn that did work, its own step or a peer's. A spin would
+/// How long a driver yields before it parks when it has no spin budget (one
+/// CPU online), from the end of its last turn that did work, its own step
+/// or a peer's. A spin would
 /// steal the timeslice the producer needs; a yield hands it over, and the
 /// producer's set then finds the waiter runnable, so no futex wake-up is
 /// paid for the message. A ping-pong half-op on the benchmark's pinned CPU
 /// takes about 15 µs, so the reply lands inside the window.
 const YIELD_FOR: Duration = Duration::from_micros(50);
-
-/// Who steps the node while a caller waits in [`Endpoint::drive_until`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Waiter {
-    /// A thread steps for the waiter (a NIC thread, a UDP receive thread, a
-    /// host-driven node's), or it is not receiving beside a NIC thread.
-    Beside,
-    /// Caller-driven: the waiter steps its node and services peers.
-    CallerDriven,
-    /// Registered as its NIC-thread node's driver ([`Readiness::drive`]).
-    Driver,
-}
 
 /// What an idle waiter does next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -335,20 +326,19 @@ enum Idle {
     Park,
 }
 
-/// The one idle rule of [`Endpoint::drive_until`], the same for a
-/// caller-driven waiter and a driver: a receiving waiter that steps spins
-/// [`SPIN_ITERS`] idle turns when more than one CPU is online, and with one
-/// yields until [`YIELD_FOR`] has passed since its last work. Every other
-/// waiter (one beside a thread that steps for it, or `flush`, which waits
-/// for acks alone) parks at once.
+/// The one idle rule of [`Endpoint::drive_until`]: a receiving waiter that
+/// steps spins [`SPIN_ITERS`] idle turns when more than one CPU is online,
+/// and with one yields until [`YIELD_FOR`] has passed since its last work.
+/// Every other waiter (one beside a thread that steps for it, or `flush`,
+/// which waits for acks alone) parks at once.
 fn idle_rule(
-    waiter: Waiter,
+    stepping: bool,
     receiving: bool,
     cpus: usize,
     idle_iters: u32,
     idle_for: Duration,
 ) -> Idle {
-    if waiter == Waiter::Beside || !receiving {
+    if !stepping || !receiving {
         Idle::Park
     } else if cpus > 1 {
         if idle_iters <= SPIN_ITERS {
@@ -365,11 +355,9 @@ fn idle_rule(
 
 impl Endpoint {
     /// Wrap a [`Link`] (the in-process fabric's [`Nic`](portals_net::Nic), a
-    /// UDP socket, …) in a reliable endpoint. In `CallerDriven` mode there is
-    /// no thread and the calling threads drive the protocol from
-    /// `recv`/`flush`. Otherwise the thread that takes datagrams off the wire
-    /// steps it: the link's own receive thread where it has one (a UDP
-    /// socket), else the NIC thread this spawns.
+    /// UDP socket, …) in a reliable endpoint, stepped as the module doc
+    /// says: by the link's receive thread where it has one, else by a
+    /// caller blocked in `recv` and, while none is, by whoever stands by.
     pub fn new(link: impl Link, cfg: TransportConfig) -> Endpoint {
         Endpoint::with_obs(link, cfg, Obs::default())
     }
@@ -416,12 +404,11 @@ impl Endpoint {
     }
 
     /// The endpoint, with nothing stepping it yet. Blocked callers park on
-    /// the link's doorbell when they step: caller-driven, or receiving on a
-    /// node whose NIC thread this endpoint spawns (`driven`). Elsewhere
-    /// beside a NIC thread they park on one of their own, so that a datagram
-    /// (an ack among them) wakes the thread that steps only. The delivery
-    /// queue rings whoever consumes it: the stepper when a dispatcher runs in
-    /// its step (`stepped`), the waiters otherwise.
+    /// the link's doorbell where they drive (`driven`), elsewhere on one of
+    /// their own, so that a datagram (an ack among them) wakes only the
+    /// thread that steps. The delivery queue rings whoever consumes it: the
+    /// stepper when a dispatcher runs in its step (`stepped`), the waiters
+    /// otherwise.
     fn build(link: impl Link, mut cfg: TransportConfig, obs: Obs, stepped: bool) -> Endpoint {
         let link: Box<dyn Link> = Box::new(link);
         let LinkCaps {
@@ -439,8 +426,10 @@ impl Endpoint {
         }
         let nid = link.nid();
         let readiness = Arc::clone(link.inbound_receiver().readiness());
-        let driven = stepped && cfg.progress_mode == ProgressMode::NicThread && !hub.hosts();
-        let waiters = if cfg.progress_mode.is_caller_driven() || driven {
+        let peers_stand_by = cfg.progress_mode == ProgressMode::CallerDriven;
+        let driven =
+            cfg.progress_mode != ProgressMode::HostDriven && (peers_stand_by || !hub.hosts());
+        let waiters = if driven {
             Arc::clone(&readiness)
         } else {
             Arc::new(Readiness::new())
@@ -487,6 +476,7 @@ impl Endpoint {
             incoming,
             waiters,
             driven,
+            peers_stand_by,
             reasm: Mutex::new(std::collections::HashMap::new()),
             hub,
             stats,
@@ -501,10 +491,9 @@ impl Endpoint {
     }
 
     /// Hand the dispatcher to whoever runs it — the stepper, or host-driven
-    /// the API calls — then start whoever steps: register the cooperative
-    /// driver when callers step, else host it on the link's receive thread,
-    /// else spawn the NIC thread, standing by on the link's doorbell from
-    /// before it starts.
+    /// the API calls — then start whoever stands by: register the driver for
+    /// peers' waits, host it on the link's receive thread, or spawn the NIC
+    /// thread, standing by on the link's doorbell from before it starts.
     fn start(&self, dispatch: Option<Dispatch>) {
         if self.mode == ProgressMode::HostDriven {
             *self.deferred.lock() = dispatch;
@@ -512,9 +501,7 @@ impl Endpoint {
             *self.stepper.step.lock() = dispatch;
         }
         let driver = Arc::downgrade(&self.stepper) as Weak<dyn NodeDriver>;
-        if self.mode.is_caller_driven() {
-            // Volunteer for cooperative servicing so peers' wait loops keep
-            // this endpoint's protocol moving while nothing here blocks.
+        if self.peers_stand_by {
             self.hub.register(driver);
         } else if !self.hub.host(driver) {
             let stepper = Arc::clone(&self.stepper);
@@ -533,7 +520,7 @@ impl Endpoint {
 
     /// Power the endpoint off: nothing steps it from now on. Clears the
     /// stepper's alive flag, rings both slots of its doorbell, and joins the
-    /// NIC thread or withdraws the cooperative or hosted driver. Dropping the
+    /// NIC thread or withdraws the registered or hosted driver. Dropping the
     /// endpoint stops it; a node stops it when the node powers off while its
     /// interfaces still hold the endpoint. Idempotent.
     ///
@@ -571,7 +558,7 @@ impl Endpoint {
     ///
     /// The message passes from this stack frame straight into the transport
     /// state machines and onto the wire — the pointer-passing submission
-    /// path, in both progress modes; the call runs the fragmentation inline
+    /// path, in every progress mode; the call runs the fragmentation inline
     /// but never waits for acknowledgment.
     ///
     /// Accepts anything convertible to a [`Gather`] — a `Gather` of region
@@ -617,15 +604,16 @@ impl Endpoint {
         }
     }
 
-    /// Block until a message arrives. In caller-driven mode the wait drives
-    /// protocol progress (own core, peers) between parks.
+    /// Block until a message arrives. Unless the link's receive thread steps
+    /// the endpoint or it is host-driven, the wait drives it (and, built
+    /// without NIC threads, steps peers with work) between parks.
     pub fn recv(&self) -> Option<IncomingMessage> {
         self.recv_until(None)
     }
 
-    /// Non-blocking receive. In caller-driven mode one round of progress
-    /// runs first ([`Endpoint::progress_once`]), so "poll until something
-    /// arrives" loops make progress.
+    /// Non-blocking receive. Built without a NIC thread, one round of
+    /// progress runs first ([`Endpoint::progress_once`]), so "poll until
+    /// something arrives" loops make progress.
     pub fn try_recv(&self) -> Option<IncomingMessage> {
         if self.incoming.readiness().peek() & Readiness::DELIVERED == 0 {
             self.progress_once();
@@ -633,7 +621,7 @@ impl Endpoint {
         self.pop_message()
     }
 
-    /// Receive with a deadline. Caller-driven waits drive progress.
+    /// Receive with a deadline. The wait drives the endpoint as `recv` does.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<IncomingMessage> {
         self.recv_until(Some(Instant::now() + timeout))
     }
@@ -647,18 +635,18 @@ impl Endpoint {
     /// (when the caller steps) and, if `receiving`, run a host-driven node's
     /// dispatcher → `check` → service peers → idle by `idle_rule` (spin,
     /// yield or park on the waiters' doorbell, [`Endpoint::readiness`]),
-    /// until `check` yields or `deadline` passes (`None`). A caller-driven
-    /// waiter steps, services peers and wakes for the transport's timers. A
-    /// receiving waiter on a node whose NIC thread this endpoint spawned
-    /// does the same without peer service, registered as the node's driver
-    /// ([`Readiness::drive`]) for the length of the wait: the link's
-    /// doorbell then wakes it, not the NIC thread, and it parks only while
-    /// no work bit is raised. Both idle alike: with more than one CPU online
-    /// they spin `SPIN_ITERS` idle turns, with one they yield until
-    /// `YIELD_FOR` has passed since their last work, then park. Any other
-    /// waiter beside a NIC thread parks at once, on a doorbell the work it
-    /// waits for rings. A waiter that is not `receiving` (`flush`, which
-    /// waits only for acks) neither spins, yields nor runs the engine.
+    /// until `check` yields or `deadline` passes (`None`).
+    ///
+    /// One rule says who steps: a receiving waiter registers as the
+    /// endpoint's driver ([`Readiness::drive`]) for the length of the wait
+    /// unless the link's receive thread steps or the node is host-driven;
+    /// built without a NIC thread, so does a flush, which nobody else would
+    /// step. A driver steps, wakes for the transport's timers and, built
+    /// without NIC threads, steps peers with work. The link's doorbell wakes
+    /// it, not a standby thread, and it parks only while no work bit is
+    /// raised. A receiving driver idles by `idle_rule`; any other waiter
+    /// parks at once, on a doorbell the work it waits for rings, and one
+    /// that is not `receiving` (`flush`) never runs the engine.
     ///
     /// Lost-wakeup safety: the doorbell sequence is read *before* the
     /// step and predicate check, and the park returns immediately if it
@@ -670,15 +658,9 @@ impl Endpoint {
         receiving: bool,
         mut check: impl FnMut() -> Option<T>,
     ) -> Option<T> {
-        let driver = (receiving && self.driven).then(|| self.stepper.readiness.drive());
-        let waiter = if self.mode.is_caller_driven() {
-            Waiter::CallerDriven
-        } else if driver.is_some() {
-            Waiter::Driver
-        } else {
-            Waiter::Beside
-        };
-        let stepping = waiter != Waiter::Beside;
+        let driver = (self.driven && (receiving || self.peers_stand_by))
+            .then(|| self.stepper.readiness.drive());
+        let stepping = driver.is_some();
         let cpus = portals_types::cpus_online();
         let mut idle_iters: u32 = 0;
         let mut idle_since = None;
@@ -696,13 +678,13 @@ impl Endpoint {
             idle_iters += 1;
             let now = Instant::now();
             let idle_for = now.duration_since(*idle_since.get_or_insert(now));
-            let idle = idle_rule(waiter, receiving, cpus, idle_iters, idle_for);
-            // Peers normally have their own blocked caller driving them;
-            // stepping them every iteration makes two waiters contend on each
-            // other's core locks. A decimated cadence (plus every turn past
-            // the spin) keeps single-threaded simulations live without that
-            // interference.
-            if waiter == Waiter::CallerDriven
+            let idle = idle_rule(stepping, receiving, cpus, idle_iters, idle_for);
+            // Built without NIC threads, peers are stepped even while their
+            // own caller drives: left to it on one CPU, a ping-pong's reply
+            // lands before its receive is posted (DESIGN.md §6f). A
+            // decimated cadence while spinning keeps two waiters off each
+            // other's core locks.
+            if self.peers_stand_by
                 && (idle != Idle::Spin || idle_iters % 32 == 0)
                 && self.hub.service_peers()
             {
@@ -728,7 +710,7 @@ impl Endpoint {
                 // it does not park on a raised bit its step could not take
                 // (the NIC thread finishing a step, a submitter holding the
                 // core lock).
-                Idle::Park if driver.is_some() && self.stepper.pending() => {
+                Idle::Park if stepping && self.stepper.pending() => {
                     std::thread::yield_now();
                     continue;
                 }
@@ -795,25 +777,26 @@ impl Endpoint {
 
     /// Wait until all queued traffic is acknowledged or `timeout` elapses.
     /// Returns true on success. The wait parks on the doorbell, `PARK_CAP` at
-    /// a time, and drives progress itself only when no NIC thread does.
+    /// a time, and drives progress itself only when no thread stands by.
     pub fn flush(&self, timeout: Duration) -> bool {
         // No spin: the acks come from threads that may need this CPU. And no
         // ring from the step that takes the last ack: it would cost every
-        // caller-driven waiter an idle turn per ack (DESIGN.md §6f).
+        // driving waiter an idle turn per ack (DESIGN.md §6f).
         self.drive_until(Some(Instant::now() + timeout), false, || {
             (self.outstanding() == 0).then_some(())
         })
         .is_some()
     }
 
-    /// Drive the protocol once from the calling thread, where callers drive
-    /// it: step this endpoint (running a node's dispatcher over what the step
-    /// delivered) unless another thread is inside it, then service peers with
-    /// pending work. A polling loop — over `try_recv`, counters, queue
-    /// lengths — is then the progress engine. Returns whether anything was
-    /// done; always `false` beside a NIC thread, which does this itself.
+    /// Drive the protocol once from the calling thread of an endpoint built
+    /// without a NIC thread: step it (running a node's dispatcher over what
+    /// the step delivered) unless another thread is inside it, then service
+    /// peers that have pending work. A polling loop — over `try_recv`,
+    /// counters, queue lengths — is then the progress engine. Returns whether
+    /// anything was done; always `false` where a thread stands by, which
+    /// does this itself.
     pub fn progress_once(&self) -> bool {
-        self.mode.is_caller_driven() && (self.stepper.step(false) | self.hub.service_peers())
+        self.peers_stand_by && (self.stepper.step(false) | self.hub.service_peers())
     }
 
     /// [`Endpoint::progress_once`] from an API call that runs the node's
@@ -831,10 +814,9 @@ impl Endpoint {
     }
 
     /// The doorbell a caller blocked on this endpoint parks on: the link's,
-    /// where arrivals ring, when callers step the protocol — caller-driven,
-    /// or on a node whose NIC thread this endpoint spawned; elsewhere beside
-    /// a NIC thread one of its own, which only the work it waits for rings.
-    /// A node rings it for every completion.
+    /// where arrivals ring, when callers drive the endpoint; where the link's
+    /// receive thread steps it, or host-driven, one of its own, which only
+    /// the work it waits for rings. A node rings it for every completion.
     pub fn readiness(&self) -> Arc<Readiness> {
         Arc::clone(&self.waiters)
     }
@@ -878,18 +860,15 @@ mod tests {
 
     #[test]
     fn a_receiving_waiter_that_steps_yields_on_one_cpu_then_parks() {
-        // Caller-driven or a driver, the same rule: no spin budget on one
-        // CPU, a yield while the window since its last work is open, then
-        // the park. The turn count plays no part.
-        for waiter in [Waiter::CallerDriven, Waiter::Driver] {
-            for idle_iters in [1, SPIN_ITERS, SPIN_ITERS + 1] {
-                assert_eq!(
-                    idle_rule(waiter, true, 1, idle_iters, Duration::ZERO),
-                    Idle::Yield
-                );
-                assert_eq!(idle_rule(waiter, true, 1, idle_iters, INSIDE), Idle::Yield);
-                assert_eq!(idle_rule(waiter, true, 1, idle_iters, PAST), Idle::Park);
-            }
+        // No spin budget on one CPU: a yield while the window since its
+        // last work is open, then the park. The turn count plays no part.
+        for idle_iters in [1, SPIN_ITERS, SPIN_ITERS + 1] {
+            assert_eq!(
+                idle_rule(true, true, 1, idle_iters, Duration::ZERO),
+                Idle::Yield
+            );
+            assert_eq!(idle_rule(true, true, 1, idle_iters, INSIDE), Idle::Yield);
+            assert_eq!(idle_rule(true, true, 1, idle_iters, PAST), Idle::Park);
         }
     }
 
@@ -897,19 +876,17 @@ mod tests {
     fn a_receiving_waiter_that_steps_spins_its_budget_on_many_cpus() {
         // With more than one CPU it spins `SPIN_ITERS` idle turns, then
         // parks; it never yields, however long it has been idle.
-        for waiter in [Waiter::CallerDriven, Waiter::Driver] {
-            for cpus in [2, 64] {
-                for idle_for in [Duration::ZERO, INSIDE, PAST] {
-                    assert_eq!(idle_rule(waiter, true, cpus, 1, idle_for), Idle::Spin);
-                    assert_eq!(
-                        idle_rule(waiter, true, cpus, SPIN_ITERS, idle_for),
-                        Idle::Spin
-                    );
-                    assert_eq!(
-                        idle_rule(waiter, true, cpus, SPIN_ITERS + 1, idle_for),
-                        Idle::Park
-                    );
-                }
+        for cpus in [2, 64] {
+            for idle_for in [Duration::ZERO, INSIDE, PAST] {
+                assert_eq!(idle_rule(true, true, cpus, 1, idle_for), Idle::Spin);
+                assert_eq!(
+                    idle_rule(true, true, cpus, SPIN_ITERS, idle_for),
+                    Idle::Spin
+                );
+                assert_eq!(
+                    idle_rule(true, true, cpus, SPIN_ITERS + 1, idle_for),
+                    Idle::Park
+                );
             }
         }
     }
@@ -918,20 +895,14 @@ mod tests {
     fn a_waiter_that_does_not_step_or_does_not_receive_parks_at_once() {
         // Beside a thread that steps for it, or in `flush` (acks only), a
         // waiter neither spins nor yields, on any CPU count.
-        let cases = [
-            (Waiter::Beside, true),
-            (Waiter::Beside, false),
-            (Waiter::CallerDriven, false),
-            (Waiter::Driver, false),
-        ];
-        for (waiter, receiving) in cases {
+        for (stepping, receiving) in [(false, true), (false, false), (true, false)] {
             for cpus in [1, 2] {
                 for idle_for in [Duration::ZERO, INSIDE, PAST] {
                     for idle_iters in [1, SPIN_ITERS + 1] {
                         assert_eq!(
-                            idle_rule(waiter, receiving, cpus, idle_iters, idle_for),
+                            idle_rule(stepping, receiving, cpus, idle_iters, idle_for),
                             Idle::Park,
-                            "{waiter:?} receiving={receiving} cpus={cpus}"
+                            "stepping={stepping} receiving={receiving} cpus={cpus}"
                         );
                     }
                 }
@@ -950,30 +921,40 @@ mod tests {
     }
 
     #[test]
-    fn nic_thread_recv_parks_on_a_doorbell_of_its_own() {
-        // The caller parks on its delivery queue's doorbell, not on the one
-        // the link rings for every datagram: the delivery push that follows
-        // the NIC thread's step is what wakes it, and an ack arriving for
-        // its own send does not.
+    fn a_bare_endpoint_recv_drives_while_its_nic_thread_stands_by() {
+        // A receiving waiter on a bare endpoint drives, as on a node: it
+        // parks on the link's doorbell, the datagram that lands during its
+        // wait wakes it and not the NIC thread, and it steps the endpoint
+        // itself. A message that lands while nobody waits is stepped by the
+        // NIC thread standing by.
         let fabric = Fabric::ideal();
         let (a, b) = pair(&fabric, TransportConfig::default());
-        assert!(!Arc::ptr_eq(b.incoming.readiness(), &b.stepper.readiness));
-        let delivered_seq = b.incoming.readiness().seq();
-        b.send(NodeId(0), Gather::copy_from_slice(b"acked"));
-        assert!(a.recv_timeout(Duration::from_secs(5)).is_some());
-        assert!(b.flush(Duration::from_secs(5)), "the ack came back");
-        assert_eq!(b.incoming.readiness().seq(), delivered_seq);
-        a.send(NodeId(1), Gather::copy_from_slice(b"before the call"));
-        let m = b.recv_timeout(Duration::from_secs(5)).expect("queued");
-        assert_eq!(m.payload, &b"before the call"[..]);
+        let doorbell = &b.stepper.readiness;
+        assert!(Arc::ptr_eq(&b.readiness(), doorbell));
+        assert!(Arc::ptr_eq(b.incoming.readiness(), doorbell));
         std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(5));
+            let standby = s.spawn(|| {
+                while !doorbell.driven() {
+                    std::thread::yield_now();
+                }
+                let standby = doorbell.standby_seq();
                 a.send(NodeId(1), Gather::copy_from_slice(b"into the park"));
+                standby
             });
             let m = b.recv_timeout(Duration::from_secs(5)).expect("woken");
             assert_eq!(m.payload, &b"into the park"[..]);
+            let standby = standby.join().unwrap();
+            assert!(!doorbell.driven());
+            assert_eq!(doorbell.standby_seq(), standby, "the NIC thread stood by");
         });
+        a.send(NodeId(1), Gather::copy_from_slice(b"before the call"));
+        let stepped_by = Instant::now() + Duration::from_secs(5);
+        while b.deliveries_pending() == 0 {
+            assert!(Instant::now() < stepped_by, "the NIC thread never stepped");
+            std::thread::yield_now();
+        }
+        let m = b.recv_timeout(Duration::from_secs(5)).expect("queued");
+        assert_eq!(m.payload, &b"before the call"[..]);
         assert!(b.recv_timeout(Duration::from_millis(5)).is_none());
     }
 

@@ -158,6 +158,7 @@ impl SenderPeer {
             .min(credits)
             .min(self.pending.len());
         let first = self.next_seq;
+        let probing = self.in_flight.is_empty();
         self.next_seq += room as u64;
         let packets: Vec<Packet> = (first..)
             .zip(self.pending.drain(..room))
@@ -182,7 +183,10 @@ impl SenderPeer {
                 encoded: encoded.clone(),
             });
         }
-        if !out.is_empty() && self.deadline.is_none() {
+        // The first packets into an empty window re-arm the timer: a probe
+        // deadline armed while credit-blocked may be due already, and would
+        // resend the window before its acks can return.
+        if !out.is_empty() && (probing || self.deadline.is_none()) {
             self.deadline = Some(now + cfg.rto_after(self.retries));
         }
         // Credit-block bookkeeping: pending work the window would take but
@@ -1093,6 +1097,22 @@ mod tests {
         assert!(!tx.is_credit_blocked());
         let (stalls, resumes) = tx.take_credit_transitions();
         assert_eq!((stalls, resumes), (1, 1));
+    }
+
+    /// A credit-blocked sender's probe deadline passes before its credit
+    /// arrives (its stepper was late): the window the grant releases gets a
+    /// retransmission timer of its own, so the late step resends nothing.
+    #[test]
+    fn a_grant_after_an_overdue_probe_deadline_rearms_the_timer() {
+        let c = cfg();
+        let t = now();
+        let mut tx = SenderPeer::new(0, false);
+        assert!(tx.enqueue_message(g(b"0123456789"), &c, t).is_empty());
+        let probe_due = tx.deadline().expect("probe timer armed");
+        let late = probe_due + c.rto_base / 2;
+        assert_eq!(decode(&tx.grant_credit(100, &c, late)).len(), 3);
+        assert_eq!(tx.deadline(), Some(late + c.rto_after(0)));
+        assert!(tx.deadline().unwrap() > late, "nothing is due");
     }
 
     #[test]

@@ -2,38 +2,35 @@
 //!
 //! Submission is the same in every [`ProgressMode`]: an op descriptor passes
 //! from the sender's stack straight into the transport, under the lock that
-//! guards the node's one set of protocol state machines. The mode names who
-//! runs the other half — taking arrivals through the transport and the
-//! receive engine, firing timers:
+//! guards the node's one set of protocol state machines. Taking arrivals
+//! through the transport and the receive engine and firing timers follows
+//! one rule: a caller blocked in a receiving wait [drives](Readiness::drive)
+//! its node — it steps the node itself and parks on the link's doorbell, so
+//! an arriving datagram wakes the one caller that waits for it and no thread
+//! hands it over. While nobody drives, someone else stands by to step:
 //!
-//! * **NIC-thread** — one thread per node stands in for NIC firmware and
-//!   steps while no caller is blocked. On the fabric it stands by in the
-//!   link's [`Readiness`] doorbell; a caller blocked in a receiving wait
-//!   [drives](Readiness::drive) instead: it steps the node itself and parks
-//!   on that doorbell, so an arriving datagram wakes the one caller that
-//!   waits for it and no thread hands it over. While nobody drives, an
-//!   arrival wakes the standby thread, which runs the engine. On a UDP
-//!   socket the thread that takes the datagram is the socket's own receive
-//!   thread, which runs the step itself, and callers park on a doorbell of
-//!   their own that only completions ring: one thread handoff per message
-//!   in, none out.
-//! * **Caller-driven (threadless)** — no dedicated thread. The caller blocked
-//!   in a wait runs that same step inline, spinning briefly and then parking
-//!   on the link's doorbell between arrivals.
-//! * **Host-driven** — the NIC thread runs the transport only, and what it
-//!   delivers waits in the endpoint's delivery queue, under credit flow
-//!   control; the receive engine runs inside API calls on the application's
-//!   thread (the GM-style baseline of the paper's §5.3). A blocked caller
-//!   runs the engine over that queue, then parks on a doorbell that
-//!   completions and deliveries ring.
+//! * a **NIC thread** the endpoint spawns (the NIC-firmware stand-in),
+//!   parked in the doorbell's standby slot;
+//! * on a UDP socket, the socket's **receive thread**, which steps after
+//!   each batch it takes; there the link's own thread always steps, and
+//!   callers park, without stepping, on a doorbell of their own that only
+//!   completions ring;
+//! * built **without a NIC thread** (caller-driven), the **waits of the
+//!   node's peers** in the same process, which step it whenever it has
+//!   work, and the node's own polls and flushes.
+//!
+//! **Host-driven** is a dispatch policy beside this, not a way to step: the
+//! NIC thread runs the transport only, and what it delivers waits in the
+//! endpoint's delivery queue, under credit flow control; the receive engine
+//! runs inside API calls on the application's thread (the GM-style baseline
+//! of the paper's §5.3). A blocked caller runs the engine over that queue,
+//! then parks on a doorbell that completions and deliveries ring.
 //!
 //! So there is one way to wait: step what the caller may step, check, and
-//! park on a doorbell. The mode only picks the doorbell — the one the
-//! caller's own step needs to hear, or one that completions alone ring.
-//! Where a standby thread and a driver share one, a [`Readiness::set`]
-//! wakes exactly one of them: the driver while one is registered, the
-//! standby thread otherwise, and a [`Readiness::ring`] (a completion) wakes
-//! only waiters, never the standby thread.
+//! park on a doorbell. Where a standby thread and a driver share one, a
+//! [`Readiness::set`] wakes exactly one of them: the driver while one is
+//! registered, the standby thread otherwise, and a [`Readiness::ring`] (a
+//! completion) wakes only waiters, never the standby thread.
 //!
 //! [`Readiness`] is the primitive that makes every park cheap and
 //! lost-wakeup-free: a lock-free bitset of pending work classes fused with a
@@ -59,29 +56,28 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Who runs the protocol — takes arrivals through the transport and the
-/// receive engine, fires timers. Submission runs inline in the caller in
-/// every mode.
+/// Who stands by to run the protocol — take arrivals through the transport
+/// and the receive engine, fire timers — while no caller drives the node.
+/// Submission runs inline in the caller, and a caller blocked in a
+/// receiving wait steps its own node, in every mode but `HostDriven`.
 ///
 /// The knob lives on `TransportConfig` and is a property of the node:
 /// everything built on the endpoint — the node, its interfaces, MPI —
-/// inherits it. `TransportConfig` defaults to [`ProgressMode::NicThread`];
-/// `NodeConfig::default()` consults [`ProgressMode::from_env`].
+/// inherits it. It defaults to [`ProgressMode::NicThread`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgressMode {
-    /// One thread per node (the NIC-firmware stand-in), standing by on the
-    /// link's doorbell — on a UDP socket, the socket's receive thread —
-    /// steps the transport and runs the receive engine on what arrives while
-    /// no caller waits. On the fabric a caller blocked in a receiving wait
-    /// steps the node itself meanwhile, and the thread stays parked; on UDP
-    /// callers park, without stepping, until the receive thread completes
-    /// something for them and rings their doorbell. The paper's application
-    /// bypass (§5.1): the application is not needed for progress, and a
-    /// caller already blocking is not kept from making it.
+    /// One thread per node (the NIC-firmware stand-in) stands by: on the
+    /// fabric a thread the endpoint spawns, parked on the link's doorbell; on
+    /// a UDP socket the socket's receive thread, which also steps while
+    /// callers wait (they park, without stepping, until it completes
+    /// something for them). The paper's application bypass (§5.1): the
+    /// application is not needed for progress, and a caller already blocking
+    /// is not kept from making it.
     #[default]
     NicThread,
-    /// Threadless: the blocked or polling caller steps the transport, the
-    /// fabric and the receive engine inline. No handoff at all.
+    /// Built without a NIC thread: the waits of its peers in the same
+    /// process step the node whenever it has work, and so do its own polls
+    /// and flushes.
     CallerDriven,
     /// The NIC thread steps the transport and leaves arrivals queued raw in
     /// the endpoint; the receive rules of §4.8 run only inside the node's
@@ -89,38 +85,6 @@ pub enum ProgressMode {
     /// Figure 6, kept protocol-identical so the comparison isolates the
     /// progress question.
     HostDriven,
-}
-
-impl ProgressMode {
-    /// Resolve the mode from the `PORTALS_PROGRESS_MODE` environment
-    /// variable: `nic_thread` or `caller_driven`; unset selects
-    /// [`ProgressMode::NicThread`]. Used by configuration defaults so CI can
-    /// run the whole suite in either mode without editing every test.
-    ///
-    /// Panics, naming the variable and the value, on anything else — a typo
-    /// in a launcher or a CI matrix must not silently test the wrong mode.
-    /// [`ProgressMode::HostDriven`] is never selected here: a suite written
-    /// for autonomous progress does not run on a host-driven node.
-    pub fn from_env() -> ProgressMode {
-        ProgressMode::parse(std::env::var("PORTALS_PROGRESS_MODE").ok().as_deref())
-    }
-
-    fn parse(value: Option<&str>) -> ProgressMode {
-        match value {
-            None | Some("nic_thread") => ProgressMode::NicThread,
-            Some("caller_driven") => ProgressMode::CallerDriven,
-            Some(other) => panic!(
-                "PORTALS_PROGRESS_MODE={other} is not valid (expected nic_thread or caller_driven)"
-            ),
-        }
-    }
-
-    /// True for [`ProgressMode::CallerDriven`]: no NIC thread, the caller
-    /// steps the transport.
-    #[inline]
-    pub fn is_caller_driven(self) -> bool {
-        self == ProgressMode::CallerDriven
-    }
 }
 
 /// The number of CPUs this process may run on (its affinity mask, so
@@ -468,29 +432,6 @@ impl<T> std::fmt::Debug for DoorbellQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_unset_defaults_to_nic_thread() {
-        assert_eq!(ProgressMode::parse(None), ProgressMode::NicThread);
-    }
-
-    #[test]
-    fn env_accepts_exactly_the_two_ci_spellings() {
-        assert_eq!(
-            ProgressMode::parse(Some("nic_thread")),
-            ProgressMode::NicThread
-        );
-        assert_eq!(
-            ProgressMode::parse(Some("caller_driven")),
-            ProgressMode::CallerDriven
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "PORTALS_PROGRESS_MODE=threadless is not valid")]
-    fn env_rejects_anything_else_by_name() {
-        ProgressMode::parse(Some("threadless"));
-    }
 
     #[test]
     fn set_take_roundtrip() {

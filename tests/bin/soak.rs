@@ -888,8 +888,7 @@ fn pingpong_paired_us(
     pairs: usize,
 ) -> (f64, f64) {
     let fabric = portals_net::Fabric::new(FabricConfig::ideal().with_obs(obs.clone()));
-    // Pin the NIC thread: the soak's overhead bar is calibrated
-    // against it, and PORTALS_PROGRESS_MODE must not flip the measurement.
+    // The NIC-thread build: the soak's overhead bar is calibrated against it.
     let nic_thread = portals_transport::TransportConfig::default();
     let na = Node::new(
         fabric.attach(NodeId(0)),

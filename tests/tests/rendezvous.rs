@@ -105,68 +105,68 @@ fn send_completion_means_the_buffer_is_quiescent() {
 
 #[test]
 fn one_reply_per_rendezvous_and_nothing_left_exposed() {
-    // Whole message, a truncating receive, and a receive with no room at all.
-    for cap in [LEN, LEN / 4 + 3, 0] {
+    // Whole message, a truncating receive, and a receive with no room at all,
+    // with a NIC thread standing by and built without one.
+    for (mode, cap) in [ProgressMode::NicThread, ProgressMode::CallerDriven]
+        .into_iter()
+        .flat_map(|mode| [LEN, LEN / 4 + 3, 0].map(|cap| (mode, cap)))
+    {
         let delivered = LEN.min(cap);
-        Job::launch(
-            2,
-            adaptive_job(ProgressMode::from_env(), false),
-            move |env| {
-                let ni = env.mpi.engine().ni();
-                if env.rank() == Rank(0) {
-                    let idle = ni.resources_in_use();
-                    let req =
-                        env.comm
-                            .isend_region(Rank(1), 9, Region::copy_from_slice(&pattern(0)));
-                    assert_eq!(
-                        env.comm.wait(req),
-                        Completion::Send {
-                            delivered: delivered as u64,
-                            requested: LEN as u64,
-                        },
-                        "cap {cap}"
-                    );
-                    // The exposure (one entry, one descriptor) and the put's
-                    // descriptor are gone; nothing is tracked any more.
-                    assert_eq!(ni.resources_in_use(), idle, "cap {cap}: leaked ME/MD");
-                    assert_eq!(env.mpi.engine().sends_pending(), 0, "cap {cap}");
-                } else {
-                    // Let the long put land unexpected first, so the counters below
-                    // see the pull alone.
-                    assert_eq!(env.comm.probe(Some(Rank(0)), Some(9)).len, LEN);
-                    let idle = ni.resources_in_use();
-                    // Values, not the live handle: a held handle reads 0 deltas.
-                    let counts = || {
-                        let c = ni.counters();
-                        (c.replies_accepted.get(), c.payload_copies.get())
-                    };
-                    let (replies_before, copies_before) = counts();
-                    let buf = Region::zeroed(cap);
-                    let req = env.comm.irecv(Some(Rank(0)), Some(9), buf.clone());
-                    let st = env.comm.wait(req).status().expect("recv status");
-                    let (replies_after, copies_after) = counts();
-                    assert_eq!(
-                        (st.len, st.full_len, st.truncated),
-                        (delivered, LEN, cap < LEN),
-                        "cap {cap}"
-                    );
-                    assert_eq!(buf.read_vec(0, delivered), pattern(0)[..delivered]);
-                    assert_eq!(
-                        replies_after - replies_before,
-                        1,
-                        "cap {cap}: one get, one reply"
-                    );
-                    // The reply is scattered straight into `buf`: one copy,
-                    // or none when there is no byte to move.
-                    assert_eq!(
-                        copies_after - copies_before,
-                        u64::from(cap > 0),
-                        "cap {cap}: no second copy behind the engine's back"
-                    );
-                    assert_eq!(ni.resources_in_use(), idle, "cap {cap}: leaked pull MD");
-                }
-                env.comm.barrier();
-            },
-        );
+        Job::launch(2, adaptive_job(mode, false), move |env| {
+            let ni = env.mpi.engine().ni();
+            if env.rank() == Rank(0) {
+                let idle = ni.resources_in_use();
+                let req = env
+                    .comm
+                    .isend_region(Rank(1), 9, Region::copy_from_slice(&pattern(0)));
+                assert_eq!(
+                    env.comm.wait(req),
+                    Completion::Send {
+                        delivered: delivered as u64,
+                        requested: LEN as u64,
+                    },
+                    "cap {cap}"
+                );
+                // The exposure (one entry, one descriptor) and the put's
+                // descriptor are gone; nothing is tracked any more.
+                assert_eq!(ni.resources_in_use(), idle, "cap {cap}: leaked ME/MD");
+                assert_eq!(env.mpi.engine().sends_pending(), 0, "cap {cap}");
+            } else {
+                // Let the long put land unexpected first, so the counters below
+                // see the pull alone.
+                assert_eq!(env.comm.probe(Some(Rank(0)), Some(9)).len, LEN);
+                let idle = ni.resources_in_use();
+                // Values, not the live handle: a held handle reads 0 deltas.
+                let counts = || {
+                    let c = ni.counters();
+                    (c.replies_accepted.get(), c.payload_copies.get())
+                };
+                let (replies_before, copies_before) = counts();
+                let buf = Region::zeroed(cap);
+                let req = env.comm.irecv(Some(Rank(0)), Some(9), buf.clone());
+                let st = env.comm.wait(req).status().expect("recv status");
+                let (replies_after, copies_after) = counts();
+                assert_eq!(
+                    (st.len, st.full_len, st.truncated),
+                    (delivered, LEN, cap < LEN),
+                    "cap {cap}"
+                );
+                assert_eq!(buf.read_vec(0, delivered), pattern(0)[..delivered]);
+                assert_eq!(
+                    replies_after - replies_before,
+                    1,
+                    "cap {cap}: one get, one reply"
+                );
+                // The reply is scattered straight into `buf`: one copy,
+                // or none when there is no byte to move.
+                assert_eq!(
+                    copies_after - copies_before,
+                    u64::from(cap > 0),
+                    "cap {cap}: no second copy behind the engine's back"
+                );
+                assert_eq!(ni.resources_in_use(), idle, "cap {cap}: leaked pull MD");
+            }
+            env.comm.barrier();
+        });
     }
 }

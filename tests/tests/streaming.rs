@@ -24,6 +24,20 @@ use portals_wire::{
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
+/// The two builds a bypass test runs in: a NIC thread standing by, and
+/// built without one.
+const BOTH_BUILDS: [ProgressMode; 2] = [ProgressMode::NicThread, ProgressMode::CallerDriven];
+
+fn build(mode: ProgressMode) -> NodeConfig {
+    NodeConfig {
+        transport: TransportConfig {
+            progress_mode: mode,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Above every message any test here sends: each arrives whole.
@@ -686,46 +700,48 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
     #[test]
     fn arbitrary_fragment_fields_cannot_wedge_or_corrupt(mut frags in hostile_frags()) {
-        // Through an endpoint: exactly the contiguous runs come out.
-        let fabric = Fabric::ideal();
-        let rx = Endpoint::with_defaults(fabric.attach(NodeId(1)));
-        inject(&fabric.attach(NodeId(0)), &frags);
-        let expect = contiguous_runs(&frags);
-        for want in &expect {
-            let got = rx.recv_timeout(TIMEOUT).expect("contiguous message withheld");
-            prop_assert_eq!(&got.payload.to_vec(), want);
-        }
-        prop_assert!(rx.recv_timeout(Duration::from_millis(20)).is_none());
-        prop_assert_eq!(rx.stats().messages_delivered.get(), expect.len() as u64);
-
-        // Through a node: every intact put is delivered, the rest is garbage,
-        // and the NIC thread is still alive to take one more. The descriptor
-        // truncates, so a header declaring any length is matched and a sink
-        // opened, unless the head itself is refused.
-        let fabric = Fabric::ideal();
-        let node = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
-        let ni = node.create_ni(1, NiConfig::default()).unwrap();
-        let eq = ni.eq_alloc(64).unwrap();
-        let me = ni
-            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-            .unwrap();
-        const MD_LEN: usize = 64;
-        let truncating = MdOptions {
-            truncate: true,
-            ..MdOptions::default()
-        };
-        let spec = MdSpec::new(Region::zeroed(MD_LEN)).with_options(truncating);
-        ni.md_attach(me, spec.with_eq(eq)).unwrap();
-        let body = encoded_put(pattern(9, 9), RAW_HANDLE_NONE);
-        frags.push(Frag { msg_id: u64::MAX, offset: 0, index: 0, count: 1, body });
-        inject(&fabric.attach(NodeId(0)), &frags);
-        for run in contiguous_runs(&frags) {
-            if let Ok(PortalsMessage::Put(put)) = PortalsMessage::decode(&run) {
-                let ev = ni.eq_poll(eq, TIMEOUT).expect("intact put withheld");
-                let mlength = put.payload.len().min(MD_LEN) as u64;
-                prop_assert_eq!((ev.kind, ev.mlength), (EventKind::Put, mlength));
+        for mode in BOTH_BUILDS {
+            // Through an endpoint: exactly the contiguous runs come out.
+            let fabric = Fabric::ideal();
+            let rx = Endpoint::with_defaults(fabric.attach(NodeId(1)));
+            inject(&fabric.attach(NodeId(0)), &frags);
+            let expect = contiguous_runs(&frags);
+            for want in &expect {
+                let got = rx.recv_timeout(TIMEOUT).expect("contiguous message withheld");
+                prop_assert_eq!(&got.payload.to_vec(), want);
             }
+            prop_assert!(rx.recv_timeout(Duration::from_millis(20)).is_none());
+            prop_assert_eq!(rx.stats().messages_delivered.get(), expect.len() as u64);
+
+            // Through a node: every intact put is delivered, the rest is garbage,
+            // and the NIC thread is still alive to take one more. The descriptor
+            // truncates, so a header declaring any length is matched and a sink
+            // opened, unless the head itself is refused.
+            let fabric = Fabric::ideal();
+            let node = Node::new(fabric.attach(NodeId(1)), build(mode));
+            let ni = node.create_ni(1, NiConfig::default()).unwrap();
+            let eq = ni.eq_alloc(64).unwrap();
+            let me = ni
+                .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+                .unwrap();
+            const MD_LEN: usize = 64;
+            let truncating = MdOptions {
+                truncate: true,
+                ..MdOptions::default()
+            };
+            let spec = MdSpec::new(Region::zeroed(MD_LEN)).with_options(truncating);
+            ni.md_attach(me, spec.with_eq(eq)).unwrap();
+            let body = encoded_put(pattern(9, 9), RAW_HANDLE_NONE);
+            frags.push(Frag { msg_id: u64::MAX, offset: 0, index: 0, count: 1, body });
+            inject(&fabric.attach(NodeId(0)), &frags);
+            for run in contiguous_runs(&frags) {
+                if let Ok(PortalsMessage::Put(put)) = PortalsMessage::decode(&run) {
+                    let ev = ni.eq_poll(eq, TIMEOUT).expect("intact put withheld");
+                    let mlength = put.payload.len().min(MD_LEN) as u64;
+                    prop_assert_eq!((ev.kind, ev.mlength), (EventKind::Put, mlength));
+                }
+            }
+            prop_assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
         }
-        prop_assert_eq!(ni.eq_get(eq), Err(PtlError::EqEmpty));
     }
 }

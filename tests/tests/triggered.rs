@@ -23,117 +23,135 @@ use portals_types::{MatchBits, MatchCriteria, NodeId, ProcessId, PtlError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+/// The two builds a bypass test runs in: a NIC thread standing by, and
+/// built without one.
+const BOTH_BUILDS: [ProgressMode; 2] = [ProgressMode::NicThread, ProgressMode::CallerDriven];
+
+fn build(mode: ProgressMode) -> NodeConfig {
+    NodeConfig {
+        transport: TransportConfig {
+            progress_mode: mode,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
 // -- §4.8 delivery paths increment counting events --------------------------
 
 #[test]
 fn all_four_delivery_paths_count() {
-    let fabric = Fabric::ideal();
-    let n0 = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
-    let n1 = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
-    let a = n0.create_ni(1, NiConfig::default()).unwrap();
-    let b = n1.create_ni(1, NiConfig::default()).unwrap();
+    for mode in BOTH_BUILDS {
+        let fabric = Fabric::ideal();
+        let n0 = Node::new(fabric.attach(NodeId(0)), build(mode));
+        let n1 = Node::new(fabric.attach(NodeId(1)), build(mode));
+        let a = n0.create_ni(1, NiConfig::default()).unwrap();
+        let b = n1.create_ni(1, NiConfig::default()).unwrap();
 
-    // Target side: one entry whose MD counts put deliveries and get services.
-    let target_ct = b.ct_alloc().unwrap();
-    let me = b
-        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-        .unwrap();
-    let sink = Region::from_vec(b"get me if you can".to_vec());
-    b.md_attach(me, MdSpec::new(sink).with_ct(target_ct))
-        .unwrap();
+        // Target side: one entry whose MD counts put deliveries and get services.
+        let target_ct = b.ct_alloc().unwrap();
+        let me = b
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        let sink = Region::from_vec(b"get me if you can".to_vec());
+        b.md_attach(me, MdSpec::new(sink).with_ct(target_ct))
+            .unwrap();
 
-    // Get: the reply lands in an MD with its own counter. (Runs before the
-    // put below, which overwrites the front of the shared target buffer.)
-    let get_ct = a.ct_alloc().unwrap();
-    let dst = Region::zeroed(32);
-    let get_md = a.md_bind(MdSpec::new(dst.clone()).with_ct(get_ct)).unwrap();
-    a.get_op(get_md)
-        .target(ProcessId::new(1, 1), 0)
-        .bits(MatchBits::new(0))
-        .length(17)
-        .submit()
-        .unwrap();
-    // Get served at the target…
-    assert_eq!(b.ct_wait(target_ct, 1).unwrap().success, 1);
-    // …reply landed at the initiator.
-    assert_eq!(a.ct_wait(get_ct, 1).unwrap().success, 1);
-    assert_eq!(&dst.read_vec(0, 17)[..], b"get me if you can");
+        // Get: the reply lands in an MD with its own counter. (Runs before the
+        // put below, which overwrites the front of the shared target buffer.)
+        let get_ct = a.ct_alloc().unwrap();
+        let dst = Region::zeroed(32);
+        let get_md = a.md_bind(MdSpec::new(dst.clone()).with_ct(get_ct)).unwrap();
+        a.get_op(get_md)
+            .target(ProcessId::new(1, 1), 0)
+            .bits(MatchBits::new(0))
+            .length(17)
+            .submit()
+            .unwrap();
+        // Get served at the target…
+        assert_eq!(b.ct_wait(target_ct, 1).unwrap().success, 1);
+        // …reply landed at the initiator.
+        assert_eq!(a.ct_wait(get_ct, 1).unwrap().success, 1);
+        assert_eq!(&dst.read_vec(0, 17)[..], b"get me if you can");
 
-    // Initiator put MD with a counter and no event queue: the ack must be
-    // consumed by the counter alone.
-    let put_ct = a.ct_alloc().unwrap();
-    let src = Region::from_vec(b"hello".to_vec());
-    let put_md = a.md_bind(MdSpec::new(src).with_ct(put_ct)).unwrap();
-    a.put_op(put_md)
-        .target(ProcessId::new(1, 1), 0)
-        .bits(MatchBits::new(0))
-        .ack(AckRequest::Ack)
-        .submit()
-        .unwrap();
-    // Put delivered at the target (second success on its counter)…
-    assert_eq!(b.ct_wait(target_ct, 2).unwrap().success, 2);
-    // …and the ack consumed at the initiator, with no EQ anywhere.
-    assert_eq!(a.ct_wait(put_ct, 1).unwrap().success, 1);
+        // Initiator put MD with a counter and no event queue: the ack must be
+        // consumed by the counter alone.
+        let put_ct = a.ct_alloc().unwrap();
+        let src = Region::from_vec(b"hello".to_vec());
+        let put_md = a.md_bind(MdSpec::new(src).with_ct(put_ct)).unwrap();
+        a.put_op(put_md)
+            .target(ProcessId::new(1, 1), 0)
+            .bits(MatchBits::new(0))
+            .ack(AckRequest::Ack)
+            .submit()
+            .unwrap();
+        // Put delivered at the target (second success on its counter)…
+        assert_eq!(b.ct_wait(target_ct, 2).unwrap().success, 2);
+        // …and the ack consumed at the initiator, with no EQ anywhere.
+        assert_eq!(a.ct_wait(put_ct, 1).unwrap().success, 1);
 
-    // No dropped messages anywhere: the ack was accepted by the counter.
-    assert_eq!(a.counters().dropped_total(), 0);
-    assert_eq!(b.counters().dropped_total(), 0);
+        // No dropped messages anywhere: the ack was accepted by the counter.
+        assert_eq!(a.counters().dropped_total(), 0);
+        assert_eq!(b.counters().dropped_total(), 0);
+    }
 }
 
 #[test]
 fn recv_counter_trigger_put_chain_runs_in_engine_context() {
-    // The §5.1 chain: a put lands on A, bumps A's counter, which launches a
-    // pre-posted put from A to C — with A's host thread never touching the
-    // interface between pre-post and the final wait.
-    let fabric = Fabric::ideal();
-    let nodes: Vec<_> = (0..3)
-        .map(|i| Node::new(fabric.attach(NodeId(i)), NodeConfig::default()))
-        .collect();
-    let nis: Vec<_> = (0..3)
-        .map(|i| nodes[i].create_ni(1, NiConfig::default()).unwrap())
-        .collect();
+    for mode in BOTH_BUILDS {
+        // The §5.1 chain: a put lands on A, bumps A's counter, which launches a
+        // pre-posted put from A to C — with A's host thread never touching the
+        // interface between pre-post and the final wait.
+        let fabric = Fabric::ideal();
+        let nodes: Vec<_> = (0..3)
+            .map(|i| Node::new(fabric.attach(NodeId(i)), build(mode)))
+            .collect();
+        let nis: Vec<_> = (0..3)
+            .map(|i| nodes[i].create_ni(1, NiConfig::default()).unwrap())
+            .collect();
 
-    // C: final destination.
-    let c_ct = nis[2].ct_alloc().unwrap();
-    let me = nis[2]
-        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-        .unwrap();
-    let c_buf = Region::zeroed(8);
-    nis[2]
-        .md_attach(me, MdSpec::new(c_buf.clone()).with_ct(c_ct))
-        .unwrap();
+        // C: final destination.
+        let c_ct = nis[2].ct_alloc().unwrap();
+        let me = nis[2]
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        let c_buf = Region::zeroed(8);
+        nis[2]
+            .md_attach(me, MdSpec::new(c_buf.clone()).with_ct(c_ct))
+            .unwrap();
 
-    // A: relay. Incoming put lands here and bumps `relay_ct`, which fires the
-    // pre-posted forward to C.
-    let relay_ct = nis[1].ct_alloc().unwrap();
-    let me = nis[1]
-        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-        .unwrap();
-    let relay_buf = Region::zeroed(8);
-    nis[1]
-        .md_attach(me, MdSpec::new(relay_buf.clone()).with_ct(relay_ct))
-        .unwrap();
-    let fwd_md = nis[1].md_bind(MdSpec::new(relay_buf)).unwrap();
-    nis[1]
-        .put_op(fwd_md)
-        .target(ProcessId::new(2, 1), 0)
-        .bits(MatchBits::new(0))
-        .submit_after(relay_ct, 1)
-        .unwrap();
+        // A: relay. Incoming put lands here and bumps `relay_ct`, which fires the
+        // pre-posted forward to C.
+        let relay_ct = nis[1].ct_alloc().unwrap();
+        let me = nis[1]
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        let relay_buf = Region::zeroed(8);
+        nis[1]
+            .md_attach(me, MdSpec::new(relay_buf.clone()).with_ct(relay_ct))
+            .unwrap();
+        let fwd_md = nis[1].md_bind(MdSpec::new(relay_buf)).unwrap();
+        nis[1]
+            .put_op(fwd_md)
+            .target(ProcessId::new(2, 1), 0)
+            .bits(MatchBits::new(0))
+            .submit_after(relay_ct, 1)
+            .unwrap();
 
-    // Kick the chain from node 0.
-    let src = Region::from_vec(b"relayed!".to_vec());
-    let md = nis[0].md_bind(MdSpec::new(src)).unwrap();
-    nis[0]
-        .put_op(md)
-        .target(ProcessId::new(1, 1), 0)
-        .bits(MatchBits::new(0))
-        .submit()
-        .unwrap();
+        // Kick the chain from node 0.
+        let src = Region::from_vec(b"relayed!".to_vec());
+        let md = nis[0].md_bind(MdSpec::new(src)).unwrap();
+        nis[0]
+            .put_op(md)
+            .target(ProcessId::new(1, 1), 0)
+            .bits(MatchBits::new(0))
+            .submit()
+            .unwrap();
 
-    assert_eq!(nis[2].ct_wait(c_ct, 1).unwrap().success, 1);
-    assert_eq!(&c_buf.read_vec(0, 8)[..], b"relayed!");
-    assert_eq!(nis[1].counters().triggered_fired.get(), 1);
+        assert_eq!(nis[2].ct_wait(c_ct, 1).unwrap().success, 1);
+        assert_eq!(&c_buf.read_vec(0, 8)[..], b"relayed!");
+        assert_eq!(nis[1].counters().triggered_fired.get(), 1);
+    }
 }
 
 // -- host-side counter calls --------------------------------------------------
@@ -434,74 +452,76 @@ fn offloaded_allreduce_completes_with_zero_host_progress() {
 
 #[test]
 fn trigger_fire_races_counter_free() {
-    // Incoming puts bump `hot` in engine context (firing chained increments
-    // onto `total`) while the host thread frees and reallocates counters under
-    // it. Nothing may deadlock, panic, or fire a stale trigger.
-    const PUTS: usize = 400;
-    let fabric = Fabric::ideal();
-    let n0 = Node::new(fabric.attach(NodeId(0)), NodeConfig::default());
-    let n1 = Node::new(fabric.attach(NodeId(1)), NodeConfig::default());
-    let a = n0.create_ni(1, NiConfig::default()).unwrap();
-    let b = n1.create_ni(1, NiConfig::default()).unwrap();
+    for mode in BOTH_BUILDS {
+        // Incoming puts bump `hot` in engine context (firing chained increments
+        // onto `total`) while the host thread frees and reallocates counters under
+        // it. Nothing may deadlock, panic, or fire a stale trigger.
+        const PUTS: usize = 400;
+        let fabric = Fabric::ideal();
+        let n0 = Node::new(fabric.attach(NodeId(0)), build(mode));
+        let n1 = Node::new(fabric.attach(NodeId(1)), build(mode));
+        let a = n0.create_ni(1, NiConfig::default()).unwrap();
+        let b = n1.create_ni(1, NiConfig::default()).unwrap();
 
-    let total = b.ct_alloc().unwrap();
-    let hot = b.ct_alloc().unwrap();
-    let me = b
-        .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
-        .unwrap();
-    let sink = Region::zeroed(64);
-    b.md_attach(me, MdSpec::new(sink).with_ct(hot)).unwrap();
+        let total = b.ct_alloc().unwrap();
+        let hot = b.ct_alloc().unwrap();
+        let me = b
+            .me_attach(0, ProcessId::ANY, MatchCriteria::any(), false, MePos::Back)
+            .unwrap();
+        let sink = Region::zeroed(64);
+        b.md_attach(me, MdSpec::new(sink).with_ct(hot)).unwrap();
 
-    let src = Region::from_vec(vec![7u8; 8]);
-    let md = a.md_bind(MdSpec::new(src)).unwrap();
-    let done = AtomicBool::new(false);
-    let deadline = Instant::now() + Duration::from_secs(30);
+        let src = Region::from_vec(vec![7u8; 8]);
+        let md = a.md_bind(MdSpec::new(src)).unwrap();
+        let done = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_secs(30);
 
-    std::thread::scope(|s| {
-        // Sender: a steady stream of puts that bump `hot` in engine context.
-        s.spawn(|| {
-            for _ in 0..PUTS {
-                a.put_op(md)
-                    .target(ProcessId::new(1, 1), 0)
-                    .bits(MatchBits::new(0))
-                    .submit()
-                    .unwrap();
-            }
-            done.store(true, Ordering::Release);
-        });
-        // Registrar: keeps parking chained increments on `hot` at thresholds
-        // it may or may not ever reach. Stale handles must surface as
-        // InvalidCt, never as a panic or a lost lock.
-        s.spawn(|| {
-            let mut k = 1u64;
-            while !done.load(Ordering::Acquire) && Instant::now() < deadline {
-                match b.triggered_ct_inc(total, 1, hot, k % 512) {
-                    Ok(()) | Err(PtlError::InvalidCt) => {}
-                    Err(e) => panic!("unexpected registration error: {e:?}"),
+        std::thread::scope(|s| {
+            // Sender: a steady stream of puts that bump `hot` in engine context.
+            s.spawn(|| {
+                for _ in 0..PUTS {
+                    a.put_op(md)
+                        .target(ProcessId::new(1, 1), 0)
+                        .bits(MatchBits::new(0))
+                        .submit()
+                        .unwrap();
                 }
-                k += 7;
-                std::thread::yield_now();
-            }
+                done.store(true, Ordering::Release);
+            });
+            // Registrar: keeps parking chained increments on `hot` at thresholds
+            // it may or may not ever reach. Stale handles must surface as
+            // InvalidCt, never as a panic or a lost lock.
+            s.spawn(|| {
+                let mut k = 1u64;
+                while !done.load(Ordering::Acquire) && Instant::now() < deadline {
+                    match b.triggered_ct_inc(total, 1, hot, k % 512) {
+                        Ok(()) | Err(PtlError::InvalidCt) => {}
+                        Err(e) => panic!("unexpected registration error: {e:?}"),
+                    }
+                    k += 7;
+                    std::thread::yield_now();
+                }
+            });
+            // Freer: rips the counter out from under both of the above, then
+            // confirms every post-free operation reports the stale handle.
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                b.ct_free(hot).unwrap();
+                assert_eq!(b.ct_get(hot), Err(PtlError::InvalidCt));
+                assert_eq!(b.ct_inc(hot, 1), Err(PtlError::InvalidCt));
+                assert_eq!(
+                    b.triggered_ct_inc(total, 1, hot, 1),
+                    Err(PtlError::InvalidCt)
+                );
+            });
         });
-        // Freer: rips the counter out from under both of the above, then
-        // confirms every post-free operation reports the stale handle.
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(5));
-            b.ct_free(hot).unwrap();
-            assert_eq!(b.ct_get(hot), Err(PtlError::InvalidCt));
-            assert_eq!(b.ct_inc(hot, 1), Err(PtlError::InvalidCt));
-            assert_eq!(
-                b.triggered_ct_inc(total, 1, hot, 1),
-                Err(PtlError::InvalidCt)
-            );
-        });
-    });
-    assert!(Instant::now() < deadline, "stress ran into the deadline");
-    // `total` only ever counts fires that happened strictly before the free.
-    let fired = b.ct_get(total).unwrap().success;
-    let triggered = b.counters().triggered_fired.get();
-    assert!(
-        fired <= triggered,
-        "chained increments ({fired}) exceed fired triggers ({triggered})"
-    );
+        assert!(Instant::now() < deadline, "stress ran into the deadline");
+        // `total` only ever counts fires that happened strictly before the free.
+        let fired = b.ct_get(total).unwrap().success;
+        let triggered = b.counters().triggered_fired.get();
+        assert!(
+            fired <= triggered,
+            "chained increments ({fired}) exceed fired triggers ({triggered})"
+        );
+    }
 }
